@@ -18,7 +18,14 @@ fn no_args_prints_usage_and_fails() {
 
 #[test]
 fn help_subcommands() {
-    for cmd in ["design", "theory", "simulate", "serve-bench", "trace"] {
+    for cmd in [
+        "design",
+        "theory",
+        "simulate",
+        "serve-bench",
+        "churn",
+        "trace",
+    ] {
         let out = mbacctl(&["help", cmd]);
         assert!(out.status.success(), "help {cmd}");
         assert!(
@@ -844,4 +851,38 @@ fn serve_bench_metrics_stream_writes_v2_jsonl() {
     // The interval snapshots carry plane-namespaced instrument names.
     assert!(body.contains("serve.shard0.requests"), "{body}");
     assert!(lines.last().unwrap().contains("\"k\": \"summary\""));
+}
+
+#[test]
+fn churn_verify_is_bit_identical_on_both_engines() {
+    for engine in ["batched", "boxed"] {
+        let out = mbacctl(&[
+            "churn", "--flows", "2000", "--ticks", "50", "--engine", engine, "--verify", "true",
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{engine}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(engine), "{text}");
+        assert!(
+            text.contains("bit-identical        : snapshots, ids, next-departure"),
+            "{engine}:\n{text}"
+        );
+    }
+}
+
+#[test]
+fn churn_rejects_bad_engine_and_verify() {
+    for (flag, value, message) in [
+        ("--engine", "turbo", "--engine must be batched or boxed"),
+        ("--verify", "maybe", "--verify must be true or false"),
+    ] {
+        let out = mbacctl(&["churn", "--flows", "10", "--ticks", "2", flag, value]);
+        assert_eq!(out.status.code(), Some(1), "clean exit, not a panic");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{err}");
+    }
 }

@@ -1,6 +1,6 @@
 //! Shared experiment scenarios: parameterized builders that wire traffic
 //! models, estimators, controllers and the simulator together the same
-//! way for every figure binary (and for the criterion benches).
+//! way for every figure binary (and for `benchmark/`'s `fig5_sweep`).
 
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;

@@ -3,9 +3,8 @@
 //! A fixed-capacity multi-producer queue (Vyukov's bounded MPMC
 //! algorithm, used here with a single consumer). It carries two
 //! workloads: the decision plane's measurement ingest in `mbac-serve`
-//! (which re-exports it) and the streaming metrics sink's record feed
-//! ([`crate::stream`]). Two properties carry both correctness
-//! arguments:
+//! and the streaming metrics sink's record feed ([`crate::stream`]).
+//! Two properties carry both correctness arguments:
 //!
 //! * **per-producer FIFO** — a producer's pushes are claimed at strictly
 //!   increasing cursor positions, and the consumer drains positions in

@@ -4,7 +4,7 @@
 //! under sustained backpressure from deliberately tiny rings, which is
 //! the regime the closed-loop bench runs in.
 
-use mbac_serve::IngestRing;
+use mbac_metrics::IngestRing;
 use proptest::prelude::*;
 use std::sync::Arc;
 

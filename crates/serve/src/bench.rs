@@ -9,8 +9,7 @@
 //!
 //! Single-core hosts cannot produce meaningful *threaded* throughput:
 //! producers, consumers, and the generator all time-share one CPU, so a
-//! multi-shard run measures scheduler churn, not the plane. Mirroring
-//! the `replication_scaling` gate in `bench_json`,
+//! multi-shard run measures scheduler churn, not the plane. So
 //! [`closed_loop_with_parallelism`] falls back to the serial reference
 //! and sets [`BenchReport::skipped_single_core`] when the injected
 //! parallelism is 1 and a threaded shape was requested — the recorded
@@ -320,18 +319,9 @@ impl Default for RoutedBenchConfig {
     }
 }
 
-/// Runs the routed closed-loop bench; detects host parallelism itself —
-/// see [`routed_closed_loop_with_parallelism`] for the testable core.
-pub fn routed_closed_loop(
-    cfg: &RoutedBenchConfig,
-    model: &dyn SourceModel,
-) -> Result<BenchReport, BenchError> {
-    routed_closed_loop_with_parallelism(cfg, model, host_parallelism())
-}
-
-/// [`routed_closed_loop`] with the host parallelism injected. Mirrors
-/// [`closed_loop_with_parallelism`]: a threaded shape on a single-core
-/// host falls back to the serial reference and sets
+/// Runs the routed closed-loop bench with the host parallelism
+/// injected. Mirrors [`closed_loop_with_parallelism`]: a threaded shape
+/// on a single-core host falls back to the serial reference and sets
 /// [`BenchReport::skipped_single_core`].
 pub fn routed_closed_loop_with_parallelism(
     cfg: &RoutedBenchConfig,

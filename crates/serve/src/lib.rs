@@ -2,13 +2,12 @@
 //!
 //! Turns the paper's O(1) admission controller into a service shape:
 //!
-//! * [`ring::IngestRing`] — a bounded lock-free multi-producer
-//!   measurement-ingest ring (per-producer FIFO, loss-free, visible
-//!   backpressure);
 //! * [`plane::DecisionPlane`] — per-link [`mbac_sim::MbacController`]
-//!   state hashed across shards, drained and decided in batch
-//!   ([`plane::Shard::decide_batch`] applies every pending measurement
-//!   before any decision);
+//!   state hashed across shards, fed through one
+//!   [`mbac_metrics::IngestRing`] per shard (bounded, lock-free,
+//!   per-producer FIFO, loss-free, visible backpressure), drained and
+//!   decided in batch ([`plane::Shard::decide_batch`] applies every
+//!   pending measurement before any decision);
 //! * [`replay`] — the single-threaded serial reference and the
 //!   multi-producer sharded replay of a Scenario-generated
 //!   [`mbac_sim::ServeWorkload`];
@@ -36,12 +35,11 @@
 pub mod bench;
 pub mod plane;
 pub mod replay;
-pub mod ring;
 pub mod routed;
 
 pub use bench::{
-    closed_loop_with_parallelism, host_parallelism, routed_closed_loop,
-    routed_closed_loop_with_parallelism, BenchConfig, BenchError, BenchReport, RoutedBenchConfig,
+    closed_loop_with_parallelism, host_parallelism, routed_closed_loop_with_parallelism,
+    BenchConfig, BenchError, BenchReport, RoutedBenchConfig,
 };
 
 pub use plane::{
@@ -49,7 +47,6 @@ pub use plane::{
     DecisionPlane, IngestHandle, PlaneConfig, ServeError, Shard, ShardEvent,
 };
 pub use replay::{replay_serial, replay_threaded, ReplayConfig, ReplayOutcome};
-pub use ring::IngestRing;
 pub use routed::{
     routed_plane_snapshot, routed_replay_serial, routed_replay_threaded, HopDecision,
     RouteDecision, RouteTable, RoutedIngestHandle, RoutedPlane, RoutedPlaneConfig,

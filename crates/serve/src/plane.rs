@@ -18,7 +18,7 @@
 //! order in which *that link's* events are applied:
 //!
 //! 1. a link's events are pushed by a single producer, and the ring is
-//!    per-producer FIFO (see [`crate::ring`]), so they reach the shard
+//!    per-producer FIFO (see [`mbac_metrics::ring`]), so they reach the shard
 //!    in per-link order;
 //! 2. a link's state lives on exactly one shard, so its events are
 //!    applied sequentially by one consumer in that arrival order;
@@ -30,13 +30,12 @@
 //! proves this property over randomized workloads, shard counts 1..=8,
 //! and both flow engines, comparing byte-encoded decisions.
 
-use crate::ring::IngestRing;
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
 use mbac_core::topology::LinkId;
 use mbac_metrics::{
-    Aggregated, Counter, FieldBuf, Histogram, MetricValue, MetricsSnapshot, Sampler, StreamHandle,
-    StreamItem,
+    Aggregated, Counter, FieldBuf, Histogram, IngestRing, MetricValue, MetricsSnapshot, Sampler,
+    StreamHandle, StreamItem,
 };
 use mbac_sim::{MbacController, MetricsMode};
 use std::collections::HashMap;

@@ -53,9 +53,8 @@
 //! decision bytes bit for bit.
 
 use crate::plane::{ControllerFactory, DecisionEntry, ServeError, ShardMetrics, ShardStream};
-use crate::ring::IngestRing;
 use mbac_core::topology::{hop_admits, LinkId, RouteId, Topology};
-use mbac_metrics::{Aggregated, Counter, MetricValue, MetricsSnapshot, StreamHandle};
+use mbac_metrics::{Aggregated, Counter, IngestRing, MetricValue, MetricsSnapshot, StreamHandle};
 use mbac_sim::{MbacController, MetricsMode, RoutedEvent, RoutedWorkload};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};

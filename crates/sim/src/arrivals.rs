@@ -12,9 +12,7 @@
 use crate::controller::AdmissionEngine;
 use crate::events::EventQueue;
 use crate::metrics::{OverflowMeter, PfEstimate, StopReason};
-use crate::session::{
-    require_non_negative, require_positive, ConfigError, RepContext, Scenario, SessionBuilder,
-};
+use crate::session::{require_non_negative, require_positive, ConfigError, RepContext, Scenario};
 use crate::telemetry::MetricsSink;
 use mbac_num::rng::exponential;
 use mbac_num::RunningStats;
@@ -75,6 +73,8 @@ enum Ev {
 /// Like [`crate::runner::ContinuousLoad`], borrows the caller's
 /// controller mutably and therefore runs through
 /// [`SessionBuilder::run_local`].
+///
+/// [`SessionBuilder::run_local`]: crate::session::SessionBuilder::run_local
 pub struct PoissonLoad<'a> {
     cfg: PoissonConfig,
     model: &'a dyn SourceModel,
@@ -240,23 +240,11 @@ impl Scenario for PoissonLoad<'_> {
     }
 }
 
-/// Runs the Poisson-arrival model with the given source and controller.
-#[deprecated(note = "build a `PoissonLoad` and run it through `SessionBuilder::run_local`")]
-pub fn run_poisson(
-    cfg: &PoissonConfig,
-    model: &dyn SourceModel,
-    ctl: &mut dyn AdmissionEngine,
-) -> PoissonReport {
-    let scenario = PoissonLoad::new(cfg, model, ctl);
-    SessionBuilder::new()
-        .run_local(&scenario)
-        .unwrap_or_else(|e| panic!("invalid poisson config: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::controller::MbacController;
+    use crate::session::SessionBuilder;
     use mbac_core::admission::CertaintyEquivalent;
     use mbac_core::estimators::MemorylessEstimator;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
@@ -384,19 +372,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shim_delegates_to_the_session() {
-        let m = RcbrModel::new(RcbrConfig::paper_default(1.0));
-        let cfg = config(1.0, 55);
-        let mut ctl_a = controller(1e-2);
-        let shim = run_poisson(&cfg, &m, &mut ctl_a);
-        let mut ctl_b = controller(1e-2);
-        let builder = poisson(&cfg, &m, &mut ctl_b);
-        assert_eq!(shim.pf.value, builder.pf.value);
-        assert_eq!(shim.offered, builder.offered);
-        assert_eq!(shim.admitted, builder.admitted);
     }
 }

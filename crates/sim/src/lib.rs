@@ -71,11 +71,3 @@ pub use session::{
 pub use telemetry::{EntryGuard, MetricsSink, SimMetrics, TickEntry};
 
 pub use mbac_core::topology::{LinkId, PathAdmission, RouteId, Topology};
-
-#[allow(deprecated)]
-pub use arrivals::run_poisson;
-#[allow(deprecated)]
-pub use runner::{
-    run_continuous, run_continuous_in, run_continuous_metered, run_continuous_phased,
-    run_impulsive, run_impulsive_metered, run_impulsive_with_workers,
-};

@@ -15,9 +15,8 @@
 //!   conservation counts, RNG stream) at every step; the proptests in
 //!   `tests/churn.rs` and the unit tests in [`crate::flows`] drive both
 //!   through randomized interleaved schedules and assert exactly that;
-//! * **baseline** — the `churn` block in `bench_json` measures the
-//!   wheel's O(departures) lifecycle against this table's O(N) scans at
-//!   10³/10⁵/10⁶ concurrent flows.
+//! * **replay** — `mbacctl churn --verify true` replays its workload
+//!   on this table and exits non-zero on any divergence from the wheel.
 //!
 //! Do not use it in simulations; it is the slow path by construction.
 

@@ -14,18 +14,10 @@
 //!
 //! (The finite-arrival-rate Poisson scenario lives in
 //! [`crate::arrivals`].)
-//!
-//! The legacy `run_*` free functions remain as deprecated shims that
-//! delegate to a [`SessionBuilder`]; new code should build a scenario
-//! and run it through the builder directly.
 
 use crate::controller::AdmissionEngine;
-use crate::flows::FlowTable;
 use crate::metrics::{OverflowMeter, PfEstimate, StopReason};
-use crate::session::{
-    require_non_negative, require_positive, ConfigError, Engine, MetricsMode, RepContext, Scenario,
-    SessionBuilder,
-};
+use crate::session::{require_non_negative, require_positive, ConfigError, RepContext, Scenario};
 use crate::telemetry::MetricsSink;
 use mbac_core::admission::AdmissionPolicy;
 use mbac_core::estimators::snapshot_stats;
@@ -275,71 +267,6 @@ impl Scenario for ImpulsiveLoad<'_> {
     }
 }
 
-/// Shared implementation of the deprecated impulsive entry points.
-fn impulsive_compat(
-    cfg: &ImpulsiveConfig,
-    model: &dyn SourceModel,
-    policy: &dyn AdmissionPolicy,
-    workers: usize,
-    collect: bool,
-) -> (ImpulsiveReport, MetricsSnapshot) {
-    let scenario = ImpulsiveLoad::new(cfg, model, policy);
-    let mode = if collect {
-        MetricsMode::Enabled
-    } else {
-        MetricsMode::Disabled
-    };
-    SessionBuilder::new()
-        .workers(workers)
-        .metrics(mode)
-        .run_metered(&scenario)
-        .unwrap_or_else(|e| panic!("invalid impulsive config: {e}"))
-}
-
-/// Runs the impulsive-load model across
-/// [`mbac_num::parallel::default_workers`] threads.
-#[deprecated(note = "build an `ImpulsiveLoad` and run it through `SessionBuilder`")]
-pub fn run_impulsive(
-    cfg: &ImpulsiveConfig,
-    model: &dyn SourceModel,
-    policy: &dyn AdmissionPolicy,
-) -> ImpulsiveReport {
-    impulsive_compat(
-        cfg,
-        model,
-        policy,
-        mbac_num::parallel::default_workers(),
-        false,
-    )
-    .0
-}
-
-/// [`run_impulsive`] with an explicit worker count. The report is
-/// bit-identical for any count (see [`crate::session`]).
-#[deprecated(note = "build an `ImpulsiveLoad` and run it through `SessionBuilder::workers`")]
-pub fn run_impulsive_with_workers(
-    cfg: &ImpulsiveConfig,
-    model: &dyn SourceModel,
-    policy: &dyn AdmissionPolicy,
-    workers: usize,
-) -> ImpulsiveReport {
-    impulsive_compat(cfg, model, policy, workers, false).0
-}
-
-/// [`run_impulsive_with_workers`] plus telemetry: when `collect` is
-/// true, every replication records into its own bundle and the
-/// snapshots fold in replication input order.
-#[deprecated(note = "build an `ImpulsiveLoad` and run it through `SessionBuilder::metrics`")]
-pub fn run_impulsive_metered(
-    cfg: &ImpulsiveConfig,
-    model: &dyn SourceModel,
-    policy: &dyn AdmissionPolicy,
-    workers: usize,
-    collect: bool,
-) -> (ImpulsiveReport, MetricsSnapshot) {
-    impulsive_compat(cfg, model, policy, workers, collect)
-}
-
 // ---------------------------------------------------------------------
 // Continuous load (§4)
 // ---------------------------------------------------------------------
@@ -415,6 +342,8 @@ pub struct ContinuousReport {
 /// The scenario borrows the caller's controller mutably, so it is *not*
 /// `Sync`: run it with [`SessionBuilder::run_local`] (it is a single
 /// replication — nothing is lost by staying on the calling thread).
+///
+/// [`SessionBuilder::run_local`]: crate::session::SessionBuilder::run_local
 pub struct ContinuousLoad<'a> {
     cfg: ContinuousConfig,
     model: &'a dyn SourceModel,
@@ -595,83 +524,6 @@ impl Scenario for ContinuousLoad<'_> {
     }
 }
 
-/// Shared implementation of the deprecated continuous entry points.
-fn continuous_compat(
-    cfg: &ContinuousConfig,
-    model: &dyn SourceModel,
-    ctl: &mut dyn AdmissionEngine,
-    engine: Engine,
-    mode: MetricsMode,
-) -> (ContinuousReport, MetricsSnapshot) {
-    let scenario = ContinuousLoad::new(cfg, model, ctl);
-    SessionBuilder::new()
-        .engine(engine)
-        .metrics(mode)
-        .run_local_metered(&scenario)
-        .unwrap_or_else(|e| panic!("invalid continuous config: {e}"))
-}
-
-/// Runs the continuous-load model on the default (batched) engine.
-#[deprecated(note = "build a `ContinuousLoad` and run it through `SessionBuilder::run_local`")]
-pub fn run_continuous(
-    cfg: &ContinuousConfig,
-    model: &dyn SourceModel,
-    ctl: &mut dyn AdmissionEngine,
-) -> ContinuousReport {
-    continuous_compat(cfg, model, ctl, Engine::Batched, MetricsMode::Disabled).0
-}
-
-/// [`run_continuous`] against a caller-provided (empty) flow table —
-/// the table selects the engine ([`FlowTable::new`] vs
-/// [`FlowTable::new_unbatched`]); the session builds its own fresh
-/// table on that engine. Both engines consume the RNG identically, so
-/// the two reports are bit-equal for a fixed seed.
-#[deprecated(note = "use `SessionBuilder::engine` with a `ContinuousLoad` instead")]
-pub fn run_continuous_in(
-    cfg: &ContinuousConfig,
-    model: &dyn SourceModel,
-    ctl: &mut dyn AdmissionEngine,
-    table: FlowTable,
-) -> ContinuousReport {
-    assert!(table.is_empty(), "run_continuous_in needs a fresh table");
-    let engine = if table.is_batched() {
-        Engine::Batched
-    } else {
-        Engine::Boxed
-    };
-    continuous_compat(cfg, model, ctl, engine, MetricsMode::Disabled).0
-}
-
-/// [`run_continuous_in`] plus telemetry into the given sink: the run's
-/// merged snapshot is attached to the caller's sink (a disabled sink
-/// keeps the zero-cost path).
-#[deprecated(note = "use `SessionBuilder::metrics` with a `ContinuousLoad` instead")]
-pub fn run_continuous_metered(
-    cfg: &ContinuousConfig,
-    model: &dyn SourceModel,
-    ctl: &mut dyn AdmissionEngine,
-    table: FlowTable,
-    sink: &mut MetricsSink,
-) -> ContinuousReport {
-    assert!(
-        table.is_empty(),
-        "run_continuous_metered needs a fresh table"
-    );
-    let engine = if table.is_batched() {
-        Engine::Batched
-    } else {
-        Engine::Boxed
-    };
-    let mode = match sink.get() {
-        None => MetricsMode::Disabled,
-        Some(m) if m.timing_enabled() => MetricsMode::EnabledWithTiming,
-        Some(_) => MetricsMode::Enabled,
-    };
-    let (report, snapshot) = continuous_compat(cfg, model, ctl, engine, mode);
-    sink.attach(snapshot);
-    report
-}
-
 // ---------------------------------------------------------------------
 // Non-stationary (phased) continuous load — extension
 // ---------------------------------------------------------------------
@@ -705,6 +557,8 @@ pub struct PhaseReport {
 ///
 /// Like [`ContinuousLoad`], borrows the controller mutably and must run
 /// through [`SessionBuilder::run_local`].
+///
+/// [`SessionBuilder::run_local`]: crate::session::SessionBuilder::run_local
 pub struct PhasedLoad<'a> {
     cfg: ContinuousConfig,
     phases: Vec<(f64, &'a dyn SourceModel)>,
@@ -836,23 +690,11 @@ impl Scenario for PhasedLoad<'_> {
     }
 }
 
-/// Runs the non-stationary phased continuous-load model.
-#[deprecated(note = "build a `PhasedLoad` and run it through `SessionBuilder::run_local`")]
-pub fn run_continuous_phased(
-    cfg: &ContinuousConfig,
-    phases: &[(f64, &dyn SourceModel)],
-    ctl: &mut dyn AdmissionEngine,
-) -> Vec<PhaseReport> {
-    let scenario = PhasedLoad::new(cfg, phases, ctl);
-    SessionBuilder::new()
-        .run_local(&scenario)
-        .unwrap_or_else(|e| panic!("invalid phased config: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::controller::MbacController;
+    use crate::session::{Engine, SessionBuilder};
     use mbac_core::admission::{CertaintyEquivalent, PerfectKnowledge};
     use mbac_core::estimators::{FilteredEstimator, MemorylessEstimator};
     use mbac_core::params::{FlowStats, QosTarget};
@@ -1248,57 +1090,5 @@ mod tests {
             .run_local(&PhasedLoad::new(&cfg, &phases, &mut ctl))
             .unwrap_err();
         assert!(matches!(err, ConfigError::BadPhases { .. }));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shims_delegate_to_the_session() {
-        // The deprecated free functions must produce byte-identical
-        // results to the builder path they wrap.
-        let m = model();
-        let ce = CertaintyEquivalent::from_probability(0.05);
-        let cfg = ImpulsiveConfig {
-            capacity: 40.0,
-            estimation_flows: 40,
-            mean_holding: Some(15.0),
-            observe_times: vec![2.0, 8.0],
-            replications: 32,
-            seed: 123,
-        };
-        let via_shim = run_impulsive(&cfg, &m, &ce);
-        let via_builder = SessionBuilder::new()
-            .run(&ImpulsiveLoad::new(&cfg, &m, &ce))
-            .unwrap();
-        assert_eq!(via_shim.m0.mean(), via_builder.m0.mean());
-        assert_eq!(via_shim.m0.variance(), via_builder.m0.variance());
-        for (a, b) in via_shim.observations.iter().zip(&via_builder.observations) {
-            assert_eq!(a.overflows, b.overflows);
-            assert_eq!(a.load.mean(), b.load.mean());
-            assert_eq!(a.mean_flows, b.mean_flows);
-        }
-
-        let ccfg = ContinuousConfig {
-            capacity: 50.0,
-            mean_holding: 20.0,
-            tick: 0.5,
-            warmup: 10.0,
-            sample_spacing: 10.0,
-            target: 1e-2,
-            max_samples: 40,
-            seed: 321,
-        };
-        let mk = || {
-            MbacController::new(
-                Box::new(MemorylessEstimator::new()),
-                Box::new(CertaintyEquivalent::from_probability(1e-2)),
-            )
-        };
-        let shim = run_continuous(&ccfg, &m, &mut mk());
-        let builder = SessionBuilder::new()
-            .run_local(&ContinuousLoad::new(&ccfg, &m, &mut mk()))
-            .unwrap();
-        assert_eq!(shim.pf.value, builder.pf.value);
-        assert_eq!(shim.admitted, builder.admitted);
-        assert_eq!(shim.sim_time, builder.sim_time);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! [`MetricsSink`] wraps an optional [`SimMetrics`]; every record site
 //! in the simulator costs one branch on the `Option` when disabled (the
-//! bench guard in `tests/statistical.rs` and `crates/bench` verifies
-//! the overhead is unmeasurable). When enabled, the bundle collects:
+//! bench guard in `tests/statistical.rs` checks the disabled path does
+//! no instrument work). When enabled, the bundle collects:
 //!
 //! | name | instrument | meaning |
 //! |---|---|---|

@@ -366,8 +366,8 @@ fn disabled_sink_yields_empty_snapshot_and_same_results() {
 
 /// Bench guard for the zero-cost claim: the disabled-sink path must not
 /// silently grow instrumentation work. Wall-clock is noisy in CI, so
-/// the bound is deliberately loose (the real measurement lives in
-/// `mbac-bench`'s `metrics_overhead` group); what this catches is a
+/// the bound is deliberately loose (the real measurement is
+/// `benchmark/`'s `probe.stream_over_disabled`); what this catches is a
 /// record site accidentally doing histogram work in disabled mode,
 /// which shows up as a ≥2× swing on this workload.
 #[test]
