@@ -8,7 +8,7 @@ pub mod theory;
 pub mod trace;
 
 use crate::args::{ArgError, Args};
-use mbac_core::topology::Topology;
+use mbac_core::topology::{Topology, MAX_ROUTE_HOPS};
 use mbac_metrics::{StreamConfig, StreamSink};
 
 /// Opens the streaming JSONL sink implied by `--metrics-stream` (with
@@ -59,7 +59,7 @@ pub(crate) fn finish_stream(args: &Args, sink: Option<StreamSink>) -> Result<(),
 
 /// Parses a `--topology` spec into a [`Topology`] with every link at
 /// `capacity`. Accepted forms: `single`, `parking-lot:<hops>`,
-/// `star:<legs>` (parking-lot needs >= 2 hops, star >= 2 legs).
+/// `star:<legs>` (parking-lot needs 2..=255 hops, star >= 2 legs).
 pub(crate) fn parse_topology(spec: &str, capacity: f64) -> Result<Topology, ArgError> {
     let bad = |why: &str| ArgError(format!("--topology '{spec}': {why}"));
     let size = |raw: &str, what: &str| -> Result<usize, ArgError> {
@@ -76,7 +76,13 @@ pub(crate) fn parse_topology(spec: &str, capacity: f64) -> Result<Topology, ArgE
             "single" => Ok(Topology::single_link(capacity)),
             _ => Err(bad("expected single, parking-lot:<hops>, or star:<legs>")),
         },
-        Some(("parking-lot", raw)) => Ok(Topology::parking_lot(size(raw, "hops")?, capacity)),
+        Some(("parking-lot", raw)) => {
+            let hops = size(raw, "hops")?;
+            if hops > MAX_ROUTE_HOPS {
+                return Err(bad(&format!("hops must be <= {MAX_ROUTE_HOPS}")));
+            }
+            Ok(Topology::parking_lot(hops, capacity))
+        }
         Some(("star", raw)) => Ok(Topology::star(size(raw, "legs")?, capacity)),
         Some(_) => Err(bad("expected single, parking-lot:<hops>, or star:<legs>")),
     }
@@ -106,6 +112,7 @@ mod tests {
             "parking-lot",
             "parking-lot:x",
             "parking-lot:1",
+            "parking-lot:256",
             "star:0",
             "mesh:3",
         ] {

@@ -8,13 +8,12 @@
 //!
 //! The printed report keeps the *deterministic* decision totals in a
 //! separate block from the *timing* figures, so byte-comparing the
-//! first block across runs (e.g. scalar vs wide kernel dispatch)
+//! first block across runs (e.g. different shard counts or engines)
 //! checks the invariance contract without tripping on wall-clock
 //! noise.
 
 use super::{finish_stream, open_stream};
 use crate::args::{ArgError, Args};
-use mbac_num::KernelDispatch;
 use mbac_serve::{
     closed_loop_with_parallelism, host_parallelism, routed_closed_loop_with_parallelism,
     BenchConfig, BenchReport, RoutedBenchConfig,
@@ -37,7 +36,7 @@ mbacctl serve-bench [--links <n>] [--flows-per-link <n>] [--ticks <n>]
                     [--flows-per-route <n>] [--noise-sd <sigma>]
                     [--source rcbr|ar1 | --trace <file>]
                     [--mean <mu> --sd <sigma> --t-c <T_c>]
-                    [--engine batched|boxed] [--kernel-dispatch scalar|wide]
+                    [--engine batched|boxed]
                     [--metrics-stream <file>] [--stream-sample <fraction>]
                     [--stream-flush <n>] [--stream-ring <n>]
 
@@ -45,8 +44,8 @@ Runs the closed-loop decision-plane benchmark: per-link measurement +
 request streams generated through the Session pipeline are replayed
 into the sharded serve plane, and the report summarizes the admission
 decisions (deterministic for a fixed seed and shape, whatever the
-shard/producer/engine/dispatch choice) plus p50/p99/mean decision
-latency and sustained decisions/sec.
+shard/producer/engine choice) plus p50/p99/mean decision latency and
+sustained decisions/sec.
 --shards/--producers pick the plane shape; on a single-core host a
 threaded shape falls back to the serial reference and says so.
 --ring-capacity bounds each shard's ingest ring (the closed loop's
@@ -55,10 +54,10 @@ default, or ar1); --trace replays an LRD trace file instead and
 cannot be combined with --mean/--sd/--t-c.
 --topology switches to the routed multi-hop bench: requests carry a
 route and are admitted only if *every* hop accepts (two-phase
-reserve/commit across shards). Every link gets --capacity;
---flows-per-route sizes the steady workload per route and --noise-sd
-adds per-node measurement noise. --topology replaces --links and
---flows-per-link.
+reserve/commit across shards; a parking lot takes 2 to 255 hops).
+Every link gets --capacity; --flows-per-route sizes the steady
+workload per route and --noise-sd adds per-node measurement noise.
+--topology replaces --links and --flows-per-link.
 --metrics-stream emits bounded-memory streaming metrics as
 mbac-metrics/v2-stream JSONL: per-decision samples (--stream-sample,
 default 0) plus cumulative per-shard interval snapshots every
@@ -128,7 +127,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         "sd",
         "t-c",
         "engine",
-        "kernel-dispatch",
         "topology",
         "flows-per-route",
         "noise-sd",
@@ -149,15 +147,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     }
     let engine = Engine::from_name(args.get("engine").unwrap_or("batched"))
         .map_err(|e| ArgError(format!("--{e}")))?;
-    if let Some(mode) = args.get("kernel-dispatch") {
-        KernelDispatch::parse(mode)
-            .ok_or_else(|| {
-                ArgError(format!(
-                    "--kernel-dispatch must be scalar or wide, got {mode}"
-                ))
-            })?
-            .set_global();
-    }
     let model = build_model(args)?;
 
     if let Some(spec) = args.get("topology") {

@@ -10,7 +10,6 @@ use crate::args::{ArgError, Args};
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
 use mbac_metrics::MetricsSnapshot;
-use mbac_num::KernelDispatch;
 use mbac_sim::{
     ConfigError, ContinuousConfig, ContinuousLoad, Engine, ImpulsiveConfig, ImpulsiveLoad,
     MbacController, MetricsMode, PoissonConfig, PoissonLoad, RoutedNetworkConfig,
@@ -25,8 +24,7 @@ use std::sync::Arc;
 pub const USAGE: &str = "\
 mbacctl simulate --capacity <c> [--load continuous|impulsive|poisson|routed]
                  [--trace <file> | --mean <mu> --sd <sigma> --t-c <T_c>]
-                 [--seed <s>] [--engine batched|boxed]
-                 [--kernel-dispatch scalar|wide] [--metrics-out <file|->]
+                 [--seed <s>] [--engine batched|boxed] [--metrics-out <file|->]
                  [--metrics-stream <file>] [--stream-sample <fraction>]
                  [--stream-flush <n>] [--stream-ring <n>]
   continuous (default): --holding <T_h> [--t-m <T_m>] [--p-ce <p>]
@@ -46,18 +44,15 @@ load models, or a routed multi-hop network. continuous applies
 infinite arrival pressure (§4), impulsive offers a burst at t = 0 and
 watches it evolve (§3), poisson offers Poisson call arrivals at rate
 lambda. routed runs per-link controllers on a multi-hop topology — a
-flow is admitted only when every hop on its route accepts — and
-reports per-link overflow/utilization and per-route admit/block
-counts (shared links see correlated load; --noise-sd adds independent
-per-node measurement noise). Defaults: RCBR sources with mean 1, sd
-0.3, T_c 1; T_m = T_h/sqrt(n) (the robust rule); p_ce = p_q = 1e-3.
+flow is admitted only when every hop on its route accepts (a parking
+lot takes 2 to 255 hops) — and reports per-link overflow/utilization
+and per-route admit/block counts (shared links see correlated load;
+--noise-sd adds independent per-node measurement noise). Defaults:
+RCBR sources with mean 1, sd 0.3, T_c 1; T_m = T_h/sqrt(n) (the robust
+rule); p_ce = p_q = 1e-3.
 --engine selects the flow engine: batched (struct-of-arrays kernels,
 the default) or boxed (one heap process per flow); both produce
 bit-identical results for the same seed, as does any --workers count.
---kernel-dispatch pins the hot-kernel implementation: wide (lane-tiled
-SIMD-friendly, the default) or scalar (the reference twins); the two
-are bit-exact, so this only affects speed. Also settable through the
-MBAC_KERNEL_DISPATCH environment variable; the flag wins.
 --metrics-out writes the run's aggregated metrics as mbac-metrics/v1
 JSON (see results/METRICS_schema.md) to the file, or to stdout for -.
 --metrics-stream additionally emits bounded-memory streaming metrics
@@ -101,7 +96,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         "samples",
         "seed",
         "engine",
-        "kernel-dispatch",
         "metrics-out",
         "metrics-stream",
         "stream-sample",
@@ -134,15 +128,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     // prefix the flag dashes for the CLI surface.
     let engine = Engine::from_name(args.get("engine").unwrap_or("batched"))
         .map_err(|e| ArgError(format!("--{e}")))?;
-    if let Some(mode) = args.get("kernel-dispatch") {
-        KernelDispatch::parse(mode)
-            .ok_or_else(|| {
-                ArgError(format!(
-                    "--kernel-dispatch must be scalar or wide, got {mode}"
-                ))
-            })?
-            .set_global();
-    }
     match args.get("load").unwrap_or("continuous") {
         "continuous" => run_continuous_load(args, engine),
         "impulsive" => run_impulsive_load(args, engine),

@@ -60,7 +60,7 @@ pub use params::{FlowStats, QosTarget, SystemParams};
 pub use robust::{DesignInputs, RobustDesign};
 pub use theory::ContinuousModel;
 pub use topology::{
-    hop_admits, HopOracle, HopReport, LinkId, PathAdmission, PathDecision, RouteId, Topology,
-    TopologyError,
+    hop_admits, hop_u8, HopOracle, HopReport, LinkId, PathAdmission, PathDecision, RouteId,
+    Topology, TopologyError, MAX_ROUTE_HOPS,
 };
 pub use utility::UtilityFunction;

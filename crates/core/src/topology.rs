@@ -112,6 +112,14 @@ pub enum TopologyError {
         /// The repeated link id.
         link: LinkId,
     },
+    /// A route had more than [`MAX_ROUTE_HOPS`] hops; decision records
+    /// carry hop indices and vote counts as `u8`.
+    RouteTooLong {
+        /// The offending route.
+        route: RouteId,
+        /// Its hop count.
+        hops: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -129,6 +137,12 @@ impl fmt::Display for TopologyError {
             TopologyError::DuplicateHop { route, link } => {
                 write!(f, "{route} visits {link} more than once")
             }
+            TopologyError::RouteTooLong { route, hops } => {
+                write!(
+                    f,
+                    "{route} has {hops} hops, at most {MAX_ROUTE_HOPS} are supported"
+                )
+            }
         }
     }
 }
@@ -138,6 +152,18 @@ impl std::error::Error for TopologyError {}
 // ---------------------------------------------------------------------
 // Topology
 // ---------------------------------------------------------------------
+
+/// The longest route a [`Topology`] accepts: hop indices and per-request
+/// hop counts travel as `u8` through the decision records and the routed
+/// plane's vote table.
+pub const MAX_ROUTE_HOPS: usize = u8::MAX as usize;
+
+/// Narrows a hop index or hop count of a validated [`Topology`] to the
+/// `u8` the decision records carry.
+#[inline]
+pub fn hop_u8(k: usize) -> u8 {
+    u8::try_from(k).expect("Topology::validate bounds every route by MAX_ROUTE_HOPS")
+}
 
 /// A network of bufferless links and the routes flows may take across
 /// them. Immutable once built; validation happens at construction.
@@ -170,13 +196,15 @@ impl Topology {
     /// The parking-lot topology: `hops` links in a row, one long route
     /// traversing all of them, plus one single-hop cross-traffic route
     /// per link. The classic multi-hop fairness/composition shape.
-    /// Panics if `hops` is zero or `capacity` is not strictly positive.
+    /// Panics if `hops` is zero or exceeds [`MAX_ROUTE_HOPS`], or if
+    /// `capacity` is not strictly positive.
     pub fn parking_lot(hops: usize, capacity: f64) -> Self {
         assert!(hops > 0, "parking_lot: need at least one hop");
         let long: Vec<LinkId> = (0..hops).map(|i| LinkId(i as u32)).collect();
         let mut routes = vec![long];
         routes.extend((0..hops).map(|i| vec![LinkId(i as u32)]));
-        Topology::new(vec![capacity; hops], routes).expect("parking_lot: capacity must be positive")
+        Topology::new(vec![capacity; hops], routes)
+            .expect("parking_lot: invalid hop count or capacity")
     }
 
     /// The star topology: `legs` spoke links feeding one shared hub
@@ -188,7 +216,8 @@ impl Topology {
         let routes = (0..legs)
             .map(|i| vec![LinkId(i as u32 + 1), LinkId(0)])
             .collect();
-        Topology::new(vec![capacity; legs + 1], routes).expect("star: capacity must be positive")
+        Topology::new(vec![capacity; legs + 1], routes)
+            .expect("star: invalid leg count or capacity")
     }
 
     /// Checks the invariants [`Topology::new`] enforces.
@@ -211,6 +240,12 @@ impl Topology {
             let route = RouteId(r as u32);
             if hops.is_empty() {
                 return Err(TopologyError::EmptyRoute { route });
+            }
+            if hops.len() > MAX_ROUTE_HOPS {
+                return Err(TopologyError::RouteTooLong {
+                    route,
+                    hops: hops.len(),
+                });
             }
             for (k, &link) in hops.iter().enumerate() {
                 if link.index() >= self.capacities.len() {
@@ -423,7 +458,7 @@ impl PathAdmission {
                 return PathDecision {
                     route,
                     admit: false,
-                    reject_hop: Some(k as u8),
+                    reject_hop: Some(hop_u8(k)),
                     hops: reports,
                 };
             }
@@ -508,6 +543,29 @@ mod tests {
                 link: LinkId(1)
             }
         );
+        let long: Vec<LinkId> = (0..256).map(LinkId).collect();
+        assert_eq!(
+            Topology::new(vec![1.0; 256], vec![vec![LinkId(0)], long]).unwrap_err(),
+            TopologyError::RouteTooLong {
+                route: RouteId(1),
+                hops: 256
+            }
+        );
+    }
+
+    /// The longest legal route: hop index 254 must survive the `u8`
+    /// narrowing in the decision record, not wrap.
+    #[test]
+    fn longest_route_reports_a_rejecting_last_hop() {
+        let topo = Topology::parking_lot(MAX_ROUTE_HOPS, 10.0);
+        let mut path = PathAdmission::for_topology(&topo);
+        let last = LinkId(MAX_ROUTE_HOPS as u32 - 1);
+        let mut oracle = |link: LinkId, capacity: f64| (link != last).then_some(capacity);
+        let d = path.decide(&topo, RouteId(0), &mut oracle);
+        assert!(!d.admit);
+        assert_eq!(d.reject_hop, Some(254));
+        assert_eq!(d.hops.len(), MAX_ROUTE_HOPS);
+        assert!(topo.link_ids().all(|l| path.occupancy(l) == 0));
     }
 
     #[test]

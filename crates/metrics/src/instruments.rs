@@ -8,7 +8,6 @@
 //! bins) merges exactly associatively and commutatively, and float
 //! accumulators (sums) are associative up to one rounding per merge.
 
-use crate::p2::P2Quantile;
 use std::collections::BTreeMap;
 
 /// An instrument whose state can be frozen into a mergeable snapshot —
@@ -256,15 +255,12 @@ pub fn bin_representative(key: i32) -> f64 {
     }
 }
 
-/// A value distribution: running moments, fixed log-scale bins (the
-/// mergeable quantile substrate), and live P² estimators for the
-/// p50/p90/p99 quantiles.
+/// A value distribution: running moments and fixed log-scale bins, the
+/// mergeable substrate every published quantile is read from
+/// ([`HistogramSnapshot::quantile`]).
 #[derive(Debug, Clone)]
 pub struct Histogram {
     snap: HistogramSnapshot,
-    p50: P2Quantile,
-    p90: P2Quantile,
-    p99: P2Quantile,
 }
 
 impl Default for Histogram {
@@ -278,9 +274,6 @@ impl Histogram {
     pub fn new() -> Self {
         Histogram {
             snap: HistogramSnapshot::default(),
-            p50: P2Quantile::new(0.5),
-            p90: P2Quantile::new(0.9),
-            p99: P2Quantile::new(0.99),
         }
     }
 
@@ -301,29 +294,11 @@ impl Histogram {
         self.snap.min = self.snap.min.min(v);
         self.snap.max = self.snap.max.max(v);
         *self.snap.bins.entry(bin_index(v)).or_insert(0) += 1;
-        self.p50.observe(v);
-        self.p90.observe(v);
-        self.p99.observe(v);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.snap.count
-    }
-
-    /// The live P² estimate for one of the maintained quantiles
-    /// (`0.5`, `0.9`, `0.99`); finer than the binned snapshot quantile
-    /// but order-sensitive and not mergeable.
-    ///
-    /// # Panics
-    /// Panics for any other `p`.
-    pub fn live_quantile(&self, p: f64) -> f64 {
-        match p {
-            _ if p == 0.5 => self.p50.estimate(),
-            _ if p == 0.9 => self.p90.estimate(),
-            _ if p == 0.99 => self.p99.estimate(),
-            _ => panic!("live quantiles are maintained for p ∈ {{0.5, 0.9, 0.99}}, got {p}"),
-        }
     }
 }
 
@@ -620,8 +595,6 @@ mod tests {
         assert!((s.quantile(0.99) / 990.0 - 1.0).abs() < 0.05);
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(s.quantile(1.0), 1000.0);
-        // Live P² estimates are finer.
-        assert!((h.live_quantile(0.5) / 500.0 - 1.0).abs() < 0.02);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! - [`Counter`] — monotone event count.
 //! - [`Gauge`] — last-value instrument whose snapshot keeps the value
 //!   distribution (count/sum/min/max).
-//! - [`Histogram`] — full distribution: moments, extremes, fixed
-//!   log-scale bins (exactly mergeable), plus live P² quantile
-//!   estimators ([`P2Quantile`]) for in-flight queries.
+//! - [`Histogram`] — full distribution: moments, extremes, and fixed
+//!   log-scale bins (exactly mergeable) from which every quantile is
+//!   read.
 //! - [`TimeSeries`] — bounded-memory (t, v) trace with stride-doubling
 //!   decimation.
 //!
@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod instruments;
-pub mod p2;
 pub mod ring;
 pub mod sampler;
 pub mod snapshot;
@@ -43,7 +42,6 @@ pub use instruments::{
     bin_index, bin_representative, Aggregated, Counter, CounterSnapshot, Gauge, GaugeSnapshot,
     Histogram, HistogramSnapshot, Mergeable, SeriesSnapshot, TimeSeries,
 };
-pub use p2::P2Quantile;
 pub use ring::IngestRing;
 pub use sampler::{splitmix64, Sampler};
 pub use snapshot::{MetricValue, MetricsSnapshot};

@@ -1,10 +1,8 @@
 //! Property-based tests for the metrics instruments: merge algebra of
-//! snapshots (associativity, order-insensitivity) and P² accuracy
-//! against exact quantiles.
+//! snapshots (associativity, order-insensitivity).
 
 use mbac_metrics::{
-    Aggregated, Counter, Gauge, Histogram, Mergeable, MetricValue, MetricsSnapshot, P2Quantile,
-    TimeSeries,
+    Aggregated, Counter, Gauge, Histogram, Mergeable, MetricValue, MetricsSnapshot, TimeSeries,
 };
 use proptest::prelude::*;
 
@@ -22,18 +20,6 @@ fn gauge_of(xs: &[f64]) -> Gauge {
         g.set(x);
     }
     g
-}
-
-fn exact_quantile(xs: &[f64], p: f64) -> f64 {
-    let mut s = xs.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let h = p * (s.len() - 1) as f64;
-    let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
-    if lo == hi {
-        s[lo]
-    } else {
-        s[lo] + (h - lo as f64) * (s[hi] - s[lo])
-    }
 }
 
 fn close(a: f64, b: f64, tol: f64) -> bool {
@@ -184,36 +170,6 @@ proptest! {
             other => prop_assert!(false, "unexpected {:?}", other),
         }
         prop_assert_eq!(left.get("c"), right.get("c"));
-    }
-
-    /// P² stays within bounds of the exact quantile on generated
-    /// samples: always inside the sample range, and within a modest
-    /// relative band of the exact order statistic once the stream is
-    /// long enough for the markers to settle.
-    #[test]
-    fn p2_tracks_exact_quantile(
-        base in proptest::collection::vec(0.01f64..100.0, 50..300),
-        p in 0.05f64..0.95,
-    ) {
-        let mut est = P2Quantile::new(p);
-        for &x in &base {
-            est.observe(x);
-        }
-        let got = est.estimate();
-        let lo = base.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = base.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(got >= lo && got <= hi, "{got} outside [{lo}, {hi}]");
-        let exact = exact_quantile(&base, p);
-        // Bracket by neighbouring order statistics widened by a band:
-        // P² is an approximation, but it must not wander to a different
-        // part of the distribution.
-        let slack = 0.35;
-        let lo_b = exact_quantile(&base, (p - slack).max(0.0));
-        let hi_b = exact_quantile(&base, (p + slack).min(1.0));
-        prop_assert!(
-            got >= lo_b - 1e-9 && got <= hi_b + 1e-9,
-            "p2 {got} for p={p} outside [{lo_b}, {hi_b}] (exact {exact})"
-        );
     }
 
     /// Time-series merge is order-insensitive and capacity-bounded.

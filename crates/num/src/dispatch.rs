@@ -1,133 +1,40 @@
-//! Kernel dispatch: selects between the scalar reference kernels and
-//! their hand-tiled wide-lane (SIMD-friendly) twins.
-//!
-//! The three hot kernels — the flow-major innovation fill
-//! ([`crate::rng::NormalSampler`]), the AR(1) chunk recurrence
-//! (`mbac-traffic`), and the fused moment accumulation
-//! ([`crate::RateMoments`]) — each exist in two implementations:
-//!
-//! * **Scalar** — the original element-at-a-time reference code. This is
-//!   the twin every golden and RNG-stream test was blessed against.
-//! * **Wide** — the same arithmetic restructured over `[f64; LANES]`
-//!   tiles so stable rustc's autovectorizer lifts it to packed SIMD
-//!   (SSE2/AVX2/AVX-512 depending on `target-cpu`), with scalar
-//!   fallbacks only for the rare ziggurat wedge/tail rejections.
-//!
-//! The two paths are **bit-exact twins**: per element they execute the
-//! identical IEEE expression sequence (vector lanes are elementwise, and
-//! rustc never contracts `a*b + c` into an FMA), every reduction folds
-//! in the same program order, and the RNG word stream is consumed
-//! identically. Switching dispatch therefore never changes a simulation
-//! result — the twin property tests in `mbac-num` and `mbac-traffic`
-//! assert bit-identity, and the fig5–fig12 goldens pass un-re-blessed on
-//! both paths.
-//!
-//! Selection: the process-wide default is [`KernelDispatch::Wide`],
-//! overridable by the `MBAC_KERNEL_DISPATCH` environment variable
-//! (`scalar` | `wide`, read once on first use) or at runtime via
-//! [`KernelDispatch::set_global`] (used by `mbacctl --kernel-dispatch`
-//! and the bench ablation harness). Kernels that need a fixed mode
-//! regardless of the global (tests, ablations) take the dispatch
-//! explicitly through the `*_with` entry points.
+//! Inert shim: selects nothing. There is one kernel path (the lane-tiled
+//! "wide" twins ran 1.29–1.74× slower on `ar1_dense` and were deleted), but
+//! the frozen `benchmark/` still names these six items. The next `benchmark`
+//! PR deletes this file with `probe.wide_over_scalar` and its fingerprint field.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use crate::rng::NormalSampler;
+use rand::Rng;
 
-/// Which implementation of the hot kernels to run. The two variants are
-/// bit-exact twins; see the module docs.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelDispatch {
-    /// Element-at-a-time reference kernels.
     Scalar,
-    /// Hand-tiled wide-lane kernels (autovectorized on stable rustc).
     Wide,
 }
 
-/// Global dispatch state: 0 = unresolved, 1 = scalar, 2 = wide.
-static GLOBAL: AtomicU8 = AtomicU8::new(0);
-
+#[doc(hidden)]
 impl KernelDispatch {
-    /// The process-wide dispatch mode: the last
-    /// [`set_global`](KernelDispatch::set_global) if any, else
-    /// `MBAC_KERNEL_DISPATCH` from the environment, else
-    /// [`KernelDispatch::Wide`].
-    ///
-    /// A relaxed atomic load — cheap enough to consult per kernel call.
-    #[inline]
     pub fn current() -> Self {
-        match GLOBAL.load(Ordering::Relaxed) {
-            1 => KernelDispatch::Scalar,
-            2 => KernelDispatch::Wide,
-            _ => Self::resolve_from_env(),
-        }
+        KernelDispatch::Scalar
     }
 
-    /// Overrides the process-wide dispatch mode (takes precedence over
-    /// the environment). Returns the previous effective mode.
     pub fn set_global(self) -> Self {
-        let prev = Self::current();
-        GLOBAL.store(self as u8 + 1, Ordering::Relaxed);
-        prev
+        KernelDispatch::Scalar
     }
 
-    /// Parses a mode name as accepted by `MBAC_KERNEL_DISPATCH` and
-    /// `mbacctl --kernel-dispatch`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(KernelDispatch::Scalar),
-            "wide" => Some(KernelDispatch::Wide),
-            _ => None,
-        }
-    }
-
-    /// The name `parse` accepts for this mode.
     pub fn name(self) -> &'static str {
         match self {
             KernelDispatch::Scalar => "scalar",
             KernelDispatch::Wide => "wide",
         }
     }
-
-    #[cold]
-    fn resolve_from_env() -> Self {
-        let mode = match std::env::var("MBAC_KERNEL_DISPATCH") {
-            Ok(s) => Self::parse(&s).unwrap_or_else(|| {
-                panic!("MBAC_KERNEL_DISPATCH={s:?}: expected \"scalar\" or \"wide\"")
-            }),
-            Err(_) => KernelDispatch::Wide,
-        };
-        GLOBAL.store(mode as u8 + 1, Ordering::Relaxed);
-        mode
-    }
 }
 
-impl std::fmt::Display for KernelDispatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_round_trips() {
-        for d in [KernelDispatch::Scalar, KernelDispatch::Wide] {
-            assert_eq!(KernelDispatch::parse(d.name()), Some(d));
-            assert_eq!(KernelDispatch::parse(&d.name().to_uppercase()), Some(d));
-        }
-        assert_eq!(KernelDispatch::parse("avx512"), None);
-    }
-
-    #[test]
-    fn set_global_overrides_and_reports_previous() {
-        let orig = KernelDispatch::current();
-        let before = KernelDispatch::Scalar.set_global();
-        assert_eq!(before, orig);
-        assert_eq!(KernelDispatch::current(), KernelDispatch::Scalar);
-        let before = KernelDispatch::Wide.set_global();
-        assert_eq!(before, KernelDispatch::Scalar);
-        assert_eq!(KernelDispatch::current(), KernelDispatch::Wide);
-        orig.set_global();
+impl NormalSampler {
+    /// Forwards to [`NormalSampler::fill`]; see the module docs.
+    #[doc(hidden)]
+    pub fn fill_with<R: Rng + Clone>(&self, _: KernelDispatch, rng: &mut R, out: &mut [f64]) {
+        self.fill(rng, out)
     }
 }

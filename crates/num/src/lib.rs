@@ -29,6 +29,7 @@
 
 pub mod ci;
 pub mod complex;
+#[doc(hidden)]
 pub mod dispatch;
 pub mod erf;
 pub mod fft;
@@ -44,6 +45,7 @@ pub mod stats;
 
 pub use ci::{mean_ci, wald_ci, wilson_ci, z_critical, ConfidenceInterval};
 pub use complex::Complex64;
+#[doc(hidden)]
 pub use dispatch::KernelDispatch;
 pub use erf::{erf, erfc, erfcx, ln_erfc};
 pub use linalg::{ctmc_stationary, solve as solve_linear, LinalgError, Matrix};

@@ -65,40 +65,6 @@ impl RateMoments {
         }
     }
 
-    /// Adds a whole lane tile of observations, bit-identical to `LANES`
-    /// sequential [`RateMoments::add`] calls in array order.
-    ///
-    /// The deviations `d = x − c` and squares `d·d` are elementwise and
-    /// precomputed in a straight-line loop the autovectorizer packs into
-    /// SIMD lanes; the three accumulator folds then run over the tile in
-    /// array order. Each accumulator is an independent serial dependency
-    /// chain, so interleaving the three chains cannot change any of
-    /// their bit patterns — which is what keeps the full-precision
-    /// figure goldens valid without re-blessing. A true lane-partial
-    /// reduction (per-lane sub-accumulators combined at the end) would
-    /// reassociate the FP adds and is deliberately **not** used here;
-    /// see DESIGN.md §12.
-    #[inline]
-    pub fn add_lanes<const LANES: usize>(&mut self, xs: &[f64; LANES]) {
-        let c = self.pivot;
-        let mut d = [0.0f64; LANES];
-        let mut dd = [0.0f64; LANES];
-        for j in 0..LANES {
-            d[j] = xs[j] - c;
-            dd[j] = d[j] * d[j];
-        }
-        self.n += LANES;
-        for &x in xs {
-            self.sum += x;
-        }
-        for &v in &d {
-            self.s1 += v;
-        }
-        for &v in &dd {
-            self.s2 += v;
-        }
-    }
-
     /// Number of observations folded in.
     #[inline]
     pub fn count(&self) -> usize {
@@ -207,25 +173,5 @@ mod tests {
     fn non_finite_pivot_degrades_to_zero() {
         let m = RateMoments::new(f64::NAN);
         assert_eq!(m.pivot(), 0.0);
-    }
-
-    #[test]
-    fn add_lanes_is_bit_identical_to_sequential_adds() {
-        let xs = data();
-        for &pivot in &[0.0, 0.97, -3.0] {
-            let mut lanes = RateMoments::new(pivot);
-            let mut seq = RateMoments::new(pivot);
-            let mut chunks = xs.chunks_exact(8);
-            for chunk in &mut chunks {
-                let tile: &[f64; 8] = chunk.try_into().unwrap();
-                lanes.add_lanes(tile);
-            }
-            lanes.add_slice(chunks.remainder());
-            seq.add_slice(&xs);
-            assert_eq!(lanes.count(), seq.count());
-            assert_eq!(lanes.sum().to_bits(), seq.sum().to_bits());
-            assert_eq!(lanes.s1.to_bits(), seq.s1.to_bits());
-            assert_eq!(lanes.s2.to_bits(), seq.s2.to_bits());
-        }
     }
 }

@@ -6,8 +6,7 @@
 //! the workspace takes an explicit RNG so that simulations are exactly
 //! reproducible from a seed.
 
-use crate::KernelDispatch;
-use rand::{Rng, RngCore};
+use rand::Rng;
 use std::sync::OnceLock;
 
 /// Number of ziggurat layers. 256 lets the layer index come from the
@@ -199,33 +198,12 @@ impl NormalSampler {
     }
 
     /// Fills `out` with consecutive standard normals, bit-identical to
-    /// `out.len()` sequential [`NormalSampler::sample`] calls, via the
-    /// kernel selected by the global [`KernelDispatch`].
+    /// `out.len()` sequential [`NormalSampler::sample`] calls:
+    /// [`NormalSampler::sample_batch`] in 8-wide windows written in place
+    /// (a speculative window that stops early is simply overwritten by
+    /// the resumed stream), with a scalar tail — so a bulk fill pays the
+    /// snapshot/commit overhead once per window instead of once per draw.
     pub fn fill<R: Rng + Clone>(&self, rng: &mut R, out: &mut [f64]) {
-        self.fill_with(KernelDispatch::current(), rng, out)
-    }
-
-    /// As [`NormalSampler::fill`] with an explicit dispatch mode. The
-    /// two kernels are bit-exact twins: same values, same RNG-word
-    /// consumption (the twin tests below assert both).
-    pub fn fill_with<R: Rng + Clone>(
-        &self,
-        dispatch: KernelDispatch,
-        rng: &mut R,
-        out: &mut [f64],
-    ) {
-        match dispatch {
-            KernelDispatch::Scalar => self.fill_scalar(rng, out),
-            KernelDispatch::Wide => self.fill_wide(rng, out),
-        }
-    }
-
-    /// The scalar reference fill: [`NormalSampler::sample_batch`] in
-    /// 8-wide windows written in place (a speculative window that stops
-    /// early is simply overwritten by the resumed stream), with a scalar
-    /// tail — so a bulk fill pays the snapshot/commit overhead once per
-    /// window instead of once per draw.
-    fn fill_scalar<R: Rng + Clone>(&self, rng: &mut R, out: &mut [f64]) {
         let n = out.len();
         let mut drawn = 0usize;
         while drawn + 8 <= n {
@@ -242,117 +220,6 @@ impl NormalSampler {
         while drawn < n {
             out[drawn] = self.sample(rng);
             drawn += 1;
-        }
-    }
-
-    /// The wide-lane fill: drains RNG words a [`FILL_BLOCK`]-sized block
-    /// at a time, then converts the whole block — layer index, the
-    /// one-multiply uniform conversion, the layer-edge multiply, and the
-    /// accept test — in straight-line tile loops the autovectorizer
-    /// lifts to packed SIMD. The ~1% of draws that fail the interior
-    /// accept run the exact scalar wedge/tail sampler fed from the
-    /// *already-drained* words (see [`BufferedWords`]), so no snapshot,
-    /// rewind, or re-draw ever happens: every drained word is consumed
-    /// exactly once, in stream order, and both the values and the final
-    /// RNG state are bit-identical to sequential sampling.
-    fn fill_wide<R: Rng>(&self, rng: &mut R, out: &mut [f64]) {
-        let t = self.t;
-        let n = out.len();
-        let mut drawn = 0usize;
-        let mut words = [0u64; FILL_BLOCK];
-        let mut vals = [0.0f64; FILL_BLOCK];
-        let mut rej = [0u8; FILL_BLOCK];
-        while drawn < n {
-            // Each value consumes at least one word, so draining exactly
-            // `m` words can only run short (wedge/tail draws pull more
-            // via `BufferedWords`), never long — no rewind is needed.
-            let m = (n - drawn).min(FILL_BLOCK);
-            for w in words[..m].iter_mut() {
-                *w = rng.next_u64();
-            }
-            // Speculative conversion of the whole block. Bit-identical
-            // per word to the scalar path: same one-multiply uniform,
-            // same layer-edge product, same accept compare.
-            for idx in 0..m {
-                let bits = words[idx];
-                let i = (bits & 0xFF) as usize;
-                let u = (bits >> 11) as f64 * (2.0 * U53) - 1.0;
-                let x = u * t.x[i];
-                vals[idx] = x;
-                rej[idx] = (x.abs() >= t.x[i + 1]) as u8;
-            }
-            // Commit pass: copy accepted runs; route each rejected word
-            // through the exact scalar sampler over the drained words.
-            // Invariant: values produced ≤ words consumed, so the block
-            // always consumes all `m` drained words by the time it ends.
-            let mut wpos = 0usize; // next unconsumed drained word
-            let mut produced = 0usize;
-            while produced < m {
-                if wpos < m {
-                    let run_end = rej[wpos..m]
-                        .iter()
-                        .position(|&r| r != 0)
-                        .map_or(m, |p| wpos + p);
-                    let take = run_end - wpos;
-                    out[drawn + produced..drawn + produced + take]
-                        .copy_from_slice(&vals[wpos..run_end]);
-                    produced += take;
-                    wpos = run_end;
-                    if produced == m {
-                        break;
-                    }
-                    // words[wpos] needs the wedge or tail path; resume
-                    // the scalar sampler on the drained stream.
-                    let mut src = BufferedWords {
-                        words: &words[..m],
-                        pos: wpos,
-                        rng,
-                    };
-                    out[drawn + produced] = self.sample(&mut src);
-                    wpos = src.pos;
-                    produced += 1;
-                } else {
-                    // Rejections consumed the block's remaining words;
-                    // the generator is already positioned sequentially.
-                    out[drawn + produced] = self.sample(rng);
-                    produced += 1;
-                }
-            }
-            drawn += m;
-        }
-    }
-}
-
-/// Block width of the wide fill: conversion tiles and the reject scan
-/// work in units of 64 draws (a cache-resident strip of words/values).
-const FILL_BLOCK: usize = 64;
-
-/// Serves pre-drained RNG words in stream order, falling through to the
-/// live generator when the buffer is exhausted. Because the drained
-/// words *are* the generator's own output in order, sampling through
-/// this adapter consumes the logical stream identically to sampling from
-/// the generator directly — it merely decouples when the words are
-/// produced from when they are interpreted.
-struct BufferedWords<'a, R: RngCore> {
-    words: &'a [u64],
-    pos: usize,
-    rng: &'a mut R,
-}
-
-impl<R: RngCore> RngCore for BufferedWords<'_, R> {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        if self.pos < self.words.len() {
-            let w = self.words[self.pos];
-            self.pos += 1;
-            w
-        } else {
-            self.rng.next_u64()
         }
     }
 }
@@ -705,37 +572,6 @@ mod tests {
                 let want: Vec<f64> = (0..len).map(|_| sampler.sample(&mut scalar)).collect();
                 assert_eq!(got, want, "fill({len}) diverged in round {round}");
                 assert_eq!(bulk, scalar, "RNG state diverged for len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn fill_dispatch_twins_are_bit_exact() {
-        // The scalar and wide fill kernels must be indistinguishable:
-        // same values (bitwise) and same RNG end state for every length,
-        // including lengths straddling the FILL_BLOCK boundary and
-        // lengths that force scalar tails.
-        let sampler = NormalSampler::get();
-        for &len in &[
-            0usize, 1, 2, 7, 8, 9, 31, 32, 63, 64, 65, 127, 128, 129, 400, 2000,
-        ] {
-            let mut wide_rng = StdRng::seed_from_u64(0xD15 ^ len as u64);
-            let mut scalar_rng = wide_rng.clone();
-            for round in 0..120 {
-                let mut wide = vec![0.0f64; len];
-                let mut scalar = vec![0.0f64; len];
-                sampler.fill_with(KernelDispatch::Wide, &mut wide_rng, &mut wide);
-                sampler.fill_with(KernelDispatch::Scalar, &mut scalar_rng, &mut scalar);
-                let wide_bits: Vec<u64> = wide.iter().map(|v| v.to_bits()).collect();
-                let scalar_bits: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(
-                    wide_bits, scalar_bits,
-                    "twin values diverged: len {len} round {round}"
-                );
-                assert_eq!(
-                    wide_rng, scalar_rng,
-                    "twin RNG state diverged: len {len} round {round}"
-                );
             }
         }
     }

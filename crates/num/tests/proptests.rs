@@ -3,14 +3,8 @@
 use mbac_num::complex::Complex64;
 use mbac_num::fft::{fft, ifft};
 use mbac_num::linalg::{solve, Matrix};
-use mbac_num::rng::NormalSampler;
-use mbac_num::{
-    brent, erf, erfc, integrate, parallel_map_with_stats, q, KernelDispatch, RateMoments,
-    RunningStats,
-};
+use mbac_num::{brent, erf, erfc, integrate, parallel_map_with_stats, q, RunningStats};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 proptest! {
     /// erf is odd and bounded; erf + erfc = 1.
@@ -128,49 +122,6 @@ proptest! {
         prop_assert!((ab.mean() - ba.mean()).abs() < 1e-9);
         prop_assert!((ab.variance() - ba.variance()).abs() < 1e-7 * (1.0 + ab.variance()));
         prop_assert_eq!(ab.count(), ba.count());
-    }
-
-    /// The scalar and wide innovation-fill kernels are bit-exact twins
-    /// for arbitrary seeds and lengths (including lengths straddling
-    /// the wide kernel's block boundary): identical values AND identical
-    /// RNG end state.
-    #[test]
-    fn fill_dispatch_twins(seed in 0u64..u64::MAX, len in 0usize..520) {
-        let sampler = NormalSampler::get();
-        let mut wide_rng = StdRng::seed_from_u64(seed);
-        let mut scalar_rng = wide_rng.clone();
-        let mut wide = vec![0.0f64; len];
-        let mut scalar = vec![0.0f64; len];
-        sampler.fill_with(KernelDispatch::Wide, &mut wide_rng, &mut wide);
-        sampler.fill_with(KernelDispatch::Scalar, &mut scalar_rng, &mut scalar);
-        let wb: Vec<u64> = wide.iter().map(|v| v.to_bits()).collect();
-        let sb: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(wb, sb);
-        prop_assert_eq!(wide_rng, scalar_rng);
-    }
-
-    /// Lane-tiled moment accumulation is bit-identical to sequential
-    /// adds for arbitrary data and pivots, including remainders that
-    /// don't fill a whole tile.
-    #[test]
-    fn moments_lane_twin(
-        xs in proptest::collection::vec(-100.0f64..100.0, 0..64),
-        pivot in -10.0f64..10.0,
-    ) {
-        let mut lanes = RateMoments::new(pivot);
-        let mut seq = RateMoments::new(pivot);
-        let mut chunks = xs.chunks_exact(8);
-        for chunk in &mut chunks {
-            lanes.add_lanes::<8>(chunk.try_into().unwrap());
-        }
-        lanes.add_slice(chunks.remainder());
-        seq.add_slice(&xs);
-        prop_assert_eq!(lanes.count(), seq.count());
-        prop_assert_eq!(lanes.sum().to_bits(), seq.sum().to_bits());
-        prop_assert_eq!(
-            lanes.sum_sq_dev(pivot + 0.25).to_bits(),
-            seq.sum_sq_dev(pivot + 0.25).to_bits()
-        );
     }
 
     /// The instrumented pool returns outputs identical to sequential

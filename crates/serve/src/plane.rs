@@ -34,8 +34,8 @@ use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
 use mbac_core::topology::LinkId;
 use mbac_metrics::{
-    Aggregated, Counter, FieldBuf, Histogram, IngestRing, MetricValue, MetricsSnapshot, Sampler,
-    StreamHandle, StreamItem,
+    splitmix64, Aggregated, Counter, FieldBuf, Histogram, IngestRing, MetricValue, MetricsSnapshot,
+    Sampler, StreamHandle, StreamItem,
 };
 use mbac_sim::{MbacController, MetricsMode};
 use std::collections::HashMap;
@@ -85,18 +85,9 @@ impl std::error::Error for ServeError {}
 // Link hashing
 // ---------------------------------------------------------------------
 
-/// The SplitMix64 finalizer (same avalanche mix `mbac_sim::rep_seed`
-/// builds on): bijective on `u64`, so link ids with low-bit structure
+/// The shard owning `link` in a plane of `shards` shards. The SplitMix64
+/// finalizer is bijective on `u64`, so link ids with low-bit structure
 /// still spread across shards.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The shard owning `link` in a plane of `shards` shards.
 #[inline]
 pub fn shard_of(link: LinkId, shards: usize) -> usize {
     (splitmix64(link.as_u64()) % shards as u64) as usize

@@ -53,7 +53,7 @@
 //! decision bytes bit for bit.
 
 use crate::plane::{ControllerFactory, DecisionEntry, ServeError, ShardMetrics, ShardStream};
-use mbac_core::topology::{hop_admits, LinkId, RouteId, Topology};
+use mbac_core::topology::{hop_admits, hop_u8, LinkId, RouteId, Topology};
 use mbac_metrics::{Aggregated, Counter, IngestRing, MetricValue, MetricsSnapshot, StreamHandle};
 use mbac_sim::{MbacController, MetricsMode, RoutedEvent, RoutedWorkload};
 use std::collections::{HashMap, VecDeque};
@@ -215,7 +215,7 @@ impl RouteTable {
         for &route in request_routes {
             let hops = topology.route(route).len();
             offsets.push(total);
-            hop_counts.push(hops as u8);
+            hop_counts.push(hop_u8(hops));
             remaining.push(AtomicU32::new(hops as u32));
             total += hops as u32;
         }
@@ -301,7 +301,7 @@ impl RouteTable {
                 let meta = self.votes[base + h].meta.load(Ordering::Relaxed);
                 let vote = meta & 1 != 0;
                 if !vote && reject_hop.is_none() {
-                    reject_hop = Some(h as u8);
+                    reject_hop = Some(hop_u8(h));
                 }
                 let admissible = (meta & 2 != 0)
                     .then(|| f64::from_bits(self.votes[base + h].bits.load(Ordering::Relaxed)));
@@ -820,10 +820,11 @@ fn to_routed_event(
         RoutedEvent::Request { route, seq, .. } => RoutedShardEvent::Reserve {
             link,
             seq: *seq,
-            hop: topology
-                .hop_index(*route, link)
-                .expect("request events only appear on their route's hop links")
-                as u8,
+            hop: hop_u8(
+                topology
+                    .hop_index(*route, link)
+                    .expect("request events only appear on their route's hop links"),
+            ),
             enqueued: stamp.then(Instant::now),
         },
     }
@@ -974,6 +975,7 @@ pub fn routed_replay_threaded(
 mod tests {
     use super::*;
     use crate::plane::certainty_equivalent_factory;
+    use mbac_core::topology::MAX_ROUTE_HOPS;
     use mbac_sim::{RoutedLoad, RoutedLoadConfig, SessionBuilder};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
@@ -1032,6 +1034,24 @@ mod tests {
                 assert!(d.hops[..r].iter().all(|h| h.vote));
             }
         }
+    }
+
+    /// On the longest legal route the last voter must still count every
+    /// vote: a rejecting *last* hop rejects the request (a hop count
+    /// narrowed modulo 256 would resolve on fewer votes).
+    #[test]
+    fn longest_route_counts_every_vote() {
+        let topo = Topology::parking_lot(MAX_ROUTE_HOPS, 10.0);
+        let table = RouteTable::for_requests(&topo, &[RouteId(0)]);
+        let last = hop_u8(MAX_ROUTE_HOPS - 1);
+        for hop in 0..last {
+            assert_eq!(table.vote(0, hop, true, Some(10.0), 0), None);
+        }
+        assert_eq!(table.vote(0, last, false, Some(0.5), 0), Some(false));
+        let d = table.decision(&topo, 0, None);
+        assert!(!d.admit);
+        assert_eq!(d.reject_hop, Some(last));
+        assert_eq!(d.hops.len(), MAX_ROUTE_HOPS);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! generalization, not a re-bless.
 
 use mbac_metrics::MetricValue;
-use mbac_num::KernelDispatch;
 use mbac_serve::{
     certainty_equivalent_factory, replay_serial, routed_replay_serial, routed_replay_threaded,
     PlaneConfig, ReplayConfig, RoutedPlaneConfig, RoutedReplayConfig,
@@ -238,38 +237,16 @@ fn single_link_routed_decisions_reproduce_legacy_bytes() {
     }
 }
 
-/// Kernel dispatch is a performance knob, never a semantic one: the
-/// routed decision bytes are identical under the scalar and wide
-/// kernels, on a multi-hop topology, serial and sharded.
+/// The deterministic sweep above runs RCBR sources; this pins the same
+/// serial ≡ sharded identity for AR(1) flows (the batched tick kernel)
+/// with measurement noise on a multi-hop topology.
 #[test]
-fn routed_decisions_are_bit_identical_across_dispatch() {
-    let run = || {
-        let w = workload(7, topology(1), 15, 2, 0.05, Engine::Batched, true);
-        let make = certainty_equivalent_factory(1e-2, 2.0);
-        let serial = routed_replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w).unwrap();
-        let sharded = routed_replay_threaded(&replay_cfg(4, 2, 32), make, &w).unwrap();
-        let routes = w.topology().routes();
-        (0..routes)
-            .map(|r| (serial.encode_route(r), sharded.encode_route(r)))
-            .collect::<Vec<_>>()
-    };
-    let prev = KernelDispatch::set_global(KernelDispatch::Scalar);
-    let scalar = run();
-    KernelDispatch::set_global(KernelDispatch::Wide);
-    let wide = run();
-    KernelDispatch::set_global(prev);
-    assert_eq!(scalar.len(), wide.len());
-    for (route, (s, w)) in scalar.into_iter().zip(wide).enumerate() {
-        assert_eq!(
-            s.0, w.0,
-            "serial bytes diverged across dispatch, route {route}"
-        );
-        assert_eq!(
-            s.1, w.1,
-            "sharded bytes diverged across dispatch, route {route}"
-        );
-        assert_eq!(s.0, s.1, "serial/sharded diverged, route {route}");
-    }
+fn routed_ar1_decisions_match_serial_reference() {
+    let w = workload(7, topology(1), 15, 2, 0.05, Engine::Batched, true);
+    let make = certainty_equivalent_factory(1e-2, 2.0);
+    let serial = routed_replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w).unwrap();
+    let sharded = routed_replay_threaded(&replay_cfg(4, 2, 32), make, &w).unwrap();
+    assert_routes_match(&sharded, &serial, w.topology().routes(), "ar1, 4 shards");
 }
 
 /// The routed counters account for everything exactly once, for any

@@ -81,7 +81,7 @@
 
 use crate::flows::FlowTable;
 use crate::telemetry::MetricsSink;
-use mbac_metrics::MetricsSnapshot;
+use mbac_metrics::{splitmix64, MetricsSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -257,15 +257,6 @@ impl std::fmt::Display for Engine {
 // ---------------------------------------------------------------------
 // Per-replication RNG stream derivation
 // ---------------------------------------------------------------------
-
-/// The SplitMix64 finalizer: a bijective avalanche mix on `u64`.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Derives replication `rep`'s RNG seed from the session seed.
 ///
@@ -725,6 +716,8 @@ mod tests {
     fn rep_seed_avoids_xor_collisions() {
         // The seed^rep scheme collides for (2,1)/(3,0); the mix must not.
         assert_ne!(rep_seed(2, 1), rep_seed(3, 0));
+        // Pinned: every golden's RNG streams hang off this derivation.
+        assert_eq!(rep_seed(2, 1), 0xBCD9_DBB4_9673_066B);
         // Distinct reps under one seed get distinct streams.
         let streams: Vec<u64> = (0..1000).map(|rep| rep_seed(42, rep)).collect();
         let mut sorted = streams.clone();

@@ -1,14 +1,12 @@
 //! Regression suite for the O(1) decision memo: the memoized
 //! admissible count must be the *identical* f64 the policy quadratic
-//! would return — across memo-cold vs memo-hot calls, across memo
-//! eviction and re-entry, and across the `KernelDispatch` scalar/wide
-//! kernel twins feeding the estimator. A memo that returned a
-//! recomputed-but-rounded value would silently break the serve plane's
-//! byte-identical invariance contract.
+//! would return — across memo-cold vs memo-hot calls and across memo
+//! eviction and re-entry. A memo that returned a recomputed-but-rounded
+//! value would silently break the serve plane's byte-identical
+//! invariance contract.
 
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
-use mbac_num::KernelDispatch;
 use mbac_sim::{AdmissionEngine, FlowTable, MbacController};
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
 use rand::rngs::StdRng;
@@ -69,22 +67,6 @@ fn run_ticks(ticks: usize, capacity: f64) -> Vec<(u64, u64)> {
 fn memo_hot_is_bit_identical_to_cold() {
     for (step, (cold, hot)) in run_ticks(150, 50.0).into_iter().enumerate() {
         assert_eq!(cold, hot, "memo hit diverged at tick {step}");
-    }
-}
-
-/// The same `(mean, var, capacity)` key yields bit-identical decisions
-/// under the scalar and wide kernel dispatches: the estimator inputs
-/// are dispatch twins, so the memoized decision stream must be too.
-#[test]
-fn decisions_are_bit_identical_across_dispatch() {
-    let prev = KernelDispatch::set_global(KernelDispatch::Scalar);
-    let scalar = run_ticks(150, 50.0);
-    KernelDispatch::set_global(KernelDispatch::Wide);
-    let wide = run_ticks(150, 50.0);
-    KernelDispatch::set_global(prev);
-    assert_eq!(scalar.len(), wide.len());
-    for (step, (s, w)) in scalar.into_iter().zip(wide).enumerate() {
-        assert_eq!(s, w, "scalar/wide decision diverged at tick {step}");
     }
 }
 

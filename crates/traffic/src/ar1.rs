@@ -12,7 +12,7 @@
 use crate::batch::{BatchKey, FlowBatch};
 use crate::process::{RateProcess, SourceModel};
 use mbac_num::rng::{normal, standard_normal, NormalSampler};
-use mbac_num::{KernelDispatch, RateMoments};
+use mbac_num::RateMoments;
 use rand::rngs::StdRng;
 use rand::RngCore;
 
@@ -136,10 +136,6 @@ pub struct Ar1Batch {
     /// it). Maintained conservatively: spawns that break phase lock and
     /// the mixed-phase fallback path clear it.
     elapsed_uniform: Option<u64>,
-    /// Pinned kernel dispatch for this batch; `None` follows the
-    /// process-wide [`KernelDispatch::current`]. Tests and ablations pin
-    /// a mode with [`Ar1Batch::with_dispatch`].
-    dispatch: Option<KernelDispatch>,
 }
 
 /// One flow's scalar update — the reference recurrence every fused path
@@ -203,49 +199,8 @@ fn chunk_recurrence(
     }
 }
 
-/// The wide-lane twin of [`chunk_recurrence`]: step-outer over the
-/// chunk, all [`LANES`] flows advanced together per tick boundary. The
-/// per-step inner loops are straight-line over `[f64; LANES]` tiles, so
-/// the autovectorizer packs the whole recurrence step into vector
-/// registers; the flow-major scratch is gathered into a step tile as it
-/// goes (the gather is integer-addressed loads that overlap the FP
-/// chain). Per lane the expression sequence — `v = mean + a·(v−mean) +
-/// sd·ε`, then a final `max(0, ·)` — is identical to [`scalar_step`],
-/// and lanes never mix, so states and rates are bit-exact with the
-/// scalar twin.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn chunk_recurrence_wide(
-    mean: f64,
-    a: f64,
-    sd: f64,
-    clamp: bool,
-    k0: usize,
-    scratch: &[f64],
-    values: &mut [f64],
-    rates: &mut [f64],
-) {
-    let scratch = &scratch[..k0 * LANES];
-    let mut v = [0.0f64; LANES];
-    v.copy_from_slice(&values[..LANES]);
-    for s in 0..k0 {
-        let mut eps = [0.0f64; LANES];
-        for (j, e) in eps.iter_mut().enumerate() {
-            *e = scratch[j * k0 + s];
-        }
-        for j in 0..LANES {
-            v[j] = mean + a * (v[j] - mean) + sd * eps[j];
-        }
-    }
-    for j in 0..LANES {
-        values[j] = v[j];
-        rates[j] = if clamp { v[j].max(0.0) } else { v[j] };
-    }
-}
-
 impl Ar1Batch {
-    /// Creates an empty batch for flows of the given configuration,
-    /// following the process-wide [`KernelDispatch`].
+    /// Creates an empty batch for flows of the given configuration.
     pub fn new(cfg: Ar1Config) -> Self {
         let a = (-cfg.tick / cfg.t_c).exp();
         let innovation_sd = cfg.std_dev * (1.0 - a * a).sqrt();
@@ -258,17 +213,7 @@ impl Ar1Batch {
             rates: Vec::new(),
             scratch: Vec::new(),
             elapsed_uniform: Some(0.0f64.to_bits()),
-            dispatch: None,
         }
-    }
-
-    /// As [`Ar1Batch::new`] with the kernel dispatch pinned, regardless
-    /// of the process-wide mode. Both modes are bit-exact twins; pinning
-    /// exists for twin tests and the bench ablation.
-    pub fn with_dispatch(cfg: Ar1Config, dispatch: KernelDispatch) -> Self {
-        let mut b = Self::new(cfg);
-        b.dispatch = Some(dispatch);
-        b
     }
 
     fn clamp(&self, value: f64) -> f64 {
@@ -287,8 +232,6 @@ impl Ar1Batch {
         assert!(dt >= 0.0);
         let (mean, tick, clamp) = (self.cfg.mean, self.cfg.tick, self.cfg.clamp_at_zero);
         let (a, sd) = (self.a, self.innovation_sd);
-        let disp = self.dispatch.unwrap_or_else(KernelDispatch::current);
-        let wide = disp == KernelDispatch::Wide;
         let sampler = NormalSampler::get();
         let n = self.values.len();
         let values = &mut self.values[..];
@@ -348,19 +291,14 @@ impl Ar1Batch {
                 // out-of-order window. Fills still execute in order, so
                 // the draw stream is untouched.
                 let w = k0 * LANES;
-                sampler.fill_with(disp, rng, &mut scratch[..w]);
+                sampler.fill(rng, &mut scratch[..w]);
                 let mut c = 0;
                 while c < nfull {
                     let base = c * k0;
                     if c + LANES < nfull {
-                        sampler.fill_with(disp, rng, &mut scratch[base + w..base + 2 * w]);
+                        sampler.fill(rng, &mut scratch[base + w..base + 2 * w]);
                     }
-                    let recur = if wide {
-                        chunk_recurrence_wide
-                    } else {
-                        chunk_recurrence
-                    };
-                    recur(
+                    chunk_recurrence(
                         mean,
                         a,
                         sd,
@@ -371,13 +309,8 @@ impl Ar1Batch {
                         &mut rates[c..c + LANES],
                     );
                     if MEASURE {
-                        if wide {
-                            let tile: &[f64; LANES] = (&rates[c..c + LANES]).try_into().unwrap();
-                            mom.add_lanes(tile);
-                        } else {
-                            for j in 0..LANES {
-                                mom.add(rates[c + j]);
-                            }
+                        for j in 0..LANES {
+                            mom.add(rates[c + j]);
                         }
                     }
                     c += LANES;
@@ -459,14 +392,9 @@ impl Ar1Batch {
                     // all-interior case — falling back to scalar draws
                     // (same stream) when a wedge or tail draw occurs.
                     scratch.resize(k0 * LANES, 0.0);
-                    sampler.fill_with(disp, rng, &mut scratch[..k0 * LANES]);
+                    sampler.fill(rng, &mut scratch[..k0 * LANES]);
                     // Phase B: lane-parallel recurrence over the chunk.
-                    let recur = if wide {
-                        chunk_recurrence_wide
-                    } else {
-                        chunk_recurrence
-                    };
-                    recur(
+                    chunk_recurrence(
                         mean,
                         a,
                         sd,
@@ -501,13 +429,8 @@ impl Ar1Batch {
                 }
             }
             if MEASURE {
-                if wide {
-                    let tile: &[f64; LANES] = (&rates[i..i + LANES]).try_into().unwrap();
-                    mom.add_lanes(tile);
-                } else {
-                    for j in 0..LANES {
-                        mom.add(rates[i + j]);
-                    }
+                for j in 0..LANES {
+                    mom.add(rates[i + j]);
                 }
             }
             i += LANES;

@@ -1,7 +1,7 @@
 //! Property-based tests for the traffic sources.
 
-use mbac_num::{KernelDispatch, RateMoments};
-use mbac_traffic::ar1::{Ar1Batch, Ar1Config};
+use mbac_num::RateMoments;
+use mbac_traffic::ar1::{Ar1Batch, Ar1Config, Ar1Source};
 use mbac_traffic::batch::FlowBatch;
 use mbac_traffic::fgn::fgn_autocovariance;
 use mbac_traffic::marginal::Marginal;
@@ -121,14 +121,14 @@ proptest! {
         prop_assert!((m.variance() - sd * sd).abs() < 1e-12);
     }
 
-    /// The scalar and wide AR(1) batch kernels are bit-exact twins:
-    /// identical rate arrays, identical fused moments, and identical RNG
-    /// end state, for arbitrary flow counts (including non-multiples of
-    /// the lane width), mid-run spawns that break phase lock, and both
-    /// clamp settings. Exercises the whole-array fast path, the
-    /// mixed-phase chunk path, and the scalar remainder.
+    /// `Ar1Batch` is bit-exact with the same flows as boxed
+    /// `Ar1Source`s: identical rates, identical fused moments, and
+    /// identical RNG end state, for arbitrary flow counts (including
+    /// non-multiples of the lane width), mid-run spawns that break phase
+    /// lock, and both clamp settings. Exercises the whole-array fast
+    /// path, the mixed-phase chunk path, and the scalar remainder.
     #[test]
-    fn ar1_dispatch_twins_bit_exact(
+    fn ar1_batched_matches_boxed_bit_exact(
         seed in 0u64..400,
         n0 in 1usize..30,
         extra in 0usize..12,
@@ -141,29 +141,45 @@ proptest! {
             tick: 0.05,
             clamp_at_zero: clamp == 1,
         };
-        let run = |dispatch: KernelDispatch| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut batch = Ar1Batch::with_dispatch(cfg, dispatch);
-            for _ in 0..n0 {
-                batch.spawn_one(&mut rng);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut batch = Ar1Batch::new(cfg);
+        let mut mom = RateMoments::new(cfg.mean);
+        let mut boxed_rng = rng.clone();
+        let mut boxed: Vec<Ar1Source> = Vec::new();
+        let mut boxed_mom = mom;
+        let advance_boxed = |flows: &mut [Ar1Source], dt: f64, rng: &mut StdRng| {
+            for f in flows.iter_mut() {
+                f.advance(dt, rng);
             }
-            let mut mom = RateMoments::new(cfg.mean);
-            batch.advance_and_measure(0.25, &mut rng, &mut mom);
-            // Move phase off zero, then spawn newcomers at phase zero so
-            // the batch leaves the uniform-phase fast path.
-            batch.advance_all(0.07, &mut rng);
-            for _ in 0..extra {
-                batch.spawn_one(&mut rng);
-            }
-            batch.advance_and_measure(0.25, &mut rng, &mut mom);
-            let rate_bits: Vec<u64> = batch.rates().iter().map(|r| r.to_bits()).collect();
-            (
-                rate_bits,
-                mom.sum().to_bits(),
-                mom.sum_sq_dev(cfg.mean).to_bits(),
-                rng,
-            )
         };
-        prop_assert_eq!(run(KernelDispatch::Wide), run(KernelDispatch::Scalar));
+
+        for _ in 0..n0 {
+            batch.spawn_one(&mut rng);
+            boxed.push(Ar1Source::new(cfg, &mut boxed_rng));
+        }
+        batch.advance_and_measure(0.25, &mut rng, &mut mom);
+        advance_boxed(&mut boxed, 0.25, &mut boxed_rng);
+        boxed.iter().for_each(|f| boxed_mom.add(f.rate()));
+        // Move phase off zero, then spawn newcomers at phase zero so
+        // the batch leaves the uniform-phase fast path.
+        batch.advance_all(0.07, &mut rng);
+        advance_boxed(&mut boxed, 0.07, &mut boxed_rng);
+        for _ in 0..extra {
+            batch.spawn_one(&mut rng);
+            boxed.push(Ar1Source::new(cfg, &mut boxed_rng));
+        }
+        batch.advance_and_measure(0.25, &mut rng, &mut mom);
+        advance_boxed(&mut boxed, 0.25, &mut boxed_rng);
+        boxed.iter().for_each(|f| boxed_mom.add(f.rate()));
+
+        let rate_bits: Vec<u64> = batch.rates().iter().map(|r| r.to_bits()).collect();
+        let boxed_bits: Vec<u64> = boxed.iter().map(|f| f.rate().to_bits()).collect();
+        prop_assert_eq!(rate_bits, boxed_bits);
+        prop_assert_eq!(mom.sum().to_bits(), boxed_mom.sum().to_bits());
+        prop_assert_eq!(
+            mom.sum_sq_dev(cfg.mean).to_bits(),
+            boxed_mom.sum_sq_dev(cfg.mean).to_bits()
+        );
+        prop_assert_eq!(rng, boxed_rng);
     }
 }
