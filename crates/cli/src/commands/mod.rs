@@ -10,6 +10,24 @@ pub mod trace;
 use crate::args::{ArgError, Args};
 use mbac_core::topology::{Topology, MAX_ROUTE_HOPS};
 use mbac_metrics::{StreamConfig, StreamSink};
+use mbac_sim::ConfigError;
+
+/// Renders a configuration error as the CLI's error type.
+pub(crate) fn config_err(e: impl std::fmt::Display) -> ArgError {
+    ArgError(format!("invalid configuration: {e}"))
+}
+
+/// Rejects non-positive values that derived quantities (`T̃_h`, `T_m`,
+/// a topology's link capacities) depend on *before* the session's own
+/// validation would catch them — deriving from a bad value would
+/// produce NaNs, or a panicking constructor, first.
+pub(crate) fn require_positive(field: &'static str, value: f64) -> Result<(), ArgError> {
+    if value > 0.0 {
+        Ok(())
+    } else {
+        Err(config_err(ConfigError::NonPositive { field, value }))
+    }
+}
 
 /// Opens the streaming JSONL sink implied by `--metrics-stream` (with
 /// `--stream-sample` and `--stream-flush` shaping it), or `None` when
@@ -61,6 +79,9 @@ pub(crate) fn finish_stream(args: &Args, sink: Option<StreamSink>) -> Result<(),
 /// `capacity`. Accepted forms: `single`, `parking-lot:<hops>`,
 /// `star:<legs>` (parking-lot needs 2..=255 hops, star >= 2 legs).
 pub(crate) fn parse_topology(spec: &str, capacity: f64) -> Result<Topology, ArgError> {
+    // The shape constructors below panic on a capacity `Topology`
+    // rejects.
+    require_positive("capacity", capacity)?;
     let bad = |why: &str| ArgError(format!("--topology '{spec}': {why}"));
     let size = |raw: &str, what: &str| -> Result<usize, ArgError> {
         let n: usize = raw

@@ -12,7 +12,7 @@
 //! checks the invariance contract without tripping on wall-clock
 //! noise.
 
-use super::{finish_stream, open_stream};
+use super::{config_err, finish_stream, open_stream};
 use crate::args::{ArgError, Args};
 use mbac_serve::{
     closed_loop_with_parallelism, host_parallelism, routed_closed_loop_with_parallelism,
@@ -64,11 +64,6 @@ default 0) plus cumulative per-shard interval snapshots every
 --stream-flush decisions (default 0 = end-of-run only); records that
 do not fit the stream's ring (--stream-ring, default 1024) are
 dropped and counted, never buffered unboundedly.";
-
-/// Renders a bench/config error as the CLI's error type.
-fn config_err(e: impl std::fmt::Display) -> ArgError {
-    ArgError(format!("invalid configuration: {e}"))
-}
 
 /// Builds the per-flow traffic source for the generated workload.
 fn build_model(args: &Args) -> Result<Box<dyn SourceModel>, ArgError> {

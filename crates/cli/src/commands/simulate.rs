@@ -5,7 +5,7 @@
 //! invalid configurations surface as friendly [`ConfigError`] messages
 //! (exit code 1), never as panics.
 
-use super::{finish_stream, open_stream};
+use super::{config_err, finish_stream, open_stream, require_positive};
 use crate::args::{ArgError, Args};
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
@@ -63,22 +63,6 @@ stream is fed through a fixed-capacity ring (--stream-ring, default
 1024); records that do not fit are dropped and counted, never
 buffered unboundedly.
 --trace cannot be combined with the RCBR flags --mean/--sd/--t-c.";
-
-/// Renders a [`ConfigError`] as the CLI's error type.
-fn config_err(e: ConfigError) -> ArgError {
-    ArgError(format!("invalid configuration: {e}"))
-}
-
-/// Rejects non-positive values that derived quantities (`T̃_h`, `T_m`)
-/// depend on *before* the session's own validation would catch them —
-/// deriving from a bad value would produce NaNs first.
-fn require_positive(field: &'static str, value: f64) -> Result<(), ArgError> {
-    if value > 0.0 {
-        Ok(())
-    } else {
-        Err(config_err(ConfigError::NonPositive { field, value }))
-    }
-}
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<(), ArgError> {

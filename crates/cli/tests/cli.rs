@@ -713,6 +713,23 @@ fn serve_bench_rejects_overlong_route_without_panicking() {
 }
 
 #[test]
+fn serve_bench_rejects_nonpositive_topology_capacity_without_panicking() {
+    // The shape constructors `expect` a valid capacity; the flag used
+    // to reach them unchecked on the routed path.
+    for spec in ["single", "parking-lot:3", "star:3"] {
+        let out = mbacctl(&["serve-bench", "--topology", spec, "--capacity", "-1"]);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{spec}: clean exit, not a panic"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("capacity must be positive"), "{spec}: {err}");
+        assert!(!err.contains("panicked"), "{spec}: {err}");
+    }
+}
+
+#[test]
 fn simulate_metrics_stream_writes_v2_jsonl() {
     let dir = std::env::temp_dir().join("mbacctl_stream_test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -11,7 +11,8 @@
 //! struct-of-arrays kernel that advances all of them in one pass and
 //! leaves a cached rate vector, while heterogeneous or pre-spawned
 //! processes fall back to a boxed group with identical semantics (see
-//! `mbac_traffic::batch`).
+//! `mbac_traffic::batch`). A burst that is measured before it is
+//! admitted ([`FlowTable::spawn_burst`]) gets a kernel group of its own.
 //!
 //! Departures go through a hierarchical timing wheel (the
 //! [`crate::calendar`] module): `admit` schedules the flow's departure
@@ -57,15 +58,43 @@ struct SlotRef {
     slot: u32,
 }
 
+/// Which admissions a group takes.
+#[derive(PartialEq)]
+enum GroupKey {
+    /// The boxed fallback group (a [`DynBatch`]): every flow without a
+    /// batched kernel, and every pre-spawned process.
+    Boxed,
+    /// One batched kernel, joined by every `admit` of an equal key.
+    Kernel(BatchKey),
+    /// The kernel batch of one [`FlowTable::spawn_burst`]. No later
+    /// admission joins it, so the burst keeps its own partial sum in
+    /// [`FlowTable::aggregate_rate`].
+    Burst,
+}
+
 /// One group of flows sharing a batched kernel (or the boxed fallback).
 struct BatchGroup {
-    /// `None` marks the boxed fallback group.
-    key: Option<BatchKey>,
+    key: GroupKey,
     batch: Box<dyn FlowBatch>,
     /// Slot-parallel metadata, reordered in lock-step with the batch.
     meta: Vec<FlowMeta>,
     /// Slot-parallel stable handles into the owner's slot map.
     handles: Vec<u32>,
+}
+
+impl BatchGroup {
+    /// Spawns one fresh flow of `model` at the end of the batch, not
+    /// yet registered; both arms draw what `SourceModel::spawn` draws.
+    fn spawn(&mut self, model: &dyn SourceModel, rng: &mut StdRng) {
+        if self.key == GroupKey::Boxed {
+            self.batch
+                .try_push_boxed(model.spawn(rng))
+                .ok()
+                .expect("fallback group accepts boxed processes");
+        } else {
+            self.batch.spawn_one(rng);
+        }
+    }
 }
 
 /// The set of flows currently in the system.
@@ -192,18 +221,20 @@ impl FlowTable {
     }
 
     fn fallback_group(&mut self) -> usize {
-        match self.groups.iter().position(|g| g.key.is_none()) {
+        match self.groups.iter().position(|g| g.key == GroupKey::Boxed) {
             Some(i) => i,
-            None => {
-                self.groups.push(BatchGroup {
-                    key: None,
-                    batch: Box::new(DynBatch::new()),
-                    meta: Vec::new(),
-                    handles: Vec::new(),
-                });
-                self.groups.len() - 1
-            }
+            None => self.push_group(GroupKey::Boxed, Box::new(DynBatch::new())),
         }
+    }
+
+    fn push_group(&mut self, key: GroupKey, batch: Box<dyn FlowBatch>) -> usize {
+        self.groups.push(BatchGroup {
+            key,
+            batch,
+            meta: Vec::new(),
+            handles: Vec::new(),
+        });
+        self.groups.len() - 1
     }
 
     /// Admits a new flow spawned from `model`, departing at absolute
@@ -211,40 +242,55 @@ impl FlowTable {
     /// flow id.
     pub fn admit(&mut self, model: &dyn SourceModel, departs_at: f64, rng: &mut StdRng) -> u64 {
         let group = match self.batching.then(|| model.batch_key()).flatten() {
-            Some(key) => match self.groups.iter().position(|g| g.key == Some(key)) {
-                Some(i) => i,
-                None => {
-                    let batch = model
-                        .new_batch()
-                        .expect("batch_key() implies new_batch() (see SourceModel docs)");
-                    self.groups.push(BatchGroup {
-                        key: Some(key),
-                        batch,
-                        meta: Vec::new(),
-                        handles: Vec::new(),
-                    });
-                    self.groups.len() - 1
+            Some(key) => {
+                let key = GroupKey::Kernel(key);
+                match self.groups.iter().position(|g| g.key == key) {
+                    Some(i) => i,
+                    None => {
+                        let batch = model
+                            .new_batch()
+                            .expect("batch_key() implies new_batch() (see SourceModel docs)");
+                        self.push_group(key, batch)
+                    }
                 }
-            },
+            }
             None => self.fallback_group(),
         };
-        if self.groups[group].key.is_some() {
-            self.groups[group].batch.spawn_one(rng);
-        } else {
-            let process = model.spawn(rng);
-            self.groups[group]
-                .batch
-                .try_push_boxed(process)
-                .ok()
-                .expect("fallback group accepts boxed processes");
-        }
+        self.groups[group].spawn(model, rng);
         self.register(group, departs_at)
     }
 
-    /// Admits a flow whose rate process already exists (used by the
-    /// impulsive-load harness, where the *measured* candidate processes
-    /// are the ones admitted). Always lands in the boxed fallback
-    /// group. Returns the flow id.
+    /// Spawns `n` candidate flows of `model` — the impulsive burst of
+    /// §3 — into one batch and hands them back as a [`Burst`]: measure
+    /// their [`Burst::rates`], then [`Burst::keep`] the admitted prefix.
+    /// Draws exactly what `n` calls of [`SourceModel::spawn`] draw.
+    ///
+    /// On a batched table with a kernel for `model` the candidates form
+    /// a struct-of-arrays group of their own; otherwise they join the
+    /// boxed fallback group, as pre-spawned processes always have.
+    pub fn spawn_burst(
+        &mut self,
+        model: &dyn SourceModel,
+        n: usize,
+        rng: &mut StdRng,
+    ) -> Burst<'_> {
+        let group = match self.batching.then(|| model.new_batch()).flatten() {
+            Some(batch) => self.push_group(GroupKey::Burst, batch),
+            None => self.fallback_group(),
+        };
+        for _ in 0..n {
+            self.groups[group].spawn(model, rng);
+        }
+        Burst { table: self, group }
+    }
+
+    /// Admits a flow whose rate process already exists. Always lands in
+    /// the boxed fallback group. Returns the flow id.
+    ///
+    /// No library code calls this: the impulsive harness admits its
+    /// measured candidates through [`FlowTable::spawn_burst`]. It stays
+    /// as the reference that path is tested against (`tests/burst.rs`)
+    /// and for the benchmark's boxed replica of the harness.
     pub fn admit_process(&mut self, process: Box<dyn RateProcess>, departs_at: f64) -> u64 {
         let group = self.fallback_group();
         self.groups[group]
@@ -458,6 +504,45 @@ impl FlowTable {
         let mut out = Vec::with_capacity(self.count);
         out.extend(self.groups.iter().flat_map(|g| g.meta.iter().map(|m| m.id)));
         out
+    }
+}
+
+/// The candidates of one [`FlowTable::spawn_burst`]: spawned and
+/// measurable, but not yet admitted. Holding the table borrowed keeps
+/// every other table call out until the burst is settled; candidates
+/// not admitted by [`Burst::keep`] leave the batch when it drops.
+pub struct Burst<'a> {
+    table: &'a mut FlowTable,
+    group: usize,
+}
+
+impl Burst<'_> {
+    /// The candidates' initial rates, in spawn order.
+    pub fn rates(&self) -> &[f64] {
+        // Admitted flows have metadata; the candidates are the slots
+        // beyond it (slot 0 on, unless a fallback group held flows).
+        let g = &self.table.groups[self.group];
+        &g.batch.rates()[g.meta.len()..]
+    }
+
+    /// Admits the first `keep` candidates (all of them if there are
+    /// fewer), calling `departs_at` once per admitted flow, in order,
+    /// for its absolute departure time, and drops the rest. Dropping
+    /// consumes no randomness.
+    pub fn keep(self, keep: usize, mut departs_at: impl FnMut() -> f64) {
+        for _ in 0..keep.min(self.rates().len()) {
+            let t = departs_at();
+            self.table.register(self.group, t);
+        }
+    }
+}
+
+impl Drop for Burst<'_> {
+    fn drop(&mut self) {
+        let g = &mut self.table.groups[self.group];
+        for slot in (g.meta.len()..g.batch.len()).rev() {
+            g.batch.swap_remove(slot);
+        }
     }
 }
 

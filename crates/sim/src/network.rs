@@ -20,13 +20,14 @@
 
 use crate::controller::MbacController;
 use crate::flows::FlowTable;
+use crate::requests::add_measurement_noise;
 use crate::session::{require_non_negative, require_positive, ConfigError, RepContext, Scenario};
 use crate::telemetry::MetricsSink;
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
 use mbac_core::topology::{LinkId, PathAdmission, RouteId, Topology};
 use mbac_metrics::{Aggregated, Gauge, MetricValue, MetricsSnapshot};
-use mbac_num::rng::{exponential, normal};
+use mbac_num::rng::exponential;
 use mbac_traffic::process::SourceModel;
 use std::sync::Arc;
 
@@ -267,11 +268,7 @@ impl Scenario for RoutedNetworkLoad<'_> {
                 for route in topo.routes_crossing(link) {
                     link_rates.extend_from_slice(&route_snaps[route.index()]);
                 }
-                if cfg.noise_sd > 0.0 {
-                    for v in &mut link_rates {
-                        *v = (*v + normal(&mut rng, 0.0, cfg.noise_sd)).max(0.0);
-                    }
-                }
+                add_measurement_noise(&mut link_rates, cfg.noise_sd, &mut rng);
                 let l = link.index();
                 ctls[l].observe(now, &link_rates);
                 path.sync(link, link_rates.len() as u32);

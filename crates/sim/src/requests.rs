@@ -39,7 +39,7 @@
 use crate::session::{require_non_negative, require_positive, ConfigError, RepContext, Scenario};
 use crate::telemetry::MetricsSink;
 use mbac_core::topology::{LinkId, RouteId, Topology};
-use mbac_num::rng::{exponential, normal};
+use mbac_num::rng::{exponential, NormalSampler};
 use mbac_traffic::process::SourceModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -375,6 +375,20 @@ impl RoutedWorkload {
     }
 }
 
+/// A node's measurement error: independent `N(0, sd²)` noise on every
+/// rate sample, clamped at zero. `sd = 0` leaves the rates alone and
+/// draws nothing.
+pub(crate) fn add_measurement_noise(rates: &mut [f64], sd: f64, rng: &mut StdRng) {
+    if sd > 0.0 {
+        let gaussian = NormalSampler::get();
+        for r in rates {
+            // `normal(rng, 0.0, sd)` bit for bit, its table resolved
+            // once a slice instead of once a draw.
+            *r = (*r + (0.0 + sd * gaussian.sample(rng))).max(0.0);
+        }
+    }
+}
+
 /// Salt deriving the per-node noise streams from the workload seed
 /// (disjoint from the per-route replication streams, which use the
 /// session's `rep_seed` derivation).
@@ -454,16 +468,17 @@ impl Scenario for RoutedLoad<'_> {
             // Measurements: each link sees the union of its crossing
             // routes' flows (correlated load), through its own noise.
             for link in topo.link_ids() {
-                let mut rates: Vec<f64> = Vec::new();
-                for route in topo.routes_crossing(link) {
-                    rates.extend_from_slice(&reps[route.index()][step - 1]);
+                let crossing = || {
+                    topo.routes_crossing(link)
+                        .map(|route| &reps[route.index()][step - 1])
+                };
+                // Exact length: `rates.into()` below then keeps the
+                // allocation instead of shrinking it.
+                let mut rates: Vec<f64> = Vec::with_capacity(crossing().map(|r| r.len()).sum());
+                for route_rates in crossing() {
+                    rates.extend_from_slice(route_rates);
                 }
-                if cfg.noise_sd > 0.0 {
-                    let rng = &mut noise[link.index()];
-                    for r in &mut rates {
-                        *r = (*r + normal(rng, 0.0, cfg.noise_sd)).max(0.0);
-                    }
-                }
+                add_measurement_noise(&mut rates, cfg.noise_sd, &mut noise[link.index()]);
                 per_link[link.index()].push(RoutedEvent::Measure {
                     t: now,
                     rates: rates.into(),

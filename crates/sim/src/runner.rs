@@ -25,6 +25,7 @@ use mbac_metrics::MetricsSnapshot;
 use mbac_num::rng::exponential;
 use mbac_num::RunningStats;
 use mbac_traffic::process::SourceModel;
+use rand::rngs::StdRng;
 use std::cell::RefCell;
 
 // ---------------------------------------------------------------------
@@ -156,47 +157,37 @@ impl Scenario for ImpulsiveLoad<'_> {
         let cfg = &self.cfg;
         let mut rng = ctx.rng();
 
-        // Measure the initial bandwidths of the candidate burst.
-        let candidates: Vec<Box<dyn mbac_traffic::process::RateProcess>> = (0..cfg
-            .estimation_flows)
-            .map(|_| self.model.spawn(&mut rng))
-            .collect();
-        let mut rates = ctx.scratch_rates();
-        rates.extend(candidates.iter().map(|c| c.rate()));
-        let est = snapshot_stats(&rates).expect("non-empty candidate burst");
+        // Spawn the candidate burst straight into the table's batched
+        // kernel and measure its initial bandwidths there.
+        let mut table = ctx.table();
+        let burst = table.spawn_burst(self.model, cfg.estimation_flows, &mut rng);
+        let est = snapshot_stats(burst.rates()).expect("non-empty candidate burst");
         let m0 = self.policy.admissible_count(est, cfg.capacity);
         let admit = m0.floor().max(0.0) as usize;
 
-        // Admit: reuse the measured candidates first (their *measured*
-        // bandwidths are the admitted flows' bandwidths — essential for
-        // the Y₀ correlation the theory predicts), spawn extras if
-        // M₀ > n.
-        let mut table = ctx.table();
-        let mut iter = candidates.into_iter();
-        for _ in 0..admit {
-            let mut drew = 0u64;
-            let departs_at = match cfg.mean_holding {
-                Some(th) => {
-                    drew = 1;
-                    exponential(&mut rng, th)
-                }
-                None => f64::INFINITY,
+        // One holding draw per admitted flow, in admission order, and
+        // one unit-of-work entry: the record the streaming sampler sees
+        // at 10⁶-flow scale.
+        let mut departs_at = |rng: &mut StdRng| {
+            let (t, drew) = match cfg.mean_holding {
+                Some(th) => (exponential(rng, th), 1),
+                None => (f64::INFINITY, 0),
             };
-            match iter.next() {
-                Some(proc_) => {
-                    table.admit_process(proc_, departs_at);
-                }
-                None => {
-                    table.admit(self.model, departs_at, &mut rng);
-                }
-            }
             if sink.is_enabled() {
-                // One unit-of-work entry per admitted flow: the record
-                // the streaming sampler sees at 10⁶-flow scale.
                 let mut e = sink.entry(0.0);
                 e.admitted = 1;
                 e.exp_draws = drew;
             }
+            t
+        };
+        // Admit: the measured candidates first (their *measured*
+        // bandwidths are the admitted flows' bandwidths — essential for
+        // the Y₀ correlation the theory predicts), fresh extras if
+        // M₀ > n.
+        burst.keep(admit, || departs_at(&mut rng));
+        for _ in cfg.estimation_flows..admit {
+            let t = departs_at(&mut rng);
+            table.admit(self.model, t, &mut rng);
         }
         if sink.is_enabled() {
             let mut e = sink.entry(0.0);
@@ -210,14 +201,13 @@ impl Scenario for ImpulsiveLoad<'_> {
             .map(|&t| {
                 table.advance_to(t, &mut rng);
                 table.depart_until(t);
-                // Deliberately NOT the fused advance_depart_measure +
-                // `RateMoments::sum` path: this table mixes two groups
-                // (measured candidates enter boxed via `admit_process`,
-                // extras via the keyed `admit`), and the grouped
-                // `aggregate_rate` fold differs bitwise from the
-                // moments' flat flow-order fold once a second group
-                // exists. Observations here are sparse, so the second
-                // pass is cheap; bit-stability of the goldens wins.
+                // Not the fused advance_depart_measure +
+                // `RateMoments::sum` path: when M₀ > n the table holds
+                // two groups (the burst, then the extras), and the
+                // goldens pin `aggregate_rate`'s sum of per-group sums,
+                // which differs bitwise from the moments' flat
+                // flow-order fold. Observations are sparse, so the
+                // second pass over the cached rates is cheap.
                 let (load, flows) = (table.aggregate_rate(), table.len());
                 if sink.is_enabled() {
                     let mut e = sink.entry(t);

@@ -147,7 +147,7 @@ pub trait FlowBatch: Send {
 /// The boxed fallback batch: a plain list of `Box<dyn RateProcess>`
 /// plus a rate cache refreshed in the advance pass. Used for models
 /// without a specialized kernel and for flows admitted as existing
-/// processes (the impulsive harness's measured candidates).
+/// processes.
 #[derive(Default)]
 pub struct DynBatch {
     procs: Vec<Box<dyn RateProcess>>,
@@ -208,65 +208,81 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A batch and its boxed twin, each on its own copy of one stream.
+    struct Twins {
+        boxed: Vec<Box<dyn RateProcess>>,
+        batch: Box<dyn FlowBatch>,
+        boxed_rng: StdRng,
+        batch_rng: StdRng,
+    }
+
+    impl Twins {
+        fn boxed_rates(&self) -> Vec<f64> {
+            self.boxed.iter().map(|p| p.rate()).collect()
+        }
+
+        fn advance(&mut self, dt: f64, step: usize) {
+            for p in self.boxed.iter_mut() {
+                p.advance(dt, &mut self.boxed_rng);
+            }
+            self.batch.advance_all(dt, &mut self.batch_rng);
+            assert_eq!(
+                self.boxed_rates(),
+                self.batch.rates(),
+                "diverged at step {step} (dt = {dt})"
+            );
+        }
+    }
+
     /// Verifies the RNG-stream contract: for identical seeds, a batch of
     /// `n` flows spawned via `spawn_one` and advanced via `advance_all`
     /// must produce bit-identical rates to `n` boxed flows spawned via
     /// `SourceModel::spawn` and advanced one by one — including after a
-    /// mid-run swap-remove mirrored on both sides.
+    /// mid-run swap-remove mirrored on both sides, and through steps of
+    /// many correlation times.
     fn assert_bit_exact(model: &dyn SourceModel, seed: u64) {
         // More than one 8-lane chunk plus a remainder, so chunked
         // kernels are checked on both their fused and scalar paths.
         let n = 13;
-        let mut boxed_rng = StdRng::seed_from_u64(seed);
-        let mut batch_rng = StdRng::seed_from_u64(seed);
-
-        let mut boxed: Vec<Box<dyn RateProcess>> =
-            (0..n).map(|_| model.spawn(&mut boxed_rng)).collect();
-        let mut batch = model
-            .new_batch()
-            .expect("model advertises a batched kernel");
-        for _ in 0..n {
-            batch.spawn_one(&mut batch_rng);
-        }
-        let boxed_rates = |boxed: &[Box<dyn RateProcess>]| -> Vec<f64> {
-            boxed.iter().map(|p| p.rate()).collect()
+        let mut t = Twins {
+            boxed: Vec::new(),
+            batch: model
+                .new_batch()
+                .expect("model advertises a batched kernel"),
+            boxed_rng: StdRng::seed_from_u64(seed),
+            batch_rng: StdRng::seed_from_u64(seed),
         };
-        assert_eq!(boxed_rates(&boxed), batch.rates());
+        for _ in 0..n {
+            t.boxed.push(model.spawn(&mut t.boxed_rng));
+            t.batch.spawn_one(&mut t.batch_rng);
+        }
+        assert_eq!(t.boxed_rates(), t.batch.rates());
 
         for step in 0..200 {
-            let dt = 0.05 + 0.11 * (step % 7) as f64;
-            for p in boxed.iter_mut() {
-                p.advance(dt, &mut boxed_rng);
-            }
-            batch.advance_all(dt, &mut batch_rng);
-            assert_eq!(
-                boxed_rates(&boxed),
-                batch.rates(),
-                "diverged at step {step}"
-            );
+            t.advance(0.05 + 0.11 * (step % 7) as f64, step);
         }
 
         // Departure: remove slot 1 on both sides, keep evolving.
-        boxed.swap_remove(1);
-        batch.swap_remove(1);
-        for _ in 0..50 {
-            for p in boxed.iter_mut() {
-                p.advance(0.25, &mut boxed_rng);
-            }
-            batch.advance_all(0.25, &mut batch_rng);
-            assert_eq!(boxed_rates(&boxed), batch.rates());
+        t.boxed.swap_remove(1);
+        t.batch.swap_remove(1);
+        for step in 200..250 {
+            t.advance(0.25, step);
         }
 
         // Admission mid-run: spawn one more on both sides.
-        boxed.push(model.spawn(&mut boxed_rng));
-        batch.spawn_one(&mut batch_rng);
-        for _ in 0..50 {
-            for p in boxed.iter_mut() {
-                p.advance(0.4, &mut boxed_rng);
-            }
-            batch.advance_all(0.4, &mut batch_rng);
-            assert_eq!(boxed_rates(&boxed), batch.rates());
+        t.boxed.push(model.spawn(&mut t.boxed_rng));
+        t.batch.spawn_one(&mut t.batch_rng);
+        for step in 250..300 {
+            t.advance(0.4, step);
         }
+
+        // Steps far longer than the correlation time — the impulsive
+        // harness's shape: every flow renews ~50 times inside one call,
+        // so the kernels' per-flow catch-up loops carry the stream.
+        for step in 300..320 {
+            t.advance(50.0 + 0.37 * (step % 5) as f64, step);
+        }
+        assert_eq!(t.boxed_rng, t.batch_rng, "RNG end state");
     }
 
     /// Verifies the `advance_and_measure` contract: against a twin batch

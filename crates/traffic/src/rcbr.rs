@@ -16,10 +16,9 @@
 //! `variance()` report the *untruncated* values, as the theory assumes).
 
 use crate::batch::{BatchKey, FlowBatch};
+use crate::marginal::Marginal;
 use crate::process::{RateProcess, SourceModel};
-use mbac_num::rng::{
-    exponential, normal, normal_truncated_below, standard_exponential, standard_normal,
-};
+use mbac_num::rng::{exponential, normal, normal_truncated_below, ExpSampler, NormalSampler};
 use rand::rngs::StdRng;
 use rand::RngCore;
 
@@ -103,16 +102,75 @@ impl SourceModel for RcbrModel {
     }
 
     fn new_batch(&self) -> Option<Box<dyn FlowBatch>> {
-        Some(Box::new(RcbrBatch::new(self.cfg)))
+        Some(Box::new(RcbrBatch::new(
+            GaussianDraw::new(self.cfg),
+            self.cfg.t_c,
+        )))
     }
 }
 
-/// Struct-of-arrays batch of RCBR flows: the negotiated rates double as
-/// the cached rate vector (the rate *is* the state), and residual
-/// interval lives sit in a parallel array, so a tick that renegotiates
-/// nothing touches exactly two contiguous arrays with no virtual calls.
-pub struct RcbrBatch {
-    cfg: RcbrConfig,
+/// How an [`RcbrBatch`] draws a negotiated rate: the one thing the
+/// classic and the generalized RCBR kernels differ in.
+trait RateDraw: Send {
+    /// One rate; must consume the RNG as the boxed source's draw does.
+    fn draw(&self, rng: &mut StdRng) -> f64;
+}
+
+/// The classic Gaussian rate draw of [`RcbrSource`], with the ziggurat
+/// handle resolved once per batch instead of once per draw and
+/// `normal_truncated_below`'s per-call argument checks left out (the
+/// model's constructor already guarantees them); same draw sequence.
+struct GaussianDraw {
+    mean: f64,
+    /// Floored as the boxed source floors it, on the truncated path only.
+    sd: f64,
+    truncate_at_zero: bool,
+    normal: NormalSampler,
+}
+
+impl GaussianDraw {
+    fn new(cfg: RcbrConfig) -> Self {
+        GaussianDraw {
+            mean: cfg.mean,
+            sd: if cfg.truncate_at_zero {
+                cfg.std_dev.max(1e-300)
+            } else {
+                cfg.std_dev
+            },
+            truncate_at_zero: cfg.truncate_at_zero,
+            normal: NormalSampler::get(),
+        }
+    }
+}
+
+impl RateDraw for GaussianDraw {
+    #[inline]
+    fn draw(&self, rng: &mut StdRng) -> f64 {
+        loop {
+            let x = self.mean + self.sd * self.normal.sample(rng);
+            if !self.truncate_at_zero || x >= 0.0 {
+                return x;
+            }
+        }
+    }
+}
+
+impl RateDraw for Marginal {
+    #[inline]
+    fn draw(&self, rng: &mut StdRng) -> f64 {
+        self.sample(rng)
+    }
+}
+
+/// Struct-of-arrays batch of RCBR flows, classic or generalized by its
+/// [`RateDraw`]: the negotiated rates double as the cached rate vector
+/// (the rate *is* the state), and residual interval lives sit in a
+/// parallel array, so a tick that renegotiates nothing touches exactly
+/// two contiguous arrays with no virtual calls.
+struct RcbrBatch<D> {
+    draw: D,
+    t_c: f64,
+    exp: ExpSampler,
     /// Negotiated rate per flow — also the cached rate vector.
     rates: Vec<f64>,
     /// Residual life of the current interval per flow.
@@ -121,81 +179,61 @@ pub struct RcbrBatch {
     due: Vec<u32>,
 }
 
-impl RcbrBatch {
-    /// Creates an empty batch for flows of the given configuration.
-    pub fn new(cfg: RcbrConfig) -> Self {
+impl<D> RcbrBatch<D> {
+    fn new(draw: D, t_c: f64) -> Self {
         RcbrBatch {
-            cfg,
+            draw,
+            t_c,
+            exp: ExpSampler::get(),
             rates: Vec::new(),
             remaining: Vec::new(),
             due: Vec::new(),
         }
     }
-
-    fn draw_rate(&self, rng: &mut dyn RngCore) -> f64 {
-        // Same draw as `RcbrSource::draw_rate`.
-        if self.cfg.truncate_at_zero {
-            normal_truncated_below(rng, self.cfg.mean, self.cfg.std_dev.max(1e-300), 0.0)
-        } else {
-            normal(rng, self.cfg.mean, self.cfg.std_dev)
-        }
-    }
 }
 
-impl FlowBatch for RcbrBatch {
+/// Ages every residual by `dt` and writes the slots whose interval
+/// expired to the front of `due`, in slot order, in one sweep; returns
+/// how many. The conditional-append idiom keeps the sweep free of
+/// data-dependent branches, which would otherwise mispredict on ~20% of
+/// flows per tick. A function of two slices rather than a loop over the
+/// batch's fields: only as parameters are the arrays known not to
+/// overlap, and without that the sweep runs at half the speed.
+fn age_and_collect_due(remaining: &mut [f64], due: &mut [u32], dt: f64) -> usize {
+    let due = &mut due[..remaining.len()];
+    let mut count = 0usize;
+    for (i, rem) in remaining.iter_mut().enumerate() {
+        *rem -= dt;
+        due[count] = i as u32;
+        count += (*rem <= 0.0) as usize;
+    }
+    count
+}
+
+impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
     fn len(&self) -> usize {
         self.rates.len()
     }
 
     fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
         assert!(dt >= 0.0, "cannot advance backwards");
-        let RcbrConfig {
-            mean,
-            std_dev,
-            t_c,
-            truncate_at_zero,
-        } = self.cfg;
-        // The boxed source floors σ only on the truncated path.
-        let sd = if truncate_at_zero {
-            std_dev.max(1e-300)
-        } else {
-            std_dev
-        };
-        // Pass 1: age every interval (a branchless subtract the
-        // compiler vectorizes), then collect the flows whose interval
-        // expired. The boxed source's `left >= remaining` is
-        // `remaining - dt <= 0` here — exactly, since a nonzero
-        // difference of nearby doubles never rounds to zero (Sterbenz)
-        // and IEEE subtraction is antisymmetric. The conditional-append
-        // idiom keeps the scan free of data-dependent branches, which
-        // would otherwise mispredict on ~20% of flows per tick.
-        let n = self.remaining.len();
-        self.due.resize(n, 0);
-        for rem in self.remaining.iter_mut() {
-            *rem -= dt;
-        }
-        let mut count = 0usize;
-        for (i, rem) in self.remaining.iter().enumerate() {
-            self.due[count] = i as u32;
-            count += (*rem <= 0.0) as usize;
-        }
+        let (t_c, exp) = (self.t_c, self.exp);
+        // Pass 1: age every interval and collect the expired ones. The
+        // boxed source's `left >= remaining` is `remaining - dt <= 0`
+        // here — exactly, since a nonzero difference of nearby doubles
+        // never rounds to zero (Sterbenz) and IEEE subtraction is
+        // antisymmetric.
+        self.due.resize(self.remaining.len(), 0);
+        let count = age_and_collect_due(&mut self.remaining, &mut self.due, dt);
         // Pass 2: renegotiate the due flows, in flow order, consuming
-        // the RNG exactly as `RcbrSource::advance` does (rate draw then
-        // interval draw per renegotiation). The draws are inlined
-        // rather than routed through `normal_truncated_below` /
-        // `exponential` so their per-call argument checks stay out of
-        // the loop; the draw sequence is identical.
+        // the RNG exactly as the boxed source's `advance` does (rate
+        // draw then interval draw per renegotiation).
         for &i in &self.due[..count] {
             let i = i as usize;
             let mut left = -self.remaining[i]; // dt minus the old residual
             loop {
-                self.rates[i] = loop {
-                    let x = mean + sd * standard_normal(rng);
-                    if !truncate_at_zero || x >= 0.0 {
-                        break x;
-                    }
-                };
-                let interval = t_c * standard_exponential(rng);
+                self.rates[i] = self.draw.draw(rng);
+                let interval = t_c * exp.sample(rng);
                 if left >= interval {
                     left -= interval;
                 } else {
@@ -211,9 +249,9 @@ impl FlowBatch for RcbrBatch {
     }
 
     fn spawn_one(&mut self, rng: &mut StdRng) {
-        // Same draws as `RcbrSource::reset`.
-        let rate = self.draw_rate(rng);
-        let remaining = exponential(rng, self.cfg.t_c);
+        // Same draws as the boxed source's `reset`.
+        let rate = self.draw.draw(rng);
+        let remaining = exponential(rng, self.t_c);
         self.rates.push(rate);
         self.remaining.push(remaining);
     }
@@ -301,8 +339,6 @@ pub struct GeneralRcbrModel {
     t_c: f64,
 }
 
-use crate::marginal::Marginal;
-
 impl GeneralRcbrModel {
     /// Creates the model.
     ///
@@ -345,57 +381,7 @@ impl SourceModel for GeneralRcbrModel {
     }
 
     fn new_batch(&self) -> Option<Box<dyn FlowBatch>> {
-        Some(Box::new(GeneralRcbrBatch {
-            marginal: self.marginal,
-            t_c: self.t_c,
-            rates: Vec::new(),
-            remaining: Vec::new(),
-        }))
-    }
-}
-
-/// Struct-of-arrays batch of generalized-RCBR flows; same layout as
-/// [`RcbrBatch`] with the marginal sampler swapped in.
-pub struct GeneralRcbrBatch {
-    marginal: Marginal,
-    t_c: f64,
-    rates: Vec<f64>,
-    remaining: Vec<f64>,
-}
-
-impl FlowBatch for GeneralRcbrBatch {
-    fn len(&self) -> usize {
-        self.rates.len()
-    }
-
-    fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
-        assert!(dt >= 0.0);
-        for i in 0..self.rates.len() {
-            let mut left = dt;
-            while left >= self.remaining[i] {
-                left -= self.remaining[i];
-                self.rates[i] = self.marginal.sample(rng);
-                self.remaining[i] = exponential(rng, self.t_c);
-            }
-            self.remaining[i] -= left;
-        }
-    }
-
-    fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
-    fn spawn_one(&mut self, rng: &mut StdRng) {
-        // Same draws as `GeneralRcbrModel::spawn`.
-        let rate = self.marginal.sample(rng);
-        let remaining = exponential(rng, self.t_c);
-        self.rates.push(rate);
-        self.remaining.push(remaining);
-    }
-
-    fn swap_remove(&mut self, i: usize) {
-        self.rates.swap_remove(i);
-        self.remaining.swap_remove(i);
+        Some(Box::new(RcbrBatch::new(self.marginal, self.t_c)))
     }
 }
 
