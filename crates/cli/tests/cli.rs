@@ -730,6 +730,41 @@ fn serve_bench_rejects_nonpositive_topology_capacity_without_panicking() {
 }
 
 #[test]
+fn serve_bench_rejects_bad_memory_time_scale_without_panicking() {
+    // `FilteredEstimator::new` asserts on t_m; the flag used to reach
+    // it unchecked in both bench shapes.
+    for shape in [&[][..], &["--topology", "parking-lot:3"]] {
+        for t_m in ["-1", "nan"] {
+            let mut args = vec!["serve-bench", "--ticks", "5", "--t-m", t_m];
+            args.extend_from_slice(shape);
+            let out = mbacctl(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: clean exit");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("t_m must be finite and non-negative"), "{err}");
+            assert_eq!(err.lines().count(), 1, "{err}");
+        }
+    }
+}
+
+#[test]
+fn serve_bench_rejects_oversized_shard_count_at_once() {
+    // One ring and one consumer thread per shard: 10^8 of them used to
+    // be built before anything could fail. The workload is generated
+    // after the shape check, so a large one must not delay the error.
+    for shape in [&[][..], &["--topology", "parking-lot:3"]] {
+        let mut args = vec!["serve-bench", "--ticks", "200000", "--shards", "99999999"];
+        args.extend_from_slice(shape);
+        let start = std::time::Instant::now();
+        let out = mbacctl(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("shards must be at most 1024"), "{err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(start.elapsed().as_secs() < 5, "{args:?} took too long");
+    }
+}
+
+#[test]
 fn simulate_metrics_stream_writes_v2_jsonl() {
     let dir = std::env::temp_dir().join("mbacctl_stream_test");
     std::fs::create_dir_all(&dir).unwrap();

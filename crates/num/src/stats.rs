@@ -160,23 +160,34 @@ pub fn acf(xs: &[f64], max_lag: usize) -> Vec<f64> {
 /// Empirical quantile via linear interpolation of order statistics
 /// (type-7, the same convention as numpy's default). `p ∈ [0, 1]`.
 ///
+/// Only the two order statistics the interpolation reads are put in
+/// place (a selection, not a sort), so the cost is O(n).
+///
 /// # Panics
-/// Panics on an empty slice or `p` outside `[0, 1]`.
+/// Panics on an empty slice, `p` outside `[0, 1]`, or a NaN among two
+/// or more values.
 pub fn quantile(xs: &[f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "quantile of empty slice");
     assert!(
         (0.0..=1.0).contains(&p),
         "quantile p must be in [0,1], got {p}"
     );
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let h = p * (sorted.len() - 1) as f64;
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in quantile input");
+    let mut buf = xs.to_vec();
+    let h = p * (buf.len() - 1) as f64;
     let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
+    let (_, &mut at_lo, above) = buf.select_nth_unstable_by(lo, cmp);
+    if h.ceil() as usize == lo {
+        at_lo
     } else {
-        sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
+        // The next order statistic is the least of what the selection
+        // left above `lo`.
+        let at_hi = above
+            .iter()
+            .copied()
+            .min_by(cmp)
+            .expect("ceil(h) <= n - 1, so something lies above lo");
+        at_lo + (h - lo as f64) * (at_hi - at_lo)
     }
 }
 

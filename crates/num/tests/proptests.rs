@@ -3,8 +3,22 @@
 use mbac_num::complex::Complex64;
 use mbac_num::fft::{fft, ifft};
 use mbac_num::linalg::{solve, Matrix};
-use mbac_num::{brent, erf, erfc, integrate, parallel_map_with_stats, q, RunningStats};
+use mbac_num::{brent, erf, erfc, integrate, parallel_map_with_stats, q, quantile, RunningStats};
 use proptest::prelude::*;
+
+/// The type-7 quantile as `mbac_num::quantile` computed it before it
+/// became a selection: clone, full sort, interpolate.
+fn quantile_by_sort(xs: &[f64], p: f64) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    let h = p * (sorted.len() - 1) as f64;
+    let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
+    if lo == hi {
+        sorted[lo]
+    } else {
+        sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
+    }
+}
 
 proptest! {
     /// erf is odd and bounded; erf + erfc = 1.
@@ -139,4 +153,25 @@ proptest! {
             prop_assert_eq!(stats.workers.len(), workers.min(n));
         }
     }
+
+    /// Selecting the two order statistics gives the bits the full sort
+    /// gave, ties and the end points included. (Values come from a
+    /// coarse grid so that ties are common; the grid has no `-0.0`,
+    /// which `0.0 == -0.0` would let stand at a tied rank in its place.)
+    #[test]
+    fn quantile_selection_matches_full_sort(
+        grid in proptest::collection::vec(-40i32..40, 1..60),
+        p in 0.0f64..1.0,
+        end in 0u8..4,
+    ) {
+        let xs: Vec<f64> = grid.iter().map(|&g| f64::from(g) * 0.375).collect();
+        let p = match end { 0 => 0.0, 1 => 1.0, _ => p };
+        prop_assert_eq!(quantile(&xs, p).to_bits(), quantile_by_sort(&xs, p).to_bits());
+    }
+}
+
+#[test]
+#[should_panic(expected = "NaN in quantile input")]
+fn quantile_rejects_nan_like_the_sort_did() {
+    quantile(&[1.0, f64::NAN, 3.0], 0.5);
 }

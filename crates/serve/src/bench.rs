@@ -15,14 +15,17 @@
 //! parallelism is 1 and a threaded shape was requested — the recorded
 //! numbers are then honest serial-path figures, marked as such.
 
-use crate::plane::{certainty_equivalent_factory, PlaneConfig, ServeError};
-use crate::replay::{replay_serial, replay_threaded, ReplayConfig};
-use crate::routed::{
-    routed_replay_serial, routed_replay_threaded, RoutedPlaneConfig, RoutedReplayConfig,
+use crate::plane::{
+    certainty_equivalent_factory, check_producers, check_shards, ControllerFactory, PlaneConfig,
+    ServeError,
 };
+use crate::replay::{replay_serial_into, replay_threaded_into, ReplayConfig};
+use crate::routed::{
+    routed_replay_serial_into, routed_replay_threaded_into, RoutedPlaneConfig, RoutedReplayConfig,
+};
+use crate::sink::{Replayed, Tally};
 use mbac_core::topology::Topology;
 use mbac_metrics::StreamHandle;
-use mbac_num::quantile;
 use mbac_sim::{
     ConfigError, Engine, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
     SessionBuilder,
@@ -96,6 +99,11 @@ pub enum BenchError {
     Config(ConfigError),
     /// The plane/replay configuration was rejected.
     Serve(ServeError),
+    /// The estimator memory time-scale was negative, NaN or infinite.
+    BadMemory {
+        /// The rejected `t_m`.
+        t_m: f64,
+    },
 }
 
 impl std::fmt::Display for BenchError {
@@ -103,6 +111,9 @@ impl std::fmt::Display for BenchError {
         match self {
             BenchError::Config(e) => e.fmt(f),
             BenchError::Serve(e) => e.fmt(f),
+            BenchError::BadMemory { t_m } => {
+                write!(f, "t_m must be finite and non-negative, got {t_m}")
+            }
         }
     }
 }
@@ -165,6 +176,93 @@ pub fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
+/// The plane shape a bench run uses, resolved from the requested shape
+/// and the injected parallelism.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    /// Run the threaded drivers (otherwise the serial reference).
+    threaded: bool,
+    shards: usize,
+    producers: usize,
+    parallelism: usize,
+    skipped_single_core: bool,
+}
+
+impl Shape {
+    /// Validates the requested shape — whatever the host, so a bad one
+    /// is an error on a single core too — and applies the single-core
+    /// gate.
+    fn resolve(shards: usize, producers: usize, parallelism: usize) -> Result<Self, ServeError> {
+        check_shards(shards)?;
+        check_producers(producers)?;
+        let threaded_requested = shards > 1 || producers > 1;
+        let single_core = parallelism == 1;
+        let threaded = threaded_requested && !single_core;
+        Ok(Shape {
+            threaded,
+            shards: if threaded { shards } else { 1 },
+            producers: if threaded { producers } else { 1 },
+            parallelism,
+            skipped_single_core: threaded_requested && single_core,
+        })
+    }
+
+    /// The report of a replay that ran in this shape over `events`
+    /// workload events.
+    fn report(self, replayed: Replayed<Tally>, events: u64) -> BenchReport {
+        let Tally {
+            decisions,
+            admitted,
+            mut latency,
+        } = replayed.sink;
+        let (p50_ns, p99_ns) = if latency.is_empty() {
+            (0.0, 0.0)
+        } else {
+            (latency.quantile(0.5), latency.quantile(0.99))
+        };
+        let elapsed_secs = replayed.elapsed.as_secs_f64();
+        BenchReport {
+            mode: if self.threaded { "threaded" } else { "serial" },
+            shards: self.shards,
+            producers: self.producers,
+            decisions,
+            admitted,
+            rejected: decisions - admitted,
+            events,
+            elapsed_secs,
+            decisions_per_sec: if elapsed_secs > 0.0 {
+                decisions as f64 / elapsed_secs
+            } else {
+                0.0
+            },
+            p50_ns,
+            p99_ns,
+            mean_ns: latency.mean(),
+            available_parallelism: self.parallelism,
+            skipped_single_core: self.skipped_single_core,
+        }
+    }
+}
+
+/// The paper's controller at the bench's `(p_ce, t_m)`, with `t_m`
+/// checked first: `FilteredEstimator::new` asserts on it.
+fn controller_factory(p_ce: f64, t_m: f64) -> Result<ControllerFactory, BenchError> {
+    if t_m >= 0.0 && t_m.is_finite() {
+        Ok(certainty_equivalent_factory(p_ce, t_m))
+    } else {
+        Err(BenchError::BadMemory { t_m })
+    }
+}
+
+/// Per-shard metrics are collected only to feed an attached stream.
+fn metrics_mode(stream: &Option<StreamHandle>) -> MetricsMode {
+    if stream.is_some() {
+        MetricsMode::Streaming
+    } else {
+        MetricsMode::Disabled
+    }
+}
+
 /// Runs the closed-loop bench: generates the workload through the
 /// Session pipeline, replays it through the plane, and summarizes
 /// latency/throughput. The host's parallelism is injected (pass
@@ -175,12 +273,8 @@ pub fn closed_loop_with_parallelism(
     model: &dyn SourceModel,
     parallelism: usize,
 ) -> Result<BenchReport, BenchError> {
-    if cfg.shards == 0 {
-        return Err(ServeError::ZeroShards.into());
-    }
-    if cfg.producers == 0 {
-        return Err(ServeError::ZeroProducers.into());
-    }
+    let shape = Shape::resolve(cfg.shards, cfg.producers, parallelism)?;
+    let make = controller_factory(cfg.p_ce, cfg.t_m)?;
     let load = RequestLoad {
         model,
         cfg: RequestLoadConfig {
@@ -195,64 +289,23 @@ pub fn closed_loop_with_parallelism(
     };
     let workload = SessionBuilder::new().engine(cfg.engine).run(&load)?;
 
-    let threaded_requested = cfg.shards > 1 || cfg.producers > 1;
-    let single_core = parallelism == 1;
-    let skipped_single_core = threaded_requested && single_core;
-    let run_threaded = threaded_requested && !single_core;
-
     let replay_cfg = ReplayConfig {
         plane: PlaneConfig {
-            shards: if run_threaded { cfg.shards } else { 1 },
+            shards: shape.shards,
             capacity: cfg.capacity,
             ring_capacity: cfg.ring_capacity,
-            metrics: if cfg.stream.is_some() {
-                MetricsMode::Streaming
-            } else {
-                MetricsMode::Disabled
-            },
+            metrics: metrics_mode(&cfg.stream),
             stream: cfg.stream.clone(),
         },
-        producers: if run_threaded { cfg.producers } else { 1 },
+        producers: shape.producers,
         stamp_latency: true,
     };
-    let make = certainty_equivalent_factory(cfg.p_ce, cfg.t_m);
-    let outcome = if run_threaded {
-        replay_threaded(&replay_cfg, make, &workload)?
+    let replayed = if shape.threaded {
+        replay_threaded_into(&replay_cfg, make, &workload, Tally::default)?
     } else {
-        replay_serial(&replay_cfg, make, &workload)?
+        replay_serial_into(&replay_cfg, make, &workload, Tally::default())?
     };
-
-    let latencies: Vec<f64> = outcome.latencies_ns().iter().map(|&ns| ns as f64).collect();
-    let (p50_ns, p99_ns, mean_ns) = if latencies.is_empty() {
-        (0.0, 0.0, 0.0)
-    } else {
-        (
-            quantile(&latencies, 0.5),
-            quantile(&latencies, 0.99),
-            latencies.iter().sum::<f64>() / latencies.len() as f64,
-        )
-    };
-    let elapsed_secs = outcome.elapsed.as_secs_f64();
-    Ok(BenchReport {
-        mode: if run_threaded { "threaded" } else { "serial" },
-        shards: replay_cfg.plane.shards,
-        producers: replay_cfg.producers,
-        decisions: outcome.decisions,
-        admitted: outcome.admitted,
-        rejected: outcome.rejected(),
-        events: workload.total_events() as u64,
-        elapsed_secs,
-        decisions_per_sec: if elapsed_secs > 0.0 {
-            outcome.decisions as f64 / elapsed_secs
-        } else {
-            0.0
-        },
-        p50_ns,
-        p99_ns,
-        mean_ns,
-        available_parallelism: parallelism,
-        skipped_single_core,
-    })
+    Ok(shape.report(replayed, workload.total_events() as u64))
 }
 
 // ---------------------------------------------------------------------
@@ -328,12 +381,8 @@ pub fn routed_closed_loop_with_parallelism(
     model: &dyn SourceModel,
     parallelism: usize,
 ) -> Result<BenchReport, BenchError> {
-    if cfg.shards == 0 {
-        return Err(ServeError::ZeroShards.into());
-    }
-    if cfg.producers == 0 {
-        return Err(ServeError::ZeroProducers.into());
-    }
+    let shape = Shape::resolve(cfg.shards, cfg.producers, parallelism)?;
+    let make = controller_factory(cfg.p_ce, cfg.t_m)?;
     let load = RoutedLoad {
         model,
         cfg: RoutedLoadConfig {
@@ -349,68 +398,28 @@ pub fn routed_closed_loop_with_parallelism(
     };
     let workload = SessionBuilder::new().engine(cfg.engine).run(&load)?;
 
-    let threaded_requested = cfg.shards > 1 || cfg.producers > 1;
-    let single_core = parallelism == 1;
-    let skipped_single_core = threaded_requested && single_core;
-    let run_threaded = threaded_requested && !single_core;
-
     let replay_cfg = RoutedReplayConfig {
         plane: RoutedPlaneConfig {
-            shards: if run_threaded { cfg.shards } else { 1 },
+            shards: shape.shards,
             ring_capacity: cfg.ring_capacity,
-            metrics: if cfg.stream.is_some() {
-                MetricsMode::Streaming
-            } else {
-                MetricsMode::Disabled
-            },
+            metrics: metrics_mode(&cfg.stream),
             stream: cfg.stream.clone(),
         },
-        producers: if run_threaded { cfg.producers } else { 1 },
+        producers: shape.producers,
         stamp_latency: true,
     };
-    let make = certainty_equivalent_factory(cfg.p_ce, cfg.t_m);
-    let outcome = if run_threaded {
-        routed_replay_threaded(&replay_cfg, make, &workload)?
+    let replayed = if shape.threaded {
+        routed_replay_threaded_into(&replay_cfg, make, &workload, Tally::default)?
     } else {
-        routed_replay_serial(&replay_cfg, make, &workload)?
+        routed_replay_serial_into(&replay_cfg, make, &workload, Tally::default())?
     };
-
-    let latencies: Vec<f64> = outcome.latencies_ns().iter().map(|&ns| ns as f64).collect();
-    let (p50_ns, p99_ns, mean_ns) = if latencies.is_empty() {
-        (0.0, 0.0, 0.0)
-    } else {
-        (
-            quantile(&latencies, 0.5),
-            quantile(&latencies, 0.99),
-            latencies.iter().sum::<f64>() / latencies.len() as f64,
-        )
-    };
-    let elapsed_secs = outcome.elapsed.as_secs_f64();
-    Ok(BenchReport {
-        mode: if run_threaded { "threaded" } else { "serial" },
-        shards: replay_cfg.plane.shards,
-        producers: replay_cfg.producers,
-        decisions: outcome.decisions,
-        admitted: outcome.admitted,
-        rejected: outcome.rejected(),
-        events: workload.total_events() as u64,
-        elapsed_secs,
-        decisions_per_sec: if elapsed_secs > 0.0 {
-            outcome.decisions as f64 / elapsed_secs
-        } else {
-            0.0
-        },
-        p50_ns,
-        p99_ns,
-        mean_ns,
-        available_parallelism: parallelism,
-        skipped_single_core,
-    })
+    Ok(shape.report(replayed, workload.total_events() as u64))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plane::{MAX_PRODUCERS, MAX_SHARDS};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
     fn small() -> BenchConfig {
@@ -526,5 +535,54 @@ mod tests {
             closed_loop_with_parallelism(&cfg, &model(), 1),
             Err(BenchError::Config(ConfigError::ZeroReplications))
         ));
+    }
+
+    #[test]
+    fn bad_memory_time_scale_is_a_typed_error() {
+        for t_m in [-1.0, f64::NAN, f64::INFINITY] {
+            let cfg = BenchConfig { t_m, ..small() };
+            assert!(matches!(
+                closed_loop_with_parallelism(&cfg, &model(), 1),
+                Err(BenchError::BadMemory { .. })
+            ));
+            let cfg = RoutedBenchConfig {
+                t_m,
+                ..small_routed()
+            };
+            assert!(matches!(
+                routed_closed_loop_with_parallelism(&cfg, &model(), 1),
+                Err(BenchError::BadMemory { .. })
+            ));
+        }
+    }
+
+    /// The shape is checked before the single-core gate can shrink it,
+    /// so the same command fails the same way on every host.
+    #[test]
+    fn oversized_shapes_are_rejected_on_any_host() {
+        for parallelism in [1, 4] {
+            let cfg = BenchConfig {
+                shards: MAX_SHARDS + 1,
+                ..small()
+            };
+            assert_eq!(
+                closed_loop_with_parallelism(&cfg, &model(), parallelism).unwrap_err(),
+                BenchError::Serve(ServeError::TooManyShards {
+                    got: MAX_SHARDS + 1,
+                    max: MAX_SHARDS
+                })
+            );
+            let cfg = RoutedBenchConfig {
+                producers: MAX_PRODUCERS + 1,
+                ..small_routed()
+            };
+            assert_eq!(
+                routed_closed_loop_with_parallelism(&cfg, &model(), parallelism).unwrap_err(),
+                BenchError::Serve(ServeError::TooManyProducers {
+                    got: MAX_PRODUCERS + 1,
+                    max: MAX_PRODUCERS
+                })
+            );
+        }
     }
 }

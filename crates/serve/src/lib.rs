@@ -11,6 +11,11 @@
 //! * [`replay`] — the single-threaded serial reference and the
 //!   multi-producer sharded replay of a Scenario-generated
 //!   [`mbac_sim::ServeWorkload`];
+//! * [`sink`] — where the replay drivers put each decision as it is
+//!   made: a collecting sink (per-link / per-route sequences, for the
+//!   invariance suites) or a tally (totals plus an exact
+//!   [`LatencyTally`], for the bench) — the drivers keep nothing
+//!   themselves;
 //! * [`routed`] — multi-hop decisions over the same sharded plane: a
 //!   deterministic two-phase reserve/commit joins the per-hop votes of
 //!   a routed request even when its hops land on different shards, with
@@ -36,6 +41,7 @@ pub mod bench;
 pub mod plane;
 pub mod replay;
 pub mod routed;
+pub mod sink;
 
 pub use bench::{
     closed_loop_with_parallelism, host_parallelism, routed_closed_loop_with_parallelism,
@@ -44,7 +50,8 @@ pub use bench::{
 
 pub use plane::{
     certainty_equivalent_factory, plane_snapshot, shard_of, ControllerFactory, Decision,
-    DecisionPlane, IngestHandle, PlaneConfig, ServeError, Shard, ShardEvent,
+    DecisionPlane, IngestHandle, PlaneConfig, ServeError, Shard, ShardEvent, MAX_PRODUCERS,
+    MAX_SHARDS,
 };
 pub use replay::{replay_serial, replay_threaded, ReplayConfig, ReplayOutcome};
 pub use routed::{
@@ -52,3 +59,4 @@ pub use routed::{
     RouteDecision, RouteTable, RoutedIngestHandle, RoutedPlane, RoutedPlaneConfig,
     RoutedReplayConfig, RoutedReplayOutcome, RoutedShard, RoutedShardEvent,
 };
+pub use sink::LatencyTally;

@@ -39,6 +39,7 @@ use mbac_metrics::{
 };
 use mbac_sim::{MbacController, MetricsMode};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,6 +58,20 @@ pub enum ServeError {
     ZeroProducers,
     /// Zero ring capacity requested.
     ZeroRingCapacity,
+    /// More shards than [`MAX_SHARDS`] requested.
+    TooManyShards {
+        /// The rejected shard count.
+        got: usize,
+        /// The limit, [`MAX_SHARDS`].
+        max: usize,
+    },
+    /// More producer threads than [`MAX_PRODUCERS`] requested.
+    TooManyProducers {
+        /// The rejected producer count.
+        got: usize,
+        /// The limit, [`MAX_PRODUCERS`].
+        max: usize,
+    },
     /// A field that must be strictly positive was zero, negative or NaN.
     NonPositive {
         /// Name of the offending field.
@@ -72,6 +87,12 @@ impl std::fmt::Display for ServeError {
             ServeError::ZeroShards => write!(f, "shards must be at least 1"),
             ServeError::ZeroProducers => write!(f, "producers must be at least 1"),
             ServeError::ZeroRingCapacity => write!(f, "ring capacity must be at least 1"),
+            ServeError::TooManyShards { got, max } => {
+                write!(f, "shards must be at most {max}, got {got}")
+            }
+            ServeError::TooManyProducers { got, max } => {
+                write!(f, "producers must be at most {max}, got {got}")
+            }
             ServeError::NonPositive { field, value } => {
                 write!(f, "{field} must be positive, got {value}")
             }
@@ -80,6 +101,40 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// The most shards a plane may have. Every shard owns an ingest ring,
+/// allocated up front, and the threaded drivers give it a consumer
+/// thread: a larger count exhausts the host's memory or thread limit
+/// long before it spreads the links any thinner.
+pub const MAX_SHARDS: usize = 1024;
+
+/// The most producer threads a threaded replay may start (one OS thread
+/// each, like [`MAX_SHARDS`]).
+pub const MAX_PRODUCERS: usize = 1024;
+
+/// `shards` is in `1..=MAX_SHARDS`.
+pub(crate) fn check_shards(shards: usize) -> Result<(), ServeError> {
+    match shards {
+        0 => Err(ServeError::ZeroShards),
+        got if got > MAX_SHARDS => Err(ServeError::TooManyShards {
+            got,
+            max: MAX_SHARDS,
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// `producers` is in `1..=MAX_PRODUCERS`.
+pub(crate) fn check_producers(producers: usize) -> Result<(), ServeError> {
+    match producers {
+        0 => Err(ServeError::ZeroProducers),
+        got if got > MAX_PRODUCERS => Err(ServeError::TooManyProducers {
+            got,
+            max: MAX_PRODUCERS,
+        }),
+        _ => Ok(()),
+    }
+}
 
 // ---------------------------------------------------------------------
 // Link hashing
@@ -92,6 +147,39 @@ impl std::error::Error for ServeError {}
 pub fn shard_of(link: LinkId, shards: usize) -> usize {
     (splitmix64(link.as_u64()) % shards as u64) as usize
 }
+
+/// Hasher of the per-shard link maps: the SplitMix64 finalizer over the
+/// `u32` link id, in place of SipHash on every event. The halves are
+/// swapped because the low bits of `splitmix64(link)` are what
+/// [`shard_of`] already spent: with a power-of-two shard count every
+/// link of a shard would otherwise share them, and the map takes its
+/// bucket from exactly those bits. Link ids come from the operator's
+/// topology, not from request payloads, so the map gives up nothing by
+/// losing SipHash's keyed collision resistance.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct LinkHasher(u64);
+
+impl Hasher for LinkHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u32(u32::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        self.0 = splitmix64(self.0 ^ u64::from(id)).rotate_left(32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Per-link state keyed by link id. Link ids are caller-chosen, so the
+/// state stays in a map: an id must never size an allocation.
+pub(crate) type LinkMap<V> = HashMap<LinkId, V, BuildHasherDefault<LinkHasher>>;
 
 // ---------------------------------------------------------------------
 // Events and decisions
@@ -351,7 +439,7 @@ pub struct Shard {
     index: usize,
     capacity: f64,
     ring: Arc<IngestRing<ShardEvent>>,
-    links: HashMap<LinkId, LinkState>,
+    links: LinkMap<LinkState>,
     make: ControllerFactory,
     metrics: Option<Box<ShardMetrics>>,
     stream: Option<Box<ShardStream>>,
@@ -558,9 +646,7 @@ impl DecisionPlane {
     /// Builds a plane with `cfg.shards` empty shards, each creating
     /// per-link controllers from `make` on first contact with a link.
     pub fn new(cfg: &PlaneConfig, make: ControllerFactory) -> Result<Self, ServeError> {
-        if cfg.shards == 0 {
-            return Err(ServeError::ZeroShards);
-        }
+        check_shards(cfg.shards)?;
         if cfg.ring_capacity == 0 {
             return Err(ServeError::ZeroRingCapacity);
         }
@@ -576,7 +662,7 @@ impl DecisionPlane {
                 index,
                 capacity: cfg.capacity,
                 ring: Arc::new(IngestRing::with_capacity(cfg.ring_capacity)),
-                links: HashMap::new(),
+                links: LinkMap::default(),
                 make: Arc::clone(&make),
                 metrics: (cfg.metrics != MetricsMode::Disabled)
                     .then(|| Box::new(ShardMetrics::new(timing))),
@@ -693,6 +779,17 @@ mod tests {
             Some(ServeError::ZeroShards)
         );
         let bad = PlaneConfig {
+            shards: MAX_SHARDS + 1,
+            ..PlaneConfig::default()
+        };
+        assert_eq!(
+            DecisionPlane::new(&bad, Arc::clone(&make)).err(),
+            Some(ServeError::TooManyShards {
+                got: MAX_SHARDS + 1,
+                max: MAX_SHARDS
+            })
+        );
+        let bad = PlaneConfig {
             capacity: -1.0,
             ..PlaneConfig::default()
         };
@@ -722,6 +819,19 @@ mod tests {
             assert_eq!(s, plane.shard_of(link), "placement must be stable");
             assert_eq!(s, plane.handle().shard_of(link));
         }
+    }
+
+    /// With a power-of-two shard count the links of one shard agree in
+    /// the low bits of `splitmix64`; the map's hash must not.
+    #[test]
+    fn link_hasher_spreads_the_links_of_one_shard() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<LinkHasher>::default();
+        let mut low_bits = [false; 8];
+        for link in (0..64u32).map(LinkId).filter(|&l| shard_of(l, 8) == 0) {
+            low_bits[(build.hash_one(link) % 8) as usize] = true;
+        }
+        assert!(low_bits.iter().filter(|&&seen| seen).count() >= 4);
     }
 
     #[test]

@@ -52,11 +52,15 @@
 //! exactly the legacy [`crate::plane::Shard`] sequence, reproducing its
 //! decision bytes bit for bit.
 
-use crate::plane::{ControllerFactory, DecisionEntry, ServeError, ShardMetrics, ShardStream};
+use crate::plane::{
+    check_producers, check_shards, ControllerFactory, DecisionEntry, LinkMap, ServeError,
+    ShardMetrics, ShardStream,
+};
+use crate::sink::{Collect, DecisionSink, Replayed};
 use mbac_core::topology::{hop_admits, hop_u8, LinkId, RouteId, Topology};
 use mbac_metrics::{Aggregated, Counter, IngestRing, MetricValue, MetricsSnapshot, StreamHandle};
 use mbac_sim::{MbacController, MetricsMode, RoutedEvent, RoutedWorkload};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -357,7 +361,7 @@ pub struct RoutedShard {
     topology: Arc<Topology>,
     table: Arc<RouteTable>,
     ring: Arc<IngestRing<RoutedShardEvent>>,
-    links: HashMap<LinkId, RoutedLinkState>,
+    links: LinkMap<RoutedLinkState>,
     /// Links currently parked (each appears once).
     parked_links: Vec<LinkId>,
     make: ControllerFactory,
@@ -647,9 +651,7 @@ impl RoutedPlane {
         workload: &RoutedWorkload,
         make: ControllerFactory,
     ) -> Result<Self, ServeError> {
-        if cfg.shards == 0 {
-            return Err(ServeError::ZeroShards);
-        }
+        check_shards(cfg.shards)?;
         if cfg.ring_capacity == 0 {
             return Err(ServeError::ZeroRingCapacity);
         }
@@ -665,7 +667,7 @@ impl RoutedPlane {
                 topology: Arc::clone(&topology),
                 table: Arc::clone(&table),
                 ring: Arc::new(IngestRing::with_capacity(cfg.ring_capacity)),
-                links: HashMap::new(),
+                links: LinkMap::default(),
                 parked_links: Vec::new(),
                 make: Arc::clone(&make),
                 metrics: (cfg.metrics != MetricsMode::Disabled)
@@ -794,15 +796,6 @@ impl RoutedReplayOutcome {
         }
         out
     }
-
-    /// All recorded hop-0 latencies, in decision order.
-    pub fn latencies_ns(&self) -> Vec<u64> {
-        self.per_route
-            .iter()
-            .flatten()
-            .filter_map(|d| d.latency_ns)
-            .collect()
-    }
 }
 
 fn to_routed_event(
@@ -830,28 +823,16 @@ fn to_routed_event(
     }
 }
 
-fn fold_routed(
-    workload: &RoutedWorkload,
-    shard_decisions: Vec<Vec<RouteDecision>>,
-    elapsed: Duration,
-    snapshot: MetricsSnapshot,
-) -> RoutedReplayOutcome {
-    let mut per_route: Vec<Vec<RouteDecision>> = vec![Vec::new(); workload.topology().routes()];
-    let mut decisions = 0;
-    let mut admitted = 0;
-    for out in shard_decisions {
-        for d in out {
-            decisions += 1;
-            admitted += d.admit as u64;
-            per_route[d.route.index()].push(d);
+impl From<Replayed<Collect<RouteDecision>>> for RoutedReplayOutcome {
+    fn from(replayed: Replayed<Collect<RouteDecision>>) -> Self {
+        let (per_route, decisions, admitted) = replayed.sink.finish();
+        RoutedReplayOutcome {
+            per_route,
+            decisions,
+            admitted,
+            elapsed: replayed.elapsed,
+            snapshot: replayed.snapshot,
         }
-    }
-    RoutedReplayOutcome {
-        per_route,
-        decisions,
-        admitted,
-        elapsed,
-        snapshot,
     }
 }
 
@@ -863,6 +844,18 @@ pub fn routed_replay_serial(
     make: ControllerFactory,
     workload: &RoutedWorkload,
 ) -> Result<RoutedReplayOutcome, ServeError> {
+    let sink = Collect::new(workload.topology().routes());
+    routed_replay_serial_into(cfg, make, workload, sink).map(Into::into)
+}
+
+/// [`routed_replay_serial`] into any sink: the scratch vector `apply`
+/// and `pump` append to is emptied into it after every event.
+pub(crate) fn routed_replay_serial_into<S: DecisionSink<RouteDecision>>(
+    cfg: &RoutedReplayConfig,
+    make: ControllerFactory,
+    workload: &RoutedWorkload,
+    mut sink: S,
+) -> Result<Replayed<S>, ServeError> {
     let plane_cfg = RoutedPlaneConfig {
         shards: 1,
         ..cfg.plane.clone()
@@ -879,8 +872,8 @@ pub fn routed_replay_serial(
                 &mut out,
             );
             while shard.pump(&mut out) > 0 {}
+            sink.record_all(&mut out);
         }
-        while shard.pump(&mut out) > 0 {}
         assert!(
             !shard.has_parked(),
             "a complete workload leaves no dangling reserves"
@@ -888,7 +881,11 @@ pub fn routed_replay_serial(
     }
     let elapsed = start.elapsed();
     let snapshot = routed_plane_snapshot(plane.shards_mut());
-    Ok(fold_routed(workload, vec![out], elapsed, snapshot))
+    Ok(Replayed {
+        sink,
+        elapsed,
+        snapshot,
+    })
 }
 
 /// The sharded routed replay: `cfg.producers` producer threads push
@@ -900,9 +897,19 @@ pub fn routed_replay_threaded(
     make: ControllerFactory,
     workload: &RoutedWorkload,
 ) -> Result<RoutedReplayOutcome, ServeError> {
-    if cfg.producers == 0 {
-        return Err(ServeError::ZeroProducers);
-    }
+    let new_sink = || Collect::new(workload.topology().routes());
+    routed_replay_threaded_into(cfg, make, workload, new_sink).map(Into::into)
+}
+
+/// [`routed_replay_threaded`] into one sink per consumer, merged in
+/// shard order once the consumers have joined.
+pub(crate) fn routed_replay_threaded_into<S: DecisionSink<RouteDecision>>(
+    cfg: &RoutedReplayConfig,
+    make: ControllerFactory,
+    workload: &RoutedWorkload,
+    new_sink: impl Fn() -> S + Sync,
+) -> Result<Replayed<S>, ServeError> {
+    check_producers(cfg.producers)?;
     let plane = RoutedPlane::for_workload(&cfg.plane, workload, make)?;
     let handle = plane.handle();
     let shards = plane.into_shards();
@@ -912,15 +919,21 @@ pub fn routed_replay_threaded(
     let done = std::sync::atomic::AtomicUsize::new(0);
 
     let start = Instant::now();
-    let (shards, shard_decisions) = std::thread::scope(|s| {
+    let (shards, sink) = std::thread::scope(|s| {
         let consumers: Vec<_> = shards
             .into_iter()
             .map(|mut shard| {
-                let done = &done;
+                let (done, new_sink) = (&done, &new_sink);
                 s.spawn(move || {
+                    let mut sink = new_sink();
                     let mut out = Vec::new();
+                    let mut drain = |shard: &mut RoutedShard| {
+                        let n = shard.drain_into(&mut out);
+                        sink.record_all(&mut out);
+                        n
+                    };
                     loop {
-                        if shard.drain_into(&mut out) > 0 {
+                        if drain(&mut shard) > 0 {
                             continue;
                         }
                         if done.load(Ordering::Acquire) == producers {
@@ -929,13 +942,13 @@ pub fn routed_replay_threaded(
                             // nothing parked proves completion. A parked
                             // link waits for another shard's vote — keep
                             // pumping until the verdict lands.
-                            if shard.drain_into(&mut out) == 0 && !shard.has_parked() {
+                            if drain(&mut shard) == 0 && !shard.has_parked() {
                                 break;
                             }
                         }
                         std::thread::yield_now();
                     }
-                    (shard, out)
+                    (shard, sink)
                 })
             })
             .collect();
@@ -958,23 +971,28 @@ pub fn routed_replay_threaded(
             });
         }
         let mut shards_back = Vec::with_capacity(consumers.len());
-        let mut decisions = Vec::with_capacity(consumers.len());
+        let mut merged = new_sink();
         for c in consumers {
-            let (shard, out) = c.join().expect("routed consumer thread panicked");
+            let (shard, sink) = c.join().expect("routed consumer thread panicked");
             shards_back.push(shard);
-            decisions.push(out);
+            merged.merge(sink);
         }
-        (shards_back, decisions)
+        (shards_back, merged)
     });
     let elapsed = start.elapsed();
     let snapshot = routed_plane_snapshot(&shards);
-    Ok(fold_routed(workload, shard_decisions, elapsed, snapshot))
+    Ok(Replayed {
+        sink,
+        elapsed,
+        snapshot,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plane::certainty_equivalent_factory;
+    use crate::plane::{certainty_equivalent_factory, MAX_SHARDS};
+    use crate::sink::Tally;
     use mbac_core::topology::MAX_ROUTE_HOPS;
     use mbac_sim::{RoutedLoad, RoutedLoadConfig, SessionBuilder};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
@@ -1107,5 +1125,61 @@ mod tests {
             assert_eq!(get("commits") + get("aborts"), get("reserves"));
             assert!(get("measures") > 0);
         }
+    }
+
+    /// The tally sink counts what the collecting sink keeps, on both
+    /// drivers, and with stamping on every decision carries a latency.
+    #[test]
+    fn tally_sink_agrees_with_collecting_sink() {
+        let w = workload(Topology::star(4, 10.0), 0.05);
+        let make = certainty_equivalent_factory(1e-2, 2.0);
+        for shards in [1, 3] {
+            let cfg = RoutedReplayConfig {
+                plane: RoutedPlaneConfig {
+                    shards,
+                    ring_capacity: 16,
+                    ..RoutedPlaneConfig::default()
+                },
+                producers: shards.min(2),
+                stamp_latency: true,
+            };
+            let (collected, tallied) = if shards == 1 {
+                (
+                    routed_replay_serial(&cfg, Arc::clone(&make), &w).unwrap(),
+                    routed_replay_serial_into(&cfg, Arc::clone(&make), &w, Tally::default())
+                        .unwrap(),
+                )
+            } else {
+                (
+                    routed_replay_threaded(&cfg, Arc::clone(&make), &w).unwrap(),
+                    routed_replay_threaded_into(&cfg, Arc::clone(&make), &w, Tally::default)
+                        .unwrap(),
+                )
+            };
+            let tally = tallied.sink;
+            let stamped = collected.per_route.iter().flatten();
+            let stamped = stamped.filter(|d| d.latency_ns.is_some()).count() as u64;
+            assert_eq!(tally.decisions, collected.decisions, "{shards} shards");
+            assert_eq!(tally.admitted, collected.admitted, "{shards} shards");
+            assert_eq!(tally.latency.len(), stamped, "{shards} shards");
+            assert_eq!(tally.latency.len(), tally.decisions, "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn plane_bounds_the_shard_count() {
+        let w = workload(Topology::parking_lot(2, 10.0), 0.0);
+        let cfg = RoutedPlaneConfig {
+            shards: MAX_SHARDS + 1,
+            ..RoutedPlaneConfig::default()
+        };
+        let make = certainty_equivalent_factory(1e-2, 2.0);
+        assert_eq!(
+            RoutedPlane::for_workload(&cfg, &w, make).err(),
+            Some(ServeError::TooManyShards {
+                got: MAX_SHARDS + 1,
+                max: MAX_SHARDS
+            })
+        );
     }
 }

@@ -194,19 +194,43 @@ impl<D> RcbrBatch<D> {
 
 /// Ages every residual by `dt` and writes the slots whose interval
 /// expired to the front of `due`, in slot order, in one sweep; returns
-/// how many. The conditional-append idiom keeps the sweep free of
-/// data-dependent branches, which would otherwise mispredict on ~20% of
-/// flows per tick. A function of two slices rather than a loop over the
-/// batch's fields: only as parameters are the arrays known not to
-/// overlap, and without that the sweep runs at half the speed.
+/// how many. The conditional-append idiom keeps the collect free of
+/// per-flow data-dependent branches, which would otherwise mispredict
+/// on ~20% of flows per tick. It runs only for the 8-slot chunks in
+/// which something expired: when `dt` is far below `T_c` (a Poisson
+/// load advances on every arrival) almost none do, and the sweep is
+/// then the subtraction alone. A function of two slices rather than a
+/// loop over the batch's fields: only as parameters are the arrays
+/// known not to overlap, and without that the sweep runs at half the
+/// speed.
 fn age_and_collect_due(remaining: &mut [f64], due: &mut [u32], dt: f64) -> usize {
+    const CHUNK: usize = 8;
     let due = &mut due[..remaining.len()];
     let mut count = 0usize;
-    for (i, rem) in remaining.iter_mut().enumerate() {
-        *rem -= dt;
-        due[count] = i as u32;
-        count += (*rem <= 0.0) as usize;
+    let mut collect = |base: usize, aged: &[f64]| {
+        for (i, rem) in aged.iter().enumerate() {
+            due[count] = (base + i) as u32;
+            count += (*rem <= 0.0) as usize;
+        }
+    };
+    let mut chunks = remaining.chunks_exact_mut(CHUNK);
+    let mut base = 0;
+    for chunk in &mut chunks {
+        let mut expired = false;
+        for rem in chunk.iter_mut() {
+            *rem -= dt;
+            expired |= *rem <= 0.0;
+        }
+        if expired {
+            collect(base, chunk);
+        }
+        base += CHUNK;
     }
+    let tail = chunks.into_remainder();
+    for rem in tail.iter_mut() {
+        *rem -= dt;
+    }
+    collect(base, tail);
     count
 }
 
