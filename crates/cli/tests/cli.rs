@@ -346,6 +346,34 @@ fn simulate_impulsive_rejects_empty_observe_times_without_panicking() {
 }
 
 #[test]
+fn simulate_impulsive_rejects_infinite_observe_time_without_hanging() {
+    let started = std::time::Instant::now();
+    let out = mbacctl(&[
+        "simulate",
+        "--load",
+        "impulsive",
+        "--capacity",
+        "100",
+        "--flows",
+        "100",
+        "--observe",
+        "1,inf",
+        "--reps",
+        "50",
+    ]);
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(1),
+        "rejected before any replication runs"
+    );
+    assert_eq!(out.status.code(), Some(1), "clean exit, not a panic");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("observe times must be finite and non-negative, got inf"),
+        "friendly message, got: {err}"
+    );
+}
+
+#[test]
 fn simulate_impulsive_small_run_reports_result() {
     let out = mbacctl(&[
         "simulate",

@@ -238,7 +238,9 @@ impl ExpSampler {
 
     /// Samples a unit-mean exponential; same draw sequence as
     /// [`standard_exponential`].
-    #[inline]
+    // `always`: see `GaussianDraw::draw` in `mbac-traffic::rcbr`, the
+    // one caller that holds a handle.
+    #[inline(always)]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let t = self.t;
         loop {

@@ -12,7 +12,10 @@
 use crate::controller::AdmissionEngine;
 use crate::events::EventQueue;
 use crate::metrics::{OverflowMeter, PfEstimate, StopReason};
-use crate::session::{require_non_negative, require_positive, ConfigError, RepContext, Scenario};
+use crate::session::{
+    require_finite, require_non_negative, require_positive, require_step, ConfigError, RepContext,
+    Scenario,
+};
 use crate::telemetry::MetricsSink;
 use mbac_num::rng::exponential;
 use mbac_num::RunningStats;
@@ -104,9 +107,10 @@ impl Scenario for PoissonLoad<'_> {
         require_positive("capacity", self.cfg.capacity)?;
         require_positive("arrival rate", self.cfg.arrival_rate)?;
         require_positive("mean holding time", self.cfg.mean_holding)?;
-        require_positive("tick", self.cfg.tick)?;
-        require_positive("sample spacing", self.cfg.sample_spacing)?;
-        require_non_negative("warmup", self.cfg.warmup)
+        require_step("tick", self.cfg.tick)?;
+        require_step("sample spacing", self.cfg.sample_spacing)?;
+        require_non_negative("warmup", self.cfg.warmup)?;
+        require_finite("warmup", self.cfg.warmup)
     }
 
     fn seed(&self) -> u64 {

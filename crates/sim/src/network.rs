@@ -21,7 +21,9 @@
 use crate::controller::MbacController;
 use crate::flows::FlowTable;
 use crate::requests::add_measurement_noise;
-use crate::session::{require_non_negative, require_positive, ConfigError, RepContext, Scenario};
+use crate::session::{
+    require_non_negative, require_positive, require_step, ConfigError, RepContext, Scenario,
+};
 use crate::telemetry::MetricsSink;
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
@@ -173,7 +175,7 @@ impl Scenario for RoutedNetworkLoad<'_> {
             });
         }
         require_positive("ticks", cfg.ticks as f64)?;
-        require_positive("tick", cfg.tick)?;
+        require_step("tick", cfg.tick)?;
         require_positive("mean holding time", cfg.mean_holding)?;
         require_positive("target overflow probability", cfg.p_ce)?;
         require_non_negative("memory time-scale", cfg.t_m)?;

@@ -36,7 +36,9 @@
 //! guarantee the two-phase commit relies on: each link's `Request`
 //! occurrences are strictly increasing in `seq`.
 
-use crate::session::{require_non_negative, require_positive, ConfigError, RepContext, Scenario};
+use crate::session::{
+    require_non_negative, require_positive, require_step, ConfigError, RepContext, Scenario,
+};
 use crate::telemetry::MetricsSink;
 use mbac_core::topology::{LinkId, RouteId, Topology};
 use mbac_num::rng::{exponential, NormalSampler};
@@ -202,7 +204,7 @@ impl Scenario for RequestLoad<'_> {
             });
         }
         require_positive("ticks", self.cfg.ticks as f64)?;
-        require_positive("tick", self.cfg.tick)?;
+        require_step("tick", self.cfg.tick)?;
         require_positive("mean holding time", self.cfg.mean_holding)?;
         Ok(())
     }
@@ -416,7 +418,7 @@ impl Scenario for RoutedLoad<'_> {
             });
         }
         require_positive("ticks", self.cfg.ticks as f64)?;
-        require_positive("tick", self.cfg.tick)?;
+        require_step("tick", self.cfg.tick)?;
         require_positive("mean holding time", self.cfg.mean_holding)?;
         require_non_negative("noise standard deviation", self.cfg.noise_sd)?;
         Ok(())

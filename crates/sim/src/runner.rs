@@ -17,7 +17,10 @@
 
 use crate::controller::AdmissionEngine;
 use crate::metrics::{OverflowMeter, PfEstimate, StopReason};
-use crate::session::{require_non_negative, require_positive, ConfigError, RepContext, Scenario};
+use crate::session::{
+    require_finite, require_non_negative, require_positive, require_step, ConfigError, RepContext,
+    Scenario,
+};
 use crate::telemetry::MetricsSink;
 use mbac_core::admission::AdmissionPolicy;
 use mbac_core::estimators::snapshot_stats;
@@ -135,7 +138,7 @@ impl Scenario for ImpulsiveLoad<'_> {
         // An empty observation list is valid: the report still carries
         // the M₀ distribution (Prop 3.1 studies use exactly that).
         for &t in &self.cfg.observe_times {
-            if t.is_nan() || t < 0.0 {
+            if !t.is_finite() || t < 0.0 {
                 return Err(ConfigError::BadObserveTime { value: t });
             }
         }
@@ -293,9 +296,10 @@ impl ContinuousConfig {
     fn validate(&self) -> Result<(), ConfigError> {
         require_positive("capacity", self.capacity)?;
         require_positive("mean holding time", self.mean_holding)?;
-        require_positive("tick", self.tick)?;
-        require_positive("sample spacing", self.sample_spacing)?;
-        require_non_negative("warmup", self.warmup)
+        require_step("tick", self.tick)?;
+        require_step("sample spacing", self.sample_spacing)?;
+        require_non_negative("warmup", self.warmup)?;
+        require_finite("warmup", self.warmup)
     }
 }
 
@@ -1018,11 +1022,13 @@ mod tests {
         cfg.observe_times.clear();
         assert!(check(&cfg).is_none(), "M0-only runs are valid");
         let mut cfg = base.clone();
-        cfg.observe_times = vec![f64::NAN];
-        assert!(matches!(
-            check(&cfg),
-            Some(ConfigError::BadObserveTime { .. })
-        ));
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            cfg.observe_times = vec![1.0, bad];
+            assert!(matches!(
+                check(&cfg),
+                Some(ConfigError::BadObserveTime { .. })
+            ));
+        }
         let mut cfg = base.clone();
         cfg.replications = 0;
         assert_eq!(check(&cfg), Some(ConfigError::ZeroReplications));
@@ -1056,6 +1062,37 @@ mod tests {
                 ..
             }
         ));
+        // Every time step that feeds `advance_to` must be finite; an
+        // infinite holding time (flows never depart) stays legal.
+        let good = ContinuousConfig {
+            capacity: 50.0,
+            mean_holding: f64::INFINITY,
+            ..cfg
+        };
+        assert_eq!(good.validate(), Ok(()));
+        let inf = f64::INFINITY;
+        for (field, bad) in [
+            ("tick", ContinuousConfig { tick: inf, ..good }),
+            (
+                "warmup",
+                ContinuousConfig {
+                    warmup: inf,
+                    ..good
+                },
+            ),
+            (
+                "sample spacing",
+                ContinuousConfig {
+                    sample_spacing: inf,
+                    ..good
+                },
+            ),
+        ] {
+            assert_eq!(
+                bad.validate(),
+                Err(ConfigError::NotFinite { field, value: inf })
+            );
+        }
     }
 
     #[test]

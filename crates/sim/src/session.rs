@@ -118,8 +118,16 @@ pub enum ConfigError {
     },
     /// An impulsive scenario with no observation times records nothing.
     EmptyObserveTimes,
-    /// An observation time was negative or NaN.
+    /// An observation time was negative, NaN or infinite.
     BadObserveTime {
+        /// The rejected value.
+        value: f64,
+    },
+    /// A time step that must be finite was not: the sources' catch-up
+    /// loops would never reach it.
+    NotFinite {
+        /// Name of the offending field.
+        field: &'static str,
         /// The rejected value.
         value: f64,
     },
@@ -162,7 +170,13 @@ impl std::fmt::Display for ConfigError {
                 )
             }
             ConfigError::BadObserveTime { value } => {
-                write!(f, "observe times must be non-negative numbers, got {value}")
+                write!(
+                    f,
+                    "observe times must be finite and non-negative, got {value}"
+                )
+            }
+            ConfigError::NotFinite { field, value } => {
+                write!(f, "{field} must be finite, got {value}")
             }
             ConfigError::ZeroReplications => write!(f, "replications must be at least 1"),
             ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
@@ -198,6 +212,22 @@ pub(crate) fn require_non_negative(field: &'static str, value: f64) -> Result<()
         Ok(())
     } else {
         Err(ConfigError::Negative { field, value })
+    }
+}
+
+/// Checks that a time step handed to `advance_to` is strictly positive
+/// and finite.
+pub(crate) fn require_step(field: &'static str, value: f64) -> Result<(), ConfigError> {
+    require_positive(field, value)?;
+    require_finite(field, value)
+}
+
+/// Checks that `value` is finite.
+pub(crate) fn require_finite(field: &'static str, value: f64) -> Result<(), ConfigError> {
+    if value.is_finite() {
+        Ok(())
+    } else {
+        Err(ConfigError::NotFinite { field, value })
     }
 }
 

@@ -29,6 +29,12 @@
 //! bit-identical to the boxed one for a fixed seed (the equivalence
 //! tests in `mbac-sim` assert this), so switching engines never
 //! changes scientific results.
+//!
+//! The contract is between the two engines of *one* commit. What a
+//! model draws per advance is the model's own rule — for RCBR, one rate
+//! draw then one residual draw per due flow per call, whatever the step
+//! length (see [`crate::rcbr`]) — and both engines follow it in the same
+//! flow order.
 
 use crate::process::RateProcess;
 #[cfg(doc)]
@@ -277,8 +283,8 @@ mod tests {
         }
 
         // Steps far longer than the correlation time — the impulsive
-        // harness's shape: every flow renews ~50 times inside one call,
-        // so the kernels' per-flow catch-up loops carry the stream.
+        // harness's shape: every flow is due in every call (RCBR draws
+        // once per flow, Markov fluids catch up jump by jump).
         for step in 300..320 {
             t.advance(50.0 + 0.37 * (step % 5) as f64, step);
         }

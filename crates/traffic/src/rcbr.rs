@@ -10,6 +10,39 @@
 //! fluctuation converges to the Ornstein–Uhlenbeck process assumed in
 //! the theory.
 //!
+//! # The advance rule
+//!
+//! Every RCBR `advance(dt)` in this module — [`RcbrSource`],
+//! [`GeneralRcbrSource`] and the batched kernel behind both models — is
+//! the same two-armed rule:
+//!
+//! ```text
+//! if dt >= remaining { rate = draw(); remaining = T_c · Exp(1) }
+//! else               { remaining -= dt }
+//! ```
+//!
+//! One rate draw, then one residual draw, per renegotiating flow per
+//! call, however many correlation times `dt` spans. It is exact, not an
+//! approximation: renegotiation epochs form a Poisson process and the
+//! negotiated rates are i.i.d. and independent of the epochs, so given
+//! that a flow renegotiated at all inside `(t, t+dt]`, its rate at
+//! `t+dt` is the draw made at the *last* epoch — a fresh marginal draw —
+//! and the time from `t+dt` to the next epoch is `Exp(T_c)` by
+//! memorylessness, whatever happened in between. The joint law of the
+//! states seen at the advance instants, hence `ρ(τ)` and every
+//! statistic a caller can form, is that of the path-by-path
+//! simulation; `tests::advance_law_matches_path_faithful_reference`
+//! holds the two side by side.
+//!
+//! What is not simulated is the path *inside* an advance: the
+//! intermediate rates a flow would have held between two calls. No
+//! caller can observe them — a [`RateProcess`] is read only at the
+//! instants it is advanced to — so a step of `50 T_c` (Prop. 3.3's
+//! observe time) costs one renegotiation per flow instead of fifty.
+//! Sample paths therefore depend on *where* the advance instants fall:
+//! `advance(a); advance(b)` and `advance(a + b)` agree in law, not bit
+//! for bit.
+//!
 //! Rates can optionally be truncated at zero to stay physical; with the
 //! paper's `σ/μ = 0.3` the truncated mass is `Q(3.33) ≈ 4e-4`, a
 //! negligible perturbation of the moments (the analytic `mean()` /
@@ -144,7 +177,11 @@ impl GaussianDraw {
 }
 
 impl RateDraw for GaussianDraw {
-    #[inline]
+    // `always`, with `ExpSampler::sample`: at the default threshold
+    // neither lands inside `advance_all`'s renegotiation loop, and two
+    // calls per due flow cost a Poisson load (a sweep per arrival, ~3 %
+    // of flows due) 8 % of its arrivals per second.
+    #[inline(always)]
     fn draw(&self, rng: &mut StdRng) -> f64 {
         loop {
             let x = self.mean + self.sd * self.normal.sample(rng);
@@ -243,7 +280,7 @@ impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
         assert!(dt >= 0.0, "cannot advance backwards");
         let (t_c, exp) = (self.t_c, self.exp);
         // Pass 1: age every interval and collect the expired ones. The
-        // boxed source's `left >= remaining` is `remaining - dt <= 0`
+        // boxed source's `dt >= remaining` is `remaining - dt <= 0`
         // here — exactly, since a nonzero difference of nearby doubles
         // never rounds to zero (Sterbenz) and IEEE subtraction is
         // antisymmetric.
@@ -251,20 +288,11 @@ impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
         let count = age_and_collect_due(&mut self.remaining, &mut self.due, dt);
         // Pass 2: renegotiate the due flows, in flow order, consuming
         // the RNG exactly as the boxed source's `advance` does (rate
-        // draw then interval draw per renegotiation).
+        // draw then residual draw, once per due flow).
         for &i in &self.due[..count] {
             let i = i as usize;
-            let mut left = -self.remaining[i]; // dt minus the old residual
-            loop {
-                self.rates[i] = self.draw.draw(rng);
-                let interval = t_c * exp.sample(rng);
-                if left >= interval {
-                    left -= interval;
-                } else {
-                    self.remaining[i] = interval - left;
-                    break;
-                }
-            }
+            self.rates[i] = self.draw.draw(rng);
+            self.remaining[i] = t_c * exp.sample(rng);
         }
     }
 
@@ -323,14 +351,14 @@ impl RateProcess for RcbrSource {
 
     fn advance(&mut self, dt: f64, rng: &mut dyn RngCore) {
         assert!(dt >= 0.0, "cannot advance backwards");
-        let mut left = dt;
-        while left >= self.remaining {
-            left -= self.remaining;
-            // Renegotiate: fresh rate, fresh exponential interval.
+        if dt >= self.remaining {
+            // Renegotiated inside the step: fresh rate, fresh residual
+            // (see the module docs).
             self.rate = self.draw_rate(rng);
             self.remaining = exponential(rng, self.cfg.t_c);
+        } else {
+            self.remaining -= dt;
         }
-        self.remaining -= left;
     }
 
     fn reset(&mut self, rng: &mut dyn RngCore) {
@@ -425,13 +453,12 @@ impl RateProcess for GeneralRcbrSource {
 
     fn advance(&mut self, dt: f64, rng: &mut dyn RngCore) {
         assert!(dt >= 0.0);
-        let mut left = dt;
-        while left >= self.remaining {
-            left -= self.remaining;
+        if dt >= self.remaining {
             self.rate = self.marginal.sample(rng);
             self.remaining = exponential(rng, self.t_c);
+        } else {
+            self.remaining -= dt;
         }
-        self.remaining -= left;
     }
 
     fn reset(&mut self, rng: &mut dyn RngCore) {
@@ -456,6 +483,7 @@ impl RateProcess for GeneralRcbrSource {
 mod tests {
     use super::*;
     use crate::process::test_util::{check_acf, check_moments};
+    use mbac_num::RunningStats;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -502,8 +530,120 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut src = RcbrSource::new(cfg(), &mut rng);
         let r0 = src.rate();
-        src.advance(1000.0, &mut rng); // ~1000 renegotiations
+        src.advance(1000.0, &mut rng); // due with probability 1 − e^{−1000}
         assert_ne!(src.rate(), r0);
+    }
+
+    #[test]
+    fn autocorrelation_is_exponential_at_steps_of_a_correlation_time_and_more() {
+        // With dt >= T_c most flows are due at every step, so the lag-1
+        // correlation rests entirely on the redrawn residual.
+        let general = GeneralRcbrModel::new(Marginal::uniform_with_moments(1.0, 0.3), 1.0);
+        for (dt, lags, seed) in [(1.0, &[1, 2, 3][..], 11), (2.0, &[1, 2][..], 13)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut src = RcbrSource::new(cfg(), &mut rng);
+            check_acf(&mut src, dt, 400_000, lags, 0.02, seed + 1);
+            let mut src = general.spawn(&mut rng);
+            check_acf(src.as_mut(), dt, 400_000, lags, 0.02, seed + 2);
+        }
+    }
+
+    /// The path-faithful advance: replays every renegotiation inside the
+    /// step. The reference law for the test below.
+    fn advance_path_faithful(src: &mut RcbrSource, dt: f64, rng: &mut StdRng) {
+        let mut left = dt;
+        while left >= src.remaining {
+            left -= src.remaining;
+            src.rate = src.draw_rate(rng);
+            src.remaining = exponential(rng, src.cfg.t_c);
+        }
+        src.remaining -= left;
+    }
+
+    /// `advance(a); advance(b)` and `advance(a + b)` share a law, not
+    /// bits, and share it with the path-faithful loop. Checked on what a
+    /// caller can observe after a step — whether the rate changed, the
+    /// new rate, and (through every later step) the residual — each
+    /// against its analytic value within a 4.5σ band. An advance that
+    /// redraws the rate but keeps the stale residual fails the residual
+    /// rows at every step length.
+    #[test]
+    fn advance_law_matches_path_faithful_reference() {
+        const N: usize = 100_000;
+        const Z: f64 = 4.5;
+        // Untruncated, so the new rates are exactly Gaussian; T_c ≠ 1
+        // so a residual drawn on the wrong scale shows.
+        let cfg = RcbrConfig {
+            mean: 1.0,
+            std_dev: 0.3,
+            t_c: 2.0,
+            truncate_at_zero: false,
+        };
+        type Advance = fn(&mut RcbrSource, f64, &mut StdRng);
+        let variants: [(&str, Advance); 3] = [
+            ("path-faithful", advance_path_faithful),
+            ("one advance", |s, dt, rng| s.advance(dt, rng)),
+            ("split in two", |s, dt, rng| {
+                s.advance(0.3 * dt, rng);
+                s.advance(0.7 * dt, rng);
+            }),
+        ];
+        let n = N as f64;
+        for (d, dt_over_tc) in [0.05, 0.25, 1.0, 5.0, 50.0].into_iter().enumerate() {
+            let dt = dt_over_tc * cfg.t_c;
+            let p = 1.0 - (-dt_over_tc).exp();
+            for (v, (name, advance)) in variants.iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(1000 + 10 * d as u64 + v as u64);
+                let (mut new_rates, mut residuals) = (RunningStats::new(), RunningStats::new());
+                for _ in 0..N {
+                    let mut src = RcbrSource::new(cfg, &mut rng);
+                    let r0 = src.rate;
+                    advance(&mut src, dt, &mut rng);
+                    if src.rate != r0 {
+                        new_rates.push(src.rate);
+                    }
+                    residuals.push(src.remaining);
+                }
+                let at = format!("{name} at dt = {dt_over_tc} T_c");
+                let k = new_rates.count() as f64;
+                let near = |what: &str, got: f64, want: f64, sd: f64| {
+                    assert!(
+                        (got - want).abs() <= Z * sd,
+                        "{at}: {what} {got}, want {want} ± {}",
+                        Z * sd
+                    );
+                };
+                near("changed share", k / n, p, (p * (1.0 - p) / n).sqrt());
+                let var: f64 = cfg.std_dev * cfg.std_dev;
+                near(
+                    "new-rate mean",
+                    new_rates.mean(),
+                    cfg.mean,
+                    (var / k).sqrt(),
+                );
+                near(
+                    "new-rate variance",
+                    new_rates.variance(),
+                    var,
+                    var * (2.0 / k).sqrt(),
+                );
+                // Exp(T_c): mean T_c, variance T_c², fourth central
+                // moment 9 T_c⁴.
+                let tc2 = cfg.t_c * cfg.t_c;
+                near(
+                    "residual mean",
+                    residuals.mean(),
+                    cfg.t_c,
+                    cfg.t_c / n.sqrt(),
+                );
+                near(
+                    "residual variance",
+                    residuals.variance(),
+                    tc2,
+                    tc2 * (8.0 / n).sqrt(),
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,26 +14,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 proptest! {
-    /// RCBR advancement is associative: advance(a+b) has the same
-    /// distribution as advance(a); advance(b) — and with a shared seed,
-    /// the *same* renegotiation draws, hence identical rates.
-    #[test]
-    fn rcbr_advance_composes(
-        seed in 0u64..1000,
-        a in 0.0f64..5.0,
-        b in 0.0f64..5.0,
-    ) {
-        let cfg = RcbrConfig::paper_default(1.0);
-        let mut r1 = StdRng::seed_from_u64(seed);
-        let mut r2 = StdRng::seed_from_u64(seed);
-        let mut s1 = mbac_traffic::rcbr::RcbrSource::new(cfg, &mut r1);
-        let mut s2 = mbac_traffic::rcbr::RcbrSource::new(cfg, &mut r2);
-        s1.advance(a + b, &mut r1);
-        s2.advance(a, &mut r2);
-        s2.advance(b, &mut r2);
-        prop_assert_eq!(s1.rate().to_bits(), s2.rate().to_bits());
-    }
-
     /// Every marginal's sample mean/variance constructors are honest.
     #[test]
     fn marginal_constructors_hit_moments(mean in 0.6f64..5.0, cov in 0.05f64..0.45) {
