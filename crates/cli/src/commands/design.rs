@@ -1,5 +1,6 @@
 //! `mbacctl design` — the §5.3 robust design procedure as a calculator.
 
+use super::require_stats;
 use crate::args::{ArgError, Args};
 use mbac_core::params::{FlowStats, QosTarget};
 use mbac_core::robust::{DesignInputs, RobustDesign};
@@ -27,11 +28,10 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let p_q = args.prob_or("p-q", 1e-3)?;
     let tc_min = args.f64_or("tc-min", 0.1)?;
     let tc_max = args.f64_or("tc-max", 10.0)?;
-    if capacity <= 0.0 || mean <= 0.0 || sd < 0.0 || holding <= 0.0 {
-        return Err(ArgError(
-            "capacity, mean, holding must be positive; sd >= 0".into(),
-        ));
-    }
+    require_stats(
+        &[("capacity", capacity), ("mean", mean), ("holding", holding)],
+        sd,
+    )?;
     if tc_min <= 0.0 || tc_max < tc_min {
         return Err(ArgError("need 0 < tc-min <= tc-max".into()));
     }

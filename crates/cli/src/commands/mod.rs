@@ -17,16 +17,40 @@ pub(crate) fn config_err(e: impl std::fmt::Display) -> ArgError {
     ArgError(format!("invalid configuration: {e}"))
 }
 
-/// Rejects non-positive values that derived quantities (`T̃_h`, `T_m`,
-/// a topology's link capacities) depend on *before* the session's own
-/// validation would catch them — deriving from a bad value would
-/// produce NaNs, or a panicking constructor, first.
+/// Rejects non-positive and non-finite values that derived quantities
+/// (`T̃_h`, `T_m`, a topology's link capacities) depend on *before* the
+/// session's own validation would catch them — deriving from a bad
+/// value would produce NaNs, or a panicking constructor, first.
 pub(crate) fn require_positive(field: &'static str, value: f64) -> Result<(), ArgError> {
-    if value > 0.0 {
-        Ok(())
-    } else {
-        Err(config_err(ConfigError::NonPositive { field, value }))
+    if value.is_nan() || value <= 0.0 {
+        return Err(config_err(ConfigError::NonPositive { field, value }));
     }
+    require_finite(field, value)
+}
+
+/// Rejects ±∞; the sign checks ahead of it have already caught NaN.
+fn require_finite(field: &'static str, value: f64) -> Result<(), ArgError> {
+    if value.is_infinite() {
+        return Err(config_err(ConfigError::NotFinite { field, value }));
+    }
+    Ok(())
+}
+
+/// The check on the flow and link statistics that `serve-bench`,
+/// `simulate` and `design` hand to model and theory constructors, all
+/// of which assert on them: every `positive` field finite and > 0, and
+/// `sd` finite and >= 0.
+pub(crate) fn require_stats(positive: &[(&'static str, f64)], sd: f64) -> Result<(), ArgError> {
+    for &(field, value) in positive {
+        require_positive(field, value)?;
+    }
+    if sd.is_nan() || sd < 0.0 {
+        return Err(config_err(ConfigError::Negative {
+            field: "sd",
+            value: sd,
+        }));
+    }
+    require_finite("sd", sd)
 }
 
 /// Opens the streaming JSONL sink implied by `--metrics-stream` (with

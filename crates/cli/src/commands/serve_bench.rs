@@ -12,7 +12,7 @@
 //! checks the invariance contract without tripping on wall-clock
 //! noise.
 
-use super::{config_err, finish_stream, open_stream};
+use super::{config_err, finish_stream, open_stream, require_stats};
 use crate::args::{ArgError, Args};
 use mbac_serve::{
     closed_loop_with_parallelism, host_parallelism, routed_closed_loop_with_parallelism,
@@ -70,9 +70,7 @@ fn build_model(args: &Args) -> Result<Box<dyn SourceModel>, ArgError> {
     let mean = args.f64_or("mean", 1.0)?;
     let sd = args.f64_or("sd", 0.3)?;
     let t_c = args.f64_or("t-c", 1.0)?;
-    if mean <= 0.0 || sd < 0.0 || t_c <= 0.0 {
-        return Err(ArgError("mean, t-c must be positive; sd >= 0".into()));
-    }
+    require_stats(&[("mean", mean), ("t-c", t_c)], sd)?;
     if let Some(file) = args.get("trace") {
         let f =
             std::fs::File::open(file).map_err(|e| ArgError(format!("cannot open {file}: {e}")))?;

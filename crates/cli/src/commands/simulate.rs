@@ -5,7 +5,7 @@
 //! invalid configurations surface as friendly [`ConfigError`] messages
 //! (exit code 1), never as panics.
 
-use super::{config_err, finish_stream, open_stream, require_positive};
+use super::{config_err, finish_stream, open_stream, require_positive, require_stats};
 use crate::args::{ArgError, Args};
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
@@ -139,9 +139,7 @@ fn build_model(args: &Args) -> Result<(Box<dyn SourceModel>, f64), ArgError> {
             let mean = args.f64_or("mean", 1.0)?;
             let sd = args.f64_or("sd", 0.3)?;
             let t_c = args.f64_or("t-c", 1.0)?;
-            if mean <= 0.0 || sd < 0.0 || t_c <= 0.0 {
-                return Err(ArgError("mean, t-c must be positive; sd >= 0".into()));
-            }
+            require_stats(&[("mean", mean), ("t-c", t_c)], sd)?;
             Ok((
                 Box::new(RcbrModel::new(RcbrConfig {
                     mean,

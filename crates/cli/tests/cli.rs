@@ -775,6 +775,41 @@ fn serve_bench_rejects_bad_memory_time_scale_without_panicking() {
 }
 
 #[test]
+fn non_finite_source_statistics_are_rejected_without_panicking() {
+    // Bare `<= 0.0` guards let NaN and inf through to model and theory
+    // constructors that assert on them; all nine used to exit 101.
+    const SERVE: &[&str] = &["serve-bench", "--links", "2", "--ticks", "5"];
+    const SIM: &[&str] = &["simulate", "--capacity", "50", "--holding", "20"];
+    const DESIGN: &[&str] = &["design", "--capacity", "100", "--holding", "1000"];
+    let cases: [(&[&str], &[&str], &str); 9] = [
+        (SERVE, &["--mean", "nan"], "mean must be positive"),
+        (SERVE, &["--mean", "inf"], "mean must be finite"),
+        (SERVE, &["--sd", "nan"], "sd must be non-negative"),
+        (SERVE, &["--sd", "inf"], "sd must be finite"),
+        (SERVE, &["--t-c", "inf"], "t-c must be finite"),
+        (
+            SERVE,
+            &["--source", "ar1", "--t-c", "inf"],
+            "t-c must be finite",
+        ),
+        (SIM, &["--mean", "nan"], "mean must be positive"),
+        (SIM, &["--t-c", "inf"], "t-c must be finite"),
+        (DESIGN, &["--sd", "inf"], "sd must be finite"),
+    ];
+    for (base, flags, want) in cases {
+        let args = [base, flags].concat();
+        let out = mbacctl(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error:") && err.contains(want),
+            "{args:?}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn serve_bench_rejects_oversized_shard_count_at_once() {
     // One ring and one consumer thread per shard: 10^8 of them used to
     // be built before anything could fail. The workload is generated

@@ -32,9 +32,11 @@ impl KernelDispatch {
 }
 
 impl NormalSampler {
-    /// Forwards to [`NormalSampler::fill`]; see the module docs.
+    /// One [`NormalSampler::sample`] per slot; see the module docs.
     #[doc(hidden)]
-    pub fn fill_with<R: Rng + Clone>(&self, _: KernelDispatch, rng: &mut R, out: &mut [f64]) {
-        self.fill(rng, out)
+    pub fn fill_with<R: Rng>(&self, _: KernelDispatch, rng: &mut R, out: &mut [f64]) {
+        for x in out {
+            *x = self.sample(rng);
+        }
     }
 }

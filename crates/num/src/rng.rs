@@ -143,85 +143,6 @@ impl NormalSampler {
             }
         }
     }
-
-    /// Speculatively samples up to `LANES` consecutive standard normals
-    /// in one batch, committing the accepted prefix.
-    ///
-    /// Each ziggurat draw lands strictly inside its layer ~99% of the
-    /// time, in which case it consumes exactly one `u64` and accepts
-    /// unconditionally — so a run of `LANES` draws usually consumes
-    /// exactly `LANES` words with no data-dependent control flow. This
-    /// method snapshots the generator, performs the run branchlessly,
-    /// and returns how many leading draws accepted (usually `LANES`).
-    /// When a draw needs the wedge or tail path, the generator is
-    /// repositioned to just after the accepted prefix and the caller
-    /// continues with [`NormalSampler::sample`] — so the RNG stream and
-    /// the values produced are bit-identical to `LANES` sequential
-    /// `sample` calls no matter where the batch stops.
-    #[inline]
-    pub fn sample_batch<const LANES: usize, R: Rng + Clone>(
-        &self,
-        rng: &mut R,
-        out: &mut [f64; LANES],
-    ) -> usize {
-        let t = self.t;
-        let snapshot = rng.clone();
-        // Drain the serial generator chain first so the conversion work
-        // below runs as LANES independent dependency chains.
-        let mut words = [0u64; LANES];
-        for w in &mut words {
-            *w = rng.next_u64();
-        }
-        let mut rejected = 0u64;
-        for (idx, slot) in out.iter_mut().enumerate() {
-            let bits = words[idx];
-            let i = (bits & 0xFF) as usize;
-            // One-multiply form of `2 * ((bits >> 11) * 2⁻⁵³) - 1`; both
-            // products are exact (53-bit mantissa, power-of-two scale),
-            // so the value — and the accept decision — is bit-identical
-            // to the scalar path.
-            let u = (bits >> 11) as f64 * (2.0 * U53) - 1.0;
-            let x = u * t.x[i];
-            rejected |= ((x.abs() >= t.x[i + 1]) as u64) << idx;
-            *slot = x;
-        }
-        let p = (rejected.trailing_zeros() as usize).min(LANES);
-        if p < LANES {
-            // Rewind, then burn the prefix's words so the stream sits
-            // exactly where sequential sampling would after `p` draws.
-            *rng = snapshot;
-            for _ in 0..p {
-                rng.next_u64();
-            }
-        }
-        p
-    }
-
-    /// Fills `out` with consecutive standard normals, bit-identical to
-    /// `out.len()` sequential [`NormalSampler::sample`] calls:
-    /// [`NormalSampler::sample_batch`] in 8-wide windows written in place
-    /// (a speculative window that stops early is simply overwritten by
-    /// the resumed stream), with a scalar tail — so a bulk fill pays the
-    /// snapshot/commit overhead once per window instead of once per draw.
-    pub fn fill<R: Rng + Clone>(&self, rng: &mut R, out: &mut [f64]) {
-        let n = out.len();
-        let mut drawn = 0usize;
-        while drawn + 8 <= n {
-            let w: &mut [f64; 8] = (&mut out[drawn..drawn + 8]).try_into().unwrap();
-            let p = self.sample_batch::<8, _>(rng, w);
-            drawn += p;
-            if p < 8 {
-                // The draw that stopped the window needs the wedge or
-                // tail path; take it scalar and resume batching after it.
-                out[drawn] = self.sample(rng);
-                drawn += 1;
-            }
-        }
-        while drawn < n {
-            out[drawn] = self.sample(rng);
-            drawn += 1;
-        }
-    }
 }
 
 /// A hoisted handle to the exponential ziggurat; see [`NormalSampler`].
@@ -529,52 +450,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(standard_normal(&mut a), standard_normal(&mut b));
             assert_eq!(exponential(&mut a, 2.0), exponential(&mut b, 2.0));
-        }
-    }
-
-    #[test]
-    fn batch_sampler_matches_sequential_stream() {
-        // Interleaving batch draws (whether they commit or restore and
-        // fall back) with scalar draws must reproduce the scalar stream
-        // bit for bit — values and RNG state both.
-        let sampler = NormalSampler::get();
-        let mut batched = StdRng::seed_from_u64(9);
-        let mut scalar = StdRng::seed_from_u64(9);
-        let mut fallbacks = 0usize;
-        for round in 0..20_000 {
-            let mut got = [0.0f64; 8];
-            let p = sampler.sample_batch(&mut batched, &mut got);
-            if p < 8 {
-                fallbacks += 1;
-                for slot in got.iter_mut().skip(p) {
-                    *slot = sampler.sample(&mut batched);
-                }
-            }
-            let want: [f64; 8] = std::array::from_fn(|_| sampler.sample(&mut scalar));
-            assert_eq!(got, want, "stream diverged in round {round}");
-            assert_eq!(batched, scalar, "RNG state diverged in round {round}");
-        }
-        // The wedge/tail path is rare but must have been exercised.
-        assert!(fallbacks > 0, "no batch ever fell back");
-    }
-
-    #[test]
-    fn fill_matches_sequential_stream() {
-        // Bulk fills of every window-boundary length must reproduce the
-        // scalar stream bit for bit — values and RNG state both.
-        let sampler = NormalSampler::get();
-        let mut bulk = StdRng::seed_from_u64(11);
-        let mut scalar = StdRng::seed_from_u64(11);
-        for &len in &[0usize, 1, 7, 8, 9, 15, 16, 17, 24, 40, 333, 2000] {
-            // Several rounds per length so rare wedge/tail draws land in
-            // both the 16-wide and 8-wide windows eventually.
-            for round in 0..200 {
-                let mut got = vec![0.0f64; len];
-                sampler.fill(&mut bulk, &mut got);
-                let want: Vec<f64> = (0..len).map(|_| sampler.sample(&mut scalar)).collect();
-                assert_eq!(got, want, "fill({len}) diverged in round {round}");
-                assert_eq!(bulk, scalar, "RNG state diverged for len {len}");
-            }
         }
     }
 }

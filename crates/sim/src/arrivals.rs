@@ -134,16 +134,16 @@ impl Scenario for PoissonLoad<'_> {
         q.schedule_at(cfg.tick, Ev::Tick);
         q.schedule_at(cfg.warmup.max(cfg.tick), Ev::Sample);
 
-        // Fused tick path, chosen once — see `ContinuousLoad::run_rep`.
+        // Moments tick path, chosen once — see `ContinuousLoad::run_rep`.
         let fused = ctl.supports_moments();
 
         let stop_reason = loop {
             let (t, ev) = q.pop().expect("event queue never drains");
             if fused && matches!(ev, Ev::Tick) {
-                // Measurement tick: evolve, depart, and reduce in one
-                // sweep (same advance→depart order as below, identical
-                // RNG stream, the moment sum is the same flat fold the
-                // slice path reports).
+                // Measurement tick: evolve, depart, and reduce (same
+                // advance→depart order as below, identical RNG stream,
+                // the moment sum is the same flat fold the slice path
+                // reports).
                 let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
                 ctl.observe_moments(t, &mom);
                 if sink.is_enabled() {
@@ -156,8 +156,8 @@ impl Scenario for PoissonLoad<'_> {
                 continue;
             }
             if matches!(ev, Ev::Sample) {
-                // Sample: evolve, depart, and fold the aggregate in the
-                // same sweep instead of a second full pass through
+                // Sample: evolve, depart, and fold the aggregate through
+                // the same call as a tick, not through
                 // `aggregate_rate`. PoissonLoad admits through exactly
                 // one source model, so the table holds a single batch
                 // group and the grouped `aggregate_rate` fold this

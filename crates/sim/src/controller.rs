@@ -46,7 +46,7 @@ pub trait AdmissionEngine {
         panic!("engine does not support moment observations");
     }
 
-    /// The pivot the fused tick kernel should center second moments on.
+    /// The pivot a measurement tick should center second moments on.
     fn moment_pivot(&self) -> f64 {
         0.0
     }

@@ -17,16 +17,20 @@
 //! Departures go through a hierarchical timing wheel (the
 //! [`crate::calendar`] module): `admit` schedules the flow's departure
 //! in O(1), a tick pops only the expiring buckets, and `next_departure`
-//! reads the earliest non-empty bucket — so a departing tick costs
-//! O(departures popped), never O(flows in system). Because the batch
-//! kernels compact with `swap_remove`, the wheel stores stable flow
-//! *handles* resolved through a slot map whose back-pointers are
-//! patched on every swap; the popped set is then applied in a canonical
-//! order (group, then slot, replaying the exact `swap_remove` sequence
-//! of the pre-wheel scan — see [`crate::reference`]) so the surviving
-//! slot permutation, and with it every snapshot, is bit-identical to
-//! the legacy table's. Departures consume no randomness, so the RNG
-//! stream is untouched by construction.
+//! reads the earliest non-empty bucket — so departing costs
+//! O(departures popped), never O(flows in system). Advancing and
+//! measuring do cost O(flows in system), every tick: a measurement tick
+//! ([`FlowTable::advance_depart_measure`]) is one pass of each kernel
+//! over its flows, the departures, then one fold over the cached rates.
+//! Because the batch kernels compact with `swap_remove`, the wheel
+//! stores stable flow *handles* resolved through a slot map whose
+//! back-pointers are patched on every swap; the popped set is then
+//! applied in a canonical order (group, then slot, replaying the exact
+//! `swap_remove` sequence of the pre-wheel scan, kept as
+//! `crate::reference` behind the `reference-table` feature) so the
+//! surviving slot permutation, and with it every snapshot, is
+//! bit-identical to the legacy table's. Departures consume no
+//! randomness, so the RNG stream is untouched by construction.
 //!
 //! Batched and unbatched tables consume the RNG identically (the
 //! kernels' documented stream contract), so [`FlowTable::new`] and
@@ -429,39 +433,21 @@ impl FlowTable {
         gone
     }
 
-    /// Fused measurement tick: advances every flow to absolute time `t`,
+    /// One measurement tick: advances every flow to absolute time `t`,
     /// applies departures, and reduces the surviving flows' rates into a
-    /// [`RateMoments`] centered on `pivot` — equivalent to
-    /// [`FlowTable::advance_to`] + [`FlowTable::depart_until`] +
-    /// folding the [`FlowTable::snapshot_into`] slice, but in a single
-    /// sweep over the flow state in the common case (no departure
-    /// pending, checked against the exact cached minimum in O(1)).
+    /// [`RateMoments`] centered on `pivot` — [`FlowTable::advance_to`],
+    /// then [`FlowTable::depart_until`], then a fold of the batches'
+    /// cached rates, with no snapshot vector in between.
     ///
     /// The moments fold the rates in the exact snapshot order (group
-    /// order, slot order), so the derived mean is bit-identical to the
-    /// slice path's and the RNG stream is untouched by the fusion.
+    /// order, slot order), so the derived mean is bit-identical to
+    /// folding the [`FlowTable::snapshot_into`] slice.
     pub fn advance_depart_measure(&mut self, t: f64, rng: &mut StdRng, pivot: f64) -> RateMoments {
+        self.advance_to(t, rng);
+        self.depart_until(t);
         let mut mom = RateMoments::new(pivot);
-        let dt = t - self.advanced_to;
-        assert!(
-            dt >= -1e-9,
-            "cannot advance flows backwards ({t} < {})",
-            self.advanced_to
-        );
-        if self.min_departure > t && dt > 0.0 {
-            for g in &mut self.groups {
-                g.batch.advance_and_measure(dt, rng, &mut mom);
-            }
-            self.advanced_to = t;
-        } else {
-            // A departure interleaves (or time stands still): run the
-            // unfused sequence, then reduce the cached rates in the
-            // same order a snapshot would list them.
-            self.advance_to(t, rng);
-            self.depart_until(t);
-            for g in &self.groups {
-                mom.add_slice(g.batch.rates());
-            }
+        for g in &self.groups {
+            mom.add_slice(g.batch.rates());
         }
         mom
     }
@@ -478,8 +464,8 @@ impl FlowTable {
     /// groups — *not* the flat flow-order fold `RateMoments::sum`
     /// produces. The two differ bitwise once a table holds more than
     /// one group, which is why multi-group callers (the impulsive
-    /// harness) keep this method instead of reusing a fused tick's
-    /// moments.
+    /// harness) keep this method instead of reusing a measurement
+    /// tick's moments.
     pub fn aggregate_rate(&self) -> f64 {
         self.groups
             .iter()
@@ -687,10 +673,10 @@ mod tests {
         }
     }
 
-    /// The fused measurement tick must be bit-identical to the unfused
-    /// advance → depart → snapshot sequence — same snapshots, same
-    /// moments, same RNG stream — through admissions and departures
-    /// (which force its fallback branch) on both engines.
+    /// The contract of `advance_depart_measure`: bit-identical to the
+    /// advance → depart → snapshot sequence folded into `RateMoments` —
+    /// same moments, same RNG stream — through admissions and
+    /// departures, on both engines.
     #[test]
     fn fused_tick_matches_unfused_sequence() {
         for make in [FlowTable::new, FlowTable::new_unbatched] {
@@ -724,7 +710,7 @@ mod tests {
                     plain.admit(&m, now + holding, &mut rng_b);
                 }
             }
-            assert!(fused.departed_total() > 0, "fallback branch unexercised");
+            assert!(fused.departed_total() > 0, "no departure exercised");
         }
     }
 

@@ -242,26 +242,13 @@ impl ReferenceFlowTable {
         gone
     }
 
-    /// Fused measurement tick, legacy gating included.
+    /// One measurement tick: advance, depart, fold the cached rates.
     pub fn advance_depart_measure(&mut self, t: f64, rng: &mut StdRng, pivot: f64) -> RateMoments {
+        self.advance_to(t, rng);
+        self.depart_until(t);
         let mut mom = RateMoments::new(pivot);
-        let dt = t - self.advanced_to;
-        assert!(
-            dt >= -1e-9,
-            "cannot advance flows backwards ({t} < {})",
-            self.advanced_to
-        );
-        if self.min_departure > t && dt > 0.0 {
-            for g in &mut self.groups {
-                g.batch.advance_and_measure(dt, rng, &mut mom);
-            }
-            self.advanced_to = t;
-        } else {
-            self.advance_to(t, rng);
-            self.depart_until(t);
-            for g in &self.groups {
-                mom.add_slice(g.batch.rates());
-            }
+        for g in &self.groups {
+            mom.add_slice(g.batch.rates());
         }
         mom
     }

@@ -204,7 +204,7 @@ impl Scenario for ImpulsiveLoad<'_> {
             .map(|&t| {
                 table.advance_to(t, &mut rng);
                 table.depart_until(t);
-                // Not the fused advance_depart_measure +
+                // Not the advance_depart_measure +
                 // `RateMoments::sum` path: when M₀ > n the table holds
                 // two groups (the burst, then the extras), and the
                 // goldens pin `aggregate_rate`'s sum of per-group sums,
@@ -384,10 +384,10 @@ impl Scenario for ContinuousLoad<'_> {
         let mut flow_count = RunningStats::new();
         let mut prev_mean: Option<f64> = None;
 
-        // Fused tick path: when the engine consumes sufficient
-        // statistics, a measurement tick is one sweep over the flow
-        // state (evolve + reduce) instead of an advance sweep plus a
-        // snapshot sweep plus a per-flow rescan inside the estimator.
+        // Moments tick path: when the engine consumes sufficient
+        // statistics, a measurement tick folds the kernels' cached
+        // rates straight into `RateMoments` — no snapshot copy and no
+        // per-flow rescan inside the estimator.
         // Chosen once — the engine's support cannot change mid-run.
         let fused = ctl.supports_moments();
 
@@ -616,7 +616,7 @@ impl Scenario for PhasedLoad<'_> {
         let active_phase =
             |t: f64| -> usize { phases.iter().rposition(|&(from, _)| t >= from).unwrap_or(0) };
 
-        // Fused tick path, chosen once — see `ContinuousLoad::run_rep`.
+        // Moments tick path, chosen once — see `ContinuousLoad::run_rep`.
         let fused = ctl.supports_moments();
 
         let mut t = 0.0f64;

@@ -39,7 +39,6 @@
 use crate::process::RateProcess;
 #[cfg(doc)]
 use crate::process::SourceModel;
-use mbac_num::RateMoments;
 use rand::rngs::StdRng;
 
 /// Identifies which [`FlowBatch`] a model's flows can join. Two models
@@ -104,23 +103,6 @@ pub trait FlowBatch: Send {
     /// the samplers monomorphize and inline into the kernel loop while
     /// still consuming the exact same stream as the boxed path.
     fn advance_all(&mut self, dt: f64, rng: &mut StdRng);
-
-    /// Advances every flow by `dt` exactly as [`FlowBatch::advance_all`]
-    /// and folds each refreshed rate into `mom`, in slot order, in the
-    /// same pass. The fused tick loop uses this so a measurement tick
-    /// costs one sweep over the flow state instead of an advance sweep
-    /// followed by a snapshot sweep.
-    ///
-    /// Contract: after this call the batch state, the RNG stream, *and*
-    /// the values folded into `mom` (count, order, bit patterns) must be
-    /// identical to `advance_all(dt, rng)` followed by
-    /// `mom.add_slice(self.rates())` — which is exactly what the default
-    /// implementation does. Specialized kernels may only override this
-    /// with a fusion that preserves that equivalence.
-    fn advance_and_measure(&mut self, dt: f64, rng: &mut StdRng, mom: &mut RateMoments) {
-        self.advance_all(dt, rng);
-        mom.add_slice(self.rates());
-    }
 
     /// The per-flow instantaneous rates, contiguous and in slot order.
     /// Valid until the next mutating call.
@@ -223,6 +205,33 @@ mod tests {
     }
 
     impl Twins {
+        /// `n` flows of `model` on each side, spawned from one seed.
+        fn spawn(model: &dyn SourceModel, n: usize, seed: u64) -> Self {
+            let mut t = Twins {
+                boxed: Vec::new(),
+                batch: model
+                    .new_batch()
+                    .expect("model advertises a batched kernel"),
+                boxed_rng: StdRng::seed_from_u64(seed),
+                batch_rng: StdRng::seed_from_u64(seed),
+            };
+            for _ in 0..n {
+                t.admit(model);
+            }
+            assert_eq!(t.boxed_rates(), t.batch.rates());
+            t
+        }
+
+        fn admit(&mut self, model: &dyn SourceModel) {
+            self.boxed.push(model.spawn(&mut self.boxed_rng));
+            self.batch.spawn_one(&mut self.batch_rng);
+        }
+
+        fn depart(&mut self, slot: usize) {
+            self.boxed.swap_remove(slot);
+            self.batch.swap_remove(slot);
+        }
+
         fn boxed_rates(&self) -> Vec<f64> {
             self.boxed.iter().map(|p| p.rate()).collect()
         }
@@ -247,125 +256,62 @@ mod tests {
     /// mid-run swap-remove mirrored on both sides, and through steps of
     /// many correlation times.
     fn assert_bit_exact(model: &dyn SourceModel, seed: u64) {
-        // More than one 8-lane chunk plus a remainder, so chunked
-        // kernels are checked on both their fused and scalar paths.
-        let n = 13;
-        let mut t = Twins {
-            boxed: Vec::new(),
-            batch: model
-                .new_batch()
-                .expect("model advertises a batched kernel"),
-            boxed_rng: StdRng::seed_from_u64(seed),
-            batch_rng: StdRng::seed_from_u64(seed),
-        };
-        for _ in 0..n {
-            t.boxed.push(model.spawn(&mut t.boxed_rng));
-            t.batch.spawn_one(&mut t.batch_rng);
-        }
-        assert_eq!(t.boxed_rates(), t.batch.rates());
+        let mut t = Twins::spawn(model, 13, seed);
 
         for step in 0..200 {
             t.advance(0.05 + 0.11 * (step % 7) as f64, step);
         }
 
         // Departure: remove slot 1 on both sides, keep evolving.
-        t.boxed.swap_remove(1);
-        t.batch.swap_remove(1);
+        t.depart(1);
         for step in 200..250 {
             t.advance(0.25, step);
         }
 
         // Admission mid-run: spawn one more on both sides.
-        t.boxed.push(model.spawn(&mut t.boxed_rng));
-        t.batch.spawn_one(&mut t.batch_rng);
+        t.admit(model);
         for step in 250..300 {
             t.advance(0.4, step);
         }
 
         // Steps far longer than the correlation time — the impulsive
         // harness's shape: every flow is due in every call (RCBR draws
-        // once per flow, Markov fluids catch up jump by jump).
+        // once per flow, AR(1) and Markov fluids catch up step by step).
         for step in 300..320 {
             t.advance(50.0 + 0.37 * (step % 5) as f64, step);
         }
         assert_eq!(t.boxed_rng, t.batch_rng, "RNG end state");
     }
 
-    /// Verifies the `advance_and_measure` contract: against a twin batch
-    /// driven by `advance_all` + `add_slice`, the fused call must leave
-    /// identical rates, consume the identical RNG stream, and produce a
-    /// bit-identical [`RateMoments`] — including through a mid-run
-    /// departure and admission that desynchronize the flows' tick
-    /// phases (exercising chunked kernels' mixed-step fallback).
-    fn assert_fused_measure_bit_exact(model: &dyn SourceModel, seed: u64) {
-        let n = 13;
-        let mut rng_a = StdRng::seed_from_u64(seed);
-        let mut rng_b = StdRng::seed_from_u64(seed);
-        let mut a = model.new_batch().expect("batched kernel");
-        let mut b = model.new_batch().expect("batched kernel");
-        for _ in 0..n {
-            a.spawn_one(&mut rng_a);
-            b.spawn_one(&mut rng_b);
-        }
-        fn step_once(
-            step: usize,
-            a: &mut dyn FlowBatch,
-            b: &mut dyn FlowBatch,
-            rng_a: &mut StdRng,
-            rng_b: &mut StdRng,
-        ) {
-            let dt = 0.05 + 0.11 * (step % 7) as f64;
-            let pivot = 0.9 + 0.01 * (step % 5) as f64;
-            a.advance_all(dt, rng_a);
-            let mut ma = RateMoments::new(pivot);
-            ma.add_slice(a.rates());
-            let mut mb = RateMoments::new(pivot);
-            b.advance_and_measure(dt, rng_b, &mut mb);
-            assert_eq!(a.rates(), b.rates(), "rates diverged at step {step}");
-            assert_eq!(ma, mb, "moments diverged at step {step}");
-        }
-        for step in 0..150 {
-            step_once(step, &mut *a, &mut *b, &mut rng_a, &mut rng_b);
-        }
-        // Desynchronize tick phases: drop a flow, admit a fresh one
-        // (elapsed 0 while the survivors sit mid-tick).
-        a.swap_remove(2);
-        b.swap_remove(2);
-        a.spawn_one(&mut rng_a);
-        b.spawn_one(&mut rng_b);
-        for step in 150..300 {
-            step_once(step, &mut *a, &mut *b, &mut rng_a, &mut rng_b);
-        }
-    }
-
-    #[test]
-    fn ar1_fused_measure_is_bit_exact() {
-        let model = Ar1Model::new(Ar1Config {
-            mean: 1.0,
-            std_dev: 0.3,
-            t_c: 1.0,
-            tick: 0.07,
-            clamp_at_zero: true,
-        });
-        assert_fused_measure_bit_exact(&model, 51);
-    }
-
-    #[test]
-    fn rcbr_fused_measure_is_bit_exact() {
-        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
-        assert_fused_measure_bit_exact(&model, 52);
-    }
-
     #[test]
     fn ar1_batch_is_bit_exact() {
+        let tick = 0.05;
         let model = Ar1Model::new(Ar1Config {
             mean: 1.0,
             std_dev: 0.3,
             t_c: 1.0,
-            tick: 0.05,
+            tick,
             clamp_at_zero: true,
         });
         assert_bit_exact(&model, 41);
+
+        // The shapes that once had AR(1) kernels of their own: fewer
+        // than, exactly and many more than eight flows; advances that
+        // cross no tick boundary, one, a few and 70; every flow in one
+        // tick phase (first round), then phases mixed by a mid-tick
+        // departure and admission (the newcomer starts at phase zero).
+        let ticks_per_advance = [0.4, 1.0, 5.0, 70.0, 0.4, 0.4, 1.0, 5.0];
+        for n in [7, 8, 69] {
+            let mut t = Twins::spawn(&model, n, 45 + n as u64);
+            for round in 0..3 {
+                for (step, ticks) in ticks_per_advance.iter().enumerate() {
+                    t.advance(ticks * tick, round * ticks_per_advance.len() + step);
+                }
+                t.depart(2);
+                t.admit(&model);
+            }
+            assert_eq!(t.boxed_rng, t.batch_rng, "RNG end state (n = {n})");
+        }
     }
 
     #[test]

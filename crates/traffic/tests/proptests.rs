@@ -1,6 +1,5 @@
 //! Property-based tests for the traffic sources.
 
-use mbac_num::RateMoments;
 use mbac_traffic::ar1::{Ar1Batch, Ar1Config, Ar1Source};
 use mbac_traffic::batch::FlowBatch;
 use mbac_traffic::fgn::fgn_autocovariance;
@@ -102,17 +101,18 @@ proptest! {
     }
 
     /// `Ar1Batch` is bit-exact with the same flows as boxed
-    /// `Ar1Source`s: identical rates, identical fused moments, and
-    /// identical RNG end state, for arbitrary flow counts (including
-    /// non-multiples of the lane width), mid-run spawns that break phase
-    /// lock, and both clamp settings. Exercises the whole-array fast
-    /// path, the mixed-phase chunk path, and the scalar remainder.
+    /// `Ar1Source`s — identical rates after every advance, identical
+    /// RNG end state — for fewer than, exactly and many more than eight
+    /// flows, advances that cross no tick boundary, one, a few and 70,
+    /// both clamp settings, flows all in one tick phase and, after a
+    /// mid-tick departure and admissions, in mixed phases.
     #[test]
     fn ar1_batched_matches_boxed_bit_exact(
         seed in 0u64..400,
-        n0 in 1usize..30,
+        n_pick in 0usize..3,
         extra in 0usize..12,
         clamp in 0usize..2,
+        tick_picks in proptest::collection::vec(0usize..4, 6),
     ) {
         let cfg = Ar1Config {
             mean: 1.0,
@@ -121,45 +121,48 @@ proptest! {
             tick: 0.05,
             clamp_at_zero: clamp == 1,
         };
+        let dts: Vec<f64> = tick_picks
+            .iter()
+            .map(|&i| [0.4, 1.0, 5.0, 70.0][i] * cfg.tick)
+            .collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut batch = Ar1Batch::new(cfg);
-        let mut mom = RateMoments::new(cfg.mean);
         let mut boxed_rng = rng.clone();
+        let mut batch = Ar1Batch::new(cfg);
         let mut boxed: Vec<Ar1Source> = Vec::new();
-        let mut boxed_mom = mom;
-        let advance_boxed = |flows: &mut [Ar1Source], dt: f64, rng: &mut StdRng| {
-            for f in flows.iter_mut() {
-                f.advance(dt, rng);
+        let advance = |batch: &mut Ar1Batch,
+                       boxed: &mut [Ar1Source],
+                       dt: f64,
+                       rng: &mut StdRng,
+                       boxed_rng: &mut StdRng| {
+            batch.advance_all(dt, rng);
+            for f in boxed.iter_mut() {
+                f.advance(dt, boxed_rng);
             }
+            let rate_bits: Vec<u64> = batch.rates().iter().map(|r| r.to_bits()).collect();
+            let boxed_bits: Vec<u64> = boxed.iter().map(|f| f.rate().to_bits()).collect();
+            assert_eq!(rate_bits, boxed_bits, "after dt = {dt}");
         };
 
-        for _ in 0..n0 {
+        for _ in 0..[7, 8, 69][n_pick] {
             batch.spawn_one(&mut rng);
             boxed.push(Ar1Source::new(cfg, &mut boxed_rng));
         }
-        batch.advance_and_measure(0.25, &mut rng, &mut mom);
-        advance_boxed(&mut boxed, 0.25, &mut boxed_rng);
-        boxed.iter().for_each(|f| boxed_mom.add(f.rate()));
-        // Move phase off zero, then spawn newcomers at phase zero so
-        // the batch leaves the uniform-phase fast path.
-        batch.advance_all(0.07, &mut rng);
-        advance_boxed(&mut boxed, 0.07, &mut boxed_rng);
+        for &dt in &dts[..3] {
+            advance(&mut batch, &mut boxed, dt, &mut rng, &mut boxed_rng);
+        }
+        // Move the phase off zero, then remove a flow and spawn
+        // newcomers at phase zero, so flows now cross different numbers
+        // of tick boundaries in one advance.
+        advance(&mut batch, &mut boxed, 1.4 * cfg.tick, &mut rng, &mut boxed_rng);
+        batch.swap_remove(0);
+        boxed.swap_remove(0);
         for _ in 0..extra {
             batch.spawn_one(&mut rng);
             boxed.push(Ar1Source::new(cfg, &mut boxed_rng));
         }
-        batch.advance_and_measure(0.25, &mut rng, &mut mom);
-        advance_boxed(&mut boxed, 0.25, &mut boxed_rng);
-        boxed.iter().for_each(|f| boxed_mom.add(f.rate()));
-
-        let rate_bits: Vec<u64> = batch.rates().iter().map(|r| r.to_bits()).collect();
-        let boxed_bits: Vec<u64> = boxed.iter().map(|f| f.rate().to_bits()).collect();
-        prop_assert_eq!(rate_bits, boxed_bits);
-        prop_assert_eq!(mom.sum().to_bits(), boxed_mom.sum().to_bits());
-        prop_assert_eq!(
-            mom.sum_sq_dev(cfg.mean).to_bits(),
-            boxed_mom.sum_sq_dev(cfg.mean).to_bits()
-        );
+        for &dt in &dts[3..] {
+            advance(&mut batch, &mut boxed, dt, &mut rng, &mut boxed_rng);
+        }
         prop_assert_eq!(rng, boxed_rng);
     }
 }
