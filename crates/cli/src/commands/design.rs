@@ -30,7 +30,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let tc_max = args.f64_or("tc-max", 10.0)?;
     require_stats(
         &[("capacity", capacity), ("mean", mean), ("holding", holding)],
-        sd,
+        ("sd", sd),
     )?;
     if tc_min <= 0.0 || tc_max < tc_min {
         return Err(ArgError("need 0 < tc-min <= tc-max".into()));

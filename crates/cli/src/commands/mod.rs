@@ -10,6 +10,7 @@ pub mod trace;
 use crate::args::{ArgError, Args};
 use mbac_core::topology::{Topology, MAX_ROUTE_HOPS};
 use mbac_metrics::{StreamConfig, StreamSink};
+use mbac_serve::MAX_RING_CAPACITY;
 use mbac_sim::ConfigError;
 
 /// Renders a configuration error as the CLI's error type.
@@ -37,20 +38,22 @@ fn require_finite(field: &'static str, value: f64) -> Result<(), ArgError> {
 }
 
 /// The check on the flow and link statistics that `serve-bench`,
-/// `simulate` and `design` hand to model and theory constructors, all
-/// of which assert on them: every `positive` field finite and > 0, and
-/// `sd` finite and >= 0.
-pub(crate) fn require_stats(positive: &[(&'static str, f64)], sd: f64) -> Result<(), ArgError> {
+/// `simulate`, `design` and `theory` hand to model and theory
+/// constructors, all of which assert on them: every `positive` field
+/// finite and > 0, and the `non_negative` one (a standard deviation, a
+/// memory time-scale) finite and >= 0.
+pub(crate) fn require_stats(
+    positive: &[(&'static str, f64)],
+    non_negative: (&'static str, f64),
+) -> Result<(), ArgError> {
     for &(field, value) in positive {
         require_positive(field, value)?;
     }
-    if sd.is_nan() || sd < 0.0 {
-        return Err(config_err(ConfigError::Negative {
-            field: "sd",
-            value: sd,
-        }));
+    let (field, value) = non_negative;
+    if value.is_nan() || value < 0.0 {
+        return Err(config_err(ConfigError::Negative { field, value }));
     }
-    require_finite("sd", sd)
+    require_finite(field, value)
 }
 
 /// Opens the streaming JSONL sink implied by `--metrics-stream` (with
@@ -67,8 +70,12 @@ pub(crate) fn open_stream(args: &Args) -> Result<Option<StreamSink>, ArgError> {
         )));
     }
     let ring_capacity = args.u64_or("stream-ring", StreamConfig::default().ring_capacity as u64)?;
-    if ring_capacity == 0 {
-        return Err(ArgError("--stream-ring must be >= 1".into()));
+    // The stream's ring is allocated up front like a shard's, so it
+    // takes the same bound.
+    if !(1..=MAX_RING_CAPACITY as u64).contains(&ring_capacity) {
+        return Err(ArgError(format!(
+            "--stream-ring must be in 1..={MAX_RING_CAPACITY}, got {ring_capacity}"
+        )));
     }
     let cfg = StreamConfig {
         sample_fraction,

@@ -70,7 +70,7 @@ fn build_model(args: &Args) -> Result<Box<dyn SourceModel>, ArgError> {
     let mean = args.f64_or("mean", 1.0)?;
     let sd = args.f64_or("sd", 0.3)?;
     let t_c = args.f64_or("t-c", 1.0)?;
-    require_stats(&[("mean", mean), ("t-c", t_c)], sd)?;
+    require_stats(&[("mean", mean), ("t-c", t_c)], ("sd", sd))?;
     if let Some(file) = args.get("trace") {
         let f =
             std::fs::File::open(file).map_err(|e| ArgError(format!("cannot open {file}: {e}")))?;

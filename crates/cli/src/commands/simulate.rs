@@ -139,7 +139,7 @@ fn build_model(args: &Args) -> Result<(Box<dyn SourceModel>, f64), ArgError> {
             let mean = args.f64_or("mean", 1.0)?;
             let sd = args.f64_or("sd", 0.3)?;
             let t_c = args.f64_or("t-c", 1.0)?;
-            require_stats(&[("mean", mean), ("t-c", t_c)], sd)?;
+            require_stats(&[("mean", mean), ("t-c", t_c)], ("sd", sd))?;
             Ok((
                 Box::new(RcbrModel::new(RcbrConfig {
                     mean,

@@ -1,5 +1,6 @@
 //! `mbacctl theory` — evaluate the paper's overflow formulas directly.
 
+use super::require_stats;
 use crate::args::{ArgError, Args};
 use mbac_core::params::QosTarget;
 use mbac_core::theory::continuous::ContinuousModel;
@@ -24,11 +25,10 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let t_c = args.f64_required("t-c")?;
     let t_m = args.f64_or("t-m", 0.0)?;
     let p_ce = args.prob_or("p-ce", 1e-3)?;
-    if cov <= 0.0 || th_tilde <= 0.0 || t_c <= 0.0 || t_m < 0.0 {
-        return Err(ArgError(
-            "cov, th-tilde, t-c must be positive; t-m >= 0".into(),
-        ));
-    }
+    require_stats(
+        &[("cov", cov), ("th-tilde", th_tilde), ("t-c", t_c)],
+        ("t-m", t_m),
+    )?;
 
     let model = ContinuousModel::new(cov, th_tilde, t_c);
     let alpha = QosTarget::new(p_ce).alpha();

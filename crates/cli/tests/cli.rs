@@ -777,11 +777,19 @@ fn serve_bench_rejects_bad_memory_time_scale_without_panicking() {
 #[test]
 fn non_finite_source_statistics_are_rejected_without_panicking() {
     // Bare `<= 0.0` guards let NaN and inf through to model and theory
-    // constructors that assert on them; all nine used to exit 101.
+    // constructors that assert on them (exit 101) or, where nothing
+    // asserts, into the run: `--noise-sd inf` rejected every request,
+    // `--capacity inf` admitted every one, `theory --t-m inf` printed
+    // eqn (37) = 0 beside eqn (38) = 1.
     const SERVE: &[&str] = &["serve-bench", "--links", "2", "--ticks", "5"];
+    const ROUTED: &[&str] = &["serve-bench", "--topology", "parking-lot:3", "--ticks", "5"];
     const SIM: &[&str] = &["simulate", "--capacity", "50", "--holding", "20"];
     const DESIGN: &[&str] = &["design", "--capacity", "100", "--holding", "1000"];
-    let cases: [(&[&str], &[&str], &str); 9] = [
+    const THEORY_COV: &[&str] = &["theory", "--th-tilde", "10", "--t-c", "1"];
+    const THEORY_TH: &[&str] = &["theory", "--cov", "0.3", "--t-c", "1"];
+    const THEORY_TC: &[&str] = &["theory", "--cov", "0.3", "--th-tilde", "10"];
+    const THEORY_TM: &[&str] = &["theory", "--cov", "0.3", "--th-tilde", "10", "--t-c", "1"];
+    let cases: [(&[&str], &[&str], &str); 18] = [
         (SERVE, &["--mean", "nan"], "mean must be positive"),
         (SERVE, &["--mean", "inf"], "mean must be finite"),
         (SERVE, &["--sd", "nan"], "sd must be non-negative"),
@@ -795,6 +803,19 @@ fn non_finite_source_statistics_are_rejected_without_panicking() {
         (SIM, &["--mean", "nan"], "mean must be positive"),
         (SIM, &["--t-c", "inf"], "t-c must be finite"),
         (DESIGN, &["--sd", "inf"], "sd must be finite"),
+        (THEORY_COV, &["--cov", "nan"], "cov must be positive"),
+        (THEORY_COV, &["--cov", "inf"], "cov must be finite"),
+        (THEORY_TH, &["--th-tilde", "inf"], "th-tilde must be finite"),
+        (THEORY_TC, &["--t-c", "nan"], "t-c must be positive"),
+        (THEORY_TC, &["--t-c", "inf"], "t-c must be finite"),
+        (THEORY_TM, &["--t-m", "nan"], "t-m must be non-negative"),
+        (THEORY_TM, &["--t-m", "inf"], "t-m must be finite"),
+        (
+            ROUTED,
+            &["--noise-sd", "inf"],
+            "noise standard deviation must be finite",
+        ),
+        (SERVE, &["--capacity", "inf"], "capacity must be finite"),
     ];
     for (base, flags, want) in cases {
         let args = [base, flags].concat();
@@ -824,6 +845,49 @@ fn serve_bench_rejects_oversized_shard_count_at_once() {
         assert!(err.contains("shards must be at most 1024"), "{err}");
         assert_eq!(err.lines().count(), 1, "{err}");
         assert!(start.elapsed().as_secs() < 5, "{args:?} took too long");
+    }
+}
+
+#[test]
+fn serve_bench_rejects_oversized_rings_without_aborting() {
+    // Rings are allocated up front: 10^11 slots used to abort on the
+    // allocation (exit 134), and 10^19 has no power of two above it,
+    // which a release build wrapped into a 2-slot ring.
+    let stream = std::env::temp_dir().join("mbacctl_oversized_ring.jsonl");
+    let stream = stream.to_str().unwrap();
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["--ring-capacity", "99999999999"],
+            "ring capacity must be at most 1048576",
+        ),
+        (
+            &[
+                "--ring-capacity",
+                "99999999999",
+                "--topology",
+                "parking-lot:3",
+            ],
+            "ring capacity must be at most 1048576",
+        ),
+        (
+            &["--ring-capacity", "9999999999999999999"],
+            "ring capacity must be at most 1048576",
+        ),
+        (
+            &["--metrics-stream", stream, "--stream-ring", "99999999999"],
+            "--stream-ring must be in 1..=1048576",
+        ),
+    ];
+    for (flags, want) in cases {
+        let args = [&["serve-bench", "--ticks", "5"], flags].concat();
+        let out = mbacctl(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error:") && err.contains(want),
+            "{args:?}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
     }
 }
 

@@ -57,10 +57,14 @@ impl<T> IngestRing<T> {
     /// the next power of two, minimum 2).
     ///
     /// # Panics
-    /// Panics if `capacity` is 0.
+    /// Panics if `capacity` is 0, or so large that no power of two
+    /// holds it (callers bound what they pass long before that).
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be at least 1");
-        let cap = capacity.next_power_of_two().max(2);
+        let cap = capacity
+            .checked_next_power_of_two()
+            .expect("ring capacity has no power of two above it")
+            .max(2);
         let slots = (0..cap)
             .map(|i| Slot {
                 seq: AtomicUsize::new(i),
@@ -191,6 +195,14 @@ mod tests {
         assert_eq!(IngestRing::<u32>::with_capacity(1).capacity(), 2);
         assert_eq!(IngestRing::<u32>::with_capacity(5).capacity(), 8);
         assert_eq!(IngestRing::<u32>::with_capacity(8).capacity(), 8);
+    }
+
+    /// Release builds wrap `next_power_of_two` to 0; the ring must not
+    /// turn that into a 2-slot ring.
+    #[test]
+    #[should_panic(expected = "no power of two")]
+    fn unroundable_capacity_panics_instead_of_wrapping() {
+        IngestRing::<u32>::with_capacity(usize::MAX / 2 + 2);
     }
 
     #[test]

@@ -19,11 +19,9 @@ use crate::plane::{
     certainty_equivalent_factory, check_producers, check_shards, ControllerFactory, PlaneConfig,
     ServeError,
 };
-use crate::replay::{replay_serial_into, replay_threaded_into, ReplayConfig};
-use crate::routed::{
-    routed_replay_serial_into, routed_replay_threaded_into, RoutedPlaneConfig, RoutedReplayConfig,
-};
-use crate::sink::{Replayed, Tally};
+use crate::replay::{replay_serial_into, replay_threaded_into, Replay, ReplayConfig};
+use crate::routed::RoutedPlaneConfig;
+use crate::sink::Tally;
 use mbac_core::topology::Topology;
 use mbac_metrics::StreamHandle;
 use mbac_sim::{
@@ -207,9 +205,26 @@ impl Shape {
         })
     }
 
-    /// The report of a replay that ran in this shape over `events`
-    /// workload events.
-    fn report(self, replayed: Replayed<Tally>, events: u64) -> BenchReport {
+    /// Replays `workload` (`events` events) in this shape through the
+    /// plane `plane` configures, stamping every request, and reports
+    /// the tally.
+    fn replay<W: Replay>(
+        self,
+        plane: W::PlaneConfig,
+        make: ControllerFactory,
+        workload: &W,
+        events: u64,
+    ) -> Result<BenchReport, BenchError> {
+        let cfg = ReplayConfig {
+            plane,
+            producers: self.producers,
+            stamp_latency: true,
+        };
+        let replayed = if self.threaded {
+            replay_threaded_into(&cfg, make, workload, Tally::default)?
+        } else {
+            replay_serial_into(&cfg, make, workload, Tally::default())?
+        };
         let Tally {
             decisions,
             admitted,
@@ -221,7 +236,7 @@ impl Shape {
             (latency.quantile(0.5), latency.quantile(0.99))
         };
         let elapsed_secs = replayed.elapsed.as_secs_f64();
-        BenchReport {
+        Ok(BenchReport {
             mode: if self.threaded { "threaded" } else { "serial" },
             shards: self.shards,
             producers: self.producers,
@@ -240,7 +255,7 @@ impl Shape {
             mean_ns: latency.mean(),
             available_parallelism: self.parallelism,
             skipped_single_core: self.skipped_single_core,
-        }
+        })
     }
 }
 
@@ -289,23 +304,14 @@ pub fn closed_loop_with_parallelism(
     };
     let workload = SessionBuilder::new().engine(cfg.engine).run(&load)?;
 
-    let replay_cfg = ReplayConfig {
-        plane: PlaneConfig {
-            shards: shape.shards,
-            capacity: cfg.capacity,
-            ring_capacity: cfg.ring_capacity,
-            metrics: metrics_mode(&cfg.stream),
-            stream: cfg.stream.clone(),
-        },
-        producers: shape.producers,
-        stamp_latency: true,
+    let plane = PlaneConfig {
+        shards: shape.shards,
+        capacity: cfg.capacity,
+        ring_capacity: cfg.ring_capacity,
+        metrics: metrics_mode(&cfg.stream),
+        stream: cfg.stream.clone(),
     };
-    let replayed = if shape.threaded {
-        replay_threaded_into(&replay_cfg, make, &workload, Tally::default)?
-    } else {
-        replay_serial_into(&replay_cfg, make, &workload, Tally::default())?
-    };
-    Ok(shape.report(replayed, workload.total_events() as u64))
+    shape.replay(plane, make, &workload, workload.total_events() as u64)
 }
 
 // ---------------------------------------------------------------------
@@ -398,22 +404,13 @@ pub fn routed_closed_loop_with_parallelism(
     };
     let workload = SessionBuilder::new().engine(cfg.engine).run(&load)?;
 
-    let replay_cfg = RoutedReplayConfig {
-        plane: RoutedPlaneConfig {
-            shards: shape.shards,
-            ring_capacity: cfg.ring_capacity,
-            metrics: metrics_mode(&cfg.stream),
-            stream: cfg.stream.clone(),
-        },
-        producers: shape.producers,
-        stamp_latency: true,
+    let plane = RoutedPlaneConfig {
+        shards: shape.shards,
+        ring_capacity: cfg.ring_capacity,
+        metrics: metrics_mode(&cfg.stream),
+        stream: cfg.stream.clone(),
     };
-    let replayed = if shape.threaded {
-        routed_replay_threaded_into(&replay_cfg, make, &workload, Tally::default)?
-    } else {
-        routed_replay_serial_into(&replay_cfg, make, &workload, Tally::default())?
-    };
-    Ok(shape.report(replayed, workload.total_events() as u64))
+    shape.replay(plane, make, &workload, workload.total_events() as u64)
 }
 
 #[cfg(test)]

@@ -2,25 +2,28 @@
 //!
 //! Turns the paper's O(1) admission controller into a service shape:
 //!
-//! * [`plane::DecisionPlane`] — per-link [`mbac_sim::MbacController`]
-//!   state hashed across shards, fed through one
-//!   [`mbac_metrics::IngestRing`] per shard (bounded, lock-free,
-//!   per-producer FIFO, loss-free, visible backpressure), drained and
-//!   decided in batch ([`plane::Shard::decide_batch`] applies every
-//!   pending measurement before any decision);
+//! * [`plane`] — the sharded skeleton, generic over a
+//!   [`plane::LinkLogic`]: per-link [`mbac_sim::MbacController`] state
+//!   hashed across [`plane::ShardOf`] shards, each fed through one
+//!   [`mbac_metrics::IngestRing`] (bounded, lock-free, per-producer
+//!   FIFO, loss-free, visible backpressure) and drained in batch. With
+//!   the one-link rule [`plane::SingleHop`] it is the
+//!   [`plane::DecisionPlane`], whose [`plane::Shard::decide_batch`]
+//!   applies every pending measurement before any decision;
+//! * [`routed`] — the multi-hop rule [`routed::TwoPhase`] for the same
+//!   skeleton: a deterministic two-phase reserve/commit joins the
+//!   per-hop votes of a routed request even when its hops land on
+//!   different shards, with all-or-nothing occupancy so a rejection
+//!   never leaks provisional load into earlier hops;
 //! * [`replay`] — the single-threaded serial reference and the
-//!   multi-producer sharded replay of a Scenario-generated
-//!   [`mbac_sim::ServeWorkload`];
+//!   multi-producer sharded replay, each generic over the
+//!   [`replay::Replay`] workload (a Scenario-generated
+//!   [`mbac_sim::ServeWorkload`] or [`mbac_sim::RoutedWorkload`]);
 //! * [`sink`] — where the replay drivers put each decision as it is
-//!   made: a collecting sink (per-link / per-route sequences, for the
+//!   made: a collecting sink (one sequence per link or route, for the
 //!   invariance suites) or a tally (totals plus an exact
 //!   [`LatencyTally`], for the bench) — the drivers keep nothing
 //!   themselves;
-//! * [`routed`] — multi-hop decisions over the same sharded plane: a
-//!   deterministic two-phase reserve/commit joins the per-hop votes of
-//!   a routed request even when its hops land on different shards, with
-//!   all-or-nothing occupancy so a rejection never leaks provisional
-//!   load into earlier hops;
 //! * [`bench::closed_loop_with_parallelism`] — the closed-loop load
 //!   generator reporting p50/p99 decision latency and sustained
 //!   decisions/sec, with the single-core gate (`skipped_single_core`)
@@ -50,13 +53,12 @@ pub use bench::{
 
 pub use plane::{
     certainty_equivalent_factory, plane_snapshot, shard_of, ControllerFactory, Decision,
-    DecisionPlane, IngestHandle, PlaneConfig, ServeError, Shard, ShardEvent, MAX_PRODUCERS,
-    MAX_SHARDS,
+    DecisionPlane, IngestHandle, Instruments, LinkLogic, Plane, PlaneConfig, ServeError, Shard,
+    ShardEvent, ShardOf, SingleHop, MAX_PRODUCERS, MAX_RING_CAPACITY, MAX_SHARDS,
 };
-pub use replay::{replay_serial, replay_threaded, ReplayConfig, ReplayOutcome};
+pub use replay::{replay_serial, replay_threaded, Replay, ReplayConfig, ReplayOutcome};
 pub use routed::{
-    routed_plane_snapshot, routed_replay_serial, routed_replay_threaded, HopDecision,
-    RouteDecision, RouteTable, RoutedIngestHandle, RoutedPlane, RoutedPlaneConfig,
-    RoutedReplayConfig, RoutedReplayOutcome, RoutedShard, RoutedShardEvent,
+    HopDecision, RouteDecision, RouteTable, RoutedIngestHandle, RoutedPlane, RoutedPlaneConfig,
+    RoutedReplayConfig, RoutedReplayOutcome, RoutedShard, RoutedShardEvent, TwoPhase,
 };
-pub use sink::LatencyTally;
+pub use sink::{Decided, LatencyTally};

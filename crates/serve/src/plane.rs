@@ -12,6 +12,15 @@
 //! shared across shards, so shards need no synchronization beyond their
 //! own ring.
 //!
+//! Everything around the per-link rule is written once, generic over a
+//! [`LinkLogic`]: the shard shell [`ShardOf`] (ring, instruments,
+//! stream, drain, snapshot), the [`Plane`] that builds and hands out
+//! shards, and the producers' [`IngestHandle`]. Two logics exist:
+//! [`SingleHop`] below decides a request on its one link at once;
+//! [`crate::routed::TwoPhase`] joins the votes of a route's hops. The
+//! familiar names are aliases — [`Shard`], [`DecisionPlane`],
+//! [`crate::routed::RoutedShard`], [`crate::routed::RoutedPlane`].
+//!
 //! # The invariance argument
 //!
 //! The admit/reject sequence a link observes is a pure function of the
@@ -30,6 +39,7 @@
 //! proves this property over randomized workloads, shard counts 1..=8,
 //! and both flow engines, comparing byte-encoded decisions.
 
+use crate::sink::Decided;
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
 use mbac_core::topology::LinkId;
@@ -72,8 +82,22 @@ pub enum ServeError {
         /// The limit, [`MAX_PRODUCERS`].
         max: usize,
     },
+    /// A larger ingest ring than [`MAX_RING_CAPACITY`] requested.
+    RingTooLarge {
+        /// The rejected ring capacity.
+        got: usize,
+        /// The limit, [`MAX_RING_CAPACITY`].
+        max: usize,
+    },
     /// A field that must be strictly positive was zero, negative or NaN.
     NonPositive {
+        /// Name of the offending field.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
+    /// A field that must be finite was infinite.
+    NotFinite {
         /// Name of the offending field.
         field: &'static str,
         /// The rejected value.
@@ -93,8 +117,14 @@ impl std::fmt::Display for ServeError {
             ServeError::TooManyProducers { got, max } => {
                 write!(f, "producers must be at most {max}, got {got}")
             }
+            ServeError::RingTooLarge { got, max } => {
+                write!(f, "ring capacity must be at most {max}, got {got}")
+            }
             ServeError::NonPositive { field, value } => {
                 write!(f, "{field} must be positive, got {value}")
+            }
+            ServeError::NotFinite { field, value } => {
+                write!(f, "{field} must be finite, got {value}")
             }
         }
     }
@@ -111,6 +141,13 @@ pub const MAX_SHARDS: usize = 1024;
 /// The most producer threads a threaded replay may start (one OS thread
 /// each, like [`MAX_SHARDS`]).
 pub const MAX_PRODUCERS: usize = 1024;
+
+/// The largest ingest ring a shard may have. Every ring is allocated up
+/// front, one slot per event of the outstanding window: a larger request
+/// aborts on the allocation (or, past `usize::MAX / 2`, cannot be
+/// rounded up to a power of two at all) long before the window it buys
+/// could fill.
+pub const MAX_RING_CAPACITY: usize = 1 << 20;
 
 /// `shards` is in `1..=MAX_SHARDS`.
 pub(crate) fn check_shards(shards: usize) -> Result<(), ServeError> {
@@ -209,15 +246,6 @@ pub enum ShardEvent {
     },
 }
 
-impl ShardEvent {
-    /// The link this event belongs to.
-    pub fn link(&self) -> LinkId {
-        match self {
-            ShardEvent::Measure { link, .. } | ShardEvent::Request { link, .. } => *link,
-        }
-    }
-}
-
 /// One admission decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
@@ -283,31 +311,19 @@ pub fn certainty_equivalent_factory(p_ce: f64, t_m: f64) -> ControllerFactory {
 /// for a fixed workload and shard count; the decision-latency histogram
 /// is machine-dependent and therefore **timing-gated**, mirroring the
 /// `pool.*` convention.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardMetrics {
-    pub(crate) measures: Counter,
-    pub(crate) requests: Counter,
-    pub(crate) admitted: Counter,
-    pub(crate) rejected: Counter,
-    pub(crate) batches: Counter,
-    pub(crate) decision_ns: Histogram,
-    pub(crate) timing: bool,
+#[derive(Debug, Clone, Default)]
+struct ShardMetrics {
+    measures: Counter,
+    requests: Counter,
+    admitted: Counter,
+    rejected: Counter,
+    batches: Counter,
+    decision_ns: Histogram,
+    timing: bool,
 }
 
 impl ShardMetrics {
-    pub(crate) fn new(timing: bool) -> Self {
-        ShardMetrics {
-            measures: Counter::new(),
-            requests: Counter::new(),
-            admitted: Counter::new(),
-            rejected: Counter::new(),
-            batches: Counter::new(),
-            decision_ns: Histogram::new(),
-            timing,
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+    fn snapshot(&self) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::new();
         out.insert("measures", MetricValue::Counter(self.measures.snapshot()));
         out.insert("requests", MetricValue::Counter(self.requests.snapshot()));
@@ -326,7 +342,7 @@ impl ShardMetrics {
     /// Folds one decision's unit-of-work record. Counter updates are
     /// identical to the per-instrument calls this replaces; the latency
     /// histogram stays timing-gated.
-    pub(crate) fn fold_decision(&mut self, e: &DecisionEntry) {
+    fn fold_decision(&mut self, e: &DecisionEntry) {
         self.requests.inc();
         if e.admit {
             self.admitted.inc();
@@ -352,7 +368,7 @@ pub(crate) struct DecisionEntry {
 
 impl DecisionEntry {
     /// The entry's fields as a sample payload.
-    pub(crate) fn fields(&self) -> FieldBuf {
+    fn fields(&self) -> FieldBuf {
         let mut f = FieldBuf::new();
         f.push("admit", if self.admit { 1.0 } else { 0.0 });
         f.push("occupancy", f64::from(self.occupancy));
@@ -371,7 +387,7 @@ impl DecisionEntry {
 /// Each link's decisions reach exactly one shard in per-link order, so
 /// the (stream, seq) pairs — and therefore the sampler's keep set — are
 /// deterministic for a fixed workload and shard count.
-pub(crate) struct ShardStream {
+struct ShardStream {
     handle: StreamHandle,
     stream: u64,
     sampler: Sampler,
@@ -380,7 +396,7 @@ pub(crate) struct ShardStream {
 }
 
 impl ShardStream {
-    pub(crate) fn new(handle: StreamHandle, stream: u64) -> Self {
+    fn new(handle: StreamHandle, stream: u64) -> Self {
         let sampler = handle.sampler_for(stream);
         let flush_interval = handle.flush_interval();
         ShardStream {
@@ -395,7 +411,7 @@ impl ShardStream {
     /// Advances the stream by one folded decision, emitting a sampled
     /// raw record when the sampler keeps it. Returns `true` when a
     /// cumulative interval flush is due.
-    pub(crate) fn advance(&mut self, e: &DecisionEntry) -> bool {
+    fn advance(&mut self, e: &DecisionEntry) -> bool {
         self.seq += 1;
         if self.sampler.keep(self.seq) {
             self.handle.emit(StreamItem::Sample {
@@ -411,7 +427,7 @@ impl ShardStream {
     }
 
     /// Emits one cumulative interval carrying `metrics`.
-    pub(crate) fn emit_interval(&self, metrics: MetricsSnapshot) {
+    fn emit_interval(&self, metrics: MetricsSnapshot) {
         self.handle.emit(StreamItem::Interval {
             stream: self.stream,
             seq: self.seq,
@@ -422,7 +438,280 @@ impl ShardStream {
 }
 
 // ---------------------------------------------------------------------
-// Shard
+// The shard shell
+// ---------------------------------------------------------------------
+
+/// The per-link decision rule a shard runs: what an event does to the
+/// links the shard owns. Everything else a shard is — ring, instruments,
+/// stream, drain, snapshot — is [`ShardOf`], written once for every
+/// logic.
+pub trait LinkLogic: Send {
+    /// What producers push into the shard's ring.
+    type Event: Send;
+    /// What a decided request appends to the caller's `out`.
+    type Decision: Decided + Send;
+
+    /// The link `event` belongs to, which picks the owning shard.
+    fn link_of(event: &Self::Event) -> LinkId;
+
+    /// Applies one event. A measurement is counted into `tap`; a
+    /// decision made is folded into `tap` and appended to `out`.
+    fn apply(&mut self, event: Self::Event, tap: &mut Instruments, out: &mut Vec<Self::Decision>);
+
+    /// Resumes links that were waiting on another shard's verdict;
+    /// returns how many did (0 = nothing more to do for now).
+    fn pump(&mut self, _tap: &mut Instruments, _out: &mut Vec<Self::Decision>) -> usize {
+        0
+    }
+
+    /// Whether any link is waiting on another shard's verdict.
+    fn has_parked(&self) -> bool {
+        false
+    }
+
+    /// One unprefixed counter bundle per owned link, by link index:
+    /// published as `net.link<j>.*` beside the shard's own bundle.
+    fn link_bundles(&self) -> Vec<(usize, MetricsSnapshot)> {
+        Vec::new()
+    }
+}
+
+/// What a shard records into: its counter bundle (absent when
+/// collection is disabled) and its stream (absent unless one is
+/// attached). A [`LinkLogic`] reports measurements and decisions here.
+pub struct Instruments {
+    index: usize,
+    metrics: Option<Box<ShardMetrics>>,
+    stream: Option<Box<ShardStream>>,
+}
+
+impl Instruments {
+    /// Counts one ingested measurement.
+    pub(crate) fn measure(&mut self) {
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.measures.inc();
+        }
+    }
+
+    /// Counts one non-empty batch of events.
+    fn batch(&mut self) {
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.batches.inc();
+        }
+    }
+
+    /// Folds one decision into the counters and advances the stream:
+    /// sample emission, plus a cumulative interval flush when one is
+    /// due. `logic` is the state the decision left behind — an interval
+    /// carries its link bundles as of this decision.
+    pub(crate) fn decision<L: LinkLogic>(&mut self, e: &DecisionEntry, logic: &L) {
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.fold_decision(e);
+        }
+        if self.stream.as_deref_mut().is_some_and(|s| s.advance(e)) {
+            self.emit_interval(logic);
+        }
+    }
+
+    /// Emits one cumulative interval on the stream, if one is attached.
+    fn emit_interval<L: LinkLogic>(&self, logic: &L) {
+        if let Some(s) = self.stream.as_deref() {
+            let mut snap = MetricsSnapshot::new();
+            self.snapshot_into(logic, &mut snap);
+            s.emit_interval(snap);
+        }
+    }
+
+    /// Merges this shard's metrics under their plane-wide names —
+    /// `serve.shard<i>.*` plus `net.link<j>.*` for each link `logic`
+    /// reports — into `out` (nothing when collection is disabled). Each
+    /// link lives on exactly one shard, so the link namespaces of
+    /// different shards never collide.
+    fn snapshot_into<L: LinkLogic>(&self, logic: &L, out: &mut MetricsSnapshot) {
+        let Some(m) = self.metrics.as_deref() else {
+            return;
+        };
+        out.merge_prefixed(&format!("serve.shard{}", self.index), &m.snapshot());
+        for (link, bundle) in logic.link_bundles() {
+            out.merge_prefixed(&format!("net.link{link}"), &bundle);
+        }
+    }
+}
+
+/// One shard: the ingest ring, the instruments, and the [`LinkLogic`]
+/// holding the state of the links the shard owns.
+pub struct ShardOf<L: LinkLogic> {
+    ring: Arc<IngestRing<L::Event>>,
+    tap: Instruments,
+    logic: L,
+}
+
+impl<L: LinkLogic> ShardOf<L> {
+    /// This shard's index within the plane.
+    pub fn index(&self) -> usize {
+        self.tap.index
+    }
+
+    /// Applies one event to the link it belongs to, appending any
+    /// decision it resolves to `out`.
+    pub fn apply(&mut self, event: L::Event, out: &mut Vec<L::Decision>) {
+        self.logic.apply(event, &mut self.tap, out);
+    }
+
+    /// One sweep over the links waiting on another shard (see
+    /// [`LinkLogic::pump`]) — loop until 0 to settle.
+    pub fn pump(&mut self, out: &mut Vec<L::Decision>) -> usize {
+        self.logic.pump(&mut self.tap, out)
+    }
+
+    /// Whether any of this shard's links awaits a cross-shard verdict.
+    pub fn has_parked(&self) -> bool {
+        self.logic.has_parked()
+    }
+
+    /// Drains every event currently in the ring, in ring order, then
+    /// runs one [`pump`](Self::pump) sweep. Returns events processed
+    /// plus links resumed (0 = no progress).
+    pub fn drain_into(&mut self, out: &mut Vec<L::Decision>) -> usize {
+        let mut n = 0;
+        while let Some(ev) = self.ring.try_pop() {
+            self.apply(ev, out);
+            n += 1;
+        }
+        if n > 0 {
+            self.tap.batch();
+        }
+        n + self.pump(out)
+    }
+}
+
+impl<L: LinkLogic> Drop for ShardOf<L> {
+    /// Emits the final cumulative interval so every shard's totals are
+    /// recoverable from the stream even with `flush_interval: 0`.
+    fn drop(&mut self) {
+        self.tap.emit_interval(&self.logic);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Plane
+// ---------------------------------------------------------------------
+
+/// A sharded plane: construction, handle vending, and the merged
+/// metrics view. Consumers take the shards out with
+/// [`Plane::into_shards`] to run them on their own threads.
+pub struct Plane<L: LinkLogic> {
+    shards: Vec<ShardOf<L>>,
+}
+
+impl<L: LinkLogic> Plane<L> {
+    /// Builds `shards` empty shards, each around one `logic()`, with a
+    /// ring of `ring_capacity` slots. The one place rings are sized, so
+    /// the one place their size is checked.
+    pub(crate) fn build(
+        shards: usize,
+        ring_capacity: usize,
+        metrics: MetricsMode,
+        stream: Option<&StreamHandle>,
+        mut logic: impl FnMut() -> L,
+    ) -> Result<Self, ServeError> {
+        check_shards(shards)?;
+        match ring_capacity {
+            0 => return Err(ServeError::ZeroRingCapacity),
+            got if got > MAX_RING_CAPACITY => {
+                return Err(ServeError::RingTooLarge {
+                    got,
+                    max: MAX_RING_CAPACITY,
+                })
+            }
+            _ => {}
+        }
+        let bundle = (metrics != MetricsMode::Disabled).then(|| {
+            Box::new(ShardMetrics {
+                timing: metrics == MetricsMode::EnabledWithTiming,
+                ..ShardMetrics::default()
+            })
+        });
+        let shards = (0..shards)
+            .map(|index| ShardOf {
+                ring: Arc::new(IngestRing::with_capacity(ring_capacity)),
+                tap: Instruments {
+                    index,
+                    metrics: bundle.clone(),
+                    stream: stream.map(|h| Box::new(ShardStream::new(h.clone(), index as u64))),
+                },
+                logic: logic(),
+            })
+            .collect();
+        Ok(Plane { shards })
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The shard owning `link`.
+    pub fn shard_of(&self, link: LinkId) -> usize {
+        shard_of(link, self.shards.len())
+    }
+
+    /// A producer-side handle routing events to the owning shard's ring.
+    pub fn handle(&self) -> IngestHandle<L> {
+        IngestHandle {
+            rings: self.shards.iter().map(|s| Arc::clone(&s.ring)).collect(),
+        }
+    }
+
+    /// Mutable access to the shards (single-threaded driving).
+    pub fn shards_mut(&mut self) -> &mut [ShardOf<L>] {
+        &mut self.shards
+    }
+
+    /// Takes the shards out, one per consumer thread. The
+    /// [`IngestHandle`]s stay valid — they share the rings.
+    pub fn into_shards(self) -> Vec<ShardOf<L>> {
+        self.shards
+    }
+
+    /// The plane-wide metrics snapshot (see [`plane_snapshot`]).
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        plane_snapshot(&self.shards)
+    }
+}
+
+/// Merges every shard's bundle into `serve.shard<i>.*` and its per-link
+/// counters into `net.link<j>.*` (empty when collection is disabled);
+/// also for drivers that have taken the shards out of the plane.
+pub fn plane_snapshot<L: LinkLogic>(shards: &[ShardOf<L>]) -> MetricsSnapshot {
+    let mut out = MetricsSnapshot::new();
+    for shard in shards {
+        shard.tap.snapshot_into(&shard.logic, &mut out);
+    }
+    out
+}
+
+/// Producer-side handle: routes each event to the ring of the shard
+/// owning its link. Producer threads share it by reference.
+pub struct IngestHandle<L: LinkLogic> {
+    rings: Vec<Arc<IngestRing<L::Event>>>,
+}
+
+impl<L: LinkLogic> IngestHandle<L> {
+    /// The shard owning `link`.
+    pub fn shard_of(&self, link: LinkId) -> usize {
+        shard_of(link, self.rings.len())
+    }
+
+    /// Enqueues `event` on the owning shard's ring, or returns it when
+    /// that ring is full (backpressure).
+    pub fn try_send(&self, event: L::Event) -> Result<(), L::Event> {
+        self.rings[self.shard_of(L::link_of(&event))].try_push(event)
+    }
+}
+
+// ---------------------------------------------------------------------
+// The single-hop logic
 // ---------------------------------------------------------------------
 
 /// All per-link admission state for one link. `flows` is the plane's
@@ -434,53 +723,43 @@ struct LinkState {
     flows: u32,
 }
 
-/// One shard: the links it owns, their controllers, and its ingest ring.
-pub struct Shard {
-    index: usize,
+/// The one-link rule: a request is decided where it lands, against its
+/// link's controller and occupancy, the moment it is applied.
+pub struct SingleHop {
     capacity: f64,
-    ring: Arc<IngestRing<ShardEvent>>,
     links: LinkMap<LinkState>,
     make: ControllerFactory,
-    metrics: Option<Box<ShardMetrics>>,
-    stream: Option<Box<ShardStream>>,
 }
 
-impl Shard {
-    /// This shard's index within the plane.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Number of links with materialized state on this shard.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Whether this shard's ring has no pending events (approximate
-    /// while producers are running, exact once they have stopped).
-    pub fn ring_is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
+impl SingleHop {
     fn link_mut(&mut self, link: LinkId) -> &mut LinkState {
         self.links.entry(link).or_insert_with(|| LinkState {
             ctl: (self.make)(),
             flows: 0,
         })
     }
+}
 
-    /// Applies one event: a measurement feeds the link's estimator and
-    /// resynchronizes occupancy; a request decides admit/reject and
-    /// appends the decision.
-    pub fn apply(&mut self, event: ShardEvent, out: &mut Vec<Decision>) {
+impl LinkLogic for SingleHop {
+    type Event = ShardEvent;
+    type Decision = Decision;
+
+    fn link_of(event: &ShardEvent) -> LinkId {
+        match event {
+            ShardEvent::Measure { link, .. } | ShardEvent::Request { link, .. } => *link,
+        }
+    }
+
+    /// A measurement feeds the link's estimator and resynchronizes
+    /// occupancy; a request decides admit/reject and appends the
+    /// decision.
+    fn apply(&mut self, event: ShardEvent, tap: &mut Instruments, out: &mut Vec<Decision>) {
         match event {
             ShardEvent::Measure { link, t, rates } => {
                 let state = self.link_mut(link);
                 state.ctl.observe(t, &rates);
                 state.flows = rates.len() as u32;
-                if let Some(m) = self.metrics.as_deref_mut() {
-                    m.measures.inc();
-                }
+                tap.measure();
             }
             ShardEvent::Request { link, enqueued } => {
                 let capacity = self.capacity;
@@ -500,10 +779,7 @@ impl Shard {
                     admissible,
                     latency_ns,
                 };
-                if let Some(m) = self.metrics.as_deref_mut() {
-                    m.fold_decision(&entry);
-                }
-                self.stream_decision(&entry);
+                tap.decision(&entry, self);
                 out.push(Decision {
                     link,
                     admit,
@@ -514,24 +790,12 @@ impl Shard {
             }
         }
     }
+}
 
-    /// Drains every event currently in the ring, in ring order,
-    /// appending request decisions to `out`. Returns how many events
-    /// were processed.
-    pub fn drain_into(&mut self, out: &mut Vec<Decision>) -> usize {
-        let mut n = 0;
-        while let Some(ev) = self.ring.try_pop() {
-            self.apply(ev, out);
-            n += 1;
-        }
-        if n > 0 {
-            if let Some(m) = self.metrics.as_deref_mut() {
-                m.batches.inc();
-            }
-        }
-        n
-    }
+/// One shard of the single-link plane.
+pub type Shard = ShardOf<SingleHop>;
 
+impl Shard {
     /// The batched admit/reject API: drains all pending measurement
     /// updates (and in-ring requests) first, then decides each direct
     /// request in order. This is the freshness contract — a decision
@@ -548,60 +812,10 @@ impl Shard {
             );
         }
         if !requests.is_empty() {
-            if let Some(m) = self.metrics.as_deref_mut() {
-                m.batches.inc();
-            }
-        }
-    }
-
-    /// This shard's metrics bundle (empty when collection is disabled).
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics
-            .as_deref()
-            .map(ShardMetrics::snapshot)
-            .unwrap_or_default()
-    }
-
-    /// This shard's metrics under its plane-wide `serve.shard{i}.*`
-    /// namespace — the shape interval records carry so a stream reader
-    /// sees the same names as the merged plane snapshot.
-    fn prefixed_snapshot(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::new();
-        out.merge_prefixed(
-            &format!("serve.shard{}", self.index),
-            &self.metrics_snapshot(),
-        );
-        out
-    }
-
-    /// Advances the streaming state by one decision: sample emission,
-    /// plus a cumulative interval flush when one is due.
-    fn stream_decision(&mut self, e: &DecisionEntry) {
-        let Some(s) = self.stream.as_deref_mut() else {
-            return;
-        };
-        if s.advance(e) {
-            let snap = self.prefixed_snapshot();
-            if let Some(s) = self.stream.as_deref() {
-                s.emit_interval(snap);
-            }
+            self.tap.batch();
         }
     }
 }
-
-impl Drop for Shard {
-    /// Emits the final cumulative interval so every shard's totals are
-    /// recoverable from the stream even with `flush_interval: 0`.
-    fn drop(&mut self) {
-        if let Some(s) = self.stream.take() {
-            s.emit_interval(self.prefixed_snapshot());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Plane
-// ---------------------------------------------------------------------
 
 /// Decision-plane configuration.
 #[derive(Debug, Clone)]
@@ -610,7 +824,8 @@ pub struct PlaneConfig {
     pub shards: usize,
     /// Per-link capacity `c` the controllers decide against.
     pub capacity: f64,
-    /// Ingest-ring capacity per shard (rounded up to a power of two).
+    /// Ingest-ring capacity per shard (rounded up to a power of two, at
+    /// most [`MAX_RING_CAPACITY`]).
     pub ring_capacity: usize,
     /// Metrics collection mode; `EnabledWithTiming` additionally
     /// records the machine-dependent `serve.shard<i>.decision_ns`
@@ -635,116 +850,38 @@ impl Default for PlaneConfig {
     }
 }
 
-/// The sharded decision plane: construction, handle vending, and the
-/// merged metrics view. Consumers take the shards out with
-/// [`DecisionPlane::into_shards`] to run them on their own threads.
-pub struct DecisionPlane {
-    shards: Vec<Shard>,
-}
+/// The single-link decision plane.
+pub type DecisionPlane = Plane<SingleHop>;
 
 impl DecisionPlane {
     /// Builds a plane with `cfg.shards` empty shards, each creating
     /// per-link controllers from `make` on first contact with a link.
     pub fn new(cfg: &PlaneConfig, make: ControllerFactory) -> Result<Self, ServeError> {
-        check_shards(cfg.shards)?;
-        if cfg.ring_capacity == 0 {
-            return Err(ServeError::ZeroRingCapacity);
-        }
-        if cfg.capacity <= 0.0 || cfg.capacity.is_nan() {
+        let capacity = cfg.capacity;
+        if capacity <= 0.0 || capacity.is_nan() {
             return Err(ServeError::NonPositive {
                 field: "capacity",
-                value: cfg.capacity,
+                value: capacity,
             });
         }
-        let timing = cfg.metrics == MetricsMode::EnabledWithTiming;
-        let shards = (0..cfg.shards)
-            .map(|index| Shard {
-                index,
-                capacity: cfg.capacity,
-                ring: Arc::new(IngestRing::with_capacity(cfg.ring_capacity)),
-                links: LinkMap::default(),
-                make: Arc::clone(&make),
-                metrics: (cfg.metrics != MetricsMode::Disabled)
-                    .then(|| Box::new(ShardMetrics::new(timing))),
-                stream: cfg
-                    .stream
-                    .as_ref()
-                    .map(|h| Box::new(ShardStream::new(h.clone(), index as u64))),
-            })
-            .collect();
-        Ok(DecisionPlane { shards })
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning `link`.
-    pub fn shard_of(&self, link: LinkId) -> usize {
-        shard_of(link, self.shards.len())
-    }
-
-    /// A producer-side handle routing events to the owning shard's ring.
-    pub fn handle(&self) -> IngestHandle {
-        IngestHandle {
-            rings: self.shards.iter().map(|s| Arc::clone(&s.ring)).collect(),
+        if capacity.is_infinite() {
+            return Err(ServeError::NotFinite {
+                field: "capacity",
+                value: capacity,
+            });
         }
-    }
-
-    /// Mutable access to the shards (single-threaded batch driving).
-    pub fn shards_mut(&mut self) -> &mut [Shard] {
-        &mut self.shards
-    }
-
-    /// Takes the shards out, one per consumer thread. The
-    /// [`IngestHandle`]s stay valid — they share the rings.
-    pub fn into_shards(self) -> Vec<Shard> {
-        self.shards
-    }
-
-    /// The plane-wide metrics snapshot: every shard's bundle namespaced
-    /// as `serve.shard<i>.*` (empty when collection is disabled).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        plane_snapshot(&self.shards)
-    }
-}
-
-/// Merges per-shard bundles into the `serve.shard<i>.*` namespace; also
-/// used by drivers that have taken the shards out of the plane.
-pub fn plane_snapshot(shards: &[Shard]) -> MetricsSnapshot {
-    let mut out = MetricsSnapshot::new();
-    for shard in shards {
-        out.merge_prefixed(
-            &format!("serve.shard{}", shard.index),
-            &shard.metrics_snapshot(),
-        );
-    }
-    out
-}
-
-/// Producer-side handle: routes each event to the ring of the shard
-/// owning its link. Cheap to clone; one per producer thread.
-#[derive(Clone)]
-pub struct IngestHandle {
-    rings: Vec<Arc<IngestRing<ShardEvent>>>,
-}
-
-impl IngestHandle {
-    /// The shard owning `link`.
-    pub fn shard_of(&self, link: LinkId) -> usize {
-        shard_of(link, self.rings.len())
-    }
-
-    /// Enqueues `event` on the owning shard's ring, or returns it when
-    /// that ring is full (backpressure).
-    pub fn try_send(&self, event: ShardEvent) -> Result<(), ShardEvent> {
-        self.rings[self.shard_of(event.link())].try_push(event)
-    }
-
-    /// Enqueues `event`, spinning under backpressure until space frees.
-    pub fn send_spin(&self, event: ShardEvent) {
-        self.rings[self.shard_of(event.link())].push_spin(event);
+        let logic = || SingleHop {
+            capacity,
+            links: LinkMap::default(),
+            make: Arc::clone(&make),
+        };
+        Plane::build(
+            cfg.shards,
+            cfg.ring_capacity,
+            cfg.metrics,
+            cfg.stream.as_ref(),
+            logic,
+        )
     }
 }
 
@@ -801,13 +938,39 @@ mod tests {
             })
         ));
         let bad = PlaneConfig {
+            capacity: f64::INFINITY,
+            ..PlaneConfig::default()
+        };
+        assert!(matches!(
+            DecisionPlane::new(&bad, Arc::clone(&make)).err(),
+            Some(ServeError::NotFinite {
+                field: "capacity",
+                ..
+            })
+        ));
+        let bad = PlaneConfig {
             ring_capacity: 0,
             ..PlaneConfig::default()
         };
         assert_eq!(
-            DecisionPlane::new(&bad, make).err(),
+            DecisionPlane::new(&bad, Arc::clone(&make)).err(),
             Some(ServeError::ZeroRingCapacity)
         );
+        // Neither the allocation that would abort nor the size with no
+        // power of two above it is attempted.
+        for got in [MAX_RING_CAPACITY + 1, usize::MAX] {
+            let bad = PlaneConfig {
+                ring_capacity: got,
+                ..PlaneConfig::default()
+            };
+            assert_eq!(
+                DecisionPlane::new(&bad, Arc::clone(&make)).err(),
+                Some(ServeError::RingTooLarge {
+                    got,
+                    max: MAX_RING_CAPACITY
+                })
+            );
+        }
     }
 
     #[test]

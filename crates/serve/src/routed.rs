@@ -1,6 +1,11 @@
 //! Multi-hop admission over the sharded plane: deterministic two-phase
 //! reserve/commit across shards.
 //!
+//! The protocol is a [`LinkLogic`] — [`TwoPhase`] — not a second plane:
+//! shards, rings, handles, snapshots and the replay drivers are the
+//! ones of [`crate::plane`] and [`crate::replay`], and [`RoutedShard`],
+//! [`RoutedPlane`] and the other `Routed*` names are aliases of them.
+//!
 //! # The problem
 //!
 //! A routed request must be admitted at *every* hop of its route or at
@@ -53,17 +58,17 @@
 //! decision bytes bit for bit.
 
 use crate::plane::{
-    check_producers, check_shards, ControllerFactory, DecisionEntry, LinkMap, ServeError,
-    ShardMetrics, ShardStream,
+    ControllerFactory, DecisionEntry, IngestHandle, Instruments, LinkLogic, LinkMap, Plane,
+    ServeError, ShardOf,
 };
-use crate::sink::{Collect, DecisionSink, Replayed};
+use crate::replay::{Replay, ReplayConfig, ReplayOutcome};
 use mbac_core::topology::{hop_admits, hop_u8, LinkId, RouteId, Topology};
-use mbac_metrics::{Aggregated, Counter, IngestRing, MetricValue, MetricsSnapshot, StreamHandle};
+use mbac_metrics::{Aggregated, Counter, MetricValue, MetricsSnapshot, StreamHandle};
 use mbac_sim::{MbacController, MetricsMode, RoutedEvent, RoutedWorkload};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // Events
@@ -96,17 +101,6 @@ pub enum RoutedShardEvent {
         /// ingest-to-decision latency.
         enqueued: Option<Instant>,
     },
-}
-
-impl RoutedShardEvent {
-    /// The link this event belongs to.
-    pub fn link(&self) -> LinkId {
-        match self {
-            RoutedShardEvent::Measure { link, .. } | RoutedShardEvent::Reserve { link, .. } => {
-                *link
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -329,13 +323,13 @@ impl RouteTable {
 }
 
 // ---------------------------------------------------------------------
-// Routed shard
+// The two-phase logic
 // ---------------------------------------------------------------------
 
-/// A vote cast but not yet resolved: the hop context needed to commit
-/// when the verdict lands.
+/// A vote cast: the hop context needed to commit it once the verdict is
+/// known — at once for the last voter, after parking for the others.
 #[derive(Debug, Clone, Copy)]
-struct ParkedReserve {
+struct HopReserve {
     seq: u64,
     hop: u8,
     enqueued: Option<Instant>,
@@ -345,7 +339,7 @@ struct ParkedReserve {
 struct RoutedLinkState {
     ctl: MbacController,
     flows: u32,
-    parked: Option<ParkedReserve>,
+    parked: Option<HopReserve>,
     /// Events that arrived while parked, in arrival order.
     pending: VecDeque<RoutedShardEvent>,
     measures: u64,
@@ -354,38 +348,20 @@ struct RoutedLinkState {
     aborts: u64,
 }
 
-/// One shard of the routed plane: the links it owns, their controllers
-/// and parking queues, and its ingest ring.
-pub struct RoutedShard {
-    index: usize,
+/// The multi-hop rule as a [`LinkLogic`]: each hop votes where it
+/// lands, the last voter resolves, every hop commits on resolution (see
+/// the module docs). Holds the links one shard owns, their controllers
+/// and parking queues, and the route table all shards share.
+pub struct TwoPhase {
     topology: Arc<Topology>,
     table: Arc<RouteTable>,
-    ring: Arc<IngestRing<RoutedShardEvent>>,
     links: LinkMap<RoutedLinkState>,
     /// Links currently parked (each appears once).
     parked_links: Vec<LinkId>,
     make: ControllerFactory,
-    metrics: Option<Box<ShardMetrics>>,
-    stream: Option<Box<ShardStream>>,
 }
 
-impl RoutedShard {
-    /// This shard's index within the plane.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Whether any of this shard's links awaits a cross-shard verdict.
-    pub fn has_parked(&self) -> bool {
-        !self.parked_links.is_empty()
-    }
-
-    /// Whether this shard's ring has no pending events (approximate
-    /// while producers are running, exact once they have stopped).
-    pub fn ring_is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
+impl TwoPhase {
     fn link_mut(&mut self, link: LinkId) -> &mut RoutedLinkState {
         self.links.entry(link).or_insert_with(|| RoutedLinkState {
             ctl: (self.make)(),
@@ -399,28 +375,20 @@ impl RoutedShard {
         })
     }
 
-    /// Applies one event, buffering it when the link is parked.
-    pub fn apply(&mut self, event: RoutedShardEvent, out: &mut Vec<RouteDecision>) {
-        let link = event.link();
-        let state = self.link_mut(link);
-        if state.parked.is_some() {
-            state.pending.push_back(event);
-        } else {
-            self.process(event, out);
-        }
-    }
-
     /// Processes one event on an unparked link.
-    fn process(&mut self, event: RoutedShardEvent, out: &mut Vec<RouteDecision>) {
+    fn process(
+        &mut self,
+        event: RoutedShardEvent,
+        tap: &mut Instruments,
+        out: &mut Vec<RouteDecision>,
+    ) {
         match event {
             RoutedShardEvent::Measure { link, t, rates } => {
                 let state = self.link_mut(link);
                 state.ctl.observe(t, &rates);
                 state.flows = rates.len() as u32;
                 state.measures += 1;
-                if let Some(m) = self.metrics.as_deref_mut() {
-                    m.measures.inc();
-                }
+                tap.measure();
             }
             RoutedShardEvent::Reserve {
                 link,
@@ -434,11 +402,11 @@ impl RoutedShard {
                 let vote = hop_admits(admissible, state.flows);
                 let occ = state.flows;
                 state.reserves += 1;
-                let verdict = self.table.vote(seq, hop, vote, admissible, occ);
-                match verdict {
-                    Some(admit) => self.commit(link, seq, hop, admit, enqueued, out),
+                let reserve = HopReserve { seq, hop, enqueued };
+                match self.table.vote(seq, hop, vote, admissible, occ) {
+                    Some(admit) => self.commit(link, reserve, admit, tap, out),
                     None => {
-                        self.link_mut(link).parked = Some(ParkedReserve { seq, hop, enqueued });
+                        self.link_mut(link).parked = Some(reserve);
                         self.parked_links.push(link);
                     }
                 }
@@ -452,10 +420,9 @@ impl RoutedShard {
     fn commit(
         &mut self,
         link: LinkId,
-        seq: u64,
-        hop: u8,
+        reserve: HopReserve,
         admit: bool,
-        enqueued: Option<Instant>,
+        tap: &mut Instruments,
         out: &mut Vec<RouteDecision>,
     ) {
         let state = self.link_mut(link);
@@ -465,31 +432,56 @@ impl RoutedShard {
         } else {
             state.aborts += 1;
         }
-        if hop == 0 {
-            let latency_ns =
-                enqueued.map(|at| u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            let d = self.table.decision(&self.topology, seq, latency_ns);
-            // Hop 0's view mirrors the single-link plane's Decision:
-            // first-hop admissible and post-decision occupancy.
+        if reserve.hop == 0 {
+            let latency_ns = reserve
+                .enqueued
+                .map(|at| u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            let d = self.table.decision(&self.topology, reserve.seq, latency_ns);
+            // Hop 0's view mirrors the single-hop Decision: first-hop
+            // admissible and post-decision occupancy.
             let entry = DecisionEntry {
                 admit,
                 occupancy: d.hops[0].occupancy,
                 admissible: d.hops[0].admissible,
                 latency_ns,
             };
-            if let Some(m) = self.metrics.as_deref_mut() {
-                m.fold_decision(&entry);
-            }
-            self.stream_decision(&entry);
+            tap.decision(&entry, self);
             out.push(d);
+        }
+    }
+}
+
+impl LinkLogic for TwoPhase {
+    type Event = RoutedShardEvent;
+    type Decision = RouteDecision;
+
+    fn link_of(event: &RoutedShardEvent) -> LinkId {
+        match event {
+            RoutedShardEvent::Measure { link, .. } | RoutedShardEvent::Reserve { link, .. } => {
+                *link
+            }
+        }
+    }
+
+    /// Applies one event, buffering it when the link is parked.
+    fn apply(
+        &mut self,
+        event: RoutedShardEvent,
+        tap: &mut Instruments,
+        out: &mut Vec<RouteDecision>,
+    ) {
+        let state = self.link_mut(Self::link_of(&event));
+        if state.parked.is_some() {
+            state.pending.push_back(event);
+        } else {
+            self.process(event, tap, out);
         }
     }
 
     /// One parking sweep: commits every parked link whose verdict has
     /// been published, then replays its buffered events (which may park
-    /// it again). Returns how many parked reserves were committed —
-    /// loop until 0 to settle.
-    pub fn pump(&mut self, out: &mut Vec<RouteDecision>) -> usize {
+    /// it again). Returns how many parked reserves were committed.
+    fn pump(&mut self, tap: &mut Instruments, out: &mut Vec<RouteDecision>) -> usize {
         let mut progressed = 0;
         let mut i = 0;
         while i < self.parked_links.len() {
@@ -503,7 +495,7 @@ impl RoutedShard {
             // the link back, so leaving it listed would duplicate it.
             self.parked_links.swap_remove(i);
             self.link_mut(link).parked = None;
-            self.commit(link, parked.seq, parked.hop, admit, parked.enqueued, out);
+            self.commit(link, parked, admit, tap, out);
             progressed += 1;
             // Replay the buffer until it drains or the link re-parks.
             loop {
@@ -514,100 +506,49 @@ impl RoutedShard {
                 let Some(ev) = state.pending.pop_front() else {
                     break;
                 };
-                self.process(ev, out);
+                self.process(ev, tap, out);
             }
         }
         progressed
     }
 
-    /// Drains every event currently in the ring, in ring order, then
-    /// runs one parking sweep. Returns events processed plus parked
-    /// commits applied (0 = no progress).
-    pub fn drain_into(&mut self, out: &mut Vec<RouteDecision>) -> usize {
-        let mut n = 0;
-        while let Some(ev) = self.ring.try_pop() {
-            self.apply(ev, out);
-            n += 1;
-        }
-        if n > 0 {
-            if let Some(m) = self.metrics.as_deref_mut() {
-                m.batches.inc();
+    fn has_parked(&self) -> bool {
+        !self.parked_links.is_empty()
+    }
+
+    fn link_bundles(&self) -> Vec<(usize, MetricsSnapshot)> {
+        let bundle = |(link, state): (&LinkId, &RoutedLinkState)| {
+            let mut bundle = MetricsSnapshot::new();
+            for (name, v) in [
+                ("measures", state.measures),
+                ("reserves", state.reserves),
+                ("commits", state.commits),
+                ("aborts", state.aborts),
+            ] {
+                let mut c = Counter::new();
+                c.add(v);
+                bundle.insert(name, MetricValue::Counter(c.snapshot()));
             }
-        }
-        n + self.pump(out)
-    }
-
-    /// This shard's `serve.shard<i>.*` bundle plus one unprefixed
-    /// counter bundle per owned link (empty when collection is
-    /// disabled).
-    fn metrics_snapshot(&self) -> (MetricsSnapshot, Vec<(usize, MetricsSnapshot)>) {
-        let shard = self
-            .metrics
-            .as_deref()
-            .map(ShardMetrics::snapshot)
-            .unwrap_or_default();
-        let mut links = Vec::new();
-        if self.metrics.is_some() {
-            for (link, state) in &self.links {
-                let mut bundle = MetricsSnapshot::new();
-                for (name, v) in [
-                    ("measures", state.measures),
-                    ("reserves", state.reserves),
-                    ("commits", state.commits),
-                    ("aborts", state.aborts),
-                ] {
-                    let mut c = Counter::new();
-                    c.add(v);
-                    bundle.insert(name, MetricValue::Counter(c.snapshot()));
-                }
-                links.push((link.index(), bundle));
-            }
-        }
-        (shard, links)
-    }
-
-    /// This shard's metrics under plane-wide names — `serve.shard{i}.*`
-    /// plus `net.link{j}.*` for each owned link — the shape interval
-    /// records carry so a stream reader sees the same names as the
-    /// merged plane snapshot.
-    fn prefixed_snapshot(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::new();
-        let (shard_bundle, link_bundles) = self.metrics_snapshot();
-        out.merge_prefixed(&format!("serve.shard{}", self.index), &shard_bundle);
-        for (link, bundle) in link_bundles {
-            out.merge_prefixed(&format!("net.link{link}"), &bundle);
-        }
-        out
-    }
-
-    /// Advances the streaming state by one hop-0 decision: sample
-    /// emission, plus a cumulative interval flush when one is due.
-    fn stream_decision(&mut self, e: &DecisionEntry) {
-        let Some(s) = self.stream.as_deref_mut() else {
-            return;
+            (link.index(), bundle)
         };
-        if s.advance(e) {
-            let snap = self.prefixed_snapshot();
-            if let Some(s) = self.stream.as_deref() {
-                s.emit_interval(snap);
-            }
-        }
-    }
-}
-
-impl Drop for RoutedShard {
-    /// Emits the final cumulative interval so every shard's totals are
-    /// recoverable from the stream even with `flush_interval: 0`.
-    fn drop(&mut self) {
-        if let Some(s) = self.stream.take() {
-            s.emit_interval(self.prefixed_snapshot());
-        }
+        self.links.iter().map(bundle).collect()
     }
 }
 
 // ---------------------------------------------------------------------
-// Routed plane
+// The routed plane's names
 // ---------------------------------------------------------------------
+
+/// One shard of the routed plane.
+pub type RoutedShard = ShardOf<TwoPhase>;
+/// The routed decision plane: shards sharing one route table.
+pub type RoutedPlane = Plane<TwoPhase>;
+/// Producer-side handle of the routed plane.
+pub type RoutedIngestHandle = IngestHandle<TwoPhase>;
+/// Routed replay configuration.
+pub type RoutedReplayConfig = ReplayConfig<RoutedPlaneConfig>;
+/// What a routed replay produced: one sequence per route, in seq order.
+pub type RoutedReplayOutcome = ReplayOutcome<RouteDecision>;
 
 /// Routed decision-plane configuration. Capacities come from the
 /// workload's topology, not from here.
@@ -615,7 +556,8 @@ impl Drop for RoutedShard {
 pub struct RoutedPlaneConfig {
     /// Number of shards (link-state partitions).
     pub shards: usize,
-    /// Ingest-ring capacity per shard.
+    /// Ingest-ring capacity per shard (at most
+    /// [`crate::plane::MAX_RING_CAPACITY`]).
     pub ring_capacity: usize,
     /// Metrics collection mode.
     pub metrics: MetricsMode,
@@ -637,11 +579,6 @@ impl Default for RoutedPlaneConfig {
     }
 }
 
-/// The routed decision plane: shards plus the shared route table.
-pub struct RoutedPlane {
-    shards: Vec<RoutedShard>,
-}
-
 impl RoutedPlane {
     /// Builds a plane sized for `workload`: the route table is
     /// pre-allocated from the workload's seq → route map, and each
@@ -651,348 +588,84 @@ impl RoutedPlane {
         workload: &RoutedWorkload,
         make: ControllerFactory,
     ) -> Result<Self, ServeError> {
-        check_shards(cfg.shards)?;
-        if cfg.ring_capacity == 0 {
-            return Err(ServeError::ZeroRingCapacity);
-        }
-        let topology = Arc::clone(workload.topology());
+        let topology = workload.topology();
         let table = Arc::new(RouteTable::for_requests(
-            &topology,
+            topology,
             workload.request_routes(),
         ));
-        let timing = cfg.metrics == MetricsMode::EnabledWithTiming;
-        let shards = (0..cfg.shards)
-            .map(|index| RoutedShard {
-                index,
-                topology: Arc::clone(&topology),
-                table: Arc::clone(&table),
-                ring: Arc::new(IngestRing::with_capacity(cfg.ring_capacity)),
-                links: LinkMap::default(),
-                parked_links: Vec::new(),
-                make: Arc::clone(&make),
-                metrics: (cfg.metrics != MetricsMode::Disabled)
-                    .then(|| Box::new(ShardMetrics::new(timing))),
-                stream: cfg
-                    .stream
-                    .as_ref()
-                    .map(|h| Box::new(ShardStream::new(h.clone(), index as u64))),
+        let logic = || TwoPhase {
+            topology: Arc::clone(topology),
+            table: Arc::clone(&table),
+            links: LinkMap::default(),
+            parked_links: Vec::new(),
+            make: Arc::clone(&make),
+        };
+        Plane::build(
+            cfg.shards,
+            cfg.ring_capacity,
+            cfg.metrics,
+            cfg.stream.as_ref(),
+            logic,
+        )
+    }
+}
+
+impl Replay for RoutedWorkload {
+    type Logic = TwoPhase;
+    type PlaneConfig = RoutedPlaneConfig;
+
+    fn one_shard(cfg: &RoutedPlaneConfig) -> RoutedPlaneConfig {
+        RoutedPlaneConfig {
+            shards: 1,
+            ..cfg.clone()
+        }
+    }
+
+    fn plane(
+        &self,
+        cfg: &RoutedPlaneConfig,
+        make: ControllerFactory,
+    ) -> Result<RoutedPlane, ServeError> {
+        RoutedPlane::for_workload(cfg, self, make)
+    }
+
+    fn groups(&self) -> usize {
+        self.topology().routes()
+    }
+
+    fn ingest(
+        &self,
+        stamp: bool,
+        keep: impl Fn(LinkId) -> bool,
+    ) -> impl Iterator<Item = RoutedShardEvent> {
+        self.canonical_events()
+            .filter(move |&(link, _)| keep(link))
+            .map(move |(link, ev)| match ev {
+                RoutedEvent::Measure { t, rates } => RoutedShardEvent::Measure {
+                    link,
+                    t: *t,
+                    rates: rates.clone(),
+                },
+                RoutedEvent::Request { route, seq, .. } => RoutedShardEvent::Reserve {
+                    link,
+                    seq: *seq,
+                    hop: hop_u8(
+                        self.topology()
+                            .hop_index(*route, link)
+                            .expect("request events only appear on their route's hop links"),
+                    ),
+                    enqueued: stamp.then(Instant::now),
+                },
             })
-            .collect();
-        Ok(RoutedPlane { shards })
     }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// A producer-side handle routing events to the owning shard's ring.
-    pub fn handle(&self) -> RoutedIngestHandle {
-        RoutedIngestHandle {
-            rings: self.shards.iter().map(|s| Arc::clone(&s.ring)).collect(),
-        }
-    }
-
-    /// Mutable access to the shards (single-threaded driving).
-    pub fn shards_mut(&mut self) -> &mut [RoutedShard] {
-        &mut self.shards
-    }
-
-    /// Takes the shards out, one per consumer thread.
-    pub fn into_shards(self) -> Vec<RoutedShard> {
-        self.shards
-    }
-}
-
-/// Merges per-shard bundles into `serve.shard<i>.*` and per-link
-/// counters into `net.link<j>.*` (each link lives on exactly one shard,
-/// so the link namespaces never collide).
-pub fn routed_plane_snapshot(shards: &[RoutedShard]) -> MetricsSnapshot {
-    let mut out = MetricsSnapshot::new();
-    for shard in shards {
-        let (shard_bundle, link_bundles) = shard.metrics_snapshot();
-        out.merge_prefixed(&format!("serve.shard{}", shard.index), &shard_bundle);
-        for (link, bundle) in link_bundles {
-            out.merge_prefixed(&format!("net.link{link}"), &bundle);
-        }
-    }
-    out
-}
-
-/// Producer-side handle: routes each event to the ring of the shard
-/// owning its link (same link hash as the single-link plane).
-#[derive(Clone)]
-pub struct RoutedIngestHandle {
-    rings: Vec<Arc<IngestRing<RoutedShardEvent>>>,
-}
-
-impl RoutedIngestHandle {
-    /// The shard owning `link`.
-    pub fn shard_of(&self, link: LinkId) -> usize {
-        crate::plane::shard_of(link, self.rings.len())
-    }
-
-    /// Enqueues `event` on the owning shard's ring, or returns it when
-    /// that ring is full (backpressure).
-    pub fn try_send(&self, event: RoutedShardEvent) -> Result<(), RoutedShardEvent> {
-        self.rings[self.shard_of(event.link())].try_push(event)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Replay drivers
-// ---------------------------------------------------------------------
-
-/// Routed replay configuration.
-#[derive(Debug, Clone)]
-pub struct RoutedReplayConfig {
-    /// Plane shape (shards, ring capacity, metrics mode).
-    pub plane: RoutedPlaneConfig,
-    /// Producer threads (threaded replay only); links are partitioned
-    /// `link.index() % producers` so per-link order is preserved.
-    pub producers: usize,
-    /// Stamp each reserve at enqueue time so hop-0 decisions carry
-    /// ingest-to-decision latency.
-    pub stamp_latency: bool,
-}
-
-impl Default for RoutedReplayConfig {
-    fn default() -> Self {
-        RoutedReplayConfig {
-            plane: RoutedPlaneConfig::default(),
-            producers: 1,
-            stamp_latency: false,
-        }
-    }
-}
-
-/// What a routed replay produced.
-#[derive(Debug)]
-pub struct RoutedReplayOutcome {
-    /// Decision sequence per route, indexed by route id, in seq order.
-    pub per_route: Vec<Vec<RouteDecision>>,
-    /// Total decisions made (one per request, not per hop).
-    pub decisions: u64,
-    /// Total admits.
-    pub admitted: u64,
-    /// End-to-end wall time.
-    pub elapsed: Duration,
-    /// The merged `serve.shard<i>.*` / `net.link<j>.*` metrics bundle.
-    pub snapshot: MetricsSnapshot,
-}
-
-impl RoutedReplayOutcome {
-    /// Total rejects.
-    pub fn rejected(&self) -> u64 {
-        self.decisions - self.admitted
-    }
-
-    /// The canonical byte encoding of one route's decision sequence
-    /// (what the routed invariance suite compares).
-    pub fn encode_route(&self, route: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        for d in &self.per_route[route] {
-            d.encode_into(&mut out);
-        }
-        out
-    }
-}
-
-fn to_routed_event(
-    topology: &Topology,
-    link: LinkId,
-    ev: &RoutedEvent,
-    stamp: bool,
-) -> RoutedShardEvent {
-    match ev {
-        RoutedEvent::Measure { t, rates } => RoutedShardEvent::Measure {
-            link,
-            t: *t,
-            rates: rates.clone(),
-        },
-        RoutedEvent::Request { route, seq, .. } => RoutedShardEvent::Reserve {
-            link,
-            seq: *seq,
-            hop: hop_u8(
-                topology
-                    .hop_index(*route, link)
-                    .expect("request events only appear on their route's hop links"),
-            ),
-            enqueued: stamp.then(Instant::now),
-        },
-    }
-}
-
-impl From<Replayed<Collect<RouteDecision>>> for RoutedReplayOutcome {
-    fn from(replayed: Replayed<Collect<RouteDecision>>) -> Self {
-        let (per_route, decisions, admitted) = replayed.sink.finish();
-        RoutedReplayOutcome {
-            per_route,
-            decisions,
-            admitted,
-            elapsed: replayed.elapsed,
-            snapshot: replayed.snapshot,
-        }
-    }
-}
-
-/// The single-threaded serial reference: one shard, events applied in
-/// the workload's canonical order, the plane settled after every event.
-/// Defines the decision stream every sharded run must reproduce.
-pub fn routed_replay_serial(
-    cfg: &RoutedReplayConfig,
-    make: ControllerFactory,
-    workload: &RoutedWorkload,
-) -> Result<RoutedReplayOutcome, ServeError> {
-    let sink = Collect::new(workload.topology().routes());
-    routed_replay_serial_into(cfg, make, workload, sink).map(Into::into)
-}
-
-/// [`routed_replay_serial`] into any sink: the scratch vector `apply`
-/// and `pump` append to is emptied into it after every event.
-pub(crate) fn routed_replay_serial_into<S: DecisionSink<RouteDecision>>(
-    cfg: &RoutedReplayConfig,
-    make: ControllerFactory,
-    workload: &RoutedWorkload,
-    mut sink: S,
-) -> Result<Replayed<S>, ServeError> {
-    let plane_cfg = RoutedPlaneConfig {
-        shards: 1,
-        ..cfg.plane.clone()
-    };
-    let mut plane = RoutedPlane::for_workload(&plane_cfg, workload, make)?;
-    let topology = Arc::clone(workload.topology());
-    let mut out = Vec::new();
-    let start = Instant::now();
-    {
-        let shard = &mut plane.shards_mut()[0];
-        for (link, ev) in workload.canonical_events() {
-            shard.apply(
-                to_routed_event(&topology, link, ev, cfg.stamp_latency),
-                &mut out,
-            );
-            while shard.pump(&mut out) > 0 {}
-            sink.record_all(&mut out);
-        }
-        assert!(
-            !shard.has_parked(),
-            "a complete workload leaves no dangling reserves"
-        );
-    }
-    let elapsed = start.elapsed();
-    let snapshot = routed_plane_snapshot(plane.shards_mut());
-    Ok(Replayed {
-        sink,
-        elapsed,
-        snapshot,
-    })
-}
-
-/// The sharded routed replay: `cfg.producers` producer threads push
-/// per-link streams through the rings, one consumer per shard drains,
-/// votes, parks, and commits. Per-route decision sequences match
-/// [`routed_replay_serial`] byte for byte — see the module docs.
-pub fn routed_replay_threaded(
-    cfg: &RoutedReplayConfig,
-    make: ControllerFactory,
-    workload: &RoutedWorkload,
-) -> Result<RoutedReplayOutcome, ServeError> {
-    let new_sink = || Collect::new(workload.topology().routes());
-    routed_replay_threaded_into(cfg, make, workload, new_sink).map(Into::into)
-}
-
-/// [`routed_replay_threaded`] into one sink per consumer, merged in
-/// shard order once the consumers have joined.
-pub(crate) fn routed_replay_threaded_into<S: DecisionSink<RouteDecision>>(
-    cfg: &RoutedReplayConfig,
-    make: ControllerFactory,
-    workload: &RoutedWorkload,
-    new_sink: impl Fn() -> S + Sync,
-) -> Result<Replayed<S>, ServeError> {
-    check_producers(cfg.producers)?;
-    let plane = RoutedPlane::for_workload(&cfg.plane, workload, make)?;
-    let handle = plane.handle();
-    let shards = plane.into_shards();
-    let topology = Arc::clone(workload.topology());
-    let producers = cfg.producers;
-    let stamp = cfg.stamp_latency;
-    let done = std::sync::atomic::AtomicUsize::new(0);
-
-    let start = Instant::now();
-    let (shards, sink) = std::thread::scope(|s| {
-        let consumers: Vec<_> = shards
-            .into_iter()
-            .map(|mut shard| {
-                let (done, new_sink) = (&done, &new_sink);
-                s.spawn(move || {
-                    let mut sink = new_sink();
-                    let mut out = Vec::new();
-                    let mut drain = |shard: &mut RoutedShard| {
-                        let n = shard.drain_into(&mut out);
-                        sink.record_all(&mut out);
-                        n
-                    };
-                    loop {
-                        if drain(&mut shard) > 0 {
-                            continue;
-                        }
-                        if done.load(Ordering::Acquire) == producers {
-                            // All enqueues happen-before the final
-                            // counter increment, so an empty drain with
-                            // nothing parked proves completion. A parked
-                            // link waits for another shard's vote — keep
-                            // pumping until the verdict lands.
-                            if drain(&mut shard) == 0 && !shard.has_parked() {
-                                break;
-                            }
-                        }
-                        std::thread::yield_now();
-                    }
-                    (shard, sink)
-                })
-            })
-            .collect();
-        for p in 0..producers {
-            let handle = handle.clone();
-            let done = &done;
-            let topology = &topology;
-            s.spawn(move || {
-                for (link, ev) in workload.canonical_events() {
-                    if link.index() % producers != p {
-                        continue;
-                    }
-                    let mut event = to_routed_event(topology, link, ev, stamp);
-                    while let Err(back) = handle.try_send(event) {
-                        event = back;
-                        std::thread::yield_now();
-                    }
-                }
-                done.fetch_add(1, Ordering::Release);
-            });
-        }
-        let mut shards_back = Vec::with_capacity(consumers.len());
-        let mut merged = new_sink();
-        for c in consumers {
-            let (shard, sink) = c.join().expect("routed consumer thread panicked");
-            shards_back.push(shard);
-            merged.merge(sink);
-        }
-        (shards_back, merged)
-    });
-    let elapsed = start.elapsed();
-    let snapshot = routed_plane_snapshot(&shards);
-    Ok(Replayed {
-        sink,
-        elapsed,
-        snapshot,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plane::{certainty_equivalent_factory, MAX_SHARDS};
-    use crate::sink::Tally;
+    use crate::plane::{certainty_equivalent_factory, MAX_RING_CAPACITY, MAX_SHARDS};
+    use crate::replay::replay_serial;
+    use crate::replay::tests::{decides_every_request, tally_agrees, threaded_matches_serial};
     use mbac_core::topology::MAX_ROUTE_HOPS;
     use mbac_sim::{RoutedLoad, RoutedLoadConfig, SessionBuilder};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
@@ -1018,15 +691,11 @@ mod tests {
     #[test]
     fn serial_replay_decides_every_request() {
         let w = workload(Topology::parking_lot(3, 14.0), 0.05);
-        let make = certainty_equivalent_factory(1e-2, 2.0);
-        let out = routed_replay_serial(&RoutedReplayConfig::default(), make, &w).unwrap();
-        assert_eq!(out.decisions as usize, w.total_requests());
-        assert!(out.admitted > 0, "some requests must be admitted");
-        assert!(out.rejected() > 0, "capacity 10 must reject some");
-        for route in 0..w.topology().routes() {
-            assert_eq!(out.per_route[route].len(), 20 * 2);
-            // Per-route decisions arrive in seq order.
-            for pair in out.per_route[route].windows(2) {
+        let cfg = RoutedReplayConfig::default();
+        let out = decides_every_request(&w, &cfg, w.total_requests(), 20 * 2);
+        // Per-route decisions arrive in seq order.
+        for route in &out.sequences {
+            for pair in route.windows(2) {
                 assert!(pair[0].seq < pair[1].seq);
             }
         }
@@ -1038,8 +707,8 @@ mod tests {
         // it must name a hop, and every per-hop record must be present.
         let w = workload(Topology::parking_lot(3, 6.0), 0.0);
         let make = certainty_equivalent_factory(1e-2, 2.0);
-        let out = routed_replay_serial(&RoutedReplayConfig::default(), make, &w).unwrap();
-        let long = &out.per_route[0];
+        let out = replay_serial(&RoutedReplayConfig::default(), make, &w).unwrap();
+        let long = &out.sequences[0];
         assert!(long.iter().any(|d| !d.admit), "tight capacity must reject");
         for d in long {
             assert_eq!(d.hops.len(), 3);
@@ -1075,10 +744,7 @@ mod tests {
     #[test]
     fn threaded_replay_matches_serial_per_route() {
         let w = workload(Topology::star(4, 10.0), 0.05);
-        let make = certainty_equivalent_factory(1e-2, 2.0);
-        let reference =
-            routed_replay_serial(&RoutedReplayConfig::default(), Arc::clone(&make), &w).unwrap();
-        let cfg = RoutedReplayConfig {
+        let sharded = RoutedReplayConfig {
             plane: RoutedPlaneConfig {
                 shards: 3,
                 ring_capacity: 16, // small: exercises backpressure
@@ -1088,15 +754,7 @@ mod tests {
             producers: 2,
             stamp_latency: false,
         };
-        let sharded = routed_replay_threaded(&cfg, make, &w).unwrap();
-        assert_eq!(sharded.decisions, reference.decisions);
-        for route in 0..w.topology().routes() {
-            assert_eq!(
-                sharded.encode_route(route),
-                reference.encode_route(route),
-                "route {route} diverged"
-            );
-        }
+        threaded_matches_serial(&w, &RoutedReplayConfig::default(), &sharded);
     }
 
     #[test]
@@ -1110,7 +768,7 @@ mod tests {
             },
             ..RoutedReplayConfig::default()
         };
-        let out = routed_replay_serial(&cfg, make, &w).unwrap();
+        let out = replay_serial(&cfg, make, &w).unwrap();
         match out.snapshot.get("serve.shard0.requests") {
             Some(MetricValue::Counter(c)) => assert_eq!(c.count, out.decisions),
             other => panic!("{other:?}"),
@@ -1127,43 +785,18 @@ mod tests {
         }
     }
 
-    /// The tally sink counts what the collecting sink keeps, on both
-    /// drivers, and with stamping on every decision carries a latency.
     #[test]
     fn tally_sink_agrees_with_collecting_sink() {
         let w = workload(Topology::star(4, 10.0), 0.05);
-        let make = certainty_equivalent_factory(1e-2, 2.0);
-        for shards in [1, 3] {
-            let cfg = RoutedReplayConfig {
-                plane: RoutedPlaneConfig {
-                    shards,
-                    ring_capacity: 16,
-                    ..RoutedPlaneConfig::default()
-                },
-                producers: shards.min(2),
-                stamp_latency: true,
-            };
-            let (collected, tallied) = if shards == 1 {
-                (
-                    routed_replay_serial(&cfg, Arc::clone(&make), &w).unwrap(),
-                    routed_replay_serial_into(&cfg, Arc::clone(&make), &w, Tally::default())
-                        .unwrap(),
-                )
-            } else {
-                (
-                    routed_replay_threaded(&cfg, Arc::clone(&make), &w).unwrap(),
-                    routed_replay_threaded_into(&cfg, Arc::clone(&make), &w, Tally::default)
-                        .unwrap(),
-                )
-            };
-            let tally = tallied.sink;
-            let stamped = collected.per_route.iter().flatten();
-            let stamped = stamped.filter(|d| d.latency_ns.is_some()).count() as u64;
-            assert_eq!(tally.decisions, collected.decisions, "{shards} shards");
-            assert_eq!(tally.admitted, collected.admitted, "{shards} shards");
-            assert_eq!(tally.latency.len(), stamped, "{shards} shards");
-            assert_eq!(tally.latency.len(), tally.decisions, "{shards} shards");
-        }
+        tally_agrees(&w, |shards, producers| RoutedReplayConfig {
+            plane: RoutedPlaneConfig {
+                shards,
+                ring_capacity: 16,
+                ..RoutedPlaneConfig::default()
+            },
+            producers,
+            stamp_latency: false,
+        });
     }
 
     #[test]
@@ -1175,10 +808,22 @@ mod tests {
         };
         let make = certainty_equivalent_factory(1e-2, 2.0);
         assert_eq!(
-            RoutedPlane::for_workload(&cfg, &w, make).err(),
+            RoutedPlane::for_workload(&cfg, &w, Arc::clone(&make)).err(),
             Some(ServeError::TooManyShards {
                 got: MAX_SHARDS + 1,
                 max: MAX_SHARDS
+            })
+        );
+        // The rings are sized by the same `Plane::build`.
+        let cfg = RoutedPlaneConfig {
+            ring_capacity: MAX_RING_CAPACITY + 1,
+            ..RoutedPlaneConfig::default()
+        };
+        assert_eq!(
+            RoutedPlane::for_workload(&cfg, &w, make).err(),
+            Some(ServeError::RingTooLarge {
+                got: MAX_RING_CAPACITY + 1,
+                max: MAX_RING_CAPACITY
             })
         );
     }

@@ -1,15 +1,15 @@
 //! Decision sinks: where a replay driver puts each decision the moment
 //! the plane produces it.
 //!
-//! The four replay drivers ([`crate::replay`], [`crate::routed`]) do not
-//! accumulate decisions. `Shard::apply` / `RoutedShard::{apply, pump}`
-//! append to a small scratch vector, and the driver drains that vector
-//! into a `DecisionSink` after every event (serial) or every ring
-//! drain (threaded, one sink per consumer, merged at join). Two sinks
-//! exist, and each driver body serves both:
+//! The two replay drivers ([`crate::replay`]) do not accumulate
+//! decisions. A shard's `apply` / `pump` append to a small scratch
+//! vector, and the driver drains that vector into a `DecisionSink`
+//! after every event (serial) or every ring drain (threaded, one sink
+//! per consumer, merged at join). Two sinks exist, and each driver body
+//! serves both:
 //!
 //! * `Collect` keeps every decision, grouped by link or route in
-//!   decision order — the `per_link` / `per_route` sequences the
+//!   decision order — the [`crate::ReplayOutcome::sequences`] the
 //!   invariance suites compare byte for byte;
 //! * `Tally` keeps what a bench report prints and nothing else:
 //!   decisions, admits and a [`LatencyTally`]. Its size does not depend
@@ -32,15 +32,19 @@ use crate::routed::RouteDecision;
 use mbac_metrics::MetricsSnapshot;
 use std::time::Duration;
 
-/// What the sinks read off a decision, whichever plane made it.
-pub(crate) trait Decided {
-    /// Index of the link (per-link plane) or route (routed plane) whose
-    /// decision sequence this decision belongs to.
+/// What the sinks and a [`crate::ReplayOutcome`] read off a decision,
+/// whichever link logic made it.
+pub trait Decided {
+    /// Index of the link (single-hop logic) or route (two-phase logic)
+    /// whose decision sequence this decision belongs to.
     fn group(&self) -> usize;
     /// Admit (`true`) or reject.
     fn admit(&self) -> bool;
     /// Ingest-to-decision latency, when the request was stamped.
     fn latency_ns(&self) -> Option<u64>;
+    /// Appends the decision's canonical byte encoding (latency
+    /// excluded: it is a machine fact, not a decision).
+    fn encode_into(&self, out: &mut Vec<u8>);
 }
 
 impl Decided for Decision {
@@ -53,6 +57,9 @@ impl Decided for Decision {
     fn latency_ns(&self) -> Option<u64> {
         self.latency_ns
     }
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        Decision::encode_into(self, out);
+    }
 }
 
 impl Decided for RouteDecision {
@@ -64,6 +71,9 @@ impl Decided for RouteDecision {
     }
     fn latency_ns(&self) -> Option<u64> {
         self.latency_ns
+    }
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        RouteDecision::encode_into(self, out);
     }
 }
 

@@ -106,8 +106,8 @@ proptest! {
         prop_assert_eq!(sharded.decisions, reference.decisions);
         for link in 0..w.links() {
             prop_assert_eq!(
-                sharded.encode_link(link),
-                reference.encode_link(link),
+                sharded.encode(link),
+                reference.encode(link),
                 "link {} diverged at shards={}, producers={}, engine={}",
                 link, shards, producers, engine
             );
@@ -129,8 +129,8 @@ fn every_shard_count_matches_serial_reference() {
         assert_eq!(sharded.decisions, reference.decisions);
         for link in 0..w.links() {
             assert_eq!(
-                sharded.encode_link(link),
-                reference.encode_link(link),
+                sharded.encode(link),
+                reference.encode(link),
                 "link {link} diverged at {shards} shards"
             );
         }

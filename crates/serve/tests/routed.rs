@@ -10,11 +10,11 @@
 
 use mbac_metrics::MetricValue;
 use mbac_serve::{
-    certainty_equivalent_factory, replay_serial, routed_replay_serial, routed_replay_threaded,
-    PlaneConfig, ReplayConfig, RoutedPlaneConfig, RoutedReplayConfig,
+    certainty_equivalent_factory, replay_serial, replay_threaded, PlaneConfig, ReplayConfig,
+    RoutedPlaneConfig, RoutedReplayConfig,
 };
 use mbac_sim::{
-    Engine, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
+    Engine, LinkId, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
     RoutedWorkload, SessionBuilder, Topology,
 };
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
@@ -97,8 +97,8 @@ fn assert_routes_match(
     assert_eq!(sharded.decisions, reference.decisions, "{label}");
     for route in 0..routes {
         assert_eq!(
-            sharded.encode_route(route),
-            reference.encode_route(route),
+            sharded.encode(route),
+            reference.encode(route),
             "route {route} diverged: {label}"
         );
     }
@@ -134,14 +134,14 @@ proptest! {
         // The reference is always the batched-engine workload: engine
         // choice must not leak into the workload either.
         let w_ref = workload(seed, topology(topo_kind), ticks, requests_per_tick, noise_sd, Engine::Batched, ar1 == 1);
-        let reference = routed_replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w_ref).unwrap();
-        let sharded = routed_replay_threaded(&replay_cfg(shards, producers, 1 << ring_pow), make, &w).unwrap();
+        let reference = replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w_ref).unwrap();
+        let sharded = replay_threaded(&replay_cfg(shards, producers, 1 << ring_pow), make, &w).unwrap();
 
         prop_assert_eq!(sharded.decisions, reference.decisions);
         for route in 0..w.topology().routes() {
             prop_assert_eq!(
-                sharded.encode_route(route),
-                reference.encode_route(route),
+                sharded.encode(route),
+                reference.encode(route),
                 "route {} diverged at topo={}, shards={}, producers={}",
                 route, topo_kind, shards, producers
             );
@@ -157,14 +157,14 @@ fn every_shard_count_matches_serial_reference_on_every_topology() {
     for topo_kind in 0..3 {
         let w = workload(42, topology(topo_kind), 20, 3, 0.05, Engine::Batched, false);
         let make = certainty_equivalent_factory(1e-2, 2.0);
-        let reference = routed_replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w).unwrap();
+        let reference = replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w).unwrap();
         assert!(
             reference.admitted > 0 && reference.rejected() > 0,
             "topology {topo_kind} must exercise both outcomes"
         );
         for shards in 1..=8 {
             let sharded =
-                routed_replay_threaded(&replay_cfg(shards, 2, 32), Arc::clone(&make), &w).unwrap();
+                replay_threaded(&replay_cfg(shards, 2, 32), Arc::clone(&make), &w).unwrap();
             assert_routes_match(
                 &sharded,
                 &reference,
@@ -175,23 +175,16 @@ fn every_shard_count_matches_serial_reference_on_every_topology() {
     }
 }
 
-/// The degenerate case is not allowed to drift: on a single-link
-/// topology, the routed protocol must reproduce the **legacy** plane's
-/// decision bytes exactly — same workload bits, same decision bits —
-/// without re-blessing anything. Hop 0's encoding *is* the legacy
-/// encoding.
-#[test]
-fn single_link_routed_decisions_reproduce_legacy_bytes() {
+/// `links` disjoint links on the single-hop plane against the same
+/// links as one-hop routes (`routed_cfg`) on the two-phase plane: every
+/// link's decision bytes must be equal, serially and for each sharded
+/// shape in `shards` (2 producers).
+fn assert_one_hop_routes_reproduce_legacy_bytes(
+    legacy_cfg: &RequestLoadConfig,
+    routed_cfg: RoutedLoadConfig,
+    shards: &[usize],
+) {
     let m = model(false);
-    let legacy_cfg = RequestLoadConfig {
-        links: 1,
-        flows_per_link: 6,
-        ticks: 20,
-        tick: 0.3,
-        requests_per_tick: 3,
-        mean_holding: 4.0,
-        seed: 42,
-    };
     let legacy_load = RequestLoad {
         model: m.as_ref(),
         cfg: legacy_cfg.clone(),
@@ -213,28 +206,71 @@ fn single_link_routed_decisions_reproduce_legacy_bytes() {
         &legacy_w,
     )
     .unwrap();
+    assert!(legacy.admitted > 0 && legacy.rejected() > 0);
 
     let routed_load = RoutedLoad {
         model: m.as_ref(),
-        cfg: RoutedLoadConfig::single_link(8.0, &legacy_cfg),
+        cfg: routed_cfg,
     };
     let routed_w = SessionBuilder::new().run(&routed_load).unwrap();
     let make = certainty_equivalent_factory(1e-2, 2.0);
-    let serial = routed_replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &routed_w).unwrap();
-    assert!(legacy.admitted > 0 && legacy.rejected() > 0);
-    assert_eq!(serial.encode_route(0), legacy.encode_link(0));
-    // And through the sharded path (per-link hashing may place the one
-    // link on any shard).
-    for shards in [2, 5, 8] {
-        let sharded =
-            routed_replay_threaded(&replay_cfg(shards, 2, 32), Arc::clone(&make), &routed_w)
-                .unwrap();
-        assert_eq!(
-            sharded.encode_route(0),
-            legacy.encode_link(0),
-            "{shards} shards"
-        );
+    let serial = replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &routed_w).unwrap();
+    assert_eq!(serial.decisions, legacy.decisions);
+    for link in 0..legacy_cfg.links {
+        assert_eq!(serial.encode(link), legacy.encode(link), "link {link}");
     }
+    // And through the sharded path (per-link hashing may place a link
+    // on any shard).
+    for &shards in shards {
+        let sharded =
+            replay_threaded(&replay_cfg(shards, 2, 32), Arc::clone(&make), &routed_w).unwrap();
+        for link in 0..legacy_cfg.links {
+            assert_eq!(
+                sharded.encode(link),
+                legacy.encode(link),
+                "link {link}, {shards} shards"
+            );
+        }
+    }
+}
+
+fn legacy_cfg(links: usize) -> RequestLoadConfig {
+    RequestLoadConfig {
+        links,
+        flows_per_link: 6,
+        ticks: 20,
+        tick: 0.3,
+        requests_per_tick: 3,
+        mean_holding: 4.0,
+        seed: 42,
+    }
+}
+
+/// The degenerate case is not allowed to drift: on a single-link
+/// topology, the routed protocol must reproduce the **legacy** plane's
+/// decision bytes exactly — same workload bits, same decision bits —
+/// without re-blessing anything. Hop 0's encoding *is* the legacy
+/// encoding.
+#[test]
+fn single_link_routed_decisions_reproduce_legacy_bytes() {
+    let legacy_cfg = legacy_cfg(1);
+    let routed_cfg = RoutedLoadConfig::single_link(8.0, &legacy_cfg);
+    assert_one_hop_routes_reproduce_legacy_bytes(&legacy_cfg, routed_cfg, &[2, 5, 8]);
+}
+
+/// The same identity for several disjoint links — the shape of the
+/// harness's `serve_links` workload: route `r` is the one hop over link
+/// `r`, so the two-phase plane must decide every link exactly as the
+/// single-hop plane does.
+#[test]
+fn disjoint_links_routed_decisions_reproduce_legacy_bytes() {
+    let legacy_cfg = legacy_cfg(5);
+    let one_hop_routes = (0..5).map(|l| vec![LinkId(l)]).collect();
+    let routed_cfg = RoutedLoadConfig {
+        topology: Arc::new(Topology::new(vec![8.0; 5], one_hop_routes).unwrap()),
+        ..RoutedLoadConfig::single_link(8.0, &legacy_cfg)
+    };
+    assert_one_hop_routes_reproduce_legacy_bytes(&legacy_cfg, routed_cfg, &[3, 8]);
 }
 
 /// The deterministic sweep above runs RCBR sources; this pins the same
@@ -244,8 +280,8 @@ fn single_link_routed_decisions_reproduce_legacy_bytes() {
 fn routed_ar1_decisions_match_serial_reference() {
     let w = workload(7, topology(1), 15, 2, 0.05, Engine::Batched, true);
     let make = certainty_equivalent_factory(1e-2, 2.0);
-    let serial = routed_replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w).unwrap();
-    let sharded = routed_replay_threaded(&replay_cfg(4, 2, 32), make, &w).unwrap();
+    let serial = replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w).unwrap();
+    let sharded = replay_threaded(&replay_cfg(4, 2, 32), make, &w).unwrap();
     assert_routes_match(&sharded, &serial, w.topology().routes(), "ar1, 4 shards");
 }
 
@@ -258,8 +294,7 @@ fn routed_counters_partition_the_decisions() {
     let w = workload(7, topo, 15, 2, 0.0, Engine::Batched, false);
     let make = certainty_equivalent_factory(1e-2, 2.0);
     for shards in [1, 3, 8] {
-        let out =
-            routed_replay_threaded(&replay_cfg(shards, 2, 32), Arc::clone(&make), &w).unwrap();
+        let out = replay_threaded(&replay_cfg(shards, 2, 32), Arc::clone(&make), &w).unwrap();
         let counter = |name: &str| -> u64 {
             (0..shards)
                 .map(
@@ -276,7 +311,7 @@ fn routed_counters_partition_the_decisions() {
         assert_eq!(counter("rejected"), out.rejected());
         // Per-link: every reserve resolves to a commit or an abort, and
         // the reserve total counts each request once per hop.
-        let link_counter = |link: usize, name: &str| -> u64 {
+        let net_counter = |link: usize, name: &str| -> u64 {
             match out.snapshot.get(&format!("net.link{link}.{name}")) {
                 Some(MetricValue::Counter(c)) => c.count,
                 other => panic!("net.link{link}.{name}: {other:?}"),
@@ -285,15 +320,15 @@ fn routed_counters_partition_the_decisions() {
         let mut reserves = 0;
         for link in 0..3 {
             assert_eq!(
-                link_counter(link, "commits") + link_counter(link, "aborts"),
-                link_counter(link, "reserves"),
+                net_counter(link, "commits") + net_counter(link, "aborts"),
+                net_counter(link, "reserves"),
                 "link {link} at {shards} shards"
             );
-            reserves += link_counter(link, "reserves");
+            reserves += net_counter(link, "reserves");
         }
         // parking-lot(3): route 0 reserves 3 hops, each cross route 1.
         let per_request_hops: u64 = out
-            .per_route
+            .sequences
             .iter()
             .enumerate()
             .map(|(r, ds)| ds.len() as u64 * if r == 0 { 3 } else { 1 })

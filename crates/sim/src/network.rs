@@ -22,7 +22,8 @@ use crate::controller::MbacController;
 use crate::flows::FlowTable;
 use crate::requests::add_measurement_noise;
 use crate::session::{
-    require_non_negative, require_positive, require_step, ConfigError, RepContext, Scenario,
+    require_finite, require_non_negative, require_positive, require_step, ConfigError, RepContext,
+    Scenario,
 };
 use crate::telemetry::MetricsSink;
 use mbac_core::admission::CertaintyEquivalent;
@@ -180,6 +181,7 @@ impl Scenario for RoutedNetworkLoad<'_> {
         require_positive("target overflow probability", cfg.p_ce)?;
         require_non_negative("memory time-scale", cfg.t_m)?;
         require_non_negative("noise standard deviation", cfg.noise_sd)?;
+        require_finite("noise standard deviation", cfg.noise_sd)?;
         if cfg.warmup_ticks >= cfg.ticks {
             return Err(ConfigError::NonPositive {
                 field: "post-warmup ticks",

@@ -37,7 +37,8 @@
 //! occurrences are strictly increasing in `seq`.
 
 use crate::session::{
-    require_non_negative, require_positive, require_step, ConfigError, RepContext, Scenario,
+    require_finite, require_non_negative, require_positive, require_step, ConfigError, RepContext,
+    Scenario,
 };
 use crate::telemetry::MetricsSink;
 use mbac_core::topology::{LinkId, RouteId, Topology};
@@ -421,6 +422,7 @@ impl Scenario for RoutedLoad<'_> {
         require_step("tick", self.cfg.tick)?;
         require_positive("mean holding time", self.cfg.mean_holding)?;
         require_non_negative("noise standard deviation", self.cfg.noise_sd)?;
+        require_finite("noise standard deviation", self.cfg.noise_sd)?;
         Ok(())
     }
 
