@@ -45,7 +45,9 @@ request streams generated through the Session pipeline are replayed
 into the sharded serve plane, and the report summarizes the admission
 decisions (deterministic for a fixed seed and shape, whatever the
 shard/producer/engine choice) plus p50/p99/mean decision latency and
-sustained decisions/sec.
+sustained decisions/sec. Latency is read off stamped decisions: every
+one of a run of up to 16384 requests, that many spread over a longer
+one (the `latency samples : n of N decisions` line).
 --shards/--producers pick the plane shape; on a single-core host a
 threaded shape falls back to the serial reference and says so.
 --ring-capacity bounds each shard's ingest ring (the closed loop's
@@ -244,6 +246,10 @@ fn print_report(report: &BenchReport, engine: Engine) {
     );
     println!("  events replayed      : {}", report.events);
     println!("timing:");
+    println!(
+        "  latency samples      : {} of {} decisions",
+        report.latency_samples, report.decisions
+    );
     println!(
         "  p50 / p99 / mean     : {:.0} / {:.0} / {:.0} ns",
         report.p50_ns, report.p99_ns, report.mean_ns

@@ -508,6 +508,29 @@ fn serve_bench_small_run_reports_decisions_and_timing() {
     assert!(text.contains("decisions per second"), "{text}");
 }
 
+/// The timing block says how many stamped decisions its quantiles rest
+/// on: all of a short run, a fixed budget of a longer one — on either
+/// plane, and without touching the decision block.
+#[test]
+fn serve_bench_reports_its_latency_sample_count() {
+    let samples = |args: &[&str]| {
+        let out = mbacctl(args);
+        assert!(out.status.success(), "{args:?}");
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = text.lines().find(|l| l.contains("latency samples"));
+        let line = line.unwrap_or_else(|| panic!("{args:?}: {text}"));
+        assert!(!decision_block(&out.stdout).contains("latency samples"));
+        line.split(": ").nth(1).unwrap().to_string()
+    };
+    assert_eq!(samples(&small_serve_args(&[])), "48 of 48 decisions");
+    let routed = ["serve-bench", "--topology", "parking-lot:3", "--ticks", "5"];
+    assert_eq!(samples(&routed), "80 of 80 decisions");
+    // 8 links x 100 ticks x 32 requests: past the budget of 16384.
+    let long = "serve-bench --links 8 --flows-per-link 4 --ticks 100 --requests-per-tick 32";
+    let long: Vec<&str> = long.split(' ').collect();
+    assert_eq!(samples(&long), "16384 of 25600 decisions");
+}
+
 #[test]
 fn serve_bench_unknown_flag_is_reported() {
     for flag in ["--oops", REMOVED_KERNEL_FLAG] {
@@ -845,6 +868,38 @@ fn serve_bench_rejects_oversized_shard_count_at_once() {
         assert!(err.contains("shards must be at most 1024"), "{err}");
         assert_eq!(err.lines().count(), 1, "{err}");
         assert!(start.elapsed().as_secs() < 5, "{args:?} took too long");
+    }
+}
+
+#[test]
+fn serve_bench_rejects_oversized_workloads_without_aborting() {
+    // The generated workload is sized up front from these flags: each
+    // of the first five used to abort on the allocation (exit 134), the
+    // sixth overflowed into a panicking pool worker, and the last went
+    // on admitting flows for ever.
+    let cases = [
+        "--links 4 --ticks 99999999999",
+        "--links 4 --ticks 20 --requests-per-tick 99999999999",
+        "--links 99999999999 --ticks 2",
+        "--topology parking-lot:3 --ticks 99999999999",
+        "--topology parking-lot:3 --ticks 20 --requests-per-tick 99999999999",
+        "--links 2 --ticks 18446744073709551615 --requests-per-tick 3",
+        "--flows-per-link 99999999999",
+    ];
+    for flags in cases {
+        let args: Vec<&str> = std::iter::once("serve-bench")
+            .chain(flags.split(' '))
+            .collect();
+        let start = std::time::Instant::now();
+        let out = mbacctl(&args);
+        assert_eq!(out.status.code(), Some(1), "{flags}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error: invalid configuration: the workload would hold more than"),
+            "{flags}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{flags}: {err}");
+        assert!(start.elapsed().as_secs() < 5, "{flags} took too long");
     }
 }
 

@@ -14,12 +14,33 @@
 //! and sets [`BenchReport::skipped_single_core`] when the injected
 //! parallelism is 1 and a threaded shape was requested — the recorded
 //! numbers are then honest serial-path figures, marked as such.
+//!
+//! # What is stamped
+//!
+//! A latency sample costs two clock reads — `Instant::now()` where the
+//! request is ingested, `elapsed()` where it is decided: 58 ns for the
+//! pair on the development host, and a read also holds up the work
+//! around it. The memo-hot decision they time takes 25–30 ns. Stamping
+//! every request therefore made a `serve_links` replay (1 024 000
+//! requests) run at 146–170 ns a decision, four fifths of it the
+//! instrument, and decisions/s reported the clock rather than the
+//! plane. So a run spends a fixed budget of stamps, [`LATENCY_SAMPLES`]:
+//! every request of a run no longer than that, one request in each of
+//! that many strata of a longer one, at a hashed place in its stratum
+//! (the [`Stamps`] rule — hashed because the canonical order is
+//! round-robin over the links, and a fixed stride would sample some
+//! links only). Throughput, decisions and admits are those of the
+//! whole run; p50 / p99 / mean are those of the stamped decisions, and
+//! [`BenchReport::latency_samples`] says how many they were. Which
+//! requests are stamped changes no decision: the sampled replays are
+//! held to the fully stamped reference's bytes in [`crate::replay`]'s
+//! and [`crate::routed`]'s tests.
 
 use crate::plane::{
     certainty_equivalent_factory, check_producers, check_shards, ControllerFactory, PlaneConfig,
     ServeError,
 };
-use crate::replay::{replay_serial_into, replay_threaded_into, Replay, ReplayConfig};
+use crate::replay::{replay_serial_into, replay_threaded_into, Replay, Stamps};
 use crate::routed::RoutedPlaneConfig;
 use crate::sink::Tally;
 use mbac_core::topology::Topology;
@@ -152,12 +173,16 @@ pub struct BenchReport {
     pub elapsed_secs: f64,
     /// Sustained decision throughput.
     pub decisions_per_sec: f64,
-    /// Median decision latency (ingest→decision when threaded, bare
-    /// decide when serial), nanoseconds.
+    /// How many decisions were stamped: what `p50_ns`, `p99_ns` and
+    /// `mean_ns` rest on. All of them up to [`LATENCY_SAMPLES`]
+    /// requests, that many of a longer run.
+    pub latency_samples: u64,
+    /// Median latency of the stamped decisions (ingest→decision when
+    /// threaded, bare decide when serial), nanoseconds.
     pub p50_ns: f64,
-    /// 99th-percentile decision latency, nanoseconds.
+    /// 99th-percentile latency of the stamped decisions, nanoseconds.
     pub p99_ns: f64,
-    /// Mean decision latency, nanoseconds.
+    /// Mean latency of the stamped decisions, nanoseconds.
     pub mean_ns: f64,
     /// `available_parallelism()` observed on this host.
     pub available_parallelism: usize,
@@ -166,6 +191,14 @@ pub struct BenchReport {
     /// throughput is serial-path, not a scaling claim).
     pub skipped_single_core: bool,
 }
+
+/// The most requests one closed-loop run stamps (see the module docs).
+/// 2¹⁴ samples leave 164 beyond the p99 they report. They cost
+/// 2¹⁴ × 58 ns ≈ 1 ms of clock reads, whatever the run's length: 3 % of
+/// the 1 024 000 × 28 ns ≈ 29 ms that `serve_links`' decisions take —
+/// where stamping each of them cost 1 024 000 × 58 ns ≈ 59 ms and, with
+/// the work the reads held up, took the replay to ~160 ms.
+pub const LATENCY_SAMPLES: u64 = 1 << 14;
 
 /// The host's available parallelism (1 when undeterminable).
 pub fn host_parallelism() -> usize {
@@ -206,24 +239,21 @@ impl Shape {
     }
 
     /// Replays `workload` (`events` events) in this shape through the
-    /// plane `plane` configures, stamping every request, and reports
-    /// the tally.
+    /// plane `plane` configures, stamping the requests `stamps` takes,
+    /// and reports the tally.
     fn replay<W: Replay>(
         self,
         plane: W::PlaneConfig,
         make: ControllerFactory,
         workload: &W,
         events: u64,
+        stamps: Stamps,
     ) -> Result<BenchReport, BenchError> {
-        let cfg = ReplayConfig {
-            plane,
-            producers: self.producers,
-            stamp_latency: true,
-        };
         let replayed = if self.threaded {
-            replay_threaded_into(&cfg, make, workload, Tally::default)?
+            let producers = self.producers;
+            replay_threaded_into(&plane, producers, stamps, make, workload, Tally::default)?
         } else {
-            replay_serial_into(&cfg, make, workload, Tally::default())?
+            replay_serial_into(&plane, stamps, make, workload, Tally::default())?
         };
         let Tally {
             decisions,
@@ -250,6 +280,7 @@ impl Shape {
             } else {
                 0.0
             },
+            latency_samples: latency.len(),
             p50_ns,
             p99_ns,
             mean_ns: latency.mean(),
@@ -288,6 +319,17 @@ pub fn closed_loop_with_parallelism(
     model: &dyn SourceModel,
     parallelism: usize,
 ) -> Result<BenchReport, BenchError> {
+    closed_loop_sampling(cfg, model, parallelism, LATENCY_SAMPLES)
+}
+
+/// [`closed_loop_with_parallelism`] with the stamp budget as a
+/// parameter.
+fn closed_loop_sampling(
+    cfg: &BenchConfig,
+    model: &dyn SourceModel,
+    parallelism: usize,
+    budget: u64,
+) -> Result<BenchReport, BenchError> {
     let shape = Shape::resolve(cfg.shards, cfg.producers, parallelism)?;
     let make = controller_factory(cfg.p_ce, cfg.t_m)?;
     let load = RequestLoad {
@@ -311,7 +353,12 @@ pub fn closed_loop_with_parallelism(
         metrics: metrics_mode(&cfg.stream),
         stream: cfg.stream.clone(),
     };
-    shape.replay(plane, make, &workload, workload.total_events() as u64)
+    // `validate` has bounded the product; counting the generated
+    // requests instead is a pass over every event.
+    let requests = (cfg.links * cfg.ticks * cfg.requests_per_tick) as u64;
+    let stamps = Stamps::budgeted(requests, budget);
+    let events = workload.total_events() as u64;
+    shape.replay(plane, make, &workload, events, stamps)
 }
 
 // ---------------------------------------------------------------------
@@ -387,6 +434,17 @@ pub fn routed_closed_loop_with_parallelism(
     model: &dyn SourceModel,
     parallelism: usize,
 ) -> Result<BenchReport, BenchError> {
+    routed_closed_loop_sampling(cfg, model, parallelism, LATENCY_SAMPLES)
+}
+
+/// [`routed_closed_loop_with_parallelism`] with the stamp budget as a
+/// parameter.
+fn routed_closed_loop_sampling(
+    cfg: &RoutedBenchConfig,
+    model: &dyn SourceModel,
+    parallelism: usize,
+    budget: u64,
+) -> Result<BenchReport, BenchError> {
     let shape = Shape::resolve(cfg.shards, cfg.producers, parallelism)?;
     let make = controller_factory(cfg.p_ce, cfg.t_m)?;
     let load = RoutedLoad {
@@ -410,7 +468,9 @@ pub fn routed_closed_loop_with_parallelism(
         metrics: metrics_mode(&cfg.stream),
         stream: cfg.stream.clone(),
     };
-    shape.replay(plane, make, &workload, workload.total_events() as u64)
+    let stamps = Stamps::budgeted(workload.total_requests() as u64, budget);
+    let events = workload.total_events() as u64;
+    shape.replay(plane, make, &workload, events, stamps)
 }
 
 #[cfg(test)]
@@ -445,6 +505,7 @@ mod tests {
         assert!(report.decisions_per_sec > 0.0);
         assert!(report.p50_ns <= report.p99_ns);
         assert!(report.p99_ns > 0.0);
+        assert_eq!(report.latency_samples, report.decisions, "below the budget");
     }
 
     #[test]
@@ -474,6 +535,7 @@ mod tests {
         assert_eq!(report.mode, "threaded");
         assert_eq!(report.shards, 2);
         assert_eq!(report.decisions, 3 * 10 * 2);
+        assert_eq!(report.latency_samples, report.decisions, "below the budget");
     }
 
     fn small_routed() -> RoutedBenchConfig {
@@ -494,6 +556,7 @@ mod tests {
         assert_eq!(report.decisions, 4 * 10 * 2);
         assert_eq!(report.admitted + report.rejected, report.decisions);
         assert!(report.p50_ns <= report.p99_ns);
+        assert_eq!(report.latency_samples, report.decisions, "below the budget");
     }
 
     #[test]
@@ -512,6 +575,74 @@ mod tests {
         assert_eq!(threaded.mode, "threaded");
         assert_eq!(threaded.decisions, report.decisions);
         assert_eq!(threaded.admitted, report.admitted);
+        assert_eq!(threaded.latency_samples, threaded.decisions);
+    }
+
+    /// A run of 16 budgets stamps about one budget of its requests, on
+    /// either plane and in either mode, and decides as the fully
+    /// stamped run does; its quantiles are those of the sample.
+    #[test]
+    fn a_long_run_stamps_its_budget_and_decides_the_same() {
+        type Run<'a> = &'a dyn Fn(usize, u64) -> BenchReport;
+        let links = BenchConfig {
+            ticks: 32,
+            requests_per_tick: 8,
+            shards: 3,
+            producers: 2,
+            ..small()
+        };
+        let routed = RoutedBenchConfig {
+            ticks: 40,
+            requests_per_tick: 4,
+            shards: 3,
+            producers: 2,
+            ..small_routed()
+        };
+        let runs: [Run; 2] = [
+            &|parallelism, budget| {
+                closed_loop_sampling(&links, &model(), parallelism, budget).unwrap()
+            },
+            &|parallelism, budget| {
+                routed_closed_loop_sampling(&routed, &model(), parallelism, budget).unwrap()
+            },
+        ];
+        for run in runs {
+            let full = run(1, LATENCY_SAMPLES);
+            assert_eq!(full.latency_samples, full.decisions);
+            let budget = full.decisions / 16;
+            for parallelism in [1, 4] {
+                let sampled = run(parallelism, budget);
+                assert_eq!(sampled.skipped_single_core, parallelism == 1);
+                assert_eq!(sampled.decisions, full.decisions);
+                assert_eq!(sampled.admitted, full.admitted);
+                let (samples, budget) = (sampled.latency_samples as f64, budget as f64);
+                assert!(
+                    (0.75 * budget..=1.25 * budget).contains(&samples),
+                    "{}: {samples} samples on a budget of {budget}",
+                    sampled.mode
+                );
+                assert!(sampled.p50_ns <= sampled.p99_ns && sampled.p99_ns > 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_without_requests_reports_zeros() {
+        let cfg = BenchConfig {
+            requests_per_tick: 0,
+            shards: 2,
+            ..small()
+        };
+        // The serial fallback, then the threaded shape.
+        for parallelism in [1, 4] {
+            let report = closed_loop_with_parallelism(&cfg, &model(), parallelism).unwrap();
+            assert_eq!((report.decisions, report.latency_samples), (0, 0));
+            assert_eq!(
+                (report.p50_ns, report.p99_ns, report.mean_ns),
+                (0.0, 0.0, 0.0)
+            );
+            assert_eq!(report.events, 3 * 10);
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use plane::{
     DecisionPlane, IngestHandle, Instruments, LinkLogic, Plane, PlaneConfig, ServeError, Shard,
     ShardEvent, ShardOf, SingleHop, MAX_PRODUCERS, MAX_RING_CAPACITY, MAX_SHARDS,
 };
-pub use replay::{replay_serial, replay_threaded, Replay, ReplayConfig, ReplayOutcome};
+pub use replay::{replay_serial, replay_threaded, Replay, ReplayConfig, ReplayOutcome, Stamps};
 pub use routed::{
     HopDecision, RouteDecision, RouteTable, RoutedIngestHandle, RoutedPlane, RoutedPlaneConfig,
     RoutedReplayConfig, RoutedReplayOutcome, RoutedShard, RoutedShardEvent, TwoPhase,

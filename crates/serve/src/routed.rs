@@ -61,7 +61,7 @@ use crate::plane::{
     ControllerFactory, DecisionEntry, IngestHandle, Instruments, LinkLogic, LinkMap, Plane,
     ServeError, ShardOf,
 };
-use crate::replay::{Replay, ReplayConfig, ReplayOutcome};
+use crate::replay::{Replay, ReplayConfig, ReplayOutcome, Stamps};
 use mbac_core::topology::{hop_admits, hop_u8, LinkId, RouteId, Topology};
 use mbac_metrics::{Aggregated, Counter, MetricValue, MetricsSnapshot, StreamHandle};
 use mbac_sim::{MbacController, MetricsMode, RoutedEvent, RoutedWorkload};
@@ -97,8 +97,9 @@ pub enum RoutedShardEvent {
         /// This link's position on the request's route (hop 0 emits the
         /// decision).
         hop: u8,
-        /// Enqueue timestamp; hop 0's stamp becomes the decision's
-        /// ingest-to-decision latency.
+        /// Enqueue timestamp. Hop 0's stamp becomes the decision's
+        /// ingest-to-decision latency; no other hop's is ever read, and
+        /// [`Replay::ingest`] leaves theirs `None`.
         enqueued: Option<Instant>,
     },
 }
@@ -635,7 +636,7 @@ impl Replay for RoutedWorkload {
 
     fn ingest(
         &self,
-        stamp: bool,
+        mut stamps: Stamps,
         keep: impl Fn(LinkId) -> bool,
     ) -> impl Iterator<Item = RoutedShardEvent> {
         self.canonical_events()
@@ -646,16 +647,19 @@ impl Replay for RoutedWorkload {
                     t: *t,
                     rates: rates.clone(),
                 },
-                RoutedEvent::Request { route, seq, .. } => RoutedShardEvent::Reserve {
-                    link,
-                    seq: *seq,
-                    hop: hop_u8(
+                RoutedEvent::Request { route, seq, .. } => {
+                    let hop = hop_u8(
                         self.topology()
                             .hop_index(*route, link)
                             .expect("request events only appear on their route's hop links"),
-                    ),
-                    enqueued: stamp.then(Instant::now),
-                },
+                    );
+                    RoutedShardEvent::Reserve {
+                        link,
+                        seq: *seq,
+                        hop,
+                        enqueued: (hop == 0 && stamps.take()).then(Instant::now),
+                    }
+                }
             })
     }
 }
@@ -665,7 +669,10 @@ mod tests {
     use super::*;
     use crate::plane::{certainty_equivalent_factory, MAX_RING_CAPACITY, MAX_SHARDS};
     use crate::replay::replay_serial;
-    use crate::replay::tests::{decides_every_request, tally_agrees, threaded_matches_serial};
+    use crate::replay::tests::{
+        decides_every_request, sampled_stamps_leave_decisions_alone, tally_agrees,
+        threaded_matches_serial,
+    };
     use mbac_core::topology::MAX_ROUTE_HOPS;
     use mbac_sim::{RoutedLoad, RoutedLoadConfig, SessionBuilder};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
@@ -797,6 +804,46 @@ mod tests {
             producers,
             stamp_latency: false,
         });
+    }
+
+    fn sharded(shards: usize, producers: usize) -> RoutedReplayConfig {
+        RoutedReplayConfig {
+            plane: RoutedPlaneConfig {
+                shards,
+                ring_capacity: 16,
+                ..RoutedPlaneConfig::default()
+            },
+            producers,
+            stamp_latency: false,
+        }
+    }
+
+    /// Only hop 0's stamp is ever read, so only hop 0 is stamped —
+    /// also when every request is — and the decision keeps its latency.
+    #[test]
+    fn only_the_first_hop_of_a_request_is_stamped() {
+        let w = workload(Topology::parking_lot(3, 14.0), 0.0);
+        let mut later_hops = 0;
+        for event in w.ingest(Stamps::ALL, |_| true) {
+            if let RoutedShardEvent::Reserve { hop, enqueued, .. } = event {
+                assert_eq!(enqueued.is_some(), hop == 0, "hop {hop}");
+                later_hops += usize::from(hop > 0);
+            }
+        }
+        assert_eq!(later_hops, 20 * 2 * 2, "the long route's hops 1 and 2");
+        let make = certainty_equivalent_factory(1e-2, 2.0);
+        let cfg = RoutedReplayConfig {
+            stamp_latency: true,
+            ..sharded(1, 1)
+        };
+        let out = replay_serial(&cfg, make, &w).unwrap();
+        assert_eq!(out.latencies_ns().len() as u64, out.decisions);
+    }
+
+    #[test]
+    fn sampled_stamps_leave_the_decisions_alone() {
+        let w = workload(Topology::parking_lot(3, 14.0), 0.05);
+        sampled_stamps_leave_decisions_alone(&w, sharded, 4 * 20 * 2);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use network::{
 pub use reference::ReferenceFlowTable;
 pub use requests::{
     LinkEvent, RequestLoad, RequestLoadConfig, RoutedEvent, RoutedLoad, RoutedLoadConfig,
-    RoutedWorkload, ServeWorkload,
+    RoutedWorkload, ServeWorkload, MAX_WORKLOAD_ITEMS,
 };
 pub use runner::{
     ContinuousConfig, ContinuousLoad, ContinuousReport, ImpulsiveConfig, ImpulsiveLoad,

@@ -143,6 +143,29 @@ impl ServeWorkload {
     }
 }
 
+/// The most events, and the most per-flow rate samples, a generated
+/// workload may hold. Both stay in memory from generation to the end of
+/// the replay at 8–32 bytes apiece, and both are sized up front from
+/// the configuration: past this bound (some gigabytes) the generator's
+/// allocations abort the process, or the size does not fit a `usize` at
+/// all, where a configuration error is owed. The largest shape in the
+/// tree, the benchmark's `serve_routed`, holds 1.2 · 10⁷ rate samples.
+pub const MAX_WORKLOAD_ITEMS: u64 = 1 << 28;
+
+/// Checks that the product of `factors` — how many `what` the workload
+/// would hold — neither overflows nor exceeds [`MAX_WORKLOAD_ITEMS`].
+fn require_workload_fits(what: &'static str, factors: [usize; 3]) -> Result<(), ConfigError> {
+    factors
+        .iter()
+        .try_fold(1u64, |n, &factor| n.checked_mul(factor as u64))
+        .filter(|&n| n <= MAX_WORKLOAD_ITEMS)
+        .map(|_| ())
+        .ok_or(ConfigError::WorkloadTooLarge {
+            what,
+            max: MAX_WORKLOAD_ITEMS,
+        })
+}
+
 /// One per-tick churn step shared by [`RequestLoad`] and
 /// [`RoutedLoad`]: the exact sequence of table/RNG operations is the
 /// compatibility contract — a single-link routed workload must consume
@@ -207,6 +230,10 @@ impl Scenario for RequestLoad<'_> {
         require_positive("ticks", self.cfg.ticks as f64)?;
         require_step("tick", self.cfg.tick)?;
         require_positive("mean holding time", self.cfg.mean_holding)?;
+        let cfg = &self.cfg;
+        let per_tick = cfg.requests_per_tick.saturating_add(1);
+        require_workload_fits("events", [cfg.links, cfg.ticks, per_tick])?;
+        require_workload_fits("rate samples", [cfg.links, cfg.ticks, cfg.flows_per_link])?;
         Ok(())
     }
 
@@ -423,6 +450,15 @@ impl Scenario for RoutedLoad<'_> {
         require_positive("mean holding time", self.cfg.mean_holding)?;
         require_non_negative("noise standard deviation", self.cfg.noise_sd)?;
         require_finite("noise standard deviation", self.cfg.noise_sd)?;
+        // A link holds one measurement a tick and one request occurrence
+        // per request of each route crossing it; its measurement, the
+        // flows of each of those routes.
+        let cfg = &self.cfg;
+        let topo = &cfg.topology;
+        let hops: usize = topo.route_ids().map(|r| topo.route(r).len()).sum();
+        let per_tick = cfg.requests_per_tick.saturating_add(1);
+        require_workload_fits("events", [hops.max(topo.links()), cfg.ticks, per_tick])?;
+        require_workload_fits("rate samples", [hops, cfg.ticks, cfg.flows_per_route])?;
         Ok(())
     }
 
@@ -636,6 +672,56 @@ mod tests {
         ));
     }
 
+    /// The error a shape too large to generate gets, naming `what`.
+    fn too_large(what: &'static str) -> Result<(), ConfigError> {
+        Err(ConfigError::WorkloadTooLarge {
+            what,
+            max: MAX_WORKLOAD_ITEMS,
+        })
+    }
+
+    /// A workload is sized from its configuration before anything is
+    /// allocated: a shape past the bound, or past `usize`, is an error.
+    #[test]
+    fn oversized_workloads_are_rejected() {
+        let m = model();
+        let huge = 99_999_999_999;
+        let validate = |edit: &dyn Fn(&mut RequestLoadConfig)| {
+            let mut cfg = config();
+            edit(&mut cfg);
+            RequestLoad { model: &m, cfg }.validate()
+        };
+        assert_eq!(validate(&|c| c.ticks = huge), too_large("events"));
+        assert_eq!(validate(&|c| c.links = huge), too_large("events"));
+        assert_eq!(
+            validate(&|c| c.requests_per_tick = huge),
+            too_large("events")
+        );
+        assert_eq!(
+            validate(&|c| c.requests_per_tick = usize::MAX),
+            too_large("events")
+        );
+        assert_eq!(validate(&|c| c.ticks = usize::MAX), too_large("events"));
+        assert_eq!(
+            validate(&|c| c.flows_per_link = huge),
+            too_large("rate samples")
+        );
+        // The bound itself is a legal size: 2^14 links x 2^12 ticks x
+        // (1 + 3) events.
+        let at_the_bound = |c: &mut RequestLoadConfig| {
+            (c.links, c.ticks, c.requests_per_tick) = (1 << 14, 1 << 12, 3);
+            c.flows_per_link = 2;
+        };
+        assert_eq!(validate(&at_the_bound), Ok(()));
+        assert_eq!(
+            validate(&|c| {
+                at_the_bound(c);
+                c.requests_per_tick = 4;
+            }),
+            too_large("events")
+        );
+    }
+
     // -- routed workloads ------------------------------------------------
 
     fn routed_config(topology: Topology) -> RoutedLoadConfig {
@@ -776,6 +862,37 @@ mod tests {
             RoutedLoad { model: &m, cfg }.validate(),
             Err(ConfigError::TooFewFlows { got: 1 })
         ));
+    }
+
+    #[test]
+    fn oversized_routed_workloads_are_rejected() {
+        let m = model();
+        let huge = 99_999_999_999;
+        let validate = |edit: &dyn Fn(&mut RoutedLoadConfig)| {
+            let mut cfg = routed_config(Topology::parking_lot(3, 8.0));
+            edit(&mut cfg);
+            RoutedLoad { model: &m, cfg }.validate()
+        };
+        assert_eq!(validate(&|c| c.ticks = huge), too_large("events"));
+        assert_eq!(validate(&|c| c.ticks = usize::MAX), too_large("events"));
+        assert_eq!(
+            validate(&|c| c.requests_per_tick = huge),
+            too_large("events")
+        );
+        assert_eq!(
+            validate(&|c| c.flows_per_route = huge),
+            too_large("rate samples")
+        );
+        // Sized by hop occurrences, not links: the parking lot's three
+        // links carry six (one three-hop route, three one-hop routes).
+        let ticks = (MAX_WORKLOAD_ITEMS / (6 * 4)) as usize;
+        let sized = |ticks| {
+            move |c: &mut RoutedLoadConfig| {
+                (c.ticks, c.requests_per_tick, c.flows_per_route) = (ticks, 3, 2);
+            }
+        };
+        assert_eq!(validate(&sized(ticks)), Ok(()));
+        assert_eq!(validate(&sized(ticks + 1)), too_large("events"));
     }
 
     /// Per-node noise decorrelates the measurements two links take of

@@ -148,6 +148,15 @@ pub enum ConfigError {
     /// A malformed topology (routed scenarios re-validate the
     /// [`mbac_core::topology::Topology`] they were handed).
     Topology(mbac_core::topology::TopologyError),
+    /// A request-stream workload that would hold more than
+    /// [`crate::requests::MAX_WORKLOAD_ITEMS`] of something it keeps in
+    /// memory for the whole replay.
+    WorkloadTooLarge {
+        /// What there would be too many of.
+        what: &'static str,
+        /// The limit, [`crate::requests::MAX_WORKLOAD_ITEMS`].
+        max: u64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -185,6 +194,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadPhases { reason } => write!(f, "invalid phase schedule: {reason}"),
             ConfigError::Topology(e) => write!(f, "invalid topology: {e}"),
+            ConfigError::WorkloadTooLarge { what, max } => {
+                write!(f, "the workload would hold more than {max} {what}")
+            }
         }
     }
 }
