@@ -106,9 +106,17 @@ pub(crate) fn finish_stream(args: &Args, sink: Option<StreamSink>) -> Result<(),
     Ok(())
 }
 
+/// The most legs `star:<legs>` may ask for. A leg is a route with its
+/// own flow population and a link with its own controller (some 20 KB),
+/// and every tick assembles each link's measurement by scanning every
+/// route, so a run's cost is quadratic in the legs: at this bound,
+/// 85 MB and 2 s a tick. Far past it the shape constructor's own
+/// allocations abort the process before any `validate` runs.
+const MAX_STAR_LEGS: usize = 1 << 12;
+
 /// Parses a `--topology` spec into a [`Topology`] with every link at
 /// `capacity`. Accepted forms: `single`, `parking-lot:<hops>`,
-/// `star:<legs>` (parking-lot needs 2..=255 hops, star >= 2 legs).
+/// `star:<legs>` (parking-lot needs 2..=255 hops, star 2..=4096 legs).
 pub(crate) fn parse_topology(spec: &str, capacity: f64) -> Result<Topology, ArgError> {
     // The shape constructors below panic on a capacity `Topology`
     // rejects.
@@ -135,7 +143,13 @@ pub(crate) fn parse_topology(spec: &str, capacity: f64) -> Result<Topology, ArgE
             }
             Ok(Topology::parking_lot(hops, capacity))
         }
-        Some(("star", raw)) => Ok(Topology::star(size(raw, "legs")?, capacity)),
+        Some(("star", raw)) => {
+            let legs = size(raw, "legs")?;
+            if legs > MAX_STAR_LEGS {
+                return Err(bad(&format!("legs must be <= {MAX_STAR_LEGS}")));
+            }
+            Ok(Topology::star(legs, capacity))
+        }
         Some(_) => Err(bad("expected single, parking-lot:<hops>, or star:<legs>")),
     }
 }
@@ -166,6 +180,8 @@ mod tests {
             "parking-lot:1",
             "parking-lot:256",
             "star:0",
+            "star:4097",
+            "star:99999999999",
             "mesh:3",
         ] {
             assert!(parse_topology(spec, 8.0).is_err(), "{spec}");

@@ -1,10 +1,11 @@
 //! `mbacctl serve-bench` — the closed-loop decision-plane benchmark.
 //!
-//! Generates a multi-link request workload through the Session
-//! pipeline, replays it through the sharded [`mbac_serve`] decision
-//! plane, and reports decision latency percentiles plus sustained
-//! throughput. Invalid configurations surface as friendly messages
-//! (exit code 1), never as panics.
+//! Generates a multi-link request workload — a window of ticks at a
+//! time on the serial shape, through the Session pipeline on a threaded
+//! one — replays it through the sharded [`mbac_serve`] decision plane,
+//! and reports decision latency percentiles plus sustained throughput.
+//! Invalid configurations surface as friendly messages (exit code 1),
+//! never as panics.
 //!
 //! The printed report keeps the *deterministic* decision totals in a
 //! separate block from the *timing* figures, so byte-comparing the
@@ -41,13 +42,16 @@ mbacctl serve-bench [--links <n>] [--flows-per-link <n>] [--ticks <n>]
                     [--stream-flush <n>] [--stream-ring <n>]
 
 Runs the closed-loop decision-plane benchmark: per-link measurement +
-request streams generated through the Session pipeline are replayed
-into the sharded serve plane, and the report summarizes the admission
+request streams generated from the flow model are replayed into the
+sharded serve plane, and the report summarizes the admission
 decisions (deterministic for a fixed seed and shape, whatever the
 shard/producer/engine choice) plus p50/p99/mean decision latency and
 sustained decisions/sec. Latency is read off stamped decisions: every
 one of a run of up to 16384 requests, that many spread over a longer
-one (the `latency samples : n of N decisions` line).
+one (the `latency samples : n of N decisions` line). `elapsed` is the
+replay alone and `generation` the time spent generating the workload:
+the serial shape alternates the two a few ticks at a time, in memory
+that does not grow with --ticks.
 --shards/--producers pick the plane shape; on a single-core host a
 threaded shape falls back to the serial reference and says so.
 --ring-capacity bounds each shard's ingest ring (the closed loop's
@@ -56,7 +60,8 @@ default, or ar1); --trace replays an LRD trace file instead and
 cannot be combined with --mean/--sd/--t-c.
 --topology switches to the routed multi-hop bench: requests carry a
 route and are admitted only if *every* hop accepts (two-phase
-reserve/commit across shards; a parking lot takes 2 to 255 hops).
+reserve/commit across shards; a parking lot takes 2 to 255 hops, a
+star 2 to 4096 legs).
 Every link gets --capacity; --flows-per-route sizes the steady
 workload per route and --noise-sd adds per-node measurement noise.
 --topology replaces --links and --flows-per-link.
@@ -255,5 +260,7 @@ fn print_report(report: &BenchReport, engine: Engine) {
         report.p50_ns, report.p99_ns, report.mean_ns
     );
     println!("  decisions per second : {:.3e}", report.decisions_per_sec);
-    println!("  elapsed              : {:.4} s", report.elapsed_secs);
+    // Microseconds: a run of a few ticks replays in tens of them.
+    println!("  elapsed              : {:.6} s", report.elapsed_secs);
+    println!("  generation           : {:.6} s", report.generate_secs);
 }

@@ -45,7 +45,8 @@ infinite arrival pressure (§4), impulsive offers a burst at t = 0 and
 watches it evolve (§3), poisson offers Poisson call arrivals at rate
 lambda. routed runs per-link controllers on a multi-hop topology — a
 flow is admitted only when every hop on its route accepts (a parking
-lot takes 2 to 255 hops) — and reports per-link overflow/utilization
+lot takes 2 to 255 hops, a star 2 to 4096 legs) — and reports per-link
+overflow/utilization
 and per-route admit/block counts (shared links see correlated load;
 --noise-sd adds independent per-node measurement noise). Defaults:
 RCBR sources with mean 1, sd 0.3, T_c 1; T_m = T_h/sqrt(n) (the robust

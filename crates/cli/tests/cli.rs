@@ -764,6 +764,52 @@ fn serve_bench_rejects_overlong_route_without_panicking() {
 }
 
 #[test]
+fn oversized_stars_are_rejected_without_aborting() {
+    // `Topology::star` allocates a route per leg before any `validate`
+    // runs: 10^11 legs used to abort on the allocation (exit 134) in
+    // both commands that take a topology.
+    let cases = [
+        "serve-bench --topology star:99999999999 --ticks 2",
+        "simulate --load routed --capacity 100 --holding 10 --topology star:99999999999 --ticks 5",
+    ];
+    for command in cases {
+        let args: Vec<&str> = command.split(' ').collect();
+        let start = std::time::Instant::now();
+        let out = mbacctl(&args);
+        assert_eq!(out.status.code(), Some(1), "{command}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("error: "), "{command}: {err}");
+        assert!(err.contains("legs must be <= 4096"), "{command}: {err}");
+        assert_eq!(err.lines().count(), 1, "{command}: {err}");
+        assert!(start.elapsed().as_secs() < 1, "{command} took too long");
+    }
+}
+
+/// The timing block says where the round went: the replay (`elapsed`)
+/// and the workload generation beside it, on either plane.
+#[test]
+fn serve_bench_reports_generation_beside_elapsed() {
+    let seconds = |text: &str, label: &str| -> f64 {
+        let timing = text.split("timing:").nth(1).expect("a timing block");
+        let line = timing.lines().find(|l| l.trim_start().starts_with(label));
+        let line = line.unwrap_or_else(|| panic!("no `{label}` line: {text}"));
+        let value = line.split(": ").nth(1).unwrap().trim_end_matches(" s");
+        value.parse().unwrap_or_else(|_| panic!("{line}"))
+    };
+    let links = "serve-bench --links 8 --flows-per-link 200 --ticks 3";
+    let routed = "serve-bench --topology parking-lot:3 --flows-per-route 200 --ticks 3";
+    for command in [links, routed] {
+        let args: Vec<&str> = command.split(' ').collect();
+        let out = mbacctl(&args);
+        assert!(out.status.success(), "{command}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(seconds(&text, "elapsed") > 0.0, "{command}: {text}");
+        assert!(seconds(&text, "generation") > 0.0, "{command}: {text}");
+        assert!(!decision_block(&out.stdout).contains("generation"));
+    }
+}
+
+#[test]
 fn serve_bench_rejects_nonpositive_topology_capacity_without_panicking() {
     // The shape constructors `expect` a valid capacity; the flag used
     // to reach them unchecked on the routed path.

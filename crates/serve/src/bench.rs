@@ -15,6 +15,27 @@
 //! parallelism is 1 and a threaded shape was requested — the recorded
 //! numbers are then honest serial-path figures, marked as such.
 //!
+//! # How a run is generated
+//!
+//! The serial shape never holds the run. It builds the plane once and
+//! then alternates: `mbac_sim::Windows::next_window` generates the next
+//! few ticks of events into the buffers of the window before, and the
+//! serial driver replays them ([`WINDOW_RATE_SAMPLES`] sizes a window
+//! and says why). Memory is the populations, one window and the plane,
+//! whatever the number of ticks; the estimator reads rates that were
+//! written microseconds earlier and are still in cache.
+//! [`BenchReport::elapsed_secs`] is the sum of the replay spans — two
+//! clock reads a window — so decisions per second still means replay
+//! time only, and [`BenchReport::generate_secs`] is the time in the
+//! generator between them; a round is about their sum.
+//!
+//! The threaded shape still materialises the whole run (the Session
+//! pipeline, one replication per link or route) before it starts its
+//! producers. They must be able to run ahead of the consumers, or the
+//! rings never fill and the backpressure the shape exists to measure
+//! never happens; a generator in step with the replay would hold them
+//! to its own pace.
+//!
 //! # What is stamped
 //!
 //! A latency sample costs two clock reads — `Instant::now()` where the
@@ -37,20 +58,21 @@
 //! and [`crate::routed`]'s tests.
 
 use crate::plane::{
-    certainty_equivalent_factory, check_producers, check_shards, ControllerFactory, PlaneConfig,
-    ServeError,
+    certainty_equivalent_factory, check_producers, check_shards, ControllerFactory, DecisionPlane,
+    Plane, PlaneConfig, ServeError,
 };
-use crate::replay::{replay_serial_into, replay_threaded_into, Replay, Stamps};
-use crate::routed::RoutedPlaneConfig;
-use crate::sink::Tally;
+use crate::replay::{replay_threaded_into, Replay, SerialDriver, Stamps};
+use crate::routed::{RoutedPlane, RoutedPlaneConfig};
+use crate::sink::{Replayed, Tally};
 use mbac_core::topology::Topology;
 use mbac_metrics::StreamHandle;
 use mbac_sim::{
     ConfigError, Engine, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
-    SessionBuilder,
+    Scenario, SessionBuilder, Windows,
 };
 use mbac_traffic::process::SourceModel;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Closed-loop bench configuration: workload shape plus plane shape.
 #[derive(Debug, Clone)]
@@ -169,7 +191,12 @@ pub struct BenchReport {
     pub rejected: u64,
     /// Total workload events replayed (measurements + requests).
     pub events: u64,
-    /// End-to-end replay wall time.
+    /// Time spent generating the workload: in the window generator
+    /// between the replay spans (serial), or materialising the run
+    /// before the replay (threaded).
+    pub generate_secs: f64,
+    /// Replay wall time: end to end when threaded, the sum of the
+    /// windows' replay spans when serial.
     pub elapsed_secs: f64,
     /// Sustained decision throughput.
     pub decisions_per_sec: f64,
@@ -199,6 +226,22 @@ pub struct BenchReport {
 /// where stamping each of them cost 1 024 000 × 58 ns ≈ 59 ms and, with
 /// the work the reads held up, took the replay to ~160 ms.
 pub const LATENCY_SAMPLES: u64 = 1 << 14;
+
+/// The length of a serial run's windows, in per-flow rate samples (see
+/// "How a run is generated"): a window is
+/// `WINDOW_RATE_SAMPLES / rate_samples_per_tick` ticks, at least one.
+/// 2¹⁵ samples are 256 KiB, an eighth of the development host's L2:
+/// 32 links × 50 flows = 1 600 samples a tick make `serve_links`'
+/// windows 20 ticks, parking-lot:3's 3 × 200 = 600 make `serve_routed`'s
+/// 54. Measured there, a `serve_routed` round takes 0.1175 s at 16 and
+/// at 64 ticks a window, 0.125 s at 256, 0.138 s at 1 024, 0.147 s at
+/// 4 096 and 0.178 s as one window of the whole run — what the run cost
+/// materialised: filling its 96 MB of fresh heap is 40 ms of page
+/// faults whatever the allocation grain (~0.4 ns a byte, as much as the
+/// 4 ns Gaussian draw behind each sample), and the replay then reads
+/// every rate cold. The plateau is wide on both workloads, so this is a
+/// constant and not a setting.
+pub const WINDOW_RATE_SAMPLES: usize = 1 << 15;
 
 /// The host's available parallelism (1 when undeterminable).
 pub fn host_parallelism() -> usize {
@@ -238,23 +281,62 @@ impl Shape {
         })
     }
 
-    /// Replays `workload` (`events` events) in this shape through the
-    /// plane `plane` configures, stamping the requests `stamps` takes,
-    /// and reports the tally.
-    fn replay<W: Replay>(
+    /// The threaded shape: materialises `load`'s run through the
+    /// Session pipeline, then replays it through the plane `plane`
+    /// configures, every producer stamping the requests `stamps` takes.
+    fn threaded<S>(
         self,
-        plane: W::PlaneConfig,
+        load: &S,
+        engine: Engine,
+        plane: &<S::Report as Replay>::PlaneConfig,
         make: ControllerFactory,
-        workload: &W,
-        events: u64,
         stamps: Stamps,
-    ) -> Result<BenchReport, BenchError> {
-        let replayed = if self.threaded {
-            let producers = self.producers;
-            replay_threaded_into(&plane, producers, stamps, make, workload, Tally::default)?
-        } else {
-            replay_serial_into(&plane, stamps, make, workload, Tally::default())?
-        };
+    ) -> Result<BenchReport, BenchError>
+    where
+        S: Scenario + Sync,
+        S::Report: Replay,
+    {
+        let start = Instant::now();
+        let workload = SessionBuilder::new().engine(engine).run(load)?;
+        let generate = start.elapsed();
+        let replayed = replay_threaded_into(
+            plane,
+            self.producers,
+            stamps,
+            make,
+            &workload,
+            Tally::default,
+        )?;
+        Ok(self.report(replayed, generate, workload.events()))
+    }
+
+    /// The serial shape: `windows`' run through `plane`, generated and
+    /// replayed a window at a time.
+    fn serial<G: Windows>(
+        self,
+        mut windows: G,
+        plane: Plane<<G::Workload as Replay>::Logic>,
+        stamps: Stamps,
+    ) -> BenchReport
+    where
+        G::Workload: Replay,
+    {
+        let ticks = (WINDOW_RATE_SAMPLES / windows.rate_samples_per_tick()).max(1);
+        let mut driver = SerialDriver::new(plane, stamps, Tally::default());
+        let (mut generate, mut events) = (Duration::ZERO, 0);
+        loop {
+            let start = Instant::now();
+            let window = windows.next_window(ticks);
+            generate += start.elapsed();
+            let Some(window) = window else { break };
+            events += window.events();
+            driver.drive(window);
+        }
+        self.report(driver.finish(), generate, events)
+    }
+
+    /// The report of a run in this shape.
+    fn report(self, replayed: Replayed<Tally>, generate: Duration, events: u64) -> BenchReport {
         let Tally {
             decisions,
             admitted,
@@ -266,7 +348,7 @@ impl Shape {
             (latency.quantile(0.5), latency.quantile(0.99))
         };
         let elapsed_secs = replayed.elapsed.as_secs_f64();
-        Ok(BenchReport {
+        BenchReport {
             mode: if self.threaded { "threaded" } else { "serial" },
             shards: self.shards,
             producers: self.producers,
@@ -274,6 +356,7 @@ impl Shape {
             admitted,
             rejected: decisions - admitted,
             events,
+            generate_secs: generate.as_secs_f64(),
             elapsed_secs,
             decisions_per_sec: if elapsed_secs > 0.0 {
                 decisions as f64 / elapsed_secs
@@ -286,7 +369,7 @@ impl Shape {
             mean_ns: latency.mean(),
             available_parallelism: self.parallelism,
             skipped_single_core: self.skipped_single_core,
-        })
+        }
     }
 }
 
@@ -309,9 +392,9 @@ fn metrics_mode(stream: &Option<StreamHandle>) -> MetricsMode {
     }
 }
 
-/// Runs the closed-loop bench: generates the workload through the
-/// Session pipeline, replays it through the plane, and summarizes
-/// latency/throughput. The host's parallelism is injected (pass
+/// Runs the closed-loop bench: generates the workload (see "How a run
+/// is generated" in the module docs), replays it through the plane, and
+/// summarizes latency/throughput. The host's parallelism is injected (pass
 /// [`host_parallelism()`] for the real machine; tests force both the
 /// gated and ungated paths regardless of the actual host).
 pub fn closed_loop_with_parallelism(
@@ -344,8 +427,6 @@ fn closed_loop_sampling(
             seed: cfg.seed,
         },
     };
-    let workload = SessionBuilder::new().engine(cfg.engine).run(&load)?;
-
     let plane = PlaneConfig {
         shards: shape.shards,
         capacity: cfg.capacity,
@@ -353,12 +434,16 @@ fn closed_loop_sampling(
         metrics: metrics_mode(&cfg.stream),
         stream: cfg.stream.clone(),
     };
-    // `validate` has bounded the product; counting the generated
-    // requests instead is a pass over every event.
+    // Bounds the product below.
+    load.validate()?;
     let requests = (cfg.links * cfg.ticks * cfg.requests_per_tick) as u64;
     let stamps = Stamps::budgeted(requests, budget);
-    let events = workload.total_events() as u64;
-    shape.replay(plane, make, &workload, events, stamps)
+    if shape.threaded {
+        return shape.threaded(&load, cfg.engine, &plane, make, stamps);
+    }
+    let windows = load.windows(cfg.engine)?;
+    let plane = DecisionPlane::new(&plane, make)?;
+    Ok(shape.serial(windows, plane, stamps))
 }
 
 // ---------------------------------------------------------------------
@@ -460,17 +545,25 @@ fn routed_closed_loop_sampling(
             seed: cfg.seed,
         },
     };
-    let workload = SessionBuilder::new().engine(cfg.engine).run(&load)?;
-
     let plane = RoutedPlaneConfig {
         shards: shape.shards,
         ring_capacity: cfg.ring_capacity,
         metrics: metrics_mode(&cfg.stream),
         stream: cfg.stream.clone(),
     };
-    let stamps = Stamps::budgeted(workload.total_requests() as u64, budget);
-    let events = workload.total_events() as u64;
-    shape.replay(plane, make, &workload, events, stamps)
+    // Bounds the product below.
+    load.validate()?;
+    let requests = (cfg.topology.routes() * cfg.ticks * cfg.requests_per_tick) as u64;
+    let stamps = Stamps::budgeted(requests, budget);
+    if shape.threaded {
+        return shape.threaded(&load, cfg.engine, &plane, make, stamps);
+    }
+    let windows = load.windows(cfg.engine)?;
+    // The route table wants the run's seq -> route map up front, and
+    // that is a function of the configuration alone.
+    let routes = load.cfg.request_routes();
+    let plane = RoutedPlane::for_requests(&plane, &cfg.topology, &routes, make)?;
+    Ok(shape.serial(windows, plane, stamps))
 }
 
 #[cfg(test)]
@@ -622,6 +715,54 @@ mod tests {
                     sampled.mode
                 );
                 assert!(sampled.p50_ns <= sampled.p99_ns && sampled.p99_ns > 0.0);
+            }
+        }
+    }
+
+    /// Populations large enough that the run is several windows long —
+    /// 4 x 2 048 rate samples a tick make windows of 4 ticks, the
+    /// parking lot's 6 x 2 048 windows of 2, each run ending on a
+    /// shorter one — report what the same runs report materialised,
+    /// which is how the threaded shape still generates them.
+    #[test]
+    fn a_run_of_several_windows_reports_what_the_materialised_run_does() {
+        let links = BenchConfig {
+            links: 4,
+            flows_per_link: 2048,
+            requests_per_tick: 40,
+            capacity: 2100.0,
+            shards: 2,
+            ..small()
+        };
+        let routed = RoutedBenchConfig {
+            topology: Arc::new(Topology::parking_lot(3, 4200.0)),
+            flows_per_route: 2048,
+            ticks: 5,
+            requests_per_tick: 40,
+            shards: 2,
+            ..small_routed()
+        };
+        assert_eq!(WINDOW_RATE_SAMPLES / (4 * 2048), 4);
+        assert_eq!(WINDOW_RATE_SAMPLES / (6 * 2048), 2);
+        let run = |parallelism| {
+            [
+                closed_loop_with_parallelism(&links, &model(), parallelism).unwrap(),
+                routed_closed_loop_with_parallelism(&routed, &model(), parallelism).unwrap(),
+            ]
+        };
+        for (windowed, whole) in run(1).into_iter().zip(run(4)) {
+            assert_eq!((windowed.mode, whole.mode), ("serial", "threaded"));
+            assert_eq!(windowed.decisions, whole.decisions);
+            assert_eq!(windowed.admitted, whole.admitted);
+            let (admitted, decisions) = (windowed.admitted, windowed.decisions);
+            assert!(
+                0 < admitted && admitted < decisions,
+                "{admitted} of {decisions}"
+            );
+            assert_eq!(windowed.events, whole.events);
+            assert_eq!(windowed.latency_samples, whole.latency_samples);
+            for report in [windowed, whole] {
+                assert!(report.generate_secs > 0.0 && report.elapsed_secs > 0.0);
             }
         }
     }

@@ -581,19 +581,29 @@ impl Default for RoutedPlaneConfig {
 }
 
 impl RoutedPlane {
-    /// Builds a plane sized for `workload`: the route table is
-    /// pre-allocated from the workload's seq → route map, and each
-    /// shard learns the topology's capacities.
+    /// Builds a plane sized for `workload`, a whole run: its seq →
+    /// route map and its topology are what
+    /// [`RoutedPlane::for_requests`] takes.
     pub fn for_workload(
         cfg: &RoutedPlaneConfig,
         workload: &RoutedWorkload,
         make: ControllerFactory,
     ) -> Result<Self, ServeError> {
-        let topology = workload.topology();
-        let table = Arc::new(RouteTable::for_requests(
-            topology,
-            workload.request_routes(),
-        ));
+        Self::for_requests(cfg, workload.topology(), workload.request_routes(), make)
+    }
+
+    /// Builds a plane for the run whose request `seq` asks for route
+    /// `request_routes[seq]` of `topology`: the route table is
+    /// pre-allocated from that map, and each shard learns the
+    /// topology's capacities. The map is all the plane needs of the
+    /// run, which may then reach it a window at a time.
+    pub fn for_requests(
+        cfg: &RoutedPlaneConfig,
+        topology: &Arc<Topology>,
+        request_routes: &[RouteId],
+        make: ControllerFactory,
+    ) -> Result<Self, ServeError> {
+        let table = Arc::new(RouteTable::for_requests(topology, request_routes));
         let logic = || TwoPhase {
             topology: Arc::clone(topology),
             table: Arc::clone(&table),
@@ -634,9 +644,13 @@ impl Replay for RoutedWorkload {
         self.topology().routes()
     }
 
+    fn events(&self) -> u64 {
+        self.total_events() as u64
+    }
+
     fn ingest(
         &self,
-        mut stamps: Stamps,
+        stamps: &mut Stamps,
         keep: impl Fn(LinkId) -> bool,
     ) -> impl Iterator<Item = RoutedShardEvent> {
         self.canonical_events()
@@ -671,28 +685,66 @@ mod tests {
     use crate::replay::replay_serial;
     use crate::replay::tests::{
         decides_every_request, sampled_stamps_leave_decisions_alone, tally_agrees,
-        threaded_matches_serial,
+        threaded_matches_serial, windowed_matches_materialised,
     };
     use mbac_core::topology::MAX_ROUTE_HOPS;
-    use mbac_sim::{RoutedLoad, RoutedLoadConfig, SessionBuilder};
+    use mbac_sim::{Engine, RoutedLoad, RoutedLoadConfig, SessionBuilder};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
+
+    fn load_config(topology: Topology, noise_sd: f64) -> RoutedLoadConfig {
+        RoutedLoadConfig {
+            topology: Arc::new(topology),
+            flows_per_route: 5,
+            ticks: 20,
+            tick: 0.4,
+            requests_per_tick: 2,
+            mean_holding: 4.0,
+            noise_sd,
+            seed: 11,
+        }
+    }
 
     fn workload(topology: Topology, noise_sd: f64) -> RoutedWorkload {
         let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
         let load = RoutedLoad {
             model: &model,
-            cfg: RoutedLoadConfig {
-                topology: Arc::new(topology),
-                flows_per_route: 5,
-                ticks: 20,
-                tick: 0.4,
-                requests_per_tick: 2,
-                mean_holding: 4.0,
-                noise_sd,
-                seed: 11,
-            },
+            cfg: load_config(topology, noise_sd),
         };
         SessionBuilder::new().run(&load).unwrap()
+    }
+
+    /// On the star the hub carries three requests to a spoke's one, so
+    /// a window's round-robin order is not the run's: the decisions
+    /// still are.
+    #[test]
+    fn a_run_replayed_in_windows_decides_as_the_materialised_one() {
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let shapes = [
+            (Topology::single_link(7.0), 0.0),
+            (Topology::parking_lot(3, 14.0), 0.05),
+            (Topology::star(3, 12.0), 0.05),
+        ];
+        for (topology, noise_sd) in shapes {
+            for engine in [Engine::Batched, Engine::Boxed] {
+                let load = RoutedLoad {
+                    model: &model,
+                    cfg: load_config(topology.clone(), noise_sd),
+                };
+                let whole = SessionBuilder::new().engine(engine).run(&load).unwrap();
+                let cfg = RoutedReplayConfig::default();
+                let routes = load.cfg.request_routes();
+                windowed_matches_materialised(
+                    &whole,
+                    &cfg,
+                    || load.windows(engine).unwrap(),
+                    |make| {
+                        let topology = &load.cfg.topology;
+                        RoutedPlane::for_requests(&cfg.plane, topology, &routes, make).unwrap()
+                    },
+                    20,
+                );
+            }
+        }
     }
 
     #[test]
@@ -824,7 +876,8 @@ mod tests {
     fn only_the_first_hop_of_a_request_is_stamped() {
         let w = workload(Topology::parking_lot(3, 14.0), 0.0);
         let mut later_hops = 0;
-        for event in w.ingest(Stamps::ALL, |_| true) {
+        let mut all = Stamps::ALL;
+        for event in w.ingest(&mut all, |_| true) {
             if let RoutedShardEvent::Reserve { hop, enqueued, .. } = event {
                 assert_eq!(enqueued.is_some(), hop == 0, "hop {hop}");
                 later_hops += usize::from(hop > 0);

@@ -57,8 +57,8 @@ pub use network::{
 #[cfg(any(test, feature = "reference-table"))]
 pub use reference::ReferenceFlowTable;
 pub use requests::{
-    LinkEvent, RequestLoad, RequestLoadConfig, RoutedEvent, RoutedLoad, RoutedLoadConfig,
-    RoutedWorkload, ServeWorkload, MAX_WORKLOAD_ITEMS,
+    LinkEvent, RequestLoad, RequestLoadConfig, RequestWindows, RoutedEvent, RoutedLoad,
+    RoutedLoadConfig, RoutedWindows, RoutedWorkload, ServeWorkload, Windows, MAX_WORKLOAD_ITEMS,
 };
 pub use runner::{
     ContinuousConfig, ContinuousLoad, ContinuousReport, ImpulsiveConfig, ImpulsiveLoad,

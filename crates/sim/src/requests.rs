@@ -4,7 +4,7 @@
 //! The serve crate needs realistic admission traffic — links whose
 //! measured load evolves like the paper's RCBR/AR(1)/trace sources,
 //! interleaved with admission requests. [`RequestLoad`] produces exactly
-//! that by running one [`FlowTable`](crate::flows::FlowTable) per link
+//! that by running one [`FlowTable`] per link
 //! through the [`Scenario`] pipeline: each replication *is* one link,
 //! evolving `flows_per_link` flows with exponential holding-time churn
 //! and emitting, per measurement tick, one [`LinkEvent::Measure`]
@@ -24,6 +24,18 @@
 //! `rep_seed` determinism contract), so the serve invariance tests can
 //! generate their streams in parallel without weakening the comparison.
 //!
+//! # Windows
+//!
+//! A run need not exist in memory at once. [`RequestLoad::windows`] and
+//! [`RoutedLoad::windows`] generate it a window of ticks at a time
+//! ([`Windows::next_window`]), each window written over the buffers of
+//! the one before: times and `seq` run on across windows, every
+//! population and noise stream carries on where the last window left
+//! it, and a link's windows, laid end to end, are its stream in the
+//! materialised workload, bit for bit. The `Scenario`s are written on
+//! the same per-tick generator — one window as long as the run *is*
+//! the materialised workload — so the two cannot drift.
+//!
 //! # Ordering contract
 //!
 //! The scientific content of a workload is **per-link order**: each
@@ -32,13 +44,21 @@
 //! deliberately unspecified — the decision plane is free to interleave
 //! links arbitrarily (that is the whole point of sharding), and
 //! [`ServeWorkload::canonical_events`] provides one fixed round-robin
-//! merge as the serial-reference order. Routed workloads add one more
-//! guarantee the two-phase commit relies on: each link's `Request`
-//! occurrences are strictly increasing in `seq`.
+//! merge as the serial-reference order. That merge is **per window**:
+//! where links carry unequal numbers of events a tick (a star's hub
+//! against its spokes), a run replayed in windows visits the links in
+//! another cross-link order than the same run materialised — and
+//! decides the same, because no decision reads anything but per-link
+//! order. Routed workloads add one more guarantee the two-phase commit
+//! relies on: each link's `Request` occurrences are strictly increasing
+//! in `seq`, and every hop's occurrence of one request lies in the same
+//! tick, hence the same window — no reserve is left waiting at a
+//! window's end.
 
+use crate::flows::FlowTable;
 use crate::session::{
-    require_finite, require_non_negative, require_positive, require_step, ConfigError, RepContext,
-    Scenario,
+    rep_seed, require_finite, require_non_negative, require_positive, require_step, ConfigError,
+    Engine, RepContext, Scenario,
 };
 use crate::telemetry::MetricsSink;
 use mbac_core::topology::{LinkId, RouteId, Topology};
@@ -166,42 +186,155 @@ fn require_workload_fits(what: &'static str, factors: [usize; 3]) -> Result<(), 
         })
 }
 
-/// One per-tick churn step shared by [`RequestLoad`] and
-/// [`RoutedLoad`]: the exact sequence of table/RNG operations is the
-/// compatibility contract — a single-link routed workload must consume
-/// the identical random stream and therefore produce bit-identical
-/// rate snapshots.
-fn evolve_rate_snapshots(
-    model: &dyn SourceModel,
+/// One churned flow population — a link's in [`RequestLoad`], a
+/// route's in [`RoutedLoad`] — taken from tick to tick. The exact
+/// sequence of table/RNG operations is the compatibility contract: a
+/// single-link routed workload must consume the identical random stream
+/// and therefore produce bit-identical rate snapshots, and a run
+/// generated in windows the bits of the materialised one.
+struct Population<'a> {
+    model: &'a dyn SourceModel,
     flows: usize,
-    ticks: usize,
-    tick: f64,
     mean_holding: f64,
-    ctx: &RepContext,
-) -> Vec<Box<[f64]>> {
-    let mut rng = ctx.rng();
-    let mut table = ctx.table();
-    let mut snap = ctx.scratch_rates();
-    // Seed population with exponential residual holding times.
-    for _ in 0..flows {
-        let hold = exponential(&mut rng, mean_holding);
-        table.admit(model, hold, &mut rng);
+    rng: StdRng,
+    table: FlowTable,
+}
+
+impl<'a> Population<'a> {
+    /// `flows` flows with exponential residual holding times, on
+    /// `ctx`'s stream and engine.
+    fn new(model: &'a dyn SourceModel, flows: usize, mean_holding: f64, ctx: &RepContext) -> Self {
+        let mut rng = ctx.rng();
+        let mut table = ctx.table();
+        for _ in 0..flows {
+            let hold = exponential(&mut rng, mean_holding);
+            table.admit(model, hold, &mut rng);
+        }
+        Population {
+            model,
+            flows,
+            mean_holding,
+            rng,
+            table,
+        }
     }
-    let mut out = Vec::with_capacity(ticks);
-    for step in 1..=ticks {
-        let now = step as f64 * tick;
-        table.advance_to(now, &mut rng);
-        table.depart_until(now);
+
+    /// Takes the population to the tick at `now` and writes its
+    /// per-flow rates there to `rates` (cleared first).
+    fn step_to(&mut self, now: f64, rates: &mut Vec<f64>) {
+        self.table.advance_to(now, &mut self.rng);
+        self.table.depart_until(now);
         // Churn: top the population back up, so the measured link
         // carries fresh flows but a stable occupancy.
-        while table.len() < flows {
-            let hold = exponential(&mut rng, mean_holding);
-            table.admit(model, now + hold, &mut rng);
+        while self.table.len() < self.flows {
+            let hold = exponential(&mut self.rng, self.mean_holding);
+            self.table.admit(self.model, now + hold, &mut self.rng);
         }
-        table.snapshot_into(&mut snap);
-        out.push(snap.as_slice().into());
+        self.table.snapshot_into(rates);
     }
-    out
+}
+
+/// The context the Session pipeline hands replication `rep` of a
+/// scenario seeded `seed`: what the window generators, which step every
+/// population on the calling thread, build each one from.
+fn rep_context(seed: u64, rep: usize, engine: Engine) -> RepContext {
+    RepContext {
+        rep: rep as u64,
+        seed: rep_seed(seed, rep as u64),
+        engine,
+    }
+}
+
+/// What both event types have in common: the measurement, whose `rates`
+/// buffer one window hands on to the next.
+trait WindowEvent: Sized {
+    /// A measurement event.
+    fn measure(t: f64, rates: Box<[f64]>) -> Self;
+    /// A measurement's buffer, taken out of it; `None` of a request.
+    fn take_rates(&mut self) -> Option<Box<[f64]>>;
+}
+
+impl WindowEvent for LinkEvent {
+    fn measure(t: f64, rates: Box<[f64]>) -> Self {
+        LinkEvent::Measure { t, rates }
+    }
+    fn take_rates(&mut self) -> Option<Box<[f64]>> {
+        match self {
+            LinkEvent::Measure { rates, .. } => Some(std::mem::take(rates)),
+            LinkEvent::Request { .. } => None,
+        }
+    }
+}
+
+impl WindowEvent for RoutedEvent {
+    fn measure(t: f64, rates: Box<[f64]>) -> Self {
+        RoutedEvent::Measure { t, rates }
+    }
+    fn take_rates(&mut self) -> Option<Box<[f64]>> {
+        match self {
+            RoutedEvent::Measure { rates, .. } => Some(std::mem::take(rates)),
+            RoutedEvent::Request { .. } => None,
+        }
+    }
+}
+
+/// One link's event stream being written: from the front, over whatever
+/// the vector held (the previous window), which is cut off behind the
+/// last event written when the writer drops. On an empty vector that is
+/// a plain sequence of pushes — the materialised workload.
+struct Refill<'w, E> {
+    events: &'w mut Vec<E>,
+    at: usize,
+}
+
+impl<'w, E: WindowEvent> Refill<'w, E> {
+    fn new(events: &'w mut Vec<E>) -> Self {
+        Refill { events, at: 0 }
+    }
+
+    fn put(&mut self, event: E) {
+        match self.events.get_mut(self.at) {
+            Some(slot) => *slot = event,
+            None => self.events.push(event),
+        }
+        self.at += 1;
+    }
+
+    /// Writes a measurement at `t` of the rates `fill` appends to the
+    /// empty vector it is handed: the buffer of the measurement
+    /// overwritten, if it is one. Windows of one shape have their
+    /// measurements in the same places and of the same lengths, so from
+    /// the second on no window allocates for rates, and the estimator
+    /// reads them from the addresses the previous window left in cache.
+    fn put_measure(&mut self, t: f64, fill: impl FnOnce(&mut Vec<f64>)) {
+        let recycled = self.events.get_mut(self.at).and_then(E::take_rates);
+        let mut rates = recycled.map_or_else(Vec::new, Vec::from);
+        rates.clear();
+        fill(&mut rates);
+        // No reallocation when `fill` reserved exactly what it appended
+        // (and none at all on a recycled buffer of that length).
+        self.put(E::measure(t, rates.into_boxed_slice()));
+    }
+}
+
+impl<E> Drop for Refill<'_, E> {
+    fn drop(&mut self) {
+        self.events.truncate(self.at);
+    }
+}
+
+/// A run generated a window of ticks at a time (see the module docs).
+pub trait Windows {
+    /// What a window is: the workload of its ticks.
+    type Workload;
+
+    /// Rate samples the links' measurements hold per tick — what a
+    /// caller sizes its windows by.
+    fn rate_samples_per_tick(&self) -> usize;
+
+    /// Generates the next `ticks` ticks (fewer at the end of the run)
+    /// over the previous window; `None` once the run is complete.
+    fn next_window(&mut self, ticks: usize) -> Option<&Self::Workload>;
 }
 
 /// The request-stream scenario: replication `r` generates link `r`'s
@@ -247,27 +380,88 @@ impl Scenario for RequestLoad<'_> {
 
     fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> Vec<LinkEvent> {
         let cfg = &self.cfg;
-        let snapshots = evolve_rate_snapshots(
-            self.model,
-            cfg.flows_per_link,
-            cfg.ticks,
-            cfg.tick,
-            cfg.mean_holding,
-            ctx,
-        );
         let mut events = Vec::with_capacity(cfg.ticks * (1 + cfg.requests_per_tick));
-        for (step, rates) in snapshots.into_iter().enumerate() {
-            let now = (step + 1) as f64 * cfg.tick;
-            events.push(LinkEvent::Measure { t: now, rates });
-            for _ in 0..cfg.requests_per_tick {
-                events.push(LinkEvent::Request { t: now });
-            }
-        }
+        self.link_ticks(&mut self.population(ctx), 1..=cfg.ticks, &mut events);
         events
     }
 
     fn fold(&self, reps: Vec<Vec<LinkEvent>>) -> ServeWorkload {
         ServeWorkload { per_link: reps }
+    }
+}
+
+impl<'a> RequestLoad<'a> {
+    fn population(&self, ctx: &RepContext) -> Population<'a> {
+        let cfg = &self.cfg;
+        Population::new(self.model, cfg.flows_per_link, cfg.mean_holding, ctx)
+    }
+
+    /// Writes one link's ticks `steps` (1-based, run-global) to
+    /// `events`: per tick, the measurement of `link`'s population there,
+    /// then the tick's requests.
+    fn link_ticks(
+        &self,
+        link: &mut Population,
+        steps: std::ops::RangeInclusive<usize>,
+        events: &mut Vec<LinkEvent>,
+    ) {
+        let mut out = Refill::new(events);
+        for step in steps {
+            let now = step as f64 * self.cfg.tick;
+            out.put_measure(now, |rates| link.step_to(now, rates));
+            for _ in 0..self.cfg.requests_per_tick {
+                out.put(LinkEvent::Request { t: now });
+            }
+        }
+    }
+
+    /// The run as successive windows, generated on `engine`: validates
+    /// the configuration as a session would, and seeds every link's
+    /// population on the stream a session gives its replication.
+    pub fn windows(&self, engine: Engine) -> Result<RequestWindows<'_>, ConfigError> {
+        self.validate()?;
+        let links = self.cfg.links;
+        Ok(RequestWindows {
+            load: self,
+            links: (0..links)
+                .map(|link| self.population(&rep_context(self.cfg.seed, link, engine)))
+                .collect(),
+            done: 0,
+            window: ServeWorkload {
+                per_link: (0..links).map(|_| Vec::new()).collect(),
+            },
+        })
+    }
+}
+
+/// [`RequestLoad`]'s run, a window at a time.
+pub struct RequestWindows<'a> {
+    load: &'a RequestLoad<'a>,
+    links: Vec<Population<'a>>,
+    /// Ticks generated so far.
+    done: usize,
+    window: ServeWorkload,
+}
+
+impl Windows for RequestWindows<'_> {
+    type Workload = ServeWorkload;
+
+    fn rate_samples_per_tick(&self) -> usize {
+        self.load.cfg.links * self.load.cfg.flows_per_link
+    }
+
+    fn next_window(&mut self, ticks: usize) -> Option<&ServeWorkload> {
+        let ticks = ticks.min(self.load.cfg.ticks - self.done);
+        if ticks == 0 {
+            return None;
+        }
+        let steps = self.done + 1..=self.done + ticks;
+        // Links share nothing, so each takes its whole window in turn.
+        for (link, events) in self.links.iter_mut().zip(&mut self.window.per_link) {
+            self.load.link_ticks(link, steps.clone(), events);
+        }
+        self.done += ticks;
+        Some(&self.window)
     }
 }
 
@@ -346,6 +540,32 @@ impl RoutedLoadConfig {
             seed: cfg.seed,
         }
     }
+
+    /// The route of every request of the run, indexed by `seq`: each
+    /// tick, each route in turn asks `requests_per_tick` times. What a
+    /// decision plane's route table is sized from when the run itself
+    /// is generated in windows.
+    pub fn request_routes(&self) -> Vec<RouteId> {
+        let per_tick = self.topology.routes() * self.requests_per_tick;
+        let mut routes = Vec::with_capacity(self.ticks * per_tick);
+        for _ in 0..self.ticks {
+            routes.extend(self.tick_requests());
+        }
+        routes
+    }
+
+    /// The routes of one tick's requests, in `seq` order.
+    fn tick_requests(&self) -> impl Iterator<Item = RouteId> + '_ {
+        let asks = |route| std::iter::repeat_n(route, self.requests_per_tick);
+        self.topology.route_ids().flat_map(asks)
+    }
+
+    /// Hop occurrences over all routes: how many (route, link) pairs
+    /// contribute a route's flows to a link's measurement.
+    fn hops(&self) -> usize {
+        let topo = &self.topology;
+        topo.route_ids().map(|r| topo.route(r).len()).sum()
+    }
 }
 
 /// The generated routed workload: per-link event streams over a shared
@@ -375,7 +595,10 @@ impl RoutedWorkload {
     }
 
     /// The route of each request, indexed by `seq` — the total number
-    /// of admission requests is this slice's length.
+    /// of admission requests is this slice's length. A window's slice
+    /// starts at the window's first `seq`; the run's map is the
+    /// windows' slices end to end, which
+    /// [`RoutedLoadConfig::request_routes`] gives without generating.
     pub fn request_routes(&self) -> &[RouteId] {
         &self.request_routes
     }
@@ -454,8 +677,7 @@ impl Scenario for RoutedLoad<'_> {
         // per request of each route crossing it; its measurement, the
         // flows of each of those routes.
         let cfg = &self.cfg;
-        let topo = &cfg.topology;
-        let hops: usize = topo.route_ids().map(|r| topo.route(r).len()).sum();
+        let (topo, hops) = (&cfg.topology, cfg.hops());
         let per_tick = cfg.requests_per_tick.saturating_add(1);
         require_workload_fits("events", [hops.max(topo.links()), cfg.ticks, per_tick])?;
         require_workload_fits("rate samples", [hops, cfg.ticks, cfg.flows_per_route])?;
@@ -471,77 +693,180 @@ impl Scenario for RoutedLoad<'_> {
     }
 
     fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> Vec<Box<[f64]>> {
-        let cfg = &self.cfg;
-        evolve_rate_snapshots(
-            self.model,
-            cfg.flows_per_route,
-            cfg.ticks,
-            cfg.tick,
-            cfg.mean_holding,
-            ctx,
-        )
+        let mut route = self.population(ctx);
+        (1..=self.cfg.ticks)
+            .map(|step| {
+                let mut rates = Vec::new();
+                route.step_to(step as f64 * self.cfg.tick, &mut rates);
+                rates.into_boxed_slice()
+            })
+            .collect()
     }
 
     fn fold(&self, reps: Vec<Vec<Box<[f64]>>>) -> RoutedWorkload {
         let cfg = &self.cfg;
         let topo = &cfg.topology;
-        // One independent noise stream per link: the same flow measured
-        // at two nodes sees different noise (per-node measurement
-        // error), deterministically derived from the workload seed.
-        let mut noise: Vec<StdRng> = topo
-            .link_ids()
-            .map(|l| {
-                StdRng::seed_from_u64(crate::session::rep_seed(
-                    cfg.seed ^ NOISE_STREAM_SALT,
-                    l.as_u64(),
-                ))
-            })
-            .collect();
-        let mut per_link: Vec<Vec<RoutedEvent>> = (0..topo.links())
-            .map(|_| Vec::with_capacity(cfg.ticks * (1 + cfg.requests_per_tick)))
-            .collect();
-        let mut request_routes =
-            Vec::with_capacity(cfg.ticks * cfg.requests_per_tick * topo.routes());
-        let mut seq = 0u64;
+        let mut workload = RoutedWorkload {
+            topology: Arc::clone(topo),
+            per_link: (0..topo.links())
+                .map(|_| Vec::with_capacity(cfg.ticks * (1 + cfg.requests_per_tick)))
+                .collect(),
+            request_routes: Vec::with_capacity(cfg.ticks * cfg.requests_per_tick * topo.routes()),
+        };
+        let mut assembly = LinkAssembly::new(cfg);
+        let mut links: Vec<_> = workload.per_link.iter_mut().map(Refill::new).collect();
         for step in 1..=cfg.ticks {
-            let now = step as f64 * cfg.tick;
-            // Measurements: each link sees the union of its crossing
-            // routes' flows (correlated load), through its own noise.
-            for link in topo.link_ids() {
-                let crossing = || {
-                    topo.routes_crossing(link)
-                        .map(|route| &reps[route.index()][step - 1])
-                };
-                // Exact length: `rates.into()` below then keeps the
-                // allocation instead of shrinking it.
-                let mut rates: Vec<f64> = Vec::with_capacity(crossing().map(|r| r.len()).sum());
+            assembly.tick(
+                cfg,
+                step as f64 * cfg.tick,
+                |route| &reps[route.index()][step - 1],
+                &mut links,
+                &mut workload.request_routes,
+            );
+        }
+        drop(links);
+        workload
+    }
+}
+
+/// The running state of the per-link assembly: each link's noise
+/// stream, and the `seq` of the next request.
+struct LinkAssembly {
+    noise: Vec<StdRng>,
+    seq: u64,
+}
+
+impl LinkAssembly {
+    /// One independent noise stream per link: the same flow measured at
+    /// two nodes sees different noise (per-node measurement error),
+    /// deterministically derived from the workload seed.
+    fn new(cfg: &RoutedLoadConfig) -> Self {
+        let noise = |link: LinkId| {
+            StdRng::seed_from_u64(rep_seed(cfg.seed ^ NOISE_STREAM_SALT, link.as_u64()))
+        };
+        LinkAssembly {
+            noise: cfg.topology.link_ids().map(noise).collect(),
+            seq: 0,
+        }
+    }
+
+    /// Writes the tick at `now` to every link's stream, from the rates
+    /// `rates_of` each route's population has there, and its requests'
+    /// routes to `request_routes`.
+    fn tick<'r>(
+        &mut self,
+        cfg: &RoutedLoadConfig,
+        now: f64,
+        rates_of: impl Fn(RouteId) -> &'r [f64],
+        links: &mut [Refill<RoutedEvent>],
+        request_routes: &mut Vec<RouteId>,
+    ) {
+        let topo = &cfg.topology;
+        // Measurements: each link sees the union of its crossing
+        // routes' flows (correlated load), through its own noise.
+        for link in topo.link_ids() {
+            let crossing = || topo.routes_crossing(link).map(&rates_of);
+            let noise = &mut self.noise[link.index()];
+            links[link.index()].put_measure(now, |rates| {
+                rates.reserve_exact(crossing().map(<[f64]>::len).sum());
                 for route_rates in crossing() {
                     rates.extend_from_slice(route_rates);
                 }
-                add_measurement_noise(&mut rates, cfg.noise_sd, &mut noise[link.index()]);
-                per_link[link.index()].push(RoutedEvent::Measure {
-                    t: now,
-                    rates: rates.into(),
-                });
-            }
-            // Requests: one occurrence per hop, shared seq, emitted in
-            // seq order on every link (the two-phase commit's
-            // monotonicity invariant).
-            for route in topo.route_ids() {
-                for _ in 0..cfg.requests_per_tick {
-                    for &hop in topo.route(route) {
-                        per_link[hop.index()].push(RoutedEvent::Request { t: now, route, seq });
-                    }
-                    request_routes.push(route);
-                    seq += 1;
-                }
-            }
+                add_measurement_noise(rates, cfg.noise_sd, noise);
+            });
         }
-        RoutedWorkload {
-            topology: Arc::clone(topo),
-            per_link,
-            request_routes,
+        // Requests: one occurrence per hop, shared seq, emitted in
+        // seq order on every link (the two-phase commit's
+        // monotonicity invariant).
+        for route in cfg.tick_requests() {
+            let seq = self.seq;
+            for &hop in topo.route(route) {
+                links[hop.index()].put(RoutedEvent::Request { t: now, route, seq });
+            }
+            request_routes.push(route);
+            self.seq += 1;
         }
+    }
+}
+
+impl<'a> RoutedLoad<'a> {
+    fn population(&self, ctx: &RepContext) -> Population<'a> {
+        let cfg = &self.cfg;
+        Population::new(self.model, cfg.flows_per_route, cfg.mean_holding, ctx)
+    }
+
+    /// The run as successive windows, generated on `engine`: validates
+    /// the configuration as a session would, seeds every route's
+    /// population on the stream a session gives its replication and
+    /// every link's noise on the stream the fold gives it.
+    pub fn windows(&self, engine: Engine) -> Result<RoutedWindows<'_>, ConfigError> {
+        self.validate()?;
+        let cfg = &self.cfg;
+        let topo = &cfg.topology;
+        Ok(RoutedWindows {
+            load: self,
+            routes: (0..topo.routes())
+                .map(|route| self.population(&rep_context(cfg.seed, route, engine)))
+                .collect(),
+            rates: vec![Vec::new(); topo.routes()],
+            assembly: LinkAssembly::new(cfg),
+            done: 0,
+            window: RoutedWorkload {
+                topology: Arc::clone(topo),
+                per_link: (0..topo.links()).map(|_| Vec::new()).collect(),
+                request_routes: Vec::new(),
+            },
+        })
+    }
+}
+
+/// [`RoutedLoad`]'s run, a window at a time: `seq` and the noise
+/// streams run on from window to window.
+pub struct RoutedWindows<'a> {
+    load: &'a RoutedLoad<'a>,
+    routes: Vec<Population<'a>>,
+    /// Each route's rates at the tick being assembled.
+    rates: Vec<Vec<f64>>,
+    assembly: LinkAssembly,
+    /// Ticks generated so far.
+    done: usize,
+    window: RoutedWorkload,
+}
+
+impl Windows for RoutedWindows<'_> {
+    type Workload = RoutedWorkload;
+
+    fn rate_samples_per_tick(&self) -> usize {
+        self.load.cfg.hops() * self.load.cfg.flows_per_route
+    }
+
+    fn next_window(&mut self, ticks: usize) -> Option<&RoutedWorkload> {
+        let cfg = &self.load.cfg;
+        let ticks = ticks.min(cfg.ticks - self.done);
+        if ticks == 0 {
+            return None;
+        }
+        self.window.request_routes.clear();
+        let mut links: Vec<_> = self.window.per_link.iter_mut().map(Refill::new).collect();
+        // A link's measurement joins its routes' rates at one tick, so
+        // the routes go from tick to tick together.
+        for step in self.done + 1..=self.done + ticks {
+            let now = step as f64 * cfg.tick;
+            for (route, rates) in self.routes.iter_mut().zip(&mut self.rates) {
+                route.step_to(now, rates);
+            }
+            let rates = &self.rates;
+            self.assembly.tick(
+                cfg,
+                now,
+                |route| &rates[route.index()],
+                &mut links,
+                &mut self.window.request_routes,
+            );
+        }
+        drop(links);
+        self.done += ticks;
+        Some(&self.window)
     }
 }
 
@@ -550,6 +875,7 @@ mod tests {
     use super::*;
     use crate::session::SessionBuilder;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
+    use proptest::prelude::*;
 
     fn config() -> RequestLoadConfig {
         RequestLoadConfig {
@@ -893,6 +1219,167 @@ mod tests {
         };
         assert_eq!(validate(&sized(ticks)), Ok(()));
         assert_eq!(validate(&sized(ticks + 1)), too_large("events"));
+    }
+
+    // -- windows ---------------------------------------------------------
+
+    /// Every link's events over a run generated `window` ticks at a
+    /// time, end to end, with how many windows that took.
+    fn end_to_end<G: Windows, E: Clone>(
+        mut windows: G,
+        window: usize,
+        links: usize,
+        events: impl Fn(&G::Workload, LinkId) -> &[E],
+        mut each: impl FnMut(&G::Workload),
+    ) -> (Vec<Vec<E>>, usize) {
+        let mut per_link = vec![Vec::new(); links];
+        let mut count = 0;
+        while let Some(w) = windows.next_window(window) {
+            for (link, all) in per_link.iter_mut().enumerate() {
+                all.extend_from_slice(events(w, LinkId(link as u32)));
+            }
+            each(w);
+            count += 1;
+        }
+        (per_link, count)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// A link's windows, end to end, are its stream in the
+        /// materialised workload — every rate bit, `t`, `route` and
+        /// `seq` — and the windows' request routes the run's, for
+        /// windows of one tick, of a few, of the whole run and longer
+        /// than it, on both engines. The star's hub carries three
+        /// requests to a spoke's one, so there a window's round-robin
+        /// order is not the run's.
+        #[test]
+        fn windows_end_to_end_are_the_materialised_workload(
+            seed in 0u64..1_000_000,
+            ticks in 1usize..20,
+            flows in 2usize..8,
+            requests_per_tick in 0usize..4,
+        ) {
+            let m = model();
+            for engine in [Engine::Batched, Engine::Boxed] {
+                let cfg = RequestLoadConfig {
+                    links: 3,
+                    flows_per_link: flows,
+                    ticks,
+                    requests_per_tick,
+                    seed,
+                    ..config()
+                };
+                let load = RequestLoad { model: &m, cfg };
+                let whole = SessionBuilder::new().engine(engine).run(&load).unwrap();
+                for window in [1, 7, ticks, ticks + 5] {
+                    let windows = load.windows(engine).unwrap();
+                    prop_assert_eq!(windows.rate_samples_per_tick(), 3 * flows);
+                    let (per_link, count) =
+                        end_to_end(windows, window, 3, ServeWorkload::events, |_| {});
+                    prop_assert_eq!(count, ticks.div_ceil(window));
+                    for link in whole.link_ids() {
+                        prop_assert_eq!(&per_link[link.index()][..], whole.events(link));
+                    }
+                }
+                let shapes = [
+                    Topology::single_link(8.0),
+                    Topology::parking_lot(3, 8.0),
+                    Topology::star(3, 8.0),
+                ];
+                for topology in shapes {
+                    for noise_sd in [0.0, 0.05] {
+                        let cfg = RoutedLoadConfig {
+                            flows_per_route: flows,
+                            ticks,
+                            requests_per_tick,
+                            noise_sd,
+                            seed,
+                            ..routed_config(topology.clone())
+                        };
+                        let load = RoutedLoad { model: &m, cfg };
+                        let whole = SessionBuilder::new().engine(engine).run(&load).unwrap();
+                        prop_assert_eq!(&load.cfg.request_routes()[..], whole.request_routes());
+                        for window in [1, 7, ticks, ticks + 5] {
+                            let windows = load.windows(engine).unwrap();
+                            let mut routes = Vec::new();
+                            let (per_link, _) = end_to_end(
+                                windows,
+                                window,
+                                topology.links(),
+                                RoutedWorkload::events,
+                                |w| routes.extend_from_slice(w.request_routes()),
+                            );
+                            for link in topology.link_ids() {
+                                prop_assert_eq!(&per_link[link.index()][..], whole.events(link));
+                            }
+                            prop_assert_eq!(&routes[..], whole.request_routes());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// From the second window on nothing is allocated for rates: every
+    /// measurement is written into the buffer of the measurement in its
+    /// place a window earlier — also in a last, shorter window.
+    #[test]
+    fn a_second_window_reuses_the_first_ones_rate_buffers() {
+        fn buffers<'w, E: 'w>(
+            streams: impl Iterator<Item = &'w [E]>,
+            rates: impl Fn(&E) -> Option<&[f64]>,
+        ) -> Vec<Vec<*const f64>> {
+            let of_measure = |e: &E| rates(e).map(<[f64]>::as_ptr);
+            streams
+                .map(|events| events.iter().filter_map(of_measure).collect())
+                .collect()
+        }
+        fn reused(per_window: &[Vec<Vec<*const f64>>], lens: [usize; 3]) {
+            let [first, second, last] = per_window else {
+                panic!("{} windows", per_window.len());
+            };
+            assert_eq!(first, second);
+            for (link, (first, last)) in first.iter().zip(last).enumerate() {
+                assert_eq!(first.len(), lens[0], "link {link}");
+                assert_eq!(last[..], first[..lens[2]], "link {link}");
+            }
+        }
+        let m = model();
+        let load = RequestLoad {
+            model: &m,
+            cfg: config(),
+        };
+        let mut windows = load.windows(Engine::Batched).unwrap();
+        let mut per_window = Vec::new();
+        while let Some(w) = windows.next_window(8) {
+            let streams = w.link_ids().map(|link| w.events(link));
+            per_window.push(buffers(streams, |e| match e {
+                LinkEvent::Measure { rates, .. } => Some(rates),
+                LinkEvent::Request { .. } => None,
+            }));
+        }
+        reused(&per_window, [8, 8, 4]);
+
+        let topo = Topology::star(3, 8.0);
+        let load = RoutedLoad {
+            model: &m,
+            cfg: RoutedLoadConfig {
+                ticks: 20,
+                ..routed_config(topo.clone())
+            },
+        };
+        let mut windows = load.windows(Engine::Batched).unwrap();
+        let mut per_window = Vec::new();
+        while let Some(w) = windows.next_window(8) {
+            let streams = topo.link_ids().map(|link| w.events(link));
+            per_window.push(buffers(streams, |e| match e {
+                RoutedEvent::Measure { rates, .. } => Some(rates),
+                RoutedEvent::Request { .. } => None,
+            }));
+        }
+        reused(&per_window, [8, 8, 4]);
     }
 
     /// Per-node noise decorrelates the measurements two links take of
