@@ -196,9 +196,7 @@ fn run_continuous_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
     let n = capacity / model.mean();
     let t_h_tilde = holding / n.sqrt();
     let t_m = args.f64_or("t-m", t_h_tilde)?;
-    if t_m < 0.0 {
-        return Err(ArgError("--t-m must be >= 0".into()));
-    }
+    require_stats(&[], ("t-m", t_m))?;
 
     let mut ctl = MbacController::new(
         Box::new(FilteredEstimator::new(t_m)),
@@ -343,9 +341,7 @@ fn run_poisson_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
     let n = (capacity / model.mean()).max(1.0);
     let t_h_tilde = holding / n.sqrt();
     let t_m = args.f64_or("t-m", t_h_tilde)?;
-    if t_m < 0.0 {
-        return Err(ArgError("--t-m must be >= 0".into()));
-    }
+    require_stats(&[], ("t-m", t_m))?;
     let mut ctl = MbacController::new(
         Box::new(FilteredEstimator::new(t_m)),
         Box::new(CertaintyEquivalent::from_probability(p_ce)),
@@ -412,9 +408,7 @@ fn run_routed_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
     let n = (capacity / model.mean()).max(1.0);
     let t_h_tilde = holding / n.sqrt();
     let t_m = args.f64_or("t-m", t_h_tilde)?;
-    if t_m < 0.0 {
-        return Err(ArgError("--t-m must be >= 0".into()));
-    }
+    require_stats(&[], ("t-m", t_m))?;
     let noise_sd = args.f64_or("noise-sd", 0.0)?;
     if noise_sd < 0.0 {
         return Err(ArgError("--noise-sd must be >= 0".into()));

@@ -405,6 +405,46 @@ fn simulate_impulsive_small_run_reports_result() {
 }
 
 #[test]
+fn simulate_poisson_rejects_unbounded_arrival_rates_without_panicking_or_hanging() {
+    // `inf` used to panic on a zero mean inter-arrival time (exit 101);
+    // `1e300` ran an arrival at every float step, for ever.
+    let cases = [
+        ("inf", "arrival rate must be finite, got inf"),
+        (
+            "1e300",
+            "the workload would hold more than 268435456 expected arrivals",
+        ),
+    ];
+    for (lambda, want) in cases {
+        let start = std::time::Instant::now();
+        let out = mbacctl(&[
+            "simulate",
+            "--capacity",
+            "50",
+            "--load",
+            "poisson",
+            "--lambda",
+            lambda,
+            "--holding",
+            "10",
+            "--samples",
+            "2",
+        ]);
+        assert_eq!(out.status.code(), Some(1), "--lambda {lambda}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error: invalid configuration: ") && err.contains(want),
+            "--lambda {lambda}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "--lambda {lambda}: {err}");
+        assert!(
+            start.elapsed().as_secs() < 1,
+            "--lambda {lambda} took too long"
+        );
+    }
+}
+
+#[test]
 fn simulate_poisson_small_run_reports_result() {
     let out = mbacctl(&[
         "simulate",
@@ -858,7 +898,29 @@ fn non_finite_source_statistics_are_rejected_without_panicking() {
     const THEORY_TH: &[&str] = &["theory", "--cov", "0.3", "--t-c", "1"];
     const THEORY_TC: &[&str] = &["theory", "--cov", "0.3", "--th-tilde", "10"];
     const THEORY_TM: &[&str] = &["theory", "--cov", "0.3", "--th-tilde", "10", "--t-c", "1"];
-    let cases: [(&[&str], &[&str], &str); 18] = [
+    const POISSON: &[&str] = &[
+        "simulate",
+        "--load",
+        "poisson",
+        "--capacity",
+        "50",
+        "--lambda",
+        "0.5",
+        "--holding",
+        "20",
+    ];
+    const SIM_ROUTED: &[&str] = &[
+        "simulate",
+        "--load",
+        "routed",
+        "--capacity",
+        "50",
+        "--holding",
+        "20",
+        "--ticks",
+        "5",
+    ];
+    let cases: [(&[&str], &[&str], &str); 24] = [
         (SERVE, &["--mean", "nan"], "mean must be positive"),
         (SERVE, &["--mean", "inf"], "mean must be finite"),
         (SERVE, &["--sd", "nan"], "sd must be non-negative"),
@@ -885,6 +947,14 @@ fn non_finite_source_statistics_are_rejected_without_panicking() {
             "noise standard deviation must be finite",
         ),
         (SERVE, &["--capacity", "inf"], "capacity must be finite"),
+        // `FilteredEstimator::new` asserts on T_m: on this thread for
+        // the continuous and Poisson loads, on a pool worker for routed.
+        (SIM, &["--t-m", "inf"], "t-m must be finite"),
+        (SIM, &["--t-m", "nan"], "t-m must be non-negative"),
+        (POISSON, &["--t-m", "inf"], "t-m must be finite"),
+        (POISSON, &["--t-m", "nan"], "t-m must be non-negative"),
+        (SIM_ROUTED, &["--t-m", "inf"], "t-m must be finite"),
+        (SIM_ROUTED, &["--t-m", "nan"], "t-m must be non-negative"),
     ];
     for (base, flags, want) in cases {
         let args = [base, flags].concat();

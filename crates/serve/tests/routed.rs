@@ -242,7 +242,7 @@ fn legacy_cfg(links: usize) -> RequestLoadConfig {
         tick: 0.3,
         requests_per_tick: 3,
         mean_holding: 4.0,
-        seed: 42,
+        seed: 44,
     }
 }
 

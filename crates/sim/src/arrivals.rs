@@ -12,6 +12,7 @@
 use crate::controller::AdmissionEngine;
 use crate::events::EventQueue;
 use crate::metrics::{OverflowMeter, PfEstimate, StopReason};
+use crate::requests::MAX_WORKLOAD_ITEMS;
 use crate::session::{
     require_finite, require_non_negative, require_positive, require_step, ConfigError, RepContext,
     Scenario,
@@ -104,13 +105,27 @@ impl Scenario for PoissonLoad<'_> {
     type Report = PoissonReport;
 
     fn validate(&self) -> Result<(), ConfigError> {
-        require_positive("capacity", self.cfg.capacity)?;
-        require_positive("arrival rate", self.cfg.arrival_rate)?;
-        require_positive("mean holding time", self.cfg.mean_holding)?;
-        require_step("tick", self.cfg.tick)?;
-        require_step("sample spacing", self.cfg.sample_spacing)?;
-        require_non_negative("warmup", self.cfg.warmup)?;
-        require_finite("warmup", self.cfg.warmup)
+        let cfg = &self.cfg;
+        require_positive("capacity", cfg.capacity)?;
+        // An infinite rate makes the mean inter-arrival time zero.
+        require_positive("arrival rate", cfg.arrival_rate)?;
+        require_finite("arrival rate", cfg.arrival_rate)?;
+        require_positive("mean holding time", cfg.mean_holding)?;
+        require_step("tick", cfg.tick)?;
+        require_step("sample spacing", cfg.sample_spacing)?;
+        require_non_negative("warmup", cfg.warmup)?;
+        require_finite("warmup", cfg.warmup)?;
+        // Every arrival is an event and an advance of the whole table, so
+        // the arrivals the sample budget's horizon expects bound the run
+        // as the requests of a request-stream workload do.
+        let horizon = cfg.warmup + cfg.max_samples as f64 * cfg.sample_spacing;
+        if cfg.arrival_rate * horizon > MAX_WORKLOAD_ITEMS as f64 {
+            return Err(ConfigError::WorkloadTooLarge {
+                what: "expected arrivals",
+                max: MAX_WORKLOAD_ITEMS,
+            });
+        }
+        Ok(())
     }
 
     fn seed(&self) -> u64 {
@@ -358,6 +373,38 @@ mod tests {
         let rep = poisson(&config(2.0, 34), &m, &mut ctl);
         let blocked = (rep.blocking_probability * rep.offered as f64).round() as u64;
         assert_eq!(rep.offered, rep.admitted + blocked);
+    }
+
+    #[test]
+    fn validation_rejects_unbounded_arrival_rates() {
+        let m = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let mut ctl = controller(1e-2);
+        let validate = |cfg: &PoissonConfig, ctl: &mut MbacController| {
+            SessionBuilder::new()
+                .run_local(&PoissonLoad::new(cfg, &m, ctl))
+                .map(|_| ())
+        };
+        let mut cfg = config(f64::INFINITY, 1);
+        assert_eq!(
+            validate(&cfg, &mut ctl),
+            Err(ConfigError::NotFinite {
+                field: "arrival rate",
+                value: f64::INFINITY
+            })
+        );
+        // Horizon 150 + 400 · 15 = 6150: the bound sits between these.
+        let too_many = Err(ConfigError::WorkloadTooLarge {
+            what: "expected arrivals",
+            max: MAX_WORKLOAD_ITEMS,
+        });
+        cfg.arrival_rate = 1e300;
+        assert_eq!(validate(&cfg, &mut ctl), too_many);
+        cfg.arrival_rate = 1.01 * MAX_WORKLOAD_ITEMS as f64 / 6150.0;
+        assert_eq!(validate(&cfg, &mut ctl), too_many);
+        // Just under the bound it validates; run nothing of it.
+        cfg.arrival_rate = 0.99 * MAX_WORKLOAD_ITEMS as f64 / 6150.0;
+        let scenario = PoissonLoad::new(&cfg, &m, &mut ctl);
+        assert_eq!(scenario.validate(), Ok(()));
     }
 
     #[test]

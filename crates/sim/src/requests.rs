@@ -170,6 +170,8 @@ impl ServeWorkload {
 /// allocations abort the process, or the size does not fit a `usize` at
 /// all, where a configuration error is owed. The largest shape in the
 /// tree, the benchmark's `serve_routed`, holds 1.2 · 10⁷ rate samples.
+/// `PoissonLoad` bounds the arrivals it expects by the same number:
+/// each is an event and an advance of the flow table.
 pub const MAX_WORKLOAD_ITEMS: u64 = 1 << 28;
 
 /// Checks that the product of `factors` — how many `what` the workload

@@ -150,7 +150,8 @@ pub enum ConfigError {
     Topology(mbac_core::topology::TopologyError),
     /// A request-stream workload that would hold more than
     /// [`crate::requests::MAX_WORKLOAD_ITEMS`] of something it keeps in
-    /// memory for the whole replay.
+    /// memory for the whole replay, or a Poisson load expecting more
+    /// arrivals than that over its sample budget.
     WorkloadTooLarge {
         /// What there would be too many of.
         what: &'static str,

@@ -22,23 +22,28 @@
 //! # RNG-stream contract
 //!
 //! Batched kernels must consume the RNG in **exactly** the same order
-//! as their boxed counterparts: [`FlowBatch::spawn_one`] draws what
-//! [`SourceModel::spawn`] draws, and [`FlowBatch::advance_all`]
-//! advances flow 0, then flow 1, … drawing per flow what
-//! [`RateProcess::advance`] draws. This makes a batched simulation
+//! as the boxed fallback [`DynBatch`] holding the same flows:
+//! [`FlowBatch::spawn_one`] draws what [`SourceModel::spawn`] draws, and
+//! [`FlowBatch::advance_all`] advances flow 0, then flow 1, … drawing
+//! what the boxed side draws for them. This makes a batched simulation
 //! bit-identical to the boxed one for a fixed seed (the equivalence
 //! tests in `mbac-sim` assert this), so switching engines never
 //! changes scientific results.
 //!
 //! The contract is between the two engines of *one* commit. What a
-//! model draws per advance is the model's own rule — for RCBR, one rate
-//! draw then one residual draw per due flow per call, whatever the step
-//! length (see [`crate::rcbr`]) — and both engines follow it in the same
-//! flow order.
+//! model draws per advance is the model's own rule. For most models it
+//! is per flow — flow `i`'s draws are what [`RateProcess::advance`]
+//! draws. RCBR thins (see [`crate::rcbr`]): one exponential gap draw
+//! per renegotiating flow plus one past the end, whose count depends on
+//! the whole batch, so a boxed source advanced alone cannot match it;
+//! [`DynBatch`] instead runs the kernel's loop over each run of
+//! consecutive flows with equal [`RateProcess::thinning_scale`].
 
 use crate::process::RateProcess;
 #[cfg(doc)]
 use crate::process::SourceModel;
+use crate::rcbr::thin;
+use mbac_num::rng::ExpSampler;
 use rand::rngs::StdRng;
 
 /// Identifies which [`FlowBatch`] a model's flows can join. Two models
@@ -135,7 +140,10 @@ pub trait FlowBatch: Send {
 /// The boxed fallback batch: a plain list of `Box<dyn RateProcess>`
 /// plus a rate cache refreshed in the advance pass. Used for models
 /// without a specialized kernel and for flows admitted as existing
-/// processes.
+/// processes. Flows advance one by one, except that each maximal run
+/// of consecutive flows with equal [`RateProcess::thinning_scale`] is
+/// thinned by the RCBR kernel's loop, renegotiating through
+/// [`RateProcess::reset`].
 #[derive(Default)]
 pub struct DynBatch {
     procs: Vec<Box<dyn RateProcess>>,
@@ -155,9 +163,28 @@ impl FlowBatch for DynBatch {
     }
 
     fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
-        for (p, r) in self.procs.iter_mut().zip(self.rates.iter_mut()) {
-            p.advance(dt, rng);
-            *r = p.rate();
+        let exp = ExpSampler::get();
+        let mut start = 0;
+        while start < self.procs.len() {
+            let Some(scale) = self.procs[start].thinning_scale() else {
+                let p = &mut self.procs[start];
+                p.advance(dt, rng);
+                self.rates[start] = p.rate();
+                start += 1;
+                continue;
+            };
+            // The maximal run of flows with this scale, thinned as the
+            // batched kernel thins its batch.
+            let end = self.procs[start..]
+                .iter()
+                .position(|p| p.thinning_scale() != Some(scale))
+                .map_or(self.procs.len(), |n| start + n);
+            let (procs, rates) = (&mut self.procs[start..end], &mut self.rates[start..end]);
+            thin(procs.len(), dt, scale, exp, rng, |i, rng| {
+                procs[i].reset(rng);
+                rates[i] = procs[i].rate();
+            });
+            start = end;
         }
     }
 
@@ -196,9 +223,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// A batch and its boxed twin, each on its own copy of one stream.
+    /// A batch and its boxed twin — a [`DynBatch`] of the boxed
+    /// processes, the fallback group the unbatched table keeps them in —
+    /// each on its own copy of one stream.
     struct Twins {
-        boxed: Vec<Box<dyn RateProcess>>,
+        boxed: DynBatch,
         batch: Box<dyn FlowBatch>,
         boxed_rng: StdRng,
         batch_rng: StdRng,
@@ -208,7 +237,7 @@ mod tests {
         /// `n` flows of `model` on each side, spawned from one seed.
         fn spawn(model: &dyn SourceModel, n: usize, seed: u64) -> Self {
             let mut t = Twins {
-                boxed: Vec::new(),
+                boxed: DynBatch::new(),
                 batch: model
                     .new_batch()
                     .expect("model advertises a batched kernel"),
@@ -218,12 +247,13 @@ mod tests {
             for _ in 0..n {
                 t.admit(model);
             }
-            assert_eq!(t.boxed_rates(), t.batch.rates());
+            assert_eq!(t.boxed.rates(), t.batch.rates());
             t
         }
 
         fn admit(&mut self, model: &dyn SourceModel) {
-            self.boxed.push(model.spawn(&mut self.boxed_rng));
+            let process = model.spawn(&mut self.boxed_rng);
+            self.boxed.try_push_boxed(process).ok().unwrap();
             self.batch.spawn_one(&mut self.batch_rng);
         }
 
@@ -232,17 +262,11 @@ mod tests {
             self.batch.swap_remove(slot);
         }
 
-        fn boxed_rates(&self) -> Vec<f64> {
-            self.boxed.iter().map(|p| p.rate()).collect()
-        }
-
         fn advance(&mut self, dt: f64, step: usize) {
-            for p in self.boxed.iter_mut() {
-                p.advance(dt, &mut self.boxed_rng);
-            }
+            self.boxed.advance_all(dt, &mut self.boxed_rng);
             self.batch.advance_all(dt, &mut self.batch_rng);
             assert_eq!(
-                self.boxed_rates(),
+                self.boxed.rates(),
                 self.batch.rates(),
                 "diverged at step {step} (dt = {dt})"
             );
@@ -252,7 +276,7 @@ mod tests {
     /// Verifies the RNG-stream contract: for identical seeds, a batch of
     /// `n` flows spawned via `spawn_one` and advanced via `advance_all`
     /// must produce bit-identical rates to `n` boxed flows spawned via
-    /// `SourceModel::spawn` and advanced one by one — including after a
+    /// `SourceModel::spawn` and advanced by their `DynBatch` — including after a
     /// mid-run swap-remove mirrored on both sides, and through steps of
     /// many correlation times.
     fn assert_bit_exact(model: &dyn SourceModel, seed: u64) {
@@ -275,8 +299,9 @@ mod tests {
         }
 
         // Steps far longer than the correlation time — the impulsive
-        // harness's shape: every flow is due in every call (RCBR draws
-        // once per flow, AR(1) and Markov fluids catch up step by step).
+        // harness's shape: every flow changes in every call (RCBR
+        // renegotiates once per flow, AR(1) and Markov fluids catch up
+        // step by step).
         for step in 300..320 {
             t.advance(50.0 + 0.37 * (step % 5) as f64, step);
         }
@@ -330,6 +355,54 @@ mod tests {
     fn markov_batch_is_bit_exact() {
         let model = MarkovFluidFactory::new(MarkovFluidModel::on_off(2.0, 1.0, 3.0));
         assert_bit_exact(&model, 44);
+    }
+
+    /// The run-splitting rule: a `DynBatch` holding an RCBR run
+    /// (`T_c = 1`), an AR(1) flow, a generalized-RCBR run with `T_c = 2`
+    /// and, straight after it, a second `T_c = 1` run consumes the RNG
+    /// exactly as one kernel per run advanced in that order — a run ends
+    /// wherever the thinning scale changes, not only at a flow without
+    /// one.
+    #[test]
+    fn mixed_dyn_batch_thins_each_run_like_its_kernel() {
+        let fast = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let slow = GeneralRcbrModel::new(Marginal::uniform_with_moments(1.0, 0.3), 2.0);
+        let ar1 = Ar1Model::new(Ar1Config {
+            mean: 1.0,
+            std_dev: 0.3,
+            t_c: 1.0,
+            tick: 0.05,
+            clamp_at_zero: true,
+        });
+        let layout: [(&dyn SourceModel, usize); 4] =
+            [(&fast, 9), (&ar1, 1), (&slow, 7), (&fast, 5)];
+        let mut boxed_rng = StdRng::seed_from_u64(46);
+        let mut kernel_rng = StdRng::seed_from_u64(46);
+        let mut boxed = DynBatch::new();
+        let mut kernels = Vec::new();
+        for (model, n) in layout {
+            let mut kernel = model.new_batch().expect("batched kernel");
+            for _ in 0..n {
+                let process = model.spawn(&mut boxed_rng);
+                boxed.try_push_boxed(process).ok().unwrap();
+                kernel.spawn_one(&mut kernel_rng);
+            }
+            kernels.push(kernel);
+        }
+        for step in 0..300 {
+            let dt = [0.01, 0.05, 0.3, 1.0, 7.0][step % 5];
+            boxed.advance_all(dt, &mut boxed_rng);
+            for kernel in &mut kernels {
+                kernel.advance_all(dt, &mut kernel_rng);
+            }
+            let want: Vec<f64> = kernels.iter().flat_map(|k| k.rates().to_vec()).collect();
+            assert_eq!(
+                boxed.rates(),
+                &want[..],
+                "diverged at step {step} (dt = {dt})"
+            );
+        }
+        assert_eq!(boxed_rng, kernel_rng, "RNG end state");
     }
 
     /// Runs a one-flow batch through the same statistical harness

@@ -33,6 +33,17 @@ pub trait RateProcess: Send {
     /// The analytic autocorrelation `ρ(τ)` at lag `τ`, if the model has
     /// a closed form (`None` otherwise — e.g. trace-driven sources).
     fn autocorrelation(&self, tau: f64) -> Option<f64>;
+
+    /// `Some(T_c)` if an advance by `dt` renegotiates the process with
+    /// probability `1 − e^{−dt/T_c}` — a [`RateProcess::reset`] — and
+    /// otherwise leaves it alone, as the RCBR sources do
+    /// ([`crate::rcbr`], "The advance rule"). A
+    /// [`crate::batch::DynBatch`] thins each run of consecutive flows
+    /// with equal scale in one pass, consuming the RNG as the batched
+    /// kernel does. `None` (the default): advance one by one.
+    fn thinning_scale(&self) -> Option<f64> {
+        None
+    }
 }
 
 /// A factory that spawns independent per-flow processes; the simulator

@@ -10,38 +10,56 @@
 //! fluctuation converges to the Ornstein–Uhlenbeck process assumed in
 //! the theory.
 //!
-//! # The advance rule
+//! # The advance rule: thinning
 //!
 //! Every RCBR `advance(dt)` in this module — [`RcbrSource`],
-//! [`GeneralRcbrSource`] and the batched kernel behind both models — is
-//! the same two-armed rule:
+//! [`GeneralRcbrSource`] and the batched kernel behind both models —
+//! renegotiates each flow independently with probability
+//! `p = 1 − e^{−λ}`, `λ = dt / T_c`, and leaves every other flow alone.
+//! No flow carries a residual interval life. The batched kernel does
+//! not flip a coin per flow: it jumps from one renegotiating flow to
+//! the next over a Geometric(`p`) gap, so an advance costs one
+//! exponential and one rate draw per flow that renegotiates and nothing
+//! per flow that does not:
 //!
 //! ```text
-//! if dt >= remaining { rate = draw(); remaining = T_c · Exp(1) }
-//! else               { remaining -= dt }
+//! i = 0
+//! loop {
+//!     E ~ Exp(1);  i += ⌊E / λ⌋     // P(gap ≥ k) = P(E ≥ kλ) = e^{−kλ}
+//!     if i >= len { break }          // nothing drawn past the last flow
+//!     rate[i] = draw();  i += 1
+//! }
 //! ```
 //!
-//! One rate draw, then one residual draw, per renegotiating flow per
-//! call, however many correlation times `dt` spans. It is exact, not an
-//! approximation: renegotiation epochs form a Poisson process and the
-//! negotiated rates are i.i.d. and independent of the epochs, so given
-//! that a flow renegotiated at all inside `(t, t+dt]`, its rate at
-//! `t+dt` is the draw made at the *last* epoch — a fresh marginal draw —
-//! and the time from `t+dt` to the next epoch is `Exp(T_c)` by
-//! memorylessness, whatever happened in between. The joint law of the
-//! states seen at the advance instants, hence `ρ(τ)` and every
-//! statistic a caller can form, is that of the path-by-path
-//! simulation; `tests::advance_law_matches_path_faithful_reference`
+//! A boxed source runs the same loop over a batch of one: it draws one
+//! `E` and renegotiates iff `⌊E/λ⌋ = 0`; a `DynBatch` runs it over each
+//! run of consecutive RCBR flows with equal `T_c`
+//! ([`RateProcess::thinning_scale`]), so the two engines consume the RNG
+//! identically.
+//!
+//! It is exact, not an approximation. Renegotiation epochs form a
+//! Poisson process of rate `1/T_c` and the negotiated rates are i.i.d.
+//! and independent of the epochs. By memorylessness, whether a flow
+//! renegotiates inside `(t, t+dt]` is independent of everything seen at
+//! or before `t` — of other flows, of earlier advances — and happens
+//! with probability `1 − e^{−dt/T_c}`; if it did, its rate at `t+dt` is
+//! the draw made at the *last* epoch, a fresh marginal draw. So the
+//! joint law of the rates seen at the advance instants, hence
+//! `ρ(τ) = e^{−|τ|/T_c}` and every statistic a caller can form, is that
+//! of the path-by-path simulation; the residual life such a simulation
+//! carries is `Exp(T_c)` at every instant, whatever came before, and
+//! tells a caller nothing. `tests::advance_law_matches_path_faithful_reference`
 //! holds the two side by side.
 //!
 //! What is not simulated is the path *inside* an advance: the
 //! intermediate rates a flow would have held between two calls. No
 //! caller can observe them — a [`RateProcess`] is read only at the
 //! instants it is advanced to — so a step of `50 T_c` (Prop. 3.3's
-//! observe time) costs one renegotiation per flow instead of fifty.
-//! Sample paths therefore depend on *where* the advance instants fall:
-//! `advance(a); advance(b)` and `advance(a + b)` agree in law, not bit
-//! for bit.
+//! observe time) costs one renegotiation per flow instead of fifty, and
+//! a Poisson load's per-arrival step of `≈ 0.03 T_c` touches about 3 %
+//! of the flows instead of every one. Sample paths therefore depend on
+//! *where* the advance instants fall: `advance(a); advance(b)` and
+//! `advance(a + b)` agree in law, not bit for bit.
 //!
 //! Rates can optionally be truncated at zero to stay physical; with the
 //! paper's `σ/μ = 0.3` the truncated mass is `Q(3.33) ≈ 4e-4`, a
@@ -51,9 +69,46 @@
 use crate::batch::{BatchKey, FlowBatch};
 use crate::marginal::Marginal;
 use crate::process::{RateProcess, SourceModel};
-use mbac_num::rng::{exponential, normal, normal_truncated_below, ExpSampler, NormalSampler};
+use mbac_num::rng::{normal, normal_truncated_below, ExpSampler, NormalSampler};
 use rand::rngs::StdRng;
-use rand::RngCore;
+use rand::{Rng, RngCore};
+
+/// The advance rule (module docs) over `len` flows advanced by `dt`,
+/// mean interval `t_c`: calls `renegotiate(i, rng)` for each flow that
+/// renegotiates, in ascending order, and draws one `Exp(1)` per such
+/// flow plus at most one that lands past the end. A `λ = dt/T_c` of
+/// zero — `dt = 0`, or a subnormal `dt` that underflows — draws nothing.
+/// The one loop behind the batch kernel, [`crate::batch::DynBatch`]'s
+/// RCBR runs and a boxed source's `advance` (a batch of one).
+#[inline(always)]
+pub(crate) fn thin<R: Rng + ?Sized>(
+    len: usize,
+    dt: f64,
+    t_c: f64,
+    exp: ExpSampler,
+    rng: &mut R,
+    mut renegotiate: impl FnMut(usize, &mut R),
+) {
+    assert!(dt >= 0.0, "cannot advance backwards");
+    let lambda = dt / t_c;
+    if lambda == 0.0 {
+        return;
+    }
+    let mut i = 0;
+    while i < len {
+        // Flows skipped before the next renegotiation: ⌊E/λ⌋, a
+        // Geometric(1 − e^{−λ}) gap. The cast saturates, so a huge or
+        // infinite quotient skips past any batch; λ > 0 and a finite E
+        // keep it from being NaN, which would cast to 0.
+        let skip = (exp.sample(rng) / lambda) as usize;
+        if skip >= len - i {
+            return;
+        }
+        i += skip;
+        renegotiate(i, rng);
+        i += 1;
+    }
+}
 
 /// Configuration for RCBR flows.
 #[derive(Debug, Clone, Copy)]
@@ -108,13 +163,7 @@ impl RcbrModel {
 
 impl SourceModel for RcbrModel {
     fn spawn(&self, rng: &mut dyn RngCore) -> Box<dyn RateProcess> {
-        let mut src = RcbrSource {
-            cfg: self.cfg,
-            rate: 0.0,
-            remaining: 0.0,
-        };
-        src.reset(rng);
-        Box::new(src)
+        Box::new(RcbrSource::new(self.cfg, rng))
     }
 
     fn mean(&self) -> f64 {
@@ -178,9 +227,9 @@ impl GaussianDraw {
 
 impl RateDraw for GaussianDraw {
     // `always`, with `ExpSampler::sample`: at the default threshold
-    // neither lands inside `advance_all`'s renegotiation loop, and two
-    // calls per due flow cost a Poisson load (a sweep per arrival, ~3 %
-    // of flows due) 8 % of its arrivals per second.
+    // neither lands inside `thin`'s loop, and two calls per
+    // renegotiating flow cost a Poisson load (~3 % of flows renegotiate
+    // per arrival) 8 % of its arrivals per second.
     #[inline(always)]
     fn draw(&self, rng: &mut StdRng) -> f64 {
         loop {
@@ -200,20 +249,15 @@ impl RateDraw for Marginal {
 }
 
 /// Struct-of-arrays batch of RCBR flows, classic or generalized by its
-/// [`RateDraw`]: the negotiated rates double as the cached rate vector
-/// (the rate *is* the state), and residual interval lives sit in a
-/// parallel array, so a tick that renegotiates nothing touches exactly
-/// two contiguous arrays with no virtual calls.
+/// [`RateDraw`]: the negotiated rates are the whole state and double as
+/// the cached rate vector, so an advance writes only the slots that
+/// renegotiate and reads nothing else (see "The advance rule").
 struct RcbrBatch<D> {
     draw: D,
     t_c: f64,
     exp: ExpSampler,
     /// Negotiated rate per flow — also the cached rate vector.
     rates: Vec<f64>,
-    /// Residual life of the current interval per flow.
-    remaining: Vec<f64>,
-    /// Scratch: slots whose interval expired this tick.
-    due: Vec<u32>,
 }
 
 impl<D> RcbrBatch<D> {
@@ -223,52 +267,8 @@ impl<D> RcbrBatch<D> {
             t_c,
             exp: ExpSampler::get(),
             rates: Vec::new(),
-            remaining: Vec::new(),
-            due: Vec::new(),
         }
     }
-}
-
-/// Ages every residual by `dt` and writes the slots whose interval
-/// expired to the front of `due`, in slot order, in one sweep; returns
-/// how many. The conditional-append idiom keeps the collect free of
-/// per-flow data-dependent branches, which would otherwise mispredict
-/// on ~20% of flows per tick. It runs only for the 8-slot chunks in
-/// which something expired: when `dt` is far below `T_c` (a Poisson
-/// load advances on every arrival) almost none do, and the sweep is
-/// then the subtraction alone. A function of two slices rather than a
-/// loop over the batch's fields: only as parameters are the arrays
-/// known not to overlap, and without that the sweep runs at half the
-/// speed.
-fn age_and_collect_due(remaining: &mut [f64], due: &mut [u32], dt: f64) -> usize {
-    const CHUNK: usize = 8;
-    let due = &mut due[..remaining.len()];
-    let mut count = 0usize;
-    let mut collect = |base: usize, aged: &[f64]| {
-        for (i, rem) in aged.iter().enumerate() {
-            due[count] = (base + i) as u32;
-            count += (*rem <= 0.0) as usize;
-        }
-    };
-    let mut chunks = remaining.chunks_exact_mut(CHUNK);
-    let mut base = 0;
-    for chunk in &mut chunks {
-        let mut expired = false;
-        for rem in chunk.iter_mut() {
-            *rem -= dt;
-            expired |= *rem <= 0.0;
-        }
-        if expired {
-            collect(base, chunk);
-        }
-        base += CHUNK;
-    }
-    let tail = chunks.into_remainder();
-    for rem in tail.iter_mut() {
-        *rem -= dt;
-    }
-    collect(base, tail);
-    count
 }
 
 impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
@@ -277,23 +277,10 @@ impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
     }
 
     fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
-        assert!(dt >= 0.0, "cannot advance backwards");
-        let (t_c, exp) = (self.t_c, self.exp);
-        // Pass 1: age every interval and collect the expired ones. The
-        // boxed source's `dt >= remaining` is `remaining - dt <= 0`
-        // here — exactly, since a nonzero difference of nearby doubles
-        // never rounds to zero (Sterbenz) and IEEE subtraction is
-        // antisymmetric.
-        self.due.resize(self.remaining.len(), 0);
-        let count = age_and_collect_due(&mut self.remaining, &mut self.due, dt);
-        // Pass 2: renegotiate the due flows, in flow order, consuming
-        // the RNG exactly as the boxed source's `advance` does (rate
-        // draw then residual draw, once per due flow).
-        for &i in &self.due[..count] {
-            let i = i as usize;
-            self.rates[i] = self.draw.draw(rng);
-            self.remaining[i] = t_c * exp.sample(rng);
-        }
+        let (draw, rates) = (&self.draw, &mut self.rates);
+        thin(rates.len(), dt, self.t_c, self.exp, rng, |i, rng| {
+            rates[i] = draw.draw(rng);
+        });
     }
 
     fn rates(&self) -> &[f64] {
@@ -301,36 +288,27 @@ impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
     }
 
     fn spawn_one(&mut self, rng: &mut StdRng) {
-        // Same draws as the boxed source's `reset`.
-        let rate = self.draw.draw(rng);
-        let remaining = exponential(rng, self.t_c);
-        self.rates.push(rate);
-        self.remaining.push(remaining);
+        // Same draw as the boxed source's `reset`.
+        self.rates.push(self.draw.draw(rng));
     }
 
     fn swap_remove(&mut self, i: usize) {
         self.rates.swap_remove(i);
-        self.remaining.swap_remove(i);
     }
 }
 
-/// One RCBR flow: current negotiated rate plus the residual life of the
-/// current interval.
+/// One RCBR flow: its current negotiated rate, the whole state (see
+/// "The advance rule").
 #[derive(Debug, Clone)]
 pub struct RcbrSource {
     cfg: RcbrConfig,
     rate: f64,
-    remaining: f64,
 }
 
 impl RcbrSource {
     /// Creates a flow in its stationary distribution.
     pub fn new(cfg: RcbrConfig, rng: &mut dyn RngCore) -> Self {
-        let mut s = RcbrSource {
-            cfg,
-            rate: 0.0,
-            remaining: 0.0,
-        };
+        let mut s = RcbrSource { cfg, rate: 0.0 };
         s.reset(rng);
         s
     }
@@ -350,22 +328,16 @@ impl RateProcess for RcbrSource {
     }
 
     fn advance(&mut self, dt: f64, rng: &mut dyn RngCore) {
-        assert!(dt >= 0.0, "cannot advance backwards");
-        if dt >= self.remaining {
-            // Renegotiated inside the step: fresh rate, fresh residual
-            // (see the module docs).
-            self.rate = self.draw_rate(rng);
-            self.remaining = exponential(rng, self.cfg.t_c);
-        } else {
-            self.remaining -= dt;
-        }
+        let t_c = self.cfg.t_c;
+        thin(1, dt, t_c, ExpSampler::get(), rng, |_, rng| self.reset(rng));
     }
 
     fn reset(&mut self, rng: &mut dyn RngCore) {
         self.rate = self.draw_rate(rng);
-        // Memorylessness: the stationary residual interval is again
-        // exponential with mean T_c.
-        self.remaining = exponential(rng, self.cfg.t_c);
+    }
+
+    fn thinning_scale(&self) -> Option<f64> {
+        Some(self.cfg.t_c)
     }
 
     fn mean(&self) -> f64 {
@@ -413,7 +385,6 @@ impl SourceModel for GeneralRcbrModel {
             marginal: self.marginal,
             t_c: self.t_c,
             rate: self.marginal.sample(rng),
-            remaining: exponential(rng, self.t_c),
         })
     }
 
@@ -443,7 +414,6 @@ pub struct GeneralRcbrSource {
     marginal: Marginal,
     t_c: f64,
     rate: f64,
-    remaining: f64,
 }
 
 impl RateProcess for GeneralRcbrSource {
@@ -452,18 +422,16 @@ impl RateProcess for GeneralRcbrSource {
     }
 
     fn advance(&mut self, dt: f64, rng: &mut dyn RngCore) {
-        assert!(dt >= 0.0);
-        if dt >= self.remaining {
-            self.rate = self.marginal.sample(rng);
-            self.remaining = exponential(rng, self.t_c);
-        } else {
-            self.remaining -= dt;
-        }
+        let t_c = self.t_c;
+        thin(1, dt, t_c, ExpSampler::get(), rng, |_, rng| self.reset(rng));
     }
 
     fn reset(&mut self, rng: &mut dyn RngCore) {
         self.rate = self.marginal.sample(rng);
-        self.remaining = exponential(rng, self.t_c);
+    }
+
+    fn thinning_scale(&self) -> Option<f64> {
+        Some(self.t_c)
     }
 
     fn mean(&self) -> f64 {
@@ -483,6 +451,7 @@ impl RateProcess for GeneralRcbrSource {
 mod tests {
     use super::*;
     use crate::process::test_util::{check_acf, check_moments};
+    use mbac_num::rng::exponential;
     use mbac_num::RunningStats;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -530,14 +499,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut src = RcbrSource::new(cfg(), &mut rng);
         let r0 = src.rate();
-        src.advance(1000.0, &mut rng); // due with probability 1 − e^{−1000}
+        src.advance(1000.0, &mut rng); // renegotiates w.p. 1 − e^{−1000}
         assert_ne!(src.rate(), r0);
     }
 
     #[test]
     fn autocorrelation_is_exponential_at_steps_of_a_correlation_time_and_more() {
-        // With dt >= T_c most flows are due at every step, so the lag-1
-        // correlation rests entirely on the redrawn residual.
+        // With dt >= T_c most steps renegotiate, so the lag-1
+        // correlation rests entirely on the thinning probability.
         let general = GeneralRcbrModel::new(Marginal::uniform_with_moments(1.0, 0.3), 1.0);
         for (dt, lags, seed) in [(1.0, &[1, 2, 3][..], 11), (2.0, &[1, 2][..], 13)] {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -548,100 +517,286 @@ mod tests {
         }
     }
 
-    /// The path-faithful advance: replays every renegotiation inside the
-    /// step. The reference law for the test below.
-    fn advance_path_faithful(src: &mut RcbrSource, dt: f64, rng: &mut StdRng) {
-        let mut left = dt;
-        while left >= src.remaining {
-            left -= src.remaining;
-            src.rate = src.draw_rate(rng);
-            src.remaining = exponential(rng, src.cfg.t_c);
-        }
-        src.remaining -= left;
+    /// The path-faithful reference: one flow carrying the residual life
+    /// of its current interval and replaying every renegotiation inside
+    /// a step — the law thinning must reproduce at the advance instants.
+    struct PathFaithful {
+        src: RcbrSource,
+        residual: f64,
     }
 
-    /// `advance(a); advance(b)` and `advance(a + b)` share a law, not
-    /// bits, and share it with the path-faithful loop. Checked on what a
-    /// caller can observe after a step — whether the rate changed, the
-    /// new rate, and (through every later step) the residual — each
-    /// against its analytic value within a 4.5σ band. An advance that
-    /// redraws the rate but keeps the stale residual fails the residual
-    /// rows at every step length.
+    impl PathFaithful {
+        fn new(cfg: RcbrConfig, rng: &mut StdRng) -> Self {
+            let src = RcbrSource::new(cfg, rng);
+            PathFaithful {
+                residual: exponential(rng, cfg.t_c),
+                src,
+            }
+        }
+
+        fn advance(&mut self, dt: f64, rng: &mut StdRng) {
+            let mut left = dt;
+            while left >= self.residual {
+                left -= self.residual;
+                self.src.reset(rng);
+                self.residual = exponential(rng, self.src.cfg.t_c);
+            }
+            self.residual -= left;
+        }
+    }
+
+    /// Untruncated, so new rates are exactly Gaussian and a redraw
+    /// equal to the old rate has probability zero; `T_c ≠ 1`, so a
+    /// thinning probability computed on the wrong scale shows.
+    const LAW_CFG: RcbrConfig = RcbrConfig {
+        mean: 1.0,
+        std_dev: 0.3,
+        t_c: 2.0,
+        truncate_at_zero: false,
+    };
+
+    fn gaussian_batch(cfg: RcbrConfig) -> RcbrBatch<GaussianDraw> {
+        RcbrBatch::new(GaussianDraw::new(cfg), cfg.t_c)
+    }
+
+    /// `n` flows of [`LAW_CFG`] advanced through `steps` in turn, on
+    /// one engine; returns every flow's rate before each step and
+    /// after the last (`n × (steps + 1)`, step-major).
+    type Engine = fn(usize, &[f64], &mut StdRng) -> Vec<Vec<f64>>;
+
+    fn on_path_faithful(n: usize, steps: &[f64], rng: &mut StdRng) -> Vec<Vec<f64>> {
+        let mut flows: Vec<_> = (0..n).map(|_| PathFaithful::new(LAW_CFG, rng)).collect();
+        let mut out = vec![flows.iter().map(|f| f.src.rate).collect::<Vec<_>>()];
+        for &dt in steps {
+            flows.iter_mut().for_each(|f| f.advance(dt, rng));
+            out.push(flows.iter().map(|f| f.src.rate).collect());
+        }
+        out
+    }
+
+    fn on_boxed(n: usize, steps: &[f64], rng: &mut StdRng) -> Vec<Vec<f64>> {
+        let mut flows: Vec<_> = (0..n).map(|_| RcbrSource::new(LAW_CFG, rng)).collect();
+        let mut out = vec![flows.iter().map(|f| f.rate).collect::<Vec<_>>()];
+        for &dt in steps {
+            flows.iter_mut().for_each(|f| f.advance(dt, rng));
+            out.push(flows.iter().map(|f| f.rate).collect());
+        }
+        out
+    }
+
+    fn on_batch(n: usize, steps: &[f64], rng: &mut StdRng) -> Vec<Vec<f64>> {
+        let mut batch = gaussian_batch(LAW_CFG);
+        (0..n).for_each(|_| batch.spawn_one(rng));
+        let mut out = vec![batch.rates.clone()];
+        for &dt in steps {
+            batch.advance_all(dt, rng);
+            out.push(batch.rates.clone());
+        }
+        out
+    }
+
+    const ENGINES: [(&str, Engine); 3] = [
+        ("path-faithful", on_path_faithful),
+        ("boxed source", on_boxed),
+        ("batch", on_batch),
+    ];
+
+    /// `got` within `Z = 4.5` standard deviations `sd` of `want`.
+    fn assert_near(at: &str, what: &str, got: f64, want: f64, sd: f64) {
+        const Z: f64 = 4.5;
+        assert!(
+            (got - want).abs() <= Z * sd,
+            "{at}: {what} {got}, want {want} ± {}",
+            Z * sd
+        );
+    }
+
+    /// A share of `n` Bernoulli(`q`) trials within its 4.5σ band.
+    fn assert_share(at: &str, what: &str, hits: usize, n: usize, q: f64) {
+        let n = n as f64;
+        assert_near(at, what, hits as f64 / n, q, (q * (1.0 - q) / n).sqrt());
+    }
+
+    fn changed(before: &[f64], after: &[f64]) -> Vec<bool> {
+        before.iter().zip(after).map(|(a, b)| a != b).collect()
+    }
+
+    /// Thinning, boxed and batched, against the path-faithful loop: at
+    /// every step length, in one advance and split 0.3/0.7 — so
+    /// `advance(a); advance(b)` ≡ `advance(a + b)` in law — the share of
+    /// flows whose rate changed is `1 − e^{−dt/T_c}` and the new rates
+    /// are marginal draws, each within a 4.5σ band.
     #[test]
     fn advance_law_matches_path_faithful_reference() {
         const N: usize = 100_000;
-        const Z: f64 = 4.5;
-        // Untruncated, so the new rates are exactly Gaussian; T_c ≠ 1
-        // so a residual drawn on the wrong scale shows.
-        let cfg = RcbrConfig {
-            mean: 1.0,
-            std_dev: 0.3,
-            t_c: 2.0,
-            truncate_at_zero: false,
-        };
-        type Advance = fn(&mut RcbrSource, f64, &mut StdRng);
-        let variants: [(&str, Advance); 3] = [
-            ("path-faithful", advance_path_faithful),
-            ("one advance", |s, dt, rng| s.advance(dt, rng)),
-            ("split in two", |s, dt, rng| {
-                s.advance(0.3 * dt, rng);
-                s.advance(0.7 * dt, rng);
-            }),
-        ];
-        let n = N as f64;
-        for (d, dt_over_tc) in [0.05, 0.25, 1.0, 5.0, 50.0].into_iter().enumerate() {
-            let dt = dt_over_tc * cfg.t_c;
+        for (d, dt_over_tc) in [0.01, 0.05, 0.25, 1.0, 5.0, 50.0].into_iter().enumerate() {
+            let dt = dt_over_tc * LAW_CFG.t_c;
             let p = 1.0 - (-dt_over_tc).exp();
-            for (v, (name, advance)) in variants.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(1000 + 10 * d as u64 + v as u64);
-                let (mut new_rates, mut residuals) = (RunningStats::new(), RunningStats::new());
-                for _ in 0..N {
-                    let mut src = RcbrSource::new(cfg, &mut rng);
-                    let r0 = src.rate;
-                    advance(&mut src, dt, &mut rng);
-                    if src.rate != r0 {
-                        new_rates.push(src.rate);
+            let splits: [(&str, &[f64]); 2] = [
+                ("one advance", &[dt]),
+                ("split in two", &[0.3 * dt, 0.7 * dt]),
+            ];
+            for (e, (engine, run)) in ENGINES.iter().enumerate() {
+                for (v, (split, steps)) in splits.iter().enumerate() {
+                    let seed = 1000 + 10 * d as u64 + 3 * e as u64 + v as u64;
+                    let rates = run(N, steps, &mut StdRng::seed_from_u64(seed));
+                    let (first, last) = (&rates[0], &rates[steps.len()]);
+                    let mut new_rates = RunningStats::new();
+                    for (&r0, &r) in first.iter().zip(last) {
+                        if r != r0 {
+                            new_rates.push(r);
+                        }
                     }
-                    residuals.push(src.remaining);
-                }
-                let at = format!("{name} at dt = {dt_over_tc} T_c");
-                let k = new_rates.count() as f64;
-                let near = |what: &str, got: f64, want: f64, sd: f64| {
-                    assert!(
-                        (got - want).abs() <= Z * sd,
-                        "{at}: {what} {got}, want {want} ± {}",
-                        Z * sd
+                    let at = format!("{engine}, {split} at dt = {dt_over_tc} T_c");
+                    let k = new_rates.count() as f64;
+                    assert_share(&at, "changed share", k as usize, N, p);
+                    let var = LAW_CFG.std_dev * LAW_CFG.std_dev;
+                    assert_near(
+                        &at,
+                        "new-rate mean",
+                        new_rates.mean(),
+                        LAW_CFG.mean,
+                        (var / k).sqrt(),
                     );
-                };
-                near("changed share", k / n, p, (p * (1.0 - p) / n).sqrt());
-                let var: f64 = cfg.std_dev * cfg.std_dev;
-                near(
-                    "new-rate mean",
-                    new_rates.mean(),
-                    cfg.mean,
-                    (var / k).sqrt(),
+                    assert_near(
+                        &at,
+                        "new-rate variance",
+                        new_rates.variance(),
+                        var,
+                        var * (2.0 / k).sqrt(),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Renegotiations are independent events: across two consecutive
+    /// advances of one flow the joint share is `p₁p₂`, and within one
+    /// advance two neighbouring slots both change with share `p₁²` —
+    /// the Geometric gaps neither cluster nor repel.
+    #[test]
+    fn renegotiations_are_independent_across_advances_and_neighbours() {
+        const N: usize = 100_000;
+        for (d, (a, b)) in [(0.05f64, 0.25f64), (1.0, 0.01), (0.25, 5.0)]
+            .into_iter()
+            .enumerate()
+        {
+            let (p1, p2) = (1.0 - (-a).exp(), 1.0 - (-b).exp());
+            for (e, (engine, run)) in ENGINES.iter().enumerate() {
+                let seed = 2000 + 10 * d as u64 + e as u64;
+                let steps = [a * LAW_CFG.t_c, b * LAW_CFG.t_c];
+                let rates = run(N, &steps, &mut StdRng::seed_from_u64(seed));
+                let first = changed(&rates[0], &rates[1]);
+                let second = changed(&rates[1], &rates[2]);
+                let at = format!("{engine} at dt = {a}, then {b} T_c");
+                let both = first.iter().zip(&second).filter(|(x, y)| **x && **y);
+                assert_share(&at, "joint share", both.count(), N, p1 * p2);
+                assert_share(
+                    &at,
+                    "second share",
+                    second.iter().filter(|x| **x).count(),
+                    N,
+                    p2,
                 );
-                near(
-                    "new-rate variance",
-                    new_rates.variance(),
-                    var,
-                    var * (2.0 / k).sqrt(),
-                );
-                // Exp(T_c): mean T_c, variance T_c², fourth central
-                // moment 9 T_c⁴.
-                let tc2 = cfg.t_c * cfg.t_c;
-                near(
-                    "residual mean",
-                    residuals.mean(),
-                    cfg.t_c,
-                    cfg.t_c / n.sqrt(),
-                );
-                near(
-                    "residual variance",
-                    residuals.variance(),
-                    tc2,
-                    tc2 * (8.0 / n).sqrt(),
-                );
+                let pairs = first.windows(2).filter(|w| w[0] && w[1]).count();
+                assert_share(&at, "neighbour share", pairs, N - 1, p1 * p1);
+            }
+        }
+    }
+
+    /// No slot is favoured: over many advances of one batch the hits
+    /// per slot are Binomial(`M`, `p`) alike, so their χ² statistic
+    /// (`K` degrees of freedom) stays within 4.5σ of its mean `K`. A
+    /// gap drawn from the wrong start — slot 0 skipped, the tail cut —
+    /// shows at the short steps, where one gap spans many slots.
+    #[test]
+    fn no_slot_is_favoured() {
+        const K: usize = 37;
+        const M: usize = 20_000;
+        for (d, dt_over_tc) in [0.01f64, 0.25, 5.0].into_iter().enumerate() {
+            let p = 1.0 - (-dt_over_tc).exp();
+            let mut rng = StdRng::seed_from_u64(3000 + d as u64);
+            let mut batch = gaussian_batch(LAW_CFG);
+            (0..K).for_each(|_| batch.spawn_one(&mut rng));
+            let mut hits = [0usize; K];
+            for _ in 0..M {
+                let before = batch.rates.clone();
+                batch.advance_all(dt_over_tc * LAW_CFG.t_c, &mut rng);
+                for (h, changed) in hits.iter_mut().zip(changed(&before, &batch.rates)) {
+                    *h += changed as usize;
+                }
+            }
+            let (mean, var) = (M as f64 * p, M as f64 * p * (1.0 - p));
+            let chi2: f64 = hits.iter().map(|&h| (h as f64 - mean).powi(2) / var).sum();
+            let k = K as f64;
+            assert_near(
+                &format!("dt = {dt_over_tc} T_c, hits {hits:?}"),
+                "χ²",
+                chi2,
+                k,
+                (2.0 * k).sqrt(),
+            );
+        }
+    }
+
+    /// The edges of the rule: `dt = 0` and an empty batch draw nothing;
+    /// `dt = ∞` renegotiates every flow; a subnormal `dt` either
+    /// underflows `λ` to zero (nothing drawn) or skips past the batch,
+    /// and its skip is never NaN (which would cast to 0 and renegotiate).
+    #[test]
+    fn thinning_edge_cases() {
+        let mut rng = StdRng::seed_from_u64(4000);
+        let mut batch = gaussian_batch(LAW_CFG);
+        let mut src = RcbrSource::new(LAW_CFG, &mut rng);
+        (0..1000).for_each(|_| batch.spawn_one(&mut rng));
+
+        let untouched = |batch: &mut RcbrBatch<GaussianDraw>,
+                         src: &mut RcbrSource,
+                         rng: &mut StdRng,
+                         dt: f64| {
+            let (before, rate, stream) = (batch.rates.clone(), src.rate, rng.clone());
+            batch.advance_all(dt, rng);
+            src.advance(dt, rng);
+            assert_eq!(batch.rates, before, "dt = {dt:e}");
+            assert_eq!(src.rate, rate, "dt = {dt:e}");
+            *rng == stream
+        };
+        assert!(
+            untouched(&mut batch, &mut src, &mut rng, 0.0),
+            "dt = 0 drew"
+        );
+        // 5e-324 / 2 rounds to zero: nothing to thin, nothing drawn.
+        assert!(
+            untouched(&mut batch, &mut src, &mut rng, 5e-324),
+            "λ = 0 drew"
+        );
+        // A nonzero subnormal λ: one gap draw each, far past the end.
+        assert!(!untouched(&mut batch, &mut src, &mut rng, 1e-310));
+
+        let mut empty = gaussian_batch(LAW_CFG);
+        let stream = rng.clone();
+        empty.advance_all(1.0, &mut rng);
+        assert_eq!(rng, stream, "an empty batch drew");
+
+        let before = batch.rates.clone();
+        batch.advance_all(f64::INFINITY, &mut rng);
+        assert!(
+            changed(&before, &batch.rates).iter().all(|&c| c),
+            "dt = ∞ missed a flow"
+        );
+        let rate = src.rate;
+        src.advance(f64::INFINITY, &mut rng);
+        assert_ne!(src.rate, rate, "dt = ∞ kept the boxed rate");
+
+        for dt in [5e-324, 1e-320, 1e-310, f64::MIN_POSITIVE * 0.99] {
+            for t_c in [1e-300, 1e-3, 1.0, 2.0, 1e300] {
+                let lambda = dt / t_c;
+                for e in [0.0, 5e-324, 1e-300, 1.0, 40.0] {
+                    assert!(
+                        lambda == 0.0 || !(e / lambda).is_nan(),
+                        "NaN skip at dt = {dt:e}, T_c = {t_c:e}, E = {e:e}"
+                    );
+                }
             }
         }
     }
