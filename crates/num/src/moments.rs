@@ -10,7 +10,9 @@
 //!
 //! * `sum` is a **flat left-to-right fold in flow order** — the same
 //!   operations in the same order as `snapshot.iter().sum()`, so the
-//!   derived mean is bit-identical to the slice-based estimators'.
+//!   derived mean is bit-identical to the slice-based estimators'. A
+//!   table too large for one lane folds each lane this way and
+//!   [`RateMoments::merge`]s the lanes in lane order instead.
 //! * The second moment is accumulated around a caller-chosen **pivot**
 //!   `c` (typically the controller's previous mean estimate), and
 //!   `Σ(x−m)²` is reconstructed via the exact algebraic identity
@@ -63,6 +65,32 @@ impl RateMoments {
         for &x in xs {
             self.add(x);
         }
+    }
+
+    /// Adds the observations another accumulator folded, as partial
+    /// sums: how a table too large for one lane (see
+    /// `mbac_traffic::batch`) combines its per-lane folds, in lane
+    /// order. Both must share one pivot. An empty side changes nothing:
+    /// merging into an empty accumulator copies `other` bit for bit, and
+    /// merging an empty one is the identity.
+    #[inline]
+    pub fn merge(&mut self, other: &RateMoments) {
+        debug_assert_eq!(
+            self.pivot.to_bits(),
+            other.pivot.to_bits(),
+            "merging moments around different pivots"
+        );
+        if other.n == 0 {
+            return;
+        }
+        if self.n == 0 {
+            *self = *other;
+            return;
+        }
+        self.n += other.n;
+        self.sum += other.sum;
+        self.s1 += other.s1;
+        self.s2 += other.s2;
     }
 
     /// Number of observations folded in.
@@ -167,6 +195,58 @@ mod tests {
         one.add(2.5);
         assert_eq!(one.mean(), 2.5);
         assert_eq!(one.variance_around(2.5), 0.0, "n < 2 has no variance");
+    }
+
+    /// Lane partials merged in order agree with the flat fold within
+    /// the 1e-12 two-pass bound the estimator proptests use, and count
+    /// every observation once.
+    #[test]
+    fn merged_lanes_match_the_flat_fold() {
+        let xs: Vec<f64> = (0..10_007)
+            .map(|i| 1.0 + 0.3 * ((i * 7919 % 1009) as f64 / 504.5 - 1.0))
+            .collect();
+        for lane in [1, 64, 1000, 4096, 10_006] {
+            let mut flat = RateMoments::new(0.97);
+            flat.add_slice(&xs);
+            let mut merged = RateMoments::new(0.97);
+            for part in xs.chunks(lane) {
+                let mut m = RateMoments::new(0.97);
+                m.add_slice(part);
+                merged.merge(&m);
+            }
+            assert_eq!(merged.count(), xs.len(), "lane {lane}");
+            assert!(
+                (merged.mean() / flat.mean() - 1.0).abs() < 1e-12,
+                "lane {lane}"
+            );
+            let mean = merged.mean();
+            let two_pass: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum();
+            let rel = (merged.sum_sq_dev(mean) / two_pass - 1.0).abs();
+            assert!(rel < 1e-12, "lane {lane}: rel err {rel}");
+        }
+    }
+
+    #[test]
+    fn merging_an_empty_accumulator_is_the_identity() {
+        let mut m = RateMoments::new(1.0);
+        m.add_slice(&data());
+        let before = m;
+        m.merge(&RateMoments::new(1.0));
+        assert_eq!(m, before);
+        let mut empty = RateMoments::new(1.0);
+        empty.merge(&before);
+        assert_eq!(empty, before, "merging into an empty side copies");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "different pivots")]
+    fn merging_mismatched_pivots_is_a_debug_assert() {
+        let mut a = RateMoments::new(1.0);
+        a.add(1.5);
+        let mut b = RateMoments::new(2.0);
+        b.add(2.5);
+        a.merge(&b);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! sweeps can reach it.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -123,6 +124,60 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
+}
+
+thread_local! {
+    /// The count [`with_workers`] installed on this thread, if any.
+    static INSTALLED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with [`current_workers`] answering `workers` on this
+/// thread — how a session hands its worker count to the fan-outs the
+/// code it drives starts, without threading it through every call.
+/// The previous value is restored when `f` returns or unwinds.
+pub fn with_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            INSTALLED.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(INSTALLED.with(|w| w.replace(Some(workers))));
+    f()
+}
+
+/// The worker count for a fan-out started on this thread: the innermost
+/// [`with_workers`], else [`default_workers`] (resolved once).
+pub fn current_workers() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    INSTALLED
+        .with(Cell::get)
+        .unwrap_or_else(|| *DEFAULT.get_or_init(default_workers))
+}
+
+/// Applies `f` to every item in place, running up to `workers`
+/// participants (the caller is one), and returns when all are done —
+/// the `&mut` counterpart of [`parallel_map_with`], on the same pool
+/// and with the same work distribution. `workers == 1` runs inline, in
+/// order. Each item is visited exactly once, by one participant.
+pub fn for_each_mut<T, F>(items: &mut [T], f: F, workers: usize)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    if workers == 1 || items.len() < 2 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    // An uncontended lock per item hands its `&mut` to whichever
+    // participant claims the index.
+    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    let run = |cell: &Mutex<&mut T>| {
+        f(&mut cell
+            .lock()
+            .expect("only the claiming participant locks an item"))
+    };
+    parallel_map_with(cells, run, workers);
 }
 
 /// As [`parallel_map`] with an explicit worker count. `workers == 1`
@@ -573,6 +628,43 @@ mod tests {
             let want: u64 = (0..8).map(|y| (i as u64) * 10 + y).sum();
             assert_eq!(v, want);
         }
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_on_any_worker_count() {
+        for workers in [1, 2, 4] {
+            let mut items: Vec<(u64, u32)> = (0..37).map(|i| (i, 0)).collect();
+            for_each_mut(
+                &mut items,
+                |(x, visits)| {
+                    *x = x.wrapping_mul(*x) ^ 0xA5;
+                    *visits += 1;
+                },
+                workers,
+            );
+            for (i, &(x, visits)) in items.iter().enumerate() {
+                let i = i as u64;
+                assert_eq!(
+                    (x, visits),
+                    (i.wrapping_mul(i) ^ 0xA5, 1),
+                    "workers {workers}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn with_workers_scopes_the_current_count() {
+        let outside = current_workers();
+        let inner = with_workers(3, || {
+            let nested = with_workers(1, current_workers);
+            (current_workers(), nested)
+        });
+        assert_eq!(inner, (3, 1));
+        assert_eq!(current_workers(), outside, "restored on return");
+        let unwound = std::panic::catch_unwind(|| with_workers(5, || panic!("boom")));
+        assert!(unwound.is_err());
+        assert_eq!(current_workers(), outside, "restored on unwind");
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! O(departures popped), never O(flows in system). Advancing and
 //! measuring do cost O(flows in system), every tick: a measurement tick
 //! ([`FlowTable::advance_depart_measure`]) is one pass of each kernel
-//! over its flows, the departures, then one fold over the cached rates.
+//! over its flows, the departures, then one fold over the cached rates;
+//! a group larger than one lane does both lane by lane, on the session's
+//! workers when the work outweighs the hand-off (`mbac_traffic::batch`).
 //! Because the batch kernels compact with `swap_remove`, the wheel
 //! stores stable flow *handles* resolved through a slot map whose
 //! back-pointers are patched on every swap; the popped set is then
@@ -41,7 +43,7 @@
 
 use crate::calendar::{CalendarEntry, DepartureCalendar};
 use mbac_num::RateMoments;
-use mbac_traffic::batch::{BatchKey, DynBatch, FlowBatch};
+use mbac_traffic::batch::{fold_lanes, BatchKey, DynBatch, FlowBatch};
 use mbac_traffic::process::{RateProcess, SourceModel};
 use rand::rngs::StdRng;
 
@@ -306,6 +308,11 @@ impl FlowTable {
     }
 
     /// Advances every flow's bandwidth process to absolute time `t`.
+    ///
+    /// # Panics
+    /// Panics if `t` lies before the time already reached, or is not
+    /// finite: AR(1) and Markov flows step through every tick or jump
+    /// inside the advance, so an infinite one would never return.
     pub fn advance_to(&mut self, t: f64, rng: &mut StdRng) {
         let dt = t - self.advanced_to;
         assert!(
@@ -313,6 +320,7 @@ impl FlowTable {
             "cannot advance flows backwards ({t} < {})",
             self.advanced_to
         );
+        assert!(t.is_finite(), "cannot advance flows to {t}");
         if dt > 0.0 {
             for g in &mut self.groups {
                 g.batch.advance_all(dt, rng);
@@ -439,15 +447,18 @@ impl FlowTable {
     /// then [`FlowTable::depart_until`], then a fold of the batches'
     /// cached rates, with no snapshot vector in between.
     ///
-    /// The moments fold the rates in the exact snapshot order (group
-    /// order, slot order), so the derived mean is bit-identical to
-    /// folding the [`FlowTable::snapshot_into`] slice.
+    /// The moments fold the rates in snapshot order (group order, slot
+    /// order), so while no group holds more than one lane
+    /// ([`mbac_traffic::batch::LANE`]) the derived mean is bit-identical
+    /// to folding the [`FlowTable::snapshot_into`] slice; a larger group
+    /// folds its lanes apart and merges them in lane order
+    /// ([`fold_lanes`]).
     pub fn advance_depart_measure(&mut self, t: f64, rng: &mut StdRng, pivot: f64) -> RateMoments {
         self.advance_to(t, rng);
         self.depart_until(t);
         let mut mom = RateMoments::new(pivot);
         for g in &self.groups {
-            mom.add_slice(g.batch.rates());
+            fold_lanes(&mut mom, g.batch.rates());
         }
         mom
     }
@@ -671,6 +682,52 @@ mod tests {
         for w in ids.windows(2) {
             assert!(w[1] > w[0]);
         }
+    }
+
+    /// A table of `model`'s flows advanced to `t = ∞`. Without the
+    /// finite-target check the AR(1) and Markov catch-up loops never
+    /// return; with it every kernel panics before drawing.
+    fn advance_to_infinity(model: &dyn SourceModel, table: FlowTable) {
+        let (mut table, mut rng) = (table, StdRng::seed_from_u64(8));
+        for _ in 0..3 {
+            table.admit(model, f64::INFINITY, &mut rng);
+        }
+        table.advance_to(f64::INFINITY, &mut rng);
+    }
+
+    fn ar1_model() -> Ar1Model {
+        Ar1Model::new(Ar1Config {
+            mean: 1.0,
+            std_dev: 0.3,
+            t_c: 1.0,
+            tick: 0.05,
+            clamp_at_zero: true,
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot advance flows to inf")]
+    fn rcbr_table_refuses_an_infinite_advance() {
+        advance_to_infinity(&model(), FlowTable::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot advance flows to inf")]
+    fn ar1_table_refuses_an_infinite_advance() {
+        advance_to_infinity(&ar1_model(), FlowTable::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot advance flows to inf")]
+    fn markov_table_refuses_an_infinite_advance() {
+        let m = MarkovFluidFactory::new(MarkovFluidModel::on_off(2.0, 1.0, 3.0));
+        advance_to_infinity(&m, FlowTable::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot advance flows to inf")]
+    fn boxed_table_refuses_an_infinite_advance() {
+        advance_to_infinity(&ar1_model(), FlowTable::new_unbatched());
     }
 
     /// The contract of `advance_depart_measure`: bit-identical to the

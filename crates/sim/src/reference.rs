@@ -21,7 +21,7 @@
 //! Do not use it in simulations; it is the slow path by construction.
 
 use mbac_num::RateMoments;
-use mbac_traffic::batch::{BatchKey, DynBatch, FlowBatch};
+use mbac_traffic::batch::{fold_lanes, BatchKey, DynBatch, FlowBatch};
 use mbac_traffic::process::{RateProcess, SourceModel};
 use rand::rngs::StdRng;
 
@@ -248,7 +248,7 @@ impl ReferenceFlowTable {
         self.depart_until(t);
         let mut mom = RateMoments::new(pivot);
         for g in &self.groups {
-            mom.add_slice(g.batch.rates());
+            fold_lanes(&mut mom, g.batch.rates());
         }
         mom
     }

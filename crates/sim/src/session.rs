@@ -586,7 +586,10 @@ impl Session {
                 None => MetricsSink::enabled(),
             },
         };
-        let outcome = scenario.run_rep(&ctx, &mut sink);
+        // The session's workers also advance the lanes of any table
+        // larger than one lane (`mbac_traffic::batch`).
+        let outcome =
+            mbac_num::parallel::with_workers(self.workers, || scenario.run_rep(&ctx, &mut sink));
         // Streaming sinks flush their final cumulative interval here,
         // after the scenario attached any end-of-rep extras.
         sink.finish_rep();
@@ -647,7 +650,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Worker-thread count for parallel replication fan-out (default:
+    /// Worker-thread count for parallel replication fan-out, and for the
+    /// lanes of any flow table larger than one lane (default:
     /// [`mbac_num::parallel::default_workers`]). The report is
     /// bit-identical for any count.
     pub fn workers(mut self, workers: usize) -> Self {

@@ -9,7 +9,7 @@
 //! tick grid. Used to confirm that the theory's predictions do not hinge
 //! on the RCBR jump structure — only on the second-order statistics.
 
-use crate::batch::{BatchKey, FlowBatch};
+use crate::batch::{BatchKey, FlowBatch, LaneStreams, LANE};
 use crate::process::{RateProcess, SourceModel};
 use mbac_num::rng::{normal, standard_normal, NormalSampler};
 use rand::rngs::StdRng;
@@ -90,12 +90,13 @@ impl SourceModel for Ar1Model {
 /// loop (the boxed source recomputes both on every step), and the rate
 /// cache is refreshed in the same pass as the advance.
 ///
-/// The advance is one flat loop over the flows, in flow order — per
-/// flow the same expressions and the same draws as
-/// [`Ar1Source::advance`], so rates stay bit-identical to the boxed
-/// engine. Chunked, software-pipelined and speculative-sampling kernels
-/// were measured against this loop on `ar1_dense` and were not faster
-/// (DESIGN.md §11.2).
+/// The advance is one flat loop over the flows of each lane, in flow
+/// order on the lane's stream ([`crate::batch`], "Lanes") — per flow the
+/// same expressions and the same draws as [`Ar1Source::advance`], so
+/// rates stay bit-identical to the boxed engine. Chunked,
+/// software-pipelined and speculative-sampling kernels were measured
+/// against this loop on `ar1_dense` and were not faster (DESIGN.md
+/// §11.2).
 pub struct Ar1Batch {
     cfg: Ar1Config,
     /// Hoisted `e^{−Δ/T_c}`.
@@ -108,6 +109,8 @@ pub struct Ar1Batch {
     elapsed: Vec<f64>,
     /// Cached (clamped) rates per flow.
     rates: Vec<f64>,
+    /// RNG streams of lanes 1, 2, … (see [`crate::batch`], "Lanes").
+    lanes: LaneStreams,
 }
 
 impl Ar1Batch {
@@ -122,6 +125,7 @@ impl Ar1Batch {
             values: Vec::new(),
             elapsed: Vec::new(),
             rates: Vec::new(),
+            lanes: LaneStreams::default(),
         }
     }
 
@@ -144,22 +148,34 @@ impl FlowBatch for Ar1Batch {
         let (mean, tick, clamp) = (self.cfg.mean, self.cfg.tick, self.cfg.clamp_at_zero);
         let (a, sd) = (self.a, self.innovation_sd);
         let sampler = NormalSampler::get();
-        let flows = self
+        // One draw per tick boundary crossed.
+        let n = self.values.len() as f64;
+        let lanes = self
             .values
-            .iter_mut()
-            .zip(self.elapsed.iter_mut())
-            .zip(self.rates.iter_mut());
-        for ((value, elapsed), rate) in flows {
-            let mut v = *value;
-            let mut e = *elapsed + dt;
-            while e >= tick {
-                e -= tick;
-                v = mean + a * (v - mean) + sd * sampler.sample(rng);
+            .chunks_mut(LANE)
+            .zip(self.elapsed.chunks_mut(LANE))
+            .zip(self.rates.chunks_mut(LANE));
+        let advance = |((values, elapsed), rates): &mut ((&mut [f64], &mut [f64]), &mut [f64]),
+                       rng: &mut StdRng| {
+            // Captures into locals (see `LaneStreams::advance`).
+            let (mean, tick, clamp, a, sd, dt) = (mean, tick, clamp, a, sd, dt);
+            let flows = values
+                .iter_mut()
+                .zip(elapsed.iter_mut())
+                .zip(rates.iter_mut());
+            for ((value, elapsed), rate) in flows {
+                let mut v = *value;
+                let mut e = *elapsed + dt;
+                while e >= tick {
+                    e -= tick;
+                    v = mean + a * (v - mean) + sd * sampler.sample(rng);
+                }
+                *value = v;
+                *elapsed = e;
+                *rate = if clamp { v.max(0.0) } else { v };
             }
-            *value = v;
-            *elapsed = e;
-            *rate = if clamp { v.max(0.0) } else { v };
-        }
+        };
+        self.lanes.advance(rng, lanes, || n * dt / tick, advance);
     }
 
     fn rates(&self) -> &[f64] {

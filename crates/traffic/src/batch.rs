@@ -38,13 +38,127 @@
 //! the whole batch, so a boxed source advanced alone cannot match it;
 //! [`DynBatch`] instead runs the kernel's loop over each run of
 //! consecutive flows with equal [`RateProcess::thinning_scale`].
+//!
+//! # Lanes
+//!
+//! A batch of more than [`LANE`] flows advances as *lanes*: contiguous
+//! slot ranges of [`LANE`] flows (the last one shorter), each with an
+//! RNG stream of its own. Lane 0 draws from the caller's RNG; lane
+//! `k ≥ 1` from a stream the batch seeds from the caller's RNG (one
+//! word, through SplitMix64), in lane order, the first time it is
+//! advanced with a lane `k`, and keeps for its life. Within a lane the
+//! stream contract above holds unchanged — every kernel and
+//! [`DynBatch`] alike advance the lane's flows in slot order on the
+//! lane's stream, and a thinning run ends at a lane edge — so the two
+//! engines stay bit-identical, and since no lane ever draws from
+//! another's stream, which thread advances a lane changes no bit. Lanes
+//! run on the persistent pool ([`mbac_num::parallel`]) when the advance
+//! is worth a hand-off; a batch of at most one lane takes the one-lane
+//! path, the same loop on the caller's RNG that it always was.
 
 use crate::process::RateProcess;
 #[cfg(doc)]
 use crate::process::SourceModel;
 use crate::rcbr::thin;
+use mbac_num::parallel;
 use mbac_num::rng::ExpSampler;
+use mbac_num::RateMoments;
 use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+
+/// Flows per lane (module docs, "Lanes").
+pub const LANE: usize = 1 << 13;
+
+/// What handing lanes to a parked pool worker costs the caller, in ns
+/// (it wakes ~20 µs late), and what one random draw inside a kernel
+/// loop and one flow folded into [`RateMoments`] cost. Measured on the
+/// 2-vCPU host (DESIGN §11.1–11.2); they only decide whether lanes run
+/// on the pool, never what they draw.
+const HAND_OFF_NS: f64 = 20_000.0;
+const DRAW_NS: f64 = 5.0;
+const FOLD_NS: f64 = 0.7;
+
+/// Participants for `work_ns` of lane work: the session's workers when
+/// half the work outweighs a hand-off, else the caller alone.
+fn workers_for(work_ns: f64) -> usize {
+    if work_ns > 2.0 * HAND_OFF_NS {
+        parallel::current_workers()
+    } else {
+        1
+    }
+}
+
+/// The RNG streams of a batch's lanes `1, 2, …` (module docs, "Lanes").
+#[derive(Default)]
+pub(crate) struct LaneStreams(Vec<StdRng>);
+
+impl LaneStreams {
+    /// Runs `advance` on each of `lanes` — the batch's state cut at
+    /// [`LANE`] boundaries, in slot order — with that lane's RNG. One
+    /// lane runs inline on `rng`. `draws`, the advance's expected random
+    /// draws (asked only of a batch of several lanes), decides whether
+    /// the lanes run on the pool.
+    ///
+    /// A kernel whose loop reads captured constants per flow should copy
+    /// them into locals first (`let (a, dt) = (a, dt);`): a capture is
+    /// read through a pointer the lane's stores might alias, so the loop
+    /// reloads it for every flow — the AR(1) loop ran 17 % slower for
+    /// it.
+    #[inline]
+    pub(crate) fn advance<L: Send>(
+        &mut self,
+        rng: &mut StdRng,
+        mut lanes: impl ExactSizeIterator<Item = L>,
+        draws: impl FnOnce() -> f64,
+        advance: impl Fn(&mut L, &mut StdRng) + Sync,
+    ) {
+        if lanes.len() < 2 {
+            if let Some(mut lane) = lanes.next() {
+                advance(&mut lane, rng);
+            }
+            return;
+        }
+        while self.0.len() < lanes.len() - 1 {
+            self.0.push(StdRng::seed_from_u64(rng.next_u64()));
+        }
+        // Lane 0 runs on a copy of the caller's stream, written back
+        // after: were `rng` itself handed to the pool, the compiler would
+        // have to assume any call might touch it, and the one-lane loop
+        // above would store the generator's state after every draw.
+        let mut lane0 = rng.clone();
+        let rngs = std::iter::once(&mut lane0).chain(&mut self.0);
+        let mut jobs: Vec<(L, &mut StdRng)> = lanes.zip(rngs).collect();
+        parallel::for_each_mut(
+            &mut jobs,
+            |(lane, rng)| advance(lane, rng),
+            workers_for(draws() * DRAW_NS),
+        );
+        *rng = lane0;
+    }
+}
+
+/// Folds `rates` into `mom`: in flow order for a batch of at most one
+/// lane, else one fold per lane — on the pool when worth a hand-off —
+/// merged in lane order.
+pub fn fold_lanes(mom: &mut RateMoments, rates: &[f64]) {
+    if rates.len() <= LANE {
+        mom.add_slice(rates);
+        return;
+    }
+    let pivot = mom.pivot();
+    let partials = parallel::parallel_map_with(
+        rates.chunks(LANE).collect(),
+        |lane: &&[f64]| {
+            let mut m = RateMoments::new(pivot);
+            m.add_slice(lane);
+            m
+        },
+        workers_for(rates.len() as f64 * FOLD_NS),
+    );
+    for m in &partials {
+        mom.merge(m);
+    }
+}
 
 /// Identifies which [`FlowBatch`] a model's flows can join. Two models
 /// with equal keys must spawn statistically identical flows (they share
@@ -148,6 +262,7 @@ pub trait FlowBatch: Send {
 pub struct DynBatch {
     procs: Vec<Box<dyn RateProcess>>,
     rates: Vec<f64>,
+    lanes: LaneStreams,
 }
 
 impl DynBatch {
@@ -164,28 +279,38 @@ impl FlowBatch for DynBatch {
 
     fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
         let exp = ExpSampler::get();
-        let mut start = 0;
-        while start < self.procs.len() {
-            let Some(scale) = self.procs[start].thinning_scale() else {
-                let p = &mut self.procs[start];
-                p.advance(dt, rng);
-                self.rates[start] = p.rate();
-                start += 1;
-                continue;
-            };
-            // The maximal run of flows with this scale, thinned as the
-            // batched kernel thins its batch.
-            let end = self.procs[start..]
-                .iter()
-                .position(|p| p.thinning_scale() != Some(scale))
-                .map_or(self.procs.len(), |n| start + n);
-            let (procs, rates) = (&mut self.procs[start..end], &mut self.rates[start..end]);
-            thin(procs.len(), dt, scale, exp, rng, |i, rng| {
-                procs[i].reset(rng);
-                rates[i] = procs[i].rate();
-            });
-            start = end;
-        }
+        // At least one virtual call per flow, about a draw's worth.
+        let n = self.procs.len() as f64;
+        let lanes = self.procs.chunks_mut(LANE).zip(self.rates.chunks_mut(LANE));
+        self.lanes.advance(
+            rng,
+            lanes,
+            || n,
+            |(procs, rates), rng| {
+                let mut start = 0;
+                while start < procs.len() {
+                    let Some(scale) = procs[start].thinning_scale() else {
+                        let p = &mut procs[start];
+                        p.advance(dt, rng);
+                        rates[start] = p.rate();
+                        start += 1;
+                        continue;
+                    };
+                    // The maximal run of flows with this scale within the
+                    // lane, thinned as the batched kernel thins the lane.
+                    let end = procs[start..]
+                        .iter()
+                        .position(|p| p.thinning_scale() != Some(scale))
+                        .map_or(procs.len(), |n| start + n);
+                    let (run, run_rates) = (&mut procs[start..end], &mut rates[start..end]);
+                    thin(run.len(), dt, scale, exp, rng, |i, rng| {
+                        run[i].reset(rng);
+                        run_rates[i] = run[i].rate();
+                    });
+                    start = end;
+                }
+            },
+        );
     }
 
     fn rates(&self) -> &[f64] {

@@ -7,7 +7,7 @@
 //! sources exercise the theory beyond the RCBR/OU case. The classical
 //! on–off voice model is provided as a convenience constructor.
 
-use crate::batch::{BatchKey, FlowBatch};
+use crate::batch::{BatchKey, FlowBatch, LaneStreams, LANE};
 use crate::process::{RateProcess, SourceModel};
 use mbac_num::linalg::{ctmc_stationary, Matrix};
 use mbac_num::rng::{discrete, exponential};
@@ -183,6 +183,8 @@ pub struct MarkovFluidBatch {
     remaining: Vec<f64>,
     /// Cached emission rate per flow.
     rates: Vec<f64>,
+    /// RNG streams of lanes 1, 2, … (see [`crate::batch`], "Lanes").
+    lanes: LaneStreams,
 }
 
 impl MarkovFluidBatch {
@@ -208,6 +210,7 @@ impl MarkovFluidBatch {
             states: Vec::new(),
             remaining: Vec::new(),
             rates: Vec::new(),
+            lanes: LaneStreams::default(),
         }
     }
 
@@ -229,31 +232,46 @@ impl FlowBatch for MarkovFluidBatch {
 
     fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
         assert!(dt >= 0.0);
-        // Lock-step slice iteration: no bounds checks in the hot loop.
         let (model, jump_weights) = (&self.model, &self.jump_weights);
-        for ((state, rem), rate) in self
+        // A jump and a sojourn per transition, at the stationary rate.
+        let n = self.states.len() as f64;
+        let draws = || {
+            let exits = model.stationary.iter().zip(&model.exit_rates);
+            2.0 * n * dt * exits.map(|(p, e)| p * e).sum::<f64>()
+        };
+        let lanes = self
             .states
-            .iter_mut()
-            .zip(self.remaining.iter_mut())
-            .zip(self.rates.iter_mut())
-        {
-            let mut left = dt;
-            let mut s = *state;
-            while left >= *rem {
-                left -= *rem;
-                s = discrete(rng, &jump_weights[s]);
-                // Same draws as `MarkovFluidSource::draw_sojourn`.
-                let exit = model.exit_rates[s];
-                *rem = if exit <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    exponential(rng, 1.0 / exit)
-                };
-            }
-            *rem -= left;
-            *state = s;
-            *rate = model.rates[s];
-        }
+            .chunks_mut(LANE)
+            .zip(self.remaining.chunks_mut(LANE))
+            .zip(self.rates.chunks_mut(LANE));
+        let advance =
+            |((states, remaining), rates): &mut ((&mut [usize], &mut [f64]), &mut [f64]),
+             rng: &mut StdRng| {
+                // Lock-step slice iteration: no bounds checks in the hot loop.
+                for ((state, rem), rate) in states
+                    .iter_mut()
+                    .zip(remaining.iter_mut())
+                    .zip(rates.iter_mut())
+                {
+                    let mut left = dt;
+                    let mut s = *state;
+                    while left >= *rem {
+                        left -= *rem;
+                        s = discrete(rng, &jump_weights[s]);
+                        // Same draws as `MarkovFluidSource::draw_sojourn`.
+                        let exit = model.exit_rates[s];
+                        *rem = if exit <= 0.0 {
+                            f64::INFINITY
+                        } else {
+                            exponential(rng, 1.0 / exit)
+                        };
+                    }
+                    *rem -= left;
+                    *state = s;
+                    *rate = model.rates[s];
+                }
+            };
+        self.lanes.advance(rng, lanes, draws, advance);
     }
 
     fn rates(&self) -> &[f64] {

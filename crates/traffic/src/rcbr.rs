@@ -35,7 +35,9 @@
 //! `E` and renegotiates iff `⌊E/λ⌋ = 0`; a `DynBatch` runs it over each
 //! run of consecutive RCBR flows with equal `T_c`
 //! ([`RateProcess::thinning_scale`]), so the two engines consume the RNG
-//! identically.
+//! identically. A batch larger than one lane runs the loop once per
+//! lane, on the lane's own stream ([`crate::batch`], "Lanes"): each
+//! flow still renegotiates independently with probability `p`.
 //!
 //! It is exact, not an approximation. Renegotiation epochs form a
 //! Poisson process of rate `1/T_c` and the negotiated rates are i.i.d.
@@ -66,7 +68,7 @@
 //! negligible perturbation of the moments (the analytic `mean()` /
 //! `variance()` report the *untruncated* values, as the theory assumes).
 
-use crate::batch::{BatchKey, FlowBatch};
+use crate::batch::{BatchKey, FlowBatch, LaneStreams, LANE};
 use crate::marginal::Marginal;
 use crate::process::{RateProcess, SourceModel};
 use mbac_num::rng::{normal, normal_truncated_below, ExpSampler, NormalSampler};
@@ -193,7 +195,7 @@ impl SourceModel for RcbrModel {
 
 /// How an [`RcbrBatch`] draws a negotiated rate: the one thing the
 /// classic and the generalized RCBR kernels differ in.
-trait RateDraw: Send {
+trait RateDraw: Send + Sync {
     /// One rate; must consume the RNG as the boxed source's draw does.
     fn draw(&self, rng: &mut StdRng) -> f64;
 }
@@ -258,6 +260,8 @@ struct RcbrBatch<D> {
     exp: ExpSampler,
     /// Negotiated rate per flow — also the cached rate vector.
     rates: Vec<f64>,
+    /// RNG streams of lanes 1, 2, … (see [`crate::batch`], "Lanes").
+    lanes: LaneStreams,
 }
 
 impl<D> RcbrBatch<D> {
@@ -267,6 +271,7 @@ impl<D> RcbrBatch<D> {
             t_c,
             exp: ExpSampler::get(),
             rates: Vec::new(),
+            lanes: LaneStreams::default(),
         }
     }
 }
@@ -277,9 +282,15 @@ impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
     }
 
     fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
-        let (draw, rates) = (&self.draw, &mut self.rates);
-        thin(rates.len(), dt, self.t_c, self.exp, rng, |i, rng| {
-            rates[i] = draw.draw(rng);
+        let (draw, t_c, exp) = (&self.draw, self.t_c, self.exp);
+        // A gap and a rate per renegotiation.
+        let n = self.rates.len() as f64;
+        let draws = || 2.0 * n * -(-dt / t_c).exp_m1();
+        let lanes = self.rates.chunks_mut(LANE);
+        self.lanes.advance(rng, lanes, draws, |rates, rng| {
+            thin(rates.len(), dt, t_c, exp, rng, |i, rng| {
+                rates[i] = draw.draw(rng);
+            });
         });
     }
 
