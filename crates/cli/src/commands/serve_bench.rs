@@ -1,7 +1,8 @@
 //! `mbacctl serve-bench` — the closed-loop decision-plane benchmark.
 //!
 //! Generates a multi-link request workload — a window of ticks at a
-//! time on the serial shape, through the Session pipeline on a threaded
+//! time on the serial shape, the next window on a second core while
+//! this one is replayed, and through the Session pipeline on a threaded
 //! one — replays it through the sharded [`mbac_serve`] decision plane,
 //! and reports decision latency percentiles plus sustained throughput.
 //! Invalid configurations surface as friendly messages (exit code 1),
@@ -49,9 +50,10 @@ shard/producer/engine choice) plus p50/p99/mean decision latency and
 sustained decisions/sec. Latency is read off stamped decisions: every
 one of a run of up to 16384 requests, that many spread over a longer
 one (the `latency samples : n of N decisions` line). `elapsed` is the
-replay alone and `generation` the time spent generating the workload:
-the serial shape alternates the two a few ticks at a time, in memory
-that does not grow with --ticks.
+replay alone, `generation` the time spent generating the workload and
+`wall` the whole run: the serial shape overlaps the two a few ticks at
+a time when the host has a second core (and runs them in turn when it
+has one), in memory that does not grow with --ticks.
 --shards/--producers pick the plane shape; on a single-core host a
 threaded shape falls back to the serial reference and says so.
 --ring-capacity bounds each shard's ingest ring (the closed loop's
@@ -263,4 +265,5 @@ fn print_report(report: &BenchReport, engine: Engine) {
     // Microseconds: a run of a few ticks replays in tens of them.
     println!("  elapsed              : {:.6} s", report.elapsed_secs);
     println!("  generation           : {:.6} s", report.generate_secs);
+    println!("  wall                 : {:.6} s", report.wall_secs);
 }

@@ -825,8 +825,9 @@ fn oversized_stars_are_rejected_without_aborting() {
     }
 }
 
-/// The timing block says where the round went: the replay (`elapsed`)
-/// and the workload generation beside it, on either plane.
+/// The timing block says where the round went: the replay (`elapsed`),
+/// the workload generation beside it and the run's `wall` time, which
+/// holds both, on either plane.
 #[test]
 fn serve_bench_reports_generation_beside_elapsed() {
     let seconds = |text: &str, label: &str| -> f64 {
@@ -843,10 +844,44 @@ fn serve_bench_reports_generation_beside_elapsed() {
         let out = mbacctl(&args);
         assert!(out.status.success(), "{command}");
         let text = String::from_utf8_lossy(&out.stdout);
-        assert!(seconds(&text, "elapsed") > 0.0, "{command}: {text}");
-        assert!(seconds(&text, "generation") > 0.0, "{command}: {text}");
-        assert!(!decision_block(&out.stdout).contains("generation"));
+        let (replay, generation) = (seconds(&text, "elapsed"), seconds(&text, "generation"));
+        assert!(replay > 0.0 && generation > 0.0, "{command}: {text}");
+        assert!(
+            seconds(&text, "wall") >= replay.max(generation),
+            "{command}: {text}"
+        );
+        for timing in ["generation", "wall"] {
+            assert!(!decision_block(&out.stdout).contains(timing));
+        }
     }
+}
+
+/// A serial run holds one window of ticks at a time, so it is held to
+/// the workload bound a tick at a time: this run is more events than a
+/// materialised one may hold (2^28), and goes ahead. It would take
+/// minutes, so the test stops it once it is past the checks, which
+/// answer within milliseconds.
+#[test]
+fn serve_bench_streams_a_run_past_the_materialised_bound() {
+    let args = "serve-bench --links 32 --requests-per-tick 32 --ticks 300000";
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mbacctl"))
+        .args(args.split(' '))
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    let exited = loop {
+        let exited = child.try_wait().expect("waitable");
+        if exited.is_some() || std::time::Instant::now() >= deadline {
+            break exited;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let _ = child.kill();
+    let out = child.wait_with_output().expect("reaped");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(exited.is_none(), "{args}: exited {exited:?}: {err}");
 }
 
 #[test]
@@ -991,8 +1026,11 @@ fn serve_bench_rejects_oversized_shard_count_at_once() {
 fn serve_bench_rejects_oversized_workloads_without_aborting() {
     // The generated workload is sized up front from these flags: each
     // of the first five used to abort on the allocation (exit 134), the
-    // sixth overflowed into a panicking pool worker, and the last went
-    // on admitting flows for ever.
+    // sixth overflowed into a panicking pool worker, and the seventh
+    // went on admitting flows for ever. A serial run is held to the
+    // bound one tick at a time, which the first and sixth pass: their
+    // length stops them. The last holds too many rate samples in one
+    // tick.
     let cases = [
         "--links 4 --ticks 99999999999",
         "--links 4 --ticks 20 --requests-per-tick 99999999999",
@@ -1001,6 +1039,7 @@ fn serve_bench_rejects_oversized_workloads_without_aborting() {
         "--topology parking-lot:3 --ticks 20 --requests-per-tick 99999999999",
         "--links 2 --ticks 18446744073709551615 --requests-per-tick 3",
         "--flows-per-link 99999999999",
+        "--links 64 --flows-per-link 5000000 --ticks 1",
     ];
     for flags in cases {
         let args: Vec<&str> = std::iter::once("serve-bench")

@@ -18,16 +18,40 @@
 //! # How a run is generated
 //!
 //! The serial shape never holds the run. It builds the plane once and
-//! then alternates: `mbac_sim::Windows::next_window` generates the next
-//! few ticks of events into the buffers of the window before, and the
-//! serial driver replays them ([`WINDOW_RATE_SAMPLES`] sizes a window
-//! and says why). Memory is the populations, one window and the plane,
-//! whatever the number of ticks; the estimator reads rates that were
-//! written microseconds earlier and are still in cache.
+//! then feeds the serial driver a window of ticks at a time
+//! ([`WINDOW_RATE_SAMPLES`] sizes a window and says why):
+//! `mbac_sim::Windows::next_window` writes the next few ticks of events
+//! into a window buffer, the driver replays it, and the buffer goes
+//! back to be written again. Memory is the populations, two windows and
+//! the plane, whatever the number of ticks.
+//!
+//! The two stages overlap. While the driver replays window *k* on the
+//! caller's thread, a scoped generator thread fills window *k + 1*; two
+//! buffers rotate between them, so the generator runs at most one
+//! window ahead. On `serve_routed` a round was 69 ms of generation and
+//! 41 ms of replay in turn — most of the generation per-node Gaussian
+//! noise, drawn at a floor no bit-preserving kernel lowers — while the
+//! host's second core idled; overlapped, a round costs about the larger
+//! of the two. The overlap runs when `mbac_num::parallel::current_workers()`
+//! is above 1, the rule the Session pipeline and the flow lanes follow;
+//! with one worker the same loop generates each window inline, between
+//! the replays, in the order it always had. There is no setting, and
+//! the injected `parallelism` still gates only the threaded shape. Both
+//! feeds hand the replay the same windows in the same order, so the
+//! decisions are the same bytes (held to the materialised reference at
+//! one and two workers in [`crate::replay`]'s and [`crate::routed`]'s
+//! tests). The generator is a dedicated thread, not a pool job: the
+//! stages hand windows to each other over a bounded channel, and a pool
+//! job may run inline on the caller when no worker is free, where that
+//! hand-off would deadlock; and a pool hand-off costs ~20 µs, paid once
+//! a window. A panic on either stage ends the run with that panic.
+//!
 //! [`BenchReport::elapsed_secs`] is the sum of the replay spans — two
 //! clock reads a window — so decisions per second still means replay
-//! time only, and [`BenchReport::generate_secs`] is the time in the
-//! generator between them; a round is about their sum.
+//! time only. [`BenchReport::generate_secs`] is the generator's busy
+//! time, its waits for a free buffer excluded, and
+//! [`BenchReport::wall_secs`] the run's: their sum when the stages run
+//! in turn, about the larger of them when they overlap.
 //!
 //! The threaded shape still materialises the whole run (the Session
 //! pipeline, one replication per link or route) before it starts its
@@ -191,13 +215,18 @@ pub struct BenchReport {
     pub rejected: u64,
     /// Total workload events replayed (measurements + requests).
     pub events: u64,
-    /// Time spent generating the workload: in the window generator
-    /// between the replay spans (serial), or materialising the run
-    /// before the replay (threaded).
+    /// Time spent generating the workload: the window generator's busy
+    /// time, whether it overlapped the replay or ran between its spans
+    /// (serial; waits for a free window buffer are not counted), or
+    /// materialising the run before the replay (threaded).
     pub generate_secs: f64,
     /// Replay wall time: end to end when threaded, the sum of the
     /// windows' replay spans when serial.
     pub elapsed_secs: f64,
+    /// The run's wall time, from the first generated flow to the last
+    /// decision: about `generate_secs + elapsed_secs` when the two run
+    /// in turn, nearer the larger of them when they overlap.
+    pub wall_secs: f64,
     /// Sustained decision throughput.
     pub decisions_per_sec: f64,
     /// How many decisions were stamped: what `p50_ns`, `p99_ns` and
@@ -229,19 +258,25 @@ pub const LATENCY_SAMPLES: u64 = 1 << 14;
 
 /// The length of a serial run's windows, in per-flow rate samples (see
 /// "How a run is generated"): a window is
-/// `WINDOW_RATE_SAMPLES / rate_samples_per_tick` ticks, at least one.
-/// 2¹⁵ samples are 256 KiB, an eighth of the development host's L2:
-/// 32 links × 50 flows = 1 600 samples a tick make `serve_links`'
-/// windows 20 ticks, parking-lot:3's 3 × 200 = 600 make `serve_routed`'s
-/// 54. Measured there, a `serve_routed` round takes 0.1175 s at 16 and
-/// at 64 ticks a window, 0.125 s at 256, 0.138 s at 1 024, 0.147 s at
-/// 4 096 and 0.178 s as one window of the whole run — what the run cost
-/// materialised: filling its 96 MB of fresh heap is 40 ms of page
-/// faults whatever the allocation grain (~0.4 ns a byte, as much as the
-/// 4 ns Gaussian draw behind each sample), and the replay then reads
-/// every rate cold. The plateau is wide on both workloads, so this is a
+/// `WINDOW_RATE_SAMPLES / items_per_tick` ticks, at least one, where a
+/// tick's items are its rate samples or, where they are more, its
+/// events. 2¹⁶ samples are 512 KiB, a quarter of the development host's
+/// 2 MiB L2: 32 links × 50 flows = 1 600 samples a tick make
+/// `serve_links`' windows 40 ticks, parking-lot:3's 3 × 200 = 600 make
+/// `serve_routed`'s 109. Measured with the stages overlapped on that
+/// 2-vCPU host, a `serve_routed` round is flat from 2¹⁴ to 2¹⁸ samples
+/// (0.070–0.074 s) and gives the overlap back below it (0.087 s at
+/// 2¹³), where the hand-offs add up. `serve_links` keeps falling to
+/// 2¹⁶ (0.0254 s at 2¹⁵, 0.0242 s here, 0.0241 s at 2¹⁷): its replay
+/// reads rates and events the other core wrote, and reads them faster
+/// from longer windows. Generated inline, on one core, it pays 2 % for
+/// the longer window (0.0262 → 0.0268 s; 6 % at 2¹⁷) and `serve_routed`
+/// nothing. Any window on the plateau beats the whole run materialised
+/// (0.178 s a `serve_routed` round, generated and replayed in turn:
+/// filling 96 MB of fresh heap was 40 ms of page faults, and the
+/// replay read every rate cold), and the plateau is wide, so this is a
 /// constant and not a setting.
-pub const WINDOW_RATE_SAMPLES: usize = 1 << 15;
+pub const WINDOW_RATE_SAMPLES: usize = 1 << 16;
 
 /// The host's available parallelism (1 when undeterminable).
 pub fn host_parallelism() -> usize {
@@ -307,36 +342,40 @@ impl Shape {
             &workload,
             Tally::default,
         )?;
-        Ok(self.report(replayed, generate, workload.events()))
+        let events = workload.events();
+        Ok(self.report(replayed, generate, events, start.elapsed()))
     }
 
     /// The serial shape: `windows`' run through `plane`, generated and
-    /// replayed a window at a time.
-    fn serial<G: Windows>(
+    /// replayed a window at a time, spending a `budget` of stamps on its
+    /// requests. The run's wall time is counted from `start`.
+    fn serial<G>(
         self,
-        mut windows: G,
+        windows: G,
         plane: Plane<<G::Workload as Replay>::Logic>,
-        stamps: Stamps,
+        budget: u64,
+        start: Instant,
     ) -> BenchReport
     where
-        G::Workload: Replay,
+        G: Windows + Send,
+        G::Workload: Replay + Send,
     {
-        let ticks = (WINDOW_RATE_SAMPLES / windows.rate_samples_per_tick()).max(1);
+        let ticks = (WINDOW_RATE_SAMPLES / windows.items_per_tick()).max(1);
+        let stamps = Stamps::budgeted(windows.requests(), budget);
         let mut driver = SerialDriver::new(plane, stamps, Tally::default());
-        let (mut generate, mut events) = (Duration::ZERO, 0);
-        loop {
-            let start = Instant::now();
-            let window = windows.next_window(ticks);
-            generate += start.elapsed();
-            let Some(window) = window else { break };
-            events += window.events();
-            driver.drive(window);
-        }
-        self.report(driver.finish(), generate, events)
+        let (generate, events) = driver.drive_windows(windows, ticks);
+        let replayed = driver.finish();
+        self.report(replayed, generate, events, start.elapsed())
     }
 
     /// The report of a run in this shape.
-    fn report(self, replayed: Replayed<Tally>, generate: Duration, events: u64) -> BenchReport {
+    fn report(
+        self,
+        replayed: Replayed<Tally>,
+        generate: Duration,
+        events: u64,
+        wall: Duration,
+    ) -> BenchReport {
         let Tally {
             decisions,
             admitted,
@@ -358,6 +397,7 @@ impl Shape {
             events,
             generate_secs: generate.as_secs_f64(),
             elapsed_secs,
+            wall_secs: wall.as_secs_f64(),
             decisions_per_sec: if elapsed_secs > 0.0 {
                 decisions as f64 / elapsed_secs
             } else {
@@ -434,16 +474,18 @@ fn closed_loop_sampling(
         metrics: metrics_mode(&cfg.stream),
         stream: cfg.stream.clone(),
     };
-    // Bounds the product below.
-    load.validate()?;
-    let requests = (cfg.links * cfg.ticks * cfg.requests_per_tick) as u64;
-    let stamps = Stamps::budgeted(requests, budget);
     if shape.threaded {
+        // Bounds the product below.
+        load.validate()?;
+        let requests = (cfg.links * cfg.ticks * cfg.requests_per_tick) as u64;
+        let stamps = Stamps::budgeted(requests, budget);
         return shape.threaded(&load, cfg.engine, &plane, make, stamps);
     }
+    let start = Instant::now();
+    // Held to the bound a tick at a time: the run is never in memory.
     let windows = load.windows(cfg.engine)?;
     let plane = DecisionPlane::new(&plane, make)?;
-    Ok(shape.serial(windows, plane, stamps))
+    Ok(shape.serial(windows, plane, budget, start))
 }
 
 // ---------------------------------------------------------------------
@@ -551,26 +593,32 @@ fn routed_closed_loop_sampling(
         metrics: metrics_mode(&cfg.stream),
         stream: cfg.stream.clone(),
     };
-    // Bounds the product below.
-    load.validate()?;
-    let requests = (cfg.topology.routes() * cfg.ticks * cfg.requests_per_tick) as u64;
-    let stamps = Stamps::budgeted(requests, budget);
     if shape.threaded {
+        // Bounds the product below.
+        load.validate()?;
+        let requests = (cfg.topology.routes() * cfg.ticks * cfg.requests_per_tick) as u64;
+        let stamps = Stamps::budgeted(requests, budget);
         return shape.threaded(&load, cfg.engine, &plane, make, stamps);
     }
+    let start = Instant::now();
+    // Held to the whole-run bound: the route table below is as long as
+    // the run.
     let windows = load.windows(cfg.engine)?;
     // The route table wants the run's seq -> route map up front, and
     // that is a function of the configuration alone.
     let routes = load.cfg.request_routes();
     let plane = RoutedPlane::for_requests(&plane, &cfg.topology, &routes, make)?;
-    Ok(shape.serial(windows, plane, stamps))
+    Ok(shape.serial(windows, plane, budget, start))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plane::{MAX_PRODUCERS, MAX_SHARDS};
+    use mbac_num::parallel::with_workers;
+    use mbac_traffic::process::RateProcess;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn small() -> BenchConfig {
         BenchConfig {
@@ -719,16 +767,15 @@ mod tests {
         }
     }
 
-    /// Populations large enough that the run is several windows long —
-    /// 4 x 2 048 rate samples a tick make windows of 4 ticks, the
-    /// parking lot's 6 x 2 048 windows of 2, each run ending on a
-    /// shorter one — report what the same runs report materialised,
-    /// which is how the threaded shape still generates them.
-    #[test]
-    fn a_run_of_several_windows_reports_what_the_materialised_run_does() {
+    /// Populations large enough that a run is several windows long:
+    /// 4 x 2 048 rate samples a tick make windows of 8 ticks, the
+    /// parking lot's 6 x 2 048 windows of 5, each run ending on a
+    /// shorter one.
+    fn several_windows() -> (BenchConfig, RoutedBenchConfig) {
         let links = BenchConfig {
             links: 4,
             flows_per_link: 2048,
+            ticks: 20,
             requests_per_tick: 40,
             capacity: 2100.0,
             shards: 2,
@@ -737,34 +784,129 @@ mod tests {
         let routed = RoutedBenchConfig {
             topology: Arc::new(Topology::parking_lot(3, 4200.0)),
             flows_per_route: 2048,
-            ticks: 5,
+            ticks: 12,
             requests_per_tick: 40,
             shards: 2,
             ..small_routed()
         };
-        assert_eq!(WINDOW_RATE_SAMPLES / (4 * 2048), 4);
-        assert_eq!(WINDOW_RATE_SAMPLES / (6 * 2048), 2);
-        let run = |parallelism| {
-            [
-                closed_loop_with_parallelism(&links, &model(), parallelism).unwrap(),
-                routed_closed_loop_with_parallelism(&routed, &model(), parallelism).unwrap(),
-            ]
+        assert_eq!(WINDOW_RATE_SAMPLES / (4 * 2048), 8);
+        assert_eq!(WINDOW_RATE_SAMPLES / (6 * 2048), 5);
+        (links, routed)
+    }
+
+    /// Runs of several windows, generated inline (one worker) or
+    /// overlapped with their replay (two), report what the same runs
+    /// report materialised, which is how the threaded shape still
+    /// generates them. A run's wall time holds its generation and its
+    /// replay: their sum when they run in turn.
+    #[test]
+    fn a_run_of_several_windows_reports_what_the_materialised_run_does() {
+        let (links, routed) = several_windows();
+        let run = |parallelism, workers| {
+            with_workers(workers, || {
+                [
+                    closed_loop_with_parallelism(&links, &model(), parallelism).unwrap(),
+                    routed_closed_loop_with_parallelism(&routed, &model(), parallelism).unwrap(),
+                ]
+            })
         };
-        for (windowed, whole) in run(1).into_iter().zip(run(4)) {
-            assert_eq!((windowed.mode, whole.mode), ("serial", "threaded"));
-            assert_eq!(windowed.decisions, whole.decisions);
-            assert_eq!(windowed.admitted, whole.admitted);
-            let (admitted, decisions) = (windowed.admitted, windowed.decisions);
-            assert!(
-                0 < admitted && admitted < decisions,
-                "{admitted} of {decisions}"
-            );
-            assert_eq!(windowed.events, whole.events);
-            assert_eq!(windowed.latency_samples, whole.latency_samples);
-            for report in [windowed, whole] {
-                assert!(report.generate_secs > 0.0 && report.elapsed_secs > 0.0);
+        for workers in [1, 2] {
+            for (windowed, whole) in run(1, workers).into_iter().zip(run(4, workers)) {
+                assert_eq!((windowed.mode, whole.mode), ("serial", "threaded"));
+                assert_eq!(windowed.decisions, whole.decisions);
+                assert_eq!(windowed.admitted, whole.admitted);
+                let (admitted, decisions) = (windowed.admitted, windowed.decisions);
+                assert!(
+                    0 < admitted && admitted < decisions,
+                    "{admitted} of {decisions}"
+                );
+                assert_eq!(windowed.events, whole.events);
+                assert_eq!(windowed.latency_samples, whole.latency_samples);
+                for report in [windowed, whole] {
+                    let (generate, replay) = (report.generate_secs, report.elapsed_secs);
+                    assert!(generate > 0.0 && replay > 0.0);
+                    let in_turn = workers == 1 || report.mode == "threaded";
+                    let held = if in_turn {
+                        generate + replay
+                    } else {
+                        generate.max(replay)
+                    };
+                    assert!(report.wall_secs >= held, "{workers} workers: {report:?}");
+                }
             }
         }
+    }
+
+    /// A source whose `at`-th spawn panics.
+    struct GivesOut {
+        source: RcbrModel,
+        spawns: AtomicUsize,
+        at: usize,
+    }
+
+    impl SourceModel for GivesOut {
+        fn spawn(&self, rng: &mut dyn rand::RngCore) -> Box<dyn RateProcess> {
+            let spawns = self.spawns.fetch_add(1, Ordering::Relaxed) + 1;
+            assert!(spawns < self.at, "the source gave out");
+            self.source.spawn(rng)
+        }
+        fn mean(&self) -> f64 {
+            self.source.mean()
+        }
+        fn variance(&self) -> f64 {
+            self.source.variance()
+        }
+    }
+
+    /// Runs [`several_windows`]' shape of `routed`'s plane over 30 ticks
+    /// on `workers` workers, on a source that gives out a few windows
+    /// in: ~80 of the 8 192 flows are replaced a tick, so 1 200 spawns
+    /// past the first populations are tick 15 or so, in the links'
+    /// second window of 8 ticks and the parking lot's third of 5.
+    fn gives_out_a_few_windows_in(routed: bool, workers: usize) {
+        let (links, routed_cfg) = several_windows();
+        let source = GivesOut {
+            source: model(),
+            spawns: AtomicUsize::new(0),
+            at: 4 * 2048 + 1200,
+        };
+        with_workers(workers, || {
+            if routed {
+                let cfg = RoutedBenchConfig {
+                    ticks: 30,
+                    ..routed_cfg
+                };
+                routed_closed_loop_with_parallelism(&cfg, &source, 1)
+            } else {
+                let cfg = BenchConfig { ticks: 30, ..links };
+                closed_loop_with_parallelism(&cfg, &source, 1)
+            }
+        })
+        .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "the source gave out")]
+    fn a_generator_panic_ends_an_inline_run() {
+        gives_out_a_few_windows_in(false, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the source gave out")]
+    fn a_generator_panic_ends_an_overlapped_run() {
+        gives_out_a_few_windows_in(false, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "the source gave out")]
+    fn a_generator_panic_ends_an_inline_routed_run() {
+        gives_out_a_few_windows_in(true, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the source gave out")]
+    fn a_generator_panic_ends_an_overlapped_routed_run() {
+        gives_out_a_few_windows_in(true, 2);
     }
 
     #[test]

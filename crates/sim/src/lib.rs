@@ -58,7 +58,8 @@ pub use network::{
 pub use reference::ReferenceFlowTable;
 pub use requests::{
     LinkEvent, RequestLoad, RequestLoadConfig, RequestWindows, RoutedEvent, RoutedLoad,
-    RoutedLoadConfig, RoutedWindows, RoutedWorkload, ServeWorkload, Windows, MAX_WORKLOAD_ITEMS,
+    RoutedLoadConfig, RoutedWindows, RoutedWorkload, ServeWorkload, Windows, MAX_RUN_ITEMS,
+    MAX_WORKLOAD_ITEMS,
 };
 pub use runner::{
     ContinuousConfig, ContinuousLoad, ContinuousReport, ImpulsiveConfig, ImpulsiveLoad,

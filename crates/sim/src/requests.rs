@@ -28,12 +28,14 @@
 //!
 //! A run need not exist in memory at once. [`RequestLoad::windows`] and
 //! [`RoutedLoad::windows`] generate it a window of ticks at a time
-//! ([`Windows::next_window`]), each window written over the buffers of
-//! the one before: times and `seq` run on across windows, every
-//! population and noise stream carries on where the last window left
-//! it, and a link's windows, laid end to end, are its stream in the
-//! materialised workload, bit for bit. The `Scenario`s are written on
-//! the same per-tick generator — one window as long as the run *is*
+//! ([`Windows::next_window`]) into a window the caller owns, written
+//! over whatever window of the run that buffer held before — the last
+//! one, when the caller hands the same buffer back, or an earlier one
+//! when it rotates several: times and `seq` run on across windows,
+//! every population and noise stream carries on where the last window
+//! left it, and a link's windows, laid end to end, are its stream in
+//! the materialised workload, bit for bit. The `Scenario`s are written
+//! on the same per-tick generator — one window as long as the run *is*
 //! the materialised workload — so the two cannot drift.
 //!
 //! # Ordering contract
@@ -170,22 +172,29 @@ impl ServeWorkload {
 /// allocations abort the process, or the size does not fit a `usize` at
 /// all, where a configuration error is owed. The largest shape in the
 /// tree, the benchmark's `serve_routed`, holds 1.2 · 10⁷ rate samples.
+/// A run generated in [`Windows`] holds one window at a time, so it is
+/// held to this bound one tick at a time (a window is at least one
+/// tick) and to [`MAX_RUN_ITEMS`] over the run.
 /// `PoissonLoad` bounds the arrivals it expects by the same number:
 /// each is an event and an advance of the flow table.
 pub const MAX_WORKLOAD_ITEMS: u64 = 1 << 28;
 
-/// Checks that the product of `factors` — how many `what` the workload
-/// would hold — neither overflows nor exceeds [`MAX_WORKLOAD_ITEMS`].
-fn require_workload_fits(what: &'static str, factors: [usize; 3]) -> Result<(), ConfigError> {
+/// The most events, and the most per-flow rate samples, a run generated
+/// in [`Windows`] may pass through. Nothing of the run but one window is
+/// in memory, so this bounds its length, not its size: a rate sample
+/// costs ~4 ns to draw and a memo-hot decision ~25 ns, so 2⁴⁰ of either
+/// take hours, and a mistyped `--ticks 99999999999` is an error, not a
+/// process that runs for days.
+pub const MAX_RUN_ITEMS: u64 = 1 << 40;
+
+/// The product of `factors` — how many `what` the workload would hold,
+/// or pass through — if it neither overflows nor exceeds `max`.
+fn workload_count(what: &'static str, factors: [usize; 3], max: u64) -> Result<u64, ConfigError> {
     factors
         .iter()
         .try_fold(1u64, |n, &factor| n.checked_mul(factor as u64))
-        .filter(|&n| n <= MAX_WORKLOAD_ITEMS)
-        .map(|_| ())
-        .ok_or(ConfigError::WorkloadTooLarge {
-            what,
-            max: MAX_WORKLOAD_ITEMS,
-        })
+        .filter(|&n| n <= max)
+        .ok_or(ConfigError::WorkloadTooLarge { what, max })
 }
 
 /// One churned flow population — a link's in [`RequestLoad`], a
@@ -305,9 +314,8 @@ impl<'w, E: WindowEvent> Refill<'w, E> {
     /// Writes a measurement at `t` of the rates `fill` appends to the
     /// empty vector it is handed: the buffer of the measurement
     /// overwritten, if it is one. Windows of one shape have their
-    /// measurements in the same places and of the same lengths, so from
-    /// the second on no window allocates for rates, and the estimator
-    /// reads them from the addresses the previous window left in cache.
+    /// measurements in the same places and of the same lengths, so once
+    /// a buffer has held one window it allocates nothing for rates.
     fn put_measure(&mut self, t: f64, fill: impl FnOnce(&mut Vec<f64>)) {
         let recycled = self.events.get_mut(self.at).and_then(E::take_rates);
         let mut rates = recycled.map_or_else(Vec::new, Vec::from);
@@ -325,18 +333,31 @@ impl<E> Drop for Refill<'_, E> {
     }
 }
 
-/// A run generated a window of ticks at a time (see the module docs).
+/// A run generated a window of ticks at a time (see the module docs),
+/// into window buffers the caller owns: one it hands back each time, or
+/// several it rotates.
 pub trait Windows {
     /// What a window is: the workload of its ticks.
     type Workload;
 
-    /// Rate samples the links' measurements hold per tick — what a
-    /// caller sizes its windows by.
-    fn rate_samples_per_tick(&self) -> usize;
+    /// Rate samples the links' measurements hold per tick, or the events
+    /// the links carry per tick where those are more — what a caller
+    /// sizes its windows by.
+    fn items_per_tick(&self) -> usize;
 
-    /// Generates the next `ticks` ticks (fewer at the end of the run)
-    /// over the previous window; `None` once the run is complete.
-    fn next_window(&mut self, ticks: usize) -> Option<&Self::Workload>;
+    /// The run's admission requests, each counted once.
+    fn requests(&self) -> u64;
+
+    /// An empty window of this run's links, for
+    /// [`Windows::next_window`] to write into.
+    fn new_window(&self) -> Self::Workload;
+
+    /// Writes the next `ticks` ticks (fewer at the end of the run) into
+    /// `window`, over whatever it holds, and returns `true`; once the
+    /// run is complete, returns `false` and leaves `window` alone. Each
+    /// measurement written over one of an earlier window of this run
+    /// reuses its rate buffer.
+    fn next_window(&mut self, ticks: usize, window: &mut Self::Workload) -> bool;
 }
 
 /// The request-stream scenario: replication `r` generates link `r`'s
@@ -353,23 +374,8 @@ impl Scenario for RequestLoad<'_> {
     type Report = ServeWorkload;
 
     fn validate(&self) -> Result<(), ConfigError> {
-        if self.cfg.links == 0 {
-            // One replication per link: zero links is zero replications.
-            return Err(ConfigError::ZeroReplications);
-        }
-        if self.cfg.flows_per_link < 2 {
-            return Err(ConfigError::TooFewFlows {
-                got: self.cfg.flows_per_link,
-            });
-        }
-        require_positive("ticks", self.cfg.ticks as f64)?;
-        require_step("tick", self.cfg.tick)?;
-        require_positive("mean holding time", self.cfg.mean_holding)?;
-        let cfg = &self.cfg;
-        let per_tick = cfg.requests_per_tick.saturating_add(1);
-        require_workload_fits("events", [cfg.links, cfg.ticks, per_tick])?;
-        require_workload_fits("rate samples", [cfg.links, cfg.ticks, cfg.flows_per_link])?;
-        Ok(())
+        self.check_fields()?;
+        self.require_ticks_fit(self.cfg.ticks, MAX_WORKLOAD_ITEMS)
     }
 
     fn seed(&self) -> u64 {
@@ -393,6 +399,32 @@ impl Scenario for RequestLoad<'_> {
 }
 
 impl<'a> RequestLoad<'a> {
+    /// Every check but the workload's size.
+    fn check_fields(&self) -> Result<(), ConfigError> {
+        if self.cfg.links == 0 {
+            // One replication per link: zero links is zero replications.
+            return Err(ConfigError::ZeroReplications);
+        }
+        if self.cfg.flows_per_link < 2 {
+            return Err(ConfigError::TooFewFlows {
+                got: self.cfg.flows_per_link,
+            });
+        }
+        require_positive("ticks", self.cfg.ticks as f64)?;
+        require_step("tick", self.cfg.tick)?;
+        require_positive("mean holding time", self.cfg.mean_holding)
+    }
+
+    /// Checks that `ticks` ticks of the run hold at most `max` events
+    /// and at most `max` rate samples.
+    fn require_ticks_fit(&self, ticks: usize, max: u64) -> Result<(), ConfigError> {
+        let cfg = &self.cfg;
+        let per_tick = cfg.requests_per_tick.saturating_add(1);
+        workload_count("events", [cfg.links, ticks, per_tick], max)?;
+        workload_count("rate samples", [cfg.links, ticks, cfg.flows_per_link], max)?;
+        Ok(())
+    }
+
     fn population(&self, ctx: &RepContext) -> Population<'a> {
         let cfg = &self.cfg;
         Population::new(self.model, cfg.flows_per_link, cfg.mean_holding, ctx)
@@ -417,21 +449,25 @@ impl<'a> RequestLoad<'a> {
         }
     }
 
-    /// The run as successive windows, generated on `engine`: validates
-    /// the configuration as a session would, and seeds every link's
-    /// population on the stream a session gives its replication.
+    /// The run as successive windows, generated on `engine`: checks the
+    /// configuration as a session would, except that the run is held to
+    /// [`MAX_WORKLOAD_ITEMS`] one tick at a time and to
+    /// [`MAX_RUN_ITEMS`] as a whole, and seeds every link's population
+    /// on the stream a session gives its replication.
     pub fn windows(&self, engine: Engine) -> Result<RequestWindows<'_>, ConfigError> {
-        self.validate()?;
-        let links = self.cfg.links;
+        let cfg = &self.cfg;
+        self.check_fields()?;
+        self.require_ticks_fit(1, MAX_WORKLOAD_ITEMS)?;
+        self.require_ticks_fit(cfg.ticks, MAX_RUN_ITEMS)?;
+        let requests = [cfg.links, cfg.ticks, cfg.requests_per_tick];
+        let requests = workload_count("requests", requests, MAX_RUN_ITEMS)?;
         Ok(RequestWindows {
             load: self,
-            links: (0..links)
-                .map(|link| self.population(&rep_context(self.cfg.seed, link, engine)))
+            links: (0..cfg.links)
+                .map(|link| self.population(&rep_context(cfg.seed, link, engine)))
                 .collect(),
+            requests,
             done: 0,
-            window: ServeWorkload {
-                per_link: (0..links).map(|_| Vec::new()).collect(),
-            },
         })
     }
 }
@@ -440,30 +476,42 @@ impl<'a> RequestLoad<'a> {
 pub struct RequestWindows<'a> {
     load: &'a RequestLoad<'a>,
     links: Vec<Population<'a>>,
+    requests: u64,
     /// Ticks generated so far.
     done: usize,
-    window: ServeWorkload,
 }
 
 impl Windows for RequestWindows<'_> {
     type Workload = ServeWorkload;
 
-    fn rate_samples_per_tick(&self) -> usize {
-        self.load.cfg.links * self.load.cfg.flows_per_link
+    fn items_per_tick(&self) -> usize {
+        let cfg = &self.load.cfg;
+        cfg.links * cfg.flows_per_link.max(cfg.requests_per_tick + 1)
     }
 
-    fn next_window(&mut self, ticks: usize) -> Option<&ServeWorkload> {
+    fn requests(&self) -> u64 {
+        self.requests
+    }
+
+    fn new_window(&self) -> ServeWorkload {
+        ServeWorkload {
+            per_link: self.links.iter().map(|_| Vec::new()).collect(),
+        }
+    }
+
+    fn next_window(&mut self, ticks: usize, window: &mut ServeWorkload) -> bool {
+        assert_eq!(window.links(), self.links.len(), "a window of another run");
         let ticks = ticks.min(self.load.cfg.ticks - self.done);
         if ticks == 0 {
-            return None;
+            return false;
         }
         let steps = self.done + 1..=self.done + ticks;
         // Links share nothing, so each takes its whole window in turn.
-        for (link, events) in self.links.iter_mut().zip(&mut self.window.per_link) {
+        for (link, events) in self.links.iter_mut().zip(&mut window.per_link) {
             self.load.link_ticks(link, steps.clone(), events);
         }
         self.done += ticks;
-        Some(&self.window)
+        true
     }
 }
 
@@ -680,9 +728,9 @@ impl Scenario for RoutedLoad<'_> {
         // flows of each of those routes.
         let cfg = &self.cfg;
         let (topo, hops) = (&cfg.topology, cfg.hops());
-        let per_tick = cfg.requests_per_tick.saturating_add(1);
-        require_workload_fits("events", [hops.max(topo.links()), cfg.ticks, per_tick])?;
-        require_workload_fits("rate samples", [hops, cfg.ticks, cfg.flows_per_route])?;
+        let (per_tick, max) = (cfg.requests_per_tick.saturating_add(1), MAX_WORKLOAD_ITEMS);
+        workload_count("events", [hops.max(topo.links()), cfg.ticks, per_tick], max)?;
+        workload_count("rate samples", [hops, cfg.ticks, cfg.flows_per_route], max)?;
         Ok(())
     }
 
@@ -798,13 +846,17 @@ impl<'a> RoutedLoad<'a> {
     }
 
     /// The run as successive windows, generated on `engine`: validates
-    /// the configuration as a session would, seeds every route's
-    /// population on the stream a session gives its replication and
-    /// every link's noise on the stream the fold gives it.
+    /// the configuration as a session would — the whole-run bound
+    /// included, since the plane's route table holds a slot per request
+    /// of the run — seeds every route's population on the stream a
+    /// session gives its replication and every link's noise on the
+    /// stream the fold gives it.
     pub fn windows(&self, engine: Engine) -> Result<RoutedWindows<'_>, ConfigError> {
         self.validate()?;
         let cfg = &self.cfg;
         let topo = &cfg.topology;
+        let requests = [topo.routes(), cfg.ticks, cfg.requests_per_tick];
+        let requests = workload_count("requests", requests, MAX_WORKLOAD_ITEMS)?;
         Ok(RoutedWindows {
             load: self,
             routes: (0..topo.routes())
@@ -812,12 +864,8 @@ impl<'a> RoutedLoad<'a> {
                 .collect(),
             rates: vec![Vec::new(); topo.routes()],
             assembly: LinkAssembly::new(cfg),
+            requests,
             done: 0,
-            window: RoutedWorkload {
-                topology: Arc::clone(topo),
-                per_link: (0..topo.links()).map(|_| Vec::new()).collect(),
-                request_routes: Vec::new(),
-            },
         })
     }
 }
@@ -830,26 +878,46 @@ pub struct RoutedWindows<'a> {
     /// Each route's rates at the tick being assembled.
     rates: Vec<Vec<f64>>,
     assembly: LinkAssembly,
+    requests: u64,
     /// Ticks generated so far.
     done: usize,
-    window: RoutedWorkload,
 }
 
 impl Windows for RoutedWindows<'_> {
     type Workload = RoutedWorkload;
 
-    fn rate_samples_per_tick(&self) -> usize {
-        self.load.cfg.hops() * self.load.cfg.flows_per_route
+    fn items_per_tick(&self) -> usize {
+        let cfg = &self.load.cfg;
+        let events = cfg.topology.links() + cfg.hops() * cfg.requests_per_tick;
+        events.max(cfg.hops() * cfg.flows_per_route)
     }
 
-    fn next_window(&mut self, ticks: usize) -> Option<&RoutedWorkload> {
+    fn requests(&self) -> u64 {
+        self.requests
+    }
+
+    fn new_window(&self) -> RoutedWorkload {
+        let topo = &self.load.cfg.topology;
+        RoutedWorkload {
+            topology: Arc::clone(topo),
+            per_link: (0..topo.links()).map(|_| Vec::new()).collect(),
+            request_routes: Vec::new(),
+        }
+    }
+
+    fn next_window(&mut self, ticks: usize, window: &mut RoutedWorkload) -> bool {
         let cfg = &self.load.cfg;
+        assert_eq!(
+            window.links(),
+            cfg.topology.links(),
+            "a window of another run"
+        );
         let ticks = ticks.min(cfg.ticks - self.done);
         if ticks == 0 {
-            return None;
+            return false;
         }
-        self.window.request_routes.clear();
-        let mut links: Vec<_> = self.window.per_link.iter_mut().map(Refill::new).collect();
+        window.request_routes.clear();
+        let mut links: Vec<_> = window.per_link.iter_mut().map(Refill::new).collect();
         // A link's measurement joins its routes' rates at one tick, so
         // the routes go from tick to tick together.
         for step in self.done + 1..=self.done + ticks {
@@ -863,12 +931,12 @@ impl Windows for RoutedWindows<'_> {
                 now,
                 |route| &rates[route.index()],
                 &mut links,
-                &mut self.window.request_routes,
+                &mut window.request_routes,
             );
         }
         drop(links);
         self.done += ticks;
-        Some(&self.window)
+        true
     }
 }
 
@@ -1047,6 +1115,54 @@ mod tests {
                 c.requests_per_tick = 4;
             }),
             too_large("events")
+        );
+    }
+
+    /// A run generated in windows holds one window, so it is held to the
+    /// bound one tick at a time: `serve-bench --links 32
+    /// --requests-per-tick 32 --ticks 300000` is more events than a
+    /// materialised run may hold, and streams. A tick past the bound and
+    /// a run past `MAX_RUN_ITEMS` (or past `u64`) do not.
+    #[test]
+    fn windows_hold_the_bound_a_tick_at_a_time() {
+        let m = model();
+        let load = |edit: &dyn Fn(&mut RequestLoadConfig)| {
+            let mut cfg = config();
+            edit(&mut cfg);
+            RequestLoad { model: &m, cfg }
+        };
+        let long = load(&|c| {
+            (c.links, c.flows_per_link) = (32, 50);
+            (c.ticks, c.requests_per_tick) = (300_000, 32);
+        });
+        assert_eq!(long.validate(), too_large("events"));
+        let mut windows = long.windows(Engine::Batched).unwrap();
+        assert_eq!(windows.requests(), 32 * 300_000 * 32);
+        assert_eq!(windows.items_per_tick(), 32 * 50);
+        let mut window = windows.new_window();
+        assert!(windows.next_window(2, &mut window));
+        assert_eq!(window.total_events(), 32 * 2 * 33);
+
+        let windows =
+            |edit: &dyn Fn(&mut RequestLoadConfig)| load(edit).windows(Engine::Batched).err();
+        let past_the_run = |what| {
+            Some(ConfigError::WorkloadTooLarge {
+                what,
+                max: MAX_RUN_ITEMS,
+            })
+        };
+        let one_tick = |c: &mut RequestLoadConfig| {
+            (c.links, c.flows_per_link, c.ticks) = (64, 5_000_000, 1);
+        };
+        assert_eq!(windows(&one_tick), too_large("rate samples").err());
+        let wide = |c: &mut RequestLoadConfig| (c.links, c.requests_per_tick) = (4, 99_999_999_999);
+        assert_eq!(windows(&wide), too_large("events").err());
+        let ticks = |ticks| move |c: &mut RequestLoadConfig| c.ticks = ticks;
+        assert_eq!(windows(&ticks(999_999_999_999)), past_the_run("events"));
+        assert_eq!(windows(&ticks(usize::MAX)), past_the_run("events"));
+        assert_eq!(
+            windows(&|c| c.links = 0),
+            Some(ConfigError::ZeroReplications)
         );
     }
 
@@ -1236,11 +1352,12 @@ mod tests {
     ) -> (Vec<Vec<E>>, usize) {
         let mut per_link = vec![Vec::new(); links];
         let mut count = 0;
-        while let Some(w) = windows.next_window(window) {
+        let mut w = windows.new_window();
+        while windows.next_window(window, &mut w) {
             for (link, all) in per_link.iter_mut().enumerate() {
-                all.extend_from_slice(events(w, LinkId(link as u32)));
+                all.extend_from_slice(events(&w, LinkId(link as u32)));
             }
-            each(w);
+            each(&w);
             count += 1;
         }
         (per_link, count)
@@ -1277,7 +1394,8 @@ mod tests {
                 let whole = SessionBuilder::new().engine(engine).run(&load).unwrap();
                 for window in [1, 7, ticks, ticks + 5] {
                     let windows = load.windows(engine).unwrap();
-                    prop_assert_eq!(windows.rate_samples_per_tick(), 3 * flows);
+                    let items = 3 * flows.max(requests_per_tick + 1);
+                    prop_assert_eq!(windows.items_per_tick(), items);
                     let (per_link, count) =
                         end_to_end(windows, window, 3, ServeWorkload::events, |_| {});
                     prop_assert_eq!(count, ticks.div_ceil(window));
@@ -1354,8 +1472,8 @@ mod tests {
             cfg: config(),
         };
         let mut windows = load.windows(Engine::Batched).unwrap();
-        let mut per_window = Vec::new();
-        while let Some(w) = windows.next_window(8) {
+        let (mut per_window, mut w) = (Vec::new(), windows.new_window());
+        while windows.next_window(8, &mut w) {
             let streams = w.link_ids().map(|link| w.events(link));
             per_window.push(buffers(streams, |e| match e {
                 LinkEvent::Measure { rates, .. } => Some(rates),
@@ -1373,8 +1491,8 @@ mod tests {
             },
         };
         let mut windows = load.windows(Engine::Batched).unwrap();
-        let mut per_window = Vec::new();
-        while let Some(w) = windows.next_window(8) {
+        let (mut per_window, mut w) = (Vec::new(), windows.new_window());
+        while windows.next_window(8, &mut w) {
             let streams = topo.link_ids().map(|link| w.events(link));
             per_window.push(buffers(streams, |e| match e {
                 RoutedEvent::Measure { rates, .. } => Some(rates),
