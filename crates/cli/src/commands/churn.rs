@@ -3,16 +3,14 @@
 //! Drives the timing-wheel [`mbac_sim::FlowTable`] through a
 //! steady-state expire-and-replace loop at `--flows` scale (the
 //! lifecycle machinery alone — no process advance), reports per-tick
-//! cost and departure throughput, and — with `--verify` — replays the
-//! identical workload on the frozen pre-calendar
-//! [`mbac_sim::ReferenceFlowTable`] and asserts the two lifecycles
-//! bit-identical (snapshots, ids, `next_departure`, conservation
-//! counts). CI's `churn-smoke` lane runs exactly this at a reduced
-//! population.
+//! cost and departure throughput, and checks conservation (admitted −
+//! departed = in system), exiting 1 if it fails. What the lifecycle
+//! must do flow by flow is proved by `crates/sim/tests/churn.rs`; CI's
+//! `churn-smoke` lane runs this command at a reduced population.
 
+use super::config_err;
 use crate::args::{ArgError, Args};
-use mbac_sim::{FlowTable, ReferenceFlowTable};
-use mbac_traffic::process::SourceModel;
+use mbac_sim::{ConfigError, FlowTable, MAX_RUN_ITEMS, MAX_WORKLOAD_ITEMS};
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,84 +19,22 @@ use std::time::Instant;
 /// Usage text.
 pub const USAGE: &str = "\
 mbacctl churn [--flows <n>] [--ticks <n>] [--tick <dt>]
-              [--holding <T_h>] [--seed <s>] [--engine batched|boxed]
-              [--verify true|false]
+              [--holding <T_h>] [--seed <s>]
 
 Runs the steady-state churn lifecycle loop: --flows flows are admitted
 with exponential(--holding) departure times, then each tick expires
 everything due and admits one replacement per departure, holding the
 population constant. Reports ns/tick and departures/tick — the cost of
 the timing-wheel departure calendar at scale, with every tick a
-departing tick.
---verify true additionally replays the bit-identical workload on the frozen
-pre-calendar reference table and asserts snapshots, ids, next-departure
-times, and conservation counts equal at the end (exit 1 on divergence).
+departing tick — and exits 1 if admitted - departed != in system.
 Defaults: 100000 flows, 200 ticks, tick 0.25, holding 250 (so ~flows/1000
-depart per tick), seed 7, batched engine.";
-
-/// One steady-state churn run. Returns (ns/tick, departures).
-fn run_loop(
-    table: &mut dyn Lifecycle,
-    model: &dyn SourceModel,
-    flows: usize,
-    ticks: usize,
-    tick: f64,
-    holding: f64,
-    seed: u64,
-) -> (f64, u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut t = 0.0;
-    for _ in 0..flows {
-        let u: f64 = rng.gen();
-        table.admit(model, t - holding * (1.0 - u).ln(), &mut rng);
-    }
-    let start = Instant::now();
-    for _ in 0..ticks {
-        t += tick;
-        let departed = table.depart_until(t);
-        for _ in 0..departed {
-            let u: f64 = rng.gen();
-            table.admit(model, t - holding * (1.0 - u).ln(), &mut rng);
-        }
-    }
-    let ns_per_tick = start.elapsed().as_nanos() as f64 / ticks as f64;
-    (ns_per_tick, table.departed_total())
-}
-
-/// The lifecycle surface the loop drives, so the wheel table and the
-/// reference table share one driver (and therefore one RNG schedule).
-/// Everything else (snapshots, ids, conservation) is read off the
-/// concrete tables afterwards.
-trait Lifecycle {
-    fn admit(&mut self, model: &dyn SourceModel, departs_at: f64, rng: &mut StdRng) -> u64;
-    fn depart_until(&mut self, t: f64) -> usize;
-    fn departed_total(&self) -> u64;
-}
-
-macro_rules! impl_lifecycle {
-    ($($t:ty),*) => {$(
-        impl Lifecycle for $t {
-            fn admit(&mut self, model: &dyn SourceModel, departs_at: f64, rng: &mut StdRng) -> u64 {
-                <$t>::admit(self, model, departs_at, rng)
-            }
-            fn depart_until(&mut self, t: f64) -> usize {
-                <$t>::depart_until(self, t)
-            }
-            fn departed_total(&self) -> u64 {
-                <$t>::departed_total(self)
-            }
-        }
-    )*};
-}
-impl_lifecycle!(FlowTable, ReferenceFlowTable);
+depart per tick), seed 7.";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "flows", "ticks", "tick", "holding", "seed", "engine", "verify",
-    ])?;
-    let flows = args.u64_or("flows", 100_000)? as usize;
-    let ticks = args.u64_or("ticks", 200)? as usize;
+    args.expect_only(&["flows", "ticks", "tick", "holding", "seed"])?;
+    let flows = args.u64_or("flows", 100_000)?;
+    let ticks = args.u64_or("ticks", 200)?;
     let tick = args.f64_or("tick", 0.25)?;
     let holding = args.f64_or("holding", 250.0)?;
     let seed = args.u64_or("seed", 7)?;
@@ -108,89 +44,51 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     if tick <= 0.0 || !tick.is_finite() || holding <= 0.0 || !holding.is_finite() {
         return Err(ArgError("--tick and --holding must be positive".into()));
     }
-    let batched = match args.get("engine").unwrap_or("batched") {
-        "batched" => true,
-        "boxed" => false,
-        other => {
-            return Err(ArgError(format!(
-                "--engine must be batched or boxed, got {other}"
-            )))
-        }
-    };
-    let verify = match args.get("verify").unwrap_or("false") {
-        "true" => true,
-        "false" => false,
-        other => {
-            return Err(ArgError(format!(
-                "--verify must be true or false, got {other}"
-            )))
-        }
-    };
-    let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+    // The population is held in memory, and a tick can replace all of
+    // it: bound both as the request-stream workloads are bounded.
+    let too_large = |what, max| config_err(ConfigError::WorkloadTooLarge { what, max });
+    if flows > MAX_WORKLOAD_ITEMS {
+        return Err(too_large("flows", MAX_WORKLOAD_ITEMS));
+    }
+    if flows.checked_mul(ticks).is_none_or(|n| n > MAX_RUN_ITEMS) {
+        return Err(too_large("flow-ticks", MAX_RUN_ITEMS));
+    }
+    let (flows, ticks) = (flows as usize, ticks as usize);
 
-    let mut wheel = if batched {
-        FlowTable::new()
-    } else {
-        FlowTable::new_unbatched()
-    };
-    let (ns_per_tick, departed) = run_loop(&mut wheel, &model, flows, ticks, tick, holding, seed);
+    let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+    let mut table = FlowTable::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut t = 0.0;
+    let departs_at = |t: f64, rng: &mut StdRng| t - holding * (1.0 - rng.gen::<f64>()).ln();
+    for _ in 0..flows {
+        let d = departs_at(t, &mut rng);
+        table.admit(&model, d, &mut rng);
+    }
+    let start = Instant::now();
+    for _ in 0..ticks {
+        t += tick;
+        for _ in 0..table.depart_until(t) {
+            let d = departs_at(t, &mut rng);
+            table.admit(&model, d, &mut rng);
+        }
+    }
+    let ns_per_tick = start.elapsed().as_nanos() as f64 / ticks as f64;
+    let departed = table.departed_total();
 
     println!("churn: {flows} flows, {ticks} ticks, tick = {tick}, holding = {holding}");
-    println!(
-        "  engine               : {}",
-        if batched { "batched" } else { "boxed" }
-    );
     println!("  departures           : {departed} ({:.1} per tick)", {
         departed as f64 / ticks as f64
     });
     println!("  lifecycle cost       : {ns_per_tick:.0} ns/tick");
     println!(
         "  in system / admitted : {} / {}",
-        wheel.len(),
-        wheel.admitted_total()
+        table.len(),
+        table.admitted_total()
     );
-    if wheel.admitted_total() - wheel.departed_total() != wheel.len() as u64 {
+    if table.admitted_total() - departed != table.len() as u64 {
         return Err(ArgError(
             "conservation violated: admitted - departed != in-system".into(),
         ));
-    }
-
-    if verify {
-        let mut reference = if batched {
-            ReferenceFlowTable::new()
-        } else {
-            ReferenceFlowTable::new_unbatched()
-        };
-        let (ref_ns, ref_departed) =
-            run_loop(&mut reference, &model, flows, ticks, tick, holding, seed);
-        let (mut snap_a, mut snap_b) = (Vec::new(), Vec::new());
-        wheel.snapshot_into(&mut snap_a);
-        reference.snapshot_into(&mut snap_b);
-        let diverged = |what: &str| {
-            ArgError(format!(
-                "wheel and reference lifecycles diverged ({what}) — equivalence bug"
-            ))
-        };
-        if departed != ref_departed {
-            return Err(diverged("departure counts"));
-        }
-        if snap_a != snap_b {
-            return Err(diverged("snapshots"));
-        }
-        if wheel.ids() != reference.ids() {
-            return Err(diverged("flow ids"));
-        }
-        if wheel.next_departure() != reference.next_departure() {
-            return Err(diverged("next departure"));
-        }
-        println!("verify:");
-        println!("  reference lifecycle  : {ref_ns:.0} ns/tick ({:.1}x)", {
-            ref_ns / ns_per_tick
-        });
-        println!(
-            "  bit-identical        : snapshots, ids, next-departure, {} departures",
-            departed
-        );
     }
     Ok(())
 }

@@ -10,7 +10,7 @@
 //!
 //! The printed report keeps the *deterministic* decision totals in a
 //! separate block from the *timing* figures, so byte-comparing the
-//! first block across runs (e.g. different shard counts or engines)
+//! first block across runs (e.g. different shard counts)
 //! checks the invariance contract without tripping on wall-clock
 //! noise.
 
@@ -20,7 +20,6 @@ use mbac_serve::{
     closed_loop_with_parallelism, host_parallelism, routed_closed_loop_with_parallelism,
     BenchConfig, BenchReport, RoutedBenchConfig,
 };
-use mbac_sim::Engine;
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
 use mbac_traffic::process::SourceModel;
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
@@ -38,7 +37,6 @@ mbacctl serve-bench [--links <n>] [--flows-per-link <n>] [--ticks <n>]
                     [--flows-per-route <n>] [--noise-sd <sigma>]
                     [--source rcbr|ar1 | --trace <file>]
                     [--mean <mu> --sd <sigma> --t-c <T_c>]
-                    [--engine batched|boxed]
                     [--metrics-stream <file>] [--stream-sample <fraction>]
                     [--stream-flush <n>] [--stream-ring <n>]
 
@@ -46,7 +44,7 @@ Runs the closed-loop decision-plane benchmark: per-link measurement +
 request streams generated from the flow model are replayed into the
 sharded serve plane, and the report summarizes the admission
 decisions (deterministic for a fixed seed and shape, whatever the
-shard/producer/engine choice) plus p50/p99/mean decision latency and
+shard/producer choice) plus p50/p99/mean decision latency and
 sustained decisions/sec. Latency is read off stamped decisions: every
 one of a run of up to 16384 requests, that many spread over a longer
 one (the `latency samples : n of N decisions` line). `elapsed` is the
@@ -128,7 +126,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         "mean",
         "sd",
         "t-c",
-        "engine",
         "topology",
         "flows-per-route",
         "noise-sd",
@@ -147,8 +144,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             }
         }
     }
-    let engine = Engine::from_name(args.get("engine").unwrap_or("batched"))
-        .map_err(|e| ArgError(format!("--{e}")))?;
     let model = build_model(args)?;
 
     if let Some(spec) = args.get("topology") {
@@ -183,18 +178,18 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             mean_holding: args.f64_or("holding", d.mean_holding)?,
             noise_sd,
             seed: args.u64_or("seed", d.seed)?,
-            engine,
             shards: args.u64_or("shards", 1)? as usize,
             producers: args.u64_or("producers", 1)? as usize,
             ring_capacity: args.u64_or("ring-capacity", d.ring_capacity as u64)? as usize,
             p_ce: args.prob_or("p-ce", d.p_ce)?,
             t_m: args.f64_or("t-m", d.t_m)?,
             stream: stream.as_ref().map(|s| s.handle()),
+            ..d
         };
         let report = routed_closed_loop_with_parallelism(&cfg, model.as_ref(), host_parallelism())
             .map_err(config_err)?;
         println!("{banner}");
-        print_report(&report, engine);
+        print_report(&report);
         finish_stream(args, stream)?;
         return Ok(());
     }
@@ -214,7 +209,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         requests_per_tick: args.u64_or("requests-per-tick", d.requests_per_tick as u64)? as usize,
         mean_holding: args.f64_or("holding", d.mean_holding)?,
         seed: args.u64_or("seed", d.seed)?,
-        engine,
         shards: args.u64_or("shards", 1)? as usize,
         producers: args.u64_or("producers", 1)? as usize,
         ring_capacity: args.u64_or("ring-capacity", d.ring_capacity as u64)? as usize,
@@ -222,11 +216,12 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         p_ce: args.prob_or("p-ce", d.p_ce)?,
         t_m: args.f64_or("t-m", d.t_m)?,
         stream: stream.as_ref().map(|s| s.handle()),
+        ..d
     };
     let report = closed_loop_with_parallelism(&cfg, model.as_ref(), host_parallelism())
         .map_err(config_err)?;
     println!("serve bench: links = {}", cfg.links);
-    print_report(&report, engine);
+    print_report(&report);
     finish_stream(args, stream)?;
     Ok(())
 }
@@ -234,9 +229,9 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
 /// Prints the shape/decisions/timing blocks shared by the per-link and
 /// routed benches, keeping the deterministic block separate from the
 /// wall-clock one.
-fn print_report(report: &BenchReport, engine: Engine) {
+fn print_report(report: &BenchReport) {
     println!(
-        "  shards = {}, producers = {}, engine = {engine}, mode = {}",
+        "  shards = {}, producers = {}, mode = {}",
         report.shards, report.producers, report.mode
     );
     if report.skipped_single_core {

@@ -11,9 +11,9 @@ use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
 use mbac_metrics::MetricsSnapshot;
 use mbac_sim::{
-    ConfigError, ContinuousConfig, ContinuousLoad, Engine, ImpulsiveConfig, ImpulsiveLoad,
-    MbacController, MetricsMode, PoissonConfig, PoissonLoad, RoutedNetworkConfig,
-    RoutedNetworkLoad, SessionBuilder,
+    ConfigError, ContinuousConfig, ContinuousLoad, ImpulsiveConfig, ImpulsiveLoad, MbacController,
+    MetricsMode, PoissonConfig, PoissonLoad, RoutedNetworkConfig, RoutedNetworkLoad,
+    SessionBuilder,
 };
 use mbac_traffic::process::SourceModel;
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
@@ -24,7 +24,7 @@ use std::sync::Arc;
 pub const USAGE: &str = "\
 mbacctl simulate --capacity <c> [--load continuous|impulsive|poisson|routed]
                  [--trace <file> | --mean <mu> --sd <sigma> --t-c <T_c>]
-                 [--seed <s>] [--engine batched|boxed] [--metrics-out <file|->]
+                 [--seed <s>] [--metrics-out <file|->]
                  [--metrics-stream <file>] [--stream-sample <fraction>]
                  [--stream-flush <n>] [--stream-ring <n>]
   continuous (default): --holding <T_h> [--t-m <T_m>] [--p-ce <p>]
@@ -51,9 +51,8 @@ and per-route admit/block counts (shared links see correlated load;
 --noise-sd adds independent per-node measurement noise). Defaults:
 RCBR sources with mean 1, sd 0.3, T_c 1; T_m = T_h/sqrt(n) (the robust
 rule); p_ce = p_q = 1e-3.
---engine selects the flow engine: batched (struct-of-arrays kernels,
-the default) or boxed (one heap process per flow); both produce
-bit-identical results for the same seed, as does any --workers count.
+--workers (impulsive and routed) never changes a result: the same seed
+gives bit-identical output on any worker count.
 --metrics-out writes the run's aggregated metrics as mbac-metrics/v1
 JSON (see results/METRICS_schema.md) to the file, or to stdout for -.
 --metrics-stream additionally emits bounded-memory streaming metrics
@@ -80,7 +79,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         "p-q",
         "samples",
         "seed",
-        "engine",
         "metrics-out",
         "metrics-stream",
         "stream-sample",
@@ -109,15 +107,11 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             }
         }
     }
-    // ConfigError renders "engine must be batched or boxed, got X";
-    // prefix the flag dashes for the CLI surface.
-    let engine = Engine::from_name(args.get("engine").unwrap_or("batched"))
-        .map_err(|e| ArgError(format!("--{e}")))?;
     match args.get("load").unwrap_or("continuous") {
-        "continuous" => run_continuous_load(args, engine),
-        "impulsive" => run_impulsive_load(args, engine),
-        "poisson" => run_poisson_load(args, engine),
-        "routed" => run_routed_load(args, engine),
+        "continuous" => run_continuous_load(args),
+        "impulsive" => run_impulsive_load(args),
+        "poisson" => run_poisson_load(args),
+        "routed" => run_routed_load(args),
         other => Err(ArgError(format!(
             "--load must be continuous, impulsive, poisson or routed, got {other}"
         ))),
@@ -182,7 +176,7 @@ fn metrics_mode(args: &Args) -> MetricsMode {
 }
 
 /// The continuous-load (infinite arrival pressure) mode.
-fn run_continuous_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
+fn run_continuous_load(args: &Args) -> Result<(), ArgError> {
     let capacity = args.f64_required("capacity")?;
     let holding = args.f64_required("holding")?;
     require_positive("capacity", capacity)?;
@@ -214,10 +208,7 @@ fn run_continuous_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
     };
     let scenario = ContinuousLoad::new(&cfg, model.as_ref(), &mut ctl);
     let stream = open_stream(args)?;
-    let mut session = SessionBuilder::new()
-        .seed(seed)
-        .engine(engine)
-        .metrics(metrics_mode(args));
+    let mut session = SessionBuilder::new().seed(seed).metrics(metrics_mode(args));
     if let Some(s) = &stream {
         session = session.stream(s.handle());
     }
@@ -261,7 +252,7 @@ fn run_continuous_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
 }
 
 /// The impulsive-load (burst at `t = 0`) mode.
-fn run_impulsive_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
+fn run_impulsive_load(args: &Args) -> Result<(), ArgError> {
     let capacity = args.f64_required("capacity")?;
     let flows = args.u64_required("flows")? as usize;
     let observe_times = parse_observe(args.require("observe")?)?;
@@ -289,10 +280,7 @@ fn run_impulsive_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
     };
     let scenario = ImpulsiveLoad::new(&cfg, model.as_ref(), &policy);
     let stream = open_stream(args)?;
-    let mut session = SessionBuilder::new()
-        .seed(seed)
-        .engine(engine)
-        .metrics(metrics_mode(args));
+    let mut session = SessionBuilder::new().seed(seed).metrics(metrics_mode(args));
     if let Some(s) = &stream {
         session = session.stream(s.handle());
     }
@@ -326,7 +314,7 @@ fn run_impulsive_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
 }
 
 /// The Poisson-arrival (finite `λ`) mode.
-fn run_poisson_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
+fn run_poisson_load(args: &Args) -> Result<(), ArgError> {
     let capacity = args.f64_required("capacity")?;
     let arrival_rate = args.f64_required("lambda")?;
     let holding = args.f64_required("holding")?;
@@ -359,10 +347,7 @@ fn run_poisson_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
     };
     let scenario = PoissonLoad::new(&cfg, model.as_ref(), &mut ctl);
     let stream = open_stream(args)?;
-    let mut session = SessionBuilder::new()
-        .seed(seed)
-        .engine(engine)
-        .metrics(metrics_mode(args));
+    let mut session = SessionBuilder::new().seed(seed).metrics(metrics_mode(args));
     if let Some(s) = &stream {
         session = session.stream(s.handle());
     }
@@ -392,7 +377,7 @@ fn run_poisson_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
 
 /// The routed multi-hop network mode: per-link controllers composed
 /// along routes, admission only when every hop accepts.
-fn run_routed_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
+fn run_routed_load(args: &Args) -> Result<(), ArgError> {
     let capacity = args.f64_required("capacity")?;
     let holding = args.f64_required("holding")?;
     require_positive("capacity", capacity)?;
@@ -433,10 +418,7 @@ fn run_routed_load(args: &Args, engine: Engine) -> Result<(), ArgError> {
         cfg: cfg.clone(),
     };
     let stream = open_stream(args)?;
-    let mut session = SessionBuilder::new()
-        .seed(seed)
-        .engine(engine)
-        .metrics(metrics_mode(args));
+    let mut session = SessionBuilder::new().seed(seed).metrics(metrics_mode(args));
     if let Some(s) = &stream {
         session = session.stream(s.handle());
     }

@@ -46,6 +46,6 @@ pub use ring::IngestRing;
 pub use sampler::{splitmix64, Sampler};
 pub use snapshot::{MetricValue, MetricsSnapshot};
 pub use stream::{
-    refold_intervals, FieldBuf, StreamConfig, StreamHandle, StreamItem, StreamSink, StreamStats,
-    MAX_SAMPLE_FIELDS, STREAM_SCHEMA,
+    refold_intervals, FieldBuf, StreamConfig, StreamCursor, StreamHandle, StreamItem, StreamSink,
+    StreamStats, MAX_SAMPLE_FIELDS, STREAM_SCHEMA,
 };

@@ -227,6 +227,64 @@ impl StreamHandle {
     }
 }
 
+/// One producer stream's position: its index, sampler and flush
+/// cadence, and the entries folded so far. A simulation replication and
+/// a decision-plane shard each own one and [`advance`](Self::advance)
+/// it once per folded entry; the `(stream, seq)` pairs, and so the
+/// sampler's keep set, are a pure function of the producer's entries.
+#[derive(Debug)]
+pub struct StreamCursor {
+    handle: StreamHandle,
+    stream: u64,
+    sampler: Sampler,
+    flush_interval: u64,
+    seq: u64,
+    last_t: f64,
+}
+
+impl StreamCursor {
+    /// A cursor at the start of producer stream `stream`.
+    pub fn new(handle: StreamHandle, stream: u64) -> Self {
+        StreamCursor {
+            sampler: handle.sampler_for(stream),
+            flush_interval: handle.flush_interval(),
+            handle,
+            stream,
+            seq: 0,
+            last_t: f64::NAN,
+        }
+    }
+
+    /// Counts one folded entry at time `t`, emitting its `fields` (built
+    /// only then) as a sample when the sampler keeps it. Returns `true`
+    /// when a cumulative interval is due.
+    #[inline]
+    pub fn advance(&mut self, t: f64, fields: impl FnOnce() -> FieldBuf) -> bool {
+        self.seq += 1;
+        self.last_t = t;
+        if self.sampler.keep(self.seq) {
+            self.handle.emit(StreamItem::Sample {
+                stream: self.stream,
+                seq: self.seq,
+                t,
+                fields: fields(),
+            });
+        }
+        self.flush_interval > 0 && self.seq.is_multiple_of(self.flush_interval)
+    }
+
+    /// Emits one cumulative interval carrying `metrics`, at the entry
+    /// count and time reached.
+    pub fn emit_interval(&self, metrics: MetricsSnapshot) {
+        self.handle.emit(StreamItem::Interval {
+            stream: self.stream,
+            seq: self.seq,
+            t: self.last_t,
+            metrics,
+        });
+    }
+}
+
 enum Backend {
     Jsonl(Box<dyn Write + Send>),
     Collect(Arc<Mutex<Vec<StreamItem>>>),

@@ -45,7 +45,7 @@ use mbac_core::estimators::FilteredEstimator;
 use mbac_core::topology::LinkId;
 use mbac_metrics::{
     splitmix64, Aggregated, Counter, FieldBuf, Histogram, IngestRing, MetricValue, MetricsSnapshot,
-    Sampler, StreamHandle, StreamItem,
+    StreamCursor, StreamHandle,
 };
 use mbac_sim::{MbacController, MetricsMode};
 use std::collections::HashMap;
@@ -382,61 +382,6 @@ impl DecisionEntry {
     }
 }
 
-/// Streaming-emission state of one shard: the shard index is the
-/// producer stream, the per-shard decision count is the sequence.
-/// Each link's decisions reach exactly one shard in per-link order, so
-/// the (stream, seq) pairs — and therefore the sampler's keep set — are
-/// deterministic for a fixed workload and shard count.
-struct ShardStream {
-    handle: StreamHandle,
-    stream: u64,
-    sampler: Sampler,
-    flush_interval: u64,
-    seq: u64,
-}
-
-impl ShardStream {
-    fn new(handle: StreamHandle, stream: u64) -> Self {
-        let sampler = handle.sampler_for(stream);
-        let flush_interval = handle.flush_interval();
-        ShardStream {
-            handle,
-            stream,
-            sampler,
-            flush_interval,
-            seq: 0,
-        }
-    }
-
-    /// Advances the stream by one folded decision, emitting a sampled
-    /// raw record when the sampler keeps it. Returns `true` when a
-    /// cumulative interval flush is due.
-    fn advance(&mut self, e: &DecisionEntry) -> bool {
-        self.seq += 1;
-        if self.sampler.keep(self.seq) {
-            self.handle.emit(StreamItem::Sample {
-                stream: self.stream,
-                seq: self.seq,
-                // The decision plane has no simulation clock; samples
-                // are ordered by `seq` alone.
-                t: f64::NAN,
-                fields: e.fields(),
-            });
-        }
-        self.flush_interval > 0 && self.seq.is_multiple_of(self.flush_interval)
-    }
-
-    /// Emits one cumulative interval carrying `metrics`.
-    fn emit_interval(&self, metrics: MetricsSnapshot) {
-        self.handle.emit(StreamItem::Interval {
-            stream: self.stream,
-            seq: self.seq,
-            t: f64::NAN,
-            metrics,
-        });
-    }
-}
-
 // ---------------------------------------------------------------------
 // The shard shell
 // ---------------------------------------------------------------------
@@ -482,7 +427,12 @@ pub trait LinkLogic: Send {
 pub struct Instruments {
     index: usize,
     metrics: Option<Box<ShardMetrics>>,
-    stream: Option<Box<ShardStream>>,
+    /// The shard index is the producer stream and its decision count the
+    /// sequence. Each link's decisions reach exactly one shard in
+    /// per-link order, so the (stream, seq) pairs — and therefore the
+    /// sampler's keep set — are deterministic for a fixed workload and
+    /// shard count.
+    stream: Option<Box<StreamCursor>>,
 }
 
 impl Instruments {
@@ -508,7 +458,10 @@ impl Instruments {
         if let Some(m) = self.metrics.as_deref_mut() {
             m.fold_decision(e);
         }
-        if self.stream.as_deref_mut().is_some_and(|s| s.advance(e)) {
+        // The decision plane has no simulation clock: its records carry
+        // `t = NaN` and are ordered by `seq` alone.
+        let stream = self.stream.as_deref_mut();
+        if stream.is_some_and(|s| s.advance(f64::NAN, || e.fields())) {
             self.emit_interval(logic);
         }
     }
@@ -638,7 +591,7 @@ impl<L: LinkLogic> Plane<L> {
                 tap: Instruments {
                     index,
                     metrics: bundle.clone(),
-                    stream: stream.map(|h| Box::new(ShardStream::new(h.clone(), index as u64))),
+                    stream: stream.map(|h| Box::new(StreamCursor::new(h.clone(), index as u64))),
                 },
                 logic: logic(),
             })

@@ -108,7 +108,7 @@ proptest! {
             prop_assert_eq!(
                 sharded.encode(link),
                 reference.encode(link),
-                "link {} diverged at shards={}, producers={}, engine={}",
+                "link {} diverged at shards={}, producers={}, engine={:?}",
                 link, shards, producers, engine
             );
         }

@@ -211,10 +211,10 @@ impl DepartureCalendar {
         }
     }
 
-    /// Pops every entry with `departs_at ≤ t` into `expired` (in
-    /// unspecified order — the flow table canonicalizes), advancing the
-    /// cursor. O(entries popped + buckets cascaded), independent of the
-    /// live population.
+    /// Pops every entry with `departs_at ≤ t` into `expired` (bucket by
+    /// bucket: a deterministic order the flow table removes flows in),
+    /// advancing the cursor. O(entries popped + buckets cascaded),
+    /// independent of the live population.
     pub fn pop_until(&mut self, t: f64, expired: &mut Vec<CalendarEntry>) {
         let target = self.quantize(t);
         debug_assert!(self.leftovers.is_empty());

@@ -26,20 +26,20 @@
 //! workers when the work outweighs the hand-off (`mbac_traffic::batch`).
 //! Because the batch kernels compact with `swap_remove`, the wheel
 //! stores stable flow *handles* resolved through a slot map whose
-//! back-pointers are patched on every swap; the popped set is then
-//! applied in a canonical order (group, then slot, replaying the exact
-//! `swap_remove` sequence of the pre-wheel scan, kept as
-//! `crate::reference` behind the `reference-table` feature) so the
-//! surviving slot permutation, and with it every snapshot, is
-//! bit-identical to the legacy table's. Departures consume no
-//! randomness, so the RNG stream is untouched by construction.
+//! back-pointers are patched on every swap. Popped flows leave in the
+//! calendar's own order, each by one `swap_remove`. That order decides
+//! which slot a survivor ends up in, and so the order of a snapshot,
+//! but never which flows are in the system: departures consume no
+//! randomness, and each flow's next draws are fresh whatever slot it
+//! holds, so the law of every observable is the same.
 //!
 //! Batched and unbatched tables consume the RNG identically (the
 //! kernels' documented stream contract), so [`FlowTable::new`] and
 //! [`FlowTable::new_unbatched`] produce bit-identical simulations for a
 //! fixed seed; the equivalence tests below assert this, and the
-//! `tests/churn.rs` proptests assert bit-equality against the frozen
-//! reference table at every step of randomized schedules.
+//! `tests/churn.rs` proptests check both engines at every step of
+//! randomized schedules, against each other and against a brute-force
+//! set model of the flows in the system.
 
 use crate::calendar::{CalendarEntry, DepartureCalendar};
 use mbac_num::RateMoments;
@@ -129,9 +129,6 @@ pub struct FlowTable {
     free: Vec<u32>,
     /// Scratch: entries popped by the current `depart_until`.
     expired: Vec<CalendarEntry>,
-    /// Scratch: popped entries resolved to (group, slot), then sorted
-    /// into the canonical expiry order.
-    expiry_locs: Vec<(u32, u32)>,
 }
 
 impl Default for FlowTable {
@@ -156,7 +153,6 @@ impl FlowTable {
             slots: Vec::new(),
             free: Vec::new(),
             expired: Vec::new(),
-            expiry_locs: Vec::new(),
         }
     }
 
@@ -168,12 +164,6 @@ impl FlowTable {
             batching: false,
             ..Self::new()
         }
-    }
-
-    /// Whether this table routes flows into batched kernels (`true` for
-    /// [`FlowTable::new`], `false` for [`FlowTable::new_unbatched`]).
-    pub fn is_batched(&self) -> bool {
-        self.batching
     }
 
     /// Number of flows currently in the system (the paper's `N_t`).
@@ -329,71 +319,12 @@ impl FlowTable {
         }
     }
 
-    /// Replays, for one group, the exact `swap_remove` sequence the
-    /// legacy while-loop scan would have produced for the expiring slot
-    /// set `exp` (ascending `(group, slot)` pairs, all in this group) —
-    /// without visiting any surviving slot.
-    ///
-    /// The legacy scan (`crate::reference`) walks `i` upward and, on
-    /// expiry, swap-removes without advancing `i`, re-examining the
-    /// element swapped in from the tail. Two facts make an
-    /// O(expiring) replay possible: a destination slot is always
-    /// strictly below the current length, so tail *sources* are never
-    /// former destinations and still hold their original elements; and
-    /// source positions strictly descend, so one reverse pointer into
-    /// the sorted expiring set answers every "does the tail element
-    /// expire too?" membership query.
-    fn apply_expirations(
-        g: &mut BatchGroup,
-        exp: &[(u32, u32)],
-        t: f64,
-        slots: &mut [SlotRef],
-        free: &mut Vec<u32>,
-    ) {
-        let mut live = g.meta.len();
-        // Reverse membership pointer: exp[hi..] are expiring slots
-        // already consumed from the tail (or about to be checked).
-        let mut hi = exp.len();
-        for &(_, slot) in exp {
-            let e = slot as usize;
-            if e >= live {
-                // Already consumed as a tail source below.
-                break;
-            }
-            loop {
-                debug_assert!(g.meta[e].departs_at <= t, "removing a non-expired slot");
-                free.push(g.handles[e]);
-                g.meta.swap_remove(e);
-                g.handles.swap_remove(e);
-                g.batch.swap_remove(e);
-                live -= 1;
-                if e == live {
-                    // Removed the last element; nothing swapped in.
-                    break;
-                }
-                // The element from original slot `live` now sits at
-                // `e`. If it expires too, the legacy scan removes it
-                // in place on the next pass of its while-loop.
-                while hi > 0 && exp[hi - 1].1 as usize > live {
-                    hi -= 1;
-                }
-                if hi > 0 && exp[hi - 1].1 as usize == live {
-                    hi -= 1;
-                    continue;
-                }
-                // A survivor moved into `e`: patch its back-pointer.
-                slots[g.handles[e] as usize].slot = e as u32;
-                break;
-            }
-        }
-    }
-
     /// Removes every flow whose departure time is ≤ `t`. Returns how
     /// many departed. O(1) when no departure is pending (the common
     /// case, via the exact cached minimum), O(departures popped)
-    /// otherwise — the calendar pops only expired buckets and the
-    /// canonical-order replay touches only expiring slots, so the cost
-    /// never scales with the flows in system.
+    /// otherwise — the calendar pops only expired buckets and each
+    /// popped flow leaves by one `swap_remove`, so the cost never
+    /// scales with the flows in system.
     pub fn depart_until(&mut self, t: f64) -> usize {
         if self.min_departure > t {
             return 0;
@@ -402,40 +333,25 @@ impl FlowTable {
         self.calendar.pop_until(t, &mut self.expired);
         let gone = self.expired.len();
         debug_assert!(gone > 0, "exact minimum {} <= {t}", self.min_departure);
-        {
-            // Resolve handles to their current locations, then order
-            // canonically: group, then slot — the order the legacy
-            // scan encounters them in.
-            let slots = &self.slots;
-            let locs = &mut self.expiry_locs;
-            locs.clear();
-            locs.extend(self.expired.iter().map(|e| {
-                let s = slots[e.handle as usize];
-                (s.group, s.slot)
-            }));
-            locs.sort_unstable();
-        }
-        let mut start = 0;
-        while start < self.expiry_locs.len() {
-            let group = self.expiry_locs[start].0;
-            let mut end = start + 1;
-            while end < self.expiry_locs.len() && self.expiry_locs[end].0 == group {
-                end += 1;
+        // In the calendar's order: each removal moves the group's tail
+        // flow into the freed slot, so patch that flow's back-pointer
+        // (a later entry of this batch may be the flow that moved).
+        for e in &self.expired {
+            let SlotRef { group, slot } = self.slots[e.handle as usize];
+            let (g, slot) = (&mut self.groups[group as usize], slot as usize);
+            debug_assert!(g.meta[slot].departs_at <= t, "removing a non-expired slot");
+            g.meta.swap_remove(slot);
+            g.handles.swap_remove(slot);
+            g.batch.swap_remove(slot);
+            if let Some(&moved) = g.handles.get(slot) {
+                self.slots[moved as usize].slot = slot as u32;
             }
-            Self::apply_expirations(
-                &mut self.groups[group as usize],
-                &self.expiry_locs[start..end],
-                t,
-                &mut self.slots,
-                &mut self.free,
-            );
-            start = end;
+            self.free.push(e.handle);
         }
         self.count -= gone;
         self.departed_total += gone as u64;
         // The new exact minimum: the earliest non-empty bucket's fold
-        // (`INFINITY` when only never-departing flows remain — the
-        // same value the legacy whole-table fold produced).
+        // (`INFINITY` when only never-departing flows remain).
         self.min_departure = self.calendar.peek_min();
         debug_assert!(self.min_departure > t);
         gone
@@ -502,6 +418,29 @@ impl FlowTable {
         out.extend(self.groups.iter().flat_map(|g| g.meta.iter().map(|m| m.id)));
         out
     }
+
+    /// Panics unless the slot map agrees with the groups: every live
+    /// handle's location holds that handle, each group's metadata,
+    /// handles and batch have one length, and live plus freed handles
+    /// account for every handle issued (test/diagnostic aid, O(flows)).
+    pub fn check_invariants(&self) {
+        let mut live = 0;
+        for (i, g) in self.groups.iter().enumerate() {
+            assert_eq!(g.meta.len(), g.handles.len(), "group {i}: meta vs handles");
+            assert_eq!(g.meta.len(), g.batch.len(), "group {i}: meta vs batch");
+            for (slot, &h) in g.handles.iter().enumerate() {
+                let at = self.slots[h as usize];
+                assert_eq!(
+                    (at.group as usize, at.slot as usize),
+                    (i, slot),
+                    "handle {h} points away from its slot"
+                );
+            }
+            live += g.meta.len();
+        }
+        assert_eq!(live, self.count, "group lengths vs flow count");
+        assert_eq!(live + self.free.len(), self.slots.len(), "handles leaked");
+    }
 }
 
 /// The candidates of one [`FlowTable::spawn_burst`]: spawned and
@@ -546,7 +485,6 @@ impl Drop for Burst<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::ReferenceFlowTable;
     use mbac_traffic::ar1::{Ar1Config, Ar1Model};
     use mbac_traffic::markov::{MarkovFluidFactory, MarkovFluidModel};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
@@ -643,6 +581,7 @@ mod tests {
             let mut got_ids = table.ids();
             got_ids.sort_unstable();
             assert_eq!(got_ids, ids);
+            table.check_invariants();
         };
 
         // Deterministic but irregular schedule of admits/departs.
@@ -822,72 +761,38 @@ mod tests {
         }
     }
 
-    /// The wheel table's headline contract: bit-identical to the frozen
-    /// legacy table — snapshots (the exact surviving slot permutation),
-    /// `next_departure`, ids, conservation counts, and the RNG stream —
-    /// through an irregular schedule with duplicate departure times,
-    /// batch departures, admissions into live groups, and `INFINITY`
-    /// holds, on both engines. (The randomized version lives in
-    /// `tests/churn.rs` as a proptest.)
+    /// One call expires half of a group, tail flow included: every
+    /// survivor keeps its own rate wherever it lands, the other group
+    /// is untouched, and the slot map still agrees with the groups.
     #[test]
-    fn wheel_table_is_bit_exact_with_reference() {
-        for batched in [true, false] {
-            let m = model();
-            let ar1 = Ar1Model::new(Ar1Config {
-                mean: 1.0,
-                std_dev: 0.3,
-                t_c: 1.0,
-                tick: 0.05,
-                clamp_at_zero: true,
-            });
-            let mut rng_a = StdRng::seed_from_u64(123);
-            let mut rng_b = StdRng::seed_from_u64(123);
-            let mut wheel = if batched {
-                FlowTable::new()
-            } else {
-                FlowTable::new_unbatched()
-            };
-            let mut legacy = if batched {
-                ReferenceFlowTable::new()
-            } else {
-                ReferenceFlowTable::new_unbatched()
-            };
-            let mut snap_a = Vec::new();
-            let mut snap_b = Vec::new();
-            let mut now = 0.0;
-            for step in 0..300 {
-                now += 0.25;
-                // Two source models → two groups on the batched engine,
-                // so the canonical (group, slot) order is exercised.
-                let (model, hold): (&dyn SourceModel, f64) = if step % 5 == 0 {
-                    (&ar1, [1.25, 3.0, 3.0, f64::INFINITY][step % 4])
-                } else {
-                    (&m, 0.5 + (step % 11) as f64 * 0.75)
-                };
-                wheel.admit(model, now + hold, &mut rng_a);
-                legacy.admit(model, now + hold, &mut rng_b);
-                wheel.advance_to(now, &mut rng_a);
-                legacy.advance_to(now, &mut rng_b);
-                let gone_a = wheel.depart_until(now);
-                let gone_b = legacy.depart_until(now);
-                assert_eq!(gone_a, gone_b, "departure count at step {step}");
-                wheel.snapshot_into(&mut snap_a);
-                legacy.snapshot_into(&mut snap_b);
-                assert_eq!(snap_a, snap_b, "snapshot diverged at step {step}");
-                assert_eq!(wheel.ids(), legacy.ids(), "ids diverged at step {step}");
-                assert_eq!(wheel.next_departure(), legacy.next_departure());
-                assert_eq!(wheel.len(), legacy.len());
-                assert_eq!(wheel.departed_total(), legacy.departed_total());
-            }
-            assert!(wheel.departed_total() > 100, "schedule too quiet");
-            // Drain: a bulk expiry through both tables, then the RNG
-            // streams must still be in lock-step.
-            wheel.depart_until(now + 1e6);
-            legacy.depart_until(now + 1e6);
-            assert_eq!(wheel.len(), legacy.len());
-            assert_eq!(wheel.next_departure(), legacy.next_departure());
-            use rand::Rng as _;
-            assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+    fn one_call_expiring_several_flows_and_the_tail_keeps_the_table_whole() {
+        let (m, ar1) = (model(), ar1_model());
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut table = FlowTable::new();
+        // RCBR slots 0, 2, 5 and 7 (the tail) leave at t = 2.
+        for departs in [2.0, 9.0, 2.0, 9.0, 9.0, 2.0, 9.0, 2.0] {
+            table.admit(&m, departs, &mut rng);
         }
+        table.admit(&ar1, 2.0, &mut rng);
+        table.admit(&ar1, 9.0, &mut rng);
+        let rates = |t: &FlowTable| {
+            let mut snap = Vec::new();
+            t.snapshot_into(&mut snap);
+            let mut by_id: Vec<(u64, f64)> = t.ids().into_iter().zip(snap).collect();
+            by_id.sort_by_key(|&(id, _)| id);
+            by_id
+        };
+        let before = rates(&table);
+        assert_eq!(table.depart_until(2.0), 5);
+        table.check_invariants();
+        let survivors: Vec<(u64, f64)> = before
+            .into_iter()
+            .filter(|(id, _)| [1, 3, 4, 6, 9].contains(id))
+            .collect();
+        assert_eq!(rates(&table), survivors);
+        assert_eq!(table.next_departure(), Some(9.0));
+        assert_eq!(table.depart_until(9.0), 5);
+        table.check_invariants();
+        assert!(table.is_empty());
     }
 }

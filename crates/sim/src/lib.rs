@@ -38,8 +38,6 @@ pub mod events;
 pub mod flows;
 pub mod metrics;
 pub mod network;
-#[cfg(any(test, feature = "reference-table"))]
-pub mod reference;
 pub mod requests;
 pub mod runner;
 pub mod session;
@@ -54,8 +52,6 @@ pub use metrics::{OverflowMeter, PfEstimate, PfMethod, StopReason, UtilityMeter}
 pub use network::{
     LinkStats, RouteStats, RoutedNetworkConfig, RoutedNetworkLoad, RoutedNetworkReport,
 };
-#[cfg(any(test, feature = "reference-table"))]
-pub use reference::ReferenceFlowTable;
 pub use requests::{
     LinkEvent, RequestLoad, RequestLoadConfig, RequestWindows, RoutedEvent, RoutedLoad,
     RoutedLoadConfig, RoutedWindows, RoutedWorkload, ServeWorkload, Windows, MAX_RUN_ITEMS,

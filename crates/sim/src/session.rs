@@ -135,11 +135,6 @@ pub enum ConfigError {
     ZeroReplications,
     /// Zero workers requested.
     ZeroWorkers,
-    /// An engine name that is neither `batched` nor `boxed`.
-    UnknownEngine {
-        /// The rejected name.
-        name: String,
-    },
     /// A phase schedule that is empty, unsorted, or does not start at 0.
     BadPhases {
         /// What is wrong with the schedule.
@@ -190,9 +185,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroReplications => write!(f, "replications must be at least 1"),
             ConfigError::ZeroWorkers => write!(f, "workers must be at least 1"),
-            ConfigError::UnknownEngine { name } => {
-                write!(f, "engine must be batched or boxed, got {name}")
-            }
             ConfigError::BadPhases { reason } => write!(f, "invalid phase schedule: {reason}"),
             ConfigError::Topology(e) => write!(f, "invalid topology: {e}"),
             ConfigError::WorkloadTooLarge { what, max } => {
@@ -254,7 +246,8 @@ pub(crate) fn require_finite(field: &'static str, value: f64) -> Result<(), Conf
 /// simulations for the same seed (the equivalence tests in
 /// [`crate::flows`] and `tests/statistical.rs` assert this); `Batched`
 /// is the fast struct-of-arrays default, `Boxed` the one-heap-process-
-/// per-flow reference.
+/// per-flow reference. No command-line flag picks it: `Boxed` is the
+/// twin that equivalence tests and the benchmark's probes run against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Struct-of-arrays kernels grouped by batch key (the default).
@@ -274,26 +267,6 @@ impl Engine {
             Engine::Batched => FlowTable::new(),
             Engine::Boxed => FlowTable::new_unbatched(),
         }
-    }
-
-    /// Parses an engine name (`batched` / `boxed`), as the CLI accepts.
-    pub fn from_name(name: &str) -> Result<Engine, ConfigError> {
-        match name {
-            "batched" => Ok(Engine::Batched),
-            "boxed" => Ok(Engine::Boxed),
-            other => Err(ConfigError::UnknownEngine {
-                name: other.to_string(),
-            }),
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Engine::Batched => "batched",
-            Engine::Boxed => "boxed",
-        })
     }
 }
 
@@ -895,20 +868,6 @@ mod tests {
             "capacity must survive the round-trip, got {}",
             v.capacity()
         );
-    }
-
-    #[test]
-    fn engine_parsing_and_display() {
-        assert_eq!(Engine::from_name("batched").unwrap(), Engine::Batched);
-        assert_eq!(Engine::from_name("boxed").unwrap(), Engine::Boxed);
-        assert_eq!(
-            Engine::from_name("quantum").unwrap_err(),
-            ConfigError::UnknownEngine {
-                name: "quantum".into()
-            }
-        );
-        assert_eq!(Engine::Batched.to_string(), "batched");
-        assert_eq!(Engine::Boxed.to_string(), "boxed");
     }
 
     #[test]

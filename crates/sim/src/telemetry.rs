@@ -43,7 +43,7 @@
 
 use mbac_metrics::{
     Aggregated, Counter, CounterSnapshot, FieldBuf, Gauge, Histogram, MetricValue, MetricsSnapshot,
-    Sampler, StreamHandle, StreamItem, TimeSeries,
+    StreamCursor, StreamHandle, TimeSeries,
 };
 use mbac_num::PoolCallStats;
 
@@ -310,19 +310,6 @@ impl Drop for EntryGuard<'_> {
     }
 }
 
-/// Streaming-mode state of a sink: the shared emission handle plus this
-/// replication's sequence counter and sampler.
-#[derive(Debug)]
-struct StreamState {
-    handle: StreamHandle,
-    /// Producer stream index (the replication index).
-    stream: u64,
-    sampler: Sampler,
-    flush_interval: u64,
-    seq: u64,
-    last_t: f64,
-}
-
 /// An optional [`SimMetrics`]: `disabled()` is the zero-cost default
 /// (one `Option` branch per record site), `enabled()` collects.
 #[derive(Debug, Default)]
@@ -331,8 +318,9 @@ pub struct MetricsSink {
     /// Extra snapshot entries attached by components that export their
     /// own instrument state (e.g. the overflow meter).
     extra: MetricsSnapshot,
-    /// Present only in streaming mode.
-    stream: Option<Box<StreamState>>,
+    /// Present only in streaming mode; the producer stream is the
+    /// replication index.
+    stream: Option<Box<StreamCursor>>,
 }
 
 impl MetricsSink {
@@ -370,19 +358,10 @@ impl MetricsSink {
     /// snapshots stay bit-identical and the last interval per stream
     /// re-folds to the snapshot-mode aggregate exactly.
     pub fn streaming(handle: StreamHandle, stream: u64) -> Self {
-        let sampler = handle.sampler_for(stream);
-        let flush_interval = handle.flush_interval();
         MetricsSink {
             inner: Some(Box::new(SimMetrics::new())),
             extra: MetricsSnapshot::new(),
-            stream: Some(Box::new(StreamState {
-                handle,
-                stream,
-                sampler,
-                flush_interval,
-                seq: 0,
-                last_t: f64::NAN,
-            })),
+            stream: Some(Box::new(StreamCursor::new(handle, stream))),
         }
     }
 
@@ -448,24 +427,9 @@ impl MetricsSink {
     /// line so the inlined aggregate fold stays small at every call
     /// site; only entered when the sink is in streaming mode.
     fn stream_entry(&mut self, e: &TickEntry) {
-        let mut flush_at = None;
-        if let Some(s) = self.stream.as_deref_mut() {
-            s.seq += 1;
-            s.last_t = e.t;
-            if s.sampler.keep(s.seq) {
-                s.handle.emit(StreamItem::Sample {
-                    stream: s.stream,
-                    seq: s.seq,
-                    t: e.t,
-                    fields: e.fields(),
-                });
-            }
-            if s.flush_interval > 0 && s.seq.is_multiple_of(s.flush_interval) {
-                flush_at = Some(s.seq);
-            }
-        }
-        if let Some(seq) = flush_at {
-            self.flush_interval_record(seq);
+        let stream = self.stream.as_deref_mut();
+        if stream.is_some_and(|s| s.advance(e.t, || e.fields())) {
+            self.flush_interval_record();
         }
     }
 
@@ -473,24 +437,16 @@ impl MetricsSink {
     /// stream. No-op outside streaming mode; call once, after the last
     /// entry (and after any [`MetricsSink::attach`]).
     pub fn finish_rep(&mut self) {
-        if let Some(s) = self.stream.as_deref() {
-            self.flush_interval_record(s.seq);
-        }
+        self.flush_interval_record();
     }
 
-    /// Emits one cumulative interval: the full snapshot so far. The
-    /// clone is the flush cost — paid per interval, never per entry.
-    fn flush_interval_record(&mut self, seq: u64) {
-        let metrics = self.snapshot();
-        let Some(s) = self.stream.as_deref() else {
-            return;
-        };
-        s.handle.emit(StreamItem::Interval {
-            stream: s.stream,
-            seq,
-            t: s.last_t,
-            metrics,
-        });
+    /// Emits one cumulative interval, when streaming: the full snapshot
+    /// so far. The clone is the flush cost — paid per interval, never
+    /// per entry.
+    fn flush_interval_record(&self) {
+        if let Some(s) = self.stream.as_deref() {
+            s.emit_interval(self.snapshot());
+        }
     }
 
     /// The bundle, when recording — every hot-path record site goes

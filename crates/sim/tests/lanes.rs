@@ -132,7 +132,7 @@ fn bits_are_invariant_under_worker_count_and_engine() {
                 let got = with_workers(workers, || churn(model.as_ref(), engine, 7));
                 assert!(
                     got == reference,
-                    "{name}: {engine} on {workers} workers diverged from batched on 1"
+                    "{name}: {engine:?} on {workers} workers diverged from batched on 1"
                 );
             }
         }
@@ -264,7 +264,7 @@ fn rcbr_lanes_keep_the_renegotiation_law() {
                     }
                 }
             }
-            let at = format!("{engine} at dt = {dt_over_tc} T_c");
+            let at = format!("{engine:?} at dt = {dt_over_tc} T_c");
             let trials = (3 * N) as f64;
             let share = changed as f64 / trials;
             assert_near(
@@ -320,7 +320,7 @@ fn ar1_lanes_keep_the_lag_one_autocorrelation() {
     let a = (-tick).exp();
     for engine in [Engine::Batched, Engine::Boxed] {
         let rates = paths(&ar1(tick), engine, tick, 4, 200);
-        let at = format!("{engine}");
+        let at = format!("{engine:?}");
         // One pair per flow: flows are independent, so the pairs are.
         let (rho, n) = correlation(rates[3].iter().copied().zip(rates[4].iter().copied()));
         // Var of a sample correlation near ρ is (1 − ρ²)²/n.
@@ -353,7 +353,7 @@ fn markov_lanes_keep_the_stationary_law() {
     let rho_want = (-2.0 * dt).exp();
     for engine in [Engine::Batched, Engine::Boxed] {
         let rates = paths(&markov(), engine, dt, 4, 300);
-        let at = format!("{engine}");
+        let at = format!("{engine:?}");
         let on = rates[4].iter().filter(|&&r| r > 0.0).count() as f64 / N as f64;
         assert_near(&at, "on-share", on, 0.5, (0.25 / N as f64).sqrt());
         let (rho, n) = correlation(rates[3].iter().copied().zip(rates[4].iter().copied()));

@@ -65,12 +65,12 @@ proptest! {
         prop_assert_eq!(
             format!("{reference:?}"),
             format!("{report:?}"),
-            "report diverged at workers={}, engine={}", workers, engine
+            "report diverged at workers={}, engine={:?}", workers, engine
         );
         prop_assert_eq!(
             reference_snap.to_json(),
             snap.to_json(),
-            "metrics diverged at workers={}, engine={}", workers, engine
+            "metrics diverged at workers={}, engine={:?}", workers, engine
         );
     }
 
