@@ -392,6 +392,35 @@ fn simulate_impulsive_small_run_reports_result() {
 }
 
 #[test]
+fn simulate_impulsive_rejects_oversized_loads_without_aborting_or_hanging() {
+    // Unbounded, the first spawns its burst until memory runs out, the
+    // second aborts allocating its replications (exit 134), the third
+    // runs for days and the fourth admits about 10^15 fresh extras.
+    let cases = [
+        "--capacity 100 --flows 99999999999 --reps 1",
+        "--capacity 100 --flows 100 --reps 99999999999",
+        "--capacity 100 --flows 1000000 --reps 100000000",
+        "--capacity 1e15 --flows 10 --reps 1",
+    ];
+    for flags in cases {
+        let args: Vec<&str> = ["simulate", "--load", "impulsive", "--observe", "1"]
+            .into_iter()
+            .chain(flags.split(' '))
+            .collect();
+        let start = std::time::Instant::now();
+        let out = mbacctl(&args);
+        assert_eq!(out.status.code(), Some(1), "{flags}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error: invalid configuration: the workload would hold more than"),
+            "{flags}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{flags}: {err}");
+        assert!(start.elapsed().as_secs() < 5, "{flags} took too long");
+    }
+}
+
+#[test]
 fn simulate_poisson_rejects_unbounded_arrival_rates_without_panicking_or_hanging() {
     // `inf` used to panic on a zero mean inter-arrival time (exit 101);
     // `1e300` ran an arrival at every float step, for ever.

@@ -39,6 +39,11 @@
 //! `LEVELS` times over its lifetime, so scheduling stays amortized
 //! O(1).
 //!
+//! The buckets are one flat array, allocated by the first `schedule`.
+//! Until then every occupancy mask is zero, so `peek_min` and
+//! `pop_until` never reach for a bucket, and a calendar whose flows all
+//! hold forever (an impulsive replication's) costs no allocation.
+//!
 //! ## Correctness does not depend on quantization
 //!
 //! Floating-point bucket math only *places* entries; expiry always
@@ -74,9 +79,13 @@ pub const DEFAULT_BUCKET_WIDTH: f64 = 0.25;
 
 /// Hierarchical timing wheel keyed on absolute departure times.
 pub struct DepartureCalendar {
-    /// `buckets[level][slot]`; entries are unordered within a bucket.
-    buckets: Vec<Vec<Vec<CalendarEntry>>>,
-    /// Per-level occupancy bitmask (bit `s` set ⇔ `buckets[l][s]` is
+    /// `LEVELS × SLOTS` buckets, bucket `(level, slot)` at
+    /// `level * SLOTS + slot`; entries are unordered within a bucket.
+    /// Empty until the first `schedule`: a table whose flows all hold
+    /// forever never files one, and the occupancy masks keep every
+    /// lookup off the buckets while the wheel is empty.
+    buckets: Vec<Vec<CalendarEntry>>,
+    /// Per-level occupancy bitmask (bit `s` set ⇔ bucket `(l, s)` is
     /// non-empty) for O(1) earliest-slot lookup.
     occupied: [u64; LEVELS],
     /// Quantized current time; only ever advances.
@@ -102,7 +111,7 @@ impl DepartureCalendar {
             "bucket width must be positive and finite, got {width}"
         );
         DepartureCalendar {
-            buckets: vec![vec![Vec::new(); SLOTS]; LEVELS],
+            buckets: Vec::new(),
             occupied: [0; LEVELS],
             cursor: 0,
             inv_width: width.recip(),
@@ -119,6 +128,12 @@ impl DepartureCalendar {
     /// Whether no finite entry is scheduled.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Whether the buckets have been allocated (by a first `schedule`).
+    #[cfg(test)]
+    pub(crate) fn has_buckets(&self) -> bool {
+        !self.buckets.is_empty()
     }
 
     /// Quantizes an absolute time, clamped so entries never land behind
@@ -147,11 +162,16 @@ impl DepartureCalendar {
     }
 
     #[inline]
+    fn bucket(&mut self, level: usize, slot: usize) -> &mut Vec<CalendarEntry> {
+        &mut self.buckets[level * SLOTS + slot]
+    }
+
+    #[inline]
     fn file(&mut self, entry: CalendarEntry) {
         let q = self.quantize(entry.departs_at);
         let level = self.level_for(q);
         let slot = Self::slot_of(q, level);
-        self.buckets[level][slot].push(entry);
+        self.bucket(level, slot).push(entry);
         self.occupied[level] |= 1 << slot;
     }
 
@@ -163,6 +183,9 @@ impl DepartureCalendar {
             departs_at.is_finite(),
             "INFINITY never expires and must not be scheduled"
         );
+        if self.buckets.is_empty() {
+            self.buckets = vec![Vec::new(); LEVELS * SLOTS];
+        }
         self.len += 1;
         self.file(CalendarEntry { handle, departs_at });
     }
@@ -204,7 +227,7 @@ impl DepartureCalendar {
     pub fn peek_min(&self) -> f64 {
         match self.earliest_bucket() {
             None => f64::INFINITY,
-            Some((level, slot, _)) => self.buckets[level][slot]
+            Some((level, slot, _)) => self.buckets[level * SLOTS + slot]
                 .iter()
                 .map(|e| e.departs_at)
                 .fold(f64::INFINITY, f64::min),
@@ -225,7 +248,7 @@ impl DepartureCalendar {
             // Advance to the bucket before redistributing so cascaded
             // entries re-file *below* this level and terminate.
             self.cursor = self.cursor.max(start);
-            let mut bucket = std::mem::take(&mut self.buckets[level][slot]);
+            let mut bucket = std::mem::take(self.bucket(level, slot));
             self.occupied[level] &= !(1 << slot);
             if level == 0 {
                 for entry in bucket.drain(..) {
@@ -245,7 +268,7 @@ impl DepartureCalendar {
                     self.file(entry);
                 }
             }
-            self.buckets[level][slot] = bucket;
+            *self.bucket(level, slot) = bucket;
         }
         self.cursor = self.cursor.max(target);
         while let Some(entry) = self.leftovers.pop() {
@@ -359,10 +382,10 @@ mod tests {
         assert_eq!(drain(&mut cal, 5.8), vec![(1, 5.8)]);
     }
 
-    #[test]
-    fn brute_force_equivalence_on_an_irregular_schedule() {
-        // Deterministic pseudo-random schedule vs a sorted-vec oracle.
-        let mut cal = DepartureCalendar::new();
+    /// Drives `cal` from time `now` through a deterministic pseudo-random
+    /// schedule and checks every pop, minimum and length against a
+    /// sorted-vec oracle.
+    fn check_against_oracle(cal: &mut DepartureCalendar, mut now: f64) {
         let mut oracle: Vec<(u32, f64)> = Vec::new();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut rand = move || {
@@ -371,7 +394,6 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        let mut now = 0.0;
         let mut next_handle = 0u32;
         for step in 0..2000 {
             if step % 3 != 2 {
@@ -387,7 +409,7 @@ mod tests {
                 next_handle += 1;
             } else {
                 now += 2.0 * rand();
-                let mut got = drain(&mut cal, now);
+                let mut got = drain(cal, now);
                 got.sort_by_key(|p| p.0);
                 let mut want: Vec<(u32, f64)> =
                     oracle.iter().copied().filter(|&(_, t)| t <= now).collect();
@@ -399,5 +421,25 @@ mod tests {
             assert_eq!(cal.peek_min(), want_min, "step {step}");
             assert_eq!(cal.len(), oracle.len());
         }
+    }
+
+    #[test]
+    fn brute_force_equivalence_on_an_irregular_schedule() {
+        check_against_oracle(&mut DepartureCalendar::new(), 0.0);
+    }
+
+    /// Pops on a calendar that has never scheduled move its cursor but
+    /// allocate nothing; the wheel it allocates on the first schedule,
+    /// far from time zero, still matches the oracle.
+    #[test]
+    fn a_wheel_first_scheduled_after_empty_pops_matches_the_oracle() {
+        let mut cal = DepartureCalendar::new();
+        for t in [0.0, 3.7, 1_000.0, 65_000.5] {
+            assert_eq!(drain(&mut cal, t), vec![]);
+            assert_eq!(cal.peek_min(), f64::INFINITY);
+        }
+        assert!(!cal.has_buckets(), "an empty calendar allocated");
+        check_against_oracle(&mut cal, 65_000.5);
+        assert!(cal.has_buckets());
     }
 }

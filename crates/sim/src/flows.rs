@@ -89,16 +89,19 @@ struct BatchGroup {
 }
 
 impl BatchGroup {
-    /// Spawns one fresh flow of `model` at the end of the batch, not
-    /// yet registered; both arms draw what `SourceModel::spawn` draws.
-    fn spawn(&mut self, model: &dyn SourceModel, rng: &mut StdRng) {
+    /// Spawns `n` fresh flows of `model` at the end of the batch, not
+    /// yet registered; both arms draw what `n` calls of
+    /// `SourceModel::spawn` draw.
+    fn spawn(&mut self, model: &dyn SourceModel, n: usize, rng: &mut StdRng) {
         if self.key == GroupKey::Boxed {
-            self.batch
-                .try_push_boxed(model.spawn(rng))
-                .ok()
-                .expect("fallback group accepts boxed processes");
+            for _ in 0..n {
+                self.batch
+                    .try_push_boxed(model.spawn(rng))
+                    .ok()
+                    .expect("fallback group accepts boxed processes");
+            }
         } else {
-            self.batch.spawn_one(rng);
+            self.batch.spawn(n, rng);
         }
     }
 }
@@ -252,7 +255,7 @@ impl FlowTable {
             }
             None => self.fallback_group(),
         };
-        self.groups[group].spawn(model, rng);
+        self.groups[group].spawn(model, 1, rng);
         self.register(group, departs_at)
     }
 
@@ -274,9 +277,11 @@ impl FlowTable {
             Some(batch) => self.push_group(GroupKey::Burst, batch),
             None => self.fallback_group(),
         };
-        for _ in 0..n {
-            self.groups[group].spawn(model, rng);
-        }
+        let g = &mut self.groups[group];
+        g.meta.reserve(n);
+        g.handles.reserve(n);
+        self.slots.reserve(n);
+        g.spawn(model, n, rng);
         Burst { table: self, group }
     }
 
@@ -607,6 +612,28 @@ mod tests {
         assert!(table.is_empty());
         assert_eq!(table.admitted_total(), departure_times.len() as u64);
         assert_eq!(table.departed_total(), departure_times.len() as u64);
+    }
+
+    /// Flows that hold forever are never scheduled, so a table of them
+    /// — an impulsive replication's burst and extras, advanced and
+    /// drained — allocates no calendar buckets; the first finite hold
+    /// does.
+    #[test]
+    fn a_table_of_forever_flows_allocates_no_calendar_buckets() {
+        let m = model();
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut table = FlowTable::new();
+        table
+            .spawn_burst(&m, 50, &mut rng)
+            .keep(40, || f64::INFINITY);
+        table.admit(&m, f64::INFINITY, &mut rng);
+        table.advance_to(50.0, &mut rng);
+        assert_eq!(table.depart_until(50.0), 0);
+        assert_eq!(table.len(), 41);
+        assert!(!table.calendar.has_buckets(), "forever flows allocated");
+        table.admit(&m, 60.0, &mut rng);
+        assert!(table.calendar.has_buckets());
+        assert_eq!(table.depart_until(60.0), 1);
     }
 
     #[test]

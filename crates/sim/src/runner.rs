@@ -17,6 +17,7 @@
 
 use crate::controller::AdmissionEngine;
 use crate::metrics::{OverflowMeter, PfEstimate, StopReason};
+use crate::requests::{MAX_RUN_ITEMS, MAX_WORKLOAD_ITEMS};
 use crate::session::{
     require_finite, require_non_negative, require_positive, require_step, ConfigError, RepContext,
     Scenario,
@@ -144,6 +145,27 @@ impl Scenario for ImpulsiveLoad<'_> {
         }
         if self.cfg.replications == 0 {
             return Err(ConfigError::ZeroReplications);
+        }
+        // A replication holds its burst and about `c/μ` admitted flows,
+        // and the run passes through a burst per replication: bound all
+        // of them, or a mistyped count aborts on an allocation or runs
+        // for days.
+        let too_large = |what, max| Err(ConfigError::WorkloadTooLarge { what, max });
+        let (flows, reps) = (
+            self.cfg.estimation_flows as u64,
+            self.cfg.replications as u64,
+        );
+        if flows > MAX_WORKLOAD_ITEMS {
+            return too_large("estimation flows", MAX_WORKLOAD_ITEMS);
+        }
+        if reps > MAX_WORKLOAD_ITEMS {
+            return too_large("replications", MAX_WORKLOAD_ITEMS);
+        }
+        if flows * reps > MAX_RUN_ITEMS {
+            return too_large("estimation flows over the run", MAX_RUN_ITEMS);
+        }
+        if self.cfg.capacity / self.model.mean() > MAX_WORKLOAD_ITEMS as f64 {
+            return too_large("admitted flows (capacity / mean rate)", MAX_WORKLOAD_ITEMS);
         }
         Ok(())
     }
@@ -1033,6 +1055,84 @@ mod tests {
         cfg.replications = 0;
         assert_eq!(check(&cfg), Some(ConfigError::ZeroReplications));
         assert!(check(&base).is_none());
+    }
+
+    /// Oversized impulsive loads are refused before a replication runs:
+    /// a burst or a replication count past 2²⁸ (an aborting allocation,
+    /// or a burst spawned for ever), their product past 2⁴⁰ (days of
+    /// work), and a capacity admitting more than 2²⁸ flows of the
+    /// model's mean rate. Each returns at once; the bounds themselves run.
+    #[test]
+    fn impulsive_validation_bounds_oversized_loads() {
+        let m = model();
+        let ce = CertaintyEquivalent::from_probability(0.05);
+        let base = ImpulsiveConfig {
+            capacity: 10.0,
+            estimation_flows: 10,
+            mean_holding: None,
+            observe_times: vec![1.0],
+            replications: 1,
+            seed: 0,
+        };
+        let validate = |cfg: &ImpulsiveConfig| ImpulsiveLoad::new(cfg, &m, &ce).validate();
+        let max = MAX_WORKLOAD_ITEMS as usize;
+        let too_large = |what, max| Err(ConfigError::WorkloadTooLarge { what, max });
+        let cases = [
+            (
+                ImpulsiveConfig {
+                    estimation_flows: 99_999_999_999,
+                    ..base.clone()
+                },
+                too_large("estimation flows", MAX_WORKLOAD_ITEMS),
+            ),
+            (
+                ImpulsiveConfig {
+                    estimation_flows: max,
+                    ..base.clone()
+                },
+                Ok(()),
+            ),
+            (
+                ImpulsiveConfig {
+                    replications: 99_999_999_999,
+                    ..base.clone()
+                },
+                too_large("replications", MAX_WORKLOAD_ITEMS),
+            ),
+            (
+                ImpulsiveConfig {
+                    estimation_flows: 1_000_000,
+                    replications: 100_000_000,
+                    ..base.clone()
+                },
+                too_large("estimation flows over the run", MAX_RUN_ITEMS),
+            ),
+            (
+                ImpulsiveConfig {
+                    estimation_flows: 1 << 12,
+                    replications: max,
+                    ..base.clone()
+                },
+                Ok(()),
+            ),
+            (
+                ImpulsiveConfig {
+                    capacity: 1e15,
+                    ..base.clone()
+                },
+                too_large("admitted flows (capacity / mean rate)", MAX_WORKLOAD_ITEMS),
+            ),
+            (
+                ImpulsiveConfig {
+                    capacity: MAX_WORKLOAD_ITEMS as f64,
+                    ..base.clone()
+                },
+                Ok(()),
+            ),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(validate(&cfg), want, "{cfg:?}");
+        }
     }
 
     #[test]

@@ -182,12 +182,19 @@ impl FlowBatch for Ar1Batch {
         &self.rates
     }
 
-    fn spawn_one(&mut self, rng: &mut StdRng) {
-        // Same draw as `Ar1Source::reset`.
-        let value = normal(rng, self.cfg.mean, self.cfg.std_dev);
-        self.values.push(value);
-        self.elapsed.push(0.0);
-        self.rates.push(self.clamp(value));
+    fn spawn(&mut self, n: usize, rng: &mut StdRng) {
+        // Same draws as `n` calls of `Ar1Source::reset`, on a local
+        // stream (see `FlowBatch::spawn`).
+        let mut local = rng.clone();
+        self.values.reserve(n);
+        self.elapsed.resize(self.elapsed.len() + n, 0.0);
+        self.rates.reserve(n);
+        for _ in 0..n {
+            let value = normal(&mut local, self.cfg.mean, self.cfg.std_dev);
+            self.values.push(value);
+            self.rates.push(self.clamp(value));
+        }
+        *rng = local;
     }
 
     fn swap_remove(&mut self, i: usize) {

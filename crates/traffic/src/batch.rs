@@ -23,7 +23,8 @@
 //!
 //! Batched kernels must consume the RNG in **exactly** the same order
 //! as the boxed fallback [`DynBatch`] holding the same flows:
-//! [`FlowBatch::spawn_one`] draws what [`SourceModel::spawn`] draws, and
+//! [`FlowBatch::spawn`] of `n` flows draws what `n` calls of
+//! [`SourceModel::spawn`] draw, and
 //! [`FlowBatch::advance_all`] advances flow 0, then flow 1, … drawing
 //! what the boxed side draws for them. This makes a batched simulation
 //! bit-identical to the boxed one for a fixed seed (the equivalence
@@ -34,8 +35,9 @@
 //! model draws per advance is the model's own rule. For most models it
 //! is per flow — flow `i`'s draws are what [`RateProcess::advance`]
 //! draws. RCBR thins (see [`crate::rcbr`]): one exponential gap draw
-//! per renegotiating flow plus one past the end, whose count depends on
-//! the whole batch, so a boxed source advanced alone cannot match it;
+//! per flow on the rarer side — renegotiating or keeping its rate —
+//! plus one past the end, whose count depends on the whole batch, so a
+//! boxed source advanced alone cannot match it;
 //! [`DynBatch`] instead runs the kernel's loop over each run of
 //! consecutive flows with equal [`RateProcess::thinning_scale`].
 //!
@@ -227,14 +229,18 @@ pub trait FlowBatch: Send {
     /// Valid until the next mutating call.
     fn rates(&self) -> &[f64];
 
-    /// Spawns one fresh stationary flow at the end of the batch,
-    /// drawing from the RNG exactly as [`SourceModel::spawn`] would.
+    /// Spawns `n` fresh stationary flows at the end of the batch, drawing
+    /// from the RNG exactly as `n` calls of [`SourceModel::spawn`] would.
+    /// A kernel reserves the `n` slots and draws on a local copy of
+    /// `rng`, written back after, so the generator stays in registers
+    /// (the lanes' reason, module docs): a burst costs its draws and one
+    /// call, not `n` calls that each store and reload the generator.
     ///
     /// # Panics
     /// Panics on batches that can only adopt existing processes
     /// ([`DynBatch`]): their flows are spawned boxed and pushed via
     /// [`FlowBatch::try_push_boxed`].
-    fn spawn_one(&mut self, rng: &mut StdRng);
+    fn spawn(&mut self, n: usize, rng: &mut StdRng);
 
     /// Adopts an already-running boxed process, if this batch supports
     /// heterogeneous members. Specialized SoA batches return the
@@ -303,10 +309,19 @@ impl FlowBatch for DynBatch {
                         .position(|p| p.thinning_scale() != Some(scale))
                         .map_or(procs.len(), |n| start + n);
                     let (run, run_rates) = (&mut procs[start..end], &mut rates[start..end]);
-                    thin(run.len(), dt, scale, exp, rng, |i, rng| {
-                        run[i].reset(rng);
-                        run_rates[i] = run[i].rate();
-                    });
+                    // `always`, as the kernel's (see `RcbrBatch::advance_all`).
+                    thin(
+                        run.len(),
+                        dt,
+                        scale,
+                        exp,
+                        rng,
+                        #[inline(always)]
+                        |i, rng| {
+                            run[i].reset(rng);
+                            run_rates[i] = run[i].rate();
+                        },
+                    );
                     start = end;
                 }
             },
@@ -317,7 +332,7 @@ impl FlowBatch for DynBatch {
         &self.rates
     }
 
-    fn spawn_one(&mut self, _rng: &mut StdRng) {
+    fn spawn(&mut self, _n: usize, _rng: &mut StdRng) {
         unreachable!("DynBatch flows are spawned boxed and pushed via try_push_boxed")
     }
 
@@ -379,7 +394,7 @@ mod tests {
         fn admit(&mut self, model: &dyn SourceModel) {
             let process = model.spawn(&mut self.boxed_rng);
             self.boxed.try_push_boxed(process).ok().unwrap();
-            self.batch.spawn_one(&mut self.batch_rng);
+            self.batch.spawn(1, &mut self.batch_rng);
         }
 
         fn depart(&mut self, slot: usize) {
@@ -399,7 +414,7 @@ mod tests {
     }
 
     /// Verifies the RNG-stream contract: for identical seeds, a batch of
-    /// `n` flows spawned via `spawn_one` and advanced via `advance_all`
+    /// `n` flows spawned via `spawn` and advanced via `advance_all`
     /// must produce bit-identical rates to `n` boxed flows spawned via
     /// `SourceModel::spawn` and advanced by their `DynBatch` — including after a
     /// mid-run swap-remove mirrored on both sides, and through steps of
@@ -507,10 +522,10 @@ mod tests {
         let mut kernels = Vec::new();
         for (model, n) in layout {
             let mut kernel = model.new_batch().expect("batched kernel");
+            kernel.spawn(n, &mut kernel_rng);
             for _ in 0..n {
                 let process = model.spawn(&mut boxed_rng);
                 boxed.try_push_boxed(process).ok().unwrap();
-                kernel.spawn_one(&mut kernel_rng);
             }
             kernels.push(kernel);
         }
@@ -528,6 +543,44 @@ mod tests {
             );
         }
         assert_eq!(boxed_rng, kernel_rng, "RNG end state");
+    }
+
+    /// `spawn(n)` is `n` calls of `spawn(1)` bit for bit on every kernel
+    /// — rates, RNG end state, and the state an advance reads (AR(1)
+    /// phase, Markov sojourns) — including a burst appended behind flows
+    /// the batch already holds.
+    #[test]
+    fn bulk_spawn_is_repeated_single_spawns() {
+        let rcbr = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let general = GeneralRcbrModel::new(Marginal::uniform_with_moments(1.0, 0.3), 2.0);
+        let ar1 = Ar1Model::new(Ar1Config {
+            mean: 1.0,
+            std_dev: 0.3,
+            t_c: 1.0,
+            tick: 0.05,
+            clamp_at_zero: true,
+        });
+        let markov = MarkovFluidFactory::new(MarkovFluidModel::on_off(2.0, 1.0, 3.0));
+        let models: [&dyn SourceModel; 4] = [&rcbr, &general, &ar1, &markov];
+        for (m, model) in models.into_iter().enumerate() {
+            for n in [0, 1, 7, 400] {
+                let seed = 48 + m as u64;
+                let (mut bulk_rng, mut single_rng) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let mut bulk = model.new_batch().expect("batched kernel");
+                let mut single = model.new_batch().expect("batched kernel");
+                for (bulk_n, single_n) in [(3, 3), (n, n)] {
+                    bulk.spawn(bulk_n, &mut bulk_rng);
+                    (0..single_n).for_each(|_| single.spawn(1, &mut single_rng));
+                }
+                assert_eq!(bulk.rates(), single.rates(), "model {m}, n = {n}");
+                assert_eq!(bulk_rng, single_rng, "model {m}, n = {n}: RNG end state");
+                bulk.advance_all(0.37, &mut bulk_rng);
+                single.advance_all(0.37, &mut single_rng);
+                assert_eq!(bulk.rates(), single.rates(), "model {m}, n = {n}: advanced");
+                assert_eq!(bulk_rng, single_rng, "model {m}, n = {n}: advanced RNG");
+            }
+        }
     }
 
     /// Runs a one-flow batch through the same statistical harness
@@ -548,7 +601,7 @@ mod tests {
     ) {
         let mut rng = StdRng::seed_from_u64(seeds.0);
         let mut batch = model.new_batch().expect("batched kernel");
-        batch.spawn_one(&mut rng);
+        batch.spawn(1, &mut rng);
         check_moments_fn(
             |dt, rng| {
                 batch.advance_all(dt, rng);
@@ -563,7 +616,7 @@ mod tests {
             seeds.1,
         );
         let mut batch = model.new_batch().expect("batched kernel");
-        batch.spawn_one(&mut rng);
+        batch.spawn(1, &mut rng);
         let want: Vec<f64> = lags
             .iter()
             .map(|&lag| (-(lag as f64) * dt_a / t_c).exp())

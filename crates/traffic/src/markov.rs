@@ -12,7 +12,7 @@ use crate::process::{RateProcess, SourceModel};
 use mbac_num::linalg::{ctmc_stationary, Matrix};
 use mbac_num::rng::{discrete, exponential};
 use rand::rngs::StdRng;
-use rand::RngCore;
+use rand::{Rng, RngCore};
 use std::sync::Arc;
 
 /// Immutable description of a Markov fluid model, shared by all flows
@@ -214,7 +214,7 @@ impl MarkovFluidBatch {
         }
     }
 
-    fn draw_sojourn(&self, state: usize, rng: &mut dyn RngCore) -> f64 {
+    fn draw_sojourn<R: Rng + ?Sized>(&self, state: usize, rng: &mut R) -> f64 {
         // Same draw as `MarkovFluidSource::draw_sojourn`.
         let rate = self.model.exit_rates[state];
         if rate <= 0.0 {
@@ -278,13 +278,21 @@ impl FlowBatch for MarkovFluidBatch {
         &self.rates
     }
 
-    fn spawn_one(&mut self, rng: &mut StdRng) {
-        // Same draws as `MarkovFluidSource::reset`.
-        let state = discrete(rng, &self.model.stationary);
-        let remaining = self.draw_sojourn(state, rng);
-        self.states.push(state);
-        self.remaining.push(remaining);
-        self.rates.push(self.model.rates[state]);
+    fn spawn(&mut self, n: usize, rng: &mut StdRng) {
+        // Same draws as `n` calls of `MarkovFluidSource::reset`, on a
+        // local stream (see `FlowBatch::spawn`).
+        let mut local = rng.clone();
+        self.states.reserve(n);
+        self.remaining.reserve(n);
+        self.rates.reserve(n);
+        for _ in 0..n {
+            let state = discrete(&mut local, &self.model.stationary);
+            let remaining = self.draw_sojourn(state, &mut local);
+            self.states.push(state);
+            self.remaining.push(remaining);
+            self.rates.push(self.model.rates[state]);
+        }
+        *rng = local;
     }
 
     fn swap_remove(&mut self, i: usize) {

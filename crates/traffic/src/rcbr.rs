@@ -17,10 +17,9 @@
 //! renegotiates each flow independently with probability
 //! `p = 1 − e^{−λ}`, `λ = dt / T_c`, and leaves every other flow alone.
 //! No flow carries a residual interval life. The batched kernel does
-//! not flip a coin per flow: it jumps from one renegotiating flow to
-//! the next over a Geometric(`p`) gap, so an advance costs one
-//! exponential and one rate draw per flow that renegotiates and nothing
-//! per flow that does not:
+//! not flip a coin per flow: it walks the rarer side. While `p ≤ ½`
+//! (`λ ≤ ln 2`, every tick of a fixed-tick or Poisson load) it jumps
+//! from one renegotiating flow to the next over a Geometric(`p`) gap:
 //!
 //! ```text
 //! i = 0
@@ -31,13 +30,40 @@
 //! }
 //! ```
 //!
+//! Past `ln 2` most flows renegotiate, so it walks the flows that keep
+//! their rate instead: each step renegotiates the next run of `R` flows
+//! in slot order and skips one keeper, where
+//!
+//! ```text
+//! μ = −ln(1 − e^{−λ})                // computed as −ln_1p(−e^{−λ})
+//! i = 0
+//! loop {
+//!     E ~ Exp(1);  R = ⌊E / μ⌋       // P(R ≥ k) = e^{−kμ} = p^k
+//!     rate[i..min(i + R, len)] = draw() each
+//!     i += R + 1                     // skip the keeper
+//!     if i >= len { break }
+//! }
+//! ```
+//!
+//! Both walks are the same i.i.d. Bernoulli(`p`) sequence over the
+//! slots, read by its runs: a Geometric gap of keepers before each
+//! renegotiation, or a Geometric run of renegotiations before each
+//! keeper. So an advance costs `n·p` rate draws and `n·min(p, 1 − p)`
+//! gap draws, plus at most one that lands past the end — one gap draw,
+//! not `n`, at Prop. 3.3's `50 T_c`. `μ` is formed through `ln_1p`
+//! because `1 − e^{−λ}` rounds to 1 from `λ ≈ 37` on, which would make
+//! it zero; this way it stays positive out to `λ ≈ 745`. Beyond that,
+//! and at `λ = ∞`, `μ = 0`: every flow renegotiates and no gap is drawn
+//! (an `E = 0` would otherwise give `0/0`, a run of 0).
+//!
 //! A boxed source runs the same loop over a batch of one: it draws one
-//! `E` and renegotiates iff `⌊E/λ⌋ = 0`; a `DynBatch` runs it over each
-//! run of consecutive RCBR flows with equal `T_c`
-//! ([`RateProcess::thinning_scale`]), so the two engines consume the RNG
-//! identically. A batch larger than one lane runs the loop once per
-//! lane, on the lane's own stream ([`crate::batch`], "Lanes"): each
-//! flow still renegotiates independently with probability `p`.
+//! `E` and renegotiates iff `⌊E/λ⌋ = 0` — past `ln 2`, iff `⌊E/μ⌋ ≥ 1`;
+//! a `DynBatch` runs it over each run of consecutive RCBR flows with
+//! equal `T_c` ([`RateProcess::thinning_scale`]), so the two engines
+//! consume the RNG identically. A batch larger than one lane runs the
+//! loop once per lane, on the lane's own stream ([`crate::batch`],
+//! "Lanes"): each flow still renegotiates independently with
+//! probability `p`.
 //!
 //! It is exact, not an approximation. Renegotiation epochs form a
 //! Poisson process of rate `1/T_c` and the negotiated rates are i.i.d.
@@ -50,8 +76,12 @@
 //! `ρ(τ) = e^{−|τ|/T_c}` and every statistic a caller can form, is that
 //! of the path-by-path simulation; the residual life such a simulation
 //! carries is `Exp(T_c)` at every instant, whatever came before, and
-//! tells a caller nothing. `tests::advance_law_matches_path_faithful_reference`
-//! holds the two side by side.
+//! tells a caller nothing. Which walk reads the Bernoulli sequence
+//! changes which draws land where, never the law: each flow keeps its
+//! rate independently with probability `e^{−λ}` under either.
+//! `tests::advance_law_matches_path_faithful_reference` holds the
+//! walks and the path-by-path loop side by side, on both sides of
+//! `ln 2`.
 //!
 //! What is not simulated is the path *inside* an advance: the
 //! intermediate rates a flow would have held between two calls. No
@@ -77,9 +107,11 @@ use rand::{Rng, RngCore};
 
 /// The advance rule (module docs) over `len` flows advanced by `dt`,
 /// mean interval `t_c`: calls `renegotiate(i, rng)` for each flow that
-/// renegotiates, in ascending order, and draws one `Exp(1)` per such
-/// flow plus at most one that lands past the end. A `λ = dt/T_c` of
-/// zero — `dt = 0`, or a subnormal `dt` that underflows — draws nothing.
+/// renegotiates, in ascending order, and draws one `Exp(1)` per flow on
+/// the rarer side — renegotiating while `λ = dt/T_c ≤ ln 2`, keeping its
+/// rate past it — plus at most one that lands past the end. A `λ` of
+/// zero — `dt = 0`, or a subnormal `dt` that underflows — draws nothing,
+/// and so does a `μ` of zero (`λ ≳ 745`, or infinite) beyond the rates.
 /// The one loop behind the batch kernel, [`crate::batch::DynBatch`]'s
 /// RCBR runs and a boxed source's `advance` (a batch of one).
 #[inline(always)]
@@ -96,6 +128,12 @@ pub(crate) fn thin<R: Rng + ?Sized>(
     if lambda == 0.0 {
         return;
     }
+    if lambda > std::f64::consts::LN_2 {
+        // Only impulsive observations step this far; every tick of a
+        // fixed-tick or Poisson load takes the loop below.
+        std::hint::cold_path();
+        return walk_keepers(len, lambda, exp, rng, renegotiate);
+    }
     let mut i = 0;
     while i < len {
         // Flows skipped before the next renegotiation: ⌊E/λ⌋, a
@@ -110,6 +148,45 @@ pub(crate) fn thin<R: Rng + ?Sized>(
         renegotiate(i, rng);
         i += 1;
     }
+}
+
+/// [`thin`] past `λ = ln 2`: renegotiates runs of `⌊E/μ⌋` flows, each
+/// followed by one keeper (module docs). Out of line, behind a cold
+/// branch: inlined beside the renegotiation walk every tick takes, it
+/// cost the tick workloads (`fig5_sweep`, `poisson_blocking`) a few per
+/// cent.
+#[inline(never)]
+fn walk_keepers<R: Rng + ?Sized>(
+    len: usize,
+    lambda: f64,
+    exp: ExpSampler,
+    rng: &mut R,
+    mut renegotiate: impl FnMut(usize, &mut R),
+) {
+    let mu = keeper_rate(lambda);
+    if mu == 0.0 {
+        (0..len).for_each(|i| renegotiate(i, rng));
+        return;
+    }
+    let mut i = 0;
+    while i < len {
+        // Flows renegotiated before the next keeper: ⌊E/μ⌋, a run with
+        // P(run ≥ k) = (1 − e^{−λ})^k. The cast saturates as above, and
+        // μ > 0 keeps the quotient from being NaN.
+        let run = (exp.sample(rng) / mu) as usize;
+        let end = i + run.min(len - i);
+        for j in i..end {
+            renegotiate(j, rng);
+        }
+        i = end + 1;
+    }
+}
+
+/// `μ = −ln(1 − e^{−λ})`, the rate of the keeper walk's runs (module
+/// docs): positive out to `λ ≈ 745`, zero past it.
+#[inline]
+fn keeper_rate(lambda: f64) -> f64 {
+    -(-(-lambda).exp()).ln_1p()
 }
 
 /// Configuration for RCBR flows.
@@ -283,14 +360,28 @@ impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
 
     fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
         let (draw, t_c, exp) = (&self.draw, self.t_c, self.exp);
-        // A gap and a rate per renegotiation.
+        // A rate per renegotiation, a gap per flow on the rarer side.
         let n = self.rates.len() as f64;
-        let draws = || 2.0 * n * -(-dt / t_c).exp_m1();
+        let draws = || {
+            let p = -(-dt / t_c).exp_m1();
+            n * (p + p.min(1.0 - p))
+        };
         let lanes = self.rates.chunks_mut(LANE);
         self.lanes.advance(rng, lanes, draws, |rates, rng| {
-            thin(rates.len(), dt, t_c, exp, rng, |i, rng| {
-                rates[i] = draw.draw(rng);
-            });
+            // `always`: `thin` calls this from both walks, and a closure
+            // with two call sites is otherwise left out of line — a call
+            // per renegotiation on every tick, 12 % of `fig5_sweep`.
+            thin(
+                rates.len(),
+                dt,
+                t_c,
+                exp,
+                rng,
+                #[inline(always)]
+                |i, rng| {
+                    rates[i] = draw.draw(rng);
+                },
+            );
         });
     }
 
@@ -298,9 +389,12 @@ impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
         &self.rates
     }
 
-    fn spawn_one(&mut self, rng: &mut StdRng) {
-        // Same draw as the boxed source's `reset`.
-        self.rates.push(self.draw.draw(rng));
+    fn spawn(&mut self, n: usize, rng: &mut StdRng) {
+        // Same draws as `n` boxed sources' `reset`, on a local stream
+        // (see `FlowBatch::spawn`).
+        let (draw, mut local) = (&self.draw, rng.clone());
+        self.rates.extend((0..n).map(|_| draw.draw(&mut local)));
+        *rng = local;
     }
 
     fn swap_remove(&mut self, i: usize) {
@@ -597,7 +691,7 @@ mod tests {
 
     fn on_batch(n: usize, steps: &[f64], rng: &mut StdRng) -> Vec<Vec<f64>> {
         let mut batch = gaussian_batch(LAW_CFG);
-        (0..n).for_each(|_| batch.spawn_one(rng));
+        batch.spawn(n, rng);
         let mut out = vec![batch.rates.clone()];
         for &dt in steps {
             batch.advance_all(dt, rng);
@@ -636,11 +730,14 @@ mod tests {
     /// every step length, in one advance and split 0.3/0.7 — so
     /// `advance(a); advance(b)` ≡ `advance(a + b)` in law — the share of
     /// flows whose rate changed is `1 − e^{−dt/T_c}` and the new rates
-    /// are marginal draws, each within a 4.5σ band.
+    /// are marginal draws, each within a 4.5σ band. 0.69 and 0.70 `T_c`
+    /// straddle the switch to the keeper walk at `ln 2`; 40 `T_c` is
+    /// where `1 − e^{−λ}` has rounded to 1 and only `ln_1p` keeps `μ`.
     #[test]
     fn advance_law_matches_path_faithful_reference() {
         const N: usize = 100_000;
-        for (d, dt_over_tc) in [0.01, 0.05, 0.25, 1.0, 5.0, 50.0].into_iter().enumerate() {
+        let steps = [0.01, 0.05, 0.25, 1.0, 5.0, 50.0, 0.69, 0.70, 40.0];
+        for (d, dt_over_tc) in steps.into_iter().enumerate() {
             let dt = dt_over_tc * LAW_CFG.t_c;
             let p = 1.0 - (-dt_over_tc).exp();
             let splits: [(&str, &[f64]); 2] = [
@@ -719,16 +816,17 @@ mod tests {
     /// per slot are Binomial(`M`, `p`) alike, so their χ² statistic
     /// (`K` degrees of freedom) stays within 4.5σ of its mean `K`. A
     /// gap drawn from the wrong start — slot 0 skipped, the tail cut —
-    /// shows at the short steps, where one gap spans many slots.
+    /// shows at the short steps, where one gap spans many slots, and a
+    /// run of the keeper walk cut the same way at 0.9 and 2 `T_c`.
     #[test]
     fn no_slot_is_favoured() {
         const K: usize = 37;
         const M: usize = 20_000;
-        for (d, dt_over_tc) in [0.01f64, 0.25, 5.0].into_iter().enumerate() {
+        for (d, dt_over_tc) in [0.01f64, 0.25, 5.0, 0.9, 2.0].into_iter().enumerate() {
             let p = 1.0 - (-dt_over_tc).exp();
             let mut rng = StdRng::seed_from_u64(3000 + d as u64);
             let mut batch = gaussian_batch(LAW_CFG);
-            (0..K).for_each(|_| batch.spawn_one(&mut rng));
+            batch.spawn(K, &mut rng);
             let mut hits = [0usize; K];
             for _ in 0..M {
                 let before = batch.rates.clone();
@@ -751,15 +849,17 @@ mod tests {
     }
 
     /// The edges of the rule: `dt = 0` and an empty batch draw nothing;
-    /// `dt = ∞` renegotiates every flow; a subnormal `dt` either
-    /// underflows `λ` to zero (nothing drawn) or skips past the batch,
-    /// and its skip is never NaN (which would cast to 0 and renegotiate).
+    /// `dt = ∞` renegotiates every flow and draws no gap (`μ = 0`); a
+    /// subnormal `dt` either underflows `λ` to zero (nothing drawn) or
+    /// skips past the batch, and its skip is never NaN (which would cast
+    /// to 0 and renegotiate); `μ` stays positive where `1 − e^{−λ}` has
+    /// rounded to 1.
     #[test]
     fn thinning_edge_cases() {
         let mut rng = StdRng::seed_from_u64(4000);
         let mut batch = gaussian_batch(LAW_CFG);
         let mut src = RcbrSource::new(LAW_CFG, &mut rng);
-        (0..1000).for_each(|_| batch.spawn_one(&mut rng));
+        batch.spawn(1000, &mut rng);
 
         let untouched = |batch: &mut RcbrBatch<GaussianDraw>,
                          src: &mut RcbrSource,
@@ -789,15 +889,30 @@ mod tests {
         empty.advance_all(1.0, &mut rng);
         assert_eq!(rng, stream, "an empty batch drew");
 
+        // λ = ∞: a rate draw per flow and nothing else.
         let before = batch.rates.clone();
+        let mut replay = rng.clone();
+        let want: Vec<f64> = (0..before.len())
+            .map(|_| batch.draw.draw(&mut replay))
+            .collect();
         batch.advance_all(f64::INFINITY, &mut rng);
         assert!(
             changed(&before, &batch.rates).iter().all(|&c| c),
             "dt = ∞ missed a flow"
         );
+        assert_eq!(batch.rates, want, "dt = ∞ drew more than the rates");
+        assert_eq!(rng, replay, "dt = ∞ drew a gap");
         let rate = src.rate;
         src.advance(f64::INFINITY, &mut rng);
         assert_ne!(src.rate, rate, "dt = ∞ kept the boxed rate");
+        assert_eq!(keeper_rate(f64::INFINITY), 0.0);
+
+        // 1 − e^{−40} rounds to 1, so only `ln_1p` keeps μ ≈ e^{−40} > 0.
+        assert_eq!(1.0 - (-40f64).exp(), 1.0);
+        let mu = keeper_rate(40.0);
+        assert!(mu > 0.0, "μ = {mu:e} at λ = 40");
+        assert!((mu / (-40f64).exp() - 1.0).abs() < 1e-12, "μ = {mu:e}");
+        assert!(keeper_rate(745.0) > 0.0);
 
         for dt in [5e-324, 1e-320, 1e-310, f64::MIN_POSITIVE * 0.99] {
             for t_c in [1e-300, 1e-3, 1.0, 2.0, 1e300] {
@@ -809,6 +924,66 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The renegotiation walk alone, as a reference: the stream at
+    /// `λ ≤ ln 2` must equal it draw for draw.
+    fn renegotiation_walk(rates: &mut [f64], lambda: f64, draw: &GaussianDraw, rng: &mut StdRng) {
+        let exp = ExpSampler::get();
+        let mut i = 0;
+        while i < rates.len() {
+            let skip = (exp.sample(rng) / lambda) as usize;
+            if skip >= rates.len() - i {
+                return;
+            }
+            i += skip;
+            rates[i] = draw.draw(rng);
+            i += 1;
+        }
+    }
+
+    /// What an advance draws. At 50 `T_c` an `n`-flow batch uses exactly
+    /// one gap draw plus `n` rate draws, and a boxed source one gap and
+    /// one rate (hand replays, RNG end state included). Up to `ln 2`
+    /// (0.25 and 0.69 `T_c`, and `ln 2` itself) the stream is the
+    /// renegotiation walk's, bit for bit.
+    #[test]
+    fn an_advance_draws_what_its_rarer_side_needs() {
+        let exp = ExpSampler::get();
+        for n in [1, 386, 1000] {
+            let mut rng = StdRng::seed_from_u64(5000 + n as u64);
+            let mut batch = gaussian_batch(LAW_CFG);
+            batch.spawn(n, &mut rng);
+            let mut replay = rng.clone();
+            exp.sample(&mut replay);
+            let want: Vec<f64> = (0..n).map(|_| batch.draw.draw(&mut replay)).collect();
+            batch.advance_all(50.0 * LAW_CFG.t_c, &mut rng);
+            assert_eq!(batch.rates, want, "n = {n}");
+            assert_eq!(rng, replay, "n = {n}: RNG end state");
+        }
+
+        let mut rng = StdRng::seed_from_u64(5100);
+        let mut src = RcbrSource::new(LAW_CFG, &mut rng);
+        let mut replay = rng.clone();
+        exp.sample(&mut replay);
+        let want = src.draw_rate(&mut replay);
+        src.advance(50.0 * LAW_CFG.t_c, &mut rng);
+        assert_eq!((src.rate, &rng), (want, &replay), "boxed source");
+
+        let ln2 = std::f64::consts::LN_2;
+        for (d, dt_over_tc) in [0.25, 0.69, ln2].into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(5200 + d as u64);
+            let mut batch = gaussian_batch(LAW_CFG);
+            batch.spawn(1000, &mut rng);
+            let (mut reference, mut replay) = (batch.rates.clone(), rng.clone());
+            for _ in 0..50 {
+                let lambda = dt_over_tc * LAW_CFG.t_c / LAW_CFG.t_c;
+                batch.advance_all(dt_over_tc * LAW_CFG.t_c, &mut rng);
+                renegotiation_walk(&mut reference, lambda, &batch.draw, &mut replay);
+            }
+            assert_eq!(batch.rates, reference, "dt = {dt_over_tc} T_c");
+            assert_eq!(rng, replay, "dt = {dt_over_tc} T_c: RNG end state");
         }
     }
 

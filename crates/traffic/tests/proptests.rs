@@ -144,7 +144,7 @@ proptest! {
         };
 
         for _ in 0..[7, 8, 69][n_pick] {
-            batch.spawn_one(&mut rng);
+            batch.spawn(1, &mut rng);
             boxed.push(Ar1Source::new(cfg, &mut boxed_rng));
         }
         for &dt in &dts[..3] {
@@ -157,7 +157,7 @@ proptest! {
         batch.swap_remove(0);
         boxed.swap_remove(0);
         for _ in 0..extra {
-            batch.spawn_one(&mut rng);
+            batch.spawn(1, &mut rng);
             boxed.push(Ar1Source::new(cfg, &mut boxed_rng));
         }
         for &dt in &dts[3..] {
