@@ -22,6 +22,7 @@
 //! suggests.
 
 use super::{Estimate, Estimator};
+use mbac_num::RateMoments;
 
 /// Estimator fed only the aggregate bandwidth and flow count.
 #[derive(Debug, Clone)]
@@ -102,7 +103,7 @@ impl Estimator for AggregateOnlyEstimator {
     fn observe(&mut self, t: f64, rates: &[f64]) {
         // Adapter: when wired into the standard snapshot plumbing, use
         // only what an aggregate meter would see.
-        self.observe_aggregate(t, rates.len(), rates.iter().sum());
+        self.observe_aggregate(t, rates.len(), RateMoments::of(0.0, rates).sum());
     }
 
     fn estimate(&self) -> Option<Estimate> {

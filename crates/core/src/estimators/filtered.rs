@@ -16,7 +16,7 @@
 //! Per the paper's definition, the variance snapshot is taken around the
 //! *filtered* mean `μ̂_m(t)`, not around the snapshot mean.
 
-use super::{Estimate, Estimator};
+use super::{fold_snapshot, Estimate, Estimator};
 use mbac_num::RateMoments;
 
 /// First-order exponentially-weighted estimator with memory `T_m`.
@@ -65,51 +65,10 @@ impl FilteredEstimator {
 
 impl Estimator for FilteredEstimator {
     fn observe(&mut self, t: f64, rates: &[f64]) {
-        if rates.is_empty() {
-            return;
-        }
-        let n = rates.len() as f64;
-        let snap_mean = rates.iter().sum::<f64>() / n;
-        let t_m = self.t_m;
-        match &mut self.state {
-            None => {
-                // Initialize from the first snapshot (memoryless start;
-                // the filter has no past to weight).
-                let variance = if rates.len() < 2 {
-                    0.0
-                } else {
-                    rates
-                        .iter()
-                        .map(|&x| (x - snap_mean) * (x - snap_mean))
-                        .sum::<f64>()
-                        / (n - 1.0)
-                };
-                self.state = Some(FilterState {
-                    mean: snap_mean,
-                    variance,
-                    last_t: t,
-                });
-            }
-            Some(s) => {
-                debug_assert!(t >= s.last_t, "snapshot times must be non-decreasing");
-                let dt = (t - s.last_t).max(0.0);
-                let a = if t_m == 0.0 {
-                    1.0
-                } else {
-                    1.0 - (-dt / t_m).exp()
-                };
-                s.mean += a * (snap_mean - s.mean);
-                // Variance snapshot around the *filtered* mean (paper §4.3).
-                let v_snap = if rates.len() < 2 {
-                    0.0
-                } else {
-                    let m = s.mean;
-                    rates.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (n - 1.0)
-                };
-                s.variance += a * (v_snap - s.variance);
-                s.last_t = t;
-            }
-        }
+        // One pass, around the filtered mean the variance snapshot is
+        // taken about (the first rate on a cold start).
+        let pivot = self.state.map(|s| s.mean);
+        self.observe_moments(t, &fold_snapshot(rates, pivot));
     }
 
     fn estimate(&self) -> Option<Estimate> {
@@ -129,15 +88,14 @@ impl Estimator for FilteredEstimator {
     }
 
     fn observe_moments(&mut self, t: f64, moments: &RateMoments) {
-        let n_obs = moments.count();
-        if n_obs == 0 {
+        // An empty snapshot carries nothing, and a non-finite one would
+        // poison the filter for the rest of the run: the mean would stay
+        // NaN, and so would every admissible count after it.
+        if moments.count() == 0 || !moments.is_finite() {
             return;
         }
-        // Mirrors `observe` with the per-flow scans replaced by the
-        // pivoted reconstruction: the snapshot mean is bit-identical
-        // (same flat sum), both variance snapshots are centered exactly
-        // where the slice path centers them (the snapshot mean on the
-        // first observation, the *filtered* mean afterwards).
+        // The variance snapshot is centered on the snapshot mean on the
+        // first observation, on the *filtered* mean afterwards.
         let snap_mean = moments.mean();
         let t_m = self.t_m;
         match &mut self.state {

@@ -8,7 +8,7 @@
 //! the bias. Both are implemented here, together with an aggregate view
 //! suitable for an aggregate Gaussian admission test.
 
-use super::{snapshot_stats, Estimate};
+use super::{fold_snapshot, moment_stats, Estimate};
 
 /// Aggregate (whole-link) statistics: total mean load and total variance
 /// of the instantaneous aggregate bandwidth.
@@ -86,7 +86,8 @@ impl ClassifiedEstimator {
         for (k, rates) in buckets.iter().enumerate() {
             let state = &mut self.classes[k];
             state.count = rates.len();
-            let Some(snap) = snapshot_stats(rates) else {
+            let moments = fold_snapshot(rates, state.initialized.then_some(state.mean));
+            let Some(snap) = moment_stats(&moments) else {
                 continue;
             };
             if !state.initialized {
@@ -96,12 +97,7 @@ impl ClassifiedEstimator {
             } else {
                 state.mean += gain * (snap.mean - state.mean);
                 // Spread around the filtered per-class mean.
-                let m = state.mean;
-                let v = if rates.len() < 2 {
-                    0.0
-                } else {
-                    rates.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (rates.len() - 1) as f64
-                };
+                let v = moments.variance_around(state.mean);
                 state.variance += gain * (v - state.variance);
             }
         }
@@ -175,6 +171,7 @@ pub fn naive_variance_bias(class_means: &[f64], class_fractions: &[f64]) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimators::snapshot_stats;
 
     #[test]
     fn per_class_estimates_are_unbiased() {

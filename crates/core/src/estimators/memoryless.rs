@@ -3,7 +3,7 @@
 //! system. This is the scheme whose fragility §4.1–4.2 of the paper
 //! quantifies.
 
-use super::{snapshot_stats, Estimate, Estimator};
+use super::{fold_snapshot, moment_stats, Estimate, Estimator};
 use mbac_num::RateMoments;
 
 /// Memoryless cross-flow estimator: `estimate()` returns the sample mean
@@ -28,14 +28,7 @@ impl MemorylessEstimator {
 
 impl Estimator for MemorylessEstimator {
     fn observe(&mut self, t: f64, rates: &[f64]) {
-        debug_assert!(
-            t >= self.last_t || self.last.is_none(),
-            "snapshot times must be non-decreasing"
-        );
-        self.last_t = t;
-        if let Some(e) = snapshot_stats(rates) {
-            self.last = Some(e);
-        }
+        self.observe_moments(t, &fold_snapshot(rates, None));
     }
 
     fn estimate(&self) -> Option<Estimate> {
@@ -60,15 +53,15 @@ impl Estimator for MemorylessEstimator {
             "snapshot times must be non-decreasing"
         );
         self.last_t = t;
-        if moments.count() > 0 {
-            // Same arithmetic as `snapshot_stats` on the snapshot the
-            // moments were reduced from: the mean divides the identical
-            // flow-order sum, the variance is the pivoted reconstruction.
-            let mean = moments.mean();
-            self.last = Some(Estimate {
-                mean,
-                variance: moments.variance_around(mean),
-            });
+        // A non-finite snapshot keeps the last estimate: NaN or ±∞ would
+        // otherwise turn the admissible count into NaN.
+        if !moments.is_finite() {
+            return;
+        }
+        // `snapshot_stats`' arithmetic: an empty snapshot keeps the last
+        // estimate too.
+        if let Some(e) = moment_stats(moments) {
+            self.last = Some(e);
         }
     }
 }

@@ -101,8 +101,10 @@ pub trait Estimator {
     /// pivoted `Σ(x−c)` / `Σ(x−c)²`) reduced inside the tick kernel —
     /// O(1) in the number of flows. Must be equivalent to
     /// [`Estimator::observe`] on the same snapshot: the mean path is
-    /// bit-identical (the moment sum is the same flat fold), the
-    /// variance agrees to ~1e-15 relative (property-tested at 1e-12).
+    /// bit-identical by construction (a slice `observe` folds its
+    /// snapshot into [`RateMoments`] too, and `Σx` does not depend on
+    /// the pivot), the variance agrees to ~1e-15 relative
+    /// (property-tested at 1e-12).
     ///
     /// # Panics
     /// The default panics; only call when [`Estimator::supports_moments`]
@@ -125,19 +127,30 @@ pub trait Estimator {
 /// `μ̂ = (1/n)Σ Xᵢ`, `σ̂² = (1/(n−1))Σ (Xᵢ − μ̂)²`.
 ///
 /// Returns `None` for an empty snapshot; the variance is 0 for a
-/// single-flow snapshot.
+/// single-flow snapshot. One pass: the snapshot folded around its first
+/// rate.
 pub fn snapshot_stats(rates: &[f64]) -> Option<Estimate> {
-    if rates.is_empty() {
-        return None;
-    }
-    let n = rates.len() as f64;
-    let mean = rates.iter().sum::<f64>() / n;
-    let variance = if rates.len() < 2 {
-        0.0
-    } else {
-        rates.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0)
-    };
-    Some(Estimate { mean, variance })
+    moment_stats(&fold_snapshot(rates, None))
+}
+
+/// The one pass a slice observation makes: `rates` folded into
+/// [`RateMoments`] around `pivot`, or around the first rate when there
+/// is no estimate to center on yet.
+pub(crate) fn fold_snapshot(rates: &[f64], pivot: Option<f64>) -> RateMoments {
+    let pivot = pivot.or(rates.first().copied()).unwrap_or(0.0);
+    RateMoments::of(pivot, rates)
+}
+
+/// The eqn (7) statistics of folded moments: the mean, and the unbiased
+/// variance around it (`None` when empty).
+pub(crate) fn moment_stats(moments: &RateMoments) -> Option<Estimate> {
+    (moments.count() > 0).then(|| {
+        let mean = moments.mean();
+        Estimate {
+            mean,
+            variance: moments.variance_around(mean),
+        }
+    })
 }
 
 #[cfg(test)]

@@ -3,16 +3,25 @@
 //! The fused tick kernels evolve every flow **and** reduce the fresh
 //! rates into a [`RateMoments`] in the same pass, so the controller's
 //! `observe` becomes O(1) per tick: it consumes `(n, Σx, Σ(x−c),
-//! Σ(x−c)²)` instead of rescanning the rate vector.
+//! Σ(x−c)²)` instead of rescanning the rate vector. Every other
+//! reduction of a rate slice — an estimator's own `observe`, a load —
+//! goes through the same fold, so there is one definition of a
+//! snapshot's sum.
 //!
 //! Two numerical commitments make this safe to swap into the reporting
 //! path:
 //!
-//! * `sum` is a **flat left-to-right fold in flow order** — the same
-//!   operations in the same order as `snapshot.iter().sum()`, so the
-//!   derived mean is bit-identical to the slice-based estimators'. A
-//!   table too large for one lane folds each lane this way and
-//!   [`RateMoments::merge`]s the lanes in lane order instead.
+//! * Each sum is kept as 16 **interleaved lane partials**: the k-th
+//!   rate ever added goes to lane `k mod 16`, and a read reduces the
+//!   lanes by one fixed pairwise tree. So folding a slice in pieces
+//!   (one [`RateMoments::add`] at a time, or any split into
+//!   [`RateMoments::add_slice`] calls) gives the bits of folding it
+//!   whole, and since the lane count is a constant and no step fuses a
+//!   multiply into an add, the bits do not depend on the target CPU. The
+//!   lanes are independent chains, so the compiler keeps them in vector
+//!   registers: the fold is bound by throughput, not by add latency. A
+//!   table too large for one flow lane folds each flow lane this way and
+//!   [`RateMoments::merge`]s them in order instead.
 //! * The second moment is accumulated around a caller-chosen **pivot**
 //!   `c` (typically the controller's previous mean estimate), and
 //!   `Σ(x−m)²` is reconstructed via the exact algebraic identity
@@ -21,16 +30,33 @@
 //!   computation to ~1e-15 relative — the equivalence the estimator
 //!   property tests pin at 1e-12.
 
+/// Lane partials each sum keeps (module docs).
+const LANES: usize = 16;
+
 /// One-pass pivoted moment accumulator over a tick's flow rates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateMoments {
     n: usize,
-    sum: f64,
+    sum: [f64; LANES],
     /// `Σ (x − c)` around the pivot.
-    s1: f64,
+    s1: [f64; LANES],
     /// `Σ (x − c)²` around the pivot.
-    s2: f64,
+    s2: [f64; LANES],
     pivot: f64,
+}
+
+/// The lanes' total, by one fixed pairwise tree: lane `j` takes lane
+/// `j + w` for `w = 8, 4, 2, 1`.
+#[inline]
+fn reduce(mut lanes: [f64; LANES]) -> f64 {
+    let mut w = LANES / 2;
+    while w > 0 {
+        for j in 0..w {
+            lanes[j] += lanes[j + w];
+        }
+        w /= 2;
+    }
+    lanes[0]
 }
 
 impl RateMoments {
@@ -42,37 +68,79 @@ impl RateMoments {
         let pivot = if pivot.is_finite() { pivot } else { 0.0 };
         RateMoments {
             n: 0,
-            sum: 0.0,
-            s1: 0.0,
-            s2: 0.0,
+            sum: [0.0; LANES],
+            s1: [0.0; LANES],
+            s2: [0.0; LANES],
             pivot,
         }
+    }
+
+    /// Folds `xs` around `pivot`: [`RateMoments::new`], then
+    /// [`RateMoments::add_slice`].
+    #[inline]
+    pub fn of(pivot: f64, xs: &[f64]) -> Self {
+        let mut m = RateMoments::new(pivot);
+        m.add_slice(xs);
+        m
     }
 
     /// Adds one rate observation.
     #[inline]
     pub fn add(&mut self, x: f64) {
+        let j = self.n % LANES;
         self.n += 1;
-        self.sum += x;
+        self.sum[j] += x;
         let d = x - self.pivot;
-        self.s1 += d;
-        self.s2 += d * d;
+        self.s1[j] += d;
+        self.s2[j] += d * d;
     }
 
-    /// Adds every element of a slice, in order.
-    #[inline]
+    /// Adds every element of a slice, in order: the bits of as many
+    /// [`RateMoments::add`] calls.
+    // Out of line: inlined into a caller's loop, the lanes lost their
+    // vector registers and the fold ran at 0.7 ns a rate, not 0.25.
+    #[inline(never)]
     pub fn add_slice(&mut self, xs: &[f64]) {
-        for &x in xs {
+        // Up to the next lane-0 boundary one at a time, then whole
+        // chunks, then the tail.
+        let lead = ((LANES - self.n % LANES) % LANES).min(xs.len());
+        let (head, body) = xs.split_at(lead);
+        for &x in head {
+            self.add(x);
+        }
+        let chunks = body.chunks_exact(LANES);
+        let tail = chunks.remainder();
+        let (mut sum, mut s1, mut s2, p) = (self.sum, self.s1, self.s2, self.pivot);
+        // One inner loop per accumulator: one loop updating all three
+        // per rate does not vectorize, and runs at the serial fold's
+        // speed.
+        for c in chunks {
+            let c: &[f64; LANES] = c.try_into().expect("exact chunk");
+            for j in 0..LANES {
+                sum[j] += c[j];
+            }
+            for j in 0..LANES {
+                s1[j] += c[j] - p;
+            }
+            for j in 0..LANES {
+                let d = c[j] - p;
+                s2[j] += d * d;
+            }
+        }
+        (self.sum, self.s1, self.s2) = (sum, s1, s2);
+        self.n += body.len() - tail.len();
+        for &x in tail {
             self.add(x);
         }
     }
 
     /// Adds the observations another accumulator folded, as partial
-    /// sums: how a table too large for one lane (see
+    /// sums: how a table too large for one flow lane (see
     /// `mbac_traffic::batch`) combines its per-lane folds, in lane
-    /// order. Both must share one pivot. An empty side changes nothing:
-    /// merging into an empty accumulator copies `other` bit for bit, and
-    /// merging an empty one is the identity.
+    /// order. `other`'s k-th rate lands in the lane this accumulator's
+    /// next k-th rate would. Both must share one pivot. An empty side
+    /// changes nothing: merging into an empty accumulator copies `other`
+    /// bit for bit, and merging an empty one is the identity.
     #[inline]
     pub fn merge(&mut self, other: &RateMoments) {
         debug_assert_eq!(
@@ -87,10 +155,14 @@ impl RateMoments {
             *self = *other;
             return;
         }
+        let offset = self.n % LANES;
+        for j in 0..LANES {
+            let k = (offset + j) % LANES;
+            self.sum[k] += other.sum[j];
+            self.s1[k] += other.s1[j];
+            self.s2[k] += other.s2[j];
+        }
         self.n += other.n;
-        self.sum += other.sum;
-        self.s1 += other.s1;
-        self.s2 += other.s2;
     }
 
     /// Number of observations folded in.
@@ -99,11 +171,10 @@ impl RateMoments {
         self.n
     }
 
-    /// The flat flow-order sum (bit-identical to `xs.iter().sum()` over
-    /// the same values in the same order).
+    /// `Σx`: the lanes reduced by the fixed tree.
     #[inline]
     pub fn sum(&self) -> f64 {
-        self.sum
+        reduce(self.sum)
     }
 
     /// The pivot the second moment is centered on.
@@ -112,13 +183,21 @@ impl RateMoments {
         self.pivot
     }
 
+    /// Whether every folded rate, and every sum, is finite: a NaN or
+    /// ±∞ rate makes `Σx` non-finite, and a square that overflows makes
+    /// `Σ(x−c)²` infinite.
+    #[inline]
+    pub fn is_finite(&self) -> bool {
+        self.sum().is_finite() && reduce(self.s1).is_finite() && reduce(self.s2).is_finite()
+    }
+
     /// Sample mean `Σx / n` (0 when empty).
     #[inline]
     pub fn mean(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
-            self.sum / self.n as f64
+            self.sum() / self.n as f64
         }
     }
 
@@ -127,7 +206,7 @@ impl RateMoments {
     #[inline]
     pub fn sum_sq_dev(&self, m: f64) -> f64 {
         let d = m - self.pivot;
-        (self.s2 - 2.0 * d * self.s1 + self.n as f64 * d * d).max(0.0)
+        (reduce(self.s2) - 2.0 * d * reduce(self.s1) + self.n as f64 * d * d).max(0.0)
     }
 
     /// Unbiased sample variance around `m` (n−1 denominator; 0 when
@@ -152,34 +231,96 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn sum_is_bit_identical_to_flat_fold() {
-        let xs = data();
-        let mut m = RateMoments::new(0.97);
-        m.add_slice(&xs);
-        let flat: f64 = xs.iter().sum();
-        assert_eq!(m.sum(), flat);
-        assert_eq!(m.mean(), flat / xs.len() as f64);
+    /// The arithmetic the lanes replaced: a flat left-to-right sum and a
+    /// centered second pass.
+    fn two_pass(xs: &[f64]) -> (f64, f64) {
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        (mean, xs.iter().map(|x| (x - mean) * (x - mean)).sum())
     }
 
+    /// Any split of a slice, one `add` at a time included, folds to the
+    /// bits of the whole slice.
+    #[test]
+    fn folding_in_pieces_is_bit_equal_to_folding_whole() {
+        let xs: Vec<f64> = (0..1000)
+            .map(|i| 1.0 + 0.3 * ((i * 7919 % 1009) as f64 / 504.5 - 1.0))
+            .collect();
+        let whole = RateMoments::of(0.97, &xs);
+        let mut one_by_one = RateMoments::new(0.97);
+        for &x in &xs {
+            one_by_one.add(x);
+        }
+        assert_eq!(one_by_one, whole);
+        for cuts in [
+            vec![0, 1000],
+            vec![1, 17, 16, 999],
+            vec![3, 5, 7, 11, 13, 64, 500],
+            vec![15, 31, 47, 63, 100, 333, 334, 335],
+        ] {
+            let mut pieces = RateMoments::new(0.97);
+            let mut from = 0;
+            for &to in cuts.iter().chain([&xs.len()]) {
+                pieces.add_slice(&xs[from..to.max(from)]);
+                from = to.max(from);
+            }
+            assert_eq!(pieces, whole, "cuts {cuts:?}");
+            assert_eq!(pieces.sum().to_bits(), whole.sum().to_bits());
+        }
+    }
+
+    /// The fold agrees with the two-pass reference within 1e-12
+    /// relative, on mean and `sum_sq_dev`, whatever the pivot and
+    /// length (tails shorter than a chunk included).
     #[test]
     fn pivoted_variance_matches_two_pass() {
         let xs = data();
-        for &pivot in &[0.0, 1.0, 0.97, -3.0] {
-            let mut m = RateMoments::new(pivot);
-            m.add_slice(&xs);
-            let mean = m.mean();
-            let two_pass: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum();
-            let rel = (m.sum_sq_dev(mean) / two_pass - 1.0).abs();
-            assert!(rel < 1e-12, "pivot {pivot}: rel err {rel}");
+        for len in [1, 2, 15, 16, 17, 100, 257] {
+            let xs = &xs[..len];
+            let (mean, ssd) = two_pass(xs);
+            for &pivot in &[0.0, 1.0, 0.97, -3.0] {
+                let m = RateMoments::of(pivot, xs);
+                assert!((m.mean() / mean - 1.0).abs() < 1e-12, "len {len}");
+                let got = m.sum_sq_dev(m.mean());
+                assert!(
+                    (got - ssd).abs() <= 1e-12 * ssd.max(1e-300) + 1e-15,
+                    "len {len}, pivot {pivot}: {got} vs {ssd}"
+                );
+            }
         }
+    }
+
+    /// A fold's bits, pinned: they must not depend on the target CPU
+    /// (CI runs this under `-C target-cpu=x86-64` as well as `native`).
+    #[test]
+    fn fold_bits_are_pinned() {
+        let xs: Vec<f64> = (0..1003)
+            .map(|i| 1.0 + 0.3 * ((i * 7919 % 1009) as f64 / 504.5 - 1.0))
+            .collect();
+        let m = RateMoments::of(0.97, &xs);
+        let mut merged = RateMoments::of(0.97, &xs[..500]);
+        merged.merge(&RateMoments::of(0.97, &xs[500..]));
+        let bits = [
+            m.sum(),
+            m.sum_sq_dev(m.mean()),
+            merged.sum(),
+            merged.sum_sq_dev(1.0),
+        ]
+        .map(f64::to_bits);
+        assert_eq!(
+            bits,
+            [
+                0x408f54b714f4fd1b,
+                0x403e1f7c98cc1019,
+                0x408f54b714f4fd1b,
+                0x403e1f879ce8f7eb
+            ]
+        );
     }
 
     #[test]
     fn arbitrary_center_identity() {
         let xs = data();
-        let mut m = RateMoments::new(1.0);
-        m.add_slice(&xs);
+        let m = RateMoments::of(1.0, &xs);
         let c = 1.234;
         let direct: f64 = xs.iter().map(|x| (x - c) * (x - c)).sum();
         assert!((m.sum_sq_dev(c) / direct - 1.0).abs() < 1e-12);
@@ -197,40 +338,35 @@ mod tests {
         assert_eq!(one.variance_around(2.5), 0.0, "n < 2 has no variance");
     }
 
-    /// Lane partials merged in order agree with the flat fold within
-    /// the 1e-12 two-pass bound the estimator proptests use, and count
-    /// every observation once.
+    /// Flow-lane partials merged in order agree with the whole fold
+    /// within the 1e-12 two-pass bound the estimator proptests use, and
+    /// count every observation once.
     #[test]
-    fn merged_lanes_match_the_flat_fold() {
+    fn merged_lanes_match_the_whole_fold() {
         let xs: Vec<f64> = (0..10_007)
             .map(|i| 1.0 + 0.3 * ((i * 7919 % 1009) as f64 / 504.5 - 1.0))
             .collect();
+        let whole = RateMoments::of(0.97, &xs);
         for lane in [1, 64, 1000, 4096, 10_006] {
-            let mut flat = RateMoments::new(0.97);
-            flat.add_slice(&xs);
             let mut merged = RateMoments::new(0.97);
             for part in xs.chunks(lane) {
-                let mut m = RateMoments::new(0.97);
-                m.add_slice(part);
-                merged.merge(&m);
+                merged.merge(&RateMoments::of(0.97, part));
             }
             assert_eq!(merged.count(), xs.len(), "lane {lane}");
             assert!(
-                (merged.mean() / flat.mean() - 1.0).abs() < 1e-12,
+                (merged.mean() / whole.mean() - 1.0).abs() < 1e-12,
                 "lane {lane}"
             );
-            let mean = merged.mean();
-            let two_pass: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum();
-            let rel = (merged.sum_sq_dev(mean) / two_pass - 1.0).abs();
+            let (mean, ssd) = two_pass(&xs);
+            let rel = (merged.sum_sq_dev(mean) / ssd - 1.0).abs();
             assert!(rel < 1e-12, "lane {lane}: rel err {rel}");
         }
     }
 
     #[test]
     fn merging_an_empty_accumulator_is_the_identity() {
-        let mut m = RateMoments::new(1.0);
-        m.add_slice(&data());
-        let before = m;
+        let before = RateMoments::of(1.0, &data());
+        let mut m = before;
         m.merge(&RateMoments::new(1.0));
         assert_eq!(m, before);
         let mut empty = RateMoments::new(1.0);
@@ -253,5 +389,18 @@ mod tests {
     fn non_finite_pivot_degrades_to_zero() {
         let m = RateMoments::new(f64::NAN);
         assert_eq!(m.pivot(), 0.0);
+    }
+
+    #[test]
+    fn a_non_finite_rate_anywhere_is_seen() {
+        let xs = data();
+        assert!(RateMoments::of(1.0, &xs).is_finite());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200] {
+            for at in [0, 15, 16, 100, 256] {
+                let mut ys = xs.clone();
+                ys[at] = bad;
+                assert!(!RateMoments::of(1.0, &ys).is_finite(), "{bad} at {at}");
+            }
+        }
     }
 }

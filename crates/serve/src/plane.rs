@@ -978,6 +978,43 @@ mod tests {
         assert_eq!(out[5].occupancy, 10);
     }
 
+    /// One measurement with a NaN or ±∞ rate must not block the link
+    /// for the rest of the run: the filter keeps its estimate, and the
+    /// link admits up to its fluid limit again.
+    #[test]
+    fn a_non_finite_measurement_does_not_block_the_link() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut plane = DecisionPlane::new(
+                &PlaneConfig {
+                    capacity: 10.0,
+                    ..PlaneConfig::default()
+                },
+                certainty_equivalent_factory(1e-2, 5.0),
+            )
+            .unwrap();
+            let shard = &mut plane.shards_mut()[0];
+            let mut out = Vec::new();
+            for (t, rates) in [
+                (0.0, vec![1.0; 4]),
+                (1.0, vec![1.0, bad, 1.0, 1.0]),
+                (2.0, vec![1.0; 4]),
+            ] {
+                let rates = rates.into_boxed_slice();
+                shard.apply(
+                    ShardEvent::Measure {
+                        link: LinkId(3),
+                        t,
+                        rates,
+                    },
+                    &mut out,
+                );
+            }
+            shard.decide_batch(&[LinkId(3); 7], &mut out);
+            assert_eq!(out.iter().filter(|d| d.admit).count(), 6, "after {bad}");
+            assert_eq!(out[6].admissible, Some(10.0), "after {bad}");
+        }
+    }
+
     #[test]
     fn drain_applies_ring_events_in_order() {
         let mut plane = plane(1);

@@ -19,7 +19,7 @@ use crate::session::{
 };
 use crate::telemetry::MetricsSink;
 use mbac_num::rng::exponential;
-use mbac_num::RunningStats;
+use mbac_num::{RateMoments, RunningStats};
 use mbac_traffic::process::SourceModel;
 use std::cell::RefCell;
 
@@ -157,8 +157,7 @@ impl Scenario for PoissonLoad<'_> {
             if fused && matches!(ev, Ev::Tick) {
                 // Measurement tick: evolve, depart, and reduce (same
                 // advance→depart order as below, identical RNG stream,
-                // the moment sum is the same flat fold the slice path
-                // reports).
+                // the same fold the slice path reports).
                 let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
                 ctl.observe_moments(t, &mom);
                 if sink.is_enabled() {
@@ -172,14 +171,8 @@ impl Scenario for PoissonLoad<'_> {
             }
             if matches!(ev, Ev::Sample) {
                 // Sample: evolve, depart, and fold the aggregate through
-                // the same call as a tick, not through
-                // `aggregate_rate`. PoissonLoad admits through exactly
-                // one source model, so the table holds a single batch
-                // group and the grouped `aggregate_rate` fold this
-                // replaces is bit-identical to the moments' flat
-                // flow-order sum (unlike the impulsive harness, which
-                // mixes groups — see `FlowTable::aggregate_rate`). The
-                // pivot only centers s₁/s₂, never the raw sum.
+                // the same call as a tick. The pivot only centers s₁/s₂,
+                // never the raw sum.
                 let mom = table.advance_depart_measure(t, &mut rng, 0.0);
                 meter.record(mom.sum());
                 flow_count.push(table.len() as f64);
@@ -226,7 +219,7 @@ impl Scenario for PoissonLoad<'_> {
                     if sink.is_enabled() {
                         let mut e = sink.entry(t);
                         e.ticks = 1;
-                        e.load = snapshot.iter().sum();
+                        e.load = RateMoments::of(0.0, &snapshot).sum();
                         e.occupancy = table.len() as f64;
                     }
                     q.schedule_in(cfg.tick, Ev::Tick);

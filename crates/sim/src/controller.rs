@@ -173,7 +173,8 @@ impl MeasuredSumController {
 
 impl AdmissionEngine for MeasuredSumController {
     fn observe(&mut self, t: f64, rates: &[f64]) {
-        self.policy.observe_aggregate(t, rates.iter().sum());
+        self.policy
+            .observe_aggregate(t, RateMoments::of(0.0, rates).sum());
     }
 
     fn admissible_count(&self, capacity: f64, current_flows: usize) -> Option<f64> {
@@ -191,8 +192,8 @@ impl AdmissionEngine for MeasuredSumController {
     }
 
     fn observe_moments(&mut self, t: f64, moments: &RateMoments) {
-        // Measured-sum only needs the aggregate; the moment sum is the
-        // identical flow-order fold of the rate slice.
+        // Measured-sum only needs the aggregate: the same fold as the
+        // slice path's.
         self.policy.observe_aggregate(t, moments.sum());
     }
 }

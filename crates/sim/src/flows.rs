@@ -370,13 +370,17 @@ impl FlowTable {
     ///
     /// The moments fold the rates in snapshot order (group order, slot
     /// order), so while no group holds more than one lane
-    /// ([`mbac_traffic::batch::LANE`]) the derived mean is bit-identical
-    /// to folding the [`FlowTable::snapshot_into`] slice; a larger group
-    /// folds its lanes apart and merges them in lane order
-    /// ([`fold_lanes`]).
+    /// ([`mbac_traffic::batch::LANE`]) they are bit-identical to folding
+    /// the [`FlowTable::snapshot_into`] slice; a larger group folds its
+    /// lanes apart and merges them in lane order ([`fold_lanes`]).
     pub fn advance_depart_measure(&mut self, t: f64, rng: &mut StdRng, pivot: f64) -> RateMoments {
         self.advance_to(t, rng);
         self.depart_until(t);
+        self.fold(pivot)
+    }
+
+    /// The cached rates of every group folded around `pivot`.
+    fn fold(&self, pivot: f64) -> RateMoments {
         let mut mom = RateMoments::new(pivot);
         for g in &self.groups {
             fold_lanes(&mut mom, g.batch.rates());
@@ -390,19 +394,10 @@ impl FlowTable {
     }
 
     /// Sum of the instantaneous rates (the aggregate load `S_t`), read
-    /// from the batches' cached rate vectors.
-    ///
-    /// Note the fold shape: per-group partial sums, then a sum of
-    /// groups — *not* the flat flow-order fold `RateMoments::sum`
-    /// produces. The two differ bitwise once a table holds more than
-    /// one group, which is why multi-group callers (the impulsive
-    /// harness) keep this method instead of reusing a measurement
+    /// from the batches' cached rate vectors: the sum of a measurement
     /// tick's moments.
     pub fn aggregate_rate(&self) -> f64 {
-        self.groups
-            .iter()
-            .map(|g| g.batch.rates().iter().sum::<f64>())
-            .sum()
+        self.fold(0.0).sum()
     }
 
     /// Writes the per-flow instantaneous rates into `out` (cleared
@@ -529,8 +524,8 @@ mod tests {
         let mut snap = Vec::new();
         table.snapshot_into(&mut snap);
         assert_eq!(snap.len(), 50);
-        let sum: f64 = snap.iter().sum();
-        assert!((sum - table.aggregate_rate()).abs() < 1e-9);
+        let sum = RateMoments::of(0.0, &snap).sum();
+        assert_eq!(sum.to_bits(), table.aggregate_rate().to_bits());
     }
 
     #[test]
@@ -699,17 +694,19 @@ mod tests {
     /// The contract of `advance_depart_measure`: bit-identical to the
     /// advance → depart → snapshot sequence folded into `RateMoments` —
     /// same moments, same RNG stream — through admissions and
-    /// departures, on both engines.
+    /// departures, on both engines, with flows of two models in the
+    /// table: folding group by group is folding the snapshot whole.
     #[test]
     fn fused_tick_matches_unfused_sequence() {
         for make in [FlowTable::new, FlowTable::new_unbatched] {
-            let m = Ar1Model::new(Ar1Config {
+            let ar1 = Ar1Model::new(Ar1Config {
                 mean: 1.0,
                 std_dev: 0.3,
                 t_c: 1.0,
                 tick: 0.05,
                 clamp_at_zero: true,
             });
+            let rcbr = model();
             let mut rng_a = StdRng::seed_from_u64(91);
             let mut rng_b = StdRng::seed_from_u64(91);
             let mut fused = make();
@@ -723,14 +720,20 @@ mod tests {
                 plain.advance_to(now, &mut rng_b);
                 plain.depart_until(now);
                 plain.snapshot_into(&mut snap);
-                let mut want = RateMoments::new(pivot);
-                want.add_slice(&snap);
-                assert_eq!(mom, want, "moments diverged at step {step}");
+                assert_eq!(
+                    mom,
+                    RateMoments::of(pivot, &snap),
+                    "moments diverged at step {step}"
+                );
                 assert_eq!(fused.len(), plain.len());
+                let holding = 0.7 + (step % 13) as f64;
                 if step % 4 == 0 {
-                    let holding = 0.7 + (step % 13) as f64;
-                    fused.admit(&m, now + holding, &mut rng_a);
-                    plain.admit(&m, now + holding, &mut rng_b);
+                    fused.admit(&ar1, now + holding, &mut rng_a);
+                    plain.admit(&ar1, now + holding, &mut rng_b);
+                }
+                if step % 3 == 0 {
+                    fused.admit(&rcbr, now + 2.0 * holding, &mut rng_a);
+                    plain.admit(&rcbr, now + 2.0 * holding, &mut rng_b);
                 }
             }
             assert!(fused.departed_total() > 0, "no departure exercised");

@@ -18,7 +18,7 @@
 //! with the usual bit-determinism for any worker count and either
 //! engine.
 
-use crate::controller::MbacController;
+use crate::controller::{AdmissionEngine, MbacController};
 use crate::flows::FlowTable;
 use crate::requests::add_measurement_noise;
 use crate::session::{
@@ -31,6 +31,7 @@ use mbac_core::estimators::FilteredEstimator;
 use mbac_core::topology::{LinkId, PathAdmission, RouteId, Topology};
 use mbac_metrics::{Aggregated, Gauge, MetricValue, MetricsSnapshot};
 use mbac_num::rng::exponential;
+use mbac_num::RateMoments;
 use mbac_traffic::process::SourceModel;
 use std::sync::Arc;
 
@@ -258,15 +259,12 @@ impl Scenario for RoutedNetworkLoad<'_> {
                 }
                 table.snapshot_into(&mut route_snaps[r]);
             }
-            // No fused-moments reuse is possible below: a link's load
-            // is the union of the *crossing routes'* snapshots seen
-            // through per-link measurement noise, not any one table's
-            // aggregate, so the per-link sum has to fold the composed
-            // (and possibly perturbed) vector. The per-route snapshots
-            // above are the only full passes over flow state per tick.
             // Measure each link: union of crossing routes' flows, seen
-            // through this node's noise; feed estimator, resync
-            // occupancy, tally overflow/utilization.
+            // through this node's noise, folded once into the moments
+            // that feed its estimator and give its load; resync
+            // occupancy, tally overflow/utilization. (A link's load is
+            // the composed, possibly perturbed, vector's, not any one
+            // table's aggregate.)
             for link in topo.link_ids() {
                 link_rates.clear();
                 for route in topo.routes_crossing(link) {
@@ -274,10 +272,11 @@ impl Scenario for RoutedNetworkLoad<'_> {
                 }
                 add_measurement_noise(&mut link_rates, cfg.noise_sd, &mut rng);
                 let l = link.index();
-                ctls[l].observe(now, &link_rates);
+                let mom = RateMoments::of(ctls[l].moment_pivot(), &link_rates);
+                ctls[l].observe_moments(now, &mom);
                 path.sync(link, link_rates.len() as u32);
                 if record(step) {
-                    let load: f64 = link_rates.iter().sum();
+                    let load = mom.sum();
                     let c = topo.capacity(link);
                     if load > c {
                         rep.overflow_ticks[l] += 1;

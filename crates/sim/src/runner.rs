@@ -27,7 +27,7 @@ use mbac_core::admission::AdmissionPolicy;
 use mbac_core::estimators::snapshot_stats;
 use mbac_metrics::MetricsSnapshot;
 use mbac_num::rng::exponential;
-use mbac_num::RunningStats;
+use mbac_num::{RateMoments, RunningStats};
 use mbac_traffic::process::SourceModel;
 use rand::rngs::StdRng;
 use std::cell::RefCell;
@@ -224,16 +224,8 @@ impl Scenario for ImpulsiveLoad<'_> {
             .observe_times
             .iter()
             .map(|&t| {
-                table.advance_to(t, &mut rng);
-                table.depart_until(t);
-                // Not the advance_depart_measure +
-                // `RateMoments::sum` path: when M₀ > n the table holds
-                // two groups (the burst, then the extras), and the
-                // goldens pin `aggregate_rate`'s sum of per-group sums,
-                // which differs bitwise from the moments' flat
-                // flow-order fold. Observations are sparse, so the
-                // second pass over the cached rates is cheap.
-                let (load, flows) = (table.aggregate_rate(), table.len());
+                let load = table.advance_depart_measure(t, &mut rng, 0.0).sum();
+                let flows = table.len();
                 if sink.is_enabled() {
                     let mut e = sink.entry(t);
                     e.ticks = 1;
@@ -423,8 +415,8 @@ impl Scenario for ContinuousLoad<'_> {
             t += cfg.tick;
 
             // Measure once; the controller and the meter share the
-            // measurement (the moment sum is the identical flat fold of
-            // the snapshot, so both paths report bit-equal loads).
+            // measurement (both paths fold the snapshot through
+            // `RateMoments`, so they report bit-equal loads).
             let load = if fused {
                 let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
                 ctl.observe_moments(t, &mom);
@@ -434,7 +426,7 @@ impl Scenario for ContinuousLoad<'_> {
                 table.depart_until(t);
                 table.snapshot_into(&mut snapshot);
                 ctl.observe(t, &snapshot);
-                snapshot.iter().sum()
+                RateMoments::of(0.0, &snapshot).sum()
             };
 
             // The tick's unit-of-work entry: filled through the tick,
@@ -658,7 +650,7 @@ impl Scenario for PhasedLoad<'_> {
                 table.depart_until(t);
                 table.snapshot_into(&mut snapshot);
                 ctl.observe(t, &snapshot);
-                snapshot.iter().sum()
+                RateMoments::of(0.0, &snapshot).sum()
             };
             if t >= next_sample {
                 next_sample += cfg.sample_spacing;

@@ -78,7 +78,7 @@ pub const LANE: usize = 1 << 13;
 /// on the pool, never what they draw.
 const HAND_OFF_NS: f64 = 20_000.0;
 const DRAW_NS: f64 = 5.0;
-const FOLD_NS: f64 = 0.7;
+const FOLD_NS: f64 = 0.25;
 
 /// Participants for `work_ns` of lane work: the session's workers when
 /// half the work outweighs a hand-off, else the caller alone.
@@ -139,7 +139,7 @@ impl LaneStreams {
     }
 }
 
-/// Folds `rates` into `mom`: in flow order for a batch of at most one
+/// Folds `rates` into `mom`: one `add_slice` for a batch of at most one
 /// lane, else one fold per lane — on the pool when worth a hand-off —
 /// merged in lane order.
 pub fn fold_lanes(mom: &mut RateMoments, rates: &[f64]) {
