@@ -70,8 +70,13 @@ impl MeasuredSum {
         }
     }
 
-    /// Feeds one sample of the measured aggregate load at time `t`.
+    /// Feeds one sample of the measured aggregate load at time `t`. A
+    /// non-finite sample is ignored: it would hold the headroom at NaN
+    /// until its block left the window.
     pub fn observe_aggregate(&mut self, t: f64, aggregate: f64) {
+        if !aggregate.is_finite() {
+            return;
+        }
         self.last_aggregate = Some(aggregate);
         match self.block_start {
             None => {

@@ -22,7 +22,7 @@
 //! suggests.
 
 use super::{Estimate, Estimator};
-use mbac_num::RateMoments;
+use mbac_num::SnapshotMoments;
 
 /// Estimator fed only the aggregate bandwidth and flow count.
 #[derive(Debug, Clone)]
@@ -57,9 +57,10 @@ impl AggregateOnlyEstimator {
         AggregateOnlyEstimator { t_m, state: None }
     }
 
-    /// Feeds one snapshot of `(flow count, aggregate bandwidth)`.
+    /// Feeds one snapshot of `(flow count, aggregate bandwidth)`. An
+    /// empty or non-finite snapshot keeps the last estimate.
     pub fn observe_aggregate(&mut self, t: f64, flows: usize, aggregate: f64) {
-        if flows == 0 {
+        if flows == 0 || !aggregate.is_finite() {
             return;
         }
         let n = flows as f64;
@@ -100,14 +101,10 @@ impl AggregateOnlyEstimator {
 }
 
 impl Estimator for AggregateOnlyEstimator {
-    fn observe(&mut self, t: f64, rates: &[f64]) {
-        // Adapter: when wired into the standard snapshot plumbing, use
-        // only what an aggregate meter would see. A non-finite
-        // aggregate keeps the last estimate.
-        let aggregate = RateMoments::of(0.0, rates).sum();
-        if aggregate.is_finite() {
-            self.observe_aggregate(t, rates.len(), aggregate);
-        }
+    fn observe_moments(&mut self, t: f64, moments: &SnapshotMoments) {
+        // Of the standard observation, only what an aggregate meter
+        // would see: the flow count and the aggregate.
+        self.observe_aggregate(t, moments.count(), moments.sum());
     }
 
     fn estimate(&self) -> Option<Estimate> {

@@ -16,7 +16,7 @@
 //! Per the paper's definition, the variance snapshot is taken around the
 //! *filtered* mean `μ̂_m(t)`, not around the snapshot mean.
 
-use super::{fold_snapshot, Estimate, Estimator};
+use super::{Estimate, Estimator};
 use mbac_num::SnapshotMoments;
 
 /// First-order exponentially-weighted estimator with memory `T_m`.
@@ -64,13 +64,6 @@ impl FilteredEstimator {
 }
 
 impl Estimator for FilteredEstimator {
-    fn observe(&mut self, t: f64, rates: &[f64]) {
-        // One pass, around the filtered mean the variance snapshot is
-        // taken about (the first rate on a cold start).
-        let pivot = self.state.map(|s| s.mean);
-        self.observe_moments(t, &fold_snapshot(rates, pivot));
-    }
-
     fn estimate(&self) -> Option<Estimate> {
         self.state.map(|s| Estimate::new(s.mean, s.variance))
     }
@@ -81,10 +74,6 @@ impl Estimator for FilteredEstimator {
 
     fn memory_timescale(&self) -> f64 {
         self.t_m
-    }
-
-    fn supports_moments(&self) -> bool {
-        true
     }
 
     fn observe_moments(&mut self, t: f64, moments: &SnapshotMoments) {

@@ -57,7 +57,8 @@ impl ClassifiedEstimator {
     }
 
     /// Consumes a classified snapshot: `(class index, instantaneous
-    /// rate)` for every flow in the system.
+    /// rate)` for every flow in the system. A class with a non-finite
+    /// rate in it is skipped.
     ///
     /// # Panics
     /// Panics if a class index is out of range.
@@ -85,8 +86,13 @@ impl ClassifiedEstimator {
         }
         for (k, rates) in buckets.iter().enumerate() {
             let state = &mut self.classes[k];
-            state.count = rates.len();
             let moments = fold_snapshot(rates, state.initialized.then_some(state.mean));
+            // A NaN or ±∞ rate would poison the class's filter for the
+            // rest of the run: the class keeps its state and its count.
+            if !moments.is_finite() {
+                continue;
+            }
+            state.count = rates.len();
             let Some(snap) = moment_stats(&moments) else {
                 continue;
             };
@@ -234,6 +240,28 @@ mod tests {
         let m = est.estimate_class(0).unwrap().mean;
         // Gain = 1 - e^{-0.1} ≈ 0.095: far from the new value.
         assert!(m > 0.5 && m < 2.0, "m = {m}");
+    }
+
+    /// A NaN or ±∞ rate in one class leaves that class's estimate and
+    /// count as they were; the other class still moves.
+    #[test]
+    fn a_non_finite_rate_skips_only_its_class() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut est = ClassifiedEstimator::new(2, 1.0);
+            est.observe(0.0, &[(0, 1.0), (0, 3.0), (1, 10.0)]);
+            let class0 = est.estimate_class(0).unwrap();
+            est.observe(1.0, &[(0, 2.0), (0, bad), (0, 5.0), (1, 20.0)]);
+            assert_eq!(est.estimate_class(0), Some(class0), "{bad}");
+            assert_eq!(est.class_count(0), 2, "{bad}");
+            assert!(est.estimate_class(1).unwrap().mean > 10.0, "{bad}");
+            est.observe(2.0, &[(0, 2.0), (1, 20.0)]);
+            let class0 = est.estimate_class(0).unwrap();
+            assert!(
+                class0.mean.is_finite() && class0.variance.is_finite(),
+                "{bad}"
+            );
+            assert_eq!(est.class_count(0), 1, "{bad}");
+        }
     }
 
     #[test]

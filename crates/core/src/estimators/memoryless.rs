@@ -3,7 +3,7 @@
 //! system. This is the scheme whose fragility §4.1–4.2 of the paper
 //! quantifies.
 
-use super::{fold_snapshot, moment_stats, Estimate, Estimator};
+use super::{moment_stats, Estimate, Estimator};
 use mbac_num::SnapshotMoments;
 
 /// Memoryless cross-flow estimator: `estimate()` returns the sample mean
@@ -27,10 +27,6 @@ impl MemorylessEstimator {
 }
 
 impl Estimator for MemorylessEstimator {
-    fn observe(&mut self, t: f64, rates: &[f64]) {
-        self.observe_moments(t, &fold_snapshot(rates, None));
-    }
-
     fn estimate(&self) -> Option<Estimate> {
         self.last
     }
@@ -41,10 +37,6 @@ impl Estimator for MemorylessEstimator {
 
     fn memory_timescale(&self) -> f64 {
         0.0
-    }
-
-    fn supports_moments(&self) -> bool {
-        true
     }
 
     fn observe_moments(&mut self, t: f64, moments: &SnapshotMoments) {

@@ -74,11 +74,20 @@ impl From<FlowStats> for Estimate {
 }
 
 /// A statistics estimator fed with per-flow bandwidth snapshots.
+///
+/// A snapshot reaches an estimator as its sufficient statistics, a
+/// [`SnapshotMoments`] (`n`, `Σx`, pivoted `Σ(x−c)` / `Σ(x−c)²`):
+/// eqn (7), eqn (23) and the §4.3 filter read nothing else of it.
+/// Whoever holds the rates folds them — the simulator's tick kernel,
+/// a serve measurement where it is generated, or
+/// [`Estimator::observe`] for a caller that holds a rate slice.
 pub trait Estimator {
-    /// Consumes a snapshot: at time `t`, the flows in the system have
-    /// the instantaneous bandwidths in `rates`. Snapshot times must be
-    /// non-decreasing across calls.
-    fn observe(&mut self, t: f64, rates: &[f64]);
+    /// Consumes one observation at time `t` as the fold of its rates —
+    /// O(1) in the number of flows. Observation times must be
+    /// non-decreasing across calls. An empty observation carries
+    /// nothing, and a non-finite one (a NaN or ±∞ rate) is ignored:
+    /// either keeps the estimate as it was.
+    fn observe_moments(&mut self, t: f64, moments: &SnapshotMoments);
 
     /// Current estimate, or `None` before enough data has been seen.
     fn estimate(&self) -> Option<Estimate>;
@@ -89,33 +98,16 @@ pub trait Estimator {
     /// The memory time-scale `T_m` of this estimator (0 for memoryless).
     fn memory_timescale(&self) -> f64;
 
-    /// Whether this estimator can consume a pre-reduced
-    /// [`SnapshotMoments`] observation instead of the raw rate slice.
-    /// The fused tick kernels and the serve plane gate on this once per
-    /// run; `false` keeps the slice path.
-    fn supports_moments(&self) -> bool {
-        false
+    /// Consumes a snapshot held as rates: at time `t`, the flows in the
+    /// system have the instantaneous bandwidths in `rates`. One fold
+    /// around the current mean estimate (the first rate on a cold
+    /// start; [`fold_snapshot`]), then [`Estimator::observe_moments`].
+    fn observe(&mut self, t: f64, rates: &[f64]) {
+        let pivot = self.estimate().map(|e| e.mean);
+        self.observe_moments(t, &fold_snapshot(rates, pivot));
     }
 
-    /// Consumes one observation as sufficient statistics (`n`, `Σx`,
-    /// pivoted `Σ(x−c)` / `Σ(x−c)²`) folded by the producer — inside
-    /// the tick kernel, or where a serve measurement is generated —
-    /// O(1) in the number of flows. Must be equivalent to
-    /// [`Estimator::observe`] on the same snapshot: the mean path is
-    /// bit-identical by construction (a slice `observe` folds its
-    /// snapshot into [`RateMoments`] too, and `Σx` does not depend on
-    /// the pivot), the variance agrees to ~1e-15 relative
-    /// (property-tested at 1e-12).
-    ///
-    /// # Panics
-    /// The default panics; only call when [`Estimator::supports_moments`]
-    /// returns `true`.
-    fn observe_moments(&mut self, t: f64, moments: &SnapshotMoments) {
-        let _ = (t, moments);
-        panic!("estimator does not support moment observations");
-    }
-
-    /// The pivot the fused kernels should center the second moment on:
+    /// The pivot the tick kernels should center the second moment on:
     /// the current mean estimate when one exists (best conditioning),
     /// else 0. Any finite value is correct.
     fn moment_pivot(&self) -> f64 {

@@ -15,8 +15,9 @@
 //! This estimator exists so the benches can stage exactly that
 //! comparison.
 
-use super::{fold_snapshot, moment_stats, Estimate, Estimator};
+use super::{moment_stats, Estimate, Estimator};
 use crate::params::FlowStats;
+use mbac_num::SnapshotMoments;
 
 /// Memoryless estimator shrunk toward a fixed prior with pseudo-count
 /// weight `w`.
@@ -57,14 +58,13 @@ impl PriorSmoothedEstimator {
 }
 
 impl Estimator for PriorSmoothedEstimator {
-    fn observe(&mut self, _t: f64, rates: &[f64]) {
+    fn observe_moments(&mut self, _t: f64, moments: &SnapshotMoments) {
         // A non-finite snapshot keeps the last estimate.
-        let moments = fold_snapshot(rates, None);
         if !moments.is_finite() {
             return;
         }
-        if let Some(e) = moment_stats(&moments) {
-            self.last = Some((e, rates.len()));
+        if let Some(e) = moment_stats(moments) {
+            self.last = Some((e, moments.count()));
         }
     }
 

@@ -7,7 +7,8 @@
 //! include it for ablation benches comparing kernel shapes at equal
 //! memory time-scale.
 
-use super::{fold_snapshot, moment_stats, Estimate, Estimator};
+use super::{moment_stats, Estimate, Estimator};
+use mbac_num::SnapshotMoments;
 use std::collections::VecDeque;
 
 /// Sliding-window estimator with window length `T_w`.
@@ -60,14 +61,13 @@ impl WindowEstimator {
 }
 
 impl Estimator for WindowEstimator {
-    fn observe(&mut self, t: f64, rates: &[f64]) {
-        let moments = fold_snapshot(rates, None);
+    fn observe_moments(&mut self, t: f64, moments: &SnapshotMoments) {
         // A non-finite snapshot is ignored: it would turn every estimate
         // the window gives into NaN until it is evicted.
         if !moments.is_finite() {
             return;
         }
-        if let Some(e) = moment_stats(&moments) {
+        if let Some(e) = moment_stats(moments) {
             debug_assert!(
                 self.samples.back().is_none_or(|&(lt, _)| t >= lt),
                 "snapshot times must be non-decreasing"

@@ -1,17 +1,19 @@
 //! Property tests for the estimator layer.
 //!
-//! Pins the fused-kernel contract: feeding an estimator pre-reduced
-//! [`SnapshotMoments`] (as the simulator's fused tick does) must be
-//! equivalent to feeding it the raw rate slices — bit-identical means,
-//! variances within 1e-12 relative — across arbitrary snapshot
-//! sequences, estimator memory time-scales, empty snapshots, and a
-//! mid-sequence `reset()`. A slice observation is itself one fold
-//! through `RateMoments`, so both paths are also held to a test-local
-//! two-pass oracle at 1e-12, and so is the serve plane's rule, which
-//! folds a measurement around its first rate where it is generated; and
-//! a snapshot with a NaN or ±∞ rate anywhere must leave every
-//! estimator's estimate as it was.
+//! Pins the measurement contract: an estimator fed pre-reduced
+//! [`SnapshotMoments`] (as the simulator's tick kernel folds them) must
+//! be equivalent to one fed the raw rate slices through
+//! [`Estimator::observe`] — bit-identical means, variances within 1e-12
+//! relative — and both must match a test-local two-pass oracle at
+//! 1e-12 — across arbitrary
+//! snapshot sequences, estimator memory time-scales, empty snapshots,
+//! and a mid-sequence `reset()` — and so must the serve plane's rule,
+//! which folds a measurement around its first rate where it is
+//! generated; and a snapshot with a NaN or ±∞ rate anywhere must leave
+//! every estimator's estimate as it was, on both entry points.
 
+use mbac_core::admission::MeasuredSum;
+use mbac_core::estimators::heterogeneous::ClassifiedEstimator;
 use mbac_core::estimators::{
     fold_snapshot, AggregateOnlyEstimator, Estimate, Estimator, FilteredEstimator,
     MemorylessEstimator, PriorSmoothedEstimator, WindowEstimator,
@@ -73,7 +75,7 @@ fn assert_close(what: &str, i: usize, a: f64, b: f64) {
 
 /// Drives `slice_path` with raw snapshots and `moment_path` with the
 /// same snapshots reduced to pivoted sufficient statistics (the pivot
-/// chosen exactly as the fused tick chooses it: the moment path's own
+/// chosen exactly as the tick kernel chooses it: the moment path's own
 /// `moment_pivot()`), asserting after every observation that the two
 /// estimates are equivalent and that both agree with the two-pass
 /// oracle.
@@ -85,7 +87,6 @@ fn assert_moment_equivalence(
     dts: &[f64],
     reset_at: usize,
 ) {
-    assert!(slice_path.supports_moments() && moment_path.supports_moments());
     let mut t = 0.0;
     for (i, (rates, dt)) in snapshots.iter().zip(dts).enumerate() {
         if i == reset_at {
@@ -135,12 +136,70 @@ fn assert_moment_equivalence(
     }
 }
 
+/// Something that consumes rate snapshots, fed as rates or as their
+/// fold, and read back as the numbers its decisions rest on.
+trait Consumer {
+    fn feed(&mut self, t: f64, rates: &[f64], by_moments: bool);
+    fn read(&self) -> Vec<f64>;
+}
+
+impl Consumer for Box<dyn Estimator> {
+    fn feed(&mut self, t: f64, rates: &[f64], by_moments: bool) {
+        if by_moments {
+            let mom = RateMoments::of(self.moment_pivot(), rates).reduce();
+            self.observe_moments(t, &mom);
+        } else {
+            self.observe(t, rates);
+        }
+    }
+
+    fn read(&self) -> Vec<f64> {
+        self.estimate()
+            .map_or(vec![], |e: Estimate| vec![e.mean, e.variance])
+    }
+}
+
+/// The measured-sum policy as `MeasuredSumController` feeds it: the
+/// fold's aggregate (whose bits do not depend on the pivot).
+struct Sum(MeasuredSum);
+
+impl Consumer for Sum {
+    fn feed(&mut self, t: f64, rates: &[f64], _: bool) {
+        self.0
+            .observe_aggregate(t, fold_snapshot(rates, None).sum());
+    }
+
+    fn read(&self) -> Vec<f64> {
+        let headroom = self.0.headroom_flows(100.0);
+        self.0.load_estimate().into_iter().chain(headroom).collect()
+    }
+}
+
+/// The per-class estimator with every flow in its one class.
+struct OneClass(ClassifiedEstimator);
+
+impl Consumer for OneClass {
+    fn feed(&mut self, t: f64, rates: &[f64], _: bool) {
+        let labeled: Vec<(usize, f64)> = rates.iter().map(|&x| (0, x)).collect();
+        self.0.observe(t, &labeled);
+    }
+
+    fn read(&self) -> Vec<f64> {
+        let agg = self.0.aggregate();
+        let class = self.0.estimate_class(0);
+        let class = class.map_or(vec![], |e| vec![e.mean, e.variance]);
+        [agg.mean, agg.variance, agg.flows as f64]
+            .into_iter()
+            .chain(class)
+            .collect()
+    }
+}
+
 /// Feeds `good` snapshots, then one whose rate at `at` is `bad`, through
-/// every entry point the estimator has: the estimate must be bit-equal
-/// to the one before, and a good snapshot after it must still produce a
-/// finite estimate.
-fn assert_non_finite_is_ignored(
-    make: &dyn Fn() -> Box<dyn Estimator>,
+/// both entry points: what the consumer reads must be bit-equal to what
+/// it read before, and a good snapshot after it must still read finite.
+fn assert_non_finite_is_ignored<C: Consumer>(
+    make: &dyn Fn() -> C,
     good: &[Vec<f64>],
     poisoned: &[f64],
     at: usize,
@@ -149,46 +208,36 @@ fn assert_non_finite_is_ignored(
     let mut rates = poisoned.to_vec();
     let at = at % rates.len();
     rates[at] = bad;
-    let bits = |e: Option<Estimate>| e.map(|e| (e.mean.to_bits(), e.variance.to_bits()));
-    let by_moments = if make().supports_moments() {
-        &[false, true][..]
-    } else {
-        &[false]
-    };
-    for &by_moments in by_moments {
-        let mut est = make();
+    let bits = |read: Vec<f64>| read.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    for by_moments in [false, true] {
+        let mut consumer = make();
         let mut t = 0.0;
-        let mut feed = |est: &mut Box<dyn Estimator>, rates: &[f64]| {
+        let mut feed = |consumer: &mut C, rates: &[f64]| {
             t += 0.5;
-            if by_moments {
-                let mom = RateMoments::of(est.moment_pivot(), rates).reduce();
-                est.observe_moments(t, &mom);
-            } else {
-                est.observe(t, rates);
-            }
+            consumer.feed(t, rates, by_moments);
         };
         for g in good {
-            feed(&mut est, g);
+            feed(&mut consumer, g);
         }
-        let before = bits(est.estimate());
-        feed(&mut est, &rates);
+        let before = bits(consumer.read());
+        feed(&mut consumer, &rates);
         assert_eq!(
-            bits(est.estimate()),
+            bits(consumer.read()),
             before,
             "{bad} at {at} (moments: {by_moments}) moved the estimate"
         );
-        feed(&mut est, poisoned);
-        let after = est.estimate().expect("a good snapshot gives an estimate");
+        feed(&mut consumer, poisoned);
+        let after = consumer.read();
         assert!(
-            after.mean.is_finite() && after.variance.is_finite(),
+            !after.is_empty() && after.iter().all(|x| x.is_finite()),
             "{bad} at {at} (moments: {by_moments}) poisoned the estimator: {after:?}"
         );
     }
 }
 
 proptest! {
-    /// Memoryless estimator: slice and moment observations agree, and
-    /// match the two-pass oracle.
+    /// Memoryless estimator: moment observations match slice
+    /// observations and the two-pass oracle.
     #[test]
     fn memoryless_moments_match_slices(
         snapshots in collection::vec(collection::vec(0.0f64..5.0, 0..12), 1..24),
@@ -196,15 +245,17 @@ proptest! {
         reset_frac in 0.0f64..1.0,
     ) {
         let reset_at = (reset_frac * snapshots.len() as f64) as usize;
-        let mut a = MemorylessEstimator::new();
-        let mut b = MemorylessEstimator::new();
+        let mut slice_path = MemorylessEstimator::new();
+        let mut moment_path = MemorylessEstimator::new();
         let mut oracle = TwoPass { t_m: None, state: None };
-        assert_moment_equivalence(&mut a, &mut b, &mut oracle, &snapshots, &dts, reset_at);
+        assert_moment_equivalence(
+            &mut slice_path, &mut moment_path, &mut oracle, &snapshots, &dts, reset_at,
+        );
     }
 
     /// Exponential-filter estimator across memory time-scales
-    /// (including `t_m = 0`, the memoryless degeneration): slice and
-    /// moment observations agree, and match the two-pass oracle.
+    /// (including `t_m = 0`, the memoryless degeneration): moment
+    /// observations match slice observations and the two-pass oracle.
     #[test]
     fn filtered_moments_match_slices(
         snapshots in collection::vec(collection::vec(0.0f64..5.0, 0..12), 1..24),
@@ -216,15 +267,17 @@ proptest! {
         // One case in four runs the t_m = 0 degeneration exactly.
         let t_m = if memoryless == 0 { 0.0 } else { t_m_raw };
         let reset_at = (reset_frac * snapshots.len() as f64) as usize;
-        let mut a = FilteredEstimator::new(t_m);
-        let mut b = FilteredEstimator::new(t_m);
+        let mut slice_path = FilteredEstimator::new(t_m);
+        let mut moment_path = FilteredEstimator::new(t_m);
         let mut oracle = TwoPass { t_m: Some(t_m), state: None };
-        assert_moment_equivalence(&mut a, &mut b, &mut oracle, &snapshots, &dts, reset_at);
+        assert_moment_equivalence(
+            &mut slice_path, &mut moment_path, &mut oracle, &snapshots, &dts, reset_at,
+        );
     }
 
     /// NaN or ±∞ anywhere in a snapshot leaves the estimate bit-equal to
-    /// before, cold or warm, on all five estimators and every entry
-    /// point each has.
+    /// before, cold or warm, on all five estimators (both entry points),
+    /// the measured-sum policy and the per-class estimator.
     #[test]
     fn a_non_finite_rate_leaves_the_estimate_unchanged(
         good in collection::vec(collection::vec(0.0f64..5.0, 1..12), 0..6),
@@ -244,11 +297,15 @@ proptest! {
         for make in estimators {
             assert_non_finite_is_ignored(make, &good, &poisoned, at, bad);
         }
+        let sum = || Sum(MeasuredSum::new(0.9, t_m + 1.0, 1.0, 1.0));
+        assert_non_finite_is_ignored(&sum, &good, &poisoned, at, bad);
+        let classes = || OneClass(ClassifiedEstimator::new(1, t_m));
+        assert_non_finite_is_ignored(&classes, &good, &poisoned, at, bad);
     }
 
     /// The serve plane's rule — a measurement folded around its first
     /// rate, where it is generated, then observed as moments — matches
-    /// the two-pass oracle at 1e-12 on both moment estimators, also when
+    /// the two-pass oracle at 1e-12 on the memoryless and filtered estimators, also when
     /// that first rate lies far out of the rest of the snapshot.
     #[test]
     fn the_serve_pivot_rule_matches_two_pass(

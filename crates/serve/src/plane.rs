@@ -56,7 +56,7 @@ use mbac_metrics::{
     StreamCursor, StreamHandle,
 };
 use mbac_num::SnapshotMoments;
-use mbac_sim::{AdmissionEngine, MbacController, MetricsMode};
+use mbac_sim::{MbacController, MetricsMode};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -112,9 +112,6 @@ pub enum ServeError {
         /// The rejected value.
         value: f64,
     },
-    /// The controller factory builds controllers whose estimator cannot
-    /// observe a folded measurement, which is all the plane feeds it.
-    NoMomentObservation,
 }
 
 impl std::fmt::Display for ServeError {
@@ -138,10 +135,6 @@ impl std::fmt::Display for ServeError {
             ServeError::NotFinite { field, value } => {
                 write!(f, "{field} must be finite, got {value}")
             }
-            ServeError::NoMomentObservation => write!(
-                f,
-                "the controller's estimator must observe folded measurements (moments)"
-            ),
         }
     }
 }
@@ -186,16 +179,6 @@ pub(crate) fn check_producers(producers: usize) -> Result<(), ServeError> {
             max: MAX_PRODUCERS,
         }),
         _ => Ok(()),
-    }
-}
-
-/// `make`'s controllers observe folded measurements: checked once, where
-/// a plane is built, instead of panicking at a link's first measurement.
-pub(crate) fn check_moments(make: &ControllerFactory) -> Result<(), ServeError> {
-    if make().supports_moments() {
-        Ok(())
-    } else {
-        Err(ServeError::NoMomentObservation)
     }
 }
 
@@ -853,7 +836,6 @@ pub type DecisionPlane = Plane<SingleHop>;
 impl DecisionPlane {
     /// Builds a plane with `cfg.shards` empty shards, each creating
     /// per-link controllers from `make` on first contact with a link.
-    /// `make`'s controllers must observe moments.
     pub fn new(cfg: &PlaneConfig, make: ControllerFactory) -> Result<Self, ServeError> {
         let capacity = cfg.capacity;
         if capacity <= 0.0 || capacity.is_nan() {
@@ -868,7 +850,6 @@ impl DecisionPlane {
                 value: capacity,
             });
         }
-        check_moments(&make)?;
         let logic = || SingleHop {
             capacity,
             links: LinkMap::default(),
@@ -970,25 +951,6 @@ mod tests {
                 })
             );
         }
-    }
-
-    /// A factory whose controllers cannot observe moments — a window
-    /// estimator's — is refused when the plane is built, not at a link's
-    /// first measurement.
-    #[test]
-    fn a_controller_without_moments_is_refused() {
-        use mbac_core::estimators::WindowEstimator;
-        let policy = Arc::new(CertaintyEquivalent::from_probability(1e-2));
-        let make: ControllerFactory = Arc::new(move || {
-            MbacController::new(
-                Box::new(WindowEstimator::new(5.0)),
-                Box::new(Arc::clone(&policy)),
-            )
-        });
-        assert_eq!(
-            DecisionPlane::new(&PlaneConfig::default(), make).err(),
-            Some(ServeError::NoMomentObservation)
-        );
     }
 
     #[test]

@@ -58,8 +58,8 @@
 //! decision bytes bit for bit.
 
 use crate::plane::{
-    check_moments, ControllerFactory, DecisionEntry, IngestHandle, Instruments, LinkLogic, LinkMap,
-    Plane, ServeError, ShardOf,
+    ControllerFactory, DecisionEntry, IngestHandle, Instruments, LinkLogic, LinkMap, Plane,
+    ServeError, ShardOf,
 };
 use crate::replay::{Ingest, Replay, ReplayConfig, ReplayOutcome, Stamps};
 use mbac_core::estimators::fold_snapshot;
@@ -613,15 +613,13 @@ impl RoutedPlane {
     /// `request_routes[seq]` of `topology`: the route table is
     /// pre-allocated from that map, and each shard learns the
     /// topology's capacities. The map is all the plane needs of the
-    /// run, which may then reach it a window at a time. `make`'s
-    /// controllers must observe moments.
+    /// run, which may then reach it a window at a time.
     pub fn for_requests(
         cfg: &RoutedPlaneConfig,
         topology: &Arc<Topology>,
         request_routes: &[RouteId],
         make: ControllerFactory,
     ) -> Result<Self, ServeError> {
-        check_moments(&make)?;
         let table = Arc::new(RouteTable::for_requests(topology, request_routes));
         let logic = || TwoPhase {
             topology: Arc::clone(topology),
@@ -764,7 +762,7 @@ mod tests {
     use crate::replay::replay_serial;
     use crate::replay::tests::{
         decides_every_request, sampled_stamps_leave_decisions_alone, tally_agrees,
-        threaded_matches_serial, windowed_matches_materialised,
+        threaded_matches_serial, window_estimator_factory, windowed_matches_materialised,
     };
     use mbac_core::topology::MAX_ROUTE_HOPS;
     use mbac_sim::{Engine, RoutedLoad, RoutedLoadConfig, SessionBuilder};
@@ -815,6 +813,7 @@ mod tests {
                 windowed_matches_materialised(
                     &whole,
                     &cfg,
+                    certainty_equivalent_factory(1e-2, 2.0),
                     || load.windows(engine).unwrap(),
                     |make| {
                         let topology = &load.cfg.topology;
@@ -978,23 +977,27 @@ mod tests {
         sampled_stamps_leave_decisions_alone(&w, sharded, 4 * 20 * 2);
     }
 
-    /// A factory whose controllers cannot observe moments is refused
-    /// when the plane is built, not at a link's first measurement.
+    /// The plane takes any controller: with a window estimator's, a run
+    /// replayed in windows still decides as the materialised one.
     #[test]
-    fn a_controller_without_moments_is_refused() {
-        use mbac_core::admission::CertaintyEquivalent;
-        use mbac_core::estimators::WindowEstimator;
-        let w = workload(Topology::parking_lot(2, 10.0), 0.0);
-        let make: ControllerFactory = Arc::new(|| {
-            MbacController::new(
-                Box::new(WindowEstimator::new(5.0)),
-                Box::new(CertaintyEquivalent::from_probability(1e-2)),
-            )
-        });
-        let cfg = RoutedPlaneConfig::default();
-        assert_eq!(
-            RoutedPlane::for_workload(&cfg, &w, make).err(),
-            Some(ServeError::NoMomentObservation)
+    fn a_window_estimator_decides_a_windowed_run_as_the_materialised_one() {
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let load = RoutedLoad {
+            model: &model,
+            cfg: load_config(Topology::parking_lot(3, 14.0), 0.05),
+        };
+        let whole = SessionBuilder::new().run(&load).unwrap();
+        let cfg = RoutedReplayConfig::default();
+        let routes = load.cfg.request_routes();
+        windowed_matches_materialised(
+            &whole,
+            &cfg,
+            window_estimator_factory(),
+            || load.windows(Engine::Batched).unwrap(),
+            |make| {
+                RoutedPlane::for_requests(&cfg.plane, &load.cfg.topology, &routes, make).unwrap()
+            },
+            20,
         );
     }
 

@@ -19,7 +19,7 @@ use crate::session::{
 };
 use crate::telemetry::MetricsSink;
 use mbac_num::rng::exponential;
-use mbac_num::{RateMoments, RunningStats};
+use mbac_num::RunningStats;
 use mbac_traffic::process::SourceModel;
 use std::cell::RefCell;
 
@@ -140,7 +140,6 @@ impl Scenario for PoissonLoad<'_> {
         let mut table = ctx.table();
         let mut meter = OverflowMeter::new(cfg.capacity, cfg.target);
         let mut q = EventQueue::new();
-        let mut snapshot = ctx.scratch_rates();
         let mut flow_count = RunningStats::new();
         let mut offered = 0u64;
         let mut admitted = 0u64;
@@ -149,46 +148,39 @@ impl Scenario for PoissonLoad<'_> {
         q.schedule_at(cfg.tick, Ev::Tick);
         q.schedule_at(cfg.warmup.max(cfg.tick), Ev::Sample);
 
-        // Moments tick path, chosen once — see `ContinuousLoad::run_rep`.
-        let fused = ctl.supports_moments();
-
         let stop_reason = loop {
             let (t, ev) = q.pop().expect("event queue never drains");
-            if fused && matches!(ev, Ev::Tick) {
-                // Measurement tick: evolve, depart, and reduce (same
-                // advance→depart order as below, identical RNG stream,
-                // the same fold the slice path reports).
-                let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
-                ctl.observe_moments(t, &mom);
-                if sink.is_enabled() {
-                    let mut e = sink.entry(t);
-                    e.ticks = 1;
-                    e.load = mom.sum();
-                    e.occupancy = table.len() as f64;
-                }
-                q.schedule_in(cfg.tick, Ev::Tick);
-                continue;
-            }
-            if matches!(ev, Ev::Sample) {
-                // Sample: evolve, depart, and fold the aggregate through
-                // the same call as a tick. The pivot only centers s₁/s₂,
-                // never the raw sum.
-                let mom = table.advance_depart_measure(t, &mut rng, 0.0);
-                meter.record(mom.sum());
-                flow_count.push(table.len() as f64);
-                if let Some(reason) = meter.should_stop() {
-                    break reason;
-                }
-                if meter.samples() >= cfg.max_samples {
-                    break StopReason::BudgetExhausted;
-                }
-                q.schedule_in(cfg.sample_spacing, Ev::Sample);
-                continue;
-            }
-            table.advance_to(t, &mut rng);
-            table.depart_until(t);
             match ev {
+                Ev::Tick => {
+                    // Measurement tick: evolve, depart, and fold.
+                    let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
+                    ctl.observe_moments(t, &mom);
+                    if sink.is_enabled() {
+                        let mut e = sink.entry(t);
+                        e.ticks = 1;
+                        e.load = mom.sum();
+                        e.occupancy = table.len() as f64;
+                    }
+                    q.schedule_in(cfg.tick, Ev::Tick);
+                }
+                Ev::Sample => {
+                    // Sample: evolve, depart, and fold the aggregate
+                    // through the same call as a tick. The pivot only
+                    // centers s₁/s₂, never the raw sum.
+                    let mom = table.advance_depart_measure(t, &mut rng, 0.0);
+                    meter.record(mom.sum());
+                    flow_count.push(table.len() as f64);
+                    if let Some(reason) = meter.should_stop() {
+                        break reason;
+                    }
+                    if meter.samples() >= cfg.max_samples {
+                        break StopReason::BudgetExhausted;
+                    }
+                    q.schedule_in(cfg.sample_spacing, Ev::Sample);
+                }
                 Ev::Arrival => {
+                    table.advance_to(t, &mut rng);
+                    table.depart_until(t);
                     offered += 1;
                     // Admit iff the measured criterion allows one more flow.
                     let ok = match ctl.admissible_count(cfg.capacity, table.len()) {
@@ -213,18 +205,6 @@ impl Scenario for PoissonLoad<'_> {
                         e.exp_draws = 1 + holding_draw;
                     }
                 }
-                Ev::Tick => {
-                    table.snapshot_into(&mut snapshot);
-                    ctl.observe(t, &snapshot);
-                    if sink.is_enabled() {
-                        let mut e = sink.entry(t);
-                        e.ticks = 1;
-                        e.load = RateMoments::of(0.0, &snapshot).sum();
-                        e.occupancy = table.len() as f64;
-                    }
-                    q.schedule_in(cfg.tick, Ev::Tick);
-                }
-                Ev::Sample => unreachable!("samples take the fused path above"),
             }
         };
 

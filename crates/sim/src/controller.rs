@@ -14,9 +14,11 @@ use std::cell::Cell;
 
 /// The measure-then-decide interface the simulator drives.
 pub trait AdmissionEngine {
-    /// Feeds one measurement snapshot (per-flow instantaneous rates at
-    /// time `t`; the aggregate is their sum).
-    fn observe(&mut self, t: f64, rates: &[f64]);
+    /// Feeds one measurement at time `t` as the fold of its per-flow
+    /// instantaneous rates (the aggregate is their sum) — O(1) in the
+    /// number of flows. The tick kernels fold around
+    /// [`AdmissionEngine::moment_pivot`].
+    fn observe_moments(&mut self, t: f64, moments: &RateMoments);
 
     /// The number of flows the engine currently allows in the system
     /// (`None` before any measurement exists — cold start).
@@ -32,23 +34,25 @@ pub trait AdmissionEngine {
         None
     }
 
-    /// Whether [`AdmissionEngine::observe_moments`] may be used in place
-    /// of [`AdmissionEngine::observe`]. The tick loops gate once per run.
-    fn supports_moments(&self) -> bool {
-        false
-    }
-
-    /// Feeds one measurement as the fold of its rates — O(1) in the
-    /// number of flows. Only valid when
-    /// [`AdmissionEngine::supports_moments`] is `true`.
-    fn observe_moments(&mut self, t: f64, moments: &RateMoments) {
-        let _ = (t, moments);
-        panic!("engine does not support moment observations");
+    /// Feeds one measurement held as rates: one fold around the current
+    /// mean estimate (the first rate on a cold start, or without a
+    /// per-flow estimate), then [`AdmissionEngine::observe_moments`].
+    fn observe(&mut self, t: f64, rates: &[f64]) {
+        let pivot = self.estimate_stats().map(|(mean, _)| mean);
+        let pivot = pivot.or(rates.first().copied()).unwrap_or(0.0);
+        self.observe_moments(t, &RateMoments::of(pivot, rates));
     }
 
     /// The pivot a measurement tick should center second moments on.
     fn moment_pivot(&self) -> f64 {
         0.0
+    }
+
+    // Inert shim: every engine observes moments. The frozen
+    // `benchmark/` still asks; the next `benchmark` PR deletes this.
+    #[doc(hidden)]
+    fn supports_moments(&self) -> bool {
+        true
     }
 }
 
@@ -84,14 +88,8 @@ impl MbacController {
         }
     }
 
-    /// Feeds a measurement snapshot (per-flow instantaneous rates).
-    pub fn observe(&mut self, t: f64, rates: &[f64]) {
-        self.estimator.observe(t, rates);
-    }
-
     /// Feeds a measurement already folded into its moments: how the
-    /// serve plane observes, whichever core folded it. Only valid when
-    /// [`AdmissionEngine::supports_moments`] is `true`.
+    /// serve plane observes, whichever core folded it.
     pub fn observe_snapshot(&mut self, t: f64, moments: &SnapshotMoments) {
         self.estimator.observe_moments(t, moments);
     }
@@ -129,10 +127,6 @@ impl MbacController {
 }
 
 impl AdmissionEngine for MbacController {
-    fn observe(&mut self, t: f64, rates: &[f64]) {
-        MbacController::observe(self, t, rates);
-    }
-
     fn admissible_count(&self, capacity: f64, _current_flows: usize) -> Option<f64> {
         MbacController::admissible_count(self, capacity)
     }
@@ -143,10 +137,6 @@ impl AdmissionEngine for MbacController {
 
     fn estimate_stats(&self) -> Option<(f64, f64)> {
         self.estimate().map(|e| (e.mean, e.variance.sqrt()))
-    }
-
-    fn supports_moments(&self) -> bool {
-        self.estimator.supports_moments()
     }
 
     fn observe_moments(&mut self, t: f64, moments: &RateMoments) {
@@ -179,11 +169,6 @@ impl MeasuredSumController {
 }
 
 impl AdmissionEngine for MeasuredSumController {
-    fn observe(&mut self, t: f64, rates: &[f64]) {
-        self.policy
-            .observe_aggregate(t, RateMoments::of(0.0, rates).sum());
-    }
-
     fn admissible_count(&self, capacity: f64, current_flows: usize) -> Option<f64> {
         self.policy
             .headroom_flows(capacity)
@@ -194,13 +179,8 @@ impl AdmissionEngine for MeasuredSumController {
         self.policy.reset();
     }
 
-    fn supports_moments(&self) -> bool {
-        true
-    }
-
     fn observe_moments(&mut self, t: f64, moments: &RateMoments) {
-        // Measured-sum only needs the aggregate: the same fold as the
-        // slice path's.
+        // Measured-sum only needs the aggregate.
         self.policy.observe_aggregate(t, moments.sum());
     }
 }
@@ -234,6 +214,26 @@ mod tests {
         ctl.observe(1.0, &[0.5, 1.5, 0.5, 1.5]);
         let m2 = ctl.admissible_count(100.0).unwrap();
         assert!(m2 < m, "measured burstiness must reduce admissions");
+    }
+
+    /// A NaN or ±∞ aggregate leaves the measured-sum headroom as it
+    /// was, and a finite one after it still moves it.
+    #[test]
+    fn a_non_finite_aggregate_leaves_the_headroom_unchanged() {
+        let mut ctl = MeasuredSumController::new(MeasuredSum::new(0.9, 10.0, 1.0, 1.0));
+        let fold = |rates: &[f64]| RateMoments::of(rates[0], rates);
+        ctl.observe_moments(0.0, &fold(&[10.0, 20.0]));
+        let before = ctl.admissible_count(100.0, 2);
+        assert_eq!(before, Some(62.0));
+        for (k, bad) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            ctl.observe_moments(0.25 * (k + 1) as f64, &fold(&[10.0, bad]));
+            assert_eq!(ctl.admissible_count(100.0, 2), before, "{bad}");
+        }
+        ctl.observe_moments(1.0, &fold(&[40.0, 40.0]));
+        assert_eq!(ctl.admissible_count(100.0, 2), Some(12.0));
     }
 
     #[test]

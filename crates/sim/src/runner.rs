@@ -16,6 +16,7 @@
 //! [`crate::arrivals`].)
 
 use crate::controller::AdmissionEngine;
+use crate::flows::FlowTable;
 use crate::metrics::{OverflowMeter, PfEstimate, StopReason};
 use crate::requests::{MAX_RUN_ITEMS, MAX_WORKLOAD_ITEMS};
 use crate::session::{
@@ -27,7 +28,7 @@ use mbac_core::admission::AdmissionPolicy;
 use mbac_core::estimators::snapshot_stats;
 use mbac_metrics::MetricsSnapshot;
 use mbac_num::rng::exponential;
-use mbac_num::{RateMoments, RunningStats};
+use mbac_num::RunningStats;
 use mbac_traffic::process::SourceModel;
 use rand::rngs::StdRng;
 use std::cell::RefCell;
@@ -351,10 +352,11 @@ pub struct ContinuousReport {
 /// until a termination criterion fires or the sample budget is
 /// exhausted.
 ///
-/// Each tick takes **one** per-flow snapshot after advancing and
-/// applying departures; the controller's `observe` and the overflow
-/// meter both consume that same rate vector (the meter through its
-/// sum), so measurement and metering can never disagree about the load.
+/// Each tick takes **one** measurement after advancing and applying
+/// departures, folded by the tick kernel; the controller's
+/// `observe_moments` and the overflow meter both consume that same fold
+/// (the meter through its sum), so measurement and metering can never
+/// disagree about the load.
 ///
 /// The scenario borrows the caller's controller mutably, so it is *not*
 /// `Sync`: run it with [`SessionBuilder::run_local`] (it is a single
@@ -401,18 +403,8 @@ impl Scenario for ContinuousLoad<'_> {
         let mut rng = ctx.rng();
         let mut table = ctx.table();
         let mut meter = OverflowMeter::new(cfg.capacity, cfg.target);
-        // Arena-backed snapshot buffer: steady-state ticks allocate
-        // nothing (the capacity survives across replications/sessions).
-        let mut snapshot = ctx.scratch_rates();
         let mut flow_count = RunningStats::new();
         let mut prev_mean: Option<f64> = None;
-
-        // Moments tick path: when the engine consumes sufficient
-        // statistics, a measurement tick folds the kernels' cached
-        // rates straight into `RateMoments` — no snapshot copy and no
-        // per-flow rescan inside the estimator.
-        // Chosen once — the engine's support cannot change mid-run.
-        let fused = ctl.supports_moments();
 
         let mut t = 0.0f64;
         let mut next_sample = cfg.warmup.max(cfg.tick);
@@ -423,20 +415,12 @@ impl Scenario for ContinuousLoad<'_> {
             let tick_started = timing.then(std::time::Instant::now);
             t += cfg.tick;
 
-            // Measure once; the controller and the meter share the
-            // measurement (both paths fold the snapshot through
-            // `RateMoments`, so they report bit-equal loads).
-            let load = if fused {
-                let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
-                ctl.observe_moments(t, &mom);
-                mom.sum()
-            } else {
-                table.advance_to(t, &mut rng);
-                table.depart_until(t);
-                table.snapshot_into(&mut snapshot);
-                ctl.observe(t, &snapshot);
-                RateMoments::of(0.0, &snapshot).sum()
-            };
+            // Measure once: the tick kernel folds the fresh rates into
+            // `RateMoments` as it advances them, and the controller and
+            // the meter share that fold.
+            let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
+            ctl.observe_moments(t, &mom);
+            let load = mom.sum();
 
             // The tick's unit-of-work entry: filled through the tick,
             // folded exactly once when the guard drops — including on
@@ -472,42 +456,13 @@ impl Scenario for ContinuousLoad<'_> {
                 }
             }
 
-            // Fill to the admissible limit.
-            match ctl.admissible_count(cfg.capacity, table.len()) {
-                Some(m) => {
-                    let limit = m.floor().max(0.0) as usize;
-                    // Ramp cap: at most max(1, 10% of current occupancy)
-                    // admissions per tick. Signaling is never infinitely
-                    // fast in practice, and the cap prevents a cold-start
-                    // estimate built from a handful of flows (σ̂ ≈ 0,
-                    // noisy μ̂) from instantly over-filling the link by a
-                    // factor of several — an artifact that would otherwise
-                    // take ~T_h to drain. The cap still reaches any target
-                    // occupancy exponentially within ~60 ticks, far inside
-                    // the warm-up, and steady-state M fluctuations are
-                    // O(√n), far below 10% of N.
-                    let cap = (table.len() / 10).max(1);
-                    let mut admitted_now = 0usize;
-                    while table.len() < limit && admitted_now < cap {
-                        let departs = t + exponential(&mut rng, cfg.mean_holding);
-                        table.admit(self.model, departs, &mut rng);
-                        admitted_now += 1;
-                    }
-                    entry.admissible = m;
-                    entry.admitted = admitted_now as u64;
-                    entry.exp_draws = admitted_now as u64;
-                    entry.denied = limit.saturating_sub(table.len()) as u64;
-                }
-                None => {
-                    // Cold start: nothing measured yet — admit a seed flow.
-                    if table.is_empty() {
-                        let departs = t + exponential(&mut rng, cfg.mean_holding);
-                        table.admit(self.model, departs, &mut rng);
-                        entry.admitted = 1;
-                        entry.exp_draws = 1;
-                    }
-                }
+            let filled = fill(ctl, &mut table, self.model, cfg, t, &mut rng);
+            if let Some(m) = filled.admissible {
+                entry.admissible = m;
             }
+            entry.admitted = filled.admitted;
+            entry.exp_draws = filled.admitted;
+            entry.denied = filled.denied;
 
             if let Some(started) = tick_started {
                 entry.tick_ns = started.elapsed().as_nanos() as f64;
@@ -538,6 +493,58 @@ impl Scenario for ContinuousLoad<'_> {
 
     fn fold(&self, mut reps: Vec<ContinuousReport>) -> ContinuousReport {
         reps.pop().expect("exactly one continuous replication")
+    }
+}
+
+/// What one [`fill`] step did, for the tick's telemetry entry.
+struct Filled {
+    /// The controller's admissible count (`None` on a cold start).
+    admissible: Option<f64>,
+    /// Flows admitted.
+    admitted: u64,
+    /// Flows the admissible count allowed that the ramp cap held back.
+    denied: u64,
+}
+
+/// The continuous-load fill step: tops `table` up toward the
+/// controller's admissible count with flows of `model`, each drawing an
+/// exponential holding time and then its initial state from `rng`.
+///
+/// Ramp cap: at most max(1, 10% of current occupancy) admissions per
+/// tick. Signaling is never infinitely fast in practice, and the cap
+/// prevents a cold-start estimate built from a handful of flows (σ̂ ≈ 0,
+/// noisy μ̂) from instantly over-filling the link by a factor of several
+/// — an artifact that would otherwise take ~T_h to drain. The cap still
+/// reaches any target occupancy exponentially within ~60 ticks, far
+/// inside the warm-up, and steady-state M fluctuations are O(√n), far
+/// below 10% of N.
+///
+/// Cold start: with nothing measured yet, an empty table gets one seed
+/// flow.
+fn fill(
+    ctl: &dyn AdmissionEngine,
+    table: &mut FlowTable,
+    model: &dyn SourceModel,
+    cfg: &ContinuousConfig,
+    t: f64,
+    rng: &mut StdRng,
+) -> Filled {
+    let admissible = ctl.admissible_count(cfg.capacity, table.len());
+    let (limit, cap) = match admissible {
+        Some(m) => (m.floor().max(0.0) as usize, (table.len() / 10).max(1)),
+        // The seed flow: one, into an empty table.
+        None => (1, 1),
+    };
+    let mut admitted = 0;
+    while table.len() < limit && admitted < cap {
+        let departs = t + exponential(rng, cfg.mean_holding);
+        table.admit(model, departs, rng);
+        admitted += 1;
+    }
+    Filled {
+        admissible,
+        admitted: admitted as u64,
+        denied: admissible.map_or(0, |_| limit.saturating_sub(table.len()) as u64),
     }
 }
 
@@ -635,12 +642,8 @@ impl Scenario for PhasedLoad<'_> {
             .iter()
             .map(|_| OverflowMeter::new(cfg.capacity, cfg.target).with_min_samples(u64::MAX))
             .collect();
-        let mut snapshot = ctx.scratch_rates();
         let active_phase =
             |t: f64| -> usize { phases.iter().rposition(|&(from, _)| t >= from).unwrap_or(0) };
-
-        // Moments tick path, chosen once — see `ContinuousLoad::run_rep`.
-        let fused = ctl.supports_moments();
 
         let mut t = 0.0f64;
         let mut next_sample = cfg.warmup.max(cfg.tick);
@@ -650,43 +653,14 @@ impl Scenario for PhasedLoad<'_> {
             // One measurement per tick, shared by controller and meter
             // (the sampling runs before admissions, as in
             // `ContinuousLoad`).
-            let load = if fused {
-                let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
-                ctl.observe_moments(t, &mom);
-                mom.sum()
-            } else {
-                table.advance_to(t, &mut rng);
-                table.depart_until(t);
-                table.snapshot_into(&mut snapshot);
-                ctl.observe(t, &snapshot);
-                RateMoments::of(0.0, &snapshot).sum()
-            };
+            let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
+            ctl.observe_moments(t, &mom);
             if t >= next_sample {
                 next_sample += cfg.sample_spacing;
-                meters[active_phase(t)].record(load);
+                meters[active_phase(t)].record(mom.sum());
                 total_samples += 1;
             }
-            let model = phases[active_phase(t)].1;
-            match ctl.admissible_count(cfg.capacity, table.len()) {
-                Some(m) => {
-                    let limit = m.floor().max(0.0) as usize;
-                    // Ramp cap, as in `ContinuousLoad`: at most
-                    // max(1, 10% of occupancy) admissions per tick.
-                    let cap = (table.len() / 10).max(1);
-                    let mut admitted_now = 0;
-                    while table.len() < limit && admitted_now < cap {
-                        let departs = t + exponential(&mut rng, cfg.mean_holding);
-                        table.admit(model, departs, &mut rng);
-                        admitted_now += 1;
-                    }
-                }
-                None => {
-                    if table.is_empty() {
-                        let departs = t + exponential(&mut rng, cfg.mean_holding);
-                        table.admit(model, departs, &mut rng);
-                    }
-                }
-            }
+            fill(ctl, &mut table, phases[active_phase(t)].1, cfg, t, &mut rng);
         }
 
         phases

@@ -44,16 +44,8 @@ fn run_ticks(ticks: usize, capacity: f64) -> Vec<(u64, u64)> {
     let mut out = Vec::with_capacity(ticks);
     for step in 1..=ticks {
         let t = step as f64 * 0.1;
-        if ctl.supports_moments() {
-            let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
-            ctl.observe_moments(t, &mom);
-        } else {
-            let mut snap = Vec::new();
-            table.advance_to(t, &mut rng);
-            table.depart_until(t);
-            table.snapshot_into(&mut snap);
-            MbacController::observe(&mut ctl, t, &snap);
-        }
+        let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
+        ctl.observe_moments(t, &mom);
         let cold = MbacController::admissible_count(&ctl, capacity).unwrap();
         let hot = MbacController::admissible_count(&ctl, capacity).unwrap();
         out.push((cold.to_bits(), hot.to_bits()));
@@ -87,7 +79,7 @@ fn memo_eviction_and_recompute_are_bit_stable() {
         let t = step as f64 * 0.1;
         table.advance_to(t, &mut rng);
         table.snapshot_into(&mut snap);
-        MbacController::observe(&mut ctl, t, &snap);
+        AdmissionEngine::observe(&mut ctl, t, &snap);
         let first = MbacController::admissible_count(&ctl, 50.0).unwrap();
         // Evict the (μ̂, σ̂², 50) entry with a different capacity...
         let other = MbacController::admissible_count(&ctl, 60.0).unwrap();

@@ -10,7 +10,7 @@
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
 use mbac_core::topology::{LinkId, PathAdmission, RouteId, Topology};
-use mbac_sim::{FlowTable, MbacController};
+use mbac_sim::{AdmissionEngine, FlowTable, MbacController};
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,7 +66,7 @@ fn observed_controllers(
             let t = step as f64 * 0.1;
             table.advance_to(t, &mut rng);
             table.snapshot_into(&mut snap);
-            MbacController::observe(&mut ctl, t, &snap);
+            AdmissionEngine::observe(&mut ctl, t, &snap);
         }
         occupancies.push(table.len() as u32);
         ctls.push(ctl);
