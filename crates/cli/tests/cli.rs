@@ -460,6 +460,85 @@ fn simulate_poisson_rejects_unbounded_arrival_rates_without_panicking_or_hanging
     }
 }
 
+/// A scratch trace file holding `text`, unique to this test process.
+fn trace_file(name: &str, text: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("mbacctl_test_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join(name);
+    std::fs::write(&file, text).unwrap();
+    file
+}
+
+#[test]
+fn malformed_trace_files_are_rejected_without_panicking() {
+    // Each used to reach `Trace::new`'s asserts (exit 101) on every
+    // command that reads a trace.
+    let cases = [
+        ("nan.txt", "1\nnan\n", "bad rate on line 2"),
+        ("neg.txt", "-3\n", "bad rate on line 1"),
+        ("inf.txt", "inf\n", "bad rate on line 1"),
+        ("slot.txt", "# slot 0\n1\n", "bad slot on line 1"),
+    ];
+    for (name, text, want) in cases {
+        let file = trace_file(name, text);
+        let path = file.to_str().unwrap();
+        for command in [
+            &[
+                "simulate",
+                "--capacity",
+                "30",
+                "--holding",
+                "20",
+                "--trace",
+                path,
+            ][..],
+            &["serve-bench", "--trace", path],
+            &["trace", "info", path],
+        ] {
+            let out = mbacctl(command);
+            assert_eq!(out.status.code(), Some(1), "{command:?}: clean exit");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.starts_with("error: ") && err.contains(want),
+                "{command:?}: {err}"
+            );
+            assert_eq!(err.lines().count(), 1, "{command:?}: {err}");
+        }
+        std::fs::remove_file(file).unwrap();
+    }
+}
+
+#[test]
+fn continuous_loads_reject_unbounded_tick_horizons_without_hanging() {
+    // Each derives a warm-up near 10^301 ticks and used to run past any
+    // timeout.
+    let slot = trace_file("slot1e300.txt", "# slot 1e300\n1\n2\n");
+    let slot = slot.to_str().unwrap();
+    let cases = [
+        &["--holding", "20", "--t-m", "1e300"][..],
+        &["--holding", "1e300"],
+        &["--holding", "20", "--t-c", "1e300"],
+        &["--holding", "20", "--trace", slot],
+    ];
+    for flags in cases {
+        let args: Vec<&str> = ["simulate", "--capacity", "30"]
+            .into_iter()
+            .chain(flags.iter().copied())
+            .collect();
+        let start = std::time::Instant::now();
+        let out = mbacctl(&args);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err,
+            "error: invalid configuration: the workload would hold more than 268435456 ticks\n",
+            "{flags:?}"
+        );
+        assert!(start.elapsed().as_secs() < 5, "{flags:?} took too long");
+    }
+    std::fs::remove_file(slot).unwrap();
+}
+
 #[test]
 fn simulate_poisson_small_run_reports_result() {
     let out = mbacctl(&[

@@ -23,7 +23,7 @@ use mbac_sim::{ImpulsiveConfig, ImpulsiveLoad, SessionBuilder};
 use mbac_traffic::marginal::Marginal;
 use mbac_traffic::markov::{MarkovFluidFactory, MarkovFluidModel};
 use mbac_traffic::process::SourceModel;
-use mbac_traffic::rcbr::{GeneralRcbrModel, RcbrConfig, RcbrModel};
+use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
 struct Case {
     label: &'static str,
@@ -55,7 +55,7 @@ fn with_marginal(
         label,
         n,
         p_q,
-        model: Box::new(GeneralRcbrModel::new(marginal, 1.0)),
+        model: Box::new(RcbrModel::with_marginal(marginal, 1.0)),
         adjusted,
     }
 }

@@ -316,14 +316,24 @@ impl ContinuousConfig {
     }
 
     /// Checks the timing/capacity fields shared by the continuous-load
-    /// scenarios.
+    /// scenarios, and bounds the ticks the sample budget's horizon
+    /// holds: every tick advances the whole table, as every arrival of a
+    /// Poisson load does.
     fn validate(&self) -> Result<(), ConfigError> {
         require_positive("capacity", self.capacity)?;
         require_positive("mean holding time", self.mean_holding)?;
         require_step("tick", self.tick)?;
         require_step("sample spacing", self.sample_spacing)?;
         require_non_negative("warmup", self.warmup)?;
-        require_finite("warmup", self.warmup)
+        require_finite("warmup", self.warmup)?;
+        let horizon = self.warmup + self.max_samples as f64 * self.sample_spacing;
+        if horizon / self.tick > MAX_WORKLOAD_ITEMS as f64 {
+            return Err(ConfigError::WorkloadTooLarge {
+                what: "ticks",
+                max: MAX_WORKLOAD_ITEMS,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -1201,6 +1211,67 @@ mod tests {
                 bad.validate(),
                 Err(ConfigError::NotFinite { field, value: inf })
             );
+        }
+    }
+
+    /// The sample budget's horizon bounds the ticks, for both loads
+    /// built on a `ContinuousConfig`: a derived warm-up, spacing or
+    /// budget far past it is rejected before a tick runs.
+    #[test]
+    fn validation_bounds_the_tick_horizon() {
+        let m = model();
+        let good = ContinuousConfig {
+            capacity: 50.0,
+            mean_holding: 20.0,
+            tick: 0.5,
+            warmup: 10.0,
+            sample_spacing: 10.0,
+            target: 1e-2,
+            max_samples: 10,
+            seed: 0,
+        };
+        let too_many = Err(ConfigError::WorkloadTooLarge {
+            what: "ticks",
+            max: MAX_WORKLOAD_ITEMS,
+        });
+        // (10 + 10 · 10) / 0.5 = 220 ticks at the good config; the bound
+        // sits between these warm-ups.
+        let max = MAX_WORKLOAD_ITEMS as f64;
+        let warmup = |w: f64| ContinuousConfig {
+            warmup: w,
+            ..good.clone()
+        };
+        assert_eq!(warmup(1.01 * 0.5 * max).validate(), too_many);
+        assert_eq!(warmup(0.99 * 0.5 * max - 100.0).validate(), Ok(()));
+        for bad in [
+            warmup(1e300),
+            ContinuousConfig {
+                sample_spacing: 1e300,
+                ..good.clone()
+            },
+            ContinuousConfig {
+                max_samples: u64::MAX,
+                ..good.clone()
+            },
+            ContinuousConfig {
+                tick: 1e-300,
+                ..good.clone()
+            },
+        ] {
+            assert_eq!(bad.validate(), too_many, "{bad:?}");
+            let mut ctl = MbacController::new(
+                Box::new(MemorylessEstimator::new()),
+                Box::new(CertaintyEquivalent::from_probability(1e-2)),
+            );
+            let phases: [(f64, &dyn SourceModel); 1] = [(0.0, &m)];
+            let phased = SessionBuilder::new()
+                .run_local(&PhasedLoad::new(&bad, &phases, &mut ctl))
+                .map(|_| ());
+            assert_eq!(phased, too_many);
+            let continuous = SessionBuilder::new()
+                .run_local(&ContinuousLoad::new(&bad, &m, &mut ctl))
+                .map(|_| ());
+            assert_eq!(continuous, too_many);
         }
     }
 

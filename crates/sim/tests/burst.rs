@@ -20,7 +20,7 @@ use mbac_sim::{Engine, FlowTable, ImpulsiveConfig, ImpulsiveLoad, RepContext, Se
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
 use mbac_traffic::marginal::Marginal;
 use mbac_traffic::process::{RateProcess, SourceModel};
-use mbac_traffic::rcbr::{GeneralRcbrModel, RcbrConfig, RcbrModel};
+use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -52,7 +52,7 @@ fn model(which: u8) -> Box<dyn SourceModel> {
             tick: 0.05,
             clamp_at_zero: true,
         })),
-        2 => Box::new(GeneralRcbrModel::new(
+        2 => Box::new(RcbrModel::with_marginal(
             Marginal::two_point_with_moments(1.0, 0.3),
             1.0,
         )),

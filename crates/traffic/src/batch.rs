@@ -180,19 +180,8 @@ pub enum BatchKey {
         /// Whether rates are clamped at zero.
         clamp_at_zero: bool,
     },
-    /// RCBR sources with a Gaussian marginal (see [`crate::rcbr`]).
+    /// RCBR sources (see [`crate::rcbr`]).
     Rcbr {
-        /// Marginal mean `μ`.
-        mean: f64,
-        /// Marginal standard deviation `σ`.
-        std_dev: f64,
-        /// Mean renegotiation interval `T_c`.
-        t_c: f64,
-        /// Whether negotiated rates are truncated at zero.
-        truncate_at_zero: bool,
-    },
-    /// Generalized RCBR sources with an arbitrary marginal.
-    GeneralRcbr {
         /// The marginal rate distribution.
         marginal: crate::marginal::Marginal,
         /// Mean renegotiation interval `T_c`.
@@ -359,7 +348,7 @@ mod tests {
     use crate::markov::{MarkovFluidFactory, MarkovFluidModel};
     use crate::process::test_util::{check_acf_fn, check_moments_fn};
     use crate::process::SourceModel;
-    use crate::rcbr::{GeneralRcbrModel, RcbrConfig, RcbrModel};
+    use crate::rcbr::{RcbrConfig, RcbrModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -487,7 +476,7 @@ mod tests {
 
     #[test]
     fn general_rcbr_batch_is_bit_exact() {
-        let model = GeneralRcbrModel::new(Marginal::two_point_with_moments(1.0, 0.3), 1.0);
+        let model = RcbrModel::with_marginal(Marginal::two_point_with_moments(1.0, 0.3), 1.0);
         assert_bit_exact(&model, 43);
     }
 
@@ -498,15 +487,15 @@ mod tests {
     }
 
     /// The run-splitting rule: a `DynBatch` holding an RCBR run
-    /// (`T_c = 1`), an AR(1) flow, a generalized-RCBR run with `T_c = 2`
-    /// and, straight after it, a second `T_c = 1` run consumes the RNG
-    /// exactly as one kernel per run advanced in that order — a run ends
-    /// wherever the thinning scale changes, not only at a flow without
-    /// one.
+    /// (`T_c = 1`), an AR(1) flow, a uniform-marginal RCBR run with
+    /// `T_c = 2` and, straight after it, a second `T_c = 1` run consumes
+    /// the RNG exactly as one kernel per run advanced in that order — a
+    /// run ends wherever the thinning scale changes, not only at a flow
+    /// without one.
     #[test]
     fn mixed_dyn_batch_thins_each_run_like_its_kernel() {
         let fast = RcbrModel::new(RcbrConfig::paper_default(1.0));
-        let slow = GeneralRcbrModel::new(Marginal::uniform_with_moments(1.0, 0.3), 2.0);
+        let slow = RcbrModel::with_marginal(Marginal::uniform_with_moments(1.0, 0.3), 2.0);
         let ar1 = Ar1Model::new(Ar1Config {
             mean: 1.0,
             std_dev: 0.3,
@@ -552,7 +541,7 @@ mod tests {
     #[test]
     fn bulk_spawn_is_repeated_single_spawns() {
         let rcbr = RcbrModel::new(RcbrConfig::paper_default(1.0));
-        let general = GeneralRcbrModel::new(Marginal::uniform_with_moments(1.0, 0.3), 2.0);
+        let general = RcbrModel::with_marginal(Marginal::uniform_with_moments(1.0, 0.3), 2.0);
         let ar1 = Ar1Model::new(Ar1Config {
             mean: 1.0,
             std_dev: 0.3,
@@ -709,25 +698,12 @@ mod tests {
 
     #[test]
     fn batch_keys_compare_by_configuration() {
-        let a = BatchKey::Rcbr {
-            mean: 1.0,
-            std_dev: 0.3,
-            t_c: 1.0,
-            truncate_at_zero: true,
-        };
-        let b = BatchKey::Rcbr {
-            mean: 1.0,
-            std_dev: 0.3,
-            t_c: 1.0,
-            truncate_at_zero: true,
-        };
-        let c = BatchKey::Rcbr {
-            mean: 1.0,
-            std_dev: 0.3,
-            t_c: 2.0,
-            truncate_at_zero: true,
-        };
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        let key = |t_c| RcbrModel::new(RcbrConfig::paper_default(t_c)).batch_key();
+        let gaussian = Marginal::Gaussian { mean: 1.0, sd: 0.3 };
+        let general = RcbrModel::with_marginal(gaussian, 1.0).batch_key();
+        assert_eq!(key(1.0), general);
+        assert_ne!(key(1.0), key(2.0));
+        let uniform = RcbrModel::with_marginal(Marginal::uniform_with_moments(1.0, 0.3), 1.0);
+        assert_ne!(key(1.0), uniform.batch_key());
     }
 }

@@ -4,14 +4,15 @@
 //! and the paper's experiments:
 //!
 //! * [`rcbr`] — the paper's §5.2 simulation source: piecewise-constant
-//!   rates with Gaussian marginal and exponential renegotiation
-//!   intervals, giving exactly the OU autocorrelation of eqn (31);
+//!   rates with a Gaussian (or any [`marginal`]) marginal and exponential
+//!   renegotiation intervals, giving exactly the OU autocorrelation of
+//!   eqn (31);
 //! * [`markov`] — K-state Markov-modulated fluids (incl. the classical
 //!   on–off voice source), the model class named in Assumption B.6;
 //! * [`ar1`] — a sampled Ornstein–Uhlenbeck source (same second-order
 //!   statistics as RCBR, continuous path structure);
-//! * [`multiscale`] — superpositions of RCBR components across decades
-//!   of time-scales (discrete LRD approximation, §5.3);
+//! * [`multiscale`] — sums of RCBR deviations across decades of
+//!   time-scales (discrete LRD approximation, §5.3);
 //! * [`fgn`] — exact fractional Gaussian noise (Hosking and
 //!   Davies–Harte), the substrate for genuine long-range dependence;
 //! * [`trace`] / [`starwars`] — trace-driven playback and the synthetic
@@ -45,7 +46,7 @@ pub use marginal::Marginal;
 pub use markov::{MarkovFluidFactory, MarkovFluidModel, MarkovFluidSource};
 pub use multiscale::{MultiScaleConfig, MultiScaleModel, MultiScaleSource, ScaleComponent};
 pub use process::{RateProcess, SourceModel};
-pub use rcbr::{GeneralRcbrModel, GeneralRcbrSource, RcbrConfig, RcbrModel, RcbrSource};
+pub use rcbr::{RcbrConfig, RcbrModel, RcbrSource};
 pub use starwars::{generate_starwars_like, StarwarsConfig};
 pub use trace::{Trace, TraceModel, TraceSource};
 pub use validate::{fit_correlation_timescale, hurst_rs, hurst_variance_time};

@@ -1,13 +1,14 @@
-//! Marginal rate distributions for generalized RCBR sources.
+//! Marginal rate distributions for RCBR sources.
 //!
 //! Prop. 3.3 is *universal*: the certainty-equivalence penalty does not
 //! depend on the stationary distribution of the flows, only on its
-//! first two moments. To exercise that claim the generalized RCBR
-//! source can negotiate rates from any of these marginals, each
-//! parameterized directly by the target mean and standard deviation so
-//! experiments can hold `(μ, σ)` fixed while swapping shapes.
+//! first two moments. To exercise that claim an RCBR source
+//! ([`crate::rcbr::RcbrModel::with_marginal`]) can negotiate rates from
+//! any of these marginals, each parameterized directly by the target
+//! mean and standard deviation so experiments can hold `(μ, σ)` fixed
+//! while swapping shapes.
 
-use mbac_num::rng::{bernoulli, normal_truncated_below, standard_normal, uniform};
+use mbac_num::rng::{bernoulli, normal, normal_truncated_below, standard_normal, uniform};
 use rand::RngCore;
 
 /// A marginal rate distribution with known mean and variance.
@@ -19,6 +20,14 @@ pub enum Marginal {
         /// Mean of the untruncated Gaussian.
         mean: f64,
         /// Standard deviation of the untruncated Gaussian.
+        sd: f64,
+    },
+    /// Gaussian, untruncated: rates may go negative (the zero-mean
+    /// deviations of a multi-scale source, or the theory's exact law).
+    Normal {
+        /// Mean `μ`.
+        mean: f64,
+        /// Standard deviation `σ`.
         sd: f64,
     },
     /// Uniform on `[lo, hi]`.
@@ -91,13 +100,12 @@ impl Marginal {
     /// Samples one rate.
     pub fn sample(&self, rng: &mut dyn RngCore) -> f64 {
         match *self {
+            // A zero σ is floored, not special-cased: it draws as any
+            // other σ does, and the draw rounds to the mean.
             Marginal::Gaussian { mean, sd } => {
-                if sd == 0.0 {
-                    mean
-                } else {
-                    normal_truncated_below(rng, mean, sd, 0.0)
-                }
+                normal_truncated_below(rng, mean, sd.max(1e-300), 0.0)
             }
+            Marginal::Normal { mean, sd } => normal(rng, mean, sd),
             Marginal::Uniform { lo, hi } => uniform(rng, lo, hi),
             Marginal::TwoPoint { low, high, p_high } => {
                 if bernoulli(rng, p_high) {
@@ -116,7 +124,7 @@ impl Marginal {
     /// the theory's convention).
     pub fn mean(&self) -> f64 {
         match *self {
-            Marginal::Gaussian { mean, .. } => mean,
+            Marginal::Gaussian { mean, .. } | Marginal::Normal { mean, .. } => mean,
             Marginal::Uniform { lo, hi } => 0.5 * (lo + hi),
             Marginal::TwoPoint { low, high, p_high } => low + p_high * (high - low),
             Marginal::LogNormal { log_mean, log_sd } => (log_mean + 0.5 * log_sd * log_sd).exp(),
@@ -126,7 +134,7 @@ impl Marginal {
     /// The distribution variance.
     pub fn variance(&self) -> f64 {
         match *self {
-            Marginal::Gaussian { sd, .. } => sd * sd,
+            Marginal::Gaussian { sd, .. } | Marginal::Normal { sd, .. } => sd * sd,
             Marginal::Uniform { lo, hi } => (hi - lo) * (hi - lo) / 12.0,
             Marginal::TwoPoint { low, high, p_high } => {
                 let d = high - low;
@@ -170,6 +178,7 @@ mod tests {
     #[test]
     fn gaussian_moments() {
         check_moments(Marginal::Gaussian { mean: 1.0, sd: 0.3 }, 0.01, 1);
+        check_moments(Marginal::Normal { mean: 0.0, sd: 0.3 }, 0.01, 7);
     }
 
     #[test]

@@ -19,8 +19,6 @@ use std::sync::Arc;
 /// spawned from it.
 #[derive(Debug)]
 pub struct MarkovFluidModel {
-    /// Generator matrix `Q` (row-major, rows sum to 0).
-    generator: Matrix,
     /// Emission rate per state.
     rates: Vec<f64>,
     /// Stationary distribution `π`.
@@ -31,6 +29,8 @@ pub struct MarkovFluidModel {
     variance: f64,
     /// Total exit rate per state (−Q_kk).
     exit_rates: Vec<f64>,
+    /// Jump weights per origin state: its row of `Q`, diagonal zeroed.
+    jump_weights: Vec<Vec<f64>>,
 }
 
 impl MarkovFluidModel {
@@ -67,13 +67,20 @@ impl MarkovFluidModel {
             .map(|(&p, &r)| p * (r - mean) * (r - mean))
             .sum();
         let exit_rates = (0..k).map(|i| -generator.get(i, i)).collect();
+        let jump_weights = (0..k)
+            .map(|s| {
+                (0..k)
+                    .map(|c| if c == s { 0.0 } else { generator.get(s, c) })
+                    .collect()
+            })
+            .collect();
         Arc::new(MarkovFluidModel {
-            generator,
             rates,
             stationary,
             mean,
             variance,
             exit_rates,
+            jump_weights,
         })
     }
 
@@ -108,25 +115,52 @@ impl MarkovFluidModel {
     /// exists via the spectral decomposition of Q but is not needed).
     pub fn autocorrelation(&self, tau: f64) -> Option<f64> {
         if self.num_states() == 2 {
-            let total = self.generator.get(0, 1) + self.generator.get(1, 0);
+            let total = self.jump_weights[0][1] + self.jump_weights[1][0];
             Some((-total * tau.abs()).exp())
         } else {
             None
         }
     }
 
-    fn jump_from(&self, state: usize, rng: &mut dyn RngCore) -> usize {
-        let k = self.num_states();
-        let weights: Vec<f64> = (0..k)
-            .map(|c| {
-                if c == state {
-                    0.0
-                } else {
-                    self.generator.get(state, c)
-                }
-            })
-            .collect();
-        discrete(rng, &weights)
+    /// A flow in the stationary law: its state and the residual
+    /// sojourn there (memoryless, so again a full sojourn).
+    fn start<R: Rng + ?Sized>(&self, rng: &mut R) -> (usize, f64) {
+        let state = discrete(rng, &self.stationary);
+        (state, self.sojourn(state, rng))
+    }
+
+    /// Advances one flow in `state` with `remaining` sojourn left by
+    /// `dt`, jump by jump. The one statement of the law: the batch kernel
+    /// and the boxed source both run it.
+    #[inline]
+    fn advance<R: Rng + ?Sized>(
+        &self,
+        state: &mut usize,
+        remaining: &mut f64,
+        dt: f64,
+        rng: &mut R,
+    ) {
+        let mut left = dt;
+        while left >= *remaining {
+            left -= *remaining;
+            *state = self.jump_from(*state, rng);
+            *remaining = self.sojourn(*state, rng);
+        }
+        *remaining -= left;
+    }
+
+    fn jump_from<R: Rng + ?Sized>(&self, state: usize, rng: &mut R) -> usize {
+        discrete(rng, &self.jump_weights[state])
+    }
+
+    /// A sojourn in `state`: `Exp(−Q_kk)`, infinite in an absorbing state.
+    fn sojourn<R: Rng + ?Sized>(&self, state: usize, rng: &mut R) -> f64 {
+        let rate = self.exit_rates[state];
+        if rate <= 0.0 {
+            f64::INFINITY
+        } else {
+            exponential(rng, 1.0 / rate)
+        }
     }
 }
 
@@ -169,14 +203,10 @@ impl SourceModel for MarkovFluidFactory {
     }
 }
 
-/// Struct-of-arrays batch of Markov fluid flows sharing one generator.
-/// The per-state jump weights are precomputed once (the boxed source
-/// rebuilds the weight vector on every jump), and per-flow state lives
-/// in contiguous arrays.
+/// Struct-of-arrays batch of Markov fluid flows sharing one generator:
+/// per-flow state in contiguous arrays, advanced by the model's law.
 pub struct MarkovFluidBatch {
     model: Arc<MarkovFluidModel>,
-    /// Jump weights per origin state (diagonal zeroed), precomputed.
-    jump_weights: Vec<Vec<f64>>,
     /// Modulation state per flow.
     states: Vec<usize>,
     /// Residual sojourn time per flow.
@@ -190,37 +220,12 @@ pub struct MarkovFluidBatch {
 impl MarkovFluidBatch {
     /// Creates an empty batch over a shared model.
     pub fn new(model: Arc<MarkovFluidModel>) -> Self {
-        let k = model.num_states();
-        let jump_weights = (0..k)
-            .map(|s| {
-                (0..k)
-                    .map(|c| {
-                        if c == s {
-                            0.0
-                        } else {
-                            model.generator.get(s, c)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
         MarkovFluidBatch {
             model,
-            jump_weights,
             states: Vec::new(),
             remaining: Vec::new(),
             rates: Vec::new(),
             lanes: LaneStreams::default(),
-        }
-    }
-
-    fn draw_sojourn<R: Rng + ?Sized>(&self, state: usize, rng: &mut R) -> f64 {
-        // Same draw as `MarkovFluidSource::draw_sojourn`.
-        let rate = self.model.exit_rates[state];
-        if rate <= 0.0 {
-            f64::INFINITY
-        } else {
-            exponential(rng, 1.0 / rate)
         }
     }
 }
@@ -232,7 +237,7 @@ impl FlowBatch for MarkovFluidBatch {
 
     fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
         assert!(dt >= 0.0);
-        let (model, jump_weights) = (&self.model, &self.jump_weights);
+        let model = &self.model;
         // A jump and a sojourn per transition, at the stationary rate.
         let n = self.states.len() as f64;
         let draws = || {
@@ -253,22 +258,8 @@ impl FlowBatch for MarkovFluidBatch {
                     .zip(remaining.iter_mut())
                     .zip(rates.iter_mut())
                 {
-                    let mut left = dt;
-                    let mut s = *state;
-                    while left >= *rem {
-                        left -= *rem;
-                        s = discrete(rng, &jump_weights[s]);
-                        // Same draws as `MarkovFluidSource::draw_sojourn`.
-                        let exit = model.exit_rates[s];
-                        *rem = if exit <= 0.0 {
-                            f64::INFINITY
-                        } else {
-                            exponential(rng, 1.0 / exit)
-                        };
-                    }
-                    *rem -= left;
-                    *state = s;
-                    *rate = model.rates[s];
+                    model.advance(state, rem, dt, rng);
+                    *rate = model.rates[*state];
                 }
             };
         self.lanes.advance(rng, lanes, draws, advance);
@@ -286,8 +277,7 @@ impl FlowBatch for MarkovFluidBatch {
         self.remaining.reserve(n);
         self.rates.reserve(n);
         for _ in 0..n {
-            let state = discrete(&mut local, &self.model.stationary);
-            let remaining = self.draw_sojourn(state, &mut local);
+            let (state, remaining) = self.model.start(&mut local);
             self.states.push(state);
             self.remaining.push(remaining);
             self.rates.push(self.model.rates[state]);
@@ -327,15 +317,6 @@ impl MarkovFluidSource {
     pub fn state(&self) -> usize {
         self.state
     }
-
-    fn draw_sojourn(&self, rng: &mut dyn RngCore) -> f64 {
-        let rate = self.model.exit_rates[self.state];
-        if rate <= 0.0 {
-            f64::INFINITY // absorbing state
-        } else {
-            exponential(rng, 1.0 / rate)
-        }
-    }
 }
 
 impl RateProcess for MarkovFluidSource {
@@ -345,20 +326,12 @@ impl RateProcess for MarkovFluidSource {
 
     fn advance(&mut self, dt: f64, rng: &mut dyn RngCore) {
         assert!(dt >= 0.0);
-        let mut left = dt;
-        while left >= self.remaining {
-            left -= self.remaining;
-            self.state = self.model.jump_from(self.state, rng);
-            self.remaining = self.draw_sojourn(rng);
-        }
-        self.remaining -= left;
+        self.model
+            .advance(&mut self.state, &mut self.remaining, dt, rng);
     }
 
     fn reset(&mut self, rng: &mut dyn RngCore) {
-        self.state = discrete(rng, &self.model.stationary);
-        // Exponential sojourns are memoryless: residual time is again
-        // exponential with the full state mean.
-        self.remaining = self.draw_sojourn(rng);
+        (self.state, self.remaining) = self.model.start(rng);
     }
 
     fn mean(&self) -> f64 {

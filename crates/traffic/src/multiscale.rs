@@ -1,17 +1,20 @@
-//! Multi-time-scale traffic: a superposition of independent RCBR
-//! components with different correlation time-scales.
+//! Multi-time-scale traffic: a sum of independent RCBR deviations with
+//! different correlation time-scales.
 //!
 //! §5.3 of the paper argues the `T_m = T̃_h` window rule extends beyond
 //! single-time-scale traffic, because fluctuations faster than `T̃_h`
 //! get smoothed and slower ones get tracked. This source provides the
 //! multi-scale test traffic: `X(t) = μ + Σ_i D_i(t)` where each
-//! `D_i` is an independent zero-mean RCBR deviation with its own `T_c,i`
-//! and variance share, giving the mixture autocorrelation
-//! `ρ(τ) = Σ_i w_i e^{−|τ|/T_c,i}` (a discrete approximation of
-//! long-range dependence when the `T_c,i` span decades).
+//! `D_i` is an independent zero-mean RCBR deviation — an [`RcbrSource`]
+//! over [`Marginal::Normal`] — with its own `T_c,i` and variance share,
+//! giving the mixture autocorrelation `ρ(τ) = Σ_i w_i e^{−|τ|/T_c,i}` (a
+//! discrete approximation of long-range dependence when the `T_c,i` span
+//! decades). Each deviation advances by RCBR thinning on its own scale
+//! ([`crate::rcbr`], "The advance rule").
 
+use crate::marginal::Marginal;
 use crate::process::{RateProcess, SourceModel};
-use mbac_num::rng::{exponential, normal};
+use crate::rcbr::{RcbrModel, RcbrSource};
 use rand::RngCore;
 
 /// One correlation component of the mixture.
@@ -21,6 +24,14 @@ pub struct ScaleComponent {
     pub t_c: f64,
     /// Variance contributed by this component.
     pub variance: f64,
+}
+
+impl ScaleComponent {
+    /// This component's zero-mean RCBR deviation.
+    fn deviation(&self) -> RcbrModel {
+        let sd = self.variance.sqrt();
+        RcbrModel::with_marginal(Marginal::Normal { mean: 0.0, sd }, self.t_c)
+    }
 }
 
 /// Configuration of a multi-scale source.
@@ -90,12 +101,7 @@ impl MultiScaleModel {
 
 impl SourceModel for MultiScaleModel {
     fn spawn(&self, rng: &mut dyn RngCore) -> Box<dyn RateProcess> {
-        let mut s = MultiScaleSource {
-            cfg: self.cfg.clone(),
-            states: vec![ComponentState::default(); self.cfg.components.len()],
-        };
-        s.reset(rng);
-        Box::new(s)
+        Box::new(MultiScaleSource::new(self.cfg.clone(), rng))
     }
 
     fn mean(&self) -> f64 {
@@ -107,36 +113,29 @@ impl SourceModel for MultiScaleModel {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct ComponentState {
-    deviation: f64,
-    remaining: f64,
-}
-
-/// One multi-scale flow: a bank of independent piecewise-constant
-/// zero-mean deviations.
+/// One multi-scale flow: the mean plus one zero-mean RCBR deviation per
+/// component.
 #[derive(Debug, Clone)]
 pub struct MultiScaleSource {
     cfg: MultiScaleConfig,
-    states: Vec<ComponentState>,
+    deviations: Vec<RcbrSource>,
 }
 
 impl MultiScaleSource {
     /// Creates a flow in its stationary distribution.
     pub fn new(cfg: MultiScaleConfig, rng: &mut dyn RngCore) -> Self {
-        let n = cfg.components.len();
-        let mut s = MultiScaleSource {
-            cfg,
-            states: vec![ComponentState::default(); n],
-        };
-        s.reset(rng);
-        s
+        let deviations = cfg
+            .components
+            .iter()
+            .map(|c| RcbrSource::new(c.deviation(), rng))
+            .collect();
+        MultiScaleSource { cfg, deviations }
     }
 }
 
 impl RateProcess for MultiScaleSource {
     fn rate(&self) -> f64 {
-        let dev: f64 = self.states.iter().map(|s| s.deviation).sum();
+        let dev: f64 = self.deviations.iter().map(|d| d.rate()).sum();
         let r = self.cfg.mean + dev;
         if self.cfg.clamp_at_zero {
             r.max(0.0)
@@ -146,23 +145,11 @@ impl RateProcess for MultiScaleSource {
     }
 
     fn advance(&mut self, dt: f64, rng: &mut dyn RngCore) {
-        assert!(dt >= 0.0);
-        for (comp, st) in self.cfg.components.iter().zip(&mut self.states) {
-            let mut left = dt;
-            while left >= st.remaining {
-                left -= st.remaining;
-                st.deviation = normal(rng, 0.0, comp.variance.sqrt());
-                st.remaining = exponential(rng, comp.t_c);
-            }
-            st.remaining -= left;
-        }
+        self.deviations.iter_mut().for_each(|d| d.advance(dt, rng));
     }
 
     fn reset(&mut self, rng: &mut dyn RngCore) {
-        for (comp, st) in self.cfg.components.iter().zip(&mut self.states) {
-            st.deviation = normal(rng, 0.0, comp.variance.sqrt());
-            st.remaining = exponential(rng, comp.t_c);
-        }
+        self.deviations.iter_mut().for_each(|d| d.reset(rng));
     }
 
     fn mean(&self) -> f64 {
@@ -233,6 +220,27 @@ mod tests {
         let want = ((-5.0f64).exp() + (-0.5f64).exp() + (-0.05f64).exp()) / 3.0;
         assert!((s.autocorrelation(1.0).unwrap() - want).abs() < 1e-12);
         check_acf(&mut s, 1.0, 400_000, &[1, 2], 0.03, 34);
+    }
+
+    /// A flow is its mean plus its components' RCBR deviations, spawned
+    /// and advanced in component order: the same draws, bit for bit,
+    /// as zero-mean `RcbrSource`s held side by side.
+    #[test]
+    fn a_flow_is_a_sum_of_rcbr_deviations() {
+        let (mut rng, mut replay) = (StdRng::seed_from_u64(37), StdRng::seed_from_u64(37));
+        let mut s = MultiScaleSource::new(cfg(), &mut rng);
+        let mut parts: Vec<RcbrSource> = cfg()
+            .components
+            .iter()
+            .map(|c| RcbrSource::new(c.deviation(), &mut replay))
+            .collect();
+        for dt in [0.01, 0.3, 1.0, 5.0, 50.0, 0.0, 0.2] {
+            s.advance(dt, &mut rng);
+            parts.iter_mut().for_each(|p| p.advance(dt, &mut replay));
+            let sum: f64 = parts.iter().map(|p| p.rate()).sum();
+            assert_eq!(s.rate(), 1.0 + sum, "dt = {dt}");
+        }
+        assert_eq!(rng, replay, "RNG end state");
     }
 
     #[test]

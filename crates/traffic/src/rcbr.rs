@@ -2,19 +2,20 @@
 //! Bit Rate) flow.
 //!
 //! The rate is piecewise constant; at the end of each interval the flow
-//! "renegotiates" to a fresh rate drawn from a Gaussian marginal with
-//! `σ/μ` given (the paper uses 0.3). Interval lengths are i.i.d.
+//! "renegotiates" to a fresh rate drawn from its [`Marginal`] — in the
+//! paper a Gaussian with `σ/μ` given (0.3), in Prop. 3.3's universality
+//! experiment any shape with the same two moments
+//! ([`RcbrModel::with_marginal`]). Interval lengths are i.i.d.
 //! exponential with mean `T_c`, which — by memorylessness — makes the
 //! rate process Markov with autocorrelation exactly
-//! `ρ(τ) = e^{−|τ|/T_c}` (the paper's eqn (31)): the aggregate
-//! fluctuation converges to the Ornstein–Uhlenbeck process assumed in
-//! the theory.
+//! `ρ(τ) = e^{−|τ|/T_c}` (the paper's eqn (31)) whatever the marginal:
+//! the aggregate fluctuation converges to the Ornstein–Uhlenbeck process
+//! assumed in the theory.
 //!
 //! # The advance rule: thinning
 //!
-//! Every RCBR `advance(dt)` in this module — [`RcbrSource`],
-//! [`GeneralRcbrSource`] and the batched kernel behind both models —
-//! renegotiates each flow independently with probability
+//! Every RCBR `advance(dt)` in this module — [`RcbrSource`] and the
+//! batched kernel — renegotiates each flow independently with probability
 //! `p = 1 − e^{−λ}`, `λ = dt / T_c`, and leaves every other flow alone.
 //! No flow carries a residual interval life. The batched kernel does
 //! not flip a coin per flow: it walks the rarer side. While `p ≤ ½`
@@ -93,15 +94,19 @@
 //! *where* the advance instants fall: `advance(a); advance(b)` and
 //! `advance(a + b)` agree in law, not bit for bit.
 //!
-//! Rates can optionally be truncated at zero to stay physical; with the
-//! paper's `σ/μ = 0.3` the truncated mass is `Q(3.33) ≈ 4e-4`, a
-//! negligible perturbation of the moments (the analytic `mean()` /
-//! `variance()` report the *untruncated* values, as the theory assumes).
+//! The paper's Gaussian is truncated at zero to keep rates physical
+//! ([`Marginal::Gaussian`]; [`Marginal::Normal`] is not); with
+//! `σ/μ = 0.3` the truncated mass is `Q(3.33) ≈ 4e-4`, a negligible
+//! perturbation of the moments (the analytic `mean()` / `variance()`
+//! report the *untruncated* values, as the theory assumes). The batch
+//! kernel draws a Gaussian marginal, truncated or not, through an inlined
+//! sampler and every other marginal through [`Marginal::sample`]; both
+//! consume the RNG as the boxed source does.
 
 use crate::batch::{BatchKey, FlowBatch, LaneStreams, LANE};
 use crate::marginal::Marginal;
 use crate::process::{RateProcess, SourceModel};
-use mbac_num::rng::{normal, normal_truncated_below, ExpSampler, NormalSampler};
+use mbac_num::rng::{ExpSampler, NormalSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
@@ -189,7 +194,7 @@ fn keeper_rate(lambda: f64) -> f64 {
     -(-(-lambda).exp()).ln_1p()
 }
 
-/// Configuration for RCBR flows.
+/// Configuration for the paper's RCBR flows: a Gaussian marginal.
 #[derive(Debug, Clone, Copy)]
 pub struct RcbrConfig {
     /// Marginal mean rate `μ`.
@@ -199,7 +204,8 @@ pub struct RcbrConfig {
     /// Mean renegotiation interval `T_c` (the correlation time-scale).
     pub t_c: f64,
     /// Truncate negotiated rates at zero (keeps rates physical; see
-    /// module docs).
+    /// module docs): [`Marginal::Gaussian`] if set, else
+    /// [`Marginal::Normal`].
     pub truncate_at_zero: bool,
 }
 
@@ -216,91 +222,114 @@ impl RcbrConfig {
     }
 }
 
-/// Factory for independent RCBR flows.
-#[derive(Debug, Clone, Copy)]
+/// Factory for independent RCBR flows: a marginal rate distribution and
+/// the mean renegotiation interval `T_c`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RcbrModel {
-    cfg: RcbrConfig,
+    marginal: Marginal,
+    t_c: f64,
 }
 
 impl RcbrModel {
-    /// Creates the model.
+    /// The paper's source: a Gaussian marginal, truncated at zero or not.
     ///
     /// # Panics
     /// Panics unless mean, std-dev and `T_c` are positive and finite.
     pub fn new(cfg: RcbrConfig) -> Self {
         assert!(cfg.mean > 0.0 && cfg.mean.is_finite());
         assert!(cfg.std_dev >= 0.0 && cfg.std_dev.is_finite());
-        assert!(cfg.t_c > 0.0 && cfg.t_c.is_finite());
-        RcbrModel { cfg }
+        let (mean, sd) = (cfg.mean, cfg.std_dev);
+        let marginal = if cfg.truncate_at_zero {
+            Marginal::Gaussian { mean, sd }
+        } else {
+            Marginal::Normal { mean, sd }
+        };
+        Self::with_marginal(marginal, cfg.t_c)
     }
 
-    /// The configuration.
-    pub fn config(&self) -> RcbrConfig {
-        self.cfg
+    /// RCBR over any marginal: the same renewal structure, hence the
+    /// same `ρ(τ) = e^{−|τ|/T_c}`. The Prop. 3.3 universality experiment
+    /// holds `(μ, σ, T_c)` fixed while swapping the shape.
+    ///
+    /// # Panics
+    /// Panics unless `t_c > 0` and finite, or on a Gaussian truncated
+    /// more than 5 σ above its mean, where the rejection loop of
+    /// [`Marginal::sample`] (and of the batch kernel) would stall.
+    pub fn with_marginal(marginal: Marginal, t_c: f64) -> Self {
+        assert!(t_c > 0.0 && t_c.is_finite());
+        if let Marginal::Gaussian { mean, sd } = marginal {
+            assert!(-mean / sd.max(1e-300) < 5.0, "truncated 5 σ above the mean");
+        }
+        RcbrModel { marginal, t_c }
+    }
+
+    /// The configured marginal.
+    pub fn marginal(&self) -> Marginal {
+        self.marginal
     }
 }
 
 impl SourceModel for RcbrModel {
     fn spawn(&self, rng: &mut dyn RngCore) -> Box<dyn RateProcess> {
-        Box::new(RcbrSource::new(self.cfg, rng))
+        Box::new(RcbrSource::new(*self, rng))
     }
 
     fn mean(&self) -> f64 {
-        self.cfg.mean
+        self.marginal.mean()
     }
 
     fn variance(&self) -> f64 {
-        self.cfg.std_dev * self.cfg.std_dev
+        self.marginal.variance()
     }
 
     fn batch_key(&self) -> Option<BatchKey> {
         Some(BatchKey::Rcbr {
-            mean: self.cfg.mean,
-            std_dev: self.cfg.std_dev,
-            t_c: self.cfg.t_c,
-            truncate_at_zero: self.cfg.truncate_at_zero,
+            marginal: self.marginal,
+            t_c: self.t_c,
         })
     }
 
     fn new_batch(&self) -> Option<Box<dyn FlowBatch>> {
-        Some(Box::new(RcbrBatch::new(
-            GaussianDraw::new(self.cfg),
-            self.cfg.t_c,
-        )))
+        Some(match GaussianDraw::new(self.marginal) {
+            Some(draw) => Box::new(RcbrBatch::new(draw, self.t_c)),
+            None => Box::new(RcbrBatch::new(self.marginal, self.t_c)),
+        })
     }
 }
 
-/// How an [`RcbrBatch`] draws a negotiated rate: the one thing the
-/// classic and the generalized RCBR kernels differ in.
+/// How an [`RcbrBatch`] draws a negotiated rate.
 trait RateDraw: Send + Sync {
-    /// One rate; must consume the RNG as the boxed source's draw does.
+    /// One rate; must consume the RNG as [`Marginal::sample`] does.
     fn draw(&self, rng: &mut StdRng) -> f64;
 }
 
-/// The classic Gaussian rate draw of [`RcbrSource`], with the ziggurat
+/// A Gaussian marginal's draw, truncated or not, with the ziggurat
 /// handle resolved once per batch instead of once per draw and
 /// `normal_truncated_below`'s per-call argument checks left out (the
 /// model's constructor already guarantees them); same draw sequence.
 struct GaussianDraw {
     mean: f64,
-    /// Floored as the boxed source floors it, on the truncated path only.
+    /// Floored as [`Marginal::sample`] floors it, on the truncated path
+    /// only.
     sd: f64,
     truncate_at_zero: bool,
     normal: NormalSampler,
 }
 
 impl GaussianDraw {
-    fn new(cfg: RcbrConfig) -> Self {
-        GaussianDraw {
-            mean: cfg.mean,
-            sd: if cfg.truncate_at_zero {
-                cfg.std_dev.max(1e-300)
-            } else {
-                cfg.std_dev
-            },
-            truncate_at_zero: cfg.truncate_at_zero,
+    /// The draw of a Gaussian marginal; `None` for any other shape.
+    fn new(marginal: Marginal) -> Option<Self> {
+        let (mean, sd, truncate_at_zero) = match marginal {
+            Marginal::Gaussian { mean, sd } => (mean, sd.max(1e-300), true),
+            Marginal::Normal { mean, sd } => (mean, sd, false),
+            _ => return None,
+        };
+        Some(GaussianDraw {
+            mean,
+            sd,
+            truncate_at_zero,
             normal: NormalSampler::get(),
-        }
+        })
     }
 }
 
@@ -327,7 +356,7 @@ impl RateDraw for Marginal {
     }
 }
 
-/// Struct-of-arrays batch of RCBR flows, classic or generalized by its
+/// Struct-of-arrays batch of RCBR flows, drawing through its
 /// [`RateDraw`]: the negotiated rates are the whole state and double as
 /// the cached rate vector, so an advance writes only the slots that
 /// renegotiate and reads nothing else (see "The advance rule").
@@ -406,23 +435,16 @@ impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
 /// "The advance rule").
 #[derive(Debug, Clone)]
 pub struct RcbrSource {
-    cfg: RcbrConfig,
+    model: RcbrModel,
     rate: f64,
 }
 
 impl RcbrSource {
-    /// Creates a flow in its stationary distribution.
-    pub fn new(cfg: RcbrConfig, rng: &mut dyn RngCore) -> Self {
-        let mut s = RcbrSource { cfg, rate: 0.0 };
-        s.reset(rng);
-        s
-    }
-
-    fn draw_rate(&self, rng: &mut dyn RngCore) -> f64 {
-        if self.cfg.truncate_at_zero {
-            normal_truncated_below(rng, self.cfg.mean, self.cfg.std_dev.max(1e-300), 0.0)
-        } else {
-            normal(rng, self.cfg.mean, self.cfg.std_dev)
+    /// Creates a flow of `model` in its stationary distribution.
+    pub fn new(model: RcbrModel, rng: &mut dyn RngCore) -> Self {
+        RcbrSource {
+            model,
+            rate: model.marginal.sample(rng),
         }
     }
 }
@@ -433,122 +455,28 @@ impl RateProcess for RcbrSource {
     }
 
     fn advance(&mut self, dt: f64, rng: &mut dyn RngCore) {
-        let t_c = self.cfg.t_c;
+        let t_c = self.model.t_c;
         thin(1, dt, t_c, ExpSampler::get(), rng, |_, rng| self.reset(rng));
     }
 
     fn reset(&mut self, rng: &mut dyn RngCore) {
-        self.rate = self.draw_rate(rng);
+        self.rate = self.model.marginal.sample(rng);
     }
 
     fn thinning_scale(&self) -> Option<f64> {
-        Some(self.cfg.t_c)
+        Some(self.model.t_c)
     }
 
     fn mean(&self) -> f64 {
-        self.cfg.mean
+        self.model.mean()
     }
 
     fn variance(&self) -> f64 {
-        self.cfg.std_dev * self.cfg.std_dev
+        self.model.variance()
     }
 
     fn autocorrelation(&self, tau: f64) -> Option<f64> {
-        Some((-tau.abs() / self.cfg.t_c).exp())
-    }
-}
-
-/// Generalized RCBR source: same renewal structure (piecewise-constant
-/// rate, exponential intervals ⇒ exact OU autocorrelation), arbitrary
-/// [`Marginal`] rate distribution. Used by the Prop. 3.3 universality
-/// experiment to hold `(μ, σ, T_c)` fixed while swapping the shape.
-#[derive(Debug, Clone, Copy)]
-pub struct GeneralRcbrModel {
-    marginal: Marginal,
-    t_c: f64,
-}
-
-impl GeneralRcbrModel {
-    /// Creates the model.
-    ///
-    /// # Panics
-    /// Panics unless `t_c > 0` and finite.
-    pub fn new(marginal: Marginal, t_c: f64) -> Self {
-        assert!(t_c > 0.0 && t_c.is_finite());
-        GeneralRcbrModel { marginal, t_c }
-    }
-
-    /// The configured marginal.
-    pub fn marginal(&self) -> Marginal {
-        self.marginal
-    }
-}
-
-impl SourceModel for GeneralRcbrModel {
-    fn spawn(&self, rng: &mut dyn RngCore) -> Box<dyn RateProcess> {
-        Box::new(GeneralRcbrSource {
-            marginal: self.marginal,
-            t_c: self.t_c,
-            rate: self.marginal.sample(rng),
-        })
-    }
-
-    fn mean(&self) -> f64 {
-        self.marginal.mean()
-    }
-
-    fn variance(&self) -> f64 {
-        self.marginal.variance()
-    }
-
-    fn batch_key(&self) -> Option<BatchKey> {
-        Some(BatchKey::GeneralRcbr {
-            marginal: self.marginal,
-            t_c: self.t_c,
-        })
-    }
-
-    fn new_batch(&self) -> Option<Box<dyn FlowBatch>> {
-        Some(Box::new(RcbrBatch::new(self.marginal, self.t_c)))
-    }
-}
-
-/// One generalized-RCBR flow.
-#[derive(Debug, Clone)]
-pub struct GeneralRcbrSource {
-    marginal: Marginal,
-    t_c: f64,
-    rate: f64,
-}
-
-impl RateProcess for GeneralRcbrSource {
-    fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    fn advance(&mut self, dt: f64, rng: &mut dyn RngCore) {
-        let t_c = self.t_c;
-        thin(1, dt, t_c, ExpSampler::get(), rng, |_, rng| self.reset(rng));
-    }
-
-    fn reset(&mut self, rng: &mut dyn RngCore) {
-        self.rate = self.marginal.sample(rng);
-    }
-
-    fn thinning_scale(&self) -> Option<f64> {
-        Some(self.t_c)
-    }
-
-    fn mean(&self) -> f64 {
-        self.marginal.mean()
-    }
-
-    fn variance(&self) -> f64 {
-        self.marginal.variance()
-    }
-
-    fn autocorrelation(&self, tau: f64) -> Option<f64> {
-        Some((-tau.abs() / self.t_c).exp())
+        Some((-tau.abs() / self.model.t_c).exp())
     }
 }
 
@@ -565,17 +493,21 @@ mod tests {
         RcbrConfig::paper_default(1.0)
     }
 
+    fn source(cfg: RcbrConfig, rng: &mut StdRng) -> RcbrSource {
+        RcbrSource::new(RcbrModel::new(cfg), rng)
+    }
+
     #[test]
     fn stationary_moments_match() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut src = RcbrSource::new(cfg(), &mut rng);
+        let mut src = source(cfg(), &mut rng);
         check_moments(&mut src, 0.25, 200_000, 0.01, 0.01, 2);
     }
 
     #[test]
     fn autocorrelation_is_exponential() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut src = RcbrSource::new(cfg(), &mut rng);
+        let mut src = source(cfg(), &mut rng);
         // dt = 0.5, so lags 1..6 cover τ = 0.5..3 = 3 T_c.
         check_acf(&mut src, 0.5, 400_000, &[1, 2, 4, 6], 0.02, 4);
     }
@@ -583,7 +515,7 @@ mod tests {
     #[test]
     fn rate_constant_within_interval() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut src = RcbrSource::new(
+        let mut src = source(
             RcbrConfig {
                 mean: 1.0,
                 std_dev: 0.3,
@@ -602,7 +534,7 @@ mod tests {
     #[test]
     fn advancing_past_many_intervals_changes_rate() {
         let mut rng = StdRng::seed_from_u64(6);
-        let mut src = RcbrSource::new(cfg(), &mut rng);
+        let mut src = source(cfg(), &mut rng);
         let r0 = src.rate();
         src.advance(1000.0, &mut rng); // renegotiates w.p. 1 − e^{−1000}
         assert_ne!(src.rate(), r0);
@@ -612,10 +544,10 @@ mod tests {
     fn autocorrelation_is_exponential_at_steps_of_a_correlation_time_and_more() {
         // With dt >= T_c most steps renegotiate, so the lag-1
         // correlation rests entirely on the thinning probability.
-        let general = GeneralRcbrModel::new(Marginal::uniform_with_moments(1.0, 0.3), 1.0);
+        let general = RcbrModel::with_marginal(Marginal::uniform_with_moments(1.0, 0.3), 1.0);
         for (dt, lags, seed) in [(1.0, &[1, 2, 3][..], 11), (2.0, &[1, 2][..], 13)] {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut src = RcbrSource::new(cfg(), &mut rng);
+            let mut src = source(cfg(), &mut rng);
             check_acf(&mut src, dt, 400_000, lags, 0.02, seed + 1);
             let mut src = general.spawn(&mut rng);
             check_acf(src.as_mut(), dt, 400_000, lags, 0.02, seed + 2);
@@ -632,7 +564,7 @@ mod tests {
 
     impl PathFaithful {
         fn new(cfg: RcbrConfig, rng: &mut StdRng) -> Self {
-            let src = RcbrSource::new(cfg, rng);
+            let src = source(cfg, rng);
             PathFaithful {
                 residual: exponential(rng, cfg.t_c),
                 src,
@@ -644,7 +576,7 @@ mod tests {
             while left >= self.residual {
                 left -= self.residual;
                 self.src.reset(rng);
-                self.residual = exponential(rng, self.src.cfg.t_c);
+                self.residual = exponential(rng, self.src.model.t_c);
             }
             self.residual -= left;
         }
@@ -661,7 +593,8 @@ mod tests {
     };
 
     fn gaussian_batch(cfg: RcbrConfig) -> RcbrBatch<GaussianDraw> {
-        RcbrBatch::new(GaussianDraw::new(cfg), cfg.t_c)
+        let draw = GaussianDraw::new(RcbrModel::new(cfg).marginal).unwrap();
+        RcbrBatch::new(draw, cfg.t_c)
     }
 
     /// `n` flows of [`LAW_CFG`] advanced through `steps` in turn, on
@@ -680,7 +613,7 @@ mod tests {
     }
 
     fn on_boxed(n: usize, steps: &[f64], rng: &mut StdRng) -> Vec<Vec<f64>> {
-        let mut flows: Vec<_> = (0..n).map(|_| RcbrSource::new(LAW_CFG, rng)).collect();
+        let mut flows: Vec<_> = (0..n).map(|_| source(LAW_CFG, rng)).collect();
         let mut out = vec![flows.iter().map(|f| f.rate).collect::<Vec<_>>()];
         for &dt in steps {
             flows.iter_mut().for_each(|f| f.advance(dt, rng));
@@ -858,7 +791,7 @@ mod tests {
     fn thinning_edge_cases() {
         let mut rng = StdRng::seed_from_u64(4000);
         let mut batch = gaussian_batch(LAW_CFG);
-        let mut src = RcbrSource::new(LAW_CFG, &mut rng);
+        let mut src = source(LAW_CFG, &mut rng);
         batch.spawn(1000, &mut rng);
 
         let untouched = |batch: &mut RcbrBatch<GaussianDraw>,
@@ -964,10 +897,10 @@ mod tests {
         }
 
         let mut rng = StdRng::seed_from_u64(5100);
-        let mut src = RcbrSource::new(LAW_CFG, &mut rng);
+        let mut src = source(LAW_CFG, &mut rng);
         let mut replay = rng.clone();
         exp.sample(&mut replay);
-        let want = src.draw_rate(&mut replay);
+        let want = src.model.marginal.sample(&mut replay);
         src.advance(50.0 * LAW_CFG.t_c, &mut rng);
         assert_eq!((src.rate, &rng), (want, &replay), "boxed source");
 
@@ -991,7 +924,7 @@ mod tests {
     fn truncation_keeps_rates_nonnegative() {
         let mut rng = StdRng::seed_from_u64(7);
         // Heavier tail into zero: σ/μ = 0.5.
-        let mut src = RcbrSource::new(
+        let mut src = source(
             RcbrConfig {
                 mean: 1.0,
                 std_dev: 0.5,
@@ -1020,7 +953,7 @@ mod tests {
 
     #[test]
     fn general_rcbr_uniform_marginal_moments() {
-        let model = GeneralRcbrModel::new(Marginal::uniform_with_moments(1.0, 0.3), 1.0);
+        let model = RcbrModel::with_marginal(Marginal::uniform_with_moments(1.0, 0.3), 1.0);
         let mut rng = StdRng::seed_from_u64(100);
         let mut src = model.spawn(&mut rng);
         check_moments(src.as_mut(), 0.25, 150_000, 0.01, 0.01, 101);
@@ -1028,7 +961,7 @@ mod tests {
 
     #[test]
     fn general_rcbr_two_point_autocorrelation() {
-        let model = GeneralRcbrModel::new(Marginal::two_point_with_moments(1.0, 0.3), 1.0);
+        let model = RcbrModel::with_marginal(Marginal::two_point_with_moments(1.0, 0.3), 1.0);
         let mut rng = StdRng::seed_from_u64(102);
         let mut src = model.spawn(&mut rng);
         check_acf(src.as_mut(), 0.5, 300_000, &[1, 2, 4], 0.02, 103);
@@ -1036,15 +969,23 @@ mod tests {
 
     #[test]
     fn general_rcbr_matches_classic_for_gaussian_marginal() {
-        let general = GeneralRcbrModel::new(Marginal::Gaussian { mean: 1.0, sd: 0.3 }, 2.0);
+        let general = RcbrModel::with_marginal(Marginal::Gaussian { mean: 1.0, sd: 0.3 }, 2.0);
         let classic = RcbrModel::new(RcbrConfig {
             mean: 1.0,
             std_dev: 0.3,
             t_c: 2.0,
             truncate_at_zero: true,
         });
-        assert_eq!(general.mean(), classic.mean());
-        assert_eq!(general.variance(), classic.variance());
+        // One model, one batch: the paper's configuration is a marginal.
+        assert_eq!(general, classic);
+        assert_eq!(general.batch_key(), classic.batch_key());
+        let untruncated = RcbrModel::new(RcbrConfig {
+            truncate_at_zero: false,
+            ..RcbrConfig::paper_default(2.0)
+        });
+        let normal = Marginal::Normal { mean: 1.0, sd: 0.3 };
+        assert_eq!(untruncated.marginal(), normal);
+        assert_ne!(untruncated.batch_key(), classic.batch_key());
         let mut rng = StdRng::seed_from_u64(104);
         let g = general.spawn(&mut rng);
         assert_eq!(g.autocorrelation(1.0), Some((-0.5f64).exp()));
@@ -1053,7 +994,7 @@ mod tests {
     #[test]
     fn zero_dt_advance_is_identity() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut src = RcbrSource::new(cfg(), &mut rng);
+        let mut src = source(cfg(), &mut rng);
         let r = src.rate();
         src.advance(0.0, &mut rng);
         assert_eq!(src.rate(), r);

@@ -100,7 +100,9 @@ impl Trace {
     ///
     /// Lines starting with `#` are headers/comments; `# slot <x>` sets
     /// the slot duration (default 1.0). Every other non-empty line is
-    /// one rate sample.
+    /// one rate sample. A slot that is not finite and positive, or a
+    /// rate that is not finite and non-negative, is `InvalidData`
+    /// naming its line, as is a file with no samples.
     pub fn read_from<R: Read>(r: R) -> std::io::Result<Self> {
         let reader = BufReader::new(r);
         let mut slot = 1.0f64;
@@ -108,6 +110,10 @@ impl Trace {
         for (lineno, line) in reader.lines().enumerate() {
             let line = line?;
             let line = line.trim();
+            let bad = |what: &str, why: &dyn std::fmt::Display| {
+                let msg = format!("bad {what} on line {}: {why}", lineno + 1);
+                std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+            };
             if line.is_empty() {
                 continue;
             }
@@ -115,22 +121,18 @@ impl Trace {
                 let mut parts = rest.split_whitespace();
                 if parts.next() == Some("slot") {
                     if let Some(v) = parts.next() {
-                        slot = v.parse().map_err(|e| {
-                            std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!("bad slot on line {}: {e}", lineno + 1),
-                            )
-                        })?;
+                        slot = v.parse().map_err(|e| bad("slot", &e))?;
+                        if !(slot > 0.0 && slot.is_finite()) {
+                            return Err(bad("slot", &"must be finite and positive"));
+                        }
                     }
                 }
                 continue;
             }
-            let v: f64 = line.parse().map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad rate on line {}: {e}", lineno + 1),
-                )
-            })?;
+            let v: f64 = line.parse().map_err(|e| bad("rate", &e))?;
+            if !(v >= 0.0 && v.is_finite()) {
+                return Err(bad("rate", &"must be finite and non-negative"));
+            }
             rates.push(v);
         }
         if rates.is_empty() {
@@ -285,6 +287,29 @@ mod tests {
         assert!(Trace::read_from(&b"not a number\n"[..]).is_err());
         assert!(Trace::read_from(&b"# only headers\n"[..]).is_err());
         assert!(Trace::read_from(&b"# slot abc\n1.0\n"[..]).is_err());
+    }
+
+    /// Values `Trace::new` would reject are parse errors naming their
+    /// line, never a panic.
+    #[test]
+    fn read_rejects_values_out_of_range() {
+        for (text, line) in [
+            ("1.0\nnan\n", "rate on line 2"),
+            ("inf\n", "rate on line 1"),
+            ("1.0\n\n-inf\n", "rate on line 3"),
+            ("-3\n", "rate on line 1"),
+            ("# slot 0\n1.0\n", "slot on line 1"),
+            ("# slot -1\n1.0\n", "slot on line 1"),
+            ("1.0\n# slot nan\n", "slot on line 2"),
+            ("# slot inf\n1.0\n", "slot on line 1"),
+        ] {
+            let err = Trace::read_from(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{text:?}");
+            assert!(err.to_string().contains(line), "{text:?}: {err}");
+        }
+        // The edges stay valid: a zero rate, a tiny slot.
+        let t = Trace::read_from(&b"# slot 1e-9\n0\n-0\n"[..]).unwrap();
+        assert_eq!((t.slot(), t.rates()), (1e-9, &[0.0, -0.0][..]));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use mbac_traffic::fgn::fgn_autocovariance;
 use mbac_traffic::marginal::Marginal;
 use mbac_traffic::markov::MarkovFluidModel;
 use mbac_traffic::process::{RateProcess, SourceModel};
-use mbac_traffic::rcbr::{GeneralRcbrModel, RcbrConfig, RcbrModel};
+use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use mbac_traffic::trace::Trace;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -67,7 +67,7 @@ proptest! {
     /// Generalized RCBR reports the marginal's analytic moments.
     #[test]
     fn general_rcbr_moments_consistent(mean in 0.6f64..3.0, cov in 0.05f64..0.4, t_c in 0.1f64..10.0) {
-        let m = GeneralRcbrModel::new(Marginal::uniform_with_moments(mean, mean * cov), t_c);
+        let m = RcbrModel::with_marginal(Marginal::uniform_with_moments(mean, mean * cov), t_c);
         prop_assert!((m.mean() - mean).abs() < 1e-9);
         let mut rng = StdRng::seed_from_u64(7);
         let src = m.spawn(&mut rng);

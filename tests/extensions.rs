@@ -12,7 +12,7 @@ use mbac_sim::{
 };
 use mbac_traffic::marginal::Marginal;
 use mbac_traffic::process::SourceModel;
-use mbac_traffic::rcbr::{GeneralRcbrModel, RcbrConfig, RcbrModel};
+use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
 fn cfg(seed: u64) -> ContinuousConfig {
     ContinuousConfig {
@@ -132,7 +132,7 @@ fn general_marginals_preserve_the_gaussian_framework() {
     ];
     let mut pfs = Vec::new();
     for (i, &m) in shapes.iter().enumerate() {
-        let model = GeneralRcbrModel::new(m, 1.0);
+        let model = RcbrModel::with_marginal(m, 1.0);
         assert!((model.mean() - 1.0).abs() < 1e-12);
         assert!((model.variance() - 0.09).abs() < 1e-12);
         let mut ctl = MbacController::new(
