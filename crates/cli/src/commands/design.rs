@@ -1,6 +1,6 @@
 //! `mbacctl design` — the §5.3 robust design procedure as a calculator.
 
-use super::require_stats;
+use super::{require_positive, require_stats};
 use crate::args::{ArgError, Args};
 use mbac_core::params::{FlowStats, QosTarget};
 use mbac_core::robust::{DesignInputs, RobustDesign};
@@ -29,22 +29,47 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let tc_min = args.f64_or("tc-min", 0.1)?;
     let tc_max = args.f64_or("tc-max", 10.0)?;
     require_stats(
-        &[("capacity", capacity), ("mean", mean), ("holding", holding)],
+        &[
+            ("capacity", capacity),
+            ("mean", mean),
+            ("holding", holding),
+            ("tc-min", tc_min),
+            ("tc-max", tc_max),
+        ],
         ("sd", sd),
     )?;
-    if tc_min <= 0.0 || tc_max < tc_min {
+    if tc_max < tc_min {
         return Err(ArgError("need 0 < tc-min <= tc-max".into()));
     }
+    // The worst case is taken over a grid stepping by powers of the
+    // ratio.
+    require_positive("tc-max/tc-min", tc_max / tc_min)?;
 
     let flow = FlowStats::from_mean_sd(mean, sd);
     let n = capacity / mean;
-    let design = RobustDesign::design(&DesignInputs {
+    let qos = QosTarget::new(p_q);
+    let inputs = DesignInputs {
         n,
         flow,
         holding_time: holding,
-        qos: QosTarget::new(p_q),
+        qos,
         t_c_range: (tc_min, tc_max),
-    });
+    };
+    // What the overflow formulas take, derived: both must be positive
+    // and finite, which the flags alone do not make them.
+    require_positive("sigma/mu", flow.cov())?;
+    require_positive("T~h = holding/sqrt(capacity/mean)", inputs.t_h_tilde())?;
+    // Even a clairvoyant controller admits no flow when μ + α_q·σ > c:
+    // there is nothing to design, and the utilization would print
+    // negative.
+    let one_flow = 1.0 + qos.alpha() * flow.cov();
+    if one_flow > n {
+        return Err(ArgError(format!(
+            "the link carries no flow at the target: 1 + alpha_q*sigma/mu = {one_flow:.4e} \
+             exceeds capacity/mean = {n:.4e}"
+        )));
+    }
+    let design = RobustDesign::design(&inputs);
 
     println!("robust MBAC design");
     println!("  system size n           : {n:.1} mean-rate flows");
@@ -65,7 +90,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     println!(
         "  expected utilization    : {:.2}%  (clairvoyant bound {:.2}%)",
         100.0 * mean_utilization(n, flow, design.alpha_ce),
-        100.0 * mean_utilization(n, flow, QosTarget::new(p_q).alpha())
+        100.0 * mean_utilization(n, flow, qos.alpha())
     );
     Ok(())
 }

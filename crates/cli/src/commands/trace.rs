@@ -1,5 +1,6 @@
 //! `mbacctl trace` — generate and inspect rate traces.
 
+use super::config_err;
 use crate::args::{ArgError, Args};
 use mbac_traffic::starwars::{generate_starwars_like, StarwarsConfig};
 use mbac_traffic::trace::Trace;
@@ -37,9 +38,7 @@ fn gen(args: &Args, file: &str) -> Result<(), ArgError> {
         slot: args.f64_or("slot", 1.0)?,
         levels: args.u64_or("levels", 32)? as usize,
     };
-    if !(cfg.hurst > 0.0 && cfg.hurst < 1.0) {
-        return Err(ArgError("--hurst must lie in (0,1)".into()));
-    }
+    cfg.validate().map_err(config_err)?;
     let seed = args.u64_or("seed", 0x57A7)?;
     let trace = generate_starwars_like(&cfg, &mut StdRng::seed_from_u64(seed));
     let mut f =

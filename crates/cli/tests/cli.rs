@@ -1,6 +1,7 @@
 //! End-to-end tests of the `mbacctl` binary.
 
 use std::process::Command;
+use std::time::Duration;
 
 fn mbacctl(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_mbacctl"))
@@ -1350,4 +1351,163 @@ fn churn_rejects_oversized_populations_at_once() {
         assert_eq!(err.lines().count(), 1, "{flags}: {err}");
         assert!(start.elapsed().as_secs() < 5, "{flags} took too long");
     }
+}
+
+/// The values each numeric flag is tried with, one flag at a time.
+const HOSTILE_VALUES: [&str; 9] = [
+    "nan",
+    "inf",
+    "-inf",
+    "-1",
+    "0",
+    "5e-324",
+    "1e300",
+    "18446744073709551616",
+    "",
+];
+
+/// The flags that take a value in the usage block of `command` that
+/// starts with `head`: its first line and the indented lines after it.
+fn usage_flags(command: &str, head: &str) -> Vec<String> {
+    let out = mbacctl(&["help", command]);
+    let usage = String::from_utf8_lossy(&out.stdout).into_owned();
+    let mut lines = usage.lines().skip_while(|l| !l.starts_with(head));
+    let first = lines
+        .next()
+        .unwrap_or_else(|| panic!("no '{head}' in:\n{usage}"));
+    let block = std::iter::once(first).chain(lines.take_while(|l| l.starts_with(' ')));
+    let words: Vec<&str> = block
+        .flat_map(str::split_whitespace)
+        .map(|w| w.trim_matches(|c| c == '[' || c == ']'))
+        .collect();
+    let mut flags: Vec<String> = words
+        .windows(2)
+        .filter(|w| w[0].starts_with("--") && w[1].starts_with('<'))
+        .map(|w| w[0].trim_start_matches("--").to_string())
+        .collect();
+    flags.sort();
+    flags
+}
+
+/// Runs `mbacctl args` in `dir`; `None` if it is still running after
+/// `limit` (it is killed).
+fn mbacctl_within(
+    args: &[&str],
+    dir: &std::path::Path,
+    limit: Duration,
+) -> Option<std::process::Output> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mbacctl"))
+        .args(args)
+        .current_dir(dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let start = std::time::Instant::now();
+    while child.try_wait().expect("child status").is_none() {
+        if start.elapsed() > limit {
+            child.kill().ok();
+            child.wait().ok();
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    Some(child.wait_with_output().expect("child output"))
+}
+
+/// Every numeric flag of `design`, `theory` and `trace gen`, read from
+/// the command's usage text, set in turn to each of [`HOSTILE_VALUES`]
+/// with every other flag at a valid value: the command exits 0, or 1
+/// with exactly one `error:` line, within 10 s, and never panics. A flag
+/// added to a usage text without an entry here fails the test.
+#[test]
+fn hostile_flag_values_exit_cleanly() {
+    type Case = (
+        &'static str,
+        &'static str,
+        &'static [&'static str],
+        &'static [(&'static str, &'static str)],
+    );
+    let cases: [Case; 3] = [
+        (
+            "design",
+            "mbacctl design",
+            &["design"],
+            &[
+                ("capacity", "100"),
+                ("mean", "1"),
+                ("sd", "0.3"),
+                ("holding", "1000"),
+                ("p-q", "1e-3"),
+                ("tc-min", "0.1"),
+                ("tc-max", "10"),
+            ],
+        ),
+        (
+            "theory",
+            "mbacctl theory",
+            &["theory"],
+            &[
+                ("cov", "0.3"),
+                ("th-tilde", "5"),
+                ("t-c", "1"),
+                ("t-m", "5"),
+                ("p-ce", "1e-3"),
+                ("p-q", "1e-3"),
+            ],
+        ),
+        (
+            "trace",
+            "mbacctl trace gen",
+            &["trace", "gen", "out.txt"],
+            &[
+                ("slots", "1024"),
+                ("mean", "1"),
+                ("cov", "0.3"),
+                ("hurst", "0.8"),
+                ("levels", "32"),
+                ("slot", "1"),
+                ("seed", "7"),
+            ],
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("mbacctl_hostile_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut failures = Vec::new();
+    for (command, head, prefix, flags) in cases {
+        let mut listed: Vec<String> = flags.iter().map(|(f, _)| f.to_string()).collect();
+        listed.sort();
+        assert_eq!(
+            usage_flags(command, head),
+            listed,
+            "{head}: usage flags vs table"
+        );
+        for (k, _) in flags.iter().enumerate() {
+            for bad in HOSTILE_VALUES {
+                let mut args: Vec<String> = prefix.iter().map(|w| w.to_string()).collect();
+                for (j, &(flag, good)) in flags.iter().enumerate() {
+                    args.push(format!("--{flag}"));
+                    args.push(if j == k { bad } else { good }.to_string());
+                }
+                let args: Vec<&str> = args.iter().map(String::as_str).collect();
+                let case = format!("{head} --{} '{bad}'", flags[k].0);
+                let verdict = match mbacctl_within(&args, &dir, Duration::from_secs(10)) {
+                    None => Some("still running after 10 s".to_string()),
+                    Some(out) => {
+                        let err = String::from_utf8_lossy(&out.stderr);
+                        let errors = err.lines().filter(|l| l.starts_with("error:")).count();
+                        match out.status.code() {
+                            _ if err.contains("panicked") => Some(format!("panicked: {err}")),
+                            Some(0) => None,
+                            Some(1) if errors == 1 => None,
+                            code => Some(format!("exit {code:?}: {err}")),
+                        }
+                    }
+                };
+                failures.extend(verdict.map(|v| format!("{case}: {v}")));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    std::fs::remove_dir_all(dir).unwrap();
 }

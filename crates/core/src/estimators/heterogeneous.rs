@@ -8,7 +8,7 @@
 //! the bias. Both are implemented here, together with an aggregate view
 //! suitable for an aggregate Gaussian admission test.
 
-use super::{fold_snapshot, moment_stats, Estimate};
+use super::{fold_snapshot, Estimate, Estimator, FilteredEstimator};
 
 /// Aggregate (whole-link) statistics: total mean load and total variance
 /// of the instantaneous aggregate bandwidth.
@@ -22,25 +22,17 @@ pub struct AggregateEstimate {
     pub flows: usize,
 }
 
-/// Per-class estimator: maintains an exponentially-filtered mean and
-/// variance for each traffic class separately.
+/// Per-class estimator: one §4.3 [`FilteredEstimator`] per traffic
+/// class, each fed the class's own slice of the snapshot, plus the
+/// class's flow count.
 ///
 /// `estimate_class` gives per-flow statistics for one class;
 /// `aggregate` sums them into whole-link statistics (independent flows:
 /// means and variances add).
 #[derive(Debug, Clone)]
 pub struct ClassifiedEstimator {
-    t_m: f64,
-    classes: Vec<ClassState>,
-    last_t: Option<f64>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct ClassState {
-    mean: f64,
-    variance: f64,
-    count: usize,
-    initialized: bool,
+    classes: Vec<FilteredEstimator>,
+    counts: Vec<usize>,
 }
 
 impl ClassifiedEstimator {
@@ -48,33 +40,21 @@ impl ClassifiedEstimator {
     /// exponential memory `t_m` (0 = memoryless).
     pub fn new(num_classes: usize, t_m: f64) -> Self {
         assert!(num_classes > 0, "need at least one class");
-        assert!(t_m >= 0.0 && t_m.is_finite());
         ClassifiedEstimator {
-            t_m,
-            classes: vec![ClassState::default(); num_classes],
-            last_t: None,
+            classes: vec![FilteredEstimator::new(t_m); num_classes],
+            counts: vec![0; num_classes],
         }
     }
 
     /// Consumes a classified snapshot: `(class index, instantaneous
     /// rate)` for every flow in the system. A class with a non-finite
-    /// rate in it is skipped.
+    /// rate in it keeps its state and its count. A class absent from the
+    /// snapshot keeps its state, so its next gain spans the time since
+    /// it was last present.
     ///
     /// # Panics
     /// Panics if a class index is out of range.
     pub fn observe(&mut self, t: f64, flows: &[(usize, f64)]) {
-        let gain = match self.last_t {
-            None => 1.0,
-            Some(lt) => {
-                debug_assert!(t >= lt);
-                if self.t_m == 0.0 {
-                    1.0
-                } else {
-                    1.0 - (-(t - lt) / self.t_m).exp()
-                }
-            }
-        };
-        self.last_t = Some(t);
         let num_classes = self.classes.len();
         let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); num_classes];
         for &(k, rate) in flows {
@@ -84,27 +64,14 @@ impl ClassifiedEstimator {
             );
             buckets[k].push(rate);
         }
-        for (k, rates) in buckets.iter().enumerate() {
-            let state = &mut self.classes[k];
-            let moments = fold_snapshot(rates, state.initialized.then_some(state.mean));
-            // A NaN or ±∞ rate would poison the class's filter for the
-            // rest of the run: the class keeps its state and its count.
-            if !moments.is_finite() {
-                continue;
-            }
-            state.count = rates.len();
-            let Some(snap) = moment_stats(&moments) else {
-                continue;
-            };
-            if !state.initialized {
-                state.mean = snap.mean;
-                state.variance = snap.variance;
-                state.initialized = true;
-            } else {
-                state.mean += gain * (snap.mean - state.mean);
-                // Spread around the filtered per-class mean.
-                let v = moments.variance_around(state.mean);
-                state.variance += gain * (v - state.variance);
+        for ((class, count), rates) in self.classes.iter_mut().zip(&mut self.counts).zip(&buckets) {
+            // The fold the filter's own slice `observe` makes, checked
+            // here so that a class holding a NaN or ±∞ rate keeps its
+            // count as well as its state.
+            let moments = fold_snapshot(rates, class.estimate().map(|e| e.mean));
+            if moments.is_finite() {
+                *count = rates.len();
+                class.observe_moments(t, &moments);
             }
         }
     }
@@ -112,28 +79,23 @@ impl ClassifiedEstimator {
     /// Per-flow estimate for one class, or `None` if that class has
     /// never been observed.
     pub fn estimate_class(&self, class: usize) -> Option<Estimate> {
-        let s = self.classes.get(class)?;
-        if s.initialized {
-            Some(Estimate::new(s.mean, s.variance))
-        } else {
-            None
-        }
+        self.classes.get(class)?.estimate()
     }
 
     /// Current number of flows counted in a class.
     pub fn class_count(&self, class: usize) -> usize {
-        self.classes.get(class).map_or(0, |s| s.count)
+        self.counts.get(class).copied().unwrap_or(0)
     }
 
     /// Whole-link aggregate: sums per-class `count·mean` and
     /// `count·variance` (independence across flows).
     pub fn aggregate(&self) -> AggregateEstimate {
         let mut agg = AggregateEstimate::default();
-        for s in &self.classes {
-            if s.initialized {
-                agg.mean += s.count as f64 * s.mean;
-                agg.variance += s.count as f64 * s.variance;
-                agg.flows += s.count;
+        for (class, &count) in self.classes.iter().zip(&self.counts) {
+            if let Some(e) = class.estimate() {
+                agg.mean += count as f64 * e.mean;
+                agg.variance += count as f64 * e.variance;
+                agg.flows += count;
             }
         }
         agg
@@ -141,10 +103,8 @@ impl ClassifiedEstimator {
 
     /// Clears all state.
     pub fn reset(&mut self) {
-        for s in &mut self.classes {
-            *s = ClassState::default();
-        }
-        self.last_t = None;
+        self.classes.iter_mut().for_each(Estimator::reset);
+        self.counts.fill(0);
     }
 }
 
@@ -262,6 +222,19 @@ mod tests {
             );
             assert_eq!(est.class_count(0), 1, "{bad}");
         }
+    }
+
+    /// A class missing from a snapshot keeps its filter untouched: its
+    /// next gain spans the time since it was last present.
+    #[test]
+    fn an_absent_class_filters_over_the_time_since_it_was_seen() {
+        let mut est = ClassifiedEstimator::new(2, 1.0);
+        est.observe(0.0, &[(0, 0.0), (1, 0.0)]);
+        est.observe(1.0, &[(1, 5.0)]);
+        assert_eq!(est.estimate_class(0).unwrap().mean, 0.0);
+        est.observe(2.0, &[(0, 10.0), (1, 5.0)]);
+        let want = 10.0 * (1.0 - (-2.0f64).exp());
+        assert!((est.estimate_class(0).unwrap().mean - want).abs() < 1e-12);
     }
 
     #[test]

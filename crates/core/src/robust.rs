@@ -35,6 +35,13 @@ pub struct DesignInputs {
     pub t_c_range: (f64, f64),
 }
 
+impl DesignInputs {
+    /// The critical time-scale `T̃_h = T_h/√n` the design is built on.
+    pub fn t_h_tilde(&self) -> f64 {
+        self.holding_time / self.n.sqrt()
+    }
+}
+
 /// A complete robust-MBAC configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RobustDesign {
@@ -64,7 +71,7 @@ impl RobustDesign {
         assert!(inp.n > 0.0 && inp.holding_time > 0.0);
         let (lo, hi) = inp.t_c_range;
         assert!(lo > 0.0 && hi >= lo, "invalid T_c range");
-        let t_h_tilde = inp.holding_time / inp.n.sqrt();
+        let t_h_tilde = inp.t_h_tilde();
         let t_m = t_h_tilde;
         let cov = inp.flow.cov();
         // Worst-case α_ce over a log grid of T_c.

@@ -21,92 +21,48 @@ use mbac_core::theory::impulsive;
 use mbac_experiments::{budget, parallel_map, write_csv, Table};
 use mbac_sim::{ImpulsiveConfig, ImpulsiveLoad, SessionBuilder};
 use mbac_traffic::marginal::Marginal;
-use mbac_traffic::markov::{MarkovFluidFactory, MarkovFluidModel};
 use mbac_traffic::process::SourceModel;
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
 struct Case {
     label: &'static str,
     n: usize,
-    p_q: f64,
-    model: Box<dyn SourceModel>,
+    model: RcbrModel,
     /// Run with the √2-adjusted target instead of the raw one.
     adjusted: bool,
-}
-
-fn rcbr(n: usize, p_q: f64, adjusted: bool) -> Case {
-    Case {
-        label: "rcbr-gaussian",
-        n,
-        p_q,
-        model: Box::new(RcbrModel::new(RcbrConfig::paper_default(1.0))),
-        adjusted,
-    }
-}
-
-fn with_marginal(
-    label: &'static str,
-    marginal: Marginal,
-    n: usize,
-    p_q: f64,
-    adjusted: bool,
-) -> Case {
-    Case {
-        label,
-        n,
-        p_q,
-        model: Box::new(RcbrModel::with_marginal(marginal, 1.0)),
-        adjusted,
-    }
-}
-
-fn onoff(n: usize, p_q: f64, adjusted: bool) -> Case {
-    // Two-point marginal with the same σ/μ… not exactly 0.3, but the
-    // universality claim is that the marginal does not matter at all.
-    Case {
-        label: "onoff-two-point",
-        n,
-        p_q,
-        model: Box::new(MarkovFluidFactory::new(MarkovFluidModel::on_off(
-            2.0, 3.0, 1.0,
-        ))),
-        adjusted,
-    }
 }
 
 fn main() {
     let reps = budget(60_000, 4_000) as usize;
     let p_q = 0.01; // large enough to resolve by direct simulation
-                    // Universality sweep: same (μ, σ, T_c), four marginal shapes,
-                    // three system sizes, plus the adjusted-target checks.
+
+    // Universality sweep: one RCBR model with the marginal swapped at
+    // the same (μ, σ, T_c), three system sizes, plus the adjusted-target
+    // checks. The on–off flow's two-point marginal is not at σ/μ = 0.3,
+    // but the universality claim is that the marginal does not matter
+    // at all.
+    let gaussian = RcbrModel::new(RcbrConfig::paper_default(1.0));
+    let uniform = Marginal::uniform_with_moments(1.0, 0.3);
+    let two_point = Marginal::two_point_with_moments(1.0, 0.3);
+    let lognormal = Marginal::lognormal_with_moments(1.0, 0.3);
+    let shape = |marginal| RcbrModel::with_marginal(marginal, 1.0);
+    let on_off = RcbrModel::on_off(2.0, 3.0, 1.0);
+    let case = |label, n, model, adjusted| Case {
+        label,
+        n,
+        model,
+        adjusted,
+    };
     let cases = vec![
-        rcbr(100, p_q, false),
-        rcbr(400, p_q, false),
-        rcbr(1600, p_q, false),
-        with_marginal(
-            "rcbr-uniform",
-            Marginal::uniform_with_moments(1.0, 0.3),
-            400,
-            p_q,
-            false,
-        ),
-        with_marginal(
-            "rcbr-two-point",
-            Marginal::two_point_with_moments(1.0, 0.3),
-            400,
-            p_q,
-            false,
-        ),
-        with_marginal(
-            "rcbr-lognormal",
-            Marginal::lognormal_with_moments(1.0, 0.3),
-            400,
-            p_q,
-            false,
-        ),
-        onoff(400, p_q, false),
-        rcbr(400, p_q, true),
-        onoff(400, p_q, true),
+        case("rcbr-gaussian", 100, gaussian, false),
+        case("rcbr-gaussian", 400, gaussian, false),
+        case("rcbr-gaussian", 1600, gaussian, false),
+        case("rcbr-uniform", 400, shape(uniform), false),
+        case("rcbr-two-point", 400, shape(two_point), false),
+        case("rcbr-lognormal", 400, shape(lognormal), false),
+        case("onoff-two-point", 400, on_off, false),
+        case("rcbr-gaussian", 400, gaussian, true),
+        case("onoff-two-point", 400, on_off, true),
     ];
 
     println!("== prop-3.3: certainty-equivalence penalty (impulsive load) ==\n");
@@ -119,9 +75,9 @@ fn main() {
     let rows = parallel_map(cases, |case| {
         let flow = FlowStats::new(case.model.mean(), case.model.variance());
         let target = if case.adjusted {
-            QosTarget::new(impulsive::pce_for_target(case.p_q))
+            QosTarget::new(impulsive::pce_for_target(p_q))
         } else {
-            QosTarget::new(case.p_q)
+            QosTarget::new(p_q)
         };
         let ce = CertaintyEquivalent::new(target);
         let cfg = ImpulsiveConfig {
@@ -133,13 +89,13 @@ fn main() {
             seed: 0xA110C + case.n as u64 + case.adjusted as u64,
         };
         let rep = SessionBuilder::new()
-            .run(&ImpulsiveLoad::new(&cfg, case.model.as_ref(), &ce))
+            .run(&ImpulsiveLoad::new(&cfg, &case.model, &ce))
             .expect("valid prop33 config");
         let pf_ce = rep.pf_at(0);
         // Perfect-knowledge baseline on the same workload.
-        let pk = PerfectKnowledge::new(flow, QosTarget::new(case.p_q));
+        let pk = PerfectKnowledge::new(flow, QosTarget::new(p_q));
         let rep_pk = SessionBuilder::new()
-            .run(&ImpulsiveLoad::new(&cfg, case.model.as_ref(), &pk))
+            .run(&ImpulsiveLoad::new(&cfg, &case.model, &pk))
             .expect("valid prop33 config");
         let pf_pk = rep_pk.pf_at(0);
         // M0 fluctuation check (Prop 3.1): sd ≈ (σ/μ)√n.

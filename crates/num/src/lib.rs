@@ -14,7 +14,7 @@
 //! * [`roots`] — bisection and Brent, used to invert the overflow
 //!   formulas for the adjusted certainty-equivalent target `p_ce`;
 //! * [`fft`] — radix-2 FFT for the Davies–Harte fGn generator;
-//! * [`rng`] — seedable Gaussian / exponential / discrete sampling;
+//! * [`rng`] — seedable Gaussian / exponential / Bernoulli sampling;
 //! * [`stats`], [`ci`], [`regress`] — descriptive statistics, confidence
 //!   intervals (the paper's §5.2 termination rule), and least squares
 //!   (Hurst estimation).
@@ -33,7 +33,6 @@ pub mod complex;
 pub mod dispatch;
 pub mod erf;
 pub mod fft;
-pub mod linalg;
 pub mod moments;
 pub mod normal;
 pub mod parallel;
@@ -48,7 +47,6 @@ pub use complex::Complex64;
 #[doc(hidden)]
 pub use dispatch::KernelDispatch;
 pub use erf::{erf, erfc, erfcx, ln_erfc};
-pub use linalg::{ctmc_stationary, solve as solve_linear, LinalgError, Matrix};
 pub use moments::{RateMoments, SnapshotMoments};
 pub use normal::{inv_norm_cdf, inv_q, ln_q, mills_ratio, norm_cdf, phi, q};
 pub use parallel::{

@@ -1,5 +1,5 @@
-//! Random sampling for the simulator: Gaussian, exponential, and a few
-//! discrete helpers, on top of any [`rand::Rng`].
+//! Random sampling for the simulator: Gaussian, exponential, uniform and
+//! Bernoulli draws, on top of any [`rand::Rng`].
 //!
 //! The approved dependency list includes `rand` but not `rand_distr`, so
 //! the distributions themselves live here. Every stochastic component in
@@ -246,31 +246,6 @@ pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
     rng.gen::<f64>() < p
 }
 
-/// Samples an index from a discrete distribution given by non-negative
-/// weights (not necessarily normalized). Used for stationary-distribution
-/// initialization of Markov fluid sources.
-///
-/// # Panics
-/// Panics if all weights are zero or any weight is negative.
-pub fn discrete<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
-    let total: f64 = weights
-        .iter()
-        .inspect(|&&w| assert!(w >= 0.0, "negative weight {w}"))
-        .sum();
-    assert!(
-        total > 0.0,
-        "discrete distribution needs positive total weight"
-    );
-    let mut target = rng.gen::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        target -= w;
-        if target < 0.0 {
-            return i;
-        }
-    }
-    weights.len() - 1
-}
-
 /// Samples a truncated normal on `[lo, ∞)` by rejection. The RCBR
 /// sources optionally truncate rates at zero so bandwidths stay
 /// physical; with σ/μ = 0.3 (the paper's setting) the acceptance rate
@@ -402,28 +377,6 @@ mod tests {
         let ratio = over_2t as f64 / over_t as f64;
         let p_t = over_t as f64 / n as f64;
         assert!((ratio - p_t).abs() < 0.01, "ratio {ratio} vs {p_t}");
-    }
-
-    #[test]
-    fn discrete_respects_weights() {
-        let mut r = rng();
-        let weights = [1.0, 2.0, 3.0, 4.0];
-        let mut counts = [0usize; 4];
-        let n = 100_000;
-        for _ in 0..n {
-            counts[discrete(&mut r, &weights)] += 1;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            let expect = weights[i] / 10.0;
-            let got = c as f64 / n as f64;
-            assert!((got - expect).abs() < 0.01, "bin {i}: {got} vs {expect}");
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn discrete_rejects_all_zero() {
-        discrete(&mut rng(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -306,8 +306,8 @@ impl FlowTable {
     ///
     /// # Panics
     /// Panics if `t` lies before the time already reached, or is not
-    /// finite: AR(1) and Markov flows step through every tick or jump
-    /// inside the advance, so an infinite one would never return.
+    /// finite: AR(1) flows step through every tick inside the advance, so
+    /// an infinite one would never return.
     pub fn advance_to(&mut self, t: f64, rng: &mut StdRng) {
         let dt = t - self.advanced_to;
         assert!(
@@ -486,7 +486,6 @@ impl Drop for Burst<'_> {
 mod tests {
     use super::*;
     use mbac_traffic::ar1::{Ar1Config, Ar1Model};
-    use mbac_traffic::markov::{MarkovFluidFactory, MarkovFluidModel};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -646,8 +645,8 @@ mod tests {
     }
 
     /// A table of `model`'s flows advanced to `t = ∞`. Without the
-    /// finite-target check the AR(1) and Markov catch-up loops never
-    /// return; with it every kernel panics before drawing.
+    /// finite-target check the AR(1) catch-up loop never returns; with it
+    /// every kernel panics before drawing.
     fn advance_to_infinity(model: &dyn SourceModel, table: FlowTable) {
         let (mut table, mut rng) = (table, StdRng::seed_from_u64(8));
         for _ in 0..3 {
@@ -681,7 +680,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot advance flows to inf")]
     fn markov_table_refuses_an_infinite_advance() {
-        let m = MarkovFluidFactory::new(MarkovFluidModel::on_off(2.0, 1.0, 3.0));
+        let m = RcbrModel::on_off(2.0, 1.0, 3.0);
         advance_to_infinity(&m, FlowTable::new());
     }
 
@@ -756,12 +755,7 @@ mod tests {
                     clamp_at_zero: true,
                 })),
             ),
-            (
-                "markov",
-                Box::new(MarkovFluidFactory::new(MarkovFluidModel::on_off(
-                    2.0, 1.0, 3.0,
-                ))),
-            ),
+            ("on-off", Box::new(RcbrModel::on_off(2.0, 1.0, 3.0))),
         ] {
             let mut rng_a = StdRng::seed_from_u64(77);
             let mut rng_b = StdRng::seed_from_u64(77);

@@ -1,7 +1,8 @@
 //! The lane suite: flow tables larger than one lane
 //! (`mbac_traffic::batch::LANE` flows), at `3·LANE + 17` flows — three
-//! full lanes and a short fourth — on each of the four kernels (RCBR,
-//! AR(1), Markov fluid, and the boxed `DynBatch`).
+//! full lanes and a short fourth — on each of the three kernels (RCBR,
+//! AR(1) and the boxed `DynBatch`), RCBR over a Gaussian and over the
+//! on–off source's two-point marginal.
 //!
 //! * **Worker-count invariance.** Rates, moment bits and the RNG end
 //!   state are identical for 1, 2 and 4 workers, through admissions and
@@ -11,7 +12,7 @@
 //! * **Boxed ≡ batched** above one lane: the unbatched table, whose
 //!   `DynBatch` cuts thinning runs at lane edges, equals the kernels.
 //! * **Law.** The renegotiation share, the new-rate mean and variance,
-//!   the AR(1) lag-1 autocorrelation and the Markov on-share are within
+//!   the AR(1) lag-1 autocorrelation and the on–off on-share are within
 //!   4.5σ of theory, and the aggregates of different lanes are
 //!   uncorrelated (within 4.5σ of 0) — each lane draws its own stream.
 //!
@@ -21,9 +22,7 @@ use mbac_num::parallel::with_workers;
 use mbac_num::{RateMoments, RunningStats};
 use mbac_sim::{ConfigError, Engine, MetricsSink, RepContext, Scenario, SessionBuilder};
 use mbac_traffic::batch::{fold_lanes, LANE};
-use mbac_traffic::{
-    Ar1Config, Ar1Model, MarkovFluidFactory, MarkovFluidModel, RcbrConfig, RcbrModel, SourceModel,
-};
+use mbac_traffic::{Ar1Config, Ar1Model, RcbrConfig, RcbrModel, SourceModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -61,16 +60,17 @@ fn ar1(tick: f64) -> Ar1Model {
     })
 }
 
-/// On–off: peak 2, mean on 1, mean off 1 — on-share ½, `λ + μ = 2`.
-fn markov() -> MarkovFluidFactory {
-    MarkovFluidFactory::new(MarkovFluidModel::on_off(2.0, 1.0, 1.0))
+/// On–off, the two-state Markov fluid: peak 2, mean on 1, mean off 1 —
+/// on-share ½, `λ + μ = 2`.
+fn on_off() -> RcbrModel {
+    RcbrModel::on_off(2.0, 1.0, 1.0)
 }
 
 fn models() -> Vec<(&'static str, Box<dyn SourceModel>)> {
     vec![
         ("rcbr", Box::new(rcbr())),
         ("ar1", Box::new(ar1(0.25))),
-        ("markov", Box::new(markov())),
+        ("on-off", Box::new(on_off())),
     ]
 }
 
@@ -346,14 +346,14 @@ fn ar1_lanes_keep_the_lag_one_autocorrelation() {
     }
 }
 
-/// Markov on–off above one lane: the on-share is the stationary ½, and
+/// On–off above one lane: the on-share is the stationary ½, and
 /// the lag-1 autocorrelation of the rate is `e^{−(λ+μ)dt}`.
 #[test]
 fn markov_lanes_keep_the_stationary_law() {
     let dt: f64 = 0.3;
     let rho_want = (-2.0 * dt).exp();
     for engine in [Engine::Batched, Engine::Boxed] {
-        let rates = paths(&markov(), engine, dt, 4, 300);
+        let rates = paths(&on_off(), engine, dt, 4, 300);
         let at = format!("{engine:?}");
         let on = rates[4].iter().filter(|&&r| r > 0.0).count() as f64 / N as f64;
         assert_near(&at, "on-share", on, 0.5, (0.25 / N as f64).sqrt());
@@ -378,7 +378,7 @@ fn lane_aggregates_are_uncorrelated() {
         ("rcbr", Box::new(rcbr()), Engine::Batched, 10.0),
         // One draw per flow a tick, three ticks an advance: a³ = e^{−3}.
         ("ar1", Box::new(ar1(1.0)), Engine::Batched, 3.0),
-        ("markov", Box::new(markov()), Engine::Batched, 2.0),
+        ("on-off", Box::new(on_off()), Engine::Batched, 2.0),
         ("boxed rcbr", Box::new(rcbr()), Engine::Boxed, 10.0),
     ];
     for (c, (name, model, engine, dt)) in cases.into_iter().enumerate() {

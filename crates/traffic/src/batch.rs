@@ -187,11 +187,6 @@ pub enum BatchKey {
         /// Mean renegotiation interval `T_c`.
         t_c: f64,
     },
-    /// Markov fluids sharing one generator. The key is the address of
-    /// the shared [`crate::markov::MarkovFluidModel`]; the batch holds
-    /// an `Arc` to the model, so the address cannot be reused while the
-    /// batch is alive.
-    Markov(usize),
 }
 
 /// A contiguous batch of flows spawned from one source model, advanced
@@ -345,7 +340,6 @@ mod tests {
     use super::*;
     use crate::ar1::{Ar1Config, Ar1Model};
     use crate::marginal::Marginal;
-    use crate::markov::{MarkovFluidFactory, MarkovFluidModel};
     use crate::process::test_util::{check_acf_fn, check_moments_fn};
     use crate::process::SourceModel;
     use crate::rcbr::{RcbrConfig, RcbrModel};
@@ -429,8 +423,7 @@ mod tests {
 
         // Steps far longer than the correlation time — the impulsive
         // harness's shape: every flow changes in every call (RCBR
-        // renegotiates once per flow, AR(1) and Markov fluids catch up
-        // step by step).
+        // renegotiates once per flow, AR(1) catches up tick by tick).
         for step in 300..320 {
             t.advance(50.0 + 0.37 * (step % 5) as f64, step);
         }
@@ -480,9 +473,10 @@ mod tests {
         assert_bit_exact(&model, 43);
     }
 
+    /// The two-state Markov fluid: the on–off source, an RCBR flow.
     #[test]
     fn markov_batch_is_bit_exact() {
-        let model = MarkovFluidFactory::new(MarkovFluidModel::on_off(2.0, 1.0, 3.0));
+        let model = RcbrModel::on_off(2.0, 1.0, 3.0);
         assert_bit_exact(&model, 44);
     }
 
@@ -536,7 +530,7 @@ mod tests {
 
     /// `spawn(n)` is `n` calls of `spawn(1)` bit for bit on every kernel
     /// — rates, RNG end state, and the state an advance reads (AR(1)
-    /// phase, Markov sojourns) — including a burst appended behind flows
+    /// phase) — including a burst appended behind flows
     /// the batch already holds.
     #[test]
     fn bulk_spawn_is_repeated_single_spawns() {
@@ -549,8 +543,8 @@ mod tests {
             tick: 0.05,
             clamp_at_zero: true,
         });
-        let markov = MarkovFluidFactory::new(MarkovFluidModel::on_off(2.0, 1.0, 3.0));
-        let models: [&dyn SourceModel; 4] = [&rcbr, &general, &ar1, &markov];
+        let on_off = RcbrModel::on_off(2.0, 1.0, 3.0);
+        let models: [&dyn SourceModel; 4] = [&rcbr, &general, &ar1, &on_off];
         for (m, model) in models.into_iter().enumerate() {
             for n in [0, 1, 7, 400] {
                 let seed = 48 + m as u64;
@@ -662,10 +656,11 @@ mod tests {
         );
     }
 
+    /// The two-state Markov fluid: the on–off source, an RCBR flow.
     #[test]
     fn markov_batch_stationary_moments_and_acf() {
-        // λ + μ = 4/3 ⇒ ρ(τ) = e^{−4τ/3} ⇒ effective T_c = 3/4.
-        let model = MarkovFluidFactory::new(MarkovFluidModel::on_off(1.0, 1.0, 3.0));
+        // λ + μ = 4/3 ⇒ ρ(τ) = e^{−4τ/3} ⇒ T_c = 3/4.
+        let model = RcbrModel::on_off(1.0, 1.0, 3.0);
         check_batch_statistics(
             &model,
             0.75,

@@ -6,9 +6,8 @@
 //! * [`rcbr`] — the paper's §5.2 simulation source: piecewise-constant
 //!   rates with a Gaussian (or any [`marginal`]) marginal and exponential
 //!   renegotiation intervals, giving exactly the OU autocorrelation of
-//!   eqn (31);
-//! * [`markov`] — K-state Markov-modulated fluids (incl. the classical
-//!   on–off voice source), the model class named in Assumption B.6;
+//!   eqn (31); the classical on–off voice source, the two-state Markov
+//!   fluid of Assumption B.6, is one of them ([`RcbrModel::on_off`]);
 //! * [`ar1`] — a sampled Ornstein–Uhlenbeck source (same second-order
 //!   statistics as RCBR, continuous path structure);
 //! * [`multiscale`] — sums of RCBR deviations across decades of
@@ -31,7 +30,6 @@ pub mod ar1;
 pub mod batch;
 pub mod fgn;
 pub mod marginal;
-pub mod markov;
 pub mod multiscale;
 pub mod process;
 pub mod rcbr;
@@ -43,10 +41,9 @@ pub use ar1::{Ar1Config, Ar1Model, Ar1Source};
 pub use batch::{BatchKey, DynBatch, FlowBatch};
 pub use fgn::{davies_harte, fgn_autocovariance, hosking};
 pub use marginal::Marginal;
-pub use markov::{MarkovFluidFactory, MarkovFluidModel, MarkovFluidSource};
 pub use multiscale::{MultiScaleConfig, MultiScaleModel, MultiScaleSource, ScaleComponent};
 pub use process::{RateProcess, SourceModel};
 pub use rcbr::{RcbrConfig, RcbrModel, RcbrSource};
-pub use starwars::{generate_starwars_like, StarwarsConfig};
+pub use starwars::{generate_starwars_like, StarwarsConfig, MAX_SLOTS};
 pub use trace::{Trace, TraceModel, TraceSource};
 pub use validate::{fit_correlation_timescale, hurst_rs, hurst_variance_time};

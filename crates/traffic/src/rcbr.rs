@@ -263,6 +263,32 @@ impl RcbrModel {
         RcbrModel { marginal, t_c }
     }
 
+    /// The classical on–off source: rate `peak` while on, 0 while off,
+    /// exponential on-periods (mean `mean_on`) and off-periods (mean
+    /// `mean_off`) — the two-state Markov fluid of Assumption B.6. It
+    /// leaves off at `λ = 1/mean_off` and on at `μ = 1/mean_on`, which
+    /// is renegotiating at rate `λ + μ` to a fresh draw that is on with
+    /// probability `λ/(λ + μ)`: an RCBR flow over a two-point marginal,
+    /// with `T_c = 1/(λ + μ)` and `ρ(τ) = e^{−(λ+μ)|τ|}`.
+    ///
+    /// # Panics
+    /// Panics unless all three parameters are positive and finite.
+    pub fn on_off(peak: f64, mean_on: f64, mean_off: f64) -> Self {
+        for v in [peak, mean_on, mean_off] {
+            assert!(
+                v > 0.0 && v.is_finite(),
+                "on–off parameter {v} must be positive"
+            );
+        }
+        let cycle = mean_on + mean_off;
+        let marginal = Marginal::TwoPoint {
+            low: 0.0,
+            high: peak,
+            p_high: mean_on / cycle,
+        };
+        Self::with_marginal(marginal, mean_on * mean_off / cycle)
+    }
+
     /// The configured marginal.
     pub fn marginal(&self) -> Marginal {
         self.marginal
@@ -989,6 +1015,55 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(104);
         let g = general.spawn(&mut rng);
         assert_eq!(g.autocorrelation(1.0), Some((-0.5f64).exp()));
+    }
+
+    #[test]
+    fn on_off_moments() {
+        // peak 2, on 1s, off 3s: activity 0.25, mean 0.5,
+        // var = p(1-p)peak² = 0.25·0.75·4 = 0.75.
+        let model = RcbrModel::on_off(2.0, 1.0, 3.0);
+        let Marginal::TwoPoint { low, high, p_high } = model.marginal() else {
+            panic!("an on–off flow has a two-point marginal");
+        };
+        assert_eq!((low, high), (0.0, 2.0));
+        assert!((p_high - 0.25).abs() < 1e-12);
+        assert!((model.mean() - 0.5).abs() < 1e-12);
+        assert!((model.variance() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn on_off_empirical_moments() {
+        let model = RcbrModel::on_off(2.0, 1.0, 3.0);
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut src = RcbrSource::new(model, &mut rng);
+        check_moments(&mut src, 0.2, 300_000, 0.01, 0.02, 12);
+    }
+
+    #[test]
+    fn on_off_autocorrelation() {
+        // λ + μ = 1/3 + 1 = 4/3 ⇒ ρ(τ) = e^{-4τ/3}.
+        let model = RcbrModel::on_off(1.0, 1.0, 3.0);
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut src = RcbrSource::new(model, &mut rng);
+        assert!((src.autocorrelation(0.75).unwrap() - (-1.0f64).exp()).abs() < 1e-12);
+        check_acf(&mut src, 0.25, 400_000, &[1, 2, 4], 0.02, 14);
+    }
+
+    #[test]
+    fn states_visited_according_to_stationary_law() {
+        let model = RcbrModel::on_off(1.0, 2.0, 2.0);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut src = RcbrSource::new(model, &mut rng);
+        let mut on_time = 0usize;
+        let n = 200_000;
+        for _ in 0..n {
+            src.advance(0.1, &mut rng);
+            if src.rate() == 1.0 {
+                on_time += 1;
+            }
+        }
+        let frac = on_time as f64 / n as f64;
+        assert!((frac - 0.5).abs() < 0.01, "on fraction {frac}");
     }
 
     #[test]

@@ -52,26 +52,74 @@ impl Default for StarwarsConfig {
     }
 }
 
+/// The most slots [`generate_starwars_like`] generates: 2²², an 80 MB
+/// trace file. Davies–Harte embeds the slots in a circulant twice as
+/// long, whose eigenvalues no longer come out non-negative to `f64`
+/// accuracy at 2²⁴ slots; and far past that the embedding alone does
+/// not fit in memory.
+pub const MAX_SLOTS: usize = 1 << 22;
+
+impl StarwarsConfig {
+    /// The floor `0.05 μ` (a video never emits zero bits) and the cap
+    /// `μ(1 + 4·cov)` (+4σ, like a VBR encoder's) rates are clipped to.
+    fn range(&self) -> (f64, f64) {
+        (0.05 * self.mean, self.mean * (1.0 + 4.0 * self.cov))
+    }
+
+    /// The spacing of the quantization levels, if rates are quantized.
+    fn step(&self) -> Option<f64> {
+        let (floor, peak) = self.range();
+        (self.levels > 1).then(|| (peak - floor) / (self.levels - 1) as f64)
+    }
+
+    /// Checks what [`generate_starwars_like`] needs: mean, cov and slot
+    /// positive and finite, the Hurst parameter in (0, 1), between 1 and
+    /// [`MAX_SLOTS`] slots, and a rate cap and quantization step that
+    /// are positive and finite (a subnormal mean rounds the step to 0,
+    /// a huge cov the cap to ∞).
+    pub fn validate(&self) -> Result<(), String> {
+        let cap = ("the rate cap mean·(1 + 4·cov)", self.range().1);
+        let positive = [
+            ("mean", self.mean),
+            ("cov", self.cov),
+            ("slot", self.slot),
+            cap,
+        ];
+        let step = self.step().map(|step| ("the quantization step", step));
+        for (what, v) in positive.into_iter().chain(step) {
+            if !(v > 0.0 && v.is_finite()) {
+                return Err(format!("{what} must be positive and finite, got {v}"));
+            }
+        }
+        if !(self.hurst > 0.0 && self.hurst < 1.0) {
+            return Err(format!("hurst must lie in (0, 1), got {}", self.hurst));
+        }
+        if !(1..=MAX_SLOTS).contains(&self.slots) {
+            let slots = self.slots;
+            return Err(format!("slots must be in 1..={MAX_SLOTS}, got {slots}"));
+        }
+        Ok(())
+    }
+}
+
 /// Generates the synthetic LRD piecewise-CBR trace.
 ///
-/// The fGn sample path is mapped to rates `μ(1 + cov·z)`, floored at
-/// `0.05 μ` (a video never emits zero bits), then quantized.
+/// The fGn sample path is mapped to rates `μ(1 + cov·z)`, clipped to
+/// `[0.05 μ, μ(1 + 4·cov)]`, then quantized.
 ///
 /// # Panics
-/// Panics on nonsensical parameters.
+/// Panics unless [`StarwarsConfig::validate`] accepts `cfg`.
 pub fn generate_starwars_like(cfg: &StarwarsConfig, rng: &mut dyn RngCore) -> Trace {
-    assert!(cfg.mean > 0.0 && cfg.cov > 0.0);
-    assert!(cfg.hurst > 0.0 && cfg.hurst < 1.0);
-    assert!(cfg.slots > 0 && cfg.slot > 0.0);
+    if let Err(e) = cfg.validate() {
+        panic!("invalid trace configuration: {e}");
+    }
     let z = davies_harte(cfg.hurst, cfg.slots, rng);
-    let floor = 0.05 * cfg.mean;
-    let peak = cfg.mean * (1.0 + 4.0 * cfg.cov); // clip at +4σ like a VBR encoder cap
+    let (floor, peak) = cfg.range();
     let mut rates: Vec<f64> = z
         .into_iter()
         .map(|v| (cfg.mean * (1.0 + cfg.cov * v)).clamp(floor, peak))
         .collect();
-    if cfg.levels > 1 {
-        let step = (peak - floor) / (cfg.levels - 1) as f64;
+    if let Some(step) = cfg.step() {
         for r in &mut rates {
             *r = floor + ((*r - floor) / step).round() * step;
         }

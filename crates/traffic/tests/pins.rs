@@ -10,10 +10,8 @@
 //! not depend on the target CPU either: CI runs this file for baseline
 //! x86-64 as well as `native`.
 
-use mbac_num::linalg::Matrix;
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
 use mbac_traffic::marginal::Marginal;
-use mbac_traffic::markov::{MarkovFluidFactory, MarkovFluidModel};
 use mbac_traffic::process::SourceModel;
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use rand::rngs::StdRng;
@@ -129,13 +127,4 @@ fn ar1_is_pinned() {
         clamp_at_zero: true,
     });
     assert_eq!(pin(&model, 1.0, 20), 0x3955_7791_b934_f661);
-}
-
-#[test]
-fn markov_fluids_are_pinned() {
-    let on_off = MarkovFluidFactory::new(MarkovFluidModel::on_off(2.0, 1.0, 3.0));
-    assert_eq!(pin(&on_off, 0.75, 30), 0xae57_d618_b9ff_2af7);
-    let q = Matrix::from_rows(3, 3, vec![-0.5, 0.5, 0.0, 0.25, -0.75, 0.5, 0.0, 0.5, -0.5]);
-    let video = MarkovFluidFactory::new(MarkovFluidModel::new(q, vec![1.0, 3.0, 6.0]));
-    assert_eq!(pin(&video, 2.0, 31), 0x1ddd_009e_4c17_5b6d);
 }

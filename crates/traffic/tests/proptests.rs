@@ -4,7 +4,6 @@ use mbac_traffic::ar1::{Ar1Batch, Ar1Config, Ar1Source};
 use mbac_traffic::batch::FlowBatch;
 use mbac_traffic::fgn::fgn_autocovariance;
 use mbac_traffic::marginal::Marginal;
-use mbac_traffic::markov::MarkovFluidModel;
 use mbac_traffic::process::{RateProcess, SourceModel};
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use mbac_traffic::trace::Trace;
@@ -53,15 +52,21 @@ proptest! {
         }
     }
 
-    /// On–off fluids: stationary activity and moments follow the rates.
+    /// On–off fluids: stationary activity and moments follow the rates,
+    /// and the correlation time is `1/(λ + μ)`.
     #[test]
     fn on_off_moments(peak in 0.5f64..10.0, on in 0.1f64..5.0, off in 0.1f64..5.0) {
-        let m = MarkovFluidModel::on_off(peak, on, off);
+        let m = RcbrModel::on_off(peak, on, off);
         let p = on / (on + off);
-        prop_assert!((m.stationary()[1] - p).abs() < 1e-9);
-        let f = mbac_traffic::markov::MarkovFluidFactory::new(m);
-        prop_assert!((f.mean() - p * peak).abs() < 1e-9);
-        prop_assert!((f.variance() - p * (1.0 - p) * peak * peak).abs() < 1e-9);
+        let Marginal::TwoPoint { p_high, .. } = m.marginal() else {
+            panic!("an on–off flow has a two-point marginal");
+        };
+        prop_assert!((p_high - p).abs() < 1e-9);
+        prop_assert!((m.mean() - p * peak).abs() < 1e-9);
+        prop_assert!((m.variance() - p * (1.0 - p) * peak * peak).abs() < 1e-9);
+        let src = m.spawn(&mut StdRng::seed_from_u64(7));
+        let rho = (-(1.0 / on + 1.0 / off)).exp();
+        prop_assert!((src.autocorrelation(1.0).unwrap() - rho).abs() < 1e-12);
     }
 
     /// Generalized RCBR reports the marginal's analytic moments.

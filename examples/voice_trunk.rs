@@ -6,7 +6,8 @@
 //! a Poisson process, each class with its own holding time. This
 //! exercises:
 //!
-//! * the Markov-fluid sources (Assumption B.6's model class),
+//! * on–off sources, the two-state Markov fluids of Assumption B.6's
+//!   model class (each an RCBR flow over a two-point marginal),
 //! * heterogeneous flows (§5.4): the naive variance estimator is biased
 //!   conservative, the per-class estimator is not,
 //! * the finite-arrival-rate harness (blocking probability as the
@@ -18,14 +19,14 @@ use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::heterogeneous::naive_variance_bias;
 use mbac_core::estimators::FilteredEstimator;
 use mbac_sim::{MbacController, PoissonConfig, PoissonLoad, SessionBuilder};
-use mbac_traffic::markov::{MarkovFluidFactory, MarkovFluidModel};
 use mbac_traffic::process::SourceModel;
+use mbac_traffic::rcbr::RcbrModel;
 
 fn main() {
     // Standard voice: 64 kb/s peak, talk-spurts ~0.4 s, silences ~0.6 s.
-    let voice = MarkovFluidFactory::new(MarkovFluidModel::on_off(64.0, 0.4, 0.6));
+    let voice = RcbrModel::on_off(64.0, 0.4, 0.6);
     // Conference audio: 192 kb/s peak, mostly-on (0.8 s / 0.2 s).
-    let conf = MarkovFluidFactory::new(MarkovFluidModel::on_off(192.0, 0.8, 0.2));
+    let conf = RcbrModel::on_off(192.0, 0.8, 0.2);
     println!(
         "voice class: mean {:.1} kb/s, sd {:.1};  conference class: mean {:.1} kb/s, sd {:.1}",
         voice.mean(),

@@ -9,7 +9,7 @@
 //!   Grossglauser–Tse theory, robust design, utility-based QoS;
 //! * [`metrics`] (= `mbac-metrics`) — aggregated, mergeable simulation
 //!   instruments (counters, gauges, histograms, series);
-//! * [`traffic`] (= `mbac-traffic`) — RCBR / Markov / AR(1) /
+//! * [`traffic`] (= `mbac-traffic`) — RCBR (on–off included) / AR(1) /
 //!   multi-scale / fGn / trace sources;
 //! * [`sim`] (= `mbac-sim`) — the discrete-event simulator and the
 //!   three load-model harnesses;
