@@ -422,6 +422,38 @@ fn simulate_impulsive_rejects_oversized_loads_without_aborting_or_hanging() {
 }
 
 #[test]
+fn simulate_routed_rejects_oversized_runs_without_aborting_or_hanging() {
+    // Unbounded, the first panics sizing its replications ("capacity
+    // overflow", exit 101), the second seeds flows until the host runs
+    // out of memory (exit 137), and the third and fourth run for days:
+    // each count of the fourth is within its bound, the run they make
+    // (8 replications of 4 routes) is not.
+    let cases = [
+        "--reps 18446744073709551615",
+        "--flows-per-route 100000000000",
+        "--ticks 100000000000",
+        "--ticks 100000000 --flows-per-route 10000",
+    ];
+    for flags in cases {
+        let args: Vec<&str> = ["simulate", "--load", "routed", "--capacity", "100"]
+            .into_iter()
+            .chain(["--holding", "10"])
+            .chain(flags.split(' '))
+            .collect();
+        let start = std::time::Instant::now();
+        let out = mbacctl(&args);
+        assert_eq!(out.status.code(), Some(1), "{flags}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error: invalid configuration: the workload would hold more than"),
+            "{flags}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{flags}: {err}");
+        assert!(start.elapsed().as_secs() < 5, "{flags} took too long");
+    }
+}
+
+#[test]
 fn simulate_poisson_rejects_unbounded_arrival_rates_without_panicking_or_hanging() {
     // `inf` used to panic on a zero mean inter-arrival time (exit 101);
     // `1e300` ran an arrival at every float step, for ever.
@@ -1368,7 +1400,10 @@ const HOSTILE_VALUES: [&str; 9] = [
 
 /// The flags that take a value in the usage block of `command` that
 /// starts with `head`: its first line and the indented lines after it.
-fn usage_flags(command: &str, head: &str) -> Vec<String> {
+/// With a `mode`, a block that lists its flags mode by mode (a line
+/// `  <mode>: …` and the lines under it) gives the flags common to every
+/// mode and those of `mode` only.
+fn usage_flags(command: &str, head: &str, mode: Option<&str>) -> Vec<String> {
     let out = mbacctl(&["help", command]);
     let usage = String::from_utf8_lossy(&out.stdout).into_owned();
     let mut lines = usage.lines().skip_while(|l| !l.starts_with(head));
@@ -1376,6 +1411,19 @@ fn usage_flags(command: &str, head: &str) -> Vec<String> {
         .next()
         .unwrap_or_else(|| panic!("no '{head}' in:\n{usage}"));
     let block = std::iter::once(first).chain(lines.take_while(|l| l.starts_with(' ')));
+    // A mode's label is a first word, before a colon, that is no flag.
+    let label = |line: &str| {
+        let (before, _) = line.split_once(':')?;
+        let word = before.split_whitespace().next()?;
+        (!before.contains("--")).then_some(word.to_string())
+    };
+    let mut current: Option<String> = None;
+    let block = block.filter(|&line| {
+        if let Some(word) = label(line) {
+            current = Some(word);
+        }
+        current.is_none() || current.as_deref() == mode
+    });
     let words: Vec<&str> = block
         .flat_map(str::split_whitespace)
         .map(|w| w.trim_matches(|c| c == '[' || c == ']'))
@@ -1386,6 +1434,7 @@ fn usage_flags(command: &str, head: &str) -> Vec<String> {
         .map(|w| w[0].trim_start_matches("--").to_string())
         .collect();
     flags.sort();
+    flags.dedup();
     flags
 }
 
@@ -1415,25 +1464,87 @@ fn mbacctl_within(
     Some(child.wait_with_output().expect("child output"))
 }
 
-/// Every numeric flag of `design`, `theory` and `trace gen`, read from
-/// the command's usage text, set in turn to each of [`HOSTILE_VALUES`]
-/// with every other flag at a valid value: the command exits 0, or 1
-/// with exactly one `error:` line, within 10 s, and never panics. A flag
-/// added to a usage text without an entry here fails the test.
+/// One command shape the hostile sweep drives: its usage block (and
+/// mode), the words before its flags, each numeric flag with a valid
+/// value, and the flags its usage lists that the sweep leaves out —
+/// files, and the flags of the command's other shape.
+struct Sweep {
+    command: &'static str,
+    head: &'static str,
+    mode: Option<&'static str>,
+    prefix: Vec<&'static str>,
+    flags: Vec<(&'static str, &'static str)>,
+    left_out: Vec<&'static str>,
+}
+
+/// `serve-bench` on the per-link shape or on `topology`, serial (one
+/// shard) or threaded (two), at small valid values; the stream flags
+/// take effect with `--metrics-stream`.
+fn serve_bench_sweep(topology: Option<&'static str>, shards: &'static str) -> Sweep {
+    let mut prefix = vec!["serve-bench", "--metrics-stream", "stream.jsonl"];
+    let mut flags = vec![
+        ("ticks", "12"),
+        ("tick", "0.1"),
+        ("requests-per-tick", "2"),
+        ("holding", "10"),
+        ("capacity", "8"),
+        ("seed", "3"),
+        ("shards", shards),
+        ("producers", "1"),
+        ("ring-capacity", "16"),
+        ("p-ce", "1e-2"),
+        ("t-m", "2"),
+        ("mean", "1"),
+        ("sd", "0.3"),
+        ("t-c", "1"),
+        ("stream-sample", "0.5"),
+        ("stream-flush", "10"),
+        ("stream-ring", "64"),
+    ];
+    let left_out = match topology {
+        None => {
+            flags.extend([("links", "2"), ("flows-per-link", "5")]);
+            vec!["flows-per-route", "noise-sd"]
+        }
+        Some(topology) => {
+            prefix.extend(["--topology", topology]);
+            flags.extend([("flows-per-route", "5"), ("noise-sd", "0.05")]);
+            vec!["flows-per-link", "links"]
+        }
+    };
+    Sweep {
+        command: "serve-bench",
+        head: "mbacctl serve-bench",
+        mode: None,
+        prefix,
+        flags,
+        left_out: [left_out, vec!["metrics-stream", "trace"]].concat(),
+    }
+}
+
+/// Every numeric flag of `design`, `theory`, `trace gen`, `serve-bench`
+/// (per link and routed, serial and threaded) and `simulate --load
+/// routed`, read from the command's usage text, set in turn to each of
+/// [`HOSTILE_VALUES`] with every other flag at a valid value: the
+/// command exits 0, or 1 with exactly one `error:` line, within 10 s,
+/// and never panics. A flag added to a usage text without an entry here
+/// fails the test.
 #[test]
 fn hostile_flag_values_exit_cleanly() {
-    type Case = (
-        &'static str,
-        &'static str,
-        &'static [&'static str],
-        &'static [(&'static str, &'static str)],
-    );
-    let cases: [Case; 3] = [
-        (
+    let plain = |command, head, prefix, flags| Sweep {
+        command,
+        head,
+        mode: None,
+        prefix,
+        flags,
+        left_out: Vec::new(),
+    };
+    let sweeps = [
+        plain(
             "design",
             "mbacctl design",
-            &["design"],
-            &[
+            vec!["design"],
+            vec![
                 ("capacity", "100"),
                 ("mean", "1"),
                 ("sd", "0.3"),
@@ -1443,11 +1554,11 @@ fn hostile_flag_values_exit_cleanly() {
                 ("tc-max", "10"),
             ],
         ),
-        (
+        plain(
             "theory",
             "mbacctl theory",
-            &["theory"],
-            &[
+            vec!["theory"],
+            vec![
                 ("cov", "0.3"),
                 ("th-tilde", "5"),
                 ("t-c", "1"),
@@ -1456,11 +1567,11 @@ fn hostile_flag_values_exit_cleanly() {
                 ("p-q", "1e-3"),
             ],
         ),
-        (
+        plain(
             "trace",
             "mbacctl trace gen",
-            &["trace", "gen", "out.txt"],
-            &[
+            vec!["trace", "gen", "out.txt"],
+            vec![
                 ("slots", "1024"),
                 ("mean", "1"),
                 ("cov", "0.3"),
@@ -1470,27 +1581,85 @@ fn hostile_flag_values_exit_cleanly() {
                 ("seed", "7"),
             ],
         ),
+        serve_bench_sweep(None, "1"),
+        serve_bench_sweep(None, "2"),
+        serve_bench_sweep(Some("parking-lot:3"), "1"),
+        serve_bench_sweep(Some("star:3"), "2"),
+        Sweep {
+            command: "simulate",
+            head: "mbacctl simulate",
+            mode: Some("routed"),
+            prefix: vec![
+                "simulate",
+                "--load",
+                "routed",
+                "--topology",
+                "parking-lot:3",
+            ]
+            .into_iter()
+            .chain(["--metrics-stream", "stream.jsonl"])
+            .collect(),
+            flags: vec![
+                ("capacity", "20"),
+                ("mean", "1"),
+                ("sd", "0.3"),
+                ("t-c", "1"),
+                ("seed", "3"),
+                ("stream-sample", "0.5"),
+                ("stream-flush", "10"),
+                ("stream-ring", "64"),
+                ("holding", "10"),
+                ("ticks", "40"),
+                ("warmup", "10"),
+                ("flows-per-route", "2"),
+                ("attempts", "2"),
+                ("noise-sd", "0.05"),
+                ("t-m", "2"),
+                ("p-ce", "1e-2"),
+                ("reps", "2"),
+                ("workers", "1"),
+            ],
+            left_out: vec!["metrics-out", "metrics-stream", "trace"],
+        },
     ];
     let dir = std::env::temp_dir().join(format!("mbacctl_hostile_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut failures = Vec::new();
-    for (command, head, prefix, flags) in cases {
-        let mut listed: Vec<String> = flags.iter().map(|(f, _)| f.to_string()).collect();
+    for sweep in sweeps {
+        let head = sweep.head;
+        let mut listed: Vec<String> = sweep.flags.iter().map(|(f, _)| f.to_string()).collect();
+        listed.extend(sweep.left_out.iter().map(|f| f.to_string()));
         listed.sort();
         assert_eq!(
-            usage_flags(command, head),
+            usage_flags(sweep.command, head, sweep.mode),
             listed,
             "{head}: usage flags vs table"
         );
-        for (k, _) in flags.iter().enumerate() {
+        // The words of a run with flag `k` (if any) set to `value`.
+        let words = |k: Option<usize>, value: &str| {
+            let mut args: Vec<String> = sweep.prefix.iter().map(|w| w.to_string()).collect();
+            for (j, &(flag, good)) in sweep.flags.iter().enumerate() {
+                args.push(format!("--{flag}"));
+                args.push(if Some(j) == k { value } else { good }.to_string());
+            }
+            args
+        };
+        // Every valid value together is a run that succeeds, so each
+        // hostile value is what a failure comes from.
+        let valid = words(None, "");
+        let valid: Vec<&str> = valid.iter().map(String::as_str).collect();
+        let out = mbacctl_within(&valid, &dir, Duration::from_secs(10));
+        let code = out.as_ref().and_then(|out| out.status.code());
+        assert_eq!(code, Some(0), "mbacctl {}: {out:?}", valid.join(" "));
+        for k in 0..sweep.flags.len() {
             for bad in HOSTILE_VALUES {
-                let mut args: Vec<String> = prefix.iter().map(|w| w.to_string()).collect();
-                for (j, &(flag, good)) in flags.iter().enumerate() {
-                    args.push(format!("--{flag}"));
-                    args.push(if j == k { bad } else { good }.to_string());
-                }
+                let args = words(Some(k), bad);
                 let args: Vec<&str> = args.iter().map(String::as_str).collect();
-                let case = format!("{head} --{} '{bad}'", flags[k].0);
+                let case = format!(
+                    "mbacctl {} (--{} '{bad}')",
+                    args.join(" "),
+                    sweep.flags[k].0
+                );
                 let verdict = match mbacctl_within(&args, &dir, Duration::from_secs(10)) {
                     None => Some("still running after 10 s".to_string()),
                     Some(out) => {

@@ -14,7 +14,7 @@
 //! * [`roots`] — bisection and Brent, used to invert the overflow
 //!   formulas for the adjusted certainty-equivalent target `p_ce`;
 //! * [`fft`] — radix-2 FFT for the Davies–Harte fGn generator;
-//! * [`rng`] — seedable Gaussian / exponential / Bernoulli sampling;
+//! * [`rng`] — seedable Gaussian / exponential / χ² / Bernoulli sampling;
 //! * [`stats`], [`ci`], [`regress`] — descriptive statistics, confidence
 //!   intervals (the paper's §5.2 termination rule), and least squares
 //!   (Hurst estimation).
@@ -47,7 +47,7 @@ pub use complex::Complex64;
 #[doc(hidden)]
 pub use dispatch::KernelDispatch;
 pub use erf::{erf, erfc, erfcx, ln_erfc};
-pub use moments::{RateMoments, SnapshotMoments};
+pub use moments::{fold_noisy, RateMoments, SnapshotMoments};
 pub use normal::{inv_norm_cdf, inv_q, ln_q, mills_ratio, norm_cdf, phi, q};
 pub use parallel::{
     default_workers, parallel_map, parallel_map_with, parallel_map_with_stats, PoolCallStats,

@@ -32,6 +32,13 @@
 //!   the data mean the reconstruction agrees with a centered two-pass
 //!   computation to ~1e-15 relative — the equivalence the estimator
 //!   property tests pin at 1e-12.
+//!
+//! A node that measures through noise observes a fold too:
+//! [`fold_noisy`] draws the noise's exact effect on the five numbers,
+//! not a noisy rate per flow.
+
+use crate::rng::{chi_squared, NormalSampler};
+use rand::Rng;
 
 /// Lane partials each sum keeps (module docs).
 const LANES: usize = 16;
@@ -268,6 +275,154 @@ impl SnapshotMoments {
             0.0
         } else {
             self.sum_sq_dev(m) / (self.n - 1) as f64
+        }
+    }
+}
+
+/// How many noise deviations above zero a rate must be for its noisy
+/// measurement never to reach the zero clamp: the normal sampler never
+/// returns `|Z|` beyond `x₁ + √(106 ln 2) ≈ 12.23` (`x₁` its tail cut;
+/// derived from its table in `rng`'s tests).
+pub const CLAMP_GUARD_SDS: f64 = 13.0;
+
+/// The fewest flows whose noise [`fold_noisy`] draws as a whole: below
+/// this a link draws it flow by flow.
+const MIN_UNGUARDED: usize = 4;
+
+/// A node's measurement of `rates` through independent `N(0, sd²)`
+/// noise on every rate, clamped at zero, folded around `pivot` — or,
+/// with no pivot, around the first flow's measured rate (the window
+/// rule of `fold_snapshot`). The law of the fold of `max(r + e, 0)`,
+/// drawn at the cost of one fold of the noiseless rates and a few
+/// draws rather than one per flow:
+///
+/// * The pivot flow (with no pivot) and every flow with `r < 13·sd`
+///   ([`CLAMP_GUARD_SDS`]) draw their own `e`, are clamped, and move the
+///   fold by what the measured rate adds over the rate — in that order,
+///   the flows below the guard in rate order. When fewer than four
+///   flows are left, they draw theirs the same way, in order.
+/// * Otherwise the other `m` flows, which never reach the clamp, add `Σe`,
+///   `2Σ(r − c)e` and `Σe²` to the fold. By the rotation invariance of
+///   `e ~ N(0, sd² I)`, with `q₁ = 1/√m` and `q₂` the unit part of
+///   `r − c` orthogonal to it, `e = sd (g₁q₁ + g₂q₂ + w)`: `Σe = sd √m
+///   g₁`, `Σ(r − c)e = sd (Σ(r − c)/√m · g₁ + ‖(r − c)⊥‖ g₂)` and `Σe²
+///   = sd² (g₁² + g₂² + χ²_{m−2})` — two Gaussians and a
+///   [`chi_squared`] draw.
+///
+/// `sd = 0` draws nothing, and is the bits of the noiseless fold. A
+/// non-finite rate makes the fold non-finite, as it does a noiseless
+/// one.
+pub fn fold_noisy<R: Rng + ?Sized>(
+    rates: &[f64],
+    pivot: Option<f64>,
+    sd: f64,
+    rng: &mut R,
+) -> SnapshotMoments {
+    if sd.is_nan() || sd <= 0.0 {
+        let pivot = pivot.or(rates.first().copied()).unwrap_or(0.0);
+        return RateMoments::of(pivot, rates).reduce();
+    }
+    let gaussian = NormalSampler::get();
+    let measure = |r: f64, rng: &mut R| (r + sd * gaussian.sample(rng)).max(0.0);
+    let (first, rest) = match (pivot, rates.split_first()) {
+        (Some(_), _) => (None, rates),
+        (None, Some((&r, rest))) => (Some((r, measure(r, rng))), rest),
+        (None, None) => return SnapshotMoments::default(),
+    };
+    let pivot = pivot.or(first.map(|(_, x)| x)).unwrap_or(0.0);
+    let all = RateMoments::of(pivot, rates).reduce();
+    let mut drawn = Drawn::around(all.pivot);
+    if let Some((r, x)) = first {
+        drawn.add(r, x);
+    }
+    // The rates below the guard, found 64 at a time by a mask rather
+    // than by a branch on every rate.
+    let guard = CLAMP_GUARD_SDS * sd;
+    for chunk in rest.chunks(64) {
+        let mut below = 0u64;
+        for (j, &r) in chunk.iter().enumerate() {
+            below |= u64::from(r < guard) << j;
+        }
+        while below != 0 {
+            let r = chunk[below.trailing_zeros() as usize];
+            below &= below - 1;
+            drawn.add(r, measure(r, rng));
+        }
+    }
+    let unguarded = all.n - drawn.n;
+    if unguarded < MIN_UNGUARDED {
+        for &r in rest.iter().filter(|&&r| r >= guard) {
+            drawn.add(r, measure(r, rng));
+        }
+        return drawn.applied_to(all, 0.0, 0.0, 0.0);
+    }
+    // The unguarded flows' `Σ(r − c)`, `Σ(r − c)²` and the part of
+    // `r − c` orthogonal to 1.
+    let m = unguarded as f64;
+    let (s1, s2) = (all.s1 - drawn.s1, all.s2 - drawn.s2);
+    let root_m = m.sqrt();
+    let perp = (s2 - s1 * s1 / m).max(0.0).sqrt();
+    let (g1, g2) = (gaussian.sample(rng), gaussian.sample(rng));
+    let chi = chi_squared(rng, unguarded - 2);
+    let sum_e = sd * root_m * g1;
+    let cross = sd * (s1 / root_m * g1 + perp * g2);
+    let sum_e2 = sd * sd * (g1 * g1 + g2 * g2 + chi);
+    drawn.applied_to(all, sum_e, cross, sum_e2)
+}
+
+/// The flows [`fold_noisy`] measures one by one: how far their measured
+/// rates `x` move the noiseless fold around `c`, and what their rates
+/// `r` hold of it.
+struct Drawn {
+    c: f64,
+    n: usize,
+    /// `Σ(x − r)`.
+    shift: f64,
+    /// `Σ((x − c)² − (r − c)²)`, as `Σ(x − r)(x − c + r − c)`.
+    sq_shift: f64,
+    /// `Σ(r − c)`.
+    s1: f64,
+    /// `Σ(r − c)²`.
+    s2: f64,
+}
+
+impl Drawn {
+    fn around(c: f64) -> Self {
+        Drawn {
+            c,
+            n: 0,
+            shift: 0.0,
+            sq_shift: 0.0,
+            s1: 0.0,
+            s2: 0.0,
+        }
+    }
+
+    /// A flow of rate `r` measured at `x`.
+    #[inline]
+    fn add(&mut self, r: f64, x: f64) {
+        let (d, e) = (r - self.c, x - r);
+        self.n += 1;
+        self.shift += e;
+        self.sq_shift += e * (x - self.c + d);
+        self.s1 += d;
+        self.s2 += d * d;
+    }
+
+    /// The noiseless fold `all` with these flows measured, and the other
+    /// flows' noise adding `Σe`, `Σ(r − c)e` and `Σe²`.
+    fn applied_to(
+        &self,
+        all: SnapshotMoments,
+        sum_e: f64,
+        cross: f64,
+        sum_e2: f64,
+    ) -> SnapshotMoments {
+        SnapshotMoments {
+            sum: all.sum + self.shift + sum_e,
+            s1: all.s1 + self.shift + sum_e,
+            s2: all.s2 + self.sq_shift + 2.0 * cross + sum_e2,
+            ..all
         }
     }
 }

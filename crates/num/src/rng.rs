@@ -246,6 +246,44 @@ pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
     rng.gen::<f64>() < p
 }
 
+/// Samples a χ² variate with `k` degrees of freedom: twice a
+/// `Gamma(k/2, 1)` drawn by Marsaglia & Tsang's squeeze (2000), one
+/// Gaussian and one uniform per try (a shape below 1 takes one more
+/// uniform: `Gamma(a) = Gamma(a + 1) · U^{1/a}`). `k = 0` is 0 and draws
+/// nothing. It stands in for `k` squared Gaussians where only their sum
+/// is read — the noise on a fold's `Σe²` ([`crate::moments::fold_noisy`]).
+pub fn chi_squared<R: Rng + ?Sized>(rng: &mut R, k: usize) -> f64 {
+    if k == 0 {
+        return 0.0;
+    }
+    2.0 * standard_gamma(rng, 0.5 * k as f64)
+}
+
+/// A unit-scale gamma variate of shape `a > 0` (see [`chi_squared`]).
+fn standard_gamma<R: Rng + ?Sized>(rng: &mut R, a: f64) -> f64 {
+    if a < 1.0 {
+        let boosted = standard_gamma(rng, a + 1.0);
+        // 1 − U ∈ (0, 1], so the power stays finite.
+        return boosted * (1.0 - rng.gen::<f64>()).powf(1.0 / a);
+    }
+    let gaussian = NormalSampler::get();
+    let d = a - 1.0 / 3.0;
+    let c = 1.0 / (9.0 * d).sqrt();
+    loop {
+        let x = gaussian.sample(rng);
+        let v = 1.0 + c * x;
+        if v <= 0.0 {
+            continue;
+        }
+        let v = v * v * v;
+        let u = 1.0 - rng.gen::<f64>();
+        let x2 = x * x;
+        if u < 1.0 - 0.0331 * (x2 * x2) || u.ln() < 0.5 * x2 + d * (1.0 - v + v.ln()) {
+            return d * v;
+        }
+    }
+}
+
 /// Samples a truncated normal on `[lo, ∞)` by rejection. The RCBR
 /// sources optionally truncate rates at zero so bandwidths stay
 /// physical; with σ/μ = 0.3 (the paper's setting) the acceptance rate
@@ -394,6 +432,44 @@ mod tests {
         let n = 100_000;
         let hits = (0..n).filter(|_| bernoulli(&mut r, 0.3)).count();
         assert!((hits as f64 / n as f64 - 0.3).abs() < 0.01);
+    }
+
+    /// χ²_k has mean `k` and variance `2k`; both hold within 4
+    /// standard errors over 2·10⁵ draws, for the boosted shape (`k = 1`)
+    /// and the squeeze's, small and large.
+    #[test]
+    fn chi_squared_moments() {
+        let mut r = rng();
+        let n = 200_000;
+        for k in [1usize, 2, 3, 50, 200] {
+            let draws: Vec<f64> = (0..n).map(|_| chi_squared(&mut r, k)).collect();
+            assert!(draws.iter().all(|&x| x >= 0.0 && x.is_finite()), "k = {k}");
+            let kf = k as f64;
+            let mean = draws.iter().sum::<f64>() / n as f64;
+            let var = draws.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
+            let mean_se = (2.0 * kf / n as f64).sqrt();
+            // Var(s²) ≈ (μ₄ − σ⁴)/n, with μ₄ = 12k(k + 4) for χ²_k.
+            let var_se = ((12.0 * kf * (kf + 4.0) - 4.0 * kf * kf) / n as f64).sqrt();
+            assert!((mean - kf).abs() < 4.0 * mean_se, "k = {k}: mean {mean}");
+            assert!((var - 2.0 * kf).abs() < 4.0 * var_se, "k = {k}: var {var}");
+        }
+        assert_eq!(chi_squared(&mut r, 0), 0.0);
+    }
+
+    /// The farthest the normal ziggurat reaches, read off its table: a
+    /// layer draw stays inside `x[0]`, and the tail returns `r + x` with
+    /// `x² ≤ 2y`, `y = −ln(1 − U)` and `1 − U ≥ 2⁻⁵³` (a 53-bit
+    /// uniform), so `|Z| ≤ r + √(106 ln 2) ≈ 12.23`. A noisy rate at
+    /// least [`crate::moments::CLAMP_GUARD_SDS`] noise deviations above
+    /// zero therefore never reaches the clamp.
+    #[test]
+    fn the_clamp_guard_exceeds_the_largest_normal_draw() {
+        let t = normal_zig();
+        let y_max = -(1.0f64 - (u64::MAX >> 11) as f64 * U53).ln();
+        assert!((y_max - 53.0 * std::f64::consts::LN_2).abs() < 1e-12);
+        let reach = (t.r + (2.0 * y_max).sqrt()).max(t.x[0]);
+        assert!((reach - 12.2258).abs() < 1e-4, "reach {reach}");
+        assert!(crate::moments::CLAMP_GUARD_SDS > reach);
     }
 
     #[test]

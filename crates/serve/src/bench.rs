@@ -37,10 +37,19 @@
 //! caller's thread, a scoped generator thread fills window *k + 1*; two
 //! buffers rotate between them, so the generator runs at most one
 //! window ahead. On `serve_routed` a round was 69 ms of generation and
-//! 41 ms of replay in turn — most of the generation per-node Gaussian
-//! noise, drawn at a floor no bit-preserving kernel lowers — while the
-//! host's second core idled; overlapped, a round costs about the larger
-//! of the two. The overlap runs when `mbac_num::parallel::current_workers()`
+//! 41 ms of replay in turn while the host's second core idled;
+//! overlapped, a round costs about the larger of the two.
+//!
+//! Most of that generation was per-node measurement noise: a Gaussian
+//! per flow per link, clamped at zero, then folded. A link now draws
+//! the noise's effect on its fold instead (`mbac_num::fold_noisy`): its
+//! own draw for each flow the clamp can reach — below 13 σ, since the
+//! normal sampler never draws past 12.23 σ — and two Gaussians and a χ²
+//! for the rest. On the 2-vCPU development host, pinned to one core, a
+//! `serve_routed` round generates in 75–79 ms against 130–149 ms for
+//! the per-flow draws and 43–45 ms without noise (replay 46–55 ms).
+//!
+//! The overlap runs when `mbac_num::parallel::current_workers()`
 //! is above 1, the rule the Session pipeline and the flow lanes follow;
 //! with one worker the same loop generates each window inline, between
 //! the replays, in the order it always had. There is no setting, and
@@ -66,9 +75,10 @@
 //! producers. They must be able to run ahead of the consumers, or the
 //! rings never fill and the backpressure the shape exists to measure
 //! never happens; a generator in step with the replay would hold them
-//! to its own pace. Its producers fold each measurement as they push it
-//! (the materialised workloads' `Ingest::ingest`), so what crosses to a
-//! consumer is the snapshot a window would have carried.
+//! to its own pace. A single-hop run's producers fold each measurement
+//! as they push it (`Ingest::ingest`); a routed run holds its
+//! measurements folded already. Either way what crosses to a consumer
+//! is the snapshot a window would have carried.
 //!
 //! # What is stamped
 //!

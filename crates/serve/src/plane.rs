@@ -14,9 +14,9 @@
 //!
 //! A measurement reaches a link as its [`SnapshotMoments`]: `n`, the
 //! pivot and three sums, folded where the rates were — by the window
-//! generator, or by whoever pushes a [`ShardEvent::Measure`], whose
-//! rates the shard folds by the same rule ([`fold_snapshot`] around the
-//! first rate). So applying one is an estimator update and an occupancy
+//! generator, by the routed workload's node that measured them, or by
+//! whoever pushes a [`ShardEvent::Measure`], whose rates the shard
+//! folds by the same rule ([`fold_snapshot`] around the first rate). So applying one is an estimator update and an occupancy
 //! resync, O(1) whatever the link's flow count, and every path into the
 //! plane decides the same bytes.
 //!

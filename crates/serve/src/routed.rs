@@ -62,7 +62,6 @@ use crate::plane::{
     ServeError, ShardOf,
 };
 use crate::replay::{Ingest, Replay, ReplayConfig, ReplayOutcome, Stamps};
-use mbac_core::estimators::fold_snapshot;
 use mbac_core::topology::{hop_admits, hop_u8, LinkId, RouteId, Topology};
 use mbac_metrics::{Aggregated, Counter, MetricValue, MetricsSnapshot, StreamHandle};
 use mbac_num::SnapshotMoments;
@@ -89,16 +88,17 @@ pub enum RoutedShardEvent {
         /// The rates as measured at this link's node, folded.
         moments: SnapshotMoments,
     },
-    /// A measurement snapshot for `link` (same semantics as
-    /// [`crate::plane::ShardEvent::Measure`]: folded around its first
-    /// rate, then applied as a [`RoutedShardEvent::Snapshot`]).
+    /// A measurement of `link` as a routed workload's
+    /// [`RoutedEvent::Measure`] carries it: already folded, so it is
+    /// applied as a [`RoutedShardEvent::Snapshot`].
     Measure {
         /// The link the measurement belongs to.
         link: LinkId,
         /// Measurement time.
         t: f64,
-        /// Per-flow rates as measured at this link's node.
-        rates: Box<[f64]>,
+        /// The measurement's moments (the name is the one the field had
+        /// when it carried every rate).
+        rates: SnapshotMoments,
     },
     /// One hop's share of a routed admission request.
     Reserve {
@@ -405,8 +405,12 @@ impl TwoPhase {
                 tap.measure();
             }
             RoutedShardEvent::Measure { link, t, rates } => {
-                let moments = fold_snapshot(&rates, None);
-                self.process(RoutedShardEvent::Snapshot { link, t, moments }, tap, out);
+                let snapshot = RoutedShardEvent::Snapshot {
+                    link,
+                    t,
+                    moments: rates,
+                };
+                self.process(snapshot, tap, out);
             }
             RoutedShardEvent::Reserve {
                 link,
@@ -679,7 +683,7 @@ impl Ingest for RoutedWorkload {
                 RoutedEvent::Measure { t, rates } => RoutedShardEvent::Snapshot {
                     link,
                     t: *t,
-                    moments: fold_snapshot(rates, None),
+                    moments: *rates,
                 },
                 RoutedEvent::Request { route, seq, .. } => {
                     let hop = hop_u8(

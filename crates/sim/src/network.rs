@@ -20,7 +20,7 @@
 
 use crate::controller::{AdmissionEngine, MbacController};
 use crate::flows::FlowTable;
-use crate::requests::add_measurement_noise;
+use crate::requests::{workload_count, MAX_RUN_ITEMS, MAX_WORKLOAD_ITEMS};
 use crate::session::{
     require_finite, require_non_negative, require_positive, require_step, ConfigError, RepContext,
     Scenario,
@@ -30,8 +30,8 @@ use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
 use mbac_core::topology::{LinkId, PathAdmission, RouteId, Topology};
 use mbac_metrics::{Aggregated, Gauge, MetricValue, MetricsSnapshot};
+use mbac_num::fold_noisy;
 use mbac_num::rng::exponential;
-use mbac_num::RateMoments;
 use mbac_traffic::process::SourceModel;
 use std::sync::Arc;
 
@@ -56,7 +56,10 @@ pub struct RoutedNetworkConfig {
     /// first rejection (continuous pressure up to the acceptance
     /// boundary).
     pub attempts_per_tick: usize,
-    /// Per-node measurement noise standard deviation (0 disables).
+    /// Per-node measurement noise standard deviation (0 disables): each
+    /// link measures through its own noise, drawn as its effect on the
+    /// fold, by the rule of
+    /// [`crate::requests::RoutedLoadConfig::noise_sd`].
     pub noise_sd: f64,
     /// Estimator memory time-scale `T_m` (0 = memoryless).
     pub t_m: f64,
@@ -189,6 +192,24 @@ impl Scenario for RoutedNetworkLoad<'_> {
                 value: cfg.ticks as f64 - cfg.warmup_ticks as f64,
             });
         }
+        // The replications' tallies and each route's seeded flows are
+        // held at once, and every replication steps every route's flows
+        // every tick: each count is held to what a workload may hold,
+        // and the run they make to what one may pass through.
+        for (what, count) in [
+            ("replications", cfg.replications),
+            ("initial flows per route", cfg.initial_flows_per_route),
+            ("ticks", cfg.ticks),
+        ] {
+            workload_count(what, [count], MAX_WORKLOAD_ITEMS)?;
+        }
+        let run = [
+            cfg.replications,
+            cfg.topology.routes(),
+            cfg.initial_flows_per_route,
+            cfg.ticks,
+        ];
+        workload_count("initial flow-ticks over the run", run, MAX_RUN_ITEMS)?;
         Ok(())
     }
 
@@ -260,20 +281,19 @@ impl Scenario for RoutedNetworkLoad<'_> {
                 table.snapshot_into(&mut route_snaps[r]);
             }
             // Measure each link: union of crossing routes' flows, seen
-            // through this node's noise, folded once into the moments
+            // through this node's noise and folded once into the moments
             // that feed its estimator and give its load; resync
             // occupancy, tally overflow/utilization. (A link's load is
-            // the composed, possibly perturbed, vector's, not any one
-            // table's aggregate.)
+            // the measured fold's, not any one table's aggregate.)
             for link in topo.link_ids() {
                 link_rates.clear();
                 for route in topo.routes_crossing(link) {
                     link_rates.extend_from_slice(&route_snaps[route.index()]);
                 }
-                add_measurement_noise(&mut link_rates, cfg.noise_sd, &mut rng);
                 let l = link.index();
-                let mom = RateMoments::of(ctls[l].moment_pivot(), &link_rates);
-                ctls[l].observe_moments(now, &mom);
+                let pivot = Some(ctls[l].moment_pivot());
+                let mom = fold_noisy(&link_rates, pivot, cfg.noise_sd, &mut rng);
+                ctls[l].observe_snapshot(now, &mom);
                 path.sync(link, link_rates.len() as u32);
                 if record(step) {
                     let load = mom.sum();
@@ -477,5 +497,62 @@ mod tests {
             RoutedNetworkLoad { model: &m, cfg }.validate().unwrap_err(),
             ConfigError::ZeroReplications
         );
+    }
+
+    /// A run is sized from its configuration before anything is
+    /// allocated: `--reps 2⁶⁴ − 1` used to die on "capacity overflow",
+    /// `--flows-per-route 10¹¹` on memory, and `--ticks 10¹¹` ran for
+    /// days.
+    #[test]
+    fn oversized_runs_are_rejected() {
+        let m = model();
+        let validate = |edit: &dyn Fn(&mut RoutedNetworkConfig)| {
+            let mut cfg = config(Topology::parking_lot(3, 12.0));
+            edit(&mut cfg);
+            RoutedNetworkLoad { model: &m, cfg }.validate()
+        };
+        let too_large = |what, max| Err(ConfigError::WorkloadTooLarge { what, max });
+        let held = |what| too_large(what, MAX_WORKLOAD_ITEMS);
+        assert_eq!(
+            validate(&|c| c.replications = usize::MAX),
+            held("replications")
+        );
+        assert_eq!(
+            validate(&|c| c.initial_flows_per_route = 100_000_000_000),
+            held("initial flows per route")
+        );
+        assert_eq!(validate(&|c| c.ticks = 100_000_000_000), held("ticks"));
+        // Each count within its bound, the run past its own: 2²⁰ ticks
+        // of 2¹⁰ flows on four routes, 2¹⁰ times over.
+        let long = |reps| {
+            move |c: &mut RoutedNetworkConfig| {
+                (c.replications, c.initial_flows_per_route, c.ticks) = (reps, 1 << 10, 1 << 20);
+            }
+        };
+        let run = "initial flow-ticks over the run";
+        assert_eq!(validate(&long(1 << 10)), too_large(run, MAX_RUN_ITEMS));
+        assert_eq!(validate(&long(1 << 8)), Ok(()));
+    }
+
+    /// The topology experiment's shape (`exp_topology`: 3 initial flows
+    /// a route, 4 replications, 8000 ticks on its full budget; 10⁴
+    /// here) is far inside every bound.
+    #[test]
+    fn the_topology_experiment_is_far_below_the_bounds() {
+        let cfg = RoutedNetworkConfig {
+            ticks: 10_000,
+            initial_flows_per_route: 3,
+            ..config(Topology::star(4, 10.0))
+        };
+        let run = [
+            cfg.replications,
+            cfg.topology.routes(),
+            cfg.initial_flows_per_route,
+            cfg.ticks,
+        ];
+        let items = run.iter().map(|&n| n as u64).product::<u64>();
+        assert!(items < MAX_RUN_ITEMS >> 20, "{items}");
+        let m = model();
+        assert_eq!(RoutedNetworkLoad { model: &m, cfg }.validate(), Ok(()));
     }
 }

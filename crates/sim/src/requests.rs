@@ -12,12 +12,13 @@
 //!
 //! [`RoutedLoad`] generalizes this to a [`Topology`]: one replication
 //! per *route*, each evolving its own flow population, folded into
-//! per-link event streams where a link's measurement is the
-//! concatenation of every crossing route's flow snapshot (shared flows
-//! ⇒ correlated load) perturbed by per-node measurement noise, and an
-//! admission request on an `h`-hop route appears as one
-//! [`RoutedEvent::Request`] occurrence on *each* hop link, all carrying
-//! the same global sequence number for the plane's two-phase commit.
+//! per-link event streams where a link's measurement is the fold of
+//! every crossing route's flow snapshot (shared flows ⇒ correlated
+//! load) as its node measures them, through its own noise
+//! ([`RoutedLoadConfig::noise_sd`]), and an admission request on an
+//! `h`-hop route appears as one [`RoutedEvent::Request`] occurrence on
+//! *each* hop link, all carrying the same global sequence number for
+//! the plane's two-phase commit.
 //!
 //! Because generation rides the Session pipeline, a workload is
 //! **bit-identical for any worker count and either flow engine** (the
@@ -33,19 +34,20 @@
 //! **compact**: it holds one [`SnapshotMoments`] per (tick, link) — the
 //! link's measurement folded where it is generated, while its rates are
 //! still in cache, around its first rate ([`fold_snapshot`] with no
-//! pivot: the producer cannot know the consumer's estimate) — and the
-//! step of its first tick. It holds no request: a request's `t`, `route`
-//! and `seq` are functions of its tick, the topology and
-//! `requests_per_tick` ([`RoutedWindow::seq`]), so the replay
-//! synthesises them. Times and `seq` run on across windows, every
-//! population and noise stream carries on where the last window left
-//! it, and a link's snapshots, window after window, are the folds of
-//! its `Measure` rates in the materialised workload, bit for bit
-//! (tested): the `Scenario`s are written on the same per-tick steps
-//! (`Population::step_to`, `LinkAssembly::measure`), so the two cannot
-//! drift. Five numbers cross from the core that generates a window to
-//! the one that replays it, where a measurement used to carry every
-//! rate.
+//! pivot: the producer cannot know the consumer's estimate; a routed
+//! link's measured rate, by [`fold_noisy`]) — and the step of its first
+//! tick. It holds no request: a request's `t`, `route` and `seq` are
+//! functions of its tick, the topology and `requests_per_tick`
+//! ([`RoutedWindow::seq`]), so the replay synthesises them. Times and
+//! `seq` run on across windows, every population and noise stream
+//! carries on where the last window left it, and a link's snapshots,
+//! window after window, are those of its `Measure`s in the materialised
+//! workload, bit for bit (tested): the `Scenario`s are written on the
+//! same per-tick steps (`Population::step_to`, `LinkAssembly::measure`),
+//! so the two cannot drift — a single-link `Measure` carries the rates
+//! the window folds, a routed one the fold itself. Five numbers cross
+//! from the core that generates a window to the one that replays it,
+//! where a measurement used to carry every rate.
 //!
 //! # Ordering contract
 //!
@@ -74,8 +76,8 @@ use crate::session::{
 use crate::telemetry::MetricsSink;
 use mbac_core::estimators::fold_snapshot;
 use mbac_core::topology::{LinkId, RouteId, Topology};
-use mbac_num::rng::{exponential, NormalSampler};
-use mbac_num::SnapshotMoments;
+use mbac_num::rng::exponential;
+use mbac_num::{fold_noisy, SnapshotMoments};
 use mbac_traffic::process::SourceModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -200,7 +202,11 @@ pub const MAX_RUN_ITEMS: u64 = 1 << 40;
 
 /// The product of `factors` — how many `what` the workload would hold,
 /// or pass through — if it neither overflows nor exceeds `max`.
-fn workload_count(what: &'static str, factors: [usize; 3], max: u64) -> Result<u64, ConfigError> {
+pub(crate) fn workload_count<const N: usize>(
+    what: &'static str,
+    factors: [usize; N],
+    max: u64,
+) -> Result<u64, ConfigError> {
     factors
         .iter()
         .try_fold(1u64, |n, &factor| n.checked_mul(factor as u64))
@@ -549,14 +555,16 @@ impl Windows for RequestWindows<'_> {
 /// One event in a *routed* workload's per-link stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RoutedEvent {
-    /// A measurement snapshot of the link: the concatenation of every
-    /// crossing route's per-flow rates (route order), perturbed by this
-    /// node's measurement noise. The length is the link's occupancy.
+    /// A measurement of the link: every crossing route's per-flow rates
+    /// (route order) as this node measures them, folded around the
+    /// first ([`fold_noisy`] with no pivot). The count is the link's
+    /// occupancy.
     Measure {
         /// Absolute measurement time.
         t: f64,
-        /// Per-flow rates as measured at this node.
-        rates: Box<[f64]>,
+        /// The measurement's moments. (The field keeps the name it had
+        /// when a measurement carried every rate.)
+        rates: SnapshotMoments,
     },
     /// One hop's view of an admission request on `route`. A request on
     /// an `h`-hop route appears as `h` occurrences — one per hop link —
@@ -591,10 +599,15 @@ pub struct RoutedLoadConfig {
     pub requests_per_tick: usize,
     /// Mean exponential holding time of the churned flows.
     pub mean_holding: f64,
-    /// Standard deviation of the per-node measurement noise added to
-    /// every rate sample independently at each link (0 disables noise
-    /// — and consumes no random numbers, preserving single-link
-    /// bit-compatibility with [`RequestLoad`]).
+    /// Standard deviation of the per-node measurement noise: each link
+    /// measures every rate through its own `N(0, sd²)` error, clamped
+    /// at zero. A link draws that noise as its effect on the fold
+    /// ([`fold_noisy`]): its pivot flow and every flow below 13 σ — the
+    /// only ones the clamp can reach, since the normal sampler never
+    /// draws past 12.23 σ — draw their own, the rest two Gaussians and a
+    /// χ² between them (every flow its own on a link with fewer than
+    /// four others). 0 disables noise — and consumes no random numbers,
+    /// preserving single-link bit-compatibility with [`RequestLoad`].
     pub noise_sd: f64,
     /// Base seed (the builder may override it).
     pub seed: u64,
@@ -705,20 +718,6 @@ impl RoutedWorkload {
     }
 }
 
-/// A node's measurement error: independent `N(0, sd²)` noise on every
-/// rate sample, clamped at zero. `sd = 0` leaves the rates alone and
-/// draws nothing.
-pub(crate) fn add_measurement_noise(rates: &mut [f64], sd: f64, rng: &mut StdRng) {
-    if sd > 0.0 {
-        let gaussian = NormalSampler::get();
-        for r in rates {
-            // `normal(rng, 0.0, sd)` bit for bit, its table resolved
-            // once a slice instead of once a draw.
-            *r = (*r + (0.0 + sd * gaussian.sample(rng))).max(0.0);
-        }
-    }
-}
-
 /// Salt deriving the per-node noise streams from the workload seed
 /// (disjoint from the per-route replication streams, which use the
 /// session's `rep_seed` derivation).
@@ -787,14 +786,23 @@ impl Scenario for RoutedLoad<'_> {
             .map(|_| Vec::with_capacity(cfg.ticks * (1 + cfg.requests_per_tick)))
             .collect();
         let mut assembly = LinkAssembly::new(cfg);
+        // Each route's snapshots in tick order, each dropped once its
+        // tick is measured.
+        let mut reps: Vec<_> = reps.into_iter().map(Vec::into_iter).collect();
         let mut seq = 0;
         for step in 1..=cfg.ticks {
             let now = step as f64 * cfg.tick;
-            let rates_of = |route: RouteId| &reps[route.index()][step - 1][..];
-            assembly.measure(cfg, rates_of, |link, rates| {
-                let rates = Box::from(rates);
-                per_link[link.index()].push(RoutedEvent::Measure { t: now, rates });
-            });
+            let tick: Vec<Box<[f64]>> = reps
+                .iter_mut()
+                .map(|rep| rep.next().expect("a snapshot a tick"))
+                .collect();
+            assembly.measure(
+                cfg,
+                |route| &tick[route.index()],
+                |link, rates| {
+                    per_link[link.index()].push(RoutedEvent::Measure { t: now, rates });
+                },
+            );
             // Requests: one occurrence per hop, shared seq, emitted in
             // seq order on every link (the two-phase commit's
             // monotonicity invariant).
@@ -836,14 +844,14 @@ impl LinkAssembly {
 
     /// Measures every link at one tick, in link order, from the rates
     /// `rates_of` each route's population has there, and hands each
-    /// measurement to `each`: the link sees the union of its crossing
-    /// routes' flows (correlated load, route order), through its own
-    /// noise.
+    /// measurement's fold to `each`: the link sees the union of its
+    /// crossing routes' flows (correlated load, route order), through its
+    /// own noise, folded around the first as it measures it.
     fn measure<'r>(
         &mut self,
         cfg: &RoutedLoadConfig,
         rates_of: impl Fn(RouteId) -> &'r [f64],
-        mut each: impl FnMut(LinkId, &[f64]),
+        mut each: impl FnMut(LinkId, SnapshotMoments),
     ) {
         let topo = &cfg.topology;
         for link in topo.link_ids() {
@@ -851,8 +859,8 @@ impl LinkAssembly {
             for route in topo.routes_crossing(link) {
                 self.rates.extend_from_slice(rates_of(route));
             }
-            add_measurement_noise(&mut self.rates, cfg.noise_sd, &mut self.noise[link.index()]);
-            each(link, &self.rates);
+            let noise = &mut self.noise[link.index()];
+            each(link, fold_noisy(&self.rates, None, cfg.noise_sd, noise));
         }
     }
 }
@@ -945,9 +953,7 @@ impl Windows for RoutedWindows<'_> {
             self.assembly.measure(
                 cfg,
                 |route| &rates[route.index()],
-                |link, rates| {
-                    *snapshots.at(k, link.index()) = fold_snapshot(rates, None);
-                },
+                |link, moments| *snapshots.at(k, link.index()) = moments,
             );
         }
         self.done += ticks;
@@ -1218,7 +1224,7 @@ mod tests {
             assert_eq!(measures, 12);
             for e in evs {
                 if let RoutedEvent::Measure { rates, .. } = e {
-                    assert_eq!(rates.len(), 2 * 6, "two crossing routes of 6 flows");
+                    assert_eq!(rates.count(), 2 * 6, "two crossing routes of 6 flows");
                 }
             }
             // Seq monotonicity: the two-phase commit's invariant.
@@ -1263,8 +1269,8 @@ mod tests {
     }
 
     /// The compatibility contract satellite-tested end-to-end in the
-    /// serve crate: a single-link routed workload reproduces
-    /// [`RequestLoad`]'s measurement bits exactly.
+    /// serve crate: a single-link routed workload's measurements are the
+    /// folds of [`RequestLoad`]'s, bit for bit.
     #[test]
     fn single_link_routed_matches_request_load_bits() {
         let m = model();
@@ -1292,10 +1298,8 @@ mod tests {
                     RoutedEvent::Measure { t: rt, rates: rr },
                 ) => {
                     assert_eq!(lt.to_bits(), rt.to_bits());
-                    assert_eq!(lr.len(), rr.len());
-                    for (a, b) in lr.iter().zip(rr.iter()) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "rate bits diverged");
-                    }
+                    let legacy = fold_snapshot(lr, None);
+                    assert_eq!(format!("{legacy:?}"), format!("{rr:?}"), "bits diverged");
                 }
                 (LinkEvent::Request { t: lt }, RoutedEvent::Request { t: rt, route, .. }) => {
                     assert_eq!(lt.to_bits(), rt.to_bits());
@@ -1383,24 +1387,24 @@ mod tests {
 
     /// What a window of `events` must hold: each `Measure`'s `t` and its
     /// rates folded by the generator's rule.
-    fn folded<E>(
-        events: &[E],
-        rates: impl Fn(&E) -> Option<(f64, &[f64])>,
-    ) -> Vec<(u64, SnapshotMoments)> {
-        let fold = |(t, rates): (f64, &[f64])| (t.to_bits(), fold_snapshot(rates, None));
-        events.iter().filter_map(rates).map(fold).collect()
+    fn folded(events: &[LinkEvent]) -> Vec<(u64, SnapshotMoments)> {
+        let fold = |e: &LinkEvent| match e {
+            LinkEvent::Measure { t, rates } => Some((t.to_bits(), fold_snapshot(rates, None))),
+            LinkEvent::Request { .. } => None,
+        };
+        events.iter().filter_map(fold).collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// A link's snapshots, window after window, are its `Measure`
-        /// rates in the materialised workload folded around their first
-        /// rate — every bit, at the materialised `t` — for windows of
-        /// one tick, of a few, of the whole run and longer than it, on
-        /// both engines, three topologies and with and without noise;
-        /// and a routed window's `seq` names the run's requests in
-        /// order.
+        /// A link's snapshots, window after window, are its `Measure`s
+        /// in the materialised workload — the rates folded around their
+        /// first rate, or a routed link's fold itself — every bit, at
+        /// the materialised `t`, for windows of one tick, of a few, of
+        /// the whole run and longer than it, on both engines, three
+        /// topologies and with and without noise; and a routed window's
+        /// `seq` names the run's requests in order.
         #[test]
         fn windows_end_to_end_are_the_materialised_workload(
             seed in 0u64..1_000_000,
@@ -1420,15 +1424,8 @@ mod tests {
                 };
                 let load = RequestLoad { model: &m, cfg };
                 let whole = SessionBuilder::new().engine(engine).run(&load).unwrap();
-                let measures: Snapshots = whole
-                    .link_ids()
-                    .map(|link| {
-                        folded(whole.events(link), |e| match e {
-                            LinkEvent::Measure { t, rates } => Some((*t, &rates[..])),
-                            LinkEvent::Request { .. } => None,
-                        })
-                    })
-                    .collect();
+                let measures: Snapshots =
+                    whole.link_ids().map(|link| folded(whole.events(link))).collect();
                 for window in [1, 7, ticks, ticks + 5] {
                     let windows = load.windows(engine).unwrap();
                     prop_assert_eq!(windows.links(), 3);
@@ -1457,10 +1454,11 @@ mod tests {
                         let measures: Snapshots = topology
                             .link_ids()
                             .map(|link| {
-                                folded(whole.events(link), |e| match e {
-                                    RoutedEvent::Measure { t, rates } => Some((*t, &rates[..])),
+                                let measure = |e: &RoutedEvent| match e {
+                                    RoutedEvent::Measure { t, rates } => Some((t.to_bits(), *rates)),
                                     RoutedEvent::Request { .. } => None,
-                                })
+                                };
+                                whole.events(link).iter().filter_map(measure).collect()
                             })
                             .collect();
                         let run: Vec<(u64, RouteId)> =
@@ -1514,10 +1512,8 @@ mod tests {
                 RoutedEvent::Measure { rates: rb, .. },
             ) = (ea, eb)
             {
-                assert_eq!(ra.len(), rb.len());
-                if ra.iter().zip(rb.iter()).any(|(x, y)| x != y) {
-                    any_diff = true;
-                }
+                assert_eq!(ra.count(), rb.count());
+                any_diff |= ra.sum() != rb.sum();
             }
         }
         assert!(any_diff, "independent per-node noise must decorrelate");
