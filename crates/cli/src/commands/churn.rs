@@ -44,6 +44,15 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     if tick <= 0.0 || !tick.is_finite() || holding <= 0.0 || !holding.is_finite() {
         return Err(ArgError("--tick and --holding must be positive".into()));
     }
+    // The last tick's time, which every departure is held against.
+    let length = ticks as f64 * tick;
+    if !length.is_finite() {
+        let field = "run length (ticks × tick)";
+        return Err(config_err(ConfigError::NotFinite {
+            field,
+            value: length,
+        }));
+    }
     // The population is held in memory, and a tick can replace all of
     // it: bound both as the request-stream workloads are bounded.
     let too_large = |what, max| config_err(ConfigError::WorkloadTooLarge { what, max });

@@ -421,6 +421,38 @@ fn simulate_impulsive_rejects_oversized_loads_without_aborting_or_hanging() {
     }
 }
 
+/// The continuous load holds about `c/μ` flows and advances every one
+/// of them each tick. Unbounded, the first case ran the host out of
+/// memory (exit 137 after ≈ 49 s), the next two ran past 10 s, and the
+/// last — a link too small to carry one mean flow, where `T̃_h` is
+/// ≈ 3·10⁶ — ran 1.3·10⁸ empty ticks.
+#[test]
+fn simulate_continuous_rejects_unbounded_populations_at_once() {
+    let too_many = "the workload would hold more than 268435456 admitted flows";
+    let cases = [
+        ("--capacity 1e9", too_many),
+        ("--capacity 1e11", too_many),
+        ("--capacity 1e308", too_many),
+        ("--capacity 100 --mean 99999999999", "cannot carry one flow"),
+    ];
+    let dir = std::env::temp_dir();
+    for (flags, what) in cases {
+        let args: Vec<&str> = ["simulate", "--holding", "100", "--samples", "2"]
+            .into_iter()
+            .chain(flags.split(' '))
+            .collect();
+        let out = mbacctl_within(&args, &dir, Duration::from_secs(5));
+        let out = out.unwrap_or_else(|| panic!("{flags}: still running after 5 s"));
+        assert_eq!(out.status.code(), Some(1), "{flags}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error: invalid configuration: ") && err.contains(what),
+            "{flags}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{flags}: {err}");
+    }
+}
+
 #[test]
 fn simulate_routed_rejects_oversized_runs_without_aborting_or_hanging() {
     // Unbounded, the first panics sizing its replications ("capacity
@@ -1186,6 +1218,31 @@ fn serve_bench_rejects_oversized_workloads_without_aborting() {
     }
 }
 
+/// A run whose ticks reach past the largest `f64` time used to panic
+/// advancing its flows to ∞ (exit 101), on every shape.
+#[test]
+fn serve_bench_rejects_a_run_past_the_largest_time() {
+    for shape in [
+        "",
+        "--shards 2",
+        "--topology parking-lot:3",
+        "--topology star:3 --shards 2",
+    ] {
+        let args: Vec<&str> = ["serve-bench", "--ticks", "12", "--tick", "1e308"]
+            .into_iter()
+            .chain(shape.split_whitespace())
+            .collect();
+        let out = mbacctl(&args);
+        assert_eq!(out.status.code(), Some(1), "{shape}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("run length (ticks × tick) must be finite"),
+            "{shape}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{shape}: {err}");
+    }
+}
+
 #[test]
 fn serve_bench_rejects_oversized_rings_without_aborting() {
     // Rings are allocated up front: 10^11 slots used to abort on the
@@ -1398,6 +1455,29 @@ const HOSTILE_VALUES: [&str; 9] = [
     "",
 ];
 
+/// [`HOSTILE_VALUES`] and three more, which the sweeps of `simulate` and
+/// `churn` take: `--capacity 1e308` and `--mean 99999999999` found
+/// continuous loads that never ended, and `--t-c 1e308` (routed) and
+/// `churn --tick 1e308` runs whose clock reached ∞. `design` and
+/// `theory` keep the short list until their quadrature is bounded
+/// (`--holding 99999999999` runs for minutes), and so does
+/// `serve-bench`: `--ticks 99999999999` is a run its bounds allow, of
+/// hours, in flat memory.
+const WIDE_VALUES: [&str; 12] = [
+    "nan",
+    "inf",
+    "-inf",
+    "-1",
+    "0",
+    "5e-324",
+    "1e-320",
+    "1e300",
+    "1e308",
+    "99999999999",
+    "18446744073709551616",
+    "",
+];
+
 /// The flags that take a value in the usage block of `command` that
 /// starts with `head`: its first line and the indented lines after it.
 /// With a `mode`, a block that lists its flags mode by mode (a line
@@ -1475,6 +1555,7 @@ struct Sweep {
     prefix: Vec<&'static str>,
     flags: Vec<(&'static str, &'static str)>,
     left_out: Vec<&'static str>,
+    values: &'static [&'static str],
 }
 
 /// `serve-bench` on the per-link shape or on `topology`, serial (one
@@ -1519,25 +1600,61 @@ fn serve_bench_sweep(topology: Option<&'static str>, shards: &'static str) -> Sw
         prefix,
         flags,
         left_out: [left_out, vec!["metrics-stream", "trace"]].concat(),
+        values: &HOSTILE_VALUES,
+    }
+}
+
+/// `simulate --load mode`, with `words` after the mode, the flags every
+/// load shares and the mode's own `flags`, at small valid values; the
+/// stream flags take effect with `--metrics-stream`.
+fn simulate_sweep(
+    mode: &'static str,
+    words: &[&'static str],
+    flags: &[(&'static str, &'static str)],
+) -> Sweep {
+    let shared = [
+        ("capacity", "20"),
+        ("mean", "1"),
+        ("sd", "0.3"),
+        ("t-c", "1"),
+        ("seed", "3"),
+        ("stream-sample", "0.5"),
+        ("stream-flush", "10"),
+        ("stream-ring", "64"),
+    ];
+    Sweep {
+        command: "simulate",
+        head: "mbacctl simulate",
+        mode: Some(mode),
+        prefix: [&["simulate", "--load", mode][..], words]
+            .concat()
+            .into_iter()
+            .chain(["--metrics-stream", "stream.jsonl"])
+            .collect(),
+        flags: [&shared[..], flags].concat(),
+        left_out: vec!["metrics-out", "metrics-stream", "trace"],
+        values: &WIDE_VALUES,
     }
 }
 
 /// Every numeric flag of `design`, `theory`, `trace gen`, `serve-bench`
-/// (per link and routed, serial and threaded) and `simulate --load
-/// routed`, read from the command's usage text, set in turn to each of
-/// [`HOSTILE_VALUES`] with every other flag at a valid value: the
+/// (per link and routed, serial and threaded), `simulate` (every load)
+/// and `churn`, read from the command's usage text, set in turn to each
+/// of the sweep's values ([`HOSTILE_VALUES`] or [`WIDE_VALUES`]) with
+/// every other flag at a valid value: the
 /// command exits 0, or 1 with exactly one `error:` line, within 10 s,
 /// and never panics. A flag added to a usage text without an entry here
 /// fails the test.
 #[test]
 fn hostile_flag_values_exit_cleanly() {
-    let plain = |command, head, prefix, flags| Sweep {
+    let plain = |command, head, prefix, flags, values| Sweep {
         command,
         head,
         mode: None,
         prefix,
         flags,
         left_out: Vec::new(),
+        values,
     };
     let sweeps = [
         plain(
@@ -1553,6 +1670,7 @@ fn hostile_flag_values_exit_cleanly() {
                 ("tc-min", "0.1"),
                 ("tc-max", "10"),
             ],
+            &HOSTILE_VALUES,
         ),
         plain(
             "theory",
@@ -1566,6 +1684,7 @@ fn hostile_flag_values_exit_cleanly() {
                 ("p-ce", "1e-3"),
                 ("p-q", "1e-3"),
             ],
+            &HOSTILE_VALUES,
         ),
         plain(
             "trace",
@@ -1580,34 +1699,51 @@ fn hostile_flag_values_exit_cleanly() {
                 ("slot", "1"),
                 ("seed", "7"),
             ],
+            &HOSTILE_VALUES,
         ),
         serve_bench_sweep(None, "1"),
         serve_bench_sweep(None, "2"),
         serve_bench_sweep(Some("parking-lot:3"), "1"),
         serve_bench_sweep(Some("star:3"), "2"),
-        Sweep {
-            command: "simulate",
-            head: "mbacctl simulate",
-            mode: Some("routed"),
-            prefix: vec![
-                "simulate",
-                "--load",
-                "routed",
-                "--topology",
-                "parking-lot:3",
-            ]
-            .into_iter()
-            .chain(["--metrics-stream", "stream.jsonl"])
-            .collect(),
-            flags: vec![
-                ("capacity", "20"),
-                ("mean", "1"),
-                ("sd", "0.3"),
-                ("t-c", "1"),
-                ("seed", "3"),
-                ("stream-sample", "0.5"),
-                ("stream-flush", "10"),
-                ("stream-ring", "64"),
+        simulate_sweep(
+            "continuous",
+            &[],
+            &[
+                ("holding", "10"),
+                ("t-m", "2"),
+                ("p-ce", "1e-2"),
+                ("p-q", "1e-2"),
+                ("samples", "2"),
+            ],
+        ),
+        simulate_sweep(
+            "impulsive",
+            &[],
+            &[
+                ("flows", "40"),
+                ("observe", "1,5"),
+                ("reps", "20"),
+                ("holding", "10"),
+                ("p-ce", "1e-2"),
+                ("workers", "1"),
+            ],
+        ),
+        simulate_sweep(
+            "poisson",
+            &[],
+            &[
+                ("lambda", "2"),
+                ("holding", "10"),
+                ("t-m", "2"),
+                ("p-ce", "1e-2"),
+                ("p-q", "1e-2"),
+                ("samples", "2"),
+            ],
+        ),
+        simulate_sweep(
+            "routed",
+            &["--topology", "parking-lot:3"],
+            &[
                 ("holding", "10"),
                 ("ticks", "40"),
                 ("warmup", "10"),
@@ -1619,8 +1755,20 @@ fn hostile_flag_values_exit_cleanly() {
                 ("reps", "2"),
                 ("workers", "1"),
             ],
-            left_out: vec!["metrics-out", "metrics-stream", "trace"],
-        },
+        ),
+        plain(
+            "churn",
+            "mbacctl churn",
+            vec!["churn"],
+            vec![
+                ("flows", "1000"),
+                ("ticks", "20"),
+                ("tick", "0.25"),
+                ("holding", "250"),
+                ("seed", "7"),
+            ],
+            &WIDE_VALUES,
+        ),
     ];
     let dir = std::env::temp_dir().join(format!("mbacctl_hostile_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -1652,7 +1800,7 @@ fn hostile_flag_values_exit_cleanly() {
         let code = out.as_ref().and_then(|out| out.status.code());
         assert_eq!(code, Some(0), "mbacctl {}: {out:?}", valid.join(" "));
         for k in 0..sweep.flags.len() {
-            for bad in HOSTILE_VALUES {
+            for &bad in sweep.values {
                 let args = words(Some(k), bad);
                 let args: Vec<&str> = args.iter().map(String::as_str).collect();
                 let case = format!(

@@ -58,7 +58,8 @@ pub use plane::{
 };
 pub use replay::{replay_serial, replay_threaded, Replay, ReplayConfig, ReplayOutcome, Stamps};
 pub use routed::{
-    HopDecision, RouteDecision, RouteTable, RoutedIngestHandle, RoutedPlane, RoutedPlaneConfig,
-    RoutedReplayConfig, RoutedReplayOutcome, RoutedShard, RoutedShardEvent, TwoPhase,
+    HopDecision, Hops, RouteDecision, RouteTable, RoutedIngestHandle, RoutedPlane,
+    RoutedPlaneConfig, RoutedReplayConfig, RoutedReplayOutcome, RoutedShard, RoutedShardEvent,
+    TwoPhase,
 };
 pub use sink::{Decided, LatencyTally};

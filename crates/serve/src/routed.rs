@@ -36,6 +36,11 @@
 //!    indistinguishable from one never made (the bit-stability the
 //!    rollback test suite asserts).
 //!
+//! A one-hop request is always its own last voter, so it resolves
+//! where it lands: its hop commits and emits at once, and the route
+//! table holds no vote slot for it. Only multi-hop requests vote,
+//! count down and publish a resolution.
+//!
 //! Until its vote resolves, a link is **parked**: subsequent events for
 //! that link buffer in arrival order while the shard keeps draining its
 //! other links. Parking — never blocking — is what makes the protocol
@@ -53,13 +58,13 @@
 //! route's *first* hop in that link's processing order, so the
 //! per-route decision sequence is seq-ordered and identical to the
 //! serial reference, byte for byte. `tests/routed.rs` proves it
-//! property-based; on a single-hop topology the protocol degenerates to
-//! exactly the legacy [`crate::plane::Shard`] sequence, reproducing its
-//! decision bytes bit for bit.
+//! property-based; on one-hop routes the rule is the single-link
+//! plane's ([`crate::plane::SingleHop`]), and reproduces its decision
+//! bytes bit for bit.
 
 use crate::plane::{
-    ControllerFactory, DecisionEntry, IngestHandle, Instruments, LinkLogic, LinkMap, Plane,
-    ServeError, ShardOf,
+    ControllerFactory, DecisionEntry, IngestHandle, Instruments, LinkLogic, Plane, ServeError,
+    ShardOf,
 };
 use crate::replay::{Ingest, Replay, ReplayConfig, ReplayOutcome, Stamps};
 use mbac_core::topology::{hop_admits, hop_u8, LinkId, RouteId, Topology};
@@ -135,6 +140,71 @@ pub struct HopDecision {
     pub occupancy: u32,
 }
 
+/// Most hops a [`Hops`] holds without allocating: every route of the
+/// reference topologies (`parking-lot:3`'s long route has three).
+const INLINE_HOPS: usize = 4;
+
+/// What an unused inline slot of a [`Hops`] holds.
+const NO_HOP: HopDecision = HopDecision {
+    link: LinkId(0),
+    vote: false,
+    admissible: None,
+    occupancy: 0,
+};
+
+/// A routed decision's per-hop records, in route order. Up to four hops
+/// live inline, so a decision on a short route allocates nothing;
+/// longer routes spill to the heap. Reads as a `[HopDecision]`.
+#[derive(Clone)]
+pub struct Hops(HopsRepr);
+
+#[derive(Clone)]
+enum HopsRepr {
+    Inline(u8, [HopDecision; INLINE_HOPS]),
+    Heap(Vec<HopDecision>),
+}
+
+impl FromIterator<HopDecision> for Hops {
+    fn from_iter<I: IntoIterator<Item = HopDecision>>(iter: I) -> Self {
+        let (mut len, mut inline) = (0, [NO_HOP; INLINE_HOPS]);
+        let mut iter = iter.into_iter();
+        for hop in iter.by_ref() {
+            if len == INLINE_HOPS {
+                let mut heap = inline.to_vec();
+                heap.push(hop);
+                heap.extend(iter);
+                return Hops(HopsRepr::Heap(heap));
+            }
+            inline[len] = hop;
+            len += 1;
+        }
+        Hops(HopsRepr::Inline(len as u8, inline))
+    }
+}
+
+impl std::ops::Deref for Hops {
+    type Target = [HopDecision];
+
+    fn deref(&self) -> &[HopDecision] {
+        match &self.0 {
+            HopsRepr::Inline(len, hops) => &hops[..usize::from(*len)],
+            HopsRepr::Heap(hops) => hops,
+        }
+    }
+}
+
+impl PartialEq for Hops {
+    fn eq(&self, other: &Hops) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for Hops {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One resolved routed admission decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteDecision {
@@ -147,7 +217,7 @@ pub struct RouteDecision {
     /// The first hop that voted no, when rejected.
     pub reject_hop: Option<u8>,
     /// Per-hop votes, in route order.
-    pub hops: Vec<HopDecision>,
+    pub hops: Hops,
     /// Hop 0's ingest-to-decision latency, when stamped.
     pub latency_ns: Option<u64>,
 }
@@ -206,7 +276,9 @@ struct HopVote {
 
 /// The shared vote/resolution table, one slot per request seq. Sized up
 /// front from the workload's seq → route map, so no allocation or
-/// locking happens on the decide path.
+/// locking happens on the decide path. Only multi-hop requests get vote
+/// slots: a one-hop request resolves where it lands and is never voted,
+/// resolved or read back here.
 #[derive(Debug)]
 pub struct RouteTable {
     routes: Vec<RouteId>,
@@ -229,7 +301,9 @@ impl RouteTable {
             offsets.push(total);
             hop_counts.push(hop_u8(hops));
             remaining.push(AtomicU32::new(hops as u32));
-            total += hops as u32;
+            if hops > 1 {
+                total += hops as u32;
+            }
         }
         RouteTable {
             routes: request_routes.to_vec(),
@@ -254,10 +328,17 @@ impl RouteTable {
         self.routes.len()
     }
 
-    /// Publishes one hop's vote. When this was the last outstanding
-    /// vote, resolves the request (admit iff every hop voted yes) and
-    /// returns the verdict; otherwise returns `None` and the caller
-    /// parks until [`RouteTable::resolution`] reports one.
+    /// Whether request `seq`'s route has one hop: that hop is its own
+    /// last voter.
+    fn one_hop(&self, seq: u64) -> bool {
+        self.hop_counts[seq as usize] == 1
+    }
+
+    /// Publishes one hop's vote of a multi-hop request. When this was
+    /// the last outstanding vote, resolves the request (admit iff every
+    /// hop voted yes) and returns the verdict; otherwise returns `None`
+    /// and the caller parks until [`RouteTable::resolution`] reports
+    /// one.
     fn vote(
         &self,
         seq: u64,
@@ -290,7 +371,8 @@ impl RouteTable {
         }
     }
 
-    /// The request's resolution, if published.
+    /// The multi-hop request's resolution, if published (never, for a
+    /// one-hop request).
     pub fn resolution(&self, seq: u64) -> Option<bool> {
         match self.resolution[seq as usize].load(Ordering::Acquire) {
             PENDING => None,
@@ -351,6 +433,8 @@ struct HopReserve {
 
 /// Per-link state plus the parking machinery.
 struct RoutedLinkState {
+    link: LinkId,
+    capacity: f64,
     ctl: MbacController,
     flows: u32,
     parked: Option<HopReserve>,
@@ -362,6 +446,23 @@ struct RoutedLinkState {
     aborts: u64,
 }
 
+impl RoutedLinkState {
+    /// Commits a resolved hop: occupancy moves only here, and only on
+    /// admit — a rejected request writes nothing, so rollback is a
+    /// no-op by construction.
+    fn settle(&mut self, admit: bool) {
+        if admit {
+            self.flows += 1;
+            self.commits += 1;
+        } else {
+            self.aborts += 1;
+        }
+    }
+}
+
+/// A topology link this shard holds no state for.
+const NO_SLOT: u32 = u32::MAX;
+
 /// The multi-hop rule as a [`LinkLogic`]: each hop votes where it
 /// lands, the last voter resolves, every hop commits on resolution (see
 /// the module docs). Holds the links one shard owns, their controllers
@@ -369,108 +470,134 @@ struct RoutedLinkState {
 pub struct TwoPhase {
     topology: Arc<Topology>,
     table: Arc<RouteTable>,
-    links: LinkMap<RoutedLinkState>,
-    /// Links currently parked (each appears once).
-    parked_links: Vec<LinkId>,
+    /// Each topology link's index into `links`, [`NO_SLOT`] until the
+    /// link's first event reaches this shard. Link ids are the
+    /// topology's, validated and dense, so this is sized once from it.
+    slots: Vec<u32>,
+    /// The state of the links this shard has seen: the ones it owns.
+    links: Vec<RoutedLinkState>,
+    /// Slots of the links currently parked (each appears once).
+    parked: Vec<u32>,
     make: ControllerFactory,
 }
 
 impl TwoPhase {
-    fn link_mut(&mut self, link: LinkId) -> &mut RoutedLinkState {
-        self.links.entry(link).or_insert_with(|| RoutedLinkState {
-            ctl: (self.make)(),
-            flows: 0,
-            parked: None,
-            pending: VecDeque::new(),
-            measures: 0,
-            reserves: 0,
-            commits: 0,
-            aborts: 0,
-        })
+    /// The slot of `link`'s state, made on the link's first event. A
+    /// link outside the plane's topology panics.
+    fn slot(&mut self, link: LinkId) -> usize {
+        let slot = &mut self.slots[link.index()];
+        if *slot == NO_SLOT {
+            *slot = self.links.len() as u32;
+            self.links.push(RoutedLinkState {
+                link,
+                capacity: self.topology.capacity(link),
+                ctl: (self.make)(),
+                flows: 0,
+                parked: None,
+                pending: VecDeque::new(),
+                measures: 0,
+                reserves: 0,
+                commits: 0,
+                aborts: 0,
+            });
+        }
+        *slot as usize
     }
 
-    /// Processes one event on an unparked link.
+    /// Processes one event on the unparked link in `slot`.
     fn process(
         &mut self,
+        slot: usize,
         event: RoutedShardEvent,
         tap: &mut Instruments,
         out: &mut Vec<RouteDecision>,
     ) {
+        let state = &mut self.links[slot];
         match event {
-            RoutedShardEvent::Snapshot { link, t, moments } => {
-                let state = self.link_mut(link);
+            RoutedShardEvent::Snapshot { t, moments, .. }
+            | RoutedShardEvent::Measure {
+                t, rates: moments, ..
+            } => {
                 state.ctl.observe_snapshot(t, &moments);
                 state.flows = moments.count() as u32;
                 state.measures += 1;
                 tap.measure();
             }
-            RoutedShardEvent::Measure { link, t, rates } => {
-                let snapshot = RoutedShardEvent::Snapshot {
-                    link,
-                    t,
-                    moments: rates,
-                };
-                self.process(snapshot, tap, out);
-            }
             RoutedShardEvent::Reserve {
-                link,
-                seq,
-                hop,
-                enqueued,
+                seq, hop, enqueued, ..
             } => {
-                let capacity = self.topology.capacity(link);
-                let state = self.link_mut(link);
-                let admissible = state.ctl.admissible_count(capacity);
+                let admissible = state.ctl.admissible_count(state.capacity);
                 let vote = hop_admits(admissible, state.flows);
                 let occ = state.flows;
                 state.reserves += 1;
+                if self.table.one_hop(seq) {
+                    // Its own last voter: the vote is the verdict.
+                    state.settle(vote);
+                    let record = HopDecision {
+                        link: state.link,
+                        vote,
+                        admissible,
+                        occupancy: state.flows,
+                    };
+                    let d = RouteDecision {
+                        route: self.table.routes[seq as usize],
+                        seq,
+                        admit: vote,
+                        reject_hop: (!vote).then_some(0),
+                        hops: std::iter::once(record).collect(),
+                        latency_ns: latency_ns(enqueued),
+                    };
+                    self.emit(d, tap, out);
+                    return;
+                }
                 let reserve = HopReserve { seq, hop, enqueued };
                 match self.table.vote(seq, hop, vote, admissible, occ) {
-                    Some(admit) => self.commit(link, reserve, admit, tap, out),
+                    Some(admit) => self.commit(slot, reserve, admit, tap, out),
                     None => {
-                        self.link_mut(link).parked = Some(reserve);
-                        self.parked_links.push(link);
+                        state.parked = Some(reserve);
+                        self.parked.push(slot as u32);
                     }
                 }
             }
         }
     }
 
-    /// Commits a resolved hop: occupancy moves only here, and only on
-    /// admit — a rejected request writes nothing, so rollback is a
-    /// no-op by construction. Hop 0's owner emits the decision.
+    /// Commits a resolved hop of a multi-hop request. Hop 0's owner
+    /// emits the decision.
     fn commit(
         &mut self,
-        link: LinkId,
+        slot: usize,
         reserve: HopReserve,
         admit: bool,
         tap: &mut Instruments,
         out: &mut Vec<RouteDecision>,
     ) {
-        let state = self.link_mut(link);
-        if admit {
-            state.flows += 1;
-            state.commits += 1;
-        } else {
-            state.aborts += 1;
-        }
+        self.links[slot].settle(admit);
         if reserve.hop == 0 {
-            let latency_ns = reserve
-                .enqueued
-                .map(|at| u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            let latency_ns = latency_ns(reserve.enqueued);
             let d = self.table.decision(&self.topology, reserve.seq, latency_ns);
-            // Hop 0's view mirrors the single-hop Decision: first-hop
-            // admissible and post-decision occupancy.
-            let entry = DecisionEntry {
-                admit,
-                occupancy: d.hops[0].occupancy,
-                admissible: d.hops[0].admissible,
-                latency_ns,
-            };
-            tap.decision(&entry, self);
-            out.push(d);
+            self.emit(d, tap, out);
         }
     }
+
+    /// Records a decision and appends it. Hop 0's view mirrors the
+    /// single-hop Decision: first-hop admissible and post-decision
+    /// occupancy.
+    fn emit(&mut self, d: RouteDecision, tap: &mut Instruments, out: &mut Vec<RouteDecision>) {
+        let entry = DecisionEntry {
+            admit: d.admit,
+            occupancy: d.hops[0].occupancy,
+            admissible: d.hops[0].admissible,
+            latency_ns: d.latency_ns,
+        };
+        tap.decision(&entry, self);
+        out.push(d);
+    }
+}
+
+/// Nanoseconds since `enqueued`, when stamped.
+fn latency_ns(enqueued: Option<Instant>) -> Option<u64> {
+    enqueued.map(|at| u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX))
 }
 
 impl LinkLogic for TwoPhase {
@@ -492,11 +619,12 @@ impl LinkLogic for TwoPhase {
         tap: &mut Instruments,
         out: &mut Vec<RouteDecision>,
     ) {
-        let state = self.link_mut(Self::link_of(&event));
+        let slot = self.slot(Self::link_of(&event));
+        let state = &mut self.links[slot];
         if state.parked.is_some() {
             state.pending.push_back(event);
         } else {
-            self.process(event, tap, out);
+            self.process(slot, event, tap, out);
         }
     }
 
@@ -506,40 +634,40 @@ impl LinkLogic for TwoPhase {
     fn pump(&mut self, tap: &mut Instruments, out: &mut Vec<RouteDecision>) -> usize {
         let mut progressed = 0;
         let mut i = 0;
-        while i < self.parked_links.len() {
-            let link = self.parked_links[i];
-            let parked = self.links[&link].parked.expect("parked link has a reserve");
+        while i < self.parked.len() {
+            let slot = self.parked[i] as usize;
+            let parked = self.links[slot].parked.expect("parked link has a reserve");
             let Some(admit) = self.table.resolution(parked.seq) else {
                 i += 1;
                 continue;
             };
             // Unlist before replaying: a re-park inside `process` pushes
             // the link back, so leaving it listed would duplicate it.
-            self.parked_links.swap_remove(i);
-            self.link_mut(link).parked = None;
-            self.commit(link, parked, admit, tap, out);
+            self.parked.swap_remove(i);
+            self.links[slot].parked = None;
+            self.commit(slot, parked, admit, tap, out);
             progressed += 1;
             // Replay the buffer until it drains or the link re-parks.
             loop {
-                let state = self.link_mut(link);
+                let state = &mut self.links[slot];
                 if state.parked.is_some() {
                     break;
                 }
                 let Some(ev) = state.pending.pop_front() else {
                     break;
                 };
-                self.process(ev, tap, out);
+                self.process(slot, ev, tap, out);
             }
         }
         progressed
     }
 
     fn has_parked(&self) -> bool {
-        !self.parked_links.is_empty()
+        !self.parked.is_empty()
     }
 
     fn link_bundles(&self) -> Vec<(usize, MetricsSnapshot)> {
-        let bundle = |(link, state): (&LinkId, &RoutedLinkState)| {
+        let bundle = |state: &RoutedLinkState| {
             let mut bundle = MetricsSnapshot::new();
             for (name, v) in [
                 ("measures", state.measures),
@@ -551,7 +679,7 @@ impl LinkLogic for TwoPhase {
                 c.add(v);
                 bundle.insert(name, MetricValue::Counter(c.snapshot()));
             }
-            (link.index(), bundle)
+            (state.link.index(), bundle)
         };
         self.links.iter().map(bundle).collect()
     }
@@ -628,8 +756,9 @@ impl RoutedPlane {
         let logic = || TwoPhase {
             topology: Arc::clone(topology),
             table: Arc::clone(&table),
-            links: LinkMap::default(),
-            parked_links: Vec::new(),
+            slots: vec![NO_SLOT; topology.links()],
+            links: Vec::new(),
+            parked: Vec::new(),
             make: Arc::clone(&make),
         };
         Plane::build(
@@ -762,14 +891,23 @@ impl Ingest for RoutedWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plane::{certainty_equivalent_factory, MAX_RING_CAPACITY, MAX_SHARDS};
-    use crate::replay::replay_serial;
+    use crate::bench::{
+        closed_loop_with_parallelism, routed_closed_loop_with_parallelism, BenchConfig,
+        RoutedBenchConfig, WINDOW_SNAPSHOTS,
+    };
+    use crate::plane::{
+        certainty_equivalent_factory, DecisionPlane, PlaneConfig, MAX_RING_CAPACITY, MAX_SHARDS,
+    };
     use crate::replay::tests::{
         decides_every_request, sampled_stamps_leave_decisions_alone, tally_agrees,
         threaded_matches_serial, window_estimator_factory, windowed_matches_materialised,
     };
+    use crate::replay::{replay_serial, SerialDriver};
+    use crate::sink::{Decided, DecisionSink};
     use mbac_core::topology::MAX_ROUTE_HOPS;
-    use mbac_sim::{Engine, RoutedLoad, RoutedLoadConfig, SessionBuilder};
+    use mbac_sim::{
+        Engine, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig, SessionBuilder,
+    };
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
     fn load_config(topology: Topology, noise_sd: f64) -> RoutedLoadConfig {
@@ -880,6 +1018,25 @@ mod tests {
         assert!(!d.admit);
         assert_eq!(d.reject_hop, Some(last));
         assert_eq!(d.hops.len(), MAX_ROUTE_HOPS);
+    }
+
+    /// Up to four hops live inline and more spill to the heap; either
+    /// way a `Hops` reads as the records it was collected from.
+    #[test]
+    fn hops_read_as_their_records_inline_and_spilled() {
+        for n in 0..=2 * INLINE_HOPS as u32 {
+            let records: Vec<HopDecision> = (0..n)
+                .map(|i| HopDecision {
+                    link: LinkId(i),
+                    vote: i % 2 == 0,
+                    admissible: Some(f64::from(i)),
+                    occupancy: i,
+                })
+                .collect();
+            let hops: Hops = records.iter().copied().collect();
+            assert_eq!(&hops[..], &records[..]);
+            assert_eq!(hops.clone(), hops);
+        }
     }
 
     #[test]
@@ -1002,6 +1159,156 @@ mod tests {
                 RoutedPlane::for_requests(&cfg.plane, &load.cfg.topology, &routes, make).unwrap()
             },
             20,
+        );
+    }
+
+    /// FNV-1a over each group's decision bytes, for runs too long to
+    /// keep every decision.
+    struct Hashes {
+        groups: Vec<u64>,
+        bytes: Vec<u8>,
+    }
+
+    impl<D: Decided> DecisionSink<D> for Hashes {
+        fn record(&mut self, d: D) {
+            self.bytes.clear();
+            d.encode_into(&mut self.bytes);
+            let h = &mut self.groups[d.group()];
+            for &byte in &self.bytes {
+                *h ^= u64::from(byte);
+                *h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn merge(&mut self, _: Self) {
+            unreachable!("a serial replay has one sink")
+        }
+    }
+
+    /// `serve_links`' shape — 32 links × 50 flows × 1000 ticks × 32
+    /// requests — on the single-link plane, and the same run as 32
+    /// disjoint one-hop routes on the routed plane.
+    fn serve_links_shape() -> (BenchConfig, RoutedBenchConfig) {
+        let links = BenchConfig {
+            links: 32,
+            flows_per_link: 50,
+            ticks: 1000,
+            requests_per_tick: 32,
+            ..BenchConfig::default()
+        };
+        let one_hop = (0..32).map(|l| vec![LinkId(l)]).collect();
+        let routes = RoutedBenchConfig {
+            topology: Arc::new(Topology::new(vec![links.capacity; 32], one_hop).unwrap()),
+            flows_per_route: links.flows_per_link,
+            ticks: links.ticks,
+            tick: links.tick,
+            requests_per_tick: links.requests_per_tick,
+            mean_holding: links.mean_holding,
+            noise_sd: 0.0,
+            seed: links.seed,
+            engine: links.engine,
+            shards: 1,
+            producers: 1,
+            ring_capacity: links.ring_capacity,
+            p_ce: links.p_ce,
+            t_m: links.t_m,
+            stream: None,
+        };
+        (links, routes)
+    }
+
+    /// The bytes contract of `single_link_routed_decisions_reproduce_legacy_bytes`
+    /// at the benchmark's scale, through the windowed serial driver the
+    /// bench runs: every link's decision bytes are the same on both
+    /// planes. Run in release: `cargo test --release -p mbac-serve --lib
+    /// one_hop_routes -- --ignored`.
+    #[test]
+    #[ignore = "benchmark scale; run in release"]
+    fn one_hop_routes_reproduce_single_link_bytes_at_bench_scale() {
+        let (links, routes) = serve_links_shape();
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let make = certainty_equivalent_factory(links.p_ce, links.t_m);
+        let ticks = WINDOW_SNAPSHOTS / links.links;
+        let sink = || Hashes {
+            groups: vec![0xcbf2_9ce4_8422_2325; links.links],
+            bytes: Vec::new(),
+        };
+
+        let load = RequestLoad {
+            model: &model,
+            cfg: RequestLoadConfig {
+                links: links.links,
+                flows_per_link: links.flows_per_link,
+                ticks: links.ticks,
+                tick: links.tick,
+                requests_per_tick: links.requests_per_tick,
+                mean_holding: links.mean_holding,
+                seed: links.seed,
+            },
+        };
+        let plane_cfg = PlaneConfig {
+            capacity: links.capacity,
+            ..PlaneConfig::default()
+        };
+        let plane = DecisionPlane::new(&plane_cfg, Arc::clone(&make)).unwrap();
+        let mut driver = SerialDriver::new(plane, Stamps::NONE, sink());
+        driver.drive_windows(load.windows(links.engine).unwrap(), ticks);
+        let single = driver.finish().sink.groups;
+
+        let load = RoutedLoad {
+            model: &model,
+            cfg: RoutedLoadConfig::single_link(links.capacity, &load.cfg),
+        };
+        let load = RoutedLoad {
+            cfg: RoutedLoadConfig {
+                topology: Arc::clone(&routes.topology),
+                ..load.cfg
+            },
+            ..load
+        };
+        let request_routes = load.cfg.request_routes();
+        let plane_cfg = RoutedPlaneConfig::default();
+        let plane =
+            RoutedPlane::for_requests(&plane_cfg, &routes.topology, &request_routes, make).unwrap();
+        let mut driver = SerialDriver::new(plane, Stamps::NONE, sink());
+        driver.drive_windows(load.windows(routes.engine).unwrap(), ticks);
+        let routed = driver.finish().sink.groups;
+        for (link, (a, b)) in single.iter().zip(&routed).enumerate() {
+            assert_eq!(a, b, "link {link}");
+        }
+    }
+
+    /// The paired replay-time probe: the one-hop routes of
+    /// [`serve_links_shape`] over the single-link plane, replay time
+    /// against replay time, in alternating pairs (ABBA, so drift within
+    /// a pair cancels). Prints every ratio and their median. Run in
+    /// release: `cargo test --release -p mbac-serve --lib one_hop_replay
+    /// -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing probe; run in release"]
+    fn one_hop_replay_time_over_single_hop() {
+        let (links, routes) = serve_links_shape();
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let mut ratios = Vec::new();
+        for pair in 0..10 {
+            let single = || closed_loop_with_parallelism(&links, &model, 1).unwrap();
+            let routed = || routed_closed_loop_with_parallelism(&routes, &model, 1).unwrap();
+            let (a, b) = if pair % 2 == 0 {
+                let a = single();
+                (a, routed())
+            } else {
+                let b = routed();
+                (single(), b)
+            };
+            assert_eq!((a.decisions, a.admitted), (b.decisions, b.admitted));
+            ratios.push(b.elapsed_secs / a.elapsed_secs);
+        }
+        ratios.sort_by(f64::total_cmp);
+        let shown: Vec<String> = ratios.iter().map(|r| format!("{r:.2}")).collect();
+        eprintln!(
+            "one-hop routes / SingleHop replay time: median {:.2} (sorted: {})",
+            (ratios[4] + ratios[5]) / 2.0,
+            shown.join(" ")
         );
     }
 

@@ -336,3 +336,54 @@ fn routed_counters_partition_the_decisions() {
         assert_eq!(reserves, per_request_hops, "{shards} shards");
     }
 }
+
+/// FNV-1a over every route's decision bytes, each led by its length.
+fn decision_hash(out: &mbac_serve::RoutedReplayOutcome, routes: usize) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for route in 0..routes {
+        let bytes = out.encode(route);
+        for &byte in (bytes.len() as u64).to_le_bytes().iter().chain(&bytes) {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The suites above compare the plane with itself, and the legacy-bytes
+/// tests cover one-hop topologies only. These constants pin the serial
+/// decision bytes of the multi-hop shapes, where one-hop and multi-hop
+/// routes share links: a change to how either resolves that moves every
+/// shard count alike fails here.
+#[test]
+fn mixed_topology_decision_bytes_are_pinned() {
+    let cases = [
+        (1, 0.0, 0x32c4_bb22_3d49_144c_u64),
+        (1, 0.05, 0xff82_b72e_b0bf_aa7b),
+        (2, 0.0, 0xcb84_88b3_2ecc_7ad0),
+        (2, 0.05, 0x9a02_b9aa_1290_92c6),
+    ];
+    let make = certainty_equivalent_factory(1e-2, 2.0);
+    for (topo_kind, noise_sd, pinned) in cases {
+        let w = workload(
+            29,
+            topology(topo_kind),
+            30,
+            3,
+            noise_sd,
+            Engine::Batched,
+            false,
+        );
+        let out = replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w).unwrap();
+        assert!(
+            out.admitted > 0 && out.rejected() > 0,
+            "topology {topo_kind}"
+        );
+        assert_eq!(
+            decision_hash(&out, w.topology().routes()),
+            pinned,
+            "topology {topo_kind}, noise {noise_sd}: {:#018x}",
+            decision_hash(&out, w.topology().routes())
+        );
+    }
+}

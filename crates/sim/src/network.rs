@@ -181,6 +181,7 @@ impl Scenario for RoutedNetworkLoad<'_> {
         }
         require_positive("ticks", cfg.ticks as f64)?;
         require_step("tick", cfg.tick)?;
+        require_finite("run length (ticks × tick)", cfg.ticks as f64 * cfg.tick)?;
         require_positive("mean holding time", cfg.mean_holding)?;
         require_positive("target overflow probability", cfg.p_ce)?;
         require_non_negative("memory time-scale", cfg.t_m)?;

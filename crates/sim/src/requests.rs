@@ -458,6 +458,10 @@ impl<'a> RequestLoad<'a> {
         }
         require_positive("ticks", self.cfg.ticks as f64)?;
         require_step("tick", self.cfg.tick)?;
+        require_finite(
+            "run length (ticks × tick)",
+            self.cfg.ticks as f64 * self.cfg.tick,
+        )?;
         require_positive("mean holding time", self.cfg.mean_holding)
     }
 
@@ -746,6 +750,10 @@ impl Scenario for RoutedLoad<'_> {
         }
         require_positive("ticks", self.cfg.ticks as f64)?;
         require_step("tick", self.cfg.tick)?;
+        require_finite(
+            "run length (ticks × tick)",
+            self.cfg.ticks as f64 * self.cfg.tick,
+        )?;
         require_positive("mean holding time", self.cfg.mean_holding)?;
         require_non_negative("noise standard deviation", self.cfg.noise_sd)?;
         require_finite("noise standard deviation", self.cfg.noise_sd)?;

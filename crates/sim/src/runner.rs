@@ -326,12 +326,39 @@ impl ContinuousConfig {
         require_step("sample spacing", self.sample_spacing)?;
         require_non_negative("warmup", self.warmup)?;
         require_finite("warmup", self.warmup)?;
-        let horizon = self.warmup + self.max_samples as f64 * self.sample_spacing;
-        if horizon / self.tick > MAX_WORKLOAD_ITEMS as f64 {
+        if self.ticks() > MAX_WORKLOAD_ITEMS as f64 {
             return Err(ConfigError::WorkloadTooLarge {
                 what: "ticks",
                 max: MAX_WORKLOAD_ITEMS,
             });
+        }
+        Ok(())
+    }
+
+    /// The ticks of the sample budget's horizon.
+    fn ticks(&self) -> f64 {
+        (self.warmup + self.max_samples as f64 * self.sample_spacing) / self.tick
+    }
+
+    /// Bounds the flows a link fed by sources of rate `mean` holds: the
+    /// load keeps about `c/μ` of them in the table, and advances every
+    /// one of them each tick of the horizon. A link that cannot carry
+    /// one mean flow is refused too: `T̃_h` — and with it the horizon a
+    /// caller's sample spacing asks for — grows as `c/μ` shrinks.
+    fn check_flows(&self, mean: f64) -> Result<(), ConfigError> {
+        let flows = self.capacity / mean;
+        if flows.is_nan() || flows < 1.0 {
+            return Err(ConfigError::BelowOneFlow {
+                capacity: self.capacity,
+                mean,
+            });
+        }
+        let too_large = |what, max| Err(ConfigError::WorkloadTooLarge { what, max });
+        if flows > MAX_WORKLOAD_ITEMS as f64 {
+            return too_large("admitted flows (capacity / mean rate)", MAX_WORKLOAD_ITEMS);
+        }
+        if flows * self.ticks() > MAX_RUN_ITEMS as f64 {
+            return too_large("flow-ticks over the run", MAX_RUN_ITEMS);
         }
         Ok(())
     }
@@ -399,7 +426,8 @@ impl Scenario for ContinuousLoad<'_> {
     type Report = ContinuousReport;
 
     fn validate(&self) -> Result<(), ConfigError> {
-        self.cfg.validate()
+        self.cfg.validate()?;
+        self.cfg.check_flows(self.model.mean())
     }
 
     fn seed(&self) -> u64 {
@@ -634,7 +662,10 @@ impl Scenario for PhasedLoad<'_> {
                 reason: "phases must be sorted by start time",
             });
         }
-        self.cfg.validate()
+        self.cfg.validate()?;
+        self.phases
+            .iter()
+            .try_for_each(|(_, model)| self.cfg.check_flows(model.mean()))
     }
 
     fn seed(&self) -> u64 {
@@ -1273,6 +1304,83 @@ mod tests {
                 .map(|_| ());
             assert_eq!(continuous, too_many);
         }
+    }
+
+    /// Both loads built on a `ContinuousConfig` bound the flows they
+    /// hold, `c/μ`, and those flows over the horizon's ticks, and refuse
+    /// a link that cannot carry one mean flow. Before these bounds,
+    /// `c = 1e9` ran the host out of memory, `c = 1e11` and `1e308`
+    /// never finished, and `c/μ = 1e-9` ran 1.3·10⁸ empty ticks.
+    #[test]
+    fn validation_bounds_the_flows() {
+        let m = model();
+        let good = ContinuousConfig {
+            capacity: 50.0,
+            mean_holding: 20.0,
+            tick: 0.5,
+            warmup: 10.0,
+            sample_spacing: 10.0,
+            target: 1e-2,
+            max_samples: 10,
+            seed: 0,
+        };
+        let mut ctl = MbacController::new(
+            Box::new(MemorylessEstimator::new()),
+            Box::new(CertaintyEquivalent::from_probability(1e-2)),
+        );
+        // What `ContinuousLoad` says of `cfg`; `PhasedLoad` must agree.
+        let mut validate = |cfg: &ContinuousConfig, m: &dyn SourceModel| {
+            let verdict = ContinuousLoad::new(cfg, m, &mut ctl).validate();
+            let phases = [(0.0, m)];
+            assert_eq!(PhasedLoad::new(cfg, &phases, &mut ctl).validate(), verdict);
+            verdict
+        };
+        let with = |capacity: f64, warmup: f64| ContinuousConfig {
+            capacity,
+            warmup,
+            ..good.clone()
+        };
+        let flows = Err(ConfigError::WorkloadTooLarge {
+            what: "admitted flows (capacity / mean rate)",
+            max: MAX_WORKLOAD_ITEMS,
+        });
+        let flow_ticks = Err(ConfigError::WorkloadTooLarge {
+            what: "flow-ticks over the run",
+            max: MAX_RUN_ITEMS,
+        });
+        let max = MAX_WORKLOAD_ITEMS as f64;
+        assert_eq!(validate(&good, &m), Ok(()));
+        assert_eq!(validate(&with(1.0, 10.0), &m), Ok(()));
+        assert_eq!(validate(&with(0.99 * max, 10.0), &m), Ok(()));
+        for capacity in [1.01 * max, 1e9, 1e11, 1e308] {
+            assert_eq!(validate(&with(capacity, 10.0), &m), flows, "{capacity}");
+        }
+        // 10⁶ flows over 4·10⁵ and 4·10⁶ ticks, about 2⁴⁰ between them.
+        assert_eq!(validate(&with(1e6, 2e5), &m), Ok(()));
+        assert_eq!(validate(&with(1e6, 2e6), &m), flow_ticks);
+        for capacity in [0.99, 1e-9] {
+            assert_eq!(
+                validate(&with(capacity, 10.0), &m),
+                Err(ConfigError::BelowOneFlow {
+                    capacity,
+                    mean: 1.0
+                })
+            );
+        }
+        // A phase schedule is held to the bounds in every phase.
+        let heavy = RcbrModel::new(RcbrConfig {
+            mean: 100.0,
+            std_dev: 30.0,
+            ..RcbrConfig::paper_default(1.0)
+        });
+        let phases: [(f64, &dyn SourceModel); 2] = [(0.0, &m), (50.0, &heavy)];
+        assert_eq!(
+            PhasedLoad::new(&good, &phases, &mut ctl).validate(),
+            Err(ConfigError::BelowOneFlow {
+                capacity: 50.0,
+                mean: 100.0
+            })
+        );
     }
 
     #[test]

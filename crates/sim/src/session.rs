@@ -143,6 +143,16 @@ pub enum ConfigError {
     /// A malformed topology (routed scenarios re-validate the
     /// [`mbac_core::topology::Topology`] they were handed).
     Topology(mbac_core::topology::TopologyError),
+    /// A continuous load whose link cannot carry one flow of the
+    /// sources' mean rate (`capacity / mean < 1`, or NaN): its flow
+    /// count is below one, and `T̃_h` — with the sample horizon — grows
+    /// without bound as it shrinks.
+    BelowOneFlow {
+        /// The link capacity.
+        capacity: f64,
+        /// The sources' mean rate.
+        mean: f64,
+    },
     /// A request-stream workload that would hold more than
     /// [`crate::requests::MAX_WORKLOAD_ITEMS`] of something it keeps in
     /// memory for the whole replay, or a Poisson load expecting more
@@ -190,6 +200,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::WorkloadTooLarge { what, max } => {
                 write!(f, "the workload would hold more than {max} {what}")
             }
+            ConfigError::BelowOneFlow { capacity, mean } => write!(
+                f,
+                "capacity {capacity} cannot carry one flow of mean rate {mean} \
+                 (capacity / mean must be at least 1)"
+            ),
         }
     }
 }
