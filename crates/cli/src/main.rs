@@ -12,7 +12,7 @@
 mod args;
 mod commands;
 
-use args::Args;
+use args::{ArgError, Args};
 
 const TOP_USAGE: &str = "\
 mbacctl <command> [flags]
@@ -24,7 +24,23 @@ commands:
   serve-bench  benchmark the sharded admission decision plane
   churn      run the flow-lifecycle churn smoke at --flows scale
   trace      generate or inspect rate traces
-  help       show usage for a command (e.g. `mbacctl help design`)";
+  help       show usage for a command (`mbacctl help design`, or
+             `mbacctl design --help`)";
+
+/// A subcommand's usage text and entry point.
+type Command = (&'static str, fn(&Args) -> Result<(), ArgError>);
+
+fn command(name: &str) -> Option<Command> {
+    Some(match name {
+        "design" => (commands::design::USAGE, commands::design::run),
+        "theory" => (commands::theory::USAGE, commands::theory::run),
+        "simulate" => (commands::simulate::USAGE, commands::simulate::run),
+        "serve-bench" => (commands::serve_bench::USAGE, commands::serve_bench::run),
+        "churn" => (commands::churn::USAGE, commands::churn::run),
+        "trace" => (commands::trace::USAGE, commands::trace::run),
+        _ => return None,
+    })
+}
 
 fn main() {
     let mut argv = std::env::args().skip(1);
@@ -33,30 +49,30 @@ fn main() {
         std::process::exit(2);
     };
     let rest: Vec<String> = argv.collect();
-    let result = match cmd.as_str() {
-        "help" | "--help" | "-h" => {
-            match rest.first().map(String::as_str) {
-                Some("design") => println!("{}", commands::design::USAGE),
-                Some("theory") => println!("{}", commands::theory::USAGE),
-                Some("simulate") => println!("{}", commands::simulate::USAGE),
-                Some("serve-bench") => println!("{}", commands::serve_bench::USAGE),
-                Some("churn") => println!("{}", commands::churn::USAGE),
-                Some("trace") => println!("{}", commands::trace::USAGE),
-                _ => println!("{TOP_USAGE}"),
-            }
-            Ok(())
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        match rest.first().and_then(|c| command(c)) {
+            Some((usage, _)) => println!("{usage}"),
+            None => println!("{TOP_USAGE}"),
         }
-        "design" => Args::parse(rest).and_then(|a| commands::design::run(&a)),
-        "theory" => Args::parse(rest).and_then(|a| commands::theory::run(&a)),
-        "simulate" => Args::parse(rest).and_then(|a| commands::simulate::run(&a)),
-        "serve-bench" => Args::parse(rest).and_then(|a| commands::serve_bench::run(&a)),
-        "churn" => Args::parse(rest).and_then(|a| commands::churn::run(&a)),
-        "trace" => Args::parse(rest).and_then(|a| commands::trace::run(&a)),
-        other => {
-            eprintln!("unknown command '{other}'\n\n{TOP_USAGE}");
-            std::process::exit(2);
-        }
+        return;
+    }
+    let Some((usage, run)) = command(&cmd) else {
+        eprintln!("unknown command '{cmd}'\n\n{TOP_USAGE}");
+        std::process::exit(2);
     };
+    if rest.iter().any(|w| w == "--help" || w == "-h") {
+        println!("{usage}");
+        return;
+    }
+    let result = Args::parse(rest).and_then(|a| match a.positional().first() {
+        // Only `trace` reads positional words (`trace gen <file>`).
+        // Elsewhere a word that is no `--name value` flag (`-t-m`, a
+        // value missing its flag) would be read by nothing.
+        Some(word) if cmd != "trace" => Err(ArgError(format!(
+            "unexpected argument '{word}': flags take the form --name <value>"
+        ))),
+        _ => run(&a),
+    });
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);

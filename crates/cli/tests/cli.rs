@@ -36,6 +36,74 @@ fn help_subcommands() {
     }
 }
 
+/// `-t-m 99` is two words, not a flag: each command that takes no
+/// positional word names the first one and exits 1, instead of running
+/// with the flag's default (`T_m = 1.41` for this `simulate`).
+#[test]
+fn stray_words_are_rejected_not_dropped() {
+    let simulate = "simulate --capacity 50 --holding 10 -t-m 99 --samples 2";
+    for (line, word) in [
+        (simulate, "-t-m"),
+        ("design stray --capacity 100", "stray"),
+        ("theory stray", "stray"),
+        ("serve-bench --ticks 2 stray", "stray"),
+        ("churn stray --flows 10", "stray"),
+    ] {
+        let args: Vec<&str> = line.split(' ').collect();
+        let out = mbacctl(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{line}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains(&format!("'{word}'")),
+            "{line}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{line}: {err}");
+    }
+}
+
+/// `serve-bench -h` prints the usage; it used to run the default
+/// 32-link bench.
+#[test]
+fn dash_h_prints_usage_instead_of_running() {
+    let out = mbacctl(&["serve-bench", "-h"]);
+    let usage = mbacctl(&["help", "serve-bench"]).stdout;
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&usage)
+    );
+}
+
+/// `<command> --help` (or `-h`), anywhere after the command, prints that
+/// command's usage and exits 0; it used to fail with `--help requires a
+/// value`.
+#[test]
+fn help_flag_after_any_command_prints_its_usage() {
+    for cmd in [
+        "design",
+        "theory",
+        "simulate",
+        "serve-bench",
+        "churn",
+        "trace",
+    ] {
+        let usage = mbacctl(&["help", cmd]).stdout;
+        for args in [
+            &[cmd, "--help"][..],
+            &[cmd, "-h"],
+            &[cmd, "--seed", "3", "--help"],
+        ] {
+            let out = mbacctl(args);
+            assert!(out.status.success(), "{args:?}: {out:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&usage),
+                "{args:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn design_produces_configuration() {
     let out = mbacctl(&[
@@ -1455,14 +1523,14 @@ const HOSTILE_VALUES: [&str; 9] = [
     "",
 ];
 
-/// [`HOSTILE_VALUES`] and three more, which the sweeps of `simulate` and
-/// `churn` take: `--capacity 1e308` and `--mean 99999999999` found
-/// continuous loads that never ended, and `--t-c 1e308` (routed) and
-/// `churn --tick 1e308` runs whose clock reached ∞. `design` and
-/// `theory` keep the short list until their quadrature is bounded
-/// (`--holding 99999999999` runs for minutes), and so does
-/// `serve-bench`: `--ticks 99999999999` is a run its bounds allow, of
-/// hours, in flat memory.
+/// [`HOSTILE_VALUES`] and three more, which the sweeps of `simulate`
+/// (RCBR and trace-driven), `churn` and `trace gen` take: `--capacity
+/// 1e308` and `--mean 99999999999` found continuous loads that never
+/// ended, and `--t-c 1e308` (routed) and `churn --tick 1e308` runs whose
+/// clock reached ∞. `design` and `theory` keep the short list until
+/// their quadrature is bounded (`--holding 99999999999` runs for
+/// minutes), and so does `serve-bench`: `--ticks 99999999999` is a run
+/// its bounds allow, of hours, in flat memory.
 const WIDE_VALUES: [&str; 12] = [
     "nan",
     "inf",
@@ -1637,9 +1705,20 @@ fn simulate_sweep(
     }
 }
 
+/// [`simulate_sweep`] on the trace `trace.txt` in place of RCBR flows:
+/// `--mean`, `--sd` and `--t-c` may not be given with `--trace`.
+fn simulate_trace_sweep(mode: &'static str, flags: &[(&'static str, &'static str)]) -> Sweep {
+    let rcbr = ["mean", "sd", "t-c"];
+    let mut sweep = simulate_sweep(mode, &["--trace", "trace.txt"], flags);
+    sweep.flags.retain(|(flag, _)| !rcbr.contains(flag));
+    sweep.left_out.extend(rcbr);
+    sweep
+}
+
 /// Every numeric flag of `design`, `theory`, `trace gen`, `serve-bench`
-/// (per link and routed, serial and threaded), `simulate` (every load)
-/// and `churn`, read from the command's usage text, set in turn to each
+/// (per link and routed, serial and threaded), `simulate` (every load;
+/// the continuous, impulsive and Poisson loads also on a trace) and
+/// `churn`, read from the command's usage text, set in turn to each
 /// of the sweep's values ([`HOSTILE_VALUES`] or [`WIDE_VALUES`]) with
 /// every other flag at a valid value: the
 /// command exits 0, or 1 with exactly one `error:` line, within 10 s,
@@ -1656,6 +1735,30 @@ fn hostile_flag_values_exit_cleanly() {
         left_out: Vec::new(),
         values,
     };
+    // The flags of the loads that run on RCBR flows and on a trace.
+    let continuous = [
+        ("holding", "10"),
+        ("t-m", "2"),
+        ("p-ce", "1e-2"),
+        ("p-q", "1e-2"),
+        ("samples", "2"),
+    ];
+    let impulsive = [
+        ("flows", "40"),
+        ("observe", "1,5"),
+        ("reps", "20"),
+        ("holding", "10"),
+        ("p-ce", "1e-2"),
+        ("workers", "1"),
+    ];
+    let poisson = [
+        ("lambda", "2"),
+        ("holding", "10"),
+        ("t-m", "2"),
+        ("p-ce", "1e-2"),
+        ("p-q", "1e-2"),
+        ("samples", "2"),
+    ];
     let sweeps = [
         plain(
             "design",
@@ -1699,47 +1802,18 @@ fn hostile_flag_values_exit_cleanly() {
                 ("slot", "1"),
                 ("seed", "7"),
             ],
-            &HOSTILE_VALUES,
+            &WIDE_VALUES,
         ),
         serve_bench_sweep(None, "1"),
         serve_bench_sweep(None, "2"),
         serve_bench_sweep(Some("parking-lot:3"), "1"),
         serve_bench_sweep(Some("star:3"), "2"),
-        simulate_sweep(
-            "continuous",
-            &[],
-            &[
-                ("holding", "10"),
-                ("t-m", "2"),
-                ("p-ce", "1e-2"),
-                ("p-q", "1e-2"),
-                ("samples", "2"),
-            ],
-        ),
-        simulate_sweep(
-            "impulsive",
-            &[],
-            &[
-                ("flows", "40"),
-                ("observe", "1,5"),
-                ("reps", "20"),
-                ("holding", "10"),
-                ("p-ce", "1e-2"),
-                ("workers", "1"),
-            ],
-        ),
-        simulate_sweep(
-            "poisson",
-            &[],
-            &[
-                ("lambda", "2"),
-                ("holding", "10"),
-                ("t-m", "2"),
-                ("p-ce", "1e-2"),
-                ("p-q", "1e-2"),
-                ("samples", "2"),
-            ],
-        ),
+        simulate_sweep("continuous", &[], &continuous),
+        simulate_sweep("impulsive", &[], &impulsive),
+        simulate_sweep("poisson", &[], &poisson),
+        simulate_trace_sweep("continuous", &continuous),
+        simulate_trace_sweep("impulsive", &impulsive),
+        simulate_trace_sweep("poisson", &poisson),
         simulate_sweep(
             "routed",
             &["--topology", "parking-lot:3"],
@@ -1772,6 +1846,17 @@ fn hostile_flag_values_exit_cleanly() {
     ];
     let dir = std::env::temp_dir().join(format!("mbacctl_hostile_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    let gen = [
+        "trace",
+        "gen",
+        "trace.txt",
+        "--slots",
+        "1024",
+        "--seed",
+        "3",
+    ];
+    let out = mbacctl_within(&gen, &dir, Duration::from_secs(10)).expect("trace gen ends");
+    assert!(out.status.success(), "{out:?}");
     let mut failures = Vec::new();
     for sweep in sweeps {
         let head = sweep.head;

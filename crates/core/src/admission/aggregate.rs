@@ -120,6 +120,44 @@ mod tests {
         assert!(!ctl.admit(agg(95.0, 0.0, 9), cbr, 100.0));
     }
 
+    /// Within its band of 1e-9·(1 + |α|) around `α = Q⁻¹(p)`, `admit`
+    /// evaluates the tail; outside, it compares `x` with `α`. On either
+    /// side of the band's edge, and in the zero-variance fluid check, it
+    /// must give the verdict of `post_admission_overflow(..) ≤ p`.
+    #[test]
+    fn the_threshold_band_decides_as_the_tail_does() {
+        // Aggregate variance 1 and a constant-rate candidate: the
+        // normalized headroom is x = capacity − 51.
+        let (state, flow) = (agg(50.0, 1.0, 50), FlowStats::new(1.0, 0.0));
+        for p in [1e-2, 1e-3, 1e-6] {
+            let ctl = AggregateGaussian::new(QosTarget::new(p));
+            let alpha = ctl.target().alpha();
+            let edge = 1e-9 * (1.0 + alpha.abs());
+            for dx in [0.0, 1e-12, 0.99 * edge, 1.01 * edge, 1e-6] {
+                for x in [alpha - dx, alpha + dx] {
+                    let capacity = 51.0 + x;
+                    let tail = ctl.post_admission_overflow(state, flow, capacity) <= p;
+                    assert_eq!(
+                        ctl.admit(state, flow, capacity),
+                        tail,
+                        "p = {p}, x = α + {:e}",
+                        x - alpha
+                    );
+                }
+            }
+        }
+        let ctl = AggregateGaussian::new(QosTarget::new(1e-3));
+        let cbr = FlowStats::new(10.0, 0.0);
+        for capacity in [89.0, 90.0, 91.0] {
+            let tail = ctl.post_admission_overflow(agg(80.0, 0.0, 8), cbr, capacity) <= 1e-3;
+            assert_eq!(
+                ctl.admit(agg(80.0, 0.0, 8), cbr, capacity),
+                tail,
+                "c = {capacity}"
+            );
+        }
+    }
+
     #[test]
     fn big_flows_rejected_before_small_ones() {
         let ctl = AggregateGaussian::new(QosTarget::new(1e-3));

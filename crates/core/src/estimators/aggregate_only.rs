@@ -93,11 +93,6 @@ impl AggregateOnlyEstimator {
             }
         }
     }
-
-    /// Number of flows at the last snapshot.
-    pub fn last_flow_count(&self) -> Option<usize> {
-        self.state.map(|s| s.last_n as usize)
-    }
 }
 
 impl Estimator for AggregateOnlyEstimator {
@@ -223,7 +218,6 @@ mod tests {
         assert!(agg.estimate().is_none());
         agg.observe_aggregate(1.0, 10, 10.0);
         assert!(agg.estimate().is_some());
-        assert_eq!(agg.last_flow_count(), Some(10));
         agg.reset();
         assert!(agg.estimate().is_none());
     }

@@ -51,16 +51,6 @@ impl FilteredEstimator {
     pub fn t_m(&self) -> f64 {
         self.t_m
     }
-
-    /// The discrete filter gain for an inter-sample gap `dt`:
-    /// `a = 1 − e^{−Δ/T_m}` (1 when memoryless).
-    pub fn gain(&self, dt: f64) -> f64 {
-        if self.t_m == 0.0 {
-            1.0
-        } else {
-            1.0 - (-dt / self.t_m).exp()
-        }
-    }
 }
 
 impl Estimator for FilteredEstimator {

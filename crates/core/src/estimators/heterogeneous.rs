@@ -82,11 +82,6 @@ impl ClassifiedEstimator {
         self.classes.get(class)?.estimate()
     }
 
-    /// Current number of flows counted in a class.
-    pub fn class_count(&self, class: usize) -> usize {
-        self.counts.get(class).copied().unwrap_or(0)
-    }
-
     /// Whole-link aggregate: sums per-class `count·mean` and
     /// `count·variance` (independence across flows).
     pub fn aggregate(&self) -> AggregateEstimate {
@@ -189,7 +184,7 @@ mod tests {
         est.observe(0.0, &[(0, 1.0)]);
         assert!(est.estimate_class(1).is_none());
         assert!(est.estimate_class(2).is_none());
-        assert_eq!(est.class_count(0), 1);
+        assert_eq!(est.aggregate().flows, 1);
     }
 
     #[test]
@@ -212,7 +207,8 @@ mod tests {
             let class0 = est.estimate_class(0).unwrap();
             est.observe(1.0, &[(0, 2.0), (0, bad), (0, 5.0), (1, 20.0)]);
             assert_eq!(est.estimate_class(0), Some(class0), "{bad}");
-            assert_eq!(est.class_count(0), 2, "{bad}");
+            // Class 0 keeps its 2 flows; class 1 holds 1.
+            assert_eq!(est.aggregate().flows, 3, "{bad}");
             assert!(est.estimate_class(1).unwrap().mean > 10.0, "{bad}");
             est.observe(2.0, &[(0, 2.0), (1, 20.0)]);
             let class0 = est.estimate_class(0).unwrap();
@@ -220,7 +216,7 @@ mod tests {
                 class0.mean.is_finite() && class0.variance.is_finite(),
                 "{bad}"
             );
-            assert_eq!(est.class_count(0), 1, "{bad}");
+            assert_eq!(est.aggregate().flows, 2, "{bad}");
         }
     }
 

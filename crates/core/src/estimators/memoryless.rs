@@ -19,11 +19,6 @@ impl MemorylessEstimator {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Time of the last snapshot observed (0 before any).
-    pub fn last_observation_time(&self) -> f64 {
-        self.last_t
-    }
 }
 
 impl Estimator for MemorylessEstimator {
@@ -88,7 +83,6 @@ mod tests {
         e.observe(0.0, &[1.0]);
         e.reset();
         assert!(e.estimate().is_none());
-        assert_eq!(e.last_observation_time(), 0.0);
     }
 
     #[test]

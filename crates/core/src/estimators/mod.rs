@@ -53,15 +53,6 @@ impl Estimate {
     pub fn std_dev(&self) -> f64 {
         self.variance.max(0.0).sqrt()
     }
-
-    /// Converts to validated [`FlowStats`] when the estimate is physical.
-    pub fn to_flow_stats(&self) -> Option<FlowStats> {
-        if self.mean > 0.0 && self.variance >= 0.0 {
-            Some(FlowStats::new(self.mean, self.variance))
-        } else {
-            None
-        }
-    }
 }
 
 impl From<FlowStats> for Estimate {
@@ -170,9 +161,8 @@ mod tests {
 
     #[test]
     fn estimate_flow_stats_conversion() {
-        assert!(Estimate::new(1.0, 0.5).to_flow_stats().is_some());
-        assert!(Estimate::new(0.0, 0.5).to_flow_stats().is_none());
-        assert!(Estimate::new(1.0, -0.1).to_flow_stats().is_none());
+        let e = Estimate::from(FlowStats::new(1.0, 0.5));
+        assert_eq!((e.mean, e.variance), (1.0, 0.5));
         let e = Estimate::new(2.0, 0.25);
         assert!((e.std_dev() - 0.5).abs() < 1e-15);
     }

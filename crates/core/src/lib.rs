@@ -4,7 +4,7 @@
 //! Robust Measurement-Based Admission Control"* (SIGCOMM '97 /
 //! UCB-ERL M98/17), as a library:
 //!
-//! * [`params`] — flow statistics, QoS targets, system description;
+//! * [`params`] — flow statistics and QoS targets;
 //! * [`estimators`] — memoryless, exponentially-filtered (memory `T_m`),
 //!   sliding-window and per-class estimators of flow statistics;
 //! * [`admission`] — the Gaussian admission criteria: perfect-knowledge,
@@ -56,7 +56,7 @@ pub mod utility;
 
 pub use admission::{AdmissionPolicy, CertaintyEquivalent, PeakRate, PerfectKnowledge};
 pub use estimators::{Estimate, Estimator, FilteredEstimator, MemorylessEstimator};
-pub use params::{FlowStats, QosTarget, SystemParams};
+pub use params::{FlowStats, QosTarget};
 pub use robust::{DesignInputs, RobustDesign};
 pub use theory::ContinuousModel;
 pub use topology::{

@@ -1,7 +1,7 @@
-//! Shared parameter types: per-flow statistics, QoS targets, and the
-//! system description used by admission criteria and theory formulas.
+//! Shared parameter types: per-flow statistics and QoS targets, used by
+//! admission criteria and theory formulas.
 
-use mbac_num::{inv_q, q};
+use mbac_num::inv_q;
 
 /// First- and second-order statistics of a single flow's stationary
 /// bandwidth process: mean `μ` and variance `σ²`.
@@ -70,12 +70,6 @@ impl QosTarget {
         QosTarget { p, alpha: inv_q(p) }
     }
 
-    /// Creates a target from the Gaussian safety factor `α` directly
-    /// (`p = Q(α)`).
-    pub fn from_alpha(alpha: f64) -> Self {
-        QosTarget { p: q(alpha), alpha }
-    }
-
     /// The safety factor `α_q = Q⁻¹(p_q)`.
     #[inline]
     pub fn alpha(&self) -> f64 {
@@ -83,61 +77,10 @@ impl QosTarget {
     }
 }
 
-/// A bufferless link shared by homogeneous flows: capacity `c`, true
-/// per-flow statistics, and the QoS target.
-///
-/// The *normalized capacity* `n = c/μ` (the paper's system-size
-/// parameter) drives every asymptotic result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SystemParams {
-    /// Link capacity `c` (same bandwidth units as the flow mean).
-    pub capacity: f64,
-    /// True per-flow statistics.
-    pub flow: FlowStats,
-    /// QoS target.
-    pub qos: QosTarget,
-}
-
-impl SystemParams {
-    /// Creates a system description.
-    ///
-    /// # Panics
-    /// Panics unless `capacity > 0`.
-    pub fn new(capacity: f64, flow: FlowStats, qos: QosTarget) -> Self {
-        assert!(capacity > 0.0, "capacity must be positive, got {capacity}");
-        SystemParams {
-            capacity,
-            flow,
-            qos,
-        }
-    }
-
-    /// Convenience constructor from the normalized size `n` (capacity is
-    /// `n·μ`, the paper's scaling).
-    pub fn from_size(n: f64, flow: FlowStats, qos: QosTarget) -> Self {
-        assert!(n > 0.0);
-        Self::new(n * flow.mean, flow, qos)
-    }
-
-    /// Normalized capacity `n = c/μ`: how many flows fit if each used
-    /// exactly its mean bandwidth.
-    #[inline]
-    pub fn size(&self) -> f64 {
-        self.capacity / self.flow.mean
-    }
-
-    /// The critical time-scale `T̃_h = T_h/√n` for a given mean holding
-    /// time (§3.2): the time the system needs to "repair" an admission
-    /// error through departures.
-    pub fn critical_timescale(&self, holding_time: f64) -> f64 {
-        assert!(holding_time > 0.0);
-        holding_time / self.size().sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbac_num::q;
 
     #[test]
     fn flow_stats_derived_quantities() {
@@ -151,35 +94,6 @@ mod tests {
     fn qos_alpha_roundtrip() {
         let t = QosTarget::new(1e-3);
         assert!((q(t.alpha()) - 1e-3).abs() < 1e-12);
-        let t2 = QosTarget::from_alpha(t.alpha());
-        assert!((t2.p - 1e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn system_size_is_capacity_over_mean() {
-        let s = SystemParams::new(
-            200.0,
-            FlowStats::from_mean_sd(2.0, 0.6),
-            QosTarget::new(1e-2),
-        );
-        assert!((s.size() - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_size_matches_definition() {
-        let f = FlowStats::from_mean_sd(3.0, 1.0);
-        let s = SystemParams::from_size(400.0, f, QosTarget::new(1e-3));
-        assert!((s.capacity - 1200.0).abs() < 1e-12);
-        assert!((s.size() - 400.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn critical_timescale_scales_with_sqrt_n() {
-        let f = FlowStats::from_mean_sd(1.0, 0.3);
-        let s100 = SystemParams::from_size(100.0, f, QosTarget::new(1e-3));
-        let s10000 = SystemParams::from_size(10_000.0, f, QosTarget::new(1e-3));
-        assert!((s100.critical_timescale(1000.0) - 100.0).abs() < 1e-9);
-        assert!((s10000.critical_timescale(1000.0) - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -306,12 +306,6 @@ impl Topology {
     pub fn hop_index(&self, route: RouteId, link: LinkId) -> Option<usize> {
         self.route(route).iter().position(|&l| l == link)
     }
-
-    /// Whether every route has exactly one hop (the degenerate
-    /// single-link-per-route case the legacy layers model).
-    pub fn is_single_hop(&self) -> bool {
-        self.routes.iter().all(|hops| hops.len() == 1)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -481,7 +475,6 @@ mod tests {
         let single = Topology::single_link(10.0);
         assert_eq!(single.links(), 1);
         assert_eq!(single.routes(), 1);
-        assert!(single.is_single_hop());
         assert_eq!(single.route(RouteId(0)), &[LinkId(0)]);
 
         let pl = Topology::parking_lot(3, 8.0);
@@ -489,7 +482,6 @@ mod tests {
         assert_eq!(pl.routes(), 4);
         assert_eq!(pl.route(RouteId(0)), &[LinkId(0), LinkId(1), LinkId(2)]);
         assert_eq!(pl.route(RouteId(2)), &[LinkId(1)]);
-        assert!(!pl.is_single_hop());
         // Every link carries the long route plus its own cross traffic.
         for link in pl.link_ids() {
             let crossing: Vec<RouteId> = pl.routes_crossing(link).collect();

@@ -65,38 +65,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as an aligned text table.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        let cells: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| r.iter().map(|v| format_value(*v)).collect())
-            .collect();
-        for row in &cells {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-        let mut out = String::new();
-        for (i, h) in self.headers.iter().enumerate() {
-            out.push_str(&format!("{:>w$}  ", h, w = widths[i]));
-        }
-        out.push('\n');
-        for (i, _) in self.headers.iter().enumerate() {
-            out.push_str(&"-".repeat(widths[i]));
-            out.push_str("  ");
-        }
-        out.push('\n');
-        for row in &cells {
-            for (i, c) in row.iter().enumerate() {
-                out.push_str(&format!("{:>w$}  ", c, w = widths[i]));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 fn format_value(v: f64) -> String {
@@ -211,8 +179,7 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.column("y").unwrap(), vec![2.0, 4.0]);
         assert!(t.column("z").is_none());
-        let r = t.render();
-        assert!(r.contains('x') && r.contains("4.0000"));
+        assert_eq!(t.to_csv(), "x,y\n1,2\n3,4\n");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! interval is less than ±20% of the estimated mean", or when the
 //! estimate plus its half-width sits at least two orders of magnitude
 //! below the target overflow probability. These helpers implement that
-//! arithmetic for both raw means and binomial proportions.
+//! arithmetic for binomial proportions.
 
 use crate::normal::inv_q;
 
@@ -46,20 +46,6 @@ pub fn z_critical(level: f64) -> f64 {
         "confidence level must be in (0,1)"
     );
     inv_q(0.5 * (1.0 - level))
-}
-
-/// Normal-approximation CI for a mean, given sample mean, sample
-/// standard deviation and count.
-pub fn mean_ci(mean: f64, sd: f64, n: u64, level: f64) -> ConfidenceInterval {
-    assert!(n > 0, "mean_ci needs at least one sample");
-    let z = z_critical(level);
-    let half = z * sd / (n as f64).sqrt();
-    ConfidenceInterval {
-        estimate: mean,
-        lo: mean - half,
-        hi: mean + half,
-        level,
-    }
 }
 
 /// Wald (normal-approximation) CI for a binomial proportion.
@@ -107,21 +93,6 @@ mod tests {
         assert!((z_critical(0.95) - 1.959963984540054).abs() < 1e-9);
         assert!((z_critical(0.99) - 2.5758293035489004).abs() < 1e-9);
         assert!((z_critical(0.90) - 1.6448536269514722).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_ci_shrinks_with_n() {
-        let a = mean_ci(10.0, 2.0, 100, 0.95);
-        let b = mean_ci(10.0, 2.0, 10_000, 0.95);
-        assert!(b.half_width() < a.half_width());
-        assert!((a.half_width() / b.half_width() - 10.0).abs() < 1e-9);
-        assert!((a.estimate - 10.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn mean_ci_is_symmetric() {
-        let ci = mean_ci(5.0, 1.0, 50, 0.95);
-        assert!((ci.hi - ci.estimate - (ci.estimate - ci.lo)).abs() < 1e-12);
     }
 
     #[test]

@@ -78,12 +78,6 @@ pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
     out
 }
 
-/// FFT of a real signal, returned as the full complex spectrum.
-pub fn rfft(input: &[f64]) -> Vec<Complex64> {
-    let buf: Vec<Complex64> = input.iter().map(|&x| Complex64::from_real(x)).collect();
-    fft(&buf)
-}
-
 fn bit_reverse_permute(data: &mut [Complex64]) {
     let n = data.len();
     let mut j = 0usize;
@@ -210,11 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn rfft_of_real_signal_is_conjugate_symmetric() {
-        let x: Vec<f64> = (0..32)
-            .map(|i| (i as f64 * 0.3).cos() + 0.1 * i as f64)
+    fn fft_of_real_signal_is_conjugate_symmetric() {
+        let x: Vec<Complex64> = (0..32)
+            .map(|i| Complex64::from_real((i as f64 * 0.3).cos() + 0.1 * i as f64))
             .collect();
-        let s = rfft(&x);
+        let s = fft(&x);
         for k in 1..16 {
             let a = s[k];
             let b = s[32 - k].conj();

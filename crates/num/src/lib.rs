@@ -42,18 +42,18 @@ pub mod rng;
 pub mod roots;
 pub mod stats;
 
-pub use ci::{mean_ci, wald_ci, wilson_ci, z_critical, ConfidenceInterval};
+pub use ci::{wald_ci, wilson_ci, z_critical, ConfidenceInterval};
 pub use complex::Complex64;
 #[doc(hidden)]
 pub use dispatch::KernelDispatch;
 pub use erf::{erf, erfc, erfcx, ln_erfc};
 pub use moments::{fold_noisy, RateMoments, SnapshotMoments};
-pub use normal::{inv_norm_cdf, inv_q, ln_q, mills_ratio, norm_cdf, phi, q};
+pub use normal::{inv_q, ln_q, mills_ratio, norm_cdf, phi, q};
 pub use parallel::{
     default_workers, parallel_map, parallel_map_with, parallel_map_with_stats, PoolCallStats,
     WorkerStats,
 };
 pub use quad::{integrate, integrate_to_inf, Quadrature};
 pub use regress::{linear_fit, LinearFit};
-pub use roots::{bisect, brent, brent_auto_bracket, Root, RootError};
+pub use roots::{bisect, brent, Root, RootError};
 pub use stats::{acf, mean, quantile, std_dev, variance, RunningStats};

@@ -123,12 +123,6 @@ pub fn inv_q(p: f64) -> f64 {
     x
 }
 
-/// Inverse standard normal CDF `Φ⁻¹(p)`.
-#[inline]
-pub fn inv_norm_cdf(p: f64) -> f64 {
-    -inv_q(p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

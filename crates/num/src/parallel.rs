@@ -74,11 +74,6 @@ impl PoolCallStats {
         self.workers.iter().map(|w| w.items).sum()
     }
 
-    /// Total steal events across all slots.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
-    }
-
     /// Fraction of the call's wall time slot `slot` was busy, in
     /// `[0, 1]`-ish (clock jitter can nudge it past 1).
     pub fn utilization(&self, slot: usize) -> f64 {

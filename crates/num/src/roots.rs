@@ -212,74 +212,6 @@ pub fn brent<F: FnMut(f64) -> f64>(
     Err(RootError::MaxIterations)
 }
 
-/// Expands a bracket geometrically from an initial guess until `f`
-/// changes sign, then runs Brent. `lo_limit`/`hi_limit` bound the search.
-///
-/// Convenience used by the `p_ce` inversion, where a sign change is
-/// guaranteed by monotonicity but its location varies over orders of
-/// magnitude.
-pub fn brent_auto_bracket<F: FnMut(f64) -> f64>(
-    mut f: F,
-    guess: f64,
-    lo_limit: f64,
-    hi_limit: f64,
-    xtol: f64,
-) -> Result<Root, RootError> {
-    assert!(lo_limit < hi_limit);
-    let g = guess.clamp(lo_limit, hi_limit);
-    let fg = f(g);
-    if fg.is_nan() {
-        return Err(RootError::NanEncountered);
-    }
-    if fg == 0.0 {
-        return Ok(Root {
-            x: g,
-            fx: 0.0,
-            evals: 1,
-        });
-    }
-    // Walk outward in both directions with doubling strides.
-    let mut lo = g;
-    let mut hi = g;
-    let mut flo = fg;
-    let mut fhi = fg;
-    let mut stride = (hi_limit - lo_limit) * 1e-3;
-    for _ in 0..64 {
-        if flo.signum() != fg.signum() || fhi.signum() != fg.signum() {
-            break;
-        }
-        if lo > lo_limit {
-            lo = (lo - stride).max(lo_limit);
-            flo = f(lo);
-            if flo.is_nan() {
-                return Err(RootError::NanEncountered);
-            }
-        }
-        if fhi.signum() == fg.signum() && hi < hi_limit {
-            hi = (hi + stride).min(hi_limit);
-            fhi = f(hi);
-            if fhi.is_nan() {
-                return Err(RootError::NanEncountered);
-            }
-        }
-        stride *= 2.0;
-        if lo <= lo_limit
-            && hi >= hi_limit
-            && flo.signum() == fg.signum()
-            && fhi.signum() == fg.signum()
-        {
-            return Err(RootError::NotBracketed);
-        }
-    }
-    if flo.signum() != fg.signum() {
-        brent(f, lo, g, xtol, 200)
-    } else if fhi.signum() != fg.signum() {
-        brent(f, g, hi, xtol, 200)
-    } else {
-        Err(RootError::NotBracketed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,19 +257,6 @@ mod tests {
         // f(x) = exp(20x) - 1 has root at 0; very asymmetric bracket.
         let r = brent(|x| (20.0 * x).exp_m1(), -10.0, 1.0, 1e-13, 200).unwrap();
         assert!(r.x.abs() < 1e-10, "x = {}", r.x);
-    }
-
-    #[test]
-    fn auto_bracket_expands_to_find_root() {
-        // Root at 700, guess at 1.
-        let r = brent_auto_bracket(|x| x - 700.0, 1.0, 0.0, 1e6, 1e-10).unwrap();
-        assert!((r.x - 700.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn auto_bracket_reports_failure() {
-        let e = brent_auto_bracket(|x| x * x + 1.0, 0.0, -10.0, 10.0, 1e-10).unwrap_err();
-        assert_eq!(e, RootError::NotBracketed);
     }
 
     #[test]

@@ -59,15 +59,6 @@ impl RunningStats {
         }
     }
 
-    /// Population variance (n denominator; 0 when empty).
-    pub fn variance_population(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Unbiased sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()

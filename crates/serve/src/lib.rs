@@ -8,8 +8,7 @@
 //!   [`mbac_metrics::IngestRing`] (bounded, lock-free, per-producer
 //!   FIFO, loss-free, visible backpressure) and drained in batch. With
 //!   the one-link rule [`plane::SingleHop`] it is the
-//!   [`plane::DecisionPlane`], whose [`plane::Shard::decide_batch`]
-//!   applies every pending measurement before any decision;
+//!   [`plane::DecisionPlane`];
 //! * [`routed`] — the multi-hop rule [`routed::TwoPhase`] for the same
 //!   skeleton: a deterministic two-phase reserve/commit joins the
 //!   per-hop votes of a routed request even when its hops land on

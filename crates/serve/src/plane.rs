@@ -620,11 +620,6 @@ impl<L: LinkLogic> Plane<L> {
         Ok(Plane { shards })
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `link`.
     pub fn shard_of(&self, link: LinkId) -> usize {
         shard_of(link, self.shards.len())
@@ -775,28 +770,6 @@ impl LinkLogic for SingleHop {
 /// One shard of the single-link plane.
 pub type Shard = ShardOf<SingleHop>;
 
-impl Shard {
-    /// The batched admit/reject API: drains all pending measurement
-    /// updates (and in-ring requests) first, then decides each direct
-    /// request in order. This is the freshness contract — a decision
-    /// never ignores a measurement that was already ingested.
-    pub fn decide_batch(&mut self, requests: &[LinkId], out: &mut Vec<Decision>) {
-        self.drain_into(out);
-        for &link in requests {
-            self.apply(
-                ShardEvent::Request {
-                    link,
-                    enqueued: None,
-                },
-                out,
-            );
-        }
-        if !requests.is_empty() {
-            self.tap.batch();
-        }
-    }
-}
-
 /// Decision-plane configuration.
 #[derive(Debug, Clone)]
 pub struct PlaneConfig {
@@ -882,6 +855,19 @@ mod tests {
             certainty_equivalent_factory(1e-2, 0.0),
         )
         .unwrap()
+    }
+
+    /// Decides one direct request per entry of `links`, in order.
+    fn request(shard: &mut Shard, links: &[LinkId], out: &mut Vec<Decision>) {
+        for &link in links {
+            shard.apply(
+                ShardEvent::Request {
+                    link,
+                    enqueued: None,
+                },
+                out,
+            );
+        }
     }
 
     #[test]
@@ -982,7 +968,7 @@ mod tests {
         let mut plane = plane(1);
         let mut out = Vec::new();
         let shard = &mut plane.shards_mut()[0];
-        shard.decide_batch(&[LinkId(7)], &mut out);
+        request(shard, &[LinkId(7)], &mut out);
         assert_eq!(out.len(), 1);
         assert!(!out[0].admit, "cold start must fail safe");
         assert_eq!(out[0].admissible, None);
@@ -997,7 +983,7 @@ mod tests {
             &mut out,
         );
         out.clear();
-        shard.decide_batch(&[LinkId(7); 7], &mut out);
+        request(shard, &[LinkId(7); 7], &mut out);
         let admitted = out.iter().filter(|d| d.admit).count();
         // Occupancy resynced to 4; fluid limit 10 ⇒ 6 more fit.
         assert_eq!(admitted, 6);
@@ -1036,7 +1022,7 @@ mod tests {
                     &mut out,
                 );
             }
-            shard.decide_batch(&[LinkId(3); 7], &mut out);
+            request(shard, &[LinkId(3); 7], &mut out);
             assert_eq!(out.iter().filter(|d| d.admit).count(), 6, "after {bad}");
             assert_eq!(out[6].admissible, Some(10.0), "after {bad}");
         }
@@ -1074,8 +1060,8 @@ mod tests {
         let link_a = (0..).map(LinkId).find(|&l| plane.shard_of(l) == 0).unwrap();
         let link_b = (0..).map(LinkId).find(|&l| plane.shard_of(l) == 1).unwrap();
         let (a, b) = (plane.shard_of(link_a), plane.shard_of(link_b));
-        plane.shards_mut()[a].decide_batch(&[link_a], &mut out);
-        plane.shards_mut()[b].decide_batch(&[link_b, link_b], &mut out);
+        request(&mut plane.shards_mut()[a], &[link_a], &mut out);
+        request(&mut plane.shards_mut()[b], &[link_b, link_b], &mut out);
         let snap = plane.snapshot();
         match snap.get("serve.shard0.requests") {
             Some(MetricValue::Counter(c)) => assert_eq!(c.count, 1),

@@ -99,11 +99,6 @@ impl<T> EventQueue<T> {
         })
     }
 
-    /// Time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

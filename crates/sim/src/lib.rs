@@ -62,8 +62,7 @@ pub use runner::{
     ImpulsiveReport, PhaseReport, PhasedLoad,
 };
 pub use session::{
-    rep_seed, ConfigError, Engine, MetricsMode, RepContext, Scenario, ScratchVec, Session,
-    SessionBuilder,
+    rep_seed, ConfigError, Engine, MetricsMode, RepContext, Scenario, Session, SessionBuilder,
 };
 pub use telemetry::{EntryGuard, MetricsSink, SimMetrics, TickEntry};
 

@@ -326,78 +326,11 @@ impl RepContext {
         self.engine.table()
     }
 
-    /// An empty `f64` scratch buffer from this thread's arena.
-    ///
-    /// The buffer keeps whatever capacity its previous user grew it to
-    /// and returns to the arena when dropped, so a scenario that takes
-    /// its snapshot/rate buffers here performs its steady-state ticks
-    /// allocation-free — and because the session's worker threads are
-    /// persistent (see [`mbac_num::parallel`]), the capacity survives
-    /// across replications *and across sessions* on the same thread.
-    pub fn scratch_rates(&self) -> ScratchVec {
-        ScratchVec::take()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Per-thread scratch arena
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// Pool of retired scratch buffers, per worker thread.
-    static SCRATCH_F64: std::cell::RefCell<Vec<Vec<f64>>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// An `f64` buffer on loan from the thread's scratch arena: cleared on
-/// take, capacity preserved, returned to the arena on drop. Derefs to
-/// `Vec<f64>`, so it drops into any `&mut Vec<f64>` / `&[f64]` API.
-#[derive(Debug)]
-pub struct ScratchVec {
-    buf: Vec<f64>,
-}
-
-impl ScratchVec {
-    fn take() -> Self {
-        let buf = SCRATCH_F64
-            .with(|pool| match pool.try_borrow_mut() {
-                Ok(mut pool) => pool.pop(),
-                // Defensive: a re-entrant borrow (only possible from a
-                // Drop running inside `take`) just allocates fresh.
-                Err(_) => None,
-            })
-            .map(|mut v| {
-                v.clear();
-                v
-            })
-            .unwrap_or_default();
-        ScratchVec { buf }
-    }
-}
-
-impl Drop for ScratchVec {
-    fn drop(&mut self) {
-        if self.buf.capacity() == 0 {
-            return;
-        }
-        let buf = std::mem::take(&mut self.buf);
-        SCRATCH_F64.with(|pool| {
-            if let Ok(mut pool) = pool.try_borrow_mut() {
-                pool.push(buf);
-            }
-        });
-    }
-}
-
-impl std::ops::Deref for ScratchVec {
-    type Target = Vec<f64>;
-    fn deref(&self) -> &Vec<f64> {
-        &self.buf
-    }
-}
-
-impl std::ops::DerefMut for ScratchVec {
-    fn deref_mut(&mut self) -> &mut Vec<f64> {
-        &mut self.buf
+    // Inert shim: an empty buffer. The frozen `benchmark/` still asks
+    // for one; the next `benchmark` PR deletes this.
+    #[doc(hidden)]
+    pub fn scratch_rates(&self) -> Vec<f64> {
+        Vec::new()
     }
 }
 
@@ -861,27 +794,6 @@ mod tests {
         assert_eq!(
             SessionBuilder::new().workers(0).run(&toy).unwrap_err(),
             ConfigError::ZeroWorkers
-        );
-    }
-
-    #[test]
-    fn scratch_buffers_keep_their_capacity() {
-        let ctx = RepContext {
-            rep: 0,
-            seed: 0,
-            engine: Engine::Batched,
-        };
-        {
-            let mut v = ctx.scratch_rates();
-            assert!(v.is_empty());
-            v.extend(std::iter::repeat_n(1.0, 4096));
-        } // drop returns the buffer to this thread's arena
-        let v = ctx.scratch_rates();
-        assert!(v.is_empty(), "scratch buffers are handed out cleared");
-        assert!(
-            v.capacity() >= 4096,
-            "capacity must survive the round-trip, got {}",
-            v.capacity()
         );
     }
 

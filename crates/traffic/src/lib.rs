@@ -10,8 +10,6 @@
 //!   fluid of Assumption B.6, is one of them ([`RcbrModel::on_off`]);
 //! * [`ar1`] — a sampled Ornstein–Uhlenbeck source (same second-order
 //!   statistics as RCBR, continuous path structure);
-//! * [`multiscale`] — sums of RCBR deviations across decades of
-//!   time-scales (discrete LRD approximation, §5.3);
 //! * [`fgn`] — exact fractional Gaussian noise (Hosking and
 //!   Davies–Harte), the substrate for genuine long-range dependence;
 //! * [`trace`] / [`starwars`] — trace-driven playback and the synthetic
@@ -30,7 +28,6 @@ pub mod ar1;
 pub mod batch;
 pub mod fgn;
 pub mod marginal;
-pub mod multiscale;
 pub mod process;
 pub mod rcbr;
 pub mod starwars;
@@ -41,7 +38,6 @@ pub use ar1::{Ar1Config, Ar1Model, Ar1Source};
 pub use batch::{BatchKey, DynBatch, FlowBatch};
 pub use fgn::{davies_harte, fgn_autocovariance, hosking};
 pub use marginal::Marginal;
-pub use multiscale::{MultiScaleConfig, MultiScaleModel, MultiScaleSource, ScaleComponent};
 pub use process::{RateProcess, SourceModel};
 pub use rcbr::{RcbrConfig, RcbrModel, RcbrSource};
 pub use starwars::{generate_starwars_like, StarwarsConfig, MAX_SLOTS};

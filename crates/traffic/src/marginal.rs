@@ -22,8 +22,8 @@ pub enum Marginal {
         /// Standard deviation of the untruncated Gaussian.
         sd: f64,
     },
-    /// Gaussian, untruncated: rates may go negative (the zero-mean
-    /// deviations of a multi-scale source, or the theory's exact law).
+    /// Gaussian, untruncated: rates may go negative (the theory's exact
+    /// law).
     Normal {
         /// Mean `μ`.
         mean: f64,

@@ -10,7 +10,7 @@
 //! * [`metrics`] (= `mbac-metrics`) — aggregated, mergeable simulation
 //!   instruments (counters, gauges, histograms, series);
 //! * [`traffic`] (= `mbac-traffic`) — RCBR (on–off included) / AR(1) /
-//!   multi-scale / fGn / trace sources;
+//!   fGn / trace sources;
 //! * [`sim`] (= `mbac-sim`) — the discrete-event simulator and the
 //!   three load-model harnesses;
 //! * [`num`] (= `mbac-num`) — the numerics substrate.
