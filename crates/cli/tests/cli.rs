@@ -553,6 +553,42 @@ fn simulate_routed_rejects_oversized_runs_without_aborting_or_hanging() {
     }
 }
 
+/// A network that can admit without bound: with `--capacity 1e15` and
+/// unbounded attempts the closed loop registered flows until the flow
+/// table's allocation failed (exit 134 under a 3 GB memory limit; the
+/// host's memory without one).
+#[test]
+fn simulate_routed_rejects_unbounded_populations_at_once() {
+    let too_many = "the workload would hold more than 268435456 admitted flows";
+    let dir = std::env::temp_dir();
+    for capacity in ["1e15", "1e308"] {
+        let args = [
+            "simulate",
+            "--load",
+            "routed",
+            "--capacity",
+            capacity,
+            "--holding",
+            "10",
+            "--attempts",
+            "99999999999",
+            "--ticks",
+            "5",
+            "--warmup",
+            "1",
+        ];
+        let out = mbacctl_within(&args, &dir, Duration::from_secs(5));
+        let out = out.unwrap_or_else(|| panic!("{capacity}: still running after 5 s"));
+        assert_eq!(out.status.code(), Some(1), "{capacity}: clean exit");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error: invalid configuration: ") && err.contains(too_many),
+            "{capacity}: {err}"
+        );
+        assert_eq!(err.lines().count(), 1, "{capacity}: {err}");
+    }
+}
+
 #[test]
 fn simulate_poisson_rejects_unbounded_arrival_rates_without_panicking_or_hanging() {
     // `inf` used to panic on a zero mean inter-arrival time (exit 101);

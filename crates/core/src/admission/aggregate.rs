@@ -37,28 +37,10 @@ impl AggregateGaussian {
         q((capacity - mean) / var.sqrt())
     }
 
-    /// Whether the candidate flow may be admitted.
-    ///
-    /// Decision-identical to `post_admission_overflow(..) ≤ p`, but the
-    /// common case costs one sqrt and one compare: since `Q` is strictly
-    /// decreasing, `Q(x) ≤ p ⟺ x ≥ Q⁻¹(p)`, and `α = Q⁻¹(p)` is cached
-    /// in the [`QosTarget`]. Only within a narrow band of the threshold
-    /// (far wider than `inv_q`'s ~1e-13 relative error) does it fall
-    /// back to evaluating the tail exactly as before.
+    /// Whether the candidate flow may be admitted: iff the overflow
+    /// probability after admitting it stays within the target.
     pub fn admit(&self, agg: AggregateEstimate, candidate: FlowStats, capacity: f64) -> bool {
-        let mean = agg.mean + candidate.mean;
-        let var = (agg.variance + candidate.variance).max(0.0);
-        if var == 0.0 {
-            // Fluid check: overflow is 1 or 0, and p ∈ (0, 1).
-            return mean <= capacity;
-        }
-        let x = (capacity - mean) / var.sqrt();
-        let alpha = self.target.alpha();
-        if (x - alpha).abs() > 1e-9 * (1.0 + alpha.abs()) {
-            x >= alpha
-        } else {
-            q(x) <= self.target.p
-        }
+        self.post_admission_overflow(agg, candidate, capacity) <= self.target.p
     }
 
     /// The configured target.

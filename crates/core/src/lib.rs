@@ -19,10 +19,9 @@
 //! * [`robust`] — the §5.3 design procedure: `T_m = T̃_h` plus an
 //!   adjusted certainty-equivalent target, robust over unknown traffic
 //!   correlation time-scales;
-//! * [`topology`] — links, capacities and routes, plus the
-//!   [`topology::PathAdmission`] composition layer that lifts the
-//!   single-link criteria to multi-hop paths with all-or-nothing
-//!   occupancy commit/rollback.
+//! * [`topology`] — links, capacities and routes: the networks the
+//!   single-link criteria are composed over, one per-link rule applied
+//!   at every hop of a route.
 //!
 //! ## Quick example
 //!
@@ -59,8 +58,5 @@ pub use estimators::{Estimate, Estimator, FilteredEstimator, MemorylessEstimator
 pub use params::{FlowStats, QosTarget};
 pub use robust::{DesignInputs, RobustDesign};
 pub use theory::ContinuousModel;
-pub use topology::{
-    hop_admits, hop_u8, HopOracle, HopReport, LinkId, PathAdmission, PathDecision, RouteId,
-    Topology, TopologyError, MAX_ROUTE_HOPS,
-};
+pub use topology::{hop_u8, LinkId, RouteId, Topology, TopologyError, MAX_ROUTE_HOPS};
 pub use utility::UtilityFunction;

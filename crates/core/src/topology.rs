@@ -1,26 +1,13 @@
-//! The network topology model: links with capacities, routes as
-//! link-id paths, and the [`PathAdmission`] composition layer that
-//! lifts the paper's single-link admission criteria to multi-hop
-//! routes.
+//! The network topology model: links with capacities and routes as
+//! link-id paths.
 //!
 //! A [`Topology`] is deliberately minimal — bufferless links identified
 //! by [`LinkId`], each with a capacity, and routes ([`RouteId`]) that
 //! are ordered hop lists. Flows are pinned to routes: admitting one
-//! flow on a route consumes one unit of occupancy on *every* hop.
-//!
-//! # Path admission semantics
-//!
-//! [`PathAdmission::decide`] admits a flow only if every hop's
-//! controller accepts ([`hop_admits`]: measured admissible count `m̂`
-//! versus occupancy-plus-one, the same test the single-link plane
-//! applies). Occupancy commits are **all-or-nothing**: hops are
-//! reserved in route order, and a rejection at hop `k` rolls back the
-//! reservations at hops `< k`, so a rejected request never leaks
-//! provisional load into upstream links. Because the per-hop acceptance
-//! test reads only estimator state (whose decision memo is bit-stable —
-//! see `crates/sim/tests/decision_memo.rs`) and the rollback restores
-//! the exact pre-ask occupancy, a rejected path attempt is
-//! indistinguishable, bit for bit, from never having asked.
+//! flow on a route consumes one unit of occupancy on *every* hop. The
+//! per-link admission rule, and the route rule built from it (admit iff
+//! every hop accepts; only an admit moves occupancy), live with the
+//! controllers in `mbac-sim` (`LinkAdmission`).
 
 use std::fmt;
 
@@ -308,164 +295,6 @@ impl Topology {
     }
 }
 
-// ---------------------------------------------------------------------
-// Path admission
-// ---------------------------------------------------------------------
-
-/// The single-hop acceptance test every layer shares: a measured
-/// admissible count `m̂` accepts one more flow iff `occupancy + 1 ≤ m̂`.
-/// `None` (no measurement yet — cold start) fails safe to reject.
-#[inline]
-pub fn hop_admits(admissible: Option<f64>, occupancy: u32) -> bool {
-    admissible.is_some_and(|m| f64::from(occupancy + 1) <= m)
-}
-
-/// What [`PathAdmission`] consults per hop: the measured admissible
-/// flow count of one link at its capacity. Implemented over whatever
-/// holds the per-link estimators (e.g. a slice of
-/// `mbac_sim::MbacController`).
-pub trait HopOracle {
-    /// The admissible count for `link` at `capacity`, or `None` when
-    /// the link has no measurement yet.
-    fn admissible(&mut self, link: LinkId, capacity: f64) -> Option<f64>;
-}
-
-impl<F> HopOracle for F
-where
-    F: FnMut(LinkId, f64) -> Option<f64>,
-{
-    fn admissible(&mut self, link: LinkId, capacity: f64) -> Option<f64> {
-        self(link, capacity)
-    }
-}
-
-/// One hop's view of a path decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HopReport {
-    /// The hop's link.
-    pub link: LinkId,
-    /// The admissible count the hop's controller reported (`None` on a
-    /// cold start).
-    pub admissible: Option<f64>,
-    /// The link's occupancy *after* the decision settled (committed on
-    /// admit, rolled back on reject).
-    pub occupancy: u32,
-}
-
-/// The outcome of one path admission attempt.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathDecision {
-    /// The route the request addressed.
-    pub route: RouteId,
-    /// Admit (`true`) only if every hop accepted.
-    pub admit: bool,
-    /// The first rejecting hop's index within the route, when rejected.
-    /// Hops past it were never consulted (serial short-circuit).
-    pub reject_hop: Option<u8>,
-    /// Per-hop reports, in route order, up to and including the
-    /// rejecting hop.
-    pub hops: Vec<HopReport>,
-}
-
-/// Per-link occupancy accounting with all-or-nothing multi-hop
-/// commit/rollback — the composition layer lifting single-link
-/// admission to routes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathAdmission {
-    occupancy: Vec<u32>,
-}
-
-impl PathAdmission {
-    /// Zeroed occupancy for `links` links.
-    pub fn new(links: usize) -> Self {
-        PathAdmission {
-            occupancy: vec![0; links],
-        }
-    }
-
-    /// Zeroed occupancy sized for `topology`.
-    pub fn for_topology(topology: &Topology) -> Self {
-        PathAdmission::new(topology.links())
-    }
-
-    /// The current occupancy of `link`.
-    #[inline]
-    pub fn occupancy(&self, link: LinkId) -> u32 {
-        self.occupancy[link.index()]
-    }
-
-    /// Resynchronizes `link`'s occupancy to a measured flow count (the
-    /// plane's convention: measurements are ground truth, admits are
-    /// provisional increments between them).
-    pub fn sync(&mut self, link: LinkId, measured: u32) {
-        self.occupancy[link.index()] = measured;
-    }
-
-    /// Releases `departed` flows from every hop of `route` (flow
-    /// departures free capacity along the whole path). Saturates at
-    /// zero: a measurement resync may already have absorbed the
-    /// departure.
-    pub fn release(&mut self, topology: &Topology, route: RouteId, departed: u32) {
-        for &hop in topology.route(route) {
-            let occ = &mut self.occupancy[hop.index()];
-            *occ = occ.saturating_sub(departed);
-        }
-    }
-
-    /// Decides one admission request on `route`: consults `oracle` hop
-    /// by hop in route order, reserving occupancy as it goes; on the
-    /// first rejecting hop, rolls every reservation back. The returned
-    /// occupancies are post-settlement (committed or restored) — a
-    /// rejected attempt leaves `self` bit-identical to never asking.
-    pub fn decide(
-        &mut self,
-        topology: &Topology,
-        route: RouteId,
-        oracle: &mut impl HopOracle,
-    ) -> PathDecision {
-        let hops = topology.route(route);
-        let mut reports = Vec::with_capacity(hops.len());
-        for (k, &link) in hops.iter().enumerate() {
-            let admissible = oracle.admissible(link, topology.capacity(link));
-            let occ = self.occupancy[link.index()];
-            if hop_admits(admissible, occ) {
-                // Reserve: provisional until the whole path accepts.
-                self.occupancy[link.index()] = occ + 1;
-                reports.push(HopReport {
-                    link,
-                    admissible,
-                    occupancy: occ + 1,
-                });
-            } else {
-                // All-or-nothing: roll back every reservation made at
-                // hops < k and report pre-ask occupancies.
-                for r in &mut reports {
-                    let slot = &mut self.occupancy[r.link.index()];
-                    *slot -= 1;
-                    r.occupancy -= 1;
-                }
-                reports.push(HopReport {
-                    link,
-                    admissible,
-                    occupancy: occ,
-                });
-                return PathDecision {
-                    route,
-                    admit: false,
-                    reject_hop: Some(hop_u8(k)),
-                    hops: reports,
-                };
-            }
-        }
-        PathDecision {
-            route,
-            admit: true,
-            reject_hop: None,
-            hops: reports,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,110 +372,5 @@ mod tests {
                 hops: 256
             }
         );
-    }
-
-    /// The longest legal route: hop index 254 must survive the `u8`
-    /// narrowing in the decision record, not wrap.
-    #[test]
-    fn longest_route_reports_a_rejecting_last_hop() {
-        let topo = Topology::parking_lot(MAX_ROUTE_HOPS, 10.0);
-        let mut path = PathAdmission::for_topology(&topo);
-        let last = LinkId(MAX_ROUTE_HOPS as u32 - 1);
-        let mut oracle = |link: LinkId, capacity: f64| (link != last).then_some(capacity);
-        let d = path.decide(&topo, RouteId(0), &mut oracle);
-        assert!(!d.admit);
-        assert_eq!(d.reject_hop, Some(254));
-        assert_eq!(d.hops.len(), MAX_ROUTE_HOPS);
-        assert!(topo.link_ids().all(|l| path.occupancy(l) == 0));
-    }
-
-    #[test]
-    fn hop_admits_matches_the_single_link_rule() {
-        assert!(!hop_admits(None, 0), "cold start fails safe");
-        assert!(hop_admits(Some(5.0), 4));
-        assert!(!hop_admits(Some(5.0), 5));
-        assert!(hop_admits(Some(5.0), 3));
-    }
-
-    /// A three-hop route where every hop accepts: all three occupancies
-    /// commit together.
-    #[test]
-    fn decide_commits_every_hop_on_admit() {
-        let topo = Topology::new(
-            vec![10.0, 10.0, 10.0],
-            vec![vec![LinkId(0), LinkId(1), LinkId(2)]],
-        )
-        .unwrap();
-        let mut path = PathAdmission::for_topology(&topo);
-        let mut oracle = |_: LinkId, capacity: f64| Some(capacity);
-        let d = path.decide(&topo, RouteId(0), &mut oracle);
-        assert!(d.admit);
-        assert_eq!(d.reject_hop, None);
-        assert_eq!(d.hops.len(), 3);
-        for (r, link) in d.hops.iter().zip(topo.link_ids()) {
-            assert_eq!(r.link, link);
-            assert_eq!(r.occupancy, 1);
-            assert_eq!(path.occupancy(link), 1);
-        }
-    }
-
-    /// Rejection at hop 2 rolls hops 0..1 back: no provisional load
-    /// leaks upstream, and the reported occupancies are the pre-ask
-    /// values.
-    #[test]
-    fn decide_rolls_back_on_mid_path_reject() {
-        let topo = Topology::new(
-            vec![10.0, 10.0, 1.0],
-            vec![vec![LinkId(0), LinkId(1), LinkId(2)]],
-        )
-        .unwrap();
-        let mut path = PathAdmission::for_topology(&topo);
-        path.sync(LinkId(0), 3);
-        path.sync(LinkId(2), 1);
-        // Capacity-as-admissible: link 2 (capacity 1, occupancy 1)
-        // rejects the second flow.
-        let mut oracle = |_: LinkId, capacity: f64| Some(capacity);
-        let d = path.decide(&topo, RouteId(0), &mut oracle);
-        assert!(!d.admit);
-        assert_eq!(d.reject_hop, Some(2));
-        assert_eq!(d.hops.len(), 3);
-        assert_eq!(d.hops[0].occupancy, 3);
-        assert_eq!(d.hops[1].occupancy, 0);
-        assert_eq!(d.hops[2].occupancy, 1);
-        assert_eq!(path.occupancy(LinkId(0)), 3, "rollback must restore");
-        assert_eq!(path.occupancy(LinkId(1)), 0);
-        assert_eq!(path.occupancy(LinkId(2)), 1);
-    }
-
-    /// A cold hop (no measurement) fails safe and never consults later
-    /// hops.
-    #[test]
-    fn cold_hop_short_circuits() {
-        let topo = Topology::parking_lot(3, 10.0);
-        let mut path = PathAdmission::for_topology(&topo);
-        let mut asked = Vec::new();
-        let mut oracle = |link: LinkId, _: f64| {
-            asked.push(link);
-            None
-        };
-        let d = path.decide(&topo, RouteId(0), &mut oracle);
-        assert!(!d.admit);
-        assert_eq!(d.reject_hop, Some(0));
-        assert_eq!(asked, vec![LinkId(0)]);
-    }
-
-    #[test]
-    fn release_frees_the_whole_path() {
-        let topo = Topology::parking_lot(2, 10.0);
-        let mut path = PathAdmission::for_topology(&topo);
-        let mut oracle = |_: LinkId, capacity: f64| Some(capacity);
-        assert!(path.decide(&topo, RouteId(0), &mut oracle).admit);
-        assert!(path.decide(&topo, RouteId(0), &mut oracle).admit);
-        path.release(&topo, RouteId(0), 1);
-        assert_eq!(path.occupancy(LinkId(0)), 1);
-        assert_eq!(path.occupancy(LinkId(1)), 1);
-        // Saturating: a resync may already have absorbed the departure.
-        path.release(&topo, RouteId(0), 5);
-        assert_eq!(path.occupancy(LinkId(0)), 0);
     }
 }

@@ -85,11 +85,11 @@
 //! A latency sample costs two clock reads — `Instant::now()` where the
 //! request is ingested, `elapsed()` where it is decided: 58 ns for the
 //! pair on the development host, and a read also holds up the work
-//! around it. The memo-hot decision they time takes 25–30 ns. Stamping
-//! every request therefore made a `serve_links` replay (1 024 000
-//! requests) run at 146–170 ns a decision, four fifths of it the
-//! instrument, and decisions/s reported the clock rather than the
-//! plane. So a run spends a fixed budget of stamps, [`LATENCY_SAMPLES`]:
+//! around it. That is more than the ~35 ns a `serve_links` replay
+//! spends on a decision, measurements included: a request reads the
+//! count its link's last measurement set and compares. Stamping every
+//! request made decisions/s report the clock rather than the plane. So
+//! a run spends a fixed budget of stamps, [`LATENCY_SAMPLES`]:
 //! every request of a run no longer than that, one request in each of
 //! that many strata of a longer one, at a hashed place in its stratum
 //! (the [`Stamps`] rule — hashed because the canonical order is

@@ -4,8 +4,9 @@
 //! # Architecture
 //!
 //! Links are hashed to shards (`splitmix64(link) % shards`); each shard
-//! owns *all* state for its links — one [`MbacController`] (with its
-//! decision memo) per link — plus one [`IngestRing`] of pending
+//! owns *all* state for its links — one [`LinkAdmission`] per link: its
+//! controller, the admissible count its last measurement set, and its
+//! occupancy — plus one [`IngestRing`] of pending
 //! [`ShardEvent`]s. Producers push measurement snapshots and admission
 //! requests through an [`IngestHandle`]; the shard's consumer drains the
 //! ring in order and applies events to per-link state. No state is
@@ -16,9 +17,11 @@
 //! pivot and three sums, folded where the rates were — by the window
 //! generator, by the routed workload's node that measured them, or by
 //! whoever pushes a [`ShardEvent::Measure`], whose rates the shard
-//! folds by the same rule ([`fold_snapshot`] around the first rate). So applying one is an estimator update and an occupancy
-//! resync, O(1) whatever the link's flow count, and every path into the
-//! plane decides the same bytes.
+//! folds by the same rule ([`fold_snapshot`] around the first rate). So
+//! applying one is an estimator update, one admissible-count evaluation
+//! and an occupancy resync, O(1) whatever the link's flow count, and
+//! every path into the plane decides the same bytes. A request reads the
+//! count the last measurement set and calls no controller.
 //!
 //! Everything around the per-link rule is written once, generic over a
 //! [`LinkLogic`]: the shard shell [`ShardOf`] (ring, instruments,
@@ -56,7 +59,7 @@ use mbac_metrics::{
     StreamCursor, StreamHandle,
 };
 use mbac_num::SnapshotMoments;
-use mbac_sim::{MbacController, MetricsMode};
+use mbac_sim::{LinkAdmission, MbacController, MetricsMode};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -683,29 +686,19 @@ impl<L: LinkLogic> IngestHandle<L> {
 // The single-hop logic
 // ---------------------------------------------------------------------
 
-/// All per-link admission state for one link. `flows` is the plane's
-/// occupancy view: resynchronized to the measured snapshot length on
-/// every measurement, incremented provisionally on each admit between
-/// measurements.
-struct LinkState {
-    ctl: MbacController,
-    flows: u32,
-}
-
-/// The one-link rule: a request is decided where it lands, against its
-/// link's controller and occupancy, the moment it is applied.
+/// The one-link rule: a request is decided where it lands, by its
+/// link's [`LinkAdmission`], the moment it is applied.
 pub struct SingleHop {
     capacity: f64,
-    links: LinkMap<LinkState>,
+    links: LinkMap<LinkAdmission>,
     make: ControllerFactory,
 }
 
 impl SingleHop {
-    fn link_mut(&mut self, link: LinkId) -> &mut LinkState {
-        self.links.entry(link).or_insert_with(|| LinkState {
-            ctl: (self.make)(),
-            flows: 0,
-        })
+    fn link_mut(&mut self, link: LinkId) -> &mut LinkAdmission {
+        self.links
+            .entry(link)
+            .or_insert_with(|| LinkAdmission::new((self.make)(), self.capacity))
     }
 }
 
@@ -727,9 +720,7 @@ impl LinkLogic for SingleHop {
     fn apply(&mut self, event: ShardEvent, tap: &mut Instruments, out: &mut Vec<Decision>) {
         match event {
             ShardEvent::Snapshot { link, t, moments } => {
-                let state = self.link_mut(link);
-                state.ctl.observe_snapshot(t, &moments);
-                state.flows = moments.count() as u32;
+                self.link_mut(link).measure(t, &moments);
                 tap.measure();
             }
             ShardEvent::Measure { link, t, rates } => {
@@ -737,15 +728,10 @@ impl LinkLogic for SingleHop {
                 self.apply(ShardEvent::Snapshot { link, t, moments }, tap, out);
             }
             ShardEvent::Request { link, enqueued } => {
-                let capacity = self.capacity;
                 let state = self.link_mut(link);
-                let admissible = state.ctl.admissible_count(capacity);
-                // Cold start (no measurement yet) fails safe: reject.
-                let admit = admissible.is_some_and(|m| f64::from(state.flows + 1) <= m);
-                if admit {
-                    state.flows += 1;
-                }
-                let occupancy = state.flows;
+                let admit = state.votes();
+                state.settle(admit);
+                let (admissible, occupancy) = (state.admissible(), state.occupancy());
                 let latency_ns =
                     enqueued.map(|at| u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX));
                 let entry = DecisionEntry {

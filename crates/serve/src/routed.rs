@@ -23,18 +23,16 @@
 //! `seq`. The workload generator guarantees each link's stream carries
 //! strictly increasing seqs. Each shard, on reaching a link's Reserve:
 //!
-//! 1. **votes** immediately — computes the hop's admissible count from
-//!    its controller and compares against the current occupancy
-//!    ([`mbac_core::hop_admits`]), publishing the vote to the shared
-//!    [`RouteTable`] — but does **not** touch occupancy;
+//! 1. **votes** immediately — the hop's [`LinkAdmission`] compares the
+//!    admissible count its last measurement set against the current
+//!    occupancy, and the vote is published to the shared [`RouteTable`]
+//!    — but does **not** touch occupancy;
 //! 2. the **last** voter (detected by an `AcqRel` countdown) resolves
 //!    the request: admit iff every hop voted yes, published with
 //!    `Release`;
-//! 3. every hop **commits on resolution**: occupancy increments only on
-//!    a resolved admit. A rejection commits nothing anywhere — rollback
-//!    is the absence of a write, so a rejected request is
-//!    indistinguishable from one never made (the bit-stability the
-//!    rollback test suite asserts).
+//! 3. every hop **settles on resolution**: occupancy increments only on
+//!    a resolved admit. A rejection writes nothing anywhere, so a
+//!    rejected request is indistinguishable from one never made.
 //!
 //! A one-hop request is always its own last voter, so it resolves
 //! where it lands: its hop commits and emits at once, and the route
@@ -67,10 +65,10 @@ use crate::plane::{
     ShardOf,
 };
 use crate::replay::{Ingest, Replay, ReplayConfig, ReplayOutcome, Stamps};
-use mbac_core::topology::{hop_admits, hop_u8, LinkId, RouteId, Topology};
+use mbac_core::topology::{hop_u8, LinkId, RouteId, Topology};
 use mbac_metrics::{Aggregated, Counter, MetricValue, MetricsSnapshot, StreamHandle};
 use mbac_num::SnapshotMoments;
-use mbac_sim::{MbacController, MetricsMode, RoutedEvent, RoutedWindow, RoutedWorkload};
+use mbac_sim::{LinkAdmission, MetricsMode, RoutedEvent, RoutedWindow, RoutedWorkload};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -434,9 +432,7 @@ struct HopReserve {
 /// Per-link state plus the parking machinery.
 struct RoutedLinkState {
     link: LinkId,
-    capacity: f64,
-    ctl: MbacController,
-    flows: u32,
+    admission: LinkAdmission,
     parked: Option<HopReserve>,
     /// Events that arrived while parked, in arrival order.
     pending: VecDeque<RoutedShardEvent>,
@@ -447,12 +443,11 @@ struct RoutedLinkState {
 }
 
 impl RoutedLinkState {
-    /// Commits a resolved hop: occupancy moves only here, and only on
-    /// admit — a rejected request writes nothing, so rollback is a
-    /// no-op by construction.
+    /// Settles a resolved hop and counts it: occupancy moves only on
+    /// admit, so a rejected request writes nothing.
     fn settle(&mut self, admit: bool) {
+        self.admission.settle(admit);
         if admit {
-            self.flows += 1;
             self.commits += 1;
         } else {
             self.aborts += 1;
@@ -490,9 +485,7 @@ impl TwoPhase {
             *slot = self.links.len() as u32;
             self.links.push(RoutedLinkState {
                 link,
-                capacity: self.topology.capacity(link),
-                ctl: (self.make)(),
-                flows: 0,
+                admission: LinkAdmission::new((self.make)(), self.topology.capacity(link)),
                 parked: None,
                 pending: VecDeque::new(),
                 measures: 0,
@@ -518,17 +511,16 @@ impl TwoPhase {
             | RoutedShardEvent::Measure {
                 t, rates: moments, ..
             } => {
-                state.ctl.observe_snapshot(t, &moments);
-                state.flows = moments.count() as u32;
+                state.admission.measure(t, &moments);
                 state.measures += 1;
                 tap.measure();
             }
             RoutedShardEvent::Reserve {
                 seq, hop, enqueued, ..
             } => {
-                let admissible = state.ctl.admissible_count(state.capacity);
-                let vote = hop_admits(admissible, state.flows);
-                let occ = state.flows;
+                let admissible = state.admission.admissible();
+                let vote = state.admission.votes();
+                let occ = state.admission.occupancy();
                 state.reserves += 1;
                 if self.table.one_hop(seq) {
                     // Its own last voter: the vote is the verdict.
@@ -537,7 +529,7 @@ impl TwoPhase {
                         link: state.link,
                         vote,
                         admissible,
-                        occupancy: state.flows,
+                        occupancy: state.admission.occupancy(),
                     };
                     let d = RouteDecision {
                         route: self.table.routes[seq as usize],

@@ -5,12 +5,12 @@
 //! paper's engine (a statistics estimator feeding a Gaussian criterion);
 //! the related-work baselines of §6 (`mbac_core::admission::MeasuredSum`
 //! wrapped by [`MeasuredSumController`]) implement the same trait with a
-//! completely different internal logic.
+//! completely different internal logic. [`LinkAdmission`] is one link
+//! run by an [`MbacController`]: the one place the link rule is written.
 
 use mbac_core::admission::{AdmissionPolicy, MeasuredSum};
 use mbac_core::estimators::{Estimate, Estimator};
 use mbac_num::{RateMoments, SnapshotMoments};
-use std::cell::Cell;
 
 /// The measure-then-decide interface the simulator drives.
 pub trait AdmissionEngine {
@@ -61,19 +61,7 @@ pub trait AdmissionEngine {
 pub struct MbacController {
     estimator: Box<dyn Estimator + Send>,
     policy: Box<dyn AdmissionPolicy + Send>,
-    /// Memo for the eqn (42) inversion: the last
-    /// `(μ̂, σ̂², capacity) → admissible count` evaluation, keyed by bit
-    /// pattern so a hit returns the *identical* f64. The continuous-load
-    /// fill loop re-asks after every admission while the estimate only
-    /// changes at measurement ticks, so this makes the steady-state
-    /// admission decision O(1) lookups instead of repeated quadratics.
-    decision_memo: Cell<Option<(DecisionKey, f64)>>,
 }
-
-/// Bit patterns of `(μ̂, σ̂², capacity)` keying one memoized admissible-
-/// count evaluation: bit equality guarantees the memoized f64 is the
-/// identical value the quadratic would return.
-type DecisionKey = (u64, u64, u64);
 
 impl MbacController {
     /// Bundles an estimator with a policy.
@@ -81,11 +69,7 @@ impl MbacController {
         estimator: Box<dyn Estimator + Send>,
         policy: Box<dyn AdmissionPolicy + Send>,
     ) -> Self {
-        MbacController {
-            estimator,
-            policy,
-            decision_memo: Cell::new(None),
-        }
+        MbacController { estimator, policy }
     }
 
     /// Feeds a measurement already folded into its moments: how the
@@ -102,17 +86,9 @@ impl MbacController {
     /// The estimated admissible number of flows for the given capacity,
     /// or `None` before any measurement exists.
     pub fn admissible_count(&self, capacity: f64) -> Option<f64> {
-        self.estimator.estimate().map(|e| {
-            let key = (e.mean.to_bits(), e.variance.to_bits(), capacity.to_bits());
-            if let Some((k, m)) = self.decision_memo.get() {
-                if k == key {
-                    return m;
-                }
-            }
-            let m = self.policy.admissible_count(e, capacity);
-            self.decision_memo.set(Some((key, m)));
-            m
-        })
+        self.estimator
+            .estimate()
+            .map(|e| self.policy.admissible_count(e, capacity))
     }
 
     /// The estimator's memory time-scale `T_m`.
@@ -145,6 +121,76 @@ impl AdmissionEngine for MbacController {
 
     fn moment_pivot(&self) -> f64 {
         self.estimator.moment_pivot()
+    }
+}
+
+/// One link's admission state: its controller, its capacity, the
+/// admissible count its last measurement set, and its occupancy. The
+/// link rule lives here and nowhere else. The estimate changes only
+/// when a measurement arrives, so the count is set at measure time and
+/// a request reads it: the link accepts one more flow iff
+/// `occupancy + 1 ≤ m̂`, and `None` (no measurement yet, a cold start)
+/// fails safe to reject. Occupancy is resynchronized to the measured
+/// count on every measurement and moves between them only on admit.
+pub struct LinkAdmission {
+    ctl: MbacController,
+    capacity: f64,
+    admissible: Option<f64>,
+    occupancy: u32,
+}
+
+impl LinkAdmission {
+    /// A cold link of `capacity` run by `ctl`.
+    pub fn new(ctl: MbacController, capacity: f64) -> Self {
+        LinkAdmission {
+            ctl,
+            capacity,
+            admissible: None,
+            occupancy: 0,
+        }
+    }
+
+    /// Applies one measurement: the controller observes it, the
+    /// admissible count is set from the new estimate, and occupancy is
+    /// resynchronized to the measured flow count.
+    pub fn measure(&mut self, t: f64, moments: &SnapshotMoments) {
+        self.ctl.observe_snapshot(t, moments);
+        self.admissible = self.ctl.admissible_count(self.capacity);
+        self.occupancy = moments.count() as u32;
+    }
+
+    /// Whether the link would accept one more flow. Writes nothing: a
+    /// vote that is not followed by an admit leaves no trace.
+    #[inline]
+    pub fn votes(&self) -> bool {
+        self.admissible
+            .is_some_and(|m| f64::from(self.occupancy + 1) <= m)
+    }
+
+    /// Settles a decision: occupancy moves only on admit.
+    #[inline]
+    pub fn settle(&mut self, admit: bool) {
+        self.occupancy += u32::from(admit);
+    }
+
+    /// The admissible count the last measurement set (`None` before
+    /// any).
+    #[inline]
+    pub fn admissible(&self) -> Option<f64> {
+        self.admissible
+    }
+
+    /// The link's occupancy: the last measured count plus the admits
+    /// since.
+    #[inline]
+    pub fn occupancy(&self) -> u32 {
+        self.occupancy
+    }
+
+    /// The pivot the link's next measurement should be folded around
+    /// (see [`AdmissionEngine::moment_pivot`]).
+    pub(crate) fn moment_pivot(&self) -> f64 {
+        self.ctl.moment_pivot()
     }
 }
 
@@ -234,6 +280,89 @@ mod tests {
         }
         ctl.observe_moments(1.0, &fold(&[40.0, 40.0]));
         assert_eq!(ctl.admissible_count(100.0, 2), Some(12.0));
+    }
+
+    /// Constant rates of 1.0: σ̂ = 0, so the count is the fluid limit
+    /// `capacity / μ̂`.
+    fn constant(flows: usize) -> SnapshotMoments {
+        RateMoments::of(1.0, &vec![1.0; flows]).reduce()
+    }
+
+    #[test]
+    fn votes_match_the_single_link_rule() {
+        let mut link = LinkAdmission::new(controller(), 5.5);
+        assert!(!link.votes(), "cold start fails safe");
+        link.measure(0.0, &constant(4));
+        assert_eq!(link.occupancy(), 4);
+        assert!(link.votes());
+        link.settle(true);
+        assert_eq!(link.occupancy(), 5);
+        assert!(!link.votes(), "6 flows do not fit under 5.5");
+        link.measure(1.0, &constant(3));
+        assert_eq!(link.occupancy(), 3, "a measurement resyncs occupancy");
+        assert!(link.votes());
+    }
+
+    /// The count a request reads is the one the policy gives for the
+    /// estimate the last measurement left, to the bit.
+    #[test]
+    fn the_cached_count_is_the_policy_count_of_the_last_measurement() {
+        let mut link = LinkAdmission::new(controller(), 50.0);
+        let mut twin = controller();
+        for step in 0..40 {
+            let t = f64::from(step) * 0.25;
+            let rates: Vec<f64> = (0..40)
+                .map(|k| 1.0 + 0.3 * f64::from((k * 7 + step) % 11 - 5) / 5.0)
+                .collect();
+            let moments = RateMoments::of(rates[0], &rates).reduce();
+            link.measure(t, &moments);
+            twin.observe_snapshot(t, &moments);
+            let want = twin.admissible_count(50.0).map(f64::to_bits);
+            assert_eq!(link.admissible().map(f64::to_bits), want, "step {step}");
+            assert_eq!(link.occupancy(), 40);
+        }
+    }
+
+    #[test]
+    fn a_cold_link_rejects() {
+        let mut link = LinkAdmission::new(controller(), 100.0);
+        assert_eq!(link.admissible(), None);
+        assert!(!link.votes());
+        link.settle(false);
+        assert_eq!(link.occupancy(), 0);
+    }
+
+    /// A vote writes nothing: however often a link is asked, its count
+    /// and occupancy are what they were, and so is its next vote.
+    #[test]
+    fn a_vote_changes_nothing() {
+        let mut link = LinkAdmission::new(controller(), 10.0);
+        link.measure(0.0, &constant(9));
+        let before = (link.admissible().map(f64::to_bits), link.occupancy());
+        for _ in 0..3 {
+            assert!(link.votes());
+        }
+        assert_eq!(
+            (link.admissible().map(f64::to_bits), link.occupancy()),
+            before
+        );
+        link.settle(false);
+        assert_eq!(link.occupancy(), 9, "a reject settles nothing");
+    }
+
+    /// A measurement with a NaN or ±∞ rate leaves the estimate, so the
+    /// count, as it was; the occupancy still resyncs.
+    #[test]
+    fn a_non_finite_measurement_keeps_the_previous_count() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut link = LinkAdmission::new(controller(), 10.0);
+            link.measure(0.0, &constant(4));
+            let before = link.admissible().map(f64::to_bits);
+            let rates = [1.0, bad, 1.0, 1.0, 1.0];
+            link.measure(1.0, &RateMoments::of(1.0, &rates).reduce());
+            assert_eq!(link.admissible().map(f64::to_bits), before, "{bad}");
+            assert_eq!(link.occupancy(), 5);
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! merging, and optional metrics collection. The substrate underneath:
 //! a deterministic [`events::EventQueue`], the [`flows::FlowTable`]
 //! lifecycle manager, the [`controller::MbacController`]
-//! estimator/policy bundle, and [`metrics::OverflowMeter`] implementing
+//! estimator/policy bundle and the [`controller::LinkAdmission`] link
+//! rule built on it, and [`metrics::OverflowMeter`] implementing
 //! the paper's termination criteria (±20% CI at 95%, or the
 //! Gaussian-tail fallback when the overflow probability is ≥ 2 orders
 //! below target).
@@ -45,7 +46,7 @@ pub mod telemetry;
 
 pub use arrivals::{PoissonConfig, PoissonLoad, PoissonReport};
 pub use calendar::DepartureCalendar;
-pub use controller::{AdmissionEngine, MbacController, MeasuredSumController};
+pub use controller::{AdmissionEngine, LinkAdmission, MbacController, MeasuredSumController};
 pub use events::EventQueue;
 pub use flows::FlowTable;
 pub use metrics::{OverflowMeter, PfEstimate, PfMethod, StopReason, UtilityMeter};
@@ -66,4 +67,4 @@ pub use session::{
 };
 pub use telemetry::{EntryGuard, MetricsSink, SimMetrics, TickEntry};
 
-pub use mbac_core::topology::{LinkId, PathAdmission, RouteId, Topology};
+pub use mbac_core::topology::{LinkId, RouteId, Topology};

@@ -3,14 +3,15 @@
 //!
 //! Where [`crate::requests::RoutedLoad`] generates an *open-loop*
 //! workload (occupancy scripted, decisions not fed back),
-//! [`RoutedNetworkLoad`] closes the loop: each link runs its own
-//! [`MbacController`] (a [`FilteredEstimator`] with memory `T_m`
-//! feeding a certainty-equivalent criterion), each route holds a flow
-//! population with exponential holding times, and a new flow enters
-//! only when [`PathAdmission`] accepts it at *every* hop. Admitted
-//! flows load every link on their route — the multi-hop composition
-//! the paper's single-link design rule `T_m = T̃_h` is tested against
-//! in the topology experiment.
+//! [`RoutedNetworkLoad`] closes the loop: each link is a
+//! [`LinkAdmission`] run by its own [`MbacController`] (a
+//! [`FilteredEstimator`] with memory `T_m` feeding a
+//! certainty-equivalent criterion), each route holds a flow population
+//! with exponential holding times, and a new flow enters only when
+//! every hop accepts it ([`admit_on_route`]). Admitted flows load every
+//! link on their route — the multi-hop composition the paper's
+//! single-link design rule `T_m = T̃_h` is tested against in the
+//! topology experiment.
 //!
 //! One replication is one realization of the whole network (the links
 //! are correlated through shared flows, so they cannot be independent
@@ -18,7 +19,7 @@
 //! with the usual bit-determinism for any worker count and either
 //! engine.
 
-use crate::controller::{AdmissionEngine, MbacController};
+use crate::controller::{LinkAdmission, MbacController};
 use crate::flows::FlowTable;
 use crate::requests::{workload_count, MAX_RUN_ITEMS, MAX_WORKLOAD_ITEMS};
 use crate::session::{
@@ -28,7 +29,7 @@ use crate::session::{
 use crate::telemetry::MetricsSink;
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
-use mbac_core::topology::{LinkId, PathAdmission, RouteId, Topology};
+use mbac_core::topology::{LinkId, Topology};
 use mbac_metrics::{Aggregated, Gauge, MetricValue, MetricsSnapshot};
 use mbac_num::fold_noisy;
 use mbac_num::rng::exponential;
@@ -156,6 +157,18 @@ pub struct NetworkRep {
     blocked: Vec<u64>,
 }
 
+/// The route rule: a route admits iff every hop votes, asked in route
+/// order up to the first no; then every hop settles. A vote writes
+/// nothing and [`Topology::validate`] rejects a route that repeats a
+/// link, so a rejected request leaves every link as it found it.
+pub fn admit_on_route(links: &mut [LinkAdmission], hops: &[LinkId]) -> bool {
+    let admit = hops.iter().all(|hop| links[hop.index()].votes());
+    for hop in hops {
+        links[hop.index()].settle(admit);
+    }
+    admit
+}
+
 /// The closed-loop routed network scenario.
 pub struct RoutedNetworkLoad<'a> {
     /// The per-flow traffic model (RCBR, AR(1), trace, …).
@@ -211,6 +224,28 @@ impl Scenario for RoutedNetworkLoad<'_> {
             cfg.ticks,
         ];
         workload_count("initial flow-ticks over the run", run, MAX_RUN_ITEMS)?;
+        // Admission fills each link to about `capacity / mean` flows,
+        // held at once and advanced every tick, and asks at most
+        // `attempts_per_tick` times a route each tick.
+        let topo = &cfg.topology;
+        let flows: f64 = topo
+            .link_ids()
+            .map(|link| topo.capacity(link) / self.model.mean())
+            .sum();
+        let too_large = |what, max| Err(ConfigError::WorkloadTooLarge { what, max });
+        if flows > MAX_WORKLOAD_ITEMS as f64 {
+            return too_large("admitted flows (capacity / mean rate)", MAX_WORKLOAD_ITEMS);
+        }
+        if flows * (cfg.ticks * cfg.replications) as f64 > MAX_RUN_ITEMS as f64 {
+            return too_large("admitted flow-ticks over the run", MAX_RUN_ITEMS);
+        }
+        let attempts = [
+            cfg.replications,
+            topo.routes(),
+            cfg.attempts_per_tick,
+            cfg.ticks,
+        ];
+        workload_count("admission attempts over the run", attempts, MAX_RUN_ITEMS)?;
         Ok(())
     }
 
@@ -228,15 +263,16 @@ impl Scenario for RoutedNetworkLoad<'_> {
         let (links, routes) = (topo.links(), topo.routes());
         let mut rng = ctx.rng();
         let mut tables: Vec<FlowTable> = (0..routes).map(|_| ctx.table()).collect();
-        let mut ctls: Vec<MbacController> = (0..links)
-            .map(|_| {
-                MbacController::new(
+        let mut admission: Vec<LinkAdmission> = topo
+            .link_ids()
+            .map(|link| {
+                let ctl = MbacController::new(
                     Box::new(FilteredEstimator::new(cfg.t_m)),
                     Box::new(CertaintyEquivalent::from_probability(cfg.p_ce)),
-                )
+                );
+                LinkAdmission::new(ctl, topo.capacity(link))
             })
             .collect();
-        let mut path = PathAdmission::for_topology(topo);
         let mut rep = NetworkRep {
             overflow_ticks: vec![0; links],
             util_sum: vec![0.0; links],
@@ -271,15 +307,12 @@ impl Scenario for RoutedNetworkLoad<'_> {
             let mut tick_occ = 0u64;
             let mut tick_admitted = 0u64;
             let mut tick_blocked = 0u64;
-            // Advance populations; departures free the whole path.
-            for (r, table) in tables.iter_mut().enumerate() {
+            // Advance populations; each link's measurement below resyncs
+            // its occupancy to the flows left.
+            for (table, snap) in tables.iter_mut().zip(&mut route_snaps) {
                 table.advance_to(now, &mut rng);
-                let departed = table.depart_until(now);
-                if departed > 0 {
-                    path.release(topo, RouteId(r as u32), departed as u32);
-                    tick_departed += departed as u64;
-                }
-                table.snapshot_into(&mut route_snaps[r]);
+                tick_departed += table.depart_until(now) as u64;
+                table.snapshot_into(snap);
             }
             // Measure each link: union of crossing routes' flows, seen
             // through this node's noise and folded once into the moments
@@ -292,10 +325,9 @@ impl Scenario for RoutedNetworkLoad<'_> {
                     link_rates.extend_from_slice(&route_snaps[route.index()]);
                 }
                 let l = link.index();
-                let pivot = Some(ctls[l].moment_pivot());
+                let pivot = Some(admission[l].moment_pivot());
                 let mom = fold_noisy(&link_rates, pivot, cfg.noise_sd, &mut rng);
-                ctls[l].observe_snapshot(now, &mom);
-                path.sync(link, link_rates.len() as u32);
+                admission[l].measure(now, &mom);
                 if record(step) {
                     let load = mom.sum();
                     let c = topo.capacity(link);
@@ -315,11 +347,7 @@ impl Scenario for RoutedNetworkLoad<'_> {
             // acceptance boundary.
             for route in topo.route_ids() {
                 for _ in 0..cfg.attempts_per_tick {
-                    let ctls_ref = &ctls;
-                    let mut oracle =
-                        |link: LinkId, c: f64| ctls_ref[link.index()].admissible_count(c);
-                    let d = path.decide(topo, route, &mut oracle);
-                    if d.admit {
+                    if admit_on_route(&mut admission, topo.route(route)) {
                         rep.admitted[route.index()] += 1;
                         tick_admitted += 1;
                         let hold = exponential(&mut rng, cfg.mean_holding);
@@ -395,6 +423,9 @@ impl Scenario for RoutedNetworkLoad<'_> {
 mod tests {
     use super::*;
     use crate::session::{Engine, SessionBuilder};
+    use mbac_core::estimators::MemorylessEstimator;
+    use mbac_core::topology::RouteId;
+    use mbac_num::RateMoments;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
     fn model() -> RcbrModel {
@@ -416,6 +447,48 @@ mod tests {
             replications: 4,
             seed: 17,
         }
+    }
+
+    /// A link of `capacity`, measured once at `flows` flows of rate 1.0
+    /// (σ̂ = 0, so it admits up to `capacity` flows), or left cold.
+    fn link(capacity: f64, flows: Option<usize>) -> LinkAdmission {
+        let ctl = MbacController::new(
+            Box::new(MemorylessEstimator::new()),
+            Box::new(CertaintyEquivalent::from_probability(1e-2)),
+        );
+        let mut link = LinkAdmission::new(ctl, capacity);
+        if let Some(n) = flows {
+            link.measure(0.0, &RateMoments::of(1.0, &vec![1.0; n]).reduce());
+        }
+        link
+    }
+
+    fn occupancies(links: &[LinkAdmission]) -> Vec<u32> {
+        links.iter().map(LinkAdmission::occupancy).collect()
+    }
+
+    /// A three-hop route where every hop accepts: all three occupancies
+    /// move together.
+    #[test]
+    fn decide_commits_every_hop_on_admit() {
+        let topo =
+            Topology::new(vec![10.5; 3], vec![vec![LinkId(0), LinkId(1), LinkId(2)]]).unwrap();
+        let mut links: Vec<_> = (0..3).map(|_| link(10.5, Some(1))).collect();
+        assert!(admit_on_route(&mut links, topo.route(RouteId(0))));
+        assert_eq!(occupancies(&links), [2, 2, 2]);
+    }
+
+    /// A cold hop (no measurement) fails safe, whatever the hops after
+    /// it would say, and the rejected request moves no occupancy.
+    #[test]
+    fn cold_hop_short_circuits() {
+        let topo = Topology::parking_lot(3, 10.5);
+        let mut links = vec![link(10.5, None), link(10.5, Some(4)), link(10.5, Some(4))];
+        assert!(!admit_on_route(&mut links, topo.route(RouteId(0))));
+        assert_eq!(occupancies(&links), [0, 4, 4]);
+        // The warm hops still admit their own cross traffic.
+        assert!(admit_on_route(&mut links, topo.route(RouteId(2))));
+        assert_eq!(occupancies(&links), [0, 5, 4]);
     }
 
     #[test]
@@ -533,27 +606,67 @@ mod tests {
         let run = "initial flow-ticks over the run";
         assert_eq!(validate(&long(1 << 10)), too_large(run, MAX_RUN_ITEMS));
         assert_eq!(validate(&long(1 << 8)), Ok(()));
+        // A network that can admit without bound: every link would fill
+        // to ~10¹⁵ flows (`--capacity 1e15` aborted on the flow table's
+        // allocation), or the links are small but the run long.
+        let flows = "admitted flows (capacity / mean rate)";
+        for capacity in [1e15, 1e308] {
+            let cfg = config(Topology::parking_lot(3, capacity));
+            let load = RoutedNetworkLoad { model: &m, cfg };
+            assert_eq!(load.validate(), held(flows));
+        }
+        let cfg = RoutedNetworkConfig {
+            ticks: 1 << 27,
+            replications: 1 << 6,
+            ..config(Topology::parking_lot(3, 1e3))
+        };
+        let load = RoutedNetworkLoad { model: &m, cfg };
+        let flow_ticks = "admitted flow-ticks over the run";
+        assert_eq!(load.validate(), too_large(flow_ticks, MAX_RUN_ITEMS));
+        let attempts = "admission attempts over the run";
+        assert_eq!(
+            validate(&|c| c.attempts_per_tick = 99_999_999_999),
+            too_large(attempts, MAX_RUN_ITEMS)
+        );
     }
 
-    /// The topology experiment's shape (`exp_topology`: 3 initial flows
-    /// a route, 4 replications, 8000 ticks on its full budget; 10⁴
-    /// here) is far inside every bound.
+    /// The topology experiment's grid (`exp_topology`: capacity 16 on
+    /// every link of `parking-lot:3` and `star:4`, 3 initial flows a
+    /// route, 2 attempts a tick, 4 replications, 8000 ticks on its full
+    /// budget; 10⁴ here) and the CLI's defaults (`parking-lot:3`, 2
+    /// flows a route, 2 attempts, 8 replications, 2000 ticks, at the
+    /// capacity 100 its tests use) are far inside every bound.
     #[test]
     fn the_topology_experiment_is_far_below_the_bounds() {
-        let cfg = RoutedNetworkConfig {
-            ticks: 10_000,
-            initial_flows_per_route: 3,
-            ..config(Topology::star(4, 10.0))
-        };
-        let run = [
-            cfg.replications,
-            cfg.topology.routes(),
-            cfg.initial_flows_per_route,
-            cfg.ticks,
-        ];
-        let items = run.iter().map(|&n| n as u64).product::<u64>();
-        assert!(items < MAX_RUN_ITEMS >> 20, "{items}");
         let m = model();
-        assert_eq!(RoutedNetworkLoad { model: &m, cfg }.validate(), Ok(()));
+        let experiment = [Topology::parking_lot(3, 16.0), Topology::star(4, 16.0)].map(|t| {
+            RoutedNetworkConfig {
+                ticks: 10_000,
+                initial_flows_per_route: 3,
+                ..config(t)
+            }
+        });
+        let cli = RoutedNetworkConfig {
+            ticks: 2000,
+            initial_flows_per_route: 2,
+            replications: 8,
+            ..config(Topology::parking_lot(3, 100.0))
+        };
+        for cfg in experiment.into_iter().chain([cli]) {
+            let topo = &cfg.topology;
+            let product = |factors: &[usize]| factors.iter().map(|&n| n as u64).product::<u64>();
+            let (reps, routes) = (cfg.replications, topo.routes());
+            let seeded = product(&[reps, routes, cfg.initial_flows_per_route, cfg.ticks]);
+            let attempts = product(&[reps, routes, cfg.attempts_per_tick, cfg.ticks]);
+            let flows: f64 = topo.link_ids().map(|l| topo.capacity(l) / m.mean()).sum();
+            let flow_ticks = flows * (cfg.ticks * reps) as f64;
+            assert!(
+                seeded.max(attempts) < MAX_RUN_ITEMS >> 20,
+                "{seeded} {attempts}"
+            );
+            assert!(flows < (MAX_WORKLOAD_ITEMS >> 16) as f64, "{flows}");
+            assert!(flow_ticks < (MAX_RUN_ITEMS >> 10) as f64, "{flow_ticks}");
+            assert_eq!(RoutedNetworkLoad { model: &m, cfg }.validate(), Ok(()));
+        }
     }
 }

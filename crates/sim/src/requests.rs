@@ -195,7 +195,7 @@ pub const MAX_WORKLOAD_ITEMS: u64 = 1 << 28;
 /// The most events, and the most per-flow rate samples, a run generated
 /// in [`Windows`] may pass through. Nothing of the run but one window is
 /// in memory, so this bounds its length, not its size: a rate sample
-/// costs ~4 ns to draw and a memo-hot decision ~25 ns, so 2⁴⁰ of either
+/// costs ~4 ns to draw and a decision ~35 ns, so 2⁴⁰ of either
 /// take hours, and a mistyped `--ticks 99999999999` is an error, not a
 /// process that runs for days.
 pub const MAX_RUN_ITEMS: u64 = 1 << 40;

@@ -9,10 +9,29 @@ A file none of whose module-level items another file names is printed
 whole. Names are matched as words, not resolved, so a name shared with a
 called item reads as called. Run from the repository root:
 
-    python3 scripts/uncalled-pub.py
+    python3 scripts/uncalled-pub.py           # print every uncalled item
+    python3 scripts/uncalled-pub.py --check   # exit 1 on any not in EXEMPT
+
+Every printed item must belong to one of four exempt classes. Two of them
+never print: names benchmark/ binds read as called already, and so do
+items their own module's production code uses. The other two are named in
+EXEMPT; `--check` prints the items outside it and exits 1 if there are any.
 """
 import pathlib
 import re
+import sys
+
+EXEMPT = {
+    # The paper's equations, in core::theory and core::utility.
+    "paper equations": {
+        "pf_memoryless_separated", "pf_with_memory_eqn39", "estimator_error_variance",
+        "pf_memoryless_eqn34", "pf_memoryless_integral", "pf_worst_case", "m_star_approx",
+        "pce_for_target_approx", "sensitivity_mean", "sensitivity_std_dev",
+        "invert_pce_impulsive", "utilization_loss_alpha",
+    },
+    # Reference implementations a test compares against.
+    "references": {"bisect", "wald_ci", "dft_reference", "hosking", "hard_loss_reference"},
+}
 
 ROOTS = ["crates", "src", "tests", "examples", "benchmark/src"]
 ITEM = re.compile(r"^(\s*)pub\s+(?:(?:const|unsafe|async)\s+)*"
@@ -44,6 +63,9 @@ files = sorted(p for r in ROOTS if pathlib.Path(r).is_dir()
 text = {p: code_lines(p) for p in files}
 words = {p: set(re.findall(r"[A-Za-z_]\w*", "\n".join(ls))) for p, ls in text.items()}
 
+check = sys.argv[1:] == ["--check"]
+exempt = set().union(*EXEMPT.values())
+unexpected = 0
 for path in (p for p in files if p.parts[0] == "crates" and p.parts[2] == "src"):
     lines = text[path]
     end = next((i for i, ln in enumerate(lines) if ln.strip() == "#[cfg(test)]"), len(lines))
@@ -52,9 +74,13 @@ for path in (p for p in files if p.parts[0] == "crates" and p.parts[2] == "src")
     top = [n for _, indent, _, n in items if not indent]
     if top and not called.intersection(top):
         print(f"{path}: no module-level item is named by another file")
+        unexpected += 1
         continue
     for i, _, kind, name in items:
         skip = {i} | impl_lines(lines[:end], name)
         if name not in called and not any(
                 re.search(rf"\b{name}\b", ln) for j, ln in enumerate(lines[:end]) if j not in skip):
-            print(f"{path}:{i + 1}: {kind} {name}")
+            if not (check and name in exempt):
+                print(f"{path}:{i + 1}: {kind} {name}")
+            unexpected += name not in exempt
+sys.exit(1 if check and unexpected else 0)
