@@ -14,7 +14,7 @@ use mbac_sim::{ConfigError, FlowTable, MAX_RUN_ITEMS, MAX_WORKLOAD_ITEMS};
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -23,10 +23,11 @@ mbacctl churn [--flows <n>] [--ticks <n>] [--tick <dt>]
 
 Runs the steady-state churn lifecycle loop: --flows flows are admitted
 with exponential(--holding) departure times, then each tick expires
-everything due and admits one replacement per departure, holding the
-population constant. Reports ns/tick and departures/tick — the cost of
-the timing-wheel departure calendar at scale, with every tick a
-departing tick — and exits 1 if admitted - departed != in system.
+everything due and admits one replacement per departure, in one run,
+holding the population constant. Reports ns/tick, ns per admitted flow
+and departures/tick — the cost of the timing-wheel departure calendar
+and of admission at scale, with every tick a departing tick — and exits
+1 if admitted - departed != in system.
 Defaults: 100000 flows, 200 ticks, tick 0.25, holding 250 (so ~flows/1000
 depart per tick), seed 7.";
 
@@ -68,27 +69,29 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let mut table = FlowTable::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = 0.0;
-    let departs_at = |t: f64, rng: &mut StdRng| t - holding * (1.0 - rng.gen::<f64>()).ln();
-    for _ in 0..flows {
-        let d = departs_at(t, &mut rng);
-        table.admit(&model, d, &mut rng);
-    }
+    let departs_at = |t: f64| move |rng: &mut StdRng| t - holding * (1.0 - rng.gen::<f64>()).ln();
+    table.admit_run(&model, flows, &mut rng, departs_at(t));
     let start = Instant::now();
+    let mut admitting = Duration::ZERO;
     for _ in 0..ticks {
         t += tick;
-        for _ in 0..table.depart_until(t) {
-            let d = departs_at(t, &mut rng);
-            table.admit(&model, d, &mut rng);
-        }
+        let gone = table.depart_until(t);
+        let admit = Instant::now();
+        table.admit_run(&model, gone, &mut rng, departs_at(t));
+        admitting += admit.elapsed();
     }
     let ns_per_tick = start.elapsed().as_nanos() as f64 / ticks as f64;
     let departed = table.departed_total();
+    // Every departure was replaced: the loop admitted `departed` flows.
+    let ns_per_admission = admitting.as_nanos() as f64 / departed.max(1) as f64;
 
     println!("churn: {flows} flows, {ticks} ticks, tick = {tick}, holding = {holding}");
     println!("  departures           : {departed} ({:.1} per tick)", {
         departed as f64 / ticks as f64
     });
-    println!("  lifecycle cost       : {ns_per_tick:.0} ns/tick");
+    println!(
+        "  lifecycle cost       : {ns_per_tick:.0} ns/tick, {ns_per_admission:.0} ns/admitted flow"
+    );
     println!(
         "  in system / admitted : {} / {}",
         table.len(),

@@ -1508,6 +1508,12 @@ fn churn_reports_a_conserving_run() {
     // The population is held at --flows: one replacement per departure.
     assert_eq!(in_system, "2000", "{text}");
     assert!(admitted.parse::<u64>().unwrap() > 2000, "{text}");
+    // Each tick's replacements are one run, priced per admitted flow.
+    let cost = text.lines().find(|l| l.contains("lifecycle cost"));
+    assert!(
+        cost.is_some_and(|l| l.ends_with(" ns/admitted flow")),
+        "{text}"
+    );
 }
 
 /// `churn` takes neither `--engine` nor `--verify`: both are unknown.

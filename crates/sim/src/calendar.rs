@@ -136,6 +136,13 @@ impl DepartureCalendar {
         !self.buckets.is_empty()
     }
 
+    /// Every scheduled entry, in no particular order (the flow table's
+    /// invariant check reads departure times here, the only place they
+    /// are kept). O(buckets + entries).
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &CalendarEntry> {
+        self.buckets.iter().flatten()
+    }
+
     /// Quantizes an absolute time, clamped so entries never land behind
     /// the cursor (`as` saturates at `u64::MAX` for far-future times,
     /// which simply parks them in the top level).

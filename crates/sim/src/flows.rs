@@ -14,9 +14,19 @@
 //! `mbac_traffic::batch`). A burst that is measured before it is
 //! admitted ([`FlowTable::spawn_burst`]) gets a kernel group of its own.
 //!
+//! Flows are admitted in runs ([`FlowTable::admit_run`]): `k` flows of
+//! one model cost one group lookup, one kernel call
+//! ([`FlowBatch::spawn_each`], which draws each flow's departure time
+//! through a hook just before its state, so a run draws what `k` single
+//! admissions draw) and one registration pass over ids, handles, the
+//! slot map and the calendar. [`FlowTable::admit`] is the one-flow run;
+//! a burst's kept prefix and a pre-spawned process register through
+//! the same pass.
+//!
 //! Departures go through a hierarchical timing wheel (the
-//! [`crate::calendar`] module): `admit` schedules the flow's departure
-//! in O(1), a tick pops only the expiring buckets, and `next_departure`
+//! [`crate::calendar`] module), which is the one place a flow's
+//! departure time is kept: a run schedules each finite departure in
+//! O(1), a tick pops only the expiring buckets, and `next_departure`
 //! reads the earliest non-empty bucket — so departing costs
 //! O(departures popped), never O(flows in system). Advancing and
 //! measuring do cost O(flows in system), every tick: a measurement tick
@@ -46,14 +56,7 @@ use mbac_num::RateMoments;
 use mbac_traffic::batch::{fold_lanes, BatchKey, DynBatch, FlowBatch};
 use mbac_traffic::process::{RateProcess, SourceModel};
 use rand::rngs::StdRng;
-
-/// Lifecycle bookkeeping for one flow; slot-parallel to its batch.
-#[derive(Debug, Clone, Copy)]
-struct FlowMeta {
-    id: u64,
-    /// Absolute departure time.
-    departs_at: f64,
-}
+use std::ops::Range;
 
 /// Where a flow currently lives: group index and slot within it. The
 /// calendar's stable handle indexes into the slot map, which is kept
@@ -70,7 +73,7 @@ enum GroupKey {
     /// The boxed fallback group (a [`DynBatch`]): every flow without a
     /// batched kernel, and every pre-spawned process.
     Boxed,
-    /// One batched kernel, joined by every `admit` of an equal key.
+    /// One batched kernel, joined by every admission of an equal key.
     Kernel(BatchKey),
     /// The kernel batch of one [`FlowTable::spawn_burst`]. No later
     /// admission joins it, so the burst keeps its own partial sum in
@@ -79,29 +82,38 @@ enum GroupKey {
 }
 
 /// One group of flows sharing a batched kernel (or the boxed fallback).
+/// A flow's departure time lives in its calendar entry alone.
 struct BatchGroup {
     key: GroupKey,
     batch: Box<dyn FlowBatch>,
-    /// Slot-parallel metadata, reordered in lock-step with the batch.
-    meta: Vec<FlowMeta>,
+    /// Slot-parallel flow ids, reordered in lock-step with the batch.
+    ids: Vec<u64>,
     /// Slot-parallel stable handles into the owner's slot map.
     handles: Vec<u32>,
 }
 
 impl BatchGroup {
     /// Spawns `n` fresh flows of `model` at the end of the batch, not
-    /// yet registered; both arms draw what `n` calls of
-    /// `SourceModel::spawn` draw.
-    fn spawn(&mut self, model: &dyn SourceModel, n: usize, rng: &mut StdRng) {
+    /// yet registered, calling `before` ahead of each flow's draws; both
+    /// arms draw what `n` calls of `SourceModel::spawn` draw, each after
+    /// its call of `before`.
+    fn spawn_each(
+        &mut self,
+        model: &dyn SourceModel,
+        n: usize,
+        rng: &mut StdRng,
+        before: &mut dyn FnMut(&mut StdRng),
+    ) {
         if self.key == GroupKey::Boxed {
             for _ in 0..n {
+                before(rng);
                 self.batch
                     .try_push_boxed(model.spawn(rng))
                     .ok()
                     .expect("fallback group accepts boxed processes");
             }
         } else {
-            self.batch.spawn(n, rng);
+            self.batch.spawn_each(n, rng, before);
         }
     }
 }
@@ -113,14 +125,18 @@ pub struct FlowTable {
     batching: bool,
     /// Flows currently in the system (sum of group lengths).
     count: usize,
+    /// Flows in the system that hold forever (an `INFINITY` departure):
+    /// they are never scheduled, so they never leave.
+    forever: usize,
     next_id: u64,
     admitted_total: u64,
     departed_total: u64,
     /// Time up to which all processes have been advanced.
     advanced_to: f64,
-    /// Exact `min(departs_at)` over the live flows; `INFINITY` when
-    /// empty or when every live flow holds forever. Kept exact: admits
-    /// fold in O(1), departures re-read the calendar's earliest bucket.
+    /// Exact minimum departure time over the live flows; `INFINITY`
+    /// when empty or when every live flow holds forever. Kept exact: a
+    /// run folds its minimum in once, departures re-read the calendar's
+    /// earliest bucket.
     min_departure: f64,
     /// The departure calendar (finite departure times only; flows with
     /// `INFINITY` holds can never expire and are not scheduled).
@@ -132,6 +148,9 @@ pub struct FlowTable {
     free: Vec<u32>,
     /// Scratch: entries popped by the current `depart_until`.
     expired: Vec<CalendarEntry>,
+    /// Scratch: the departure times of the run being registered, in
+    /// flow order.
+    departs: Vec<f64>,
 }
 
 impl Default for FlowTable {
@@ -147,6 +166,7 @@ impl FlowTable {
             groups: Vec::new(),
             batching: true,
             count: 0,
+            forever: 0,
             next_id: 0,
             admitted_total: 0,
             departed_total: 0,
@@ -156,6 +176,7 @@ impl FlowTable {
             slots: Vec::new(),
             free: Vec::new(),
             expired: Vec::new(),
+            departs: Vec::new(),
         }
     }
 
@@ -189,34 +210,56 @@ impl FlowTable {
         self.departed_total
     }
 
-    fn register(&mut self, group: usize, departs_at: f64) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.admitted_total += 1;
-        self.count += 1;
+    /// The registration pass: registers the last `k` flows of `group`,
+    /// `k` the number of times in the `departs` scratch, flow `i`
+    /// departing at `departs[i]`. The run gets contiguous ids and a
+    /// handle each — freed handles first, LIFO, as `k` single
+    /// registrations would take them, then fresh ones — the group's ids
+    /// and handles and the slot map are extended once, the finite
+    /// departures are scheduled in flow order and their minimum folded
+    /// in once. Returns the ids.
+    ///
+    /// # Panics
+    /// Panics unless every time is finite or `+∞` (a flow that never
+    /// departs): a NaN would never be scheduled and a `−∞` would become
+    /// the table's next departure, which no `depart_until` can pop.
+    fn register_run(&mut self, group: usize) -> Range<u64> {
+        let k = self.departs.len();
+        let ids = self.next_id..self.next_id + k as u64;
+        self.next_id = ids.end;
+        self.admitted_total += k as u64;
+        self.count += k;
         let g = &mut self.groups[group];
-        let location = SlotRef {
+        let base = g.ids.len();
+        g.ids.extend(ids.clone());
+        let reused = k.min(self.free.len());
+        let fresh = self.slots.len() as u32;
+        g.handles
+            .extend(self.free.drain(self.free.len() - reused..).rev());
+        g.handles.extend(fresh..fresh + (k - reused) as u32);
+        let location = |slot: usize| SlotRef {
             group: group as u32,
-            slot: g.meta.len() as u32,
+            slot: slot as u32,
         };
-        let handle = match self.free.pop() {
-            Some(h) => {
-                self.slots[h as usize] = location;
-                h
-            }
-            None => {
-                let h = self.slots.len() as u32;
-                self.slots.push(location);
-                h
-            }
-        };
-        g.meta.push(FlowMeta { id, departs_at });
-        g.handles.push(handle);
-        if departs_at.is_finite() {
-            self.calendar.schedule(handle, departs_at);
+        for (slot, &h) in (base..).zip(&g.handles[base..base + reused]) {
+            self.slots[h as usize] = location(slot);
         }
-        self.min_departure = self.min_departure.min(departs_at);
-        id
+        self.slots.extend((base + reused..base + k).map(location));
+        let mut min = f64::INFINITY;
+        for (&handle, &t) in g.handles[base..].iter().zip(&self.departs) {
+            assert!(
+                t > f64::NEG_INFINITY,
+                "departure time {t} is neither finite nor +inf"
+            );
+            if t < f64::INFINITY {
+                self.calendar.schedule(handle, t);
+                min = min.min(t);
+            } else {
+                self.forever += 1;
+            }
+        }
+        self.min_departure = self.min_departure.min(min);
+        ids
     }
 
     fn fallback_group(&mut self) -> usize {
@@ -230,16 +273,35 @@ impl FlowTable {
         self.groups.push(BatchGroup {
             key,
             batch,
-            meta: Vec::new(),
+            ids: Vec::new(),
             handles: Vec::new(),
         });
         self.groups.len() - 1
     }
 
-    /// Admits a new flow spawned from `model`, departing at absolute
-    /// time `departs_at`. O(1) (plus the kernel's spawn). Returns the
-    /// flow id.
-    pub fn admit(&mut self, model: &dyn SourceModel, departs_at: f64, rng: &mut StdRng) -> u64 {
+    /// Admits a run of `k` new flows spawned from `model`, the `i`-th
+    /// departing at the absolute time `departs` returns on its `i`-th
+    /// call. Each flow draws its departure time (the call of `departs`)
+    /// and then its state from `rng`, flow by flow, so a run draws
+    /// exactly what `k` calls of [`FlowTable::admit`] draw, and gives the
+    /// flows the same ids. One group lookup, one kernel call and one
+    /// registration pass whatever `k`; an empty run does nothing.
+    /// Returns the run's ids, contiguous.
+    ///
+    /// # Panics
+    /// Panics if a departure time is NaN or `−∞`; `+∞` holds forever.
+    pub fn admit_run(
+        &mut self,
+        model: &dyn SourceModel,
+        k: usize,
+        rng: &mut StdRng,
+        mut departs: impl FnMut(&mut StdRng) -> f64,
+    ) -> Range<u64> {
+        // An empty run touches nothing: a group is made by its first
+        // flow, so groups keep the order their first flows arrived in.
+        if k == 0 {
+            return self.next_id..self.next_id;
+        }
         let group = match self.batching.then(|| model.batch_key()).flatten() {
             Some(key) => {
                 let key = GroupKey::Kernel(key);
@@ -255,8 +317,20 @@ impl FlowTable {
             }
             None => self.fallback_group(),
         };
-        self.groups[group].spawn(model, 1, rng);
-        self.register(group, departs_at)
+        self.departs.clear();
+        let times = &mut self.departs;
+        self.groups[group].spawn_each(model, k, rng, &mut |rng| times.push(departs(rng)));
+        self.register_run(group)
+    }
+
+    /// Admits a new flow spawned from `model`, departing at absolute
+    /// time `departs_at`: the one-flow [`FlowTable::admit_run`]. O(1)
+    /// (plus the kernel's spawn). Returns the flow id.
+    ///
+    /// # Panics
+    /// Panics if `departs_at` is NaN or `−∞`; `+∞` holds forever.
+    pub fn admit(&mut self, model: &dyn SourceModel, departs_at: f64, rng: &mut StdRng) -> u64 {
+        self.admit_run(model, 1, rng, |_| departs_at).start
     }
 
     /// Spawns `n` candidate flows of `model` — the impulsive burst of
@@ -274,14 +348,20 @@ impl FlowTable {
         rng: &mut StdRng,
     ) -> Burst<'_> {
         let group = match self.batching.then(|| model.new_batch()).flatten() {
-            Some(batch) => self.push_group(GroupKey::Burst, batch),
-            None => self.fallback_group(),
+            Some(mut batch) => {
+                batch.spawn(n, rng);
+                self.push_group(GroupKey::Burst, batch)
+            }
+            None => {
+                let group = self.fallback_group();
+                self.groups[group].spawn_each(model, n, rng, &mut |_| {});
+                group
+            }
         };
         let g = &mut self.groups[group];
-        g.meta.reserve(n);
+        g.ids.reserve(n);
         g.handles.reserve(n);
         self.slots.reserve(n);
-        g.spawn(model, n, rng);
         Burst { table: self, group }
     }
 
@@ -292,6 +372,9 @@ impl FlowTable {
     /// measured candidates through [`FlowTable::spawn_burst`]. It stays
     /// as the reference that path is tested against (`tests/burst.rs`)
     /// and for the benchmark's boxed replica of the harness.
+    ///
+    /// # Panics
+    /// Panics if `departs_at` is NaN or `−∞`; `+∞` holds forever.
     pub fn admit_process(&mut self, process: Box<dyn RateProcess>, departs_at: f64) -> u64 {
         let group = self.fallback_group();
         self.groups[group]
@@ -299,7 +382,9 @@ impl FlowTable {
             .try_push_boxed(process)
             .ok()
             .expect("fallback group accepts boxed processes");
-        self.register(group, departs_at)
+        self.departs.clear();
+        self.departs.push(departs_at);
+        self.register_run(group).start
     }
 
     /// Advances every flow's bandwidth process to absolute time `t`.
@@ -344,8 +429,8 @@ impl FlowTable {
         for e in &self.expired {
             let SlotRef { group, slot } = self.slots[e.handle as usize];
             let (g, slot) = (&mut self.groups[group as usize], slot as usize);
-            debug_assert!(g.meta[slot].departs_at <= t, "removing a non-expired slot");
-            g.meta.swap_remove(slot);
+            debug_assert!(e.departs_at <= t, "removing a non-expired slot");
+            g.ids.swap_remove(slot);
             g.handles.swap_remove(slot);
             g.batch.swap_remove(slot);
             if let Some(&moved) = g.handles.get(slot) {
@@ -415,19 +500,25 @@ impl FlowTable {
     /// Ids of the flows currently in the system (test/diagnostic aid).
     pub fn ids(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.count);
-        out.extend(self.groups.iter().flat_map(|g| g.meta.iter().map(|m| m.id)));
+        out.extend(self.groups.iter().flat_map(|g| g.ids.iter().copied()));
         out
     }
 
-    /// Panics unless the slot map agrees with the groups: every live
-    /// handle's location holds that handle, each group's metadata,
-    /// handles and batch have one length, and live plus freed handles
-    /// account for every handle issued (test/diagnostic aid, O(flows)).
+    /// Panics unless the slot map and the calendar agree with the
+    /// groups (test/diagnostic aid, O(flows)):
+    /// - every live handle's location holds that handle, each group's
+    ///   ids, handles and batch have one length, and live plus freed
+    ///   handles account for every handle issued;
+    /// - the calendar holds one entry per live flow with a finite
+    ///   departure: its finite entries number the live flows that do not
+    ///   hold forever, each names a live handle, and no handle twice;
+    /// - the cached minimum departure is the exact minimum of those
+    ///   entries (`INFINITY` when there are none).
     pub fn check_invariants(&self) {
         let mut live = 0;
         for (i, g) in self.groups.iter().enumerate() {
-            assert_eq!(g.meta.len(), g.handles.len(), "group {i}: meta vs handles");
-            assert_eq!(g.meta.len(), g.batch.len(), "group {i}: meta vs batch");
+            assert_eq!(g.ids.len(), g.handles.len(), "group {i}: ids vs handles");
+            assert_eq!(g.ids.len(), g.batch.len(), "group {i}: ids vs batch");
             for (slot, &h) in g.handles.iter().enumerate() {
                 let at = self.slots[h as usize];
                 assert_eq!(
@@ -436,10 +527,39 @@ impl FlowTable {
                     "handle {h} points away from its slot"
                 );
             }
-            live += g.meta.len();
+            live += g.ids.len();
         }
         assert_eq!(live, self.count, "group lengths vs flow count");
         assert_eq!(live + self.free.len(), self.slots.len(), "handles leaked");
+
+        let mut scheduled = vec![false; self.slots.len()];
+        let (mut entries, mut min) = (0, f64::INFINITY);
+        for e in self.calendar.entries() {
+            let h = e.handle as usize;
+            assert!(
+                e.departs_at.is_finite(),
+                "handle {h} scheduled at {}",
+                e.departs_at
+            );
+            let at = self.slots[h];
+            let holder = self.groups[at.group as usize].handles.get(at.slot as usize);
+            assert_eq!(holder, Some(&e.handle), "handle {h} scheduled but not live");
+            assert!(!scheduled[h], "handle {h} scheduled twice");
+            scheduled[h] = true;
+            entries += 1;
+            min = min.min(e.departs_at);
+        }
+        assert_eq!(
+            entries,
+            self.calendar.len(),
+            "calendar entries vs its length"
+        );
+        assert_eq!(
+            entries + self.forever,
+            live,
+            "calendar entries vs live flows with a finite departure"
+        );
+        assert_eq!(self.min_departure, min, "cached minimum departure");
     }
 }
 
@@ -455,28 +575,31 @@ pub struct Burst<'a> {
 impl Burst<'_> {
     /// The candidates' initial rates, in spawn order.
     pub fn rates(&self) -> &[f64] {
-        // Admitted flows have metadata; the candidates are the slots
+        // Admitted flows have ids; the candidates are the slots
         // beyond it (slot 0 on, unless a fallback group held flows).
         let g = &self.table.groups[self.group];
-        &g.batch.rates()[g.meta.len()..]
+        &g.batch.rates()[g.ids.len()..]
     }
 
     /// Admits the first `keep` candidates (all of them if there are
     /// fewer), calling `departs_at` once per admitted flow, in order,
     /// for its absolute departure time, and drops the rest. Dropping
     /// consumes no randomness.
+    ///
+    /// # Panics
+    /// Panics if a departure time is NaN or `−∞`; `+∞` holds forever.
     pub fn keep(self, keep: usize, mut departs_at: impl FnMut() -> f64) {
-        for _ in 0..keep.min(self.rates().len()) {
-            let t = departs_at();
-            self.table.register(self.group, t);
-        }
+        let k = keep.min(self.rates().len());
+        self.table.departs.clear();
+        self.table.departs.extend((0..k).map(|_| departs_at()));
+        self.table.register_run(self.group);
     }
 }
 
 impl Drop for Burst<'_> {
     fn drop(&mut self) {
         let g = &mut self.table.groups[self.group];
-        for slot in (g.meta.len()..g.batch.len()).rev() {
+        for slot in (g.ids.len()..g.batch.len()).rev() {
             g.batch.swap_remove(slot);
         }
     }
@@ -499,9 +622,8 @@ mod tests {
         let m = model();
         let mut rng = StdRng::seed_from_u64(1);
         let mut table = FlowTable::new();
-        for i in 0..10 {
-            table.admit(&m, 10.0 + i as f64, &mut rng);
-        }
+        let mut departs = (10..20).map(f64::from);
+        table.admit_run(&m, 10, &mut rng, |_| departs.next().unwrap());
         assert_eq!(table.len(), 10);
         let gone = table.depart_until(14.5);
         assert_eq!(gone, 5); // departures at 10,11,12,13,14
@@ -517,9 +639,7 @@ mod tests {
         let m = model();
         let mut rng = StdRng::seed_from_u64(2);
         let mut table = FlowTable::new();
-        for _ in 0..50 {
-            table.admit(&m, f64::INFINITY, &mut rng);
-        }
+        table.admit_run(&m, 50, &mut rng, |_| f64::INFINITY);
         let mut snap = Vec::new();
         table.snapshot_into(&mut snap);
         assert_eq!(snap.len(), 50);
@@ -532,9 +652,7 @@ mod tests {
         let m = model();
         let mut rng = StdRng::seed_from_u64(3);
         let mut table = FlowTable::new();
-        for _ in 0..20 {
-            table.admit(&m, f64::INFINITY, &mut rng);
-        }
+        table.admit_run(&m, 20, &mut rng, |_| f64::INFINITY);
         let before = table.aggregate_rate();
         table.advance_to(100.0, &mut rng); // ~100 renegotiations each
         let after = table.aggregate_rate();
@@ -628,6 +746,107 @@ mod tests {
         table.admit(&m, 60.0, &mut rng);
         assert!(table.calendar.has_buckets());
         assert_eq!(table.depart_until(60.0), 1);
+        // The forever flows stay, however late the drain.
+        table.check_invariants();
+        assert_eq!(table.depart_until(f64::MAX), 0);
+        assert_eq!(table.next_departure(), Some(f64::INFINITY));
+        assert_eq!(table.len(), 41);
+    }
+
+    /// A NaN departure would never be scheduled and a `−∞` one would be
+    /// a minimum no `depart_until` can pop: every admission refuses
+    /// both, on both engines, naming the value.
+    fn admit_run_at(table: FlowTable, departs_at: f64) {
+        let (mut table, mut rng) = (table, StdRng::seed_from_u64(9));
+        table.admit_run(&model(), 3, &mut rng, |_| departs_at);
+    }
+
+    #[test]
+    #[should_panic(expected = "departure time NaN is neither finite nor +inf")]
+    fn batched_run_refuses_a_nan_departure() {
+        admit_run_at(FlowTable::new(), f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "departure time NaN is neither finite nor +inf")]
+    fn unbatched_run_refuses_a_nan_departure() {
+        admit_run_at(FlowTable::new_unbatched(), f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "departure time -inf is neither finite nor +inf")]
+    fn batched_run_refuses_a_minus_infinite_departure() {
+        admit_run_at(FlowTable::new(), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "departure time -inf is neither finite nor +inf")]
+    fn unbatched_run_refuses_a_minus_infinite_departure() {
+        admit_run_at(FlowTable::new_unbatched(), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "departure time NaN is neither finite nor +inf")]
+    fn burst_keep_refuses_a_nan_departure() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut table = FlowTable::new();
+        table
+            .spawn_burst(&model(), 4, &mut rng)
+            .keep(2, || f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "departure time -inf is neither finite nor +inf")]
+    fn admit_process_refuses_a_minus_infinite_departure() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut table = FlowTable::new();
+        table.admit_process(model().spawn(&mut rng), f64::NEG_INFINITY);
+    }
+
+    /// `Burst::keep` registers its kept prefix in one pass exactly as
+    /// one registration per flow would: the same ids, handles (freed
+    /// ones reused LIFO), calendar entries and snapshot, before and
+    /// after a drain, on both engines.
+    #[test]
+    fn burst_keep_registers_as_flow_by_flow() {
+        for make in [FlowTable::new, FlowTable::new_unbatched] {
+            let m = model();
+            let departs = [4.0, f64::INFINITY, 2.5, 2.5, 1.0e6, 3.0, 2.5];
+            let mut tables = [make(), make()];
+            let mut rngs = [StdRng::seed_from_u64(12), StdRng::seed_from_u64(12)];
+            for (table, rng) in tables.iter_mut().zip(&mut rngs) {
+                // Freed handles for the burst to reuse.
+                let mut holds = [1.0, 2.0, 1.0, 9.0, 1.0].into_iter();
+                table.admit_run(&m, 5, rng, |_| holds.next().unwrap());
+                table.depart_until(1.0);
+            }
+            let mut times = departs.into_iter();
+            tables[0]
+                .spawn_burst(&m, 9, &mut rngs[0])
+                .keep(departs.len(), || times.next().unwrap());
+            let burst = tables[1].spawn_burst(&m, 9, &mut rngs[1]);
+            for t in departs {
+                burst.table.departs.clear();
+                burst.table.departs.push(t);
+                burst.table.register_run(burst.group);
+            }
+            drop(burst);
+            let [a, b] = &mut tables;
+            for drain in [0.0, 2.5, 5.0] {
+                a.depart_until(drain);
+                b.depart_until(drain);
+                a.check_invariants();
+                b.check_invariants();
+                assert_eq!(a.ids(), b.ids());
+                assert_eq!(a.slots.len(), b.slots.len());
+                assert_eq!(a.next_departure(), b.next_departure());
+                let (mut snap_a, mut snap_b) = (Vec::new(), Vec::new());
+                a.snapshot_into(&mut snap_a);
+                b.snapshot_into(&mut snap_b);
+                assert_eq!(snap_a, snap_b, "after a drain to {drain}");
+            }
+            assert_eq!(a.len(), 3, "the forever flow, 1e6 and 9.0 left");
+        }
     }
 
     #[test]
@@ -635,9 +854,14 @@ mod tests {
         let m = model();
         let mut rng = StdRng::seed_from_u64(5);
         let mut table = FlowTable::new();
-        for _ in 0..5 {
-            table.admit(&m, f64::INFINITY, &mut rng);
-        }
+        assert_eq!(table.admit_run(&m, 5, &mut rng, |_| f64::INFINITY), 0..5);
+        assert_eq!(table.admit(&m, f64::INFINITY, &mut rng), 5);
+        // An empty run of a new model makes no group: groups keep the
+        // order their first flows arrived in.
+        let ar1 = ar1_model();
+        assert_eq!(table.admit_run(&ar1, 0, &mut rng, |_| f64::INFINITY), 6..6);
+        assert_eq!(table.groups.len(), 1);
+        assert_eq!(table.admit_run(&m, 3, &mut rng, |_| f64::INFINITY), 6..9);
         let ids = table.ids();
         for w in ids.windows(2) {
             assert!(w[1] > w[0]);
@@ -649,9 +873,7 @@ mod tests {
     /// every kernel panics before drawing.
     fn advance_to_infinity(model: &dyn SourceModel, table: FlowTable) {
         let (mut table, mut rng) = (table, StdRng::seed_from_u64(8));
-        for _ in 0..3 {
-            table.admit(model, f64::INFINITY, &mut rng);
-        }
+        table.admit_run(model, 3, &mut rng, |_| f64::INFINITY);
         table.advance_to(f64::INFINITY, &mut rng);
     }
 
@@ -794,9 +1016,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut table = FlowTable::new();
         // RCBR slots 0, 2, 5 and 7 (the tail) leave at t = 2.
-        for departs in [2.0, 9.0, 2.0, 9.0, 9.0, 2.0, 9.0, 2.0] {
-            table.admit(&m, departs, &mut rng);
-        }
+        let mut departs = [2.0, 9.0, 2.0, 9.0, 9.0, 2.0, 9.0, 2.0].into_iter();
+        table.admit_run(&m, 8, &mut rng, |_| departs.next().unwrap());
         table.admit(&ar1, 2.0, &mut rng);
         table.admit(&ar1, 9.0, &mut rng);
         let rates = |t: &FlowTable| {

@@ -34,6 +34,7 @@ use mbac_metrics::{Aggregated, Gauge, MetricValue, MetricsSnapshot};
 use mbac_num::fold_noisy;
 use mbac_num::rng::exponential;
 use mbac_traffic::process::SourceModel;
+use rand::rngs::StdRng;
 use std::sync::Arc;
 
 /// Configuration of the closed-loop routed network simulation.
@@ -283,11 +284,9 @@ impl Scenario for RoutedNetworkLoad<'_> {
         };
         // Seed each route's population (route order keeps the RNG
         // stream deterministic).
+        let hold = |rng: &mut StdRng| exponential(rng, cfg.mean_holding);
         for table in &mut tables {
-            for _ in 0..cfg.initial_flows_per_route {
-                let hold = exponential(&mut rng, cfg.mean_holding);
-                table.admit(self.model, hold, &mut rng);
-            }
+            table.admit_run(self.model, cfg.initial_flows_per_route, &mut rng, hold);
         }
         let metrics_on = sink.is_enabled();
         if metrics_on {
@@ -344,20 +343,21 @@ impl Scenario for RoutedNetworkLoad<'_> {
                 rep.measured_ticks += 1;
             }
             // Admission: continuous pressure per route up to the
-            // acceptance boundary.
+            // acceptance boundary. A decision draws nothing, so the
+            // route's admitted attempts join one run, drawing what they
+            // would have drawn one by one.
             for route in topo.route_ids() {
-                for _ in 0..cfg.attempts_per_tick {
-                    if admit_on_route(&mut admission, topo.route(route)) {
-                        rep.admitted[route.index()] += 1;
-                        tick_admitted += 1;
-                        let hold = exponential(&mut rng, cfg.mean_holding);
-                        tables[route.index()].admit(self.model, now + hold, &mut rng);
-                    } else {
-                        rep.blocked[route.index()] += 1;
-                        tick_blocked += 1;
-                        break;
-                    }
+                let r = route.index();
+                let admitted = (0..cfg.attempts_per_tick)
+                    .take_while(|_| admit_on_route(&mut admission, topo.route(route)))
+                    .count();
+                if admitted < cfg.attempts_per_tick {
+                    rep.blocked[r] += 1;
+                    tick_blocked += 1;
                 }
+                rep.admitted[r] += admitted as u64;
+                tick_admitted += admitted as u64;
+                tables[r].admit_run(self.model, admitted, &mut rng, |rng| now + hold(rng));
             }
             if metrics_on {
                 // Network-aggregate entry: one per tick, summed across

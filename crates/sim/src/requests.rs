@@ -234,10 +234,7 @@ impl<'a> Population<'a> {
     fn new(model: &'a dyn SourceModel, flows: usize, mean_holding: f64, ctx: &RepContext) -> Self {
         let mut rng = ctx.rng();
         let mut table = ctx.table();
-        for _ in 0..flows {
-            let hold = exponential(&mut rng, mean_holding);
-            table.admit(model, hold, &mut rng);
-        }
+        table.admit_run(model, flows, &mut rng, |rng| exponential(rng, mean_holding));
         Population {
             model,
             flows,
@@ -254,10 +251,13 @@ impl<'a> Population<'a> {
         self.table.depart_until(now);
         // Churn: top the population back up, so the measured link
         // carries fresh flows but a stable occupancy.
-        while self.table.len() < self.flows {
-            let hold = exponential(&mut self.rng, self.mean_holding);
-            self.table.admit(self.model, now + hold, &mut self.rng);
-        }
+        let mean_holding = self.mean_holding;
+        self.table.admit_run(
+            self.model,
+            self.flows.saturating_sub(self.table.len()),
+            &mut self.rng,
+            |rng| now + exponential(rng, mean_holding),
+        );
         self.table.snapshot_into(rates);
     }
 }

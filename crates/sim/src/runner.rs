@@ -220,10 +220,8 @@ impl Scenario for ImpulsiveLoad<'_> {
         // the Y₀ correlation the theory predicts), fresh extras if
         // M₀ > n.
         burst.keep(admit, || departs_at(&mut rng));
-        for _ in cfg.estimation_flows..admit {
-            let t = departs_at(&mut rng);
-            table.admit(self.model, t, &mut rng);
-        }
+        let extras = admit.saturating_sub(cfg.estimation_flows);
+        table.admit_run(self.model, extras, &mut rng, &mut departs_at);
         if sink.is_enabled() {
             let mut e = sink.entry(0.0);
             e.admissible = m0;
@@ -545,8 +543,9 @@ struct Filled {
 }
 
 /// The continuous-load fill step: tops `table` up toward the
-/// controller's admissible count with flows of `model`, each drawing an
-/// exponential holding time and then its initial state from `rng`.
+/// controller's admissible count with one run of flows of `model`, each
+/// drawing an exponential holding time and then its initial state from
+/// `rng`.
 ///
 /// Ramp cap: at most max(1, 10% of current occupancy) admissions per
 /// tick. Signaling is never infinitely fast in practice, and the cap
@@ -573,12 +572,10 @@ fn fill(
         // The seed flow: one, into an empty table.
         None => (1, 1),
     };
-    let mut admitted = 0;
-    while table.len() < limit && admitted < cap {
-        let departs = t + exponential(rng, cfg.mean_holding);
-        table.admit(model, departs, rng);
-        admitted += 1;
-    }
+    let admitted = limit.saturating_sub(table.len()).min(cap);
+    table.admit_run(model, admitted, rng, |rng| {
+        t + exponential(rng, cfg.mean_holding)
+    });
     Filled {
         admissible,
         admitted: admitted as u64,

@@ -29,15 +29,26 @@
 //! * empty-table and empty-window drains (`depart_until` with nothing
 //!   expiring, including on a completely empty table);
 //! * mixed groups (two keyed kernels plus the boxed fallback group via
-//!   `admit_process`), so one call expires flows of several groups.
+//!   `admit_process`), so one call expires flows of several groups;
+//! * runs ([`FlowTable::admit_run`]) of 0 to 40 flows whose holds mix
+//!   `INFINITY`, far-future and grid times, taking freed handles and
+//!   fresh ones in one pass.
+//!
+//! Beside the proptests, twin tables hold a run to the single
+//! admissions it replaces, bit for bit, for every kernel and the boxed
+//! fallback; and an ignored probe times the `rcbr_large` ramp's
+//! admissions both ways.
 
+use mbac_num::rng::exponential;
 use mbac_sim::FlowTable;
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
-use mbac_traffic::process::SourceModel;
+use mbac_traffic::marginal::Marginal;
+use mbac_traffic::process::{RateProcess, SourceModel};
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use std::time::Instant;
 
 /// One step of the randomized schedule. Times are in half-unit steps so
 /// departure times collide exactly in `f64`.
@@ -54,6 +65,9 @@ enum Op {
     },
     /// Admit a pre-spawned boxed process into the fallback group.
     AdmitBoxed { hold_steps: u8 },
+    /// Admit one run of `holds.len()` flows from model `which`, flow `i`
+    /// holding as an `Admit` with `holds[i]` as `(hold_steps, far)`.
+    AdmitRun { which: u8, holds: Vec<(u8, bool)> },
     /// Advance all processes by `steps · 0.5` (RNG-consuming).
     Advance { steps: u8 },
     /// Expire everything due by now + `steps · 0.5` (no advance — the
@@ -71,7 +85,7 @@ struct OpStrategy;
 impl Strategy for OpStrategy {
     type Value = Op;
     fn sample(&self, rng: &mut StdRng) -> Op {
-        match rng.gen_range(0u8..11) {
+        match rng.gen_range(0u8..12) {
             0..=3 => Op::Admit {
                 which: rng.gen_range(0u8..2),
                 hold_steps: rng.gen_range(0u8..12),
@@ -86,8 +100,14 @@ impl Strategy for OpStrategy {
             7 | 8 => Op::Depart {
                 steps: rng.gen_range(0u8..5),
             },
-            _ => Op::FusedTick {
+            9 | 10 => Op::FusedTick {
                 steps: rng.gen_range(1u8..5),
+            },
+            _ => Op::AdmitRun {
+                which: rng.gen_range(0u8..2),
+                holds: (0..rng.gen_range(0usize..=40))
+                    .map(|_| (rng.gen_range(0u8..12), rng.gen_range(0u8..10) == 0))
+                    .collect(),
             },
         }
     }
@@ -201,6 +221,22 @@ fn run_schedule(seed: u64, ops: &[Op], single_model: Option<u8>) {
                 prop_assert_eq!(id_a, id_b);
                 h.oracle.push((id_a, departs));
             }
+            Op::AdmitRun { which, ref holds } => {
+                let model = models[single_model.unwrap_or(which) as usize];
+                let departs: Vec<f64> = holds.iter().map(|&(s, far)| h.hold(s, far)).collect();
+                let k = departs.len();
+                let mut times_a = departs.iter().copied();
+                let mut times_b = departs.iter().copied();
+                let ids_a = h
+                    .batched
+                    .admit_run(model, k, &mut h.rng_a, |_| times_a.next().unwrap());
+                let ids_b = h
+                    .unbatched
+                    .admit_run(model, k, &mut h.rng_b, |_| times_b.next().unwrap());
+                prop_assert_eq!(ids_a.clone(), ids_b);
+                prop_assert_eq!(ids_a.end - ids_a.start, k as u64);
+                h.oracle.extend(ids_a.zip(departs));
+            }
             Op::AdmitBoxed { hold_steps } => {
                 let departs = h.hold(hold_steps, false);
                 let (id_a, id_b) = match single_model {
@@ -280,4 +316,169 @@ proptest! {
     ) {
         run_schedule(seed, &ops, Some(model));
     }
+}
+
+/// A model with no batched kernel: its flows live in the boxed
+/// fallback group on either engine.
+struct Kernelless(Ar1Model);
+
+impl SourceModel for Kernelless {
+    fn spawn(&self, rng: &mut dyn RngCore) -> Box<dyn RateProcess> {
+        self.0.spawn(rng)
+    }
+
+    fn mean(&self) -> f64 {
+        self.0.mean()
+    }
+
+    fn variance(&self) -> f64 {
+        self.0.variance()
+    }
+}
+
+/// A hold drawn from the flow's own stream: `INFINITY`, a far-future
+/// time or a time on the 0.5 grid past `now` (so equal times collide).
+fn drawn_hold(now: f64, rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0u8..6) {
+        0 => f64::INFINITY,
+        1 => now + 1.0e6 + rng.gen_range(0u8..4) as f64 * 0.5,
+        _ => now + rng.gen_range(1u8..8) as f64 * 0.5,
+    }
+}
+
+/// Twin tables, one admitting flow by flow and one in runs, through
+/// rounds of admissions, advances and drains: the same ids, snapshot
+/// bits, next departure, RNG end state and invariants at every step.
+/// Each hold is drawn from the RNG right before its flow's state, so a
+/// run that drew its holds in any other order would diverge at once.
+fn assert_runs_are_their_admits(
+    label: &str,
+    model: &dyn SourceModel,
+    make: fn() -> FlowTable,
+    seed: u64,
+) {
+    let mut single = make();
+    let mut runs = make();
+    let (mut rng_single, mut rng_runs) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+    let (mut snap_single, mut snap_runs) = (Vec::new(), Vec::new());
+    let mut now = 0.0;
+    for (round, k) in [0, 1, 7, 40, 3, 25, 1, 12].into_iter().enumerate() {
+        let at = format!("{label}, round {round}");
+        let mut want = Vec::new();
+        for _ in 0..k {
+            let departs = drawn_hold(now, &mut rng_single);
+            want.push(single.admit(model, departs, &mut rng_single));
+        }
+        let got = runs.admit_run(model, k, &mut rng_runs, |rng| drawn_hold(now, rng));
+        assert_eq!(got.collect::<Vec<u64>>(), want, "{at}: ids");
+        for table in [&single, &runs] {
+            table.check_invariants();
+        }
+        single.snapshot_into(&mut snap_single);
+        runs.snapshot_into(&mut snap_runs);
+        assert_eq!(snap_single, snap_runs, "{at}: snapshot");
+        assert_eq!(single.ids(), runs.ids(), "{at}: slot order");
+        assert_eq!(single.next_departure(), runs.next_departure(), "{at}");
+        assert_eq!(rng_single, rng_runs, "{at}: RNG state");
+        // Advance and drain, so later runs reuse freed handles.
+        now += 1.5;
+        assert_eq!(
+            single.advance_depart_measure(now, &mut rng_single, 1.0),
+            runs.advance_depart_measure(now, &mut rng_runs, 1.0),
+            "{at}: moments"
+        );
+    }
+    assert!(runs.departed_total() > 0, "{label}: no departure exercised");
+    assert_eq!(rng_single, rng_runs, "{label}: RNG end state");
+}
+
+#[test]
+fn a_run_is_its_admits_bit_for_bit() {
+    let ar1 = Ar1Model::new(Ar1Config {
+        mean: 1.0,
+        std_dev: 0.3,
+        t_c: 1.0,
+        tick: 0.05,
+        clamp_at_zero: true,
+    });
+    let models: [(&str, Box<dyn SourceModel>); 5] = [
+        (
+            "gaussian rcbr",
+            Box::new(RcbrModel::new(RcbrConfig::paper_default(1.0))),
+        ),
+        (
+            "general rcbr",
+            Box::new(RcbrModel::with_marginal(
+                Marginal::uniform_with_moments(1.0, 0.3),
+                2.0,
+            )),
+        ),
+        ("on-off", Box::new(RcbrModel::on_off(2.0, 1.0, 3.0))),
+        ("ar1", Box::new(ar1)),
+        ("kernel-less", Box::new(Kernelless(ar1))),
+    ];
+    for (m, (name, model)) in models.iter().enumerate() {
+        let seed = 60 + m as u64;
+        let label = format!("{name}, batched");
+        assert_runs_are_their_admits(&label, model.as_ref(), FlowTable::new, seed);
+        let label = format!("{name}, unbatched");
+        assert_runs_are_their_admits(&label, model.as_ref(), FlowTable::new_unbatched, seed);
+    }
+}
+
+/// The paired admission-time probe: `rcbr_large`'s ramp (capacity
+/// 2.5·10⁵ flows of mean 1, each tick admitting up to 10 % of the table,
+/// at least one, exponential holds of 100) admitted in one run per tick
+/// against one `admit` per flow, in alternating pairs (ABBA, so drift
+/// within a pair cancels). Prints each side's ns per admitted flow,
+/// median over ten pairs. Run in release: `cargo test --release -p
+/// mbac-sim --test churn ramp_admission -- --ignored --nocapture`.
+#[test]
+#[ignore = "timing probe; run in release"]
+fn ramp_admission_time_runs_against_single_admits() {
+    let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+    let limit = 250_000;
+    let ramp = |in_runs: bool| {
+        let mut table = FlowTable::new();
+        let mut rng = StdRng::seed_from_u64(24301);
+        let start = Instant::now();
+        let mut t = 0.0;
+        while table.len() < limit {
+            t += 0.05;
+            let k = (limit - table.len()).min((table.len() / 10).max(1));
+            let departs = |rng: &mut StdRng| t + exponential(rng, 100.0);
+            if in_runs {
+                table.admit_run(&model, k, &mut rng, departs);
+            } else {
+                for _ in 0..k {
+                    let d = departs(&mut rng);
+                    table.admit(&model, d, &mut rng);
+                }
+            }
+        }
+        let ns = start.elapsed().as_nanos() as f64 / table.len() as f64;
+        (ns, rng.gen::<u64>())
+    };
+    let (mut runs, mut single) = (Vec::new(), Vec::new());
+    for pair in 0..10 {
+        let (a, b) = if pair % 2 == 0 {
+            let a = ramp(true);
+            (a, ramp(false))
+        } else {
+            let b = ramp(false);
+            (ramp(true), b)
+        };
+        assert_eq!(a.1, b.1, "the two ramps drew differently");
+        runs.push(a.0);
+        single.push(b.0);
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        (v[4] + v[5]) / 2.0
+    };
+    eprintln!(
+        "rcbr_large ramp admission: {:.1} ns/flow in runs, {:.1} ns/flow one admit per flow (medians of 10 pairs)",
+        median(&mut runs),
+        median(&mut single)
+    );
 }

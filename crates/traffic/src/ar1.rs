@@ -197,6 +197,18 @@ impl FlowBatch for Ar1Batch {
         *rng = local;
     }
 
+    fn spawn_each(&mut self, n: usize, rng: &mut StdRng, before: &mut dyn FnMut(&mut StdRng)) {
+        self.values.reserve(n);
+        self.elapsed.resize(self.elapsed.len() + n, 0.0);
+        self.rates.reserve(n);
+        for _ in 0..n {
+            before(rng);
+            let value = normal(rng, self.cfg.mean, self.cfg.std_dev);
+            self.values.push(value);
+            self.rates.push(self.clamp(value));
+        }
+    }
+
     fn swap_remove(&mut self, i: usize) {
         self.values.swap_remove(i);
         self.elapsed.swap_remove(i);

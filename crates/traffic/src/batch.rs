@@ -24,7 +24,8 @@
 //! Batched kernels must consume the RNG in **exactly** the same order
 //! as the boxed fallback [`DynBatch`] holding the same flows:
 //! [`FlowBatch::spawn`] of `n` flows draws what `n` calls of
-//! [`SourceModel::spawn`] draw, and
+//! [`SourceModel::spawn`] draw ([`FlowBatch::spawn_each`] too, each
+//! flow's draws right after its hook's), and
 //! [`FlowBatch::advance_all`] advances flow 0, then flow 1, … drawing
 //! what the boxed side draws for them. This makes a batched simulation
 //! bit-identical to the boxed one for a fixed seed (the equivalence
@@ -225,6 +226,19 @@ pub trait FlowBatch: Send {
     /// ([`DynBatch`]): their flows are spawned boxed and pushed via
     /// [`FlowBatch::try_push_boxed`].
     fn spawn(&mut self, n: usize, rng: &mut StdRng);
+
+    /// Spawns `n` fresh flows as [`FlowBatch::spawn`] does, calling
+    /// `before` on `rng` ahead of each flow's draws: flow `i`'s state is
+    /// drawn right after the `i`-th call, so `before` can draw what
+    /// belongs to the flow first (the flow table draws its departure
+    /// time there). The default calls `before`, then `spawn(1)`; a
+    /// kernel overrides it with one reservation and one loop.
+    fn spawn_each(&mut self, n: usize, rng: &mut StdRng, before: &mut dyn FnMut(&mut StdRng)) {
+        for _ in 0..n {
+            before(rng);
+            self.spawn(1, rng);
+        }
+    }
 
     /// Adopts an already-running boxed process, if this batch supports
     /// heterogeneous members. Specialized SoA batches return the
@@ -562,6 +576,45 @@ mod tests {
                 single.advance_all(0.37, &mut single_rng);
                 assert_eq!(bulk.rates(), single.rates(), "model {m}, n = {n}: advanced");
                 assert_eq!(bulk_rng, single_rng, "model {m}, n = {n}: advanced RNG");
+            }
+        }
+    }
+
+    /// `spawn_each(n, before)` is `n` rounds of `before`, then
+    /// `spawn(1)`, bit for bit on every kernel — the default the
+    /// kernels override with one loop — with a hook that draws.
+    #[test]
+    fn spawn_each_interleaves_the_hook_with_single_spawns() {
+        let rcbr = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let general = RcbrModel::with_marginal(Marginal::uniform_with_moments(1.0, 0.3), 2.0);
+        let ar1 = Ar1Model::new(Ar1Config {
+            mean: 1.0,
+            std_dev: 0.3,
+            t_c: 1.0,
+            tick: 0.05,
+            clamp_at_zero: true,
+        });
+        let on_off = RcbrModel::on_off(2.0, 1.0, 3.0);
+        let models: [&dyn SourceModel; 4] = [&rcbr, &general, &ar1, &on_off];
+        for (m, model) in models.into_iter().enumerate() {
+            for n in [0, 1, 7, 400] {
+                let seed = 52 + m as u64;
+                let (mut each_rng, mut single_rng) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let mut each = model.new_batch().expect("batched kernel");
+                let mut single = model.new_batch().expect("batched kernel");
+                let (mut hooked, mut drawn) = (Vec::new(), Vec::new());
+                each.spawn_each(n, &mut each_rng, &mut |rng| hooked.push(rng.next_u64()));
+                for _ in 0..n {
+                    drawn.push(single_rng.next_u64());
+                    single.spawn(1, &mut single_rng);
+                }
+                assert_eq!(hooked, drawn, "model {m}, n = {n}: hook draws");
+                assert_eq!(each.rates(), single.rates(), "model {m}, n = {n}");
+                assert_eq!(each_rng, single_rng, "model {m}, n = {n}: RNG end state");
+                each.advance_all(0.37, &mut each_rng);
+                single.advance_all(0.37, &mut single_rng);
+                assert_eq!(each.rates(), single.rates(), "model {m}, n = {n}: advanced");
             }
         }
     }

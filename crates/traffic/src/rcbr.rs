@@ -452,6 +452,14 @@ impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
         *rng = local;
     }
 
+    fn spawn_each(&mut self, n: usize, rng: &mut StdRng, before: &mut dyn FnMut(&mut StdRng)) {
+        self.rates.reserve(n);
+        for _ in 0..n {
+            before(rng);
+            self.rates.push(self.draw.draw(rng));
+        }
+    }
+
     fn swap_remove(&mut self, i: usize) {
         self.rates.swap_remove(i);
     }
