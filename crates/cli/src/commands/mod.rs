@@ -133,7 +133,7 @@ pub(crate) fn parse_topology(spec: &str, capacity: f64) -> Result<Topology, ArgE
     };
     match spec.split_once(':') {
         None => match spec {
-            "single" => Ok(Topology::single_link(capacity)),
+            "single" => Ok(Topology::one_hop_links(1, capacity)),
             _ => Err(bad("expected single, parking-lot:<hops>, or star:<legs>")),
         },
         Some(("parking-lot", raw)) => {

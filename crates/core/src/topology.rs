@@ -158,26 +158,41 @@ pub fn hop_u8(k: usize) -> u8 {
 pub struct Topology {
     capacities: Vec<f64>,
     routes: Vec<Box<[LinkId]>>,
+    /// Each link's crossing routes in route order, with the link's hop
+    /// index on each: indexed once here, read by every tick that
+    /// measures a link.
+    crossings: Vec<Box<[(RouteId, u8)]>>,
 }
 
 impl Topology {
     /// Builds and validates a topology from per-link capacities and
     /// routes given as hop lists.
     pub fn new(capacities: Vec<f64>, routes: Vec<Vec<LinkId>>) -> Result<Self, TopologyError> {
-        let topo = Topology {
+        let mut topo = Topology {
             capacities,
             routes: routes.into_iter().map(Vec::into_boxed_slice).collect(),
+            crossings: Vec::new(),
         };
         topo.validate()?;
+        let mut crossings = vec![Vec::new(); topo.links()];
+        for (r, hops) in topo.routes.iter().enumerate() {
+            for (k, link) in hops.iter().enumerate() {
+                crossings[link.index()].push((RouteId(r as u32), hop_u8(k)));
+            }
+        }
+        topo.crossings = crossings.into_iter().map(Vec::into_boxed_slice).collect();
         Ok(topo)
     }
 
-    /// The one-link convenience: a single link of `capacity` with one
-    /// single-hop route — the exact shape every pre-topology layer
-    /// assumed. Panics if `capacity` is not strictly positive.
-    pub fn single_link(capacity: f64) -> Self {
-        Topology::new(vec![capacity], vec![vec![LinkId(0)]])
-            .expect("single_link: capacity must be positive")
+    /// `links` links of `capacity`, route `r` the one hop over link
+    /// `r`: the paper's single link, `links` times over, sharing
+    /// nothing (one link is the shape every pre-topology layer assumed).
+    /// Panics if `links` is zero or `capacity` is not strictly
+    /// positive.
+    pub fn one_hop_links(links: usize, capacity: f64) -> Self {
+        let routes = (0..links).map(|l| vec![LinkId(l as u32)]).collect();
+        Topology::new(vec![capacity; links], routes)
+            .expect("one_hop_links: invalid link count or capacity")
     }
 
     /// The parking-lot topology: `hops` links in a row, one long route
@@ -278,14 +293,12 @@ impl Topology {
         (0..self.routes.len()).map(|r| RouteId(r as u32))
     }
 
-    /// The routes whose hop list contains `link`, in route order —
-    /// the flows sharing `link`'s capacity.
-    pub fn routes_crossing(&self, link: LinkId) -> impl Iterator<Item = RouteId> + '_ {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter(move |(_, hops)| hops.contains(&link))
-            .map(|(r, _)| RouteId(r as u32))
+    /// The routes whose hop list contains `link`, in route order — the
+    /// flows sharing `link`'s capacity — each with `link`'s hop index on
+    /// it.
+    #[inline]
+    pub fn crossings(&self, link: LinkId) -> &[(RouteId, u8)] {
+        &self.crossings[link.index()]
     }
 
     /// The position of `link` within `route`'s hop list (unique —
@@ -301,7 +314,7 @@ mod tests {
 
     #[test]
     fn convenience_shapes() {
-        let single = Topology::single_link(10.0);
+        let single = Topology::one_hop_links(1, 10.0);
         assert_eq!(single.links(), 1);
         assert_eq!(single.routes(), 1);
         assert_eq!(single.route(RouteId(0)), &[LinkId(0)]);
@@ -313,16 +326,26 @@ mod tests {
         assert_eq!(pl.route(RouteId(2)), &[LinkId(1)]);
         // Every link carries the long route plus its own cross traffic.
         for link in pl.link_ids() {
-            let crossing: Vec<RouteId> = pl.routes_crossing(link).collect();
+            let crossing = pl.crossings(link);
             assert_eq!(crossing.len(), 2);
-            assert_eq!(crossing[0], RouteId(0));
+            assert_eq!(crossing[0], (RouteId(0), link.0 as u8));
         }
 
         let star = Topology::star(4, 8.0);
         assert_eq!(star.links(), 5);
         assert_eq!(star.routes(), 4);
-        // Every route contends on the hub.
-        assert_eq!(star.routes_crossing(LinkId(0)).count(), 4);
+        // Every route contends on the hub, its second hop.
+        assert_eq!(star.crossings(LinkId(0)).len(), 4);
+        assert!(star.crossings(LinkId(0)).iter().all(|&(_, hop)| hop == 1));
+        assert_eq!(star.crossings(LinkId(2)), &[(RouteId(1), 0)]);
+        // The parking lot's last link is the long route's third hop.
+        assert_eq!(pl.crossings(LinkId(2)), &[(RouteId(0), 2), (RouteId(3), 0)]);
+
+        let links = Topology::one_hop_links(3, 8.0);
+        assert_eq!((links.links(), links.routes()), (3, 3));
+        for link in links.link_ids() {
+            assert_eq!(links.crossings(link), &[(RouteId(link.0), 0)]);
+        }
         for r in star.route_ids() {
             assert_eq!(star.route(r).len(), 2);
             assert_eq!(star.route(r)[1], LinkId(0));

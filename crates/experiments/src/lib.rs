@@ -12,11 +12,10 @@
 pub mod figures;
 pub mod output;
 pub mod scenarios;
-pub mod sweep;
 pub mod topology;
 
+pub use mbac_num::parallel::parallel_map;
 pub use output::{ascii_plot, write_csv, Table};
-pub use sweep::parallel_map;
 
 /// Whether quick mode is on (`MBAC_QUICK=1`): experiment binaries then
 /// shrink their sample budgets for smoke runs (CI, benches) at the cost

@@ -95,8 +95,11 @@
 //! (the [`Stamps`] rule — hashed because the canonical order is
 //! round-robin over the links, and a fixed stride would sample some
 //! links only). Throughput, decisions and admits are those of the
-//! whole run; p50 / p99 / mean are those of the stamped decisions, and
-//! [`BenchReport::latency_samples`] says how many they were. Which
+//! whole run. The stamped latencies are the run's only latency record:
+//! the sink keeps each one, and p50 / p99 are [`mbac_num::quantile`] of
+//! them and the mean their integer sum over their count, so
+//! [`BenchReport::latency_samples`] says exactly what the three figures
+//! rest on. Which
 //! requests are stamped changes no decision: the sampled replays are
 //! held to the fully stamped reference's bytes in [`crate::replay`]'s
 //! and [`crate::routed`]'s tests.
@@ -110,6 +113,7 @@ use crate::routed::{RoutedPlane, RoutedPlaneConfig};
 use crate::sink::{Replayed, Tally};
 use mbac_core::topology::Topology;
 use mbac_metrics::StreamHandle;
+use mbac_num::quantile;
 use mbac_sim::{
     ConfigError, Engine, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
     Scenario, SessionBuilder, Windows,
@@ -189,6 +193,11 @@ pub enum BenchError {
         /// The rejected `t_m`.
         t_m: f64,
     },
+    /// The certainty-equivalent target probability was outside (0, 1).
+    BadProbability {
+        /// The rejected `p_ce`.
+        p_ce: f64,
+    },
 }
 
 impl std::fmt::Display for BenchError {
@@ -198,6 +207,9 @@ impl std::fmt::Display for BenchError {
             BenchError::Serve(e) => e.fmt(f),
             BenchError::BadMemory { t_m } => {
                 write!(f, "t_m must be finite and non-negative, got {t_m}")
+            }
+            BenchError::BadProbability { p_ce } => {
+                write!(f, "p_ce must be in (0, 1), got {p_ce}")
             }
         }
     }
@@ -391,50 +403,57 @@ impl Shape {
         events: u64,
         wall: Duration,
     ) -> BenchReport {
-        let Tally {
-            decisions,
-            admitted,
-            mut latency,
-        } = replayed.sink;
-        let (p50_ns, p99_ns) = if latency.is_empty() {
-            (0.0, 0.0)
-        } else {
-            (latency.quantile(0.5), latency.quantile(0.99))
-        };
+        let tally = &replayed.sink;
+        let (p50_ns, p99_ns, mean_ns) = latency_figures(&tally.latencies);
         let elapsed_secs = replayed.elapsed.as_secs_f64();
         BenchReport {
             mode: if self.threaded { "threaded" } else { "serial" },
             shards: self.shards,
             producers: self.producers,
-            decisions,
-            admitted,
-            rejected: decisions - admitted,
+            decisions: tally.decisions,
+            admitted: tally.admitted,
+            rejected: tally.decisions - tally.admitted,
             events,
             generate_secs: generate.as_secs_f64(),
             elapsed_secs,
             wall_secs: wall.as_secs_f64(),
             decisions_per_sec: if elapsed_secs > 0.0 {
-                decisions as f64 / elapsed_secs
+                tally.decisions as f64 / elapsed_secs
             } else {
                 0.0
             },
-            latency_samples: latency.len(),
+            latency_samples: tally.latencies.len() as u64,
             p50_ns,
             p99_ns,
-            mean_ns: latency.mean(),
+            mean_ns,
             available_parallelism: self.parallelism,
             skipped_single_core: self.skipped_single_core,
         }
     }
 }
 
-/// The paper's controller at the bench's `(p_ce, t_m)`, with `t_m`
-/// checked first: `FilteredEstimator::new` asserts on it.
+/// The p50, p99 and mean of the stamped `latencies`: the type-7
+/// quantiles of [`quantile`] and the integer sum over the count, all 0
+/// when nothing was stamped.
+fn latency_figures(latencies: &[u64]) -> (f64, f64, f64) {
+    if latencies.is_empty() {
+        return (0.0, 0.0, 0.0);
+    }
+    let ns: Vec<f64> = latencies.iter().map(|&ns| ns as f64).collect();
+    let sum: u128 = latencies.iter().map(|&ns| u128::from(ns)).sum();
+    let mean = sum as f64 / latencies.len() as f64;
+    (quantile(&ns, 0.5), quantile(&ns, 0.99), mean)
+}
+
+/// The paper's controller at the bench's `(p_ce, t_m)`, both checked
+/// first: `QosTarget::new` and `FilteredEstimator::new` assert on them.
 fn controller_factory(p_ce: f64, t_m: f64) -> Result<ControllerFactory, BenchError> {
-    if t_m >= 0.0 && t_m.is_finite() {
-        Ok(certainty_equivalent_factory(p_ce, t_m))
-    } else {
+    if !(p_ce > 0.0 && p_ce < 1.0) {
+        Err(BenchError::BadProbability { p_ce })
+    } else if !(t_m >= 0.0 && t_m.is_finite()) {
         Err(BenchError::BadMemory { t_m })
+    } else {
+        Ok(certainty_equivalent_factory(p_ce, t_m))
     }
 }
 
@@ -616,12 +635,12 @@ fn routed_closed_loop_sampling(
         return shape.threaded(&load, cfg.engine, &plane, make, stamps);
     }
     let start = Instant::now();
-    // Held to the whole-run bound: the route table below is as long as
-    // the run.
+    // The windows check every field and hold the run a tick at a time.
+    // The route table wants the run's seq -> route map up front, a
+    // function of the configuration alone and as long as the run: the
+    // map is held to the whole-run bound before it is allocated.
     let windows = load.windows(cfg.engine)?;
-    // The route table wants the run's seq -> route map up front, and
-    // that is a function of the configuration alone.
-    let routes = load.cfg.request_routes();
+    let routes = load.cfg.request_routes()?;
     let plane = RoutedPlane::for_requests(&plane, &cfg.topology, &routes, make)?;
     Ok(shape.serial(windows, plane, budget, start))
 }
@@ -975,6 +994,40 @@ mod tests {
             assert!(matches!(
                 routed_closed_loop_with_parallelism(&cfg, &model(), 1),
                 Err(BenchError::BadMemory { .. })
+            ));
+        }
+    }
+
+    /// A report's latency figures are those of the stamped samples, a
+    /// saturated one included: `quantile`'s p50 and p99, and the mean
+    /// of their exact integer sum.
+    #[test]
+    fn latency_figures_are_the_samples_statistics() {
+        assert_eq!(latency_figures(&[]), (0.0, 0.0, 0.0));
+        let latencies = [57, u64::MAX, 1 << 20, 40, 57, 2];
+        let ns: Vec<f64> = latencies.iter().map(|&ns| ns as f64).collect();
+        let (p50, p99, mean) = latency_figures(&latencies);
+        assert_eq!(p50.to_bits(), quantile(&ns, 0.5).to_bits());
+        assert_eq!(p99.to_bits(), quantile(&ns, 0.99).to_bits());
+        let sum = u128::from(u64::MAX) + 57 + (1 << 20) + 40 + 57 + 2;
+        assert_eq!(mean, sum as f64 / 6.0);
+    }
+
+    #[test]
+    fn bad_probability_is_a_typed_error() {
+        for p_ce in [0.0, 1.0, f64::NAN] {
+            let cfg = BenchConfig { p_ce, ..small() };
+            assert!(matches!(
+                closed_loop_with_parallelism(&cfg, &model(), 1),
+                Err(BenchError::BadProbability { .. })
+            ));
+            let cfg = RoutedBenchConfig {
+                p_ce,
+                ..small_routed()
+            };
+            assert!(matches!(
+                routed_closed_loop_with_parallelism(&cfg, &model(), 1),
+                Err(BenchError::BadProbability { .. })
             ));
         }
     }

@@ -20,13 +20,14 @@
 //!   [`mbac_sim::ServeWorkload`] or [`mbac_sim::RoutedWorkload`]);
 //! * [`sink`] — where the replay drivers put each decision as it is
 //!   made: a collecting sink (one sequence per link or route, for the
-//!   invariance suites) or a tally (totals plus an exact
-//!   [`LatencyTally`], for the bench) — the drivers keep nothing
-//!   themselves;
+//!   invariance suites) or a tally (totals plus the stamped latencies,
+//!   for the bench) — the drivers keep nothing themselves;
 //! * [`bench::closed_loop_with_parallelism`] — the closed-loop load
-//!   generator reporting p50/p99 decision latency and sustained
-//!   decisions/sec, with the single-core gate (`skipped_single_core`)
-//!   for hosts where threaded throughput would be meaningless.
+//!   generator reporting sustained decisions/sec and the p50/p99/mean
+//!   decision latency of a fixed budget of stamped requests, computed on
+//!   the samples themselves, with the single-core gate
+//!   (`skipped_single_core`) for hosts where threaded throughput would
+//!   be meaningless.
 //!
 //! # Correctness bar
 //!
@@ -61,4 +62,4 @@ pub use routed::{
     RoutedPlaneConfig, RoutedReplayConfig, RoutedReplayOutcome, RoutedShard, RoutedShardEvent,
     TwoPhase,
 };
-pub use sink::{Decided, LatencyTally};
+pub use sink::Decided;

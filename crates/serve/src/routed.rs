@@ -843,23 +843,15 @@ impl Ingest for RoutedWindow {
         keep: impl Fn(LinkId) -> bool,
     ) -> impl Iterator<Item = RoutedShardEvent> {
         let topo = self.topology();
-        // Each link's routes, with the link's hop on each, in route order.
-        let crossing: Vec<Vec<(RouteId, u8)>> = topo
-            .link_ids()
-            .map(|link| {
-                let hop = |route| hop_u8(topo.hop_index(route, link).expect("a crossing route"));
-                topo.routes_crossing(link).map(|r| (r, hop(r))).collect()
-            })
-            .collect();
         let asks = self.snapshots().requests_per_tick();
         let measures = self.snapshots().measurements();
         let mut measures = measures.filter(move |&(link, ..)| keep(link));
         // The link and step whose requests are being issued, the next
-        // one's route (an index into the link's `crossing`), and `k`.
+        // one's route (an index into the link's crossings), and `k`.
         let (mut at, mut route, mut k) = ((LinkId(0), 0), usize::MAX, 0);
         std::iter::from_fn(move || {
             let (link, step) = at;
-            if let Some(&(r, hop)) = crossing[link.index()].get(route) {
+            if let Some(&(r, hop)) = topo.crossings(link).get(route) {
                 let seq = self.seq(step, r, k);
                 k += 1;
                 if k == asks {
@@ -892,10 +884,9 @@ mod tests {
     };
     use crate::replay::tests::{
         decides_every_request, sampled_stamps_leave_decisions_alone, tally_agrees,
-        threaded_matches_serial, window_estimator_factory, windowed_matches_materialised,
+        threaded_matches_serial, window_estimator_factory, windowed_matches_materialised, Hashes,
     };
     use crate::replay::{replay_serial, SerialDriver};
-    use crate::sink::{Decided, DecisionSink};
     use mbac_core::topology::MAX_ROUTE_HOPS;
     use mbac_sim::{
         Engine, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig, SessionBuilder,
@@ -931,7 +922,7 @@ mod tests {
     fn a_run_replayed_in_windows_decides_as_the_materialised_one() {
         let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
         let shapes = [
-            (Topology::single_link(7.0), 0.0),
+            (Topology::one_hop_links(1, 7.0), 0.0),
             (Topology::parking_lot(3, 14.0), 0.05),
             (Topology::star(3, 12.0), 0.05),
         ];
@@ -943,7 +934,7 @@ mod tests {
                 };
                 let whole = SessionBuilder::new().engine(engine).run(&load).unwrap();
                 let cfg = RoutedReplayConfig::default();
-                let routes = load.cfg.request_routes();
+                let routes = load.cfg.request_routes().unwrap();
                 windowed_matches_materialised(
                     &whole,
                     &cfg,
@@ -1141,7 +1132,7 @@ mod tests {
         };
         let whole = SessionBuilder::new().run(&load).unwrap();
         let cfg = RoutedReplayConfig::default();
-        let routes = load.cfg.request_routes();
+        let routes = load.cfg.request_routes().unwrap();
         windowed_matches_materialised(
             &whole,
             &cfg,
@@ -1152,29 +1143,6 @@ mod tests {
             },
             20,
         );
-    }
-
-    /// FNV-1a over each group's decision bytes, for runs too long to
-    /// keep every decision.
-    struct Hashes {
-        groups: Vec<u64>,
-        bytes: Vec<u8>,
-    }
-
-    impl<D: Decided> DecisionSink<D> for Hashes {
-        fn record(&mut self, d: D) {
-            self.bytes.clear();
-            d.encode_into(&mut self.bytes);
-            let h = &mut self.groups[d.group()];
-            for &byte in &self.bytes {
-                *h ^= u64::from(byte);
-                *h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-
-        fn merge(&mut self, _: Self) {
-            unreachable!("a serial replay has one sink")
-        }
     }
 
     /// `serve_links`' shape — 32 links × 50 flows × 1000 ticks × 32
@@ -1188,9 +1156,8 @@ mod tests {
             requests_per_tick: 32,
             ..BenchConfig::default()
         };
-        let one_hop = (0..32).map(|l| vec![LinkId(l)]).collect();
         let routes = RoutedBenchConfig {
-            topology: Arc::new(Topology::new(vec![links.capacity; 32], one_hop).unwrap()),
+            topology: Arc::new(Topology::one_hop_links(32, links.capacity)),
             flows_per_route: links.flows_per_link,
             ticks: links.ticks,
             tick: links.tick,
@@ -1221,10 +1188,7 @@ mod tests {
         let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
         let make = certainty_equivalent_factory(links.p_ce, links.t_m);
         let ticks = WINDOW_SNAPSHOTS / links.links;
-        let sink = || Hashes {
-            groups: vec![0xcbf2_9ce4_8422_2325; links.links],
-            bytes: Vec::new(),
-        };
+        let sink = || Hashes::new(links.links);
 
         let load = RequestLoad {
             model: &model,
@@ -1249,16 +1213,9 @@ mod tests {
 
         let load = RoutedLoad {
             model: &model,
-            cfg: RoutedLoadConfig::single_link(links.capacity, &load.cfg),
+            cfg: RoutedLoadConfig::one_hop_links(links.capacity, &load.cfg),
         };
-        let load = RoutedLoad {
-            cfg: RoutedLoadConfig {
-                topology: Arc::clone(&routes.topology),
-                ..load.cfg
-            },
-            ..load
-        };
-        let request_routes = load.cfg.request_routes();
+        let request_routes = load.cfg.request_routes().unwrap();
         let plane_cfg = RoutedPlaneConfig::default();
         let plane =
             RoutedPlane::for_requests(&plane_cfg, &routes.topology, &request_routes, make).unwrap();

@@ -14,7 +14,7 @@ use mbac_serve::{
     RoutedPlaneConfig, RoutedReplayConfig,
 };
 use mbac_sim::{
-    Engine, LinkId, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
+    Engine, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
     RoutedWorkload, SessionBuilder, Topology,
 };
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
@@ -41,7 +41,7 @@ fn model(ar1: bool) -> Box<dyn SourceModel> {
 /// must match the legacy plane), the 3-hop parking lot, the 4-leg star.
 fn topology(kind: usize) -> Topology {
     match kind {
-        0 => Topology::single_link(8.0),
+        0 => Topology::one_hop_links(1, 8.0),
         1 => Topology::parking_lot(3, 14.0),
         // The hub aggregates all four legs' routes (20 steady flows),
         // so its capacity sits just past the acceptance boundary.
@@ -254,7 +254,7 @@ fn legacy_cfg(links: usize) -> RequestLoadConfig {
 #[test]
 fn single_link_routed_decisions_reproduce_legacy_bytes() {
     let legacy_cfg = legacy_cfg(1);
-    let routed_cfg = RoutedLoadConfig::single_link(8.0, &legacy_cfg);
+    let routed_cfg = RoutedLoadConfig::one_hop_links(8.0, &legacy_cfg);
     assert_one_hop_routes_reproduce_legacy_bytes(&legacy_cfg, routed_cfg, &[2, 5, 8]);
 }
 
@@ -265,11 +265,7 @@ fn single_link_routed_decisions_reproduce_legacy_bytes() {
 #[test]
 fn disjoint_links_routed_decisions_reproduce_legacy_bytes() {
     let legacy_cfg = legacy_cfg(5);
-    let one_hop_routes = (0..5).map(|l| vec![LinkId(l)]).collect();
-    let routed_cfg = RoutedLoadConfig {
-        topology: Arc::new(Topology::new(vec![8.0; 5], one_hop_routes).unwrap()),
-        ..RoutedLoadConfig::single_link(8.0, &legacy_cfg)
-    };
+    let routed_cfg = RoutedLoadConfig::one_hop_links(8.0, &legacy_cfg);
     assert_one_hop_routes_reproduce_legacy_bytes(&legacy_cfg, routed_cfg, &[3, 8]);
 }
 

@@ -1,8 +1,8 @@
 //! # mbac-sim — discrete-event simulator for MBAC on a bufferless link
 //!
 //! Implements the paper's three load models as [`session::Scenario`]
-//! impls driven by one generic [`session::Session`] pipeline, with the
-//! §5.2 measurement methodology built in:
+//! impls driven by one generic [`session::SessionBuilder`] pipeline, with
+//! the §5.2 measurement methodology built in:
 //!
 //! * [`runner::ImpulsiveLoad`] — impulsive load with infinite or
 //!   exponential holding times (§3);
@@ -63,7 +63,7 @@ pub use runner::{
     ImpulsiveReport, PhaseReport, PhasedLoad,
 };
 pub use session::{
-    rep_seed, ConfigError, Engine, MetricsMode, RepContext, Scenario, Session, SessionBuilder,
+    rep_seed, ConfigError, Engine, MetricsMode, RepContext, Scenario, SessionBuilder,
 };
 pub use telemetry::{EntryGuard, MetricsSink, SimMetrics, TickEntry};
 

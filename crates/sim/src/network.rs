@@ -320,7 +320,7 @@ impl Scenario for RoutedNetworkLoad<'_> {
             // the measured fold's, not any one table's aggregate.)
             for link in topo.link_ids() {
                 link_rates.clear();
-                for route in topo.routes_crossing(link) {
+                for &(route, _) in topo.crossings(link) {
                     link_rates.extend_from_slice(&route_snaps[route.index()]);
                 }
                 let l = link.index();
@@ -562,10 +562,10 @@ mod tests {
     #[test]
     fn bad_configs_are_rejected() {
         let m = model();
-        let mut cfg = config(Topology::single_link(10.0));
+        let mut cfg = config(Topology::one_hop_links(1, 10.0));
         cfg.warmup_ticks = cfg.ticks;
         assert!(RoutedNetworkLoad { model: &m, cfg }.validate().is_err());
-        let mut cfg = config(Topology::single_link(10.0));
+        let mut cfg = config(Topology::one_hop_links(1, 10.0));
         cfg.replications = 0;
         assert_eq!(
             RoutedNetworkLoad { model: &m, cfg }.validate().unwrap_err(),

@@ -3,22 +3,21 @@
 //!
 //! The serve crate needs realistic admission traffic — links whose
 //! measured load evolves like the paper's RCBR/AR(1)/trace sources,
-//! interleaved with admission requests. [`RequestLoad`] produces exactly
-//! that by running one [`FlowTable`] per link
-//! through the [`Scenario`] pipeline: each replication *is* one link,
-//! evolving `flows_per_link` flows with exponential holding-time churn
-//! and emitting, per measurement tick, one [`LinkEvent::Measure`]
-//! snapshot followed by `requests_per_tick` [`LinkEvent::Request`]s.
+//! interleaved with admission requests. One generator makes it:
+//! [`RoutedLoad`] runs one replication per *route* of a [`Topology`],
+//! each a [`FlowTable`] of `flows_per_route` flows with exponential
+//! holding-time churn, and measures a link as the fold of every crossing
+//! route's flows (shared flows ⇒ correlated load) as its node sees them,
+//! through its own noise ([`RoutedLoadConfig::noise_sd`]). An admission
+//! request on an `h`-hop route appears as one [`RoutedEvent::Request`]
+//! occurrence on *each* hop link, all carrying the same global sequence
+//! number for the plane's two-phase commit.
 //!
-//! [`RoutedLoad`] generalizes this to a [`Topology`]: one replication
-//! per *route*, each evolving its own flow population, folded into
-//! per-link event streams where a link's measurement is the fold of
-//! every crossing route's flow snapshot (shared flows ⇒ correlated
-//! load) as its node measures them, through its own noise
-//! ([`RoutedLoadConfig::noise_sd`]), and an admission request on an
-//! `h`-hop route appears as one [`RoutedEvent::Request`] occurrence on
-//! *each* hop link, all carrying the same global sequence number for
-//! the plane's two-phase commit.
+//! [`RequestLoad`] is the paper's single link, `links` times over: the
+//! same generator on `links` disjoint one-hop routes without noise
+//! ([`RoutedLoadConfig::one_hop_links`]). Materialised, it emits per
+//! tick one [`LinkEvent::Measure`] carrying the link's rates, then
+//! `requests_per_tick` [`LinkEvent::Request`]s.
 //!
 //! Because generation rides the Session pipeline, a workload is
 //! **bit-identical for any worker count and either flow engine** (the
@@ -27,27 +26,26 @@
 //!
 //! # Windows
 //!
-//! A run need not exist in memory at once. [`RequestLoad::windows`] and
-//! [`RoutedLoad::windows`] generate it a window of ticks at a time
-//! ([`Windows::next_window`]) into a window the caller owns, written
-//! over whatever window of the run that buffer held before. A window is
-//! **compact**: it holds one [`SnapshotMoments`] per (tick, link) — the
-//! link's measurement folded where it is generated, while its rates are
-//! still in cache, around its first rate ([`fold_snapshot`] with no
-//! pivot: the producer cannot know the consumer's estimate; a routed
-//! link's measured rate, by [`fold_noisy`]) — and the step of its first
-//! tick. It holds no request: a request's `t`, `route` and `seq` are
-//! functions of its tick, the topology and `requests_per_tick`
-//! ([`RoutedWindow::seq`]), so the replay synthesises them. Times and
-//! `seq` run on across windows, every population and noise stream
-//! carries on where the last window left it, and a link's snapshots,
-//! window after window, are those of its `Measure`s in the materialised
-//! workload, bit for bit (tested): the `Scenario`s are written on the
-//! same per-tick steps (`Population::step_to`, `LinkAssembly::measure`),
-//! so the two cannot drift — a single-link `Measure` carries the rates
-//! the window folds, a routed one the fold itself. Five numbers cross
-//! from the core that generates a window to the one that replays it,
-//! where a measurement used to carry every rate.
+//! A run need not exist in memory at once. [`RoutedLoad::windows`], and
+//! [`RequestLoad::windows`] over its one-hop routes, generate it a window
+//! of ticks at a time ([`Windows::next_window`]) into a window the
+//! caller owns, written over whatever window of the run that buffer held
+//! before. A window is **compact**: it holds one [`SnapshotMoments`] per
+//! (tick, link) — the link's measurement folded where it is generated,
+//! while its rates are still in cache, around its first rate
+//! ([`fold_noisy`] with no pivot: the producer cannot know the
+//! consumer's estimate) — and the step of its first tick. It holds no
+//! request: a request's `t`, `route` and `seq` are functions of its
+//! tick, the topology and `requests_per_tick` ([`RoutedWindow::seq`]),
+//! so the replay synthesises them. Times and `seq` run on across
+//! windows, every population and noise stream carries on where the last
+//! window left it, and a link's snapshots, window after window, are
+//! those of its `Measure`s in the materialised workload, bit for bit
+//! (tested): both are written on the same per-tick steps
+//! (`Population::step_to`, `LinkAssembly::measure`) — a single-link
+//! `Measure` carries the rates the window folds, a routed one the fold
+//! itself. Five numbers a link a tick cross from the core that
+//! generates a window to the one that replays it.
 //!
 //! # Ordering contract
 //!
@@ -62,11 +60,11 @@
 //! measurement, then its requests of that tick in `seq` order. So a run
 //! replayed in windows visits the links in another cross-link order than
 //! the same run materialised — and decides the same, because no
-//! decision reads anything but per-link order. Routed workloads add one more guarantee the two-phase commit
-//! relies on: each link's `Request` occurrences are strictly increasing
-//! in `seq`, and every hop's occurrence of one request lies in the same
-//! tick, hence the same window — no reserve is left waiting at a
-//! window's end.
+//! decision reads anything but per-link order. Routed workloads add one
+//! more guarantee the two-phase commit relies on: each link's `Request`
+//! occurrences are strictly increasing in `seq`, and every hop's
+//! occurrence of one request lies in the same tick, hence the same
+//! window — no reserve is left waiting at a window's end.
 
 use crate::flows::FlowTable;
 use crate::session::{
@@ -74,7 +72,6 @@ use crate::session::{
     Engine, RepContext, Scenario,
 };
 use crate::telemetry::MetricsSink;
-use mbac_core::estimators::fold_snapshot;
 use mbac_core::topology::{LinkId, RouteId, Topology};
 use mbac_num::rng::exponential;
 use mbac_num::{fold_noisy, SnapshotMoments};
@@ -146,14 +143,10 @@ impl ServeWorkload {
 
     /// Total admission requests across all links.
     pub fn total_requests(&self) -> usize {
-        self.per_link
-            .iter()
-            .map(|evs| {
-                evs.iter()
-                    .filter(|e| matches!(e, LinkEvent::Request { .. }))
-                    .count()
-            })
-            .sum()
+        let events = self.per_link.iter().flatten();
+        events
+            .filter(|e| matches!(e, LinkEvent::Request { .. }))
+            .count()
     }
 
     /// Total events across all links.
@@ -161,21 +154,24 @@ impl ServeWorkload {
         self.per_link.iter().map(Vec::len).sum()
     }
 
-    /// The canonical serial-reference order: a round-robin merge by
-    /// event index (`link 0 event 0, link 1 event 0, …, link 0 event 1,
-    /// …`). Any order that preserves each link's own sequence yields the
+    /// The canonical serial-reference order: the links' streams merged
+    /// round-robin by event index. Any order that preserves each link's own sequence yields the
     /// same per-link decisions (the serve invariance suite proves this);
     /// this one is the fixed reference the sharded plane is compared
     /// against.
     pub fn canonical_events(&self) -> impl Iterator<Item = (LinkId, &LinkEvent)> {
-        let longest = self.per_link.iter().map(Vec::len).max().unwrap_or(0);
-        (0..longest).flat_map(move |i| {
-            self.per_link
-                .iter()
-                .enumerate()
-                .filter_map(move |(link, evs)| evs.get(i).map(|e| (LinkId(link as u32), e)))
-        })
+        round_robin(&self.per_link)
     }
+}
+
+/// `per_link`'s events merged round-robin by event index: `link 0
+/// event 0, link 1 event 0, …, link 0 event 1, …`.
+fn round_robin<E>(per_link: &[Vec<E>]) -> impl Iterator<Item = (LinkId, &E)> {
+    let longest = per_link.iter().map(Vec::len).max().unwrap_or(0);
+    (0..longest).flat_map(move |i| {
+        let links = per_link.iter().enumerate();
+        links.filter_map(move |(link, evs)| evs.get(i).map(|e| (LinkId(link as u32), e)))
+    })
 }
 
 /// The most events, and the most per-flow rate samples, a generated
@@ -214,12 +210,10 @@ pub(crate) fn workload_count<const N: usize>(
         .ok_or(ConfigError::WorkloadTooLarge { what, max })
 }
 
-/// One churned flow population — a link's in [`RequestLoad`], a
-/// route's in [`RoutedLoad`] — taken from tick to tick. The exact
-/// sequence of table/RNG operations is the compatibility contract: a
-/// single-link routed workload must consume the identical random stream
-/// and therefore produce bit-identical rate snapshots, and a run
-/// generated in windows the bits of the materialised one.
+/// One route's churned flow population, taken from tick to tick. The
+/// exact sequence of table/RNG operations is the compatibility
+/// contract: a run generated in windows must consume the identical
+/// random streams as the materialised one, and so produce its bits.
 struct Population<'a> {
     model: &'a dyn SourceModel,
     flows: usize,
@@ -260,16 +254,17 @@ impl<'a> Population<'a> {
         );
         self.table.snapshot_into(rates);
     }
-}
 
-/// The context the Session pipeline hands replication `rep` of a
-/// scenario seeded `seed`: what the window generators, which step every
-/// population on the calling thread, build each one from.
-fn rep_context(seed: u64, rep: usize, engine: Engine) -> RepContext {
-    RepContext {
-        rep: rep as u64,
-        seed: rep_seed(seed, rep as u64),
-        engine,
+    /// The population's rates at each of the run's `ticks` ticks of
+    /// `tick`: one replication of either scenario.
+    fn run(mut self, ticks: usize, tick: f64) -> Vec<Box<[f64]>> {
+        (1..=ticks)
+            .map(|step| {
+                let mut rates = Vec::new();
+                self.step_to(step as f64 * tick, &mut rates);
+                rates.into_boxed_slice()
+            })
+            .collect()
     }
 }
 
@@ -397,8 +392,9 @@ impl RoutedWindow {
     }
 }
 
-/// The request-stream scenario: replication `r` generates link `r`'s
-/// event stream from the source model's traffic.
+/// The request-stream scenario: `cfg.links` disjoint one-hop routes of
+/// a [`RoutedLoad`] without noise, replication `r` generating link
+/// `r`'s event stream from the source model's traffic.
 pub struct RequestLoad<'a> {
     /// The per-flow traffic model (RCBR, AR(1), trace, …).
     pub model: &'a dyn SourceModel,
@@ -411,8 +407,7 @@ impl Scenario for RequestLoad<'_> {
     type Report = ServeWorkload;
 
     fn validate(&self) -> Result<(), ConfigError> {
-        self.check_fields()?;
-        self.require_ticks_fit(self.cfg.ticks, MAX_WORKLOAD_ITEMS)
+        self.routed(self.cfg.ticks, MAX_WORKLOAD_ITEMS)?.validate()
     }
 
     fn seed(&self) -> u64 {
@@ -423,17 +418,16 @@ impl Scenario for RequestLoad<'_> {
         self.cfg.links
     }
 
+    /// Route `ctx.rep`'s replication of [`RoutedLoad`], each tick's
+    /// rates a `Measure` followed by the tick's requests.
     fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> Vec<LinkEvent> {
         let cfg = &self.cfg;
-        let mut link = self.population(ctx);
+        let link = Population::new(self.model, cfg.flows_per_link, cfg.mean_holding, ctx);
         let mut events = Vec::with_capacity(cfg.ticks * (1 + cfg.requests_per_tick));
-        for step in 1..=cfg.ticks {
-            let now = step as f64 * cfg.tick;
-            let mut rates = Vec::new();
-            link.step_to(now, &mut rates);
-            let rates = rates.into_boxed_slice();
-            events.push(LinkEvent::Measure { t: now, rates });
-            let request = LinkEvent::Request { t: now };
+        for (step, rates) in (1..).zip(link.run(cfg.ticks, cfg.tick)) {
+            let t = step as f64 * cfg.tick;
+            events.push(LinkEvent::Measure { t, rates });
+            let request = LinkEvent::Request { t };
             events.extend(std::iter::repeat_n(request, cfg.requests_per_tick));
         }
         events
@@ -445,110 +439,61 @@ impl Scenario for RequestLoad<'_> {
 }
 
 impl<'a> RequestLoad<'a> {
-    /// Every check but the workload's size.
-    fn check_fields(&self) -> Result<(), ConfigError> {
-        if self.cfg.links == 0 {
-            // One replication per link: zero links is zero replications.
+    /// The run as [`RoutedLoad`] generates it. Its topology is a route
+    /// per link, so the links are held to what sizes the run before a
+    /// topology that long is built: at least two flows each, and
+    /// `ticks` ticks (one at least) within `max` events and `max` rate
+    /// samples.
+    fn routed(&self, ticks: usize, max: u64) -> Result<RoutedLoad<'a>, ConfigError> {
+        let cfg = &self.cfg;
+        if cfg.links == 0 {
             return Err(ConfigError::ZeroReplications);
         }
-        if self.cfg.flows_per_link < 2 {
+        if cfg.flows_per_link < 2 {
             return Err(ConfigError::TooFewFlows {
-                got: self.cfg.flows_per_link,
+                got: cfg.flows_per_link,
             });
         }
-        require_positive("ticks", self.cfg.ticks as f64)?;
-        require_step("tick", self.cfg.tick)?;
-        require_finite(
-            "run length (ticks × tick)",
-            self.cfg.ticks as f64 * self.cfg.tick,
-        )?;
-        require_positive("mean holding time", self.cfg.mean_holding)
-    }
-
-    /// Checks that `ticks` ticks of the run hold at most `max` events
-    /// and at most `max` rate samples.
-    fn require_ticks_fit(&self, ticks: usize, max: u64) -> Result<(), ConfigError> {
-        let cfg = &self.cfg;
-        let per_tick = cfg.requests_per_tick.saturating_add(1);
+        let (ticks, per_tick) = (ticks.max(1), cfg.requests_per_tick.saturating_add(1));
         workload_count("events", [cfg.links, ticks, per_tick], max)?;
         workload_count("rate samples", [cfg.links, ticks, cfg.flows_per_link], max)?;
-        Ok(())
-    }
-
-    fn population(&self, ctx: &RepContext) -> Population<'a> {
-        let cfg = &self.cfg;
-        Population::new(self.model, cfg.flows_per_link, cfg.mean_holding, ctx)
+        // A link's capacity plays no part in generating its traffic.
+        let cfg = RoutedLoadConfig::one_hop_links(1.0, cfg);
+        Ok(RoutedLoad {
+            model: self.model,
+            cfg,
+        })
     }
 
     /// The run as successive windows, generated on `engine`: checks the
-    /// configuration as a session would, except that the run is held to
-    /// [`MAX_WORKLOAD_ITEMS`] one tick at a time and to
-    /// [`MAX_RUN_ITEMS`] as a whole, and seeds every link's population
-    /// on the stream a session gives its replication.
-    pub fn windows(&self, engine: Engine) -> Result<RequestWindows<'_>, ConfigError> {
-        let cfg = &self.cfg;
-        self.check_fields()?;
-        self.require_ticks_fit(1, MAX_WORKLOAD_ITEMS)?;
-        self.require_ticks_fit(cfg.ticks, MAX_RUN_ITEMS)?;
-        let requests = [cfg.links, cfg.ticks, cfg.requests_per_tick];
-        let requests = workload_count("requests", requests, MAX_RUN_ITEMS)?;
-        Ok(RequestWindows {
-            load: self,
-            links: (0..cfg.links)
-                .map(|link| self.population(&rep_context(cfg.seed, link, engine)))
-                .collect(),
-            rates: Vec::with_capacity(cfg.flows_per_link),
-            requests,
-            done: 0,
-        })
+    /// configuration as [`RoutedLoad::windows`] does.
+    pub fn windows(&self, engine: Engine) -> Result<RequestWindows<'a>, ConfigError> {
+        let routed = self.routed(1, MAX_WORKLOAD_ITEMS)?;
+        Ok(RequestWindows(routed.windows(engine)?))
     }
 }
 
-/// [`RequestLoad`]'s run, a window at a time.
-pub struct RequestWindows<'a> {
-    load: &'a RequestLoad<'a>,
-    links: Vec<Population<'a>>,
-    /// A link's rates at the tick being folded.
-    rates: Vec<f64>,
-    requests: u64,
-    /// Ticks generated so far.
-    done: usize,
-}
+/// [`RequestLoad`]'s run, a window at a time: the windows of its
+/// one-hop routes, without the topology.
+pub struct RequestWindows<'a>(RoutedWindows<'a>);
 
 impl Windows for RequestWindows<'_> {
     type Workload = SnapshotWindow;
 
     fn links(&self) -> usize {
-        self.links.len()
+        self.0.links()
     }
 
     fn requests(&self) -> u64 {
-        self.requests
+        self.0.requests()
     }
 
     fn new_window(&self) -> SnapshotWindow {
-        let cfg = &self.load.cfg;
-        SnapshotWindow::new(self.links.len(), cfg.tick, cfg.requests_per_tick)
+        self.0.new_window().snapshots
     }
 
     fn next_window(&mut self, ticks: usize, window: &mut SnapshotWindow) -> bool {
-        let cfg = &self.load.cfg;
-        assert_eq!(window.links(), self.links.len(), "a window of another run");
-        let ticks = ticks.min(cfg.ticks - self.done);
-        if ticks == 0 {
-            return false;
-        }
-        window.reset(self.done + 1, ticks);
-        // Links share nothing, so each takes its whole window in turn.
-        for (l, link) in self.links.iter_mut().enumerate() {
-            for k in 0..ticks {
-                let now = (self.done + 1 + k) as f64 * cfg.tick;
-                link.step_to(now, &mut self.rates);
-                *window.at(k, l) = fold_snapshot(&self.rates, None);
-            }
-        }
-        self.done += ticks;
-        true
+        self.0.fill(ticks, window)
     }
 }
 
@@ -618,13 +563,12 @@ pub struct RoutedLoadConfig {
 }
 
 impl RoutedLoadConfig {
-    /// The one-link convenience: wraps a [`RequestLoadConfig`]-shaped
-    /// workload (one link, one single-hop route, no measurement noise)
-    /// in a [`Topology::single_link`]. The generated event stream is
-    /// bit-identical to [`RequestLoad`]'s.
-    pub fn single_link(capacity: f64, cfg: &RequestLoadConfig) -> Self {
+    /// A [`RequestLoadConfig`]'s workload as [`RequestLoad`] generates
+    /// it: [`Topology::one_hop_links`] of `capacity`, without noise.
+    /// Panics if `cfg.links` is zero or `capacity` is not positive.
+    pub fn one_hop_links(capacity: f64, cfg: &RequestLoadConfig) -> Self {
         RoutedLoadConfig {
-            topology: Arc::new(Topology::single_link(capacity)),
+            topology: Arc::new(Topology::one_hop_links(cfg.links, capacity)),
             flows_per_route: cfg.flows_per_link,
             ticks: cfg.ticks,
             tick: cfg.tick,
@@ -638,14 +582,16 @@ impl RoutedLoadConfig {
     /// The route of every request of the run, indexed by `seq`: each
     /// tick, each route in turn asks `requests_per_tick` times. What a
     /// decision plane's route table is sized from when the run itself
-    /// is generated in windows.
-    pub fn request_routes(&self) -> Vec<RouteId> {
-        let per_tick = self.topology.routes() * self.requests_per_tick;
-        let mut routes = Vec::with_capacity(self.ticks * per_tick);
+    /// is generated in windows, so it is held to
+    /// [`MAX_WORKLOAD_ITEMS`] requests before it is allocated.
+    pub fn request_routes(&self) -> Result<Vec<RouteId>, ConfigError> {
+        let requests = [self.topology.routes(), self.ticks, self.requests_per_tick];
+        let requests = workload_count("requests", requests, MAX_WORKLOAD_ITEMS)?;
+        let mut routes = Vec::with_capacity(requests as usize);
         for _ in 0..self.ticks {
             routes.extend(self.tick_requests());
         }
-        routes
+        Ok(routes)
     }
 
     /// The routes of one tick's requests, in `seq` order.
@@ -712,13 +658,7 @@ impl RoutedWorkload {
     /// link's subsequence equals its own stream, which is all the
     /// routed plane's determinism argument needs.
     pub fn canonical_events(&self) -> impl Iterator<Item = (LinkId, &RoutedEvent)> {
-        let longest = self.per_link.iter().map(Vec::len).max().unwrap_or(0);
-        (0..longest).flat_map(move |i| {
-            self.per_link
-                .iter()
-                .enumerate()
-                .filter_map(move |(link, evs)| evs.get(i).map(|e| (LinkId(link as u32), e)))
-        })
+        round_robin(&self.per_link)
     }
 }
 
@@ -742,30 +682,8 @@ impl Scenario for RoutedLoad<'_> {
     type Report = RoutedWorkload;
 
     fn validate(&self) -> Result<(), ConfigError> {
-        self.cfg.topology.validate()?;
-        if self.cfg.flows_per_route < 2 {
-            return Err(ConfigError::TooFewFlows {
-                got: self.cfg.flows_per_route,
-            });
-        }
-        require_positive("ticks", self.cfg.ticks as f64)?;
-        require_step("tick", self.cfg.tick)?;
-        require_finite(
-            "run length (ticks × tick)",
-            self.cfg.ticks as f64 * self.cfg.tick,
-        )?;
-        require_positive("mean holding time", self.cfg.mean_holding)?;
-        require_non_negative("noise standard deviation", self.cfg.noise_sd)?;
-        require_finite("noise standard deviation", self.cfg.noise_sd)?;
-        // A link holds one measurement a tick and one request occurrence
-        // per request of each route crossing it; its measurement, the
-        // flows of each of those routes.
-        let cfg = &self.cfg;
-        let (topo, hops) = (&cfg.topology, cfg.hops());
-        let (per_tick, max) = (cfg.requests_per_tick.saturating_add(1), MAX_WORKLOAD_ITEMS);
-        workload_count("events", [hops.max(topo.links()), cfg.ticks, per_tick], max)?;
-        workload_count("rate samples", [hops, cfg.ticks, cfg.flows_per_route], max)?;
-        Ok(())
+        self.check_fields()?;
+        self.require_ticks_fit(self.cfg.ticks, MAX_WORKLOAD_ITEMS)
     }
 
     fn seed(&self) -> u64 {
@@ -777,14 +695,7 @@ impl Scenario for RoutedLoad<'_> {
     }
 
     fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> Vec<Box<[f64]>> {
-        let mut route = self.population(ctx);
-        (1..=self.cfg.ticks)
-            .map(|step| {
-                let mut rates = Vec::new();
-                route.step_to(step as f64 * self.cfg.tick, &mut rates);
-                rates.into_boxed_slice()
-            })
-            .collect()
+        self.population(ctx).run(self.cfg.ticks, self.cfg.tick)
     }
 
     fn fold(&self, reps: Vec<Vec<Box<[f64]>>>) -> RoutedWorkload {
@@ -806,6 +717,7 @@ impl Scenario for RoutedLoad<'_> {
                 .collect();
             assembly.measure(
                 cfg,
+                topo.link_ids(),
                 |route| &tick[route.index()],
                 |link, rates| {
                     per_link[link.index()].push(RoutedEvent::Measure { t: now, rates });
@@ -824,7 +736,8 @@ impl Scenario for RoutedLoad<'_> {
         RoutedWorkload {
             topology: Arc::clone(topo),
             per_link,
-            request_routes: cfg.request_routes(),
+            // Validated: a run holds more events than requests.
+            request_routes: cfg.request_routes().expect("a validated run"),
         }
     }
 }
@@ -850,7 +763,7 @@ impl LinkAssembly {
         }
     }
 
-    /// Measures every link at one tick, in link order, from the rates
+    /// Measures `links` at one tick, in their order, from the rates
     /// `rates_of` each route's population has there, and hands each
     /// measurement's fold to `each`: the link sees the union of its
     /// crossing routes' flows (correlated load, route order), through its
@@ -858,17 +771,25 @@ impl LinkAssembly {
     fn measure<'r>(
         &mut self,
         cfg: &RoutedLoadConfig,
+        links: impl IntoIterator<Item = LinkId>,
         rates_of: impl Fn(RouteId) -> &'r [f64],
         mut each: impl FnMut(LinkId, SnapshotMoments),
     ) {
         let topo = &cfg.topology;
-        for link in topo.link_ids() {
-            self.rates.clear();
-            for route in topo.routes_crossing(link) {
-                self.rates.extend_from_slice(rates_of(route));
-            }
+        for link in links {
             let noise = &mut self.noise[link.index()];
-            each(link, fold_noisy(&self.rates, None, cfg.noise_sd, noise));
+            let rates = match topo.crossings(link) {
+                // One route's flows are measured where they lie.
+                &[(route, _)] => rates_of(route),
+                crossing => {
+                    self.rates.clear();
+                    for &(route, _) in crossing {
+                        self.rates.extend_from_slice(rates_of(route));
+                    }
+                    &self.rates
+                }
+            };
+            each(link, fold_noisy(rates, None, cfg.noise_sd, noise));
         }
     }
 }
@@ -879,24 +800,57 @@ impl<'a> RoutedLoad<'a> {
         Population::new(self.model, cfg.flows_per_route, cfg.mean_holding, ctx)
     }
 
-    /// The run as successive windows, generated on `engine`: validates
-    /// the configuration as a session would — the whole-run bound
-    /// included, since the plane's route table holds a slot per request
-    /// of the run — seeds every route's population on the stream a
-    /// session gives its replication and every link's noise on the
-    /// stream the fold gives it.
-    pub fn windows(&self, engine: Engine) -> Result<RoutedWindows<'_>, ConfigError> {
-        self.validate()?;
+    /// Every check but the workload's size.
+    fn check_fields(&self) -> Result<(), ConfigError> {
         let cfg = &self.cfg;
-        let topo = &cfg.topology;
-        let requests = [topo.routes(), cfg.ticks, cfg.requests_per_tick];
-        let requests = workload_count("requests", requests, MAX_WORKLOAD_ITEMS)?;
+        cfg.topology.validate()?;
+        if cfg.flows_per_route < 2 {
+            return Err(ConfigError::TooFewFlows {
+                got: cfg.flows_per_route,
+            });
+        }
+        require_positive("ticks", cfg.ticks as f64)?;
+        require_step("tick", cfg.tick)?;
+        require_finite("run length (ticks × tick)", cfg.ticks as f64 * cfg.tick)?;
+        require_positive("mean holding time", cfg.mean_holding)?;
+        require_non_negative("noise standard deviation", cfg.noise_sd)?;
+        require_finite("noise standard deviation", cfg.noise_sd)
+    }
+
+    /// Checks that `ticks` ticks of the run hold at most `max` events
+    /// and at most `max` rate samples. A link holds one measurement a
+    /// tick and one request occurrence per request of each route
+    /// crossing it; its measurement, the flows of each of those routes.
+    fn require_ticks_fit(&self, ticks: usize, max: u64) -> Result<(), ConfigError> {
+        let cfg = &self.cfg;
+        let (topo, hops) = (&cfg.topology, cfg.hops());
+        let per_tick = cfg.requests_per_tick.saturating_add(1);
+        workload_count("events", [hops.max(topo.links()), ticks, per_tick], max)?;
+        workload_count("rate samples", [hops, ticks, cfg.flows_per_route], max)?;
+        Ok(())
+    }
+
+    /// The run as successive windows, generated on `engine`: checks the
+    /// configuration as a session would, except that the run is held to
+    /// [`MAX_WORKLOAD_ITEMS`] one tick at a time and to
+    /// [`MAX_RUN_ITEMS`] as a whole, and seeds every route's population
+    /// on the stream a session gives its replication and every link's
+    /// noise on the stream the fold gives it.
+    pub fn windows(&self, engine: Engine) -> Result<RoutedWindows<'a>, ConfigError> {
+        self.check_fields()?;
+        self.require_ticks_fit(1, MAX_WORKLOAD_ITEMS)?;
+        self.require_ticks_fit(self.cfg.ticks, MAX_RUN_ITEMS)?;
+        let cfg = &self.cfg;
+        let routes = cfg.topology.routes();
+        let requests = [routes, cfg.ticks, cfg.requests_per_tick];
+        let requests = workload_count("requests", requests, MAX_RUN_ITEMS)?;
         Ok(RoutedWindows {
-            load: self,
-            routes: (0..topo.routes())
-                .map(|route| self.population(&rep_context(cfg.seed, route, engine)))
+            cfg: cfg.clone(),
+            groups: independent_groups(&cfg.topology),
+            routes: (0..routes)
+                .map(|route| self.population(&RepContext::new(cfg.seed, route as u64, engine)))
                 .collect(),
-            rates: vec![Vec::new(); topo.routes()],
+            rates: vec![Vec::new(); routes],
             assembly: LinkAssembly::new(cfg),
             requests,
             done: 0,
@@ -904,10 +858,45 @@ impl<'a> RoutedLoad<'a> {
     }
 }
 
+/// `topo`'s routes and links in groups that share no link (a link no
+/// route crosses is a group of its own). Every route and link draws on
+/// its own stream, so groups may be generated in any order, bit for bit.
+fn independent_groups(topo: &Topology) -> Vec<(Vec<RouteId>, Vec<LinkId>)> {
+    let mut grouped = vec![false; topo.links()];
+    let mut route_seen = vec![false; topo.routes()];
+    let mut groups = Vec::new();
+    for first in topo.link_ids() {
+        if grouped[first.index()] {
+            continue;
+        }
+        grouped[first.index()] = true;
+        let (mut routes, mut links) = (Vec::new(), vec![first]);
+        let mut next = 0;
+        while let Some(&link) = links.get(next) {
+            next += 1;
+            for &(route, _) in topo.crossings(link) {
+                if std::mem::replace(&mut route_seen[route.index()], true) {
+                    continue;
+                }
+                routes.push(route);
+                for &hop in topo.route(route) {
+                    if !std::mem::replace(&mut grouped[hop.index()], true) {
+                        links.push(hop);
+                    }
+                }
+            }
+        }
+        groups.push((routes, links));
+    }
+    groups
+}
+
 /// [`RoutedLoad`]'s run, a window at a time: the noise streams run on
 /// from window to window.
 pub struct RoutedWindows<'a> {
-    load: &'a RoutedLoad<'a>,
+    cfg: RoutedLoadConfig,
+    /// The routes and links in groups that share no link.
+    groups: Vec<(Vec<RouteId>, Vec<LinkId>)>,
     routes: Vec<Population<'a>>,
     /// Each route's rates at the tick being assembled.
     rates: Vec<Vec<f64>>,
@@ -917,11 +906,50 @@ pub struct RoutedWindows<'a> {
     done: usize,
 }
 
+impl RoutedWindows<'_> {
+    /// Writes the next `ticks` ticks (fewer at the end of the run) into
+    /// `window`, as [`Windows::next_window`] does.
+    fn fill(&mut self, ticks: usize, window: &mut SnapshotWindow) -> bool {
+        let cfg = &self.cfg;
+        assert_eq!(
+            window.links(),
+            cfg.topology.links(),
+            "a window of another run"
+        );
+        let ticks = ticks.min(cfg.ticks - self.done);
+        if ticks == 0 {
+            return false;
+        }
+        window.reset(self.done + 1, ticks);
+        // A link's measurement joins its routes' rates at one tick, so a
+        // group's routes go from tick to tick together; groups share
+        // nothing, so each takes its whole window in turn.
+        for (routes, links) in &self.groups {
+            for k in 0..ticks {
+                let now = (self.done + 1 + k) as f64 * cfg.tick;
+                for route in routes {
+                    let r = route.index();
+                    self.routes[r].step_to(now, &mut self.rates[r]);
+                }
+                let rates = &self.rates;
+                self.assembly.measure(
+                    cfg,
+                    links.iter().copied(),
+                    |route| &rates[route.index()],
+                    |link, moments| *window.at(k, link.index()) = moments,
+                );
+            }
+        }
+        self.done += ticks;
+        true
+    }
+}
+
 impl Windows for RoutedWindows<'_> {
     type Workload = RoutedWindow;
 
     fn links(&self) -> usize {
-        self.load.cfg.topology.links()
+        self.cfg.topology.links()
     }
 
     fn requests(&self) -> u64 {
@@ -929,7 +957,7 @@ impl Windows for RoutedWindows<'_> {
     }
 
     fn new_window(&self) -> RoutedWindow {
-        let cfg = &self.load.cfg;
+        let cfg = &self.cfg;
         let links = cfg.topology.links();
         RoutedWindow {
             topology: Arc::clone(&cfg.topology),
@@ -938,34 +966,7 @@ impl Windows for RoutedWindows<'_> {
     }
 
     fn next_window(&mut self, ticks: usize, window: &mut RoutedWindow) -> bool {
-        let cfg = &self.load.cfg;
-        assert_eq!(
-            window.snapshots.links(),
-            cfg.topology.links(),
-            "a window of another run"
-        );
-        let ticks = ticks.min(cfg.ticks - self.done);
-        if ticks == 0 {
-            return false;
-        }
-        let snapshots = &mut window.snapshots;
-        snapshots.reset(self.done + 1, ticks);
-        // A link's measurement joins its routes' rates at one tick, so
-        // the routes go from tick to tick together.
-        for k in 0..ticks {
-            let now = (self.done + 1 + k) as f64 * cfg.tick;
-            for (route, rates) in self.routes.iter_mut().zip(&mut self.rates) {
-                route.step_to(now, rates);
-            }
-            let rates = &self.rates;
-            self.assembly.measure(
-                cfg,
-                |route| &rates[route.index()],
-                |link, moments| *snapshots.at(k, link.index()) = moments,
-            );
-        }
-        self.done += ticks;
-        true
+        self.fill(ticks, &mut window.snapshots)
     }
 }
 
@@ -973,6 +974,7 @@ impl Windows for RoutedWindows<'_> {
 mod tests {
     use super::*;
     use crate::session::SessionBuilder;
+    use mbac_core::estimators::fold_snapshot;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use proptest::prelude::*;
 
@@ -1131,6 +1133,28 @@ mod tests {
             validate(&|c| c.flows_per_link = huge),
             too_large("rate samples")
         );
+        // Links past the bound are refused before a topology that long
+        // is built: one tick of 5·10⁷ links of 50 flows, and 2²⁸ links
+        // with no requests, hold too many rate samples; links of one
+        // flow are refused whatever their number.
+        let many_links = |c: &mut RequestLoadConfig| {
+            (c.links, c.flows_per_link, c.ticks, c.requests_per_tick) = (50_000_000, 50, 1, 4);
+        };
+        assert_eq!(validate(&many_links), too_large("rate samples"));
+        assert_eq!(
+            validate(
+                &|c| (c.links, c.flows_per_link, c.ticks, c.requests_per_tick) = (1 << 28, 2, 1, 0)
+            ),
+            too_large("rate samples")
+        );
+        assert_eq!(
+            validate(&|c| (c.links, c.flows_per_link, c.requests_per_tick) = (1 << 28, 1, 0)),
+            Err(ConfigError::TooFewFlows { got: 1 })
+        );
+        assert_eq!(
+            validate(&|c| (c.links, c.ticks) = (huge, 0)),
+            too_large("events")
+        );
         // The bound itself is a legal size: 2^14 links x 2^12 ticks x
         // (1 + 3) events.
         let at_the_bound = |c: &mut RequestLoadConfig| {
@@ -1186,6 +1210,15 @@ mod tests {
         assert_eq!(windows(&one_tick), too_large("rate samples").err());
         let wide = |c: &mut RequestLoadConfig| (c.links, c.requests_per_tick) = (4, 99_999_999_999);
         assert_eq!(windows(&wide), too_large("events").err());
+        // `serve-bench --links 50000000` at 50 flows and 4 requests a
+        // link: a tick's rate samples are past the bound, refused before
+        // the links' topology is built, as are 2²⁸ links with no requests.
+        let many_links = |c: &mut RequestLoadConfig| {
+            (c.links, c.flows_per_link, c.requests_per_tick) = (50_000_000, 50, 4);
+        };
+        assert_eq!(windows(&many_links), too_large("rate samples").err());
+        let idle_links = |c: &mut RequestLoadConfig| (c.links, c.requests_per_tick) = (1 << 28, 0);
+        assert_eq!(windows(&idle_links), too_large("rate samples").err());
         let ticks = |ticks| move |c: &mut RequestLoadConfig| c.ticks = ticks;
         assert_eq!(windows(&ticks(999_999_999_999)), past_the_run("events"));
         assert_eq!(windows(&ticks(usize::MAX)), past_the_run("events"));
@@ -1277,13 +1310,13 @@ mod tests {
     }
 
     /// The compatibility contract satellite-tested end-to-end in the
-    /// serve crate: a single-link routed workload's measurements are the
-    /// folds of [`RequestLoad`]'s, bit for bit.
+    /// serve crate: a routed workload over one-hop links measures the
+    /// folds of [`RequestLoad`]'s rates, bit for bit, and asks the same
+    /// requests.
     #[test]
     fn single_link_routed_matches_request_load_bits() {
         let m = model();
-        let mut legacy_cfg = config();
-        legacy_cfg.links = 1;
+        let legacy_cfg = config();
         let legacy = SessionBuilder::new()
             .run(&RequestLoad {
                 model: &m,
@@ -1293,27 +1326,29 @@ mod tests {
         let routed = SessionBuilder::new()
             .run(&RoutedLoad {
                 model: &m,
-                cfg: RoutedLoadConfig::single_link(8.0, &legacy_cfg),
+                cfg: RoutedLoadConfig::one_hop_links(8.0, &legacy_cfg),
             })
             .unwrap();
-        let legacy_evs = legacy.events(LinkId(0));
-        let routed_evs = routed.events(LinkId(0));
-        assert_eq!(legacy_evs.len(), routed_evs.len());
-        for (l, r) in legacy_evs.iter().zip(routed_evs) {
-            match (l, r) {
-                (
-                    LinkEvent::Measure { t: lt, rates: lr },
-                    RoutedEvent::Measure { t: rt, rates: rr },
-                ) => {
-                    assert_eq!(lt.to_bits(), rt.to_bits());
-                    let legacy = fold_snapshot(lr, None);
-                    assert_eq!(format!("{legacy:?}"), format!("{rr:?}"), "bits diverged");
+        assert_eq!(routed.links(), legacy.links());
+        for link in legacy.link_ids() {
+            let (legacy_evs, routed_evs) = (legacy.events(link), routed.events(link));
+            assert_eq!(legacy_evs.len(), routed_evs.len());
+            for (l, r) in legacy_evs.iter().zip(routed_evs) {
+                match (l, r) {
+                    (
+                        LinkEvent::Measure { t: lt, rates: lr },
+                        RoutedEvent::Measure { t: rt, rates: rr },
+                    ) => {
+                        assert_eq!(lt.to_bits(), rt.to_bits());
+                        let legacy = fold_snapshot(lr, None);
+                        assert_eq!(format!("{legacy:?}"), format!("{rr:?}"), "bits diverged");
+                    }
+                    (LinkEvent::Request { t: lt }, RoutedEvent::Request { t: rt, route, .. }) => {
+                        assert_eq!(lt.to_bits(), rt.to_bits());
+                        assert_eq!(route.0, link.0);
+                    }
+                    other => panic!("event kind mismatch: {other:?}"),
                 }
-                (LinkEvent::Request { t: lt }, RoutedEvent::Request { t: rt, route, .. }) => {
-                    assert_eq!(lt.to_bits(), rt.to_bits());
-                    assert_eq!(*route, RouteId(0));
-                }
-                other => panic!("event kind mismatch: {other:?}"),
             }
         }
     }
@@ -1321,13 +1356,13 @@ mod tests {
     #[test]
     fn routed_bad_configs_are_rejected() {
         let m = model();
-        let mut cfg = routed_config(Topology::single_link(8.0));
+        let mut cfg = routed_config(Topology::one_hop_links(1, 8.0));
         cfg.noise_sd = -0.1;
         assert!(matches!(
             RoutedLoad { model: &m, cfg }.validate(),
             Err(ConfigError::Negative { .. })
         ));
-        let mut cfg = routed_config(Topology::single_link(8.0));
+        let mut cfg = routed_config(Topology::one_hop_links(1, 8.0));
         cfg.flows_per_route = 1;
         assert!(matches!(
             RoutedLoad { model: &m, cfg }.validate(),
@@ -1366,7 +1401,88 @@ mod tests {
         assert_eq!(validate(&sized(ticks + 1)), too_large("events"));
     }
 
+    /// A routed run generated in windows is held to the bound a tick at
+    /// a time as well, and to `MAX_RUN_ITEMS` over the run; the map of
+    /// its requests, as long as the run, is held to the bound as a
+    /// whole before it is allocated.
+    #[test]
+    fn routed_windows_hold_the_bound_a_tick_at_a_time() {
+        let m = model();
+        let load = |ticks| RoutedLoad {
+            model: &m,
+            cfg: RoutedLoadConfig {
+                ticks,
+                requests_per_tick: 1,
+                flows_per_route: 2,
+                ..routed_config(Topology::parking_lot(3, 8.0))
+            },
+        };
+        // Four routes ask once a tick: one request past the bound.
+        let long = load((MAX_WORKLOAD_ITEMS / 4) as usize + 1);
+        assert_eq!(long.validate(), too_large("events"));
+        assert_eq!(long.cfg.request_routes().err(), too_large("requests").err());
+        let mut windows = long.windows(Engine::Batched).unwrap();
+        assert_eq!(windows.requests(), MAX_WORKLOAD_ITEMS + 4);
+        let mut window = windows.new_window();
+        assert!(windows.next_window(2, &mut window));
+        assert_eq!(window.snapshots().ticks(), 2);
+        let past_the_run = Some(ConfigError::WorkloadTooLarge {
+            what: "events",
+            max: MAX_RUN_ITEMS,
+        });
+        assert_eq!(
+            load(usize::MAX).windows(Engine::Batched).err(),
+            past_the_run
+        );
+    }
+
     // -- windows ---------------------------------------------------------
+
+    /// Links 0 and 1 shared by routes 0 and 1, links 2 and 3 by route
+    /// 2 alone, and link 4 crossed by none.
+    fn two_groups_and_a_stray_link() -> Topology {
+        let hops = |links: &[u32]| links.iter().map(|&l| LinkId(l)).collect();
+        let routes = vec![hops(&[0, 1]), hops(&[1]), hops(&[3, 2])];
+        Topology::new(vec![8.0; 5], routes).unwrap()
+    }
+
+    /// A group holds every route crossing any of its links, and every
+    /// link those routes cross.
+    #[test]
+    fn groups_share_no_link() {
+        let ids = |ids: &[u32]| ids.to_vec();
+        let groups = |topo: &Topology| -> Vec<(Vec<u32>, Vec<u32>)> {
+            let raw = |(routes, links): (Vec<RouteId>, Vec<LinkId>)| {
+                let routes = routes.iter().map(|r| r.0).collect();
+                (routes, links.iter().map(|l| l.0).collect())
+            };
+            independent_groups(topo).into_iter().map(raw).collect()
+        };
+        assert_eq!(
+            groups(&Topology::one_hop_links(3, 8.0)),
+            [
+                (ids(&[0]), ids(&[0])),
+                (ids(&[1]), ids(&[1])),
+                (ids(&[2]), ids(&[2]))
+            ]
+        );
+        assert_eq!(
+            groups(&Topology::parking_lot(3, 8.0)),
+            [(ids(&[0, 1, 2, 3]), ids(&[0, 1, 2]))]
+        );
+        assert_eq!(
+            groups(&Topology::star(2, 8.0)),
+            [(ids(&[0, 1]), ids(&[0, 1, 2]))]
+        );
+        assert_eq!(
+            groups(&two_groups_and_a_stray_link()),
+            [
+                (ids(&[0, 1]), ids(&[0, 1])),
+                (ids(&[2]), ids(&[2, 3])),
+                (ids(&[]), ids(&[4]))
+            ]
+        );
+    }
 
     /// A link's `(t bits, snapshot)` per tick.
     type Snapshots = Vec<Vec<(u64, SnapshotMoments)>>;
@@ -1442,9 +1558,10 @@ mod tests {
                     prop_assert_eq!(&per_link, &measures);
                 }
                 let shapes = [
-                    Topology::single_link(8.0),
+                    Topology::one_hop_links(1, 8.0),
                     Topology::parking_lot(3, 8.0),
                     Topology::star(3, 8.0),
+                    two_groups_and_a_stray_link(),
                 ];
                 for topology in shapes {
                     for noise_sd in [0.0, 0.05] {
@@ -1458,7 +1575,7 @@ mod tests {
                         };
                         let load = RoutedLoad { model: &m, cfg };
                         let whole = SessionBuilder::new().engine(engine).run(&load).unwrap();
-                        prop_assert_eq!(&load.cfg.request_routes()[..], whole.request_routes());
+                        prop_assert_eq!(&load.cfg.request_routes().unwrap()[..], whole.request_routes());
                         let measures: Snapshots = topology
                             .link_ids()
                             .map(|link| {

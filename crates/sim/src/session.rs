@@ -3,8 +3,8 @@
 //!
 //! A [`Scenario`] describes **one replication** of a simulation
 //! (setup → evolve → observe) plus how per-replication outcomes fold
-//! into a report. A [`Session`] — configured through [`SessionBuilder`]
-//! — owns everything that used to be re-implemented per harness:
+//! into a report. A session — a [`SessionBuilder`] —
+//! owns everything that used to be re-implemented per harness:
 //!
 //! * worker fan-out over replications ([`mbac_num::parallel`]),
 //! * per-replication RNG stream derivation ([`rep_seed`], a SplitMix64
@@ -28,8 +28,8 @@
 //! input order, so reports and merged metric snapshots are
 //! **bit-identical for any worker count and either flow engine** —
 //! parallelism and engine choice are implementation details, never a
-//! change in scientific results. [`Session::run`] (parallel) and
-//! [`Session::run_local`] (sequential, for scenarios that borrow
+//! change in scientific results. [`SessionBuilder::run`] (parallel) and
+//! [`SessionBuilder::run_local`] (sequential, for scenarios that borrow
 //! external mutable state) follow the same derivation and merge order
 //! and therefore agree bit-for-bit.
 //!
@@ -316,6 +316,13 @@ pub struct RepContext {
 }
 
 impl RepContext {
+    /// The context a session seeded `seed` on `engine` hands
+    /// replication `rep`.
+    pub(crate) fn new(seed: u64, rep: u64, engine: Engine) -> Self {
+        let seed = rep_seed(seed, rep);
+        RepContext { rep, seed, engine }
+    }
+
     /// A fresh RNG on this replication's stream.
     pub fn rng(&self) -> StdRng {
         StdRng::seed_from_u64(self.seed)
@@ -345,7 +352,8 @@ impl RepContext {
 /// collaborators (source model, admission policy/engine). The session
 /// calls [`validate`](Scenario::validate) exactly once before any work,
 /// then [`run_rep`](Scenario::run_rep) once per replication (possibly
-/// concurrently — see [`Session::run`] vs [`Session::run_local`]), then
+/// concurrently — see [`SessionBuilder::run`] vs
+/// [`SessionBuilder::run_local`]), then
 /// [`fold`](Scenario::fold) with the outcomes in replication input
 /// order.
 pub trait Scenario {
@@ -404,150 +412,17 @@ pub enum MetricsMode {
     Streaming,
 }
 
-/// A configured simulation driver: workers, seed policy, engine and
-/// metrics mode. Built by [`SessionBuilder`]; immutable once built.
-#[derive(Debug, Clone)]
-pub struct Session {
-    seed: Option<u64>,
-    workers: usize,
-    engine: Engine,
-    metrics: MetricsMode,
-    stream: Option<mbac_metrics::StreamHandle>,
-}
-
-impl Session {
-    /// Runs the scenario's replications across the session's workers
-    /// and folds the outcomes in input order. Requires `S: Sync`
-    /// because replications may run concurrently; scenarios that borrow
-    /// external mutable state use [`Session::run_local`] instead.
-    pub fn run<S: Scenario + Sync>(&self, scenario: &S) -> Result<S::Report, ConfigError> {
-        self.run_metered(scenario).map(|(report, _)| report)
-    }
-
-    /// [`Session::run`] plus the merged metrics snapshot (empty unless
-    /// the session enables collection).
-    ///
-    /// In the timing-enabled mode the snapshot also carries the
-    /// replication pool's per-worker accounting (items, own-deque
-    /// chunks, steals, busy time, utilization — see
-    /// [`crate::telemetry::pool_stats_snapshot`]). Like per-tick
-    /// timings, pool accounting is machine- and worker-count-dependent,
-    /// so the default deterministic snapshot excludes it.
-    pub fn run_metered<S: Scenario + Sync>(
-        &self,
-        scenario: &S,
-    ) -> Result<(S::Report, MetricsSnapshot), ConfigError> {
-        let (seed, reps) = self.prepare(scenario)?;
-        let (outcomes, pool) = mbac_num::parallel::parallel_map_with_stats(
-            reps,
-            |&rep| self.one_rep(scenario, seed, rep),
-            self.workers,
-        );
-        let (report, mut merged) = self.finish(scenario, outcomes);
-        if self.metrics == MetricsMode::EnabledWithTiming {
-            merged.merge(&crate::telemetry::pool_stats_snapshot(&pool));
-        }
-        Ok((report, merged))
-    }
-
-    /// Runs every replication sequentially on the calling thread — for
-    /// scenarios that borrow external mutable state (e.g. a caller's
-    /// `&mut dyn AdmissionEngine`) and therefore cannot be `Sync`.
-    /// Seed derivation and merge order match [`Session::run`] exactly,
-    /// so the two paths produce bit-identical results.
-    pub fn run_local<S: Scenario>(&self, scenario: &S) -> Result<S::Report, ConfigError> {
-        self.run_local_metered(scenario).map(|(report, _)| report)
-    }
-
-    /// [`Session::run_local`] plus the merged metrics snapshot.
-    pub fn run_local_metered<S: Scenario>(
-        &self,
-        scenario: &S,
-    ) -> Result<(S::Report, MetricsSnapshot), ConfigError> {
-        let (seed, reps) = self.prepare(scenario)?;
-        let outcomes: Vec<_> = reps
-            .iter()
-            .map(|&rep| self.one_rep(scenario, seed, rep))
-            .collect();
-        Ok(self.finish(scenario, outcomes))
-    }
-
-    /// Validates the session and scenario; resolves the base seed and
-    /// the replication index list.
-    fn prepare<S: Scenario>(&self, scenario: &S) -> Result<(u64, Vec<u64>), ConfigError> {
-        if self.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
-        }
-        scenario.validate()?;
-        if scenario.replications() == 0 {
-            return Err(ConfigError::ZeroReplications);
-        }
-        let seed = self.seed.unwrap_or_else(|| scenario.seed());
-        Ok((seed, (0..scenario.replications() as u64).collect()))
-    }
-
-    /// Runs one replication on its derived stream with a fresh sink.
-    fn one_rep<S: Scenario>(
-        &self,
-        scenario: &S,
-        seed: u64,
-        rep: u64,
-    ) -> (S::Rep, Option<MetricsSnapshot>) {
-        let ctx = RepContext {
-            rep,
-            seed: rep_seed(seed, rep),
-            engine: self.engine,
-        };
-        let mut sink = match self.metrics {
-            MetricsMode::Disabled => MetricsSink::disabled(),
-            MetricsMode::Enabled => MetricsSink::enabled(),
-            MetricsMode::EnabledWithTiming => MetricsSink::enabled_with_timing(),
-            MetricsMode::Streaming => match &self.stream {
-                Some(handle) => MetricsSink::streaming(handle.clone(), rep),
-                None => MetricsSink::enabled(),
-            },
-        };
-        // The session's workers also advance the lanes of any table
-        // larger than one lane (`mbac_traffic::batch`).
-        let outcome =
-            mbac_num::parallel::with_workers(self.workers, || scenario.run_rep(&ctx, &mut sink));
-        // Streaming sinks flush their final cumulative interval here,
-        // after the scenario attached any end-of-rep extras.
-        sink.finish_rep();
-        let snapshot = sink.is_enabled().then(|| sink.snapshot());
-        (outcome, snapshot)
-    }
-
-    /// Merges outcomes and snapshots in replication input order.
-    fn finish<S: Scenario>(
-        &self,
-        scenario: &S,
-        outcomes: Vec<(S::Rep, Option<MetricsSnapshot>)>,
-    ) -> (S::Report, MetricsSnapshot) {
-        let mut merged = MetricsSnapshot::new();
-        let mut reps = Vec::with_capacity(outcomes.len());
-        for (outcome, snapshot) in outcomes {
-            if let Some(snapshot) = snapshot {
-                merged.merge(&snapshot);
-            }
-            reps.push(outcome);
-        }
-        (scenario.fold(reps), merged)
-    }
-}
-
-/// Fluent configuration for a [`Session`]: seed, workers, engine and
-/// metrics mode. `capacity` and the other scientific parameters stay in
-/// the scenario's own config — the builder only carries the
-/// orchestration knobs.
+/// The simulation driver: seed, workers, engine and metrics mode, set
+/// fluently, then [`SessionBuilder::run`] and its siblings. `capacity`
+/// and the other scientific parameters stay in the scenario's own
+/// config — the builder only carries the orchestration knobs.
 ///
 /// ```
 /// use mbac_sim::{Engine, SessionBuilder};
 /// let session = SessionBuilder::new()
 ///     .seed(42)
 ///     .workers(4)
-///     .engine(Engine::Batched)
-///     .build();
+///     .engine(Engine::Batched);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SessionBuilder {
@@ -603,43 +478,124 @@ impl SessionBuilder {
         self
     }
 
-    /// Freezes the configuration into a [`Session`].
-    pub fn build(&self) -> Session {
-        Session {
-            seed: self.seed,
-            workers: self
-                .workers
-                .unwrap_or_else(mbac_num::parallel::default_workers),
-            engine: self.engine,
-            metrics: self.metrics,
-            stream: self.stream.clone(),
-        }
-    }
-
-    /// Builds and [`Session::run`]s in one call.
+    /// Runs the scenario's replications across the session's workers
+    /// and folds the outcomes in input order. Requires `S: Sync`
+    /// because replications may run concurrently; scenarios that borrow
+    /// external mutable state use [`SessionBuilder::run_local`] instead.
     pub fn run<S: Scenario + Sync>(&self, scenario: &S) -> Result<S::Report, ConfigError> {
-        self.build().run(scenario)
+        self.run_metered(scenario).map(|(report, _)| report)
     }
 
-    /// Builds and [`Session::run_metered`]s in one call.
+    /// [`SessionBuilder::run`] plus the merged metrics snapshot (empty
+    /// unless the session enables collection).
+    ///
+    /// In the timing-enabled mode the snapshot also carries the
+    /// replication pool's per-worker accounting (items, own-deque
+    /// chunks, steals, busy time, utilization — see
+    /// [`crate::telemetry::pool_stats_snapshot`]). Like per-tick
+    /// timings, pool accounting is machine- and worker-count-dependent,
+    /// so the default deterministic snapshot excludes it.
     pub fn run_metered<S: Scenario + Sync>(
         &self,
         scenario: &S,
     ) -> Result<(S::Report, MetricsSnapshot), ConfigError> {
-        self.build().run_metered(scenario)
+        let (seed, workers, reps) = self.prepare(scenario)?;
+        let (outcomes, pool) = mbac_num::parallel::parallel_map_with_stats(
+            reps,
+            |&rep| self.one_rep(scenario, seed, workers, rep),
+            workers,
+        );
+        let (report, mut merged) = self.finish(scenario, outcomes);
+        if self.metrics == MetricsMode::EnabledWithTiming {
+            merged.merge(&crate::telemetry::pool_stats_snapshot(&pool));
+        }
+        Ok((report, merged))
     }
 
-    /// Builds and [`Session::run_local`]s in one call.
+    /// Runs every replication sequentially on the calling thread — for
+    /// scenarios that borrow external mutable state (e.g. a caller's
+    /// `&mut dyn AdmissionEngine`) and therefore cannot be `Sync`.
+    /// Seed derivation and merge order match [`SessionBuilder::run`]
+    /// exactly, so the two paths produce bit-identical results.
     pub fn run_local<S: Scenario>(&self, scenario: &S) -> Result<S::Report, ConfigError> {
-        self.build().run_local(scenario)
+        self.run_local_metered(scenario).map(|(report, _)| report)
     }
 
-    /// Builds and [`Session::run_local_metered`]s in one call.
+    /// [`SessionBuilder::run_local`] plus the merged metrics snapshot.
     pub fn run_local_metered<S: Scenario>(
         &self,
         scenario: &S,
     ) -> Result<(S::Report, MetricsSnapshot), ConfigError> {
-        self.build().run_local_metered(scenario)
+        let (seed, workers, reps) = self.prepare(scenario)?;
+        let outcomes: Vec<_> = reps
+            .iter()
+            .map(|&rep| self.one_rep(scenario, seed, workers, rep))
+            .collect();
+        Ok(self.finish(scenario, outcomes))
+    }
+
+    /// Validates the session and scenario; resolves the base seed, the
+    /// worker count (the set one, or the host's) and the replication
+    /// index list.
+    fn prepare<S: Scenario>(&self, scenario: &S) -> Result<(u64, usize, Vec<u64>), ConfigError> {
+        let workers = self
+            .workers
+            .unwrap_or_else(mbac_num::parallel::default_workers);
+        if workers == 0 {
+            return Err(ConfigError::ZeroWorkers);
+        }
+        scenario.validate()?;
+        if scenario.replications() == 0 {
+            return Err(ConfigError::ZeroReplications);
+        }
+        let seed = self.seed.unwrap_or_else(|| scenario.seed());
+        Ok((seed, workers, (0..scenario.replications() as u64).collect()))
+    }
+
+    /// Runs one replication on its derived stream with a fresh sink.
+    fn one_rep<S: Scenario>(
+        &self,
+        scenario: &S,
+        seed: u64,
+        workers: usize,
+        rep: u64,
+    ) -> (S::Rep, Option<MetricsSnapshot>) {
+        let ctx = RepContext::new(seed, rep, self.engine);
+        let mut sink = match self.metrics {
+            MetricsMode::Disabled => MetricsSink::disabled(),
+            MetricsMode::Enabled => MetricsSink::enabled(),
+            MetricsMode::EnabledWithTiming => MetricsSink::enabled_with_timing(),
+            MetricsMode::Streaming => match &self.stream {
+                Some(handle) => MetricsSink::streaming(handle.clone(), rep),
+                None => MetricsSink::enabled(),
+            },
+        };
+        // The session's workers also advance the lanes of any table
+        // larger than one lane (`mbac_traffic::batch`).
+        let outcome =
+            mbac_num::parallel::with_workers(workers, || scenario.run_rep(&ctx, &mut sink));
+        // Streaming sinks flush their final cumulative interval here,
+        // after the scenario attached any end-of-rep extras.
+        sink.finish_rep();
+        let snapshot = sink.is_enabled().then(|| sink.snapshot());
+        (outcome, snapshot)
+    }
+
+    /// Merges outcomes and snapshots in replication input order.
+    fn finish<S: Scenario>(
+        &self,
+        scenario: &S,
+        outcomes: Vec<(S::Rep, Option<MetricsSnapshot>)>,
+    ) -> (S::Report, MetricsSnapshot) {
+        let mut merged = MetricsSnapshot::new();
+        let mut reps = Vec::with_capacity(outcomes.len());
+        for (outcome, snapshot) in outcomes {
+            if let Some(snapshot) = snapshot {
+                merged.merge(&snapshot);
+            }
+            reps.push(outcome);
+        }
+        (scenario.fold(reps), merged)
     }
 }
 
