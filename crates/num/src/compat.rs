@@ -1,19 +1,19 @@
-//! Inert shim: selects nothing. There is one kernel path (the lane-tiled
-//! "wide" twins ran 1.29–1.74× slower on `ar1_dense` and were deleted), but
-//! the frozen `benchmark/` still names these six items. The next `benchmark`
-//! PR deletes this file with `probe.wide_over_scalar` and its fingerprint field.
+//! Adapters kept for the names the frozen `benchmark/` binds; nothing
+//! else calls them. They select nothing: there is one kernel path (the
+//! lane-tiled "wide" twins ran 1.29–1.74× slower on `ar1_dense` and were
+//! deleted), so `KernelDispatch` is inert and `fill_with` forwards to
+//! [`NormalSampler::fill`]. The next `benchmark` change deletes this
+//! module with `probe.wide_over_scalar` and its fingerprint field.
 
 use crate::rng::NormalSampler;
 use rand::Rng;
 
-#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelDispatch {
     Scalar,
     Wide,
 }
 
-#[doc(hidden)]
 impl KernelDispatch {
     pub fn current() -> Self {
         KernelDispatch::Scalar
@@ -32,11 +32,9 @@ impl KernelDispatch {
 }
 
 impl NormalSampler {
-    /// One [`NormalSampler::sample`] per slot; see the module docs.
+    /// [`NormalSampler::fill`]; the dispatch is ignored.
     #[doc(hidden)]
     pub fn fill_with<R: Rng>(&self, _: KernelDispatch, rng: &mut R, out: &mut [f64]) {
-        for x in out {
-            *x = self.sample(rng);
-        }
+        self.fill(rng, out);
     }
 }

@@ -28,9 +28,9 @@
 #![warn(missing_docs)]
 
 pub mod ci;
-pub mod complex;
 #[doc(hidden)]
-pub mod dispatch;
+pub mod compat;
+pub mod complex;
 pub mod erf;
 pub mod fft;
 pub mod moments;
@@ -43,9 +43,9 @@ pub mod roots;
 pub mod stats;
 
 pub use ci::{wald_ci, wilson_ci, z_critical, ConfidenceInterval};
-pub use complex::Complex64;
 #[doc(hidden)]
-pub use dispatch::KernelDispatch;
+pub use compat::KernelDispatch;
+pub use complex::Complex64;
 pub use erf::{erf, erfc, erfcx, ln_erfc};
 pub use moments::{fold_noisy, RateMoments, SnapshotMoments};
 pub use normal::{inv_q, ln_q, mills_ratio, norm_cdf, phi, q};

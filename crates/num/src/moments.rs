@@ -312,7 +312,7 @@ const MIN_UNGUARDED: usize = 4;
 /// `sd = 0` draws nothing, and is the bits of the noiseless fold. A
 /// non-finite rate makes the fold non-finite, as it does a noiseless
 /// one.
-pub fn fold_noisy<R: Rng + ?Sized>(
+pub fn fold_noisy<R: Rng>(
     rates: &[f64],
     pivot: Option<f64>,
     sd: f64,
@@ -336,19 +336,21 @@ pub fn fold_noisy<R: Rng + ?Sized>(
         drawn.add(r, x);
     }
     // The rates below the guard, found 64 at a time by a mask rather
-    // than by a branch on every rate.
+    // than by a branch on every rate, drawn on a local copy of `rng`.
     let guard = CLAMP_GUARD_SDS * sd;
-    for chunk in rest.chunks(64) {
-        let mut below = 0u64;
-        for (j, &r) in chunk.iter().enumerate() {
-            below |= u64::from(r < guard) << j;
+    rng.round_trip(|rng| {
+        for chunk in rest.chunks(64) {
+            let mut below = 0u64;
+            for (j, &r) in chunk.iter().enumerate() {
+                below |= u64::from(r < guard) << j;
+            }
+            while below != 0 {
+                let r = chunk[below.trailing_zeros() as usize];
+                below &= below - 1;
+                drawn.add(r, measure(r, rng));
+            }
         }
-        while below != 0 {
-            let r = chunk[below.trailing_zeros() as usize];
-            below &= below - 1;
-            drawn.add(r, measure(r, rng));
-        }
-    }
+    });
     let unguarded = all.n - drawn.n;
     if unguarded < MIN_UNGUARDED {
         for &r in rest.iter().filter(|&&r| r >= guard) {

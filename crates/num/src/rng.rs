@@ -5,6 +5,26 @@
 //! the distributions themselves live here. Every stochastic component in
 //! the workspace takes an explicit RNG so that simulations are exactly
 //! reproducible from a seed.
+//!
+//! # The register rule
+//!
+//! A ziggurat draw's common case is one generator step and a few flops,
+//! so a draw loop runs at the generator's pace only if the generator's
+//! four state words stay in registers. They do when nothing the loop
+//! calls out of line receives the generator: its address would escape,
+//! and the compiler would keep the state in memory, loading it before
+//! every step and storing it after. So the samplers' rare paths — the
+//! normal tail and both wedges, and the exponential tail — are `#[cold]`
+//! functions of the words they consume, drawn inline by the sampler, and
+//! never take the generator. Out of line and cold, their `exp` and `ln`
+//! calls also stop the loop around them from spilling its own values
+//! (inline, the normal wedge cost `ar1_dense` a fifth of its rate;
+//! DESIGN.md §8.2). A loop of draws then runs on a local copy
+//! of its stream, written back once — [`rand::RngCore::round_trip`],
+//! or by hand in the kernels (`mbac-traffic::batch`, "Lanes").
+//! The words, their order and the arithmetic are the same on every
+//! caller — a local `StdRng`, a `&mut StdRng` or a `&mut dyn RngCore` —
+//! so where the state lives changes no bit.
 
 use rand::Rng;
 use std::sync::OnceLock;
@@ -121,7 +141,9 @@ impl NormalSampler {
     }
 
     /// Samples `N(0, 1)`; same draw sequence as [`standard_normal`].
-    #[inline]
+    /// Every word it consumes is drawn here, so a generator held in
+    /// registers stays there (module docs, "The register rule").
+    #[inline(always)]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let t = self.t;
         loop {
@@ -133,15 +155,30 @@ impl NormalSampler {
                 return x; // strictly inside the layer: accept (common case)
             }
             if i == 0 {
-                return normal_tail(rng, t.r, u < 0.0);
+                loop {
+                    let (e1, e2) = (rng.next_u64(), rng.next_u64());
+                    if let Some(tail) = normal_tail(t.r, u < 0.0, e1, e2) {
+                        return tail;
+                    }
+                }
             }
-            // Wedge: accept with probability proportional to the density
-            // overhang between the layer edges.
-            let h = t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>();
-            if h < (-0.5 * x * x).exp() {
+            if wedge_accepts(t.f[i], t.f[i + 1], -0.5 * x * x, rng.next_u64()) {
                 return x;
             }
         }
+    }
+
+    /// Fills `out` with [`NormalSampler::sample`]s, in order, on a local
+    /// copy of the generator ([`rand::RngCore::round_trip`]).
+    pub fn fill<R: Rng>(&self, rng: &mut R, out: &mut [f64]) {
+        // The handle into a local too: the stores into `out` might alias
+        // `*self`, and the loop would reload the table for every draw.
+        let sampler = *self;
+        rng.round_trip(|rng| {
+            for x in out {
+                *x = sampler.sample(rng);
+            }
+        });
     }
 }
 
@@ -173,16 +210,53 @@ impl ExpSampler {
                 return x;
             }
             if i == 0 {
-                // Memorylessness: the tail beyond r is r plus a fresh
-                // exponential, sampled by inverse CDF.
-                return t.r - (1.0 - rng.gen::<f64>()).ln();
+                return exp_tail(t.r, rng.next_u64());
             }
-            let h = t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>();
-            if h < (-x).exp() {
+            if wedge_accepts(t.f[i], t.f[i + 1], -x, rng.next_u64()) {
                 return x;
             }
         }
     }
+}
+
+/// `1 − U` for the 53-bit uniform `U` in the high bits of `bits` — the
+/// [`rand::Rng::gen`] `f64` — in `(0, 1]`, so its log stays finite.
+#[inline(always)]
+fn one_minus_uniform(bits: u64) -> f64 {
+    1.0 - (bits >> 11) as f64 * U53
+}
+
+/// Marsaglia's exact tail sampler for `|X| > r`, one try on two words:
+/// the draw, or `None` to try again on two more.
+#[cold]
+#[inline(never)]
+fn normal_tail(r: f64, negative: bool, e1: u64, e2: u64) -> Option<f64> {
+    let x = -one_minus_uniform(e1).ln() / r;
+    let y = -one_minus_uniform(e2).ln();
+    if 2.0 * y >= x * x {
+        let v = r + x;
+        Some(if negative { -v } else { v })
+    } else {
+        None
+    }
+}
+
+/// Memorylessness: the exponential's tail beyond `r` is `r` plus a
+/// fresh exponential, drawn by inverse CDF from `bits`.
+#[cold]
+#[inline(never)]
+fn exp_tail(r: f64, bits: u64) -> f64 {
+    r - one_minus_uniform(bits).ln()
+}
+
+/// A wedge between layer edges of density `f_outer ≤ f_inner`: accepts
+/// a candidate whose log-density is `log_pdf` with probability
+/// proportional to the density overhang, on the uniform in `bits`.
+#[cold]
+#[inline(never)]
+fn wedge_accepts(f_outer: f64, f_inner: f64, log_pdf: f64, bits: u64) -> bool {
+    let h = f_inner + (f_outer - f_inner) * ((bits >> 11) as f64 * U53);
+    h < log_pdf.exp()
 }
 
 /// Samples a standard normal `N(0, 1)` variate via the ziggurat method
@@ -196,20 +270,6 @@ impl ExpSampler {
 #[inline]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     NormalSampler::get().sample(rng)
-}
-
-/// Marsaglia's exact tail sampler for `|X| > r`.
-#[cold]
-fn normal_tail<R: Rng + ?Sized>(rng: &mut R, r: f64, negative: bool) -> f64 {
-    loop {
-        // 1 − U ∈ (0, 1], so the logs stay finite.
-        let x = -(1.0 - rng.gen::<f64>()).ln() / r;
-        let y = -(1.0 - rng.gen::<f64>()).ln();
-        if 2.0 * y >= x * x {
-            let v = r + x;
-            return if negative { -v } else { v };
-        }
-    }
 }
 
 /// Samples `N(mean, sd²)`.
@@ -233,10 +293,15 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
     mean * standard_exponential(rng)
 }
 
-/// Samples a uniform variate on `[lo, hi)`.
+/// Samples a uniform variate on `[lo, hi)`, or `lo` when `lo == hi`;
+/// either way one `u64`.
+///
+/// # Panics
+/// Panics if `lo > hi` (or either is NaN).
 #[inline]
 pub fn uniform<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
-    rng.gen_range(lo..hi)
+    assert!(lo <= hi, "empty range [{lo}, {hi})");
+    lo + rng.gen::<f64>() * (hi - lo)
 }
 
 /// Bernoulli trial with success probability `p`.
@@ -308,7 +373,7 @@ pub fn normal_truncated_below<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64, 
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0x5EED_CAFE)
@@ -479,6 +544,132 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(standard_normal(&mut a), standard_normal(&mut b));
             assert_eq!(exponential(&mut a, 2.0), exponential(&mut b, 2.0));
+        }
+    }
+
+    /// Where a ziggurat draw ended, read off its first word.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Exit {
+        Layer,
+        Wedge,
+        Tail,
+    }
+
+    /// The two ziggurats behind one draw call, for the identity test.
+    #[derive(Clone, Copy)]
+    enum Zig {
+        Normal(NormalSampler),
+        Exp(ExpSampler),
+    }
+
+    impl Zig {
+        #[inline(always)]
+        fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> f64 {
+            match self {
+                Zig::Normal(s) => s.sample(rng),
+                Zig::Exp(s) => s.sample(rng),
+            }
+        }
+
+        /// The exit a draw whose first word is `bits` takes.
+        fn exit(self, bits: u64) -> Exit {
+            let i = (bits & 0xFF) as usize;
+            let uniform = (bits >> 11) as f64 * U53;
+            let (t, x) = match self {
+                Zig::Normal(s) => (s.t, (2.0 * uniform - 1.0) * s.t.x[i]),
+                Zig::Exp(s) => (s.t, uniform * s.t.x[i]),
+            };
+            match (x.abs() < t.x[i + 1], i) {
+                (true, _) => Exit::Layer,
+                (false, 0) => Exit::Tail,
+                (false, _) => Exit::Wedge,
+            }
+        }
+    }
+
+    /// A `dyn RngCore` that notes the first word of each draw.
+    struct FirstWord<'a> {
+        rng: &'a mut StdRng,
+        first: Option<u64>,
+    }
+
+    impl rand::RngCore for FirstWord<'_> {
+        fn next_u32(&mut self) -> u32 {
+            unreachable!("the samplers draw u64s")
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let w = self.rng.next_u64();
+            self.first.get_or_insert(w);
+            w
+        }
+    }
+
+    /// One draw on a generator the compiler must keep in memory.
+    #[inline(never)]
+    fn in_memory(zig: Zig, rng: &mut StdRng) -> f64 {
+        zig.sample(std::hint::black_box(rng))
+    }
+
+    /// 10⁷ draws of each ziggurat over four seeds, 4096 at a time, on a
+    /// local copy of the stream (the kernels' register path, through
+    /// `round_trip`), on a `&mut StdRng` held in memory, on a `&mut dyn
+    /// RngCore`, and — the normal — through `fill` and `fill_with`: the
+    /// same `f64` bits, the same end state, and every exit taken, the
+    /// rare paths included.
+    #[test]
+    fn every_path_draws_the_same_bits() {
+        use crate::compat::KernelDispatch;
+        const DRAWS: usize = 10_000_000;
+        const SEEDS: [u64; 4] = [1, 0x5EED, 24301, 12648430];
+        const CHUNK: usize = 4096;
+        for zig in [
+            Zig::Normal(NormalSampler::get()),
+            Zig::Exp(ExpSampler::get()),
+        ] {
+            let mut exits = [0usize; 3];
+            for seed in SEEDS {
+                let mut local = StdRng::seed_from_u64(seed);
+                let (mut memory, mut dynamic) = (local.clone(), local.clone());
+                let (mut filled, mut filled_with) = (local.clone(), local.clone());
+                let (mut want, mut got) = (vec![0.0; CHUNK], vec![0.0; CHUNK]);
+                for _ in 0..DRAWS / SEEDS.len() / CHUNK {
+                    local.round_trip(|g| want.iter_mut().for_each(|x| *x = zig.sample(g)));
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    got.iter_mut()
+                        .for_each(|x| *x = in_memory(zig, &mut memory));
+                    assert_eq!(bits(&got), bits(&want), "in memory, seed {seed}");
+                    for x in got.iter_mut() {
+                        let mut word = FirstWord {
+                            rng: &mut dynamic,
+                            first: None,
+                        };
+                        *x = zig.sample(&mut word as &mut dyn rand::RngCore);
+                        exits[zig.exit(word.first.unwrap()) as usize] += 1;
+                    }
+                    assert_eq!(bits(&got), bits(&want), "dyn RngCore, seed {seed}");
+                    if let Zig::Normal(s) = zig {
+                        s.fill(&mut filled, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "fill, seed {seed}");
+                        s.fill_with(KernelDispatch::current(), &mut filled_with, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "fill_with, seed {seed}");
+                    }
+                }
+                assert_eq!(
+                    (&memory, &dynamic),
+                    (&local, &local),
+                    "end state, seed {seed}"
+                );
+                if let Zig::Normal(_) = zig {
+                    assert_eq!((&filled, &filled_with), (&local, &local), "fill end state");
+                }
+            }
+            let [layer, wedge, tail] = exits;
+            assert_eq!(
+                layer + wedge + tail,
+                DRAWS / SEEDS.len() / CHUNK * CHUNK * SEEDS.len()
+            );
+            assert!(wedge > 0 && tail > 0, "exits: {exits:?}");
         }
     }
 }

@@ -157,8 +157,10 @@ impl FlowBatch for Ar1Batch {
             .zip(self.rates.chunks_mut(LANE));
         let advance = |((values, elapsed), rates): &mut ((&mut [f64], &mut [f64]), &mut [f64]),
                        rng: &mut StdRng| {
-            // Captures into locals (see `LaneStreams::advance`).
+            // Captures and the lane's stream into locals (see
+            // `LaneStreams::advance`).
             let (mean, tick, clamp, a, sd, dt) = (mean, tick, clamp, a, sd, dt);
+            let mut local = rng.clone();
             let flows = values
                 .iter_mut()
                 .zip(elapsed.iter_mut())
@@ -168,12 +170,13 @@ impl FlowBatch for Ar1Batch {
                 let mut e = *elapsed + dt;
                 while e >= tick {
                     e -= tick;
-                    v = mean + a * (v - mean) + sd * sampler.sample(rng);
+                    v = mean + a * (v - mean) + sd * sampler.sample(&mut local);
                 }
                 *value = v;
                 *elapsed = e;
                 *rate = if clamp { v.max(0.0) } else { v };
             }
+            *rng = local;
         };
         self.lanes.advance(rng, lanes, || n * dt / tick, advance);
     }
@@ -185,12 +188,13 @@ impl FlowBatch for Ar1Batch {
     fn spawn(&mut self, n: usize, rng: &mut StdRng) {
         // Same draws as `n` calls of `Ar1Source::reset`, on a local
         // stream (see `FlowBatch::spawn`).
+        let (mean, sd, sampler) = (self.cfg.mean, self.cfg.std_dev, NormalSampler::get());
         let mut local = rng.clone();
         self.values.reserve(n);
         self.elapsed.resize(self.elapsed.len() + n, 0.0);
         self.rates.reserve(n);
         for _ in 0..n {
-            let value = normal(&mut local, self.cfg.mean, self.cfg.std_dev);
+            let value = mean + sd * sampler.sample(&mut local);
             self.values.push(value);
             self.rates.push(self.clamp(value));
         }
@@ -198,12 +202,15 @@ impl FlowBatch for Ar1Batch {
     }
 
     fn spawn_each(&mut self, n: usize, rng: &mut StdRng, before: &mut dyn FnMut(&mut StdRng)) {
+        let (mean, sd, sampler) = (self.cfg.mean, self.cfg.std_dev, NormalSampler::get());
         self.values.reserve(n);
         self.elapsed.resize(self.elapsed.len() + n, 0.0);
         self.rates.reserve(n);
         for _ in 0..n {
+            // `before` takes the stream, so it stays in memory here: one
+            // load and one store a flow, as a copy would cost.
             before(rng);
-            let value = normal(rng, self.cfg.mean, self.cfg.std_dev);
+            let value = mean + sd * sampler.sample(rng);
             self.values.push(value);
             self.rates.push(self.clamp(value));
         }

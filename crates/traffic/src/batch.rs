@@ -102,11 +102,23 @@ impl LaneStreams {
     /// draws (asked only of a batch of several lanes), decides whether
     /// the lanes run on the pool.
     ///
-    /// A kernel whose loop reads captured constants per flow should copy
-    /// them into locals first (`let (a, dt) = (a, dt);`): a capture is
-    /// read through a pointer the lane's stores might alias, so the loop
-    /// reloads it for every flow — the AR(1) loop ran 17 % slower for
-    /// it.
+    /// Two rules keep a kernel's loop in registers:
+    ///
+    /// - *Captured constants into locals* (`let (a, dt) = (a, dt);`): a
+    ///   capture is read through a pointer the lane's stores might
+    ///   alias, so the loop reloads it for every flow — the AR(1) loop
+    ///   ran 17 % slower for it.
+    /// - *The generator into a local*: draw from `let mut local =
+    ///   rng.clone()` and write `*rng = local` back once the lane is
+    ///   done. The lane's `&mut StdRng` is an address other code holds,
+    ///   so every draw through it loads and stores the four state words;
+    ///   a copy that only inlined code and no out-of-line call receives
+    ///   stays in registers (`mbac_num::rng`, "The register rule"). A
+    ///   call that must take the generator — `thin`'s keeper walk —
+    ///   takes it by value and hands it back; a hook that takes a `&mut
+    ///   StdRng` leaves that flow's draw on the stream itself. With the
+    ///   samplers' rare paths already out of line, `ar1_dense` ran ×1.13
+    ///   faster for it (DESIGN.md §8.2).
     #[inline]
     pub(crate) fn advance<L: Send>(
         &mut self,
@@ -313,10 +325,10 @@ impl FlowBatch for DynBatch {
                         dt,
                         scale,
                         exp,
-                        rng,
+                        &mut *rng,
                         #[inline(always)]
                         |i, rng| {
-                            run[i].reset(rng);
+                            run[i].reset(*rng);
                             run_rates[i] = run[i].rate();
                         },
                     );
@@ -492,6 +504,20 @@ mod tests {
     fn markov_batch_is_bit_exact() {
         let model = RcbrModel::on_off(2.0, 1.0, 3.0);
         assert_bit_exact(&model, 44);
+    }
+
+    /// A zero-σ uniform marginal (`lo == hi`) draws its mean on both
+    /// engines, through both thinning walks, one word a draw as any
+    /// uniform draw takes, and never panics on its empty range.
+    #[test]
+    fn zero_sd_uniform_draws_its_mean_on_both_engines() {
+        let model = RcbrModel::with_marginal(Marginal::uniform_with_moments(1.0, 0.0), 1.0);
+        let mut t = Twins::spawn(&model, 20, 47);
+        for step in 0..40 {
+            t.advance([0.3, 2.0][step % 2], step);
+        }
+        assert!(t.batch.rates().iter().all(|&r| r == 1.0));
+        assert_eq!(t.boxed_rng, t.batch_rng, "RNG end state");
     }
 
     /// The run-splitting rule: a `DynBatch` holding an RCBR run

@@ -227,6 +227,29 @@ mod tests {
         assert!((m.variance() - 3.0).abs() < 1e-12);
     }
 
+    /// A zero σ makes the interval a point: the draw is its mean, and it
+    /// still takes one word, as every uniform draw does. Wider intervals
+    /// keep `gen_range`'s bits.
+    #[test]
+    fn uniform_with_zero_sd_draws_its_mean() {
+        use rand::{Rng, RngCore};
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut after = rng.clone();
+        after.next_u64();
+        assert_eq!(
+            Marginal::uniform_with_moments(1.0, 0.0).sample(&mut rng),
+            1.0
+        );
+        assert_eq!(rng, after, "one word a draw");
+        let mut reference = rng.clone();
+        let (lo, hi) = (0.4803847577293368, 1.5196152422706632);
+        for _ in 0..1000 {
+            let want = reference.gen_range(lo..hi);
+            let got = Marginal::Uniform { lo, hi }.sample(&mut rng);
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
     #[test]
     #[should_panic]
     fn uniform_rejects_negative_support() {

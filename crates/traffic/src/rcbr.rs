@@ -108,7 +108,7 @@ use crate::marginal::Marginal;
 use crate::process::{RateProcess, SourceModel};
 use mbac_num::rng::{ExpSampler, NormalSampler};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// The advance rule (module docs) over `len` flows advanced by `dt`,
 /// mean interval `t_c`: calls `renegotiate(i, rng)` for each flow that
@@ -119,19 +119,25 @@ use rand::{Rng, RngCore};
 /// and so does a `μ` of zero (`λ ≳ 745`, or infinite) beyond the rates.
 /// The one loop behind the batch kernel, [`crate::batch::DynBatch`]'s
 /// RCBR runs and a boxed source's `advance` (a batch of one).
+///
+/// The generator `G` comes in by value and goes back out — a local
+/// `StdRng` from the kernel, a `&mut` one from the other two — so that
+/// handing it to the out-of-line keeper walk takes no address of the
+/// kernel's copy, which stays in registers (`mbac_num::rng`, "The
+/// register rule").
 #[inline(always)]
-pub(crate) fn thin<R: Rng + ?Sized>(
+pub(crate) fn thin<G: RngCore>(
     len: usize,
     dt: f64,
     t_c: f64,
     exp: ExpSampler,
-    rng: &mut R,
-    mut renegotiate: impl FnMut(usize, &mut R),
-) {
+    mut rng: G,
+    mut renegotiate: impl FnMut(usize, &mut G),
+) -> G {
     assert!(dt >= 0.0, "cannot advance backwards");
     let lambda = dt / t_c;
     if lambda == 0.0 {
-        return;
+        return rng;
     }
     if lambda > std::f64::consts::LN_2 {
         // Only impulsive observations step this far; every tick of a
@@ -145,14 +151,15 @@ pub(crate) fn thin<R: Rng + ?Sized>(
         // Geometric(1 − e^{−λ}) gap. The cast saturates, so a huge or
         // infinite quotient skips past any batch; λ > 0 and a finite E
         // keep it from being NaN, which would cast to 0.
-        let skip = (exp.sample(rng) / lambda) as usize;
+        let skip = (exp.sample(&mut rng) / lambda) as usize;
         if skip >= len - i {
-            return;
+            break;
         }
         i += skip;
-        renegotiate(i, rng);
+        renegotiate(i, &mut rng);
         i += 1;
     }
+    rng
 }
 
 /// [`thin`] past `λ = ln 2`: renegotiates runs of `⌊E/μ⌋` flows, each
@@ -161,30 +168,31 @@ pub(crate) fn thin<R: Rng + ?Sized>(
 /// cost the tick workloads (`fig5_sweep`, `poisson_blocking`) a few per
 /// cent.
 #[inline(never)]
-fn walk_keepers<R: Rng + ?Sized>(
+fn walk_keepers<G: RngCore>(
     len: usize,
     lambda: f64,
     exp: ExpSampler,
-    rng: &mut R,
-    mut renegotiate: impl FnMut(usize, &mut R),
-) {
+    mut rng: G,
+    mut renegotiate: impl FnMut(usize, &mut G),
+) -> G {
     let mu = keeper_rate(lambda);
     if mu == 0.0 {
-        (0..len).for_each(|i| renegotiate(i, rng));
-        return;
+        (0..len).for_each(|i| renegotiate(i, &mut rng));
+        return rng;
     }
     let mut i = 0;
     while i < len {
         // Flows renegotiated before the next keeper: ⌊E/μ⌋, a run with
         // P(run ≥ k) = (1 − e^{−λ})^k. The cast saturates as above, and
         // μ > 0 keeps the quotient from being NaN.
-        let run = (exp.sample(rng) / mu) as usize;
+        let run = (exp.sample(&mut rng) / mu) as usize;
         let end = i + run.min(len - i);
         for j in i..end {
-            renegotiate(j, rng);
+            renegotiate(j, &mut rng);
         }
         i = end + 1;
     }
+    rng
 }
 
 /// `μ = −ln(1 − e^{−λ})`, the rate of the keeper walk's runs (module
@@ -423,15 +431,16 @@ impl<D: RateDraw> FlowBatch for RcbrBatch<D> {
         };
         let lanes = self.rates.chunks_mut(LANE);
         self.lanes.advance(rng, lanes, draws, |rates, rng| {
-            // `always`: `thin` calls this from both walks, and a closure
-            // with two call sites is otherwise left out of line — a call
-            // per renegotiation on every tick, 12 % of `fig5_sweep`.
-            thin(
+            // On a copy of the lane's stream (`thin`'s docs). `always`:
+            // `thin` calls this from both walks, and a closure with two
+            // call sites is otherwise left out of line — a call per
+            // renegotiation on every tick, 12 % of `fig5_sweep`.
+            *rng = thin(
                 rates.len(),
                 dt,
                 t_c,
                 exp,
-                rng,
+                rng.clone(),
                 #[inline(always)]
                 |i, rng| {
                     rates[i] = draw.draw(rng);
@@ -490,7 +499,9 @@ impl RateProcess for RcbrSource {
 
     fn advance(&mut self, dt: f64, rng: &mut dyn RngCore) {
         let t_c = self.model.t_c;
-        thin(1, dt, t_c, ExpSampler::get(), rng, |_, rng| self.reset(rng));
+        thin(1, dt, t_c, ExpSampler::get(), rng, |_, rng| {
+            self.reset(*rng)
+        });
     }
 
     fn reset(&mut self, rng: &mut dyn RngCore) {
