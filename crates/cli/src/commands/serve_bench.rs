@@ -51,7 +51,11 @@ one (the `latency samples : n of N decisions` line). `elapsed` is the
 replay alone, `generation` the time spent generating the workload and
 `wall` the whole run: the serial shape overlaps the two a few ticks at
 a time when the host has a second core (and runs them in turn when it
-has one), in memory that does not grow with --ticks.
+has one), in memory that does not grow with --ticks, with --topology
+too (its route table holds a window's requests). A serial run may
+pass 2^40 (1099511627776) events or rate samples, and 2^28
+(268435456) in one tick; a threaded one holds its whole run, at most
+2^28 of either.
 --shards/--producers pick the plane shape; on a single-core host a
 threaded shape falls back to the serial reference and says so.
 --ring-capacity bounds each shard's ingest ring (the closed loop's

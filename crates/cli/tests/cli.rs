@@ -1952,6 +1952,22 @@ fn hostile_flag_values_exit_cleanly() {
             }
         }
     }
+    // A serial routed run holds a window of its requests, so its length
+    // is what bounds it: 2^40 events over the run, not the 2^28 requests
+    // a whole-run route table was held to.
+    let routed = "serve-bench --topology parking-lot:3 --ticks 99999999999";
+    let args: Vec<&str> = routed.split(' ').collect();
+    match mbacctl_within(&args, &dir, Duration::from_secs(5)) {
+        None => failures.push(format!("mbacctl {routed}: still running after 5 s")),
+        Some(out) => {
+            let err = String::from_utf8_lossy(&out.stderr);
+            let held = "error: invalid configuration: the workload would hold more than \
+                        1099511627776 events\n";
+            if out.status.code() != Some(1) || err != held {
+                failures.push(format!("mbacctl {routed}: {out:?}"));
+            }
+        }
+    }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     std::fs::remove_dir_all(dir).unwrap();
 }

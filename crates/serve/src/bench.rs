@@ -31,7 +31,8 @@
 //! on `serve_routed`, three 200-rate copies and folds a tick, ~0.6 µs
 //! of the tick's 2.0 µs replay by the gain their removal measured.
 //! Memory is the populations, two windows of 40-byte snapshots and the
-//! plane, whatever the number of ticks.
+//! plane, whatever the number of ticks: a routed plane is built with no
+//! request, and its route table holds one window's at a time.
 //!
 //! The two stages overlap. While the driver replays window *k* on the
 //! caller's thread, a scoped generator thread fills window *k + 1*; two
@@ -635,13 +636,10 @@ fn routed_closed_loop_sampling(
         return shape.threaded(&load, cfg.engine, &plane, make, stamps);
     }
     let start = Instant::now();
-    // The windows check every field and hold the run a tick at a time.
-    // The route table wants the run's seq -> route map up front, a
-    // function of the configuration alone and as long as the run: the
-    // map is held to the whole-run bound before it is allocated.
+    // The windows check every field and hold the run a tick at a time;
+    // the route table holds a window's requests at a time.
     let windows = load.windows(cfg.engine)?;
-    let routes = load.cfg.request_routes()?;
-    let plane = RoutedPlane::for_requests(&plane, &cfg.topology, &routes, make)?;
+    let plane = RoutedPlane::for_requests(&plane, &cfg.topology, &[], make)?;
     Ok(shape.serial(windows, plane, budget, start))
 }
 
@@ -650,6 +648,7 @@ mod tests {
     use super::*;
     use crate::plane::{MAX_PRODUCERS, MAX_SHARDS};
     use mbac_num::parallel::with_workers;
+    use mbac_sim::MAX_WORKLOAD_ITEMS;
     use mbac_traffic::process::RateProcess;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -938,6 +937,41 @@ mod tests {
     #[should_panic(expected = "the source gave out")]
     fn a_generator_panic_ends_an_overlapped_routed_run() {
         gives_out_a_few_windows_in(true, 2);
+    }
+
+    /// A serial routed run is held to `MAX_RUN_ITEMS` over its length,
+    /// not to what a materialised run may hold: parking-lot:3's four
+    /// routes asking once a tick for 2²⁶ + 1 ticks are four requests
+    /// past `MAX_WORKLOAD_ITEMS`. The threaded shape, which materialises
+    /// the run, refuses it; the serial shape validates it and starts to
+    /// generate it, here on a source that gives out at its first
+    /// replacement flow, so the run ends there.
+    #[test]
+    #[should_panic(expected = "the source gave out")]
+    fn a_serial_routed_run_may_ask_more_than_a_materialised_run_holds() {
+        let cfg = RoutedBenchConfig {
+            ticks: (MAX_WORKLOAD_ITEMS / 4) as usize + 1,
+            requests_per_tick: 1,
+            flows_per_route: 2,
+            ..small_routed()
+        };
+        let threaded = RoutedBenchConfig {
+            shards: 2,
+            ..cfg.clone()
+        };
+        assert_eq!(
+            routed_closed_loop_with_parallelism(&threaded, &model(), 4).unwrap_err(),
+            BenchError::Config(ConfigError::WorkloadTooLarge {
+                what: "events",
+                max: MAX_WORKLOAD_ITEMS
+            })
+        );
+        let source = GivesOut {
+            source: model(),
+            spawns: AtomicUsize::new(0),
+            at: 4 * 2 + 1,
+        };
+        let _ = with_workers(1, || routed_closed_loop_with_parallelism(&cfg, &source, 1));
     }
 
     #[test]

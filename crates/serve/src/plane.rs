@@ -546,6 +546,11 @@ impl<L: LinkLogic> ShardOf<L> {
         self.logic.has_parked()
     }
 
+    /// The link logic, for a driver that readies it between events.
+    pub(crate) fn logic_mut(&mut self) -> &mut L {
+        &mut self.logic
+    }
+
     /// Drains every event currently in the ring, in ring order, then
     /// runs one [`pump`](Self::pump) sweep. Returns events processed
     /// plus links resumed (0 = no progress).

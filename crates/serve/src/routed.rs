@@ -39,12 +39,23 @@
 //! table holds no vote slot for it. Only multi-hop requests vote,
 //! count down and publish a resolution.
 //!
+//! The route table has a slot per request of the run it was built for.
+//! A run that reaches a one-shard plane a window at a time needs only
+//! the window's: each window re-bases the table onto its own requests
+//! before its first event is applied, since every hop of a request lies
+//! in its tick's window. The serial bench's table is one window long,
+//! whatever the run's length.
+//!
 //! Until its vote resolves, a link is **parked**: subsequent events for
 //! that link buffer in arrival order while the shard keeps draining its
 //! other links. Parking — never blocking — is what makes the protocol
 //! deadlock-free: since every link's stream is seq-sorted, the globally
 //! minimal unresolved seq has a castable vote at the head of each of
-//! its hop links' queues, so it resolves; induction does the rest.
+//! its hop links' queues, so it resolves; induction does the rest. A
+//! window is ingested request by request — a tick's measurements, then
+//! each request's reserves back to back — so on the serial shape a
+//! request resolves at its last hop, before any other event reaches a
+//! link it parked, and nothing is ever buffered.
 //!
 //! # Determinism
 //!
@@ -266,19 +277,28 @@ const REJECT: u8 = 2;
 /// decision (bits 32..); `bits` holds the admissible count's f64 bits.
 /// Plain stores/loads — the `remaining` countdown's `AcqRel` chain and
 /// the `Release`/`Acquire` resolution publish order them.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct HopVote {
     meta: AtomicU64,
     bits: AtomicU64,
 }
 
-/// The shared vote/resolution table, one slot per request seq. Sized up
-/// front from the workload's seq → route map, so no allocation or
-/// locking happens on the decide path. Only multi-hop requests get vote
+/// The shared vote/resolution table: one slot per request of a run of
+/// consecutive seqs, from `base` on. Sized up front from those
+/// requests' routes, so no allocation or locking happens on the decide
+/// path. A materialised run's table holds the whole run from seq 0; a
+/// run replayed in windows holds one window's requests at a time,
+/// re-based as each window starts. Only multi-hop requests get vote
 /// slots: a one-hop request resolves where it lands and is never voted,
 /// resolved or read back here.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RouteTable {
+    /// The seq of the first request held.
+    base: u64,
+    /// The ticks and the requests a route makes a tick of the window the
+    /// table was last laid out for; `None` when it was laid out from a
+    /// run's map.
+    window: Option<(usize, usize)>,
     routes: Vec<RouteId>,
     offsets: Vec<u32>,
     hop_counts: Vec<u8>,
@@ -288,36 +308,59 @@ pub struct RouteTable {
 }
 
 impl RouteTable {
-    /// Builds the table for a workload's request sequence.
+    /// Builds the table for a workload's request sequence, from seq 0.
     pub fn for_requests(topology: &Topology, request_routes: &[RouteId]) -> Self {
-        let mut offsets = Vec::with_capacity(request_routes.len());
-        let mut hop_counts = Vec::with_capacity(request_routes.len());
-        let mut remaining = Vec::with_capacity(request_routes.len());
+        let mut table = RouteTable::default();
+        table.hold(topology, 0, request_routes.iter().copied());
+        table
+    }
+
+    /// Makes the table hold the requests from seq `base` on, the route
+    /// of each in `routes`, in seq order, over whatever it held before.
+    /// It keeps its buffers, so a table re-based to requests no more
+    /// numerous than before allocates nothing.
+    fn hold(&mut self, topology: &Topology, base: u64, routes: impl IntoIterator<Item = RouteId>) {
+        self.base = base;
+        self.routes.clear();
+        self.offsets.clear();
+        self.hop_counts.clear();
+        self.remaining.clear();
+        self.resolution.clear();
         let mut total = 0u32;
-        for &route in request_routes {
+        for route in routes {
             let hops = topology.route(route).len();
-            offsets.push(total);
-            hop_counts.push(hop_u8(hops));
-            remaining.push(AtomicU32::new(hops as u32));
+            self.routes.push(route);
+            self.offsets.push(total);
+            self.hop_counts.push(hop_u8(hops));
+            self.remaining.push(AtomicU32::new(hops as u32));
+            self.resolution.push(AtomicU8::new(PENDING));
             if hops > 1 {
                 total += hops as u32;
             }
         }
-        RouteTable {
-            routes: request_routes.to_vec(),
-            offsets,
-            hop_counts,
-            votes: (0..total)
-                .map(|_| HopVote {
-                    meta: AtomicU64::new(0),
-                    bits: AtomicU64::new(0),
-                })
-                .collect(),
-            remaining,
-            resolution: request_routes
-                .iter()
-                .map(|_| AtomicU8::new(PENDING))
-                .collect(),
+        // A vote is stored before it is read, so a slot needs no reset.
+        self.votes.resize_with(total as usize, HopVote::default);
+    }
+
+    /// Makes the table hold `window`'s requests. A window starts on a
+    /// tick and every tick asks the same routes in the same order, so a
+    /// window as long as the one the table was laid out for asks what
+    /// that one asked: the base moves, and every countdown and
+    /// resolution starts over. Any other window is laid out anew.
+    fn hold_window(&mut self, topology: &Topology, window: &RoutedWindow) {
+        let snapshots = window.snapshots();
+        let shape = (snapshots.ticks(), snapshots.requests_per_tick());
+        if self.window == Some(shape) {
+            self.base = window.first_seq();
+            for (left, &hops) in self.remaining.iter_mut().zip(&self.hop_counts) {
+                *left.get_mut() = u32::from(hops);
+            }
+            for verdict in &mut self.resolution {
+                *verdict.get_mut() = PENDING;
+            }
+        } else {
+            self.hold(topology, window.first_seq(), window.request_routes());
+            self.window = Some(shape);
         }
     }
 
@@ -326,10 +369,16 @@ impl RouteTable {
         self.routes.len()
     }
 
+    /// The slot of request `seq`, which the table must hold.
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        (seq - self.base) as usize
+    }
+
     /// Whether request `seq`'s route has one hop: that hop is its own
     /// last voter.
     fn one_hop(&self, seq: u64) -> bool {
-        self.hop_counts[seq as usize] == 1
+        self.hop_counts[self.slot(seq)] == 1
     }
 
     /// Publishes one hop's vote of a multi-hop request. When this was
@@ -345,7 +394,7 @@ impl RouteTable {
         admissible: Option<f64>,
         occ: u32,
     ) -> Option<bool> {
-        let s = seq as usize;
+        let s = self.slot(seq);
         let off = self.offsets[s] as usize + hop as usize;
         let mut meta = u64::from(vote) | (u64::from(occ) << 32);
         if admissible.is_some() {
@@ -372,7 +421,7 @@ impl RouteTable {
     /// The multi-hop request's resolution, if published (never, for a
     /// one-hop request).
     pub fn resolution(&self, seq: u64) -> Option<bool> {
-        match self.resolution[seq as usize].load(Ordering::Acquire) {
+        match self.resolution[self.slot(seq)].load(Ordering::Acquire) {
             PENDING => None,
             v => Some(v == ADMIT),
         }
@@ -382,7 +431,7 @@ impl RouteTable {
     /// be called after [`RouteTable::resolution`] returned `Some` (the
     /// `Acquire` there orders the vote reads here).
     fn decision(&self, topology: &Topology, seq: u64, latency_ns: Option<u64>) -> RouteDecision {
-        let s = seq as usize;
+        let s = self.slot(seq);
         let route = self.routes[s];
         let admit = self.resolution[s].load(Ordering::Acquire) == ADMIT;
         let base = self.offsets[s] as usize;
@@ -532,7 +581,7 @@ impl TwoPhase {
                         occupancy: state.admission.occupancy(),
                     };
                     let d = RouteDecision {
-                        route: self.table.routes[seq as usize],
+                        route: self.table.routes[self.table.slot(seq)],
                         seq,
                         admit: vote,
                         reject_hop: (!vote).then_some(0),
@@ -736,8 +785,10 @@ impl RoutedPlane {
     /// Builds a plane for the run whose request `seq` asks for route
     /// `request_routes[seq]` of `topology`: the route table is
     /// pre-allocated from that map, and each shard learns the
-    /// topology's capacities. The map is all the plane needs of the
-    /// run, which may then reach it a window at a time.
+    /// topology's capacities. A run that reaches the plane a window at
+    /// a time needs no map: built with none, the plane's one shard
+    /// holds each window's requests as the window starts
+    /// ([`Ingest::prepare`]), so its table is one window long.
     pub fn for_requests(
         cfg: &RoutedPlaneConfig,
         topology: &Arc<Topology>,
@@ -823,10 +874,14 @@ impl Ingest for RoutedWorkload {
     }
 }
 
-/// A window is replayed tick by tick and, within a tick, link by link:
-/// the link's snapshot, then a reserve for each request of the tick
-/// whose route crosses it, in `seq` order (routes in id order, each
-/// asking `requests_per_tick` times).
+/// A window is replayed tick by tick and, within a tick, request by
+/// request: every link's snapshot, in link order, then each request of
+/// the tick in `seq` order (routes in id order, each asking
+/// `requests_per_tick` times), its reserves back to back from hop 0.
+/// Each link still sees its snapshot and then its requests in `seq`
+/// order, so every decision is the one a link-by-link order makes; but
+/// a multi-hop request votes, resolves and commits before the next
+/// begins, and parks no link another request is waiting on.
 impl Ingest for RoutedWindow {
     type Logic = TwoPhase;
 
@@ -837,6 +892,14 @@ impl Ingest for RoutedWindow {
         (window.ticks() * (topo.links() + hops * window.requests_per_tick())) as u64
     }
 
+    /// Re-bases the shard's route table onto this window's requests:
+    /// every hop of a request lies in its tick's window, so no request
+    /// of the last window is still waiting on it.
+    fn prepare(&self, logic: &mut TwoPhase) {
+        let table = Arc::get_mut(&mut logic.table).expect("a run in windows is one shard's");
+        table.hold_window(&logic.topology, self);
+    }
+
     fn ingest(
         &self,
         stamps: &mut Stamps,
@@ -844,30 +907,47 @@ impl Ingest for RoutedWindow {
     ) -> impl Iterator<Item = RoutedShardEvent> {
         let topo = self.topology();
         let asks = self.snapshots().requests_per_tick();
-        let measures = self.snapshots().measurements();
-        let mut measures = measures.filter(move |&(link, ..)| keep(link));
-        // The link and step whose requests are being issued, the next
-        // one's route (an index into the link's crossings), and `k`.
-        let (mut at, mut route, mut k) = ((LinkId(0), 0), usize::MAX, 0);
-        std::iter::from_fn(move || {
-            let (link, step) = at;
-            if let Some(&(r, hop)) = topo.crossings(link).get(route) {
-                let seq = self.seq(step, r, k);
-                k += 1;
-                if k == asks {
-                    (route, k) = (route + 1, 0);
+        // A tick's reserves in order: each one's link, hop and seq past
+        // the tick's first.
+        let hops: usize = topo.route_ids().map(|r| topo.route(r).len()).sum();
+        let mut plan = Vec::with_capacity(hops * asks);
+        for route in topo.route_ids() {
+            for k in 0..asks {
+                let seq = (route.index() * asks + k) as u64;
+                let hops = topo.route(route).iter().enumerate();
+                plan.extend(hops.map(|(hop, &link)| (link, hop_u8(hop), seq)));
+            }
+        }
+        let mut measures = self.snapshots().measurements();
+        // The tick's snapshots still to come, its first seq, and the
+        // next of its reserves to issue: past the plan's end until the
+        // tick's snapshots are out.
+        let (mut left, mut first, mut next) = (0, 0, plan.len());
+        std::iter::from_fn(move || loop {
+            if let Some(&(link, hop, seq)) = plan.get(next) {
+                next += 1;
+                if keep(link) {
+                    let enqueued = (hop == 0 && stamps.take()).then(Instant::now);
+                    return Some(RoutedShardEvent::Reserve {
+                        link,
+                        seq: first + seq,
+                        hop,
+                        enqueued,
+                    });
                 }
-                let enqueued = (hop == 0 && stamps.take()).then(Instant::now);
-                return Some(RoutedShardEvent::Reserve {
-                    link,
-                    seq,
-                    hop,
-                    enqueued,
-                });
+                continue;
+            }
+            if left == 0 {
+                left = topo.links();
             }
             let (link, step, t, moments) = measures.next()?;
-            (at, route, k) = ((link, step), if asks == 0 { usize::MAX } else { 0 }, 0);
-            Some(RoutedShardEvent::Snapshot { link, t, moments })
+            left -= 1;
+            if left == 0 {
+                (first, next) = (self.seq(step, RouteId(0), 0), 0);
+            }
+            if keep(link) {
+                return Some(RoutedShardEvent::Snapshot { link, t, moments });
+            }
         })
     }
 }
@@ -887,9 +967,11 @@ mod tests {
         threaded_matches_serial, window_estimator_factory, windowed_matches_materialised, Hashes,
     };
     use crate::replay::{replay_serial, SerialDriver};
+    use crate::sink::DecisionSink;
     use mbac_core::topology::MAX_ROUTE_HOPS;
     use mbac_sim::{
         Engine, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig, SessionBuilder,
+        Windows,
     };
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
@@ -948,6 +1030,112 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A window of `ticks` ticks of `cfg`'s run, the second one: its
+    /// seqs do not start at 0.
+    fn second_window(model: &RcbrModel, cfg: RoutedLoadConfig, ticks: usize) -> RoutedWindow {
+        let load = RoutedLoad { model, cfg };
+        let mut windows = load.windows(Engine::Batched).unwrap();
+        let mut window = windows.new_window();
+        for _ in 0..2 {
+            assert!(windows.next_window(ticks, &mut window));
+        }
+        window
+    }
+
+    /// A window yields each tick's snapshots, every link's in link
+    /// order, before any request of the tick; then the tick's requests
+    /// in `seq` order, each one's reserves back to back from hop 0 in
+    /// route order; so each link's seqs increase. It yields `events()`
+    /// events, also when no request is made.
+    #[test]
+    fn a_window_yields_each_tick_s_snapshots_then_its_requests_hop_by_hop() {
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        for topology in [Topology::parking_lot(3, 14.0), Topology::star(3, 12.0)] {
+            for requests_per_tick in [0, 2] {
+                let cfg = RoutedLoadConfig {
+                    requests_per_tick,
+                    ..load_config(topology.clone(), 0.05)
+                };
+                let run = cfg.request_routes().unwrap();
+                let window = second_window(&model, cfg, 7);
+                let first = window.first_seq();
+                let routes: Vec<RouteId> = window.request_routes().collect();
+                let asked = topology.routes() * requests_per_tick;
+                assert_eq!(first, 7 * asked as u64);
+                assert_eq!(routes, run[first as usize..][..7 * asked]);
+
+                let mut stamps = Stamps::NONE;
+                let events: Vec<_> = window.ingest(&mut stamps, |_| true).collect();
+                assert_eq!(events.len() as u64, window.events());
+                let mut events = events.into_iter();
+                let (mut seq, mut last) = (first, vec![None; topology.links()]);
+                for step in 8..=14 {
+                    for link in topology.link_ids() {
+                        match events.next() {
+                            Some(RoutedShardEvent::Snapshot { link: l, t, .. }) => {
+                                assert_eq!((l, t), (link, step as f64 * 0.4));
+                            }
+                            other => panic!("step {step}, {link:?}: {other:?}"),
+                        }
+                    }
+                    for _ in 0..asked {
+                        let route = topology.route(routes[(seq - first) as usize]);
+                        for (h, &link) in route.iter().enumerate() {
+                            match events.next() {
+                                Some(RoutedShardEvent::Reserve {
+                                    link: l,
+                                    seq: s,
+                                    hop,
+                                    ..
+                                }) => {
+                                    assert_eq!((l, s, usize::from(hop)), (link, seq, h));
+                                    assert!(last[l.index()] < Some(s), "{l:?} at seq {s}");
+                                    last[l.index()] = Some(s);
+                                }
+                                other => panic!("seq {seq}, hop {h}: {other:?}"),
+                            }
+                        }
+                        seq += 1;
+                    }
+                }
+                assert!(events.next().is_none());
+                assert_eq!(seq, first + routes.len() as u64);
+            }
+        }
+    }
+
+    /// The serial shape's plane is built with no request, and each
+    /// window makes its route table hold that window's requests and no
+    /// more: a table one window long, whatever the run's length.
+    #[test]
+    fn a_run_in_windows_holds_one_window_of_requests() {
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let load = RoutedLoad {
+            model: &model,
+            cfg: load_config(Topology::parking_lot(3, 14.0), 0.05),
+        };
+        let make = certainty_equivalent_factory(1e-2, 2.0);
+        let cfg = RoutedPlaneConfig::default();
+        let plane = RoutedPlane::for_requests(&cfg, &load.cfg.topology, &[], make).unwrap();
+        let mut driver = SerialDriver::new(plane, Stamps::NONE, Hashes::new(4));
+        let held = |driver: &mut SerialDriver<TwoPhase, Hashes>| {
+            driver.plane.shards_mut()[0].logic_mut().table.requests()
+        };
+        assert_eq!(held(&mut driver), 0);
+        let mut windows = load.windows(Engine::Batched).unwrap();
+        let mut window = windows.new_window();
+        let (mut ticks, mut requests) = (0, 0);
+        while windows.next_window(7, &mut window) {
+            driver.drive(&window);
+            let in_window = window.snapshots().ticks() * 4 * 2;
+            assert_eq!(held(&mut driver), in_window);
+            assert!(in_window <= 7 * 4 * 2);
+            ticks += window.snapshots().ticks();
+            requests += in_window;
+        }
+        assert_eq!((ticks, requests), (20, 20 * 4 * 2));
     }
 
     #[test]
@@ -1257,6 +1445,117 @@ mod tests {
         eprintln!(
             "one-hop routes / SingleHop replay time: median {:.2} (sorted: {})",
             (ratios[4] + ratios[5]) / 2.0,
+            shown.join(" ")
+        );
+    }
+
+    /// `serve_routed`'s shape: parking-lot:3 at capacity 213, 100 flows
+    /// a route, 20 000 ticks, 2 requests a route a tick, noise 0.05.
+    fn serve_routed_shape() -> RoutedBenchConfig {
+        RoutedBenchConfig {
+            topology: Arc::new(Topology::parking_lot(3, 213.0)),
+            flows_per_route: 100,
+            ticks: 20_000,
+            requests_per_tick: 2,
+            noise_sd: 0.05,
+            ..RoutedBenchConfig::default()
+        }
+    }
+
+    /// The bytes contract of the window order at the benchmark's scale:
+    /// [`serve_routed_shape`]'s run, generated and replayed in windows
+    /// through the serial driver the bench runs, decides every route's
+    /// bytes as [`replay_serial`] decides the run materialised. Run in
+    /// release: `cargo test --release -p mbac-serve --lib routed_windows
+    /// -- --ignored`.
+    #[test]
+    #[ignore = "benchmark scale; run in release"]
+    fn routed_windows_reproduce_materialised_bytes_at_bench_scale() {
+        let shape = serve_routed_shape();
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let make = certainty_equivalent_factory(shape.p_ce, shape.t_m);
+        let load = RoutedLoad {
+            model: &model,
+            cfg: RoutedLoadConfig {
+                topology: Arc::clone(&shape.topology),
+                flows_per_route: shape.flows_per_route,
+                ticks: shape.ticks,
+                tick: shape.tick,
+                requests_per_tick: shape.requests_per_tick,
+                mean_holding: shape.mean_holding,
+                noise_sd: shape.noise_sd,
+                seed: shape.seed,
+            },
+        };
+        let routes = shape.topology.routes();
+        let cfg = RoutedReplayConfig::default();
+        let whole = SessionBuilder::new()
+            .engine(shape.engine)
+            .run(&load)
+            .unwrap();
+        let out = replay_serial(&cfg, Arc::clone(&make), &whole).unwrap();
+        assert!(0 < out.admitted && out.admitted < out.decisions);
+        let mut materialised = Hashes::new(routes);
+        for d in out.sequences.into_iter().flatten() {
+            materialised.record(d);
+        }
+
+        let plane = RoutedPlane::for_requests(&cfg.plane, &shape.topology, &[], make).unwrap();
+        let mut driver = SerialDriver::new(plane, Stamps::NONE, Hashes::new(routes));
+        let ticks = WINDOW_SNAPSHOTS / shape.topology.links();
+        driver.drive_windows(load.windows(shape.engine).unwrap(), ticks);
+        let windowed = driver.finish().sink.groups;
+        for (route, (a, b)) in materialised.groups.iter().zip(&windowed).enumerate() {
+            assert_eq!(a, b, "route {route}");
+        }
+    }
+
+    /// The paired routed-replay probe: [`serve_routed_shape`] against
+    /// its three one-hop routes alone (the same flows and requests a
+    /// route, at half the capacity a link, since a link carries one
+    /// route's flows where the parking lot's carry two), in alternating
+    /// pairs (ABBA, so drift within a pair cancels). Prints each side's
+    /// replay ns a tick and the multi-hop premium, the difference: what
+    /// the long route's requests cost. Run in release: `cargo test
+    /// --release -p mbac-serve --lib routed_replay_pace -- --ignored
+    /// --nocapture`.
+    #[test]
+    #[ignore = "timing probe; run in release"]
+    fn routed_replay_pace() {
+        let parking_lot = serve_routed_shape();
+        let one_hop = RoutedBenchConfig {
+            topology: Arc::new(Topology::one_hop_links(3, 213.0 / 2.0)),
+            ..serve_routed_shape()
+        };
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let ns_a_tick = |cfg: &RoutedBenchConfig| {
+            let report = routed_closed_loop_with_parallelism(cfg, &model, 1).unwrap();
+            report.elapsed_secs * 1e9 / cfg.ticks as f64
+        };
+        let (mut long, mut short, mut premium) = (Vec::new(), Vec::new(), Vec::new());
+        for pair in 0..10 {
+            let (a, b) = if pair % 2 == 0 {
+                let a = ns_a_tick(&parking_lot);
+                (a, ns_a_tick(&one_hop))
+            } else {
+                let b = ns_a_tick(&one_hop);
+                (ns_a_tick(&parking_lot), b)
+            };
+            long.push(a);
+            short.push(b);
+            premium.push(a - b);
+        }
+        let median = |mut ns: Vec<f64>| {
+            ns.sort_by(f64::total_cmp);
+            (ns[4] + ns[5]) / 2.0
+        };
+        let shown: Vec<String> = premium.iter().map(|ns| format!("{ns:.0}")).collect();
+        eprintln!(
+            "replay ns a tick, medians of 10 pairs: parking-lot:3 {:.0}, its one-hop routes \
+             alone {:.0}; premium {:.0} (pairs: {})",
+            median(long),
+            median(short),
+            median(premium),
             shown.join(" ")
         );
     }

@@ -37,7 +37,10 @@
 //! consumer's estimate) — and the step of its first tick. It holds no
 //! request: a request's `t`, `route` and `seq` are functions of its
 //! tick, the topology and `requests_per_tick` ([`RoutedWindow::seq`]),
-//! so the replay synthesises them. Times and `seq` run on across
+//! so the replay synthesises them, and a decision plane sizes its route
+//! table to the window's slice of the run's seq → route map
+//! ([`RoutedWindow::first_seq`], [`RoutedWindow::request_routes`]), not
+//! to the run. Times and `seq` run on across
 //! windows, every population and noise stream carries on where the last
 //! window left it, and a link's snapshots, window after window, are
 //! those of its `Measure`s in the materialised workload, bit for bit
@@ -56,15 +59,18 @@
 //! links arbitrarily (that is the whole point of sharding), and
 //! [`ServeWorkload::canonical_events`] provides one fixed round-robin
 //! merge as the serial-reference order. A window is replayed in another
-//! order: tick by tick and, within a tick, link by link — the link's
-//! measurement, then its requests of that tick in `seq` order. So a run
-//! replayed in windows visits the links in another cross-link order than
-//! the same run materialised — and decides the same, because no
-//! decision reads anything but per-link order. Routed workloads add one
-//! more guarantee the two-phase commit relies on: each link's `Request`
-//! occurrences are strictly increasing in `seq`, and every hop's
-//! occurrence of one request lies in the same tick, hence the same
-//! window — no reserve is left waiting at a window's end.
+//! order: tick by tick and, within a tick, request by request — every
+//! link's measurement, then the tick's requests in `seq` order, each
+//! one's hop occurrences back to back from hop 0. Each link still sees
+//! its measurement and then its requests of the tick in `seq` order. So
+//! a run replayed in windows visits the links in another cross-link
+//! order than the same run materialised — and decides the same, because
+//! no decision reads anything but per-link order. Routed workloads add
+//! one more guarantee the two-phase commit relies on: each link's
+//! `Request` occurrences are strictly increasing in `seq`, and every
+//! hop's occurrence of one request lies in the same tick, hence the
+//! same window — no reserve is left waiting at a window's end, and a
+//! window's route table need hold no request of another window.
 
 use crate::flows::FlowTable;
 use crate::session::{
@@ -390,6 +396,20 @@ impl RoutedWindow {
         let routes = self.topology.routes();
         (((step - 1) * routes + route.index()) * self.snapshots.requests_per_tick + k) as u64
     }
+
+    /// The `seq` of the window's first request.
+    pub fn first_seq(&self) -> u64 {
+        self.seq(self.snapshots.first, RouteId(0), 0)
+    }
+
+    /// The route of each of the window's requests, in `seq` order from
+    /// [`RoutedWindow::first_seq`]: the window's slice of the run's map.
+    pub fn request_routes(&self) -> impl Iterator<Item = RouteId> + '_ {
+        let asks = self.snapshots.requests_per_tick;
+        let routes = self.topology.routes() as u32;
+        let tick = move |_| (0..routes).flat_map(move |r| std::iter::repeat_n(RouteId(r), asks));
+        (0..self.snapshots.ticks()).flat_map(tick)
+    }
 }
 
 /// The request-stream scenario: `cfg.links` disjoint one-hop routes of
@@ -580,10 +600,10 @@ impl RoutedLoadConfig {
     }
 
     /// The route of every request of the run, indexed by `seq`: each
-    /// tick, each route in turn asks `requests_per_tick` times. What a
-    /// decision plane's route table is sized from when the run itself
-    /// is generated in windows, so it is held to
-    /// [`MAX_WORKLOAD_ITEMS`] requests before it is allocated.
+    /// tick, each route in turn asks `requests_per_tick` times. As long
+    /// as the run, so it is held to [`MAX_WORKLOAD_ITEMS`] requests
+    /// before it is allocated; a run generated in windows never needs
+    /// it whole ([`RoutedWindow::request_routes`] is a window's slice).
     pub fn request_routes(&self) -> Result<Vec<RouteId>, ConfigError> {
         let requests = [self.topology.routes(), self.ticks, self.requests_per_tick];
         let requests = workload_count("requests", requests, MAX_WORKLOAD_ITEMS)?;

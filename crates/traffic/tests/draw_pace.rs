@@ -9,11 +9,14 @@
 //! It prints the ns per `u64`, per normal (one at a time and through
 //! `NormalSampler::fill`) and per exponential, each draw's ratio to the
 //! `u64`, and the AR(1) and RCBR kernels' ns a flow at the benchmark's
-//! `ar1_dense`, `fig5_sweep` and `poisson_blocking` shapes, on one core.
+//! `ar1_dense`, `fig5_sweep` and `poisson_blocking` shapes, on one core,
+//! with an on–off RCBR batch (`RcbrBatch<Marginal>`, the kernel of every
+//! marginal but the Gaussian) at `fig5_sweep`'s beside the Gaussian one.
 //! A ziggurat normal costs one generator step plus a few flops. On the
 //! 2-vCPU host, under the register rule (`mbac_num::rng`), a normal reads
 //! ×2.0–2.9 of a `u64` and the AR(1) kernel 4.5–7.5 ns a flow; before it
-//! they read ×2.8–4.0 and 10.5–13. A ratio above ×3, or the AR(1) kernel
+//! they read ×2.8–4.0 and 10.5–13. The on–off batch reads ~6 ns a flow
+//! to the Gaussian batch's ~2.9, a gap whose cause is not yet known. A ratio above ×3, or the AR(1) kernel
 //! back near 8–11 ns, means a draw loop lost its registers: a rare path
 //! sits inline in the loop again, or something out of line receives the
 //! generator. Nothing is asserted: the host decides the figures, and its
@@ -107,7 +110,9 @@ fn draw_pace() {
         clamp_at_zero: true,
     });
     let rcbr = RcbrModel::new(RcbrConfig::paper_default(1.0));
-    let shapes: [(&str, &dyn SourceModel, usize, f64, usize); 3] = [
+    // Mean 1 and T_c = 1, as the Gaussian batch's: an `RcbrBatch<Marginal>`.
+    let on_off = RcbrModel::on_off(2.0, 2.0, 2.0);
+    let shapes: [(&str, &dyn SourceModel, usize, f64, usize); 4] = [
         (
             "ar1 @ ar1_dense (10^5 flows, a tick)",
             &ar1,
@@ -118,6 +123,13 @@ fn draw_pace() {
         (
             "rcbr @ fig5_sweep (1000 flows, λ = 0.25)",
             &rcbr,
+            1000,
+            0.25,
+            2000,
+        ),
+        (
+            "rcbr on–off @ fig5_sweep (1000 flows, λ = 0.25)",
+            &on_off,
             1000,
             0.25,
             2000,
