@@ -116,7 +116,7 @@ use mbac_core::topology::Topology;
 use mbac_metrics::StreamHandle;
 use mbac_num::quantile;
 use mbac_sim::{
-    ConfigError, Engine, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
+    compat, ConfigError, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
     Scenario, SessionBuilder, Windows,
 };
 use mbac_traffic::process::SourceModel;
@@ -140,8 +140,8 @@ pub struct BenchConfig {
     pub mean_holding: f64,
     /// Workload generation seed.
     pub seed: u64,
-    /// Flow engine generating the workload.
-    pub engine: Engine,
+    /// Ignored: a model's flows run on its batched kernel if it has one.
+    pub engine: compat::Engine,
     /// Decision-plane shards.
     pub shards: usize,
     /// Producer threads feeding the rings.
@@ -170,7 +170,7 @@ impl Default for BenchConfig {
             requests_per_tick: 4,
             mean_holding: 10.0,
             seed: 7,
-            engine: Engine::Batched,
+            engine: compat::Engine::Batched,
             shards: 1,
             producers: 1,
             ring_capacity: 1024,
@@ -350,7 +350,6 @@ impl Shape {
     fn threaded<S>(
         self,
         load: &S,
-        engine: Engine,
         plane: &<S::Report as Replay>::PlaneConfig,
         make: ControllerFactory,
         stamps: Stamps,
@@ -360,7 +359,7 @@ impl Shape {
         S::Report: Replay,
     {
         let start = Instant::now();
-        let workload = SessionBuilder::new().engine(engine).run(load)?;
+        let workload = SessionBuilder::new().run(load)?;
         let generate = start.elapsed();
         let replayed = replay_threaded_into(
             plane,
@@ -514,11 +513,11 @@ fn closed_loop_sampling(
         load.validate()?;
         let requests = (cfg.links * cfg.ticks * cfg.requests_per_tick) as u64;
         let stamps = Stamps::budgeted(requests, budget);
-        return shape.threaded(&load, cfg.engine, &plane, make, stamps);
+        return shape.threaded(&load, &plane, make, stamps);
     }
     let start = Instant::now();
     // Held to the bound a tick at a time: the run is never in memory.
-    let windows = load.windows(cfg.engine)?;
+    let windows = load.windows()?;
     let plane = DecisionPlane::new(&plane, make)?;
     Ok(shape.serial(windows, plane, budget, start))
 }
@@ -547,8 +546,8 @@ pub struct RoutedBenchConfig {
     pub noise_sd: f64,
     /// Workload generation seed.
     pub seed: u64,
-    /// Flow engine generating the workload.
-    pub engine: Engine,
+    /// Ignored: a model's flows run on its batched kernel if it has one.
+    pub engine: compat::Engine,
     /// Decision-plane shards.
     pub shards: usize,
     /// Producer threads feeding the rings.
@@ -576,7 +575,7 @@ impl Default for RoutedBenchConfig {
             mean_holding: 10.0,
             noise_sd: 0.0,
             seed: 7,
-            engine: Engine::Batched,
+            engine: compat::Engine::Batched,
             shards: 1,
             producers: 1,
             ring_capacity: 1024,
@@ -633,12 +632,12 @@ fn routed_closed_loop_sampling(
         load.validate()?;
         let requests = (cfg.topology.routes() * cfg.ticks * cfg.requests_per_tick) as u64;
         let stamps = Stamps::budgeted(requests, budget);
-        return shape.threaded(&load, cfg.engine, &plane, make, stamps);
+        return shape.threaded(&load, &plane, make, stamps);
     }
     let start = Instant::now();
     // The windows check every field and hold the run a tick at a time;
     // the route table holds a window's requests at a time.
-    let windows = load.windows(cfg.engine)?;
+    let windows = load.windows()?;
     let plane = RoutedPlane::for_requests(&plane, &cfg.topology, &[], make)?;
     Ok(shape.serial(windows, plane, budget, start))
 }

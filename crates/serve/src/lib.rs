@@ -32,8 +32,8 @@
 //! # Correctness bar
 //!
 //! Admission decisions under concurrency must match the serial
-//! reference *exactly*: for any shard count, producer count, and flow
-//! engine, each link's admit/reject sequence (with its admissible
+//! reference *exactly*: for any shard count, producer count, and a
+//! model on its kernel or not, each link's admit/reject sequence (with its admissible
 //! counts, bit for bit) equals the single-threaded replay's. The
 //! argument is per-link order preservation — see [`plane`]'s module
 //! docs — and `tests/invariance.rs` proves it property-based.

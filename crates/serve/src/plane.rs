@@ -48,7 +48,7 @@
 //! count, the producer count, and the cross-link interleaving — it
 //! equals the single-threaded serial reference. `tests/invariance.rs`
 //! proves this property over randomized workloads, shard counts 1..=8,
-//! and both flow engines, comparing byte-encoded decisions.
+//! and models on their kernel or not, comparing byte-encoded decisions.
 
 use crate::sink::Decided;
 use mbac_core::admission::CertaintyEquivalent;

@@ -649,9 +649,8 @@ pub(crate) mod tests {
     use crate::sink::Tally;
     use mbac_core::admission::CertaintyEquivalent;
     use mbac_core::estimators::WindowEstimator;
-    use mbac_sim::{
-        Engine, MbacController, MetricsMode, RequestLoad, RequestLoadConfig, SessionBuilder,
-    };
+    use mbac_sim::{MbacController, MetricsMode, RequestLoad, RequestLoadConfig, SessionBuilder};
+    use mbac_traffic::process::{SourceModel, Unbatched};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use std::sync::Arc;
 
@@ -860,18 +859,19 @@ pub(crate) mod tests {
     #[test]
     fn a_run_replayed_in_windows_decides_as_the_materialised_one() {
         let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
-        for engine in [Engine::Batched, Engine::Boxed] {
+        let hidden = Unbatched(&model);
+        for model in [&model as &dyn SourceModel, &hidden] {
             let load = RequestLoad {
-                model: &model,
+                model,
                 cfg: sized_config(4, 25, 3),
             };
-            let whole = SessionBuilder::new().engine(engine).run(&load).unwrap();
+            let whole = SessionBuilder::new().run(&load).unwrap();
             let cfg = config(1, 1);
             windowed_matches_materialised(
                 &whole,
                 &cfg,
                 certainty_equivalent_factory(1e-2, 2.0),
-                || load.windows(engine).unwrap(),
+                || load.windows().unwrap(),
                 |make| DecisionPlane::new(&cfg.plane, make).unwrap(),
                 25,
             );
@@ -905,7 +905,7 @@ pub(crate) mod tests {
             &whole,
             &cfg,
             window_estimator_factory(),
-            || load.windows(Engine::Batched).unwrap(),
+            || load.windows().unwrap(),
             |make| DecisionPlane::new(&cfg.plane, make).unwrap(),
             25,
         );
@@ -994,7 +994,7 @@ pub(crate) mod tests {
         }
         let plane = DecisionPlane::new(&plane, make).unwrap();
         let mut driver = SerialDriver::new(plane, Stamps::NONE, Hashes::new(6));
-        driver.drive_windows(load.windows(Engine::Batched).unwrap(), 7);
+        driver.drive_windows(load.windows().unwrap(), 7);
         let windowed = driver.finish().sink.groups;
         assert_eq!(materialised, windowed);
         assert_eq!(windowed, PINNED);
@@ -1025,7 +1025,7 @@ pub(crate) mod tests {
         let plane = DecisionPlane::new(&config(1, 1).plane, make).unwrap();
         // Ten of the run's 25 ticks.
         let mut driver = SerialDriver::new(plane, Stamps::NONE, GivesOut(4 * 3 * 10));
-        let windows = load.windows(Engine::Batched).unwrap();
+        let windows = load.windows().unwrap();
         with_workers(2, || driver.drive_windows(windows, 2));
     }
 

@@ -92,19 +92,9 @@ use std::time::Instant;
 /// One unit of routed ingest.
 #[derive(Debug)]
 pub enum RoutedShardEvent {
-    /// A measurement of `link`, folded into its moments (same semantics
-    /// as [`crate::plane::ShardEvent::Snapshot`]).
-    Snapshot {
-        /// The link the measurement belongs to.
-        link: LinkId,
-        /// Measurement time.
-        t: f64,
-        /// The rates as measured at this link's node, folded.
-        moments: SnapshotMoments,
-    },
-    /// A measurement of `link` as a routed workload's
-    /// [`RoutedEvent::Measure`] carries it: already folded, so it is
-    /// applied as a [`RoutedShardEvent::Snapshot`].
+    /// A measurement of `link`: the rates as measured at this link's
+    /// node, folded where they were generated (same semantics as
+    /// [`crate::plane::ShardEvent::Snapshot`]).
     Measure {
         /// The link the measurement belongs to.
         link: LinkId,
@@ -556,11 +546,8 @@ impl TwoPhase {
     ) {
         let state = &mut self.links[slot];
         match event {
-            RoutedShardEvent::Snapshot { t, moments, .. }
-            | RoutedShardEvent::Measure {
-                t, rates: moments, ..
-            } => {
-                state.admission.measure(t, &moments);
+            RoutedShardEvent::Measure { t, rates, .. } => {
+                state.admission.measure(t, &rates);
                 state.measures += 1;
                 tap.measure();
             }
@@ -647,9 +634,9 @@ impl LinkLogic for TwoPhase {
 
     fn link_of(event: &RoutedShardEvent) -> LinkId {
         match event {
-            RoutedShardEvent::Snapshot { link, .. }
-            | RoutedShardEvent::Measure { link, .. }
-            | RoutedShardEvent::Reserve { link, .. } => *link,
+            RoutedShardEvent::Measure { link, .. } | RoutedShardEvent::Reserve { link, .. } => {
+                *link
+            }
         }
     }
 
@@ -852,10 +839,10 @@ impl Ingest for RoutedWorkload {
         self.canonical_events()
             .filter(move |&(link, _)| keep(link))
             .map(move |(link, ev)| match ev {
-                RoutedEvent::Measure { t, rates } => RoutedShardEvent::Snapshot {
+                RoutedEvent::Measure { t, rates } => RoutedShardEvent::Measure {
                     link,
                     t: *t,
-                    moments: *rates,
+                    rates: *rates,
                 },
                 RoutedEvent::Request { route, seq, .. } => {
                     let hop = hop_u8(
@@ -946,7 +933,11 @@ impl Ingest for RoutedWindow {
                 (first, next) = (self.seq(step, RouteId(0), 0), 0);
             }
             if keep(link) {
-                return Some(RoutedShardEvent::Snapshot { link, t, moments });
+                return Some(RoutedShardEvent::Measure {
+                    link,
+                    t,
+                    rates: moments,
+                });
             }
         })
     }
@@ -970,9 +961,9 @@ mod tests {
     use crate::sink::DecisionSink;
     use mbac_core::topology::MAX_ROUTE_HOPS;
     use mbac_sim::{
-        Engine, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig, SessionBuilder,
-        Windows,
+        RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig, SessionBuilder, Windows,
     };
+    use mbac_traffic::process::{SourceModel, Unbatched};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
     fn load_config(topology: Topology, noise_sd: f64) -> RoutedLoadConfig {
@@ -1003,25 +994,26 @@ mod tests {
     #[test]
     fn a_run_replayed_in_windows_decides_as_the_materialised_one() {
         let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let hidden = Unbatched(&model);
         let shapes = [
             (Topology::one_hop_links(1, 7.0), 0.0),
             (Topology::parking_lot(3, 14.0), 0.05),
             (Topology::star(3, 12.0), 0.05),
         ];
         for (topology, noise_sd) in shapes {
-            for engine in [Engine::Batched, Engine::Boxed] {
+            for model in [&model as &dyn SourceModel, &hidden] {
                 let load = RoutedLoad {
-                    model: &model,
+                    model,
                     cfg: load_config(topology.clone(), noise_sd),
                 };
-                let whole = SessionBuilder::new().engine(engine).run(&load).unwrap();
+                let whole = SessionBuilder::new().run(&load).unwrap();
                 let cfg = RoutedReplayConfig::default();
                 let routes = load.cfg.request_routes().unwrap();
                 windowed_matches_materialised(
                     &whole,
                     &cfg,
                     certainty_equivalent_factory(1e-2, 2.0),
-                    || load.windows(engine).unwrap(),
+                    || load.windows().unwrap(),
                     |make| {
                         let topology = &load.cfg.topology;
                         RoutedPlane::for_requests(&cfg.plane, topology, &routes, make).unwrap()
@@ -1036,7 +1028,7 @@ mod tests {
     /// seqs do not start at 0.
     fn second_window(model: &RcbrModel, cfg: RoutedLoadConfig, ticks: usize) -> RoutedWindow {
         let load = RoutedLoad { model, cfg };
-        let mut windows = load.windows(Engine::Batched).unwrap();
+        let mut windows = load.windows().unwrap();
         let mut window = windows.new_window();
         for _ in 0..2 {
             assert!(windows.next_window(ticks, &mut window));
@@ -1074,7 +1066,7 @@ mod tests {
                 for step in 8..=14 {
                     for link in topology.link_ids() {
                         match events.next() {
-                            Some(RoutedShardEvent::Snapshot { link: l, t, .. }) => {
+                            Some(RoutedShardEvent::Measure { link: l, t, .. }) => {
                                 assert_eq!((l, t), (link, step as f64 * 0.4));
                             }
                             other => panic!("step {step}, {link:?}: {other:?}"),
@@ -1124,7 +1116,7 @@ mod tests {
             driver.plane.shards_mut()[0].logic_mut().table.requests()
         };
         assert_eq!(held(&mut driver), 0);
-        let mut windows = load.windows(Engine::Batched).unwrap();
+        let mut windows = load.windows().unwrap();
         let mut window = windows.new_window();
         let (mut ticks, mut requests) = (0, 0);
         while windows.next_window(7, &mut window) {
@@ -1325,7 +1317,7 @@ mod tests {
             &whole,
             &cfg,
             window_estimator_factory(),
-            || load.windows(Engine::Batched).unwrap(),
+            || load.windows().unwrap(),
             |make| {
                 RoutedPlane::for_requests(&cfg.plane, &load.cfg.topology, &routes, make).unwrap()
             },
@@ -1353,13 +1345,10 @@ mod tests {
             mean_holding: links.mean_holding,
             noise_sd: 0.0,
             seed: links.seed,
-            engine: links.engine,
-            shards: 1,
-            producers: 1,
             ring_capacity: links.ring_capacity,
             p_ce: links.p_ce,
             t_m: links.t_m,
-            stream: None,
+            ..RoutedBenchConfig::default()
         };
         (links, routes)
     }
@@ -1396,7 +1385,7 @@ mod tests {
         };
         let plane = DecisionPlane::new(&plane_cfg, Arc::clone(&make)).unwrap();
         let mut driver = SerialDriver::new(plane, Stamps::NONE, sink());
-        driver.drive_windows(load.windows(links.engine).unwrap(), ticks);
+        driver.drive_windows(load.windows().unwrap(), ticks);
         let single = driver.finish().sink.groups;
 
         let load = RoutedLoad {
@@ -1408,7 +1397,7 @@ mod tests {
         let plane =
             RoutedPlane::for_requests(&plane_cfg, &routes.topology, &request_routes, make).unwrap();
         let mut driver = SerialDriver::new(plane, Stamps::NONE, sink());
-        driver.drive_windows(load.windows(routes.engine).unwrap(), ticks);
+        driver.drive_windows(load.windows().unwrap(), ticks);
         let routed = driver.finish().sink.groups;
         for (link, (a, b)) in single.iter().zip(&routed).enumerate() {
             assert_eq!(a, b, "link {link}");
@@ -1489,10 +1478,7 @@ mod tests {
         };
         let routes = shape.topology.routes();
         let cfg = RoutedReplayConfig::default();
-        let whole = SessionBuilder::new()
-            .engine(shape.engine)
-            .run(&load)
-            .unwrap();
+        let whole = SessionBuilder::new().run(&load).unwrap();
         let out = replay_serial(&cfg, Arc::clone(&make), &whole).unwrap();
         assert!(0 < out.admitted && out.admitted < out.decisions);
         let mut materialised = Hashes::new(routes);
@@ -1503,7 +1489,7 @@ mod tests {
         let plane = RoutedPlane::for_requests(&cfg.plane, &shape.topology, &[], make).unwrap();
         let mut driver = SerialDriver::new(plane, Stamps::NONE, Hashes::new(routes));
         let ticks = WINDOW_SNAPSHOTS / shape.topology.links();
-        driver.drive_windows(load.windows(shape.engine).unwrap(), ticks);
+        driver.drive_windows(load.windows().unwrap(), ticks);
         let windowed = driver.finish().sink.groups;
         for (route, (a, b)) in materialised.groups.iter().zip(&windowed).enumerate() {
             assert_eq!(a, b, "route {route}");

@@ -1,6 +1,6 @@
 //! The headline correctness property of the decision plane: **shard
-//! invariance**. For any shard count, any producer count, and either
-//! flow engine, the sharded plane's per-link admit/reject sequence —
+//! invariance**. For any shard count, any producer count, and a model
+//! on its kernel or unbatched, the sharded plane's per-link admit/reject sequence —
 //! including the admissible counts, compared bit for bit through the
 //! canonical byte encoding — equals the single-threaded single-shard
 //! serial reference. Sharding and threading are performance knobs,
@@ -11,11 +11,9 @@ use mbac_metrics::MetricValue;
 use mbac_serve::{
     certainty_equivalent_factory, replay_serial, replay_threaded, PlaneConfig, ReplayConfig,
 };
-use mbac_sim::{
-    Engine, MetricsMode, RequestLoad, RequestLoadConfig, ServeWorkload, SessionBuilder,
-};
+use mbac_sim::{MetricsMode, RequestLoad, RequestLoadConfig, ServeWorkload, SessionBuilder};
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
-use mbac_traffic::process::SourceModel;
+use mbac_traffic::process::{SourceModel, Unbatched};
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -39,12 +37,13 @@ fn workload(
     links: usize,
     ticks: usize,
     requests_per_tick: usize,
-    engine: Engine,
+    boxed: bool,
     ar1: bool,
 ) -> ServeWorkload {
     let m = model(ar1);
+    let hidden = Unbatched(m.as_ref());
     let load = RequestLoad {
-        model: m.as_ref(),
+        model: if boxed { &hidden } else { m.as_ref() },
         cfg: RequestLoadConfig {
             links,
             flows_per_link: 6,
@@ -55,7 +54,7 @@ fn workload(
             seed,
         },
     };
-    SessionBuilder::new().engine(engine).run(&load).unwrap()
+    SessionBuilder::new().run(&load).unwrap()
 }
 
 fn replay_cfg(shards: usize, producers: usize, ring_capacity: usize) -> ReplayConfig {
@@ -75,7 +74,7 @@ fn replay_cfg(shards: usize, producers: usize, ring_capacity: usize) -> ReplayCo
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any `(shards, producers, engine, model, workload shape)`: the
+    /// Any `(shards, producers, path, model, workload shape)`: the
     /// per-link decision bytes equal the serial reference's. The tiny
     /// ring capacity keeps the backpressure path on the hot side of the
     /// property.
@@ -92,14 +91,14 @@ proptest! {
         boxed in 0u8..2,
         memoryless in 0u8..2,
     ) {
-        let engine = if boxed == 1 { Engine::Boxed } else { Engine::Batched };
-        let w = workload(seed, links, ticks, requests_per_tick, engine, ar1 == 1);
+        let boxed = boxed == 1;
+        let w = workload(seed, links, ticks, requests_per_tick, boxed, ar1 == 1);
         let t_m = if memoryless == 1 { 0.0 } else { 2.0 };
         let make = certainty_equivalent_factory(1e-2, t_m);
 
-        // The reference is always the batched-engine workload: engine
-        // choice must not leak into the workload either.
-        let w_ref = workload(seed, links, ticks, requests_per_tick, Engine::Batched, ar1 == 1);
+        // The reference is always the workload generated on the
+        // kernels: the boxed path must not leak into the workload either.
+        let w_ref = workload(seed, links, ticks, requests_per_tick, false, ar1 == 1);
         let reference = replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w_ref).unwrap();
         let sharded = replay_threaded(&replay_cfg(shards, producers, 1 << ring_pow), make, &w).unwrap();
 
@@ -108,8 +107,8 @@ proptest! {
             prop_assert_eq!(
                 sharded.encode(link),
                 reference.encode(link),
-                "link {} diverged at shards={}, producers={}, engine={:?}",
-                link, shards, producers, engine
+                "link {} diverged at shards={}, producers={}, boxed={}",
+                link, shards, producers, boxed
             );
         }
     }
@@ -120,7 +119,7 @@ proptest! {
 /// byte on a fixed workload.
 #[test]
 fn every_shard_count_matches_serial_reference() {
-    let w = workload(42, 5, 20, 3, Engine::Batched, false);
+    let w = workload(42, 5, 20, 3, false, false);
     let make = certainty_equivalent_factory(1e-2, 2.0);
     let reference = replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w).unwrap();
     assert!(reference.admitted > 0 && reference.rejected() > 0);
@@ -142,7 +141,7 @@ fn every_shard_count_matches_serial_reference() {
 /// disjoint.
 #[test]
 fn shard_counters_partition_the_decisions() {
-    let w = workload(7, 4, 15, 2, Engine::Batched, false);
+    let w = workload(7, 4, 15, 2, false, false);
     let make = certainty_equivalent_factory(1e-2, 2.0);
     for shards in [1, 3, 8] {
         let out = replay_threaded(&replay_cfg(shards, 2, 32), Arc::clone(&make), &w).unwrap();

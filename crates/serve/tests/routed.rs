@@ -1,5 +1,6 @@
 //! Shard invariance, extended to routed workloads: for any shard count
-//! 1..=8, any producer count, either flow engine, and any of the
+//! 1..=8, any producer count, a model on its kernel or unbatched, and
+//! any of the
 //! reference topologies (single-link, parking-lot, star), the sharded
 //! routed plane's per-route decision sequence — votes, admissible
 //! counts, occupancies, bit for bit through the canonical encoding —
@@ -14,11 +15,11 @@ use mbac_serve::{
     RoutedPlaneConfig, RoutedReplayConfig,
 };
 use mbac_sim::{
-    Engine, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
-    RoutedWorkload, SessionBuilder, Topology,
+    MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig, RoutedWorkload,
+    SessionBuilder, Topology,
 };
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
-use mbac_traffic::process::SourceModel;
+use mbac_traffic::process::{SourceModel, Unbatched};
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -55,12 +56,13 @@ fn workload(
     ticks: usize,
     requests_per_tick: usize,
     noise_sd: f64,
-    engine: Engine,
+    boxed: bool,
     ar1: bool,
 ) -> RoutedWorkload {
     let m = model(ar1);
+    let hidden = Unbatched(m.as_ref());
     let load = RoutedLoad {
-        model: m.as_ref(),
+        model: if boxed { &hidden } else { m.as_ref() },
         cfg: RoutedLoadConfig {
             topology: Arc::new(topo),
             flows_per_route: 5,
@@ -72,7 +74,7 @@ fn workload(
             seed,
         },
     };
-    SessionBuilder::new().engine(engine).run(&load).unwrap()
+    SessionBuilder::new().run(&load).unwrap()
 }
 
 fn replay_cfg(shards: usize, producers: usize, ring_capacity: usize) -> RoutedReplayConfig {
@@ -107,7 +109,7 @@ fn assert_routes_match(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any `(topology, shards, producers, engine, model, noise)`: the
+    /// Any `(topology, shards, producers, path, model, noise)`: the
     /// per-route decision bytes equal the serial reference's. The tiny
     /// ring capacity keeps backpressure — and therefore parking — on
     /// the hot side of the property.
@@ -125,15 +127,14 @@ proptest! {
         boxed in 0u8..2,
         memoryless in 0u8..2,
     ) {
-        let engine = if boxed == 1 { Engine::Boxed } else { Engine::Batched };
         let noise_sd = if noisy == 1 { 0.05 } else { 0.0 };
-        let w = workload(seed, topology(topo_kind), ticks, requests_per_tick, noise_sd, engine, ar1 == 1);
+        let w = workload(seed, topology(topo_kind), ticks, requests_per_tick, noise_sd, boxed == 1, ar1 == 1);
         let t_m = if memoryless == 1 { 0.0 } else { 2.0 };
         let make = certainty_equivalent_factory(1e-2, t_m);
 
-        // The reference is always the batched-engine workload: engine
-        // choice must not leak into the workload either.
-        let w_ref = workload(seed, topology(topo_kind), ticks, requests_per_tick, noise_sd, Engine::Batched, ar1 == 1);
+        // The reference is always the workload generated on the
+        // kernels: the boxed path must not leak into the workload either.
+        let w_ref = workload(seed, topology(topo_kind), ticks, requests_per_tick, noise_sd, false, ar1 == 1);
         let reference = replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w_ref).unwrap();
         let sharded = replay_threaded(&replay_cfg(shards, producers, 1 << ring_pow), make, &w).unwrap();
 
@@ -155,7 +156,7 @@ proptest! {
 #[test]
 fn every_shard_count_matches_serial_reference_on_every_topology() {
     for topo_kind in 0..3 {
-        let w = workload(42, topology(topo_kind), 20, 3, 0.05, Engine::Batched, false);
+        let w = workload(42, topology(topo_kind), 20, 3, 0.05, false, false);
         let make = certainty_equivalent_factory(1e-2, 2.0);
         let reference = replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w).unwrap();
         assert!(
@@ -274,7 +275,7 @@ fn disjoint_links_routed_decisions_reproduce_legacy_bytes() {
 /// with measurement noise on a multi-hop topology.
 #[test]
 fn routed_ar1_decisions_match_serial_reference() {
-    let w = workload(7, topology(1), 15, 2, 0.05, Engine::Batched, true);
+    let w = workload(7, topology(1), 15, 2, 0.05, false, true);
     let make = certainty_equivalent_factory(1e-2, 2.0);
     let serial = replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w).unwrap();
     let sharded = replay_threaded(&replay_cfg(4, 2, 32), make, &w).unwrap();
@@ -287,7 +288,7 @@ fn routed_ar1_decisions_match_serial_reference() {
 #[test]
 fn routed_counters_partition_the_decisions() {
     let topo = topology(1); // parking-lot(3): 3 links, 4 routes
-    let w = workload(7, topo, 15, 2, 0.0, Engine::Batched, false);
+    let w = workload(7, topo, 15, 2, 0.0, false, false);
     let make = certainty_equivalent_factory(1e-2, 2.0);
     for shards in [1, 3, 8] {
         let out = replay_threaded(&replay_cfg(shards, 2, 32), Arc::clone(&make), &w).unwrap();
@@ -361,15 +362,7 @@ fn mixed_topology_decision_bytes_are_pinned() {
     ];
     let make = certainty_equivalent_factory(1e-2, 2.0);
     for (topo_kind, noise_sd, pinned) in cases {
-        let w = workload(
-            29,
-            topology(topo_kind),
-            30,
-            3,
-            noise_sd,
-            Engine::Batched,
-            false,
-        );
+        let w = workload(29, topology(topo_kind), 30, 3, noise_sd, false, false);
         let out = replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w).unwrap();
         assert!(
             out.admitted > 0 && out.rejected() > 0,

@@ -42,7 +42,10 @@
 //! The buckets are one flat array, allocated by the first `schedule`.
 //! Until then every occupancy mask is zero, so `peek_min` and
 //! `pop_until` never reach for a bucket, and a calendar whose flows all
-//! hold forever (an impulsive replication's) costs no allocation.
+//! hold forever (an impulsive replication's) costs no allocation. A
+//! drained level-0 bucket keeps room for twice its load, a cascaded
+//! higher one (reused once every `64^(l+1)` units) none: kept whole, a
+//! long run's buckets would each hold the room of their record load.
 //!
 //! ## Correctness does not depend on quantization
 //!
@@ -70,6 +73,9 @@ const SLOTS: usize = 64;
 const SLOT_BITS: u32 = 6;
 /// ceil(64 / 6): enough levels to cover the full `u64` index range.
 const LEVELS: usize = 11;
+/// The room a drained level-0 bucket always keeps, in entries: below
+/// it, shrinking to twice the load would reallocate on most reuses.
+const MIN_ROOM: usize = 16;
 
 /// Default level-0 bucket width in simulated seconds — a quarter time
 /// unit, matching the canonical tick of the paper-scale simulations so
@@ -258,6 +264,7 @@ impl DepartureCalendar {
             let mut bucket = std::mem::take(self.bucket(level, slot));
             self.occupied[level] &= !(1 << slot);
             if level == 0 {
+                let held = bucket.len();
                 for entry in bucket.drain(..) {
                     if entry.departs_at <= t {
                         self.len -= 1;
@@ -270,12 +277,13 @@ impl DepartureCalendar {
                         self.leftovers.push(entry);
                     }
                 }
+                bucket.shrink_to((2 * held).max(MIN_ROOM));
+                *self.bucket(level, slot) = bucket;
             } else {
-                for entry in bucket.drain(..) {
+                for entry in bucket {
                     self.file(entry);
                 }
             }
-            *self.bucket(level, slot) = bucket;
         }
         self.cursor = self.cursor.max(target);
         while let Some(entry) = self.leftovers.pop() {
@@ -428,6 +436,33 @@ mod tests {
             assert_eq!(cal.peek_min(), want_min, "step {step}");
             assert_eq!(cal.len(), oracle.len());
         }
+    }
+
+    /// A burst of departures in one bucket, then a steady trickle for
+    /// as long as the wheel's two lowest levels take to turn over: the
+    /// buckets keep room for what the trickle's level-0 buckets need.
+    #[test]
+    fn a_bucket_keeps_room_for_its_load_not_its_record() {
+        let mut cal = DepartureCalendar::new();
+        let capacity = |cal: &DepartureCalendar| cal.buckets.iter().map(Vec::capacity).sum();
+        for handle in 0..10_000 {
+            cal.schedule(handle, 1.0);
+        }
+        assert_eq!(drain(&mut cal, 1.0).len(), 10_000);
+        let after_burst: usize = capacity(&cal);
+        assert!(after_burst >= 10_000, "{after_burst}");
+        // One departure a bucket, filed a level-1 slot ahead.
+        let mut t = 1.0;
+        for step in 0..(SLOTS * SLOTS) as u32 {
+            cal.schedule(step, t + 20.0);
+            t += DEFAULT_BUCKET_WIDTH;
+            drain(&mut cal, t);
+        }
+        // The trickle puts one departure in each level-0 bucket (which
+        // keeps `MIN_ROOM`) and a slot's worth in the level-1 bucket
+        // filling now; the burst's 10 000 must not be kept.
+        let steady = capacity(&cal);
+        assert!(steady <= (MIN_ROOM + 2) * SLOTS, "{steady} entries kept");
     }
 
     #[test]

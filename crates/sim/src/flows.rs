@@ -43,13 +43,13 @@
 //! randomness, and each flow's next draws are fresh whatever slot it
 //! holds, so the law of every observable is the same.
 //!
-//! Batched and unbatched tables consume the RNG identically (the
-//! kernels' documented stream contract), so [`FlowTable::new`] and
-//! [`FlowTable::new_unbatched`] produce bit-identical simulations for a
-//! fixed seed; the equivalence tests below assert this, and the
-//! `tests/churn.rs` proptests check both engines at every step of
-//! randomized schedules, against each other and against a brute-force
-//! set model of the flows in the system.
+//! The boxed path is a property of the model: one without a kernel —
+//! [`Unbatched`](mbac_traffic::process::Unbatched)`(&model)` hides one —
+//! keeps its flows in the [`DynBatch`] group. Both paths consume the RNG
+//! identically (the kernels' stream contract), so a table runs `model`
+//! and `Unbatched(&model)` to the same bits; the tests below and the
+//! `tests/churn.rs` proptests check both at every step of randomized
+//! schedules, against each other and a brute-force set model.
 
 use crate::calendar::{CalendarEntry, DepartureCalendar};
 use mbac_num::RateMoments;
@@ -121,8 +121,6 @@ impl BatchGroup {
 /// The set of flows currently in the system.
 pub struct FlowTable {
     groups: Vec<BatchGroup>,
-    /// Route flows into specialized kernels when the model offers one.
-    batching: bool,
     /// Flows currently in the system (sum of group lengths).
     count: usize,
     /// Flows in the system that hold forever (an `INFINITY` departure):
@@ -160,11 +158,11 @@ impl Default for FlowTable {
 }
 
 impl FlowTable {
-    /// Creates an empty table using batched kernels where available.
+    /// Creates an empty table. Each model's flows share its batched
+    /// kernel, or the boxed fallback group when it has none.
     pub fn new() -> Self {
         FlowTable {
             groups: Vec::new(),
-            batching: true,
             count: 0,
             forever: 0,
             next_id: 0,
@@ -177,16 +175,6 @@ impl FlowTable {
             free: Vec::new(),
             expired: Vec::new(),
             departs: Vec::new(),
-        }
-    }
-
-    /// Creates an empty table that keeps every flow on the boxed
-    /// fallback path — the reference engine for equivalence tests and
-    /// A/B benchmarks.
-    pub fn new_unbatched() -> Self {
-        FlowTable {
-            batching: false,
-            ..Self::new()
         }
     }
 
@@ -302,7 +290,7 @@ impl FlowTable {
         if k == 0 {
             return self.next_id..self.next_id;
         }
-        let group = match self.batching.then(|| model.batch_key()).flatten() {
+        let group = match model.batch_key() {
             Some(key) => {
                 let key = GroupKey::Kernel(key);
                 match self.groups.iter().position(|g| g.key == key) {
@@ -338,7 +326,7 @@ impl FlowTable {
     /// their [`Burst::rates`], then [`Burst::keep`] the admitted prefix.
     /// Draws exactly what `n` calls of [`SourceModel::spawn`] draw.
     ///
-    /// On a batched table with a kernel for `model` the candidates form
+    /// If `model` has a batched kernel the candidates form
     /// a struct-of-arrays group of their own; otherwise they join the
     /// boxed fallback group, as pre-spawned processes always have.
     pub fn spawn_burst(
@@ -347,7 +335,7 @@ impl FlowTable {
         n: usize,
         rng: &mut StdRng,
     ) -> Burst<'_> {
-        let group = match self.batching.then(|| model.new_batch()).flatten() {
+        let group = match model.new_batch() {
             Some(mut batch) => {
                 batch.spawn(n, rng);
                 self.push_group(GroupKey::Burst, batch)
@@ -609,6 +597,7 @@ impl Drop for Burst<'_> {
 mod tests {
     use super::*;
     use mbac_traffic::ar1::{Ar1Config, Ar1Model};
+    use mbac_traffic::process::Unbatched;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -755,34 +744,34 @@ mod tests {
 
     /// A NaN departure would never be scheduled and a `−∞` one would be
     /// a minimum no `depart_until` can pop: every admission refuses
-    /// both, on both engines, naming the value.
-    fn admit_run_at(table: FlowTable, departs_at: f64) {
-        let (mut table, mut rng) = (table, StdRng::seed_from_u64(9));
-        table.admit_run(&model(), 3, &mut rng, |_| departs_at);
+    /// both, kernel or boxed, naming the value.
+    fn admit_run_at(model: &dyn SourceModel, departs_at: f64) {
+        let (mut table, mut rng) = (FlowTable::new(), StdRng::seed_from_u64(9));
+        table.admit_run(model, 3, &mut rng, |_| departs_at);
     }
 
     #[test]
     #[should_panic(expected = "departure time NaN is neither finite nor +inf")]
     fn batched_run_refuses_a_nan_departure() {
-        admit_run_at(FlowTable::new(), f64::NAN);
+        admit_run_at(&model(), f64::NAN);
     }
 
     #[test]
     #[should_panic(expected = "departure time NaN is neither finite nor +inf")]
     fn unbatched_run_refuses_a_nan_departure() {
-        admit_run_at(FlowTable::new_unbatched(), f64::NAN);
+        admit_run_at(&Unbatched(&model()), f64::NAN);
     }
 
     #[test]
     #[should_panic(expected = "departure time -inf is neither finite nor +inf")]
     fn batched_run_refuses_a_minus_infinite_departure() {
-        admit_run_at(FlowTable::new(), f64::NEG_INFINITY);
+        admit_run_at(&model(), f64::NEG_INFINITY);
     }
 
     #[test]
     #[should_panic(expected = "departure time -inf is neither finite nor +inf")]
     fn unbatched_run_refuses_a_minus_infinite_departure() {
-        admit_run_at(FlowTable::new_unbatched(), f64::NEG_INFINITY);
+        admit_run_at(&Unbatched(&model()), f64::NEG_INFINITY);
     }
 
     #[test]
@@ -806,25 +795,26 @@ mod tests {
     /// `Burst::keep` registers its kept prefix in one pass exactly as
     /// one registration per flow would: the same ids, handles (freed
     /// ones reused LIFO), calendar entries and snapshot, before and
-    /// after a drain, on both engines.
+    /// after a drain, kernel or boxed.
     #[test]
     fn burst_keep_registers_as_flow_by_flow() {
-        for make in [FlowTable::new, FlowTable::new_unbatched] {
-            let m = model();
+        let rcbr = model();
+        let hidden = Unbatched(&rcbr);
+        for m in [&rcbr as &dyn SourceModel, &hidden] {
             let departs = [4.0, f64::INFINITY, 2.5, 2.5, 1.0e6, 3.0, 2.5];
-            let mut tables = [make(), make()];
+            let mut tables = [FlowTable::new(), FlowTable::new()];
             let mut rngs = [StdRng::seed_from_u64(12), StdRng::seed_from_u64(12)];
             for (table, rng) in tables.iter_mut().zip(&mut rngs) {
                 // Freed handles for the burst to reuse.
                 let mut holds = [1.0, 2.0, 1.0, 9.0, 1.0].into_iter();
-                table.admit_run(&m, 5, rng, |_| holds.next().unwrap());
+                table.admit_run(m, 5, rng, |_| holds.next().unwrap());
                 table.depart_until(1.0);
             }
             let mut times = departs.into_iter();
             tables[0]
-                .spawn_burst(&m, 9, &mut rngs[0])
+                .spawn_burst(m, 9, &mut rngs[0])
                 .keep(departs.len(), || times.next().unwrap());
-            let burst = tables[1].spawn_burst(&m, 9, &mut rngs[1]);
+            let burst = tables[1].spawn_burst(m, 9, &mut rngs[1]);
             for t in departs {
                 burst.table.departs.clear();
                 burst.table.departs.push(t);
@@ -871,8 +861,8 @@ mod tests {
     /// A table of `model`'s flows advanced to `t = ∞`. Without the
     /// finite-target check the AR(1) catch-up loop never returns; with it
     /// every kernel panics before drawing.
-    fn advance_to_infinity(model: &dyn SourceModel, table: FlowTable) {
-        let (mut table, mut rng) = (table, StdRng::seed_from_u64(8));
+    fn advance_to_infinity(model: &dyn SourceModel) {
+        let (mut table, mut rng) = (FlowTable::new(), StdRng::seed_from_u64(8));
         table.admit_run(model, 3, &mut rng, |_| f64::INFINITY);
         table.advance_to(f64::INFINITY, &mut rng);
     }
@@ -890,48 +880,44 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot advance flows to inf")]
     fn rcbr_table_refuses_an_infinite_advance() {
-        advance_to_infinity(&model(), FlowTable::new());
+        advance_to_infinity(&model());
     }
 
     #[test]
     #[should_panic(expected = "cannot advance flows to inf")]
     fn ar1_table_refuses_an_infinite_advance() {
-        advance_to_infinity(&ar1_model(), FlowTable::new());
+        advance_to_infinity(&ar1_model());
     }
 
     #[test]
     #[should_panic(expected = "cannot advance flows to inf")]
     fn markov_table_refuses_an_infinite_advance() {
         let m = RcbrModel::on_off(2.0, 1.0, 3.0);
-        advance_to_infinity(&m, FlowTable::new());
+        advance_to_infinity(&m);
     }
 
     #[test]
     #[should_panic(expected = "cannot advance flows to inf")]
     fn boxed_table_refuses_an_infinite_advance() {
-        advance_to_infinity(&ar1_model(), FlowTable::new_unbatched());
+        advance_to_infinity(&Unbatched(&ar1_model()));
     }
 
     /// The contract of `advance_depart_measure`: bit-identical to the
     /// advance → depart → snapshot sequence folded into `RateMoments` —
     /// same moments, same RNG stream — through admissions and
-    /// departures, on both engines, with flows of two models in the
+    /// departures, kernel or boxed, with flows of two models in the
     /// table: folding group by group is folding the snapshot whole.
     #[test]
     fn fused_tick_matches_unfused_sequence() {
-        for make in [FlowTable::new, FlowTable::new_unbatched] {
-            let ar1 = Ar1Model::new(Ar1Config {
-                mean: 1.0,
-                std_dev: 0.3,
-                t_c: 1.0,
-                tick: 0.05,
-                clamp_at_zero: true,
-            });
-            let rcbr = model();
+        let (ar1, rcbr) = (ar1_model(), model());
+        let (hidden_ar1, hidden_rcbr) = (Unbatched(&ar1), Unbatched(&rcbr));
+        let models: [(&dyn SourceModel, &dyn SourceModel); 2] =
+            [(&ar1, &rcbr), (&hidden_ar1, &hidden_rcbr)];
+        for (ar1, rcbr) in models {
             let mut rng_a = StdRng::seed_from_u64(91);
             let mut rng_b = StdRng::seed_from_u64(91);
-            let mut fused = make();
-            let mut plain = make();
+            let mut fused = FlowTable::new();
+            let mut plain = FlowTable::new();
             let mut snap = Vec::new();
             let mut now = 0.0;
             for step in 0..200 {
@@ -949,20 +935,21 @@ mod tests {
                 assert_eq!(fused.len(), plain.len());
                 let holding = 0.7 + (step % 13) as f64;
                 if step % 4 == 0 {
-                    fused.admit(&ar1, now + holding, &mut rng_a);
-                    plain.admit(&ar1, now + holding, &mut rng_b);
+                    fused.admit(ar1, now + holding, &mut rng_a);
+                    plain.admit(ar1, now + holding, &mut rng_b);
                 }
                 if step % 3 == 0 {
-                    fused.admit(&rcbr, now + 2.0 * holding, &mut rng_a);
-                    plain.admit(&rcbr, now + 2.0 * holding, &mut rng_b);
+                    fused.admit(rcbr, now + 2.0 * holding, &mut rng_a);
+                    plain.admit(rcbr, now + 2.0 * holding, &mut rng_b);
                 }
             }
             assert!(fused.departed_total() > 0, "no departure exercised");
         }
     }
 
-    /// Batched and unbatched tables must yield bit-identical snapshots
-    /// for the same seed, through admissions, advances, and departures.
+    /// A model and the same model unbatched must yield bit-identical
+    /// snapshots for the same seed, through admissions, advances, and
+    /// departures.
     #[test]
     fn batched_table_is_bit_exact_with_unbatched() {
         for (name, m) in [
@@ -982,7 +969,8 @@ mod tests {
             let mut rng_a = StdRng::seed_from_u64(77);
             let mut rng_b = StdRng::seed_from_u64(77);
             let mut batched = FlowTable::new();
-            let mut boxed = FlowTable::new_unbatched();
+            let mut boxed = FlowTable::new();
+            let hidden = Unbatched(m.as_ref());
             let mut snap_a = Vec::new();
             let mut snap_b = Vec::new();
             let mut now = 0.0;
@@ -995,7 +983,7 @@ mod tests {
                 if step % 3 == 0 {
                     let holding = 1.0 + (step % 17) as f64;
                     batched.admit(m.as_ref(), now + holding, &mut rng_a);
-                    boxed.admit(m.as_ref(), now + holding, &mut rng_b);
+                    boxed.admit(&hidden, now + holding, &mut rng_b);
                 }
                 batched.snapshot_into(&mut snap_a);
                 boxed.snapshot_into(&mut snap_b);
@@ -1004,6 +992,9 @@ mod tests {
                 assert_eq!(batched.next_departure(), boxed.next_departure());
             }
             assert!(batched.admitted_total() > 0 && batched.departed_total() > 0);
+            // The two sides took the two paths.
+            assert!(batched.groups.iter().all(|g| g.key != GroupKey::Boxed));
+            assert!(boxed.groups.iter().all(|g| g.key == GroupKey::Boxed));
         }
     }
 

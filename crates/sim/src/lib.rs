@@ -28,12 +28,14 @@
 //!
 //! Everything is seed-deterministic: identical configurations with
 //! identical seeds reproduce bit-identical reports, for any worker
-//! count and either flow engine.
+//! count, whether or not a model's flows run on its batched kernel.
 
 #![warn(missing_docs)]
 
 pub mod arrivals;
 pub mod calendar;
+#[doc(hidden)]
+pub mod compat;
 pub mod controller;
 pub mod events;
 pub mod flows;
@@ -46,6 +48,8 @@ pub mod telemetry;
 
 pub use arrivals::{PoissonConfig, PoissonLoad, PoissonReport};
 pub use calendar::DepartureCalendar;
+#[doc(hidden)]
+pub use compat::Engine;
 pub use controller::{AdmissionEngine, LinkAdmission, MbacController, MeasuredSumController};
 pub use events::EventQueue;
 pub use flows::FlowTable;
@@ -62,9 +66,7 @@ pub use runner::{
     ContinuousConfig, ContinuousLoad, ContinuousReport, ImpulsiveConfig, ImpulsiveLoad,
     ImpulsiveReport, PhaseReport, PhasedLoad,
 };
-pub use session::{
-    rep_seed, ConfigError, Engine, MetricsMode, RepContext, Scenario, SessionBuilder,
-};
+pub use session::{rep_seed, ConfigError, MetricsMode, RepContext, Scenario, SessionBuilder};
 pub use telemetry::{EntryGuard, MetricsSink, SimMetrics, TickEntry};
 
 pub use mbac_core::topology::{LinkId, RouteId, Topology};

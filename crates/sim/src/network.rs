@@ -16,8 +16,8 @@
 //! One replication is one realization of the whole network (the links
 //! are correlated through shared flows, so they cannot be independent
 //! replications); the Session pipeline runs replications in parallel
-//! with the usual bit-determinism for any worker count and either
-//! engine.
+//! with the usual bit-determinism for any worker count, kernel or
+//! boxed.
 
 use crate::controller::{LinkAdmission, MbacController};
 use crate::flows::FlowTable;
@@ -422,10 +422,11 @@ impl Scenario for RoutedNetworkLoad<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{Engine, SessionBuilder};
+    use crate::session::SessionBuilder;
     use mbac_core::estimators::MemorylessEstimator;
     use mbac_core::topology::RouteId;
     use mbac_num::RateMoments;
+    use mbac_traffic::process::Unbatched;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
     fn model() -> RcbrModel {
@@ -524,11 +525,14 @@ mod tests {
             let r = SessionBuilder::new().workers(workers).run(&load).unwrap();
             assert_eq!(r, reference, "diverged at {workers} workers");
         }
+        let hidden = Unbatched(&m);
         let boxed = SessionBuilder::new()
-            .engine(Engine::Boxed)
-            .run(&load)
+            .run(&RoutedNetworkLoad {
+                model: &hidden,
+                cfg: config(Topology::star(3, 10.0)),
+            })
             .unwrap();
-        assert_eq!(boxed, reference, "boxed engine diverged");
+        assert_eq!(boxed, reference, "the boxed path diverged");
     }
 
     #[test]

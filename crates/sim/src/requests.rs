@@ -19,18 +19,17 @@
 //! tick one [`LinkEvent::Measure`] carrying the link's rates, then
 //! `requests_per_tick` [`LinkEvent::Request`]s.
 //!
-//! Because generation rides the Session pipeline, a workload is
-//! **bit-identical for any worker count and either flow engine** (the
-//! `rep_seed` determinism contract), so the serve invariance tests can
-//! generate their streams in parallel without weakening the comparison.
+//! A workload is **bit-identical for any worker count**, kernel or
+//! boxed (the `rep_seed` determinism contract), so the serve
+//! invariance tests can generate their streams in parallel without
+//! weakening the comparison.
 //!
 //! # Windows
 //!
 //! A run need not exist in memory at once. [`RoutedLoad::windows`], and
 //! [`RequestLoad::windows`] over its one-hop routes, generate it a window
 //! of ticks at a time ([`Windows::next_window`]) into a window the
-//! caller owns, written over whatever window of the run that buffer held
-//! before. A window is **compact**: it holds one [`SnapshotMoments`] per
+//! caller owns. A window is **compact**: one [`SnapshotMoments`] per
 //! (tick, link) — the link's measurement folded where it is generated,
 //! while its rates are still in cache, around its first rate
 //! ([`fold_noisy`] with no pivot: the producer cannot know the
@@ -39,16 +38,16 @@
 //! tick, the topology and `requests_per_tick` ([`RoutedWindow::seq`]),
 //! so the replay synthesises them, and a decision plane sizes its route
 //! table to the window's slice of the run's seq → route map
-//! ([`RoutedWindow::first_seq`], [`RoutedWindow::request_routes`]), not
-//! to the run. Times and `seq` run on across
-//! windows, every population and noise stream carries on where the last
-//! window left it, and a link's snapshots, window after window, are
-//! those of its `Measure`s in the materialised workload, bit for bit
-//! (tested): both are written on the same per-tick steps
-//! (`Population::step_to`, `LinkAssembly::measure`) — a single-link
-//! `Measure` carries the rates the window folds, a routed one the fold
-//! itself. Five numbers a link a tick cross from the core that
-//! generates a window to the one that replays it.
+//! ([`RoutedWindow::request_routes`]), not to the run. Times, `seq`,
+//! every population and every noise stream run on across windows.
+//!
+//! A materialised routed run is its windows laid end to end: the
+//! session seeds one replication per route, and [`RoutedLoad`]'s fold
+//! runs the same generator over the whole run, appending each window's
+//! measurements and synthesised requests to the per-link streams. A
+//! materialised single-link run ([`RequestLoad`]) steps each link's
+//! population on the same per-tick step (`Population::step_to`) and
+//! keeps its rates, which its windows fold (tested bit for bit).
 //!
 //! # Ordering contract
 //!
@@ -56,26 +55,23 @@
 //! link's interleaving of measurements and requests is what the
 //! controller's decision sequence depends on. Cross-link order is
 //! deliberately unspecified — the decision plane is free to interleave
-//! links arbitrarily (that is the whole point of sharding), and
-//! [`ServeWorkload::canonical_events`] provides one fixed round-robin
-//! merge as the serial-reference order. A window is replayed in another
-//! order: tick by tick and, within a tick, request by request — every
-//! link's measurement, then the tick's requests in `seq` order, each
-//! one's hop occurrences back to back from hop 0. Each link still sees
-//! its measurement and then its requests of the tick in `seq` order. So
-//! a run replayed in windows visits the links in another cross-link
-//! order than the same run materialised — and decides the same, because
-//! no decision reads anything but per-link order. Routed workloads add
-//! one more guarantee the two-phase commit relies on: each link's
-//! `Request` occurrences are strictly increasing in `seq`, and every
-//! hop's occurrence of one request lies in the same tick, hence the
-//! same window — no reserve is left waiting at a window's end, and a
-//! window's route table need hold no request of another window.
+//! links (that is the point of sharding) — and
+//! [`ServeWorkload::canonical_events`] is one fixed round-robin merge,
+//! the serial-reference order. A window is replayed tick by tick and,
+//! within a tick, request by request: every link's measurement, then the
+//! tick's requests in `seq` order, each one's hop occurrences back to
+//! back from hop 0. Each link still sees its measurement and then its
+//! requests in `seq` order, so it decides as the materialised run does.
+//! Routed workloads add the guarantee the two-phase commit relies on:
+//! each link's `Request` occurrences are strictly increasing in `seq`,
+//! and every hop's occurrence of one request lies in the same tick,
+//! hence the same window — no reserve waits past a window's end, and a
+//! window's route table holds no request of another window.
 
 use crate::flows::FlowTable;
 use crate::session::{
     rep_seed, require_finite, require_non_negative, require_positive, require_step, ConfigError,
-    Engine, RepContext, Scenario,
+    RepContext, Scenario,
 };
 use crate::telemetry::MetricsSink;
 use mbac_core::topology::{LinkId, RouteId, Topology};
@@ -230,7 +226,7 @@ struct Population<'a> {
 
 impl<'a> Population<'a> {
     /// `flows` flows with exponential residual holding times, on
-    /// `ctx`'s stream and engine.
+    /// `ctx`'s stream.
     fn new(model: &'a dyn SourceModel, flows: usize, mean_holding: f64, ctx: &RepContext) -> Self {
         let mut rng = ctx.rng();
         let mut table = ctx.table();
@@ -485,11 +481,11 @@ impl<'a> RequestLoad<'a> {
         })
     }
 
-    /// The run as successive windows, generated on `engine`: checks the
-    /// configuration as [`RoutedLoad::windows`] does.
-    pub fn windows(&self, engine: Engine) -> Result<RequestWindows<'a>, ConfigError> {
+    /// The run as successive windows: checks the configuration as
+    /// [`RoutedLoad::windows`] does.
+    pub fn windows(&self) -> Result<RequestWindows<'a>, ConfigError> {
         let routed = self.routed(1, MAX_WORKLOAD_ITEMS)?;
-        Ok(RequestWindows(routed.windows(engine)?))
+        Ok(RequestWindows(routed.windows()?))
     }
 }
 
@@ -687,9 +683,9 @@ impl RoutedWorkload {
 /// session's `rep_seed` derivation).
 const NOISE_STREAM_SALT: u64 = 0x6E65_745F_6C69_6E6B; // "net_link"
 
-/// The routed request-stream scenario: replication `r` evolves route
-/// `r`'s flow population; the fold assembles per-link streams with
-/// correlated load and per-node noise.
+/// The routed request-stream scenario: replication `r` seeds route
+/// `r`'s flow population; the fold generates the run window by window,
+/// per-link streams with correlated load and per-node noise.
 pub struct RoutedLoad<'a> {
     /// The per-flow traffic model (RCBR, AR(1), trace, …).
     pub model: &'a dyn SourceModel,
@@ -698,7 +694,7 @@ pub struct RoutedLoad<'a> {
 }
 
 impl Scenario for RoutedLoad<'_> {
-    type Rep = Vec<Box<[f64]>>;
+    type Rep = RepContext;
     type Report = RoutedWorkload;
 
     fn validate(&self) -> Result<(), ConfigError> {
@@ -714,50 +710,50 @@ impl Scenario for RoutedLoad<'_> {
         self.cfg.topology.routes()
     }
 
-    fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> Vec<Box<[f64]>> {
-        self.population(ctx).run(self.cfg.ticks, self.cfg.tick)
+    /// Seeds route `ctx.rep`: its population is admitted on this stream
+    /// when the fold generates the run.
+    fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> RepContext {
+        *ctx
     }
 
-    fn fold(&self, reps: Vec<Vec<Box<[f64]>>>) -> RoutedWorkload {
+    /// The run's windows laid end to end: the generator of
+    /// [`RoutedLoad::windows`] writes a window of ticks at a time, and
+    /// each tick's measurements and requests are appended to the
+    /// per-link streams.
+    fn fold(&self, reps: Vec<RepContext>) -> RoutedWorkload {
+        // Any window length makes the same bits; 32 ticks stay in cache.
+        const WINDOW_TICKS: usize = 32;
         let cfg = &self.cfg;
         let topo = &cfg.topology;
+        // Validated: a run holds more events than requests.
+        let request_routes = cfg.request_routes().expect("a validated run");
         let mut per_link: Vec<Vec<RoutedEvent>> = (0..topo.links())
             .map(|_| Vec::with_capacity(cfg.ticks * (1 + cfg.requests_per_tick)))
             .collect();
-        let mut assembly = LinkAssembly::new(cfg);
-        // Each route's snapshots in tick order, each dropped once its
-        // tick is measured.
-        let mut reps: Vec<_> = reps.into_iter().map(Vec::into_iter).collect();
+        let mut generator = self.generator(reps);
+        let mut window = generator.new_window();
         let mut seq = 0;
-        for step in 1..=cfg.ticks {
-            let now = step as f64 * cfg.tick;
-            let tick: Vec<Box<[f64]>> = reps
-                .iter_mut()
-                .map(|rep| rep.next().expect("a snapshot a tick"))
-                .collect();
-            assembly.measure(
-                cfg,
-                topo.link_ids(),
-                |route| &tick[route.index()],
-                |link, rates| {
-                    per_link[link.index()].push(RoutedEvent::Measure { t: now, rates });
-                },
-            );
-            // Requests: one occurrence per hop, shared seq, emitted in
-            // seq order on every link (the two-phase commit's
-            // monotonicity invariant).
-            for route in cfg.tick_requests() {
-                for &hop in topo.route(route) {
-                    per_link[hop.index()].push(RoutedEvent::Request { t: now, route, seq });
+        while generator.next_window(WINDOW_TICKS, &mut window) {
+            for (link, _, t, rates) in window.snapshots.measurements() {
+                per_link[link.index()].push(RoutedEvent::Measure { t, rates });
+                if link.index() + 1 < topo.links() {
+                    continue;
                 }
-                seq += 1;
+                // The tick's requests: one occurrence per hop, shared
+                // seq, emitted in seq order on every link (the
+                // two-phase commit's monotonicity invariant).
+                for route in cfg.tick_requests() {
+                    for &hop in topo.route(route) {
+                        per_link[hop.index()].push(RoutedEvent::Request { t, route, seq });
+                    }
+                    seq += 1;
+                }
             }
         }
         RoutedWorkload {
             topology: Arc::clone(topo),
             per_link,
-            // Validated: a run holds more events than requests.
-            request_routes: cfg.request_routes().expect("a validated run"),
+            request_routes,
         }
     }
 }
@@ -783,41 +779,51 @@ impl LinkAssembly {
         }
     }
 
-    /// Measures `links` at one tick, in their order, from the rates
-    /// `rates_of` each route's population has there, and hands each
-    /// measurement's fold to `each`: the link sees the union of its
-    /// crossing routes' flows (correlated load, route order), through its
-    /// own noise, folded around the first as it measures it.
-    fn measure<'r>(
+    /// Measures `links` at one tick, in their order, from each route's
+    /// rates there (`rates[r]`), and hands each measurement's fold to
+    /// `each`: the link sees the union of its crossing routes' flows
+    /// (correlated load, route order), through its own noise, folded
+    /// around the first as it measures it.
+    fn measure(
         &mut self,
         cfg: &RoutedLoadConfig,
-        links: impl IntoIterator<Item = LinkId>,
-        rates_of: impl Fn(RouteId) -> &'r [f64],
+        links: &[LinkId],
+        rates: &[Vec<f64>],
         mut each: impl FnMut(LinkId, SnapshotMoments),
     ) {
-        let topo = &cfg.topology;
-        for link in links {
+        for &link in links {
             let noise = &mut self.noise[link.index()];
-            let rates = match topo.crossings(link) {
+            let measured = match cfg.topology.crossings(link) {
                 // One route's flows are measured where they lie.
-                &[(route, _)] => rates_of(route),
+                &[(route, _)] => &rates[route.index()],
                 crossing => {
                     self.rates.clear();
                     for &(route, _) in crossing {
-                        self.rates.extend_from_slice(rates_of(route));
+                        self.rates.extend_from_slice(&rates[route.index()]);
                     }
                     &self.rates
                 }
             };
-            each(link, fold_noisy(rates, None, cfg.noise_sd, noise));
+            each(link, fold_noisy(measured, None, cfg.noise_sd, noise));
         }
     }
 }
 
 impl<'a> RoutedLoad<'a> {
-    fn population(&self, ctx: &RepContext) -> Population<'a> {
+    /// The run's generator: route `r`'s population seeded on `routes`'
+    /// `r`-th context, every link's noise on its own stream.
+    fn generator(&self, routes: impl IntoIterator<Item = RepContext>) -> RoutedWindows<'a> {
         let cfg = &self.cfg;
-        Population::new(self.model, cfg.flows_per_route, cfg.mean_holding, ctx)
+        let population =
+            |ctx| Population::new(self.model, cfg.flows_per_route, cfg.mean_holding, &ctx);
+        RoutedWindows {
+            cfg: cfg.clone(),
+            groups: independent_groups(&cfg.topology),
+            routes: routes.into_iter().map(population).collect(),
+            rates: vec![Vec::new(); cfg.topology.routes()],
+            assembly: LinkAssembly::new(cfg),
+            done: 0,
+        }
     }
 
     /// Every check but the workload's size.
@@ -850,31 +856,25 @@ impl<'a> RoutedLoad<'a> {
         Ok(())
     }
 
-    /// The run as successive windows, generated on `engine`: checks the
-    /// configuration as a session would, except that the run is held to
+    /// The run as successive windows: checks the configuration as a
+    /// session would, except that the run is held to
     /// [`MAX_WORKLOAD_ITEMS`] one tick at a time and to
     /// [`MAX_RUN_ITEMS`] as a whole, and seeds every route's population
-    /// on the stream a session gives its replication and every link's
-    /// noise on the stream the fold gives it.
-    pub fn windows(&self, engine: Engine) -> Result<RoutedWindows<'a>, ConfigError> {
+    /// on the stream a session gives its replication. A session's fold
+    /// runs this generator over the whole run.
+    pub fn windows(&self) -> Result<RoutedWindows<'a>, ConfigError> {
         self.check_fields()?;
         self.require_ticks_fit(1, MAX_WORKLOAD_ITEMS)?;
         self.require_ticks_fit(self.cfg.ticks, MAX_RUN_ITEMS)?;
         let cfg = &self.cfg;
         let routes = cfg.topology.routes();
-        let requests = [routes, cfg.ticks, cfg.requests_per_tick];
-        let requests = workload_count("requests", requests, MAX_RUN_ITEMS)?;
-        Ok(RoutedWindows {
-            cfg: cfg.clone(),
-            groups: independent_groups(&cfg.topology),
-            routes: (0..routes)
-                .map(|route| self.population(&RepContext::new(cfg.seed, route as u64, engine)))
-                .collect(),
-            rates: vec![Vec::new(); routes],
-            assembly: LinkAssembly::new(cfg),
-            requests,
-            done: 0,
-        })
+        workload_count(
+            "requests",
+            [routes, cfg.ticks, cfg.requests_per_tick],
+            MAX_RUN_ITEMS,
+        )?;
+        let contexts = (0..routes as u64).map(|route| RepContext::new(cfg.seed, route));
+        Ok(self.generator(contexts))
     }
 }
 
@@ -921,7 +921,6 @@ pub struct RoutedWindows<'a> {
     /// Each route's rates at the tick being assembled.
     rates: Vec<Vec<f64>>,
     assembly: LinkAssembly,
-    requests: u64,
     /// Ticks generated so far.
     done: usize,
 }
@@ -951,13 +950,10 @@ impl RoutedWindows<'_> {
                     let r = route.index();
                     self.routes[r].step_to(now, &mut self.rates[r]);
                 }
-                let rates = &self.rates;
-                self.assembly.measure(
-                    cfg,
-                    links.iter().copied(),
-                    |route| &rates[route.index()],
-                    |link, moments| *window.at(k, link.index()) = moments,
-                );
+                self.assembly
+                    .measure(cfg, links, &self.rates, |link, moments| {
+                        *window.at(k, link.index()) = moments
+                    });
             }
         }
         self.done += ticks;
@@ -973,7 +969,9 @@ impl Windows for RoutedWindows<'_> {
     }
 
     fn requests(&self) -> u64 {
-        self.requests
+        // Held to MAX_RUN_ITEMS where the generator is built.
+        let cfg = &self.cfg;
+        (cfg.topology.routes() * cfg.ticks * cfg.requests_per_tick) as u64
     }
 
     fn new_window(&self) -> RoutedWindow {
@@ -995,6 +993,7 @@ mod tests {
     use super::*;
     use crate::session::SessionBuilder;
     use mbac_core::estimators::fold_snapshot;
+    use mbac_traffic::process::Unbatched;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use proptest::prelude::*;
 
@@ -1055,11 +1054,14 @@ mod tests {
             let w = SessionBuilder::new().workers(workers).run(&load).unwrap();
             assert_eq!(w, reference, "diverged at {workers} workers");
         }
+        let hidden = Unbatched(&m);
         let boxed = SessionBuilder::new()
-            .engine(crate::session::Engine::Boxed)
-            .run(&load)
+            .run(&RequestLoad {
+                model: &hidden,
+                cfg: config(),
+            })
             .unwrap();
-        assert_eq!(boxed, reference, "boxed engine diverged");
+        assert_eq!(boxed, reference, "the boxed path diverged");
     }
 
     #[test]
@@ -1209,15 +1211,14 @@ mod tests {
             (c.ticks, c.requests_per_tick) = (300_000, 32);
         });
         assert_eq!(long.validate(), too_large("events"));
-        let mut windows = long.windows(Engine::Batched).unwrap();
+        let mut windows = long.windows().unwrap();
         assert_eq!(windows.requests(), 32 * 300_000 * 32);
         assert_eq!(windows.links(), 32);
         let mut window = windows.new_window();
         assert!(windows.next_window(2, &mut window));
         assert_eq!((window.links(), window.ticks()), (32, 2));
 
-        let windows =
-            |edit: &dyn Fn(&mut RequestLoadConfig)| load(edit).windows(Engine::Batched).err();
+        let windows = |edit: &dyn Fn(&mut RequestLoadConfig)| load(edit).windows().err();
         let past_the_run = |what| {
             Some(ConfigError::WorkloadTooLarge {
                 what,
@@ -1322,11 +1323,74 @@ mod tests {
             let w = SessionBuilder::new().workers(workers).run(&load).unwrap();
             assert_eq!(w, reference, "diverged at {workers} workers");
         }
+        let hidden = Unbatched(&m);
         let boxed = SessionBuilder::new()
-            .engine(crate::session::Engine::Boxed)
-            .run(&load)
+            .run(&RoutedLoad {
+                model: &hidden,
+                cfg: routed_config(Topology::star(4, 8.0)),
+            })
             .unwrap();
-        assert_eq!(boxed, reference, "boxed engine diverged");
+        assert_eq!(boxed, reference, "the boxed path diverged");
+    }
+
+    /// The materialised routed workload, every bit: each link's
+    /// measurement times and moments, each request occurrence's route and
+    /// `seq`, in canonical order, and the seq → route map, hashed (FNV-1a)
+    /// on a parking lot and a star, with and without per-node noise. A
+    /// change to how a routed run is generated must pass it unchanged;
+    /// the decisions that read it are pinned in `mbac-serve`.
+    #[test]
+    fn routed_workload_bits_are_pinned() {
+        fn word(h: &mut u64, w: u64) {
+            for byte in w.to_le_bytes() {
+                *h ^= u64::from(byte);
+                *h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let m = model();
+        let cases = [
+            ("parking-lot:3", 0.0, 0x9a62_ebb9_d26a_c3ee_u64),
+            ("parking-lot:3", 0.05, 0x9c49_5679_39ed_24f5),
+            ("star:3", 0.0, 0xb09c_accb_3dc2_e18b),
+            ("star:3", 0.05, 0xb31d_d61a_1a41_359b),
+        ];
+        for (shape, noise_sd, pinned) in cases {
+            let topology = match shape {
+                "parking-lot:3" => Topology::parking_lot(3, 8.0),
+                _ => Topology::star(3, 8.0),
+            };
+            let cfg = RoutedLoadConfig {
+                ticks: 40,
+                noise_sd,
+                ..routed_config(topology)
+            };
+            let w = SessionBuilder::new()
+                .run(&RoutedLoad { model: &m, cfg })
+                .unwrap();
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            for (link, event) in w.canonical_events() {
+                word(&mut h, link.as_u64());
+                match event {
+                    RoutedEvent::Measure { t, rates } => {
+                        word(&mut h, t.to_bits());
+                        // Debug prints each f64 shortest-round-trip,
+                        // so its bytes are the moments' bits.
+                        for byte in format!("{rates:?}").bytes() {
+                            word(&mut h, u64::from(byte));
+                        }
+                    }
+                    RoutedEvent::Request { t, route, seq } => {
+                        word(&mut h, t.to_bits());
+                        word(&mut h, route.index() as u64);
+                        word(&mut h, *seq);
+                    }
+                }
+            }
+            for route in w.request_routes() {
+                word(&mut h, route.index() as u64);
+            }
+            assert_eq!(h, pinned, "{shape}, noise {noise_sd}: {h:#018x}");
+        }
     }
 
     /// The compatibility contract satellite-tested end-to-end in the
@@ -1441,7 +1505,7 @@ mod tests {
         let long = load((MAX_WORKLOAD_ITEMS / 4) as usize + 1);
         assert_eq!(long.validate(), too_large("events"));
         assert_eq!(long.cfg.request_routes().err(), too_large("requests").err());
-        let mut windows = long.windows(Engine::Batched).unwrap();
+        let mut windows = long.windows().unwrap();
         assert_eq!(windows.requests(), MAX_WORKLOAD_ITEMS + 4);
         let mut window = windows.new_window();
         assert!(windows.next_window(2, &mut window));
@@ -1450,10 +1514,7 @@ mod tests {
             what: "events",
             max: MAX_RUN_ITEMS,
         });
-        assert_eq!(
-            load(usize::MAX).windows(Engine::Batched).err(),
-            past_the_run
-        );
+        assert_eq!(load(usize::MAX).windows().err(), past_the_run);
     }
 
     // -- windows ---------------------------------------------------------
@@ -1546,7 +1607,7 @@ mod tests {
         /// in the materialised workload — the rates folded around their
         /// first rate, or a routed link's fold itself — every bit, at
         /// the materialised `t`, for windows of one tick, of a few, of
-        /// the whole run and longer than it, on both engines, three
+        /// the whole run and longer than it, kernel or boxed, three
         /// topologies and with and without noise; and a routed window's
         /// `seq` names the run's requests in order.
         #[test]
@@ -1557,7 +1618,8 @@ mod tests {
             requests_per_tick in 0usize..4,
         ) {
             let m = model();
-            for engine in [Engine::Batched, Engine::Boxed] {
+            let hidden = Unbatched(&m);
+            for m in [&m as &dyn SourceModel, &hidden] {
                 let cfg = RequestLoadConfig {
                     links: 3,
                     flows_per_link: flows,
@@ -1566,12 +1628,12 @@ mod tests {
                     seed,
                     ..config()
                 };
-                let load = RequestLoad { model: &m, cfg };
-                let whole = SessionBuilder::new().engine(engine).run(&load).unwrap();
+                let load = RequestLoad { model: m, cfg };
+                let whole = SessionBuilder::new().run(&load).unwrap();
                 let measures: Snapshots =
                     whole.link_ids().map(|link| folded(whole.events(link))).collect();
                 for window in [1, 7, ticks, ticks + 5] {
-                    let windows = load.windows(engine).unwrap();
+                    let windows = load.windows().unwrap();
                     prop_assert_eq!(windows.links(), 3);
                     let (per_link, count) = end_to_end(windows, window, |w| w, |_| {});
                     prop_assert_eq!(count, ticks.div_ceil(window));
@@ -1593,8 +1655,8 @@ mod tests {
                             seed,
                             ..routed_config(topology.clone())
                         };
-                        let load = RoutedLoad { model: &m, cfg };
-                        let whole = SessionBuilder::new().engine(engine).run(&load).unwrap();
+                        let load = RoutedLoad { model: m, cfg };
+                        let whole = SessionBuilder::new().run(&load).unwrap();
                         prop_assert_eq!(&load.cfg.request_routes().unwrap()[..], whole.request_routes());
                         let measures: Snapshots = topology
                             .link_ids()
@@ -1609,7 +1671,7 @@ mod tests {
                         let run: Vec<(u64, RouteId)> =
                             (0u64..).zip(whole.request_routes().iter().copied()).collect();
                         for window in [1, 7, ticks, ticks + 5] {
-                            let windows = load.windows(engine).unwrap();
+                            let windows = load.windows().unwrap();
                             let mut requests = Vec::new();
                             let (per_link, _) = end_to_end(
                                 windows,

@@ -723,10 +723,11 @@ impl Scenario for PhasedLoad<'_> {
 mod tests {
     use super::*;
     use crate::controller::MbacController;
-    use crate::session::{Engine, SessionBuilder};
+    use crate::session::SessionBuilder;
     use mbac_core::admission::{CertaintyEquivalent, PerfectKnowledge};
     use mbac_core::estimators::{Estimate, FilteredEstimator, MemorylessEstimator};
     use mbac_core::params::{FlowStats, QosTarget};
+    use mbac_traffic::process::Unbatched;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use mbac_traffic::trace::{Trace, TraceModel};
     use std::sync::Arc;
@@ -1035,15 +1036,14 @@ mod tests {
             max_samples: 50,
             seed: 31,
         };
-        let run_on = |engine: Engine| {
+        let run_on = |model: &dyn SourceModel| {
             let mut ctl = mk();
             SessionBuilder::new()
-                .engine(engine)
-                .run_local(&ContinuousLoad::new(&cfg, &m, &mut ctl))
+                .run_local(&ContinuousLoad::new(&cfg, model, &mut ctl))
                 .unwrap()
         };
-        let batched = run_on(Engine::Batched);
-        let boxed = run_on(Engine::Boxed);
+        let batched = run_on(&m);
+        let boxed = run_on(&Unbatched(&m));
         assert_eq!(batched.pf.value, boxed.pf.value);
         assert_eq!(batched.mean_utilization, boxed.mean_utilization);
         assert_eq!(batched.mean_flows, boxed.mean_flows);

@@ -26,9 +26,11 @@
 //! For a fixed builder seed the session derives replication `rep`'s RNG
 //! stream as `rep_seed(seed, rep)` and merges outcomes in replication
 //! input order, so reports and merged metric snapshots are
-//! **bit-identical for any worker count and either flow engine** —
-//! parallelism and engine choice are implementation details, never a
-//! change in scientific results. [`SessionBuilder::run`] (parallel) and
+//! **bit-identical for any worker count** — parallelism is an
+//! implementation detail, never a change in scientific results. So is
+//! a model's batched kernel: a flow table runs a model and the same
+//! model unbatched ([`mbac_traffic::process::Unbatched`]) to the same
+//! bits. [`SessionBuilder::run`] (parallel) and
 //! [`SessionBuilder::run_local`] (sequential, for scenarios that borrow
 //! external mutable state) follow the same derivation and merge order
 //! and therefore agree bit-for-bit.
@@ -252,40 +254,6 @@ pub(crate) fn require_finite(field: &'static str, value: f64) -> Result<(), Conf
 }
 
 // ---------------------------------------------------------------------
-// Flow-engine selection
-// ---------------------------------------------------------------------
-
-/// Which flow-table engine a session's replications run on.
-///
-/// Both engines consume the RNG identically and produce bit-identical
-/// simulations for the same seed (the equivalence tests in
-/// [`crate::flows`] and `tests/statistical.rs` assert this); `Batched`
-/// is the fast struct-of-arrays default, `Boxed` the one-heap-process-
-/// per-flow reference. No command-line flag picks it: `Boxed` is the
-/// twin that equivalence tests and the benchmark's probes run against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Struct-of-arrays kernels grouped by batch key (the default).
-    #[default]
-    Batched,
-    /// One boxed rate process per flow — the reference implementation.
-    Boxed,
-}
-
-impl Engine {
-    /// An empty flow table using this engine. Both engines share the
-    /// timing-wheel departure calendar (see [`crate::calendar`]), so
-    /// the engine choice affects only how rate processes are advanced,
-    /// never lifecycle semantics or cost.
-    pub fn table(self) -> FlowTable {
-        match self {
-            Engine::Batched => FlowTable::new(),
-            Engine::Boxed => FlowTable::new_unbatched(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Per-replication RNG stream derivation
 // ---------------------------------------------------------------------
 
@@ -303,24 +271,21 @@ pub fn rep_seed(seed: u64, rep: u64) -> u64 {
     splitmix64(seed ^ splitmix64(rep))
 }
 
-/// Everything one replication needs from the session: its index, its
-/// derived RNG seed, and the engine choice.
+/// Everything one replication needs from the session: its index and
+/// its derived RNG seed.
 #[derive(Debug, Clone, Copy)]
 pub struct RepContext {
     /// Replication index within the session, `0..replications`.
     pub rep: u64,
     /// The derived RNG seed for this replication ([`rep_seed`]).
     pub seed: u64,
-    /// The flow engine the session was built with.
-    pub engine: Engine,
 }
 
 impl RepContext {
-    /// The context a session seeded `seed` on `engine` hands
-    /// replication `rep`.
-    pub(crate) fn new(seed: u64, rep: u64, engine: Engine) -> Self {
+    /// The context a session seeded `seed` hands replication `rep`.
+    pub(crate) fn new(seed: u64, rep: u64) -> Self {
         let seed = rep_seed(seed, rep);
-        RepContext { rep, seed, engine }
+        RepContext { rep, seed }
     }
 
     /// A fresh RNG on this replication's stream.
@@ -328,16 +293,9 @@ impl RepContext {
         StdRng::seed_from_u64(self.seed)
     }
 
-    /// An empty flow table on the session's engine.
+    /// An empty flow table.
     pub fn table(&self) -> FlowTable {
-        self.engine.table()
-    }
-
-    // Inert shim: an empty buffer. The frozen `benchmark/` still asks
-    // for one; the next `benchmark` PR deletes this.
-    #[doc(hidden)]
-    pub fn scratch_rates(&self) -> Vec<f64> {
-        Vec::new()
+        FlowTable::new()
     }
 }
 
@@ -412,30 +370,29 @@ pub enum MetricsMode {
     Streaming,
 }
 
-/// The simulation driver: seed, workers, engine and metrics mode, set
+/// The simulation driver: seed, workers and metrics mode, set
 /// fluently, then [`SessionBuilder::run`] and its siblings. `capacity`
 /// and the other scientific parameters stay in the scenario's own
 /// config — the builder only carries the orchestration knobs.
 ///
 /// ```
-/// use mbac_sim::{Engine, SessionBuilder};
+/// use mbac_sim::{MetricsMode, SessionBuilder};
 /// let session = SessionBuilder::new()
 ///     .seed(42)
 ///     .workers(4)
-///     .engine(Engine::Batched);
+///     .metrics(MetricsMode::Enabled);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SessionBuilder {
     seed: Option<u64>,
     workers: Option<usize>,
-    engine: Engine,
     metrics: MetricsMode,
     stream: Option<mbac_metrics::StreamHandle>,
 }
 
 impl SessionBuilder {
     /// A builder with the defaults: the scenario's intrinsic seed, all
-    /// available workers, the batched engine, metrics off.
+    /// available workers, metrics off.
     pub fn new() -> Self {
         SessionBuilder::default()
     }
@@ -455,12 +412,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Flow-engine choice (default: [`Engine::Batched`]).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Metrics collection mode (default: [`MetricsMode::Disabled`]).
     pub fn metrics(mut self, mode: MetricsMode) -> Self {
         self.metrics = mode;
@@ -471,7 +422,7 @@ impl SessionBuilder {
     /// [`mbac_metrics::StreamSink::handle`]) and selects
     /// [`MetricsMode::Streaming`]. Each replication becomes one
     /// producer stream, keyed by its index, so sampling decisions are
-    /// invariant under worker count and engine choice.
+    /// invariant under worker count.
     pub fn stream(mut self, handle: mbac_metrics::StreamHandle) -> Self {
         self.stream = Some(handle);
         self.metrics = MetricsMode::Streaming;
@@ -505,7 +456,7 @@ impl SessionBuilder {
             |&rep| self.one_rep(scenario, seed, workers, rep),
             workers,
         );
-        let (report, mut merged) = self.finish(scenario, outcomes);
+        let (report, mut merged) = self.finish(scenario, workers, outcomes);
         if self.metrics == MetricsMode::EnabledWithTiming {
             merged.merge(&crate::telemetry::pool_stats_snapshot(&pool));
         }
@@ -531,7 +482,7 @@ impl SessionBuilder {
             .iter()
             .map(|&rep| self.one_rep(scenario, seed, workers, rep))
             .collect();
-        Ok(self.finish(scenario, outcomes))
+        Ok(self.finish(scenario, workers, outcomes))
     }
 
     /// Validates the session and scenario; resolves the base seed, the
@@ -560,7 +511,7 @@ impl SessionBuilder {
         workers: usize,
         rep: u64,
     ) -> (S::Rep, Option<MetricsSnapshot>) {
-        let ctx = RepContext::new(seed, rep, self.engine);
+        let ctx = RepContext::new(seed, rep);
         let mut sink = match self.metrics {
             MetricsMode::Disabled => MetricsSink::disabled(),
             MetricsMode::Enabled => MetricsSink::enabled(),
@@ -581,10 +532,12 @@ impl SessionBuilder {
         (outcome, snapshot)
     }
 
-    /// Merges outcomes and snapshots in replication input order.
+    /// Merges outcomes and snapshots in replication input order; the
+    /// fold, which may advance flow tables too, runs on the workers.
     fn finish<S: Scenario>(
         &self,
         scenario: &S,
+        workers: usize,
         outcomes: Vec<(S::Rep, Option<MetricsSnapshot>)>,
     ) -> (S::Report, MetricsSnapshot) {
         let mut merged = MetricsSnapshot::new();
@@ -595,7 +548,8 @@ impl SessionBuilder {
             }
             reps.push(outcome);
         }
-        (scenario.fold(reps), merged)
+        let report = mbac_num::parallel::with_workers(workers, || scenario.fold(reps));
+        (report, merged)
     }
 }
 

@@ -7,7 +7,7 @@
 //! sequence is kept here as the reference, and these properties hold
 //! the new one to it **bit for bit** — rates, the grouped
 //! `aggregate_rate` fold, ids, departures, `M₀`, the folded report and
-//! the RNG end state — over both engines, bursts that admit fewer
+//! the RNG end state — kernel or boxed, bursts that admit fewer
 //! flows than measured, exactly as many, and more (`M₀ > n`: the extras
 //! form a second group), finite and infinite holding times, several
 //! observation times, and a model with no batched kernel at all.
@@ -16,30 +16,14 @@ use mbac_core::admission::{AdmissionPolicy, CertaintyEquivalent};
 use mbac_core::estimators::snapshot_stats;
 use mbac_num::rng::exponential;
 use mbac_sim::session::rep_seed;
-use mbac_sim::{Engine, FlowTable, ImpulsiveConfig, ImpulsiveLoad, RepContext, SessionBuilder};
+use mbac_sim::{FlowTable, ImpulsiveConfig, ImpulsiveLoad, RepContext, SessionBuilder};
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
 use mbac_traffic::marginal::Marginal;
-use mbac_traffic::process::{RateProcess, SourceModel};
+use mbac_traffic::process::{RateProcess, SourceModel, Unbatched};
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
-
-/// An RCBR model with its batched kernel hidden: the same flows, but
-/// every table has to keep them boxed.
-struct NoKernel(RcbrModel);
-
-impl SourceModel for NoKernel {
-    fn spawn(&self, rng: &mut dyn RngCore) -> Box<dyn RateProcess> {
-        self.0.spawn(rng)
-    }
-    fn mean(&self) -> f64 {
-        self.0.mean()
-    }
-    fn variance(&self) -> f64 {
-        self.0.variance()
-    }
-}
+use rand::SeedableRng;
 
 fn model(which: u8) -> Box<dyn SourceModel> {
     let rcbr = RcbrModel::new(RcbrConfig::paper_default(1.0));
@@ -56,7 +40,16 @@ fn model(which: u8) -> Box<dyn SourceModel> {
             Marginal::two_point_with_moments(1.0, 0.3),
             1.0,
         )),
-        _ => Box::new(NoKernel(rcbr)),
+        _ => Box::new(Unbatched(Box::new(rcbr))),
+    }
+}
+
+/// `model`, or `model` with its kernel hidden unless `batched`.
+fn on_path(model: Box<dyn SourceModel>, batched: bool) -> Box<dyn SourceModel> {
+    if batched {
+        model
+    } else {
+        Box::new(Unbatched(model))
     }
 }
 
@@ -144,10 +137,9 @@ proptest! {
         finite_holding in 0u8..2,
         gaps in collection::vec(0.05f64..30.0, 1..5),
     ) {
-        let model = model(which);
-        let engine = if batched == 1 { Engine::Batched } else { Engine::Boxed };
+        let model = on_path(model(which), batched == 1);
         let mean_holding = (finite_holding == 1).then_some(8.0);
-        let (mut burst, mut reference) = (engine.table(), engine.table());
+        let (mut burst, mut reference) = (FlowTable::new(), FlowTable::new());
         let mut rng_a = StdRng::seed_from_u64(seed);
         let mut rng_b = StdRng::seed_from_u64(seed);
         // `M₀` is dictated, so `M₀ > n` is as common as `M₀ < n`; both
@@ -212,9 +204,8 @@ proptest! {
         finite_holding in 0u8..2,
         gaps in collection::vec(0.05f64..30.0, 0..4),
     ) {
-        let model = model(which);
+        let model = on_path(model(which), batched == 1);
         let policy = CertaintyEquivalent::from_probability(0.05);
-        let engine = if batched == 1 { Engine::Batched } else { Engine::Boxed };
         let cfg = ImpulsiveConfig {
             capacity: fill * n as f64,
             estimation_flows: n,
@@ -224,11 +215,10 @@ proptest! {
             seed,
         };
         let report = SessionBuilder::new()
-            .engine(engine)
             .run(&ImpulsiveLoad::new(&cfg, model.as_ref(), &policy))
             .unwrap();
 
-        let ctx = RepContext { rep: 0, seed: rep_seed(seed, 0), engine };
+        let ctx = RepContext { rep: 0, seed: rep_seed(seed, 0) };
         let (mut rng, mut table) = (ctx.rng(), ctx.table());
         let m0 = reference_admit(
             &mut table,

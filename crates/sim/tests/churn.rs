@@ -1,19 +1,20 @@
-//! Flow-table lifecycle proptests: a set oracle and engine equivalence.
+//! Flow-table lifecycle proptests: a set oracle, and kernels ≡ the boxed
+//! path.
 //!
 //! Departures leave the timing-wheel table ([`mbac_sim::FlowTable`]) in
 //! the calendar's own order, so the slot a survivor lands in is not a
 //! contract; *which* flows are in the system, and when they leave, is.
-//! These proptests drive a batched and an unbatched table through
-//! randomized schedules of admissions, advances, departures and fused
-//! measurement ticks, and at every step check:
+//! These proptests drive two tables through randomized schedules of admissions, advances, departures and fused
+//! measurement ticks — one admitting each model, the other the same
+//! model with its kernel hidden ([`Unbatched`]) — and at every step
+//! check:
 //!
 //! * **the set oracle** — each table against a brute-force model of the
 //!   flows in the system (a `Vec<(id, departs_at)>` pruned with
 //!   `retain`): sorted ids, `next_departure`, departure counts and
 //!   conservation;
-//! * **engine equivalence** — on schedules whose flows all come from
-//!   one source model, the batched table against
-//!   [`FlowTable::new_unbatched`] bit for bit: snapshots, ids,
+//! * **kernels ≡ the boxed path** — on schedules whose flows all come
+//!   from one source model, the two tables bit for bit: snapshots, ids,
 //!   fused-tick moments and the RNG end state;
 //! * **the table's own invariants** ([`FlowTable::check_invariants`]):
 //!   the slot map agrees with the groups.
@@ -43,11 +44,11 @@ use mbac_num::rng::exponential;
 use mbac_sim::FlowTable;
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
 use mbac_traffic::marginal::Marginal;
-use mbac_traffic::process::{RateProcess, SourceModel};
+use mbac_traffic::process::{SourceModel, Unbatched};
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// One step of the randomized schedule. Times are in half-unit steps so
@@ -121,7 +122,7 @@ struct Harness {
     rng_a: StdRng,
     rng_b: StdRng,
     now: f64,
-    /// Whether the two engines must agree bit for bit: only when every
+    /// Whether the two tables must agree bit for bit: only when every
     /// flow comes from one model, since a second group reorders the
     /// batched table's snapshot and its draws.
     bitwise: bool,
@@ -183,9 +184,9 @@ impl Harness {
     }
 }
 
-/// Runs `ops` on both engines against the oracle. With `single_model`
+/// Runs `ops` on both tables against the oracle. With `single_model`
 /// set, every admission (boxed ones included) spawns from that model,
-/// so the engines must also agree bit for bit.
+/// so the tables must also agree bit for bit.
 fn run_schedule(seed: u64, ops: &[Op], single_model: Option<u8>) {
     let rcbr = RcbrModel::new(RcbrConfig::paper_default(1.0));
     let ar1 = Ar1Model::new(Ar1Config {
@@ -196,9 +197,11 @@ fn run_schedule(seed: u64, ops: &[Op], single_model: Option<u8>) {
         clamp_at_zero: true,
     });
     let models: [&dyn SourceModel; 2] = [&rcbr, &ar1];
+    let (hidden_rcbr, hidden_ar1) = (Unbatched(&rcbr), Unbatched(&ar1));
+    let hidden: [&dyn SourceModel; 2] = [&hidden_rcbr, &hidden_ar1];
     let mut h = Harness {
         batched: FlowTable::new(),
-        unbatched: FlowTable::new_unbatched(),
+        unbatched: FlowTable::new(),
         oracle: Vec::new(),
         rng_a: StdRng::seed_from_u64(seed),
         rng_b: StdRng::seed_from_u64(seed),
@@ -214,25 +217,25 @@ fn run_schedule(seed: u64, ops: &[Op], single_model: Option<u8>) {
                 hold_steps,
                 far,
             } => {
-                let model = models[single_model.unwrap_or(which) as usize];
+                let which = single_model.unwrap_or(which) as usize;
                 let departs = h.hold(hold_steps, far);
-                let id_a = h.batched.admit(model, departs, &mut h.rng_a);
-                let id_b = h.unbatched.admit(model, departs, &mut h.rng_b);
+                let id_a = h.batched.admit(models[which], departs, &mut h.rng_a);
+                let id_b = h.unbatched.admit(hidden[which], departs, &mut h.rng_b);
                 prop_assert_eq!(id_a, id_b);
                 h.oracle.push((id_a, departs));
             }
             Op::AdmitRun { which, ref holds } => {
-                let model = models[single_model.unwrap_or(which) as usize];
+                let which = single_model.unwrap_or(which) as usize;
                 let departs: Vec<f64> = holds.iter().map(|&(s, far)| h.hold(s, far)).collect();
                 let k = departs.len();
                 let mut times_a = departs.iter().copied();
                 let mut times_b = departs.iter().copied();
                 let ids_a = h
                     .batched
-                    .admit_run(model, k, &mut h.rng_a, |_| times_a.next().unwrap());
+                    .admit_run(models[which], k, &mut h.rng_a, |_| times_a.next().unwrap());
                 let ids_b = h
                     .unbatched
-                    .admit_run(model, k, &mut h.rng_b, |_| times_b.next().unwrap());
+                    .admit_run(hidden[which], k, &mut h.rng_b, |_| times_b.next().unwrap());
                 prop_assert_eq!(ids_a.clone(), ids_b);
                 prop_assert_eq!(ids_a.end - ids_a.start, k as u64);
                 h.oracle.extend(ids_a.zip(departs));
@@ -242,7 +245,7 @@ fn run_schedule(seed: u64, ops: &[Op], single_model: Option<u8>) {
                 let (id_a, id_b) = match single_model {
                     Some(m) => (
                         h.batched.admit(models[m as usize], departs, &mut h.rng_a),
-                        h.unbatched.admit(models[m as usize], departs, &mut h.rng_b),
+                        h.unbatched.admit(hidden[m as usize], departs, &mut h.rng_b),
                     ),
                     None => (
                         h.batched.admit_process(rcbr.spawn(&mut h.rng_a), departs),
@@ -296,7 +299,7 @@ fn run_schedule(seed: u64, ops: &[Op], single_model: Option<u8>) {
 }
 
 proptest! {
-    /// Mixed groups: both engines hold exactly the oracle's flows at
+    /// Mixed groups: both tables hold exactly the oracle's flows at
     /// every step.
     #[test]
     fn tables_match_the_set_oracle(
@@ -318,24 +321,6 @@ proptest! {
     }
 }
 
-/// A model with no batched kernel: its flows live in the boxed
-/// fallback group on either engine.
-struct Kernelless(Ar1Model);
-
-impl SourceModel for Kernelless {
-    fn spawn(&self, rng: &mut dyn RngCore) -> Box<dyn RateProcess> {
-        self.0.spawn(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        self.0.mean()
-    }
-
-    fn variance(&self) -> f64 {
-        self.0.variance()
-    }
-}
-
 /// A hold drawn from the flow's own stream: `INFINITY`, a far-future
 /// time or a time on the 0.5 grid past `now` (so equal times collide).
 fn drawn_hold(now: f64, rng: &mut StdRng) -> f64 {
@@ -351,14 +336,9 @@ fn drawn_hold(now: f64, rng: &mut StdRng) -> f64 {
 /// bits, next departure, RNG end state and invariants at every step.
 /// Each hold is drawn from the RNG right before its flow's state, so a
 /// run that drew its holds in any other order would diverge at once.
-fn assert_runs_are_their_admits(
-    label: &str,
-    model: &dyn SourceModel,
-    make: fn() -> FlowTable,
-    seed: u64,
-) {
-    let mut single = make();
-    let mut runs = make();
+fn assert_runs_are_their_admits(label: &str, model: &dyn SourceModel, seed: u64) {
+    let mut single = FlowTable::new();
+    let mut runs = FlowTable::new();
     let (mut rng_single, mut rng_runs) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
     let (mut snap_single, mut snap_runs) = (Vec::new(), Vec::new());
     let mut now = 0.0;
@@ -401,7 +381,7 @@ fn a_run_is_its_admits_bit_for_bit() {
         tick: 0.05,
         clamp_at_zero: true,
     });
-    let models: [(&str, Box<dyn SourceModel>); 5] = [
+    let models: [(&str, Box<dyn SourceModel>); 4] = [
         (
             "gaussian rcbr",
             Box::new(RcbrModel::new(RcbrConfig::paper_default(1.0))),
@@ -415,14 +395,13 @@ fn a_run_is_its_admits_bit_for_bit() {
         ),
         ("on-off", Box::new(RcbrModel::on_off(2.0, 1.0, 3.0))),
         ("ar1", Box::new(ar1)),
-        ("kernel-less", Box::new(Kernelless(ar1))),
     ];
     for (m, (name, model)) in models.iter().enumerate() {
         let seed = 60 + m as u64;
         let label = format!("{name}, batched");
-        assert_runs_are_their_admits(&label, model.as_ref(), FlowTable::new, seed);
+        assert_runs_are_their_admits(&label, model.as_ref(), seed);
         let label = format!("{name}, unbatched");
-        assert_runs_are_their_admits(&label, model.as_ref(), FlowTable::new_unbatched, seed);
+        assert_runs_are_their_admits(&label, &Unbatched(model.as_ref()), seed);
     }
 }
 

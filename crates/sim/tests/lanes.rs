@@ -9,8 +9,9 @@
 //!   departures that move flows across lane edges and grow the table
 //!   into a lane it never had; and a session whose replications fan
 //!   lanes out from inside pool participants equals its 1-worker run.
-//! * **Boxed ≡ batched** above one lane: the unbatched table, whose
-//!   `DynBatch` cuts thinning runs at lane edges, equals the kernels.
+//! * **Boxed ≡ batched** above one lane: a model unbatched
+//!   (`Unbatched`), whose `DynBatch` cuts thinning runs at lane edges,
+//!   equals the kernels.
 //! * **Law.** The renegotiation share, the new-rate mean and variance,
 //!   the AR(1) lag-1 autocorrelation and the on–off on-share are within
 //!   4.5σ of theory, and the aggregates of different lanes are
@@ -20,8 +21,9 @@
 
 use mbac_num::parallel::with_workers;
 use mbac_num::{RateMoments, RunningStats};
-use mbac_sim::{ConfigError, Engine, MetricsSink, RepContext, Scenario, SessionBuilder};
+use mbac_sim::{ConfigError, FlowTable, MetricsSink, RepContext, Scenario, SessionBuilder};
 use mbac_traffic::batch::{fold_lanes, LANE};
+use mbac_traffic::process::Unbatched;
 use mbac_traffic::{Ar1Config, Ar1Model, RcbrConfig, RcbrModel, SourceModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,12 +85,12 @@ struct Trace {
     rng: StdRng,
 }
 
-/// `N` flows of `model` on `engine`, then ticks that depart a few flows
+/// `N` flows of `model`, then ticks that depart a few flows
 /// from every lane (the holes refill from the last lane) and admit more
 /// than depart, until the table reaches a fifth lane.
-fn churn(model: &dyn SourceModel, engine: Engine, seed: u64) -> Trace {
+fn churn(model: &dyn SourceModel, seed: u64) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut table = engine.table();
+    let mut table = FlowTable::new();
     for i in 0..N {
         let hold = if i % 97 == 0 {
             0.6 + (i % 5) as f64
@@ -127,13 +129,17 @@ fn churn(model: &dyn SourceModel, engine: Engine, seed: u64) -> Trace {
 #[test]
 fn bits_are_invariant_under_worker_count_and_engine() {
     for (name, model) in models() {
-        let reference = with_workers(1, || churn(model.as_ref(), Engine::Batched, 7));
-        for engine in [Engine::Batched, Engine::Boxed] {
+        let reference = with_workers(1, || churn(model.as_ref(), 7));
+        let hidden = Unbatched(model.as_ref());
+        for (path, model) in [
+            ("batched", model.as_ref()),
+            ("boxed", &hidden as &dyn SourceModel),
+        ] {
             for workers in [1, 2, 4] {
-                let got = with_workers(workers, || churn(model.as_ref(), engine, 7));
+                let got = with_workers(workers, || churn(model, 7));
                 assert!(
                     got == reference,
-                    "{name}: {engine:?} on {workers} workers diverged from batched on 1"
+                    "{name}: {path} on {workers} workers diverged from batched on 1"
                 );
             }
         }
@@ -221,16 +227,13 @@ fn nested_fan_out_matches_one_worker() {
 }
 
 /// The rates of `model`'s flows before and after each of `steps`
-/// advances by `dt` of one batched (or boxed) table of `N` flows.
-fn paths(
-    model: &dyn SourceModel,
-    engine: Engine,
-    dt: f64,
-    steps: usize,
-    seed: u64,
-) -> Vec<Vec<f64>> {
+/// advances by `dt` of one table of `N` flows: on their kernel, or on
+/// the boxed path if `boxed`.
+fn paths(model: &dyn SourceModel, boxed: bool, dt: f64, steps: usize, seed: u64) -> Vec<Vec<f64>> {
+    let hidden = Unbatched(model);
+    let model: &dyn SourceModel = if boxed { &hidden } else { model };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut table = engine.table();
+    let mut table = FlowTable::new();
     for _ in 0..N {
         table.admit(model, f64::INFINITY, &mut rng);
     }
@@ -251,11 +254,11 @@ fn paths(
 #[test]
 fn rcbr_lanes_keep_the_renegotiation_law() {
     let model = rcbr();
-    for (e, engine) in [Engine::Batched, Engine::Boxed].into_iter().enumerate() {
+    for (e, boxed) in [false, true].into_iter().enumerate() {
         for (d, dt_over_tc) in [0.05f64, 0.5, 3.0].into_iter().enumerate() {
             let dt = dt_over_tc * 2.0;
             let p = -(-dt_over_tc).exp_m1();
-            let rates = paths(&model, engine, dt, 3, 100 + 10 * e as u64 + d as u64);
+            let rates = paths(&model, boxed, dt, 3, 100 + 10 * e as u64 + d as u64);
             let (mut changed, mut new_rates) = (0usize, RunningStats::new());
             for w in rates.windows(2) {
                 for (&r0, &r) in w[0].iter().zip(&w[1]) {
@@ -265,7 +268,7 @@ fn rcbr_lanes_keep_the_renegotiation_law() {
                     }
                 }
             }
-            let at = format!("{engine:?} at dt = {dt_over_tc} T_c");
+            let at = format!("boxed {boxed} at dt = {dt_over_tc} T_c");
             let trials = (3 * N) as f64;
             let share = changed as f64 / trials;
             assert_near(
@@ -319,9 +322,9 @@ fn correlation(pairs: impl Iterator<Item = (f64, f64)>) -> (f64, usize) {
 fn ar1_lanes_keep_the_lag_one_autocorrelation() {
     let tick: f64 = 0.25;
     let a = (-tick).exp();
-    for engine in [Engine::Batched, Engine::Boxed] {
-        let rates = paths(&ar1(tick), engine, tick, 4, 200);
-        let at = format!("{engine:?}");
+    for boxed in [false, true] {
+        let rates = paths(&ar1(tick), boxed, tick, 4, 200);
+        let at = format!("boxed {boxed}");
         // One pair per flow: flows are independent, so the pairs are.
         let (rho, n) = correlation(rates[3].iter().copied().zip(rates[4].iter().copied()));
         // Var of a sample correlation near ρ is (1 − ρ²)²/n.
@@ -352,9 +355,9 @@ fn ar1_lanes_keep_the_lag_one_autocorrelation() {
 fn markov_lanes_keep_the_stationary_law() {
     let dt: f64 = 0.3;
     let rho_want = (-2.0 * dt).exp();
-    for engine in [Engine::Batched, Engine::Boxed] {
-        let rates = paths(&on_off(), engine, dt, 4, 300);
-        let at = format!("{engine:?}");
+    for boxed in [false, true] {
+        let rates = paths(&on_off(), boxed, dt, 4, 300);
+        let at = format!("boxed {boxed}");
         let on = rates[4].iter().filter(|&&r| r > 0.0).count() as f64 / N as f64;
         assert_near(&at, "on-share", on, 0.5, (0.25 / N as f64).sqrt());
         let (rho, n) = correlation(rates[3].iter().copied().zip(rates[4].iter().copied()));
@@ -374,15 +377,15 @@ fn markov_lanes_keep_the_stationary_law() {
 #[test]
 fn lane_aggregates_are_uncorrelated() {
     const STEPS: usize = 120;
-    let cases: [(&str, Box<dyn SourceModel>, Engine, f64); 4] = [
-        ("rcbr", Box::new(rcbr()), Engine::Batched, 10.0),
+    let cases: [(&str, Box<dyn SourceModel>, bool, f64); 4] = [
+        ("rcbr", Box::new(rcbr()), false, 10.0),
         // One draw per flow a tick, three ticks an advance: a³ = e^{−3}.
-        ("ar1", Box::new(ar1(1.0)), Engine::Batched, 3.0),
-        ("on-off", Box::new(on_off()), Engine::Batched, 2.0),
-        ("boxed rcbr", Box::new(rcbr()), Engine::Boxed, 10.0),
+        ("ar1", Box::new(ar1(1.0)), false, 3.0),
+        ("on-off", Box::new(on_off()), false, 2.0),
+        ("boxed rcbr", Box::new(rcbr()), true, 10.0),
     ];
-    for (c, (name, model, engine, dt)) in cases.into_iter().enumerate() {
-        let rates = paths(model.as_ref(), engine, dt, STEPS, 400 + c as u64);
+    for (c, (name, model, boxed, dt)) in cases.into_iter().enumerate() {
+        let rates = paths(model.as_ref(), boxed, dt, STEPS, 400 + c as u64);
         let lane_sum = |snap: &[f64], k: usize| snap[k * LANE..(k + 1) * LANE].iter().sum::<f64>();
         for (i, j) in [(0, 1), (0, 2), (1, 2)] {
             let pairs = rates[1..].iter().map(|s| (lane_sum(s, i), lane_sum(s, j)));

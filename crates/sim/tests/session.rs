@@ -1,10 +1,12 @@
 //! Property tests on the session pipeline's determinism contract: the
-//! worker count and the flow-engine choice are performance knobs, never
-//! semantic ones. Any configuration must produce byte-identical reports
-//! and merged metric snapshots through the builder, on either path.
+//! worker count and a model's batched kernel are performance knobs,
+//! never semantic ones. Any configuration must produce byte-identical
+//! reports and merged metric snapshots through the builder, with the
+//! kernel or with the model unbatched.
 
 use mbac_core::admission::CertaintyEquivalent;
-use mbac_sim::{Engine, ImpulsiveConfig, ImpulsiveLoad, MetricsMode, SessionBuilder};
+use mbac_sim::{ImpulsiveConfig, ImpulsiveLoad, MetricsMode, SessionBuilder};
+use mbac_traffic::process::{SourceModel, Unbatched};
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use proptest::prelude::*;
 
@@ -31,7 +33,7 @@ fn small_cfg(seed: u64, replications: usize, finite_holding: bool) -> ImpulsiveC
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Same scenario, any worker count, either engine: the report and
+    /// Same scenario, any worker count, kernel or boxed: the report and
     /// the merged snapshot are byte-identical to the 1-worker batched
     /// reference run.
     #[test]
@@ -54,23 +56,23 @@ proptest! {
             .run_metered(&scenario)
             .unwrap();
 
-        let engine = if boxed { Engine::Boxed } else { Engine::Batched };
+        let hidden = Unbatched(&model);
+        let path: &dyn SourceModel = if boxed { &hidden } else { &model };
         let (report, snap) = SessionBuilder::new()
             .workers(workers)
-            .engine(engine)
             .metrics(MetricsMode::Enabled)
-            .run_metered(&scenario)
+            .run_metered(&ImpulsiveLoad::new(&cfg, path, &policy))
             .unwrap();
 
         prop_assert_eq!(
             format!("{reference:?}"),
             format!("{report:?}"),
-            "report diverged at workers={}, engine={:?}", workers, engine
+            "report diverged at workers={}, boxed={}", workers, boxed
         );
         prop_assert_eq!(
             reference_snap.to_json(),
             snap.to_json(),
-            "metrics diverged at workers={}, engine={:?}", workers, engine
+            "metrics diverged at workers={}, boxed={}", workers, boxed
         );
     }
 

@@ -14,10 +14,11 @@
 //! [`SourceModel::batch_key`] and an empty batch from
 //! [`SourceModel::new_batch`]; heterogeneous, trace-driven, or
 //! otherwise unbatchable sources keep working through the boxed
-//! [`DynBatch`] fallback, which preserves the exact per-flow semantics
-//! of the unbatched engine (it still refreshes its rate cache in the
-//! same pass as the advance, halving the virtual walks of the old
-//! engine).
+//! [`DynBatch`] fallback, which keeps the exact per-flow semantics of
+//! one boxed process per flow and refreshes its rate cache in the same
+//! pass as the advance. [`crate::process::Unbatched`] hides a model's
+//! kernel, so its flows take that path: the reference the kernels are
+//! tested against.
 //!
 //! # RNG-stream contract
 //!
@@ -29,10 +30,10 @@
 //! [`FlowBatch::advance_all`] advances flow 0, then flow 1, … drawing
 //! what the boxed side draws for them. This makes a batched simulation
 //! bit-identical to the boxed one for a fixed seed (the equivalence
-//! tests in `mbac-sim` assert this), so switching engines never
-//! changes scientific results.
+//! tests in `mbac-sim` assert this), so hiding a kernel never changes
+//! scientific results.
 //!
-//! The contract is between the two engines of *one* commit. What a
+//! The contract is between the two paths of *one* commit. What a
 //! model draws per advance is the model's own rule. For most models it
 //! is per flow — flow `i`'s draws are what [`RateProcess::advance`]
 //! draws. RCBR thins (see [`crate::rcbr`]): one exponential gap draw
@@ -373,7 +374,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// A batch and its boxed twin — a [`DynBatch`] of the boxed
-    /// processes, the fallback group the unbatched table keeps them in —
+    /// processes, the fallback group an unbatched model's flows take —
     /// each on its own copy of one stream.
     struct Twins {
         boxed: DynBatch,

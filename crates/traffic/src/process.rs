@@ -80,6 +80,25 @@ pub trait SourceModel: Send + Sync {
     }
 }
 
+/// The model `M` points at with its batched kernel hidden, so a flow
+/// table keeps its flows on the boxed [`crate::batch::DynBatch`] path:
+/// the reference the kernels are checked against, to the same bits.
+pub struct Unbatched<M>(pub M);
+
+impl<M: std::ops::Deref<Target: SourceModel> + Send + Sync> SourceModel for Unbatched<M> {
+    fn spawn(&self, rng: &mut dyn RngCore) -> Box<dyn RateProcess> {
+        self.0.spawn(rng)
+    }
+
+    fn mean(&self) -> f64 {
+        self.0.mean()
+    }
+
+    fn variance(&self) -> f64 {
+        self.0.variance()
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod test_util {
     use super::RateProcess;

@@ -645,7 +645,7 @@ mod tests {
     /// `n` flows of [`LAW_CFG`] advanced through `steps` in turn, on
     /// one engine; returns every flow's rate before each step and
     /// after the last (`n × (steps + 1)`, step-major).
-    type Engine = fn(usize, &[f64], &mut StdRng) -> Vec<Vec<f64>>;
+    type Stepper = fn(usize, &[f64], &mut StdRng) -> Vec<Vec<f64>>;
 
     fn on_path_faithful(n: usize, steps: &[f64], rng: &mut StdRng) -> Vec<Vec<f64>> {
         let mut flows: Vec<_> = (0..n).map(|_| PathFaithful::new(LAW_CFG, rng)).collect();
@@ -678,7 +678,7 @@ mod tests {
         out
     }
 
-    const ENGINES: [(&str, Engine); 3] = [
+    const ENGINES: [(&str, Stepper); 3] = [
         ("path-faithful", on_path_faithful),
         ("boxed source", on_boxed),
         ("batch", on_batch),

@@ -24,8 +24,9 @@
 //! assert noise, not regressions.
 //!
 //! The suite also pins the determinism contract of the telemetry layer:
-//! the batched and boxed flow engines must produce **identical** merged
-//! metric snapshots for the same seed, at any worker count.
+//! a model on its batched kernel and the same model unbatched must
+//! produce **identical** merged metric snapshots for the same seed, at
+//! any worker count.
 //!
 //! Heavier, tighter-band variants of each scenario are `#[ignore]`d and
 //! run by the nightly CI job (`cargo test --release -- --ignored`).
@@ -38,9 +39,10 @@ use mbac::core::theory::finite_holding::pf_at_time;
 use mbac::num::ci::{wilson_ci, z_critical};
 use mbac::num::{inv_q, q};
 use mbac::sim::{
-    ContinuousConfig, ContinuousLoad, Engine, ImpulsiveConfig, ImpulsiveLoad, MbacController,
-    MetricsMode, SessionBuilder,
+    ContinuousConfig, ContinuousLoad, ImpulsiveConfig, ImpulsiveLoad, MbacController, MetricsMode,
+    SessionBuilder,
 };
+use mbac::traffic::process::{SourceModel, Unbatched};
 use mbac::traffic::rcbr::{RcbrConfig, RcbrModel};
 
 /// Asserts the measured proportion sits inside the binomial CI implied
@@ -280,16 +282,15 @@ fn controller() -> MbacController {
 #[test]
 fn engines_produce_identical_merged_metric_snapshots() {
     let model = rcbr();
-    let run_on = |engine: Engine| {
+    let run_on = |model: &dyn SourceModel| {
         let mut ctl = controller();
         SessionBuilder::new()
-            .engine(engine)
             .metrics(MetricsMode::Enabled)
-            .run_local_metered(&ContinuousLoad::new(&continuous_cfg(71), &model, &mut ctl))
+            .run_local_metered(&ContinuousLoad::new(&continuous_cfg(71), model, &mut ctl))
             .unwrap()
     };
-    let (a, snap_a) = run_on(Engine::Batched);
-    let (b, snap_b) = run_on(Engine::Boxed);
+    let (a, snap_a) = run_on(&model);
+    let (b, snap_b) = run_on(&Unbatched(&model));
     assert_eq!(a.pf.value, b.pf.value);
     assert!(!snap_a.is_empty());
     assert_eq!(snap_a, snap_b, "batched vs boxed telemetry diverged");
