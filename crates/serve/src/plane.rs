@@ -14,14 +14,12 @@
 //! own ring.
 //!
 //! A measurement reaches a link as its [`SnapshotMoments`]: `n`, the
-//! pivot and three sums, folded where the rates were — by the window
-//! generator, by the routed workload's node that measured them, or by
-//! whoever pushes a [`ShardEvent::Measure`], whose rates the shard
-//! folds by the same rule ([`fold_snapshot`] around the first rate). So
-//! applying one is an estimator update, one admissible-count evaluation
-//! and an occupancy resync, O(1) whatever the link's flow count, and
-//! every path into the plane decides the same bytes. A request reads the
-//! count the last measurement set and calls no controller.
+//! pivot and three sums, folded where the rates were, by the generator
+//! or the routed workload's node that measured them. So applying one is
+//! an estimator update, one admissible-count evaluation and an occupancy
+//! resync, O(1) whatever the link's flow count, and every path into the
+//! plane decides the same bytes. A request reads the count the last
+//! measurement set and calls no controller.
 //!
 //! Everything around the per-link rule is written once, generic over a
 //! [`LinkLogic`]: the shard shell [`ShardOf`] (ring, instruments,
@@ -52,7 +50,7 @@
 
 use crate::sink::Decided;
 use mbac_core::admission::CertaintyEquivalent;
-use mbac_core::estimators::{fold_snapshot, FilteredEstimator};
+use mbac_core::estimators::FilteredEstimator;
 use mbac_core::topology::LinkId;
 use mbac_metrics::{
     splitmix64, Aggregated, Counter, FieldBuf, Histogram, IngestRing, MetricValue, MetricsSnapshot,
@@ -237,28 +235,17 @@ pub(crate) type LinkMap<V> = HashMap<LinkId, V, BuildHasherDefault<LinkHasher>>;
 /// One unit of ingest: what producers push into a shard's ring.
 #[derive(Debug)]
 pub enum ShardEvent {
-    /// A measurement of `link` at time `t`, folded into its moments: the
-    /// one measurement the plane applies. The count is the link's
-    /// measured occupancy, which resynchronizes the plane's occupancy
-    /// view.
-    Snapshot {
-        /// The link the measurement belongs to.
-        link: LinkId,
-        /// Measurement time.
-        t: f64,
-        /// The per-flow rates, folded.
-        moments: SnapshotMoments,
-    },
-    /// A measurement snapshot for `link`: per-flow instantaneous rates
-    /// at time `t`. The shard folds them around the first rate and
-    /// applies the [`ShardEvent::Snapshot`] that makes.
+    /// A measurement of `link` at time `t`, folded into its moments. The
+    /// count is the link's measured occupancy, which resynchronizes the
+    /// plane's occupancy view.
     Measure {
         /// The link the measurement belongs to.
         link: LinkId,
         /// Measurement time.
         t: f64,
-        /// Per-flow rates.
-        rates: Box<[f64]>,
+        /// The per-flow rates, folded. (The field keeps the name it had
+        /// when a measurement carried every rate.)
+        rates: SnapshotMoments,
     },
     /// An admission request for `link`.
     Request {
@@ -713,9 +700,7 @@ impl LinkLogic for SingleHop {
 
     fn link_of(event: &ShardEvent) -> LinkId {
         match event {
-            ShardEvent::Snapshot { link, .. }
-            | ShardEvent::Measure { link, .. }
-            | ShardEvent::Request { link, .. } => *link,
+            ShardEvent::Measure { link, .. } | ShardEvent::Request { link, .. } => *link,
         }
     }
 
@@ -724,13 +709,9 @@ impl LinkLogic for SingleHop {
     /// decision.
     fn apply(&mut self, event: ShardEvent, tap: &mut Instruments, out: &mut Vec<Decision>) {
         match event {
-            ShardEvent::Snapshot { link, t, moments } => {
-                self.link_mut(link).measure(t, &moments);
-                tap.measure();
-            }
             ShardEvent::Measure { link, t, rates } => {
-                let moments = fold_snapshot(&rates, None);
-                self.apply(ShardEvent::Snapshot { link, t, moments }, tap, out);
+                self.link_mut(link).measure(t, &rates);
+                tap.measure();
             }
             ShardEvent::Request { link, enqueued } => {
                 let state = self.link_mut(link);
@@ -832,6 +813,7 @@ impl DecisionPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbac_core::estimators::fold_snapshot;
     use mbac_metrics::MetricValue;
 
     fn plane(shards: usize) -> DecisionPlane {
@@ -969,7 +951,7 @@ mod tests {
             ShardEvent::Measure {
                 link: LinkId(7),
                 t: 0.0,
-                rates: vec![1.0; 4].into_boxed_slice(),
+                rates: fold_snapshot(&[1.0; 4], None),
             },
             &mut out,
         );
@@ -999,11 +981,11 @@ mod tests {
             let shard = &mut plane.shards_mut()[0];
             let mut out = Vec::new();
             for (t, rates) in [
-                (0.0, vec![1.0; 4]),
-                (1.0, vec![1.0, bad, 1.0, 1.0]),
-                (2.0, vec![1.0; 4]),
+                (0.0, [1.0; 4]),
+                (1.0, [1.0, bad, 1.0, 1.0]),
+                (2.0, [1.0; 4]),
             ] {
-                let rates = rates.into_boxed_slice();
+                let rates = fold_snapshot(&rates, None);
                 shard.apply(
                     ShardEvent::Measure {
                         link: LinkId(3),
@@ -1027,7 +1009,7 @@ mod tests {
             .try_send(ShardEvent::Measure {
                 link: LinkId(1),
                 t: 0.0,
-                rates: vec![1.0; 2].into_boxed_slice(),
+                rates: fold_snapshot(&[1.0; 2], None),
             })
             .unwrap();
         handle

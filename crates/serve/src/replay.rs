@@ -34,7 +34,6 @@ use crate::plane::{
     PlaneConfig, ServeError, ShardEvent, ShardOf, SingleHop,
 };
 use crate::sink::{Collect, Decided, DecisionSink, Replayed};
-use mbac_core::estimators::fold_snapshot;
 use mbac_metrics::{splitmix64, MetricsSnapshot};
 use mbac_num::parallel::{current_workers, with_workers};
 use mbac_sim::{LinkEvent, LinkId, ServeWorkload, SnapshotWindow, Windows};
@@ -252,8 +251,8 @@ pub trait Ingest: Sync {
     /// is offered to `stamps` once, where its decision's latency is
     /// read from: on a multi-hop route that is hop 0, and no other hop
     /// is stamped. The rule is the caller's, so that it runs on from
-    /// one window of a run to the next. Every measurement is yielded
-    /// folded, around its first rate.
+    /// one window of a run to the next. Every measurement is yielded as
+    /// the moments its generator folded, around its first rate.
     fn ingest(
         &self,
         stamps: &mut Stamps,
@@ -314,6 +313,8 @@ impl Replay for ServeWorkload {
     }
 }
 
+/// A materialised run is replayed in its canonical order
+/// ([`ServeWorkload::canonical_events`]).
 impl Ingest for ServeWorkload {
     type Logic = SingleHop;
 
@@ -328,12 +329,8 @@ impl Ingest for ServeWorkload {
     ) -> impl Iterator<Item = ShardEvent> {
         self.canonical_events()
             .filter(move |&(link, _)| keep(link))
-            .map(move |(link, ev)| match ev {
-                LinkEvent::Measure { t, rates } => ShardEvent::Snapshot {
-                    link,
-                    t: *t,
-                    moments: fold_snapshot(rates, None),
-                },
+            .map(move |(link, ev)| match *ev {
+                LinkEvent::Measure { t, rates } => ShardEvent::Measure { link, t, rates },
                 LinkEvent::Request { .. } => ShardEvent::Request {
                     link,
                     enqueued: stamps.take().then(Instant::now),
@@ -367,9 +364,9 @@ impl Ingest for SnapshotWindow {
                 let enqueued = stamps.take().then(Instant::now);
                 return Some(ShardEvent::Request { link, enqueued });
             }
-            let (next, _, t, moments) = measures.next()?;
+            let (next, _, t, rates) = measures.next()?;
             (link, left) = (next, asks);
-            Some(ShardEvent::Snapshot { link, t, moments })
+            Some(ShardEvent::Measure { link, t, rates })
         })
     }
 }

@@ -94,7 +94,7 @@ use std::time::Instant;
 pub enum RoutedShardEvent {
     /// A measurement of `link`: the rates as measured at this link's
     /// node, folded where they were generated (same semantics as
-    /// [`crate::plane::ShardEvent::Snapshot`]).
+    /// [`crate::plane::ShardEvent::Measure`]).
     Measure {
         /// The link the measurement belongs to.
         link: LinkId,

@@ -47,13 +47,6 @@ pub trait AdmissionEngine {
     fn moment_pivot(&self) -> f64 {
         0.0
     }
-
-    // Inert shim: every engine observes moments. The frozen
-    // `benchmark/` still asks; the next `benchmark` PR deletes this.
-    #[doc(hidden)]
-    fn supports_moments(&self) -> bool {
-        true
-    }
 }
 
 /// An estimator plus an admission policy — the complete

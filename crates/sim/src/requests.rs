@@ -15,9 +15,10 @@
 //!
 //! [`RequestLoad`] is the paper's single link, `links` times over: the
 //! same generator on `links` disjoint one-hop routes without noise
-//! ([`RoutedLoadConfig::one_hop_links`]). Materialised, it emits per
-//! tick one [`LinkEvent::Measure`] carrying the link's rates, then
-//! `requests_per_tick` [`LinkEvent::Request`]s.
+//! ([`RoutedLoadConfig::one_hop_links`]). Materialised, each link's
+//! stream is per tick one [`LinkEvent::Measure`] carrying the link's
+//! moments, then `requests_per_tick` [`LinkEvent::Request`]s — the one
+//! request of the tick, stored once and referenced by every link.
 //!
 //! A workload is **bit-identical for any worker count**, kernel or
 //! boxed (the `rep_seed` determinism contract), so the serve
@@ -41,13 +42,10 @@
 //! ([`RoutedWindow::request_routes`]), not to the run. Times, `seq`,
 //! every population and every noise stream run on across windows.
 //!
-//! A materialised routed run is its windows laid end to end: the
-//! session seeds one replication per route, and [`RoutedLoad`]'s fold
-//! runs the same generator over the whole run, appending each window's
-//! measurements and synthesised requests to the per-link streams. A
-//! materialised single-link run ([`RequestLoad`]) steps each link's
-//! population on the same per-tick step (`Population::step_to`) and
-//! keeps its rates, which its windows fold (tested bit for bit).
+//! A materialised run is its windows laid end to end: the session seeds
+//! one replication per route (or link), and the fold runs the same
+//! generator over the whole run, appending each window's measurements
+//! and synthesised requests to the workload.
 //!
 //! # Ordering contract
 //!
@@ -85,13 +83,15 @@ use std::sync::Arc;
 /// One event in a link's serve workload, in per-link order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LinkEvent {
-    /// A measurement snapshot: the per-flow instantaneous rates on the
-    /// link at time `t` (the estimator input of eqn (23)).
+    /// A measurement of the link at time `t`: its per-flow rates (the
+    /// estimator input of eqn (23)) folded around the first. The count
+    /// is the link's occupancy.
     Measure {
         /// Absolute measurement time.
         t: f64,
-        /// Per-flow rates; the length is the link's occupancy.
-        rates: Box<[f64]>,
+        /// The measurement's moments. (The field keeps the name it had
+        /// when a measurement carried every rate.)
+        rates: SnapshotMoments,
     },
     /// An admission request arriving at time `t`.
     Request {
@@ -120,72 +120,74 @@ pub struct RequestLoadConfig {
     pub seed: u64,
 }
 
-/// The generated workload: per-link event streams, link `l` at index
-/// `l` (link ids are replication indices).
+/// The generated workload: link `l`'s event stream is, at each tick,
+/// its measurement and then `requests_per_tick` requests (link ids are
+/// replication indices). A request is a function of its tick, so each
+/// tick's is stored once, whatever the number of links and asks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeWorkload {
-    per_link: Vec<Vec<LinkEvent>>,
+    links: usize,
+    requests_per_tick: usize,
+    /// Tick-major: tick `k`'s measurement of link `l` is at
+    /// `k · links + l`.
+    measures: Vec<LinkEvent>,
+    /// Tick `k`'s request.
+    requests: Vec<LinkEvent>,
 }
 
 impl ServeWorkload {
     /// Number of links.
     pub fn links(&self) -> usize {
-        self.per_link.len()
+        self.links
     }
 
     /// All link ids, in index order.
     pub fn link_ids(&self) -> impl Iterator<Item = LinkId> + '_ {
-        (0..self.per_link.len()).map(|l| LinkId(l as u32))
+        (0..self.links).map(|l| LinkId(l as u32))
     }
 
     /// Link `link`'s event stream, in per-link order.
-    pub fn events(&self, link: LinkId) -> &[LinkEvent] {
-        &self.per_link[link.index()]
+    pub fn events(&self, link: LinkId) -> impl Iterator<Item = &LinkEvent> + '_ {
+        let own = move |&(l, _): &(LinkId, _)| l == link;
+        self.canonical_events().filter(own).map(|(_, event)| event)
     }
 
     /// Total admission requests across all links.
     pub fn total_requests(&self) -> usize {
-        let events = self.per_link.iter().flatten();
-        events
-            .filter(|e| matches!(e, LinkEvent::Request { .. }))
-            .count()
+        self.measures.len() * self.requests_per_tick
     }
 
     /// Total events across all links.
     pub fn total_events(&self) -> usize {
-        self.per_link.iter().map(Vec::len).sum()
+        self.measures.len() * (1 + self.requests_per_tick)
     }
 
     /// The canonical serial-reference order: the links' streams merged
-    /// round-robin by event index. Any order that preserves each link's own sequence yields the
-    /// same per-link decisions (the serve invariance suite proves this);
+    /// round-robin by event index — each tick, every link's measurement,
+    /// then `requests_per_tick` rounds of every link's request. Any
+    /// order that preserves each link's own sequence yields the same
+    /// per-link decisions (the serve invariance suite proves this);
     /// this one is the fixed reference the sharded plane is compared
     /// against.
     pub fn canonical_events(&self) -> impl Iterator<Item = (LinkId, &LinkEvent)> {
-        round_robin(&self.per_link)
+        let ticks = self.measures.chunks_exact(self.links).zip(&self.requests);
+        ticks.flat_map(move |(measures, request)| {
+            let requests = (0..self.requests_per_tick)
+                .flat_map(move |_| (0..self.links).map(move |l| (LinkId(l as u32), request)));
+            let measures = measures.iter().enumerate();
+            measures.map(|(l, m)| (LinkId(l as u32), m)).chain(requests)
+        })
     }
 }
 
-/// `per_link`'s events merged round-robin by event index: `link 0
-/// event 0, link 1 event 0, …, link 0 event 1, …`.
-fn round_robin<E>(per_link: &[Vec<E>]) -> impl Iterator<Item = (LinkId, &E)> {
-    let longest = per_link.iter().map(Vec::len).max().unwrap_or(0);
-    (0..longest).flat_map(move |i| {
-        let links = per_link.iter().enumerate();
-        links.filter_map(move |(link, evs)| evs.get(i).map(|e| (LinkId(link as u32), e)))
-    })
-}
-
-/// The most events, and the most per-flow rate samples, a generated
-/// workload may hold. Both stay in memory from generation to the end of
-/// the replay at 8–32 bytes apiece, and both are sized up front from
-/// the configuration: past this bound (some gigabytes) the generator's
-/// allocations abort the process, or the size does not fit a `usize` at
-/// all, where a configuration error is owed. The largest shape in the
-/// tree, the benchmark's `serve_routed`, holds 1.2 · 10⁷ rate samples.
-/// A run generated in [`Windows`] holds one window at a time, so it is
-/// held to this bound one tick at a time (a window is at least one
-/// tick) and to [`MAX_RUN_ITEMS`] over the run.
+/// The most events a materialised workload may hold, and the most
+/// per-flow rate samples it may draw. Both are sized up front from the
+/// configuration: past this bound the events, 56 bytes apiece, take
+/// gigabytes and their allocation aborts the process, or the size does
+/// not fit a `usize` at all, where a configuration error is owed. A run
+/// generated in [`Windows`] holds one window at a time, so it is held
+/// to this bound one tick at a time (a window is at least one tick) and
+/// to [`MAX_RUN_ITEMS`] over the run.
 /// `PoissonLoad` bounds the arrivals it expects by the same number:
 /// each is an event and an advance of the flow table.
 pub const MAX_WORKLOAD_ITEMS: u64 = 1 << 28;
@@ -214,8 +216,8 @@ pub(crate) fn workload_count<const N: usize>(
 
 /// One route's churned flow population, taken from tick to tick. The
 /// exact sequence of table/RNG operations is the compatibility
-/// contract: a run generated in windows must consume the identical
-/// random streams as the materialised one, and so produce its bits.
+/// contract: a run must consume the identical random streams however
+/// its windows are cut, and so produce its bits.
 struct Population<'a> {
     model: &'a dyn SourceModel,
     flows: usize,
@@ -255,18 +257,6 @@ impl<'a> Population<'a> {
             |rng| now + exponential(rng, mean_holding),
         );
         self.table.snapshot_into(rates);
-    }
-
-    /// The population's rates at each of the run's `ticks` ticks of
-    /// `tick`: one replication of either scenario.
-    fn run(mut self, ticks: usize, tick: f64) -> Vec<Box<[f64]>> {
-        (1..=ticks)
-            .map(|step| {
-                let mut rates = Vec::new();
-                self.step_to(step as f64 * tick, &mut rates);
-                rates.into_boxed_slice()
-            })
-            .collect()
     }
 }
 
@@ -419,7 +409,7 @@ pub struct RequestLoad<'a> {
 }
 
 impl Scenario for RequestLoad<'_> {
-    type Rep = Vec<LinkEvent>;
+    type Rep = RepContext;
     type Report = ServeWorkload;
 
     fn validate(&self) -> Result<(), ConfigError> {
@@ -434,23 +424,33 @@ impl Scenario for RequestLoad<'_> {
         self.cfg.links
     }
 
-    /// Route `ctx.rep`'s replication of [`RoutedLoad`], each tick's
-    /// rates a `Measure` followed by the tick's requests.
-    fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> Vec<LinkEvent> {
-        let cfg = &self.cfg;
-        let link = Population::new(self.model, cfg.flows_per_link, cfg.mean_holding, ctx);
-        let mut events = Vec::with_capacity(cfg.ticks * (1 + cfg.requests_per_tick));
-        for (step, rates) in (1..).zip(link.run(cfg.ticks, cfg.tick)) {
-            let t = step as f64 * cfg.tick;
-            events.push(LinkEvent::Measure { t, rates });
-            let request = LinkEvent::Request { t };
-            events.extend(std::iter::repeat_n(request, cfg.requests_per_tick));
-        }
-        events
+    /// Seeds link `ctx.rep`: its population is admitted on this stream
+    /// when the fold generates the run.
+    fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> RepContext {
+        *ctx
     }
 
-    fn fold(&self, reps: Vec<Vec<LinkEvent>>) -> ServeWorkload {
-        ServeWorkload { per_link: reps }
+    /// The run's windows laid end to end, as [`RoutedLoad`]'s fold lays
+    /// its one-hop routes': each tick, every link's measurement and the
+    /// tick's one request.
+    fn fold(&self, reps: Vec<RepContext>) -> ServeWorkload {
+        let cfg = &self.cfg;
+        let routed = self.routed(cfg.ticks, MAX_WORKLOAD_ITEMS);
+        let mut measures = Vec::with_capacity(cfg.links * cfg.ticks);
+        let mut requests = Vec::with_capacity(cfg.ticks);
+        let generator = routed.expect("a validated run").generator(reps);
+        generator.each_tick(|t, snapshots| {
+            for &rates in snapshots {
+                measures.push(LinkEvent::Measure { t, rates });
+            }
+            requests.push(LinkEvent::Request { t });
+        });
+        ServeWorkload {
+            links: cfg.links,
+            requests_per_tick: cfg.requests_per_tick,
+            measures,
+            requests,
+        }
     }
 }
 
@@ -670,11 +670,16 @@ impl RoutedWorkload {
     }
 
     /// The canonical serial-reference order: the same round-robin merge
-    /// by event index as [`ServeWorkload::canonical_events`]. Each
-    /// link's subsequence equals its own stream, which is all the
-    /// routed plane's determinism argument needs.
+    /// by event index as [`ServeWorkload::canonical_events`] (`link 0
+    /// event 0, link 1 event 0, …, link 0 event 1, …`). Each link's
+    /// subsequence equals its own stream, which is all the routed
+    /// plane's determinism argument needs.
     pub fn canonical_events(&self) -> impl Iterator<Item = (LinkId, &RoutedEvent)> {
-        round_robin(&self.per_link)
+        let longest = self.per_link.iter().map(Vec::len).max().unwrap_or(0);
+        (0..longest).flat_map(move |i| {
+            let links = self.per_link.iter().enumerate();
+            links.filter_map(move |(link, evs)| evs.get(i).map(|e| (LinkId(link as u32), e)))
+        })
     }
 }
 
@@ -721,8 +726,6 @@ impl Scenario for RoutedLoad<'_> {
     /// each tick's measurements and requests are appended to the
     /// per-link streams.
     fn fold(&self, reps: Vec<RepContext>) -> RoutedWorkload {
-        // Any window length makes the same bits; 32 ticks stay in cache.
-        const WINDOW_TICKS: usize = 32;
         let cfg = &self.cfg;
         let topo = &cfg.topology;
         // Validated: a run holds more events than requests.
@@ -730,26 +733,21 @@ impl Scenario for RoutedLoad<'_> {
         let mut per_link: Vec<Vec<RoutedEvent>> = (0..topo.links())
             .map(|_| Vec::with_capacity(cfg.ticks * (1 + cfg.requests_per_tick)))
             .collect();
-        let mut generator = self.generator(reps);
-        let mut window = generator.new_window();
         let mut seq = 0;
-        while generator.next_window(WINDOW_TICKS, &mut window) {
-            for (link, _, t, rates) in window.snapshots.measurements() {
-                per_link[link.index()].push(RoutedEvent::Measure { t, rates });
-                if link.index() + 1 < topo.links() {
-                    continue;
-                }
-                // The tick's requests: one occurrence per hop, shared
-                // seq, emitted in seq order on every link (the
-                // two-phase commit's monotonicity invariant).
-                for route in cfg.tick_requests() {
-                    for &hop in topo.route(route) {
-                        per_link[hop.index()].push(RoutedEvent::Request { t, route, seq });
-                    }
-                    seq += 1;
-                }
+        self.generator(reps).each_tick(|t, snapshots| {
+            for (events, &rates) in per_link.iter_mut().zip(snapshots) {
+                events.push(RoutedEvent::Measure { t, rates });
             }
-        }
+            // The tick's requests: one occurrence per hop, shared seq,
+            // emitted in seq order on every link (the two-phase
+            // commit's monotonicity invariant).
+            for route in cfg.tick_requests() {
+                for &hop in topo.route(route) {
+                    per_link[hop.index()].push(RoutedEvent::Request { t, route, seq });
+                }
+                seq += 1;
+            }
+        });
         RoutedWorkload {
             topology: Arc::clone(topo),
             per_link,
@@ -959,6 +957,20 @@ impl RoutedWindows<'_> {
         self.done += ticks;
         true
     }
+
+    /// Generates the rest of the run a window at a time and hands each
+    /// tick's time and every link's measurement there, in link order, to
+    /// `each`: a materialised run is its windows laid end to end.
+    fn each_tick(mut self, mut each: impl FnMut(f64, &[SnapshotMoments])) {
+        // Any window length makes the same bits; 32 ticks stay in cache.
+        const WINDOW_TICKS: usize = 32;
+        let mut window = self.new_window().snapshots;
+        while self.fill(WINDOW_TICKS, &mut window) {
+            for (k, snapshots) in window.snapshots.chunks_exact(window.links).enumerate() {
+                each((window.first + k) as f64 * window.tick, snapshots);
+            }
+        }
+    }
 }
 
 impl Windows for RoutedWindows<'_> {
@@ -992,7 +1004,6 @@ impl Windows for RoutedWindows<'_> {
 mod tests {
     use super::*;
     use crate::session::SessionBuilder;
-    use mbac_core::estimators::fold_snapshot;
     use mbac_traffic::process::Unbatched;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use proptest::prelude::*;
@@ -1024,19 +1035,21 @@ mod tests {
         assert_eq!(w.links(), 3);
         assert_eq!(w.total_requests(), 3 * 20 * 2);
         assert_eq!(w.total_events(), 3 * 20 * 3);
+        // Stored: a measurement per link and tick, a request per tick.
+        assert_eq!((w.measures.len(), w.requests.len()), (3 * 20, 20));
         for link in w.link_ids() {
-            let evs = w.events(link);
+            assert_eq!(w.events(link).count(), 20 * 3);
             // Per-link pattern: Measure, then requests_per_tick Requests.
-            for (i, e) in evs.iter().enumerate() {
+            for (i, e) in w.events(link).enumerate() {
                 match i % 3 {
                     0 => assert!(matches!(e, LinkEvent::Measure { .. })),
                     _ => assert!(matches!(e, LinkEvent::Request { .. })),
                 }
             }
             // Occupancy is topped up to the target every tick.
-            for e in evs {
+            for e in w.events(link) {
                 if let LinkEvent::Measure { rates, .. } = e {
-                    assert_eq!(rates.len(), 8);
+                    assert_eq!(rates.count(), 8);
                 }
             }
         }
@@ -1081,7 +1094,7 @@ mod tests {
                 .filter(|&&(l, _)| l == link)
                 .map(|&(_, e)| e)
                 .collect();
-            let own: Vec<&LinkEvent> = w.events(link).iter().collect();
+            let own: Vec<&LinkEvent> = w.events(link).collect();
             assert_eq!(sub, own);
         }
         assert_eq!(merged[0].0, LinkId(0));
@@ -1333,6 +1346,67 @@ mod tests {
         assert_eq!(boxed, reference, "the boxed path diverged");
     }
 
+    /// Folds `w`'s bytes into the FNV-1a hash `h`.
+    fn word(h: &mut u64, w: u64) {
+        for byte in w.to_le_bytes() {
+            *h ^= u64::from(byte);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Folds a measurement's moments into `h`: Debug prints each f64
+    /// shortest-round-trip, so its bytes are the moments' bits.
+    fn moments_word(h: &mut u64, moments: &SnapshotMoments) {
+        for byte in format!("{moments:?}").bytes() {
+            word(h, u64::from(byte));
+        }
+    }
+
+    /// The materialised single-link workload, every bit: its event and
+    /// request totals, then in canonical order each event's link, each
+    /// measurement's time and moments and each request's time, hashed
+    /// (FNV-1a) at two shapes, each model on its kernel and not. A change
+    /// to how a single-link run is generated or stored must pass it
+    /// unchanged; the decisions that read it are pinned in `mbac-serve`.
+    #[test]
+    fn request_workload_bits_are_pinned() {
+        let m = model();
+        let hidden = Unbatched(&m);
+        let long = RequestLoadConfig {
+            links: 6,
+            ticks: 400,
+            requests_per_tick: 8,
+            ..config()
+        };
+        let cases = [
+            (config(), 0x3c07_7d8a_b1ba_91d0_u64),
+            (long, 0x3316_faaa_785a_cd97),
+        ];
+        for (cfg, pinned) in cases {
+            for m in [&m as &dyn SourceModel, &hidden] {
+                let load = RequestLoad {
+                    model: m,
+                    cfg: cfg.clone(),
+                };
+                let w = SessionBuilder::new().run(&load).unwrap();
+                let mut h = 0xcbf2_9ce4_8422_2325;
+                word(&mut h, w.total_events() as u64);
+                word(&mut h, w.total_requests() as u64);
+                for (link, event) in w.canonical_events() {
+                    word(&mut h, link.as_u64());
+                    match event {
+                        LinkEvent::Measure { t, rates } => {
+                            word(&mut h, t.to_bits());
+                            moments_word(&mut h, rates);
+                        }
+                        LinkEvent::Request { t } => word(&mut h, t.to_bits()),
+                    }
+                }
+                assert_eq!(h, pinned, "{} links: {h:#018x}", cfg.links);
+            }
+        }
+    }
+
     /// The materialised routed workload, every bit: each link's
     /// measurement times and moments, each request occurrence's route and
     /// `seq`, in canonical order, and the seq → route map, hashed (FNV-1a)
@@ -1341,12 +1415,6 @@ mod tests {
     /// the decisions that read it are pinned in `mbac-serve`.
     #[test]
     fn routed_workload_bits_are_pinned() {
-        fn word(h: &mut u64, w: u64) {
-            for byte in w.to_le_bytes() {
-                *h ^= u64::from(byte);
-                *h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        }
         let m = model();
         let cases = [
             ("parking-lot:3", 0.0, 0x9a62_ebb9_d26a_c3ee_u64),
@@ -1373,11 +1441,7 @@ mod tests {
                 match event {
                     RoutedEvent::Measure { t, rates } => {
                         word(&mut h, t.to_bits());
-                        // Debug prints each f64 shortest-round-trip,
-                        // so its bytes are the moments' bits.
-                        for byte in format!("{rates:?}").bytes() {
-                            word(&mut h, u64::from(byte));
-                        }
+                        moments_word(&mut h, rates);
                     }
                     RoutedEvent::Request { t, route, seq } => {
                         word(&mut h, t.to_bits());
@@ -1394,8 +1458,8 @@ mod tests {
     }
 
     /// The compatibility contract satellite-tested end-to-end in the
-    /// serve crate: a routed workload over one-hop links measures the
-    /// folds of [`RequestLoad`]'s rates, bit for bit, and asks the same
+    /// serve crate: a routed workload over one-hop links measures
+    /// [`RequestLoad`]'s moments, bit for bit, and asks the same
     /// requests.
     #[test]
     fn single_link_routed_matches_request_load_bits() {
@@ -1415,17 +1479,16 @@ mod tests {
             .unwrap();
         assert_eq!(routed.links(), legacy.links());
         for link in legacy.link_ids() {
-            let (legacy_evs, routed_evs) = (legacy.events(link), routed.events(link));
-            assert_eq!(legacy_evs.len(), routed_evs.len());
-            for (l, r) in legacy_evs.iter().zip(routed_evs) {
+            let routed_evs = routed.events(link);
+            assert_eq!(legacy.events(link).count(), routed_evs.len());
+            for (l, r) in legacy.events(link).zip(routed_evs) {
                 match (l, r) {
                     (
                         LinkEvent::Measure { t: lt, rates: lr },
                         RoutedEvent::Measure { t: rt, rates: rr },
                     ) => {
                         assert_eq!(lt.to_bits(), rt.to_bits());
-                        let legacy = fold_snapshot(lr, None);
-                        assert_eq!(format!("{legacy:?}"), format!("{rr:?}"), "bits diverged");
+                        assert_eq!(format!("{lr:?}"), format!("{rr:?}"), "bits diverged");
                     }
                     (LinkEvent::Request { t: lt }, RoutedEvent::Request { t: rt, route, .. }) => {
                         assert_eq!(lt.to_bits(), rt.to_bits());
@@ -1591,21 +1654,20 @@ mod tests {
     }
 
     /// What a window of `events` must hold: each `Measure`'s `t` and its
-    /// rates folded by the generator's rule.
-    fn folded(events: &[LinkEvent]) -> Vec<(u64, SnapshotMoments)> {
-        let fold = |e: &LinkEvent| match e {
-            LinkEvent::Measure { t, rates } => Some((t.to_bits(), fold_snapshot(rates, None))),
+    /// moments.
+    fn measured<'e>(events: impl Iterator<Item = &'e LinkEvent>) -> Vec<(u64, SnapshotMoments)> {
+        let measure = |e: &LinkEvent| match e {
+            LinkEvent::Measure { t, rates } => Some((t.to_bits(), *rates)),
             LinkEvent::Request { .. } => None,
         };
-        events.iter().filter_map(fold).collect()
+        events.filter_map(measure).collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// A link's snapshots, window after window, are its `Measure`s
-        /// in the materialised workload — the rates folded around their
-        /// first rate, or a routed link's fold itself — every bit, at
+        /// in the materialised workload, every bit, at
         /// the materialised `t`, for windows of one tick, of a few, of
         /// the whole run and longer than it, kernel or boxed, three
         /// topologies and with and without noise; and a routed window's
@@ -1631,7 +1693,7 @@ mod tests {
                 let load = RequestLoad { model: m, cfg };
                 let whole = SessionBuilder::new().run(&load).unwrap();
                 let measures: Snapshots =
-                    whole.link_ids().map(|link| folded(whole.events(link))).collect();
+                    whole.link_ids().map(|link| measured(whole.events(link))).collect();
                 for window in [1, 7, ticks, ticks + 5] {
                     let windows = load.windows().unwrap();
                     prop_assert_eq!(windows.links(), 3);
