@@ -2,7 +2,7 @@
 //!
 //! Generates a multi-link request workload — a window of ticks at a
 //! time on the serial shape, the next window on a second core while
-//! this one is replayed, and through the Session pipeline on a threaded
+//! this one is replayed, and the whole run as one window on a threaded
 //! one — replays it through the sharded [`mbac_serve`] decision plane,
 //! and reports decision latency percentiles plus sustained throughput.
 //! Invalid configurations surface as friendly messages (exit code 1),
@@ -52,10 +52,10 @@ replay alone, `generation` the time spent generating the workload and
 `wall` the whole run: the serial shape overlaps the two a few ticks at
 a time when the host has a second core (and runs them in turn when it
 has one), in memory that does not grow with --ticks, with --topology
-too (its route table holds a window's requests). A serial run may
-pass 2^40 (1099511627776) events or rate samples, and 2^28
-(268435456) in one tick; a threaded one holds its whole run, at most
-2^28 of either.
+too (its route table holds a window's requests). A run may pass 2^40
+(1099511627776) events or rate samples, and 2^28 (268435456) in one
+tick; a threaded one holds its whole run as one window, at most 2^28
+link snapshots and, with --topology, 2^28 requests.
 --shards/--producers pick the plane shape; on a single-core host a
 threaded shape falls back to the serial reference and says so.
 --ring-capacity bounds each shard's ingest ring (the closed loop's

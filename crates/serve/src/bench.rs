@@ -1,5 +1,6 @@
-//! The closed-loop load generator: replays Scenario-generated traffic
-//! as admission requests and measures decision latency and throughput.
+//! The closed-loop load generator: replays the traffic `mbac_sim`'s
+//! window generator makes as admission requests and measures decision
+//! latency and throughput.
 //!
 //! "Closed loop" here is the backpressure sense: the bounded ingest
 //! rings cap the outstanding-event window, so producers block (yield)
@@ -71,16 +72,19 @@
 //! [`BenchReport::wall_secs`] the run's: their sum when the stages run
 //! in turn, about the larger of them when they overlap.
 //!
-//! The threaded shape still materialises the whole run (the Session
-//! pipeline, one replication per link or route) before it starts its
+//! The threaded shape starts from the same generator and holds its run
+//! as one window: it fills a window of every tick before it starts its
 //! producers. They must be able to run ahead of the consumers, or the
 //! rings never fill and the backpressure the shape exists to measure
 //! never happens; a generator in step with the replay would hold them
-//! to its own pace. A materialised run is its windows laid end to end,
-//! so it holds each measurement folded already, and what crosses to a
-//! consumer is the snapshot a window would have carried. A single-hop
-//! run stores each tick's request once, not once per link and ask: at
-//! `serve_links`' shape 33 000 events where the run has 1 056 000.
+//! to its own pace. The window holds a 40-byte snapshot per link and
+//! tick and synthesises the requests, and a routed run's route table is
+//! laid out for it: at `serve_routed`'s shape 60 000 snapshots and
+//! 160 000 requests. So the shape holds at most [`MAX_WORKLOAD_ITEMS`]
+//! snapshots and, routed, as many requests; what it draws is held to
+//! `MAX_RUN_ITEMS`, as on the serial shape. Each producer pushes its
+//! links' events in the window's order, and each link sees the order
+//! the serial shape gives it, so both shapes decide the same bytes.
 //!
 //! # What is stamped
 //!
@@ -110,15 +114,15 @@ use crate::plane::{
     certainty_equivalent_factory, check_producers, check_shards, ControllerFactory, DecisionPlane,
     Plane, PlaneConfig, ServeError,
 };
-use crate::replay::{replay_threaded_into, Ingest, Replay, SerialDriver, Stamps};
+use crate::replay::{replay_threaded_into, DecisionOf, Ingest, Replay, SerialDriver, Stamps};
 use crate::routed::{RoutedPlane, RoutedPlaneConfig};
-use crate::sink::{Replayed, Tally};
+use crate::sink::{DecisionSink, Replayed, Tally};
 use mbac_core::topology::Topology;
 use mbac_metrics::StreamHandle;
 use mbac_num::quantile;
 use mbac_sim::{
-    compat, ConfigError, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
-    Scenario, SessionBuilder, Windows,
+    compat, workload_count, ConfigError, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad,
+    RoutedLoadConfig, Windows, MAX_WORKLOAD_ITEMS,
 };
 use mbac_traffic::process::SourceModel;
 use std::sync::Arc;
@@ -252,7 +256,7 @@ pub struct BenchReport {
     /// Time spent generating the workload: the window generator's busy
     /// time, whether it overlapped the replay or ran between its spans
     /// (serial; waits for a free window buffer are not counted), or
-    /// materialising the run before the replay (threaded).
+    /// filling the run's one window before the replay (threaded).
     pub generate_secs: f64,
     /// Replay wall time: end to end when threaded, the sum of the
     /// windows' replay spans when serial.
@@ -345,45 +349,44 @@ impl Shape {
         })
     }
 
-    /// The threaded shape: materialises `load`'s run through the
-    /// Session pipeline, then replays it through the plane `plane`
-    /// configures, every producer stamping the requests `stamps` takes.
-    fn threaded<S>(
+    /// The threaded shape: `windows`' run of `ticks` ticks generated as
+    /// one window, then replayed through the plane `plane` configures
+    /// into the sinks `new_sink` makes, every producer stamping the
+    /// requests a `budget` of stamps takes. Returns what the replay
+    /// made, the generation time and the events replayed.
+    fn threaded<G, S>(
         self,
-        load: &S,
-        plane: &<S::Report as Replay>::PlaneConfig,
+        mut windows: G,
+        ticks: usize,
+        plane: &<G::Workload as Replay>::PlaneConfig,
         make: ControllerFactory,
-        stamps: Stamps,
-    ) -> Result<BenchReport, BenchError>
+        budget: u64,
+        new_sink: impl Fn() -> S + Sync,
+    ) -> Result<(Replayed<S>, Duration, u64), ServeError>
     where
-        S: Scenario + Sync,
-        S::Report: Replay,
+        G: Windows,
+        G::Workload: Replay,
+        S: DecisionSink<DecisionOf<G::Workload>>,
     {
+        let stamps = Stamps::budgeted(windows.requests(), budget);
         let start = Instant::now();
-        let workload = SessionBuilder::new().run(load)?;
+        let mut run = windows.new_window();
+        windows.next_window(ticks, &mut run);
         let generate = start.elapsed();
-        let replayed = replay_threaded_into(
-            plane,
-            self.producers,
-            stamps,
-            make,
-            &workload,
-            Tally::default,
-        )?;
-        let events = workload.events();
-        Ok(self.report(replayed, generate, events, start.elapsed()))
+        let replayed = replay_threaded_into(plane, self.producers, stamps, make, &run, new_sink)?;
+        Ok((replayed, generate, run.events()))
     }
 
     /// The serial shape: `windows`' run through `plane`, generated and
     /// replayed a window at a time, spending a `budget` of stamps on its
-    /// requests. The run's wall time is counted from `start`.
+    /// requests. Returns what the replay made, the generator's busy
+    /// time and the events replayed.
     fn serial<G>(
         self,
         windows: G,
         plane: Plane<<G::Workload as Ingest>::Logic>,
         budget: u64,
-        start: Instant,
-    ) -> BenchReport
+    ) -> (Replayed<Tally>, Duration, u64)
     where
         G: Windows + Send,
         G::Workload: Ingest + Send,
@@ -392,8 +395,7 @@ impl Shape {
         let stamps = Stamps::budgeted(windows.requests(), budget);
         let mut driver = SerialDriver::new(plane, stamps, Tally::default());
         let (generate, events) = driver.drive_windows(windows, ticks);
-        let replayed = driver.finish();
-        self.report(replayed, generate, events, start.elapsed())
+        (driver.finish(), generate, events)
     }
 
     /// The report of a run in this shape.
@@ -509,18 +511,18 @@ fn closed_loop_sampling(
         metrics: metrics_mode(&cfg.stream),
         stream: cfg.stream.clone(),
     };
-    if shape.threaded {
-        // Bounds the product below.
-        load.validate()?;
-        let requests = (cfg.links * cfg.ticks * cfg.requests_per_tick) as u64;
-        let stamps = Stamps::budgeted(requests, budget);
-        return shape.threaded(&load, &plane, make, stamps);
-    }
     let start = Instant::now();
-    // Held to the bound a tick at a time: the run is never in memory.
+    // Held to the bound a tick at a time, and to `MAX_RUN_ITEMS` over
+    // the run; the threaded shape holds the run's snapshots.
     let windows = load.windows()?;
-    let plane = DecisionPlane::new(&plane, make)?;
-    Ok(shape.serial(windows, plane, budget, start))
+    let (replayed, generate, events) = if shape.threaded {
+        let snapshots = [cfg.links, cfg.ticks];
+        workload_count("link snapshots", snapshots, MAX_WORKLOAD_ITEMS)?;
+        shape.threaded(windows, cfg.ticks, &plane, make, budget, Tally::default)?
+    } else {
+        shape.serial(windows, DecisionPlane::new(&plane, make)?, budget)
+    };
+    Ok(shape.report(replayed, generate, events, start.elapsed()))
 }
 
 // ---------------------------------------------------------------------
@@ -628,27 +630,33 @@ fn routed_closed_loop_sampling(
         metrics: metrics_mode(&cfg.stream),
         stream: cfg.stream.clone(),
     };
-    if shape.threaded {
-        // Bounds the product below.
-        load.validate()?;
-        let requests = (cfg.topology.routes() * cfg.ticks * cfg.requests_per_tick) as u64;
-        let stamps = Stamps::budgeted(requests, budget);
-        return shape.threaded(&load, &plane, make, stamps);
-    }
     let start = Instant::now();
     // The windows check every field and hold the run a tick at a time;
-    // the route table holds a window's requests at a time.
+    // the serial shape's route table holds a window's requests at a
+    // time, the threaded shape's the run's, with its snapshots.
     let windows = load.windows()?;
-    let plane = RoutedPlane::for_requests(&plane, &cfg.topology, &[], make)?;
-    Ok(shape.serial(windows, plane, budget, start))
+    let topology = &cfg.topology;
+    let (replayed, generate, events) = if shape.threaded {
+        let snapshots = [topology.links(), cfg.ticks];
+        workload_count("link snapshots", snapshots, MAX_WORKLOAD_ITEMS)?;
+        let requests = [topology.routes(), cfg.ticks, cfg.requests_per_tick];
+        workload_count("requests", requests, MAX_WORKLOAD_ITEMS)?;
+        shape.threaded(windows, cfg.ticks, &plane, make, budget, Tally::default)?
+    } else {
+        let plane = RoutedPlane::for_requests(&plane, topology, &[], make)?;
+        shape.serial(windows, plane, budget)
+    };
+    Ok(shape.report(replayed, generate, events, start.elapsed()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plane::{MAX_PRODUCERS, MAX_SHARDS};
+    use crate::replay::{replay_serial, ReplayConfig, ReplayOutcome};
+    use crate::sink::Collect;
     use mbac_num::parallel::with_workers;
-    use mbac_sim::MAX_WORKLOAD_ITEMS;
+    use mbac_sim::SessionBuilder;
     use mbac_traffic::process::RateProcess;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -828,9 +836,9 @@ mod tests {
 
     /// Runs of several windows, generated inline (one worker) or
     /// overlapped with their replay (two), report what the same runs
-    /// report materialised, which is how the threaded shape still
-    /// generates them. A run's wall time holds its generation and its
-    /// replay: their sum when they run in turn.
+    /// report as one window, which is how the threaded shape holds
+    /// them. A run's wall time holds its generation and its replay:
+    /// their sum when they run in turn.
     #[test]
     fn a_run_of_several_windows_reports_what_the_materialised_run_does() {
         let (links, routed) = several_windows();
@@ -940,12 +948,12 @@ mod tests {
     }
 
     /// A serial routed run is held to `MAX_RUN_ITEMS` over its length,
-    /// not to what a materialised run may hold: parking-lot:3's four
-    /// routes asking once a tick for 2²⁶ + 1 ticks are four requests
-    /// past `MAX_WORKLOAD_ITEMS`. The threaded shape, which materialises
-    /// the run, refuses it; the serial shape validates it and starts to
-    /// generate it, here on a source that gives out at its first
-    /// replacement flow, so the run ends there.
+    /// not to what a whole run may hold: parking-lot:3's four routes
+    /// asking once a tick for 2²⁶ + 1 ticks are four requests past
+    /// `MAX_WORKLOAD_ITEMS`. The threaded shape, whose route table holds
+    /// the whole run's requests, refuses it; the serial shape validates
+    /// it and starts to generate it, here on a source that gives out at
+    /// its first replacement flow, so the run ends there.
     #[test]
     #[should_panic(expected = "the source gave out")]
     fn a_serial_routed_run_may_ask_more_than_a_materialised_run_holds() {
@@ -962,7 +970,7 @@ mod tests {
         assert_eq!(
             routed_closed_loop_with_parallelism(&threaded, &model(), 4).unwrap_err(),
             BenchError::Config(ConfigError::WorkloadTooLarge {
-                what: "events",
+                what: "requests",
                 max: MAX_WORKLOAD_ITEMS
             })
         );
@@ -972,6 +980,135 @@ mod tests {
             at: 4 * 2 + 1,
         };
         let _ = with_workers(1, || routed_closed_loop_with_parallelism(&cfg, &source, 1));
+    }
+
+    /// A threaded run is held to what it holds, its link snapshots and
+    /// its route table's requests, and to `MAX_RUN_ITEMS` over what it
+    /// draws, as a serial run is: a link of 2¹⁸ + 1 flows over 1 024
+    /// ticks draws 1 024 rate samples past `MAX_WORKLOAD_ITEMS` and
+    /// holds 1 024 snapshots. The threaded shape validates it and starts
+    /// to generate it, here on a source that gives out at its first
+    /// replacement flow, so the run ends there.
+    #[test]
+    #[should_panic(expected = "the source gave out")]
+    fn a_threaded_run_may_draw_more_than_it_holds() {
+        let flows = (1 << 18) + 1;
+        let cfg = BenchConfig {
+            links: 1,
+            flows_per_link: flows,
+            ticks: 1024,
+            requests_per_tick: 1,
+            shards: 2,
+            ..small()
+        };
+        let source = GivesOut {
+            source: model(),
+            spawns: AtomicUsize::new(0),
+            at: flows + 1,
+        };
+        with_workers(1, || closed_loop_with_parallelism(&cfg, &source, 4)).unwrap();
+    }
+
+    /// [`Shape::threaded`], the whole run as one window on the threaded
+    /// driver, decides every link's and route's bytes as
+    /// `replay_serial` decides the run materialised, at shards {2, 4} ×
+    /// producers {1, 2}: on the single-link plane, and on parking-lot:3
+    /// and star:3 with and without measurement noise.
+    #[test]
+    fn the_threaded_shape_decides_the_materialised_bytes() {
+        let model = model();
+        let make = certainty_equivalent_factory(1e-2, 2.0);
+        let shapes = [(2, 1), (2, 2), (4, 1), (4, 2)];
+        let load = RequestLoad {
+            model: &model,
+            cfg: RequestLoadConfig {
+                links: 5,
+                flows_per_link: 6,
+                ticks: 30,
+                tick: 0.4,
+                requests_per_tick: 3,
+                mean_holding: 4.0,
+                seed: 3,
+            },
+        };
+        let plane = |shards| PlaneConfig {
+            shards,
+            capacity: 8.0,
+            ring_capacity: 16,
+            ..PlaneConfig::default()
+        };
+        let whole = SessionBuilder::new().run(&load).unwrap();
+        let cfg = ReplayConfig {
+            plane: plane(1),
+            ..ReplayConfig::default()
+        };
+        let reference = replay_serial(&cfg, Arc::clone(&make), &whole).unwrap();
+        for (shards, producers) in shapes {
+            let shape = Shape::resolve(shards, producers, 4).unwrap();
+            let windows = load.windows().unwrap();
+            let plane = plane(shards);
+            let sink = || Collect::new(5);
+            let (replayed, _, events) = shape
+                .threaded(windows, load.cfg.ticks, &plane, Arc::clone(&make), 0, sink)
+                .unwrap();
+            assert_eq!(events, whole.total_events() as u64);
+            let threaded: ReplayOutcome<_> = replayed.into();
+            assert_eq!(threaded.decisions, reference.decisions);
+            for link in 0..5 {
+                let what = format!("{shards} x {producers}, link {link}");
+                assert_eq!(threaded.encode(link), reference.encode(link), "{what}");
+            }
+        }
+        let topologies = [Topology::parking_lot(3, 14.0), Topology::star(3, 18.0)];
+        for topology in topologies {
+            for noise_sd in [0.0, 0.05] {
+                let load = RoutedLoad {
+                    model: &model,
+                    cfg: RoutedLoadConfig {
+                        topology: Arc::new(topology.clone()),
+                        flows_per_route: 5,
+                        ticks: 30,
+                        tick: 0.4,
+                        requests_per_tick: 2,
+                        mean_holding: 4.0,
+                        noise_sd,
+                        seed: 11,
+                    },
+                };
+                let plane = |shards| RoutedPlaneConfig {
+                    shards,
+                    ring_capacity: 16,
+                    ..RoutedPlaneConfig::default()
+                };
+                let whole = SessionBuilder::new().run(&load).unwrap();
+                let cfg = ReplayConfig {
+                    plane: plane(1),
+                    ..ReplayConfig::default()
+                };
+                let reference = replay_serial(&cfg, Arc::clone(&make), &whole).unwrap();
+                let (admitted, decisions) = (reference.admitted, reference.decisions);
+                assert!(
+                    0 < admitted && admitted < decisions,
+                    "{admitted} of {decisions}"
+                );
+                for (shards, producers) in shapes {
+                    let shape = Shape::resolve(shards, producers, 4).unwrap();
+                    let (windows, ticks) = (load.windows().unwrap(), load.cfg.ticks);
+                    let plane = plane(shards);
+                    let sink = || Collect::new(topology.routes());
+                    let (replayed, _, events) = shape
+                        .threaded(windows, ticks, &plane, Arc::clone(&make), 0, sink)
+                        .unwrap();
+                    assert_eq!(events, whole.total_events() as u64);
+                    let threaded: ReplayOutcome<_> = replayed.into();
+                    assert_eq!(threaded.decisions, reference.decisions);
+                    for route in 0..topology.routes() {
+                        let what = format!("noise {noise_sd}, {shards} x {producers}: {route}");
+                        assert_eq!(threaded.encode(route), reference.encode(route), "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   never leaks provisional load into earlier hops;
 //! * [`replay`] — the single-threaded serial reference and the
 //!   multi-producer sharded replay, each generic over the
-//!   [`replay::Replay`] workload (a Scenario-generated
-//!   [`mbac_sim::ServeWorkload`] or [`mbac_sim::RoutedWorkload`]);
+//!   [`replay::Replay`] workload: a run generated by `mbac_sim`'s
+//!   window generator as one window ([`mbac_sim::SnapshotWindow`] on the
+//!   single-link plane, [`mbac_sim::RoutedWindow`] on the two-phase
+//!   one). The serial driver also takes a run a window at a time;
 //! * [`sink`] — where the replay drivers put each decision as it is
 //!   made: a collecting sink (one sequence per link or route, for the
 //!   invariance suites) or a tally (totals plus the stamped latencies,
@@ -27,7 +29,12 @@
 //!   decision latency of a fixed budget of stamped requests, computed on
 //!   the samples themselves, with the single-core gate
 //!   (`skipped_single_core`) for hosts where threaded throughput would
-//!   be meaningless.
+//!   be meaningless. Both of its shapes replay windows: the serial one
+//!   a few ticks at a time, the threaded one the whole run as one.
+//!
+//! The materialised runs a session makes of the same generator, and
+//! their replay in a round-robin order of their own, are kept in a
+//! hidden `compat` module for the benchmark and the tests.
 //!
 //! # Correctness bar
 //!
@@ -41,6 +48,8 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+#[doc(hidden)]
+pub mod compat;
 pub mod plane;
 pub mod replay;
 pub mod routed;

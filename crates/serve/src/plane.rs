@@ -538,12 +538,17 @@ impl<L: LinkLogic> ShardOf<L> {
         &mut self.logic
     }
 
-    /// Drains every event currently in the ring, in ring order, then
-    /// runs one [`pump`](Self::pump) sweep. Returns events processed
-    /// plus links resumed (0 = no progress).
+    /// Drains the events in the ring, in ring order — at most one ring's
+    /// capacity of them, so `out` holds at most that many decisions
+    /// however fast the producers refill it — then runs one
+    /// [`pump`](Self::pump) sweep. Returns events processed plus links
+    /// resumed (0 = no progress).
     pub fn drain_into(&mut self, out: &mut Vec<L::Decision>) -> usize {
         let mut n = 0;
-        while let Some(ev) = self.ring.try_pop() {
+        while n < self.ring.capacity() {
+            let Some(ev) = self.ring.try_pop() else {
+                break;
+            };
             self.apply(ev, out);
             n += 1;
         }

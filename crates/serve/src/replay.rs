@@ -1,30 +1,31 @@
 //! Workload replay drivers: the single-threaded serial reference and
 //! the multi-producer / multi-consumer sharded replay.
 //!
-//! Both drivers are generic over a [`Replay`] workload — a
-//! [`ServeWorkload`] (generated by `mbac_sim::RequestLoad` through the
-//! Session pipeline) on the single-hop plane, a
-//! [`mbac_sim::RoutedWorkload`] on the two-phase one — and produce one
-//! decision sequence per link or route. [`replay_serial`] is the
-//! correctness oracle: one shard, no threads, events applied in the
-//! workload's canonical order, the shard settled after every event.
-//! [`replay_threaded`] is the production shape: producer threads push
-//! each link's events through the lock-free ingest rings, one consumer
-//! thread per shard drains and decides. The invariance suites assert
-//! the two agree per sequence, byte for byte, for any shard/producer
-//! count.
+//! Both drivers are generic over a [`Replay`] workload — a window of a
+//! run generated by `mbac_sim`'s window generator
+//! ([`SnapshotWindow`] on the single-hop plane,
+//! [`mbac_sim::RoutedWindow`] on the two-phase one), a whole run as one
+//! window included — and produce one decision sequence per link or
+//! route. [`replay_serial`] is the correctness oracle: one shard, no
+//! threads, events applied in the workload's own order, the shard
+//! settled after every event. [`replay_threaded`] is the production
+//! shape: producer threads push each link's events through the
+//! lock-free ingest rings, one consumer thread per shard drains and
+//! decides. The invariance suites assert the two agree per sequence,
+//! byte for byte, for any shard/producer count, and hold both to the
+//! materialised runs of the crate's hidden `compat` module, replayed in
+//! a round-robin order of their own.
 //!
 //! Neither driver keeps the decisions it produces: each hands them to a
 //! `DecisionSink` as they are made (see [`crate::sink`]). The public
 //! entry points collect them per sequence; the closed-loop bench runs
 //! the same driver bodies into a tally.
 //!
-//! The serial driver does not need the run in one piece either: a
+//! The serial driver does not need the run in one piece: a
 //! `SerialDriver` owns the plane, the stamping rule and the sink for a
 //! whole run and is handed the run a window at a time (see
-//! `mbac_sim::Windows`) — anything it can [`Ingest`], a whole workload
-//! or a window of snapshots; [`replay_serial`] drives a whole workload
-//! as one window.
+//! `mbac_sim::Windows`); [`replay_serial`] drives a whole workload as
+//! one window.
 //! Its window feed overlaps the generation of the next window with the
 //! replay of this one when there is a second worker to generate on,
 //! and decides the same bytes either way.
@@ -36,7 +37,7 @@ use crate::plane::{
 use crate::sink::{Collect, Decided, DecisionSink, Replayed};
 use mbac_metrics::{splitmix64, MetricsSnapshot};
 use mbac_num::parallel::{current_workers, with_workers};
-use mbac_sim::{LinkEvent, LinkId, ServeWorkload, SnapshotWindow, Windows};
+use mbac_sim::{LinkId, SnapshotWindow, Windows};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
@@ -290,7 +291,9 @@ pub type EventOf<W> = <<W as Ingest>::Logic as LinkLogic>::Event;
 /// The decision type of `W`'s plane.
 pub type DecisionOf<W> = <<W as Ingest>::Logic as LinkLogic>::Decision;
 
-impl Replay for ServeWorkload {
+/// A window is replayed on the single-link plane: a whole run as one
+/// window is what the threaded bench replays.
+impl Replay for SnapshotWindow {
     type PlaneConfig = PlaneConfig;
 
     fn one_shard(cfg: &PlaneConfig) -> PlaneConfig {
@@ -310,32 +313,6 @@ impl Replay for ServeWorkload {
 
     fn groups(&self) -> usize {
         self.links()
-    }
-}
-
-/// A materialised run is replayed in its canonical order
-/// ([`ServeWorkload::canonical_events`]).
-impl Ingest for ServeWorkload {
-    type Logic = SingleHop;
-
-    fn events(&self) -> u64 {
-        self.total_events() as u64
-    }
-
-    fn ingest(
-        &self,
-        stamps: &mut Stamps,
-        keep: impl Fn(LinkId) -> bool,
-    ) -> impl Iterator<Item = ShardEvent> {
-        self.canonical_events()
-            .filter(move |&(link, _)| keep(link))
-            .map(move |(link, ev)| match *ev {
-                LinkEvent::Measure { t, rates } => ShardEvent::Measure { link, t, rates },
-                LinkEvent::Request { .. } => ShardEvent::Request {
-                    link,
-                    enqueued: stamps.take().then(Instant::now),
-                },
-            })
     }
 }
 
@@ -646,13 +623,20 @@ pub(crate) mod tests {
     use crate::sink::Tally;
     use mbac_core::admission::CertaintyEquivalent;
     use mbac_core::estimators::WindowEstimator;
-    use mbac_sim::{MbacController, MetricsMode, RequestLoad, RequestLoadConfig, SessionBuilder};
+    use mbac_sim::{
+        MbacController, MetricsMode, RequestLoad, RequestLoadConfig, ServeWorkload, SessionBuilder,
+    };
     use mbac_traffic::process::{SourceModel, Unbatched};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use std::sync::Arc;
 
     fn workload() -> ServeWorkload {
         sized_workload(4, 25, 3)
+    }
+
+    /// [`workload`]'s run as one window.
+    fn window() -> SnapshotWindow {
+        sized_window(4, 25, 3)
     }
 
     fn sized_config(links: usize, ticks: usize, requests_per_tick: usize) -> RequestLoadConfig {
@@ -676,6 +660,16 @@ pub(crate) mod tests {
         SessionBuilder::new().run(&load).unwrap()
     }
 
+    /// [`sized_workload`]'s run as one window.
+    fn sized_window(links: usize, ticks: usize, requests_per_tick: usize) -> SnapshotWindow {
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let load = RequestLoad {
+            model: &model,
+            cfg: sized_config(links, ticks, requests_per_tick),
+        };
+        whole_run(load.windows().unwrap())
+    }
+
     fn config(shards: usize, producers: usize) -> ReplayConfig {
         ReplayConfig {
             plane: PlaneConfig {
@@ -690,17 +684,40 @@ pub(crate) mod tests {
         }
     }
 
+    /// `windows`' whole run as one window, the one the threaded bench
+    /// holds.
+    pub(crate) fn whole_run<G: Windows>(mut windows: G) -> G::Workload {
+        let mut run = windows.new_window();
+        assert!(windows.next_window(usize::MAX, &mut run));
+        run
+    }
+
+    /// `a` and `b` decided every sequence's bytes alike.
+    fn same_bytes<D: Decided>(a: &ReplayOutcome<D>, b: &ReplayOutcome<D>, what: &str) {
+        assert_eq!(a.decisions, b.decisions, "{what}");
+        assert_eq!(a.admitted, b.admitted, "{what}");
+        assert_eq!(a.sequences.len(), b.sequences.len(), "{what}");
+        for group in 0..a.sequences.len() {
+            assert_eq!(a.encode(group), b.encode(group), "{what}: sequence {group}");
+        }
+    }
+
     /// The serial reference decides each of `w`'s `requests` requests,
     /// `per_group` in every sequence, admitting some and rejecting
-    /// some.
-    pub(crate) fn decides_every_request<W: Replay>(
+    /// some, and decides `window`, the same run as one window, alike.
+    pub(crate) fn decides_every_request<W, V>(
         w: &W,
+        window: &V,
         cfg: &ReplayConfig<W::PlaneConfig>,
         requests: usize,
         per_group: usize,
-    ) -> ReplayOutcome<DecisionOf<W>> {
+    ) -> ReplayOutcome<DecisionOf<W>>
+    where
+        W: Replay,
+        V: Replay<PlaneConfig = W::PlaneConfig, Logic = W::Logic>,
+    {
         let make = certainty_equivalent_factory(1e-2, 2.0);
-        let out = replay_serial(cfg, make, w).unwrap();
+        let out = replay_serial(cfg, Arc::clone(&make), w).unwrap();
         assert_eq!(out.decisions as usize, requests);
         assert!(out.admitted > 0, "some requests must be admitted");
         assert!(out.rejected() > 0, "a tight capacity must reject some");
@@ -708,73 +725,93 @@ pub(crate) mod tests {
         for sequence in &out.sequences {
             assert_eq!(sequence.len(), per_group);
         }
+        assert_eq!(window.events(), w.events());
+        let windowed = replay_serial(cfg, make, window).unwrap();
+        same_bytes(&windowed, &out, "one window");
         out
     }
 
-    /// The `sharded` replay reproduces the `serial` reference's decision
-    /// bytes, sequence by sequence.
-    pub(crate) fn threaded_matches_serial<W: Replay>(
+    /// The `sharded` replay of `w`, and of `window`, the same run as one
+    /// window, reproduces the `serial` reference's decision bytes on
+    /// `w`, sequence by sequence.
+    pub(crate) fn threaded_matches_serial<W, V>(
         w: &W,
+        window: &V,
         serial: &ReplayConfig<W::PlaneConfig>,
         sharded: &ReplayConfig<W::PlaneConfig>,
-    ) {
+    ) where
+        W: Replay,
+        V: Replay<PlaneConfig = W::PlaneConfig, Logic = W::Logic>,
+    {
         let make = certainty_equivalent_factory(1e-2, 2.0);
         let reference = replay_serial(serial, Arc::clone(&make), w).unwrap();
-        let sharded = replay_threaded(sharded, make, w).unwrap();
-        assert_eq!(sharded.decisions, reference.decisions);
-        for group in 0..w.groups() {
-            assert_eq!(
-                sharded.encode(group),
-                reference.encode(group),
-                "sequence {group} diverged"
-            );
-        }
+        let sharded_run = replay_threaded(sharded, Arc::clone(&make), w).unwrap();
+        same_bytes(&sharded_run, &reference, "materialised");
+        let sharded_window = replay_threaded(sharded, make, window).unwrap();
+        same_bytes(&sharded_window, &reference, "one window");
     }
 
     /// The tally sink counts what the collecting sink keeps, on both
-    /// drivers, and with stamping on every decision carries a latency.
+    /// drivers, and with stamping on every decision carries a latency,
+    /// on `w` and on `window`, the same run as one window.
     /// `cfg(shards, producers)` is the replay shape to run.
-    pub(crate) fn tally_agrees<W: Replay>(
+    pub(crate) fn tally_agrees<W, V>(
         w: &W,
+        window: &V,
         cfg: impl Fn(usize, usize) -> ReplayConfig<W::PlaneConfig>,
-    ) {
-        let make = certainty_equivalent_factory(1e-2, 2.0);
+    ) where
+        W: Replay,
+        V: Replay<PlaneConfig = W::PlaneConfig, Logic = W::Logic>,
+    {
         for (shards, producers) in [(1, 1), (3, 2)] {
             let cfg = ReplayConfig {
                 stamp_latency: true,
                 ..cfg(shards, producers)
             };
-            let (plane, all, make) = (&cfg.plane, Stamps::ALL, || Arc::clone(&make));
-            let (collected, tallied) = if shards == 1 {
-                (
-                    replay_serial(&cfg, make(), w).unwrap(),
-                    replay_serial_into(plane, all, make(), w, Tally::default()).unwrap(),
-                )
-            } else {
-                (
-                    replay_threaded(&cfg, make(), w).unwrap(),
-                    replay_threaded_into(plane, producers, all, make(), w, Tally::default).unwrap(),
-                )
-            };
-            let tally = tallied.sink;
-            assert_eq!(tally.decisions, collected.decisions, "{shards} shards");
-            assert_eq!(tally.admitted, collected.admitted, "{shards} shards");
-            let stamped = tally.latencies.len();
-            assert_eq!(stamped, collected.latencies_ns().len(), "{shards} shards");
-            assert_eq!(stamped as u64, tally.decisions, "{shards} shards");
+            tally_agrees_on(w, &cfg, shards);
+            tally_agrees_on(window, &cfg, shards);
         }
     }
 
+    /// [`tally_agrees`] on one workload, at a shape of `shards` shards.
+    fn tally_agrees_on<W: Replay>(w: &W, cfg: &ReplayConfig<W::PlaneConfig>, shards: usize) {
+        let make = certainty_equivalent_factory(1e-2, 2.0);
+        let (plane, all, make) = (&cfg.plane, Stamps::ALL, || Arc::clone(&make));
+        let producers = cfg.producers;
+        let (collected, tallied) = if shards == 1 {
+            (
+                replay_serial(cfg, make(), w).unwrap(),
+                replay_serial_into(plane, all, make(), w, Tally::default()).unwrap(),
+            )
+        } else {
+            (
+                replay_threaded(cfg, make(), w).unwrap(),
+                replay_threaded_into(plane, producers, all, make(), w, Tally::default).unwrap(),
+            )
+        };
+        let tally = tallied.sink;
+        assert_eq!(tally.decisions, collected.decisions, "{shards} shards");
+        assert_eq!(tally.admitted, collected.admitted, "{shards} shards");
+        let stamped = tally.latencies.len();
+        assert_eq!(stamped, collected.latencies_ns().len(), "{shards} shards");
+        assert_eq!(stamped as u64, tally.decisions, "{shards} shards");
+    }
+
     /// Stamping a sixteenth of `w`'s `requests` requests changes no
-    /// decision: on the serial and on a `3 x 2` threaded shape the
-    /// totals and every sequence's bytes are those of the fully
-    /// stamped serial reference, and about `requests / 16` decisions
-    /// carry a latency. `cfg(shards, producers)` is the replay shape.
-    pub(crate) fn sampled_stamps_leave_decisions_alone<W: Replay>(
+    /// decision: on the serial and on a `3 x 2` threaded shape, on `w`
+    /// and on `window`, the same run as one window, the totals and every
+    /// sequence's bytes are those of the fully stamped serial reference
+    /// on `w`, and about `requests / 16` decisions carry a latency.
+    /// `cfg(shards, producers)` is the replay shape.
+    pub(crate) fn sampled_stamps_leave_decisions_alone<W, V>(
         w: &W,
+        window: &V,
         cfg: impl Fn(usize, usize) -> ReplayConfig<W::PlaneConfig>,
         requests: u64,
-    ) {
+    ) where
+        W: Replay,
+        V: Replay<PlaneConfig = W::PlaneConfig, Logic = W::Logic>,
+    {
         let make = certainty_equivalent_factory(1e-2, 2.0);
         let fully_stamped = ReplayConfig {
             stamp_latency: true,
@@ -787,25 +824,39 @@ pub(crate) mod tests {
         let stamps = Stamps::budgeted(requests, budget);
         for (shards, producers) in [(1, 1), (3, 2)] {
             let plane = cfg(shards, producers).plane;
-            let (make, sink) = (Arc::clone(&make), || Collect::new(w.groups()));
-            let sampled: ReplayOutcome<_> = if shards == 1 {
-                replay_serial_into(&plane, stamps, make, w, sink()).unwrap()
-            } else {
-                replay_threaded_into(&plane, producers, stamps, make, w, sink).unwrap()
+            let sampled = [
+                sampled_replay(w, &plane, shards, producers, stamps, Arc::clone(&make)),
+                sampled_replay(window, &plane, shards, producers, stamps, Arc::clone(&make)),
+            ];
+            for sampled in sampled {
+                same_bytes(&sampled, &reference, &format!("{shards} shards"));
+                let samples = sampled.latencies_ns().len() as f64;
+                let budget = budget as f64;
+                assert!(
+                    (0.75 * budget..=1.25 * budget).contains(&samples),
+                    "{shards} shards: {samples} samples on a budget of {budget}"
+                );
             }
-            .into();
-            assert_eq!(sampled.decisions, reference.decisions, "{shards} shards");
-            assert_eq!(sampled.admitted, reference.admitted, "{shards} shards");
-            for group in 0..w.groups() {
-                assert_eq!(sampled.encode(group), reference.encode(group), "{group}");
-            }
-            let samples = sampled.latencies_ns().len() as f64;
-            let budget = budget as f64;
-            assert!(
-                (0.75 * budget..=1.25 * budget).contains(&samples),
-                "{shards} shards: {samples} samples on a budget of {budget}"
-            );
         }
+    }
+
+    /// `w` replayed on the serial driver (one shard) or the threaded one,
+    /// stamping what `stamps` takes.
+    fn sampled_replay<W: Replay>(
+        w: &W,
+        plane: &W::PlaneConfig,
+        shards: usize,
+        producers: usize,
+        stamps: Stamps,
+        make: ControllerFactory,
+    ) -> ReplayOutcome<DecisionOf<W>> {
+        let sink = || Collect::new(w.groups());
+        if shards == 1 {
+            replay_serial_into(plane, stamps, make, w, sink()).unwrap()
+        } else {
+            replay_threaded_into(plane, producers, stamps, make, w, sink).unwrap()
+        }
+        .into()
     }
 
     /// The run `windows()` generates, fed through `plane(make)` a window
@@ -1102,18 +1153,19 @@ pub(crate) mod tests {
     #[test]
     fn sampled_stamps_leave_the_decisions_alone() {
         let w = sized_workload(4, 32, 4);
-        sampled_stamps_leave_decisions_alone(&w, config, 4 * 32 * 4);
+        let window = sized_window(4, 32, 4);
+        sampled_stamps_leave_decisions_alone(&w, &window, config, 4 * 32 * 4);
     }
 
     #[test]
     fn serial_replay_decides_every_request() {
         let w = workload();
-        decides_every_request(&w, &config(1, 1), w.total_requests(), 25 * 3);
+        decides_every_request(&w, &window(), &config(1, 1), w.total_requests(), 25 * 3);
     }
 
     #[test]
     fn threaded_replay_matches_serial_per_link() {
-        threaded_matches_serial(&workload(), &config(1, 1), &config(3, 2));
+        threaded_matches_serial(&workload(), &window(), &config(1, 1), &config(3, 2));
     }
 
     #[test]
@@ -1130,7 +1182,7 @@ pub(crate) mod tests {
 
     #[test]
     fn tally_sink_agrees_with_collecting_sink() {
-        tally_agrees(&workload(), config);
+        tally_agrees(&workload(), &window(), config);
     }
 
     #[test]

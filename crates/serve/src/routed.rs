@@ -39,11 +39,12 @@
 //! table holds no vote slot for it. Only multi-hop requests vote,
 //! count down and publish a resolution.
 //!
-//! The route table has a slot per request of the run it was built for.
-//! A run that reaches a one-shard plane a window at a time needs only
-//! the window's: each window re-bases the table onto its own requests
-//! before its first event is applied, since every hop of a request lies
-//! in its tick's window. The serial bench's table is one window long,
+//! The route table has a slot per request of the window it was laid out
+//! for. The threaded bench replays its run as one window, so its table
+//! holds the run. A run that reaches a one-shard plane a window at a
+//! time re-bases the table onto each window's requests before the
+//! window's first event is applied, since every hop of a request lies
+//! in its tick's window: the serial bench's table is one window long,
 //! whatever the run's length.
 //!
 //! Until its vote resolves, a link is **parked**: subsequent events for
@@ -79,7 +80,7 @@ use crate::replay::{Ingest, Replay, ReplayConfig, ReplayOutcome, Stamps};
 use mbac_core::topology::{hop_u8, LinkId, RouteId, Topology};
 use mbac_metrics::{Aggregated, Counter, MetricValue, MetricsSnapshot, StreamHandle};
 use mbac_num::SnapshotMoments;
-use mbac_sim::{LinkAdmission, MetricsMode, RoutedEvent, RoutedWindow, RoutedWorkload};
+use mbac_sim::{LinkAdmission, MetricsMode, RoutedWindow};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -276,8 +277,8 @@ struct HopVote {
 /// The shared vote/resolution table: one slot per request of a run of
 /// consecutive seqs, from `base` on. Sized up front from those
 /// requests' routes, so no allocation or locking happens on the decide
-/// path. A materialised run's table holds the whole run from seq 0; a
-/// run replayed in windows holds one window's requests at a time,
+/// path. A plane replaying a window holds that window's requests; a
+/// serial run replayed in windows holds one window's at a time,
 /// re-based as each window starts. Only multi-hop requests get vote
 /// slots: a one-hop request resolves where it lands and is never voted,
 /// resolved or read back here.
@@ -298,18 +299,16 @@ pub struct RouteTable {
 }
 
 impl RouteTable {
-    /// Builds the table for a workload's request sequence, from seq 0.
-    pub fn for_requests(topology: &Topology, request_routes: &[RouteId]) -> Self {
-        let mut table = RouteTable::default();
-        table.hold(topology, 0, request_routes.iter().copied());
-        table
-    }
-
     /// Makes the table hold the requests from seq `base` on, the route
     /// of each in `routes`, in seq order, over whatever it held before.
     /// It keeps its buffers, so a table re-based to requests no more
     /// numerous than before allocates nothing.
-    fn hold(&mut self, topology: &Topology, base: u64, routes: impl IntoIterator<Item = RouteId>) {
+    pub(crate) fn hold(
+        &mut self,
+        topology: &Topology,
+        base: u64,
+        routes: impl IntoIterator<Item = RouteId>,
+    ) {
         self.base = base;
         self.routes.clear();
         self.offsets.clear();
@@ -758,17 +757,6 @@ impl Default for RoutedPlaneConfig {
 }
 
 impl RoutedPlane {
-    /// Builds a plane sized for `workload`, a whole run: its seq →
-    /// route map and its topology are what
-    /// [`RoutedPlane::for_requests`] takes.
-    pub fn for_workload(
-        cfg: &RoutedPlaneConfig,
-        workload: &RoutedWorkload,
-        make: ControllerFactory,
-    ) -> Result<Self, ServeError> {
-        Self::for_requests(cfg, workload.topology(), workload.request_routes(), make)
-    }
-
     /// Builds a plane for the run whose request `seq` asks for route
     /// `request_routes[seq]` of `topology`: the route table is
     /// pre-allocated from that map, and each shard learns the
@@ -782,7 +770,20 @@ impl RoutedPlane {
         request_routes: &[RouteId],
         make: ControllerFactory,
     ) -> Result<Self, ServeError> {
-        let table = Arc::new(RouteTable::for_requests(topology, request_routes));
+        let mut table = RouteTable::default();
+        table.hold(topology, 0, request_routes.iter().copied());
+        Self::with_table(cfg, topology, table, make)
+    }
+
+    /// Builds a plane whose shards share `table` and learn `topology`'s
+    /// capacities.
+    fn with_table(
+        cfg: &RoutedPlaneConfig,
+        topology: &Arc<Topology>,
+        table: RouteTable,
+        make: ControllerFactory,
+    ) -> Result<Self, ServeError> {
+        let table = Arc::new(table);
         let logic = || TwoPhase {
             topology: Arc::clone(topology),
             table: Arc::clone(&table),
@@ -801,7 +802,10 @@ impl RoutedPlane {
     }
 }
 
-impl Replay for RoutedWorkload {
+/// A window is replayed on a plane whose route table holds the window's
+/// requests: a whole run as one window is what the threaded bench
+/// replays.
+impl Replay for RoutedWindow {
     type PlaneConfig = RoutedPlaneConfig;
 
     fn one_shard(cfg: &RoutedPlaneConfig) -> RoutedPlaneConfig {
@@ -816,48 +820,13 @@ impl Replay for RoutedWorkload {
         cfg: &RoutedPlaneConfig,
         make: ControllerFactory,
     ) -> Result<RoutedPlane, ServeError> {
-        RoutedPlane::for_workload(cfg, self, make)
+        let mut table = RouteTable::default();
+        table.hold_window(self.topology(), self);
+        RoutedPlane::with_table(cfg, self.topology(), table, make)
     }
 
     fn groups(&self) -> usize {
         self.topology().routes()
-    }
-}
-
-impl Ingest for RoutedWorkload {
-    type Logic = TwoPhase;
-
-    fn events(&self) -> u64 {
-        self.total_events() as u64
-    }
-
-    fn ingest(
-        &self,
-        stamps: &mut Stamps,
-        keep: impl Fn(LinkId) -> bool,
-    ) -> impl Iterator<Item = RoutedShardEvent> {
-        self.canonical_events()
-            .filter(move |&(link, _)| keep(link))
-            .map(move |(link, ev)| match ev {
-                RoutedEvent::Measure { t, rates } => RoutedShardEvent::Measure {
-                    link,
-                    t: *t,
-                    rates: *rates,
-                },
-                RoutedEvent::Request { route, seq, .. } => {
-                    let hop = hop_u8(
-                        self.topology()
-                            .hop_index(*route, link)
-                            .expect("request events only appear on their route's hop links"),
-                    );
-                    RoutedShardEvent::Reserve {
-                        link,
-                        seq: *seq,
-                        hop,
-                        enqueued: (hop == 0 && stamps.take()).then(Instant::now),
-                    }
-                }
-            })
     }
 }
 
@@ -955,13 +924,15 @@ mod tests {
     };
     use crate::replay::tests::{
         decides_every_request, sampled_stamps_leave_decisions_alone, tally_agrees,
-        threaded_matches_serial, window_estimator_factory, windowed_matches_materialised, Hashes,
+        threaded_matches_serial, whole_run, window_estimator_factory,
+        windowed_matches_materialised, Hashes,
     };
     use crate::replay::{replay_serial, SerialDriver};
     use crate::sink::DecisionSink;
     use mbac_core::topology::MAX_ROUTE_HOPS;
     use mbac_sim::{
-        RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig, SessionBuilder, Windows,
+        RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig, RoutedWorkload,
+        SessionBuilder, Windows,
     };
     use mbac_traffic::process::{SourceModel, Unbatched};
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
@@ -986,6 +957,16 @@ mod tests {
             cfg: load_config(topology, noise_sd),
         };
         SessionBuilder::new().run(&load).unwrap()
+    }
+
+    /// [`workload`]'s run as one window.
+    fn window(topology: Topology, noise_sd: f64) -> RoutedWindow {
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let load = RoutedLoad {
+            model: &model,
+            cfg: load_config(topology, noise_sd),
+        };
+        whole_run(load.windows().unwrap())
     }
 
     /// On the star the hub carries three requests to a spoke's one, so
@@ -1133,8 +1114,9 @@ mod tests {
     #[test]
     fn serial_replay_decides_every_request() {
         let w = workload(Topology::parking_lot(3, 14.0), 0.05);
+        let window = window(Topology::parking_lot(3, 14.0), 0.05);
         let cfg = RoutedReplayConfig::default();
-        let out = decides_every_request(&w, &cfg, w.total_requests(), 20 * 2);
+        let out = decides_every_request(&w, &window, &cfg, w.total_requests(), 20 * 2);
         // Per-route decisions arrive in seq order.
         for route in &out.sequences {
             for pair in route.windows(2) {
@@ -1215,7 +1197,8 @@ mod tests {
             producers: 2,
             stamp_latency: false,
         };
-        threaded_matches_serial(&w, &RoutedReplayConfig::default(), &sharded);
+        let window = window(Topology::star(4, 10.0), 0.05);
+        threaded_matches_serial(&w, &window, &RoutedReplayConfig::default(), &sharded);
     }
 
     #[test]
@@ -1249,7 +1232,8 @@ mod tests {
     #[test]
     fn tally_sink_agrees_with_collecting_sink() {
         let w = workload(Topology::star(4, 10.0), 0.05);
-        tally_agrees(&w, |shards, producers| RoutedReplayConfig {
+        let window = window(Topology::star(4, 10.0), 0.05);
+        tally_agrees(&w, &window, |shards, producers| RoutedReplayConfig {
             plane: RoutedPlaneConfig {
                 shards,
                 ring_capacity: 16,
@@ -1298,7 +1282,8 @@ mod tests {
     #[test]
     fn sampled_stamps_leave_the_decisions_alone() {
         let w = workload(Topology::parking_lot(3, 14.0), 0.05);
-        sampled_stamps_leave_decisions_alone(&w, sharded, 4 * 20 * 2);
+        let window = window(Topology::parking_lot(3, 14.0), 0.05);
+        sampled_stamps_leave_decisions_alone(&w, &window, sharded, 4 * 20 * 2);
     }
 
     /// The plane takes any controller: with a window estimator's, a run

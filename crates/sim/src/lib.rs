@@ -58,9 +58,9 @@ pub use network::{
     LinkStats, RouteStats, RoutedNetworkConfig, RoutedNetworkLoad, RoutedNetworkReport,
 };
 pub use requests::{
-    LinkEvent, RequestLoad, RequestLoadConfig, RequestWindows, RoutedEvent, RoutedLoad,
-    RoutedLoadConfig, RoutedWindow, RoutedWindows, RoutedWorkload, ServeWorkload, SnapshotWindow,
-    Windows, MAX_RUN_ITEMS, MAX_WORKLOAD_ITEMS,
+    workload_count, LinkEvent, RequestLoad, RequestLoadConfig, RequestWindows, RoutedEvent,
+    RoutedLoad, RoutedLoadConfig, RoutedWindow, RoutedWindows, RoutedWorkload, ServeWorkload,
+    SnapshotWindow, Windows, MAX_RUN_ITEMS, MAX_WORKLOAD_ITEMS,
 };
 pub use runner::{
     ContinuousConfig, ContinuousLoad, ContinuousReport, ImpulsiveConfig, ImpulsiveLoad,

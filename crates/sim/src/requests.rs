@@ -4,33 +4,29 @@
 //! The serve crate needs realistic admission traffic — links whose
 //! measured load evolves like the paper's RCBR/AR(1)/trace sources,
 //! interleaved with admission requests. One generator makes it:
-//! [`RoutedLoad`] runs one replication per *route* of a [`Topology`],
+//! [`RoutedLoad`] runs one population per *route* of a [`Topology`],
 //! each a [`FlowTable`] of `flows_per_route` flows with exponential
 //! holding-time churn, and measures a link as the fold of every crossing
 //! route's flows (shared flows ⇒ correlated load) as its node sees them,
 //! through its own noise ([`RoutedLoadConfig::noise_sd`]). An admission
-//! request on an `h`-hop route appears as one [`RoutedEvent::Request`]
-//! occurrence on *each* hop link, all carrying the same global sequence
-//! number for the plane's two-phase commit.
+//! request on an `h`-hop route is one hop occurrence on *each* hop link,
+//! all carrying the same global sequence number for the plane's
+//! two-phase commit.
 //!
 //! [`RequestLoad`] is the paper's single link, `links` times over: the
 //! same generator on `links` disjoint one-hop routes without noise
-//! ([`RoutedLoadConfig::one_hop_links`]). Materialised, each link's
-//! stream is per tick one [`LinkEvent::Measure`] carrying the link's
-//! moments, then `requests_per_tick` [`LinkEvent::Request`]s — the one
-//! request of the tick, stored once and referenced by every link.
+//! ([`RoutedLoadConfig::one_hop_links`]).
 //!
-//! A workload is **bit-identical for any worker count**, kernel or
-//! boxed (the `rep_seed` determinism contract), so the serve
-//! invariance tests can generate their streams in parallel without
-//! weakening the comparison.
+//! A run is **bit-identical for any worker count**, kernel or boxed:
+//! every route draws on the stream a session would give its
+//! replication (`rep_seed`), and every link's noise on its own.
 //!
 //! # Windows
 //!
-//! A run need not exist in memory at once. [`RoutedLoad::windows`], and
-//! [`RequestLoad::windows`] over its one-hop routes, generate it a window
-//! of ticks at a time ([`Windows::next_window`]) into a window the
-//! caller owns. A window is **compact**: one [`SnapshotMoments`] per
+//! A run is generated a window of ticks at a time
+//! ([`RoutedLoad::windows`], and [`RequestLoad::windows`] over its
+//! one-hop routes; [`Windows::next_window`]) into a window the caller
+//! owns. A window is **compact**: one [`SnapshotMoments`] per
 //! (tick, link) — the link's measurement folded where it is generated,
 //! while its rates are still in cache, around its first rate
 //! ([`fold_noisy`] with no pivot: the producer cannot know the
@@ -39,39 +35,37 @@
 //! tick, the topology and `requests_per_tick` ([`RoutedWindow::seq`]),
 //! so the replay synthesises them, and a decision plane sizes its route
 //! table to the window's slice of the run's seq → route map
-//! ([`RoutedWindow::request_routes`]), not to the run. Times, `seq`,
-//! every population and every noise stream run on across windows.
-//!
-//! A materialised run is its windows laid end to end: the session seeds
-//! one replication per route (or link), and the fold runs the same
-//! generator over the whole run, appending each window's measurements
-//! and synthesised requests to the workload.
+//! ([`RoutedWindow::request_routes`]). Times, `seq`, every population
+//! and every noise stream run on across windows, so any cut of a run
+//! into windows makes the same bits — a whole run as one window too,
+//! which is how a caller holds it. A run's materialised form, per-link
+//! event streams, lives in [`crate::compat`] for the benchmark and the
+//! tests: its windows laid end to end.
 //!
 //! # Ordering contract
 //!
-//! The scientific content of a workload is **per-link order**: each
-//! link's interleaving of measurements and requests is what the
-//! controller's decision sequence depends on. Cross-link order is
-//! deliberately unspecified — the decision plane is free to interleave
-//! links (that is the point of sharding) — and
-//! [`ServeWorkload::canonical_events`] is one fixed round-robin merge,
-//! the serial-reference order. A window is replayed tick by tick and,
+//! The scientific content of a run is **per-link order**: each link's
+//! interleaving of measurements and requests is what the controller's
+//! decision sequence depends on. Cross-link order is deliberately
+//! unspecified — the decision plane is free to interleave links (that
+//! is the point of sharding). A window is replayed tick by tick and,
 //! within a tick, request by request: every link's measurement, then the
 //! tick's requests in `seq` order, each one's hop occurrences back to
-//! back from hop 0. Each link still sees its measurement and then its
-//! requests in `seq` order, so it decides as the materialised run does.
-//! Routed workloads add the guarantee the two-phase commit relies on:
-//! each link's `Request` occurrences are strictly increasing in `seq`,
-//! and every hop's occurrence of one request lies in the same tick,
-//! hence the same window — no reserve waits past a window's end, and a
-//! window's route table holds no request of another window.
+//! back from hop 0. Each link sees its measurement and then its requests
+//! in `seq` order, whatever the order across links. Routed runs add the
+//! guarantee the two-phase commit relies on: each link's hop
+//! occurrences are strictly increasing in `seq`, and every hop's
+//! occurrence of one request lies in the same tick, hence the same
+//! window — no reserve waits past a window's end, and a window's route
+//! table holds no request of another window.
 
+#[doc(hidden)]
+pub use crate::compat::{LinkEvent, RoutedEvent, RoutedWorkload, ServeWorkload};
 use crate::flows::FlowTable;
 use crate::session::{
     rep_seed, require_finite, require_non_negative, require_positive, require_step, ConfigError,
-    RepContext, Scenario,
+    RepContext,
 };
-use crate::telemetry::MetricsSink;
 use mbac_core::topology::{LinkId, RouteId, Topology};
 use mbac_num::rng::exponential;
 use mbac_num::{fold_noisy, SnapshotMoments};
@@ -79,26 +73,6 @@ use mbac_traffic::process::SourceModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-
-/// One event in a link's serve workload, in per-link order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LinkEvent {
-    /// A measurement of the link at time `t`: its per-flow rates (the
-    /// estimator input of eqn (23)) folded around the first. The count
-    /// is the link's occupancy.
-    Measure {
-        /// Absolute measurement time.
-        t: f64,
-        /// The measurement's moments. (The field keeps the name it had
-        /// when a measurement carried every rate.)
-        rates: SnapshotMoments,
-    },
-    /// An admission request arriving at time `t`.
-    Request {
-        /// Absolute arrival time.
-        t: f64,
-    },
-}
 
 /// Configuration of the request-stream workload.
 #[derive(Debug, Clone)]
@@ -120,74 +94,15 @@ pub struct RequestLoadConfig {
     pub seed: u64,
 }
 
-/// The generated workload: link `l`'s event stream is, at each tick,
-/// its measurement and then `requests_per_tick` requests (link ids are
-/// replication indices). A request is a function of its tick, so each
-/// tick's is stored once, whatever the number of links and asks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeWorkload {
-    links: usize,
-    requests_per_tick: usize,
-    /// Tick-major: tick `k`'s measurement of link `l` is at
-    /// `k · links + l`.
-    measures: Vec<LinkEvent>,
-    /// Tick `k`'s request.
-    requests: Vec<LinkEvent>,
-}
-
-impl ServeWorkload {
-    /// Number of links.
-    pub fn links(&self) -> usize {
-        self.links
-    }
-
-    /// All link ids, in index order.
-    pub fn link_ids(&self) -> impl Iterator<Item = LinkId> + '_ {
-        (0..self.links).map(|l| LinkId(l as u32))
-    }
-
-    /// Link `link`'s event stream, in per-link order.
-    pub fn events(&self, link: LinkId) -> impl Iterator<Item = &LinkEvent> + '_ {
-        let own = move |&(l, _): &(LinkId, _)| l == link;
-        self.canonical_events().filter(own).map(|(_, event)| event)
-    }
-
-    /// Total admission requests across all links.
-    pub fn total_requests(&self) -> usize {
-        self.measures.len() * self.requests_per_tick
-    }
-
-    /// Total events across all links.
-    pub fn total_events(&self) -> usize {
-        self.measures.len() * (1 + self.requests_per_tick)
-    }
-
-    /// The canonical serial-reference order: the links' streams merged
-    /// round-robin by event index — each tick, every link's measurement,
-    /// then `requests_per_tick` rounds of every link's request. Any
-    /// order that preserves each link's own sequence yields the same
-    /// per-link decisions (the serve invariance suite proves this);
-    /// this one is the fixed reference the sharded plane is compared
-    /// against.
-    pub fn canonical_events(&self) -> impl Iterator<Item = (LinkId, &LinkEvent)> {
-        let ticks = self.measures.chunks_exact(self.links).zip(&self.requests);
-        ticks.flat_map(move |(measures, request)| {
-            let requests = (0..self.requests_per_tick)
-                .flat_map(move |_| (0..self.links).map(move |l| (LinkId(l as u32), request)));
-            let measures = measures.iter().enumerate();
-            measures.map(|(l, m)| (LinkId(l as u32), m)).chain(requests)
-        })
-    }
-}
-
-/// The most events a materialised workload may hold, and the most
-/// per-flow rate samples it may draw. Both are sized up front from the
-/// configuration: past this bound the events, 56 bytes apiece, take
-/// gigabytes and their allocation aborts the process, or the size does
-/// not fit a `usize` at all, where a configuration error is owed. A run
-/// generated in [`Windows`] holds one window at a time, so it is held
-/// to this bound one tick at a time (a window is at least one tick) and
-/// to [`MAX_RUN_ITEMS`] over the run.
+/// The most items a workload may hold at once: events, snapshots or
+/// route-table requests, and the rate samples of one tick. Each is
+/// sized up front from the configuration: past this bound the items
+/// take gigabytes and their allocation aborts the process, or the size
+/// does not fit a `usize` at all, where a configuration error is owed.
+/// A run generated in [`Windows`] holds one window at a time, so it is
+/// held to this bound one tick at a time (a window is at least one
+/// tick) and to [`MAX_RUN_ITEMS`] over the run; a caller that holds a
+/// whole run as one window holds what it keeps of it to this bound.
 /// `PoissonLoad` bounds the arrivals it expects by the same number:
 /// each is an event and an advance of the flow table.
 pub const MAX_WORKLOAD_ITEMS: u64 = 1 << 28;
@@ -202,7 +117,7 @@ pub const MAX_RUN_ITEMS: u64 = 1 << 40;
 
 /// The product of `factors` — how many `what` the workload would hold,
 /// or pass through — if it neither overflows nor exceeds `max`.
-pub(crate) fn workload_count<const N: usize>(
+pub fn workload_count<const N: usize>(
     what: &'static str,
     factors: [usize; N],
     max: u64,
@@ -343,8 +258,7 @@ impl SnapshotWindow {
     }
 
     /// The window's measurements tick by tick and, within a tick, in
-    /// link order: each one's link, run-global step, time (bit for bit
-    /// the materialised workload's) and snapshot.
+    /// link order: each one's link, run-global step, time and snapshot.
     pub fn measurements(&self) -> impl Iterator<Item = (LinkId, usize, f64, SnapshotMoments)> + '_ {
         let ticks = self.snapshots.chunks_exact(self.links).enumerate();
         ticks.flat_map(move |(k, tick)| {
@@ -376,8 +290,7 @@ impl RoutedWindow {
     }
 
     /// The `seq` of `route`'s `k`-th request of tick `step`: each tick,
-    /// each route in turn asks `requests_per_tick` times — the map
-    /// [`RoutedLoadConfig::request_routes`] spells out.
+    /// each route in turn asks `requests_per_tick` times.
     pub fn seq(&self, step: usize, route: RouteId, k: usize) -> u64 {
         let routes = self.topology.routes();
         (((step - 1) * routes + route.index()) * self.snapshots.requests_per_tick + k) as u64
@@ -398,60 +311,14 @@ impl RoutedWindow {
     }
 }
 
-/// The request-stream scenario: `cfg.links` disjoint one-hop routes of
-/// a [`RoutedLoad`] without noise, replication `r` generating link
-/// `r`'s event stream from the source model's traffic.
+/// The single-link request stream: `cfg.links` disjoint one-hop routes
+/// of a [`RoutedLoad`] without noise, route `r` generating link `r`'s
+/// measurements from the source model's traffic.
 pub struct RequestLoad<'a> {
     /// The per-flow traffic model (RCBR, AR(1), trace, …).
     pub model: &'a dyn SourceModel,
     /// Workload shape.
     pub cfg: RequestLoadConfig,
-}
-
-impl Scenario for RequestLoad<'_> {
-    type Rep = RepContext;
-    type Report = ServeWorkload;
-
-    fn validate(&self) -> Result<(), ConfigError> {
-        self.routed(self.cfg.ticks, MAX_WORKLOAD_ITEMS)?.validate()
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn replications(&self) -> usize {
-        self.cfg.links
-    }
-
-    /// Seeds link `ctx.rep`: its population is admitted on this stream
-    /// when the fold generates the run.
-    fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> RepContext {
-        *ctx
-    }
-
-    /// The run's windows laid end to end, as [`RoutedLoad`]'s fold lays
-    /// its one-hop routes': each tick, every link's measurement and the
-    /// tick's one request.
-    fn fold(&self, reps: Vec<RepContext>) -> ServeWorkload {
-        let cfg = &self.cfg;
-        let routed = self.routed(cfg.ticks, MAX_WORKLOAD_ITEMS);
-        let mut measures = Vec::with_capacity(cfg.links * cfg.ticks);
-        let mut requests = Vec::with_capacity(cfg.ticks);
-        let generator = routed.expect("a validated run").generator(reps);
-        generator.each_tick(|t, snapshots| {
-            for &rates in snapshots {
-                measures.push(LinkEvent::Measure { t, rates });
-            }
-            requests.push(LinkEvent::Request { t });
-        });
-        ServeWorkload {
-            links: cfg.links,
-            requests_per_tick: cfg.requests_per_tick,
-            measures,
-            requests,
-        }
-    }
 }
 
 impl<'a> RequestLoad<'a> {
@@ -460,7 +327,7 @@ impl<'a> RequestLoad<'a> {
     /// topology that long is built: at least two flows each, and
     /// `ticks` ticks (one at least) within `max` events and `max` rate
     /// samples.
-    fn routed(&self, ticks: usize, max: u64) -> Result<RoutedLoad<'a>, ConfigError> {
+    pub(crate) fn routed(&self, ticks: usize, max: u64) -> Result<RoutedLoad<'a>, ConfigError> {
         let cfg = &self.cfg;
         if cfg.links == 0 {
             return Err(ConfigError::ZeroReplications);
@@ -517,36 +384,6 @@ impl Windows for RequestWindows<'_> {
 // Routed workloads
 // ---------------------------------------------------------------------
 
-/// One event in a *routed* workload's per-link stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RoutedEvent {
-    /// A measurement of the link: every crossing route's per-flow rates
-    /// (route order) as this node measures them, folded around the
-    /// first ([`fold_noisy`] with no pivot). The count is the link's
-    /// occupancy.
-    Measure {
-        /// Absolute measurement time.
-        t: f64,
-        /// The measurement's moments. (The field keeps the name it had
-        /// when a measurement carried every rate.)
-        rates: SnapshotMoments,
-    },
-    /// One hop's view of an admission request on `route`. A request on
-    /// an `h`-hop route appears as `h` occurrences — one per hop link —
-    /// all sharing the same `seq`; the decision plane joins them with
-    /// its two-phase reserve/commit.
-    Request {
-        /// Absolute arrival time.
-        t: f64,
-        /// The route asking to admit one more flow.
-        route: RouteId,
-        /// Global request sequence number (strictly increasing within
-        /// each link's stream — the deadlock-freedom invariant of the
-        /// two-phase commit).
-        seq: u64,
-    },
-}
-
 /// Configuration of the routed request-stream workload.
 #[derive(Debug, Clone)]
 pub struct RoutedLoadConfig {
@@ -595,27 +432,6 @@ impl RoutedLoadConfig {
         }
     }
 
-    /// The route of every request of the run, indexed by `seq`: each
-    /// tick, each route in turn asks `requests_per_tick` times. As long
-    /// as the run, so it is held to [`MAX_WORKLOAD_ITEMS`] requests
-    /// before it is allocated; a run generated in windows never needs
-    /// it whole ([`RoutedWindow::request_routes`] is a window's slice).
-    pub fn request_routes(&self) -> Result<Vec<RouteId>, ConfigError> {
-        let requests = [self.topology.routes(), self.ticks, self.requests_per_tick];
-        let requests = workload_count("requests", requests, MAX_WORKLOAD_ITEMS)?;
-        let mut routes = Vec::with_capacity(requests as usize);
-        for _ in 0..self.ticks {
-            routes.extend(self.tick_requests());
-        }
-        Ok(routes)
-    }
-
-    /// The routes of one tick's requests, in `seq` order.
-    fn tick_requests(&self) -> impl Iterator<Item = RouteId> + '_ {
-        let asks = |route| std::iter::repeat_n(route, self.requests_per_tick);
-        self.topology.route_ids().flat_map(asks)
-    }
-
     /// Hop occurrences over all routes: how many (route, link) pairs
     /// contribute a route's flows to a link's measurement.
     fn hops(&self) -> usize {
@@ -624,136 +440,20 @@ impl RoutedLoadConfig {
     }
 }
 
-/// The generated routed workload: per-link event streams over a shared
-/// [`Topology`], plus the seq → route map the decision plane's route
-/// table is built from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoutedWorkload {
-    topology: Arc<Topology>,
-    per_link: Vec<Vec<RoutedEvent>>,
-    request_routes: Vec<RouteId>,
-}
-
-impl RoutedWorkload {
-    /// The topology the workload was generated over.
-    pub fn topology(&self) -> &Arc<Topology> {
-        &self.topology
-    }
-
-    /// Number of links.
-    pub fn links(&self) -> usize {
-        self.per_link.len()
-    }
-
-    /// Link `link`'s event stream, in per-link order.
-    pub fn events(&self, link: LinkId) -> &[RoutedEvent] {
-        &self.per_link[link.index()]
-    }
-
-    /// The route of each request, indexed by `seq` — the total number
-    /// of admission requests is this slice's length. A window's slice
-    /// starts at the window's first `seq`; the run's map is the
-    /// windows' slices end to end, which
-    /// [`RoutedLoadConfig::request_routes`] gives without generating.
-    pub fn request_routes(&self) -> &[RouteId] {
-        &self.request_routes
-    }
-
-    /// Total admission requests (each counted once, not per hop).
-    pub fn total_requests(&self) -> usize {
-        self.request_routes.len()
-    }
-
-    /// Total per-link events (a multi-hop request counts once per hop).
-    pub fn total_events(&self) -> usize {
-        self.per_link.iter().map(Vec::len).sum()
-    }
-
-    /// The canonical serial-reference order: the same round-robin merge
-    /// by event index as [`ServeWorkload::canonical_events`] (`link 0
-    /// event 0, link 1 event 0, …, link 0 event 1, …`). Each link's
-    /// subsequence equals its own stream, which is all the routed
-    /// plane's determinism argument needs.
-    pub fn canonical_events(&self) -> impl Iterator<Item = (LinkId, &RoutedEvent)> {
-        let longest = self.per_link.iter().map(Vec::len).max().unwrap_or(0);
-        (0..longest).flat_map(move |i| {
-            let links = self.per_link.iter().enumerate();
-            links.filter_map(move |(link, evs)| evs.get(i).map(|e| (LinkId(link as u32), e)))
-        })
-    }
-}
-
 /// Salt deriving the per-node noise streams from the workload seed
 /// (disjoint from the per-route replication streams, which use the
 /// session's `rep_seed` derivation).
 const NOISE_STREAM_SALT: u64 = 0x6E65_745F_6C69_6E6B; // "net_link"
 
-/// The routed request-stream scenario: replication `r` seeds route
-/// `r`'s flow population; the fold generates the run window by window,
-/// per-link streams with correlated load and per-node noise.
+/// The routed request stream: route `r`'s flow population on the
+/// stream a session gives replication `r`, every link measuring its
+/// routes' flows (correlated load) through its own noise, generated a
+/// window at a time ([`RoutedLoad::windows`]).
 pub struct RoutedLoad<'a> {
     /// The per-flow traffic model (RCBR, AR(1), trace, …).
     pub model: &'a dyn SourceModel,
     /// Workload shape.
     pub cfg: RoutedLoadConfig,
-}
-
-impl Scenario for RoutedLoad<'_> {
-    type Rep = RepContext;
-    type Report = RoutedWorkload;
-
-    fn validate(&self) -> Result<(), ConfigError> {
-        self.check_fields()?;
-        self.require_ticks_fit(self.cfg.ticks, MAX_WORKLOAD_ITEMS)
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn replications(&self) -> usize {
-        self.cfg.topology.routes()
-    }
-
-    /// Seeds route `ctx.rep`: its population is admitted on this stream
-    /// when the fold generates the run.
-    fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> RepContext {
-        *ctx
-    }
-
-    /// The run's windows laid end to end: the generator of
-    /// [`RoutedLoad::windows`] writes a window of ticks at a time, and
-    /// each tick's measurements and requests are appended to the
-    /// per-link streams.
-    fn fold(&self, reps: Vec<RepContext>) -> RoutedWorkload {
-        let cfg = &self.cfg;
-        let topo = &cfg.topology;
-        // Validated: a run holds more events than requests.
-        let request_routes = cfg.request_routes().expect("a validated run");
-        let mut per_link: Vec<Vec<RoutedEvent>> = (0..topo.links())
-            .map(|_| Vec::with_capacity(cfg.ticks * (1 + cfg.requests_per_tick)))
-            .collect();
-        let mut seq = 0;
-        self.generator(reps).each_tick(|t, snapshots| {
-            for (events, &rates) in per_link.iter_mut().zip(snapshots) {
-                events.push(RoutedEvent::Measure { t, rates });
-            }
-            // The tick's requests: one occurrence per hop, shared seq,
-            // emitted in seq order on every link (the two-phase
-            // commit's monotonicity invariant).
-            for route in cfg.tick_requests() {
-                for &hop in topo.route(route) {
-                    per_link[hop.index()].push(RoutedEvent::Request { t, route, seq });
-                }
-                seq += 1;
-            }
-        });
-        RoutedWorkload {
-            topology: Arc::clone(topo),
-            per_link,
-            request_routes,
-        }
-    }
 }
 
 /// Each link's noise stream, and the buffer a link's measurement is
@@ -810,7 +510,10 @@ impl LinkAssembly {
 impl<'a> RoutedLoad<'a> {
     /// The run's generator: route `r`'s population seeded on `routes`'
     /// `r`-th context, every link's noise on its own stream.
-    fn generator(&self, routes: impl IntoIterator<Item = RepContext>) -> RoutedWindows<'a> {
+    pub(crate) fn generator(
+        &self,
+        routes: impl IntoIterator<Item = RepContext>,
+    ) -> RoutedWindows<'a> {
         let cfg = &self.cfg;
         let population =
             |ctx| Population::new(self.model, cfg.flows_per_route, cfg.mean_holding, &ctx);
@@ -825,7 +528,7 @@ impl<'a> RoutedLoad<'a> {
     }
 
     /// Every check but the workload's size.
-    fn check_fields(&self) -> Result<(), ConfigError> {
+    pub(crate) fn check_fields(&self) -> Result<(), ConfigError> {
         let cfg = &self.cfg;
         cfg.topology.validate()?;
         if cfg.flows_per_route < 2 {
@@ -845,7 +548,7 @@ impl<'a> RoutedLoad<'a> {
     /// and at most `max` rate samples. A link holds one measurement a
     /// tick and one request occurrence per request of each route
     /// crossing it; its measurement, the flows of each of those routes.
-    fn require_ticks_fit(&self, ticks: usize, max: u64) -> Result<(), ConfigError> {
+    pub(crate) fn require_ticks_fit(&self, ticks: usize, max: u64) -> Result<(), ConfigError> {
         let cfg = &self.cfg;
         let (topo, hops) = (&cfg.topology, cfg.hops());
         let per_tick = cfg.requests_per_tick.saturating_add(1);
@@ -854,12 +557,10 @@ impl<'a> RoutedLoad<'a> {
         Ok(())
     }
 
-    /// The run as successive windows: checks the configuration as a
-    /// session would, except that the run is held to
-    /// [`MAX_WORKLOAD_ITEMS`] one tick at a time and to
+    /// The run as successive windows: checks every field, holds the
+    /// run to [`MAX_WORKLOAD_ITEMS`] one tick at a time and to
     /// [`MAX_RUN_ITEMS`] as a whole, and seeds every route's population
-    /// on the stream a session gives its replication. A session's fold
-    /// runs this generator over the whole run.
+    /// on the stream a session would give its replication.
     pub fn windows(&self) -> Result<RoutedWindows<'a>, ConfigError> {
         self.check_fields()?;
         self.require_ticks_fit(1, MAX_WORKLOAD_ITEMS)?;
@@ -957,20 +658,6 @@ impl RoutedWindows<'_> {
         self.done += ticks;
         true
     }
-
-    /// Generates the rest of the run a window at a time and hands each
-    /// tick's time and every link's measurement there, in link order, to
-    /// `each`: a materialised run is its windows laid end to end.
-    fn each_tick(mut self, mut each: impl FnMut(f64, &[SnapshotMoments])) {
-        // Any window length makes the same bits; 32 ticks stay in cache.
-        const WINDOW_TICKS: usize = 32;
-        let mut window = self.new_window().snapshots;
-        while self.fill(WINDOW_TICKS, &mut window) {
-            for (k, snapshots) in window.snapshots.chunks_exact(window.links).enumerate() {
-                each((window.first + k) as f64 * window.tick, snapshots);
-            }
-        }
-    }
 }
 
 impl Windows for RoutedWindows<'_> {
@@ -1003,7 +690,7 @@ impl Windows for RoutedWindows<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SessionBuilder;
+    use crate::session::{Scenario, SessionBuilder};
     use mbac_traffic::process::Unbatched;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use proptest::prelude::*;

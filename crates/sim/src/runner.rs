@@ -435,81 +435,12 @@ impl Scenario for ContinuousLoad<'_> {
     fn run_rep(&self, ctx: &RepContext, sink: &mut MetricsSink) -> ContinuousReport {
         let cfg = &self.cfg;
         let mut guard = self.ctl.borrow_mut();
-        let ctl: &mut dyn AdmissionEngine = &mut **guard;
-        let mut rng = ctx.rng();
-        let mut table = ctx.table();
-        let mut meter = OverflowMeter::new(cfg.capacity, cfg.target);
-        let mut flow_count = RunningStats::new();
-        let mut prev_mean: Option<f64> = None;
-
-        let mut t = 0.0f64;
-        let mut next_sample = cfg.warmup.max(cfg.tick);
-        let stop_reason;
-        let enabled = sink.is_enabled();
-        let timing = sink.timing_enabled();
-        loop {
-            let tick_started = timing.then(std::time::Instant::now);
-            t += cfg.tick;
-
-            // Measure once: the tick kernel folds the fresh rates into
-            // `RateMoments` as it advances them, and the controller and
-            // the meter share that fold.
-            let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
-            ctl.observe_moments(t, &mom);
-            let load = mom.sum();
-
-            // The tick's unit-of-work entry: filled through the tick,
-            // folded exactly once when the guard drops — including on
-            // the `break` paths below, which end the tick after the
-            // measurement but before admission (matching the old
-            // record order).
-            let mut entry = sink.entry(t);
-            if enabled {
-                entry.ticks = 1;
-                entry.load = load;
-                entry.occupancy = table.len() as f64;
-                if let Some((mean, _)) = ctl.estimate_stats() {
-                    if let Some(prev) = prev_mean {
-                        entry.innovation = mean - prev;
-                    }
-                    prev_mean = Some(mean);
-                }
-            }
-
-            // Spaced overflow sampling after warm-up (before admissions:
-            // a flow admitted this tick enters the measured load next tick).
-            if t >= next_sample {
-                next_sample += cfg.sample_spacing;
-                meter.record(load);
-                flow_count.push(table.len() as f64);
-                if let Some(reason) = meter.should_stop() {
-                    stop_reason = reason;
-                    break;
-                }
-                if meter.samples() >= cfg.max_samples {
-                    stop_reason = StopReason::BudgetExhausted;
-                    break;
-                }
-            }
-
-            let filled = fill(ctl, &mut table, self.model, cfg, t, &mut rng);
-            if let Some(m) = filled.admissible {
-                entry.admissible = m;
-            }
-            entry.admitted = filled.admitted;
-            entry.exp_draws = filled.admitted;
-            entry.denied = filled.denied;
-
-            if let Some(started) = tick_started {
-                entry.tick_ns = started.elapsed().as_nanos() as f64;
-            }
-        }
-
+        let mut meters = [OverflowMeter::new(cfg.capacity, cfg.target)];
+        let phases = [(0.0, self.model)];
+        let run = run_ticks(cfg, &mut **guard, &phases, &mut meters, ctx, sink);
+        let [meter] = meters;
         if sink.is_enabled() {
-            let mut e = sink.entry(t);
-            e.departed = table.departed_total();
-        }
-        if sink.is_enabled() {
+            sink.entry(run.t).departed = run.table.departed_total();
             // Fold the meter's instrument state into the sink's bundle via
             // the caller-visible snapshot path.
             let mut extra = MetricsSnapshot::new();
@@ -518,17 +449,121 @@ impl Scenario for ContinuousLoad<'_> {
         }
 
         ContinuousReport {
-            pf: meter.finalize(stop_reason),
+            pf: meter.finalize(run.stopped),
             mean_utilization: meter.mean_utilization(),
-            mean_flows: flow_count.mean(),
-            admitted: table.admitted_total(),
-            departed: table.departed_total(),
-            sim_time: t,
+            mean_flows: run.flow_count.mean(),
+            admitted: run.table.admitted_total(),
+            departed: run.table.departed_total(),
+            sim_time: run.t,
         }
     }
 
     fn fold(&self, mut reps: Vec<ContinuousReport>) -> ContinuousReport {
         reps.pop().expect("exactly one continuous replication")
+    }
+}
+
+/// Where the continuous tick loop left the run.
+struct Ticked {
+    /// The last tick's time.
+    t: f64,
+    table: FlowTable,
+    /// The occupancy at every spaced sample.
+    flow_count: RunningStats,
+    stopped: StopReason,
+}
+
+/// The continuous tick loop, on `ctx`'s stream: each tick the flows
+/// advance and depart, the controller observes one fold of their rates,
+/// and the table is topped up from the model of the phase active then
+/// (`phases` is sorted and starts at 0; [`ContinuousLoad`] has one).
+/// A spaced sample goes to that phase's meter, before the tick's
+/// admissions; the loop stops when that meter's criterion fires or the
+/// samples reach `cfg.max_samples`.
+fn run_ticks(
+    cfg: &ContinuousConfig,
+    ctl: &mut dyn AdmissionEngine,
+    phases: &[(f64, &dyn SourceModel)],
+    meters: &mut [OverflowMeter],
+    ctx: &RepContext,
+    sink: &mut MetricsSink,
+) -> Ticked {
+    let mut rng = ctx.rng();
+    let mut table = ctx.table();
+    let mut flow_count = RunningStats::new();
+    let mut prev_mean: Option<f64> = None;
+
+    let mut t = 0.0f64;
+    let mut next_sample = cfg.warmup.max(cfg.tick);
+    let mut samples = 0u64;
+    let stopped;
+    let enabled = sink.is_enabled();
+    let timing = sink.timing_enabled();
+    loop {
+        let tick_started = timing.then(std::time::Instant::now);
+        t += cfg.tick;
+        let phase = phases.iter().rposition(|&(from, _)| t >= from).unwrap_or(0);
+
+        // Measure once: the tick kernel folds the fresh rates into
+        // `RateMoments` as it advances them, and the controller and
+        // the meter share that fold.
+        let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
+        ctl.observe_moments(t, &mom);
+        let load = mom.sum();
+
+        // The tick's unit-of-work entry: filled through the tick,
+        // folded exactly once when the guard drops — including on
+        // the `break` paths below, which end the tick after the
+        // measurement but before admission (matching the old
+        // record order).
+        let mut entry = sink.entry(t);
+        if enabled {
+            entry.ticks = 1;
+            entry.load = load;
+            entry.occupancy = table.len() as f64;
+            if let Some((mean, _)) = ctl.estimate_stats() {
+                if let Some(prev) = prev_mean {
+                    entry.innovation = mean - prev;
+                }
+                prev_mean = Some(mean);
+            }
+        }
+
+        // Spaced overflow sampling after warm-up (before admissions:
+        // a flow admitted this tick enters the measured load next tick).
+        if t >= next_sample {
+            next_sample += cfg.sample_spacing;
+            let meter = &mut meters[phase];
+            meter.record(load);
+            samples += 1;
+            flow_count.push(table.len() as f64);
+            if let Some(reason) = meter.should_stop() {
+                stopped = reason;
+                break;
+            }
+            if samples >= cfg.max_samples {
+                stopped = StopReason::BudgetExhausted;
+                break;
+            }
+        }
+
+        let filled = fill(ctl, &mut table, phases[phase].1, cfg, t, &mut rng);
+        if let Some(m) = filled.admissible {
+            entry.admissible = m;
+        }
+        entry.admitted = filled.admitted;
+        entry.exp_draws = filled.admitted;
+        entry.denied = filled.denied;
+
+        if let Some(started) = tick_started {
+            entry.tick_ns = started.elapsed().as_nanos() as f64;
+        }
+    }
+    Ticked {
+        t,
+        table,
+        flow_count,
+        stopped,
     }
 }
 
@@ -669,37 +704,17 @@ impl Scenario for PhasedLoad<'_> {
         self.cfg.seed
     }
 
-    fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> Vec<PhaseReport> {
+    fn run_rep(&self, ctx: &RepContext, sink: &mut MetricsSink) -> Vec<PhaseReport> {
         let cfg = &self.cfg;
         let phases = &self.phases;
         let mut guard = self.ctl.borrow_mut();
-        let ctl: &mut dyn AdmissionEngine = &mut **guard;
-        let mut rng = ctx.rng();
-        let mut table = ctx.table();
+        // No meter ever stops the run: the phases are compared against
+        // each other over the whole sample budget.
         let mut meters: Vec<OverflowMeter> = phases
             .iter()
             .map(|_| OverflowMeter::new(cfg.capacity, cfg.target).with_min_samples(u64::MAX))
             .collect();
-        let active_phase =
-            |t: f64| -> usize { phases.iter().rposition(|&(from, _)| t >= from).unwrap_or(0) };
-
-        let mut t = 0.0f64;
-        let mut next_sample = cfg.warmup.max(cfg.tick);
-        let mut total_samples = 0u64;
-        while total_samples < cfg.max_samples {
-            t += cfg.tick;
-            // One measurement per tick, shared by controller and meter
-            // (the sampling runs before admissions, as in
-            // `ContinuousLoad`).
-            let mom = table.advance_depart_measure(t, &mut rng, ctl.moment_pivot());
-            ctl.observe_moments(t, &mom);
-            if t >= next_sample {
-                next_sample += cfg.sample_spacing;
-                meters[active_phase(t)].record(mom.sum());
-                total_samples += 1;
-            }
-            fill(ctl, &mut table, phases[active_phase(t)].1, cfg, t, &mut rng);
-        }
+        run_ticks(cfg, &mut **guard, phases, &mut meters, ctx, sink);
 
         phases
             .iter()
@@ -1402,5 +1417,47 @@ mod tests {
             .run_local(&PhasedLoad::new(&cfg, &phases, &mut ctl))
             .unwrap_err();
         assert!(matches!(err, ConfigError::BadPhases { .. }));
+    }
+
+    /// A two-phase run, every bit of its reports: each phase's index,
+    /// start, overflow estimate (value, interval, method, stop reason,
+    /// samples, overflows) and utilisation, hashed (FNV-1a over their
+    /// `Debug` text, which prints each f64 shortest-round-trip). The
+    /// second phase doubles the flows' correlation time-scale and
+    /// variability. A change to the continuous tick loop must pass it
+    /// unchanged.
+    #[test]
+    fn phased_run_bits_are_pinned() {
+        let calm = model();
+        let bursty = RcbrModel::new(RcbrConfig {
+            std_dev: 0.6,
+            ..RcbrConfig::paper_default(2.0)
+        });
+        let cfg = ContinuousConfig {
+            capacity: 50.0,
+            mean_holding: 20.0,
+            tick: 0.5,
+            warmup: 20.0,
+            sample_spacing: 2.0,
+            target: 1e-2,
+            max_samples: 400,
+            seed: 0x9a5e,
+        };
+        let mut ctl = MbacController::new(
+            Box::new(FilteredEstimator::new(0.5)),
+            Box::new(CertaintyEquivalent::from_probability(5e-2)),
+        );
+        let phases: [(f64, &dyn SourceModel); 2] = [(0.0, &calm), (400.0, &bursty)];
+        let reports = SessionBuilder::new()
+            .run_local(&PhasedLoad::new(&cfg, &phases, &mut ctl))
+            .unwrap();
+        assert_eq!(reports.len(), 2);
+        assert_eq!(reports.iter().map(|r| r.pf.samples).sum::<u64>(), 400);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in format!("{reports:?}").bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(h, 0x1a7e_0c98_b592_72ba, "{h:#018x}: {reports:?}");
     }
 }
