@@ -888,31 +888,54 @@ fn serve_bench_rejects_trace_with_model_flags() {
 fn serve_bench_sharded_decisions_match_default_shape() {
     // Shards/producers are performance knobs: the decision block must
     // not change with the plane shape (on a single-core host the run
-    // falls back to serial and says so — the totals still match).
-    let base = mbacctl(&small_serve_args(&[]));
-    let sharded = mbacctl(&small_serve_args(&["--shards", "4", "--producers", "2"]));
-    assert!(base.status.success());
-    assert!(
-        sharded.status.success(),
-        "{}",
-        String::from_utf8_lossy(&sharded.stderr)
-    );
-    let base_block = decision_block(&base.stdout);
-    let sharded_block = decision_block(&sharded.stdout);
-    // Strip the header/note lines (they name the shape) and compare the
-    // decision totals proper.
-    let totals = |block: &str| {
-        block
-            .lines()
-            .skip_while(|l| !l.starts_with("decisions:"))
-            .map(String::from)
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(
-        totals(&base_block),
-        totals(&sharded_block),
-        "plane shape leaked into the decision totals"
-    );
+    // falls back to serial and says so — the totals still match). The
+    // routed row's 18000 ticks are three of parking-lot:3's threaded
+    // windows (5461 ticks) and a short fourth.
+    let routed = [
+        "serve-bench",
+        "--topology",
+        "parking-lot:3",
+        "--flows-per-route",
+        "10",
+        "--ticks",
+        "18000",
+        "--requests-per-tick",
+        "2",
+        "--capacity",
+        "24",
+        "--noise-sd",
+        "0.05",
+    ];
+    let sharded = ["--shards", "4", "--producers", "2"];
+    let shapes = [
+        (small_serve_args(&[]), small_serve_args(&sharded)),
+        (routed.to_vec(), [&routed[..], &sharded].concat()),
+    ];
+    for (base, sharded) in shapes {
+        let (base, sharded) = (mbacctl(&base), mbacctl(&sharded));
+        assert!(base.status.success());
+        assert!(
+            sharded.status.success(),
+            "{}",
+            String::from_utf8_lossy(&sharded.stderr)
+        );
+        let base_block = decision_block(&base.stdout);
+        let sharded_block = decision_block(&sharded.stdout);
+        // Strip the header/note lines (they name the shape) and compare
+        // the decision totals proper.
+        let totals = |block: &str| {
+            block
+                .lines()
+                .skip_while(|l| !l.starts_with("decisions:"))
+                .map(String::from)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            totals(&base_block),
+            totals(&sharded_block),
+            "plane shape leaked into the decision totals"
+        );
+    }
 }
 
 #[test]
@@ -1127,25 +1150,31 @@ fn serve_bench_reports_generation_beside_elapsed() {
 /// answer within milliseconds.
 #[test]
 fn serve_bench_streams_a_run_past_the_materialised_bound() {
-    let args = "serve-bench --links 32 --requests-per-tick 32 --ticks 300000";
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mbacctl"))
-        .args(args.split(' '))
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("binary runs");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-    let exited = loop {
-        let exited = child.try_wait().expect("waitable");
-        if exited.is_some() || std::time::Instant::now() >= deadline {
-            break exited;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
-    let _ = child.kill();
-    let out = child.wait_with_output().expect("reaped");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(exited.is_none(), "{args}: exited {exited:?}: {err}");
+    // The threaded row draws 2.88e8 link snapshots, past 2^28: its
+    // windows hold a few ticks of them at a time, as the serial ones do.
+    for args in [
+        "serve-bench --links 32 --requests-per-tick 32 --ticks 300000",
+        "serve-bench --links 32 --requests-per-tick 32 --ticks 9000000 --shards 2 --producers 1",
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mbacctl"))
+            .args(args.split(' '))
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+        let exited = loop {
+            let exited = child.try_wait().expect("waitable");
+            if exited.is_some() || std::time::Instant::now() >= deadline {
+                break exited;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        let _ = child.kill();
+        let out = child.wait_with_output().expect("reaped");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(exited.is_none(), "{args}: exited {exited:?}: {err}");
+    }
 }
 
 #[test]
@@ -1952,19 +1981,23 @@ fn hostile_flag_values_exit_cleanly() {
             }
         }
     }
-    // A serial routed run holds a window of its requests, so its length
-    // is what bounds it: 2^40 events over the run, not the 2^28 requests
-    // a whole-run route table was held to.
-    let routed = "serve-bench --topology parking-lot:3 --ticks 99999999999";
-    let args: Vec<&str> = routed.split(' ').collect();
-    match mbacctl_within(&args, &dir, Duration::from_secs(5)) {
-        None => failures.push(format!("mbacctl {routed}: still running after 5 s")),
-        Some(out) => {
-            let err = String::from_utf8_lossy(&out.stderr);
-            let held = "error: invalid configuration: the workload would hold more than \
-                        1099511627776 events\n";
-            if out.status.code() != Some(1) || err != held {
-                failures.push(format!("mbacctl {routed}: {out:?}"));
+    // A routed run holds a window of its requests on either shape, so
+    // its length is what bounds it: 2^40 events over the run, not the
+    // 2^28 requests a whole-run route table was held to.
+    for routed in [
+        "serve-bench --topology parking-lot:3 --ticks 99999999999",
+        "serve-bench --topology parking-lot:3 --ticks 99999999999 --shards 2 --producers 1",
+    ] {
+        let args: Vec<&str> = routed.split(' ').collect();
+        match mbacctl_within(&args, &dir, Duration::from_secs(5)) {
+            None => failures.push(format!("mbacctl {routed}: still running after 5 s")),
+            Some(out) => {
+                let err = String::from_utf8_lossy(&out.stderr);
+                let held = "error: invalid configuration: the workload would hold more than \
+                            1099511627776 events\n";
+                if out.status.code() != Some(1) || err != held {
+                    failures.push(format!("mbacctl {routed}: {out:?}"));
+                }
             }
         }
     }

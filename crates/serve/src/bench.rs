@@ -18,52 +18,46 @@
 //!
 //! # How a run is generated
 //!
-//! The serial shape never holds the run. It builds the plane once and
-//! then feeds the serial driver a window of ticks at a time
-//! ([`WINDOW_SNAPSHOTS`] sizes a window and says why):
+//! Neither shape holds the run. Each feeds one driver a window of ticks
+//! at a time ([`WINDOW_SNAPSHOTS`], [`THREADED_WINDOW_SNAPSHOTS`] and
+//! [`WINDOW_EVENTS`] size a window and say why), and builds its plane
+//! once, from the first window:
 //! `mbac_sim::Windows::next_window` steps every population through the
 //! next few ticks and writes each link's measurement there into a window
 //! buffer, folded into its five numbers (`mbac_num::SnapshotMoments`)
 //! while its rates are still in cache; the driver replays the window,
 //! synthesising each tick's requests around the snapshots, and the
 //! buffer goes back to be written again. A replayed measurement is
-//! therefore an estimator update, O(1): it used to be a copy of every
-//! rate the other core wrote and a fold of them on the replaying one —
-//! on `serve_routed`, three 200-rate copies and folds a tick, ~0.6 µs
-//! of the tick's 2.0 µs replay by the gain their removal measured.
-//! Memory is the populations, two windows of 40-byte snapshots and the
-//! plane, whatever the number of ticks: a routed plane is built with no
-//! request, and its route table holds one window's at a time.
+//! therefore an estimator update, O(1). Memory is the populations, two
+//! windows of 40-byte snapshots and the plane, whatever the number of
+//! ticks: a routed plane's route table is laid out once, for the first
+//! window's requests, never more than the run's.
 //!
-//! The two stages overlap. While the driver replays window *k* on the
-//! caller's thread, a scoped generator thread fills window *k + 1*; two
-//! buffers rotate between them, so the generator runs at most one
-//! window ahead. On `serve_routed` a round was 69 ms of generation and
-//! 41 ms of replay in turn while the host's second core idled;
-//! overlapped, a round costs about the larger of the two.
+//! The serial shape overlaps the two stages when
+//! `mbac_num::parallel::current_workers()` is above 1, the rule the
+//! Session pipeline and the flow lanes follow: while the driver replays
+//! window *k* on the caller's thread, a scoped generator thread fills
+//! window *k + 1*, so a round costs about the larger of the two (most of
+//! a `serve_routed` round's generation is per-node noise, drawn as its
+//! effect on each link's fold, `mbac_num::fold_noisy`). With one worker
+//! the same loop generates each window inline, between the replays.
+//! There is no setting, and the injected `parallelism` still gates only
+//! the threaded shape. Both feeds hand the replay the same windows in
+//! the same order, so the decisions are the same bytes (held to the
+//! materialised reference at one and two workers in [`crate::replay`]'s
+//! and [`crate::routed`]'s tests). The generator is a dedicated thread,
+//! not a pool job: a pool job may run inline on the caller when no
+//! worker is free, where the hand-off would deadlock.
 //!
-//! Most of that generation was per-node measurement noise: a Gaussian
-//! per flow per link, clamped at zero, then folded. A link now draws
-//! the noise's effect on its fold instead (`mbac_num::fold_noisy`): its
-//! own draw for each flow the clamp can reach — below 13 σ, since the
-//! normal sampler never draws past 12.23 σ — and two Gaussians and a χ²
-//! for the rest. On the 2-vCPU development host, pinned to one core, a
-//! `serve_routed` round generates in 75–79 ms against 130–149 ms for
-//! the per-flow draws and 43–45 ms without noise (replay 46–55 ms).
-//!
-//! The overlap runs when `mbac_num::parallel::current_workers()`
-//! is above 1, the rule the Session pipeline and the flow lanes follow;
-//! with one worker the same loop generates each window inline, between
-//! the replays, in the order it always had. There is no setting, and
-//! the injected `parallelism` still gates only the threaded shape. Both
-//! feeds hand the replay the same windows in the same order, so the
-//! decisions are the same bytes (held to the materialised reference at
-//! one and two workers in [`crate::replay`]'s and [`crate::routed`]'s
-//! tests). The generator is a dedicated thread, not a pool job: the
-//! stages hand windows to each other over a bounded channel, and a pool
-//! job may run inline on the caller when no worker is free, where that
-//! hand-off would deadlock; and a pool hand-off costs ~20 µs, paid once
-//! a window. A panic on either stage ends the run with that panic.
+//! The threaded shape generates each window inline too, and replays it
+//! through producer threads and a consumer thread per shard, joined at
+//! the window's end: the producers must be able to run ahead of the
+//! consumers, or the rings never fill and the backpressure the shape
+//! exists to measure never happens. Each producer pushes its links'
+//! events in the window's order, and each link sees the order the
+//! serial shape gives it, so both shapes decide the same bytes. A link
+//! parked on another shard's vote buffers the events behind it, at most
+//! its events of one window, since a window ends with no link parked.
 //!
 //! [`BenchReport::elapsed_secs`] is the sum of the replay spans — two
 //! clock reads a window — so decisions per second still means replay
@@ -71,20 +65,6 @@
 //! time, its waits for a free buffer excluded, and
 //! [`BenchReport::wall_secs`] the run's: their sum when the stages run
 //! in turn, about the larger of them when they overlap.
-//!
-//! The threaded shape starts from the same generator and holds its run
-//! as one window: it fills a window of every tick before it starts its
-//! producers. They must be able to run ahead of the consumers, or the
-//! rings never fill and the backpressure the shape exists to measure
-//! never happens; a generator in step with the replay would hold them
-//! to its own pace. The window holds a 40-byte snapshot per link and
-//! tick and synthesises the requests, and a routed run's route table is
-//! laid out for it: at `serve_routed`'s shape 60 000 snapshots and
-//! 160 000 requests. So the shape holds at most [`MAX_WORKLOAD_ITEMS`]
-//! snapshots and, routed, as many requests; what it draws is held to
-//! `MAX_RUN_ITEMS`, as on the serial shape. Each producer pushes its
-//! links' events in the window's order, and each link sees the order
-//! the serial shape gives it, so both shapes decide the same bytes.
 //!
 //! # What is stamped
 //!
@@ -111,18 +91,18 @@
 //! and [`crate::routed`]'s tests.
 
 use crate::plane::{
-    certainty_equivalent_factory, check_producers, check_shards, ControllerFactory, DecisionPlane,
-    Plane, PlaneConfig, ServeError,
+    certainty_equivalent_factory, check_producers, check_shards, ControllerFactory, PlaneConfig,
+    ServeError,
 };
-use crate::replay::{replay_threaded_into, DecisionOf, Ingest, Replay, SerialDriver, Stamps};
-use crate::routed::{RoutedPlane, RoutedPlaneConfig};
+use crate::replay::{drive_run, DecisionOf, Replay, Stamps, Step};
+use crate::routed::RoutedPlaneConfig;
 use crate::sink::{DecisionSink, Replayed, Tally};
 use mbac_core::topology::Topology;
 use mbac_metrics::StreamHandle;
 use mbac_num::quantile;
 use mbac_sim::{
-    compat, workload_count, ConfigError, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad,
-    RoutedLoadConfig, Windows, MAX_WORKLOAD_ITEMS,
+    compat, ConfigError, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
+    Windows,
 };
 use mbac_traffic::process::SourceModel;
 use std::sync::Arc;
@@ -255,11 +235,10 @@ pub struct BenchReport {
     pub events: u64,
     /// Time spent generating the workload: the window generator's busy
     /// time, whether it overlapped the replay or ran between its spans
-    /// (serial; waits for a free window buffer are not counted), or
-    /// filling the run's one window before the replay (threaded).
+    /// (waits for a free window buffer are not counted).
     pub generate_secs: f64,
-    /// Replay wall time: end to end when threaded, the sum of the
-    /// windows' replay spans when serial.
+    /// Replay wall time: the sum of the windows' replay spans, each end
+    /// to end when threaded.
     pub elapsed_secs: f64,
     /// The run's wall time, from the first generated flow to the last
     /// decision: about `generate_secs + elapsed_secs` when the two run
@@ -296,7 +275,8 @@ pub const LATENCY_SAMPLES: u64 = 1 << 14;
 
 /// The length of a serial run's windows, in link snapshots (see "How a
 /// run is generated"): a window is `WINDOW_SNAPSHOTS / links` ticks, at
-/// least one. 2¹⁰ snapshots are 40 KiB: `serve_links`' 32 links make
+/// least one, unless [`WINDOW_EVENTS`] makes it shorter. 2¹⁰ snapshots
+/// are 40 KiB: `serve_links`' 32 links make
 /// windows of 32 ticks, `serve_routed`'s 3 links windows of 341. A
 /// window only has to be long enough that the two hand-offs it costs
 /// vanish against its replay, and short enough that the first window —
@@ -311,6 +291,39 @@ pub const LATENCY_SAMPLES: u64 = 1 << 14;
 /// this is a constant and not a setting.
 pub const WINDOW_SNAPSHOTS: usize = 1 << 10;
 
+/// The length of a threaded run's windows, in link snapshots. Each
+/// window's start and end cost the threaded step: at `serve_routed`'s
+/// shape threaded (`--noise-sd 0.05 --shards 2 --producers 1`) 1–2 %
+/// of its decisions/s each, as the shards' vote exchange drains and
+/// refills (starting the threads and re-basing the route table are
+/// ~0.2 ms of it). Sessions of 20–30 rotating rounds on the 2-vCPU
+/// development host, against the run replayed as one window, read
+/// ×0.61–0.77 at [`WINDOW_SNAPSHOTS`], ×0.90 at 2¹³, ×0.85–0.98 at 2¹⁴
+/// and ×0.90–1.03 at 2¹⁵, at flat peaks of 7.7, 11.2 and 18.1 MB for
+/// the last three (a parked link buffers up to its window's events),
+/// with `wall` unchanged; the links shape ×1.13–1.25. So 2¹⁴ gives up a
+/// few per cent of threaded routed decisions/s for the smaller peak.
+pub const THREADED_WINDOW_SNAPSHOTS: usize = 1 << 14;
+
+/// The most events a window holds, on either step, a tick at least: a
+/// routed window's route table and parked links' buffers hold at most
+/// its requests and events. 2²⁰ is more than the windows of
+/// `serve_links` (33 792 events serial, 540 672 threaded) and
+/// `serve_routed` (5 115, 81 915) hold, so there the snapshots decide.
+pub const WINDOW_EVENTS: usize = 1 << 20;
+
+/// The ticks of a window of `windows`' run on `step`: [`WINDOW_SNAPSHOTS`]
+/// link snapshots a window serial, [`THREADED_WINDOW_SNAPSHOTS`]
+/// threaded, and at most [`WINDOW_EVENTS`] events; one tick at least.
+pub(crate) fn window_ticks(step: Step, windows: &impl Windows) -> usize {
+    let snapshots = match step {
+        Step::Serial => WINDOW_SNAPSHOTS,
+        Step::Threaded { .. } => THREADED_WINDOW_SNAPSHOTS,
+    };
+    let events = WINDOW_EVENTS / windows.tick_events();
+    (snapshots / windows.links()).min(events).max(1)
+}
+
 /// The host's available parallelism (1 when undeterminable).
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
@@ -322,8 +335,8 @@ pub fn host_parallelism() -> usize {
 /// and the injected parallelism.
 #[derive(Debug, Clone, Copy)]
 struct Shape {
-    /// Run the threaded drivers (otherwise the serial reference).
-    threaded: bool,
+    /// The driver's step: threaded, or the serial reference.
+    step: Step,
     shards: usize,
     producers: usize,
     parallelism: usize,
@@ -339,63 +352,43 @@ impl Shape {
         check_producers(producers)?;
         let threaded_requested = shards > 1 || producers > 1;
         let single_core = parallelism == 1;
-        let threaded = threaded_requested && !single_core;
+        let (step, shards, producers) = if threaded_requested && !single_core {
+            (Step::Threaded { producers }, shards, producers)
+        } else {
+            (Step::Serial, 1, 1)
+        };
         Ok(Shape {
-            threaded,
-            shards: if threaded { shards } else { 1 },
-            producers: if threaded { producers } else { 1 },
+            step,
+            shards,
+            producers,
             parallelism,
             skipped_single_core: threaded_requested && single_core,
         })
     }
 
-    /// The threaded shape: `windows`' run of `ticks` ticks generated as
-    /// one window, then replayed through the plane `plane` configures
-    /// into the sinks `new_sink` makes, every producer stamping the
-    /// requests a `budget` of stamps takes. Returns what the replay
-    /// made, the generation time and the events replayed.
-    fn threaded<G, S>(
+    /// `windows`' run through the plane `plane` configures into the
+    /// sinks `new_sink` makes, generated and replayed a window at a time
+    /// (see "How a run is generated"), spending a `budget` of stamps on
+    /// its requests. Returns what the replay made, the generator's busy
+    /// time and the events replayed.
+    fn run<G, S>(
         self,
-        mut windows: G,
-        ticks: usize,
+        windows: G,
         plane: &<G::Workload as Replay>::PlaneConfig,
         make: ControllerFactory,
         budget: u64,
-        new_sink: impl Fn() -> S + Sync,
+        new_sink: impl Fn() -> S,
     ) -> Result<(Replayed<S>, Duration, u64), ServeError>
     where
-        G: Windows,
-        G::Workload: Replay,
+        G: Windows + Send,
+        G::Workload: Replay + Send,
         S: DecisionSink<DecisionOf<G::Workload>>,
     {
+        let ticks = window_ticks(self.step, &windows);
         let stamps = Stamps::budgeted(windows.requests(), budget);
-        let start = Instant::now();
-        let mut run = windows.new_window();
-        windows.next_window(ticks, &mut run);
-        let generate = start.elapsed();
-        let replayed = replay_threaded_into(plane, self.producers, stamps, make, &run, new_sink)?;
-        Ok((replayed, generate, run.events()))
-    }
-
-    /// The serial shape: `windows`' run through `plane`, generated and
-    /// replayed a window at a time, spending a `budget` of stamps on its
-    /// requests. Returns what the replay made, the generator's busy
-    /// time and the events replayed.
-    fn serial<G>(
-        self,
-        windows: G,
-        plane: Plane<<G::Workload as Ingest>::Logic>,
-        budget: u64,
-    ) -> (Replayed<Tally>, Duration, u64)
-    where
-        G: Windows + Send,
-        G::Workload: Ingest + Send,
-    {
-        let ticks = (WINDOW_SNAPSHOTS / windows.links()).max(1);
-        let stamps = Stamps::budgeted(windows.requests(), budget);
-        let mut driver = SerialDriver::new(plane, stamps, Tally::default());
-        let (generate, events) = driver.drive_windows(windows, ticks);
-        (driver.finish(), generate, events)
+        let (driver, generate, events) =
+            drive_run(windows, ticks, plane, make, self.step, stamps, new_sink)?;
+        Ok((driver.finish(), generate, events))
     }
 
     /// The report of a run in this shape.
@@ -410,7 +403,10 @@ impl Shape {
         let (p50_ns, p99_ns, mean_ns) = latency_figures(&tally.latencies);
         let elapsed_secs = replayed.elapsed.as_secs_f64();
         BenchReport {
-            mode: if self.threaded { "threaded" } else { "serial" },
+            mode: match self.step {
+                Step::Serial => "serial",
+                Step::Threaded { .. } => "threaded",
+            },
             shards: self.shards,
             producers: self.producers,
             decisions: tally.decisions,
@@ -513,15 +509,9 @@ fn closed_loop_sampling(
     };
     let start = Instant::now();
     // Held to the bound a tick at a time, and to `MAX_RUN_ITEMS` over
-    // the run; the threaded shape holds the run's snapshots.
+    // the run.
     let windows = load.windows()?;
-    let (replayed, generate, events) = if shape.threaded {
-        let snapshots = [cfg.links, cfg.ticks];
-        workload_count("link snapshots", snapshots, MAX_WORKLOAD_ITEMS)?;
-        shape.threaded(windows, cfg.ticks, &plane, make, budget, Tally::default)?
-    } else {
-        shape.serial(windows, DecisionPlane::new(&plane, make)?, budget)
-    };
+    let (replayed, generate, events) = shape.run(windows, &plane, make, budget, Tally::default)?;
     Ok(shape.report(replayed, generate, events, start.elapsed()))
 }
 
@@ -632,20 +622,9 @@ fn routed_closed_loop_sampling(
     };
     let start = Instant::now();
     // The windows check every field and hold the run a tick at a time;
-    // the serial shape's route table holds a window's requests at a
-    // time, the threaded shape's the run's, with its snapshots.
+    // the route table holds a window's requests at a time.
     let windows = load.windows()?;
-    let topology = &cfg.topology;
-    let (replayed, generate, events) = if shape.threaded {
-        let snapshots = [topology.links(), cfg.ticks];
-        workload_count("link snapshots", snapshots, MAX_WORKLOAD_ITEMS)?;
-        let requests = [topology.routes(), cfg.ticks, cfg.requests_per_tick];
-        workload_count("requests", requests, MAX_WORKLOAD_ITEMS)?;
-        shape.threaded(windows, cfg.ticks, &plane, make, budget, Tally::default)?
-    } else {
-        let plane = RoutedPlane::for_requests(&plane, topology, &[], make)?;
-        shape.serial(windows, plane, budget)
-    };
+    let (replayed, generate, events) = shape.run(windows, &plane, make, budget, Tally::default)?;
     Ok(shape.report(replayed, generate, events, start.elapsed()))
 }
 
@@ -653,10 +632,11 @@ fn routed_closed_loop_sampling(
 mod tests {
     use super::*;
     use crate::plane::{MAX_PRODUCERS, MAX_SHARDS};
-    use crate::replay::{replay_serial, ReplayConfig, ReplayOutcome};
+    use crate::replay::tests::{same_bytes, windowed_matches_materialised};
+    use crate::replay::{replay_serial, ReplayConfig};
     use crate::sink::Collect;
     use mbac_num::parallel::with_workers;
-    use mbac_sim::SessionBuilder;
+    use mbac_sim::{SessionBuilder, MAX_WORKLOAD_ITEMS};
     use mbac_traffic::process::RateProcess;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -831,14 +811,15 @@ mod tests {
         };
         assert_eq!(WINDOW_SNAPSHOTS / 128, 8);
         assert_eq!(WINDOW_SNAPSHOTS / 64, 16);
+        assert_eq!(THREADED_WINDOW_SNAPSHOTS / 64, 256);
         (links, routed)
     }
 
     /// Runs of several windows, generated inline (one worker) or
     /// overlapped with their replay (two), report what the same runs
-    /// report as one window, which is how the threaded shape holds
-    /// them. A run's wall time holds its generation and its replay:
-    /// their sum when they run in turn.
+    /// report on the threaded shape, whose longer windows hold each of
+    /// them whole. A run's wall time holds its generation and its
+    /// replay: their sum when they run in turn.
     #[test]
     fn a_run_of_several_windows_reports_what_the_materialised_run_does() {
         let (links, routed) = several_windows();
@@ -947,13 +928,33 @@ mod tests {
         gives_out_a_few_windows_in(true, 2);
     }
 
-    /// A serial routed run is held to `MAX_RUN_ITEMS` over its length,
-    /// not to what a whole run may hold: parking-lot:3's four routes
-    /// asking once a tick for 2²⁶ + 1 ticks are four requests past
-    /// `MAX_WORKLOAD_ITEMS`. The threaded shape, whose route table holds
-    /// the whole run's requests, refuses it; the serial shape validates
-    /// it and starts to generate it, here on a source that gives out at
-    /// its first replacement flow, so the run ends there.
+    /// A source that gives out at its `at`-th spawn.
+    fn giving_out(at: usize) -> GivesOut {
+        GivesOut {
+            source: model(),
+            spawns: AtomicUsize::new(0),
+            at,
+        }
+    }
+
+    /// The panic `run` ends in on a source that gives out at spawn `at`:
+    /// the run was validated and started to generate.
+    fn gives_out_at<R>(at: usize, run: impl Fn(&GivesOut) -> R) -> &'static str {
+        let source = giving_out(at);
+        let run = std::panic::AssertUnwindSafe(|| with_workers(1, || run(&source)));
+        let panic = std::panic::catch_unwind(run)
+            .err()
+            .expect("the run gave out");
+        panic.downcast_ref::<&str>().copied().unwrap_or_default()
+    }
+
+    /// A routed run is held to `MAX_RUN_ITEMS` over its length, not to
+    /// what a whole run may hold: parking-lot:3's four routes asking
+    /// once a tick for 2²⁶ + 1 ticks are four requests past
+    /// `MAX_WORKLOAD_ITEMS`. Both shapes hold a window's requests at a
+    /// time, so both validate it and start to generate it, here on a
+    /// source that gives out at its first replacement flow, so the run
+    /// ends there: the threaded shape first, then the serial one.
     #[test]
     #[should_panic(expected = "the source gave out")]
     fn a_serial_routed_run_may_ask_more_than_a_materialised_run_holds() {
@@ -961,34 +962,23 @@ mod tests {
             ticks: (MAX_WORKLOAD_ITEMS / 4) as usize + 1,
             requests_per_tick: 1,
             flows_per_route: 2,
+            shards: 2,
             ..small_routed()
         };
-        let threaded = RoutedBenchConfig {
-            shards: 2,
-            ..cfg.clone()
+        let run = |source: &GivesOut, parallelism| {
+            routed_closed_loop_with_parallelism(&cfg, source, parallelism)
         };
-        assert_eq!(
-            routed_closed_loop_with_parallelism(&threaded, &model(), 4).unwrap_err(),
-            BenchError::Config(ConfigError::WorkloadTooLarge {
-                what: "requests",
-                max: MAX_WORKLOAD_ITEMS
-            })
-        );
-        let source = GivesOut {
-            source: model(),
-            spawns: AtomicUsize::new(0),
-            at: 4 * 2 + 1,
-        };
-        let _ = with_workers(1, || routed_closed_loop_with_parallelism(&cfg, &source, 1));
+        let threaded = gives_out_at(4 * 2 + 1, |source| run(source, 4));
+        assert_eq!(threaded, "the source gave out");
+        let _ = with_workers(1, || run(&giving_out(4 * 2 + 1), 1));
     }
 
-    /// A threaded run is held to what it holds, its link snapshots and
-    /// its route table's requests, and to `MAX_RUN_ITEMS` over what it
-    /// draws, as a serial run is: a link of 2¹⁸ + 1 flows over 1 024
-    /// ticks draws 1 024 rate samples past `MAX_WORKLOAD_ITEMS` and
-    /// holds 1 024 snapshots. The threaded shape validates it and starts
-    /// to generate it, here on a source that gives out at its first
-    /// replacement flow, so the run ends there.
+    /// A threaded run is held to `MAX_RUN_ITEMS` over what it draws, as a
+    /// serial run is: a link of 2¹⁸ + 1 flows over 1 024 ticks draws
+    /// 1 024 rate samples past `MAX_WORKLOAD_ITEMS`. Both shapes
+    /// validate it and start to generate it, here on a source that gives
+    /// out at its first replacement flow, so the run ends there: the
+    /// serial shape first, then the threaded one.
     #[test]
     #[should_panic(expected = "the source gave out")]
     fn a_threaded_run_may_draw_more_than_it_holds() {
@@ -1001,24 +991,62 @@ mod tests {
             shards: 2,
             ..small()
         };
-        let source = GivesOut {
-            source: model(),
-            spawns: AtomicUsize::new(0),
-            at: flows + 1,
+        let run = |source: &GivesOut, parallelism| {
+            closed_loop_with_parallelism(&cfg, source, parallelism)
         };
-        with_workers(1, || closed_loop_with_parallelism(&cfg, &source, 4)).unwrap();
+        assert_eq!(
+            gives_out_at(flows + 1, |source| run(source, 1)),
+            "the source gave out"
+        );
+        with_workers(1, || run(&giving_out(flows + 1), 4)).unwrap();
     }
 
-    /// [`Shape::threaded`], the whole run as one window on the threaded
-    /// driver, decides every link's and route's bytes as
+    /// [`Shape::run`] of `windows()`, collecting every decision, decides
+    /// each sequence's bytes as `replay_serial` decides `whole`, the run
+    /// materialised, on every one of `shapes`.
+    fn shape_runs_match<W, G>(
+        whole: &W,
+        plane: impl Fn(usize) -> W::PlaneConfig,
+        windows: impl Fn() -> G,
+        shapes: &[Shape],
+    ) where
+        W: Replay,
+        G: Windows + Send,
+        G::Workload: Replay<PlaneConfig = W::PlaneConfig, Logic = W::Logic> + Send,
+    {
+        let make = || certainty_equivalent_factory(1e-2, 2.0);
+        let cfg = ReplayConfig {
+            plane: plane(1),
+            producers: 1,
+            stamp_latency: false,
+        };
+        let reference = replay_serial(&cfg, make(), whole).unwrap();
+        for shape in shapes {
+            let sink = || Collect::new(whole.groups());
+            let plane = plane(shape.shards);
+            let run = shape.run(windows(), &plane, make(), LATENCY_SAMPLES, sink);
+            let (replayed, _, events) = run.unwrap();
+            assert_eq!(events, whole.events(), "{shape:?}");
+            same_bytes(&replayed.into(), &reference, &format!("{shape:?}"));
+        }
+    }
+
+    /// The threaded shape decides every link's and route's bytes as
     /// `replay_serial` decides the run materialised, at shards {2, 4} ×
-    /// producers {1, 2}: on the single-link plane, and on parking-lot:3
-    /// and star:3 with and without measurement noise.
+    /// producers {1, 2}: through its step in windows of 1 tick, 7 ticks
+    /// and the whole run, and through [`Shape::run`], as the bench runs
+    /// it; on the single-link plane of 5 links, and on parking-lot:3 and
+    /// star:3 with and without measurement noise.
     #[test]
     fn the_threaded_shape_decides_the_materialised_bytes() {
         let model = model();
-        let make = certainty_equivalent_factory(1e-2, 2.0);
-        let shapes = [(2, 1), (2, 2), (4, 1), (4, 2)];
+        let make = || certainty_equivalent_factory(1e-2, 2.0);
+        let shapes = [(2, 1), (2, 2), (4, 1), (4, 2)].map(|(shards, producers)| {
+            let shape = Shape::resolve(shards, producers, 4).unwrap();
+            assert!(matches!(shape.step, Step::Threaded { .. }));
+            shape
+        });
+        let steps = shapes.map(|shape| (shape.shards, shape.step));
         let load = RequestLoad {
             model: &model,
             cfg: RequestLoadConfig {
@@ -1038,27 +1066,9 @@ mod tests {
             ..PlaneConfig::default()
         };
         let whole = SessionBuilder::new().run(&load).unwrap();
-        let cfg = ReplayConfig {
-            plane: plane(1),
-            ..ReplayConfig::default()
-        };
-        let reference = replay_serial(&cfg, Arc::clone(&make), &whole).unwrap();
-        for (shards, producers) in shapes {
-            let shape = Shape::resolve(shards, producers, 4).unwrap();
-            let windows = load.windows().unwrap();
-            let plane = plane(shards);
-            let sink = || Collect::new(5);
-            let (replayed, _, events) = shape
-                .threaded(windows, load.cfg.ticks, &plane, Arc::clone(&make), 0, sink)
-                .unwrap();
-            assert_eq!(events, whole.total_events() as u64);
-            let threaded: ReplayOutcome<_> = replayed.into();
-            assert_eq!(threaded.decisions, reference.decisions);
-            for link in 0..5 {
-                let what = format!("{shards} x {producers}, link {link}");
-                assert_eq!(threaded.encode(link), reference.encode(link), "{what}");
-            }
-        }
+        let windows = || load.windows().unwrap();
+        windowed_matches_materialised(&whole, plane, make(), windows, 30, &steps);
+        shape_runs_match(&whole, plane, windows, &shapes);
         let topologies = [Topology::parking_lot(3, 14.0), Topology::star(3, 18.0)];
         for topology in topologies {
             for noise_sd in [0.0, 0.05] {
@@ -1085,28 +1095,15 @@ mod tests {
                     plane: plane(1),
                     ..ReplayConfig::default()
                 };
-                let reference = replay_serial(&cfg, Arc::clone(&make), &whole).unwrap();
+                let reference = replay_serial(&cfg, make(), &whole).unwrap();
                 let (admitted, decisions) = (reference.admitted, reference.decisions);
                 assert!(
                     0 < admitted && admitted < decisions,
                     "{admitted} of {decisions}"
                 );
-                for (shards, producers) in shapes {
-                    let shape = Shape::resolve(shards, producers, 4).unwrap();
-                    let (windows, ticks) = (load.windows().unwrap(), load.cfg.ticks);
-                    let plane = plane(shards);
-                    let sink = || Collect::new(topology.routes());
-                    let (replayed, _, events) = shape
-                        .threaded(windows, ticks, &plane, Arc::clone(&make), 0, sink)
-                        .unwrap();
-                    assert_eq!(events, whole.total_events() as u64);
-                    let threaded: ReplayOutcome<_> = replayed.into();
-                    assert_eq!(threaded.decisions, reference.decisions);
-                    for route in 0..topology.routes() {
-                        let what = format!("noise {noise_sd}, {shards} x {producers}: {route}");
-                        assert_eq!(threaded.encode(route), reference.encode(route), "{what}");
-                    }
-                }
+                let windows = || load.windows().unwrap();
+                windowed_matches_materialised(&whole, plane, make(), windows, 30, &steps);
+                shape_runs_match(&whole, plane, windows, &shapes);
             }
         }
     }

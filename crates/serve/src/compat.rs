@@ -7,15 +7,14 @@
 //! beside a window's — a tick's snapshots, then its requests — with the
 //! same per-link order, so the invariance suites hold the windows to it.
 //! A routed run's route table is laid out from the whole run's
-//! seq → route map ([`RoutedPlane::for_workload`],
-//! [`RouteTable::for_requests`]).
+//! seq → route map ([`RoutedPlane::for_workload`]).
 
 use crate::plane::{
     ControllerFactory, DecisionPlane, PlaneConfig, ServeError, ShardEvent, SingleHop,
 };
 use crate::replay::{Ingest, Replay, Stamps};
 use crate::routed::{RouteTable, RoutedPlane, RoutedPlaneConfig, RoutedShardEvent, TwoPhase};
-use mbac_core::topology::{hop_u8, LinkId, RouteId, Topology};
+use mbac_core::topology::{hop_u8, LinkId};
 use mbac_sim::{LinkEvent, RoutedEvent, RoutedWorkload, ServeWorkload};
 use std::time::Instant;
 
@@ -68,25 +67,19 @@ impl Ingest for ServeWorkload {
     }
 }
 
-impl RouteTable {
-    /// Builds the table for a workload's request sequence, from seq 0.
-    pub fn for_requests(topology: &Topology, request_routes: &[RouteId]) -> Self {
-        let mut table = RouteTable::default();
-        table.hold(topology, 0, request_routes.iter().copied());
-        table
-    }
-}
-
 impl RoutedPlane {
-    /// Builds a plane sized for `workload`, a whole run: its seq →
-    /// route map and its topology are what
-    /// [`RoutedPlane::for_requests`] takes.
+    /// Builds a plane sized for `workload`, a whole run: its route table
+    /// is laid out from the run's seq → route map, and each shard learns
+    /// the topology's capacities.
     pub fn for_workload(
         cfg: &RoutedPlaneConfig,
         workload: &RoutedWorkload,
         make: ControllerFactory,
     ) -> Result<Self, ServeError> {
-        Self::for_requests(cfg, workload.topology(), workload.request_routes(), make)
+        let topology = workload.topology();
+        let mut table = RouteTable::default();
+        table.hold(topology, 0, workload.request_routes().iter().copied());
+        Self::with_table(cfg, topology, table, make)
     }
 }
 

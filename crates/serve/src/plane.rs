@@ -533,9 +533,9 @@ impl<L: LinkLogic> ShardOf<L> {
         self.logic.has_parked()
     }
 
-    /// The link logic, for a driver that readies it between events.
-    pub(crate) fn logic_mut(&mut self) -> &mut L {
-        &mut self.logic
+    /// The link logic, for a driver that readies it between windows.
+    pub(crate) fn logic(&self) -> &L {
+        &self.logic
     }
 
     /// Drains the events in the ring, in ring order — at most one ring's
@@ -572,8 +572,8 @@ impl<L: LinkLogic> Drop for ShardOf<L> {
 // ---------------------------------------------------------------------
 
 /// A sharded plane: construction, handle vending, and the merged
-/// metrics view. Consumers take the shards out with
-/// [`Plane::into_shards`] to run them on their own threads.
+/// metrics view. A threaded driver lends each shard to a consumer
+/// thread of its own for a window at a time.
 pub struct Plane<L: LinkLogic> {
     shards: Vec<ShardOf<L>>,
 }
@@ -632,32 +632,22 @@ impl<L: LinkLogic> Plane<L> {
         }
     }
 
-    /// Mutable access to the shards (single-threaded driving).
+    /// Mutable access to the shards, one per consumer thread when they
+    /// run threaded. The [`IngestHandle`]s share their rings.
     pub fn shards_mut(&mut self) -> &mut [ShardOf<L>] {
         &mut self.shards
     }
 
-    /// Takes the shards out, one per consumer thread. The
-    /// [`IngestHandle`]s stay valid — they share the rings.
-    pub fn into_shards(self) -> Vec<ShardOf<L>> {
-        self.shards
-    }
-
-    /// The plane-wide metrics snapshot (see [`plane_snapshot`]).
+    /// The plane-wide metrics snapshot: every shard's bundle merged into
+    /// `serve.shard<i>.*` and its per-link counters into `net.link<j>.*`
+    /// (empty when collection is disabled).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        plane_snapshot(&self.shards)
+        let mut out = MetricsSnapshot::new();
+        for shard in &self.shards {
+            shard.tap.snapshot_into(&shard.logic, &mut out);
+        }
+        out
     }
-}
-
-/// Merges every shard's bundle into `serve.shard<i>.*` and its per-link
-/// counters into `net.link<j>.*` (empty when collection is disabled);
-/// also for drivers that have taken the shards out of the plane.
-pub fn plane_snapshot<L: LinkLogic>(shards: &[ShardOf<L>]) -> MetricsSnapshot {
-    let mut out = MetricsSnapshot::new();
-    for shard in shards {
-        shard.tap.snapshot_into(&shard.logic, &mut out);
-    }
-    out
 }
 
 /// Producer-side handle: routes each event to the ring of the shard

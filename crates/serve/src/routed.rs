@@ -39,24 +39,28 @@
 //! table holds no vote slot for it. Only multi-hop requests vote,
 //! count down and publish a resolution.
 //!
-//! The route table has a slot per request of the window it was laid out
-//! for. The threaded bench replays its run as one window, so its table
-//! holds the run. A run that reaches a one-shard plane a window at a
-//! time re-bases the table onto each window's requests before the
-//! window's first event is applied, since every hop of a request lies
-//! in its tick's window: the serial bench's table is one window long,
-//! whatever the run's length.
+//! The route table has a slot per request of one window, on both bench
+//! shapes. It is laid out once, from the run's first window: every tick
+//! asks the same routes in the same order, and no later window is
+//! longer, so each — a short last one included — asks a prefix of that
+//! layout. Between windows, while no shard runs, the driver re-bases
+//! the table onto the next window's requests; since every hop of a
+//! request lies in its tick's window, no request of the last window is
+//! still waiting on it. So the table is one window long, whatever the
+//! run's length, and never longer than the run.
 //!
 //! Until its vote resolves, a link is **parked**: subsequent events for
 //! that link buffer in arrival order while the shard keeps draining its
 //! other links. Parking — never blocking — is what makes the protocol
 //! deadlock-free: since every link's stream is seq-sorted, the globally
 //! minimal unresolved seq has a castable vote at the head of each of
-//! its hop links' queues, so it resolves; induction does the rest. A
-//! window is ingested request by request — a tick's measurements, then
-//! each request's reserves back to back — so on the serial shape a
-//! request resolves at its last hop, before any other event reaches a
-//! link it parked, and nothing is ever buffered.
+//! its hop links' queues, so it resolves; induction does the rest. The
+//! argument holds within each window, and a threaded window ends only
+//! once no link is parked, so a link buffers at most its events of one
+//! window. A window is ingested request by request — a tick's
+//! measurements, then each request's reserves back to back — so on the
+//! serial shape a request resolves at its last hop, before any other
+//! event reaches a link it parked, and nothing is ever buffered.
 //!
 //! # Determinism
 //!
@@ -277,19 +281,16 @@ struct HopVote {
 /// The shared vote/resolution table: one slot per request of a run of
 /// consecutive seqs, from `base` on. Sized up front from those
 /// requests' routes, so no allocation or locking happens on the decide
-/// path. A plane replaying a window holds that window's requests; a
-/// serial run replayed in windows holds one window's at a time,
-/// re-based as each window starts. Only multi-hop requests get vote
-/// slots: a one-hop request resolves where it lands and is never voted,
-/// resolved or read back here.
+/// path. A run replayed in windows holds one window's requests at a
+/// time, re-based as each window starts. Only multi-hop requests get
+/// vote slots: a one-hop request resolves where it lands and is never
+/// voted, resolved or read back here.
 #[derive(Debug, Default)]
 pub struct RouteTable {
-    /// The seq of the first request held.
-    base: u64,
-    /// The ticks and the requests a route makes a tick of the window the
-    /// table was last laid out for; `None` when it was laid out from a
-    /// run's map.
-    window: Option<(usize, usize)>,
+    /// The seq of the first request held. Stored only between windows,
+    /// while no shard runs: the spawn of a window's threads orders the
+    /// store before their loads, so both are `Relaxed`.
+    base: AtomicU64,
     routes: Vec<RouteId>,
     offsets: Vec<u32>,
     hop_counts: Vec<u8>,
@@ -309,7 +310,7 @@ impl RouteTable {
         base: u64,
         routes: impl IntoIterator<Item = RouteId>,
     ) {
-        self.base = base;
+        *self.base.get_mut() = base;
         self.routes.clear();
         self.offsets.clear();
         self.hop_counts.clear();
@@ -331,25 +332,21 @@ impl RouteTable {
         self.votes.resize_with(total as usize, HopVote::default);
     }
 
-    /// Makes the table hold `window`'s requests. A window starts on a
-    /// tick and every tick asks the same routes in the same order, so a
-    /// window as long as the one the table was laid out for asks what
-    /// that one asked: the base moves, and every countdown and
-    /// resolution starts over. Any other window is laid out anew.
-    fn hold_window(&mut self, topology: &Topology, window: &RoutedWindow) {
-        let snapshots = window.snapshots();
-        let shape = (snapshots.ticks(), snapshots.requests_per_tick());
-        if self.window == Some(shape) {
-            self.base = window.first_seq();
-            for (left, &hops) in self.remaining.iter_mut().zip(&self.hop_counts) {
-                *left.get_mut() = u32::from(hops);
-            }
-            for verdict in &mut self.resolution {
-                *verdict.get_mut() = PENDING;
-            }
-        } else {
-            self.hold(topology, window.first_seq(), window.request_routes());
-            self.window = Some(shape);
+    /// Makes the table hold `requests` requests from seq `base` on, the
+    /// first of those it was laid out for: the base moves, and their
+    /// countdowns and resolutions start over. Called while no shard
+    /// runs, as `base` is stored.
+    fn rebase(&self, base: u64, requests: usize) {
+        assert!(
+            requests <= self.requests(),
+            "a window the table was not laid out for"
+        );
+        self.base.store(base, Ordering::Relaxed);
+        for (left, &hops) in self.remaining[..requests].iter().zip(&self.hop_counts) {
+            left.store(u32::from(hops), Ordering::Relaxed);
+        }
+        for verdict in &self.resolution[..requests] {
+            verdict.store(PENDING, Ordering::Relaxed);
         }
     }
 
@@ -361,7 +358,7 @@ impl RouteTable {
     /// The slot of request `seq`, which the table must hold.
     #[inline]
     fn slot(&self, seq: u64) -> usize {
-        (seq - self.base) as usize
+        (seq - self.base.load(Ordering::Relaxed)) as usize
     }
 
     /// Whether request `seq`'s route has one hop: that hop is its own
@@ -472,8 +469,12 @@ struct RoutedLinkState {
     link: LinkId,
     admission: LinkAdmission,
     parked: Option<HopReserve>,
-    /// Events that arrived while parked, in arrival order.
+    /// Events that arrived while parked, in arrival order: at most the
+    /// link's events of one window.
     pending: VecDeque<RoutedShardEvent>,
+    /// The most events `pending` has held, which the tests bound.
+    #[cfg(test)]
+    pending_peak: usize,
     measures: u64,
     reserves: u64,
     commits: u64,
@@ -526,6 +527,8 @@ impl TwoPhase {
                 admission: LinkAdmission::new((self.make)(), self.topology.capacity(link)),
                 parked: None,
                 pending: VecDeque::new(),
+                #[cfg(test)]
+                pending_peak: 0,
                 measures: 0,
                 reserves: 0,
                 commits: 0,
@@ -650,6 +653,10 @@ impl LinkLogic for TwoPhase {
         let state = &mut self.links[slot];
         if state.parked.is_some() {
             state.pending.push_back(event);
+            #[cfg(test)]
+            {
+                state.pending_peak = state.pending_peak.max(state.pending.len());
+            }
         } else {
             self.process(slot, event, tap, out);
         }
@@ -757,27 +764,9 @@ impl Default for RoutedPlaneConfig {
 }
 
 impl RoutedPlane {
-    /// Builds a plane for the run whose request `seq` asks for route
-    /// `request_routes[seq]` of `topology`: the route table is
-    /// pre-allocated from that map, and each shard learns the
-    /// topology's capacities. A run that reaches the plane a window at
-    /// a time needs no map: built with none, the plane's one shard
-    /// holds each window's requests as the window starts
-    /// ([`Ingest::prepare`]), so its table is one window long.
-    pub fn for_requests(
-        cfg: &RoutedPlaneConfig,
-        topology: &Arc<Topology>,
-        request_routes: &[RouteId],
-        make: ControllerFactory,
-    ) -> Result<Self, ServeError> {
-        let mut table = RouteTable::default();
-        table.hold(topology, 0, request_routes.iter().copied());
-        Self::with_table(cfg, topology, table, make)
-    }
-
     /// Builds a plane whose shards share `table` and learn `topology`'s
     /// capacities.
-    fn with_table(
+    pub(crate) fn with_table(
         cfg: &RoutedPlaneConfig,
         topology: &Arc<Topology>,
         table: RouteTable,
@@ -802,9 +791,8 @@ impl RoutedPlane {
     }
 }
 
-/// A window is replayed on a plane whose route table holds the window's
-/// requests: a whole run as one window is what the threaded bench
-/// replays.
+/// A window is replayed on a plane whose route table is laid out for its
+/// requests, and re-based onto each later window's (see the module docs).
 impl Replay for RoutedWindow {
     type PlaneConfig = RoutedPlaneConfig;
 
@@ -821,7 +809,7 @@ impl Replay for RoutedWindow {
         make: ControllerFactory,
     ) -> Result<RoutedPlane, ServeError> {
         let mut table = RouteTable::default();
-        table.hold_window(self.topology(), self);
+        table.hold(self.topology(), self.first_seq(), self.request_routes());
         RoutedPlane::with_table(cfg, self.topology(), table, make)
     }
 
@@ -848,12 +836,11 @@ impl Ingest for RoutedWindow {
         (window.ticks() * (topo.links() + hops * window.requests_per_tick())) as u64
     }
 
-    /// Re-bases the shard's route table onto this window's requests:
-    /// every hop of a request lies in its tick's window, so no request
-    /// of the last window is still waiting on it.
-    fn prepare(&self, logic: &mut TwoPhase) {
-        let table = Arc::get_mut(&mut logic.table).expect("a run in windows is one shard's");
-        table.hold_window(&logic.topology, self);
+    /// Re-bases the route table onto this window's requests.
+    fn prepare(&self, logic: &TwoPhase) {
+        let window = self.snapshots();
+        let requests = window.ticks() * self.topology().routes() * window.requests_per_tick();
+        logic.table.rebase(self.first_seq(), requests);
     }
 
     fn ingest(
@@ -916,19 +903,17 @@ impl Ingest for RoutedWindow {
 mod tests {
     use super::*;
     use crate::bench::{
-        closed_loop_with_parallelism, routed_closed_loop_with_parallelism, BenchConfig,
-        RoutedBenchConfig, WINDOW_SNAPSHOTS,
+        closed_loop_with_parallelism, routed_closed_loop_with_parallelism, window_ticks,
+        BenchConfig, RoutedBenchConfig, THREADED_WINDOW_SNAPSHOTS, WINDOW_EVENTS, WINDOW_SNAPSHOTS,
     };
-    use crate::plane::{
-        certainty_equivalent_factory, DecisionPlane, PlaneConfig, MAX_RING_CAPACITY, MAX_SHARDS,
-    };
+    use crate::plane::{certainty_equivalent_factory, PlaneConfig, MAX_RING_CAPACITY, MAX_SHARDS};
     use crate::replay::tests::{
         decides_every_request, sampled_stamps_leave_decisions_alone, tally_agrees,
         threaded_matches_serial, whole_run, window_estimator_factory,
         windowed_matches_materialised, Hashes,
     };
-    use crate::replay::{replay_serial, SerialDriver};
-    use crate::sink::DecisionSink;
+    use crate::replay::{drive_run, replay_serial, Driver, Step};
+    use crate::sink::{DecisionSink, Tally};
     use mbac_core::topology::MAX_ROUTE_HOPS;
     use mbac_sim::{
         RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig, RoutedWorkload,
@@ -988,18 +973,13 @@ mod tests {
                     cfg: load_config(topology.clone(), noise_sd),
                 };
                 let whole = SessionBuilder::new().run(&load).unwrap();
-                let cfg = RoutedReplayConfig::default();
-                let routes = load.cfg.request_routes().unwrap();
                 windowed_matches_materialised(
                     &whole,
-                    &cfg,
+                    |shards| sharded(shards, 1).plane,
                     certainty_equivalent_factory(1e-2, 2.0),
                     || load.windows().unwrap(),
-                    |make| {
-                        let topology = &load.cfg.topology;
-                        RoutedPlane::for_requests(&cfg.plane, topology, &routes, make).unwrap()
-                    },
                     20,
+                    &[(1, Step::Serial)],
                 );
             }
         }
@@ -1079,9 +1059,16 @@ mod tests {
         }
     }
 
-    /// The serial shape's plane is built with no request, and each
-    /// window makes its route table hold that window's requests and no
-    /// more: a table one window long, whatever the run's length.
+    /// The requests and base of the route table `driver`'s plane holds.
+    fn table<S>(driver: &mut Driver<TwoPhase, S>) -> (usize, u64) {
+        let table = &driver.plane.shards_mut()[0].logic().table;
+        (table.requests(), table.base.load(Ordering::Relaxed))
+    }
+
+    /// A plane built from a first window of 7 ticks lays its route table
+    /// out once, for 7 ticks of requests, and each window — the short
+    /// last one too — re-bases it onto its own first request: a table
+    /// one window long, whatever the run's length, on either step.
     #[test]
     fn a_run_in_windows_holds_one_window_of_requests() {
         let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
@@ -1090,25 +1077,110 @@ mod tests {
             cfg: load_config(Topology::parking_lot(3, 14.0), 0.05),
         };
         let make = certainty_equivalent_factory(1e-2, 2.0);
-        let cfg = RoutedPlaneConfig::default();
-        let plane = RoutedPlane::for_requests(&cfg, &load.cfg.topology, &[], make).unwrap();
-        let mut driver = SerialDriver::new(plane, Stamps::NONE, Hashes::new(4));
-        let held = |driver: &mut SerialDriver<TwoPhase, Hashes>| {
-            driver.plane.shards_mut()[0].logic_mut().table.requests()
-        };
-        assert_eq!(held(&mut driver), 0);
-        let mut windows = load.windows().unwrap();
-        let mut window = windows.new_window();
-        let (mut ticks, mut requests) = (0, 0);
-        while windows.next_window(7, &mut window) {
-            driver.drive(&window);
-            let in_window = window.snapshots().ticks() * 4 * 2;
-            assert_eq!(held(&mut driver), in_window);
-            assert!(in_window <= 7 * 4 * 2);
-            ticks += window.snapshots().ticks();
-            requests += in_window;
+        for (shards, step) in [(1, Step::Serial), (2, Step::Threaded { producers: 1 })] {
+            let mut windows = load.windows().unwrap();
+            let mut window = windows.new_window();
+            assert!(windows.next_window(7, &mut window));
+            let cfg = sharded(shards, 1).plane;
+            let plane = window.plane(&cfg, Arc::clone(&make)).unwrap();
+            let mut driver = Driver::new(plane, step, Stamps::NONE, || Hashes::new(4));
+            assert_eq!(table(&mut driver), (7 * 4 * 2, 0));
+            let (mut ticks, mut requests) = (0, 0);
+            loop {
+                driver.drive(&window);
+                assert_eq!(table(&mut driver), (7 * 4 * 2, window.first_seq()));
+                ticks += window.snapshots().ticks();
+                requests += window.snapshots().ticks() * 4 * 2;
+                if !windows.next_window(7, &mut window) {
+                    break;
+                }
+            }
+            assert_eq!((ticks, requests), (20, 20 * 4 * 2));
         }
-        assert_eq!((ticks, requests), (20, 20 * 4 * 2));
+    }
+
+    /// A short run, as the bench lays it out on either step: a window
+    /// holds at most [`WINDOW_EVENTS`] events, one tick at least, and
+    /// the route table at most the run's requests. Parking-lot:3 asking
+    /// 10⁵ times a route a tick for 2 ticks lays out one tick's 4 · 10⁵
+    /// requests; asking twice a tick, the whole run's 16, where the
+    /// snapshot bounds alone would make a window of hundreds of ticks.
+    #[test]
+    fn a_short_run_lays_out_at_most_its_requests() {
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        for (asks, window) in [(100_000, 1), (2, 2)] {
+            let load = RoutedLoad {
+                model: &model,
+                cfg: RoutedLoadConfig {
+                    ticks: 2,
+                    requests_per_tick: asks,
+                    ..load_config(Topology::parking_lot(3, 14.0), 0.0)
+                },
+            };
+            for (shards, step) in [(1, Step::Serial), (2, Step::Threaded { producers: 1 })] {
+                let windows = load.windows().unwrap();
+                let ticks = window_ticks(step, &windows);
+                assert_eq!(ticks.min(2), window, "{step:?}");
+                let events = windows.tick_events();
+                assert!(ticks == 1 || ticks * events <= WINDOW_EVENTS, "{step:?}");
+                let (cfg, none) = (sharded(shards, 1).plane, Stamps::NONE);
+                let make = certainty_equivalent_factory(1e-2, 2.0);
+                let (mut driver, _, replayed) =
+                    drive_run(windows, ticks, &cfg, make, step, none, Tally::default).unwrap();
+                let last = ((2 - window) * 4 * asks) as u64;
+                assert_eq!(table(&mut driver), (window * 4 * asks, last), "{step:?}");
+                assert_eq!(replayed, 2 * (3 + 6 * asks) as u64);
+                assert_eq!(driver.finish().sink.decisions, (2 * 4 * asks) as u64);
+            }
+        }
+    }
+
+    /// A threaded run of parking-lot:3 through measurement noise, on two
+    /// shards fed by one producer, over three of the bench's threaded
+    /// windows and a short fourth: a link parked on the other shard's
+    /// vote buffers the events behind it, and never more than its events
+    /// of one window, whatever the run's length.
+    #[test]
+    fn a_threaded_link_buffers_at_most_one_window_of_its_events() {
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let cfg = load_config(Topology::parking_lot(3, 14.0), 0.05);
+        let step = Step::Threaded { producers: 1 };
+        let load = RoutedLoad { model: &model, cfg };
+        let ticks = window_ticks(step, &load.windows().unwrap());
+        assert_eq!(ticks, THREADED_WINDOW_SNAPSHOTS / 3);
+        let load = RoutedLoad {
+            cfg: RoutedLoadConfig {
+                ticks: 3 * ticks + ticks / 3,
+                ..load.cfg
+            },
+            ..load
+        };
+        let make = certainty_equivalent_factory(1e-2, 2.0);
+        let plane = &sharded(2, 1).plane;
+        let windows = load.windows().unwrap();
+        let (mut driver, ..) = drive_run(
+            windows,
+            ticks,
+            plane,
+            make,
+            step,
+            Stamps::NONE,
+            Tally::default,
+        )
+        .unwrap();
+        let topology = &load.cfg.topology;
+        for shard in driver.plane.shards_mut() {
+            for state in &shard.logic().links {
+                // A snapshot a tick, and a reserve for each request of a
+                // route through the link.
+                let through = topology
+                    .route_ids()
+                    .filter(|&r| topology.route(r).contains(&state.link));
+                let in_window = ticks * (1 + through.count() * 2);
+                let (link, peak) = (state.link, state.pending_peak);
+                assert!(peak <= in_window, "{link:?}: {peak} of {in_window}");
+            }
+        }
     }
 
     #[test]
@@ -1153,7 +1225,8 @@ mod tests {
     #[test]
     fn longest_route_counts_every_vote() {
         let topo = Topology::parking_lot(MAX_ROUTE_HOPS, 10.0);
-        let table = RouteTable::for_requests(&topo, &[RouteId(0)]);
+        let mut table = RouteTable::default();
+        table.hold(&topo, 0, [RouteId(0)]);
         let last = hop_u8(MAX_ROUTE_HOPS - 1);
         for hop in 0..last {
             assert_eq!(table.vote(0, hop, true, Some(10.0), 0), None);
@@ -1296,17 +1369,13 @@ mod tests {
             cfg: load_config(Topology::parking_lot(3, 14.0), 0.05),
         };
         let whole = SessionBuilder::new().run(&load).unwrap();
-        let cfg = RoutedReplayConfig::default();
-        let routes = load.cfg.request_routes().unwrap();
         windowed_matches_materialised(
             &whole,
-            &cfg,
+            |shards| sharded(shards, 1).plane,
             window_estimator_factory(),
             || load.windows().unwrap(),
-            |make| {
-                RoutedPlane::for_requests(&cfg.plane, &load.cfg.topology, &routes, make).unwrap()
-            },
             20,
+            &[(1, Step::Serial)],
         );
     }
 
@@ -1339,18 +1408,19 @@ mod tests {
     }
 
     /// The bytes contract of `single_link_routed_decisions_reproduce_legacy_bytes`
-    /// at the benchmark's scale, through the windowed serial driver the
-    /// bench runs: every link's decision bytes are the same on both
+    /// at the benchmark's scale, through the driver's serial step, as the
+    /// bench runs it: every link's decision bytes are the same on both
     /// planes. Run in release: `cargo test --release -p mbac-serve --lib
     /// one_hop_routes -- --ignored`.
     #[test]
     #[ignore = "benchmark scale; run in release"]
     fn one_hop_routes_reproduce_single_link_bytes_at_bench_scale() {
-        let (links, routes) = serve_links_shape();
+        let (links, _) = serve_links_shape();
         let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
         let make = certainty_equivalent_factory(links.p_ce, links.t_m);
         let ticks = WINDOW_SNAPSHOTS / links.links;
         let sink = || Hashes::new(links.links);
+        let (serial, none) = (Step::Serial, Stamps::NONE);
 
         let load = RequestLoad {
             model: &model,
@@ -1368,21 +1438,19 @@ mod tests {
             capacity: links.capacity,
             ..PlaneConfig::default()
         };
-        let plane = DecisionPlane::new(&plane_cfg, Arc::clone(&make)).unwrap();
-        let mut driver = SerialDriver::new(plane, Stamps::NONE, sink());
-        driver.drive_windows(load.windows().unwrap(), ticks);
+        let windows = load.windows().unwrap();
+        let make_single = Arc::clone(&make);
+        let (driver, ..) =
+            drive_run(windows, ticks, &plane_cfg, make_single, serial, none, sink).unwrap();
         let single = driver.finish().sink.groups;
 
         let load = RoutedLoad {
             model: &model,
             cfg: RoutedLoadConfig::one_hop_links(links.capacity, &load.cfg),
         };
-        let request_routes = load.cfg.request_routes().unwrap();
+        let windows = load.windows().unwrap();
         let plane_cfg = RoutedPlaneConfig::default();
-        let plane =
-            RoutedPlane::for_requests(&plane_cfg, &routes.topology, &request_routes, make).unwrap();
-        let mut driver = SerialDriver::new(plane, Stamps::NONE, sink());
-        driver.drive_windows(load.windows().unwrap(), ticks);
+        let (driver, ..) = drive_run(windows, ticks, &plane_cfg, make, serial, none, sink).unwrap();
         let routed = driver.finish().sink.groups;
         for (link, (a, b)) in single.iter().zip(&routed).enumerate() {
             assert_eq!(a, b, "link {link}");
@@ -1438,10 +1506,10 @@ mod tests {
 
     /// The bytes contract of the window order at the benchmark's scale:
     /// [`serve_routed_shape`]'s run, generated and replayed in windows
-    /// through the serial driver the bench runs, decides every route's
-    /// bytes as [`replay_serial`] decides the run materialised. Run in
-    /// release: `cargo test --release -p mbac-serve --lib routed_windows
-    /// -- --ignored`.
+    /// through the driver's serial step, as the bench runs it, decides
+    /// every route's bytes as [`replay_serial`] decides the run
+    /// materialised. Run in release: `cargo test --release -p mbac-serve
+    /// --lib routed_windows -- --ignored`.
     #[test]
     #[ignore = "benchmark scale; run in release"]
     fn routed_windows_reproduce_materialised_bytes_at_bench_scale() {
@@ -1471,10 +1539,19 @@ mod tests {
             materialised.record(d);
         }
 
-        let plane = RoutedPlane::for_requests(&cfg.plane, &shape.topology, &[], make).unwrap();
-        let mut driver = SerialDriver::new(plane, Stamps::NONE, Hashes::new(routes));
-        let ticks = WINDOW_SNAPSHOTS / shape.topology.links();
-        driver.drive_windows(load.windows().unwrap(), ticks);
+        let windows = load.windows().unwrap();
+        let ticks = window_ticks(Step::Serial, &windows);
+        let sink = || Hashes::new(routes);
+        let (driver, ..) = drive_run(
+            windows,
+            ticks,
+            &cfg.plane,
+            make,
+            Step::Serial,
+            Stamps::NONE,
+            sink,
+        )
+        .unwrap();
         let windowed = driver.finish().sink.groups;
         for (route, (a, b)) in materialised.groups.iter().zip(&windowed).enumerate() {
             assert_eq!(a, b, "route {route}");

@@ -21,7 +21,7 @@
 use crate::controller::AdmissionEngine;
 use crate::flows::FlowTable;
 use crate::requests::{
-    workload_count, RequestLoad, RoutedLoad, RoutedLoadConfig, RoutedWindows, Windows,
+    tick_routes, workload_count, RequestLoad, RoutedLoad, RoutedLoadConfig, RoutedWindows, Windows,
     MAX_WORKLOAD_ITEMS,
 };
 use crate::session::{ConfigError, RepContext, Scenario, SessionBuilder};
@@ -234,15 +234,9 @@ impl RoutedLoadConfig {
         let requests = workload_count("requests", requests, MAX_WORKLOAD_ITEMS)?;
         let mut routes = Vec::with_capacity(requests as usize);
         for _ in 0..self.ticks {
-            routes.extend(self.tick_requests());
+            routes.extend(tick_routes(&self.topology, self.requests_per_tick));
         }
         Ok(routes)
-    }
-
-    /// The routes of one tick's requests, in `seq` order.
-    fn tick_requests(&self) -> impl Iterator<Item = RouteId> + '_ {
-        let asks = |route| std::iter::repeat_n(route, self.requests_per_tick);
-        self.topology.route_ids().flat_map(asks)
     }
 }
 
@@ -348,7 +342,7 @@ impl Scenario for RoutedLoad<'_> {
             // The tick's requests: one occurrence per hop, shared seq,
             // emitted in seq order on every link (the two-phase
             // commit's monotonicity invariant).
-            for route in cfg.tick_requests() {
+            for route in tick_routes(topo, cfg.requests_per_tick) {
                 for &hop in topo.route(route) {
                     per_link[hop.index()].push(RoutedEvent::Request { t, route, seq });
                 }

@@ -189,6 +189,10 @@ pub trait Windows {
     /// The run's admission requests, each counted once.
     fn requests(&self) -> u64;
 
+    /// The events a tick of the run holds: each link's measurement, and
+    /// each request's occurrence on every hop of its route.
+    fn tick_events(&self) -> usize;
+
     /// An empty window of this run, for [`Windows::next_window`] to
     /// write into.
     fn new_window(&self) -> Self::Workload;
@@ -305,10 +309,16 @@ impl RoutedWindow {
     /// [`RoutedWindow::first_seq`]: the window's slice of the run's map.
     pub fn request_routes(&self) -> impl Iterator<Item = RouteId> + '_ {
         let asks = self.snapshots.requests_per_tick;
-        let routes = self.topology.routes() as u32;
-        let tick = move |_| (0..routes).flat_map(move |r| std::iter::repeat_n(RouteId(r), asks));
-        (0..self.snapshots.ticks()).flat_map(tick)
+        (0..self.snapshots.ticks()).flat_map(move |_| tick_routes(&self.topology, asks))
     }
+}
+
+/// The routes of one tick's requests, in `seq` order: each route in
+/// turn asks `asks` times.
+pub(crate) fn tick_routes(topology: &Topology, asks: usize) -> impl Iterator<Item = RouteId> + '_ {
+    topology
+        .route_ids()
+        .flat_map(move |route| std::iter::repeat_n(route, asks))
 }
 
 /// The single-link request stream: `cfg.links` disjoint one-hop routes
@@ -369,6 +379,10 @@ impl Windows for RequestWindows<'_> {
 
     fn requests(&self) -> u64 {
         self.0.requests()
+    }
+
+    fn tick_events(&self) -> usize {
+        self.0.tick_events()
     }
 
     fn new_window(&self) -> SnapshotWindow {
@@ -671,6 +685,11 @@ impl Windows for RoutedWindows<'_> {
         // Held to MAX_RUN_ITEMS where the generator is built.
         let cfg = &self.cfg;
         (cfg.topology.routes() * cfg.ticks * cfg.requests_per_tick) as u64
+    }
+
+    fn tick_events(&self) -> usize {
+        let cfg = &self.cfg;
+        cfg.topology.links() + cfg.hops() * cfg.requests_per_tick
     }
 
     fn new_window(&self) -> RoutedWindow {
@@ -1357,8 +1376,9 @@ mod tests {
         /// in the materialised workload, every bit, at
         /// the materialised `t`, for windows of one tick, of a few, of
         /// the whole run and longer than it, kernel or boxed, three
-        /// topologies and with and without noise; and a routed window's
-        /// `seq` names the run's requests in order.
+        /// topologies and with and without noise; a routed window's
+        /// `seq` names the run's requests in order; and a tick holds the
+        /// run's events over its ticks.
         #[test]
         fn windows_end_to_end_are_the_materialised_workload(
             seed in 0u64..1_000_000,
@@ -1381,6 +1401,8 @@ mod tests {
                 let whole = SessionBuilder::new().run(&load).unwrap();
                 let measures: Snapshots =
                     whole.link_ids().map(|link| measured(whole.events(link))).collect();
+                let tick_events = load.windows().unwrap().tick_events();
+                prop_assert_eq!(tick_events * ticks, whole.total_events());
                 for window in [1, 7, ticks, ticks + 5] {
                     let windows = load.windows().unwrap();
                     prop_assert_eq!(windows.links(), 3);
@@ -1407,6 +1429,8 @@ mod tests {
                         let load = RoutedLoad { model: m, cfg };
                         let whole = SessionBuilder::new().run(&load).unwrap();
                         prop_assert_eq!(&load.cfg.request_routes().unwrap()[..], whole.request_routes());
+                        let tick_events = load.windows().unwrap().tick_events();
+                        prop_assert_eq!(tick_events * ticks, whole.total_events());
                         let measures: Snapshots = topology
                             .link_ids()
                             .map(|link| {
