@@ -1322,8 +1322,10 @@ fn serve_bench_rejects_oversized_workloads_without_aborting() {
     // sixth overflowed into a panicking pool worker, and the seventh
     // went on admitting flows for ever. A serial run is held to the
     // bound one tick at a time, which the first and sixth pass: their
-    // length stops them. The last holds too many rate samples in one
-    // tick.
+    // length stops them. The eighth holds too many rate samples in one
+    // tick. The last two hold more events in one tick than a window may,
+    // on either shape: they used to lay out a route table for one tick's
+    // 1.6 * 10^8 requests and die of it.
     let cases = [
         "--links 4 --ticks 99999999999",
         "--links 4 --ticks 20 --requests-per-tick 99999999999",
@@ -1333,6 +1335,8 @@ fn serve_bench_rejects_oversized_workloads_without_aborting() {
         "--links 2 --ticks 18446744073709551615 --requests-per-tick 3",
         "--flows-per-link 99999999999",
         "--links 64 --flows-per-link 5000000 --ticks 1",
+        "--topology parking-lot:3 --requests-per-tick 40000000 --ticks 1000",
+        "--topology parking-lot:3 --requests-per-tick 40000000 --ticks 1000 --shards 2",
     ];
     for flags in cases {
         let args: Vec<&str> = std::iter::once("serve-bench")

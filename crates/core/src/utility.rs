@@ -16,7 +16,7 @@
 //! overflow probability is recovered exactly by [`UtilityFunction::Hard`]
 //! (`ε = p_f`), and for adaptive applications the same link can carry
 //! visibly more flows at equal perceived quality — quantified by
-//! [`admissible_flows_utility`] and the `exp_utility` experiment.
+//! [`admissible_flows_utility`] and the `utility` experiment.
 
 use crate::params::FlowStats;
 use mbac_num::{integrate_to_inf, norm_cdf, phi, q};

@@ -1,21 +1,24 @@
 //! Parameterized figure builders.
 //!
 //! Each `figN_rows` function computes the data behind one paper figure
-//! — same parameter grid, seeds and models as the corresponding
-//! `exp_figN` binary, with the Monte Carlo budget (and, for the trace
-//! figures, the trace length) as an argument. The matching `figN_table`
-//! shapes rows into the exact [`Table`] the binary writes to
-//! `results/figN.csv`, so the golden-snapshot tests in
-//! `tests/golden.rs` exercise the same pipeline the binaries ship.
+//! — the parameter grid, seeds and models of the runner's `figN` entry,
+//! with the Monte Carlo budget (and, for the trace figures, the trace
+//! length) as an argument. The matching `figN_table` shapes rows into
+//! the exact [`Table`] the runner writes to `results/figN.csv`, so the
+//! golden-snapshot tests in `tests/golden.rs` exercise the same pipeline
+//! the runner ships, and `figN` is the entry's run at the runner's
+//! budget.
 
 use crate::output::Table;
-use crate::{paper, parallel_map};
+use crate::runner::{pf_methods, Outcome};
+use crate::{paper, parallel_map, Budget};
 use mbac_core::params::QosTarget;
 use mbac_core::theory::continuous::ContinuousModel;
 use mbac_core::theory::invert::{invert_pce, InvertMethod};
 use mbac_sim::ContinuousReport;
 use mbac_traffic::starwars::{generate_starwars_like, StarwarsConfig};
 use mbac_traffic::trace::Trace;
+use mbac_traffic::{hurst_rs, hurst_variance_time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -75,6 +78,13 @@ pub fn fig5_table(rows: &[Fig5Row]) -> Table {
         ]);
     }
     table
+}
+
+/// The `fig5` entry.
+pub(crate) fn fig5(b: &Budget) -> Outcome {
+    let rows = fig5_rows(b.pick(20_000, 400));
+    let methods = pf_methods(rows.iter().map(|r| &r.report.pf));
+    Outcome::new(vec![("fig5", fig5_table(&rows))], vec![methods])
 }
 
 /// One fig-6 grid point: the adjusted certainty-equivalent target.
@@ -143,6 +153,27 @@ pub fn fig6_table(rows: &[Fig6Row]) -> Table {
     table
 }
 
+/// The `fig6` entry, with each `(n, T_h)`'s `T̃_h` and the rows no
+/// adjustment was needed for.
+pub(crate) fn fig6(_: &Budget) -> Outcome {
+    let rows = fig6_rows();
+    let curves = rows.iter().filter(|r| r.t_m == rows[0].t_m);
+    let tilde: Vec<String> = curves
+        .map(|r| format!("{:.1} at n = {}, T_h = {}", r.t_h / r.n.sqrt(), r.n, r.t_h))
+        .collect();
+    let repaired: Vec<String> = (rows.iter().filter(|r| !r.inverted))
+        .map(|r| format!("(n = {}, T_h = {}, T_m = {})", r.n, r.t_h, r.t_m))
+        .collect();
+    let notes = vec![
+        format!("T̃_h = {}", tilde.join("; ")),
+        format!(
+            "repair-dominated rows, which need no adjustment and carry p_q: [{}]",
+            repaired.join(", ")
+        ),
+    ];
+    Outcome::new(vec![("fig6", fig6_table(&rows))], notes)
+}
+
 /// One fig-7 point: the simulator run at the fig-6-adjusted target.
 pub struct Fig7Row {
     /// Estimator memory.
@@ -200,6 +231,13 @@ pub fn fig7_table(rows: &[Fig7Row]) -> Table {
     table
 }
 
+/// The `fig7` entry.
+pub(crate) fn fig7(b: &Budget) -> Outcome {
+    let rows = fig7_rows(b.pick(30_000, 400));
+    let methods = pf_methods(rows.iter().map(|r| &r.report.pf));
+    Outcome::new(vec![("fig7", fig7_table(&rows))], vec![methods])
+}
+
 /// One fig-9 grid point of the theoretical `(T_m/T̃_h, T_c)` surface.
 pub struct Fig9Row {
     /// Memory as a fraction of the critical time-scale.
@@ -237,6 +275,11 @@ pub fn fig9_table(rows: &[Fig9Row]) -> Table {
         table.push(vec![r.ratio, r.t_c, r.pf]);
     }
     table
+}
+
+/// The `fig9` entry.
+pub(crate) fn fig9(_: &Budget) -> Outcome {
+    Outcome::new(vec![("fig9", fig9_table(&fig9_rows()))], vec![])
 }
 
 /// One fig-10 grid point: simulation over the `(T_m/T̃_h, T_c)` plane.
@@ -296,6 +339,12 @@ pub fn fig10_table(rows: &[Fig10Row]) -> Table {
         ]);
     }
     table
+}
+
+/// The `fig10` entry.
+pub(crate) fn fig10(b: &Budget) -> Outcome {
+    let rows = fig10_rows(b.pick(8_000, 200));
+    Outcome::new(vec![("fig10", fig10_table(&rows))], vec![])
 }
 
 /// The deterministic synthetic Starwars-like trace shared by the
@@ -368,6 +417,23 @@ pub fn fig11_table(rows: &[FigLrdRow]) -> Table {
     table
 }
 
+/// The `fig11` entry, with the trace's statistics.
+pub(crate) fn fig11(b: &Budget) -> Outcome {
+    let trace = lrd_trace(1 << 16);
+    let rows = fig11_rows(&trace, b.pick(8_000, 200));
+    let stats = format!(
+        "synthetic Starwars-like trace: {} slots, mean {:.3}, cov {:.3}, \
+         Hurst(vt) {:.2}, Hurst(R/S) {:.2}",
+        trace.len(),
+        trace.mean(),
+        trace.variance().sqrt() / trace.mean(),
+        hurst_variance_time(trace.rates()),
+        hurst_rs(trace.rates())
+    );
+    let methods = pf_methods(rows.iter().map(|r| &r.report.pf));
+    Outcome::new(vec![("fig11", fig11_table(&rows))], vec![stats, methods])
+}
+
 /// Fig. 12 sweep — LRD trace with the robust rule `T_m = T̃_h` and the
 /// eqn (38)-inverted target.
 pub fn fig12_rows(trace: &Arc<Trace>, max_samples: u64) -> Vec<FigLrdRow> {
@@ -424,4 +490,13 @@ pub fn fig12_table(rows: &[FigLrdRow]) -> Table {
         ]);
     }
     table
+}
+
+/// The `fig12` entry.
+pub(crate) fn fig12(b: &Budget) -> Outcome {
+    let trace = lrd_trace(1 << 16);
+    let rows = fig12_rows(&trace, b.pick(10_000, 200));
+    let cov = format!("trace cov = {:.3}", trace.variance().sqrt() / trace.mean());
+    let methods = pf_methods(rows.iter().map(|r| &r.report.pf));
+    Outcome::new(vec![("fig12", fig12_table(&rows))], vec![cov, methods])
 }

@@ -1,49 +1,63 @@
 //! # mbac-experiments — figure-reproduction harness
 //!
-//! One binary per quantitative figure of Grossglauser & Tse (see
-//! DESIGN.md §3 for the experiment index). This library holds the
-//! shared machinery: parameter sweeps run in parallel across OS threads,
-//! results written as CSV under `results/`, and compact ASCII rendering
-//! of the series so each binary's stdout is directly comparable to the
-//! paper's figure.
+//! One table of experiments, [`runner::EXPERIMENTS`], one entry per
+//! quantitative claim of Grossglauser & Tse (see DESIGN.md §3 for the
+//! index), run by the one `exp` binary. [`figures`] and [`topology`]
+//! build the golden-pinned tables, [`studies`] the rest; parameter
+//! sweeps run in parallel across OS threads, results are written as CSV
+//! under `results/`, and [`output`] renders tables and ASCII plots so the
+//! runner's stdout is directly comparable to the paper's figures.
 
 #![warn(missing_docs)]
 
 pub mod figures;
 pub mod output;
+pub mod runner;
 pub mod scenarios;
+pub mod studies;
 pub mod topology;
 
 pub use mbac_num::parallel::parallel_map;
 pub use output::{ascii_plot, write_csv, Table};
 
-/// Whether quick mode is on (`MBAC_QUICK=1`): experiment binaries then
-/// shrink their sample budgets for smoke runs (CI, benches) at the cost
-/// of statistical precision.
-pub fn quick_mode() -> bool {
-    std::env::var("MBAC_QUICK")
-        .map(|v| v != "0")
-        .unwrap_or(false)
+/// The Monte Carlo budget a run of experiments works to, as
+/// `MBAC_QUICK` and `MBAC_SCALE` set it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Budget {
+    /// `MBAC_QUICK` is set, and not `0`: every experiment shrinks to
+    /// its quick budget for smoke runs (CI, benches) at the cost of
+    /// statistical precision.
+    pub quick: bool,
+    /// `MBAC_SCALE`, when it parses as a positive finite number.
+    pub scale: Option<f64>,
 }
 
-/// Picks `full` normally, `quick` under [`quick_mode`]. A fractional
-/// `MBAC_SCALE` (e.g. `0.2`) scales the full budget down — useful on
-/// small machines where the full Monte Carlo budgets are impractical —
-/// but never below the quick budget.
-pub fn budget(full: u64, quick: u64) -> u64 {
-    if quick_mode() {
-        return quick;
+impl Budget {
+    /// The budget the environment sets.
+    pub fn from_env() -> Self {
+        let scale = std::env::var("MBAC_SCALE").ok();
+        Budget {
+            quick: std::env::var("MBAC_QUICK").is_ok_and(|v| v != "0"),
+            scale: scale
+                .and_then(|s| s.parse().ok())
+                .filter(|&s: &f64| s > 0.0 && s.is_finite()),
+        }
     }
-    match std::env::var("MBAC_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-    {
-        Some(scale) if scale > 0.0 => ((full as f64 * scale) as u64).max(quick),
-        _ => full,
+
+    /// Picks `full` normally, `quick` in quick mode. A fractional
+    /// scale (e.g. `0.2`) scales the full budget down — useful on small
+    /// machines where the full Monte Carlo budgets are impractical —
+    /// but never below the quick budget.
+    pub fn pick(&self, full: u64, quick: u64) -> u64 {
+        match (self.quick, self.scale) {
+            (true, _) => quick,
+            (false, Some(scale)) => ((full as f64 * scale) as u64).max(quick),
+            (false, None) => full,
+        }
     }
 }
 
-/// Standard paper parameters shared by the experiment binaries.
+/// Standard paper parameters shared by the experiments.
 pub mod paper {
     /// Coefficient of variation σ/μ of the simulation sources (§5.2).
     pub const COV: f64 = 0.3;

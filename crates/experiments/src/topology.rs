@@ -27,9 +27,11 @@
 //! link, if the rule composes.
 
 use crate::output::Table;
-use crate::{paper, parallel_map};
+use crate::runner::Outcome;
+use crate::{paper, parallel_map, Budget};
 use mbac_sim::{
-    RoutedNetworkConfig, RoutedNetworkLoad, RoutedNetworkReport, SessionBuilder, Topology,
+    RouteStats, RoutedNetworkConfig, RoutedNetworkLoad, RoutedNetworkReport, SessionBuilder,
+    Topology,
 };
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use std::sync::Arc;
@@ -59,8 +61,6 @@ pub fn topology_shape(topo_id: usize) -> (&'static str, Topology) {
 pub struct TopologyRow {
     /// Shape id (0 = parking-lot(3), 1 = star(4)).
     pub topo_id: usize,
-    /// Shape name (the CLI's `--topology` spec).
-    pub topo_name: &'static str,
     /// `T_m` as a fraction of the critical time-scale `T̃_h`.
     pub t_m_ratio: f64,
     /// The memory window itself.
@@ -84,13 +84,7 @@ impl TopologyRow {
     /// Blocked fraction of route 0 — the multi-hop route (the long
     /// parking-lot route; a leg-plus-hub route on the star).
     pub fn long_route_block(&self) -> f64 {
-        let r = &self.report.per_route[0];
-        let total = r.admitted + r.blocked;
-        if total > 0 {
-            r.blocked as f64 / total as f64
-        } else {
-            0.0
-        }
+        blocked_share(&self.report.per_route[0])
     }
 
     /// Mean blocked fraction over the remaining routes.
@@ -99,17 +93,17 @@ impl TopologyRow {
         if rest.is_empty() {
             return 0.0;
         }
-        rest.iter()
-            .map(|r| {
-                let total = r.admitted + r.blocked;
-                if total > 0 {
-                    r.blocked as f64 / total as f64
-                } else {
-                    0.0
-                }
-            })
-            .sum::<f64>()
-            / rest.len() as f64
+        rest.iter().map(blocked_share).sum::<f64>() / rest.len() as f64
+    }
+}
+
+/// The share of `route`'s attempts it blocked (0 with none).
+fn blocked_share(route: &RouteStats) -> f64 {
+    let total = route.admitted + route.blocked;
+    if total > 0 {
+        route.blocked as f64 / total as f64
+    } else {
+        0.0
     }
 }
 
@@ -125,7 +119,7 @@ pub fn topology_rows(ticks: u64) -> Vec<TopologyRow> {
         }
     }
     parallel_map(points, move |&(topo_id, ratio)| {
-        let (topo_name, topology) = topology_shape(topo_id);
+        let (_, topology) = topology_shape(topo_id);
         let model = RcbrModel::new(RcbrConfig {
             mean: paper::MEAN,
             std_dev: paper::COV * paper::MEAN,
@@ -157,7 +151,6 @@ pub fn topology_rows(ticks: u64) -> Vec<TopologyRow> {
             .expect("valid sweep config");
         TopologyRow {
             topo_id,
-            topo_name,
             t_m_ratio: ratio,
             t_m,
             report,
@@ -190,4 +183,16 @@ pub fn topology_table(rows: &[TopologyRow]) -> Table {
         ]);
     }
     table
+}
+
+/// The `topology` entry, with the shapes' ids and the budget.
+pub(crate) fn topology(b: &Budget) -> Outcome {
+    let ticks = b.pick(8000, 400);
+    let rows = topology_rows(ticks);
+    let shapes = (0..2).map(|id| format!("{id} = {}", topology_shape(id).0));
+    let note = format!(
+        "topo_id {}; {ticks} ticks x 4 replications a point",
+        shapes.collect::<Vec<_>>().join(", ")
+    );
+    Outcome::new(vec![("topology", topology_table(&rows))], vec![note])
 }

@@ -305,23 +305,30 @@ pub const WINDOW_SNAPSHOTS: usize = 1 << 10;
 /// few per cent of threaded routed decisions/s for the smaller peak.
 pub const THREADED_WINDOW_SNAPSHOTS: usize = 1 << 14;
 
-/// The most events a window holds, on either step, a tick at least: a
-/// routed window's route table and parked links' buffers hold at most
-/// its requests and events. 2²⁰ is more than the windows of
-/// `serve_links` (33 792 events serial, 540 672 threaded) and
-/// `serve_routed` (5 115, 81 915) hold, so there the snapshots decide.
+/// The most events a window holds, on either step: a routed window's
+/// route table and parked links' buffers hold at most its requests and
+/// events, so a run whose one tick holds more is refused. 2²⁰ is more
+/// than the windows of `serve_links` (33 792 events serial, 540 672
+/// threaded) and `serve_routed` (5 115, 81 915) hold, so there the
+/// snapshots decide.
 pub const WINDOW_EVENTS: usize = 1 << 20;
 
 /// The ticks of a window of `windows`' run on `step`: [`WINDOW_SNAPSHOTS`]
 /// link snapshots a window serial, [`THREADED_WINDOW_SNAPSHOTS`]
-/// threaded, and at most [`WINDOW_EVENTS`] events; one tick at least.
-pub(crate) fn window_ticks(step: Step, windows: &impl Windows) -> usize {
+/// threaded, at least one, and at most [`WINDOW_EVENTS`] events; a run
+/// whose tick alone holds more is [`ConfigError::WorkloadTooLarge`].
+pub(crate) fn window_ticks(step: Step, windows: &impl Windows) -> Result<usize, ConfigError> {
     let snapshots = match step {
         Step::Serial => WINDOW_SNAPSHOTS,
         Step::Threaded { .. } => THREADED_WINDOW_SNAPSHOTS,
     };
-    let events = WINDOW_EVENTS / windows.tick_events();
-    (snapshots / windows.links()).min(events).max(1)
+    match WINDOW_EVENTS / windows.tick_events() {
+        0 => Err(ConfigError::WorkloadTooLarge {
+            what: "events in one tick",
+            max: WINDOW_EVENTS as u64,
+        }),
+        events => Ok((snapshots / windows.links()).clamp(1, events)),
+    }
 }
 
 /// The host's available parallelism (1 when undeterminable).
@@ -378,13 +385,13 @@ impl Shape {
         make: ControllerFactory,
         budget: u64,
         new_sink: impl Fn() -> S,
-    ) -> Result<(Replayed<S>, Duration, u64), ServeError>
+    ) -> Result<(Replayed<S>, Duration, u64), BenchError>
     where
         G: Windows + Send,
         G::Workload: Replay + Send,
         S: DecisionSink<DecisionOf<G::Workload>>,
     {
-        let ticks = window_ticks(self.step, &windows);
+        let ticks = window_ticks(self.step, &windows)?;
         let stamps = Stamps::budgeted(windows.requests(), budget);
         let (driver, generate, events) =
             drive_run(windows, ticks, plane, make, self.step, stamps, new_sink)?;

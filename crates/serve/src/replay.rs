@@ -28,7 +28,7 @@ use crate::sink::{Collect, Decided, DecisionSink, Replayed};
 use mbac_metrics::{splitmix64, MetricsSnapshot};
 use mbac_num::parallel::{current_workers, with_workers};
 use mbac_sim::{LinkId, SnapshotWindow, Windows};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
@@ -571,16 +571,27 @@ impl<L: LinkLogic, S: DecisionSink<L::Decision>> Driver<L, S> {
     /// The threaded step. Each thread owns its sink or stamping rule for
     /// the window, so no two write one cache line: consumers that shared
     /// the sinks' `Vec` lost ~10 % of `serve_routed`'s decisions/s.
+    ///
+    /// A consumer that panics raises `stop` as it unwinds: its ring no
+    /// longer drains, so a producer that finds its ring full, and a
+    /// consumer that finds nothing to drain, returns on it, and the join
+    /// ends the run with the panic instead of waiting for ever.
     fn threaded<W: Ingest<Logic = L>>(&mut self, window: &W, producers: usize) {
-        let done = AtomicUsize::new(0);
+        let (done, stop) = (AtomicUsize::new(0), AtomicBool::new(false));
         let sinks = std::mem::take(&mut self.sinks);
         self.sinks = std::thread::scope(|s| {
             let shards = self.plane.shards_mut().iter_mut().zip(sinks);
             let consumers: Vec<_> = shards
-                .map(|(shard, sink)| s.spawn(|| consume(shard, sink, &done, producers)))
+                .map(|(shard, sink)| {
+                    let (done, stop) = (&done, &stop);
+                    s.spawn(move || {
+                        let _raise = StopOnPanic(stop);
+                        consume(shard, sink, done, producers, stop)
+                    })
+                })
                 .collect();
             for (p, rule) in self.stamps.iter_mut().enumerate() {
-                let (handle, done) = (&self.handle, &done);
+                let (handle, done, stop) = (&self.handle, &done, &stop);
                 s.spawn(move || {
                     let (mut stamps, mine) = (*rule, |link: LinkId| link.index() % producers == p);
                     for mut event in window.ingest(&mut stamps, mine) {
@@ -588,6 +599,9 @@ impl<L: LinkLogic, S: DecisionSink<L::Decision>> Driver<L, S> {
                         // block (yielding) under backpressure rather
                         // than drop.
                         while let Err(back) = handle.try_send(event) {
+                            if stop.load(Ordering::Acquire) {
+                                return;
+                            }
                             event = back;
                             std::thread::yield_now();
                         }
@@ -619,14 +633,27 @@ impl<L: LinkLogic, S: DecisionSink<L::Decision>> Driver<L, S> {
     }
 }
 
+/// Raises its flag if the thread that holds it unwinds.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+}
+
 /// A consumer's share of a threaded window: drains `shard`'s ring into
 /// `sink` until every one of `producers` producers is `done`, the ring
-/// is empty and no link of the shard is parked.
+/// is empty and no link of the shard is parked, or until another
+/// consumer's panic raises `stop`.
 fn consume<L: LinkLogic, S: DecisionSink<L::Decision>>(
     shard: &mut ShardOf<L>,
     mut sink: S,
     done: &AtomicUsize,
     producers: usize,
+    stop: &AtomicBool,
 ) -> S {
     let mut out = Vec::new();
     let mut drain = |shard: &mut ShardOf<L>| {
@@ -646,6 +673,9 @@ fn consume<L: LinkLogic, S: DecisionSink<L::Decision>>(
             if drain(shard) == 0 && !shard.has_parked() {
                 return sink;
             }
+        }
+        if stop.load(Ordering::Acquire) {
+            return sink;
         }
         std::thread::yield_now();
     }
@@ -1131,6 +1161,27 @@ pub(crate) mod tests {
         let _ = with_workers(2, || {
             drive_run(windows, 2, &plane, make, Step::Serial, Stamps::NONE, sink)
         });
+    }
+
+    /// A panic in one consumer of a threaded window ends the run with
+    /// that panic: the producer stops pushing into the ring nobody
+    /// drains, and the other consumer stops waiting for it. The run is
+    /// one window, so the panic leaves more of the window's events for
+    /// the dead consumer's ring than its 16 slots hold.
+    #[test]
+    #[should_panic(expected = "the sink gave out")]
+    fn a_panic_in_a_consumer_ends_a_threaded_run() {
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let load = RequestLoad {
+            model: &model,
+            cfg: sized_config(4, 25, 3),
+        };
+        let make = certainty_equivalent_factory(1e-2, 2.0);
+        let plane = config(2, 1).plane;
+        let sink = || GivesOut(4 * 3 * 10);
+        let windows = load.windows().unwrap();
+        let step = Step::Threaded { producers: 1 };
+        let _ = drive_run(windows, 25, &plane, make, step, Stamps::NONE, sink);
     }
 
     /// `stamps`' verdicts on the next `requests` requests.

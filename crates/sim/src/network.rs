@@ -634,7 +634,7 @@ mod tests {
         );
     }
 
-    /// The topology experiment's grid (`exp_topology`: capacity 16 on
+    /// The topology experiment's grid (`exp topology`: capacity 16 on
     /// every link of `parking-lot:3` and `star:4`, 3 initial flows a
     /// route, 2 attempts a tick, 4 replications, 8000 ticks on its full
     /// budget; 10⁴ here) and the CLI's defaults (`parking-lot:3`, 2

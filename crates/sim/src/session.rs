@@ -157,12 +157,14 @@ pub enum ConfigError {
     },
     /// A request-stream workload that would hold more than
     /// [`crate::requests::MAX_WORKLOAD_ITEMS`] of something it keeps in
-    /// memory for the whole replay, or a Poisson load expecting more
-    /// arrivals than that over its sample budget.
+    /// memory for the whole replay, a Poisson load expecting more
+    /// arrivals than that over its sample budget, or a replay whose one
+    /// tick holds more events than its window may.
     WorkloadTooLarge {
         /// What there would be too many of.
         what: &'static str,
-        /// The limit, [`crate::requests::MAX_WORKLOAD_ITEMS`].
+        /// The limit: [`crate::requests::MAX_WORKLOAD_ITEMS`], or the
+        /// replay's window size.
         max: u64,
     },
 }

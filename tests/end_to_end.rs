@@ -3,7 +3,7 @@
 //!
 //! Sized for debug-mode CI: small systems, generous tolerances. The
 //! statistically sharp versions of these comparisons live in the
-//! `mbac-experiments` binaries.
+//! `mbac-experiments` runner's table.
 
 use mbac_core::admission::{AdmissionPolicy, CertaintyEquivalent, PerfectKnowledge};
 use mbac_core::estimators::{Estimate, FilteredEstimator, MemorylessEstimator};

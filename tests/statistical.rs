@@ -118,7 +118,7 @@ fn prop33_sqrt2_penalty_heavy() {
 
 fn eqn21_check(replications: usize, times: &[f64], inflate: f64) {
     // n = 400, T_c = 1, T_h = 200 ⇒ T̃_h = 10 — the setup of
-    // `exp_finite_holding`, where the full-budget run shows theory and
+    // the `finite_holding` experiment, where the full-budget run shows theory and
     // simulation agreeing to well under one binomial half-width at this
     // budget (see results/finite_holding.csv).
     let n = 400usize;
