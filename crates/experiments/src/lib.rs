@@ -3,7 +3,7 @@
 //! One table of experiments, [`runner::EXPERIMENTS`], one entry per
 //! quantitative claim of Grossglauser & Tse (see DESIGN.md §3 for the
 //! index), run by the one `exp` binary. [`figures`] and [`topology`]
-//! build the golden-pinned tables, [`studies`] the rest; parameter
+//! hold the golden-pinned entries, [`studies`] the rest; parameter
 //! sweeps run in parallel across OS threads, results are written as CSV
 //! under `results/`, and [`output`] renders tables and ASCII plots so the
 //! runner's stdout is directly comparable to the paper's figures.
@@ -71,4 +71,38 @@ pub mod paper {
     pub const FIG5_T_H: f64 = 1000.0;
     /// Fig. 5's correlation time-scale.
     pub const FIG5_T_C: f64 = 1.0;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Budget;
+
+    #[test]
+    fn pick_takes_the_quick_budget_in_quick_mode() {
+        for scale in [None, Some(0.15), Some(2.0)] {
+            let quick = Budget { quick: true, scale };
+            assert_eq!(quick.pick(20_000, 120), 120);
+        }
+    }
+
+    #[test]
+    fn pick_scales_the_full_budget_down_to_the_quick_floor() {
+        let at = |scale| Budget {
+            quick: false,
+            scale: Some(scale),
+        };
+        assert_eq!(at(0.15).pick(20_000, 120), 3_000);
+        assert_eq!(at(0.15).pick(8_000, 300), 1_200);
+        assert_eq!(at(0.001).pick(20_000, 120), 120);
+        assert_eq!(at(0.01).pick(1_500, 250), 250);
+    }
+
+    #[test]
+    fn pick_takes_the_full_budget_without_a_scale() {
+        let full = Budget {
+            quick: false,
+            scale: None,
+        };
+        assert_eq!(full.pick(20_000, 120), 20_000);
+    }
 }

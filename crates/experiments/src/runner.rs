@@ -6,8 +6,9 @@
 //! at a [`Budget`], and the plot, if any, that shows the shape. [`run`]
 //! runs the named entries, prints each one's claim, tables, plot and
 //! notes, writes each table as a CSV under `results/`, and records the
-//! run in `results/MANIFEST.json`: the commit, the budget, each
-//! experiment's wall time and each CSV's FNV-1a digest.
+//! run in `results/MANIFEST.json`: the commit (`-dirty` when tracked
+//! files differed from it), the budget, each experiment's wall time and
+//! each CSV's FNV-1a digest.
 
 use crate::output::{ascii_plot, write_csv, Table};
 use crate::{figures, studies, topology, Budget};
@@ -374,9 +375,14 @@ fn select(names: &[String]) -> Result<Vec<&'static Experiment>, RunError> {
 /// Runs the experiments `names` names (every one when empty) at
 /// `budget`, printing each and writing its CSVs and then the manifest
 /// under `results/`. An unknown name is an error before anything runs.
+/// The manifest names the commit as the tree stood before the run.
 pub fn run(names: &[String], budget: &Budget) -> Result<(), RunError> {
+    let experiments = select(names)?;
+    // Before any CSV is written, so the run's own outputs never read as
+    // changes to the tree.
+    let commit = commit(std::path::Path::new("."));
     let mut manifest = Vec::new();
-    for experiment in select(names)? {
+    for experiment in experiments {
         let start = Instant::now();
         let outcome = (experiment.run)(budget);
         let wall = start.elapsed().as_secs_f64();
@@ -395,7 +401,7 @@ pub fn run(names: &[String], budget: &Budget) -> Result<(), RunError> {
         });
     }
     let path = std::path::Path::new("results").join("MANIFEST.json");
-    std::fs::write(&path, manifest_json(&commit(), budget, &manifest))?;
+    std::fs::write(&path, manifest_json(&commit, budget, &manifest))?;
     println!("wrote {}", path.display());
     Ok(())
 }
@@ -457,14 +463,25 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The commit `git rev-parse HEAD` names, or `unknown`.
-fn commit() -> String {
-    let out = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output();
-    match out {
-        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout).trim().into(),
-        _ => "unknown".into(),
+/// The commit of the git tree at `dir`: `git rev-parse HEAD`'s hash,
+/// `-dirty` appended when a tracked file differs from it, or `unknown`.
+fn commit(dir: &std::path::Path) -> String {
+    let git = |args: &[&str]| {
+        let out = std::process::Command::new("git")
+            .arg("-C")
+            .arg(dir)
+            .args(args)
+            .output();
+        out.ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let Some(hash) = git(&["rev-parse", "HEAD"]) else {
+        return "unknown".into();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if changes.is_empty() => hash,
+        _ => hash + "-dirty",
     }
 }
 
@@ -576,5 +593,36 @@ mod tests {
              {\"fig5.csv\": \"fnv1a64:0000000000000abc\"}},\n    {\"name\": \"fig9\", \
              \"wall_s\": 0.250, \"csv\": {}}\n  ]\n}\n"
         );
+    }
+
+    #[test]
+    fn the_commit_is_marked_dirty_when_tracked_files_differ() {
+        let dir = std::env::temp_dir().join(format!("mbac-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let git = |args: &[&str]| {
+            let status = std::process::Command::new("git")
+                .arg("-C")
+                .arg(&dir)
+                .args(["-c", "user.name=t", "-c", "user.email=t@t", "-c"])
+                .args(["commit.gpgsign=false"])
+                .args(args)
+                .output()
+                .unwrap()
+                .status;
+            assert!(status.success(), "git {args:?}");
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("fig5.csv"), "t_m\n0\n").unwrap();
+        git(&["add", "fig5.csv"]);
+        git(&["commit", "-q", "-m", "fixture"]);
+        let clean = commit(&dir);
+        assert_eq!(clean.len(), 40, "{clean}");
+        assert!(clean.chars().all(|c| c.is_ascii_hexdigit()), "{clean}");
+        std::fs::write(dir.join("untracked.csv"), "x\n").unwrap();
+        assert_eq!(commit(&dir), clean);
+        std::fs::write(dir.join("fig5.csv"), "t_m\n1\n").unwrap();
+        assert_eq!(commit(&dir), format!("{clean}-dirty"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

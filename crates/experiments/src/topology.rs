@@ -29,71 +29,25 @@
 use crate::output::Table;
 use crate::runner::Outcome;
 use crate::{paper, parallel_map, Budget};
-use mbac_sim::{
-    RouteStats, RoutedNetworkConfig, RoutedNetworkLoad, RoutedNetworkReport, SessionBuilder,
-    Topology,
-};
+use mbac_sim::{RouteStats, RoutedNetworkConfig, RoutedNetworkLoad, SessionBuilder, Topology};
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use std::sync::Arc;
 
-/// The `T_m / T̃_h` grid of the sweep (0 = memoryless).
-pub const TOPOLOGY_RATIOS: [f64; 6] = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0];
-
 /// Per-link capacity, in mean-rate units (`n` per link).
-pub const TOPOLOGY_N: f64 = 16.0;
+const N: f64 = 16.0;
 
 /// Mean flow holding time `T_h`.
-pub const TOPOLOGY_T_H: f64 = 10.0;
+const T_H: f64 = 10.0;
 
 /// Certainty-equivalent target used per hop (kept loose enough for the
-/// smoke-budget runs to resolve).
-pub const TOPOLOGY_P_CE: f64 = 1e-2;
+/// quick-budget runs to resolve).
+const P_CE: f64 = 1e-2;
 
 /// The two swept shapes, by row id.
-pub fn topology_shape(topo_id: usize) -> (&'static str, Topology) {
+fn shape(topo_id: usize) -> (&'static str, Topology) {
     match topo_id {
-        0 => ("parking-lot:3", Topology::parking_lot(3, TOPOLOGY_N)),
-        _ => ("star:4", Topology::star(4, TOPOLOGY_N)),
-    }
-}
-
-/// One grid point of the topology sweep.
-pub struct TopologyRow {
-    /// Shape id (0 = parking-lot(3), 1 = star(4)).
-    pub topo_id: usize,
-    /// `T_m` as a fraction of the critical time-scale `T̃_h`.
-    pub t_m_ratio: f64,
-    /// The memory window itself.
-    pub t_m: f64,
-    /// The folded network report.
-    pub report: RoutedNetworkReport,
-}
-
-impl TopologyRow {
-    /// Mean utilization across links.
-    pub fn mean_utilization(&self) -> f64 {
-        let links = self.report.per_link.len() as f64;
-        self.report
-            .per_link
-            .iter()
-            .map(|l| l.utilization)
-            .sum::<f64>()
-            / links
-    }
-
-    /// Blocked fraction of route 0 — the multi-hop route (the long
-    /// parking-lot route; a leg-plus-hub route on the star).
-    pub fn long_route_block(&self) -> f64 {
-        blocked_share(&self.report.per_route[0])
-    }
-
-    /// Mean blocked fraction over the remaining routes.
-    pub fn other_routes_block(&self) -> f64 {
-        let rest = &self.report.per_route[1..];
-        if rest.is_empty() {
-            return 0.0;
-        }
-        rest.iter().map(blocked_share).sum::<f64>() / rest.len() as f64
+        0 => ("parking-lot:3", Topology::parking_lot(3, N)),
+        _ => ("star:4", Topology::star(4, N)),
     }
 }
 
@@ -107,19 +61,17 @@ fn blocked_share(route: &RouteStats) -> f64 {
     }
 }
 
-/// The sweep: `{parking-lot(3), star(4)} × TOPOLOGY_RATIOS`, each point
-/// an independent closed-loop routed network run of `ticks` measurement
-/// ticks (the Monte Carlo budget knob).
-pub fn topology_rows(ticks: u64) -> Vec<TopologyRow> {
-    let t_h_tilde = TOPOLOGY_T_H / TOPOLOGY_N.sqrt();
-    let mut points = Vec::new();
-    for topo_id in 0..2 {
-        for &ratio in &TOPOLOGY_RATIOS {
-            points.push((topo_id, ratio));
-        }
-    }
-    parallel_map(points, move |&(topo_id, ratio)| {
-        let (_, topology) = topology_shape(topo_id);
+/// The `topology` entry: `{parking-lot(3), star(4)} × T_m/T̃_h`, each
+/// point an independent closed-loop routed network run of the budget's
+/// measurement ticks, with the shapes' ids and the budget as a note.
+pub(crate) fn topology(b: &Budget) -> Outcome {
+    let ticks = b.pick(8000, 300);
+    let t_h_tilde = T_H / N.sqrt();
+    // 0 = memoryless.
+    let points: Vec<(usize, f64)> = (0..2)
+        .flat_map(|id| [0.0, 0.25, 0.5, 1.0, 2.0, 4.0].map(|ratio| (id, ratio)))
+        .collect();
+    let rows = parallel_map(points, |&(topo_id, ratio)| {
         let model = RcbrModel::new(RcbrConfig {
             mean: paper::MEAN,
             std_dev: paper::COV * paper::MEAN,
@@ -129,7 +81,7 @@ pub fn topology_rows(ticks: u64) -> Vec<TopologyRow> {
         let t_m = ratio * t_h_tilde;
         let ticks = ticks as usize;
         let cfg = RoutedNetworkConfig {
-            topology: Arc::new(topology),
+            topology: Arc::new(shape(topo_id).1),
             ticks,
             tick: 0.25,
             warmup_ticks: ticks / 4,
@@ -137,11 +89,11 @@ pub fn topology_rows(ticks: u64) -> Vec<TopologyRow> {
             // the rest through admissions (the hub of the star sums
             // every route's seed, so keep it low).
             initial_flows_per_route: 3,
-            mean_holding: TOPOLOGY_T_H,
+            mean_holding: T_H,
             attempts_per_tick: 2,
             noise_sd: 0.0,
             t_m,
-            p_ce: TOPOLOGY_P_CE,
+            p_ce: P_CE,
             replications: 4,
             seed: 0x7070 + topo_id as u64 * 1000 + (ratio * 100.0) as u64,
         };
@@ -149,17 +101,27 @@ pub fn topology_rows(ticks: u64) -> Vec<TopologyRow> {
         let report = SessionBuilder::new()
             .run(&load)
             .expect("valid sweep config");
-        TopologyRow {
-            topo_id,
-            t_m_ratio: ratio,
+        let links = &report.per_link;
+        let mean_util = links.iter().map(|l| l.utilization).sum::<f64>() / links.len() as f64;
+        // Route 0 is the multi-hop one: the long parking-lot route, a
+        // leg-plus-hub route on the star.
+        let rest = &report.per_route[1..];
+        let other_block = if rest.is_empty() {
+            0.0
+        } else {
+            rest.iter().map(blocked_share).sum::<f64>() / rest.len() as f64
+        };
+        vec![
+            topo_id as f64,
+            ratio,
             t_m,
-            report,
-        }
-    })
-}
-
-/// The `results/topology.csv` layout.
-pub fn topology_table(rows: &[TopologyRow]) -> Table {
+            report.max_pf(),
+            P_CE,
+            mean_util,
+            blocked_share(&report.per_route[0]),
+            other_block,
+        ]
+    });
     let mut table = Table::new(vec![
         "topo_id",
         "tm_over_thtilde",
@@ -170,29 +132,13 @@ pub fn topology_table(rows: &[TopologyRow]) -> Table {
         "long_route_block",
         "other_routes_block",
     ]);
-    for r in rows {
-        table.push(vec![
-            r.topo_id as f64,
-            r.t_m_ratio,
-            r.t_m,
-            r.report.max_pf(),
-            TOPOLOGY_P_CE,
-            r.mean_utilization(),
-            r.long_route_block(),
-            r.other_routes_block(),
-        ]);
+    for row in rows {
+        table.push(row);
     }
-    table
-}
-
-/// The `topology` entry, with the shapes' ids and the budget.
-pub(crate) fn topology(b: &Budget) -> Outcome {
-    let ticks = b.pick(8000, 400);
-    let rows = topology_rows(ticks);
-    let shapes = (0..2).map(|id| format!("{id} = {}", topology_shape(id).0));
+    let shapes = (0..2).map(|id| format!("{id} = {}", shape(id).0));
     let note = format!(
         "topo_id {}; {ticks} ticks x 4 replications a point",
         shapes.collect::<Vec<_>>().join(", ")
     );
-    Outcome::new(vec![("topology", topology_table(&rows))], vec![note])
+    Outcome::new(vec![("topology", table)], vec![note])
 }

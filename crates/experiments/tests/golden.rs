@@ -1,16 +1,16 @@
-//! Golden-snapshot tests for the figure-generation pipeline.
+//! Golden-snapshot tests for the golden-pinned experiments.
 //!
-//! Each test regenerates one `results/figN.csv` table through the same
-//! builders the runner's `figN` entry uses — fixed seeds, a small Monte
-//! Carlo budget — and diffs it against the committed fixture under
-//! `tests/golden/`. Every value is compared as a parsed float with a
-//! relative tolerance, so a cosmetic change to float formatting does not
-//! trip the suite but any change to the simulated or theoretical
-//! numbers does.
+//! Each test runs one entry of the runner's table,
+//! `mbac_experiments::runner::EXPERIMENTS`, at the quick budget — the
+//! entry and the budget `MBAC_QUICK=1 exp` runs, fixed seeds — and
+//! diffs its table against the committed fixture under `tests/golden/`.
+//! Every value is compared as a parsed float with a relative tolerance,
+//! so a cosmetic change to float formatting does not trip the suite but
+//! any change to the simulated or theoretical numbers does.
 //!
 //! Before that, each test checks the shape EXPERIMENTS.md's verdict
 //! claims for the figure on the table it built, so a re-bless cannot
-//! bless a table that has lost its shape. Only the verdicts the golden
+//! bless a table that has lost its shape. Only the verdicts the quick
 //! budget resolves are checked. It does not resolve Fig. 5's factor by
 //! which eqn (38) exceeds the simulation, Fig. 7's utilization rising
 //! row by row, Fig. 10's long-memory rows meeting the target (they read
@@ -24,26 +24,26 @@
 //! MBAC_BLESS=1 cargo test -p mbac-experiments --test golden
 //! ```
 
-use mbac_experiments::figures::{
-    fig10_rows, fig10_table, fig11_rows, fig11_table, fig12_rows, fig12_table, fig5_rows,
-    fig5_table, fig6_rows, fig6_table, fig7_rows, fig7_table, fig9_rows, fig9_table, lrd_trace,
-};
 use mbac_experiments::paper::P_Q;
-use mbac_experiments::topology::{topology_rows, topology_table};
-use mbac_experiments::Table;
+use mbac_experiments::runner::EXPERIMENTS;
+use mbac_experiments::{Budget, Table};
 use std::path::PathBuf;
 
-/// Monte Carlo budget for the simulation-backed figures — far below the
-/// runner's full budgets; the goal is regression detection on the
-/// pipeline, not statistical precision.
-const SIM_BUDGET: u64 = 120;
-
-/// Trace length for the LRD figures (the runner uses 1 << 16).
-const TRACE_SLOTS: usize = 1 << 13;
-
-/// Tick budget for the routed-topology sweep (the runner's full budget
-/// is 8000).
-const TOPOLOGY_TICKS: u64 = 300;
+/// The table `name` of the runner's entry `name`, run at the quick
+/// budget.
+fn from_runner(name: &str) -> Table {
+    let entry = (EXPERIMENTS.iter())
+        .find(|e| e.name == name)
+        .unwrap_or_else(|| panic!("no entry {name:?} in the runner's table"));
+    let outcome = (entry.run)(&Budget {
+        quick: true,
+        scale: None,
+    });
+    let table = outcome.tables.into_iter().find(|(csv, _)| *csv == name);
+    table
+        .unwrap_or_else(|| panic!("entry {name:?} writes no {name}.csv"))
+        .1
+}
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -140,7 +140,7 @@ fn max(values: &[f64]) -> f64 {
 /// past it, and eqn (38) sits above the simulation at every `T_m`.
 #[test]
 fn fig5_matches_fixture() {
-    let table = fig5_table(&fig5_rows(SIM_BUDGET));
+    let table = from_runner("fig5");
     let (sim, eqn38) = (col(&table, "pf_sim"), col(&table, "pf_eqn38"));
     let at = |t_m| rows_where(&table, "t_m", t_m, "pf_sim")[0];
     assert!(at(0.0) >= 30.0 * at(31.6), "no fall to the knee: {sim:?}");
@@ -157,7 +157,7 @@ fn fig5_matches_fixture() {
 /// needs `p_ce` below 1e-9 at the shortest memory.
 #[test]
 fn fig6_matches_fixture() {
-    let table = fig6_table(&fig6_rows());
+    let table = from_runner("fig6");
     let (n, t_h, t_m, pce) = (
         col(&table, "n"),
         col(&table, "t_h"),
@@ -187,7 +187,7 @@ fn fig6_matches_fixture() {
 /// memory than at the shortest.
 #[test]
 fn fig7_matches_fixture() {
-    let table = fig7_table(&fig7_rows(SIM_BUDGET));
+    let table = from_runner("fig7");
     let (pf, target, util) = (
         col(&table, "pf_sim"),
         col(&table, "target"),
@@ -204,7 +204,7 @@ fn fig7_matches_fixture() {
 /// (2.5×) of it at every `T_c`, and `T_c = 100` is safe on every row.
 #[test]
 fn fig9_matches_fixture() {
-    let table = fig9_table(&fig9_rows());
+    let table = from_runner("fig9");
     let ratios = [0.01, 0.05, 0.1, 0.25, 0.5, 1.0];
     let worst: Vec<f64> = (ratios.iter())
         .map(|&r| max(&rows_where(&table, "tm_over_thtilde", r, "pf")))
@@ -221,13 +221,13 @@ fn fig9_matches_fixture() {
 /// simulated value sits at or below the Fig. 9 theory at its point.
 #[test]
 fn fig10_matches_fixture() {
-    let table = fig10_table(&fig10_rows(SIM_BUDGET));
+    let table = from_runner("fig10");
     let worst = |r| max(&rows_where(&table, "tm_over_thtilde", r, "pf_sim"));
     assert!(worst(0.01) >= 10.0 * P_Q);
     for r in [0.1, 0.5, 1.0] {
         assert!(worst(r) < worst(0.01), "T_m/T~h = {r}");
     }
-    let theory = fig9_table(&fig9_rows());
+    let theory = from_runner("fig9");
     let key = |t: &Table| {
         let (r, t_c) = (col(t, "tm_over_thtilde"), col(t, "t_c"));
         r.into_iter().zip(t_c).collect::<Vec<_>>()
@@ -245,7 +245,7 @@ fn fig10_matches_fixture() {
 /// `p_f` falls as `1/T̃_h` grows, from a tenfold miss at the longest.
 #[test]
 fn fig11_matches_fixture() {
-    let table = fig11_table(&fig11_rows(&lrd_trace(TRACE_SLOTS), SIM_BUDGET));
+    let table = from_runner("fig11");
     let pf = col(&table, "pf_sim");
     assert!(pf.windows(2).all(|w| w[0] > w[1]), "{pf:?}");
     assert!(pf[0] >= 10.0 * P_Q, "{pf:?}");
@@ -255,7 +255,7 @@ fn fig11_matches_fixture() {
 /// Fig. 12: the robust rule meets the target over the whole sweep.
 #[test]
 fn fig12_matches_fixture() {
-    let table = fig12_table(&fig12_rows(&lrd_trace(TRACE_SLOTS), SIM_BUDGET));
+    let table = from_runner("fig12");
     let (pf, target) = (col(&table, "pf_sim"), col(&table, "target"));
     assert!(pf.iter().zip(&target).all(|(p, t)| p <= t), "{pf:?}");
     check_golden("fig12", &table);
@@ -266,7 +266,7 @@ fn fig12_matches_fixture() {
 /// more than the cross routes at every memory.
 #[test]
 fn topology_matches_fixture() {
-    let table = topology_table(&topology_rows(TOPOLOGY_TICKS));
+    let table = from_runner("topology");
     for shape in [0.0, 1.0] {
         let pf = rows_where(&table, "topo_id", shape, "max_pf");
         assert!(pf[1..].iter().all(|&p| p < pf[0]), "shape {shape}: {pf:?}");

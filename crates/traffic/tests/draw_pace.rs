@@ -11,12 +11,17 @@
 //! `u64`, and the AR(1) and RCBR kernels' ns a flow at the benchmark's
 //! `ar1_dense`, `fig5_sweep` and `poisson_blocking` shapes, on one core,
 //! with an on–off RCBR batch (`RcbrBatch<Marginal>`, the kernel of every
-//! marginal but the Gaussian) at `fig5_sweep`'s beside the Gaussian one.
+//! marginal but the Gaussian) at `fig5_sweep`'s beside the Gaussian one,
+//! and the on–off model at three renegotiation rates λ (per advance) on
+//! its kernel and on the boxed path (`Unbatched`, a `DynBatch`), which
+//! draw the same bits.
 //! A ziggurat normal costs one generator step plus a few flops. On the
 //! 2-vCPU host, under the register rule (`mbac_num::rng`), a normal reads
 //! ×2.0–2.9 of a `u64` and the AR(1) kernel 4.5–7.5 ns a flow; before it
 //! they read ×2.8–4.0 and 10.5–13. The on–off batch reads ~6 ns a flow
-//! to the Gaussian batch's ~2.9, a gap whose cause is not yet known. A ratio above ×3, or the AR(1) kernel
+//! to the Gaussian batch's ~2.9, a gap whose cause is not yet known; the
+//! boxed path reads ×1.8–2.4 the on–off kernel at λ = 0.25, ×1.3–1.4 at
+//! λ = 50 and ×3.9–5.4 at λ = 0.029. A ratio above ×3, or the AR(1) kernel
 //! back near 8–11 ns, means a draw loop lost its registers: a rare path
 //! sits inline in the loop again, or something out of line receives the
 //! generator. Nothing is asserted: the host decides the figures, and its
@@ -25,7 +30,8 @@
 
 use mbac_num::parallel;
 use mbac_num::rng::{ExpSampler, NormalSampler};
-use mbac_traffic::{Ar1Config, Ar1Model, RcbrConfig, RcbrModel, SourceModel};
+use mbac_traffic::process::Unbatched;
+use mbac_traffic::{Ar1Config, Ar1Model, DynBatch, FlowBatch, RcbrConfig, RcbrModel, SourceModel};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::hint::black_box;
@@ -59,11 +65,25 @@ fn per_draw(rng: &mut StdRng, draw: impl Fn(&mut StdRng) -> u64) -> f64 {
     start.elapsed().as_nanos() as f64 / DRAWS as f64
 }
 
-/// ns a flow of `rounds` advances by `dt` of an `n`-flow batch of `model`.
+/// ns a flow of `rounds` advances by `dt` of an `n`-flow batch of
+/// `model`: its kernel, or the boxed `DynBatch` a flow table keeps a
+/// model without one on (`Unbatched`).
 fn per_flow(model: &dyn SourceModel, n: usize, dt: f64, rounds: usize) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(0xD4A3);
-    let mut batch = model.new_batch().expect("batched kernel");
-    batch.spawn(n, &mut rng);
+    let mut batch = match model.new_batch() {
+        Some(mut kernel) => {
+            kernel.spawn(n, &mut rng);
+            kernel
+        }
+        None => {
+            let mut boxed: Box<dyn FlowBatch> = Box::new(DynBatch::new());
+            for _ in 0..n {
+                let flow = model.spawn(&mut rng);
+                boxed.try_push_boxed(flow).ok().expect("DynBatch adopts");
+            }
+            boxed
+        }
+    };
     quantiles(|| {
         let start = Instant::now();
         for _ in 0..rounds {
@@ -110,9 +130,11 @@ fn draw_pace() {
         clamp_at_zero: true,
     });
     let rcbr = RcbrModel::new(RcbrConfig::paper_default(1.0));
-    // Mean 1 and T_c = 1, as the Gaussian batch's: an `RcbrBatch<Marginal>`.
+    // Mean 1 and T_c = 1, as the Gaussian batch's: an `RcbrBatch<Marginal>`,
+    // and the same flows on the boxed path.
     let on_off = RcbrModel::on_off(2.0, 2.0, 2.0);
-    let shapes: [(&str, &dyn SourceModel, usize, f64, usize); 4] = [
+    let on_off_boxed = Unbatched(&on_off);
+    let shapes: [(&str, &dyn SourceModel, usize, f64, usize); 9] = [
         (
             "ar1 @ ar1_dense (10^5 flows, a tick)",
             &ar1,
@@ -132,6 +154,35 @@ fn draw_pace() {
             &on_off,
             1000,
             0.25,
+            2000,
+        ),
+        (
+            "  boxed (Unbatched), same shape",
+            &on_off_boxed,
+            1000,
+            0.25,
+            2000,
+        ),
+        ("rcbr on–off (1000 flows, λ = 50)", &on_off, 1000, 50.0, 20),
+        (
+            "  boxed (Unbatched), same shape",
+            &on_off_boxed,
+            1000,
+            50.0,
+            20,
+        ),
+        (
+            "rcbr on–off (6000 flows, λ = 0.029)",
+            &on_off,
+            6000,
+            0.029,
+            2000,
+        ),
+        (
+            "  boxed (Unbatched), same shape",
+            &on_off_boxed,
+            6000,
+            0.029,
             2000,
         ),
         (
