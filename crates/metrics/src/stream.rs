@@ -21,9 +21,10 @@
 //! drains it to JSONL (`mbac-metrics/v2-stream`, see
 //! `results/METRICS_schema.md`), polling at 50µs when records flow and
 //! backing off to 5ms when idle (so an idle stream costs no scheduler
-//! churn). A full ring never blocks the simulation and never grows: the
-//! record is dropped and a visible drop counter increments, reported in
-//! the final `summary` line. Retained state is therefore bounded by the
+//! churn); [`StreamSink::finish`] wakes it from that wait rather than
+//! sitting it out. A full ring never blocks the simulation and never
+//! grows: the record is dropped and a visible drop counter increments,
+//! reported in the final `summary` line. Retained state is therefore bounded by the
 //! ring capacity plus one live instrument bundle per worker —
 //! independent of flow count. Size the ring for the burst rate, not the
 //! average: a burst landing after an idle stretch must fit in the ring
@@ -325,7 +326,9 @@ impl StreamSink {
             // entire fold path. The first pop resets the backoff; the
             // price is that records produced in a burst after a long idle
             // can see up to `IDLE_MAX` of ring residency before draining
-            // (size the ring for the burst, not the average).
+            // (size the ring for the burst, not the average). The wait is
+            // a park, so `finish` and `drop` wake the writer at once; a
+            // sleep would make `finish` wait out up to `IDLE_MAX` of it.
             const IDLE_MIN: Duration = Duration::from_micros(50);
             const IDLE_MAX: Duration = Duration::from_millis(5);
             let mut idle = IDLE_MIN;
@@ -352,7 +355,9 @@ impl StreamSink {
                         if shared.done.load(Ordering::Acquire) && shared.ring.is_empty() {
                             break;
                         }
-                        std::thread::sleep(idle);
+                        // A wake-up that comes early or for nothing only
+                        // sends the loop round again.
+                        std::thread::park_timeout(idle);
                         idle = (idle * 2).min(IDLE_MAX);
                     }
                 }
@@ -383,7 +388,9 @@ impl StreamSink {
     }
 
     /// A sink writing v2 JSONL records to the file at `path`
-    /// (truncating), buffered.
+    /// (truncating), buffered. Most of its cost is the truncation of a
+    /// file a previous run left at `path`, which the file system pays
+    /// for; the ring's allocation and the writer's spawn are ~0.1 ms.
     pub fn to_path(cfg: StreamConfig, path: &std::path::Path) -> io::Result<Self> {
         let f = std::fs::File::create(path)?;
         Ok(StreamSink::to_writer(cfg, Box::new(io::BufWriter::new(f))))
@@ -405,11 +412,12 @@ impl StreamSink {
 
     /// Stops the writer once the ring drains and returns what was
     /// emitted. Call after every producer has stopped emitting (drops
-    /// counted after the writer exits would go unreported).
+    /// counted after the writer exits would go unreported). Wakes an
+    /// idle writer, so it takes the drain and the summary line, not the
+    /// rest of an idle wait.
     pub fn finish(mut self) -> io::Result<StreamStats> {
-        self.handle.shared.done.store(true, Ordering::Release);
         let writer = self.writer.take().expect("finish called once");
-        let (samples, intervals) = writer.join().expect("stream writer panicked")?;
+        let (samples, intervals) = self.stop(writer).expect("stream writer panicked")?;
         Ok(StreamStats {
             samples,
             intervals,
@@ -417,14 +425,25 @@ impl StreamSink {
             ring_capacity: self.handle.shared.ring.capacity(),
         })
     }
+
+    /// Tells `writer` the stream is done, wakes it and joins it. The
+    /// flag is stored before the wake, and a wake that lands before the
+    /// writer parks makes that park return at once, so none is lost.
+    fn stop(
+        &self,
+        writer: JoinHandle<io::Result<(u64, u64)>>,
+    ) -> std::thread::Result<io::Result<(u64, u64)>> {
+        self.handle.shared.done.store(true, Ordering::Release);
+        writer.thread().unpark();
+        writer.join()
+    }
 }
 
 impl Drop for StreamSink {
     fn drop(&mut self) {
         // A sink dropped without `finish` still stops its thread.
         if let Some(writer) = self.writer.take() {
-            self.handle.shared.done.store(true, Ordering::Release);
-            let _ = writer.join();
+            let _ = self.stop(writer);
         }
     }
 }

@@ -5,6 +5,7 @@
 use mbac_metrics::{FieldBuf, StreamConfig, StreamItem, StreamSink};
 use std::io::{self, Write};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// A writer that blocks until the test releases it, so the ring behind
 /// it fills deterministically.
@@ -118,4 +119,25 @@ fn unblocked_stream_drops_nothing() {
     let text = std::fs::read_to_string(&path).unwrap();
     assert_eq!(text.lines().count(), 202, "header + 200 samples + summary");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `finish` wakes an idle writer instead of waiting out the rest of its
+/// backoff wait. In each trial the writer has backed off to its longest
+/// wait (5 ms, begun ~6.5–7 ms after the start) when `finish` is timed,
+/// ~9 ms after the start. On a 2-vCPU host the median read 3.0–3.2 ms
+/// while the writer slept its waits out, and reads 0.09–0.12 ms woken:
+/// the bound is ×8 above it and ×3 below the sleeping writer's.
+#[test]
+fn finish_wakes_an_idle_writer() {
+    let mut took: Vec<Duration> = (0..15)
+        .map(|_| {
+            let sink = StreamSink::to_writer(StreamConfig::default(), Box::new(io::sink()));
+            std::thread::sleep(Duration::from_millis(9));
+            let start = Instant::now();
+            sink.finish().unwrap();
+            start.elapsed()
+        })
+        .collect();
+    took.sort();
+    assert!(took[took.len() / 2] < Duration::from_millis(1), "{took:?}");
 }

@@ -28,9 +28,12 @@
 //! while its rates are still in cache; the driver replays the window,
 //! synthesising each tick's requests around the snapshots, and the
 //! buffer goes back to be written again. A replayed measurement is
-//! therefore an estimator update, O(1). Memory is the populations, two
-//! windows of 40-byte snapshots and the plane, whatever the number of
-//! ticks: a routed plane's route table is laid out once, for the first
+//! therefore an estimator update, O(1), and a request a compare whose
+//! decision the plane's logic hands straight to the run's tally
+//! ([`crate::sink`]): nothing holds a decision on its way, and the
+//! tally keeps counts and the stamped latencies only. Memory is the
+//! populations, two windows of 40-byte snapshots and the plane,
+//! whatever the number of ticks: a routed plane's route table is laid out once, for the first
 //! window's requests, never more than the run's.
 //!
 //! The serial shape overlaps the two stages when

@@ -48,7 +48,7 @@
 //! proves this property over randomized workloads, shard counts 1..=8,
 //! and models on their kernel or not, comparing byte-encoded decisions.
 
-use crate::sink::Decided;
+use crate::sink::{Decided, DecisionSink};
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
 use mbac_core::topology::LinkId;
@@ -404,19 +404,29 @@ impl DecisionEntry {
 pub trait LinkLogic: Send {
     /// What producers push into the shard's ring.
     type Event: Send;
-    /// What a decided request appends to the caller's `out`.
+    /// What a decided request hands to the caller's sink.
     type Decision: Decided + Send;
 
     /// The link `event` belongs to, which picks the owning shard.
     fn link_of(event: &Self::Event) -> LinkId;
 
     /// Applies one event. A measurement is counted into `tap`; a
-    /// decision made is folded into `tap` and appended to `out`.
-    fn apply(&mut self, event: Self::Event, tap: &mut Instruments, out: &mut Vec<Self::Decision>);
+    /// decision made is folded into `tap` and handed to `sink`.
+    fn apply<S: DecisionSink<Self::Decision>>(
+        &mut self,
+        event: Self::Event,
+        tap: &mut Instruments,
+        sink: &mut S,
+    );
 
-    /// Resumes links that were waiting on another shard's verdict;
-    /// returns how many did (0 = nothing more to do for now).
-    fn pump(&mut self, _tap: &mut Instruments, _out: &mut Vec<Self::Decision>) -> usize {
+    /// Resumes links that were waiting on another shard's verdict,
+    /// handing what they decide to `sink`; returns how many did (0 =
+    /// nothing more to do for now).
+    fn pump<S: DecisionSink<Self::Decision>>(
+        &mut self,
+        _tap: &mut Instruments,
+        _sink: &mut S,
+    ) -> usize {
         0
     }
 
@@ -517,15 +527,34 @@ impl<L: LinkLogic> ShardOf<L> {
     }
 
     /// Applies one event to the link it belongs to, appending any
-    /// decision it resolves to `out`.
+    /// decision it resolves to `out`: the `Vec` is the logic's sink.
     pub fn apply(&mut self, event: L::Event, out: &mut Vec<L::Decision>) {
-        self.logic.apply(event, &mut self.tap, out);
+        self.apply_into(event, out);
     }
 
     /// One sweep over the links waiting on another shard (see
-    /// [`LinkLogic::pump`]) — loop until 0 to settle.
+    /// [`LinkLogic::pump`]), appending what it decides to `out`, the
+    /// logic's sink — loop until 0 to settle.
     pub fn pump(&mut self, out: &mut Vec<L::Decision>) -> usize {
-        self.logic.pump(&mut self.tap, out)
+        self.pump_into(out)
+    }
+
+    /// Applies one event to the link it belongs to, handing any decision
+    /// it resolves to `sink`.
+    #[inline]
+    pub(crate) fn apply_into<S: DecisionSink<L::Decision>>(
+        &mut self,
+        event: L::Event,
+        sink: &mut S,
+    ) {
+        self.logic.apply(event, &mut self.tap, sink);
+    }
+
+    /// One sweep over the links waiting on another shard, handing what
+    /// it decides to `sink`.
+    #[inline]
+    pub(crate) fn pump_into<S: DecisionSink<L::Decision>>(&mut self, sink: &mut S) -> usize {
+        self.logic.pump(&mut self.tap, sink)
     }
 
     /// Whether any of this shard's links awaits a cross-shard verdict.
@@ -538,24 +567,24 @@ impl<L: LinkLogic> ShardOf<L> {
         &self.logic
     }
 
-    /// Drains the events in the ring, in ring order — at most one ring's
-    /// capacity of them, so `out` holds at most that many decisions
-    /// however fast the producers refill it — then runs one
-    /// [`pump`](Self::pump) sweep. Returns events processed plus links
-    /// resumed (0 = no progress).
-    pub fn drain_into(&mut self, out: &mut Vec<L::Decision>) -> usize {
+    /// Drains the events in the ring, in ring order, handing each
+    /// decision to `sink` as it is made — at most one ring's capacity of
+    /// events, so a drain ends however fast the producers refill the
+    /// ring — then runs one [`pump`](Self::pump) sweep into `sink`.
+    /// Returns events processed plus links resumed (0 = no progress).
+    pub fn drain_into(&mut self, sink: &mut impl DecisionSink<L::Decision>) -> usize {
         let mut n = 0;
         while n < self.ring.capacity() {
             let Some(ev) = self.ring.try_pop() else {
                 break;
             };
-            self.apply(ev, out);
+            self.apply_into(ev, sink);
             n += 1;
         }
         if n > 0 {
             self.tap.batch();
         }
-        n + self.pump(out)
+        n + self.pump_into(sink)
     }
 }
 
@@ -700,9 +729,14 @@ impl LinkLogic for SingleHop {
     }
 
     /// A measurement feeds the link's estimator and resynchronizes
-    /// occupancy; a request decides admit/reject and appends the
-    /// decision.
-    fn apply(&mut self, event: ShardEvent, tap: &mut Instruments, out: &mut Vec<Decision>) {
+    /// occupancy; a request decides admit/reject and hands the decision
+    /// to `sink`.
+    fn apply<S: DecisionSink<Decision>>(
+        &mut self,
+        event: ShardEvent,
+        tap: &mut Instruments,
+        sink: &mut S,
+    ) {
         match event {
             ShardEvent::Measure { link, t, rates } => {
                 self.link_mut(link).measure(t, &rates);
@@ -722,7 +756,7 @@ impl LinkLogic for SingleHop {
                     latency_ns,
                 };
                 tap.decision(&entry, self);
-                out.push(Decision {
+                sink.record(Decision {
                     link,
                     admit,
                     admissible,

@@ -81,6 +81,7 @@ use crate::plane::{
     ShardOf,
 };
 use crate::replay::{Ingest, Replay, ReplayConfig, ReplayOutcome, Stamps};
+use crate::sink::DecisionSink;
 use mbac_core::topology::{hop_u8, LinkId, RouteId, Topology};
 use mbac_metrics::{Aggregated, Counter, MetricValue, MetricsSnapshot, StreamHandle};
 use mbac_num::SnapshotMoments;
@@ -539,12 +540,12 @@ impl TwoPhase {
     }
 
     /// Processes one event on the unparked link in `slot`.
-    fn process(
+    fn process<S: DecisionSink<RouteDecision>>(
         &mut self,
         slot: usize,
         event: RoutedShardEvent,
         tap: &mut Instruments,
-        out: &mut Vec<RouteDecision>,
+        sink: &mut S,
     ) {
         let state = &mut self.links[slot];
         match event {
@@ -577,12 +578,12 @@ impl TwoPhase {
                         hops: std::iter::once(record).collect(),
                         latency_ns: latency_ns(enqueued),
                     };
-                    self.emit(d, tap, out);
+                    self.emit(d, tap, sink);
                     return;
                 }
                 let reserve = HopReserve { seq, hop, enqueued };
                 match self.table.vote(seq, hop, vote, admissible, occ) {
-                    Some(admit) => self.commit(slot, reserve, admit, tap, out),
+                    Some(admit) => self.commit(slot, reserve, admit, tap, sink),
                     None => {
                         state.parked = Some(reserve);
                         self.parked.push(slot as u32);
@@ -594,26 +595,31 @@ impl TwoPhase {
 
     /// Commits a resolved hop of a multi-hop request. Hop 0's owner
     /// emits the decision.
-    fn commit(
+    fn commit<S: DecisionSink<RouteDecision>>(
         &mut self,
         slot: usize,
         reserve: HopReserve,
         admit: bool,
         tap: &mut Instruments,
-        out: &mut Vec<RouteDecision>,
+        sink: &mut S,
     ) {
         self.links[slot].settle(admit);
         if reserve.hop == 0 {
             let latency_ns = latency_ns(reserve.enqueued);
             let d = self.table.decision(&self.topology, reserve.seq, latency_ns);
-            self.emit(d, tap, out);
+            self.emit(d, tap, sink);
         }
     }
 
-    /// Records a decision and appends it. Hop 0's view mirrors the
-    /// single-hop Decision: first-hop admissible and post-decision
+    /// Records a decision and hands it to `sink`. Hop 0's view mirrors
+    /// the single-hop Decision: first-hop admissible and post-decision
     /// occupancy.
-    fn emit(&mut self, d: RouteDecision, tap: &mut Instruments, out: &mut Vec<RouteDecision>) {
+    fn emit<S: DecisionSink<RouteDecision>>(
+        &mut self,
+        d: RouteDecision,
+        tap: &mut Instruments,
+        sink: &mut S,
+    ) {
         let entry = DecisionEntry {
             admit: d.admit,
             occupancy: d.hops[0].occupancy,
@@ -621,7 +627,7 @@ impl TwoPhase {
             latency_ns: d.latency_ns,
         };
         tap.decision(&entry, self);
-        out.push(d);
+        sink.record(d);
     }
 }
 
@@ -643,11 +649,11 @@ impl LinkLogic for TwoPhase {
     }
 
     /// Applies one event, buffering it when the link is parked.
-    fn apply(
+    fn apply<S: DecisionSink<RouteDecision>>(
         &mut self,
         event: RoutedShardEvent,
         tap: &mut Instruments,
-        out: &mut Vec<RouteDecision>,
+        sink: &mut S,
     ) {
         let slot = self.slot(Self::link_of(&event));
         let state = &mut self.links[slot];
@@ -658,14 +664,18 @@ impl LinkLogic for TwoPhase {
                 state.pending_peak = state.pending_peak.max(state.pending.len());
             }
         } else {
-            self.process(slot, event, tap, out);
+            self.process(slot, event, tap, sink);
         }
     }
 
     /// One parking sweep: commits every parked link whose verdict has
     /// been published, then replays its buffered events (which may park
     /// it again). Returns how many parked reserves were committed.
-    fn pump(&mut self, tap: &mut Instruments, out: &mut Vec<RouteDecision>) -> usize {
+    fn pump<S: DecisionSink<RouteDecision>>(
+        &mut self,
+        tap: &mut Instruments,
+        sink: &mut S,
+    ) -> usize {
         let mut progressed = 0;
         let mut i = 0;
         while i < self.parked.len() {
@@ -679,7 +689,7 @@ impl LinkLogic for TwoPhase {
             // the link back, so leaving it listed would duplicate it.
             self.parked.swap_remove(i);
             self.links[slot].parked = None;
-            self.commit(slot, parked, admit, tap, out);
+            self.commit(slot, parked, admit, tap, sink);
             progressed += 1;
             // Replay the buffer until it drains or the link re-parks.
             loop {
@@ -690,7 +700,7 @@ impl LinkLogic for TwoPhase {
                 let Some(ev) = state.pending.pop_front() else {
                     break;
                 };
-                self.process(slot, ev, tap, out);
+                self.process(slot, ev, tap, sink);
             }
         }
         progressed
@@ -909,8 +919,8 @@ mod tests {
     use crate::plane::{certainty_equivalent_factory, PlaneConfig, MAX_RING_CAPACITY, MAX_SHARDS};
     use crate::replay::tests::{
         decides_every_request, sampled_stamps_leave_decisions_alone, tally_agrees,
-        threaded_matches_serial, whole_run, window_estimator_factory,
-        windowed_matches_materialised, Hashes,
+        threaded_matches_serial, vec_adapter_decides_as_the_sink_path, whole_run,
+        window_estimator_factory, windowed_matches_materialised, Hashes,
     };
     use crate::replay::{drive_run, replay_serial, Driver, Step};
     use crate::sink::{DecisionSink, Tally};
@@ -1255,6 +1265,21 @@ mod tests {
             assert_eq!(&hops[..], &records[..]);
             assert_eq!(hops.clone(), hops);
         }
+    }
+
+    /// On parking-lot:3 the long route's hops 0 and 1 park until hop 2
+    /// resolves the request, and a pump sweep commits both: the `Vec`
+    /// adapter reaches the decisions through the sweep, as the sink path
+    /// does, on a window whose seqs do not start at 0.
+    #[test]
+    fn the_vec_adapter_decides_as_the_sink_path() {
+        let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
+        let cfg = load_config(Topology::parking_lot(3, 14.0), 0.05);
+        let asks = cfg.requests_per_tick;
+        let window = second_window(&model, cfg, 7);
+        let resumed = vec_adapter_decides_as_the_sink_path(&window, &RoutedReplayConfig::default());
+        // Hops 0 and 1 of each of the long route's requests.
+        assert_eq!(resumed, 2 * 7 * asks);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Decision sinks: where a replay driver puts each decision the moment
-//! the plane produces it.
+//! Decision sinks: where a link logic puts each decision the moment
+//! it makes it.
 //!
 //! The replay driver ([`crate::replay`]) does not accumulate
-//! decisions. A shard's `apply` / `pump` append to a small scratch
-//! vector, and the driver drains that vector into a `DecisionSink`
-//! after every event (serial step) or every ring drain (threaded step,
-//! one sink per shard, merged when the run ends). Two sinks exist, and
-//! both steps serve both:
+//! decisions, and holds none between the logic and its sink: a shard's
+//! logic hands every decision it resolves straight to the sink its
+//! caller passed in — the serial step's sink for the window, or on the
+//! threaded step the sink of the consumer that drains the shard (one
+//! sink per shard, merged when the run ends). Two sinks exist, and both
+//! steps serve both:
 //!
 //! * `Collect` keeps every decision, grouped by link or route in
 //!   decision order — the [`crate::ReplayOutcome::sequences`] the
@@ -18,6 +19,10 @@
 //!   computes p50 / p99 / mean on them exactly — no binned
 //!   approximation (`mbac_metrics::Histogram`'s log bins move a
 //!   quantile by up to 4.4 %) stands between a sample and its figure.
+//!
+//! A `Vec` is a sink too, the one a caller outside the crate holds:
+//! [`crate::ShardOf::apply`] and [`crate::ShardOf::pump`] append to
+//! one, in decision order.
 
 use crate::plane::Decision;
 use crate::routed::RouteDecision;
@@ -69,21 +74,38 @@ impl Decided for RouteDecision {
     }
 }
 
-/// A consumer of decisions. A link's (or route's) decisions all reach
-/// the same sink, in decision order; `merge` joins sinks that saw
-/// disjoint sets of links (or routes).
-pub(crate) trait DecisionSink<D>: Send {
+/// Keeps [`DecisionSink`] to the sinks this crate names: its own, and
+/// `Vec`.
+pub(crate) mod sealed {
+    /// Implemented by those sinks only.
+    pub trait Sealed {}
+}
+
+/// A consumer of decisions: what [`crate::LinkLogic::apply`] and
+/// [`crate::LinkLogic::pump`] hand each decision to. A link's (or
+/// route's) decisions all reach the same sink, in decision order;
+/// `merge` joins sinks that saw disjoint sets of links (or routes).
+/// Sealed: a caller outside the crate passes a `Vec`.
+pub trait DecisionSink<D>: sealed::Sealed + Send {
     /// Takes one decision.
     fn record(&mut self, d: D);
 
     /// Folds in a sink filled by another consumer.
     fn merge(&mut self, other: Self);
+}
 
-    /// Empties the driver's scratch vector into the sink.
-    fn record_all(&mut self, out: &mut Vec<D>) {
-        for d in out.drain(..) {
-            self.record(d);
-        }
+impl<D> sealed::Sealed for Vec<D> {}
+
+/// The sink of a caller outside the crate: every decision, appended in
+/// decision order.
+impl<D: Send> DecisionSink<D> for Vec<D> {
+    #[inline]
+    fn record(&mut self, d: D) {
+        self.push(d);
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.extend(other);
     }
 }
 
@@ -116,7 +138,10 @@ impl<D: Decided> Collect<D> {
     }
 }
 
+impl<D> sealed::Sealed for Collect<D> {}
+
 impl<D: Decided + Send> DecisionSink<D> for Collect<D> {
+    #[inline]
     fn record(&mut self, d: D) {
         self.groups[d.group()].push(d);
     }
@@ -138,7 +163,10 @@ pub(crate) struct Tally {
     pub(crate) latencies: Vec<u64>,
 }
 
+impl sealed::Sealed for Tally {}
+
 impl<D: Decided> DecisionSink<D> for Tally {
+    #[inline]
     fn record(&mut self, d: D) {
         self.decisions += 1;
         self.admitted += d.admit() as u64;
@@ -151,17 +179,6 @@ impl<D: Decided> DecisionSink<D> for Tally {
         self.decisions += other.decisions;
         self.admitted += other.admitted;
         self.latencies.extend(other.latencies);
-    }
-
-    /// Pops, since a tally has no order: `drain` left a `Drain` drop call
-    /// in the serial replay's loop, ~4 % of `serve_links`' decisions/s on
-    /// a 2-vCPU Xeon. Inlined: the serial step and the consumers both
-    /// call it, and out of line it cost the serial routed loop ~8 %.
-    #[inline]
-    fn record_all(&mut self, out: &mut Vec<D>) {
-        while let Some(d) = out.pop() {
-            self.record(d);
-        }
     }
 }
 

@@ -99,6 +99,17 @@ impl Marginal {
 
     /// Samples one rate.
     pub fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+        self.sample_from(rng)
+    }
+
+    /// [`Marginal::sample`] on any generator, inlined into its caller:
+    /// the same words, in the same order, so the same rate bit for bit.
+    /// A batch kernel draws on a local copy of its lane's stream, which a
+    /// `&mut dyn RngCore` would take the address of, so that every draw
+    /// loaded and stored the generator's state (`mbac_num::rng`, "The
+    /// register rule").
+    #[inline(always)]
+    pub(crate) fn sample_from<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         match *self {
             // A zero σ is floored, not special-cased: it draws as any
             // other σ does, and the draw rounds to the mean.
@@ -107,12 +118,10 @@ impl Marginal {
             }
             Marginal::Normal { mean, sd } => normal(rng, mean, sd),
             Marginal::Uniform { lo, hi } => uniform(rng, lo, hi),
+            // A pick, not a branch: an on–off flow's next state is a coin
+            // toss, and a branch on it mispredicts every other draw.
             Marginal::TwoPoint { low, high, p_high } => {
-                if bernoulli(rng, p_high) {
-                    high
-                } else {
-                    low
-                }
+                [low, high][bernoulli(rng, p_high) as usize]
             }
             Marginal::LogNormal { log_mean, log_sd } => {
                 (log_mean + log_sd * standard_normal(rng)).exp()

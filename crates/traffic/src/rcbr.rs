@@ -100,8 +100,9 @@
 //! perturbation of the moments (the analytic `mean()` / `variance()`
 //! report the *untruncated* values, as the theory assumes). The batch
 //! kernel draws a Gaussian marginal, truncated or not, through an inlined
-//! sampler and every other marginal through [`Marginal::sample`]; both
-//! consume the RNG as the boxed source does.
+//! sampler and every other marginal through [`Marginal::sample`]'s draw,
+//! inlined on the kernel's generator; both consume the RNG as the boxed
+//! source does.
 
 use crate::batch::{BatchKey, FlowBatch, LaneStreams, LANE};
 use crate::marginal::Marginal;
@@ -384,9 +385,9 @@ impl RateDraw for GaussianDraw {
 }
 
 impl RateDraw for Marginal {
-    #[inline]
+    #[inline(always)]
     fn draw(&self, rng: &mut StdRng) -> f64 {
-        self.sample(rng)
+        self.sample_from(rng)
     }
 }
 

@@ -12,18 +12,21 @@
 //! `ar1_dense`, `fig5_sweep` and `poisson_blocking` shapes, on one core,
 //! with an on–off RCBR batch (`RcbrBatch<Marginal>`, the kernel of every
 //! marginal but the Gaussian) at `fig5_sweep`'s beside the Gaussian one,
-//! and the on–off model at three renegotiation rates λ (per advance) on
-//! its kernel and on the boxed path (`Unbatched`, a `DynBatch`), which
-//! draw the same bits.
+//! both again at λ = 50 (per advance; `prop33_impulsive`'s keeper walk),
+//! and the on–off model at three renegotiation rates λ on its kernel and
+//! on the boxed path (`Unbatched`, a `DynBatch`), which draw the same
+//! bits.
 //! A ziggurat normal costs one generator step plus a few flops. On the
 //! 2-vCPU host, under the register rule (`mbac_num::rng`), a normal reads
-//! ×2.0–2.9 of a `u64` and the AR(1) kernel 4.5–7.5 ns a flow; before it
-//! they read ×2.8–4.0 and 10.5–13. The on–off batch reads ~6 ns a flow
-//! to the Gaussian batch's ~2.9, a gap whose cause is not yet known; the
-//! boxed path reads ×1.8–2.4 the on–off kernel at λ = 0.25, ×1.3–1.4 at
-//! λ = 50 and ×3.9–5.4 at λ = 0.029. A ratio above ×3, or the AR(1) kernel
-//! back near 8–11 ns, means a draw loop lost its registers: a rare path
-//! sits inline in the loop again, or something out of line receives the
+//! ×2.0–2.9 of a `u64` and the AR(1) kernel 3.5–7.5 ns a flow; before it
+//! they read ×2.8–4.0 and 10.5–13. The on–off batch reads ×0.9–1.1 of
+//! the Gaussian batch at λ = 0.25 and ×0.7–0.8 at λ = 50; it read ×2.1–2.6
+//! and ×2.7–3.9 while it drew through `&mut dyn RngCore` and branched on
+//! its coin toss (a misprediction every other draw). The boxed path reads
+//! ×3.3–4.5 the on–off kernel at λ = 0.25, ×3.1–4.0 at λ = 50 and ×12–13
+//! at λ = 0.029. A normal above ×3 of the `u64`, or the AR(1) kernel back
+//! near 8–11 ns, means a draw loop lost its registers: a rare path sits
+//! inline in the loop again, or something out of line receives the
 //! generator. Nothing is asserted: the host decides the figures, and its
 //! noise moves one set by ×1.5, so run it a few times against a build of
 //! the parent in the same minute.
@@ -134,7 +137,7 @@ fn draw_pace() {
     // and the same flows on the boxed path.
     let on_off = RcbrModel::on_off(2.0, 2.0, 2.0);
     let on_off_boxed = Unbatched(&on_off);
-    let shapes: [(&str, &dyn SourceModel, usize, f64, usize); 9] = [
+    let shapes: [(&str, &dyn SourceModel, usize, f64, usize); 10] = [
         (
             "ar1 @ ar1_dense (10^5 flows, a tick)",
             &ar1,
@@ -163,6 +166,7 @@ fn draw_pace() {
             0.25,
             2000,
         ),
+        ("rcbr (1000 flows, λ = 50)", &rcbr, 1000, 50.0, 20),
         ("rcbr on–off (1000 flows, λ = 50)", &on_off, 1000, 50.0, 20),
         (
             "  boxed (Unbatched), same shape",
