@@ -29,6 +29,7 @@ use mbac_num::SnapshotMoments;
 pub struct AggregateOnlyEstimator {
     t_m: f64,
     state: Option<State>,
+    dropped: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -54,13 +55,22 @@ impl AggregateOnlyEstimator {
             t_m > 0.0 && t_m.is_finite(),
             "aggregate-only estimation requires a positive memory window"
         );
-        AggregateOnlyEstimator { t_m, state: None }
+        AggregateOnlyEstimator {
+            t_m,
+            state: None,
+            dropped: 0,
+        }
     }
 
     /// Feeds one snapshot of `(flow count, aggregate bandwidth)`. An
-    /// empty or non-finite snapshot keeps the last estimate.
+    /// empty or non-finite snapshot keeps the last estimate; a
+    /// non-finite one is counted ([`Estimator::dropped`]).
     pub fn observe_aggregate(&mut self, t: f64, flows: usize, aggregate: f64) {
-        if flows == 0 || !aggregate.is_finite() {
+        if flows == 0 {
+            return;
+        }
+        if !aggregate.is_finite() {
+            self.dropped += 1;
             return;
         }
         let n = flows as f64;
@@ -109,6 +119,11 @@ impl Estimator for AggregateOnlyEstimator {
 
     fn reset(&mut self) {
         self.state = None;
+        self.dropped = 0;
+    }
+
+    fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     fn memory_timescale(&self) -> f64 {

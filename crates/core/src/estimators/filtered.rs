@@ -24,6 +24,7 @@ use mbac_num::SnapshotMoments;
 pub struct FilteredEstimator {
     t_m: f64,
     state: Option<FilterState>,
+    dropped: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +45,11 @@ impl FilteredEstimator {
             t_m >= 0.0 && t_m.is_finite(),
             "memory time-scale must be finite and >= 0"
         );
-        FilteredEstimator { t_m, state: None }
+        FilteredEstimator {
+            t_m,
+            state: None,
+            dropped: 0,
+        }
     }
 
     /// The configured memory time-scale.
@@ -60,6 +65,11 @@ impl Estimator for FilteredEstimator {
 
     fn reset(&mut self) {
         self.state = None;
+        self.dropped = 0;
+    }
+
+    fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     fn memory_timescale(&self) -> f64 {
@@ -70,7 +80,11 @@ impl Estimator for FilteredEstimator {
         // An empty snapshot carries nothing, and a non-finite one would
         // poison the filter for the rest of the run: the mean would stay
         // NaN, and so would every admissible count after it.
-        if moments.count() == 0 || !moments.is_finite() {
+        if moments.count() == 0 {
+            return;
+        }
+        if !moments.is_finite() {
+            self.dropped += 1;
             return;
         }
         // The variance snapshot is centered on the snapshot mean on the

@@ -33,6 +33,7 @@ pub struct AggregateEstimate {
 pub struct ClassifiedEstimator {
     classes: Vec<FilteredEstimator>,
     counts: Vec<usize>,
+    dropped: u64,
 }
 
 impl ClassifiedEstimator {
@@ -43,12 +44,14 @@ impl ClassifiedEstimator {
         ClassifiedEstimator {
             classes: vec![FilteredEstimator::new(t_m); num_classes],
             counts: vec![0; num_classes],
+            dropped: 0,
         }
     }
 
     /// Consumes a classified snapshot: `(class index, instantaneous
     /// rate)` for every flow in the system. A class with a non-finite
-    /// rate in it keeps its state and its count. A class absent from the
+    /// rate in it keeps its state and its count, and is counted
+    /// ([`ClassifiedEstimator::dropped`]). A class absent from the
     /// snapshot keeps its state, so its next gain spans the time since
     /// it was last present.
     ///
@@ -72,8 +75,17 @@ impl ClassifiedEstimator {
             if moments.is_finite() {
                 *count = rates.len();
                 class.observe_moments(t, &moments);
+            } else {
+                self.dropped += 1;
             }
         }
+    }
+
+    /// How many class observations have been dropped for a non-finite
+    /// rate since the estimator was made or last reset: one a class a
+    /// snapshot.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     /// Per-flow estimate for one class, or `None` if that class has
@@ -100,6 +112,7 @@ impl ClassifiedEstimator {
     pub fn reset(&mut self) {
         self.classes.iter_mut().for_each(Estimator::reset);
         self.counts.fill(0);
+        self.dropped = 0;
     }
 }
 
@@ -198,7 +211,8 @@ mod tests {
     }
 
     /// A NaN or ±∞ rate in one class leaves that class's estimate and
-    /// count as they were; the other class still moves.
+    /// count as they were, and is counted dropped; the other class still
+    /// moves.
     #[test]
     fn a_non_finite_rate_skips_only_its_class() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -207,6 +221,7 @@ mod tests {
             let class0 = est.estimate_class(0).unwrap();
             est.observe(1.0, &[(0, 2.0), (0, bad), (0, 5.0), (1, 20.0)]);
             assert_eq!(est.estimate_class(0), Some(class0), "{bad}");
+            assert_eq!(est.dropped(), 1, "{bad}");
             // Class 0 keeps its 2 flows; class 1 holds 1.
             assert_eq!(est.aggregate().flows, 3, "{bad}");
             assert!(est.estimate_class(1).unwrap().mean > 10.0, "{bad}");

@@ -12,6 +12,7 @@ use mbac_num::SnapshotMoments;
 pub struct MemorylessEstimator {
     last: Option<Estimate>,
     last_t: f64,
+    dropped: u64,
 }
 
 impl MemorylessEstimator {
@@ -34,6 +35,10 @@ impl Estimator for MemorylessEstimator {
         0.0
     }
 
+    fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
     fn observe_moments(&mut self, t: f64, moments: &SnapshotMoments) {
         debug_assert!(
             t >= self.last_t || self.last.is_none(),
@@ -43,6 +48,7 @@ impl Estimator for MemorylessEstimator {
         // A non-finite snapshot keeps the last estimate: NaN or ±∞ would
         // otherwise turn the admissible count into NaN.
         if !moments.is_finite() {
+            self.dropped += 1;
             return;
         }
         // `snapshot_stats`' arithmetic: an empty snapshot keeps the last

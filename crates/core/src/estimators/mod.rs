@@ -76,14 +76,22 @@ pub trait Estimator {
     /// Consumes one observation at time `t` as the fold of its rates —
     /// O(1) in the number of flows. Observation times must be
     /// non-decreasing across calls. An empty observation carries
-    /// nothing, and a non-finite one (a NaN or ±∞ rate) is ignored:
-    /// either keeps the estimate as it was.
+    /// nothing, and a non-finite one (a NaN or ±∞ rate) is dropped and
+    /// counted ([`Estimator::dropped`]): either keeps the estimate as it
+    /// was.
     fn observe_moments(&mut self, t: f64, moments: &SnapshotMoments);
+
+    /// How many non-finite observations this estimator has dropped
+    /// since it was made or last reset. An empty one is not counted: it
+    /// carries nothing, and a link with no flows measures one.
+    fn dropped(&self) -> u64 {
+        0
+    }
 
     /// Current estimate, or `None` before enough data has been seen.
     fn estimate(&self) -> Option<Estimate>;
 
-    /// Clears all state.
+    /// Clears all state, the [`Estimator::dropped`] count included.
     fn reset(&mut self);
 
     /// The memory time-scale `T_m` of this estimator (0 for memoryless).

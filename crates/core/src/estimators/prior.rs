@@ -26,6 +26,7 @@ pub struct PriorSmoothedEstimator {
     prior: FlowStats,
     weight: f64,
     last: Option<(Estimate, usize)>,
+    dropped: u64,
 }
 
 impl PriorSmoothedEstimator {
@@ -43,6 +44,7 @@ impl PriorSmoothedEstimator {
             prior,
             weight,
             last: None,
+            dropped: 0,
         }
     }
 
@@ -61,6 +63,7 @@ impl Estimator for PriorSmoothedEstimator {
     fn observe_moments(&mut self, _t: f64, moments: &SnapshotMoments) {
         // A non-finite snapshot keeps the last estimate.
         if !moments.is_finite() {
+            self.dropped += 1;
             return;
         }
         if let Some(e) = moment_stats(moments) {
@@ -83,6 +86,11 @@ impl Estimator for PriorSmoothedEstimator {
 
     fn reset(&mut self) {
         self.last = None;
+        self.dropped = 0;
+    }
+
+    fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     fn memory_timescale(&self) -> f64 {

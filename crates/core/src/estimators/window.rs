@@ -16,6 +16,7 @@ use std::collections::VecDeque;
 pub struct WindowEstimator {
     t_w: f64,
     samples: VecDeque<(f64, Estimate)>,
+    dropped: u64,
 }
 
 impl WindowEstimator {
@@ -31,6 +32,7 @@ impl WindowEstimator {
         WindowEstimator {
             t_w,
             samples: VecDeque::new(),
+            dropped: 0,
         }
     }
 
@@ -65,6 +67,7 @@ impl Estimator for WindowEstimator {
         // A non-finite snapshot is ignored: it would turn every estimate
         // the window gives into NaN until it is evicted.
         if !moments.is_finite() {
+            self.dropped += 1;
             return;
         }
         if let Some(e) = moment_stats(moments) {
@@ -98,6 +101,11 @@ impl Estimator for WindowEstimator {
 
     fn reset(&mut self) {
         self.samples.clear();
+        self.dropped = 0;
+    }
+
+    fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     fn memory_timescale(&self) -> f64 {

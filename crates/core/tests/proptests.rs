@@ -137,10 +137,14 @@ fn assert_moment_equivalence(
 }
 
 /// Something that consumes rate snapshots, fed as rates or as their
-/// fold, and read back as the numbers its decisions rest on.
+/// fold, and read back as the numbers its decisions rest on, and (for
+/// the estimators) the count of snapshots it dropped.
 trait Consumer {
     fn feed(&mut self, t: f64, rates: &[f64], by_moments: bool);
     fn read(&self) -> Vec<f64>;
+    fn dropped(&self) -> Option<u64> {
+        None
+    }
 }
 
 impl Consumer for Box<dyn Estimator> {
@@ -156,6 +160,10 @@ impl Consumer for Box<dyn Estimator> {
     fn read(&self) -> Vec<f64> {
         self.estimate()
             .map_or(vec![], |e: Estimate| vec![e.mean, e.variance])
+    }
+
+    fn dropped(&self) -> Option<u64> {
+        Some(Estimator::dropped(self.as_ref()))
     }
 }
 
@@ -193,11 +201,16 @@ impl Consumer for OneClass {
             .chain(class)
             .collect()
     }
+
+    fn dropped(&self) -> Option<u64> {
+        Some(self.0.dropped())
+    }
 }
 
 /// Feeds `good` snapshots, then one whose rate at `at` is `bad`, through
 /// both entry points: what the consumer reads must be bit-equal to what
 /// it read before, and a good snapshot after it must still read finite.
+/// An estimator counts the bad snapshot, and no good one, as dropped.
 fn assert_non_finite_is_ignored<C: Consumer>(
     make: &dyn Fn() -> C,
     good: &[Vec<f64>],
@@ -219,6 +232,7 @@ fn assert_non_finite_is_ignored<C: Consumer>(
         for g in good {
             feed(&mut consumer, g);
         }
+        assert!(matches!(consumer.dropped(), None | Some(0)));
         let before = bits(consumer.read());
         feed(&mut consumer, &rates);
         assert_eq!(
@@ -227,6 +241,11 @@ fn assert_non_finite_is_ignored<C: Consumer>(
             "{bad} at {at} (moments: {by_moments}) moved the estimate"
         );
         feed(&mut consumer, poisoned);
+        assert!(
+            matches!(consumer.dropped(), None | Some(1)),
+            "{bad} at {at} (moments: {by_moments}): {:?} dropped",
+            consumer.dropped()
+        );
         let after = consumer.read();
         assert!(
             !after.is_empty() && after.iter().all(|x| x.is_finite()),
@@ -277,7 +296,8 @@ proptest! {
 
     /// NaN or ±∞ anywhere in a snapshot leaves the estimate bit-equal to
     /// before, cold or warm, on all five estimators (both entry points),
-    /// the measured-sum policy and the per-class estimator.
+    /// the measured-sum policy and the per-class estimator, and every
+    /// estimator counts it dropped.
     #[test]
     fn a_non_finite_rate_leaves_the_estimate_unchanged(
         good in collection::vec(collection::vec(0.0f64..5.0, 1..12), 0..6),

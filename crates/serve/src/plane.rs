@@ -48,7 +48,7 @@
 //! proves this property over randomized workloads, shard counts 1..=8,
 //! and models on their kernel or not, comparing byte-encoded decisions.
 
-use crate::sink::{Decided, DecisionSink};
+use crate::sink::{Decided, DecisionEntry, DecisionSink};
 use mbac_core::admission::CertaintyEquivalent;
 use mbac_core::estimators::FilteredEstimator;
 use mbac_core::topology::LinkId;
@@ -350,8 +350,7 @@ impl ShardMetrics {
         out
     }
 
-    /// Folds one decision's unit-of-work record. Counter updates are
-    /// identical to the per-instrument calls this replaces; the latency
+    /// Folds one decision's verdict into the counters; the latency
     /// histogram stays timing-gated.
     fn fold_decision(&mut self, e: &DecisionEntry) {
         self.requests.inc();
@@ -366,19 +365,8 @@ impl ShardMetrics {
     }
 }
 
-/// One admission decision's unit-of-work record: accumulated on the
-/// stack while the decision is made, folded into the shard's
-/// instruments once, and (in streaming mode) offered to the sampler.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DecisionEntry {
-    pub(crate) admit: bool,
-    pub(crate) occupancy: u32,
-    pub(crate) admissible: Option<f64>,
-    pub(crate) latency_ns: Option<u64>,
-}
-
 impl DecisionEntry {
-    /// The entry's fields as a sample payload.
+    /// The verdict's fields as a sample payload.
     fn fields(&self) -> FieldBuf {
         let mut f = FieldBuf::new();
         f.push("admit", if self.admit { 1.0 } else { 0.0 });
@@ -401,17 +389,24 @@ impl DecisionEntry {
 /// links the shard owns. Everything else a shard is — ring, instruments,
 /// stream, drain, snapshot — is [`ShardOf`], written once for every
 /// logic.
+///
+/// A logic hands each decision on as its verdict plus a builder of its
+/// [`LinkLogic::Decision`] record, through the tap (see
+/// [`crate::sink`]): the tap and every sink read the verdict, and the
+/// record is built only for a sink that keeps records.
 pub trait LinkLogic: Send {
     /// What producers push into the shard's ring.
     type Event: Send;
-    /// What a decided request hands to the caller's sink.
+    /// The record a decided request hands to a sink that keeps
+    /// records.
     type Decision: Decided + Send;
 
     /// The link `event` belongs to, which picks the owning shard.
     fn link_of(event: &Self::Event) -> LinkId;
 
     /// Applies one event. A measurement is counted into `tap`; a
-    /// decision made is folded into `tap` and handed to `sink`.
+    /// decision made is handed through `tap`, which folds its verdict,
+    /// to `sink`.
     fn apply<S: DecisionSink<Self::Decision>>(
         &mut self,
         event: Self::Event,
@@ -471,20 +466,30 @@ impl Instruments {
         }
     }
 
-    /// Folds one decision into the counters and advances the stream:
-    /// sample emission, plus a cumulative interval flush when one is
-    /// due. `logic` is the state the decision left behind — an interval
-    /// carries its link bundles as of this decision.
-    pub(crate) fn decision<L: LinkLogic>(&mut self, e: &DecisionEntry, logic: &L) {
+    /// Hands one decision on, the one way every [`LinkLogic`] does:
+    /// folds its verdict into the counters and advances the stream
+    /// (sample emission, plus a cumulative interval flush when one is
+    /// due), then gives `sink` the verdict and `build`, the builder of
+    /// its record. `logic` is the state the decision left behind — an
+    /// interval carries its link bundles as of this decision.
+    #[inline]
+    pub(crate) fn emit<L: LinkLogic, S: DecisionSink<L::Decision>>(
+        &mut self,
+        logic: &L,
+        sink: &mut S,
+        verdict: DecisionEntry,
+        build: impl FnOnce() -> L::Decision,
+    ) {
         if let Some(m) = self.metrics.as_deref_mut() {
-            m.fold_decision(e);
+            m.fold_decision(&verdict);
         }
         // The decision plane has no simulation clock: its records carry
         // `t = NaN` and are ordered by `seq` alone.
         let stream = self.stream.as_deref_mut();
-        if stream.is_some_and(|s| s.advance(f64::NAN, || e.fields())) {
+        if stream.is_some_and(|s| s.advance(f64::NAN, || verdict.fields())) {
             self.emit_interval(logic);
         }
+        sink.record(&verdict, build);
     }
 
     /// Emits one cumulative interval on the stream, if one is attached.
@@ -698,6 +703,12 @@ impl<L: LinkLogic> IngestHandle<L> {
     }
 }
 
+/// Nanoseconds since `enqueued`, when stamped.
+#[inline]
+pub(crate) fn latency_ns(enqueued: Option<Instant>) -> Option<u64> {
+    enqueued.map(|at| u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX))
+}
+
 // ---------------------------------------------------------------------
 // The single-hop logic
 // ---------------------------------------------------------------------
@@ -746,22 +757,18 @@ impl LinkLogic for SingleHop {
                 let state = self.link_mut(link);
                 let admit = state.votes();
                 state.settle(admit);
-                let (admissible, occupancy) = (state.admissible(), state.occupancy());
-                let latency_ns =
-                    enqueued.map(|at| u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                let entry = DecisionEntry {
+                let verdict = DecisionEntry {
                     admit,
-                    occupancy,
-                    admissible,
-                    latency_ns,
+                    occupancy: state.occupancy(),
+                    admissible: state.admissible(),
+                    latency_ns: latency_ns(enqueued),
                 };
-                tap.decision(&entry, self);
-                sink.record(Decision {
+                tap.emit(self, sink, verdict, || Decision {
                     link,
                     admit,
-                    admissible,
-                    occupancy,
-                    latency_ns,
+                    admissible: verdict.admissible,
+                    occupancy: verdict.occupancy,
+                    latency_ns: verdict.latency_ns,
                 });
             }
         }

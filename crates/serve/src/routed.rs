@@ -62,6 +62,19 @@
 //! serial shape a request resolves at its last hop, before any other
 //! event reaches a link it parked, and nothing is ever buffered.
 //!
+//! # Decisions
+//!
+//! Hop 0's owner emits each decision the way every link logic does,
+//! through its shard's tap: a verdict — admit, hop 0's admissible count
+//! and its occupancy after the decision, the latency — and a builder of
+//! the [`RouteDecision`] record (see [`crate::sink`]). A multi-hop
+//! request's verdict is read off hop 0's link as it commits: the link
+//! was parked from its vote to its commit, so no event moved its count
+//! or occupancy in between. The record — the route, and every hop's
+//! vote, count and occupancy read back from the route table — is built
+//! only for a sink that keeps records; the bench's tally counts
+//! verdicts and builds none.
+//!
 //! # Determinism
 //!
 //! A hop's vote depends only on its link's state, which evolves only
@@ -77,11 +90,10 @@
 //! bytes bit for bit.
 
 use crate::plane::{
-    ControllerFactory, DecisionEntry, IngestHandle, Instruments, LinkLogic, Plane, ServeError,
-    ShardOf,
+    latency_ns, ControllerFactory, IngestHandle, Instruments, LinkLogic, Plane, ServeError, ShardOf,
 };
 use crate::replay::{Ingest, Replay, ReplayConfig, ReplayOutcome, Stamps};
-use crate::sink::DecisionSink;
+use crate::sink::{DecisionEntry, DecisionSink};
 use mbac_core::topology::{hop_u8, LinkId, RouteId, Topology};
 use mbac_metrics::{Aggregated, Counter, MetricValue, MetricsSnapshot, StreamHandle};
 use mbac_num::SnapshotMoments;
@@ -564,21 +576,27 @@ impl TwoPhase {
                 if self.table.one_hop(seq) {
                     // Its own last voter: the vote is the verdict.
                     state.settle(vote);
-                    let record = HopDecision {
-                        link: state.link,
-                        vote,
-                        admissible,
+                    let (link, table) = (state.link, &self.table);
+                    let verdict = DecisionEntry {
+                        admit: vote,
                         occupancy: state.admission.occupancy(),
+                        admissible,
+                        latency_ns: latency_ns(enqueued),
                     };
-                    let d = RouteDecision {
-                        route: self.table.routes[self.table.slot(seq)],
+                    tap.emit(self, sink, verdict, || RouteDecision {
+                        route: table.routes[table.slot(seq)],
                         seq,
                         admit: vote,
                         reject_hop: (!vote).then_some(0),
-                        hops: std::iter::once(record).collect(),
-                        latency_ns: latency_ns(enqueued),
-                    };
-                    self.emit(d, tap, sink);
+                        hops: std::iter::once(HopDecision {
+                            link,
+                            vote,
+                            admissible,
+                            occupancy: verdict.occupancy,
+                        })
+                        .collect(),
+                        latency_ns: verdict.latency_ns,
+                    });
                     return;
                 }
                 let reserve = HopReserve { seq, hop, enqueued };
@@ -594,7 +612,9 @@ impl TwoPhase {
     }
 
     /// Commits a resolved hop of a multi-hop request. Hop 0's owner
-    /// emits the decision.
+    /// emits the decision: its verdict from hop 0's link, which no
+    /// event has touched since its vote, and its record, if a sink
+    /// keeps records, from the route table's votes.
     fn commit<S: DecisionSink<RouteDecision>>(
         &mut self,
         slot: usize,
@@ -603,37 +623,21 @@ impl TwoPhase {
         tap: &mut Instruments,
         sink: &mut S,
     ) {
-        self.links[slot].settle(admit);
+        let state = &mut self.links[slot];
+        state.settle(admit);
         if reserve.hop == 0 {
-            let latency_ns = latency_ns(reserve.enqueued);
-            let d = self.table.decision(&self.topology, reserve.seq, latency_ns);
-            self.emit(d, tap, sink);
+            let verdict = DecisionEntry {
+                admit,
+                occupancy: state.admission.occupancy(),
+                admissible: state.admission.admissible(),
+                latency_ns: latency_ns(reserve.enqueued),
+            };
+            let (table, topology) = (&self.table, &self.topology);
+            tap.emit(self, sink, verdict, || {
+                table.decision(topology, reserve.seq, verdict.latency_ns)
+            });
         }
     }
-
-    /// Records a decision and hands it to `sink`. Hop 0's view mirrors
-    /// the single-hop Decision: first-hop admissible and post-decision
-    /// occupancy.
-    fn emit<S: DecisionSink<RouteDecision>>(
-        &mut self,
-        d: RouteDecision,
-        tap: &mut Instruments,
-        sink: &mut S,
-    ) {
-        let entry = DecisionEntry {
-            admit: d.admit,
-            occupancy: d.hops[0].occupancy,
-            admissible: d.hops[0].admissible,
-            latency_ns: d.latency_ns,
-        };
-        tap.decision(&entry, self);
-        sink.record(d);
-    }
-}
-
-/// Nanoseconds since `enqueued`, when stamped.
-fn latency_ns(enqueued: Option<Instant>) -> Option<u64> {
-    enqueued.map(|at| u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX))
 }
 
 impl LinkLogic for TwoPhase {
@@ -718,6 +722,7 @@ impl LinkLogic for TwoPhase {
                 ("reserves", state.reserves),
                 ("commits", state.commits),
                 ("aborts", state.aborts),
+                ("dropped", state.admission.dropped()),
             ] {
                 let mut c = Counter::new();
                 c.add(v);
@@ -918,13 +923,14 @@ mod tests {
     };
     use crate::plane::{certainty_equivalent_factory, PlaneConfig, MAX_RING_CAPACITY, MAX_SHARDS};
     use crate::replay::tests::{
-        decides_every_request, sampled_stamps_leave_decisions_alone, tally_agrees,
-        threaded_matches_serial, vec_adapter_decides_as_the_sink_path, whole_run,
+        a_tally_builds_no_record, decides_every_request, sampled_stamps_leave_decisions_alone,
+        tally_agrees, threaded_matches_serial, vec_adapter_decides_as_the_sink_path, whole_run,
         window_estimator_factory, windowed_matches_materialised, Hashes,
     };
     use crate::replay::{drive_run, replay_serial, Driver, Step};
-    use crate::sink::{DecisionSink, Tally};
+    use crate::sink::Tally;
     use mbac_core::topology::MAX_ROUTE_HOPS;
+    use mbac_num::RateMoments;
     use mbac_sim::{
         RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig, RoutedWorkload,
         SessionBuilder, Windows,
@@ -1327,6 +1333,41 @@ mod tests {
         }
     }
 
+    /// A measurement with a NaN in it reaches the link's estimator,
+    /// which drops it and counts it: the admissible count stays as the
+    /// last good measurement set it, and `net.link<j>.dropped` reads 1.
+    #[test]
+    fn a_non_finite_measurement_is_counted_and_moves_no_count() {
+        let topology = Arc::new(Topology::one_hop_links(1, 20.0));
+        let cfg = RoutedPlaneConfig {
+            metrics: MetricsMode::Enabled,
+            ..RoutedPlaneConfig::default()
+        };
+        let make = certainty_equivalent_factory(1e-2, 2.0);
+        let table = RouteTable::default();
+        let mut plane = RoutedPlane::with_table(&cfg, &topology, table, make).unwrap();
+        let measure = |t, rates: &[f64]| RoutedShardEvent::Measure {
+            link: LinkId(0),
+            t,
+            rates: RateMoments::of(rates[0], rates).reduce(),
+        };
+        let shard = &mut plane.shards_mut()[0];
+        let mut out = Vec::new();
+        shard.apply(measure(0.0, &[1.0, 1.5, 0.5]), &mut out);
+        let admissible = shard.logic().links[0].admission.admissible();
+        assert!(admissible.is_some());
+        shard.apply(measure(0.5, &[1.0, f64::NAN, 0.5]), &mut out);
+        assert_eq!(shard.logic().links[0].admission.admissible(), admissible);
+        assert!(out.is_empty());
+        let snapshot = plane.snapshot();
+        for (name, count) in [("measures", 2), ("dropped", 1)] {
+            match snapshot.get(&format!("net.link0.{name}")) {
+                Some(MetricValue::Counter(c)) => assert_eq!(c.count, count, "{name}"),
+                other => panic!("{name}: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn tally_sink_agrees_with_collecting_sink() {
         let w = workload(Topology::star(4, 10.0), 0.05);
@@ -1340,6 +1381,15 @@ mod tests {
             producers,
             stamp_latency: false,
         });
+    }
+
+    /// The long route's hops 0 and 1 park until hop 2 resolves each
+    /// of its requests, and hop 0 emits from the sweep that resumes it:
+    /// a sink that keeps no records still has none built.
+    #[test]
+    fn the_tally_builds_no_route_record() {
+        let window = window(Topology::parking_lot(3, 14.0), 0.05);
+        a_tally_builds_no_record(&window, |shards| sharded(shards, 1).plane);
     }
 
     fn sharded(shards: usize, producers: usize) -> RoutedReplayConfig {
@@ -1561,7 +1611,7 @@ mod tests {
         assert!(0 < out.admitted && out.admitted < out.decisions);
         let mut materialised = Hashes::new(routes);
         for d in out.sequences.into_iter().flatten() {
-            materialised.record(d);
+            materialised.hash(&d);
         }
 
         let windows = load.windows().unwrap();

@@ -6,13 +6,20 @@
 //! logic hands every decision it resolves straight to the sink its
 //! caller passed in — the serial step's sink for the window, or on the
 //! threaded step the sink of the consumer that drains the shard (one
-//! sink per shard, merged when the run ends). Two sinks exist, and both
-//! steps serve both:
+//! sink per shard, merged when the run ends).
 //!
-//! * `Collect` keeps every decision, grouped by link or route in
-//!   decision order — the [`crate::ReplayOutcome::sequences`] the
+//! A decision reaches its sink as a **verdict** — a [`DecisionEntry`]:
+//! admit or reject, hop 0's admissible count and occupancy after the
+//! decision, and the latency, the entry the shard's tap folds — plus a
+//! builder of its full record (a [`crate::Decision`] or a
+//! [`crate::RouteDecision`]). The aggregates are kept for every
+//! decision; the record is built only for a sink that keeps records,
+//! which calls the builder. Two sinks exist, and both steps serve both:
+//!
+//! * `Collect` builds and keeps every record, grouped by link or route
+//!   in decision order — the [`crate::ReplayOutcome::sequences`] the
 //!   invariance suites compare byte for byte;
-//! * `Tally` keeps what a bench report prints and nothing else:
+//! * `Tally` counts from the verdict alone and never builds a record:
 //!   decisions, admits and the stamped latencies themselves. A bench
 //!   run stamps at most [`crate::bench::LATENCY_SAMPLES`] requests, so
 //!   the samples stay small whatever the run's length, and the report
@@ -21,8 +28,8 @@
 //!   quantile by up to 4.4 %) stands between a sample and its figure.
 //!
 //! A `Vec` is a sink too, the one a caller outside the crate holds:
-//! [`crate::ShardOf::apply`] and [`crate::ShardOf::pump`] append to
-//! one, in decision order.
+//! [`crate::ShardOf::apply`] and [`crate::ShardOf::pump`] append every
+//! record to one, in decision order.
 
 use crate::plane::Decision;
 use crate::routed::RouteDecision;
@@ -81,14 +88,30 @@ pub(crate) mod sealed {
     pub trait Sealed {}
 }
 
+/// One decision's verdict: what a sink that keeps no records reads,
+/// and the entry the shard's tap folds into its counters and offers to
+/// its stream. On a route, hop 0's view, which mirrors a single-link
+/// [`Decision`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct DecisionEntry {
+    pub(crate) admit: bool,
+    /// Hop 0's occupancy after the decision.
+    pub(crate) occupancy: u32,
+    /// Hop 0's admissible count at decision time.
+    pub(crate) admissible: Option<f64>,
+    pub(crate) latency_ns: Option<u64>,
+}
+
 /// A consumer of decisions: what [`crate::LinkLogic::apply`] and
 /// [`crate::LinkLogic::pump`] hand each decision to. A link's (or
 /// route's) decisions all reach the same sink, in decision order;
 /// `merge` joins sinks that saw disjoint sets of links (or routes).
 /// Sealed: a caller outside the crate passes a `Vec`.
 pub trait DecisionSink<D>: sealed::Sealed + Send {
-    /// Takes one decision.
-    fn record(&mut self, d: D);
+    /// Takes one decision: its verdict, and a builder of its record,
+    /// which only a sink that keeps records calls.
+    fn record(&mut self, verdict: &DecisionEntry, build: impl FnOnce() -> D);
 
     /// Folds in a sink filled by another consumer.
     fn merge(&mut self, other: Self);
@@ -100,8 +123,8 @@ impl<D> sealed::Sealed for Vec<D> {}
 /// decision order.
 impl<D: Send> DecisionSink<D> for Vec<D> {
     #[inline]
-    fn record(&mut self, d: D) {
-        self.push(d);
+    fn record(&mut self, _: &DecisionEntry, build: impl FnOnce() -> D) {
+        self.push(build());
     }
 
     fn merge(&mut self, other: Self) {
@@ -142,7 +165,8 @@ impl<D> sealed::Sealed for Collect<D> {}
 
 impl<D: Decided + Send> DecisionSink<D> for Collect<D> {
     #[inline]
-    fn record(&mut self, d: D) {
+    fn record(&mut self, _: &DecisionEntry, build: impl FnOnce() -> D) {
+        let d = build();
         self.groups[d.group()].push(d);
     }
 
@@ -154,7 +178,7 @@ impl<D: Decided + Send> DecisionSink<D> for Collect<D> {
 }
 
 /// The tally sink: the totals and stamped latencies a bench report is
-/// made from.
+/// made from, counted from each verdict; it builds no record.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
     pub(crate) decisions: u64,
@@ -165,12 +189,12 @@ pub(crate) struct Tally {
 
 impl sealed::Sealed for Tally {}
 
-impl<D: Decided> DecisionSink<D> for Tally {
+impl<D> DecisionSink<D> for Tally {
     #[inline]
-    fn record(&mut self, d: D) {
+    fn record(&mut self, verdict: &DecisionEntry, _: impl FnOnce() -> D) {
         self.decisions += 1;
-        self.admitted += d.admit() as u64;
-        if let Some(ns) = d.latency_ns() {
+        self.admitted += verdict.admit as u64;
+        if let Some(ns) = verdict.latency_ns {
             self.latencies.push(ns);
         }
     }
@@ -196,12 +220,21 @@ mod tests {
             occupancy,
             latency_ns: None,
         };
+        let keep = |sink: &mut Collect<Decision>, d: Decision| {
+            let verdict = DecisionEntry {
+                admit: d.admit,
+                occupancy: d.occupancy,
+                admissible: d.admissible,
+                latency_ns: d.latency_ns,
+            };
+            sink.record(&verdict, || d);
+        };
         let mut a = Collect::new(3);
         let mut b = Collect::new(3);
-        a.record(d(0, 1));
-        b.record(d(2, 2));
-        a.record(d(0, 3));
-        b.record(d(2, 4));
+        keep(&mut a, d(0, 1));
+        keep(&mut b, d(2, 2));
+        keep(&mut a, d(0, 3));
+        keep(&mut b, d(2, 4));
         a.merge(b);
         let (groups, decisions, admitted) = a.finish();
         assert_eq!((decisions, admitted), (4, 2));

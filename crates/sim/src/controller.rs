@@ -89,6 +89,12 @@ impl MbacController {
         self.estimator.memory_timescale()
     }
 
+    /// How many non-finite measurements the estimator has dropped
+    /// ([`Estimator::dropped`]).
+    pub fn dropped(&self) -> u64 {
+        self.estimator.dropped()
+    }
+
     /// Clears estimator state (for reuse across replications).
     pub fn reset(&mut self) {
         self.estimator.reset();
@@ -178,6 +184,12 @@ impl LinkAdmission {
     #[inline]
     pub fn occupancy(&self) -> u32 {
         self.occupancy
+    }
+
+    /// How many measurements the link's estimator has dropped for a
+    /// NaN or ±∞ in them: each left the admissible count as it was.
+    pub fn dropped(&self) -> u64 {
+        self.ctl.dropped()
     }
 
     /// The pivot the link's next measurement should be folded around
