@@ -289,12 +289,15 @@ pub const CLAMP_GUARD_SDS: f64 = 13.0;
 /// this a link draws it flow by flow.
 const MIN_UNGUARDED: usize = 4;
 
-/// A node's measurement of `rates` through independent `N(0, sd²)`
-/// noise on every rate, clamped at zero, folded around `pivot` — or,
-/// with no pivot, around the first flow's measured rate (the window
-/// rule of `fold_snapshot`). The law of the fold of `max(r + e, 0)`,
-/// drawn at the cost of one fold of the noiseless rates and a few
-/// draws rather than one per flow:
+/// A node's measurement of the rates in `parts`, laid end to end,
+/// through independent `N(0, sd²)` noise on every rate, clamped at
+/// zero, folded around `pivot` — or, with no pivot, around the first
+/// flow's measured rate (the window rule of `fold_snapshot`). The parts
+/// are read where they lie: any split of the same rates gives the bits
+/// of their concatenation (module docs, and the order below is the
+/// concatenation's). The law of the fold of `max(r + e, 0)`, drawn at
+/// the cost of one fold of the noiseless rates and a few draws rather
+/// than one per flow:
 ///
 /// * The pivot flow (with no pivot) and every flow with `r < 13·sd`
 ///   ([`CLAMP_GUARD_SDS`]) draw their own `e`, are clamped, and move the
@@ -313,24 +316,43 @@ const MIN_UNGUARDED: usize = 4;
 /// non-finite rate makes the fold non-finite, as it does a noiseless
 /// one.
 pub fn fold_noisy<R: Rng>(
-    rates: &[f64],
+    parts: &[&[f64]],
     pivot: Option<f64>,
     sd: f64,
     rng: &mut R,
 ) -> SnapshotMoments {
+    // The first flow, and the parts from the one that holds it.
+    let lead = parts.iter().position(|part| !part.is_empty());
+    let (first, parts) = match lead {
+        Some(i) => (Some(parts[i][0]), &parts[i..]),
+        None => (None, &[][..]),
+    };
+    let fold = |pivot| {
+        let mut all = RateMoments::new(pivot);
+        for part in parts {
+            all.add_slice(part);
+        }
+        all.reduce()
+    };
     if sd.is_nan() || sd <= 0.0 {
-        let pivot = pivot.or(rates.first().copied()).unwrap_or(0.0);
-        return RateMoments::of(pivot, rates).reduce();
+        return fold(pivot.or(first).unwrap_or(0.0));
     }
     let gaussian = NormalSampler::get();
     let measure = |r: f64, rng: &mut R| (r + sd * gaussian.sample(rng)).max(0.0);
-    let (first, rest) = match (pivot, rates.split_first()) {
-        (Some(_), _) => (None, rates),
-        (None, Some((&r, rest))) => (Some((r, measure(r, rng))), rest),
+    let (first, skip) = match (pivot, first) {
+        (Some(_), _) => (None, 0),
+        (None, Some(r)) => (Some((r, measure(r, rng))), 1),
         (None, None) => return SnapshotMoments::default(),
     };
+    // The flows after the pivot flow, a part at a time.
+    let rest = || {
+        let (head, tail) = parts
+            .split_first()
+            .map_or((&[][..], parts), |(h, t)| (*h, t));
+        std::iter::once(&head[skip..]).chain(tail.iter().copied())
+    };
     let pivot = pivot.or(first.map(|(_, x)| x)).unwrap_or(0.0);
-    let all = RateMoments::of(pivot, rates).reduce();
+    let all = fold(pivot);
     let mut drawn = Drawn::around(all.pivot);
     if let Some((r, x)) = first {
         drawn.add(r, x);
@@ -339,21 +361,23 @@ pub fn fold_noisy<R: Rng>(
     // than by a branch on every rate, drawn on a local copy of `rng`.
     let guard = CLAMP_GUARD_SDS * sd;
     rng.round_trip(|rng| {
-        for chunk in rest.chunks(64) {
-            let mut below = 0u64;
-            for (j, &r) in chunk.iter().enumerate() {
-                below |= u64::from(r < guard) << j;
-            }
-            while below != 0 {
-                let r = chunk[below.trailing_zeros() as usize];
-                below &= below - 1;
-                drawn.add(r, measure(r, rng));
+        for part in rest() {
+            for chunk in part.chunks(64) {
+                let mut below = 0u64;
+                for (j, &r) in chunk.iter().enumerate() {
+                    below |= u64::from(r < guard) << j;
+                }
+                while below != 0 {
+                    let r = chunk[below.trailing_zeros() as usize];
+                    below &= below - 1;
+                    drawn.add(r, measure(r, rng));
+                }
             }
         }
     });
     let unguarded = all.n - drawn.n;
     if unguarded < MIN_UNGUARDED {
-        for &r in rest.iter().filter(|&&r| r >= guard) {
+        for &r in rest().flatten().filter(|&&r| r >= guard) {
             drawn.add(r, measure(r, rng));
         }
         return drawn.applied_to(all, 0.0, 0.0, 0.0);

@@ -145,7 +145,9 @@ fn the_fold_has_the_law_of_per_flow_noise() {
     for (name, rates, external) in cases() {
         for pivot in [None, Some(external)] {
             let (sum_a, sq_a) = statistics(&rates, pivot, 1, per_flow);
-            let (sum_b, sq_b) = statistics(&rates, pivot, 2, fold_noisy);
+            let whole =
+                |rates: &[f64], pivot, sd, rng: &mut StdRng| fold_noisy(&[rates], pivot, sd, rng);
+            let (sum_b, sq_b) = statistics(&rates, pivot, 2, whole);
             let what = format!("{name}, pivot {pivot:?}");
             same_law(sum_a, sum_b, &format!("{what}: Σx"));
             same_law(sq_a, sq_b, &format!("{what}: Σ(x−c)²"));
@@ -172,13 +174,15 @@ fn zero_noise_draws_nothing() {
     for (name, rates, external) in cases() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut untouched = rng.clone();
-        let window = fold_noisy(&rates, None, 0.0, &mut rng);
+        let window = fold_noisy(&[&rates], None, 0.0, &mut rng);
         assert_eq!(window, RateMoments::of(rates[0], &rates).reduce(), "{name}");
-        let around = fold_noisy(&rates, Some(external), 0.0, &mut rng);
+        let around = fold_noisy(&[&rates], Some(external), 0.0, &mut rng);
         assert_eq!(around, RateMoments::of(external, &rates).reduce(), "{name}");
         assert_eq!(rng.next_u64(), untouched.next_u64(), "{name}: drew");
     }
     let empty = fold_noisy(&[], None, SD, &mut StdRng::seed_from_u64(7));
+    let empty_parts = fold_noisy(&[&[], &[]], None, SD, &mut StdRng::seed_from_u64(7));
+    assert_eq!(empty_parts, SnapshotMoments::default());
     assert_eq!(empty, SnapshotMoments::default());
 }
 
@@ -192,8 +196,40 @@ fn a_non_finite_rate_makes_the_fold_non_finite() {
             let mut rates = rcbr_rates();
             rates[at] = bad;
             for pivot in [None, Some(0.97)] {
-                let m = fold_noisy(&rates, pivot, SD, &mut rng);
+                let m = fold_noisy(&[&rates], pivot, SD, &mut rng);
                 assert!(!m.is_finite(), "{bad} at {at}, pivot {pivot:?}");
+            }
+        }
+    }
+}
+
+/// A link reads its crossing routes' rates where they lie: any split of
+/// the rates into parts, empty ones anywhere included, gives the bits of
+/// the whole and leaves the stream where the whole does, with and
+/// without noise and pivot.
+#[test]
+fn a_fold_in_parts_is_the_fold_of_their_concatenation() {
+    for (name, rates, external) in cases() {
+        let n = rates.len();
+        let splits: [&[usize]; 5] = [&[0], &[1], &[n / 3, n / 2], &[0, 0, 1, n - 1], &[n, n]];
+        for pivot in [None, Some(external)] {
+            for sd in [0.0, SD] {
+                let mut rng = StdRng::seed_from_u64(0x5041_5254);
+                let whole = fold_noisy(&[&rates], pivot, sd, &mut rng);
+                for cuts in splits {
+                    let mut parts = Vec::new();
+                    let mut from = 0;
+                    for &cut in cuts {
+                        parts.push(&rates[from..cut]);
+                        from = cut;
+                    }
+                    parts.push(&rates[from..]);
+                    let mut split = StdRng::seed_from_u64(0x5041_5254);
+                    let folded = fold_noisy(&parts, pivot, sd, &mut split);
+                    let what = format!("{name}, cuts {cuts:?}, pivot {pivot:?}, sd {sd}");
+                    assert_eq!(format!("{folded:?}"), format!("{whole:?}"), "{what}");
+                    assert_eq!(split.next_u64(), rng.clone().next_u64(), "{what}: drew");
+                }
             }
         }
     }
@@ -222,7 +258,7 @@ fn pin(rates: &[f64], pivot: Option<f64>) -> u64 {
     let mut rng = StdRng::seed_from_u64(0x4E4F_4953);
     let mut hash = Fnv::new();
     for _ in 0..64 {
-        let m = fold_noisy(rates, pivot, SD, &mut rng);
+        let m = fold_noisy(&[rates], pivot, SD, &mut rng);
         hash.bytes(format!("{m:?}").as_bytes());
     }
     hash.bytes(&rng.next_u64().to_le_bytes());

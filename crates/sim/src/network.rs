@@ -295,7 +295,6 @@ impl Scenario for RoutedNetworkLoad<'_> {
             e.exp_draws = (routes * cfg.initial_flows_per_route) as u64;
         }
         let mut route_snaps: Vec<Vec<f64>> = vec![Vec::new(); routes];
-        let mut link_rates: Vec<f64> = Vec::new();
         let record = |step: usize| step > cfg.warmup_ticks;
         for step in 1..=cfg.ticks {
             let now = step as f64 * cfg.tick;
@@ -313,19 +312,24 @@ impl Scenario for RoutedNetworkLoad<'_> {
                 tick_departed += table.depart_until(now) as u64;
                 table.snapshot_into(snap);
             }
-            // Measure each link: union of crossing routes' flows, seen
-            // through this node's noise and folded once into the moments
-            // that feed its estimator and give its load; resync
-            // occupancy, tally overflow/utilization. (A link's load is
-            // the measured fold's, not any one table's aggregate.)
+            // Measure each link: union of crossing routes' flows, each
+            // route's snapshot read where it lies, seen through this
+            // node's noise and folded once into the moments that feed
+            // its estimator and give its load; resync occupancy, tally
+            // overflow/utilization. (A link's load is the measured
+            // fold's, not any one table's aggregate.)
+            let mut parts: Vec<&[f64]> = Vec::new();
             for link in topo.link_ids() {
-                link_rates.clear();
-                for &(route, _) in topo.crossings(link) {
-                    link_rates.extend_from_slice(&route_snaps[route.index()]);
-                }
+                let crossing = topo.crossings(link);
+                parts.clear();
+                parts.extend(
+                    crossing
+                        .iter()
+                        .map(|&(route, _)| &route_snaps[route.index()][..]),
+                );
                 let l = link.index();
                 let pivot = Some(admission[l].moment_pivot());
-                let mom = fold_noisy(&link_rates, pivot, cfg.noise_sd, &mut rng);
+                let mom = fold_noisy(&parts, pivot, cfg.noise_sd, &mut rng);
                 admission[l].measure(now, &mom);
                 if record(step) {
                     let load = mom.sum();
@@ -334,9 +338,9 @@ impl Scenario for RoutedNetworkLoad<'_> {
                         rep.overflow_ticks[l] += 1;
                     }
                     rep.util_sum[l] += load.min(c) / c;
-                    rep.occupancy_sum[l] += link_rates.len() as u64;
+                    rep.occupancy_sum[l] += mom.count() as u64;
                     tick_load += load;
-                    tick_occ += link_rates.len() as u64;
+                    tick_occ += mom.count() as u64;
                 }
             }
             if record(step) {
