@@ -355,10 +355,10 @@ fn decision_hash(out: &mbac_serve::RoutedReplayOutcome, routes: usize) -> u64 {
 #[test]
 fn mixed_topology_decision_bytes_are_pinned() {
     let cases = [
-        (1, 0.0, 0x32c4_bb22_3d49_144c_u64),
-        (1, 0.05, 0xff82_b72e_b0bf_aa7b),
-        (2, 0.0, 0xcb84_88b3_2ecc_7ad0),
-        (2, 0.05, 0x9a02_b9aa_1290_92c6),
+        (1, 0.0, 0xc75e_d6ad_b3ef_7249_u64),
+        (1, 0.05, 0xf50b_8443_0af5_bc56),
+        (2, 0.0, 0x8a92_5de5_9501_11ae),
+        (2, 0.05, 0xa90a_f4d8_98ae_372c),
     ];
     let make = certainty_equivalent_factory(1e-2, 2.0);
     for (topo_kind, noise_sd, pinned) in cases {

@@ -111,15 +111,19 @@ use mbac_num::rng::{ExpSampler, NormalSampler};
 use rand::rngs::StdRng;
 use rand::RngCore;
 
-/// The advance rule (module docs) over `len` flows advanced by `dt`,
-/// mean interval `t_c`: calls `renegotiate(i, rng)` for each flow that
-/// renegotiates, in ascending order, and draws one `Exp(1)` per flow on
-/// the rarer side — renegotiating while `λ = dt/T_c ≤ ln 2`, keeping its
-/// rate past it — plus at most one that lands past the end. A `λ` of
-/// zero — `dt = 0`, or a subnormal `dt` that underflows — draws nothing,
-/// and so does a `μ` of zero (`λ ≳ 745`, or infinite) beyond the rates.
-/// The one loop behind the batch kernel, [`crate::batch::DynBatch`]'s
-/// RCBR runs and a boxed source's `advance` (a batch of one).
+/// The one thinning walk: picks each of `len` slots independently with
+/// probability `1 − e^{−dt/t_c}` — the slots whose exponential clock of
+/// mean `t_c` rings within `dt` — and calls `renegotiate(i, rng)` for
+/// each, in ascending order. It draws one `Exp(1)` per slot on the rarer
+/// side — picked while `λ = dt/t_c ≤ ln 2`, passed over past it — plus
+/// at most one that lands past the end. A `λ` of zero — `dt = 0`, or a
+/// subnormal `dt` that underflows — draws nothing, and so does a `μ` of
+/// zero (`λ ≳ 745`, or infinite) beyond the picks. It is the RCBR
+/// advance rule (module docs) behind the batch kernel,
+/// [`crate::batch::DynBatch`]'s RCBR runs and a boxed source's `advance`
+/// (a batch of one), and it picks the flows of a population with
+/// exponential holding times that leave in a tick (`mbac_sim`'s serve
+/// generator).
 ///
 /// The generator `G` comes in by value and goes back out — a local
 /// `StdRng` from the kernel, a `&mut` one from the other two — so that
@@ -127,7 +131,7 @@ use rand::RngCore;
 /// kernel's copy, which stays in registers (`mbac_num::rng`, "The
 /// register rule").
 #[inline(always)]
-pub(crate) fn thin<G: RngCore>(
+pub fn thin<G: RngCore>(
     len: usize,
     dt: f64,
     t_c: f64,
