@@ -489,7 +489,6 @@ struct RoutedLinkState {
     #[cfg(test)]
     pending_peak: usize,
     measures: u64,
-    reserves: u64,
     commits: u64,
     aborts: u64,
 }
@@ -543,7 +542,6 @@ impl TwoPhase {
                 #[cfg(test)]
                 pending_peak: 0,
                 measures: 0,
-                reserves: 0,
                 commits: 0,
                 aborts: 0,
             });
@@ -572,7 +570,6 @@ impl TwoPhase {
                 let admissible = state.admission.admissible();
                 let vote = state.admission.votes();
                 let occ = state.admission.occupancy();
-                state.reserves += 1;
                 if self.table.one_hop(seq) {
                     // Its own last voter: the vote is the verdict.
                     state.settle(vote);
@@ -717,9 +714,12 @@ impl LinkLogic for TwoPhase {
     fn link_bundles(&self) -> Vec<(usize, MetricsSnapshot)> {
         let bundle = |state: &RoutedLinkState| {
             let mut bundle = MetricsSnapshot::new();
+            // A parked link buffers its events, so at most one of its
+            // reserves is unsettled: the one it is parked on.
+            let reserves = state.commits + state.aborts + u64::from(state.parked.is_some());
             for (name, v) in [
                 ("measures", state.measures),
-                ("reserves", state.reserves),
+                ("reserves", reserves),
                 ("commits", state.commits),
                 ("aborts", state.aborts),
                 ("dropped", state.admission.dropped()),
@@ -932,7 +932,7 @@ mod tests {
     use mbac_core::topology::MAX_ROUTE_HOPS;
     use mbac_num::RateMoments;
     use mbac_sim::{
-        RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig, RoutedWorkload,
+        RequestLoad, RequestLoadConfig, RoutedEvent, RoutedLoad, RoutedLoadConfig, RoutedWorkload,
         SessionBuilder, Windows,
     };
     use mbac_traffic::process::{SourceModel, Unbatched};
@@ -1321,14 +1321,19 @@ mod tests {
             Some(MetricValue::Counter(c)) => assert_eq!(c.count, out.decisions),
             other => panic!("{other:?}"),
         }
-        // Every reserve either committed or aborted, per link.
+        // A link counts a reserve for each request occurrence the run
+        // put on it.
         for link in 0..2 {
             let get = |name: &str| match out.snapshot.get(&format!("net.link{link}.{name}")) {
                 Some(MetricValue::Counter(c)) => c.count,
                 other => panic!("net.link{link}.{name}: {other:?}"),
             };
+            let events = w.events(LinkId(link));
+            let applied = events
+                .iter()
+                .filter(|e| matches!(e, RoutedEvent::Request { .. }));
             assert!(get("reserves") > 0);
-            assert_eq!(get("commits") + get("aborts"), get("reserves"));
+            assert_eq!(get("reserves"), applied.count() as u64);
             assert!(get("measures") > 0);
         }
     }
