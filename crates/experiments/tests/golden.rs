@@ -11,11 +11,15 @@
 //! Before that, each test checks the shape EXPERIMENTS.md's verdict
 //! claims for the figure on the table it built, so a re-bless cannot
 //! bless a table that has lost its shape. Only the verdicts the quick
-//! budget resolves are checked. It does not resolve Fig. 5's factor by
-//! which eqn (38) exceeds the simulation, Fig. 7's utilization rising
-//! row by row, Fig. 10's long-memory rows meeting the target (they read
-//! up to 2.9e-3 here), Fig. 11's shortest holding time meeting it
-//! (3.1e-3 here), or the topology knee's flatness past `T_m = T̃_h`; and
+//! budget resolves are checked: those that held on every one of 200
+//! seeds there (each scenario seed offset by `k·2³²`, `k < 200`). The
+//! others held at the runner's fixed seeds only, and `tests/results.rs`
+//! checks them on the committed `MBAC_SCALE=0.15` tables instead; its
+//! docs list each one's failure count at the quick budget. The quick
+//! budget does not resolve Fig. 5's factor by which eqn (38) exceeds
+//! the simulation, Fig. 7's utilization rising row by row, Fig. 10's
+//! long-memory rows meeting the target, Fig. 11's shortest holding time
+//! meeting it, or the topology knee's flatness past `T_m = T̃_h`; and
 //! the star's binding hub is not in the topology table at all.
 //!
 //! To re-bless the fixtures after an intentional numeric change:
@@ -135,21 +139,11 @@ fn max(values: &[f64]) -> f64 {
     values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Fig. 5: `p_f` falls more than thirtyfold from `T_m = 0` to the knee
-/// at `T̃_h = 31.6` (×330 here, ×71 at `MBAC_SCALE=0.15`), no further
-/// past it, and eqn (38) sits above the simulation at every `T_m`.
+/// Fig. 5: every verdict (the fall to the knee, none past it, eqn (38)
+/// above the simulation) is checked in `tests/results.rs`.
 #[test]
 fn fig5_matches_fixture() {
-    let table = from_runner("fig5");
-    let (sim, eqn38) = (col(&table, "pf_sim"), col(&table, "pf_eqn38"));
-    let at = |t_m| rows_where(&table, "t_m", t_m, "pf_sim")[0];
-    assert!(at(0.0) >= 30.0 * at(31.6), "no fall to the knee: {sim:?}");
-    assert!(at(64.0) >= 0.5 * at(31.6), "a fall past the knee: {sim:?}");
-    assert!(
-        eqn38.iter().zip(&sim).all(|(t, s)| t >= s),
-        "{eqn38:?} < {sim:?}"
-    );
-    check_golden("fig5", &table);
+    check_golden("fig5", &from_runner("fig5"));
 }
 
 /// Fig. 6: each curve's `p_ce` rises with `T_m` toward `p_q`, the curves
@@ -182,18 +176,12 @@ fn fig6_matches_fixture() {
     check_golden("fig6", &table);
 }
 
-/// Fig. 7: at the adjusted `p_ce` the simulated `p_f` is at or below
-/// `p_q` at every `T_m`, and utilization is higher at the longest
-/// memory than at the shortest.
+/// Fig. 7: utilization is higher at the longest memory than at the
+/// shortest (`p_f` at or below `p_q`: `tests/results.rs`).
 #[test]
 fn fig7_matches_fixture() {
     let table = from_runner("fig7");
-    let (pf, target, util) = (
-        col(&table, "pf_sim"),
-        col(&table, "target"),
-        col(&table, "util"),
-    );
-    assert!(pf.iter().zip(&target).all(|(p, t)| p <= t), "{pf:?}");
+    let util = col(&table, "util");
     assert!(util[util.len() - 1] > util[0], "{util:?}");
     check_golden("fig7", &table);
 }
@@ -216,66 +204,38 @@ fn fig9_matches_fixture() {
     check_golden("fig9", &table);
 }
 
-/// Fig. 10: the top row misses the target tenfold at its worst, every
-/// longer memory's worst case is below the top row's, and every
-/// simulated value sits at or below the Fig. 9 theory at its point.
+/// Fig. 10: the top row misses the target tenfold at its worst (the
+/// longer memories below it, and the simulation under the Fig. 9
+/// theory: `tests/results.rs`).
 #[test]
 fn fig10_matches_fixture() {
     let table = from_runner("fig10");
-    let worst = |r| max(&rows_where(&table, "tm_over_thtilde", r, "pf_sim"));
-    assert!(worst(0.01) >= 10.0 * P_Q);
-    for r in [0.1, 0.5, 1.0] {
-        assert!(worst(r) < worst(0.01), "T_m/T~h = {r}");
-    }
-    let theory = from_runner("fig9");
-    let key = |t: &Table| {
-        let (r, t_c) = (col(t, "tm_over_thtilde"), col(t, "t_c"));
-        r.into_iter().zip(t_c).collect::<Vec<_>>()
-    };
-    let (points, theory_points) = (key(&table), key(&theory));
-    let (sim, pf) = (col(&table, "pf_sim"), col(&theory, "pf"));
-    for (point, s) in points.iter().zip(&sim) {
-        let at = theory_points.iter().position(|p| p == point).unwrap();
-        assert!(*s <= pf[at], "{point:?}: {s} above the theory's {}", pf[at]);
-    }
+    let worst = max(&rows_where(&table, "tm_over_thtilde", 0.01, "pf_sim"));
+    assert!(worst >= 10.0 * P_Q);
     check_golden("fig10", &table);
 }
 
-/// Fig. 11: memoryless estimation misses by more the longer calls hold:
-/// `p_f` falls as `1/T̃_h` grows, from a tenfold miss at the longest.
+/// Fig. 11: memoryless estimation misses tenfold at the longest
+/// holding time (`p_f` falling as `1/T̃_h` grows: `tests/results.rs`).
 #[test]
 fn fig11_matches_fixture() {
     let table = from_runner("fig11");
     let pf = col(&table, "pf_sim");
-    assert!(pf.windows(2).all(|w| w[0] > w[1]), "{pf:?}");
     assert!(pf[0] >= 10.0 * P_Q, "{pf:?}");
     check_golden("fig11", &table);
 }
 
-/// Fig. 12: the robust rule meets the target over the whole sweep.
+/// Fig. 12: the robust rule meeting the target over the whole sweep is
+/// checked in `tests/results.rs`.
 #[test]
 fn fig12_matches_fixture() {
-    let table = from_runner("fig12");
-    let (pf, target) = (col(&table, "pf_sim"), col(&table, "target"));
-    assert!(pf.iter().zip(&target).all(|(p, t)| p <= t), "{pf:?}");
-    check_golden("fig12", &table);
+    check_golden("fig12", &from_runner("fig12"));
 }
 
-/// Topology: on both shapes memoryless estimation is the worst memory
-/// for the worst link, and on the parking lot the long route blocks
-/// more than the cross routes at every memory.
+/// Topology: every verdict (memoryless worst for the worst link on both
+/// shapes, the long route blocking more) is checked in
+/// `tests/results.rs`.
 #[test]
 fn topology_matches_fixture() {
-    let table = from_runner("topology");
-    for shape in [0.0, 1.0] {
-        let pf = rows_where(&table, "topo_id", shape, "max_pf");
-        assert!(pf[1..].iter().all(|&p| p < pf[0]), "shape {shape}: {pf:?}");
-    }
-    let long = rows_where(&table, "topo_id", 0.0, "long_route_block");
-    let cross = rows_where(&table, "topo_id", 0.0, "other_routes_block");
-    assert!(
-        long.iter().zip(&cross).all(|(l, c)| l > c),
-        "{long:?} / {cross:?}"
-    );
-    check_golden("topology", &table);
+    check_golden("topology", &from_runner("topology"));
 }

@@ -38,7 +38,8 @@
 //! is per flow — flow `i`'s draws are what [`RateProcess::advance`]
 //! draws. RCBR thins (see [`crate::rcbr`]): one exponential gap draw
 //! per flow on the rarer side — renegotiating or keeping its rate —
-//! plus one past the end, whose count depends on the whole batch, so a
+//! plus one past the end, or where neither side is rare words shared
+//! by 64 flows' coins; either count depends on the whole batch, so a
 //! boxed source advanced alone cannot match it;
 //! [`DynBatch`] instead runs the kernel's loop over each run of
 //! consecutive flows with equal [`RateProcess::thinning_scale`].
@@ -115,7 +116,8 @@ impl LaneStreams {
     ///   so every draw through it loads and stores the four state words;
     ///   a copy that only inlined code and no out-of-line call receives
     ///   stays in registers (`mbac_num::rng`, "The register rule"). A
-    ///   call that must take the generator — `thin`'s keeper walk —
+    ///   call that must take the generator — `thin`'s coin and keeper
+    ///   walks —
     ///   takes it by value and hands it back; a hook that takes a `&mut
     ///   StdRng` leaves that flow's draw on the stream itself. With the
     ///   samplers' rare paths already out of line, `ar1_dense` ran ×1.13
@@ -508,14 +510,15 @@ mod tests {
     }
 
     /// A zero-σ uniform marginal (`lo == hi`) draws its mean on both
-    /// engines, through both thinning walks, one word a draw as any
-    /// uniform draw takes, and never panics on its empty range.
+    /// engines, through each thinning walk (gaps, coins, keepers), one
+    /// word a draw as any uniform draw takes, and never panics on its
+    /// empty range.
     #[test]
     fn zero_sd_uniform_draws_its_mean_on_both_engines() {
         let model = RcbrModel::with_marginal(Marginal::uniform_with_moments(1.0, 0.0), 1.0);
         let mut t = Twins::spawn(&model, 20, 47);
         for step in 0..40 {
-            t.advance([0.3, 2.0][step % 2], step);
+            t.advance([0.05, 0.3, 2.0, 3.0][step % 4], step);
         }
         assert!(t.batch.rates().iter().all(|&r| r == 1.0));
         assert_eq!(t.boxed_rng, t.batch_rng, "RNG end state");

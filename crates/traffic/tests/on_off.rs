@@ -11,8 +11,9 @@
 //! with `π_on = λ/(λ+μ)`. About 10⁵ stationary flows are spawned on the
 //! batch kernel (above one lane, so the lanes run too) and as boxed
 //! sources, advanced once by each step, and every flow's transition is
-//! counted. The steps fall on both sides of `ln 2 · T_c`,
-//! `T_c = 1/(λ+μ)`, where RCBR thinning switches walks.
+//! counted. With `T_c = 1/(λ+μ) = 0.75` the steps are `0.067`, `1` and
+//! `6.7 T_c`: below, inside and past RCBR thinning's coin band
+//! (`−ln(7/8) ≤ dt/T_c ≤ ln 8`), one for each of its walks.
 
 use mbac_traffic::process::{RateProcess, SourceModel};
 use rand::rngs::StdRng;

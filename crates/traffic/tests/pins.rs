@@ -1,8 +1,9 @@
 //! The draw sequences of every batched kernel, pinned.
 //!
 //! Each case bulk-spawns a batch at a fixed seed, advances it through
-//! steps on both sides of `ln 2 · T_c` (where RCBR thinning switches
-//! from the renegotiation walk to the keeper walk), departs and admits
+//! steps below, inside and past RCBR thinning's coin band (`1/8 ≤ p ≤
+//! 7/8`, where it decides 64 slots' coins from shared words; below it
+//! the renegotiation walk runs, past it the keeper walk), departs and admits
 //! flows mid-run, and folds the bits of every rate it reads — and the
 //! RNG's end state — into one FNV-1a hash. A refactor of a model must
 //! leave these constants alone; a change that redraws sample paths on
@@ -38,8 +39,9 @@ impl Fnv {
     }
 }
 
-/// Steps as multiples of the model's time-scale: below, at and just
-/// past `ln 2`, and far past it.
+/// Steps as multiples of the model's time-scale: below the coin band
+/// (0.01, 0.05), inside it (0.25 … 2.0, across `ln 2`), and far past
+/// it (50).
 const STEPS: [f64; 8] = [0.01, 0.25, 0.69, 0.70, 2.0, 0.05, 50.0, 0.4];
 
 /// The hash of `model`'s batch kernel over [`STEPS`] (scaled by
@@ -77,17 +79,17 @@ fn rcbr(mean: f64, std_dev: f64, t_c: f64, truncate_at_zero: bool) -> RcbrModel 
 fn rcbr_paper_source_is_pinned() {
     assert_eq!(
         pin(&RcbrModel::new(RcbrConfig::paper_default(1.0)), 1.0, 1),
-        0x6669_4438_e6c7_8148
+        0x5b87_7498_91d6_a39b
     );
     // σ/μ = 0.5 puts a visible share of draws below zero, so the
     // truncated and untruncated kernels part ways.
     assert_eq!(
         pin(&rcbr(1.0, 0.5, 2.0, true), 2.0, 2),
-        0xd988_02fd_8c32_3899
+        0xa474_22e9_611d_7362
     );
     assert_eq!(
         pin(&rcbr(1.0, 0.5, 2.0, false), 2.0, 3),
-        0x4d24_3df2_43c6_072a
+        0xe72f_96c9_e17f_97c2
     );
 }
 
@@ -96,19 +98,19 @@ fn rcbr_marginals_are_pinned() {
     let cases = [
         (
             Marginal::uniform_with_moments(1.0, 0.3),
-            0x71c5_1de9_5bef_755d,
+            0x8aed_ee3c_45d9_a247,
         ),
         (
             Marginal::two_point_with_moments(1.0, 0.3),
-            0x11af_9b54_c4d0_409d,
+            0x055b_85f7_40b2_c8ef,
         ),
         (
             Marginal::lognormal_with_moments(1.0, 0.3),
-            0x83fe_e784_c078_cffd,
+            0x8879_be0f_1eba_2957,
         ),
         (
             Marginal::Gaussian { mean: 1.0, sd: 0.3 },
-            0xb154_0c66_b3a6_9d9d,
+            0x2e69_c4d0_e389_d759,
         ),
     ];
     for (k, (marginal, want)) in cases.into_iter().enumerate() {
